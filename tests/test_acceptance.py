@@ -609,3 +609,144 @@ def test_full_battery_is_deterministic_and_fast(tmp_path):
         assert payload["job"]["seed"] == 7
         assert all(c["status"] == "pass" for c in payload["checks"]), verb
     assert time.monotonic() - start < 600.0
+
+
+# SHA-256 of every report the battery writes at --seed 7 --samples 10, of
+# the pullback verb in each Courant presentation mode, and of the Lie
+# inverse image in each non-identity mode. A refactor that claims to keep
+# behaviour must leave every one of these unchanged.
+GOLDEN_BATTERY = {
+    "assoc-c-plus": "bd2e479f47464e4cc7191d9226359499fb43f8591a1f4666552e671d6653eecf",
+    "check-courant": "f0bf88703620a33afe938b58d0e399b624fd060ccfb3d60bbdfb721ae4c45025",
+    "check-dirac": "04ce37dd72ea92b552cba19886f6d7166a4a6ab897d25e6aa3a2f7f573a01c44",
+    "check-lie": "c2b25d057e5c45fdad5e65037a9b76d609d0632dc7dc7d448603386ad6b4ea34",
+    "cocycle": "97effedd0cb1e2f87b9c2503a46ee3b479b92b3c0580a39637b8d2211bdce71b",
+    "curvature": "537298b245538bb4c1de4c1b3757f31d3ad67cf1a74d2cfb0f6b61a135cbe407",
+    "curvature-pullback": "51b5b3b124cbccc7548ad1b886d131d69c65cef8de16b1d3f3dfbd1a516a42eb",
+    "dirac-pushdown": "3590d5feca1658402eec701a03761f76b015219c8d312eae71f89cb4222dc615",
+    "morphism-graph": "108fb0a9cf1f4a5394c1103919de0b914d85369fa586813cd4beea06f84fcf13",
+    "pullback": "b95e9f37daa9dfa11f81f2f47dd3b7b2873f9fda56a735f7e412344393a84164",
+    "tau-linear": "c4d4affee8b9516cb47087e3bb8e1714a9fa5cf869b3deb849d978d697756c2a",
+    "tau-roundtrip": "b4aaea1414c909623bb9bd310b6a247ac53deea700f9bc4fb4c66ca07201386d",
+    "twist": "9a92643ce306ab32a5ce645278874d7288a952f3226580b7a1cbc65fed495399",
+    "twist-commute": "eac2031471486c261ea460ff8ebec0b64ca461ef59e9c3d091357af9d3a67ecf",
+}
+GOLDEN_PULLBACK_MODES = {
+    "coordinate-embedding": "26ab3e1751acbfabe8f0a2f34230bf13a6cdd4f84438363d72f2c65d1405bfc4",
+    "coordinate-submersion": "7e5ad62ad987dbc0e3fa92a3cb92dcc9c7b014ed8c2de0f6e6bb72939dddacd1",
+    "exact-split": "e42082a8843840344d2c92f7452c3eb7f0df8ba02236700aec5cf014868c737d",
+    "identity": "bb03dd2257cd637ac1dedf905064c31de8cb7779b8674f4c94e51476bf7b49e7",
+}
+GOLDEN_LIE_PULLBACKS = {
+    "coordinate-embedding": "4710d238ca10a69cde790f0ec186c33be348c37b305c922f4cdf8ba8b4cd7883",
+    "coordinate-submersion": "0558a24a2d02100960baef1abdb6cd9970341698972b768e902a27228bd9fdd1",
+    "transitive-split": "1f43afd79d0d005ef5f352a3534e5a430336a2d145ba3cc8952a43dc29f90dc9",
+}
+
+
+def _pullback_mode_jobs():
+    twisted = standard_exact(R3, VOL)
+    structure = jsonio.courant_to_json(twisted)
+    # a closed twist on R4 that survives restriction to {x4 = 0}
+    on_r4 = standard_exact(
+        R4, KForm(R4, 3, {(0, 1, 2): parse_poly("x1 + x2", R4)})
+    )
+    inclusion = ChartMap(
+        R3, R4, tuple(Poly.coord(R3, j) for j in range(3)) + (Poly.zero(R3),)
+    )
+    shear = jsonio.map_to_json(shear_map())
+    return {
+        "identity": {
+            "structure": structure,
+            "map": jsonio.map_to_json(ChartMap.identity(R3)),
+            "mode": "identity",
+        },
+        "exact-split": {
+            "structure": structure,
+            "map": shear,
+            "mode": "exact-split",
+            "connection": jsonio.matrix_to_json(
+                coordinate_connection(twisted).columns
+            ),
+        },
+        "coordinate-embedding": {
+            "structure": jsonio.courant_to_json(on_r4),
+            "map": jsonio.map_to_json(inclusion),
+            "mode": "coordinate-embedding",
+        },
+        "coordinate-submersion": {
+            "structure": structure,
+            "map": shear,
+            "mode": "coordinate-submersion",
+        },
+    }
+
+
+def _lie_pullbacks():
+    from algebroids.lie_algebroid import pullback_lie
+
+    # the line extension of the tangent algebroid by the closed two-form
+    # (x1 + x3^2) dx1^dx3 + x2 dx2^dx3
+    z = Poly.zero(R3)
+    anchor = tuple(tangent_algebroid(R3).anchor) + ((z, z, z),)
+    ext = LieData(
+        R3,
+        4,
+        anchor,
+        {
+            (0, 2): (z, z, z, parse_poly("x1 + x3^2", R3)),
+            (1, 2): (z, z, z, parse_poly("x2", R3)),
+        },
+    )
+    split = tuple(linalg.unit_vec(R3, 4, j) for j in range(3))
+    return {
+        "coordinate-embedding": pullback_lie(
+            ChartMap(P2, R3, (Poly.coord(P2, 0), Poly.zero(P2), Poly.coord(P2, 1))),
+            ext,
+            "coordinate-embedding",
+        ),
+        "coordinate-submersion": pullback_lie(
+            shear_map(), ext, "coordinate-submersion"
+        ),
+        "transitive-split": pullback_lie(
+            ChartMap(
+                P2, R3, (Poly.coord(P2, 0), Poly.coord(P2, 1), parse_poly("x1*x2", P2))
+            ),
+            ext,
+            "transitive-split",
+            split,
+        ),
+    }
+
+
+def _report_digest(tmp_path, verb, spec, name):
+    import hashlib
+
+    spec_path = tmp_path / f"{name}.json"
+    spec_path.write_text(jsonio.dump_json(spec), encoding="utf-8")
+    out_path = tmp_path / f"{name}.report.json"
+    argv = [verb, "--spec", str(spec_path), "--out", str(out_path)]
+    assert main(argv + ["--seed", "7", "--samples", "10"]) == 0, name
+    return hashlib.sha256(out_path.read_bytes()).hexdigest()
+
+
+def test_golden_report_digests(tmp_path):
+    import hashlib
+
+    battery = {
+        verb: _report_digest(tmp_path, verb, spec, verb)
+        for verb, spec in _battery_jobs().items()
+    }
+    modes = {
+        mode: _report_digest(tmp_path, "pullback", spec, f"pullback-{mode}")
+        for mode, spec in _pullback_mode_jobs().items()
+    }
+    lie = {
+        mode: hashlib.sha256(
+            jsonio.dump_json(jsonio.lie_to_json(pb.algebroid)).encode("utf-8")
+        ).hexdigest()
+        for mode, pb in _lie_pullbacks().items()
+    }
+    assert battery == GOLDEN_BATTERY
+    assert modes == GOLDEN_PULLBACK_MODES
+    assert lie == GOLDEN_LIE_PULLBACKS
