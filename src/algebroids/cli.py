@@ -4,7 +4,8 @@ Every verb reads a spec file, runs exact checks, and writes a deterministic
 JSON report (sorted keys, no timestamps): running the same job twice gives
 byte-identical output. Exit codes: 0 all checks passed, 1 some check
 failed, 2 the spec was unreadable or inconsistent, 3 the job needs an
-unsupported presentation mode.
+unsupported presentation mode, 4 the job hit a resource limit (a polynomial
+product above the total-degree cap).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from algebroids.descent import CoverData, DescentDatum, check_cocycle, tautologi
 from algebroids.dirac import check_dirac
 from algebroids.errors import (
     AlgebroidError,
+    DegreeOverflowError,
     ParseError,
     UnsupportedModeError,
     ValidationError,
@@ -95,7 +97,8 @@ def _run_check_lie(spec, args):
 
 
 def _run_check_courant(spec, args):
-    return check_courant(_structure(spec)), {}
+    rep = check_courant(_structure(spec), samples=args.samples, seed=args.seed)
+    return rep, {}
 
 
 def _run_check_dirac(spec, args):
@@ -114,7 +117,7 @@ def _run_pullback(spec, args):
         else None
     )
     pb = pullback_courant(f, q, spec.get("mode"), conn)
-    rep = check_courant(pb.result)
+    rep = check_courant(pb.result, samples=args.samples, seed=args.seed)
     rep.merge(check_relation_absorption(pb))
     return rep, {"result": jsonio.courant_to_json(pb.result)}
 
@@ -125,7 +128,8 @@ def _run_twist(spec, args):
         jsonio._require(spec, "form", "spec"), q.chart
     )
     out = twist(q, h)
-    return check_courant(out), {"result": jsonio.courant_to_json(out)}
+    rep = check_courant(out, samples=args.samples, seed=args.seed)
+    return rep, {"result": jsonio.courant_to_json(out)}
 
 
 def _run_curvature(spec, args):
@@ -354,6 +358,9 @@ def main(argv=None) -> int:
     except UnsupportedModeError as exc:
         print(f"error: unsupported mode: {exc}", file=sys.stderr)
         return 3
+    except DegreeOverflowError as exc:
+        print(f"error: resource limit: {exc}", file=sys.stderr)
+        return 4
     except (ValidationError, ParseError, AlgebroidError) as exc:
         print(f"error: bad job spec: {exc}", file=sys.stderr)
         return 2

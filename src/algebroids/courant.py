@@ -4,7 +4,9 @@ A Courant algebroid here is a free module with an anchor (sections to vector
 fields), a coanchor (one-forms to sections), a symmetric pairing, and a
 non-antisymmetric bracket given by structure functions on the generators.
 The bracket of general sections extends the generator table by the Leibniz
-rule in the right slot and its pairing-corrected mirror in the left slot:
+rule in the right slot and its pairing-corrected mirror in the left slot;
+everything but the last (coanchor) line is the anchored-module core shared
+with LieData (algebroids.anchored):
 
     {u, v} = sum_ab u_a v_b {e_a, e_b}
            + sum_b anchor(u)(v_b) e_b
@@ -31,6 +33,12 @@ from fractions import Fraction
 from typing import Sequence
 
 from algebroids import linalg
+from algebroids.anchored import (
+    AnchoredModule,
+    apply_constant,
+    apply_matrix,
+    constant_complement,
+)
 from algebroids.errors import ChartMismatchError, ValidationError
 from algebroids.lie_algebroid import LieData, fmt_section
 from algebroids.linalg import Vec, vec_add, vec_is_zero, vec_scale, vec_sub
@@ -40,7 +48,7 @@ from algebroids.symcalc import Chart, KForm, Poly, VField
 
 
 @dataclass
-class CourantData:
+class CourantData(AnchoredModule):
     """Structure data of a Courant algebroid on a free module basis.
 
     anchor[a] is the vector field image of generator a; coanchor[j] is the
@@ -58,14 +66,9 @@ class CourantData:
     structure: dict[tuple[int, int], Vec] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.anchor = tuple(tuple(r) for r in self.anchor)
+        self._validate()
         self.coanchor = tuple(tuple(r) for r in self.coanchor)
         self.pairing = tuple(tuple(r) for r in self.pairing)
-        if len(self.anchor) != self.rank:
-            raise ValidationError("anchor needs one row per generator")
-        for row in self.anchor:
-            if len(row) != self.chart.dim:
-                raise ValidationError("anchor row has wrong length")
         if len(self.coanchor) != self.chart.dim:
             raise ValidationError("coanchor needs one row per coordinate")
         for row in self.coanchor:
@@ -82,42 +85,13 @@ class CourantData:
                     raise ValidationError(
                         f"pairing is not symmetric at ({a},{b})"
                     )
-        for mat in (self.anchor, self.coanchor, self.pairing):
+        for mat in (self.coanchor, self.pairing):
             for row in mat:
                 for p in row:
                     if p.chart != self.chart:
                         raise ChartMismatchError("entry on wrong chart")
-        clean = {}
-        for (a, b), vec in self.structure.items():
-            vec = tuple(vec)
-            if not (0 <= a < self.rank and 0 <= b < self.rank):
-                raise ValidationError(f"structure key {(a, b)} out of range")
-            if len(vec) != self.rank:
-                raise ValidationError("structure vector has wrong length")
-            for p in vec:
-                if p.chart != self.chart:
-                    raise ChartMismatchError("structure entry on wrong chart")
-            if not vec_is_zero(vec):
-                clean[(a, b)] = vec
-        self.structure = clean
 
     # -- sections ----------------------------------------------------------
-
-    def zero_section(self) -> Vec:
-        return linalg.zero_vec(self.chart, self.rank)
-
-    def gen(self, a: int) -> Vec:
-        return linalg.unit_vec(self.chart, self.rank, a)
-
-    def anchor_of(self, u: Vec) -> VField:
-        comps = []
-        for i in range(self.chart.dim):
-            acc = Poly.zero(self.chart)
-            for a in range(self.rank):
-                if not u[a].is_zero:
-                    acc = acc + u[a] * self.anchor[a][i]
-            comps.append(acc)
-        return VField(self.chart, comps)
 
     def coanchor_of(self, alpha: KForm) -> Vec:
         if alpha.degree != 1:
@@ -142,28 +116,8 @@ class CourantData:
                     acc = acc + u[a] * v[b] * self.pairing[a][b]
         return acc
 
-    def bracket_gen(self, a: int, b: int) -> Vec:
-        return self.structure.get((a, b), self.zero_section())
-
     def bracket(self, u: Vec, v: Vec) -> Vec:
-        out = list(self.zero_section())
-        su = self.anchor_of(u)
-        sv = self.anchor_of(v)
-        for a in range(self.rank):
-            if u[a].is_zero:
-                continue
-            for b in range(self.rank):
-                if v[b].is_zero:
-                    continue
-                gen = self.structure.get((a, b))
-                if gen is None:
-                    continue
-                coeff = u[a] * v[b]
-                for k in range(self.rank):
-                    if not gen[k].is_zero:
-                        out[k] = out[k] + coeff * gen[k]
-        for k in range(self.rank):
-            out[k] = out[k] + su.apply(v[k]) - sv.apply(u[k])
+        out = list(super().bracket(u, v))
         for a in range(self.rank):
             if u[a].is_zero or u[a].as_constant() is not None:
                 continue
@@ -469,18 +423,6 @@ def check_courant(q: CourantData, samples: int = 100, seed: int = 0) -> Report:
     return rep
 
 
-def apply_matrix(matrix: Sequence[Vec], u: Vec, rank_out: int, chart: Chart) -> Vec:
-    out = list(linalg.zero_vec(chart, rank_out))
-    for a, coeff in enumerate(u):
-        if coeff.is_zero:
-            continue
-        for k in range(rank_out):
-            img = matrix[a][k]
-            if not img.is_zero:
-                out[k] = out[k] + coeff * img
-    return tuple(out)
-
-
 def check_courant_morphism(
     src: CourantData, dst: CourantData, matrix: Sequence[Vec]
 ) -> Report:
@@ -654,29 +596,12 @@ def associated_lie_algebroid(q: CourantData) -> tuple[LieData, tuple[Vec, ...]]:
             cand = span_rows + [list(consts)]
             if linalg.qq_rank(cand) > len(span_rows):
                 span_rows.append(list(consts))
-    complement: list[int] = []
-    rows = [list(r) for r in span_rows]
-    for i in range(q.rank):
-        cand = rows + [[Fraction(j == i) for j in range(q.rank)]]
-        if linalg.qq_rank(cand) > len(rows):
-            rows = cand
-            complement.append(i)
-    basis = span_rows + [
-        [Fraction(j == i) for j in range(q.rank)] for i in complement
-    ]
-    inv = linalg.qq_inverse(linalg.transpose(basis))
+    complement, inv = constant_complement(span_rows, q.rank)
     if inv is None:
         raise ValidationError("coanchor image has no constant complement")
 
     def reduce(vec: Vec) -> Vec:
-        out = []
-        for r in range(len(span_rows), len(basis)):
-            acc = Poly.zero(chart)
-            for j in range(q.rank):
-                if inv[r][j]:
-                    acc = acc + inv[r][j] * vec[j]
-            out.append(acc)
-        return tuple(out)
+        return apply_constant(inv[len(span_rows):], vec, chart)
 
     anchor = tuple(tuple(q.anchor[i]) for i in complement)
     structure = {}

@@ -8,12 +8,19 @@ are produced from that data by the Leibniz rule in both slots:
     [u, v] = sum_ab u_a v_b [e_a, e_b]
            + sum_b anchor(u)(v_b) e_b - sum_a anchor(v)(u_a) e_a.
 
+The anchored-module core (validation, sections, anchor, the table+Leibniz
+bracket) is shared with CourantData through algebroids.anchored; LieData
+adds only the antisymmetric reading of its table.
+
 Inverse images along a chart map are computed on explicit free presentations
 of the fiber product  f*A  x_{f*TX}  TY. Four construction modes are
 supported (identity, transitive-split, coordinate-embedding,
 coordinate-submersion); anything else raises UnsupportedModeError rather
-than guessing. Ambient vectors for a pullback are stacked as
-(tangent components on Y, then tensor components over the generators of A).
+than guessing. Mode resolution and the map-shape analysis behind the
+identity, embedding and submersion modes (classify_map, Embedding,
+Submersion) are the ones the Courant inverse image uses too. Ambient vectors
+for a pullback are stacked as (tangent components on Y, then tensor
+components over the generators of A).
 """
 
 from __future__ import annotations
@@ -24,11 +31,19 @@ from fractions import Fraction
 from typing import Sequence
 
 from algebroids import linalg
-from algebroids.errors import (
-    ChartMismatchError,
-    UnsupportedModeError,
-    ValidationError,
+from algebroids.anchored import (
+    AnchoredModule,
+    Embedding,
+    Submersion,
+    apply_constant,
+    apply_matrix,
+    classify_map,
+    constant_complement,
+    leibniz_sum,
+    pulled_entries,
+    resolve_mode,
 )
+from algebroids.errors import UnsupportedModeError, ValidationError
 from algebroids.linalg import Vec, vec_add, vec_is_zero, vec_scale, vec_sub
 from algebroids.report import Report
 from algebroids.sampling import sample_poly, sample_section
@@ -47,7 +62,7 @@ def fmt_section(v: Sequence[Poly]) -> str:
 
 
 @dataclass
-class LieData:
+class LieData(AnchoredModule):
     """Structure data of a Lie algebroid on a free module basis.
 
     anchor[a] lists the tangent components of the image of generator a;
@@ -62,74 +77,15 @@ class LieData:
     structure: dict[tuple[int, int], Vec] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.anchor = tuple(tuple(row) for row in self.anchor)
-        if len(self.anchor) != self.rank:
-            raise ValidationError("anchor needs one row per generator")
-        for row in self.anchor:
-            if len(row) != self.chart.dim:
-                raise ValidationError("anchor row has wrong length")
-            for p in row:
-                if p.chart != self.chart:
-                    raise ChartMismatchError("anchor entry on wrong chart")
-        clean = {}
-        for (a, b), vec in self.structure.items():
-            vec = tuple(vec)
-            if not (0 <= a < self.rank and 0 <= b < self.rank):
-                raise ValidationError(f"structure key {(a, b)} out of range")
-            if len(vec) != self.rank:
-                raise ValidationError("structure vector has wrong length")
-            for p in vec:
-                if p.chart != self.chart:
-                    raise ChartMismatchError("structure entry on wrong chart")
-            if not vec_is_zero(vec):
-                clean[(a, b)] = vec
-        self.structure = clean
+        self._validate()
 
-    # -- basic sections ---------------------------------------------------
-
-    def zero_section(self) -> Vec:
-        return linalg.zero_vec(self.chart, self.rank)
-
-    def gen(self, a: int) -> Vec:
-        return linalg.unit_vec(self.chart, self.rank, a)
-
-    def anchor_of(self, u: Vec) -> VField:
-        comps = []
-        for i in range(self.chart.dim):
-            acc = Poly.zero(self.chart)
-            for a in range(self.rank):
-                if not u[a].is_zero:
-                    acc = acc + u[a] * self.anchor[a][i]
-            comps.append(acc)
-        return VField(self.chart, comps)
-
-    def bracket_gen(self, a: int, b: int) -> Vec:
+    def _entry(self, a: int, b: int) -> Vec | None:
         got = self.structure.get((a, b))
-        if got is not None:
-            return got
-        got = self.structure.get((b, a))
-        if got is not None:
-            return linalg.vec_neg(got)
-        return self.zero_section()
-
-    def bracket(self, u: Vec, v: Vec) -> Vec:
-        out = list(self.zero_section())
-        su = self.anchor_of(u)
-        sv = self.anchor_of(v)
-        for a in range(self.rank):
-            if u[a].is_zero:
-                continue
-            for b in range(self.rank):
-                if v[b].is_zero:
-                    continue
-                gen = self.bracket_gen(a, b)
-                coeff = u[a] * v[b]
-                for k in range(self.rank):
-                    if not gen[k].is_zero:
-                        out[k] = out[k] + coeff * gen[k]
-        for k in range(self.rank):
-            out[k] = out[k] + su.apply(v[k]) - sv.apply(u[k])
-        return tuple(out)
+        if got is None:
+            got = self.structure.get((b, a))
+            if got is not None:
+                got = linalg.vec_neg(got)
+        return got
 
 
 def tangent_algebroid(chart: Chart) -> LieData:
@@ -298,20 +254,11 @@ class OExtensionData:
             raise ValidationError("splitting needs one row per base generator")
 
     def project(self, u: Vec) -> Vec:
-        out = list(linalg.zero_vec(self.base.chart, self.base.rank))
-        for a, img in enumerate(self.projection):
-            if not u[a].is_zero:
-                for k in range(self.base.rank):
-                    out[k] = out[k] + u[a] * img[k]
-        return tuple(out)
+        return apply_matrix(self.projection, u, self.base.rank, self.base.chart)
 
     def lift(self, v: Vec) -> Vec:
-        out = list(linalg.zero_vec(self.total.lie.chart, self.total.lie.rank))
-        for b, lift in enumerate(self.splitting):
-            if not v[b].is_zero:
-                for k in range(self.total.lie.rank):
-                    out[k] = out[k] + v[b] * lift[k]
-        return tuple(out)
+        total = self.total.lie
+        return apply_matrix(self.splitting, v, total.rank, total.chart)
 
 
 def check_extension(ext: OExtensionData, samples: int = 25, seed: int = 0) -> Report:
@@ -366,34 +313,13 @@ def quotient_by_marking(m: MarkedLieData) -> tuple[LieData, tuple[Vec, ...]]:
     """
     a = m.lie
     chart = a.chart
-    const = [p.as_constant() for p in m.marking]
-    if any(c is None for c in const) or not any(const):
-        raise ValidationError("marking must be a nonzero constant vector")
-    rows = [list(map(Fraction, const))]
-    complement: list[int] = []
-    for i in range(a.rank):
-        cand = rows + [[Fraction(j == i) for j in range(a.rank)]]
-        if linalg.qq_rank(cand) > len(rows):
-            rows = cand
-            complement.append(i)
-    # Reduction matrix: express any total vector as marking-line + complement.
-    basis = [list(map(Fraction, const))] + [
-        [Fraction(j == i) for j in range(a.rank)] for i in complement
-    ]
-    inv = linalg.qq_inverse(linalg.transpose(basis))
+    complement, inv = constant_complement([_constant_marking(m)], a.rank)
     if inv is None:
         raise ValidationError("marking line has no constant complement")
 
     def reduce(vec: Vec) -> Vec:
         # Coefficients along the complement generators (marking part dropped).
-        out = []
-        for r in range(1, len(basis)):
-            acc = Poly.zero(chart)
-            for j in range(a.rank):
-                if inv[r][j]:
-                    acc = acc + inv[r][j] * vec[j]
-            out.append(acc)
-        return tuple(out)
+        return apply_constant(inv[1:], vec, chart)
 
     anchor = tuple(a.anchor_of(a.gen(i)).comps for i in complement)
     structure = {}
@@ -461,19 +387,7 @@ def baer_combination(
     if not any(weights):
         return trivial_extension(base)
 
-    fiber_coeff = []
-    for e in extensions:
-        const = [p.as_constant() for p in e.total.marking]
-        if any(c is None for c in const) or not any(const):
-            raise ValidationError("markings must be nonzero constant vectors")
-        # One constant covector reading off the fiber coordinate.
-        lin = linalg.constant_left_inverse(
-            [[Poly.const(e.total.lie.chart, c)] for c in const]
-        )
-        if lin is None:
-            raise ValidationError("marking line admits no constant retraction")
-        fiber_coeff.append(lin[0])
-
+    readers = [_fiber_reader(e) for e in extensions]
     rb = base.rank
     rank = rb + 1
 
@@ -482,16 +396,7 @@ def baer_combination(
         a_part = extensions[0].project(components[0])
         beta = Poly.zero(chart)
         for i, e in enumerate(extensions):
-            rem = vec_sub(components[i], e.lift(a_part))
-            t = Poly.zero(chart)
-            for j, c in enumerate(fiber_coeff[i]):
-                if c:
-                    t = t + c * rem[j]
-            # Defensive: rem must be exactly t * marking.
-            if not linalg.vec_eq(rem, vec_scale(t, e.total.marking)):
-                raise ValidationError(
-                    "tuple is not in the fiber product of the extensions"
-                )
+            t = readers[i](vec_sub(components[i], e.lift(a_part)))
             beta = beta + weights[i] * t
         return a_part + (beta,)
 
@@ -526,49 +431,6 @@ def baer_combination(
 # ---------------------------------------------------------------------------
 # Inverse images
 # ---------------------------------------------------------------------------
-
-
-def _coordinate_of(p: Poly) -> int | None:
-    if len(p.terms) != 1:
-        return None
-    exps, c = next(iter(p.terms.items()))
-    if c != 1 or sum(exps) != 1:
-        return None
-    return exps.index(1)
-
-
-def classify_map(f: ChartMap) -> str:
-    """Best-effort structural classification used by the auto modes."""
-    if f.source == f.target and f.comps == ChartMap.identity(f.source).comps:
-        return "identity"
-    comp_coords = [_coordinate_of(c) for c in f.comps]
-    used = [c for c in comp_coords if c is not None]
-    distinct = len(set(used)) == len(used)
-    if (
-        all(c is not None for c in comp_coords)
-        and distinct
-        and f.source.dim >= f.target.dim
-    ):
-        return "coordinate-submersion"
-    zero_or_coord = all(
-        f.comps[j].is_zero or comp_coords[j] is not None
-        for j in range(len(f.comps))
-    )
-    if (
-        zero_or_coord
-        and distinct
-        and set(used) == set(range(f.source.dim))
-        and f.source.dim <= f.target.dim
-    ):
-        return "coordinate-embedding"
-    if f.source.dim == f.target.dim and f.source.dim > 0:
-        det = linalg.poly_det(f.jacobian())
-        c = det.as_constant()
-        if c is not None and c != 0:
-            return "coordinate-submersion"
-    raise UnsupportedModeError(
-        f"map {f} fits no supported pullback mode"
-    )
 
 
 @dataclass
@@ -617,33 +479,15 @@ class LiePullback:
             )
         return coeffs
 
-def _ambient_bracket(
-    f: ChartMap, a: LieData, x: Vec, y: Vec
-) -> Vec:
-    """Fiber-product bracket on pure stacked vectors over the source of f."""
-    chart = f.source
+
+def _ambient_bracket(chart: Chart, rank: int, pulled, x: Vec, y: Vec) -> Vec:
+    """Fiber-product bracket on stacked vectors over chart; pulled reads the
+    pulled structure table."""
     d = chart.dim
     xi = VField(chart, x[:d])
     eta = VField(chart, y[:d])
-    u = x[d:]
-    w = y[d:]
-    tangent = xi.bracket(eta).comps
-    tensor = []
-    for k in range(a.rank):
-        acc = xi.apply(w[k]) - eta.apply(u[k])
-        tensor.append(acc)
-    for i in range(a.rank):
-        if u[i].is_zero:
-            continue
-        for j in range(a.rank):
-            if w[j].is_zero:
-                continue
-            gen = a.bracket_gen(i, j)
-            coeff = u[i] * w[j]
-            for k in range(a.rank):
-                if not gen[k].is_zero:
-                    tensor[k] = tensor[k] + coeff * f.pull(gen[k])
-    return tuple(tangent) + tuple(tensor)
+    tensor = leibniz_sum(rank, pulled, x[d:], y[d:], xi, eta)
+    return tuple(xi.bracket(eta).comps) + tuple(tensor)
 
 
 def _structure_from_basis(
@@ -651,15 +495,19 @@ def _structure_from_basis(
 ) -> tuple[tuple[Vec, ...], dict]:
     chart = f.source
     d = chart.dim
+    pulled = pulled_entries(f, a._entry)
+
+    def bracket(x: Vec, y: Vec) -> Vec:
+        return reduce_fn(_ambient_bracket(chart, a.rank, pulled, x, y))
+
     anchor = tuple(b[:d] for b in basis)
     structure = {}
     for x in range(len(basis)):
         for y in range(x, len(basis)):
-            amb = _ambient_bracket(f, a, basis[x], basis[y])
-            got = reduce_fn(amb)
+            got = bracket(basis[x], basis[y])
             # The opposite order must reduce to the negation; anything else
             # means the source data was not antisymmetric to begin with.
-            rev = reduce_fn(_ambient_bracket(f, a, basis[y], basis[x]))
+            rev = bracket(basis[y], basis[x])
             if not vec_is_zero(vec_add(got, rev)):
                 raise ValidationError(
                     "pullback bracket is not antisymmetric; source structure "
@@ -682,12 +530,7 @@ def pullback_lie(
     transitive-split mode needs `splitting`: a module right inverse of the
     anchor, one section per source-chart coordinate.
     """
-    if a.chart != f.target:
-        raise ChartMismatchError("algebroid does not live on the target chart")
-    if mode is None:
-        mode = classify_map(f)
-    if mode not in MODES:
-        raise UnsupportedModeError(f"unknown pullback mode {mode!r}")
+    mode = resolve_mode(f, a.chart, mode, MODES)
     if mode == "identity":
         return _pullback_identity(f, a)
     if mode == "transitive-split":
@@ -707,13 +550,7 @@ def _finish(f, a, basis, reducer, mode) -> LiePullback:
 
 
 def _pullback_identity(f: ChartMap, a: LieData) -> LiePullback:
-    if f.comps != ChartMap.identity(f.source).comps or f.source != f.target:
-        raise UnsupportedModeError("identity mode requires the identity map")
-    chart = f.source
-    basis = []
-    for i in range(a.rank):
-        sigma = a.anchor_of(a.gen(i))
-        basis.append(tuple(sigma.comps) + a.gen(i))
+    basis = [tuple(a.anchor[i]) + a.gen(i) for i in range(a.rank)]
 
     def reducer(tangent: Vec, tensor: Vec) -> Vec:
         return tensor
@@ -735,15 +572,10 @@ def _pullback_transitive_split(
             )
     # Kernel generators kappa_a = e_a - splitting(anchor(e_a)); the free
     # presentation requires a constant spanning subset.
-    kappas = []
-    for i in range(a.rank):
-        sigma = a.anchor_of(a.gen(i))
-        lift = list(linalg.zero_vec(chart_x, a.rank))
-        for j in range(chart_x.dim):
-            if not sigma.comps[j].is_zero:
-                for k in range(a.rank):
-                    lift[k] = lift[k] + sigma.comps[j] * splitting[j][k]
-        kappas.append(vec_sub(a.gen(i), tuple(lift)))
+    kappas = [
+        vec_sub(a.gen(i), apply_matrix(splitting, a.anchor[i], a.rank, chart_x))
+        for i in range(a.rank)
+    ]
     const_rows = []
     for kap in kappas:
         consts = [p.as_constant() for p in kap]
@@ -764,29 +596,19 @@ def _pullback_transitive_split(
     if nk and left is None:
         raise UnsupportedModeError("kernel generators admit no constant retraction")
     # Every kappa must reduce over the selected generators.
-    kconst = [[row[j] for j in range(a.rank)] for row in selected]
     for i, kap in enumerate(kappas):
-        if linalg.solve_constant_system(linalg.transpose(kconst), kap) is None:
+        if linalg.solve_constant_system(linalg.transpose(selected), kap) is None:
             raise UnsupportedModeError(
                 f"kernel section for generator {i} is not in the constant span"
             )
 
     dcols = f.jacobian()  # dcols[j][i] = d f_j / d y_i
+    pulled_split = [[f.pull(p) for p in col] for col in splitting]
     basis = []
     for i in range(chart_y.dim):
-        tensor = list(linalg.zero_vec(chart_y, a.rank))
-        for j in range(chart_x.dim):
-            dji = dcols[j][i]
-            if dji.is_zero:
-                continue
-            for k in range(a.rank):
-                if not splitting[j][k].is_zero:
-                    tensor[k] = tensor[k] + dji * f.pull(splitting[j][k])
-        tangent = tuple(
-            Poly.one(chart_y) if t == i else Poly.zero(chart_y)
-            for t in range(chart_y.dim)
-        )
-        basis.append(tangent + tuple(tensor))
+        jcol = tuple(dcols[j][i] for j in range(chart_x.dim))
+        tensor = apply_matrix(pulled_split, jcol, a.rank, chart_y)
+        basis.append(linalg.unit_vec(chart_y, chart_y.dim, i) + tensor)
     for row in selected:
         tensor = tuple(Poly.const(chart_y, c) for c in row)
         basis.append(tuple(linalg.zero_vec(chart_y, chart_y.dim)) + tensor)
@@ -794,89 +616,16 @@ def _pullback_transitive_split(
     hparts = [b[chart_y.dim:] for b in basis[: chart_y.dim]]
 
     def reducer(tangent: Vec, tensor: Vec) -> Vec:
-        rem = list(tensor)
-        for i, lam in enumerate(tangent):
-            if not lam.is_zero:
-                for k in range(a.rank):
-                    rem[k] = rem[k] - lam * hparts[i][k]
-        mus = []
-        for s in range(nk):
-            acc = Poly.zero(chart_y)
-            for k in range(a.rank):
-                if left[s][k]:
-                    acc = acc + left[s][k] * rem[k]
-            mus.append(acc)
-        return tuple(tangent) + tuple(mus)
+        rem = vec_sub(tensor, apply_matrix(hparts, tangent, a.rank, chart_y))
+        return tuple(tangent) + apply_constant(left, rem, chart_y)
 
     return _finish(f, a, basis, reducer, "transitive-split")
 
 
-def _embedding_data(f: ChartMap):
-    """(target index of each source coord, zeroed target indices)."""
-    src_of_target: dict[int, int] = {}
-    zeroed = []
-    for j, c in enumerate(f.comps):
-        if c.is_zero:
-            zeroed.append(j)
-            continue
-        i = _coordinate_of(c)
-        if i is None or i in src_of_target.values():
-            raise UnsupportedModeError(
-                "coordinate-embedding mode needs components that are distinct "
-                "coordinates or zero"
-            )
-        src_of_target[j] = i
-    if sorted(src_of_target.values()) != list(range(f.source.dim)):
-        raise UnsupportedModeError(
-            "coordinate-embedding mode must use every source coordinate once"
-        )
-    return src_of_target, zeroed
-
-
 def _pullback_embedding(f: ChartMap, a: LieData) -> LiePullback:
-    chart_z = f.source
-    src_of_target, zeroed = _embedding_data(f)
-    # Constraint rows: for each zeroed target coordinate s, the pulled anchor
-    # of the tensor part must vanish: sum_a u_a * f*(anchor[a][s]) = 0.
-    m = [[f.pull(a.anchor[col][s]) for col in range(a.rank)] for s in zeroed]
-    m0 = [[p.constant_term() for p in row] for row in m]
-    _, pivots = linalg.qq_rref(m0)
-    if len(pivots) != len(zeroed):
-        raise UnsupportedModeError(
-            "anchor constraints along the embedding are not constant-solvable"
-        )
-    for row in m:
-        for c in pivots:
-            if row[c].as_constant() is None:
-                raise UnsupportedModeError(
-                    "anchor constraint pivots must be constant"
-                )
-    pivot_mat = [[m0[r][c] for c in pivots] for r in range(len(zeroed))]
-    pivot_inv = linalg.qq_inverse(pivot_mat)
-    if pivot_inv is None:
-        raise UnsupportedModeError("anchor constraint pivots are singular")
-    free = [c for c in range(a.rank) if c not in pivots]
-
-    basis = []
-    for b in free:
-        u = [Poly.zero(chart_z) for _ in range(a.rank)]
-        u[b] = Poly.one(chart_z)
-        rhs = [m[r][b] for r in range(len(zeroed))]
-        for t, c in enumerate(pivots):
-            acc = Poly.zero(chart_z)
-            for r in range(len(zeroed)):
-                if pivot_inv[t][r]:
-                    acc = acc + pivot_inv[t][r] * rhs[r]
-            u[c] = -acc
-        tangent = []
-        for i in range(chart_z.dim):
-            target = next(j for j, s in src_of_target.items() if s == i)
-            acc = Poly.zero(chart_z)
-            for col in range(a.rank):
-                if not u[col].is_zero:
-                    acc = acc + u[col] * f.pull(a.anchor[col][target])
-            tangent.append(acc)
-        basis.append(tuple(tangent) + tuple(u))
+    emb = Embedding(f, a.anchor)
+    free, members = emb.solve()
+    basis = [emb.tangent(members[b]) + members[b] for b in free]
 
     def reducer(tangent: Vec, tensor: Vec) -> Vec:
         return tuple(tensor[b] for b in free)
@@ -884,80 +633,24 @@ def _pullback_embedding(f: ChartMap, a: LieData) -> LiePullback:
     return _finish(f, a, basis, reducer, "coordinate-embedding")
 
 
-def _submersion_data(f: ChartMap):
-    """Tangent lifts of target coordinate fields plus vertical coordinates.
-
-    Returns (rows, vertical) where rows[j] is a source tangent vector whose
-    pushforward is the j-th target coordinate field, and vertical lists the
-    source coordinates spanning the kernel of the differential. Coordinate
-    projections lift into the matching slot; invertible maps lift through
-    the inverse Jacobian.
-    """
-    comp_coords = [_coordinate_of(c) for c in f.comps]
-    if all(c is not None for c in comp_coords) and len(set(comp_coords)) == len(
-        comp_coords
-    ):
-        chart = f.source
-        rows = []
-        for j, i in enumerate(comp_coords):
-            rows.append(
-                tuple(
-                    Poly.one(chart) if t == i else Poly.zero(chart)
-                    for t in range(chart.dim)
-                )
-            )
-        vertical = [
-            i for i in range(chart.dim) if i not in comp_coords
-        ]
-        return rows, vertical
-    if f.source.dim == f.target.dim:
-        jac = f.jacobian()  # jac[j][i] = d f_j / d y_i
-        inv = linalg.poly_inverse_unit_det(jac)
-        # rows[j] must be the tangent lift of the j-th target coordinate
-        # field, i.e. column j of J^{-1}.
-        return [tuple(row) for row in linalg.transpose(inv)], []
-    raise UnsupportedModeError(
-        "coordinate-submersion mode needs a coordinate projection or an "
-        "invertible polynomial map"
-    )
-
-
 def _pullback_submersion(f: ChartMap, a: LieData) -> LiePullback:
     chart_y = f.source
-    rows, vertical = _submersion_data(f)
+    sub = Submersion(f)
     basis = []
     for i in range(a.rank):
-        sigma = a.anchor_of(a.gen(i))
-        pulled = [f.pull(c) for c in sigma.comps]
-        tangent = []
-        for t in range(chart_y.dim):
-            acc = Poly.zero(chart_y)
-            for j in range(f.target.dim):
-                if not pulled[j].is_zero and not rows[j][t].is_zero:
-                    acc = acc + pulled[j] * rows[j][t]
-            tangent.append(acc)
-        tensor = tuple(
-            Poly.one(chart_y) if k == i else Poly.zero(chart_y)
-            for k in range(a.rank)
+        pulled = tuple(f.pull(c) for c in a.anchor[i])
+        basis.append(sub.lift(pulled) + linalg.unit_vec(chart_y, a.rank, i))
+    for v in sub.vertical:
+        basis.append(
+            linalg.unit_vec(chart_y, chart_y.dim, v)
+            + tuple(linalg.zero_vec(chart_y, a.rank))
         )
-        basis.append(tuple(tangent) + tensor)
-    for v in vertical:
-        tangent = tuple(
-            Poly.one(chart_y) if t == v else Poly.zero(chart_y)
-            for t in range(chart_y.dim)
-        )
-        basis.append(tangent + tuple(linalg.zero_vec(chart_y, a.rank)))
 
     gparts = [b[: chart_y.dim] for b in basis[: a.rank]]
 
     def reducer(tangent: Vec, tensor: Vec) -> Vec:
-        rest = list(tangent)
-        for i, lam in enumerate(tensor):
-            if not lam.is_zero:
-                for t in range(chart_y.dim):
-                    rest[t] = rest[t] - lam * gparts[i][t]
-        mus = tuple(rest[v] for v in vertical)
-        return tuple(tensor) + mus
+        rest = vec_sub(tangent, apply_matrix(gparts, tensor, chart_y.dim, chart_y))
+        return tuple(tensor) + tuple(rest[v] for v in sub.vertical)
 
     return _finish(f, a, basis, reducer, "coordinate-submersion")
 
@@ -1013,19 +706,9 @@ def compose_pullback(
     composite = outer.map.compose(inner.map)
     if composite.comps != target.map.comps:
         raise ValidationError("target presentation is for a different map")
-    chart_z = inner.chart
-    amb = inner.expand(tuple(e))
-    tangent, coeffs = inner.split_ambient(amb)
-    tensor = list(linalg.zero_vec(chart_z, target.source.rank))
-    d_y = outer.chart.dim
-    for alpha, c in enumerate(coeffs):
-        if c.is_zero:
-            continue
-        u_part = outer.basis[alpha][d_y:]
-        for k in range(target.source.rank):
-            if not u_part[k].is_zero:
-                tensor[k] = tensor[k] + c * inner.map.pull(u_part[k])
-    return target.reduce(tuple(tangent) + tuple(tensor))
+    tangent, coeffs = inner.split_ambient(inner.expand(tuple(e)))
+    u_parts = [outer.split_ambient(b)[1] for b in outer.basis]
+    return _push_section(inner.map, u_parts, tangent, coeffs, target)
 
 
 def f_plus_morphism(
@@ -1040,20 +723,25 @@ def f_plus_morphism(
     """
     if pb_a.map.comps != pb_b.map.comps or pb_a.chart != pb_b.chart:
         raise ValidationError("presentations must be along the same map")
-    f = pb_a.map
-    out = []
-    for g in range(pb_a.algebroid.rank):
-        tangent, u = pb_a.split_ambient(pb_a.basis[g])
-        mapped = list(linalg.zero_vec(pb_b.chart, pb_b.source.rank))
-        for alpha, c in enumerate(u):
-            if c.is_zero:
-                continue
-            for k in range(pb_b.source.rank):
-                img = matrix[alpha][k]
-                if not img.is_zero:
-                    mapped[k] = mapped[k] + c * f.pull(img)
-        out.append(pb_b.reduce(tuple(tangent) + tuple(mapped)))
-    return out
+    return [
+        _push_section(pb_a.map, matrix, *pb_a.split_ambient(b), pb_b)
+        for b in pb_a.basis
+    ]
+
+
+def _push_section(
+    f: ChartMap, matrix: Sequence[Vec], tangent: Vec, u: Vec, target: LiePullback
+) -> Vec:
+    """Push the tensor part u through a generator matrix, pull the images
+    along f, and reduce (tangent, result) in the target presentation."""
+    mapped = list(linalg.zero_vec(f.source, target.source.rank))
+    for alpha, c in enumerate(u):
+        if c.is_zero:
+            continue
+        for k, img in enumerate(matrix[alpha]):
+            if not img.is_zero:
+                mapped[k] = mapped[k] + c * f.pull(img)
+    return target.reduce(tuple(tangent) + tuple(mapped))
 
 
 def check_compose_associative(
@@ -1104,15 +792,10 @@ def check_compose_associative(
     pulled_cmatrix = f_plus_morphism(p_xi, p_xi_of_composite, cmatrix)
 
     def route1(e: Vec) -> Vec:
-        e_mid = list(linalg.zero_vec(xi.source, p_xi_of_composite.algebroid.rank))
-        for g, c in enumerate(e):
-            if c.is_zero:
-                continue
-            for k in range(len(e_mid)):
-                img = pulled_cmatrix[g][k]
-                if not img.is_zero:
-                    e_mid[k] = e_mid[k] + c * img
-        return compose_pullback(p_xi_of_composite, p_phi_psi, p_full, tuple(e_mid))
+        e_mid = apply_matrix(
+            pulled_cmatrix, e, p_xi_of_composite.algebroid.rank, xi.source
+        )
+        return compose_pullback(p_xi_of_composite, p_phi_psi, p_full, e_mid)
 
     def route2(e: Vec) -> Vec:
         e_mid = compose_pullback(p_xi, p_psi, p_psi_xi, e)
@@ -1145,15 +828,14 @@ def check_compose_associative(
     r2rank = p_psi.algebroid.rank
     for x in range(r2rank):
         for y in range(r2rank):
-            lhs_vec = p_psi.algebroid.bracket_gen(x, y)
-            lhs = list(linalg.zero_vec(psi.source, p_phi_psi.algebroid.rank))
-            for alpha in range(r2rank):
-                if not lhs_vec[alpha].is_zero:
-                    for k in range(p_phi_psi.algebroid.rank):
-                        if not cmatrix[alpha][k].is_zero:
-                            lhs[k] = lhs[k] + lhs_vec[alpha] * cmatrix[alpha][k]
+            lhs = apply_matrix(
+                cmatrix,
+                p_psi.algebroid.bracket_gen(x, y),
+                p_phi_psi.algebroid.rank,
+                psi.source,
+            )
             rhs = p_phi_psi.algebroid.bracket(cmatrix[x], cmatrix[y])
-            if not linalg.vec_eq(tuple(lhs), rhs):
+            if not linalg.vec_eq(lhs, rhs):
                 bad = f"generators ({x},{y})"
                 break
         if bad:
@@ -1199,44 +881,17 @@ def extension_pullback(
     coordinate); the total is pulled in transitive-split mode through the
     composite lift.
     """
-    total_split = []
-    chart_x = ext.base.chart
-    for j in range(chart_x.dim):
-        col = list(linalg.zero_vec(chart_x, ext.total.lie.rank))
-        for b in range(ext.base.rank):
-            coeff = base_splitting[j][b]
-            if not coeff.is_zero:
-                for k in range(ext.total.lie.rank):
-                    col[k] = col[k] + coeff * ext.splitting[b][k]
-        total_split.append(tuple(col))
-    mpb = pullback_marked(f, ext.total, "transitive-split", tuple(total_split))
+    total_split = tuple(ext.lift(col) for col in base_splitting)
+    mpb = pullback_marked(f, ext.total, "transitive-split", total_split)
     pb = mpb.pullback
-    chart_y = f.source
-
-    projection = []
-    for alpha in range(pb.algebroid.rank):
-        tangent, u = pb.split_ambient(pb.basis[alpha])
-        mapped = list(linalg.zero_vec(chart_y, ext.base.rank))
-        for a_idx in range(ext.total.lie.rank):
-            if not u[a_idx].is_zero:
-                for k in range(ext.base.rank):
-                    img = ext.projection[a_idx][k]
-                    if not img.is_zero:
-                        mapped[k] = mapped[k] + u[a_idx] * f.pull(img)
-        projection.append(base_pb.reduce(tuple(tangent) + tuple(mapped)))
-
-    splitting = []
-    for beta in range(base_pb.algebroid.rank):
-        tangent, v = base_pb.split_ambient(base_pb.basis[beta])
-        mapped = list(linalg.zero_vec(chart_y, ext.total.lie.rank))
-        for b in range(ext.base.rank):
-            if not v[b].is_zero:
-                for k in range(ext.total.lie.rank):
-                    img = ext.splitting[b][k]
-                    if not img.is_zero:
-                        mapped[k] = mapped[k] + v[b] * f.pull(img)
-        splitting.append(pb.reduce(tuple(tangent) + tuple(mapped)))
-
+    projection = [
+        _push_section(f, ext.projection, *pb.split_ambient(b), base_pb)
+        for b in pb.basis
+    ]
+    splitting = [
+        _push_section(f, ext.splitting, *base_pb.split_ambient(b), pb)
+        for b in base_pb.basis
+    ]
     out = OExtensionData(
         mpb.marked, base_pb.algebroid, tuple(projection), tuple(splitting)
     )
@@ -1257,27 +912,28 @@ def _extension_cocycle(ext: OExtensionData, fiber_read) -> dict:
     return out
 
 
-def _fiber_reader(ext: OExtensionData):
-    const = [p.as_constant() for p in ext.total.marking]
+def _constant_marking(m: MarkedLieData) -> list[Fraction]:
+    const = [p.as_constant() for p in m.marking]
     if any(c is None for c in const) or not any(const):
         raise ValidationError("marking must be a nonzero constant vector")
+    return const
+
+
+def _fiber_reader(ext: OExtensionData):
+    """read(vec) = t with vec = t * marking; raises ValidationError when vec
+    is off the marking line. Needs a nonzero constant marking."""
+    chart = ext.total.lie.chart
     lin = linalg.constant_left_inverse(
-        [[Poly.const(ext.total.lie.chart, c)] for c in const]
+        [[Poly.const(chart, c)] for c in _constant_marking(ext.total)]
     )
     if lin is None:
         raise ValidationError("marking line admits no constant retraction")
-    row = lin[0]
 
     def read(vec: Vec) -> Poly:
-        acc = Poly.zero(ext.total.lie.chart)
-        for j, c in enumerate(row):
-            if c:
-                acc = acc + c * vec[j]
-        # The defect must lie exactly on the marking line.
-        recon = vec_scale(acc, ext.total.marking)
-        if not linalg.vec_eq(recon, vec):
-            raise ValidationError("bracket defect is not on the marking line")
-        return acc
+        (t,) = apply_constant(lin, vec, chart)
+        if not linalg.vec_eq(vec_scale(t, ext.total.marking), vec):
+            raise ValidationError("vector is not on the marking line")
+        return t
 
     return read
 

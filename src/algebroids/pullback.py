@@ -21,8 +21,13 @@ exact split presentation over a chosen connection (basis: connection lifts
 of the coordinate fields plus the coordinate one-form lines), coordinate
 embeddings (constraint solve plus division by the pulled conormal
 directions), and coordinate submersions including invertible coordinate
-changes. Every reduction is verified by exhibiting the exact relation
-combination; failures raise ValidationError.
+changes. Mode resolution, the map-shape analysis (cut and kept slots, the
+constant anchor-constraint solve, tangent lifts through J^-1) and the
+table+Leibniz half of the ambient bracket are shared with the Lie inverse
+image through algebroids.anchored; this module adds the (beta, u, eta)
+triples, the relations and each mode's reduction. Every reduction is
+verified by exhibiting the exact relation combination; failures raise
+ValidationError.
 """
 
 from __future__ import annotations
@@ -31,6 +36,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from algebroids import linalg
+from algebroids.anchored import (
+    Embedding,
+    Submersion,
+    apply_constant,
+    apply_matrix,
+    constant_complement,
+    embedding_layout,
+    leibniz_sum,
+    pulled_entries,
+    resolve_mode,
+)
 from algebroids.courant import (
     Connection,
     CourantData,
@@ -40,12 +56,7 @@ from algebroids.courant import (
     twist,
 )
 from algebroids.dirac import DiracData, restrict_poly, restricted_chart
-from algebroids.errors import (
-    ChartMismatchError,
-    UnsupportedModeError,
-    ValidationError,
-)
-from algebroids.lie_algebroid import classify_map
+from algebroids.errors import UnsupportedModeError, ValidationError
 from algebroids.linalg import (
     Vec,
     unit_vec,
@@ -53,6 +64,7 @@ from algebroids.linalg import (
     vec_eq,
     vec_is_zero,
     vec_scale,
+    vec_sub,
     zero_vec,
 )
 from algebroids.report import Report
@@ -97,19 +109,13 @@ class CourantPullback:
         if not hasattr(self, "_cache"):
             f, q = self.map, self.source
             self._cache = {
-                "anchor": [
-                    [f.pull(p) for p in row] for row in q.anchor
-                ],
                 "coanchor": [
                     [f.pull(p) for p in row] for row in q.coanchor
                 ],
                 "pairing": [
                     [f.pull(p) for p in row] for row in q.pairing
                 ],
-                "structure": {
-                    key: tuple(f.pull(p) for p in vec)
-                    for key, vec in q.structure.items()
-                },
+                "structure": pulled_entries(f, q._entry),
                 "jac": f.jacobian(),
             }
         return self._cache
@@ -142,20 +148,6 @@ class CourantPullback:
             eta = vec_add(eta, vec_scale(coeff, t[2]))
         return (beta, u, eta)
 
-    def in_fiber_product(self, t: Triple) -> bool:
-        tables = self._pulled()
-        beta, u, eta = t
-        for k in range(self.source.chart.dim):
-            acc = Poly.zero(self.chart)
-            for a in range(self.source.rank):
-                if not u[a].is_zero:
-                    acc = acc + u[a] * tables["anchor"][a][k]
-            for j in range(self.chart.dim):
-                acc = acc - eta[j] * tables["jac"][k][j]
-            if not acc.is_zero:
-                return False
-        return True
-
     def ambient_pairing(self, t1: Triple, t2: Triple) -> Poly:
         tables = self._pulled()
         beta1, u1, eta1 = t1
@@ -181,22 +173,7 @@ class CourantPullback:
         r = self.source.rank
 
         tangent = f1.bracket(f2).comps
-        tensor = list(zero_vec(chart, r))
-        for a in range(r):
-            if u1[a].is_zero:
-                continue
-            for b in range(r):
-                if u2[b].is_zero:
-                    continue
-                gen = tables["structure"].get((a, b))
-                if gen is None:
-                    continue
-                coeff = u1[a] * u2[b]
-                for k in range(r):
-                    if not gen[k].is_zero:
-                        tensor[k] = tensor[k] + coeff * gen[k]
-        for k in range(r):
-            tensor[k] = tensor[k] + f1.apply(u2[k]) - f2.apply(u1[k])
+        tensor = leibniz_sum(r, tables["structure"], u1, u2, f1, f2)
 
         form = _one_form(chart, beta2).lie(f1)
         db1 = _one_form(chart, beta1).d()
@@ -298,15 +275,8 @@ def _pullback_identity(f: ChartMap, q: CourantData) -> CourantPullback:
 
     def reducer(t: Triple):
         beta, u, eta = t
-        cls = list(u)
-        for k in range(chart.dim):
-            if beta[k].is_zero:
-                continue
-            for a in range(r):
-                row = q.coanchor[k][a]
-                if not row.is_zero:
-                    cls[a] = cls[a] + beta[k] * row
-        return tuple(cls), tuple(beta)
+        cls = vec_add(u, apply_matrix(q.coanchor, beta, r, chart))
+        return cls, tuple(beta)
 
     return _finish(f, q, basis, reducer, "identity")
 
@@ -326,6 +296,20 @@ def _coanchor_left_inverse(q: CourantData):
     return left
 
 
+def _connection_lifts(f: ChartMap, conn: Connection, jac) -> list[Vec]:
+    """u-part f*(conn(df(d_i))) of the lift of each source coordinate field;
+    jac is the Jacobian of f."""
+    q = conn.courant
+    n = q.chart.dim
+    pulled_cols = [[f.pull(p) for p in conn.columns[k]] for k in range(n)]
+    return [
+        apply_matrix(
+            pulled_cols, tuple(jac[k][i] for k in range(n)), q.rank, f.source
+        )
+        for i in range(f.source.dim)
+    ]
+
+
 def _pullback_exact_split(
     f: ChartMap, q: CourantData, conn: Connection
 ) -> CourantPullback:
@@ -340,22 +324,11 @@ def _pullback_exact_split(
         raise ValidationError("connection does not belong to the structure")
     left = _coanchor_left_inverse(q)
     jac = f.jacobian()
-    pulled_cols = [
-        [f.pull(p) for p in conn.columns[k]] for k in range(n)
-    ]
+    lifts = _connection_lifts(f, conn, jac)
 
-    basis: list[Triple] = []
-    for i in range(m):
-        u = list(zero_vec(chart, q.rank))
-        for k in range(n):
-            if jac[k][i].is_zero:
-                continue
-            for a in range(q.rank):
-                if not pulled_cols[k][a].is_zero:
-                    u[a] = u[a] + jac[k][i] * pulled_cols[k][a]
-        basis.append(
-            (zero_vec(chart, m), tuple(u), unit_vec(chart, m, i))
-        )
+    basis: list[Triple] = [
+        (zero_vec(chart, m), lifts[i], unit_vec(chart, m, i)) for i in range(m)
+    ]
     for j in range(m):
         basis.append(
             (
@@ -367,122 +340,28 @@ def _pullback_exact_split(
 
     def reducer(t: Triple):
         beta, u, eta = t
-        vert = list(u)
-        for i in range(m):
-            if eta[i].is_zero:
-                continue
-            for a in range(q.rank):
-                bu = basis[i][1][a]
-                if not bu.is_zero:
-                    vert[a] = vert[a] - eta[i] * bu
-        alpha = []
-        for k in range(n):
-            acc = Poly.zero(chart)
-            for a in range(q.rank):
-                if left[k][a] and not vert[a].is_zero:
-                    acc = acc + left[k][a] * vert[a]
-            alpha.append(acc)
-        omega = list(beta)
-        for k in range(n):
-            if alpha[k].is_zero:
-                continue
-            for j in range(m):
-                if not jac[k][j].is_zero:
-                    omega[j] = omega[j] + alpha[k] * jac[k][j]
-        cls = tuple(eta) + tuple(omega)
+        vert = vec_sub(u, apply_matrix(lifts, eta, q.rank, chart))
+        alpha = apply_constant(left, vert, chart)
+        omega = vec_add(beta, apply_matrix(jac, alpha, m, chart))
+        cls = tuple(eta) + omega
         return cls, tuple(-a for a in alpha)
 
     return _finish(f, q, basis, reducer, "exact-split")
 
 
-def _submersion_lifts(f: ChartMap):
-    """Tangent lift of each target coordinate field, plus the beta solver.
-
-    Returns (lifts, solver, vertical) where lifts[k] is a source tangent
-    vector pushing to the k-th target field, solver(beta) gives the relation
-    coefficients absorbing the horizontal part of a one-form, and vertical
-    lists the source slots not hit by the map.
-    """
-    chart = f.source
-    n = f.target.dim
-    slots = []
-    invertible = False
-    for k in range(n):
-        comp = f.comps[k]
-        slot = None
-        for j in range(chart.dim):
-            if comp == Poly.coord(chart, j):
-                slot = j
-                break
-        if slot is None:
-            invertible = True
-            break
-        slots.append(slot)
-    if not invertible and len(set(slots)) == len(slots):
-        lifts = [unit_vec(chart, chart.dim, s) for s in slots]
-        vertical = [j for j in range(chart.dim) if j not in slots]
-
-        def solver(beta: Vec) -> Vec:
-            return tuple(beta[s] for s in slots)
-
-        return lifts, solver, vertical
-
-    if chart.dim != n:
-        raise UnsupportedModeError(
-            "submersion mode needs plain coordinates or a square invertible "
-            "map"
-        )
-    jac = f.jacobian()
-    det = linalg.poly_det(jac)
-    c = det.as_constant()
-    if c is None or c == 0:
-        raise UnsupportedModeError(
-            "square map must have constant nonzero jacobian determinant"
-        )
-    adj = linalg.poly_adjugate(jac)
-    scale = Fraction(1) / c
-    inv = [[scale * p for p in row] for row in adj]
-    lifts = [
-        tuple(inv[j][k] for j in range(n)) for k in range(n)
-    ]
-
-    def solver(beta: Vec) -> Vec:
-        out = []
-        for k in range(n):
-            acc = Poly.zero(chart)
-            for j in range(n):
-                if not beta[j].is_zero and not inv[j][k].is_zero:
-                    acc = acc + inv[j][k] * beta[j]
-            out.append(acc)
-        return tuple(out)
-
-    return lifts, solver, []
-
-
 def _pullback_submersion(f: ChartMap, q: CourantData) -> CourantPullback:
     chart = f.source
-    n = q.chart.dim
     r = q.rank
-    lifts, solver, vertical = _submersion_lifts(f)
+    sub = Submersion(f)
     pulled_anchor = [[f.pull(p) for p in row] for row in q.anchor]
     pulled_coanchor = [[f.pull(p) for p in row] for row in q.coanchor]
 
-    basis: list[Triple] = []
-    etas = []
-    for a in range(r):
-        eta = list(zero_vec(chart, chart.dim))
-        for k in range(n):
-            coeff = pulled_anchor[a][k]
-            if coeff.is_zero:
-                continue
-            for j in range(chart.dim):
-                if not lifts[k][j].is_zero:
-                    eta[j] = eta[j] + coeff * lifts[k][j]
-        etas.append(tuple(eta))
-        basis.append(
-            (zero_vec(chart, chart.dim), unit_vec(chart, r, a), tuple(eta))
-        )
-    for v in vertical:
+    etas = [sub.lift(pulled_anchor[a]) for a in range(r)]
+    basis: list[Triple] = [
+        (zero_vec(chart, chart.dim), unit_vec(chart, r, a), etas[a])
+        for a in range(r)
+    ]
+    for v in sub.vertical:
         basis.append(
             (
                 zero_vec(chart, chart.dim),
@@ -490,7 +369,7 @@ def _pullback_submersion(f: ChartMap, q: CourantData) -> CourantPullback:
                 unit_vec(chart, chart.dim, v),
             )
         )
-    for v in vertical:
+    for v in sub.vertical:
         basis.append(
             (
                 unit_vec(chart, chart.dim, v),
@@ -501,26 +380,13 @@ def _pullback_submersion(f: ChartMap, q: CourantData) -> CourantPullback:
 
     def reducer(t: Triple):
         beta, u, eta = t
-        p = solver(beta)
-        prime = list(u)
-        for k in range(n):
-            if p[k].is_zero:
-                continue
-            for a in range(r):
-                row = pulled_coanchor[k][a]
-                if not row.is_zero:
-                    prime[a] = prime[a] + p[k] * row
-        rem = list(eta)
-        for a in range(r):
-            if prime[a].is_zero:
-                continue
-            for j in range(chart.dim):
-                if not etas[a][j].is_zero:
-                    rem[j] = rem[j] - prime[a] * etas[a][j]
+        p = sub.coefficients(beta)
+        prime = vec_add(u, apply_matrix(pulled_coanchor, p, r, chart))
+        rem = vec_sub(eta, apply_matrix(etas, prime, chart.dim, chart))
         cls = (
-            tuple(prime)
-            + tuple(rem[v] for v in vertical)
-            + tuple(beta[v] for v in vertical)
+            prime
+            + tuple(rem[v] for v in sub.vertical)
+            + tuple(beta[v] for v in sub.vertical)
         )
         return cls, tuple(p)
 
@@ -530,80 +396,13 @@ def _pullback_submersion(f: ChartMap, q: CourantData) -> CourantPullback:
 def _pullback_embedding(f: ChartMap, q: CourantData) -> CourantPullback:
     chart = f.source
     n = q.chart.dim
-    r = q.rank
-    zeroed = [k for k in range(n) if f.comps[k].is_zero]
-    kept = {}
-    for k in range(n):
-        if k in zeroed:
-            continue
-        for j in range(chart.dim):
-            if f.comps[k] == Poly.coord(chart, j):
-                kept[k] = j
-                break
-        else:
-            raise UnsupportedModeError(
-                "embedding mode needs zero-or-coordinate components"
-            )
-    z = len(zeroed)
-
-    # Constraint: pulled anchor components along the zeroed coordinates.
-    constraint = [
-        [f.pull(q.anchor[a][k]) for a in range(r)] for k in zeroed
-    ]
-    const_rows = []
-    for row in constraint:
-        consts = [p.constant_term() for p in row]
-        const_rows.append(consts)
-    _, pivots = linalg.qq_rref(const_rows) if z else ([], [])
-    if len(pivots) != z:
-        raise UnsupportedModeError(
-            "embedding constraints do not have full constant rank"
-        )
-    for s in range(z):
-        for a in pivots:
-            if constraint[s][a].as_constant() is None:
-                raise UnsupportedModeError(
-                    "embedding pivot columns must be constant"
-                )
-    pivot_matrix = [
-        [Fraction(constraint[s][a].as_constant()) for a in pivots]
-        for s in range(z)
-    ]
-    pivot_inv = linalg.qq_inverse(pivot_matrix) if z else []
-    if z and pivot_inv is None:
-        raise UnsupportedModeError("embedding pivot matrix is singular")
-    free = [a for a in range(r) if a not in pivots]
-
-    def solve_member(u_vec: Vec) -> Vec:
-        """Correct the pivot slots so the constraints hold exactly."""
-        vals = []
-        for s in range(z):
-            acc = Poly.zero(chart)
-            for a in range(r):
-                if not u_vec[a].is_zero and not constraint[s][a].is_zero:
-                    acc = acc + u_vec[a] * constraint[s][a]
-            vals.append(acc)
-        out = list(u_vec)
-        for t_i, a in enumerate(pivots):
-            corr = Poly.zero(chart)
-            for s in range(z):
-                if pivot_inv[t_i][s] and not vals[s].is_zero:
-                    corr = corr + pivot_inv[t_i][s] * vals[s]
-            out[a] = out[a] - corr
-        return tuple(out)
-
-    members = {}
-    for a in free:
-        members[a] = solve_member(
-            tuple(
-                Poly.one(chart) if b == a else Poly.zero(chart)
-                for b in range(r)
-            )
-        )
+    emb = Embedding(f, q.anchor)
+    free, members = emb.solve()
+    z = len(emb.zeroed)
 
     pulled_coanchor = [[f.pull(p) for p in row] for row in q.coanchor]
     conormal_rows = []
-    for k in zeroed:
+    for k in emb.zeroed:
         vec = pulled_coanchor[k]
         row = []
         for a in free:
@@ -615,7 +414,13 @@ def _pullback_embedding(f: ChartMap, q: CourantData) -> CourantPullback:
                 )
             row.append(Fraction(c))
         # The conormal must coincide with the member it determines.
-        if not vec_eq(tuple(vec), _combine_members(chart, members, free, row)):
+        combo = apply_matrix(
+            [members[a] for a in free],
+            tuple(Poly.const(chart, c) for c in row),
+            q.rank,
+            chart,
+        )
+        if not vec_eq(tuple(vec), combo):
             raise UnsupportedModeError(
                 "pulled conormal directions escape the constraint solve"
             )
@@ -624,74 +429,28 @@ def _pullback_embedding(f: ChartMap, q: CourantData) -> CourantPullback:
         raise UnsupportedModeError(
             "pulled conormal directions are dependent"
         )
-
-    complement = []
-    rows = [list(rr) for rr in conormal_rows]
-    for idx in range(len(free)):
-        cand = rows + [[Fraction(i == idx) for i in range(len(free))]]
-        if linalg.qq_rank(cand) > len(rows):
-            rows = cand
-            complement.append(idx)
-    basis_rows = conormal_rows + [
-        [Fraction(i == idx) for i in range(len(free))] for idx in complement
-    ]
-    inv = linalg.qq_inverse(linalg.transpose(basis_rows))
+    complement, inv = constant_complement(conormal_rows, len(free))
     if inv is None:
         raise UnsupportedModeError("conormal directions have no complement")
-
-    pulled_anchor = [[f.pull(p) for p in row] for row in q.anchor]
-
-    def eta_of(u_vec: Vec) -> Vec:
-        eta = list(zero_vec(chart, chart.dim))
-        for k, j in kept.items():
-            acc = Poly.zero(chart)
-            for a in range(r):
-                if not u_vec[a].is_zero and not pulled_anchor[a][k].is_zero:
-                    acc = acc + u_vec[a] * pulled_anchor[a][k]
-            eta[j] = acc
-        return tuple(eta)
 
     basis: list[Triple] = []
     for idx in complement:
         u_vec = members[free[idx]]
-        basis.append((zero_vec(chart, chart.dim), u_vec, eta_of(u_vec)))
+        basis.append((zero_vec(chart, chart.dim), u_vec, emb.tangent(u_vec)))
 
     def reducer(t: Triple):
         beta, u, eta = t
         p = [Poly.zero(chart)] * n
-        prime = list(u)
-        for k, j in kept.items():
+        for k, j in emb.kept.items():
             p[k] = beta[j]
-            if beta[j].is_zero:
-                continue
-            for a in range(r):
-                row = pulled_coanchor[k][a]
-                if not row.is_zero:
-                    prime[a] = prime[a] + beta[j] * row
-        coords = [prime[a] for a in free]
+        prime = vec_add(u, apply_matrix(pulled_coanchor, p, q.rank, chart))
         # Split into conormal span + complement through the constant inverse.
-        cls = []
-        for pos in range(len(basis_rows)):
-            acc = Poly.zero(chart)
-            for i in range(len(free)):
-                if inv[pos][i]:
-                    acc = acc + inv[pos][i] * coords[i]
-            cls.append(acc)
-        for s, k in enumerate(zeroed):
+        cls = apply_constant(inv, [prime[a] for a in free], chart)
+        for s, k in enumerate(emb.zeroed):
             p[k] = -cls[s]
-        return tuple(cls[z:]), tuple(p)
+        return cls[z:], tuple(p)
 
     return _finish(f, q, basis, reducer, "coordinate-embedding")
-
-
-def _combine_members(chart, members, free, row) -> Vec:
-    out = None
-    for idx, a in enumerate(free):
-        scaled = vec_scale(Poly.const(chart, row[idx]), members[a])
-        out = scaled if out is None else vec_add(out, scaled)
-    if out is None:
-        return ()
-    return out
 
 
 def pullback_courant(
@@ -705,21 +464,10 @@ def pullback_courant(
     mode=None auto-classifies the map; pass "exact-split" together with a
     connection to use the split presentation of an exact structure.
     """
-    if f.target != q.chart:
-        raise ChartMismatchError("map target must be the structure's chart")
     if connection is not None and mode is None:
         mode = "exact-split"
-    if mode is None:
-        mode = classify_map(f)
-        if mode == "transitive-split":
-            raise UnsupportedModeError(
-                "transitive-split is not a Courant presentation"
-            )
-    if mode not in MODES:
-        raise UnsupportedModeError(f"unknown mode {mode!r}")
+    mode = resolve_mode(f, q.chart, mode, MODES)
     if mode == "identity":
-        if f.source != f.target:
-            raise UnsupportedModeError("identity mode needs equal charts")
         return _pullback_identity(f, q)
     if mode == "exact-split":
         if connection is None:
@@ -788,27 +536,13 @@ def pullback_connection(pb: CourantPullback, conn: Connection) -> Connection:
     """The pulled connection: classes of (0, f*(conn(df d_i)), d_i)."""
     if conn.courant != pb.source:
         raise ValidationError("connection does not belong to the structure")
-    f = pb.map
     chart = pb.chart
-    jac = f.jacobian()
-    pulled_cols = [
-        [f.pull(p) for p in conn.columns[k]]
-        for k in range(pb.source.chart.dim)
-    ]
-    cols = []
-    for i in range(chart.dim):
-        u = list(zero_vec(chart, pb.source.rank))
-        for k in range(pb.source.chart.dim):
-            if jac[k][i].is_zero:
-                continue
-            for a in range(pb.source.rank):
-                if not pulled_cols[k][a].is_zero:
-                    u[a] = u[a] + jac[k][i] * pulled_cols[k][a]
-        cols.append(
-            pb.reduce(
-                (zero_vec(chart, chart.dim), tuple(u), unit_vec(chart, chart.dim, i))
-            )
+    cols = [
+        pb.reduce((zero_vec(chart, chart.dim), u, unit_vec(chart, chart.dim, i)))
+        for i, u in enumerate(
+            _connection_lifts(pb.map, conn, pb._pulled()["jac"])
         )
+    ]
     return Connection(pb.result, tuple(cols))
 
 
@@ -887,21 +621,10 @@ def conormal(f: ChartMap) -> tuple[KForm, ...]:
     kept. A map that cuts nothing (identity, coordinate relabelling) gives
     the empty tuple.
     """
-    chart = f.source
-    zeroed = []
-    used = []
-    for k in range(f.target.dim):
-        if f.comps[k].is_zero:
-            zeroed.append(k)
-            continue
-        for j in range(chart.dim):
-            if f.comps[k] == Poly.coord(chart, j):
-                used.append(j)
-                break
-        else:
-            raise ValidationError("the map is not a coordinate embedding")
-    if len(set(used)) != len(used) or set(used) != set(range(chart.dim)):
-        raise ValidationError("the map is not a coordinate embedding")
+    try:
+        _, zeroed = embedding_layout(f)
+    except UnsupportedModeError:
+        raise ValidationError("the map is not a coordinate embedding") from None
     one = Poly.one(f.target)
     return tuple(KForm(f.target, 1, {(k,): one}) for k in zeroed)
 
@@ -924,8 +647,8 @@ def dirac_pushdown(pb: CourantPullback, d: DiracData) -> DiracData:
             "presentation source must be the restricted chart of the support"
         )
     q = d.courant
-    f = pb.map
-    zeroed = [k for k in range(q.chart.dim) if f.comps[k].is_zero]
+    emb = Embedding(pb.map, q.anchor)
+    zeroed = emb.zeroed
     support_idx = sorted(q.chart.index(name) for name in d.support)
     if zeroed != support_idx:
         raise ValidationError(
@@ -942,25 +665,10 @@ def dirac_pushdown(pb: CourantPullback, d: DiracData) -> DiracData:
                     f"span (pairs to {got} with generator {l})"
                 )
     chart = pb.chart
-    classes = []
-    pulled_anchor = [[f.pull(p) for p in row] for row in q.anchor]
-    for gen in d.generators:
-        eta = list(zero_vec(chart, chart.dim))
-        for k in range(q.chart.dim):
-            if k in zeroed:
-                continue
-            j = None
-            for jj in range(chart.dim):
-                if f.comps[k] == Poly.coord(chart, jj):
-                    j = jj
-                    break
-            acc = Poly.zero(chart)
-            for a in range(q.rank):
-                if not gen[a].is_zero and not pulled_anchor[a][k].is_zero:
-                    acc = acc + gen[a] * pulled_anchor[a][k]
-            eta[j] = acc
-        cls = pb.reduce((zero_vec(chart, chart.dim), tuple(gen), tuple(eta)))
-        classes.append(cls)
+    classes = [
+        pb.reduce((zero_vec(chart, chart.dim), tuple(gen), emb.tangent(gen)))
+        for gen in d.generators
+    ]
     keep = linalg.select_independent(classes)
     selected = tuple(classes[i] for i in keep)
     needed = pb.result.rank // 2

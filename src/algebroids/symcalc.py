@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from algebroids import kernel
 from algebroids.errors import (
     ChartMismatchError,
     DegreeOverflowError,
@@ -124,6 +123,71 @@ def _require_same_chart(a, b) -> None:
 
 
 _TERMS = dict  # dict[tuple[int, ...], Fraction]
+
+
+# -- term arithmetic ----------------------------------------------------------
+# The four operations below act on term dictionaries. Each returns a fresh
+# dictionary without zero coefficients and never mutates its arguments.
+
+
+def add_terms(a: _TERMS, b: _TERMS) -> _TERMS:
+    if not a:
+        return dict(b)
+    if not b:
+        return dict(a)
+    out = dict(a)
+    for k, v in b.items():
+        s = out.get(k)
+        if s is None:
+            out[k] = v
+        else:
+            s = s + v
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out
+
+
+def sub_terms(a: _TERMS, b: _TERMS) -> _TERMS:
+    out = dict(a)
+    for k, v in b.items():
+        s = out.get(k)
+        if s is None:
+            out[k] = -v
+        else:
+            s = s - v
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out
+
+
+def scale_terms(a: _TERMS, c) -> _TERMS:
+    if not c:
+        return {}
+    return {k: v * c for k, v in a.items()}
+
+
+def mul_terms(a: _TERMS, b: _TERMS) -> _TERMS:
+    if not a or not b:
+        return {}
+    out: _TERMS = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            k = tuple(x + y for x, y in zip(ka, kb))
+            v = va * vb
+            s = out.get(k)
+            if s is None:
+                out[k] = v
+            else:
+                s = s + v
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+    return out
 
 
 class Poly:
@@ -223,7 +287,7 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         _require_same_chart(self, other)
-        return Poly._raw(self.chart, kernel.add_terms(self.terms, other.terms))
+        return Poly._raw(self.chart, add_terms(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -233,18 +297,18 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         _require_same_chart(self, other)
-        return Poly._raw(self.chart, kernel.sub_terms(self.terms, other.terms))
+        return Poly._raw(self.chart, sub_terms(self.terms, other.terms))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return Poly._raw(self.chart, kernel.scale_terms(self.terms, Fraction(-1)))
+        return Poly._raw(self.chart, scale_terms(self.terms, Fraction(-1)))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return Poly._raw(
-                self.chart, kernel.scale_terms(self.terms, _frac(other))
+                self.chart, scale_terms(self.terms, _frac(other))
             )
         if not isinstance(other, Poly):
             return NotImplemented
@@ -254,7 +318,7 @@ class Poly:
             raise DegreeOverflowError(
                 f"product degree {da + db} exceeds cap {_MAX_DEGREE}"
             )
-        return Poly._raw(self.chart, kernel.mul_terms(self.terms, other.terms))
+        return Poly._raw(self.chart, mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 

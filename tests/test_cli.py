@@ -315,3 +315,61 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["job"]["verb"] == "check-courant"
+
+
+def test_embedding_mode_on_a_non_embedding_exits_three(tmp_path, capsys):
+    y = coordinate_chart("Y", 2, prefix="y")
+    flatten = ChartMap(y, R2, (Poly.coord(y, 0), Poly.zero(y)))
+    spec = {
+        "structure": jsonio.courant_to_json(Q2),
+        "map": jsonio.map_to_json(flatten),
+        "mode": "coordinate-embedding",
+    }
+    rc = main(["pullback", "--spec", write_job(tmp_path, spec)])
+    assert rc == 3
+    assert "unsupported mode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["check-courant", "pullback", "twist"])
+def test_courant_verbs_run_with_the_echoed_seed_and_samples(
+    tmp_path, monkeypatch, verb
+):
+    from algebroids import cli
+
+    seen = []
+    real = cli.check_courant
+
+    def spy(q, samples=100, seed=0):
+        seen.append((seed, samples))
+        return real(q, samples=samples, seed=seed)
+
+    monkeypatch.setattr(cli, "check_courant", spy)
+    spec, _ = PASSING_JOBS[verb]()
+    out = tmp_path / "report.json"
+    argv = [verb, "--spec", write_job(tmp_path, spec), "--out", str(out)]
+    assert main(argv + ["--seed", "5", "--samples", "3"]) == 0
+    assert seen == [(5, 3)]
+    job = json.loads(out.read_text(encoding="utf-8"))["job"]
+    assert (job["seed"], job["samples"]) == (5, 3)
+
+
+def test_degree_overflow_exits_four_as_a_resource_limit(tmp_path, capsys):
+    steep = ChartMap(
+        R3,
+        R3,
+        (
+            Poly.coord(R3, 0),
+            parse_poly("x2 + x1^4", R3),
+            parse_poly("x3 + x1^9*x2^8", R3),
+        ),
+    )
+    spec = {
+        "structure": jsonio.courant_to_json(Q3_FLAT),
+        "map": jsonio.map_to_json(steep),
+        "form": jsonio.kform_to_json(VOL),
+    }
+    rc = main(["twist-commute", "--spec", write_job(tmp_path, spec)])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "resource limit" in err
+    assert "bad job spec" not in err

@@ -1,46 +1,13 @@
-"""Parity between the compiled term kernel and the pure-Python fallback."""
+"""The term arithmetic under Poly returns fresh dictionaries."""
 
 from fractions import Fraction
 
-import pytest
-from hypothesis import given, strategies as st
-
-from algebroids import _termops_py
-from algebroids import kernel
-
-try:
-    from algebroids import _termops as _compiled
-except ImportError:
-    _compiled = None
-
-
-def term_dicts():
-    exps = st.tuples(st.integers(0, 3), st.integers(0, 3))
-    coeffs = st.fractions(
-        min_value=-5, max_value=5, max_denominator=4
-    ).filter(lambda c: c != 0)
-    return st.dictionaries(exps, coeffs, max_size=4)
-
-
-def test_backend_reported():
-    assert kernel.BACKEND in {"compiled", "python"}
-
-
-@pytest.mark.skipif(_compiled is None, reason="compiled kernel not built")
-@given(term_dicts(), term_dicts())
-def test_kernels_agree(a, b):
-    assert _compiled.add_terms(a, b) == _termops_py.add_terms(a, b)
-    assert _compiled.sub_terms(a, b) == _termops_py.sub_terms(a, b)
-    assert _compiled.mul_terms(a, b) == _termops_py.mul_terms(a, b)
-    assert _compiled.scale_terms(a, Fraction(3, 2)) == _termops_py.scale_terms(
-        a, Fraction(3, 2)
-    )
-    assert _compiled.scale_terms(a, Fraction(0)) == {}
+from algebroids import symcalc
 
 
 def test_pure_kernel_does_not_mutate():
     a = {(1, 0): Fraction(2)}
     b = {(1, 0): Fraction(-2)}
-    out = _termops_py.add_terms(a, b)
+    out = symcalc.add_terms(a, b)
     assert out == {}
     assert a == {(1, 0): Fraction(2)} and b == {(1, 0): Fraction(-2)}

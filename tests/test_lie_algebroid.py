@@ -376,3 +376,14 @@ def test_extension_pullback_linearity():
     rep = check_extension_pullback_linear(f, exts, [3, -2], base_splitting)
     assert rep.ok, str(rep)
     assert rep["cocycles_match"].passed
+
+
+def test_shape_failures_are_unsupported_modes():
+    flatten = ChartMap(R2, R2, sec(R2, "y1", "0"))
+    diagonal = ChartMap(R1, R2, sec(R1, "z1", "z1"))
+    for f in (flatten, diagonal):
+        with pytest.raises(UnsupportedModeError):
+            pullback_lie(f, tangent_algebroid(R2), "coordinate-embedding")
+    fold = ChartMap(R1, R1, sec(R1, "z1^2 + z1"))
+    with pytest.raises(UnsupportedModeError):
+        pullback_lie(fold, tangent_algebroid(R1), "coordinate-submersion")

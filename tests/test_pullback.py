@@ -415,3 +415,22 @@ def test_morphism_graph_to_a_point_keeps_only_source_tangents():
     rows = tuple(tuple(str(p) for p in row) for row in d.generators)
     assert rows == (("1", "0", "0", "0"), ("0", "1", "0", "0"))
     assert check_dirac(d).ok
+
+
+def test_shape_failures_are_unsupported_modes():
+    q = standard_exact(R2)
+    y = coordinate_chart("Y", 2, prefix="y")
+    flatten = ChartMap(y, R2, (Poly.coord(y, 0), Poly.zero(y)))
+    t = Poly.coord(R1, 0)
+    diagonal = ChartMap(R1, R2, (t, t))
+    for f in (flatten, diagonal):
+        with pytest.raises(UnsupportedModeError):
+            pullback_courant(f, q, "coordinate-embedding")
+    line = coordinate_chart("Z", 1, prefix="z")
+    z = Poly.coord(line, 0)
+    fold = ChartMap(line, line, (z * z + z,))
+    with pytest.raises(UnsupportedModeError):
+        pullback_courant(fold, standard_exact(line), "coordinate-submersion")
+    # the identity presentation needs the identity map, not just equal charts
+    with pytest.raises(UnsupportedModeError):
+        pullback_courant(shear_33(), standard_exact(R3), "identity")
