@@ -42,7 +42,6 @@ from algebroids.pullback import (
     check_twist_commute,
     dirac_pushdown,
     morphism_graph,
-    pullback_connection,
     pullback_courant,
 )
 from algebroids.report import Report
@@ -97,7 +96,12 @@ def _run_check_lie(spec, args):
 
 
 def _run_check_courant(spec, args):
-    rep = check_courant(_structure(spec), samples=args.samples, seed=args.seed)
+    rep = check_courant(
+        _structure(spec),
+        samples=args.samples,
+        seed=args.seed,
+        max_degree=args.max_degree,
+    )
     return rep, {}
 
 
@@ -117,7 +121,12 @@ def _run_pullback(spec, args):
         else None
     )
     pb = pullback_courant(f, q, spec.get("mode"), conn)
-    rep = check_courant(pb.result, samples=args.samples, seed=args.seed)
+    rep = check_courant(
+        pb.result,
+        samples=args.samples,
+        seed=args.seed,
+        max_degree=args.max_degree,
+    )
     rep.merge(check_relation_absorption(pb))
     return rep, {"result": jsonio.courant_to_json(pb.result)}
 
@@ -128,7 +137,9 @@ def _run_twist(spec, args):
         jsonio._require(spec, "form", "spec"), q.chart
     )
     out = twist(q, h)
-    rep = check_courant(out, samples=args.samples, seed=args.seed)
+    rep = check_courant(
+        out, samples=args.samples, seed=args.seed, max_degree=args.max_degree
+    )
     return rep, {"result": jsonio.courant_to_json(out)}
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 from algebroids import linalg
@@ -261,165 +262,133 @@ def _one_form(chart: Chart, coeffs: Sequence[Poly]) -> KForm:
     return KForm(chart, 1, {(j,): coeffs[j] for j in range(chart.dim)})
 
 
-def check_courant(q: CourantData, samples: int = 100, seed: int = 0) -> Report:
+def check_courant(
+    q: CourantData,
+    samples: int = 100,
+    seed: int = 0,
+    max_degree: int | None = None,
+) -> Report:
     """Verify the Courant axioms: six pointwise compatibilities and the
     Jacobi identity in Leibniz form. Generator identities are exact; section
-    identities are sampled with the seeded generator."""
+    identities are sampled with the seeded generator, at polynomial degree
+    at most max_degree (the sampler's default when None)."""
     rep = Report()
     rng = random.Random(seed)
+    kw = {} if max_degree is None else {"max_degree": max_degree}
     chart = q.chart
     r = q.rank
     n = chart.dim
 
-    bad = None
-    for j in range(n):
-        got = q.anchor_of(q.coanchor[j])
-        if not got.is_zero:
-            bad = f"coordinate {chart.coords[j]}: anchor image {got}"
-            break
-    rep.add("eq1_anchor_coanchor", bad is None, bad)
+    def section():
+        return sample_section(rng, chart, r, **kw)
 
-    bad = None
-    for t in range(samples):
-        u = sample_section(rng, chart, r)
-        v = sample_section(rng, chart, r)
-        f = sample_poly(rng, chart)
-        lhs = q.bracket(u, vec_scale(f, v))
-        rhs = vec_add(
-            vec_scale(f, q.bracket(u, v)),
-            vec_scale(q.anchor_of(u).apply(f), v),
-        )
-        if not vec_is_zero(vec_sub(lhs, rhs)):
-            bad = f"sampled sections (trial {t})"
-            break
-    rep.add("eq2_leibniz_rule", bad is None, bad)
+    def anchor_coanchor():
+        for j in range(n):
+            got = q.anchor_of(q.coanchor[j])
+            if not got.is_zero:
+                yield f"coordinate {chart.coords[j]}: anchor image {got}"
 
-    bad = None
-    for c in range(r):
-        for a in range(r):
-            for b in range(r):
-                lhs = q.anchor_of(q.gen(c)).apply(q.pairing[a][b])
-                rhs = q.pairing_of(q.bracket_gen(c, a), q.gen(b)) + q.pairing_of(
-                    q.gen(a), q.bracket_gen(c, b)
-                )
-                if lhs != rhs:
-                    bad = f"generators ({c},{a},{b})"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    if bad is None:
+    def leibniz_rule():
+        for t in range(samples):
+            u = section()
+            v = section()
+            f = sample_poly(rng, chart, **kw)
+            lhs = q.bracket(u, vec_scale(f, v))
+            rhs = vec_add(
+                vec_scale(f, q.bracket(u, v)),
+                vec_scale(q.anchor_of(u).apply(f), v),
+            )
+            if not vec_is_zero(vec_sub(lhs, rhs)):
+                yield f"sampled sections (trial {t})"
+
+    def pairing_invariance():
+        for c, a, b in product(range(r), repeat=3):
+            lhs = q.anchor_of(q.gen(c)).apply(q.pairing[a][b])
+            rhs = q.pairing_of(q.bracket_gen(c, a), q.gen(b)) + q.pairing_of(
+                q.gen(a), q.bracket_gen(c, b)
+            )
+            if lhs != rhs:
+                yield f"generators ({c},{a},{b})"
         for t in range(samples // 4):
-            u = sample_section(rng, chart, r)
-            v = sample_section(rng, chart, r)
-            w = sample_section(rng, chart, r)
+            u = section()
+            v = section()
+            w = section()
             lhs = q.anchor_of(u).apply(q.pairing_of(v, w))
             rhs = q.pairing_of(q.bracket(u, v), w) + q.pairing_of(
                 v, q.bracket(u, w)
             )
             if lhs != rhs:
-                bad = f"sampled sections (trial {t})"
-                break
-    rep.add("eq3_pairing_invariance", bad is None, bad)
+                yield f"sampled sections (trial {t})"
 
-    bad = None
-    for a in range(r):
-        for j in range(n):
+    def coanchor_ideal():
+        for a, j in product(range(r), range(n)):
             alpha = KForm.dx(chart, j)
             lhs = q.bracket(q.gen(a), q.coanchor[j])
             rhs = q.coanchor_of(alpha.lie(q.anchor_of(q.gen(a))))
             if not vec_is_zero(vec_sub(lhs, tuple(rhs))):
-                bad = f"generator {a}, coordinate {chart.coords[j]}"
-                break
-        if bad:
-            break
-    if bad is None:
+                yield f"generator {a}, coordinate {chart.coords[j]}"
         for t in range(samples // 4):
-            u = sample_section(rng, chart, r)
-            alpha = sample_kform(rng, chart, 1)
+            u = section()
+            alpha = sample_kform(rng, chart, 1, **kw)
             lhs = q.bracket(u, q.coanchor_of(alpha))
             rhs = q.coanchor_of(alpha.lie(q.anchor_of(u)))
             if not vec_is_zero(vec_sub(lhs, tuple(rhs))):
-                bad = f"sampled sections (trial {t})"
-                break
-    rep.add("eq4_coanchor_ideal", bad is None, bad)
+                yield f"sampled sections (trial {t})"
 
-    bad = None
-    for a in range(r):
-        for j in range(n):
-            lhs = q.pairing_of(q.gen(a), q.coanchor[j])
-            rhs = q.anchor[a][j]
-            if lhs != rhs:
-                bad = f"generator {a}, coordinate {chart.coords[j]}"
-                break
-        if bad:
-            break
-    if bad is None:
+    def adjunction():
+        for a, j in product(range(r), range(n)):
+            if q.pairing_of(q.gen(a), q.coanchor[j]) != q.anchor[a][j]:
+                yield f"generator {a}, coordinate {chart.coords[j]}"
         for t in range(samples // 4):
-            u = sample_section(rng, chart, r)
-            alpha = sample_kform(rng, chart, 1)
+            u = section()
+            alpha = sample_kform(rng, chart, 1, **kw)
             lhs = q.pairing_of(u, q.coanchor_of(alpha))
             rhs = alpha.iota(q.anchor_of(u)).as_poly()
             if lhs != rhs:
-                bad = f"sampled sections (trial {t})"
-                break
-    rep.add("eq5_adjunction", bad is None, bad)
+                yield f"sampled sections (trial {t})"
 
-    bad = None
-    for a in range(r):
-        for b in range(r):
+    def symmetrization():
+        for a, b in product(range(r), repeat=2):
             lhs = vec_add(q.bracket_gen(a, b), q.bracket_gen(b, a))
             rhs = q.coanchor_of(KForm.from_poly(q.pairing[a][b]).d())
             if not vec_is_zero(vec_sub(lhs, tuple(rhs))):
-                bad = f"generators ({a},{b})"
-                break
-        if bad:
-            break
-    if bad is None:
+                yield f"generators ({a},{b})"
         for t in range(samples // 4):
-            u = sample_section(rng, chart, r)
-            v = sample_section(rng, chart, r)
+            u = section()
+            v = section()
             lhs = vec_add(q.bracket(u, v), q.bracket(v, u))
             rhs = q.coanchor_of(KForm.from_poly(q.pairing_of(u, v)).d())
             if not vec_is_zero(vec_sub(lhs, tuple(rhs))):
-                bad = f"sampled sections (trial {t})"
-                break
-    rep.add("eq6_symmetrization", bad is None, bad)
+                yield f"sampled sections (trial {t})"
 
-    bad = None
-    for a in range(r):
-        for b in range(r):
-            for c in range(r):
-                lhs = q.bracket(q.gen(a), q.bracket_gen(b, c))
-                rhs = vec_add(
-                    q.bracket(q.bracket_gen(a, b), q.gen(c)),
-                    q.bracket(q.gen(b), q.bracket_gen(a, c)),
-                )
-                if not vec_is_zero(vec_sub(lhs, rhs)):
-                    defect = vec_sub(lhs, rhs)
-                    bad = (
-                        f"generators ({a},{b},{c}): defect "
-                        f"{fmt_section(defect)}"
-                    )
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    if bad is None:
+    def leibniz_identity():
+        for a, b, c in product(range(r), repeat=3):
+            lhs = q.bracket(q.gen(a), q.bracket_gen(b, c))
+            rhs = vec_add(
+                q.bracket(q.bracket_gen(a, b), q.gen(c)),
+                q.bracket(q.gen(b), q.bracket_gen(a, c)),
+            )
+            defect = vec_sub(lhs, rhs)
+            if not vec_is_zero(defect):
+                yield f"generators ({a},{b},{c}): defect {fmt_section(defect)}"
         for t in range(samples // 4):
-            u = sample_section(rng, chart, r)
-            v = sample_section(rng, chart, r)
-            w = sample_section(rng, chart, r)
+            u = section()
+            v = section()
+            w = section()
             lhs = q.bracket(u, q.bracket(v, w))
             rhs = vec_add(
                 q.bracket(q.bracket(u, v), w), q.bracket(v, q.bracket(u, w))
             )
             if not vec_is_zero(vec_sub(lhs, rhs)):
-                bad = f"sampled sections (trial {t})"
-                break
-    rep.add("leibniz_identity", bad is None, bad)
+                yield f"sampled sections (trial {t})"
+
+    rep.check("eq1_anchor_coanchor", anchor_coanchor())
+    rep.check("eq2_leibniz_rule", leibniz_rule())
+    rep.check("eq3_pairing_invariance", pairing_invariance())
+    rep.check("eq4_coanchor_ideal", coanchor_ideal())
+    rep.check("eq5_adjunction", adjunction())
+    rep.check("eq6_symmetrization", symmetrization())
+    rep.check("leibniz_identity", leibniz_identity())
     return rep
 
 
@@ -433,45 +402,37 @@ def check_courant_morphism(
     if src.chart != dst.chart:
         raise ChartMismatchError("morphism checks need a common chart")
     chart = src.chart
+    gens = range(src.rank)
 
-    bad = None
-    for a in range(src.rank):
-        if src.anchor_of(src.gen(a)) != dst.anchor_of(matrix[a]):
-            bad = f"generator {a}"
-            break
-    rep.add("morphism_anchor", bad is None, bad)
+    def anchor():
+        for a in gens:
+            if src.anchor_of(src.gen(a)) != dst.anchor_of(matrix[a]):
+                yield f"generator {a}"
 
-    bad = None
-    for j in range(chart.dim):
-        got = apply_matrix(matrix, src.coanchor[j], dst.rank, chart)
-        if not linalg.vec_eq(got, dst.coanchor[j]):
-            bad = f"coordinate {chart.coords[j]}"
-            break
-    rep.add("morphism_coanchor", bad is None, bad)
+    def coanchor():
+        for j in range(chart.dim):
+            got = apply_matrix(matrix, src.coanchor[j], dst.rank, chart)
+            if not linalg.vec_eq(got, dst.coanchor[j]):
+                yield f"coordinate {chart.coords[j]}"
 
-    bad = None
-    for a in range(src.rank):
-        for b in range(src.rank):
+    def pairing():
+        for a, b in product(gens, repeat=2):
             if dst.pairing_of(matrix[a], matrix[b]) != src.pairing[a][b]:
-                bad = f"generators ({a},{b})"
-                break
-        if bad:
-            break
-    rep.add("morphism_pairing", bad is None, bad)
+                yield f"generators ({a},{b})"
 
-    bad = None
-    for a in range(src.rank):
-        for b in range(src.rank):
+    def bracket():
+        for a, b in product(gens, repeat=2):
             lhs = apply_matrix(
                 matrix, src.bracket_gen(a, b), dst.rank, chart
             )
             rhs = dst.bracket(matrix[a], matrix[b])
             if not linalg.vec_eq(lhs, rhs):
-                bad = f"generators ({a},{b})"
-                break
-        if bad:
-            break
-    rep.add("morphism_bracket", bad is None, bad)
+                yield f"generators ({a},{b})"
+
+    rep.check("morphism_anchor", anchor())
+    rep.check("morphism_coanchor", coanchor())
+    rep.check("morphism_pairing", pairing())
+    rep.check("morphism_bracket", bracket())
     return rep
 
 

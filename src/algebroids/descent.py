@@ -176,56 +176,49 @@ def check_cocycle(datum: DescentDatum) -> Report:
     rep = Report()
     cover = datum.cover
     q = datum.structure
+    pulls: dict[str, CourantPullback] = {
+        name: pullback_courant(f, q) for name, f in sorted(cover.maps.items())
+    }
 
-    bad = None
-    for (s, t), u in sorted(cover.table.items()):
-        got = cover.maps[s].compose(cover.maps[t])
-        if got.comps != cover.maps[u].comps:
-            bad = f"({s},{t}) -> {u}"
-            break
-    rep.add("cover_composition", bad is None, bad)
-    composition_ok = bad is None
+    def composition():
+        for (s, t), u in sorted(cover.table.items()):
+            got = cover.maps[s].compose(cover.maps[t])
+            if got.comps != cover.maps[u].comps:
+                yield f"({s},{t}) -> {u}"
 
-    pulls: dict[str, CourantPullback] = {}
-    bad = None
-    for name in sorted(cover.maps):
-        pulls[name] = pullback_courant(cover.maps[name], q)
-        sub = check_courant_morphism(
-            pulls[name].result, q, datum.matrices[name]
-        )
-        for failure in sub.failures():
-            bad = f"element {name}: {failure.name}"
-            break
-        if bad:
-            break
-    rep.add("element_preservation", bad is None, bad)
+    def preservation():
+        for name in sorted(cover.maps):
+            sub = check_courant_morphism(
+                pulls[name].result, q, datum.matrices[name]
+            )
+            for failure in sub.failures():
+                yield f"element {name}: {failure.name}"
 
-    if not composition_ok:
+    def triple():
+        for (s, t), u in sorted(cover.table.items()):
+            inner = pullback_courant(cover.maps[t], pulls[s].result)
+            psi = _comparison_matrix(pulls[u], inner)
+            route = mat_mul(
+                mat_mul(
+                    psi,
+                    pullback_matrix(cover.maps[t], datum.matrices[s]),
+                    cover.chart,
+                ),
+                datum.matrices[t],
+                cover.chart,
+            )
+            for a in range(q.rank):
+                if not vec_eq(route[a], datum.matrices[u][a]):
+                    yield f"triple ({s},{t}) -> {u}: generator {a}"
+
+    rep.check("cover_composition", composition())
+    rep.check("element_preservation", preservation())
+    if not rep["cover_composition"].passed:
         rep.add(
             "triple_identity",
             False,
             "not checked: the composition table is dishonest",
         )
         return rep
-
-    bad = None
-    for (s, t), u in sorted(cover.table.items()):
-        inner = pullback_courant(cover.maps[t], pulls[s].result)
-        psi = _comparison_matrix(pulls[u], inner)
-        route = mat_mul(
-            mat_mul(
-                psi,
-                pullback_matrix(cover.maps[t], datum.matrices[s]),
-                cover.chart,
-            ),
-            datum.matrices[t],
-            cover.chart,
-        )
-        for a in range(q.rank):
-            if not vec_eq(route[a], datum.matrices[u][a]):
-                bad = f"triple ({s},{t}) -> {u}: generator {a}"
-                break
-        if bad:
-            break
-    rep.add("triple_identity", bad is None, bad)
+    rep.check("triple_identity", triple())
     return rep

@@ -16,6 +16,7 @@ the support, and bracket closure. Closure uses one of two routes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement, product
 
 from algebroids import linalg
 from algebroids.courant import (
@@ -141,61 +142,45 @@ def check_dirac(d: DiracData, maximality: str = "full") -> Report:
     g = d.restricted_pairing()
     m = len(d.generators)
 
-    bad = None
-    for i in range(m):
-        for j in range(i, m):
+    def isotropy():
+        for i, j in combinations_with_replacement(range(m), 2):
             got = d.pair_restricted(d.generators[i], d.generators[j], g)
             if not got.is_zero:
-                bad = f"generators ({i},{j}): pairing {got}"
-                break
-        if bad:
-            break
-    rep.add("isotropy", bad is None, bad)
+                yield f"generators ({i},{j}): pairing {got}"
 
-    bad = None
-    if q.rank % 2 or m != q.rank // 2:
-        bad = f"{m} generators for rank {q.rank}"
-    elif linalg.poly_rows_rank(d.generators) != m:
-        bad = "generators are generically dependent"
-    elif maximality == "full" and linalg.poly_rows_rank(g) != q.rank:
-        bad = "restricted pairing is degenerate; use rank-only mode"
-    rep.add("maximality", bad is None, bad)
+    def maximality_failures():
+        if q.rank % 2 or m != q.rank // 2:
+            yield f"{m} generators for rank {q.rank}"
+        elif linalg.poly_rows_rank(d.generators) != m:
+            yield "generators are generically dependent"
+        elif maximality == "full" and linalg.poly_rows_rank(g) != q.rank:
+            yield "restricted pairing is degenerate; use rank-only mode"
 
-    bad = None
-    if d.support:
+    def anchor_tangency():
         support_idx = [q.chart.index(name) for name in d.support]
-        for i in range(m):
-            for j in support_idx:
-                acc = Poly.zero(sub)
-                for a in range(q.rank):
-                    if not d.generators[i][a].is_zero:
-                        acc = acc + d.generators[i][a] * d.restrict(q.anchor[a][j])
-                if not acc.is_zero:
-                    bad = (
-                        f"generator {i} anchors across {q.chart.coords[j]}: "
-                        f"{acc}"
-                    )
-                    break
-            if bad:
-                break
-    rep.add("anchor_tangency", bad is None, bad)
+        for i, j in product(range(m), support_idx):
+            acc = Poly.zero(sub)
+            for a in range(q.rank):
+                if not d.generators[i][a].is_zero:
+                    acc = acc + d.generators[i][a] * d.restrict(q.anchor[a][j])
+            if not acc.is_zero:
+                yield (
+                    f"generator {i} anchors across {q.chart.coords[j]}: "
+                    f"{acc}"
+                )
 
-    bad = None
-    defects = {}
-    for i in range(m):
-        for j in range(m):
+    def closure():
+        defects = {}
+        for i, j in product(range(m), repeat=2):
             lifted = q.bracket(d.lift_generator(i), d.lift_generator(j))
             defects[(i, j)] = tuple(d.restrict(p) for p in lifted)
-    if maximality == "full":
-        for (i, j), defect in sorted(defects.items()):
-            for l in range(m):
-                got = d.pair_restricted(defect, d.generators[l], g)
-                if not got.is_zero:
-                    bad = f"generators ({i},{j}) against {l}: pairing {got}"
-                    break
-            if bad:
-                break
-    else:
+        if maximality == "full":
+            for (i, j), defect in sorted(defects.items()):
+                for l in range(m):
+                    got = d.pair_restricted(defect, d.generators[l], g)
+                    if not got.is_zero:
+                        yield f"generators ({i},{j}) against {l}: pairing {got}"
+            return
         bound = 2 + max(
             [p.degree() for v in defects.values() for p in v if not p.is_zero]
             + [p.degree() for v in d.generators for p in v if not p.is_zero]
@@ -208,12 +193,15 @@ def check_dirac(d: DiracData, maximality: str = "full") -> Report:
                 d.generators, defect, sub, bound
             )
             if witness is None:
-                bad = (
+                yield (
                     f"bracket of generators ({i},{j}) has no span witness up "
                     f"to degree {bound}: {fmt_section(defect)}"
                 )
-                break
-    rep.add("closure", bad is None, bad)
+
+    rep.check("isotropy", isotropy())
+    rep.check("maximality", maximality_failures())
+    rep.check("anchor_tangency", anchor_tangency())
+    rep.check("closure", closure())
     return rep
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 from typing import Sequence
 
 from algebroids import linalg
@@ -115,73 +116,58 @@ def check_lie_algebroid(
     kw = {} if max_degree is None else {"max_degree": max_degree}
     r = a.rank
 
-    bad = None
-    for i in range(r):
-        for j in range(i, r):
-            if not vec_is_zero(vec_add(a.bracket_gen(i, j), a.bracket_gen(j, i))):
-                bad = f"generators ({i},{j})"
-                break
-        if bad:
-            break
-    rep.add("antisymmetry", bad is None, bad)
+    def section():
+        return sample_section(rng, a.chart, r, **kw)
 
-    bad = None
-    for i in range(r):
-        for j in range(r):
+    def antisymmetry():
+        for i, j in combinations_with_replacement(range(r), 2):
+            if not vec_is_zero(vec_add(a.bracket_gen(i, j), a.bracket_gen(j, i))):
+                yield f"generators ({i},{j})"
+
+    def anchor_morphism():
+        for i, j in product(range(r), repeat=2):
             lhs = a.anchor_of(a.bracket_gen(i, j))
             rhs = a.anchor_of(a.gen(i)).bracket(a.anchor_of(a.gen(j)))
             if lhs != rhs:
-                bad = f"generators ({i},{j}): anchor defect {lhs - rhs}"
-                break
-        if bad:
-            break
-    rep.add("anchor_morphism", bad is None, bad)
+                yield f"generators ({i},{j}): anchor defect {lhs - rhs}"
 
-    bad = None
-    for i in range(r):
-        for j in range(r):
-            for k in range(r):
-                lhs = a.bracket(a.gen(i), a.bracket_gen(j, k))
-                rhs = vec_add(
-                    a.bracket(a.bracket_gen(i, j), a.gen(k)),
-                    a.bracket(a.gen(j), a.bracket_gen(i, k)),
-                )
-                if not vec_is_zero(vec_sub(lhs, rhs)):
-                    bad = (
-                        f"generators ({i},{j},{k}): defect "
-                        f"{fmt_section(vec_sub(lhs, rhs))}"
-                    )
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    if bad is None:
+    def jacobi_identity():
+        for i, j, k in product(range(r), repeat=3):
+            lhs = a.bracket(a.gen(i), a.bracket_gen(j, k))
+            rhs = vec_add(
+                a.bracket(a.bracket_gen(i, j), a.gen(k)),
+                a.bracket(a.gen(j), a.bracket_gen(i, k)),
+            )
+            defect = vec_sub(lhs, rhs)
+            if not vec_is_zero(defect):
+                yield f"generators ({i},{j},{k}): defect {fmt_section(defect)}"
         for n in range(max(1, samples // 10)):
-            u = sample_section(rng, a.chart, r, **kw)
-            v = sample_section(rng, a.chart, r, **kw)
-            w = sample_section(rng, a.chart, r, **kw)
+            u = section()
+            v = section()
+            w = section()
             lhs = a.bracket(u, a.bracket(v, w))
             rhs = vec_add(a.bracket(a.bracket(u, v), w), a.bracket(v, a.bracket(u, w)))
-            if not vec_is_zero(vec_sub(lhs, rhs)):
-                bad = f"sampled sections (trial {n}): defect {fmt_section(vec_sub(lhs, rhs))}"
-                break
-    rep.add("jacobi_identity", bad is None, bad)
+            defect = vec_sub(lhs, rhs)
+            if not vec_is_zero(defect):
+                yield f"sampled sections (trial {n}): defect {fmt_section(defect)}"
 
-    bad = None
-    for n in range(samples):
-        u = sample_section(rng, a.chart, r, **kw)
-        v = sample_section(rng, a.chart, r, **kw)
-        f = sample_poly(rng, a.chart, **kw)
-        lhs = a.bracket(u, vec_scale(f, v))
-        rhs = vec_add(
-            vec_scale(f, a.bracket(u, v)),
-            vec_scale(a.anchor_of(u).apply(f), v),
-        )
-        if not vec_is_zero(vec_sub(lhs, rhs)):
-            bad = f"sampled sections (trial {n})"
-            break
-    rep.add("leibniz_rule", bad is None, bad)
+    def leibniz_rule():
+        for n in range(samples):
+            u = section()
+            v = section()
+            f = sample_poly(rng, a.chart, **kw)
+            lhs = a.bracket(u, vec_scale(f, v))
+            rhs = vec_add(
+                vec_scale(f, a.bracket(u, v)),
+                vec_scale(a.anchor_of(u).apply(f), v),
+            )
+            if not vec_is_zero(vec_sub(lhs, rhs)):
+                yield f"sampled sections (trial {n})"
+
+    rep.check("antisymmetry", antisymmetry())
+    rep.check("anchor_morphism", anchor_morphism())
+    rep.check("jacobi_identity", jacobi_identity())
+    rep.check("leibniz_rule", leibniz_rule())
     return rep
 
 
@@ -215,20 +201,19 @@ def check_marked(m: MarkedLieData, samples: int = 25, seed: int = 0) -> Report:
         a.anchor_of(m.marking).is_zero,
         None if a.anchor_of(m.marking).is_zero else fmt_section(m.marking),
     )
-    bad = None
-    for i in range(a.rank):
-        got = a.bracket(a.gen(i), m.marking)
-        if not vec_is_zero(got):
-            bad = f"generator {i}: bracket {fmt_section(got)}"
-            break
-    if bad is None:
+
+    def central():
+        for i in range(a.rank):
+            got = a.bracket(a.gen(i), m.marking)
+            if not vec_is_zero(got):
+                yield f"generator {i}: bracket {fmt_section(got)}"
         rng = random.Random(seed)
         for n in range(samples):
             u = sample_section(rng, a.chart, a.rank)
             if not vec_is_zero(a.bracket(u, m.marking)):
-                bad = f"sampled section (trial {n})"
-                break
-    rep.add("marking_central", bad is None, bad)
+                yield f"sampled section (trial {n})"
+
+    rep.check("marking_central", central())
     return rep
 
 
@@ -275,26 +260,22 @@ def check_extension(ext: OExtensionData, samples: int = 25, seed: int = 0) -> Re
     ok = vec_is_zero(ext.project(ext.total.marking))
     rep.add("marking_in_kernel", ok)
 
-    bad = None
-    for a in range(total.rank):
-        lhs = total.anchor_of(total.gen(a))
-        rhs = base.anchor_of(ext.projection[a])
-        if lhs != rhs:
-            bad = f"generator {a}"
-            break
-    rep.add("projection_anchor", bad is None, bad)
+    def projection_anchor():
+        for a in range(total.rank):
+            lhs = total.anchor_of(total.gen(a))
+            rhs = base.anchor_of(ext.projection[a])
+            if lhs != rhs:
+                yield f"generator {a}"
 
-    bad = None
-    for a in range(total.rank):
-        for b in range(total.rank):
+    def projection_bracket():
+        for a, b in product(range(total.rank), repeat=2):
             lhs = ext.project(total.bracket_gen(a, b))
             rhs = base.bracket(ext.projection[a], ext.projection[b])
             if not linalg.vec_eq(lhs, rhs):
-                bad = f"generators ({a},{b})"
-                break
-        if bad:
-            break
-    rep.add("projection_bracket", bad is None, bad)
+                yield f"generators ({a},{b})"
+
+    rep.check("projection_anchor", projection_anchor())
+    rep.check("projection_bracket", projection_bracket())
 
     # Kernel of the projection is exactly the marking line (generic rank).
     mat = [list(row) for row in ext.projection]
@@ -801,46 +782,38 @@ def check_compose_associative(
         e_mid = compose_pullback(p_xi, p_psi, p_psi_xi, e)
         return compose_pullback(p_psi_xi, p_phi, p_full, e_mid)
 
-    bad = None
-    for n in range(samples):
-        e = sample_section(rng, xi.source, p_xi.algebroid.rank, **kw)
-        r1 = route1(e)
-        r2 = route2(e)
-        if not linalg.vec_eq(r1, r2):
-            bad = f"sampled section (trial {n}): {fmt_section(r1)} vs {fmt_section(r2)}"
-            break
-    rep.add("composition_associative", bad is None, bad)
+    def associative():
+        for n in range(samples):
+            e = sample_section(rng, xi.source, p_xi.algebroid.rank, **kw)
+            r1 = route1(e)
+            r2 = route2(e)
+            if not linalg.vec_eq(r1, r2):
+                yield (
+                    f"sampled section (trial {n}): "
+                    f"{fmt_section(r1)} vs {fmt_section(r2)}"
+                )
 
     # The comparison morphism must preserve anchors and brackets.
-    bad = None
-    for g in range(p_psi.algebroid.rank):
-        img = cmatrix[g]
-        lhs = p_psi.algebroid.anchor_of(
-            linalg.unit_vec(psi.source, p_psi.algebroid.rank, g)
-        )
-        rhs = p_phi_psi.algebroid.anchor_of(img)
-        if lhs != rhs:
-            bad = f"generator {g}: anchor mismatch"
-            break
-    rep.add("comparison_anchor", bad is None, bad)
+    middle, composite = p_psi.algebroid, p_phi_psi.algebroid
 
-    bad = None
-    r2rank = p_psi.algebroid.rank
-    for x in range(r2rank):
-        for y in range(r2rank):
+    def comparison_anchor():
+        for g in range(middle.rank):
+            lhs = middle.anchor_of(linalg.unit_vec(psi.source, middle.rank, g))
+            if lhs != composite.anchor_of(cmatrix[g]):
+                yield f"generator {g}: anchor mismatch"
+
+    def comparison_bracket():
+        for x, y in product(range(middle.rank), repeat=2):
             lhs = apply_matrix(
-                cmatrix,
-                p_psi.algebroid.bracket_gen(x, y),
-                p_phi_psi.algebroid.rank,
-                psi.source,
+                cmatrix, middle.bracket_gen(x, y), composite.rank, psi.source
             )
-            rhs = p_phi_psi.algebroid.bracket(cmatrix[x], cmatrix[y])
+            rhs = composite.bracket(cmatrix[x], cmatrix[y])
             if not linalg.vec_eq(lhs, rhs):
-                bad = f"generators ({x},{y})"
-                break
-        if bad:
-            break
-    rep.add("comparison_bracket", bad is None, bad)
+                yield f"generators ({x},{y})"
+
+    rep.check("composition_associative", associative())
+    rep.check("comparison_anchor", comparison_anchor())
+    rep.check("comparison_bracket", comparison_bracket())
     return rep
 
 

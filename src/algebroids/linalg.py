@@ -80,21 +80,8 @@ def mat_vec(
     return tuple(vec_dot(tuple(row), v, chart=chart) for row in m)
 
 
-def mat_mul(a, b):
-    return [
-        [vec_dot(tuple(a[i]), tuple(col)) for col in zip(*b)] for i in range(len(a))
-    ]
-
-
 def transpose(m):
     return [list(col) for col in zip(*m)]
-
-
-def identity_matrix(chart: Chart, n: int) -> list[list[Poly]]:
-    return [
-        [Poly.one(chart) if i == j else Poly.zero(chart) for j in range(n)]
-        for i in range(n)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -149,23 +136,6 @@ def qq_solve(
     for r, c in enumerate(pivots):
         x[c] = rref[r][ncols]
     return x
-
-
-def qq_nullspace(a: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the right nullspace of a."""
-    if not a:
-        return []
-    ncols = len(a[0])
-    rref, pivots = qq_rref(a)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -rref[r][f]
-        basis.append(v)
-    return basis
 
 
 def qq_inverse(a: list[list[Fraction]]) -> list[list[Fraction]] | None:
@@ -331,20 +301,6 @@ def solve_constant_system(
     for got, want in zip(recon, rhs, strict=True):
         if got != want:
             return None
-    return out
-
-
-def constant_matrix(m: Sequence[Sequence[Poly]]) -> list[list[Fraction]] | None:
-    """The Fraction matrix when every entry is constant, else None."""
-    out = []
-    for row in m:
-        raw = []
-        for e in row:
-            c = e.as_constant()
-            if c is None:
-                return None
-            raw.append(c)
-        out.append(raw)
     return out
 
 

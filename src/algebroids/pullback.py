@@ -490,45 +490,33 @@ def check_relation_absorption(pb: CourantPullback) -> Report:
     n = pb.source.chart.dim
     rels = [pb.relation(k) for k in range(n)]
 
-    bad = None
-    for k in range(n):
-        for c, b in enumerate(pb.basis):
-            got = pb.ambient_pairing(rels[k], b)
-            if not got.is_zero:
-                bad = f"relation {k} against basis {c}: {got}"
-                break
-        if bad:
-            break
-        for l in range(n):
-            got = pb.ambient_pairing(rels[k], rels[l])
-            if not got.is_zero:
-                bad = f"relations ({k},{l}): {got}"
-                break
-        if bad:
-            break
-    rep.add("relations_isotropic", bad is None, bad)
+    def isotropic():
+        for k in range(n):
+            for c, b in enumerate(pb.basis):
+                got = pb.ambient_pairing(rels[k], b)
+                if not got.is_zero:
+                    yield f"relation {k} against basis {c}: {got}"
+            for l in range(n):
+                got = pb.ambient_pairing(rels[k], rels[l])
+                if not got.is_zero:
+                    yield f"relations ({k},{l}): {got}"
 
-    bad = None
-    for k in range(n):
-        for c, b in enumerate(pb.basis):
-            left = pb.reduce(pb.ambient_bracket(rels[k], b))
-            right = pb.reduce(pb.ambient_bracket(b, rels[k]))
-            if not vec_is_zero(left):
-                bad = f"relation {k} bracket basis {c}"
-                break
-            if not vec_is_zero(right):
-                bad = f"basis {c} bracket relation {k}"
-                break
-        if bad:
-            break
-        for l in range(n):
-            got = pb.reduce(pb.ambient_bracket(rels[k], rels[l]))
-            if not vec_is_zero(got):
-                bad = f"relations ({k},{l})"
-                break
-        if bad:
-            break
-    rep.add("relations_bracket_closed", bad is None, bad)
+    def bracket_closed():
+        for k in range(n):
+            for c, b in enumerate(pb.basis):
+                left = pb.reduce(pb.ambient_bracket(rels[k], b))
+                right = pb.reduce(pb.ambient_bracket(b, rels[k]))
+                if not vec_is_zero(left):
+                    yield f"relation {k} bracket basis {c}"
+                if not vec_is_zero(right):
+                    yield f"basis {c} bracket relation {k}"
+            for l in range(n):
+                got = pb.reduce(pb.ambient_bracket(rels[k], rels[l]))
+                if not vec_is_zero(got):
+                    yield f"relations ({k},{l})"
+
+    rep.check("relations_isotropic", isotropic())
+    rep.check("relations_bracket_closed", bracket_closed())
     return rep
 
 
@@ -567,24 +555,20 @@ def check_twist_commute(
     pb_twisted = pullback_courant(f, twisted, mode, conn2)
     route2 = pb_twisted.result
 
-    bad = None
-    if route1.anchor != route2.anchor:
-        bad = "anchor tables differ"
-    elif route1.coanchor != route2.coanchor:
-        bad = "coanchor tables differ"
-    elif route1.pairing != route2.pairing:
-        bad = "pairing tables differ"
-    rep.add("twist_commute_frame", bad is None, bad)
+    def frame():
+        for table in ("anchor", "coanchor", "pairing"):
+            if getattr(route1, table) != getattr(route2, table):
+                yield f"{table} tables differ"
 
-    bad = None
-    keys = set(route1.structure) | set(route2.structure)
-    for key in sorted(keys):
-        lhs = route1.structure.get(key, route1.zero_section())
-        rhs = route2.structure.get(key, route2.zero_section())
-        if not vec_eq(lhs, rhs):
-            bad = f"generators {key}"
-            break
-    rep.add("twist_commute_structure", bad is None, bad)
+    def structure():
+        for key in sorted(set(route1.structure) | set(route2.structure)):
+            lhs = route1.structure.get(key, route1.zero_section())
+            rhs = route2.structure.get(key, route2.zero_section())
+            if not vec_eq(lhs, rhs):
+                yield f"generators {key}"
+
+    rep.check("twist_commute_frame", frame())
+    rep.check("twist_commute_structure", structure())
     return rep
 
 

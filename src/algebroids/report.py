@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 
 @dataclass
@@ -29,6 +30,19 @@ class Report:
         self.checks.append(
             CheckResult(name, passed, counterexample if not passed else None)
         )
+
+    def check(self, name: str, failures: Iterable[str]):
+        """Record one named verdict from a lazy stream of counterexamples.
+
+        The first counterexample is the verdict's failure; an exhausted
+        stream is a pass. Nothing after the first counterexample is
+        evaluated, so a check that yields its generator cases before its
+        sampled trials samples only when every generator case holds, and
+        a seeded stream shared by later checks advances exactly as far as
+        this check got.
+        """
+        bad = next(iter(failures), None)
+        self.add(name, bad is None, bad)
 
     def merge(self, other: "Report", prefix: str | None = None):
         for c in other.checks:

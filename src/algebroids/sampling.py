@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from algebroids.symcalc import Chart, KForm, Poly, VField
+from algebroids.symcalc import Chart, KForm, Poly
 
 COEFF_RANGE = (-2, 2)
 MAX_SAMPLE_DEGREE = 2
@@ -43,10 +43,6 @@ def sample_section(
     rng: random.Random, chart: Chart, rank: int, **kw
 ) -> tuple[Poly, ...]:
     return tuple(sample_poly(rng, chart, **kw) for _ in range(rank))
-
-
-def sample_vfield(rng: random.Random, chart: Chart, **kw) -> VField:
-    return VField(chart, [sample_poly(rng, chart, **kw) for _ in range(chart.dim)])
 
 
 def sample_kform(

@@ -13,8 +13,8 @@ approximate. The objects are deliberately small and closed:
 * `ChartMap` — polynomial map between charts, with pullback/pushforward
   helpers.
 
-A module-wide total-degree cap (default 16) aborts runaway products early;
-see `set_max_degree`.
+A fixed total-degree cap, `MAX_DEGREE` = 16, aborts runaway products early
+with `DegreeOverflowError`.
 
 Expression grammar (used by `parse_expr` and the printers)::
 
@@ -43,21 +43,9 @@ from algebroids.errors import (
     ValidationError,
 )
 
-_MAX_DEGREE = 16
+MAX_DEGREE = 16
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
-
-def set_max_degree(n: int) -> None:
-    """Set the global total-degree cap for polynomial products."""
-    global _MAX_DEGREE
-    if n < 1:
-        raise ValidationError("degree cap must be positive")
-    _MAX_DEGREE = n
-
-
-def get_max_degree() -> int:
-    return _MAX_DEGREE
 
 
 def _frac(x) -> Fraction:
@@ -314,9 +302,9 @@ class Poly:
             return NotImplemented
         _require_same_chart(self, other)
         da, db = self.degree(), other.degree()
-        if da >= 0 and db >= 0 and da + db > _MAX_DEGREE:
+        if da >= 0 and db >= 0 and da + db > MAX_DEGREE:
             raise DegreeOverflowError(
-                f"product degree {da + db} exceeds cap {_MAX_DEGREE}"
+                f"product degree {da + db} exceeds cap {MAX_DEGREE}"
             )
         return Poly._raw(self.chart, mul_terms(self.terms, other.terms))
 
@@ -379,12 +367,6 @@ class Poly:
                     term = term * values[i] ** e
             result = result + term
         return result
-
-    def rename_chart(self, chart: Chart) -> "Poly":
-        """Relabel onto another chart of the same dimension."""
-        if chart.dim != self.chart.dim:
-            raise ChartMismatchError("chart rename must preserve dimension")
-        return Poly._raw(chart, dict(self.terms))
 
     def __str__(self) -> str:
         return poly_str(self)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import product
 
 from algebroids.courant import (
     CourantCombination,
@@ -239,140 +240,126 @@ def check_tau_rules(
     def sections(count):
         return [sample_section(rng, chart, r, **kw) for _ in range(count)]
 
-    bad = None
-    for t in range(samples):
-        u = sample_section(rng, chart, r, **kw)
-        one = tau.function_c(Poly.one(chart))
-        if not tau.bracket(tau.pair(u), one).is_zero:
-            bad = f"degree 0 against c (trial {t})"
-            break
-        if not tau.bracket(tau.section_eps(u), one).is_zero:
-            bad = f"degree -1 against c (trial {t})"
-            break
-        if not tau.bracket(one, tau.pair(u)).is_zero:
-            bad = f"c against degree 0 (trial {t})"
-            break
-    rep.add("rule_c_central", bad is None, bad)
+    def c_central():
+        for t in range(samples):
+            u = sample_section(rng, chart, r, **kw)
+            one = tau.function_c(Poly.one(chart))
+            if not tau.bracket(tau.pair(u), one).is_zero:
+                yield f"degree 0 against c (trial {t})"
+            if not tau.bracket(tau.section_eps(u), one).is_zero:
+                yield f"degree -1 against c (trial {t})"
+            if not tau.bracket(one, tau.pair(u)).is_zero:
+                yield f"c against degree 0 (trial {t})"
 
-    bad = None
-    for t in range(samples):
-        alpha = sample_kform(rng, chart, 1, **kw)
-        if not vec_is_zero(
-            vec_sub(
-                tau.one_form_c(alpha).section, q.coanchor_of(alpha)
+    def one_form_rewrite():
+        for t in range(samples):
+            alpha = sample_kform(rng, chart, 1, **kw)
+            if not vec_is_zero(
+                vec_sub(
+                    tau.one_form_c(alpha).section, q.coanchor_of(alpha)
+                )
+            ):
+                yield f"one-form rewrite (trial {t})"
+
+    def interior_action():
+        for t in range(samples):
+            u = sample_section(rng, chart, r, **kw)
+            alpha = sample_kform(rng, chart, 1, **kw)
+            omega = sample_kform(rng, chart, 2, **kw)
+            pi_u = q.anchor_of(u)
+            got = tau.bracket(tau.section_eps(u), tau.one_form_c(alpha))
+            if got.c_part != alpha.iota(pi_u).as_poly():
+                yield f"against a dressed one-form (trial {t})"
+            got = tau.bracket(tau.section_eps(u), tau.two_form_c(omega))
+            if got != tau.one_form_c(omega.iota(pi_u)):
+                yield f"against a dressed two-form (trial {t})"
+
+    def lie_action():
+        for t in range(samples):
+            u = sample_section(rng, chart, r, **kw)
+            f = sample_poly(rng, chart, **kw)
+            alpha = sample_kform(rng, chart, 1, **kw)
+            pi_u = q.anchor_of(u)
+            got = tau.bracket(tau.pair(u), tau.function_c(f))
+            if got.c_part != pi_u.apply(f):
+                yield f"against a dressed function (trial {t})"
+            got = tau.bracket(tau.pair(u), tau.one_form_c(alpha))
+            if got != tau.one_form_c(alpha.lie(pi_u)):
+                yield f"against a dressed one-form (trial {t})"
+
+    def odd_pairing():
+        for t in range(samples):
+            u, v = sections(2)
+            got = tau.bracket(tau.section_eps(u), tau.section_eps(v))
+            if got.c_part != q.pairing_of(u, v):
+                yield f"trial {t}"
+
+    def mixed_bracket():
+        for t in range(samples):
+            u, v = sections(2)
+            got = tau.bracket(tau.pair(u), tau.section_eps(v))
+            if not vec_is_zero(vec_sub(got.section, q.bracket(u, v))):
+                yield f"trial {t}"
+            got = tau.bracket(tau.section_eps(u), tau.pair(v))
+            g = q.pairing_of(u, v)
+            expected = tau.one_form_c(KForm.from_poly(-g).d()) + tau.section_eps(
+                q.bracket(u, v)
             )
-        ):
-            bad = f"one-form rewrite (trial {t})"
-            break
-    rep.add("rule_one_form_rewrite", bad is None, bad)
+            if got != expected:
+                yield f"opposite order (trial {t})"
 
-    bad = None
-    for t in range(samples):
-        u = sample_section(rng, chart, r, **kw)
-        alpha = sample_kform(rng, chart, 1, **kw)
-        omega = sample_kform(rng, chart, 2, **kw)
-        pi_u = q.anchor_of(u)
-        got = tau.bracket(tau.section_eps(u), tau.one_form_c(alpha))
-        if got.c_part != alpha.iota(pi_u).as_poly():
-            bad = f"against a dressed one-form (trial {t})"
-            break
-        got = tau.bracket(tau.section_eps(u), tau.two_form_c(omega))
-        if got != tau.one_form_c(omega.iota(pi_u)):
-            bad = f"against a dressed two-form (trial {t})"
-            break
-    rep.add("rule_interior_action", bad is None, bad)
+    def graded_antisymmetry():
+        for t in range(samples):
+            u, v = sections(2)
+            omega1 = sample_kform(rng, chart, 2, **kw)
+            omega2 = sample_kform(rng, chart, 2, **kw)
+            x = tau.pair(u, omega1)
+            y = tau.section_eps(v)
+            lhs = tau.bracket(x, y)
+            rhs = tau.bracket(y, x)
+            if not vec_is_zero(vec_add(lhs.section, rhs.section)):
+                yield f"degrees (0,-1) (trial {t})"
+            a = tau.section_eps(u)
+            b = tau.section_eps(v)
+            if tau.bracket(a, b).c_part != tau.bracket(b, a).c_part:
+                yield f"degrees (-1,-1) (trial {t})"
+            fc = tau.function_c(sample_poly(rng, chart, **kw))
+            if (
+                tau.bracket(tau.pair(u, omega2), fc).c_part
+                != -tau.bracket(fc, tau.pair(u, omega2)).c_part
+            ):
+                yield f"degrees (0,-2) (trial {t})"
 
-    bad = None
-    for t in range(samples):
-        u = sample_section(rng, chart, r, **kw)
-        f = sample_poly(rng, chart, **kw)
-        alpha = sample_kform(rng, chart, 1, **kw)
-        pi_u = q.anchor_of(u)
-        got = tau.bracket(tau.pair(u), tau.function_c(f))
-        if got.c_part != pi_u.apply(f):
-            bad = f"against a dressed function (trial {t})"
-            break
-        got = tau.bracket(tau.pair(u), tau.one_form_c(alpha))
-        if got != tau.one_form_c(alpha.lie(pi_u)):
-            bad = f"against a dressed one-form (trial {t})"
-            break
-    rep.add("rule_lie_action", bad is None, bad)
+    def graded_jacobi():
+        for t in range(samples):
+            u, v, w = sections(3)
+            omega = sample_kform(rng, chart, 2, **kw)
+            x = tau.pair(u, omega)
+            ye, ze = tau.section_eps(v), tau.section_eps(w)
+            lhs = tau.bracket(x, tau.bracket(ye, ze))
+            rhs = (
+                tau.bracket(tau.bracket(x, ye), ze).c_part
+                + tau.bracket(ye, tau.bracket(x, ze)).c_part
+            )
+            if lhs.c_part != rhs:
+                yield f"degrees (0,-1,-1) (trial {t})"
 
-    bad = None
-    for t in range(samples):
-        u, v = sections(2)
-        got = tau.bracket(tau.section_eps(u), tau.section_eps(v))
-        if got.c_part != q.pairing_of(u, v):
-            bad = f"trial {t}"
-            break
-    rep.add("rule_odd_pairing", bad is None, bad)
+    def truncation_guard():
+        try:
+            tau.bracket(tau.pair(q.gen(0)), tau.pair(q.gen(0)))
+        except TruncationError:
+            return
+        yield "degree (0,0) bracket did not raise"
 
-    bad = None
-    for t in range(samples):
-        u, v = sections(2)
-        got = tau.bracket(tau.pair(u), tau.section_eps(v))
-        if not vec_is_zero(vec_sub(got.section, q.bracket(u, v))):
-            bad = f"trial {t}"
-            break
-        got = tau.bracket(tau.section_eps(u), tau.pair(v))
-        g = q.pairing_of(u, v)
-        expected = tau.one_form_c(KForm.from_poly(-g).d()) + tau.section_eps(
-            q.bracket(u, v)
-        )
-        if got != expected:
-            bad = f"opposite order (trial {t})"
-            break
-    rep.add("rule_mixed_bracket", bad is None, bad)
-
-    bad = None
-    for t in range(samples):
-        u, v = sections(2)
-        omega1 = sample_kform(rng, chart, 2, **kw)
-        omega2 = sample_kform(rng, chart, 2, **kw)
-        x = tau.pair(u, omega1)
-        y = tau.section_eps(v)
-        lhs = tau.bracket(x, y)
-        rhs = tau.bracket(y, x)
-        if not vec_is_zero(vec_add(lhs.section, rhs.section)):
-            bad = f"degrees (0,-1) (trial {t})"
-            break
-        a = tau.section_eps(u)
-        b = tau.section_eps(v)
-        if tau.bracket(a, b).c_part != tau.bracket(b, a).c_part:
-            bad = f"degrees (-1,-1) (trial {t})"
-            break
-        fc = tau.function_c(sample_poly(rng, chart, **kw))
-        if (
-            tau.bracket(tau.pair(u, omega2), fc).c_part
-            != -tau.bracket(fc, tau.pair(u, omega2)).c_part
-        ):
-            bad = f"degrees (0,-2) (trial {t})"
-            break
-    rep.add("graded_antisymmetry", bad is None, bad)
-
-    bad = None
-    for t in range(samples):
-        u, v, w = sections(3)
-        omega = sample_kform(rng, chart, 2, **kw)
-        x = tau.pair(u, omega)
-        ye, ze = tau.section_eps(v), tau.section_eps(w)
-        lhs = tau.bracket(x, tau.bracket(ye, ze))
-        rhs = (
-            tau.bracket(tau.bracket(x, ye), ze).c_part
-            + tau.bracket(ye, tau.bracket(x, ze)).c_part
-        )
-        if lhs.c_part != rhs:
-            bad = f"degrees (0,-1,-1) (trial {t})"
-            break
-    rep.add("graded_jacobi", bad is None, bad)
-
-    bad = None
-    try:
-        tau.bracket(tau.pair(q.gen(0)), tau.pair(q.gen(0)))
-        bad = "degree (0,0) bracket did not raise"
-    except TruncationError:
-        pass
-    rep.add("truncation_guard", bad is None, bad)
+    rep.check("rule_c_central", c_central())
+    rep.check("rule_one_form_rewrite", one_form_rewrite())
+    rep.check("rule_interior_action", interior_action())
+    rep.check("rule_lie_action", lie_action())
+    rep.check("rule_odd_pairing", odd_pairing())
+    rep.check("rule_mixed_bracket", mixed_bracket())
+    rep.check("graded_antisymmetry", graded_antisymmetry())
+    rep.check("graded_jacobi", graded_jacobi())
+    rep.check("truncation_guard", truncation_guard())
     return rep
 
 
@@ -400,107 +387,54 @@ def check_transgression_linear(
     rng = random.Random(seed)
     kw = {} if max_degree is None else {"max_degree": max_degree}
 
-    def lifted(cls: Vec) -> list[Vec]:
-        return comb.lift(cls)
-
     def class_sections(count):
-        out = [sample_section(rng, chart, r, **kw) for _ in range(count)]
-        return out
+        return [sample_section(rng, chart, r, **kw) for _ in range(count)]
 
     gens = [unit_vec(chart, r, a) for a in range(r)]
 
-    bad = None
-    for x in range(r):
-        for y in range(r):
-            route1 = tau_c.bracket(
-                tau_c.section_eps(gens[x]), tau_c.section_eps(gens[y])
+    def pairing_combines(u: Vec, v: Vec) -> bool:
+        route1 = tau_c.bracket(tau_c.section_eps(u), tau_c.section_eps(v)).c_part
+        lifts_u, lifts_v = comb.lift(u), comb.lift(v)
+        route2 = Poly.zero(chart)
+        for i, ti in enumerate(taus):
+            got = ti.bracket(
+                ti.section_eps(lifts_u[i]), ti.section_eps(lifts_v[i])
             ).c_part
-            lifts_x, lifts_y = lifted(gens[x]), lifted(gens[y])
-            route2 = Poly.zero(chart)
-            for i, ti in enumerate(taus):
-                got = ti.bracket(
-                    ti.section_eps(lifts_x[i]), ti.section_eps(lifts_y[i])
-                ).c_part
-                route2 = route2 + comb.weights[i] * got
-            if route1 != route2:
-                bad = f"generators ({x},{y})"
-                break
-        if bad:
-            break
-    if bad is None:
-        for t in range(samples):
-            u, v = class_sections(2)
-            route1 = tau_c.bracket(
-                tau_c.section_eps(u), tau_c.section_eps(v)
-            ).c_part
-            lifts_u, lifts_v = lifted(u), lifted(v)
-            route2 = Poly.zero(chart)
-            for i, ti in enumerate(taus):
-                got = ti.bracket(
-                    ti.section_eps(lifts_u[i]), ti.section_eps(lifts_v[i])
-                ).c_part
-                route2 = route2 + comb.weights[i] * got
-            if route1 != route2:
-                bad = f"sampled sections (trial {t})"
-                break
-    rep.add("tau_pairing_combines", bad is None, bad)
+            route2 = route2 + comb.weights[i] * got
+        return route1 == route2
 
-    bad = None
-    for x in range(r):
-        for y in range(r):
-            route1 = tau_c.bracket(
-                tau_c.pair(gens[x]), tau_c.section_eps(gens[y])
-            ).section
-            lifts_x, lifts_y = lifted(gens[x]), lifted(gens[y])
-            comps = [
-                ti.bracket(
-                    ti.pair(lifts_x[i]), ti.section_eps(lifts_y[i])
-                ).section
-                for i, ti in enumerate(taus)
-            ]
-            route2 = comb.reduce_tuple(comps)
-            if not vec_is_zero(vec_sub(route1, route2)):
-                bad = f"generators ({x},{y})"
-                break
-        if bad:
-            break
-    if bad is None:
-        for t in range(samples):
-            u, v = class_sections(2)
-            route1 = tau_c.bracket(
-                tau_c.pair(u), tau_c.section_eps(v)
-            ).section
-            lifts_u, lifts_v = lifted(u), lifted(v)
-            comps = [
-                ti.bracket(
-                    ti.pair(lifts_u[i]), ti.section_eps(lifts_v[i])
-                ).section
-                for i, ti in enumerate(taus)
-            ]
-            route2 = comb.reduce_tuple(comps)
-            if not vec_is_zero(vec_sub(route1, route2)):
-                bad = f"sampled sections (trial {t})"
-                break
-    rep.add("tau_bracket_combines", bad is None, bad)
+    def bracket_combines(u: Vec, v: Vec) -> bool:
+        route1 = tau_c.bracket(tau_c.pair(u), tau_c.section_eps(v)).section
+        lifts_u, lifts_v = comb.lift(u), comb.lift(v)
+        comps = [
+            ti.bracket(ti.pair(lifts_u[i]), ti.section_eps(lifts_v[i])).section
+            for i, ti in enumerate(taus)
+        ]
+        return vec_is_zero(vec_sub(route1, comb.reduce_tuple(comps)))
 
-    bad = None
-    for x in range(r):
-        for j in range(chart.dim):
+    def combines(identity):
+        for x, y in product(range(r), repeat=2):
+            if not identity(gens[x], gens[y]):
+                yield f"generators ({x},{y})"
+        for t in range(samples):
+            if not identity(*class_sections(2)):
+                yield f"sampled sections (trial {t})"
+
+    def function_action_matches():
+        for x, j in product(range(r), range(chart.dim)):
             route1 = tau_c.bracket(
                 tau_c.pair(gens[x]), tau_c.coordinate_c(j)
             ).c_part
-            lifts_x = lifted(gens[x])
+            lifts_x = comb.lift(gens[x])
             for i, ti in enumerate(taus):
                 got = ti.bracket(ti.pair(lifts_x[i]), ti.coordinate_c(j)).c_part
                 if got != route1:
-                    bad = (
+                    yield (
                         f"generator {x}, coordinate {chart.coords[j]}, "
                         f"summand {i}"
                     )
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    rep.add("tau_function_action_matches", bad is None, bad)
+
+    rep.check("tau_pairing_combines", combines(pairing_combines))
+    rep.check("tau_bracket_combines", combines(bracket_combines))
+    rep.check("tau_function_action_matches", function_action_matches())
     return rep

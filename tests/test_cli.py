@@ -339,9 +339,9 @@ def test_courant_verbs_run_with_the_echoed_seed_and_samples(
     seen = []
     real = cli.check_courant
 
-    def spy(q, samples=100, seed=0):
+    def spy(q, samples=100, seed=0, max_degree=None):
         seen.append((seed, samples))
-        return real(q, samples=samples, seed=seed)
+        return real(q, samples=samples, seed=seed, max_degree=max_degree)
 
     monkeypatch.setattr(cli, "check_courant", spy)
     spec, _ = PASSING_JOBS[verb]()
@@ -351,6 +351,54 @@ def test_courant_verbs_run_with_the_echoed_seed_and_samples(
     assert seen == [(5, 3)]
     job = json.loads(out.read_text(encoding="utf-8"))["job"]
     assert (job["seed"], job["samples"]) == (5, 3)
+
+
+@pytest.mark.parametrize("verb", ["check-courant", "pullback", "twist"])
+def test_courant_verbs_sample_at_the_requested_degree(tmp_path, monkeypatch, verb):
+    from algebroids import courant, sampling
+
+    degrees = set()
+    real = sampling.sample_poly
+
+    def spy(rng, chart, max_degree=sampling.MAX_SAMPLE_DEGREE, terms=3):
+        degrees.add(max_degree)
+        return real(rng, chart, max_degree=max_degree, terms=terms)
+
+    monkeypatch.setattr(sampling, "sample_poly", spy)
+    monkeypatch.setattr(courant, "sample_poly", spy)
+    spec, _ = PASSING_JOBS[verb]()
+    argv = [verb, "--spec", write_job(tmp_path, spec), "--out", str(tmp_path / "r")]
+    assert main(argv + ["--samples", "4", "--max-degree", "1"]) == 0
+    assert degrees == {1}
+
+
+def test_cocycle_with_a_failing_first_element_exits_one(tmp_path, capsys):
+    from algebroids.descent import CoverData, tautological_datum
+
+    spec, _ = PASSING_JOBS["cocycle"]()
+    x1, x2 = Poly.coord(R2, 0), Poly.coord(R2, 1)
+    cover = CoverData(
+        R2,
+        {
+            "one": ChartMap.identity(R2),
+            "s": ChartMap(R2, R2, (x1, x2 + x1 * x1)),
+            "s2": ChartMap(R2, R2, (x1, x2 + 2 * x1 * x1)),
+        },
+        {("s", "s"): "s2", ("one", "s"): "s", ("s", "one"): "s"},
+    )
+    matrices = dict(tautological_datum(cover, Q2).matrices)
+    matrices["one"] = tuple(tuple(2 * p for p in row) for row in matrices["one"])
+    spec["matrices"] = {
+        name: jsonio.matrix_to_json(m) for name, m in matrices.items()
+    }
+    rc = main(["cocycle", "--spec", write_job(tmp_path, spec)])
+    assert rc == 1
+    checks = {
+        c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]
+    }
+    failing = checks["element_preservation"]
+    assert failing["status"] == "fail"
+    assert failing["counterexample"].startswith("element one")
 
 
 def test_degree_overflow_exits_four_as_a_resource_limit(tmp_path, capsys):

@@ -91,6 +91,19 @@ def test_twist_scaling_map_fails_preservation():
     assert "element sc" in rep["element_preservation"].counterexample
 
 
+def test_failing_first_element_still_checks_every_triple():
+    # "one" sorts first, so its failure is found before the other maps are
+    # checked; the triples still need every map pulled back
+    cover = parabola_cover()
+    q = standard_exact(R2)
+    matrices = dict(tautological_datum(cover, q).matrices)
+    matrices["one"] = tuple(tuple(2 * p for p in row) for row in matrices["one"])
+    rep = check_cocycle(DescentDatum(cover, q, matrices))
+    assert rep.check_names() == COCYCLE_NAMES
+    assert not rep["element_preservation"].passed
+    assert rep["element_preservation"].counterexample.startswith("element one")
+
+
 def test_dishonest_table_short_circuits_the_triples():
     cover = volume_cover()
     lying = CoverData(R3, dict(cover.maps), {("s", "s2"): "s"})

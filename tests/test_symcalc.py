@@ -18,11 +18,11 @@ from algebroids.symcalc import (
     KForm,
     Poly,
     VField,
+    add_terms,
     coordinate_chart,
     d,
     dmap,
     dmap_dual,
-    get_max_degree,
     iota,
     kform_str,
     lie_form,
@@ -32,7 +32,6 @@ from algebroids.symcalc import (
     parse_vfield,
     poly_str,
     pullback_form,
-    set_max_degree,
     vf_bracket,
     vfield_str,
     wedge,
@@ -100,15 +99,18 @@ def test_poly_chart_mismatch():
 
 
 def test_degree_cap():
-    old = get_max_degree()
-    try:
-        set_max_degree(4)
-        x = Poly.coord(R1, "t")
-        with pytest.raises(DegreeOverflowError):
-            (x**3) * (x**2)
-        assert (x**2) * (x**2) == x**4
-    finally:
-        set_max_degree(old)
+    x = Poly.coord(R1, "t")
+    with pytest.raises(DegreeOverflowError):
+        (x**9) * (x**8)
+    assert (x**8) * (x**8) == x**16
+
+
+def test_pure_kernel_does_not_mutate():
+    a = {(1, 0): Fraction(2)}
+    b = {(1, 0): Fraction(-2)}
+    out = add_terms(a, b)
+    assert out == {}
+    assert a == {(1, 0): Fraction(2)} and b == {(1, 0): Fraction(-2)}
 
 
 def test_zero_dimensional_chart():
