@@ -612,9 +612,10 @@ def test_full_battery_is_deterministic_and_fast(tmp_path):
 
 
 # SHA-256 of every report the battery writes at --seed 7 --samples 10, of
-# the pullback verb in each Courant presentation mode, and of the Lie
-# inverse image in each non-identity mode. A refactor that claims to keep
-# behaviour must leave every one of these unchanged.
+# the pullback verb in each Courant presentation mode (plus a coordinate
+# projection with a vertical direction), and of the Lie inverse image in each
+# mode (plus that projection). A refactor that claims to keep behaviour must
+# leave every one of these unchanged.
 GOLDEN_BATTERY = {
     "assoc-c-plus": "bd2e479f47464e4cc7191d9226359499fb43f8591a1f4666552e671d6653eecf",
     "check-courant": "f0bf88703620a33afe938b58d0e399b624fd060ccfb3d60bbdfb721ae4c45025",
@@ -633,13 +634,16 @@ GOLDEN_BATTERY = {
 }
 GOLDEN_PULLBACK_MODES = {
     "coordinate-embedding": "26ab3e1751acbfabe8f0a2f34230bf13a6cdd4f84438363d72f2c65d1405bfc4",
+    "coordinate-projection": "e6790fcbbfa4d53fd8a484a76709177063ba9221ca929b74711b5723b66eccd8",
     "coordinate-submersion": "7e5ad62ad987dbc0e3fa92a3cb92dcc9c7b014ed8c2de0f6e6bb72939dddacd1",
     "exact-split": "e42082a8843840344d2c92f7452c3eb7f0df8ba02236700aec5cf014868c737d",
     "identity": "bb03dd2257cd637ac1dedf905064c31de8cb7779b8674f4c94e51476bf7b49e7",
 }
 GOLDEN_LIE_PULLBACKS = {
     "coordinate-embedding": "4710d238ca10a69cde790f0ec186c33be348c37b305c922f4cdf8ba8b4cd7883",
+    "coordinate-projection": "c132a838f62131841424b4189a7cd64d6f6e587f25aa4e77b64e2d2e771fbc69",
     "coordinate-submersion": "0558a24a2d02100960baef1abdb6cd9970341698972b768e902a27228bd9fdd1",
+    "identity": "e8e3b700b4c16eb3832b904fc8e8c148bc77d436516ba03c83968bafe37362c7",
     "transitive-split": "1f43afd79d0d005ef5f352a3534e5a430336a2d145ba3cc8952a43dc29f90dc9",
 }
 
@@ -679,7 +683,17 @@ def _pullback_mode_jobs():
             "map": shear,
             "mode": "coordinate-submersion",
         },
+        "coordinate-projection": {
+            "structure": structure,
+            "map": jsonio.map_to_json(_projection()),
+            "mode": "coordinate-submersion",
+        },
     }
+
+
+def _projection():
+    """R4 -> R3, (x1, x2, x3): a coordinate projection with x4 vertical."""
+    return ChartMap(R4, R3, tuple(Poly.coord(R4, j) for j in range(3)))
 
 
 def _lie_pullbacks():
@@ -700,6 +714,10 @@ def _lie_pullbacks():
     )
     split = tuple(linalg.unit_vec(R3, 4, j) for j in range(3))
     return {
+        "identity": pullback_lie(ChartMap.identity(R3), ext),
+        "coordinate-projection": pullback_lie(
+            _projection(), ext, "coordinate-submersion"
+        ),
         "coordinate-embedding": pullback_lie(
             ChartMap(P2, R3, (Poly.coord(P2, 0), Poly.zero(P2), Poly.coord(P2, 1))),
             ext,
