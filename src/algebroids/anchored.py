@@ -1,4 +1,4 @@
-"""Anchored modules, and the chart-map analysis their inverse images share.
+"""Anchored modules, and the fibre products their inverse images share.
 
 An anchored module is a free module of rank r on a chart with an anchor (one
 tangent vector per generator) and a sparse table of generator brackets.
@@ -8,21 +8,22 @@ sections starts, for both, from the table-plus-Leibniz sum
     sum_ab u_a v_b T(a, b) + anchor(u)(v_k) - anchor(v)(u_k),
 
 which Lie reads through an antisymmetric table and Courant corrects by its
-coanchor term. The inverse image of either along f: Y -> X is a fibre
-product over f*TX (Liu-Weinstein-Xu, dg-ga/9508013); its ambient bracket is
-the same sum over the pulled table, with tangent vectors on Y standing in for
-the anchors (leibniz_sum, pulled_entries).
+coanchor term. The inverse image of either along f: Y -> X is built on the
+fibre product f*A x_{f*TX} TY of pairs (tangent on Y, pulled section)
+(Liu-Weinstein-Xu, dg-ga/9508013); its ambient bracket is the same sum over
+the pulled table, with tangent vectors on Y standing in for the anchors
+(leibniz_sum, pulled_entries).
 
-The second half analyses a chart map for the presentation modes that both
-inverse images support. resolve_mode picks the mode (classify_map when none
-is given) and checks the identity mode; Embedding and Submersion check the
-shape their mode needs, raise UnsupportedModeError when the map does not
-have it, and hold what a presentation is built from: kept and cut
-coordinate slots with the constant solve of the anchor constraints, or the
-tangent lifts through a coordinate projection or an inverse Jacobian.
-constant_complement,
-apply_constant and apply_matrix are the constant linear algebra both
-presentations reduce with.
+The second half presents that fibre product along a chart map, once for
+both inverse images. resolve_mode picks the mode (classify_map when none is
+given) and checks the identity mode. Embedding and Submersion check the
+shape their mode needs and raise UnsupportedModeError when the map does not
+have it; each holds one basis of (tangent, section) pairs and one coordinate
+reader, coords(tangent, section). The Lie inverse image stacks those pairs
+as they are; the Courant one uses them as the (u, eta) half of its triples.
+The identity mode is the submersion along the identity map. split_lifts is
+the lift through a splitting of the anchor that the split presentations of
+both share, and constant_complement picks constant complements.
 """
 
 from __future__ import annotations
@@ -36,7 +37,14 @@ from algebroids.errors import (
     UnsupportedModeError,
     ValidationError,
 )
-from algebroids.linalg import Vec, vec_is_zero
+from algebroids.linalg import (
+    Vec,
+    apply_constant,
+    apply_matrix,
+    unit_vec,
+    vec_is_zero,
+    zero_vec,
+)
 from algebroids.symcalc import Chart, ChartMap, Poly, VField
 
 Entry = Callable[[int, int], "Vec | None"]
@@ -121,20 +129,15 @@ class AnchoredModule:
         self.structure = clean
 
     def zero_section(self) -> Vec:
-        return linalg.zero_vec(self.chart, self.rank)
+        return zero_vec(self.chart, self.rank)
 
     def gen(self, a: int) -> Vec:
-        return linalg.unit_vec(self.chart, self.rank, a)
+        return unit_vec(self.chart, self.rank, a)
 
     def anchor_of(self, u: Vec) -> VField:
-        comps = []
-        for i in range(self.chart.dim):
-            acc = Poly.zero(self.chart)
-            for a in range(self.rank):
-                if not u[a].is_zero:
-                    acc = acc + u[a] * self.anchor[a][i]
-            comps.append(acc)
-        return VField(self.chart, comps)
+        return VField(
+            self.chart, apply_matrix(self.anchor, u, self.chart.dim, self.chart)
+        )
 
     def _entry(self, a: int, b: int) -> Vec | None:
         return self.structure.get((a, b))
@@ -154,33 +157,6 @@ class AnchoredModule:
 # ---------------------------------------------------------------------------
 # Constant linear algebra
 # ---------------------------------------------------------------------------
-
-
-def apply_matrix(matrix: Sequence[Vec], u: Vec, rank_out: int, chart: Chart) -> Vec:
-    """sum_a u_a matrix[a]: the image of u under a generator matrix."""
-    out = list(linalg.zero_vec(chart, rank_out))
-    for a, coeff in enumerate(u):
-        if coeff.is_zero:
-            continue
-        for k in range(rank_out):
-            img = matrix[a][k]
-            if not img.is_zero:
-                out[k] = out[k] + coeff * img
-    return tuple(out)
-
-
-def apply_constant(
-    matrix: Sequence[Sequence[Fraction]], vec: Vec, chart: Chart
-) -> Vec:
-    """A constant matrix times a polynomial vector."""
-    out = []
-    for row in matrix:
-        acc = Poly.zero(chart)
-        for c, p in zip(row, vec):
-            if c and not p.is_zero:
-                acc = acc + c * p
-        out.append(acc)
-    return tuple(out)
 
 
 def constant_complement(
@@ -300,31 +276,35 @@ def embedding_layout(f: ChartMap) -> tuple[dict[int, int], list[int]]:
 
 
 class Embedding:
-    """A coordinate embedding f and an anchor pulled back along it.
+    """The fibre product of an anchored module along a coordinate embedding.
 
     A pulled section u lies in the fibre product when its pulled anchor
-    vanishes along every cut slot. solve() needs constant pivot columns in
-    those constraints and returns, per free generator b, the constrained
-    section with u_b = 1 and zero on the other free generators.
+    vanishes along every cut slot; its tangent is then the pulled anchor
+    read on the kept slots. The constraints need constant pivot columns.
+    Each free generator b gives one basis pair (tangent, section): the
+    constrained section with u_b = 1 and zero on the other free generators.
+    coords reads a fibre-product pair by the free entries of its section.
     """
 
     def __init__(self, f: ChartMap, anchor: Sequence[Vec]):
         self.kept, self.zeroed = embedding_layout(f)
         self.chart = f.source
         self.pulled_anchor = [[f.pull(p) for p in row] for row in anchor]
+        # Every source coordinate is kept exactly once, so the tangent reads
+        # the pulled anchor on the kept slots in source-coordinate order.
+        order = sorted(self.kept, key=self.kept.get)
+        self._tangent_rows = [[row[k] for k in order] for row in self.pulled_anchor]
+        self.free, sections = self._solve()
+        self.basis = [(self.tangent(u), u) for u in sections]
 
     def tangent(self, u: Vec) -> Vec:
         """The source vector whose push-forward is the pulled anchor of u."""
-        eta = list(linalg.zero_vec(self.chart, self.chart.dim))
-        for k, j in self.kept.items():
-            acc = Poly.zero(self.chart)
-            for a, row in enumerate(self.pulled_anchor):
-                if not u[a].is_zero and not row[k].is_zero:
-                    acc = acc + u[a] * row[k]
-            eta[j] = acc
-        return tuple(eta)
+        return apply_matrix(self._tangent_rows, u, self.chart.dim, self.chart)
 
-    def solve(self) -> tuple[list[int], dict[int, Vec]]:
+    def coords(self, tangent: Vec, section: Vec) -> Vec:
+        return tuple(section[b] for b in self.free)
+
+    def _solve(self) -> tuple[list[int], list[Vec]]:
         """(free generators, constrained section of each free generator)."""
         rank = len(self.pulled_anchor)
         m = [[row[s] for row in self.pulled_anchor] for s in self.zeroed]
@@ -339,52 +319,68 @@ class Embedding:
             )
         pivot_inv = linalg.qq_inverse([[row[c] for c in pivots] for row in m0])
         free = [c for c in range(rank) if c not in pivots]
-        members = {}
+        sections = []
         for b in free:
             u = [Poly.zero(self.chart) for _ in range(rank)]
             u[b] = Poly.one(self.chart)
             corr = apply_constant(pivot_inv, [row[b] for row in m], self.chart)
             for t, c in enumerate(pivots):
                 u[c] = -corr[t]
-            members[b] = tuple(u)
-        return free, members
+            sections.append(tuple(u))
+        return free, sections
 
 
 class Submersion:
-    """Tangent lifts of the target coordinate fields through f.
+    """The fibre product of an anchored module along a submersion.
 
-    A coordinate projection (components distinct source coordinates) lifts
-    each target field to its slot, and the unused source coordinates are
-    vertical. A square map with constant nonzero Jacobian determinant lifts
-    through the columns of J^-1, with nothing vertical.
+    Target coordinate fields lift through f. A coordinate projection
+    (components distinct source coordinates) lifts each to its slot, and the
+    unused source coordinates are vertical; the identity map is the
+    projection with unit lifts and nothing vertical. A square map with
+    constant nonzero Jacobian determinant lifts through the columns of J^-1,
+    with nothing vertical. The basis pairs are (horizontal lift of the pulled
+    anchor of e_a, e_a) per generator a, then (d_v, 0) per vertical v.
     """
 
-    def __init__(self, f: ChartMap):
+    def __init__(self, f: ChartMap, anchor: Sequence[Vec]):
         chart = self.chart = f.source
         slots = [_coordinate_of(c) for c in f.comps]
         if None not in slots and len(set(slots)) == len(slots):
             self.slots: list[int] | None = slots
-            self.lifts = [linalg.unit_vec(chart, chart.dim, s) for s in slots]
+            self.lifts = [unit_vec(chart, chart.dim, s) for s in slots]
             self.vertical = [i for i in range(chart.dim) if i not in slots]
-            return
-        if chart.dim != f.target.dim:
+        elif chart.dim != f.target.dim:
             raise UnsupportedModeError(
                 "coordinate-submersion mode needs a coordinate projection or "
                 "an invertible polynomial map"
             )
-        try:
-            self.inverse = linalg.poly_inverse_unit_det(f.jacobian())
-        except ValidationError as exc:
-            raise UnsupportedModeError(
-                f"coordinate-submersion mode needs an invertible map: {exc}"
-            ) from None
-        self.slots = None
-        self.lifts = [tuple(col) for col in zip(*self.inverse)]
-        self.vertical = []
+        else:
+            try:
+                self.inverse = linalg.poly_inverse_unit_det(f.jacobian())
+            except ValidationError as exc:
+                raise UnsupportedModeError(
+                    f"coordinate-submersion mode needs an invertible map: {exc}"
+                ) from None
+            self.slots = None
+            self.lifts = [tuple(col) for col in zip(*self.inverse)]
+            self.vertical = []
+        rank = len(anchor)
+        self.basis = [
+            (self.lift(tuple(f.pull(p) for p in row)), unit_vec(chart, rank, a))
+            for a, row in enumerate(anchor)
+        ] + [
+            (unit_vec(chart, chart.dim, v), zero_vec(chart, rank))
+            for v in self.vertical
+        ]
 
     def lift(self, v: Vec) -> Vec:
         """Horizontal lift sum_k v_k lifts[k] of a pulled target vector."""
         return apply_matrix(self.lifts, v, self.chart.dim, self.chart)
+
+    def coords(self, tangent: Vec, section: Vec) -> Vec:
+        """The section, then the vertical slots of the tangent: horizontal
+        lifts vanish there, so the section's lift takes nothing away."""
+        return tuple(section) + tuple(tangent[v] for v in self.vertical)
 
     def coefficients(self, beta: Vec) -> Vec:
         """beta(lifts[k]) for each k: the df_k-coefficients of a one-form's
@@ -392,3 +388,18 @@ class Submersion:
         if self.slots is not None:
             return tuple(beta[s] for s in self.slots)
         return apply_matrix(self.inverse, beta, len(self.lifts), self.chart)
+
+
+def split_lifts(
+    f: ChartMap, columns: Sequence[Vec], rank: int, jac: Sequence[Vec]
+) -> list[Vec]:
+    """Section part f*(s(df(d_i))) of the lift of each source coordinate
+    field d_i through a splitting s of the anchor, given by one column per
+    target coordinate; jac is the Jacobian of f. The Lie transitive-split
+    and the Courant exact-split presentations both lift through it."""
+    pulled = [[f.pull(p) for p in col] for col in columns]
+    n = f.target.dim
+    return [
+        apply_matrix(pulled, tuple(jac[k][i] for k in range(n)), rank, f.source)
+        for i in range(f.source.dim)
+    ]

@@ -34,18 +34,27 @@ from itertools import product
 from typing import Sequence
 
 from algebroids import linalg
-from algebroids.anchored import (
-    AnchoredModule,
-    apply_constant,
-    apply_matrix,
-    constant_complement,
-)
+from algebroids.anchored import AnchoredModule, constant_complement
 from algebroids.errors import ChartMismatchError, ValidationError
 from algebroids.lie_algebroid import LieData, fmt_section
-from algebroids.linalg import Vec, vec_add, vec_is_zero, vec_scale, vec_sub
+from algebroids.linalg import (
+    Vec,
+    apply_constant,
+    apply_matrix,
+    bilinear,
+    pairing_differential,
+    vec_add,
+    vec_is_zero,
+    vec_scale,
+    vec_sub,
+)
 from algebroids.report import Report
 from algebroids.sampling import sample_kform, sample_poly, sample_section
 from algebroids.symcalc import Chart, KForm, Poly, VField
+
+
+def _form_vec(form: KForm) -> Vec:
+    return tuple(form.component((j,)) for j in range(form.chart.dim))
 
 
 @dataclass
@@ -97,47 +106,18 @@ class CourantData(AnchoredModule):
     def coanchor_of(self, alpha: KForm) -> Vec:
         if alpha.degree != 1:
             raise ValidationError("coanchor acts on one-forms")
-        out = list(self.zero_section())
-        for j in range(self.chart.dim):
-            c = alpha.component((j,))
-            if c.is_zero:
-                continue
-            for a in range(self.rank):
-                if not self.coanchor[j][a].is_zero:
-                    out[a] = out[a] + c * self.coanchor[j][a]
-        return tuple(out)
+        return self._coanchor_vec(_form_vec(alpha))
+
+    def _coanchor_vec(self, alpha: Vec, start: Vec | None = None) -> Vec:
+        """start + the coanchor image of the one-form with coefficients alpha."""
+        return apply_matrix(self.coanchor, alpha, self.rank, self.chart, start)
 
     def pairing_of(self, u: Vec, v: Vec) -> Poly:
-        acc = Poly.zero(self.chart)
-        for a in range(self.rank):
-            if u[a].is_zero:
-                continue
-            for b in range(self.rank):
-                if not v[b].is_zero and not self.pairing[a][b].is_zero:
-                    acc = acc + u[a] * v[b] * self.pairing[a][b]
-        return acc
+        return bilinear(u, self.pairing, v, self.chart)
 
     def bracket(self, u: Vec, v: Vec) -> Vec:
-        out = list(super().bracket(u, v))
-        for a in range(self.rank):
-            if u[a].is_zero or u[a].as_constant() is not None:
-                continue
-            weight = Poly.zero(self.chart)
-            for b in range(self.rank):
-                if not v[b].is_zero and not self.pairing[a][b].is_zero:
-                    weight = weight + self.pairing[a][b] * v[b]
-            if weight.is_zero:
-                continue
-            du = KForm(
-                self.chart,
-                1,
-                {(j,): u[a].diff(j) for j in range(self.chart.dim)},
-            )
-            img = self.coanchor_of(du)
-            for k in range(self.rank):
-                if not img[k].is_zero:
-                    out[k] = out[k] + weight * img[k]
-        return tuple(out)
+        alpha = pairing_differential(self.pairing, u, v, self.chart)
+        return self._coanchor_vec(alpha, super().bracket(u, v))
 
 
 def standard_exact(chart: Chart, h: KForm | None = None) -> CourantData:
@@ -256,10 +236,6 @@ def direct_sum(q1: CourantData, q2: CourantData) -> CourantData:
 # ---------------------------------------------------------------------------
 # Axiom checking
 # ---------------------------------------------------------------------------
-
-
-def _one_form(chart: Chart, coeffs: Sequence[Poly]) -> KForm:
-    return KForm(chart, 1, {(j,): coeffs[j] for j in range(chart.dim)})
 
 
 def check_courant(
@@ -503,8 +479,8 @@ def curvature(conn: Connection) -> KForm:
             )
     for i in range(n):
         for j in range(n):
-            alpha = _one_form(chart, [comps[(i, j, k)] for k in range(n)])
-            if not linalg.vec_eq(q.coanchor_of(alpha), defects[(i, j)]):
+            alpha = tuple(comps[(i, j, k)] for k in range(n))
+            if not linalg.vec_eq(q._coanchor_vec(alpha), defects[(i, j)]):
                 raise ValidationError(
                     f"bracket defect at ({i},{j}) is not a coanchor image "
                     f"of its pairing components"
@@ -613,15 +589,11 @@ def _reduce_tuple(
     for i, (qi, conn) in enumerate(zip(parts, connections)):
         if qi.anchor_of(components[i]) != a_field:
             raise ValidationError("tuple components have different anchor images")
-        lifted = list(linalg.zero_vec(chart, qi.rank))
-        for j in range(n):
-            if not a_field.comps[j].is_zero:
-                for k in range(qi.rank):
-                    lifted[k] = lifted[k] + a_field.comps[j] * conn.columns[j][k]
-        rem = vec_sub(components[i], tuple(lifted))
+        lifted = apply_matrix(conn.columns, a_field.comps, qi.rank, chart)
+        rem = vec_sub(components[i], lifted)
         alpha = [qi.pairing_of(rem, conn.columns[k]) for k in range(n)]
         # Defensive: rem must be exactly the coanchor image of alpha.
-        if not linalg.vec_eq(qi.coanchor_of(_one_form(chart, alpha)), rem):
+        if not linalg.vec_eq(qi._coanchor_vec(alpha), rem):
             raise ValidationError(
                 "tuple component is not connection + coanchor image; the "
                 "summand is not exact over this connection"
@@ -659,15 +631,9 @@ class CourantCombination:
         unit = _lift_unit(self.weights)
         out = []
         for i, (qi, conn) in enumerate(zip(self.parts, self.connections)):
-            vec = list(linalg.zero_vec(chart, qi.rank))
-            for j in range(n):
-                if not cls[j].is_zero:
-                    for k in range(qi.rank):
-                        vec[k] = vec[k] + cls[j] * conn.columns[j][k]
-            alpha = _one_form(
-                chart, [unit[i] * cls[n + j] for j in range(n)]
-            )
-            out.append(vec_add(tuple(vec), qi.coanchor_of(alpha)))
+            vec = apply_matrix(conn.columns, cls[:n], qi.rank, chart)
+            alpha = tuple(unit[i] * cls[n + j] for j in range(n))
+            out.append(qi._coanchor_vec(alpha, vec))
         return out
 
 

@@ -30,14 +30,14 @@ from algebroids.courant import (
     coordinate_connection,
 )
 from algebroids.errors import ChartMismatchError, ValidationError
-from algebroids.linalg import Vec, vec_eq
+from algebroids.linalg import Vec, apply_matrix, vec_eq
 from algebroids.pullback import (
     CourantPullback,
     pullback_connection,
     pullback_courant,
 )
 from algebroids.report import Report
-from algebroids.symcalc import Chart, ChartMap, KForm, Poly
+from algebroids.symcalc import Chart, ChartMap, KForm
 
 Matrix = tuple[Vec, ...]
 
@@ -45,17 +45,7 @@ Matrix = tuple[Vec, ...]
 def mat_mul(first: Matrix, then: Matrix, chart: Chart) -> Matrix:
     """Row-convention composite: apply `first`, then `then`."""
     cols = len(then[0])
-    out = []
-    for row in first:
-        acc = [Poly.zero(chart)] * cols
-        for b, coeff in enumerate(row):
-            if coeff.is_zero:
-                continue
-            for c in range(cols):
-                if not then[b][c].is_zero:
-                    acc[c] = acc[c] + coeff * then[b][c]
-        out.append(tuple(acc))
-    return tuple(out)
+    return tuple(apply_matrix(then, row, cols, chart) for row in first)
 
 
 def pullback_matrix(f: ChartMap, matrix: Matrix) -> Matrix:

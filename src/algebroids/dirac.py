@@ -116,14 +116,7 @@ class DiracData:
     def pair_restricted(self, u: Vec, v: Vec, g=None) -> Poly:
         if g is None:
             g = self.restricted_pairing()
-        acc = Poly.zero(self.sub_chart)
-        for a in range(self.courant.rank):
-            if u[a].is_zero:
-                continue
-            for b in range(self.courant.rank):
-                if not v[b].is_zero and not g[a][b].is_zero:
-                    acc = acc + u[a] * v[b] * g[a][b]
-        return acc
+        return linalg.bilinear(u, g, v, self.sub_chart)
 
 
 def check_dirac(d: DiracData, maximality: str = "full") -> Report:

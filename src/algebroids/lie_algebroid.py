@@ -16,11 +16,14 @@ Inverse images along a chart map are computed on explicit free presentations
 of the fiber product  f*A  x_{f*TX}  TY. Four construction modes are
 supported (identity, transitive-split, coordinate-embedding,
 coordinate-submersion); anything else raises UnsupportedModeError rather
-than guessing. Mode resolution and the map-shape analysis behind the
-identity, embedding and submersion modes (classify_map, Embedding,
-Submersion) are the ones the Courant inverse image uses too. Ambient vectors
-for a pullback are stacked as (tangent components on Y, then tensor
-components over the generators of A).
+than guessing. The embedding and submersion modes take the basis and the
+coordinate reader of the fibre product from algebroids.anchored (Embedding,
+Submersion) as they are, and identity is the submersion along the identity
+map; the Courant inverse image uses the same pairs as the (u, eta) half of
+its triples. The transitive-split mode lifts through the splitting with
+split_lifts, as the Courant exact-split mode does, and keeps its own
+constant kernel. Ambient vectors for a pullback are stacked as (tangent
+components on Y, then tensor components over the generators of A).
 """
 
 from __future__ import annotations
@@ -36,16 +39,23 @@ from algebroids.anchored import (
     AnchoredModule,
     Embedding,
     Submersion,
-    apply_constant,
-    apply_matrix,
     classify_map,
     constant_complement,
     leibniz_sum,
     pulled_entries,
     resolve_mode,
+    split_lifts,
 )
 from algebroids.errors import UnsupportedModeError, ValidationError
-from algebroids.linalg import Vec, vec_add, vec_is_zero, vec_scale, vec_sub
+from algebroids.linalg import (
+    Vec,
+    apply_constant,
+    apply_matrix,
+    vec_add,
+    vec_is_zero,
+    vec_scale,
+    vec_sub,
+)
 from algebroids.report import Report
 from algebroids.sampling import sample_poly, sample_section
 from algebroids.symcalc import Chart, ChartMap, Poly, VField, poly_str
@@ -442,13 +452,7 @@ class LiePullback:
 
     def expand(self, coeffs: Vec) -> Vec:
         total = self.chart.dim + self.source.rank
-        out = list(linalg.zero_vec(self.chart, total))
-        for k, c in enumerate(coeffs):
-            if c.is_zero:
-                continue
-            for j in range(total):
-                out[j] = out[j] + c * self.basis[k][j]
-        return tuple(out)
+        return apply_matrix(self.basis, coeffs, total, self.chart)
 
     def reduce(self, ambient: Vec) -> Vec:
         tangent, tensor = self.split_ambient(tuple(ambient))
@@ -509,39 +513,29 @@ def pullback_lie(
 
     mode is one of MODES or None for structural auto-detection. The
     transitive-split mode needs `splitting`: a module right inverse of the
-    anchor, one section per source-chart coordinate.
+    anchor, one section per source-chart coordinate. The other modes stack
+    the fibre-product pairs of algebroids.anchored as they are; identity is
+    the submersion along the identity map.
     """
     mode = resolve_mode(f, a.chart, mode, MODES)
-    if mode == "identity":
-        return _pullback_identity(f, a)
     if mode == "transitive-split":
         if splitting is None:
             raise ValidationError("transitive-split mode requires a splitting")
-        return _pullback_transitive_split(f, a, tuple(tuple(v) for v in splitting))
-    if mode == "coordinate-embedding":
-        return _pullback_embedding(f, a)
-    return _pullback_submersion(f, a)
-
-
-def _finish(f, a, basis, reducer, mode) -> LiePullback:
+        basis, reducer = _transitive_split(f, a, tuple(tuple(v) for v in splitting))
+    else:
+        shape = Embedding if mode == "coordinate-embedding" else Submersion
+        fibre = shape(f, a.anchor)
+        basis = [tangent + section for tangent, section in fibre.basis]
+        reducer = fibre.coords
     pb = LiePullback(f, a, None, tuple(basis), mode, reducer)
     anchor, structure = _structure_from_basis(f, a, basis, pb.reduce)
     pb.algebroid = LieData(f.source, len(basis), anchor, structure)
     return pb
 
 
-def _pullback_identity(f: ChartMap, a: LieData) -> LiePullback:
-    basis = [tuple(a.anchor[i]) + a.gen(i) for i in range(a.rank)]
-
-    def reducer(tangent: Vec, tensor: Vec) -> Vec:
-        return tensor
-
-    return _finish(f, a, basis, reducer, "identity")
-
-
-def _pullback_transitive_split(
+def _transitive_split(
     f: ChartMap, a: LieData, splitting: tuple[Vec, ...]
-) -> LiePullback:
+) -> tuple[list[Vec], object]:
     chart_x = a.chart
     chart_y = f.source
     if len(splitting) != chart_x.dim:
@@ -583,57 +577,20 @@ def _pullback_transitive_split(
                 f"kernel section for generator {i} is not in the constant span"
             )
 
-    dcols = f.jacobian()  # dcols[j][i] = d f_j / d y_i
-    pulled_split = [[f.pull(p) for p in col] for col in splitting]
-    basis = []
-    for i in range(chart_y.dim):
-        jcol = tuple(dcols[j][i] for j in range(chart_x.dim))
-        tensor = apply_matrix(pulled_split, jcol, a.rank, chart_y)
-        basis.append(linalg.unit_vec(chart_y, chart_y.dim, i) + tensor)
+    hparts = split_lifts(f, splitting, a.rank, f.jacobian())
+    basis = [
+        linalg.unit_vec(chart_y, chart_y.dim, i) + tensor
+        for i, tensor in enumerate(hparts)
+    ]
     for row in selected:
         tensor = tuple(Poly.const(chart_y, c) for c in row)
         basis.append(tuple(linalg.zero_vec(chart_y, chart_y.dim)) + tensor)
-
-    hparts = [b[chart_y.dim:] for b in basis[: chart_y.dim]]
 
     def reducer(tangent: Vec, tensor: Vec) -> Vec:
         rem = vec_sub(tensor, apply_matrix(hparts, tangent, a.rank, chart_y))
         return tuple(tangent) + apply_constant(left, rem, chart_y)
 
-    return _finish(f, a, basis, reducer, "transitive-split")
-
-
-def _pullback_embedding(f: ChartMap, a: LieData) -> LiePullback:
-    emb = Embedding(f, a.anchor)
-    free, members = emb.solve()
-    basis = [emb.tangent(members[b]) + members[b] for b in free]
-
-    def reducer(tangent: Vec, tensor: Vec) -> Vec:
-        return tuple(tensor[b] for b in free)
-
-    return _finish(f, a, basis, reducer, "coordinate-embedding")
-
-
-def _pullback_submersion(f: ChartMap, a: LieData) -> LiePullback:
-    chart_y = f.source
-    sub = Submersion(f)
-    basis = []
-    for i in range(a.rank):
-        pulled = tuple(f.pull(c) for c in a.anchor[i])
-        basis.append(sub.lift(pulled) + linalg.unit_vec(chart_y, a.rank, i))
-    for v in sub.vertical:
-        basis.append(
-            linalg.unit_vec(chart_y, chart_y.dim, v)
-            + tuple(linalg.zero_vec(chart_y, a.rank))
-        )
-
-    gparts = [b[: chart_y.dim] for b in basis[: a.rank]]
-
-    def reducer(tangent: Vec, tensor: Vec) -> Vec:
-        rest = vec_sub(tangent, apply_matrix(gparts, tensor, chart_y.dim, chart_y))
-        return tuple(tensor) + tuple(rest[v] for v in sub.vertical)
-
-    return _finish(f, a, basis, reducer, "coordinate-submersion")
+    return basis, reducer
 
 
 def canonical_splitting(pb: LiePullback) -> tuple[Vec, ...]:

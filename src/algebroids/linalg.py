@@ -1,10 +1,16 @@
 """Exact linear algebra helpers over Q and over polynomial rings.
 
-Two layers:
+Three layers:
 
 * Fraction matrices (lists of lists of Fraction): rref, rank, solving,
-  nullspace, inverse. Used wherever the relevant coefficients are constants
+  inverse. Used wherever the relevant coefficients are constants
   (complement selection, relation reduction, cocycle algebra).
+* The sparse matrix action every structure map goes through: apply_matrix
+  (sum_a u_a M[a], the image of a section under a generator matrix),
+  apply_constant (a constant matrix times a polynomial vector), dot,
+  bilinear (sum_ab u_a g_ab v_b) and pairing_differential (the one-form
+  sum_a (sum_b g_ab v_b) du_a of the Courant bracket). Zero entries cost
+  nothing.
 * Poly matrices/vectors: structural operations plus fraction-free Gaussian
   elimination for ranks "at the generic point", cofactor determinants and
   adjugate inverses for small matrices with unit determinant, and a
@@ -65,23 +71,89 @@ def vec_eq(a: Vec, b: Vec) -> bool:
     return len(a) == len(b) and all(x == y for x, y in zip(a, b))
 
 
-def vec_dot(a: Vec, b: Vec, chart: Chart | None = None) -> Poly:
-    if chart is None:
-        chart = a[0].chart
-    out = Poly.zero(chart)
-    for x, y in zip(a, b, strict=True):
-        out = out + x * y
-    return out
-
-
-def mat_vec(
-    m: Sequence[Sequence[Poly]], v: Vec, chart: Chart | None = None
-) -> Vec:
-    return tuple(vec_dot(tuple(row), v, chart=chart) for row in m)
-
-
 def transpose(m):
     return [list(col) for col in zip(*m)]
+
+
+# ---------------------------------------------------------------------------
+# Sparse matrix action
+# ---------------------------------------------------------------------------
+
+
+def apply_matrix(
+    matrix: Sequence[Vec],
+    u: Vec,
+    rank_out: int,
+    chart: Chart,
+    start: Vec | None = None,
+) -> Vec:
+    """start + sum_a u_a matrix[a]: the image of u under a generator matrix.
+
+    start defaults to zero. Zero coefficients and zero matrix entries are
+    skipped, so a sparse matrix costs one product per nonzero pair.
+    """
+    out = list(zero_vec(chart, rank_out) if start is None else start)
+    for a, coeff in enumerate(u):
+        if coeff.is_zero:
+            continue
+        for k, img in enumerate(matrix[a]):
+            if not img.is_zero:
+                out[k] = out[k] + coeff * img
+    return tuple(out)
+
+
+def apply_constant(
+    matrix: Sequence[Sequence[Fraction]], vec: Vec, chart: Chart
+) -> Vec:
+    """A constant matrix times a polynomial vector."""
+    out = []
+    for row in matrix:
+        acc = Poly.zero(chart)
+        for c, p in zip(row, vec):
+            if c and not p.is_zero:
+                acc = acc + c * p
+        out.append(acc)
+    return tuple(out)
+
+
+def dot(u: Vec, v: Vec, chart: Chart) -> Poly:
+    """sum_b u_b v_b over the pairs with both entries nonzero."""
+    acc = Poly.zero(chart)
+    for x, y in zip(u, v):
+        if not x.is_zero and not y.is_zero:
+            acc = acc + x * y
+    return acc
+
+
+def bilinear(u: Vec, matrix: Sequence[Vec], v: Vec, chart: Chart) -> Poly:
+    """sum_ab u_a matrix[a][b] v_b, with the inner sum over b taken first."""
+    acc = Poly.zero(chart)
+    for a, coeff in enumerate(u):
+        if coeff.is_zero:
+            continue
+        inner = dot(matrix[a], v, chart)
+        if not inner.is_zero:
+            acc = acc + coeff * inner
+    return acc
+
+
+def pairing_differential(
+    pairing: Sequence[Vec], u: Vec, v: Vec, chart: Chart
+) -> Vec:
+    """The one-form sum_a (sum_b g_ab v_b) du_a, one coefficient per
+    coordinate; g is the pairing matrix. Constant u_a contribute nothing."""
+    out = list(zero_vec(chart, chart.dim))
+    for a, coeff in enumerate(u):
+        if coeff.as_constant() is not None:
+            continue
+        weight = dot(pairing[a], v, chart)
+        if weight.is_zero:
+            continue
+        for j in range(chart.dim):
+            du = coeff.diff(j)
+            if not du.is_zero:
+                out[j] = out[j] + weight * du
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +367,8 @@ def solve_constant_system(
                 x_terms[j][mono] = c
     out = tuple(Poly(chart, t) for t in x_terms)
     # Defensive re-check (cheap, and guards pivot bookkeeping).
-    recon = mat_vec(
-        [[Poly.const(chart, e) for e in row] for row in a], out
-    ) if a else ()
-    for got, want in zip(recon, rhs, strict=True):
-        if got != want:
-            return None
+    if apply_constant(a, out, chart) != tuple(rhs):
+        return None
     return out
 
 
@@ -413,15 +481,9 @@ def constant_left_inverse(
         if sol is None:
             return None
         out.append(sol)
-    # Defensive: confirm L m = I exactly.
+    # Defensive: confirm L m = I exactly, one column at a time.
     chart = m[0][0].chart
-    for r in range(k):
-        for j in range(k):
-            acc = Poly.zero(chart)
-            for i in range(n):
-                if out[r][i]:
-                    acc = acc + out[r][i] * m[i][j]
-            want = Poly.one(chart) if r == j else Poly.zero(chart)
-            if acc != want:
-                return None
+    for j in range(k):
+        if apply_constant(out, [row[j] for row in m], chart) != unit_vec(chart, k, j):
+            return None
     return out

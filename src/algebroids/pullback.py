@@ -16,40 +16,43 @@ check_relation_absorption). Pairing and bracket of triples:
                   sum u1_a u2_b f*(structure^k_ab) + eta1(u2_k) - eta2(u1_k),
                   [eta1, eta2] )
 
-Four presentations are supported: identity (returns the structure), an
-exact split presentation over a chosen connection (basis: connection lifts
-of the coordinate fields plus the coordinate one-form lines), coordinate
-embeddings (constraint solve plus division by the pulled conormal
-directions), and coordinate submersions including invertible coordinate
-changes. Mode resolution, the map-shape analysis (cut and kept slots, the
-constant anchor-constraint solve, tangent lifts through J^-1) and the
-table+Leibniz half of the ambient bracket are shared with the Lie inverse
-image through algebroids.anchored; this module adds the (beta, u, eta)
-triples, the relations and each mode's reduction. Every reduction is
-verified by exhibiting the exact relation combination; failures raise
-ValidationError.
+Four presentations are supported: an exact split presentation over a
+chosen connection (basis: connection lifts of the coordinate fields plus
+the coordinate one-form lines), coordinate embeddings, coordinate
+submersions including invertible coordinate changes, and identity, which is
+the submersion along the identity map. The (u, eta) half of a triple is the
+fibre product the Lie inverse image presents, and its basis and coordinates
+come from algebroids.anchored (Embedding, Submersion) together with mode
+resolution, the connection lifts (split_lifts) and the table+Leibniz half
+of the ambient bracket. Each mode here adds only its own part: the
+cotangent directions (vertical ones for a submersion), the relation
+coefficients, and for an embedding the division by the pulled conormal
+directions. The coanchor, pairing, structure table and Jacobian are pulled
+once per presentation. Every reduction is verified by exhibiting the exact
+relation combination; failures raise ValidationError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from algebroids import linalg
 from algebroids.anchored import (
     Embedding,
     Submersion,
-    apply_constant,
-    apply_matrix,
     constant_complement,
     embedding_layout,
     leibniz_sum,
     pulled_entries,
     resolve_mode,
+    split_lifts,
 )
 from algebroids.courant import (
     Connection,
     CourantData,
+    _form_vec,
     baer_combination,
     coordinate_connection,
     curvature,
@@ -59,11 +62,15 @@ from algebroids.dirac import DiracData, restrict_poly, restricted_chart
 from algebroids.errors import UnsupportedModeError, ValidationError
 from algebroids.linalg import (
     Vec,
+    apply_constant,
+    apply_matrix,
+    bilinear,
+    dot,
+    pairing_differential,
     unit_vec,
     vec_add,
     vec_eq,
     vec_is_zero,
-    vec_scale,
     vec_sub,
     zero_vec,
 )
@@ -84,13 +91,20 @@ def _one_form(chart: Chart, coeffs: Vec) -> KForm:
     return KForm(chart, 1, {(j,): coeffs[j] for j in range(chart.dim)})
 
 
-def _form_vec(form: KForm) -> Vec:
-    return tuple(form.component((j,)) for j in range(form.chart.dim))
+def _cotangent(chart: Chart, rank: int, j: int) -> Triple:
+    """The triple (dy_j, 0, 0)."""
+    dim = chart.dim
+    return (unit_vec(chart, dim, j), zero_vec(chart, rank), zero_vec(chart, dim))
 
 
 @dataclass
 class CourantPullback:
-    """A presented inverse image; basis holds ambient representatives."""
+    """A presented inverse image; basis holds ambient representatives.
+
+    The coanchor, the pairing, the structure table (each pair on first use)
+    and the Jacobian of the map are pulled once, when the presentation is
+    made, and every mode and ambient operation reads those copies.
+    """
 
     map: ChartMap
     source: CourantData
@@ -99,122 +113,77 @@ class CourantPullback:
     mode: str
     _reducer: object  # callable Triple -> (class coords, relation coeffs)
 
+    def __post_init__(self):
+        f, q = self.map, self.source
+        self.pulled_coanchor = [[f.pull(p) for p in row] for row in q.coanchor]
+        self.pulled_pairing = [[f.pull(p) for p in row] for row in q.pairing]
+        self.pulled_structure = pulled_entries(f, q._entry)
+        self.jacobian = f.jacobian()
+
     @property
     def chart(self) -> Chart:
         return self.map.source
-
-    # -- pulled structure tables (cached) ------------------------------------
-
-    def _pulled(self):
-        if not hasattr(self, "_cache"):
-            f, q = self.map, self.source
-            self._cache = {
-                "coanchor": [
-                    [f.pull(p) for p in row] for row in q.coanchor
-                ],
-                "pairing": [
-                    [f.pull(p) for p in row] for row in q.pairing
-                ],
-                "structure": pulled_entries(f, q._entry),
-                "jac": f.jacobian(),
-            }
-        return self._cache
 
     # -- ambient operations ---------------------------------------------------
 
     def relation(self, k: int) -> Triple:
         """(d f_k, -pulled coanchor row k, 0)."""
         chart = self.chart
-        tables = self._pulled()
-        beta = tuple(tables["jac"][k][j] for j in range(chart.dim))
-        u = tuple(-p for p in tables["coanchor"][k])
+        beta = tuple(self.jacobian[k][j] for j in range(chart.dim))
+        u = tuple(-p for p in self.pulled_coanchor[k])
         return (beta, u, zero_vec(chart, chart.dim))
 
-    def zero_triple(self) -> Triple:
+    def combine(self, coeffs: Vec, triples: Sequence[Triple]) -> Triple:
+        """sum_c coeffs[c] triples[c], slot by slot."""
         chart = self.chart
-        return (
-            zero_vec(chart, chart.dim),
-            zero_vec(chart, self.source.rank),
-            zero_vec(chart, chart.dim),
+        sizes = (chart.dim, self.source.rank, chart.dim)
+        return tuple(
+            apply_matrix([t[slot] for t in triples], coeffs, size, chart)
+            for slot, size in enumerate(sizes)
         )
 
-    def triple_combine(self, *scaled: tuple[Poly, Triple]) -> Triple:
-        beta, u, eta = self.zero_triple()
-        for coeff, t in scaled:
-            if coeff.is_zero:
-                continue
-            beta = vec_add(beta, vec_scale(coeff, t[0]))
-            u = vec_add(u, vec_scale(coeff, t[1]))
-            eta = vec_add(eta, vec_scale(coeff, t[2]))
-        return (beta, u, eta)
-
     def ambient_pairing(self, t1: Triple, t2: Triple) -> Poly:
-        tables = self._pulled()
         beta1, u1, eta1 = t1
         beta2, u2, eta2 = t2
-        acc = Poly.zero(self.chart)
-        for a in range(self.source.rank):
-            if u1[a].is_zero:
-                continue
-            for b in range(self.source.rank):
-                g = tables["pairing"][a][b]
-                if not u2[b].is_zero and not g.is_zero:
-                    acc = acc + u1[a] * u2[b] * g
-        for j in range(self.chart.dim):
-            acc = acc + beta1[j] * eta2[j] + beta2[j] * eta1[j]
-        return acc
+        chart = self.chart
+        return (
+            bilinear(u1, self.pulled_pairing, u2, chart)
+            + dot(beta1, eta2, chart)
+            + dot(beta2, eta1, chart)
+        )
 
     def ambient_bracket(self, t1: Triple, t2: Triple) -> Triple:
-        tables = self._pulled()
         chart = self.chart
         beta1, u1, eta1 = t1
         beta2, u2, eta2 = t2
         f1, f2 = VField(chart, eta1), VField(chart, eta2)
-        r = self.source.rank
 
         tangent = f1.bracket(f2).comps
-        tensor = leibniz_sum(r, tables["structure"], u1, u2, f1, f2)
+        tensor = leibniz_sum(
+            self.source.rank, self.pulled_structure, u1, u2, f1, f2
+        )
 
         form = _one_form(chart, beta2).lie(f1)
         db1 = _one_form(chart, beta1).d()
         form = form + KForm(
             chart, 1, {(j,): -p for (j,), p in db1.iota(f2).comps.items()}
         )
-        for a in range(r):
-            if u1[a].as_constant() is not None:
-                continue
-            weight = Poly.zero(chart)
-            for b in range(r):
-                g = tables["pairing"][a][b]
-                if not u2[b].is_zero and not g.is_zero:
-                    weight = weight + u2[b] * g
-            if weight.is_zero:
-                continue
-            du = KForm(
-                chart, 1, {(j,): u1[a].diff(j) for j in range(chart.dim)}
-            )
-            form = form + KForm(
-                chart,
-                1,
-                {idx: weight * p for idx, p in du.comps.items()},
-            )
-        return (_form_vec(form), tuple(tensor), tuple(tangent))
+        beta = vec_add(
+            _form_vec(form),
+            pairing_differential(self.pulled_pairing, u1, u2, chart),
+        )
+        return (beta, tuple(tensor), tuple(tangent))
 
     # -- class operations ------------------------------------------------------
 
     def expand(self, cls: Vec) -> Triple:
-        return self.triple_combine(
-            *[(cls[c], self.basis[c]) for c in range(len(self.basis))]
-        )
+        return self.combine(cls, self.basis)
 
     def reduce(self, t: Triple) -> Vec:
         cls, rel = self._reducer(t)
         rep = self.expand(cls)
-        combo = self.triple_combine(
-            *[
-                (rel[k], self.relation(k))
-                for k in range(self.source.chart.dim)
-            ]
+        combo = self.combine(
+            rel, [self.relation(k) for k in range(self.source.chart.dim)]
         )
         for slot in range(3):
             got = vec_add(rep[slot], combo[slot])
@@ -225,25 +194,13 @@ class CourantPullback:
         return cls
 
 
-def _finish(
-    f: ChartMap,
-    q: CourantData,
-    basis: list[Triple],
-    reducer,
-    mode: str,
-) -> CourantPullback:
-    pb = CourantPullback(f, q, None, tuple(basis), mode, reducer)
-    chart = f.source
+def _finish(pb: CourantPullback) -> CourantPullback:
+    chart, basis = pb.chart, pb.basis
     r = len(basis)
     anchor = tuple(tuple(t[2]) for t in basis)
     coanchor = []
     for j in range(chart.dim):
-        form = (
-            unit_vec(chart, chart.dim, j),
-            zero_vec(chart, q.rank),
-            zero_vec(chart, chart.dim),
-        )
-        coanchor.append(pb.reduce(form))
+        coanchor.append(pb.reduce(_cotangent(chart, pb.source.rank, j)))
     pairing = tuple(
         tuple(pb.ambient_pairing(basis[x], basis[y]) for y in range(r))
         for x in range(r)
@@ -265,22 +222,6 @@ def _finish(
 # ---------------------------------------------------------------------------
 
 
-def _pullback_identity(f: ChartMap, q: CourantData) -> CourantPullback:
-    chart = f.source
-    r = q.rank
-    basis = [
-        (zero_vec(chart, chart.dim), q.gen(a), tuple(q.anchor[a]))
-        for a in range(r)
-    ]
-
-    def reducer(t: Triple):
-        beta, u, eta = t
-        cls = vec_add(u, apply_matrix(q.coanchor, beta, r, chart))
-        return cls, tuple(beta)
-
-    return _finish(f, q, basis, reducer, "identity")
-
-
 def _coanchor_left_inverse(q: CourantData):
     matrix = [
         [q.coanchor[k][a] for k in range(q.chart.dim)]
@@ -296,24 +237,8 @@ def _coanchor_left_inverse(q: CourantData):
     return left
 
 
-def _connection_lifts(f: ChartMap, conn: Connection, jac) -> list[Vec]:
-    """u-part f*(conn(df(d_i))) of the lift of each source coordinate field;
-    jac is the Jacobian of f."""
-    q = conn.courant
-    n = q.chart.dim
-    pulled_cols = [[f.pull(p) for p in conn.columns[k]] for k in range(n)]
-    return [
-        apply_matrix(
-            pulled_cols, tuple(jac[k][i] for k in range(n)), q.rank, f.source
-        )
-        for i in range(f.source.dim)
-    ]
-
-
-def _pullback_exact_split(
-    f: ChartMap, q: CourantData, conn: Connection
-) -> CourantPullback:
-    chart = f.source
+def _exact_split(pb: CourantPullback, conn: Connection):
+    f, q, chart = pb.map, pb.source, pb.chart
     n = q.chart.dim
     m = chart.dim
     if q.rank != 2 * n:
@@ -323,90 +248,62 @@ def _pullback_exact_split(
     if conn.courant != q:
         raise ValidationError("connection does not belong to the structure")
     left = _coanchor_left_inverse(q)
-    jac = f.jacobian()
-    lifts = _connection_lifts(f, conn, jac)
+    jac = pb.jacobian
+    lifts = split_lifts(f, conn.columns, q.rank, jac)
 
-    basis: list[Triple] = [
+    basis = [
         (zero_vec(chart, m), lifts[i], unit_vec(chart, m, i)) for i in range(m)
-    ]
-    for j in range(m):
-        basis.append(
-            (
-                unit_vec(chart, m, j),
-                zero_vec(chart, q.rank),
-                zero_vec(chart, m),
-            )
-        )
+    ] + [_cotangent(chart, q.rank, j) for j in range(m)]
 
     def reducer(t: Triple):
         beta, u, eta = t
         vert = vec_sub(u, apply_matrix(lifts, eta, q.rank, chart))
         alpha = apply_constant(left, vert, chart)
-        omega = vec_add(beta, apply_matrix(jac, alpha, m, chart))
+        omega = apply_matrix(jac, alpha, m, chart, start=beta)
         cls = tuple(eta) + omega
         return cls, tuple(-a for a in alpha)
 
-    return _finish(f, q, basis, reducer, "exact-split")
+    return tuple(basis), reducer
 
 
-def _pullback_submersion(f: ChartMap, q: CourantData) -> CourantPullback:
-    chart = f.source
-    r = q.rank
-    sub = Submersion(f)
-    pulled_anchor = [[f.pull(p) for p in row] for row in q.anchor]
-    pulled_coanchor = [[f.pull(p) for p in row] for row in q.coanchor]
-
-    etas = [sub.lift(pulled_anchor[a]) for a in range(r)]
-    basis: list[Triple] = [
-        (zero_vec(chart, chart.dim), unit_vec(chart, r, a), etas[a])
-        for a in range(r)
+def _submersion(pb: CourantPullback):
+    """The fibre-product pairs of the submersion, then the cotangent lines
+    of its vertical coordinates."""
+    q, chart, coanchor = pb.source, pb.chart, pb.pulled_coanchor
+    sub = Submersion(pb.map, q.anchor)
+    zero_form = zero_vec(chart, chart.dim)
+    basis = [(zero_form, u, eta) for eta, u in sub.basis] + [
+        _cotangent(chart, q.rank, v) for v in sub.vertical
     ]
-    for v in sub.vertical:
-        basis.append(
-            (
-                zero_vec(chart, chart.dim),
-                zero_vec(chart, r),
-                unit_vec(chart, chart.dim, v),
-            )
-        )
-    for v in sub.vertical:
-        basis.append(
-            (
-                unit_vec(chart, chart.dim, v),
-                zero_vec(chart, r),
-                zero_vec(chart, chart.dim),
-            )
-        )
 
     def reducer(t: Triple):
         beta, u, eta = t
         p = sub.coefficients(beta)
-        prime = vec_add(u, apply_matrix(pulled_coanchor, p, r, chart))
-        rem = vec_sub(eta, apply_matrix(etas, prime, chart.dim, chart))
-        cls = (
-            prime
-            + tuple(rem[v] for v in sub.vertical)
-            + tuple(beta[v] for v in sub.vertical)
-        )
+        prime = apply_matrix(coanchor, p, q.rank, chart, start=u)
+        cls = sub.coords(eta, prime) + tuple(beta[v] for v in sub.vertical)
         return cls, tuple(p)
 
-    return _finish(f, q, basis, reducer, "coordinate-submersion")
+    return tuple(basis), reducer
 
 
-def _pullback_embedding(f: ChartMap, q: CourantData) -> CourantPullback:
-    chart = f.source
+def _embedding(pb: CourantPullback):
+    """The fibre-product pairs of the embedding, divided by the pulled
+    conormal directions."""
+    q, chart, coanchor = pb.source, pb.chart, pb.pulled_coanchor
     n = q.chart.dim
-    emb = Embedding(f, q.anchor)
-    free, members = emb.solve()
+    emb = Embedding(pb.map, q.anchor)
     z = len(emb.zeroed)
+    sections = [u for _, u in emb.basis]
+    zero_form = zero_vec(chart, chart.dim)
 
-    pulled_coanchor = [[f.pull(p) for p in row] for row in q.coanchor]
     conormal_rows = []
     for k in emb.zeroed:
-        vec = pulled_coanchor[k]
+        # Along a cut slot df_k = 0, so R_k = (0, -vec, 0): the conormal
+        # direction is a fibre-product section with zero tangent.
+        vec = coanchor[k]
         row = []
-        for a in free:
-            c = vec[a].as_constant()
+        for entry in emb.coords(zero_form, vec):
+            c = entry.as_constant()
             if c is None:
                 raise UnsupportedModeError(
                     "pulled conormal directions must be constant in the "
@@ -415,10 +312,7 @@ def _pullback_embedding(f: ChartMap, q: CourantData) -> CourantPullback:
             row.append(Fraction(c))
         # The conormal must coincide with the member it determines.
         combo = apply_matrix(
-            [members[a] for a in free],
-            tuple(Poly.const(chart, c) for c in row),
-            q.rank,
-            chart,
+            sections, tuple(Poly.const(chart, c) for c in row), q.rank, chart
         )
         if not vec_eq(tuple(vec), combo):
             raise UnsupportedModeError(
@@ -429,28 +323,25 @@ def _pullback_embedding(f: ChartMap, q: CourantData) -> CourantPullback:
         raise UnsupportedModeError(
             "pulled conormal directions are dependent"
         )
-    complement, inv = constant_complement(conormal_rows, len(free))
+    complement, inv = constant_complement(conormal_rows, len(emb.free))
     if inv is None:
         raise UnsupportedModeError("conormal directions have no complement")
 
-    basis: list[Triple] = []
-    for idx in complement:
-        u_vec = members[free[idx]]
-        basis.append((zero_vec(chart, chart.dim), u_vec, emb.tangent(u_vec)))
+    basis = tuple((zero_form, emb.basis[i][1], emb.basis[i][0]) for i in complement)
 
     def reducer(t: Triple):
         beta, u, eta = t
         p = [Poly.zero(chart)] * n
         for k, j in emb.kept.items():
             p[k] = beta[j]
-        prime = vec_add(u, apply_matrix(pulled_coanchor, p, q.rank, chart))
+        prime = apply_matrix(coanchor, p, q.rank, chart, start=u)
         # Split into conormal span + complement through the constant inverse.
-        cls = apply_constant(inv, [prime[a] for a in free], chart)
+        cls = apply_constant(inv, emb.coords(eta, prime), chart)
         for s, k in enumerate(emb.zeroed):
             p[k] = -cls[s]
         return cls[z:], tuple(p)
 
-    return _finish(f, q, basis, reducer, "coordinate-embedding")
+    return basis, reducer
 
 
 def pullback_courant(
@@ -462,20 +353,25 @@ def pullback_courant(
     """Present the inverse image of q along f.
 
     mode=None auto-classifies the map; pass "exact-split" together with a
-    connection to use the split presentation of an exact structure.
+    connection to use the split presentation of an exact structure. The
+    identity mode is the submersion along the identity map.
     """
     if connection is not None and mode is None:
         mode = "exact-split"
     mode = resolve_mode(f, q.chart, mode, MODES)
-    if mode == "identity":
-        return _pullback_identity(f, q)
+    if mode == "exact-split" and connection is None:
+        raise ValidationError("exact-split mode needs a connection")
+    # A mode reads the pulled tables from pb but returns a reducer that does
+    # not hold pb: pb holds the reducer, and the cycle would keep every
+    # presentation alive until the cycle collector runs.
+    pb = CourantPullback(f, q, None, (), mode, None)
     if mode == "exact-split":
-        if connection is None:
-            raise ValidationError("exact-split mode needs a connection")
-        return _pullback_exact_split(f, q, connection)
-    if mode == "coordinate-embedding":
-        return _pullback_embedding(f, q)
-    return _pullback_submersion(f, q)
+        pb.basis, pb._reducer = _exact_split(pb, connection)
+    elif mode == "coordinate-embedding":
+        pb.basis, pb._reducer = _embedding(pb)
+    else:
+        pb.basis, pb._reducer = _submersion(pb)
+    return _finish(pb)
 
 
 # ---------------------------------------------------------------------------
@@ -525,11 +421,10 @@ def pullback_connection(pb: CourantPullback, conn: Connection) -> Connection:
     if conn.courant != pb.source:
         raise ValidationError("connection does not belong to the structure")
     chart = pb.chart
+    lifts = split_lifts(pb.map, conn.columns, pb.source.rank, pb.jacobian)
     cols = [
         pb.reduce((zero_vec(chart, chart.dim), u, unit_vec(chart, chart.dim, i)))
-        for i, u in enumerate(
-            _connection_lifts(pb.map, conn, pb._pulled()["jac"])
-        )
+        for i, u in enumerate(lifts)
     ]
     return Connection(pb.result, tuple(cols))
 

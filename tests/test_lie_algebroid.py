@@ -220,6 +220,26 @@ def test_identity_pullback_is_the_algebroid():
     assert pb.algebroid.structure == a.structure
 
 
+def test_identity_mode_is_the_submersion_along_the_identity():
+    # the tangent algebroid of R3 in the frame d1 + x2 d3, d2, d3
+    frame = LieData(
+        R3,
+        3,
+        (sec(R3, "1", "0", "x2"), sec(R3, "0", "1", "0"), sec(R3, "0", "0", "1")),
+        {(0, 1): sec(R3, "0", "0", "-1")},
+    )
+    ident = ChartMap.identity(R3)
+    pb_id = pullback_lie(ident, frame, "identity")
+    pb_sub = pullback_lie(ident, frame, "coordinate-submersion")
+    assert (pb_id.mode, pb_sub.mode) == ("identity", "coordinate-submersion")
+    assert pb_id.basis == pb_sub.basis
+    assert pb_id.algebroid == pb_sub.algebroid
+    assert (pb_id.map, pb_id.source) == (pb_sub.map, pb_sub.source)
+    # the identity presentation keeps refusing a canonical splitting
+    with pytest.raises(UnsupportedModeError):
+        canonical_splitting(pb_id)
+
+
 def test_axis_embedding_pullback_of_tangent():
     f = ChartMap(R1, R2, sec(R1, "z1", "0"))
     pb = pullback_lie(f, tangent_algebroid(R2))

@@ -81,6 +81,17 @@ def test_identity_mode_returns_the_structure():
     ]
 
 
+def test_identity_mode_is_the_submersion_along_the_identity():
+    q = standard_exact(R3, vol3("x1 + x2"))
+    ident = ChartMap.identity(R3)
+    pb_id = pullback_courant(ident, q, "identity")
+    pb_sub = pullback_courant(ident, q, "coordinate-submersion")
+    assert (pb_id.mode, pb_sub.mode) == ("identity", "coordinate-submersion")
+    assert pb_id.basis == pb_sub.basis
+    assert pb_id.result == pb_sub.result
+    assert (pb_id.map, pb_id.source) == (pb_sub.map, pb_sub.source)
+
+
 def test_projection_pullback_is_a_courant_structure():
     pb = pullback_courant(projection_32(), standard_exact(R2))
     assert pb.mode == "coordinate-submersion"
