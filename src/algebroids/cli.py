@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from algebroids import jsonio
 from algebroids.courant import (
@@ -180,7 +179,8 @@ def _run_tau_linear(spec, args):
         for p in jsonio._require(spec, "parts", "spec")
     ]
     weights = [
-        Fraction(str(w)) for w in jsonio._require(spec, "weights", "spec")
+        jsonio.rational_from_json(w, f"weights[{i}]")
+        for i, w in enumerate(jsonio._require(spec, "weights", "spec"))
     ]
     conns = [
         jsonio.connection_from_json(c, q)

@@ -8,6 +8,7 @@ are hand-writable and reports round-trip exactly. Pair-indexed tables
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from typing import Any
 
 from algebroids import __version__
@@ -23,6 +24,31 @@ def _require(obj: dict, key: str, where: str):
     if not isinstance(obj, dict) or key not in obj:
         raise ValidationError(f"{where} needs a {key!r} field")
     return obj[key]
+
+
+def _require_int(obj: dict, key: str, where: str) -> int:
+    """A field that must be a JSON integer: no float, string or boolean."""
+    value = _require(obj, key, where)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(
+            f"{where} field {key!r} must be an integer, got {value!r}"
+        )
+    return value
+
+
+def rational_from_json(value: Any, where: str) -> Fraction:
+    """A JSON integer, or a string holding a rational such as "-2" or "1/3"."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValidationError(
+        f"{where} must be an integer or a rational string such as \"1/2\", "
+        f"got {value!r}"
+    )
 
 
 # -- charts and maps --------------------------------------------------------
@@ -95,7 +121,7 @@ def kform_to_json(w: KForm) -> dict:
 
 
 def kform_from_json(obj: Any, chart: Chart) -> KForm:
-    degree = int(_require(obj, "degree", "form"))
+    degree = _require_int(obj, "degree", "form")
     comps_json = _require(obj, "comps", "form")
     comps = {
         _pair_from_key(key): parse_poly(str(text), chart)
@@ -135,7 +161,7 @@ def lie_to_json(a: LieData) -> dict:
 
 def lie_from_json(obj: Any) -> LieData:
     chart = chart_from_json(_require(obj, "chart", "algebroid"))
-    rank = int(_require(obj, "rank", "algebroid"))
+    rank = _require_int(obj, "rank", "algebroid")
     anchor = matrix_from_json(_require(obj, "anchor", "algebroid"), chart)
     bracket = _structure_from_json(obj.get("bracket", {}), chart)
     return LieData(chart, rank, anchor, bracket)
@@ -154,7 +180,7 @@ def courant_to_json(q: CourantData) -> dict:
 
 def courant_from_json(obj: Any) -> CourantData:
     chart = chart_from_json(_require(obj, "chart", "structure"))
-    rank = int(_require(obj, "rank", "structure"))
+    rank = _require_int(obj, "rank", "structure")
     anchor = matrix_from_json(_require(obj, "anchor", "structure"), chart)
     coanchor = matrix_from_json(_require(obj, "coanchor", "structure"), chart)
     pairing = matrix_from_json(_require(obj, "pairing", "structure"), chart)

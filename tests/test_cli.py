@@ -317,6 +317,45 @@ def test_module_entry_point(tmp_path):
     assert json.loads(proc.stdout)["job"]["verb"] == "check-courant"
 
 
+def _set_rank(key, value):
+    def edit(spec):
+        spec[key]["rank"] = value
+
+    return edit
+
+
+def _set_degree(spec):
+    spec["form"]["degree"] = "three"
+
+
+def _set_weight(spec):
+    spec["weights"][1] = "one"
+
+
+@pytest.mark.parametrize(
+    "verb, edit, field",
+    [
+        ("check-courant", _set_rank("structure", "2.5"), "'rank'"),
+        ("check-lie", _set_rank("algebroid", "two"), "'rank'"),
+        ("check-lie", _set_rank("algebroid", 2.5), "'rank'"),
+        ("twist", _set_degree, "'degree'"),
+        ("tau-linear", _set_weight, "weights[1]"),
+    ],
+    ids=["courant-rank", "lie-rank", "lie-float-rank", "form-degree", "weight"],
+)
+def test_malformed_numbers_exit_two_naming_the_field(tmp_path, verb, edit, field):
+    spec, _ = PASSING_JOBS[verb]()
+    edit(spec)
+    proc = subprocess.run(
+        [sys.executable, "-m", "algebroids.cli", verb, "--spec", write_job(tmp_path, spec)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "bad job spec" in proc.stderr and field in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_embedding_mode_on_a_non_embedding_exits_three(tmp_path, capsys):
     y = coordinate_chart("Y", 2, prefix="y")
     flatten = ChartMap(y, R2, (Poly.coord(y, 0), Poly.zero(y)))
