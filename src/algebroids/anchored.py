@@ -283,7 +283,8 @@ class Embedding:
     read on the kept slots. The constraints need constant pivot columns.
     Each free generator b gives one basis pair (tangent, section): the
     constrained section with u_b = 1 and zero on the other free generators.
-    coords reads a fibre-product pair by the free entries of its section.
+    coords reads a fibre-product pair by the free entries of its section;
+    the tangent adds nothing, being the pulled anchor of the section.
     """
 
     def __init__(self, f: ChartMap, anchor: Sequence[Vec]):
