@@ -176,15 +176,15 @@ def _run_tau_roundtrip(spec, args):
 def _run_tau_linear(spec, args):
     parts = [
         jsonio.courant_from_json(p)
-        for p in jsonio._require(spec, "parts", "spec")
+        for p in jsonio._require_list(spec, "parts", "spec")
     ]
     weights = [
         jsonio.rational_from_json(w, f"weights[{i}]")
-        for i, w in enumerate(jsonio._require(spec, "weights", "spec"))
+        for i, w in enumerate(jsonio._require_list(spec, "weights", "spec"))
     ]
     conns = [
         jsonio.connection_from_json(c, q)
-        for c, q in zip(jsonio._require(spec, "connections", "spec"), parts)
+        for c, q in zip(jsonio._require_list(spec, "connections", "spec"), parts)
     ]
     rep = check_transgression_linear(
         parts,
@@ -292,7 +292,7 @@ def _run_assoc(spec, args):
     a = jsonio.lie_from_json(jsonio._require(spec, "algebroid", "spec"))
     maps = [
         jsonio.map_from_json(m)
-        for m in jsonio._require(spec, "maps", "spec")
+        for m in jsonio._require_list(spec, "maps", "spec")
     ]
     if len(maps) != 3:
         raise ValidationError("assoc-c-plus needs exactly three maps")

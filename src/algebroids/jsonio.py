@@ -36,6 +36,17 @@ def _require_int(obj: dict, key: str, where: str) -> int:
     return value
 
 
+def _require_list(obj: dict, key: str, where: str) -> list:
+    """A field that must be a JSON list: a string or an object is not
+    iterated in its place."""
+    value = _require(obj, key, where)
+    if not isinstance(value, list):
+        raise ValidationError(
+            f"{where} field {key!r} must be a list, got {type(value).__name__}"
+        )
+    return value
+
+
 def rational_from_json(value: Any, where: str) -> Fraction:
     """A JSON integer, or a string holding a rational such as "-2" or "1/3"."""
     if isinstance(value, int) and not isinstance(value, bool):
@@ -60,7 +71,7 @@ def chart_to_json(chart: Chart) -> dict:
 
 def chart_from_json(obj: Any) -> Chart:
     name = _require(obj, "name", "chart")
-    coords = _require(obj, "coords", "chart")
+    coords = _require_list(obj, "coords", "chart")
     return Chart(str(name), tuple(str(c) for c in coords))
 
 
@@ -200,9 +211,7 @@ def dirac_to_json(d: DiracData) -> dict:
 
 
 def dirac_from_json(obj: Any, q: CourantData) -> DiracData:
-    support = tuple(
-        str(s) for s in _require(obj, "support", "dirac")
-    )
+    support = tuple(str(s) for s in _require_list(obj, "support", "dirac"))
     sub = restricted_chart(q.chart, support) if support else q.chart
     gens = matrix_from_json(_require(obj, "generators", "dirac"), sub)
     return DiracData(q, gens, support)

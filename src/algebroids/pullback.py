@@ -34,7 +34,7 @@ relation combination; failures raise ValidationError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -103,7 +103,9 @@ class CourantPullback:
 
     The coanchor, the pairing, the structure table (each pair on first use)
     and the Jacobian of the map are pulled once, when the presentation is
-    made, and every mode and ambient operation reads those copies.
+    made, and every mode and ambient operation reads those copies. The
+    coordinate-embedding mode keeps its fibre product in embedding, for
+    dirac_pushdown to reuse.
     """
 
     map: ChartMap
@@ -112,6 +114,7 @@ class CourantPullback:
     basis: tuple[Triple, ...]
     mode: str
     _reducer: object  # callable Triple -> (class coords, relation coeffs)
+    embedding: Embedding | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         f, q = self.map, self.source
@@ -291,7 +294,7 @@ def _embedding(pb: CourantPullback):
     conormal directions."""
     q, chart, coanchor = pb.source, pb.chart, pb.pulled_coanchor
     n = q.chart.dim
-    emb = Embedding(pb.map, q.anchor)
+    emb = pb.embedding = Embedding(pb.map, q.anchor)
     z = len(emb.zeroed)
     sections = [u for _, u in emb.basis]
     zero_form = zero_vec(chart, chart.dim)
@@ -363,7 +366,8 @@ def pullback_courant(
         raise ValidationError("exact-split mode needs a connection")
     # A mode reads the pulled tables from pb but returns a reducer that does
     # not hold pb: pb holds the reducer, and the cycle would keep every
-    # presentation alive until the cycle collector runs.
+    # presentation alive until the cycle collector runs. The same goes for
+    # pb.embedding, which holds the map and the pulled anchor but not pb.
     pb = CourantPullback(f, q, None, (), mode, None)
     if mode == "exact-split":
         pb.basis, pb._reducer = _exact_split(pb, connection)
@@ -526,7 +530,7 @@ def dirac_pushdown(pb: CourantPullback, d: DiracData) -> DiracData:
             "presentation source must be the restricted chart of the support"
         )
     q = d.courant
-    emb = Embedding(pb.map, q.anchor)
+    emb = pb.embedding
     zeroed = emb.zeroed
     support_idx = sorted(q.chart.index(name) for name in d.support)
     if zeroed != support_idx:

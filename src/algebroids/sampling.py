@@ -10,7 +10,6 @@ supplied random.Random so a seed pins the full sample stream.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from algebroids.symcalc import Chart, KForm, Poly
 
@@ -35,7 +34,7 @@ def sample_poly(
         c = rng.randint(*COEFF_RANGE)
         if c:
             key = tuple(exps)
-            acc[key] = acc.get(key, Fraction(0)) + c
+            acc[key] = acc.get(key, 0) + c
     return Poly(chart, acc)
 
 

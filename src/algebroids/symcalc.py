@@ -1,8 +1,10 @@
 """Exact symbolic calculus on polynomial coordinate charts.
 
-Everything is computed over the rationals: polynomial coefficients are
-`fractions.Fraction`, so every identity checked downstream is exact, never
-approximate. The objects are deliberately small and closed:
+Everything is computed over the rationals: an integer coefficient is a
+Python `int`, and a `fractions.Fraction` appears only where a value is not
+an integer. Integer structures thus never pay for Fraction normalisation,
+and every identity checked downstream stays exact, never approximate. The
+objects are deliberately small and closed:
 
 * `Chart` — a named list of coordinate labels (dimension may be zero).
 * `Poly` — polynomial in the chart coordinates, stored as a dict mapping
@@ -34,6 +36,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Sequence
 
 from algebroids.errors import (
@@ -48,11 +51,12 @@ MAX_DEGREE = 16
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def _frac(x) -> int | Fraction:
+    """A rational scalar as a coefficient: an int when it is an integer."""
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     raise ValidationError(f"expected a rational scalar, got {type(x).__name__}")
 
 
@@ -104,13 +108,13 @@ def coordinate_chart(name: str, n: int, prefix: str = "x") -> Chart:
 
 
 def _require_same_chart(a, b) -> None:
-    if a.chart != b.chart:
+    if a.chart is not b.chart and a.chart != b.chart:
         raise ChartMismatchError(
             f"operands live on different charts: {a.chart.name!r} vs {b.chart.name!r}"
         )
 
 
-_TERMS = dict  # dict[tuple[int, ...], Fraction]
+_TERMS = dict  # dict[tuple[int, ...], int | Fraction]
 
 
 # -- term arithmetic ----------------------------------------------------------
@@ -162,15 +166,15 @@ def mul_terms(a: _TERMS, b: _TERMS) -> _TERMS:
     if not a or not b:
         return {}
     out: _TERMS = {}
+    get = out.get
     for ka, va in a.items():
         for kb, vb in b.items():
-            k = tuple(x + y for x, y in zip(ka, kb))
-            v = va * vb
-            s = out.get(k)
+            k = tuple(map(add, ka, kb))
+            s = get(k)
             if s is None:
-                out[k] = v
+                out[k] = va * vb
             else:
-                s = s + v
+                s = s + va * vb
                 if s:
                     out[k] = s
                 else:
@@ -181,15 +185,18 @@ def mul_terms(a: _TERMS, b: _TERMS) -> _TERMS:
 class Poly:
     """Exact polynomial over Q in the coordinates of a chart.
 
-    Terms are stored sparsely as exponent-tuple -> Fraction; zero
-    coefficients are never kept. Equality is coefficient-wise; printing uses
-    the graded-lexicographic order (highest first).
+    Terms are stored sparsely as exponent-tuple -> coefficient, an int for
+    an integer and a Fraction otherwise; zero coefficients are never kept.
+    Equality is coefficient-wise; printing uses the graded-lexicographic
+    order (highest first). A Poly is not changed after it is built, so its
+    total degree is computed at most once.
     """
 
-    __slots__ = ("chart", "terms")
+    __slots__ = ("chart", "terms", "_degree")
 
     def __init__(self, chart: Chart, terms: dict | None = None):
         self.chart = chart
+        self._degree = None
         clean: _TERMS = {}
         if terms:
             dim = chart.dim
@@ -232,14 +239,15 @@ class Poly:
             raise ValidationError(f"coordinate index {i} out of range")
         exps = tuple(1 if j == i else 0 for j in range(chart.dim))
         p = cls(chart)
-        p.terms[exps] = Fraction(1)
+        p.terms[exps] = 1
         return p
 
     @classmethod
-    def _raw(cls, chart: Chart, terms: _TERMS) -> "Poly":
+    def _raw(cls, chart: Chart, terms: _TERMS, degree: int | None = None) -> "Poly":
         p = cls.__new__(cls)
         p.chart = chart
         p.terms = terms
+        p._degree = degree
         return p
 
     # -- queries ---------------------------------------------------------
@@ -250,17 +258,18 @@ class Poly:
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        d = self._degree
+        if d is None:
+            d = self._degree = max(map(sum, self.terms), default=-1)
+        return d
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.chart.dim, Fraction(0))
+    def constant_term(self) -> int | Fraction:
+        return self.terms.get((0,) * self.chart.dim, 0)
 
-    def as_constant(self) -> Fraction | None:
+    def as_constant(self) -> int | Fraction | None:
         """The value if this polynomial is constant, else None."""
         if not self.terms:
-            return Fraction(0)
+            return 0
         if len(self.terms) == 1:
             exps, c = next(iter(self.terms.items()))
             if not any(exps):
@@ -270,20 +279,20 @@ class Poly:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.chart, other)
         if not isinstance(other, Poly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Poly.const(self.chart, other)
         _require_same_chart(self, other)
         return Poly._raw(self.chart, add_terms(self.terms, other.terms))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.chart, other)
         if not isinstance(other, Poly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Poly.const(self.chart, other)
         _require_same_chart(self, other)
         return Poly._raw(self.chart, sub_terms(self.terms, other.terms))
 
@@ -291,22 +300,27 @@ class Poly:
         return (-self) + other
 
     def __neg__(self):
-        return Poly._raw(self.chart, scale_terms(self.terms, Fraction(-1)))
+        return Poly._raw(self.chart, scale_terms(self.terms, -1), self._degree)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Poly._raw(
-                self.chart, scale_terms(self.terms, _frac(other))
-            )
         if not isinstance(other, Poly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            c = _frac(other)
+            return Poly._raw(
+                self.chart, scale_terms(self.terms, c), self._degree if c else -1
+            )
         _require_same_chart(self, other)
+        if not self.terms or not other.terms:
+            return Poly._raw(self.chart, {}, -1)
         da, db = self.degree(), other.degree()
-        if da >= 0 and db >= 0 and da + db > MAX_DEGREE:
+        if da + db > MAX_DEGREE:
             raise DegreeOverflowError(
                 f"product degree {da + db} exceeds cap {MAX_DEGREE}"
             )
-        return Poly._raw(self.chart, mul_terms(self.terms, other.terms))
+        # Q[x] is a domain: the top homogeneous parts multiply to a nonzero
+        # part of degree da + db, so the product's degree is known.
+        return Poly._raw(self.chart, mul_terms(self.terms, other.terms), da + db)
 
     __rmul__ = __mul__
 
@@ -383,7 +397,7 @@ def _sorted_terms(terms: _TERMS):
     return sorted(terms.items(), key=lambda kv: _term_key(kv[0]), reverse=True)
 
 
-def _monomial_body(chart: Chart, exps: tuple[int, ...], mag: Fraction) -> str:
+def _monomial_body(chart: Chart, exps: tuple[int, ...], mag: int | Fraction) -> str:
     factors = []
     for i, e in enumerate(exps):
         if e == 1:
@@ -517,7 +531,7 @@ def vfield_str(v: VField) -> str:
         for exps, coeff in _sorted_terms(comp.terms):
             mag = abs(coeff)
             if mag == 1 and any(exps):
-                body = f"{_monomial_body(v.chart, exps, Fraction(1))}*{gen}"
+                body = f"{_monomial_body(v.chart, exps, 1)}*{gen}"
             elif mag == 1:
                 body = gen
             else:
@@ -770,7 +784,7 @@ def kform_str(w: KForm) -> str:
         for exps, coeff in _sorted_terms(w.comps[idx].terms):
             mag = abs(coeff)
             if mag == 1 and any(exps):
-                body = f"{_monomial_body(w.chart, exps, Fraction(1))}*{gen}"
+                body = f"{_monomial_body(w.chart, exps, 1)}*{gen}"
             elif mag == 1:
                 body = gen
             else:
@@ -966,7 +980,7 @@ def _tokenize(text: str) -> list[_Token]:
 
 @dataclass
 class _Term:
-    coeff: Fraction
+    coeff: int | Fraction
     exps: dict  # coord index -> power
     gen: tuple | None  # ("form", [indices]) | ("vec", index)
     pos: int
@@ -1014,14 +1028,14 @@ class _Parser:
             raise ParseError(f"expected '+' or '-', got {tok.text!r}", tok.pos)
 
     def parse_term(self, negate: bool) -> _Term:
-        coeff = Fraction(-1 if negate else 1)
+        coeff = -1 if negate else 1
         exps: dict = {}
         gen = None
         start = self.peek().pos
         while True:
             tok = self.advance()
             if tok.kind == "int":
-                val = Fraction(int(tok.text))
+                val = int(tok.text)
                 nxt = self.peek()
                 if nxt.kind == "op" and nxt.text == "/":
                     self.advance()

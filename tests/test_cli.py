@@ -10,6 +10,7 @@ from algebroids import jsonio
 from algebroids.cli import VERBS, main
 from algebroids.courant import coordinate_connection, standard_exact
 from algebroids.symcalc import (
+    Chart,
     ChartMap,
     KForm,
     Poly,
@@ -354,6 +355,79 @@ def test_malformed_numbers_exit_two_naming_the_field(tmp_path, verb, edit, field
     assert proc.returncode == 2
     assert "bad job spec" in proc.stderr and field in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+S3 = Chart("S", ("x", "y", "z"))
+
+
+def _letters_lie():
+    from algebroids.lie_algebroid import tangent_algebroid
+
+    return {"algebroid": jsonio.lie_to_json(tangent_algebroid(Chart("S", ("x", "y"))))}
+
+
+def _letters_dirac():
+    return {
+        "structure": jsonio.courant_to_json(standard_exact(S3, KForm.zero(S3, 3))),
+        "dirac": {
+            "support": ["z"],
+            "generators": [
+                ["1", "0", "0", "0", "x", "0"],
+                ["0", "1", "0", "-x", "0", "0"],
+                ["0", "0", "0", "0", "0", "1"],
+            ],
+        },
+    }
+
+
+COORDS = ("algebroid", "chart", "coords")
+
+
+def _set(path, value):
+    def edit(spec):
+        for key in path[:-1]:
+            spec = spec[key]
+        spec[path[-1]] = value
+
+    return edit
+
+
+def _keyed(key):
+    def edit(spec):
+        spec[key] = {f"item{i}": item for i, item in enumerate(spec[key])}
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "verb, job, edit, field",
+    [
+        ("check-lie", _letters_lie, _set(COORDS, "xy"), "coords"),
+        ("check-lie", _letters_lie, _set(COORDS, {"x": 1, "y": 2}), "coords"),
+        ("check-dirac", _letters_dirac, _set(("dirac", "support"), "z"), "support"),
+        ("tau-linear", None, _set(("weights",), "12"), "weights"),
+        ("tau-linear", None, _keyed("parts"), "parts"),
+        ("tau-linear", None, _keyed("connections"), "connections"),
+        ("assoc-c-plus", None, _keyed("maps"), "maps"),
+    ],
+    ids=[
+        "coords-string",
+        "coords-object",
+        "support-string",
+        "weights-string",
+        "parts-object",
+        "connections-object",
+        "maps-object",
+    ],
+)
+def test_list_fields_must_be_json_lists(tmp_path, capsys, verb, job, edit, field):
+    spec, extra = (job(), []) if job else PASSING_JOBS[verb]()
+    assert main([verb, "--spec", write_job(tmp_path, spec, "good.json")] + extra) == 0
+    edit(spec)
+    capsys.readouterr()
+    assert main([verb, "--spec", write_job(tmp_path, spec)] + extra) == 2
+    err = capsys.readouterr().err
+    assert "bad job spec" in err and f"field {field!r} must be a list" in err
 
 
 def test_embedding_mode_on_a_non_embedding_exits_three(tmp_path, capsys):

@@ -239,6 +239,62 @@ def test_scalar_multiple_matches_combination():
         scalar_multiple(0, q)
 
 
+def test_integer_structures_multiply_on_ints(monkeypatch):
+    # An integer structure keeps every coefficient an int through the whole
+    # axiom suite; a stray Fraction literal would send every product down
+    # the Fraction path.
+    from algebroids import symcalc
+
+    seen = []
+    real = symcalc.mul_terms
+
+    def spy(a, b):
+        out = real(a, b)
+        seen.extend(type(c) for terms in (a, b, out) for c in terms.values())
+        return out
+
+    monkeypatch.setattr(symcalc, "mul_terms", spy)
+    rep = check_courant(standard_exact(R3, vol3("x1")), samples=8, seed=0)
+    assert rep.ok, str(rep)
+    assert seen and set(seen) == {int}
+
+
+def _coeff_types(polys):
+    return {type(c) for p in polys for c in p.terms.values()}
+
+
+def _table_polys(q):
+    for table in (q.anchor, q.coanchor, q.pairing):
+        for row in table:
+            yield from row
+    for vec in q.structure.values():
+        yield from vec
+
+
+def test_rational_weights_and_solves_never_yield_floats():
+    from algebroids.linalg import poly_inverse_unit_det, qq_solve
+
+    x1 = Poly.coord(R2, 0)
+    inv = poly_inverse_unit_det([[Poly.const(R2, 2), x1], [Poly.zero(R2), Poly.one(R2)]])
+    assert inv == [
+        [Poly.const(R2, Fraction(1, 2)), x1 * Fraction(-1, 2)],
+        [Poly.zero(R2), Poly.one(R2)],
+    ]
+    assert float not in _coeff_types(p for row in inv for p in row)
+    x = qq_solve([[2, 1], [0, 4]], [1, 3])
+    assert x == [Fraction(1, 8), Fraction(3, 4)]
+    assert {type(c) for c in x} == {Fraction}
+
+    q = standard_exact(R3, vol3("x1 + 2*x2"))
+    half = scalar_multiple(Fraction(1, 2), q)
+    assert Fraction in _coeff_types(_table_polys(half))
+    assert float not in _coeff_types(_table_polys(half))
+    comb = baer_combination(
+        [q, q], [Fraction(1, 3), Fraction(2, 3)], [coordinate_connection(q)] * 2
+    )
+    assert float not in _coeff_types(_table_polys(comb.result))
+
+
 def test_morphism_check_flags_wrong_twist():
     h1, h2 = vol3(), vol3("x3")
     q1, q2 = standard_exact(R3, h1), standard_exact(R3, h2)

@@ -327,6 +327,23 @@ def test_dirac_pushdown_recovers_the_restricted_graph():
     assert check_dirac(down).ok
 
 
+def test_dirac_pushdown_reuses_the_presentations_embedding(monkeypatch):
+    from algebroids import pullback
+
+    built = []
+
+    class CountingEmbedding(pullback.Embedding):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(pullback, "Embedding", CountingEmbedding)
+    d = graph_on_axis("x1")
+    pb = pullback_courant(axis_inclusion(d.sub_chart), d.courant)
+    dirac_pushdown(pb, d)
+    assert len(built) == 1
+
+
 def test_dirac_pushdown_guards():
     d = graph_on_axis()
     sub = d.sub_chart

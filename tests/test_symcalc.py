@@ -32,6 +32,7 @@ from algebroids.symcalc import (
     parse_vfield,
     poly_str,
     pullback_form,
+    scale_terms,
     vf_bracket,
     vfield_str,
     wedge,
@@ -42,13 +43,19 @@ R2 = coordinate_chart("R2", 2)
 R3 = coordinate_chart("R3", 3)
 
 
-def polys(chart, max_degree=2, max_terms=3, coeff=3):
+def polys(chart, max_degree=2, max_terms=3, coeff=3, max_den=1):
     exps = st.tuples(
         *[st.integers(0, max_degree) for _ in range(chart.dim)]
     ).filter(lambda e: sum(e) <= max_degree)
-    return st.dictionaries(exps, st.integers(-coeff, coeff), max_size=max_terms).map(
+    coeffs = st.builds(Fraction, st.integers(-coeff, coeff), st.integers(1, max_den))
+    return st.dictionaries(exps, coeffs, max_size=max_terms).map(
         lambda terms: Poly(chart, terms)
     )
+
+
+def rational_polys(chart, **kw):
+    """polys with denominators 1-4: terms mix ints and Fractions."""
+    return polys(chart, max_den=4, **kw)
 
 
 def vfields(chart, **kw):
@@ -132,6 +139,59 @@ def test_poly_ring_axioms(p, q, r):
 def test_poly_diff_is_derivation(p, q):
     for i in range(3):
         assert (p * q).diff(i) == p.diff(i) * q + p * q.diff(i)
+
+
+@given(rational_polys(R2), rational_polys(R2), rational_polys(R2))
+def test_rational_poly_ring_axioms(p, q, r):
+    assert p * (q + r) == p * q + p * r
+    assert (p * q) * r == p * (q * r)
+    assert p + q == q + p
+    assert p * q == q * p
+    assert (p - q) + q == p
+
+
+@given(rational_polys(R3), rational_polys(R3))
+def test_rational_poly_diff_is_derivation(p, q):
+    for i in range(3):
+        assert (p * q).diff(i) == p.diff(i) * q + p * q.diff(i)
+
+
+@given(rational_polys(R3), rational_polys(R3))
+def test_product_degree_is_the_sum_of_degrees(p, q):
+    prod = p * q
+    assert prod.degree() == max(map(sum, prod.terms), default=-1)
+    if not p.is_zero and not q.is_zero:
+        assert prod.degree() == p.degree() + q.degree()
+
+
+def _coeff_types(p):
+    return {type(c) for c in p.terms.values()}
+
+
+def test_integer_coefficients_are_stored_as_ints():
+    three = Fraction(3, 1)
+    assert type(Poly(R2, {(1, 0): three}).terms[(1, 0)]) is int
+    assert type(Poly.const(R2, three).constant_term()) is int
+    assert type(Poly.const(R2, True).constant_term()) is int
+    assert _coeff_types(parse_poly("6/2*x1 + 1/2*x2 - 4", R2)) == {int, Fraction}
+    assert parse_poly("6/2*x1", R2).terms == {(1, 0): 3}
+    assert _coeff_types(Poly.coord(R2, 0)) == {int}
+    assert _coeff_types(-Poly.coord(R2, 0)) == {int}
+    assert type(Poly.zero(R2).constant_term()) is int
+    assert type(Poly.zero(R2).as_constant()) is int
+    with pytest.raises(ValidationError):
+        Poly.const(R2, 0.5)
+
+
+def test_rational_operations_never_yield_floats():
+    half = Fraction(1, 2)
+    p = parse_poly("x1 + 2*x2 + 3", R2)
+    assert scale_terms(p.terms, half) == {(1, 0): half, (0, 1): 1, (0, 0): Fraction(3, 2)}
+    assert float not in _coeff_types(p * half)
+    assert float not in _coeff_types(half * p)
+    w = KForm(R2, 1, {(0,): p}).scale(half)
+    assert float not in _coeff_types(w.comps[(0,)])
+    assert w.comps[(0,)] == p * half
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +417,11 @@ def test_vfield_print_parse_roundtrip(v):
         assert vfield_str(v) == "0"
     else:
         assert parse_expr(vfield_str(v), R2) == v
+
+
+@given(rational_polys(R3, max_degree=3, max_terms=4, coeff=5))
+def test_rational_poly_print_parse_roundtrip(p):
+    assert parse_poly(poly_str(p), R3) == p
 
 
 def test_print_is_canonical_fixed_point():
