@@ -20,6 +20,7 @@ from algebroids.lie_algebroid import (
     pullback_lie,
     pullback_marked,
     quotient_by_marking,
+    solve_coboundary,
     tangent_algebroid,
     trivial_extension,
 )
@@ -27,6 +28,7 @@ from algebroids.symcalc import (
     Chart,
     ChartMap,
     Poly,
+    VField,
     coordinate_chart,
     parse_poly,
 )
@@ -407,3 +409,27 @@ def test_shape_failures_are_unsupported_modes():
     fold = ChartMap(R1, R1, sec(R1, "z1^2 + z1"))
     with pytest.raises(UnsupportedModeError):
         pullback_lie(fold, tangent_algebroid(R1), "coordinate-submersion")
+
+
+def _coboundary(anchors, t):
+    """(k, l) -> anchors[k](t_l) - anchors[l](t_k) for k < l."""
+    n = len(anchors)
+    return {
+        (k, l): anchors[k].apply(t[l]) - anchors[l].apply(t[k])
+        for k in range(n)
+        for l in range(k + 1, n)
+    }
+
+
+def test_solve_coboundary_solves_a_known_coboundary():
+    anchors = [VField.basis(R2, 0), VField.basis(R2, 1)]
+    target = _coboundary(anchors, sec(R2, "y1*y2 + 3", "y1^2 - 2*y2"))
+    t = solve_coboundary(anchors, target, R2, 3)
+    assert t is not None
+    assert _coboundary(anchors, t) == target
+
+
+def test_solve_coboundary_without_anchors_has_no_solution():
+    anchors = [VField.zero(R2), VField.zero(R2)]
+    target = {(0, 1): parse_poly("y1", R2)}
+    assert solve_coboundary(anchors, target, R2, 2) is None
