@@ -14,6 +14,14 @@ fibre product f*A x_{f*TX} TY of pairs (tangent on Y, pulled section)
 the pulled table, with tangent vectors on Y standing in for the anchors
 (leibniz_sum, pulled_entries).
 
+The identity checks the Lie and Courant verdicts share live here once: the
+sampled Leibniz rule, the jacobiator (the Jacobi identity in Leibniz form,
+which a Courant structure satisfies as a Lie algebroid does) and its
+generator cases, and the generator-matrix checks that a morphism preserves
+anchor and bracket. So does the quotient by a constant span of sections
+(constant_quotient) behind both the marking quotient and the Courant
+structure's associated Lie algebroid, with its antisymmetric table.
+
 The second half presents that fibre product along a chart map, once for
 both inverse images. resolve_mode picks the mode (classify_map when none is
 given) and checks the identity mode. Embedding and Submersion check the
@@ -29,7 +37,8 @@ both share, and constant_complement picks constant complements.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence
+from itertools import product
+from typing import Callable, Iterator, Sequence
 
 from algebroids import linalg
 from algebroids.errors import (
@@ -41,8 +50,13 @@ from algebroids.linalg import (
     Vec,
     apply_constant,
     apply_matrix,
+    fmt_section,
     unit_vec,
+    vec_add,
+    vec_eq,
     vec_is_zero,
+    vec_scale,
+    vec_sub,
     zero_vec,
 )
 from algebroids.symcalc import Chart, ChartMap, Poly, VField
@@ -155,6 +169,72 @@ class AnchoredModule:
 
 
 # ---------------------------------------------------------------------------
+# Identities both verdicts check
+# ---------------------------------------------------------------------------
+
+
+def sampled_leibniz_rule(
+    m: AnchoredModule, draw: Callable[[], Poly], trials: int
+) -> Iterator[str]:
+    """[u, f v] = f [u, v] + anchor(u)(f) v on sections u, v and a function
+    f drawn in that order per trial; draw() is one seeded polynomial."""
+    for t in range(trials):
+        u = tuple(draw() for _ in range(m.rank))
+        v = tuple(draw() for _ in range(m.rank))
+        f = draw()
+        lhs = m.bracket(u, vec_scale(f, v))
+        rhs = vec_add(
+            vec_scale(f, m.bracket(u, v)), vec_scale(m.anchor_of(u).apply(f), v)
+        )
+        if not vec_is_zero(vec_sub(lhs, rhs)):
+            yield f"sampled sections (trial {t})"
+
+
+def jacobiator(m: AnchoredModule, u: Vec, v: Vec, w: Vec) -> Vec:
+    """[u, [v, w]] - [[u, v], w] - [v, [u, w]], the defect of the Jacobi
+    identity in Leibniz form."""
+    return vec_sub(
+        m.bracket(u, m.bracket(v, w)),
+        vec_add(m.bracket(m.bracket(u, v), w), m.bracket(v, m.bracket(u, w))),
+    )
+
+
+def jacobi_generator_failures(m: AnchoredModule) -> Iterator[str]:
+    """The jacobiator on every generator triple, inner brackets read from
+    the table."""
+    for a, b, c in product(range(m.rank), repeat=3):
+        defect = vec_sub(
+            m.bracket(m.gen(a), m.bracket_gen(b, c)),
+            vec_add(
+                m.bracket(m.bracket_gen(a, b), m.gen(c)),
+                m.bracket(m.gen(b), m.bracket_gen(a, c)),
+            ),
+        )
+        if not vec_is_zero(defect):
+            yield f"generators ({a},{b},{c}): defect {fmt_section(defect)}"
+
+
+def anchor_failures(
+    src: AnchoredModule, dst: AnchoredModule, matrix: Sequence[Vec]
+) -> Iterator[str]:
+    """Generators a of src whose anchor is not the dst anchor of matrix[a]."""
+    for a in range(src.rank):
+        if src.anchor_of(src.gen(a)) != dst.anchor_of(matrix[a]):
+            yield f"generator {a}"
+
+
+def bracket_failures(
+    src: AnchoredModule, dst: AnchoredModule, matrix: Sequence[Vec]
+) -> Iterator[str]:
+    """Generator pairs of src whose table bracket, mapped through matrix, is
+    not the dst bracket of their images."""
+    for a, b in product(range(src.rank), repeat=2):
+        lhs = apply_matrix(matrix, src.bracket_gen(a, b), dst.rank, dst.chart)
+        if not vec_eq(lhs, dst.bracket(matrix[a], matrix[b])):
+            yield f"generators ({a},{b})"
+
+
+# ---------------------------------------------------------------------------
 # Constant linear algebra
 # ---------------------------------------------------------------------------
 
@@ -177,6 +257,50 @@ def constant_complement(
             rows = cand
             complement.append(i)
     return complement, linalg.qq_inverse(linalg.transpose(rows))
+
+
+def constant_quotient(
+    m: AnchoredModule, span: Sequence[Sequence[Fraction]]
+) -> tuple[tuple[Vec, ...], dict[tuple[int, int], Vec], tuple[Vec, ...]] | None:
+    """m modulo the constant sections with the independent rows of span as
+    coefficients, on the unit generators completing them.
+
+    Returns (anchor rows, bracket table on pairs x <= y, projection of each
+    generator of m), or None when the span has no constant complement.
+    Raises ValidationError when the table does not descend antisymmetrically.
+    """
+    complement, inv = constant_complement(span, m.rank)
+    if inv is None:
+        return None
+
+    def reduce(vec: Vec) -> Vec:
+        # Coordinates along the complement generators; the span part drops.
+        return apply_constant(inv[len(span):], vec, m.chart)
+
+    structure = antisymmetric_table(
+        len(complement),
+        lambda x, y: reduce(m.bracket_gen(complement[x], complement[y])),
+        "bracket does not descend antisymmetrically; the input violates the "
+        "symmetrization identity",
+    )
+    anchor = tuple(m.anchor[i] for i in complement)
+    return anchor, structure, tuple(reduce(m.gen(i)) for i in range(m.rank))
+
+
+def antisymmetric_table(
+    n: int, bracket: Callable[[int, int], Vec], error: str
+) -> dict[tuple[int, int], Vec]:
+    """The nonzero bracket(x, y) on pairs x <= y of n generators; raises
+    ValidationError(error) where bracket(y, x) is not their negation."""
+    structure = {}
+    for x in range(n):
+        for y in range(x, n):
+            got = bracket(x, y)
+            if not vec_is_zero(vec_add(got, bracket(y, x))):
+                raise ValidationError(error)
+            if not vec_is_zero(got):
+                structure[(x, y)] = got
+    return structure
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ JSON report (sorted keys, no timestamps): running the same job twice gives
 byte-identical output. Exit codes: 0 all checks passed, 1 some check
 failed, 2 the spec was unreadable or inconsistent, 3 the job needs an
 unsupported presentation mode, 4 the job hit a resource limit (a polynomial
-product above the total-degree cap).
+product above the total-degree cap), 5 an internal error: an exception that
+is not an AlgebroidError, printed with its traceback on stderr.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from algebroids import jsonio
 from algebroids.courant import (
@@ -22,12 +24,11 @@ from algebroids.courant import (
     curvature,
     twist,
 )
-from algebroids.descent import CoverData, DescentDatum, check_cocycle, tautological_datum
+from algebroids.descent import check_cocycle
 from algebroids.dirac import check_dirac
 from algebroids.errors import (
     AlgebroidError,
     DegreeOverflowError,
-    ParseError,
     UnsupportedModeError,
     ValidationError,
 )
@@ -80,28 +81,22 @@ def _map(spec):
     return jsonio.map_from_json(jsonio._require(spec, "map", "spec"))
 
 
-def _connection(spec, q, key="connection"):
-    if key in spec:
-        return jsonio.connection_from_json(spec[key], q)
-    return coordinate_connection(q)
+def _connection(spec, q):
+    return jsonio.optional_connection(spec, q) or coordinate_connection(q)
+
+
+def _sampling(args) -> dict:
+    """The seed, sample count and degree every sampled verdict runs with."""
+    return {"samples": args.samples, "seed": args.seed, "max_degree": args.max_degree}
 
 
 def _run_check_lie(spec, args):
     a = jsonio.lie_from_json(jsonio._require(spec, "algebroid", "spec"))
-    rep = check_lie_algebroid(
-        a, samples=args.samples, seed=args.seed, max_degree=args.max_degree
-    )
-    return rep, {}
+    return check_lie_algebroid(a, **_sampling(args)), {}
 
 
 def _run_check_courant(spec, args):
-    rep = check_courant(
-        _structure(spec),
-        samples=args.samples,
-        seed=args.seed,
-        max_degree=args.max_degree,
-    )
-    return rep, {}
+    return check_courant(_structure(spec), **_sampling(args)), {}
 
 
 def _run_check_dirac(spec, args):
@@ -114,18 +109,8 @@ def _run_check_dirac(spec, args):
 def _run_pullback(spec, args):
     q = _structure(spec)
     f = _map(spec)
-    conn = (
-        jsonio.connection_from_json(spec["connection"], q)
-        if "connection" in spec
-        else None
-    )
-    pb = pullback_courant(f, q, spec.get("mode"), conn)
-    rep = check_courant(
-        pb.result,
-        samples=args.samples,
-        seed=args.seed,
-        max_degree=args.max_degree,
-    )
+    pb = pullback_courant(f, q, spec.get("mode"), jsonio.optional_connection(spec, q))
+    rep = check_courant(pb.result, **_sampling(args))
     rep.merge(check_relation_absorption(pb))
     return rep, {"result": jsonio.courant_to_json(pb.result)}
 
@@ -136,9 +121,7 @@ def _run_twist(spec, args):
         jsonio._require(spec, "form", "spec"), q.chart
     )
     out = twist(q, h)
-    rep = check_courant(
-        out, samples=args.samples, seed=args.seed, max_degree=args.max_degree
-    )
+    rep = check_courant(out, **_sampling(args))
     return rep, {"result": jsonio.courant_to_json(out)}
 
 
@@ -150,11 +133,7 @@ def _run_curvature(spec, args):
     if "expect" in spec:
         expected = jsonio.kform_from_json(spec["expect"], q.chart)
         ok = form == expected
-        rep.add(
-            "curvature_matches_expected",
-            ok,
-            None if ok else "computed curvature differs",
-        )
+        rep.add("curvature_matches_expected", ok, "computed curvature differs")
     else:
         rep.add("curvature_defined", True)
     return rep, {"form": jsonio.kform_to_json(form)}
@@ -162,14 +141,9 @@ def _run_curvature(spec, args):
 
 def _run_tau_roundtrip(spec, args):
     q = _structure(spec)
-    rep = check_tau_rules(
-        q, samples=args.samples, seed=args.seed, max_degree=args.max_degree
-    )
+    rep = check_tau_rules(q, **_sampling(args))
     rebuilt = courant_from_transgression(transgress(q))
-    ok = rebuilt == q
-    rep.add(
-        "roundtrip_exact", ok, None if ok else "rebuilt structure differs"
-    )
+    rep.add("roundtrip_exact", rebuilt == q, "rebuilt structure differs")
     return rep, {}
 
 
@@ -186,46 +160,11 @@ def _run_tau_linear(spec, args):
         jsonio.connection_from_json(c, q)
         for c, q in zip(jsonio._require_list(spec, "connections", "spec"), parts)
     ]
-    rep = check_transgression_linear(
-        parts,
-        weights,
-        conns,
-        samples=args.samples,
-        seed=args.seed,
-        max_degree=args.max_degree,
-    )
-    return rep, {}
+    return check_transgression_linear(parts, weights, conns, **_sampling(args)), {}
 
 
 def _run_cocycle(spec, args):
-    q = _structure(spec)
-    cover_json = jsonio._require(spec, "cover", "spec")
-    chart = q.chart
-    maps = {
-        str(name): ChartMap(
-            chart, chart, jsonio.vec_from_json(comps, chart)
-        )
-        for name, comps in jsonio._require(
-            cover_json, "maps", "cover"
-        ).items()
-    }
-    table = {}
-    for key, value in cover_json.get("table", {}).items():
-        parts = key.split(",")
-        if len(parts) != 2:
-            raise ValidationError(f"table key {key!r} is not a pair of names")
-        table[(parts[0], parts[1])] = str(value)
-    cover = CoverData(chart, maps, table)
-    if "matrices" in spec:
-        matrices = {
-            str(name): jsonio.matrix_from_json(rows, chart)
-            for name, rows in spec["matrices"].items()
-        }
-        datum = DescentDatum(cover, q, matrices)
-    else:
-        conn = _connection(spec, q)
-        datum = tautological_datum(cover, q, conn)
-    return check_cocycle(datum), {}
+    return check_cocycle(jsonio.descent_from_json(spec, _structure(spec))), {}
 
 
 def _run_twist_commute(spec, args):
@@ -234,11 +173,7 @@ def _run_twist_commute(spec, args):
     h = jsonio.kform_from_json(
         jsonio._require(spec, "form", "spec"), q.chart
     )
-    conn = (
-        jsonio.connection_from_json(spec["connection"], q)
-        if "connection" in spec
-        else None
-    )
+    conn = jsonio.optional_connection(spec, q)
     return check_twist_commute(f, q, h, spec.get("mode"), conn), {}
 
 
@@ -246,11 +181,7 @@ def _run_curvature_pullback(spec, args):
     q = _structure(spec)
     f = _map(spec)
     conn = _connection(spec, q)
-    measure = (
-        jsonio.connection_from_json(spec["measure"], q)
-        if "measure" in spec
-        else conn
-    )
+    measure = jsonio.optional_connection(spec, q, "measure") or conn
     pb = pullback_courant(f, q, "exact-split", conn)
     return check_curvature_pullback(pb, measure), {}
 
@@ -299,15 +230,7 @@ def _run_assoc(spec, args):
     splitting = jsonio.matrix_from_json(
         jsonio._require(spec, "splitting", "spec"), a.chart
     )
-    rep = check_compose_associative(
-        a,
-        tuple(maps),
-        splitting,
-        samples=args.samples,
-        seed=args.seed,
-        max_degree=args.max_degree,
-    )
-    return rep, {}
+    return check_compose_associative(a, tuple(maps), splitting, **_sampling(args)), {}
 
 
 HANDLERS = {
@@ -372,12 +295,13 @@ def main(argv=None) -> int:
     except DegreeOverflowError as exc:
         print(f"error: resource limit: {exc}", file=sys.stderr)
         return 4
-    except (ValidationError, ParseError, AlgebroidError) as exc:
+    except AlgebroidError as exc:
         print(f"error: bad job spec: {exc}", file=sys.stderr)
         return 2
-    except (KeyError, TypeError, AttributeError, IndexError) as exc:
-        print(f"error: malformed spec: {exc!r}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"error: internal error: {exc!r}", file=sys.stderr)
+        return 5
 
     params = {
         "seed": args.seed,

@@ -34,18 +34,24 @@ from itertools import product
 from typing import Sequence
 
 from algebroids import linalg
-from algebroids.anchored import AnchoredModule, constant_complement
+from algebroids.anchored import (
+    AnchoredModule,
+    anchor_failures,
+    bracket_failures,
+    constant_quotient,
+    jacobi_generator_failures,
+    jacobiator,
+    sampled_leibniz_rule,
+)
 from algebroids.errors import ChartMismatchError, ValidationError
-from algebroids.lie_algebroid import LieData, fmt_section
+from algebroids.lie_algebroid import LieData
 from algebroids.linalg import (
     Vec,
-    apply_constant,
     apply_matrix,
     bilinear,
     pairing_differential,
     vec_add,
     vec_is_zero,
-    vec_scale,
     vec_sub,
 )
 from algebroids.report import Report
@@ -137,10 +143,7 @@ def standard_exact(chart: Chart, h: KForm | None = None) -> CourantData:
     r = 2 * n
     z = Poly.zero(chart)
     one = Poly.one(chart)
-    anchor = tuple(
-        tuple(one if j == i else z for j in range(n)) for i in range(n)
-    ) + tuple(tuple(z for _ in range(n)) for _ in range(n))
-    coanchor = tuple(linalg.unit_vec(chart, r, n + j) for j in range(n))
+    anchor, coanchor = _exact_frame(chart)
     pairing = tuple(
         tuple(
             one if abs(a - b) == n else z for b in range(r)
@@ -160,6 +163,15 @@ def standard_exact(chart: Chart, h: KForm | None = None) -> CourantData:
             if nonzero:
                 structure[(i, j)] = tuple(vec)
     return CourantData(chart, r, anchor, coanchor, pairing, structure)
+
+
+def _exact_frame(chart: Chart) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+    """Anchor and coanchor of the split exact frame: generator i < n is the
+    i-th coordinate field, generator n + j the j-th coordinate differential."""
+    n = chart.dim
+    anchor = tuple(linalg.unit_vec(chart, n, i) for i in range(n))
+    coanchor = tuple(linalg.unit_vec(chart, 2 * n, n + j) for j in range(n))
+    return anchor + (linalg.zero_vec(chart, n),) * n, coanchor
 
 
 def opposite(q: CourantData) -> CourantData:
@@ -258,24 +270,14 @@ def check_courant(
     def section():
         return sample_section(rng, chart, r, **kw)
 
+    def draw():
+        return sample_poly(rng, chart, **kw)
+
     def anchor_coanchor():
         for j in range(n):
             got = q.anchor_of(q.coanchor[j])
             if not got.is_zero:
                 yield f"coordinate {chart.coords[j]}: anchor image {got}"
-
-    def leibniz_rule():
-        for t in range(samples):
-            u = section()
-            v = section()
-            f = sample_poly(rng, chart, **kw)
-            lhs = q.bracket(u, vec_scale(f, v))
-            rhs = vec_add(
-                vec_scale(f, q.bracket(u, v)),
-                vec_scale(q.anchor_of(u).apply(f), v),
-            )
-            if not vec_is_zero(vec_sub(lhs, rhs)):
-                yield f"sampled sections (trial {t})"
 
     def pairing_invariance():
         for c, a, b in product(range(r), repeat=3):
@@ -338,28 +340,13 @@ def check_courant(
                 yield f"sampled sections (trial {t})"
 
     def leibniz_identity():
-        for a, b, c in product(range(r), repeat=3):
-            lhs = q.bracket(q.gen(a), q.bracket_gen(b, c))
-            rhs = vec_add(
-                q.bracket(q.bracket_gen(a, b), q.gen(c)),
-                q.bracket(q.gen(b), q.bracket_gen(a, c)),
-            )
-            defect = vec_sub(lhs, rhs)
-            if not vec_is_zero(defect):
-                yield f"generators ({a},{b},{c}): defect {fmt_section(defect)}"
+        yield from jacobi_generator_failures(q)
         for t in range(samples // 4):
-            u = section()
-            v = section()
-            w = section()
-            lhs = q.bracket(u, q.bracket(v, w))
-            rhs = vec_add(
-                q.bracket(q.bracket(u, v), w), q.bracket(v, q.bracket(u, w))
-            )
-            if not vec_is_zero(vec_sub(lhs, rhs)):
+            if not vec_is_zero(jacobiator(q, section(), section(), section())):
                 yield f"sampled sections (trial {t})"
 
     rep.check("eq1_anchor_coanchor", anchor_coanchor())
-    rep.check("eq2_leibniz_rule", leibniz_rule())
+    rep.check("eq2_leibniz_rule", sampled_leibniz_rule(q, draw, samples))
     rep.check("eq3_pairing_invariance", pairing_invariance())
     rep.check("eq4_coanchor_ideal", coanchor_ideal())
     rep.check("eq5_adjunction", adjunction())
@@ -378,12 +365,6 @@ def check_courant_morphism(
     if src.chart != dst.chart:
         raise ChartMismatchError("morphism checks need a common chart")
     chart = src.chart
-    gens = range(src.rank)
-
-    def anchor():
-        for a in gens:
-            if src.anchor_of(src.gen(a)) != dst.anchor_of(matrix[a]):
-                yield f"generator {a}"
 
     def coanchor():
         for j in range(chart.dim):
@@ -392,23 +373,14 @@ def check_courant_morphism(
                 yield f"coordinate {chart.coords[j]}"
 
     def pairing():
-        for a, b in product(gens, repeat=2):
+        for a, b in product(range(src.rank), repeat=2):
             if dst.pairing_of(matrix[a], matrix[b]) != src.pairing[a][b]:
                 yield f"generators ({a},{b})"
 
-    def bracket():
-        for a, b in product(gens, repeat=2):
-            lhs = apply_matrix(
-                matrix, src.bracket_gen(a, b), dst.rank, chart
-            )
-            rhs = dst.bracket(matrix[a], matrix[b])
-            if not linalg.vec_eq(lhs, rhs):
-                yield f"generators ({a},{b})"
-
-    rep.check("morphism_anchor", anchor())
+    rep.check("morphism_anchor", anchor_failures(src, dst, matrix))
     rep.check("morphism_coanchor", coanchor())
     rep.check("morphism_pairing", pairing())
-    rep.check("morphism_bracket", bracket())
+    rep.check("morphism_bracket", bracket_failures(src, dst, matrix))
     return rep
 
 
@@ -521,9 +493,8 @@ def associated_lie_algebroid(q: CourantData) -> tuple[LieData, tuple[Vec, ...]]:
     The bracket descends because both bracket ideals land in the coanchor
     image; antisymmetry of the quotient is verified on the way.
     """
-    chart = q.chart
     span_rows: list[list[Fraction]] = []
-    for j in range(chart.dim):
+    for j in range(q.chart.dim):
         consts = [p.as_constant() for p in q.coanchor[j]]
         if any(c is None for c in consts):
             raise ValidationError(
@@ -533,31 +504,11 @@ def associated_lie_algebroid(q: CourantData) -> tuple[LieData, tuple[Vec, ...]]:
             cand = span_rows + [list(consts)]
             if linalg.qq_rank(cand) > len(span_rows):
                 span_rows.append(list(consts))
-    complement, inv = constant_complement(span_rows, q.rank)
-    if inv is None:
+    got = constant_quotient(q, span_rows)
+    if got is None:
         raise ValidationError("coanchor image has no constant complement")
-
-    def reduce(vec: Vec) -> Vec:
-        return apply_constant(inv[len(span_rows):], vec, chart)
-
-    anchor = tuple(tuple(q.anchor[i]) for i in complement)
-    structure = {}
-    for x, i in enumerate(complement):
-        for y, j in enumerate(complement):
-            if x > y:
-                continue
-            got = reduce(q.bracket_gen(i, j))
-            rev = reduce(q.bracket_gen(j, i))
-            if not vec_is_zero(vec_add(got, rev)):
-                raise ValidationError(
-                    "bracket does not descend antisymmetrically; the input "
-                    "violates the symmetrization identity"
-                )
-            if not vec_is_zero(got):
-                structure[(x, y)] = got
-    lie = LieData(chart, len(complement), anchor, structure)
-    projection = tuple(reduce(q.gen(i)) for i in range(q.rank))
-    return lie, projection
+    anchor, structure, projection = got
+    return LieData(q.chart, len(anchor), anchor, structure), projection
 
 
 # ---------------------------------------------------------------------------
@@ -674,8 +625,6 @@ def baer_combination(
             raise ValidationError("connection does not belong to its summand")
 
     r = 2 * n
-    z = Poly.zero(chart)
-    one = Poly.one(chart)
     unit = _lift_unit(weights)
 
     def class_gen_tuples(idx: int) -> list[Vec]:
@@ -690,10 +639,7 @@ def baer_combination(
                 out.append(qi.coanchor_of(alpha))
         return out
 
-    anchor = tuple(
-        tuple(one if j == i else z for j in range(n)) for i in range(n)
-    ) + tuple(tuple(z for _ in range(n)) for _ in range(n))
-    coanchor = tuple(linalg.unit_vec(chart, r, n + j) for j in range(n))
+    anchor, coanchor = _exact_frame(chart)
     pairing_rows = []
     gen_tuples = [class_gen_tuples(idx) for idx in range(r)]
     for x in range(r):

@@ -27,8 +27,7 @@ from algebroids.courant import (
     opposite,
 )
 from algebroids.errors import ValidationError
-from algebroids.lie_algebroid import fmt_section
-from algebroids.linalg import Vec, vec_is_zero
+from algebroids.linalg import Vec, fmt_section, vec_is_zero
 from algebroids.report import Report
 from algebroids.symcalc import Chart, KForm, Poly
 
@@ -151,11 +150,10 @@ def check_dirac(d: DiracData, maximality: str = "full") -> Report:
 
     def anchor_tangency():
         support_idx = [q.chart.index(name) for name in d.support]
+        # The j-th anchor component of every generator of the module.
+        columns = {j: [d.restrict(row[j]) for row in q.anchor] for j in support_idx}
         for i, j in product(range(m), support_idx):
-            acc = Poly.zero(sub)
-            for a in range(q.rank):
-                if not d.generators[i][a].is_zero:
-                    acc = acc + d.generators[i][a] * d.restrict(q.anchor[a][j])
+            acc = linalg.dot(d.generators[i], columns[j], sub)
             if not acc.is_zero:
                 yield (
                     f"generator {i} anchors across {q.chart.coords[j]}: "

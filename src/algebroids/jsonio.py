@@ -12,7 +12,9 @@ from fractions import Fraction
 from typing import Any
 
 from algebroids import __version__
+from algebroids.anchored import AnchoredModule
 from algebroids.courant import Connection, CourantData
+from algebroids.descent import CoverData, DescentDatum, tautological_datum
 from algebroids.dirac import DiracData, restricted_chart
 from algebroids.errors import ValidationError
 from algebroids.lie_algebroid import LieData
@@ -43,6 +45,19 @@ def _require_list(obj: dict, key: str, where: str) -> list:
     if not isinstance(value, list):
         raise ValidationError(
             f"{where} field {key!r} must be a list, got {type(value).__name__}"
+        )
+    return value
+
+
+def _require_object(obj: dict, key: str, where: str, optional: bool = False) -> dict:
+    """A field that must be a JSON object: a list or a string is not read
+    with .items() in its place. An optional field may be absent ({})."""
+    if optional and isinstance(obj, dict) and key not in obj:
+        return {}
+    value = _require(obj, key, where)
+    if not isinstance(value, dict):
+        raise ValidationError(
+            f"{where} field {key!r} must be an object, got {type(value).__name__}"
         )
     return value
 
@@ -133,10 +148,9 @@ def kform_to_json(w: KForm) -> dict:
 
 def kform_from_json(obj: Any, chart: Chart) -> KForm:
     degree = _require_int(obj, "degree", "form")
-    comps_json = _require(obj, "comps", "form")
     comps = {
         _pair_from_key(key): parse_poly(str(text), chart)
-        for key, text in comps_json.items()
+        for key, text in _require_object(obj, "comps", "form").items()
     }
     return KForm(chart, degree, comps)
 
@@ -148,9 +162,10 @@ def _structure_to_json(structure: dict) -> dict:
     return out
 
 
-def _structure_from_json(obj: Any, chart: Chart) -> dict:
+def _structure_from_json(obj: Any, chart: Chart, where: str) -> dict:
+    """The optional pair-keyed `bracket` table of a structure object."""
     out = {}
-    for key, vec in obj.items():
+    for key, vec in _require_object(obj, "bracket", where, optional=True).items():
         pair = _pair_from_key(key)
         if len(pair) != 2:
             raise ValidationError(f"bracket key {key!r} is not a pair")
@@ -161,7 +176,9 @@ def _structure_from_json(obj: Any, chart: Chart) -> dict:
 # -- structures -------------------------------------------------------------
 
 
-def lie_to_json(a: LieData) -> dict:
+def lie_to_json(a: AnchoredModule) -> dict:
+    """Chart, rank, anchor and bracket table: all of a Lie algebroid, and
+    what a Courant structure shares with one."""
     return {
         "chart": chart_to_json(a.chart),
         "rank": a.rank,
@@ -174,18 +191,15 @@ def lie_from_json(obj: Any) -> LieData:
     chart = chart_from_json(_require(obj, "chart", "algebroid"))
     rank = _require_int(obj, "rank", "algebroid")
     anchor = matrix_from_json(_require(obj, "anchor", "algebroid"), chart)
-    bracket = _structure_from_json(obj.get("bracket", {}), chart)
+    bracket = _structure_from_json(obj, chart, "algebroid")
     return LieData(chart, rank, anchor, bracket)
 
 
 def courant_to_json(q: CourantData) -> dict:
     return {
-        "chart": chart_to_json(q.chart),
-        "rank": q.rank,
-        "anchor": matrix_to_json(q.anchor),
+        **lie_to_json(q),
         "coanchor": matrix_to_json(q.coanchor),
         "pairing": matrix_to_json(q.pairing),
-        "bracket": _structure_to_json(q.structure),
     }
 
 
@@ -195,12 +209,19 @@ def courant_from_json(obj: Any) -> CourantData:
     anchor = matrix_from_json(_require(obj, "anchor", "structure"), chart)
     coanchor = matrix_from_json(_require(obj, "coanchor", "structure"), chart)
     pairing = matrix_from_json(_require(obj, "pairing", "structure"), chart)
-    bracket = _structure_from_json(obj.get("bracket", {}), chart)
+    bracket = _structure_from_json(obj, chart, "structure")
     return CourantData(chart, rank, anchor, coanchor, pairing, bracket)
 
 
 def connection_from_json(obj: Any, q: CourantData) -> Connection:
     return Connection(q, matrix_from_json(obj, q.chart))
+
+
+def optional_connection(
+    spec: Any, q: CourantData, key: str = "connection"
+) -> Connection | None:
+    """The connection a spec gives under key, None when it gives none."""
+    return connection_from_json(spec[key], q) if key in spec else None
 
 
 def dirac_to_json(d: DiracData) -> dict:
@@ -215,6 +236,37 @@ def dirac_from_json(obj: Any, q: CourantData) -> DiracData:
     sub = restricted_chart(q.chart, support) if support else q.chart
     gens = matrix_from_json(_require(obj, "generators", "dirac"), sub)
     return DiracData(q, gens, support)
+
+
+# -- descent ----------------------------------------------------------------
+
+
+def cover_from_json(obj: Any, chart: Chart) -> CoverData:
+    """Named maps (component lists) and an optional "s,t" -> u table."""
+    maps = {
+        str(name): ChartMap(chart, chart, vec_from_json(comps, chart))
+        for name, comps in _require_object(obj, "maps", "cover").items()
+    }
+    table = {}
+    for key, value in _require_object(obj, "table", "cover", optional=True).items():
+        parts = key.split(",")
+        if len(parts) != 2:
+            raise ValidationError(f"table key {key!r} is not a pair of names")
+        table[(parts[0], parts[1])] = str(value)
+    return CoverData(chart, maps, table)
+
+
+def descent_from_json(spec: Any, q: CourantData) -> DescentDatum:
+    """The spec's `matrices` over its `cover`; without matrices, the
+    tautological ones of its connection (coordinate when it gives none)."""
+    cover = cover_from_json(_require(spec, "cover", "spec"), q.chart)
+    if "matrices" not in spec:
+        return tautological_datum(cover, q, optional_connection(spec, q))
+    matrices = {
+        str(name): matrix_from_json(rows, q.chart)
+        for name, rows in _require_object(spec, "matrices", "spec").items()
+    }
+    return DescentDatum(cover, q, matrices)
 
 
 # -- reports ----------------------------------------------------------------

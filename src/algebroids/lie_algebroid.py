@@ -9,8 +9,9 @@ are produced from that data by the Leibniz rule in both slots:
            + sum_b anchor(u)(v_b) e_b - sum_a anchor(v)(u_a) e_a.
 
 The anchored-module core (validation, sections, anchor, the table+Leibniz
-bracket) is shared with CourantData through algebroids.anchored; LieData
-adds only the antisymmetric reading of its table.
+bracket, the identity checks and the quotient by a constant span) is shared
+with CourantData through algebroids.anchored; LieData adds only the
+antisymmetric reading of its table.
 
 Inverse images along a chart map are computed on explicit free presentations
 of the fiber product  f*A  x_{f*TX}  TY. Four construction modes are
@@ -39,11 +40,17 @@ from algebroids.anchored import (
     AnchoredModule,
     Embedding,
     Submersion,
+    anchor_failures,
+    antisymmetric_table,
+    bracket_failures,
     classify_map,
-    constant_complement,
+    constant_quotient,
+    jacobi_generator_failures,
+    jacobiator,
     leibniz_sum,
     pulled_entries,
     resolve_mode,
+    sampled_leibniz_rule,
     split_lifts,
 )
 from algebroids.errors import UnsupportedModeError, ValidationError
@@ -51,6 +58,7 @@ from algebroids.linalg import (
     Vec,
     apply_constant,
     apply_matrix,
+    fmt_section,
     vec_add,
     vec_is_zero,
     vec_scale,
@@ -58,7 +66,7 @@ from algebroids.linalg import (
 )
 from algebroids.report import Report
 from algebroids.sampling import sample_poly, sample_section
-from algebroids.symcalc import Chart, ChartMap, Poly, VField, poly_str
+from algebroids.symcalc import Chart, ChartMap, Poly, VField
 
 MODES = (
     "identity",
@@ -66,10 +74,6 @@ MODES = (
     "coordinate-embedding",
     "coordinate-submersion",
 )
-
-
-def fmt_section(v: Sequence[Poly]) -> str:
-    return "(" + ", ".join(poly_str(p) for p in v) + ")"
 
 
 @dataclass
@@ -101,13 +105,7 @@ class LieData(AnchoredModule):
 
 def tangent_algebroid(chart: Chart) -> LieData:
     """The tangent Lie algebroid: identity anchor, commuting generators."""
-    anchor = tuple(
-        tuple(
-            Poly.one(chart) if i == j else Poly.zero(chart)
-            for j in range(chart.dim)
-        )
-        for i in range(chart.dim)
-    )
+    anchor = tuple(linalg.unit_vec(chart, chart.dim, i) for i in range(chart.dim))
     return LieData(chart, chart.dim, anchor)
 
 
@@ -129,6 +127,9 @@ def check_lie_algebroid(
     def section():
         return sample_section(rng, a.chart, r, **kw)
 
+    def draw():
+        return sample_poly(rng, a.chart, **kw)
+
     def antisymmetry():
         for i, j in combinations_with_replacement(range(r), 2):
             if not vec_is_zero(vec_add(a.bracket_gen(i, j), a.bracket_gen(j, i))):
@@ -142,42 +143,16 @@ def check_lie_algebroid(
                 yield f"generators ({i},{j}): anchor defect {lhs - rhs}"
 
     def jacobi_identity():
-        for i, j, k in product(range(r), repeat=3):
-            lhs = a.bracket(a.gen(i), a.bracket_gen(j, k))
-            rhs = vec_add(
-                a.bracket(a.bracket_gen(i, j), a.gen(k)),
-                a.bracket(a.gen(j), a.bracket_gen(i, k)),
-            )
-            defect = vec_sub(lhs, rhs)
-            if not vec_is_zero(defect):
-                yield f"generators ({i},{j},{k}): defect {fmt_section(defect)}"
+        yield from jacobi_generator_failures(a)
         for n in range(max(1, samples // 10)):
-            u = section()
-            v = section()
-            w = section()
-            lhs = a.bracket(u, a.bracket(v, w))
-            rhs = vec_add(a.bracket(a.bracket(u, v), w), a.bracket(v, a.bracket(u, w)))
-            defect = vec_sub(lhs, rhs)
+            defect = jacobiator(a, section(), section(), section())
             if not vec_is_zero(defect):
                 yield f"sampled sections (trial {n}): defect {fmt_section(defect)}"
-
-    def leibniz_rule():
-        for n in range(samples):
-            u = section()
-            v = section()
-            f = sample_poly(rng, a.chart, **kw)
-            lhs = a.bracket(u, vec_scale(f, v))
-            rhs = vec_add(
-                vec_scale(f, a.bracket(u, v)),
-                vec_scale(a.anchor_of(u).apply(f), v),
-            )
-            if not vec_is_zero(vec_sub(lhs, rhs)):
-                yield f"sampled sections (trial {n})"
 
     rep.check("antisymmetry", antisymmetry())
     rep.check("anchor_morphism", anchor_morphism())
     rep.check("jacobi_identity", jacobi_identity())
-    rep.check("leibniz_rule", leibniz_rule())
+    rep.check("leibniz_rule", sampled_leibniz_rule(a, draw, samples))
     return rep
 
 
@@ -206,11 +181,8 @@ class MarkedLieData:
 def check_marked(m: MarkedLieData, samples: int = 25, seed: int = 0) -> Report:
     rep = Report()
     a = m.lie
-    rep.add(
-        "marking_anchor_free",
-        a.anchor_of(m.marking).is_zero,
-        None if a.anchor_of(m.marking).is_zero else fmt_section(m.marking),
-    )
+    free = a.anchor_of(m.marking).is_zero
+    rep.add("marking_anchor_free", free, None if free else fmt_section(m.marking))
 
     def central():
         for i in range(a.rank):
@@ -270,22 +242,8 @@ def check_extension(ext: OExtensionData, samples: int = 25, seed: int = 0) -> Re
     ok = vec_is_zero(ext.project(ext.total.marking))
     rep.add("marking_in_kernel", ok)
 
-    def projection_anchor():
-        for a in range(total.rank):
-            lhs = total.anchor_of(total.gen(a))
-            rhs = base.anchor_of(ext.projection[a])
-            if lhs != rhs:
-                yield f"generator {a}"
-
-    def projection_bracket():
-        for a, b in product(range(total.rank), repeat=2):
-            lhs = ext.project(total.bracket_gen(a, b))
-            rhs = base.bracket(ext.projection[a], ext.projection[b])
-            if not linalg.vec_eq(lhs, rhs):
-                yield f"generators ({a},{b})"
-
-    rep.check("projection_anchor", projection_anchor())
-    rep.check("projection_bracket", projection_bracket())
+    rep.check("projection_anchor", anchor_failures(total, base, ext.projection))
+    rep.check("projection_bracket", bracket_failures(total, base, ext.projection))
 
     # Kernel of the projection is exactly the marking line (generic rank).
     mat = [list(row) for row in ext.projection]
@@ -302,40 +260,26 @@ def quotient_by_marking(m: MarkedLieData) -> tuple[LieData, tuple[Vec, ...]]:
     complement basis can be selected. Returns the quotient algebroid and
     the projection (image of each original generator).
     """
-    a = m.lie
-    chart = a.chart
-    complement, inv = constant_complement([_constant_marking(m)], a.rank)
-    if inv is None:
+    got = constant_quotient(m.lie, [_constant_marking(m)])
+    if got is None:
         raise ValidationError("marking line has no constant complement")
-
-    def reduce(vec: Vec) -> Vec:
-        # Coefficients along the complement generators (marking part dropped).
-        return apply_constant(inv[1:], vec, chart)
-
-    anchor = tuple(a.anchor_of(a.gen(i)).comps for i in complement)
-    structure = {}
-    for x, i in enumerate(complement):
-        for y, j in enumerate(complement):
-            if x > y:
-                continue
-            got = reduce(a.bracket_gen(i, j))
-            if not vec_is_zero(got):
-                structure[(x, y)] = got
-    quotient = LieData(chart, len(complement), anchor, structure)
-    projection = tuple(reduce(a.gen(i)) for i in range(a.rank))
-    return quotient, projection
+    anchor, structure, projection = got
+    return LieData(m.lie.chart, len(anchor), anchor, structure), projection
 
 
 def trivial_extension(base: LieData) -> OExtensionData:
     """base + a central line with zero bracket against everything."""
-    chart = base.chart
-    r = base.rank
-    anchor = tuple(base.anchor[a] for a in range(r)) + (
-        tuple(Poly.zero(chart) for _ in range(chart.dim)),
-    )
-    structure = {}
-    for (a, b), vec in base.structure.items():
-        structure[(a, b)] = tuple(vec) + (Poly.zero(chart),)
+    zero = Poly.zero(base.chart)
+    structure = {key: tuple(vec) + (zero,) for key, vec in base.structure.items()}
+    return _line_extension(base, structure)
+
+
+def _line_extension(base: LieData, structure: dict) -> OExtensionData:
+    """base + a line on one more generator, marked by it: the total has the
+    anchor of base, no anchor on the line and the given table; projection
+    and splitting are the identity on the generators of base."""
+    chart, r = base.chart, base.rank
+    anchor = tuple(base.anchor) + (linalg.zero_vec(chart, chart.dim),)
     total = LieData(chart, r + 1, anchor, structure)
     marking = linalg.unit_vec(chart, r + 1, r)
     projection = tuple(linalg.unit_vec(chart, r, a) for a in range(r)) + (
@@ -394,9 +338,6 @@ def baer_combination(
     def lift_class(v: Vec) -> list[Vec]:
         return [e.lift(v[:rb]) for e in extensions]
 
-    anchor = tuple(
-        base.anchor_of(base.gen(b)).comps for b in range(rb)
-    ) + (tuple(Poly.zero(chart) for _ in range(chart.dim)),)
     structure: dict[tuple[int, int], Vec] = {}
     for x in range(rb):
         for y in range(x, rb):
@@ -410,13 +351,7 @@ def baer_combination(
             )
             if not vec_is_zero(got):
                 structure[(x, y)] = got
-    total = LieData(chart, rank, anchor, structure)
-    marking = linalg.unit_vec(chart, rank, rb)
-    projection = tuple(linalg.unit_vec(chart, rb, b) for b in range(rb)) + (
-        linalg.zero_vec(chart, rb),
-    )
-    splitting = tuple(linalg.unit_vec(chart, rank, b) for b in range(rb))
-    return OExtensionData(MarkedLieData(total, marking), base, projection, splitting)
+    return _line_extension(base, structure)
 
 
 # ---------------------------------------------------------------------------
@@ -482,25 +417,18 @@ def _structure_from_basis(
     d = chart.dim
     pulled = pulled_entries(f, a._entry)
 
-    def bracket(x: Vec, y: Vec) -> Vec:
-        return reduce_fn(_ambient_bracket(chart, a.rank, pulled, x, y))
+    def bracket(x: int, y: int) -> Vec:
+        return reduce_fn(_ambient_bracket(chart, a.rank, pulled, basis[x], basis[y]))
 
-    anchor = tuple(b[:d] for b in basis)
-    structure = {}
-    for x in range(len(basis)):
-        for y in range(x, len(basis)):
-            got = bracket(basis[x], basis[y])
-            # The opposite order must reduce to the negation; anything else
-            # means the source data was not antisymmetric to begin with.
-            rev = bracket(basis[y], basis[x])
-            if not vec_is_zero(vec_add(got, rev)):
-                raise ValidationError(
-                    "pullback bracket is not antisymmetric; source structure "
-                    "functions are inconsistent"
-                )
-            if not vec_is_zero(got):
-                structure[(x, y)] = got
-    return anchor, structure
+    # A pair that does not reduce antisymmetrically means the source data
+    # was not antisymmetric to begin with.
+    structure = antisymmetric_table(
+        len(basis),
+        bracket,
+        "pullback bracket is not antisymmetric; source structure functions "
+        "are inconsistent",
+    )
+    return tuple(b[:d] for b in basis), structure
 
 
 def pullback_lie(
@@ -541,6 +469,10 @@ def _transitive_split(
     if len(splitting) != chart_x.dim:
         raise ValidationError("splitting needs one section per target coordinate")
     for j, col in enumerate(splitting):
+        if len(col) != a.rank:
+            raise ValidationError(
+                f"splitting column {j} has {len(col)} entries, not the rank {a.rank}"
+            )
         if a.anchor_of(col) != VField.basis(chart_x, j):
             raise ValidationError(
                 f"splitting column {j} is not a right inverse of the anchor"
@@ -645,8 +577,12 @@ def compose_pullback(
     if composite.comps != target.map.comps:
         raise ValidationError("target presentation is for a different map")
     tangent, coeffs = inner.split_ambient(inner.expand(tuple(e)))
-    u_parts = [outer.split_ambient(b)[1] for b in outer.basis]
-    return _push_section(inner.map, u_parts, tangent, coeffs, target)
+    # Only the rows that coeffs reaches are pulled: this runs once per section.
+    u_parts = [
+        () if c.is_zero else _pull_row(inner.map, outer.split_ambient(b)[1])
+        for c, b in zip(coeffs, outer.basis)
+    ]
+    return _push_section(u_parts, tangent, coeffs, target)
 
 
 def f_plus_morphism(
@@ -661,25 +597,23 @@ def f_plus_morphism(
     """
     if pb_a.map.comps != pb_b.map.comps or pb_a.chart != pb_b.chart:
         raise ValidationError("presentations must be along the same map")
-    return [
-        _push_section(pb_a.map, matrix, *pb_a.split_ambient(b), pb_b)
-        for b in pb_a.basis
-    ]
+    pulled = [_pull_row(pb_a.map, row) for row in matrix]
+    return [_push_section(pulled, *pb_a.split_ambient(b), pb_b) for b in pb_a.basis]
+
+
+def _pull_row(f: ChartMap, row: Vec) -> Vec:
+    """A generator image pulled along f, zero entries without a pull."""
+    zero = Poly.zero(f.source)
+    return tuple(zero if p.is_zero else f.pull(p) for p in row)
 
 
 def _push_section(
-    f: ChartMap, matrix: Sequence[Vec], tangent: Vec, u: Vec, target: LiePullback
+    pulled: Sequence[Vec], tangent: Vec, u: Vec, target: LiePullback
 ) -> Vec:
-    """Push the tensor part u through a generator matrix, pull the images
-    along f, and reduce (tangent, result) in the target presentation."""
-    mapped = list(linalg.zero_vec(f.source, target.source.rank))
-    for alpha, c in enumerate(u):
-        if c.is_zero:
-            continue
-        for k, img in enumerate(matrix[alpha]):
-            if not img.is_zero:
-                mapped[k] = mapped[k] + c * f.pull(img)
-    return target.reduce(tuple(tangent) + tuple(mapped))
+    """Push the tensor part u through a generator matrix already pulled to
+    the target chart, and reduce (tangent, result) in the target."""
+    mapped = apply_matrix(pulled, u, target.source.rank, target.chart)
+    return target.reduce(tuple(tangent) + mapped)
 
 
 def check_compose_associative(
@@ -753,24 +687,10 @@ def check_compose_associative(
     # The comparison morphism must preserve anchors and brackets.
     middle, composite = p_psi.algebroid, p_phi_psi.algebroid
 
-    def comparison_anchor():
-        for g in range(middle.rank):
-            lhs = middle.anchor_of(linalg.unit_vec(psi.source, middle.rank, g))
-            if lhs != composite.anchor_of(cmatrix[g]):
-                yield f"generator {g}: anchor mismatch"
-
-    def comparison_bracket():
-        for x, y in product(range(middle.rank), repeat=2):
-            lhs = apply_matrix(
-                cmatrix, middle.bracket_gen(x, y), composite.rank, psi.source
-            )
-            rhs = composite.bracket(cmatrix[x], cmatrix[y])
-            if not linalg.vec_eq(lhs, rhs):
-                yield f"generators ({x},{y})"
-
     rep.check("composition_associative", associative())
-    rep.check("comparison_anchor", comparison_anchor())
-    rep.check("comparison_bracket", comparison_bracket())
+    anchors = anchor_failures(middle, composite, cmatrix)
+    rep.check("comparison_anchor", (f"{bad}: anchor mismatch" for bad in anchors))
+    rep.check("comparison_bracket", bracket_failures(middle, composite, cmatrix))
     return rep
 
 
@@ -814,13 +734,13 @@ def extension_pullback(
     total_split = tuple(ext.lift(col) for col in base_splitting)
     mpb = pullback_marked(f, ext.total, "transitive-split", total_split)
     pb = mpb.pullback
+    pulled = [_pull_row(f, row) for row in ext.projection]
     projection = [
-        _push_section(f, ext.projection, *pb.split_ambient(b), base_pb)
-        for b in pb.basis
+        _push_section(pulled, *pb.split_ambient(b), base_pb) for b in pb.basis
     ]
+    pulled = [_pull_row(f, row) for row in ext.splitting]
     splitting = [
-        _push_section(f, ext.splitting, *base_pb.split_ambient(b), pb)
-        for b in base_pb.basis
+        _push_section(pulled, *base_pb.split_ambient(b), pb) for b in base_pb.basis
     ]
     out = OExtensionData(
         mpb.marked, base_pb.algebroid, tuple(projection), tuple(splitting)
@@ -877,43 +797,18 @@ def solve_coboundary(
     solution exists within the bound.
     """
     n = len(anchors)
-    monos = linalg._monomials_up_to(chart.dim, degree_bound)
-    unknowns = [(k, m) for k in range(n) for m in monos]
+    pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
+    zero = Poly.zero(chart)
 
-    def apply_anchor(k: int, mono) -> Poly:
-        return anchors[k].apply(Poly(chart, {mono: Fraction(1)}))
+    def image(j: int, mono) -> Vec:
+        x = Poly(chart, {mono: 1})
+        return tuple(
+            anchors[k].apply(x) if l == j else -anchors[l].apply(x) if k == j else zero
+            for k, l in pairs
+        )
 
-    rows: dict = {}
-    rhs: dict = {}
-    for (k, l), g in target.items():
-        if k >= l:
-            continue
-        for exps, c in g.terms.items():
-            rhs[(k, l, exps)] = c
-    for col, (j, mono) in enumerate(unknowns):
-        for (k, l) in [(k, l) for k in range(n) for l in range(k + 1, n)]:
-            contrib = Poly.zero(chart)
-            if l == j:
-                contrib = contrib + apply_anchor(k, mono)
-            if k == j:
-                contrib = contrib - apply_anchor(l, mono)
-            for exps, c in contrib.terms.items():
-                bucket = rows.setdefault((k, l, exps), {})
-                bucket[col] = bucket.get(col, Fraction(0)) + c
-    keys = sorted(set(rows) | set(rhs))
-    a = [[rows.get(key, {}).get(col, Fraction(0)) for col in range(len(unknowns))] for key in keys]
-    b = [rhs.get(key, Fraction(0)) for key in keys]
-    sol = linalg.qq_solve(a, b)
-    if sol is None:
-        return None
-    out = []
-    for k in range(n):
-        terms = {}
-        for col, (j, mono) in enumerate(unknowns):
-            if j == k and sol[col]:
-                terms[mono] = sol[col]
-        out.append(Poly(chart, terms))
-    return out
+    goal = tuple(target.get(pair, zero) for pair in pairs)
+    return linalg.solve_bounded_degree(n, image, goal, chart, degree_bound)
 
 
 def check_extension_pullback_linear(

@@ -13,20 +13,23 @@ Three layers:
   nothing.
 * Poly matrices/vectors: structural operations plus fraction-free Gaussian
   elimination for ranks "at the generic point", cofactor determinants and
-  adjugate inverses for small matrices with unit determinant, and a
-  bounded-degree membership solver for module spans.
+  adjugate inverses for small matrices with unit determinant, and one
+  bounded-degree solver (solve_bounded_degree) for a Q-linear map on
+  polynomials, behind both span membership and the coboundary solve.
 
 Sections of rank-r objects are represented throughout the package as tuples
-of r polynomials; the vec_* helpers here operate on those.
+of r polynomials; the vec_* helpers here operate on those, and fmt_section
+prints one the way every report does.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Sequence
 
 from algebroids.errors import ValidationError
-from algebroids.symcalc import Chart, Poly
+from algebroids.symcalc import Chart, Poly, poly_str
 
 Vec = tuple[Poly, ...]
 
@@ -69,6 +72,11 @@ def vec_is_zero(a: Vec) -> bool:
 
 def vec_eq(a: Vec, b: Vec) -> bool:
     return len(a) == len(b) and all(x == y for x, y in zip(a, b))
+
+
+def fmt_section(v: Sequence[Poly]) -> str:
+    """A section as "(p_1, ..., p_r)", the form every report prints."""
+    return "(" + ", ".join(poly_str(p) for p in v) + ")"
 
 
 def transpose(m):
@@ -386,41 +394,50 @@ def membership_witness(
         return [Poly.zero(chart) for _ in gens]
     if not gens:
         return None
-    n = len(v)
+
+    def image(g: int, mono: tuple[int, ...]) -> Vec:
+        """x^mono * gens[g], shifting exponents instead of multiplying."""
+        return tuple(
+            Poly(chart, {tuple(map(add, exps, mono)): c for exps, c in p.terms.items()})
+            for p in gens[g]
+        )
+
+    return solve_bounded_degree(len(gens), image, v, chart, degree_bound)
+
+
+def solve_bounded_degree(
+    n: int, image, target: Vec, chart: Chart, degree_bound: int
+) -> list[Poly] | None:
+    """Polynomials t_0..t_{n-1} of total degree <= degree_bound with
+    L(t) = target, for a Q-linear map L into polynomial vectors.
+
+    image(j, mono) is L of the monomial mono in slot j (zero elsewhere).
+    Coefficients of every output slot and monomial are matched and the
+    system solved by qq_solve; None when no solution exists within the bound.
+    """
     monos = _monomials_up_to(chart.dim, degree_bound)
-    unknowns = [(g, m) for g in range(len(gens)) for m in monos]
-    # Equations: for each component i and each monomial mu of the products.
+    unknowns = [(j, m) for j in range(n) for m in monos]
+    # One equation per (output slot, monomial) that an image or the target has.
     rows: dict[tuple[int, tuple[int, ...]], dict[int, Fraction]] = {}
-    for col, (g, m) in enumerate(unknowns):
-        for i in range(n):
-            p = gens[g][i]
+    for col, (j, m) in enumerate(unknowns):
+        for i, p in enumerate(image(j, m)):
             for exps, c in p.terms.items():
-                key = (i, tuple(a + b for a, b in zip(exps, m)))
-                bucket = rows.setdefault(key, {})
+                bucket = rows.setdefault((i, exps), {})
                 bucket[col] = bucket.get(col, Fraction(0)) + c
-    for i in range(n):
-        for exps, c in v[i].terms.items():
+    for i, p in enumerate(target):
+        for exps in p.terms:
             rows.setdefault((i, exps), {})
     keys = sorted(rows)
-    a = [
-        [rows[k].get(col, Fraction(0)) for col in range(len(unknowns))]
-        for k in keys
-    ]
-    b = [
-        v[k[0]].terms.get(k[1], Fraction(0))
-        for k in keys
-    ]
+    a = [[rows[k].get(col, Fraction(0)) for col in range(len(unknowns))] for k in keys]
+    b = [target[i].terms.get(exps, Fraction(0)) for i, exps in keys]
     sol = qq_solve(a, b)
     if sol is None:
         return None
-    mults = []
-    for g in range(len(gens)):
-        terms = {}
-        for col, (gg, m) in enumerate(unknowns):
-            if gg == g and sol[col]:
-                terms[m] = sol[col]
-        mults.append(Poly(chart, terms))
-    return mults
+    out: list[dict] = [{} for _ in range(n)]
+    for (j, m), c in zip(unknowns, sol):
+        if c:
+            out[j][m] = c
+    return [Poly(chart, terms) for terms in out]
 
 
 def _monomials_up_to(dim: int, degree: int) -> list[tuple[int, ...]]:

@@ -559,6 +559,25 @@ def _normalize_indices(indices: Sequence[int]) -> tuple[tuple[int, ...] | None, 
     return tuple(idx), sign
 
 
+def _form_comps(pairs) -> dict[tuple[int, ...], Poly]:
+    """Form components from (index tuple, Poly) pairs: each tuple is sorted
+    with its sign, repeated indices and zero polys are skipped, pairs on one
+    sorted tuple add up, and zero sums are dropped."""
+    acc: dict[tuple[int, ...], Poly] = {}
+    for idx, p in pairs:
+        norm, sign = _normalize_indices(idx)
+        if norm is None or p.is_zero:
+            continue
+        q = p if sign == 1 else -p
+        prev = acc.get(norm)
+        q = q if prev is None else prev + q
+        if q.is_zero:
+            acc.pop(norm, None)
+        else:
+            acc[norm] = q
+    return acc
+
+
 class KForm:
     """Polynomial differential k-form.
 
@@ -575,30 +594,20 @@ class KForm:
             raise ValidationError("form degree must be nonnegative")
         self.chart = chart
         self.degree = degree
-        clean: dict[tuple[int, ...], Poly] = {}
-        if comps:
-            for idx, p in comps.items():
-                if isinstance(p, (int, Fraction)):
-                    p = Poly.const(chart, p)
-                if p.chart != chart:
-                    raise ChartMismatchError("form component on wrong chart")
-                if len(idx) != degree:
-                    raise ValidationError(
-                        f"index tuple {idx!r} has wrong length for a {degree}-form"
-                    )
-                if any((not isinstance(i, int)) or not 0 <= i < chart.dim for i in idx):
-                    raise ValidationError(f"index tuple {idx!r} out of range")
-                norm, sign = _normalize_indices(idx)
-                if norm is None or p.is_zero:
-                    continue
-                q = p if sign == 1 else -p
-                prev = clean.get(norm)
-                q = q if prev is None else prev + q
-                if q.is_zero:
-                    clean.pop(norm, None)
-                else:
-                    clean[norm] = q
-        self.comps = clean
+        pairs = []
+        for idx, p in (comps or {}).items():
+            if isinstance(p, (int, Fraction)):
+                p = Poly.const(chart, p)
+            if p.chart != chart:
+                raise ChartMismatchError("form component on wrong chart")
+            if len(idx) != degree:
+                raise ValidationError(
+                    f"index tuple {idx!r} has wrong length for a {degree}-form"
+                )
+            if any((not isinstance(i, int)) or not 0 <= i < chart.dim for i in idx):
+                raise ValidationError(f"index tuple {idx!r} out of range")
+            pairs.append((idx, p))
+        self.comps = _form_comps(pairs)
 
     @classmethod
     def zero(cls, chart: Chart, degree: int) -> "KForm":
@@ -639,16 +648,8 @@ class KForm:
             raise ValidationError(
                 f"cannot add a {self.degree}-form and a {other.degree}-form"
             )
-        out = dict(self.comps)
-        for idx, p in other.comps.items():
-            q = out.get(idx)
-            q = p if q is None else q + p
-            if q.is_zero:
-                out.pop(idx, None)
-            else:
-                out[idx] = q
         result = KForm(self.chart, self.degree)
-        result.comps = out
+        result.comps = _form_comps([*self.comps.items(), *other.comps.items()])
         return result
 
     def __sub__(self, other):
@@ -682,46 +683,23 @@ class KForm:
     def wedge(self, other: "KForm") -> "KForm":
         _require_same_chart(self, other)
         result = KForm(self.chart, self.degree + other.degree)
-        if self.degree + other.degree > self.chart.dim:
-            return result
-        acc: dict[tuple[int, ...], Poly] = {}
-        for ia, pa in self.comps.items():
-            for ib, pb in other.comps.items():
-                norm, sign = _normalize_indices(ia + ib)
-                if norm is None:
-                    continue
-                q = pa * pb
-                if sign == -1:
-                    q = -q
-                prev = acc.get(norm)
-                q = q if prev is None else prev + q
-                if q.is_zero:
-                    acc.pop(norm, None)
-                else:
-                    acc[norm] = q
-        result.comps = acc
+        # A pair with a shared index is skipped before it multiplies.
+        result.comps = _form_comps(
+            (ia + ib, pa * pb)
+            for ia, pa in self.comps.items()
+            for ib, pb in other.comps.items()
+            if set(ia).isdisjoint(ib)
+        )
         return result
 
     def d(self) -> "KForm":
         """Exterior derivative."""
         result = KForm(self.chart, self.degree + 1)
-        acc: dict[tuple[int, ...], Poly] = {}
-        for idx, p in self.comps.items():
-            for i in range(self.chart.dim):
-                dp = p.diff(i)
-                if dp.is_zero:
-                    continue
-                norm, sign = _normalize_indices((i,) + idx)
-                if norm is None:
-                    continue
-                q = dp if sign == 1 else -dp
-                prev = acc.get(norm)
-                q = q if prev is None else prev + q
-                if q.is_zero:
-                    acc.pop(norm, None)
-                else:
-                    acc[norm] = q
-        result.comps = acc
+        result.comps = _form_comps(
+            ((i,) + idx, p.diff(i))
+            for idx, p in self.comps.items()
+            for i in range(self.chart.dim)
+        )
         return result
 
     def iota(self, v: VField) -> "KForm":
@@ -730,23 +708,12 @@ class KForm:
         if self.degree == 0:
             raise ValidationError("cannot contract a 0-form")
         result = KForm(self.chart, self.degree - 1)
-        acc: dict[tuple[int, ...], Poly] = {}
-        for idx, p in self.comps.items():
-            for t, i in enumerate(idx):
-                c = v.comps[i]
-                if c.is_zero:
-                    continue
-                q = c * p
-                if t % 2 == 1:
-                    q = -q
-                rest = idx[:t] + idx[t + 1 :]
-                prev = acc.get(rest)
-                q = q if prev is None else prev + q
-                if q.is_zero:
-                    acc.pop(rest, None)
-                else:
-                    acc[rest] = q
-        result.comps = acc
+        result.comps = _form_comps(
+            (idx[:t] + idx[t + 1 :], c * p if t % 2 == 0 else -(c * p))
+            for idx, p in self.comps.items()
+            for t, i in enumerate(idx)
+            if not (c := v.comps[i]).is_zero
+        )
         return result
 
     def lie(self, v: VField) -> "KForm":
@@ -1140,23 +1107,8 @@ def parse_expr(text: str, chart: Chart):
         degrees.add(len(t.gen[1]))
     if len(degrees) > 1:
         raise ParseError("mixed form degrees in one expression", terms[0].pos)
-    degree = degrees.pop()
-    acc: dict[tuple[int, ...], Poly] = {}
-    out = KForm(chart, degree)
-    for t in terms:
-        norm, sign = _normalize_indices(tuple(t.gen[1]))
-        if norm is None:
-            continue
-        p = _term_monomial(chart, t)
-        if sign == -1:
-            p = -p
-        prev = acc.get(norm)
-        p = p if prev is None else prev + p
-        if p.is_zero:
-            acc.pop(norm, None)
-        else:
-            acc[norm] = p
-    out.comps = acc
+    out = KForm(chart, degrees.pop())
+    out.comps = _form_comps((tuple(t.gen[1]), _term_monomial(chart, t)) for t in terms)
     return out
 
 

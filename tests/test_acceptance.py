@@ -611,6 +611,51 @@ def test_full_battery_is_deterministic_and_fast(tmp_path):
     assert time.monotonic() - start < 600.0
 
 
+def _container_paths(node, prefix=(), depth=3):
+    """Paths to every list or object at most depth keys below node."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)) and depth > 0:
+            yield prefix + (key,)
+            yield from _container_paths(value, prefix + (key,), depth - 1)
+
+
+def _malformed_battery_specs():
+    """(verb, label, spec): each list or object of a battery spec, to depth
+    3, replaced by one of the other kind with the same items, and by a
+    string; plus an assoc-c-plus splitting row one nonzero entry too long."""
+    for verb, spec in sorted(_battery_jobs().items()):
+        for path in _container_paths(spec):
+            for kind in ("other", "string"):
+                bad = json.loads(json.dumps(spec))
+                parent = bad
+                for key in path[:-1]:
+                    parent = parent[key]
+                old = parent[path[-1]]
+                if kind == "string":
+                    parent[path[-1]] = "x1"
+                elif isinstance(old, dict):
+                    parent[path[-1]] = list(old.values())
+                else:
+                    parent[path[-1]] = {str(i): item for i, item in enumerate(old)}
+                yield verb, f"{kind} at {path}", bad
+    bad = _battery_jobs()["assoc-c-plus"]
+    bad["splitting"][0].append("1")
+    yield "assoc-c-plus", "splitting row too long", bad
+
+
+def test_malformed_battery_specs_exit_two(tmp_path, capsys):
+    wrong = []
+    for verb, label, spec in _malformed_battery_specs():
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        rc = main([verb, "--spec", str(path), "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        if rc != 2 or not err.startswith("error: bad job spec"):
+            wrong.append(f"{verb} {label}: exit {rc}: {err.strip()[-160:]}")
+    assert not wrong, "\n".join(wrong)
+
+
 # SHA-256 of every report the battery writes at --seed 7 --samples 10, of
 # the pullback verb in each Courant presentation mode (plus a coordinate
 # projection with a vertical direction), and of the Lie inverse image in each

@@ -430,6 +430,46 @@ def test_list_fields_must_be_json_lists(tmp_path, capsys, verb, job, edit, field
     assert "bad job spec" in err and f"field {field!r} must be a list" in err
 
 
+@pytest.mark.parametrize(
+    "verb, edit, field",
+    [
+        ("check-courant", _set(("structure", "bracket"), []), "bracket"),
+        ("check-lie", _set(("algebroid", "bracket"), []), "bracket"),
+        ("twist", _set(("form", "comps"), ["x1"]), "comps"),
+        ("cocycle", _set(("cover", "maps"), [["x1", "x2"]]), "maps"),
+        ("cocycle", _set(("cover", "table"), [["s", "s"]]), "table"),
+        ("cocycle", _set(("matrices",), []), "matrices"),
+    ],
+    ids=[
+        "structure-bracket",
+        "algebroid-bracket",
+        "form-comps",
+        "cover-maps",
+        "cover-table",
+        "matrices",
+    ],
+)
+def test_object_fields_must_be_json_objects(tmp_path, capsys, verb, edit, field):
+    spec, extra = PASSING_JOBS[verb]()
+    edit(spec)
+    assert main([verb, "--spec", write_job(tmp_path, spec)] + extra) == 2
+    err = capsys.readouterr().err
+    assert "bad job spec" in err and f"field {field!r} must be an object" in err
+
+
+def test_an_internal_error_exits_five_with_a_traceback(tmp_path, capsys, monkeypatch):
+    from algebroids import cli
+
+    def broken(spec, args):
+        raise TypeError("handler bug")
+
+    monkeypatch.setitem(cli.HANDLERS, "check-lie", broken)
+    spec, extra = PASSING_JOBS["check-lie"]()
+    assert main(["check-lie", "--spec", write_job(tmp_path, spec)] + extra) == 5
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "internal error" in err and "handler bug" in err
+
+
 def test_embedding_mode_on_a_non_embedding_exits_three(tmp_path, capsys):
     y = coordinate_chart("Y", 2, prefix="y")
     flatten = ChartMap(y, R2, (Poly.coord(y, 0), Poly.zero(y)))
