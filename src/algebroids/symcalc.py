@@ -545,6 +545,8 @@ def _normalize_indices(indices: Sequence[int]) -> tuple[tuple[int, ...] | None, 
 
     Returns (sorted_tuple, sign); (None, 0) when an index repeats.
     """
+    if len(indices) < 2:
+        return tuple(indices), 1
     idx = list(indices)
     sign = 1
     for i in range(1, len(idx)):
@@ -559,14 +561,17 @@ def _normalize_indices(indices: Sequence[int]) -> tuple[tuple[int, ...] | None, 
     return tuple(idx), sign
 
 
-def _form_comps(pairs) -> dict[tuple[int, ...], Poly]:
-    """Form components from (index tuple, Poly) pairs: each tuple is sorted
-    with its sign, repeated indices and zero polys are skipped, pairs on one
-    sorted tuple add up, and zero sums are dropped."""
-    acc: dict[tuple[int, ...], Poly] = {}
+def _form_comps(pairs, start: dict | None = None) -> dict[tuple[int, ...], Poly]:
+    """Form components from (index tuple, Poly) pairs added to the
+    components start: each tuple is sorted with its sign, repeated indices
+    and zero polys are skipped, pairs on one sorted tuple add up, and zero
+    sums are dropped."""
+    acc: dict[tuple[int, ...], Poly] = dict(start or {})
     for idx, p in pairs:
+        if p.is_zero:
+            continue
         norm, sign = _normalize_indices(idx)
-        if norm is None or p.is_zero:
+        if norm is None:
             continue
         q = p if sign == 1 else -p
         prev = acc.get(norm)
@@ -649,7 +654,7 @@ class KForm:
                 f"cannot add a {self.degree}-form and a {other.degree}-form"
             )
         result = KForm(self.chart, self.degree)
-        result.comps = _form_comps([*self.comps.items(), *other.comps.items()])
+        result.comps = _form_comps(other.comps.items(), self.comps)
         return result
 
     def __sub__(self, other):
