@@ -1135,3 +1135,136 @@ GOLDEN_FAILING = {
 
 def test_golden_failing_report_digests(monkeypatch):
     assert _failing_digests(monkeypatch) == GOLDEN_FAILING
+
+
+COURANT_CHECKS = [
+    "eq1_anchor_coanchor",
+    "eq2_leibniz_rule",
+    "eq3_pairing_invariance",
+    "eq4_coanchor_ideal",
+    "eq5_adjunction",
+    "eq6_symmetrization",
+    "leibniz_identity",
+]
+MORPHISM_CHECKS = [
+    "morphism_anchor",
+    "morphism_coanchor",
+    "morphism_pairing",
+    "morphism_bracket",
+]
+LIE_CHECKS = ["antisymmetry", "anchor_morphism", "jacobi_identity", "leibniz_rule"]
+MARKED_CHECKS = ["marking_anchor_free", "marking_central"]
+EXTENSION_CHECKS = MARKED_CHECKS + [
+    "splitting_section",
+    "marking_in_kernel",
+    "projection_anchor",
+    "projection_bracket",
+    "kernel_is_marking_line",
+]
+COMPOSE_CHECKS = [
+    "composition_associative",
+    "comparison_anchor",
+    "comparison_bracket",
+]
+TAU_CHECKS = [
+    "rule_c_central",
+    "rule_one_form_rewrite",
+    "rule_interior_action",
+    "rule_lie_action",
+    "rule_odd_pairing",
+    "rule_mixed_bracket",
+    "graded_antisymmetry",
+    "graded_jacobi",
+    "truncation_guard",
+]
+TAU_LINEAR_CHECKS = [
+    "tau_pairing_combines",
+    "tau_bracket_combines",
+    "tau_function_action_matches",
+]
+TWIST_COMMUTE_CHECKS = ["twist_commute_frame", "twist_commute_structure"]
+DIRAC_CHECKS = ["isotropy", "maximality", "anchor_tangency", "closure"]
+
+# (ordered check names, failing checks) of each failing case; unlike the
+# digests these do not pin counterexample text, so they hold across a change
+# of how a verdict reaches its counterexample.
+FAILING_STATUSES = {
+    "courant-anchor": (
+        COURANT_CHECKS,
+        [
+            "eq3_pairing_invariance",
+            "eq4_coanchor_ideal",
+            "eq5_adjunction",
+            "leibniz_identity",
+        ],
+    ),
+    "courant-pairing": (
+        COURANT_CHECKS,
+        [
+            "eq3_pairing_invariance",
+            "eq4_coanchor_ideal",
+            "eq5_adjunction",
+            "eq6_symmetrization",
+            "leibniz_identity",
+        ],
+    ),
+    "courant-structure": (
+        COURANT_CHECKS,
+        ["eq3_pairing_invariance", "eq6_symmetrization", "leibniz_identity"],
+    ),
+    "morphism-anchor": (MORPHISM_CHECKS, ["morphism_anchor"]),
+    "morphism-structure": (MORPHISM_CHECKS, ["morphism_bracket"]),
+    "lie-anchor": (LIE_CHECKS, ["anchor_morphism", "jacobi_identity"]),
+    "lie-structure": (
+        LIE_CHECKS,
+        ["antisymmetry", "anchor_morphism", "jacobi_identity"],
+    ),
+    "marked-anchor": (MARKED_CHECKS, ["marking_anchor_free", "marking_central"]),
+    "marked-structure": (MARKED_CHECKS, ["marking_central"]),
+    "extension-anchor": (
+        EXTENSION_CHECKS,
+        ["marking_anchor_free", "marking_central", "projection_anchor"],
+    ),
+    "extension-structure": (EXTENSION_CHECKS, ["projection_bracket"]),
+    "compose": (COMPOSE_CHECKS, ["composition_associative", "comparison_bracket"]),
+    "tau-anchor": (
+        TAU_CHECKS,
+        ["rule_interior_action", "rule_lie_action", "graded_jacobi"],
+    ),
+    "tau-structure": (TAU_CHECKS, ["graded_antisymmetry", "graded_jacobi"]),
+    "tau-linear-pairing": (
+        TAU_LINEAR_CHECKS,
+        ["tau_pairing_combines", "tau_bracket_combines"],
+    ),
+    "tau-linear-anchor": (
+        TAU_LINEAR_CHECKS,
+        ["tau_bracket_combines", "tau_function_action_matches"],
+    ),
+    "absorption": (
+        ["relations_isotropic", "relations_bracket_closed"],
+        ["relations_isotropic", "relations_bracket_closed"],
+    ),
+    "twist-commute-pairing": (TWIST_COMMUTE_CHECKS, ["twist_commute_frame"]),
+    "twist-commute-structure": (TWIST_COMMUTE_CHECKS, ["twist_commute_structure"]),
+    "dirac-full": (DIRAC_CHECKS, ["closure"]),
+    "dirac-rank-only": (DIRAC_CHECKS, ["closure"]),
+    "cocycle": (
+        ["cover_composition", "element_preservation", "triple_identity"],
+        ["element_preservation", "triple_identity"],
+    ),
+}
+
+
+def test_failing_report_statuses(monkeypatch):
+    got = {}
+    for name, build in _failing_cases().items():
+        statuses = []
+        for seed in (0, 7):
+            with monkeypatch.context() as mp:
+                rep = build(seed, mp)
+            statuses.append(
+                (rep.check_names(), [c.name for c in rep.failures()])
+            )
+        assert statuses[0] == statuses[1], name
+        got[name] = statuses[0]
+    assert got == FAILING_STATUSES
