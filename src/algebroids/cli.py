@@ -160,7 +160,7 @@ def _run_tau_linear(spec, args):
         jsonio.connection_from_json(c, q)
         for c, q in zip(jsonio._require_list(spec, "connections", "spec"), parts)
     ]
-    return check_transgression_linear(parts, weights, conns, **_sampling(args)), {}
+    return check_transgression_linear(parts, weights, conns), {}
 
 
 def _run_cocycle(spec, args):
@@ -230,7 +230,7 @@ def _run_assoc(spec, args):
     splitting = jsonio.matrix_from_json(
         jsonio._require(spec, "splitting", "spec"), a.chart
     )
-    return check_compose_associative(a, tuple(maps), splitting, **_sampling(args)), {}
+    return check_compose_associative(a, tuple(maps), splitting), {}
 
 
 HANDLERS = {

@@ -363,33 +363,41 @@ def check_tau_rules(
     return rep
 
 
-def check_transgression_linear(
-    parts,
-    weights,
-    connections,
-    samples: int = 5,
-    seed: int = 0,
-    max_degree: int | None = None,
-) -> Report:
+def check_transgression_linear(parts, weights, connections) -> Report:
     """Transgressing a weighted combination matches combining the
-    transgressions degree-wise.
+    transgressions degree-wise, decided on the generators e_x of the
+    combined structure C.
 
-    Route one transgresses the combined structure; route two evaluates the
-    summand tables on fiber-product representatives and reduces (weighted
-    c parts for the odd pairing, tuple reduction for the section brackets).
+    Route one transgresses C; route two evaluates the summand tables on the
+    fiber-product representatives lift_i (weight w_i) and reduces: weighted
+    c parts for the odd pairing, reduce_tuple for the section brackets.
+    L3: lift is function-linear, so both pairing routes are bilinear over
+    functions and generator pairs decide tau_pairing_combines.
+    L4: expand u = sum u_x e_x, v = sum v_y e_y on both bracket routes with
+    [f a, g b] = f g [a, b] + f rho(a)(g) b - g rho(b)(f) a
+    + g <a, b> coanchor(df) (L1 in algebroids.anchored, both slots). reduce_tuple is
+    function-linear on the submodule of tuples it accepts, so the difference
+    D of the routes is sum u_x v_y D(e_x, e_y) once these facts hold:
+      H1  the pairing combines on generator pairs;
+      H2  rho_i(lift_i e_x) = rho_C(e_x), the cases of
+          tau_function_action_matches;
+      H4  each summand's coanchor rows are anchor-free and pair with its
+          connection columns to delta_jk;
+      H5  row j of the combined coanchor is e_{n+j}.
+    H2 takes the Leibniz coefficients out of reduce_tuple. H4 and the
+    anchors of the connection columns give reduce_tuple(lift e_x) = e_x
+    (H3, so no case of its own). H4 and H1 reduce the coanchor terms of
+    route two to (0, <e_x, e_y>_C v_y du_x), which H5 makes the coanchor
+    term of route one. tau_bracket_combines yields H1, H2, H4 and H5 as
+    labelled cases before its generator pairs.
     """
     rep = Report()
     comb: CourantCombination = baer_combination(parts, weights, connections)
-    tau_c = transgress(comb.result)
+    result = comb.result
+    tau_c = transgress(result)
     taus = [transgress(qi) for qi in comb.parts]
-    chart = comb.result.chart
-    r = comb.result.rank
-    rng = random.Random(seed)
-    kw = {} if max_degree is None else {"max_degree": max_degree}
-
-    def class_sections(count):
-        return [sample_section(rng, chart, r, **kw) for _ in range(count)]
-
+    chart = result.chart
+    n, r = chart.dim, result.rank
     gens = [unit_vec(chart, r, a) for a in range(r)]
 
     def pairing_combines(u: Vec, v: Vec) -> bool:
@@ -412,16 +420,13 @@ def check_transgression_linear(
         ]
         return vec_is_zero(vec_sub(route1, comb.reduce_tuple(comps)))
 
-    def combines(identity):
+    def on_generators(identity):
         for x, y in product(range(r), repeat=2):
             if not identity(gens[x], gens[y]):
                 yield f"generators ({x},{y})"
-        for t in range(samples):
-            if not identity(*class_sections(2)):
-                yield f"sampled sections (trial {t})"
 
     def function_action_matches():
-        for x, j in product(range(r), range(chart.dim)):
+        for x, j in product(range(r), range(n)):
             route1 = tau_c.bracket(
                 tau_c.pair(gens[x]), tau_c.coordinate_c(j)
             ).c_part
@@ -434,7 +439,26 @@ def check_transgression_linear(
                         f"summand {i}"
                     )
 
-    rep.check("tau_pairing_combines", combines(pairing_combines))
-    rep.check("tau_bracket_combines", combines(bracket_combines))
+    def coanchor_frames():
+        for i, (qi, conn) in enumerate(zip(comb.parts, comb.connections)):
+            for j, row in enumerate(qi.coanchor):
+                dual = [qi.pairing_of(row, c).as_constant() for c in conn.columns]
+                free = qi.anchor_of(row).is_zero
+                if not free or dual != [int(j == k) for k in range(n)]:
+                    yield f"summand {i}: coanchor row {j}"
+        for j, row in enumerate(result.coanchor):
+            if row != gens[n + j]:
+                yield f"combined coanchor row {j}"
+
+    def bracket_combines_on_generators():
+        for bad in on_generators(pairing_combines):
+            yield f"pairing does not combine: {bad}"
+        for bad in function_action_matches():
+            yield f"lift changes the anchor: {bad}"
+        yield from coanchor_frames()
+        yield from on_generators(bracket_combines)
+
+    rep.check("tau_pairing_combines", on_generators(pairing_combines))
+    rep.check("tau_bracket_combines", bracket_combines_on_generators())
     rep.check("tau_function_action_matches", function_action_matches())
     return rep

@@ -252,9 +252,7 @@ def test_composition_coherence_on_a_four_step_chain():
     extended = trivial_extension(tangent).total
     for a, rank in ((tangent, 4), (extended.lie, 5)):
         split = tuple(linalg.unit_vec(R4, rank, j) for j in range(4))
-        rep = check_compose_associative(
-            a, (phi, psi, xi), split, samples=50, seed=17
-        )
+        rep = check_compose_associative(a, (phi, psi, xi), split)
         assert rep.check_names() == [
             "composition_associative",
             "comparison_anchor",
@@ -395,9 +393,7 @@ def test_combination_isomorphism_and_linearity():
         shifted.result, standard_exact(R3, VOL + SCALED), iso
     ).ok
 
-    rep = check_transgression_linear(
-        [qa, qb], [1, 1], conns, samples=4, seed=5
-    )
+    rep = check_transgression_linear([qa, qb], [1, 1], conns)
     assert rep.check_names() == [
         "tau_pairing_combines",
         "tau_bracket_combines",
@@ -958,9 +954,7 @@ def _failing_cases():
 
             mp.setattr(transgression, "baer_combination", perturbed_combination)
             conn = coordinate_connection(flat)
-            return check_transgression_linear(
-                [flat, flat], [1, 1], [conn, conn], samples=4, seed=seed
-            )
+            return check_transgression_linear([flat, flat], [1, 1], [conn, conn])
 
         return build
 
@@ -986,8 +980,6 @@ def _failing_cases():
             trivial_extension(tangent_algebroid(R3)).total.lie,
             (phi, psi, xi),
             tuple(linalg.unit_vec(R3, 4, j) for j in range(3)),
-            samples=4,
-            seed=seed,
         )
 
     def absorption(where, idx, delta):

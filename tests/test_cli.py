@@ -483,6 +483,18 @@ def test_embedding_mode_on_a_non_embedding_exits_three(tmp_path, capsys):
     assert "unsupported mode" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["pullback", "twist-commute"])
+@pytest.mark.parametrize(
+    "mode", [["identity"], 3, {}, "identty", "transitive-split"]
+)
+def test_a_mode_that_is_not_a_mode_name_exits_two(tmp_path, capsys, verb, mode):
+    spec, _ = PASSING_JOBS[verb]()
+    spec["mode"] = mode
+    rc = main([verb, "--spec", write_job(tmp_path, spec)])
+    assert rc == 2
+    assert "mode" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("verb", ["check-courant", "pullback", "twist"])
 def test_courant_verbs_run_with_the_echoed_seed_and_samples(
     tmp_path, monkeypatch, verb
@@ -508,7 +520,7 @@ def test_courant_verbs_run_with_the_echoed_seed_and_samples(
 
 @pytest.mark.parametrize("verb", ["check-courant", "pullback", "twist"])
 def test_courant_verbs_sample_at_the_requested_degree(tmp_path, monkeypatch, verb):
-    from algebroids import courant, sampling
+    from algebroids import sampling
 
     degrees = set()
     real = sampling.sample_poly
@@ -518,7 +530,6 @@ def test_courant_verbs_sample_at_the_requested_degree(tmp_path, monkeypatch, ver
         return real(rng, chart, max_degree=max_degree, terms=terms)
 
     monkeypatch.setattr(sampling, "sample_poly", spy)
-    monkeypatch.setattr(courant, "sample_poly", spy)
     spec, _ = PASSING_JOBS[verb]()
     argv = [verb, "--spec", write_job(tmp_path, spec), "--out", str(tmp_path / "r")]
     assert main(argv + ["--samples", "4", "--max-degree", "1"]) == 0

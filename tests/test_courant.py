@@ -1,8 +1,10 @@
 """Courant structure data: axioms, twists, connections, combinations."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from algebroids.courant import (
     Connection,
@@ -23,8 +25,11 @@ from algebroids.courant import (
 )
 from algebroids.errors import ValidationError
 from algebroids.lie_algebroid import tangent_algebroid
-from algebroids.linalg import unit_vec, zero_vec
+from algebroids.linalg import unit_vec, vec_add, vec_eq, vec_scale, vec_sub, zero_vec
 from algebroids.symcalc import KForm, Poly, coordinate_chart, parse_poly
+
+from test_acceptance import _perturbed
+from test_symcalc import polys
 
 R1 = coordinate_chart("L", 1)
 R2 = coordinate_chart("P", 2)
@@ -301,3 +306,77 @@ def test_morphism_check_flags_wrong_twist():
     identity = tuple(q1.gen(a) for a in range(q1.rank))
     rep = check_courant_morphism(q1, q2, identity)
     assert [c.name for c in rep.failures()] == ["morphism_bracket"]
+
+
+def _rows(count, length):
+    """count rows of length polynomials on R2 of degree at most 1."""
+    entry = polys(R2, max_degree=1, max_terms=2)
+    return st.tuples(*[st.tuples(*[entry] * length) for _ in range(count)])
+
+
+@st.composite
+def courant_data(draw):
+    """CourantData on R2 of rank 1-3 with an arbitrary anchor, coanchor,
+    symmetric pairing and table; most of them break the axioms."""
+    r = draw(st.integers(1, 3))
+    upper = draw(_rows(r, r))
+    pairing = tuple(
+        tuple(upper[min(a, b)][max(a, b)] for b in range(r)) for a in range(r)
+    )
+    keys = st.tuples(st.integers(0, r - 1), st.integers(0, r - 1))
+    table = st.dictionaries(keys, _rows(1, r).map(lambda m: m[0]), max_size=4)
+    return CourantData(
+        R2, r, draw(_rows(r, 2)), draw(_rows(2, r)), pairing, draw(table)
+    )
+
+
+@given(courant_data(), st.data())
+@settings(max_examples=30, deadline=None)
+def test_bracket_leibniz_rules_hold_for_any_table(q, data):
+    """[u, f v] = f [u, v] + anchor(u)(f) v, and in the left slot
+    [f u, v] = f [u, v] - anchor(v)(f) u + <u, v> coanchor(df), whatever
+    the structure data: why eq2_leibniz_rule is a pass by construction."""
+    section = st.tuples(*[polys(R2)] * q.rank)
+    u, v, f = data.draw(section), data.draw(section), data.draw(polys(R2))
+    uv = q.bracket(u, v)
+    right = vec_add(vec_scale(f, uv), vec_scale(q.anchor_of(u).apply(f), v))
+    assert vec_eq(q.bracket(u, vec_scale(f, v)), right)
+    left = vec_sub(vec_scale(f, uv), vec_scale(q.anchor_of(v).apply(f), u))
+    df = q.coanchor_of(KForm.from_poly(f).d())
+    left = vec_add(left, vec_scale(q.pairing_of(u, v), df))
+    assert vec_eq(q.bracket(vec_scale(f, u), v), left)
+
+
+# Constant shifts of the tangent block of the pairing keep standard R2 a
+# Courant structure: the axioms do not ask for a nondegenerate pairing.
+R2_SURVIVORS = [
+    ("pairing", idx, delta)
+    for idx in ((0, 0), (0, 1), (1, 1))
+    for delta in ("1", "-1")
+]
+
+
+def test_generator_cases_refute_every_r2_mutant_but_pairing_shifts():
+    """Every +-1/+-x_i shift of one anchor, coanchor or pairing entry (the
+    pairing kept symmetric) and every +1/-1/+x1 shift of one table entry of
+    standard R2, checked without samples."""
+    q = standard_exact(R2)
+    one, x1, x2 = Poly.one(R2), Poly.coord(R2, 0), Poly.coord(R2, 1)
+    r = q.rank
+    sites = [("anchor", (a, j)) for a in range(r) for j in range(2)]
+    sites += [("coanchor", (j, a)) for j in range(2) for a in range(r)]
+    sites += [("pairing", (a, b)) for a in range(r) for b in range(a, r)]
+    mutants = [(w, i, d) for w, i in sites for d in (one, -one, x1, -x1, x2, -x2)]
+    mutants += [
+        ("structure", idx, d)
+        for idx in product(range(r), repeat=3)
+        for d in (one, -one, x1)
+    ]
+    assert len(mutants) == 348
+    survivors = []
+    for where, idx, delta in mutants:
+        rep = check_courant(_perturbed(q, where, idx, delta), samples=0)
+        assert rep["eq2_leibniz_rule"].passed
+        if rep.ok:
+            survivors.append((where, idx, str(delta)))
+    assert survivors == R2_SURVIVORS

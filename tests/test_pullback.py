@@ -212,7 +212,8 @@ def test_exact_split_needs_a_connection_and_an_exact_structure():
 
 def test_mode_dispatch_guards():
     q = standard_exact(R2)
-    with pytest.raises(UnsupportedModeError):
+    # a Lie-only mode name is a bad argument, not an unsupported presentation
+    with pytest.raises(ValidationError, match="mode"):
         pullback_courant(ChartMap.identity(R2), q, "transitive-split")
     # a genuinely curved map has no automatic presentation
     y = Poly.coord(R1, 0)

@@ -143,8 +143,6 @@ def test_linearity_of_transgression():
         [q1, q2],
         [1, 1],
         [coordinate_connection(q1), coordinate_connection(q2)],
-        samples=3,
-        seed=7,
     )
     assert rep.ok, str(rep)
     assert rep.check_names() == [
@@ -161,8 +159,6 @@ def test_linearity_with_weights():
         [q1, q2],
         [2, -1],
         [coordinate_connection(q1), coordinate_connection(q2)],
-        samples=2,
-        seed=11,
     )
     assert rep.ok, str(rep)
 
