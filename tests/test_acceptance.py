@@ -1078,8 +1078,8 @@ def _failing_digests(monkeypatch):
 
 
 GOLDEN_FAILING = {
-    "courant-anchor@0": "e8d3532dd78381e45e87d9d71b8172657bf2b06572bf2a58602882d5ff7393bf",
-    "courant-anchor@7": "fe531893d6897701ddfc5aa17ee719d745530db86e8a3325907950f39f6e8258",
+    "courant-anchor@0": "fe531893d6897701ddfc5aa17ee719d745530db86e8a3325907950f39f6e8258",
+    "courant-anchor@7": "e8d3532dd78381e45e87d9d71b8172657bf2b06572bf2a58602882d5ff7393bf",
     "courant-pairing@0": "a3370ce6ca99e974f0ef4efb08a2df70a5a3dd1c0dc746872d398f020e40a110",
     "courant-pairing@7": "a3370ce6ca99e974f0ef4efb08a2df70a5a3dd1c0dc746872d398f020e40a110",
     "courant-structure@0": "8207a7165e7cb0bf0723fd1780cfdb7fe9bf684b9257d06b68931a44bb1cfc43",
@@ -1100,16 +1100,16 @@ GOLDEN_FAILING = {
     "extension-anchor@7": "32687b3ab605be45d53cefa8423fa961779c9f57c3043793ce3b7aecf2c6ee70",
     "extension-structure@0": "547fdd680aa03f0ca6da0e61cfab32a460ebbdc10784d8c65b64af5b63f80029",
     "extension-structure@7": "547fdd680aa03f0ca6da0e61cfab32a460ebbdc10784d8c65b64af5b63f80029",
-    "compose@0": "d5b61df288b3293b6f0f6d7332536153f347c58a9f04c4926e2b5b1790b4cb48",
-    "compose@7": "9f7c8b7d13c18456ca2a034269a0d4831888590fd43969c6ccf4b30dd0dd5321",
+    "compose@0": "3ecd3a21666faf3717603c00471501bc990cb7e27ee85feb142cb5bd8b2676e6",
+    "compose@7": "3ecd3a21666faf3717603c00471501bc990cb7e27ee85feb142cb5bd8b2676e6",
     "tau-anchor@0": "3361f5f566d34226e76a88eec806a1f6ba4470663482a5afa55126bb81c9baf6",
     "tau-anchor@7": "3361f5f566d34226e76a88eec806a1f6ba4470663482a5afa55126bb81c9baf6",
     "tau-structure@0": "5f16481cde9228632888ae365960e9065713ef836f45a490ba93726c3c0f88fc",
     "tau-structure@7": "5f16481cde9228632888ae365960e9065713ef836f45a490ba93726c3c0f88fc",
-    "tau-linear-pairing@0": "2d0b5109366307886651e38e738dc40ffda0b69906275d1f35d9f3dc20e2e490",
-    "tau-linear-pairing@7": "2d0b5109366307886651e38e738dc40ffda0b69906275d1f35d9f3dc20e2e490",
-    "tau-linear-anchor@0": "6528fc1689f5663cc7036a6d51a4375e0e78a2a088d705657045af0272f3fc07",
-    "tau-linear-anchor@7": "6528fc1689f5663cc7036a6d51a4375e0e78a2a088d705657045af0272f3fc07",
+    "tau-linear-pairing@0": "af9f8d6023959efa0f84308c415f26c80c93061a5d22877fe8d3609754832b69",
+    "tau-linear-pairing@7": "af9f8d6023959efa0f84308c415f26c80c93061a5d22877fe8d3609754832b69",
+    "tau-linear-anchor@0": "4d2b2c55f23015bc57154d92072dfb757ad865259ed5dd4e819099e885cbacbd",
+    "tau-linear-anchor@7": "4d2b2c55f23015bc57154d92072dfb757ad865259ed5dd4e819099e885cbacbd",
     "absorption@0": "a54dd2aff313a5fc7969771eb9556a12d8ac7f969549946e2cc74a1b509a905e",
     "absorption@7": "a54dd2aff313a5fc7969771eb9556a12d8ac7f969549946e2cc74a1b509a905e",
     "twist-commute-pairing@0": "a507b0ebf5dcc76358a0d0e6b8fa7f4c83e406d61ec10ad83583f2b6188e327e",
