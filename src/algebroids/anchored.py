@@ -355,7 +355,7 @@ def resolve_mode(
         raise ChartMismatchError("map target is not the chart of the structure")
     if mode is None:
         mode = classify_map(f)
-    if not isinstance(mode, str) or mode not in modes:
+    if mode not in modes:
         raise ValidationError(
             f"mode must be one of {', '.join(modes)}, got {mode!r}"
         )

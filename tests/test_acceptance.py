@@ -1051,8 +1051,9 @@ def _failing_cases():
         "tau-anchor": tau("anchor", (0, 0), 1),
         # graded antisymmetry fails before its function sample is drawn
         "tau-structure": tau("structure", (0, 1, 2), 1),
-        # pairing fails on generators and skips its sampling
+        # the pairing fails on generators, and the bracket on its pairing case
         "tau-linear-pairing": tau_linear("pairing", (0, 2), 1),
+        # the bracket fails on its anchor case
         "tau-linear-anchor": tau_linear("anchor", (2, 0), x1),
         "absorption": absorption("coanchor", (0, 4), Poly.coord(R3, 0)),
         "twist-commute-pairing": twist_commute("pairing", (0, 3)),
