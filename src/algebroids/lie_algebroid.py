@@ -16,8 +16,8 @@ antisymmetric reading of its table.
 Inverse images along a chart map are computed on explicit free presentations
 of the fiber product  f*A  x_{f*TX}  TY. Four construction modes are
 supported (identity, transitive-split, coordinate-embedding,
-coordinate-submersion); anything else raises UnsupportedModeError rather
-than guessing. The embedding and submersion modes take the basis and the
+coordinate-submersion); a map that fits none raises UnsupportedModeError
+rather than guessing. The embedding and submersion modes take the basis and the
 coordinate reader of the fibre product from algebroids.anchored (Embedding,
 Submersion) as they are, and identity is the submersion along the identity
 map; the Courant inverse image uses the same pairs as the (u, eta) half of

@@ -375,9 +375,10 @@ def check_transgression_linear(parts, weights, connections) -> Report:
     functions and generator pairs decide tau_pairing_combines.
     L4: expand u = sum u_x e_x, v = sum v_y e_y on both bracket routes with
     [f a, g b] = f g [a, b] + f rho(a)(g) b - g rho(b)(f) a
-    + g <a, b> coanchor(df) (L1 in algebroids.anchored, both slots). reduce_tuple is
-    function-linear on the submodule of tuples it accepts, so the difference
-    D of the routes is sum u_x v_y D(e_x, e_y) once these facts hold:
+    + g <a, b> coanchor(df) (L1 in algebroids.anchored, both slots).
+    reduce_tuple is function-linear on the submodule of tuples it accepts,
+    so the difference D of the routes is sum u_x v_y D(e_x, e_y) once these
+    facts hold:
       H1  the pairing combines on generator pairs;
       H2  rho_i(lift_i e_x) = rho_C(e_x), the cases of
           tau_function_action_matches;
