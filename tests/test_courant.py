@@ -29,7 +29,7 @@ from algebroids.linalg import unit_vec, vec_add, vec_eq, vec_scale, vec_sub, zer
 from algebroids.symcalc import KForm, Poly, coordinate_chart, parse_poly
 
 from test_acceptance import _perturbed
-from test_symcalc import polys
+from test_symcalc import kforms, polys
 
 R1 = coordinate_chart("L", 1)
 R2 = coordinate_chart("P", 2)
@@ -380,3 +380,88 @@ def test_generator_cases_refute_every_r2_mutant_but_pairing_shifts():
         if rep.ok:
             survivors.append((where, idx, str(delta)))
     assert survivors == R2_SURVIVORS
+
+
+# Defects of eq3-eq6 on arbitrary sections; check_courant decides each on
+# generators plus the first-order probe cases of lemmas L5-L8.
+
+
+def e3(q, u, v, w):
+    """anchor(u)<v, w> - <[u, v], w> - <v, [u, w]>."""
+    lhs = q.anchor_of(u).apply(q.pairing_of(v, w))
+    return lhs - q.pairing_of(q.bracket(u, v), w) - q.pairing_of(v, q.bracket(u, w))
+
+
+def e4(q, u, alpha):
+    """[u, coanchor(alpha)] - coanchor(L_{anchor(u)} alpha)."""
+    lhs = q.bracket(u, q.coanchor_of(alpha))
+    return vec_sub(lhs, q.coanchor_of(alpha.lie(q.anchor_of(u))))
+
+
+def e5(q, u, alpha):
+    """<u, coanchor(alpha)> - alpha(anchor(u))."""
+    lhs = q.pairing_of(u, q.coanchor_of(alpha))
+    return lhs - alpha.iota(q.anchor_of(u)).as_poly()
+
+
+def e6(q, u, v):
+    """[u, v] + [v, u] - coanchor(d<u, v>)."""
+    lhs = vec_add(q.bracket(u, v), q.bracket(v, u))
+    return vec_sub(lhs, q.coanchor_of(KForm.from_poly(q.pairing_of(u, v)).d()))
+
+
+def _draw_sections(q, data, count):
+    section = st.tuples(*[polys(R2)] * q.rank)
+    return [data.draw(section) for _ in range(count)]
+
+
+@given(courant_data(), st.data())
+@settings(max_examples=25, deadline=None)
+def test_adjunction_and_symmetrization_defects_are_function_linear(q, data):
+    """L5 and L6: the eq5 and eq6 defects are function-linear in every
+    argument, whatever the structure data."""
+    u, v = _draw_sections(q, data, 2)
+    f = data.draw(polys(R2))
+    alpha = data.draw(kforms(R2, 1))
+    fu, fv = vec_scale(f, u), vec_scale(f, v)
+    assert e5(q, fu, alpha) == f * e5(q, u, alpha)
+    assert e5(q, u, alpha.scale(f)) == f * e5(q, u, alpha)
+    assert vec_eq(e6(q, fu, v), vec_scale(f, e6(q, u, v)))
+    assert vec_eq(e6(q, u, fv), vec_scale(f, e6(q, u, v)))
+
+
+@given(courant_data(), st.data())
+@settings(max_examples=25, deadline=None)
+def test_pairing_invariance_defect_obeys_l7(q, data):
+    """E3 is function-linear in v and w, and E3(f u, v, w) = f E3(u, v, w)
+    - <u, v> E5(w, df) - <u, w> E5(v, df)."""
+    u, v, w = _draw_sections(q, data, 3)
+    f = data.draw(polys(R2))
+    df = KForm.from_poly(f).d()
+    base = e3(q, u, v, w)
+    assert e3(q, u, vec_scale(f, v), w) == f * base
+    assert e3(q, u, v, vec_scale(f, w)) == f * base
+    expected = (
+        f * base
+        - q.pairing_of(u, v) * e5(q, w, df)
+        - q.pairing_of(u, w) * e5(q, v, df)
+    )
+    assert e3(q, vec_scale(f, u), v, w) == expected
+
+
+@given(courant_data(), st.data())
+@settings(max_examples=25, deadline=None)
+def test_coanchor_ideal_defect_obeys_l8(q, data):
+    """E4 is function-linear in alpha, and E4(f u, alpha) = f E4(u, alpha)
+    - anchor(coanchor(alpha))(f) u + E5(u, alpha) coanchor(df)."""
+    (u,) = _draw_sections(q, data, 1)
+    f = data.draw(polys(R2))
+    alpha = data.draw(kforms(R2, 1))
+    base = e4(q, u, alpha)
+    falpha = alpha.scale(f)
+    assert vec_eq(e4(q, u, falpha), vec_scale(f, base))
+    n_alpha = q.anchor_of(q.coanchor_of(alpha))
+    expected = vec_sub(vec_scale(f, base), vec_scale(n_alpha.apply(f), u))
+    df = q.coanchor_of(KForm.from_poly(f).d())
+    expected = vec_add(expected, vec_scale(e5(q, u, alpha), df))
+    assert vec_eq(e4(q, vec_scale(f, u), alpha), expected)

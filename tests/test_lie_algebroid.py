@@ -463,3 +463,20 @@ def test_bracket_leibniz_rules_hold_for_any_table(a, data):
     assert linalg.vec_eq(a.bracket(u, scale(f, v)), right)
     left = sub(scale(f, uv), scale(a.anchor_of(v).apply(f), u))
     assert linalg.vec_eq(a.bracket(scale(f, u), v), left)
+
+
+@given(lie_data(), st.data())
+@settings(max_examples=30, deadline=None)
+def test_bracket_with_a_marking_is_decided_by_generators_and_its_anchor(a, data):
+    """L9: [u, m] = sum_i u_i [e_i, m] - anchor(m)(u_i) e_i for an arbitrary
+    marking m, so m is central iff [e_i, m] = 0 for every i and anchor(m)
+    = 0."""
+    section = st.tuples(*[polys(R2)] * a.rank)
+    u, m = data.draw(section), data.draw(section)
+    rho_m = a.anchor_of(m)
+    scale, add, sub = linalg.vec_scale, linalg.vec_add, linalg.vec_sub
+    expected = a.zero_section()
+    for i in range(a.rank):
+        gen_term = scale(u[i], a.bracket(a.gen(i), m))
+        expected = add(expected, sub(gen_term, scale(rho_m.apply(u[i]), a.gen(i))))
+    assert linalg.vec_eq(a.bracket(u, m), expected)
