@@ -3,6 +3,8 @@
 from fractions import Fraction
 from itertools import product
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,11 +26,11 @@ from algebroids.courant import (
     twist,
 )
 from algebroids.errors import ValidationError
-from algebroids.lie_algebroid import tangent_algebroid
+from algebroids.lie_algebroid import MarkedLieData, check_marked, tangent_algebroid
 from algebroids.linalg import unit_vec, vec_add, vec_eq, vec_scale, vec_sub, zero_vec
 from algebroids.symcalc import KForm, Poly, coordinate_chart, parse_poly
 
-from test_acceptance import _perturbed
+from test_acceptance import A2, _magnetic_total, _perturbed, _perturbed_lie
 from test_symcalc import kforms, polys
 
 R1 = coordinate_chart("L", 1)
@@ -356,30 +358,52 @@ R2_SURVIVORS = [
 ]
 
 
-def test_generator_cases_refute_every_r2_mutant_but_pairing_shifts():
-    """Every +-1/+-x_i shift of one anchor, coanchor or pairing entry (the
-    pairing kept symmetric) and every +1/-1/+x1 shift of one table entry of
-    standard R2, checked without samples."""
-    q = standard_exact(R2)
-    one, x1, x2 = Poly.one(R2), Poly.coord(R2, 0), Poly.coord(R2, 1)
-    r = q.rank
-    sites = [("anchor", (a, j)) for a in range(r) for j in range(2)]
-    sites += [("coanchor", (j, a)) for j in range(2) for a in range(r)]
+def _mutants(q, site_deltas, table_deltas):
+    """Each delta on one anchor, coanchor or pairing entry (the pairing kept
+    symmetric) and each table delta on one structure entry of q."""
+    r, n = q.rank, q.chart.dim
+    sites = [("anchor", (a, j)) for a in range(r) for j in range(n)]
+    sites += [("coanchor", (j, a)) for j in range(n) for a in range(r)]
     sites += [("pairing", (a, b)) for a in range(r) for b in range(a, r)]
-    mutants = [(w, i, d) for w, i in sites for d in (one, -one, x1, -x1, x2, -x2)]
-    mutants += [
+    mutants = [(w, i, d) for w, i in sites for d in site_deltas]
+    return mutants + [
         ("structure", idx, d)
         for idx in product(range(r), repeat=3)
-        for d in (one, -one, x1)
+        for d in table_deltas
     ]
-    assert len(mutants) == 348
+
+
+def _survivors(q, mutants):
+    """The mutants that pass check_courant without samples."""
     survivors = []
     for where, idx, delta in mutants:
         rep = check_courant(_perturbed(q, where, idx, delta), samples=0)
         assert rep["eq2_leibniz_rule"].passed
         if rep.ok:
             survivors.append((where, idx, str(delta)))
-    assert survivors == R2_SURVIVORS
+    return survivors
+
+
+def test_generator_cases_refute_every_r2_mutant_but_pairing_shifts():
+    """Every +-1/+-x_i shift of one anchor, coanchor or pairing entry and
+    every +1/-1/+x1 shift of one table entry of standard R2."""
+    q = standard_exact(R2)
+    one, x1, x2 = Poly.one(R2), Poly.coord(R2, 0), Poly.coord(R2, 1)
+    mutants = _mutants(q, (one, -one, x1, -x1, x2, -x2), (one, -one, x1))
+    assert len(mutants) == 348
+    assert _survivors(q, mutants) == R2_SURVIVORS
+
+
+def test_generator_cases_refute_every_r3_mutant_but_pairing_shifts():
+    """+1 and +x1 on one anchor, coanchor or pairing entry and +1 on one
+    table entry of R3 twisted by (x1 + x2) dx1 dx2 dx3. Only the constant
+    shifts of the tangent block of the pairing survive, as on R2."""
+    q = standard_exact(R3, vol3("x1 + x2"))
+    one, x1 = Poly.one(R3), Poly.coord(R3, 0)
+    mutants = _mutants(q, (one, x1), (one,))
+    assert len(mutants) == 330
+    survivors = [("pairing", (a, b), "1") for a in range(3) for b in range(a, 3)]
+    assert _survivors(q, mutants) == survivors
 
 
 # Defects of eq3-eq6 on arbitrary sections; check_courant decides each on
@@ -465,3 +489,37 @@ def test_coanchor_ideal_defect_obeys_l8(q, data):
     df = q.coanchor_of(KForm.from_poly(f).d())
     expected = vec_add(expected, vec_scale(e5(q, u, alpha), df))
     assert vec_eq(e4(q, vec_scale(f, u), alpha), expected)
+
+
+def _named_sections(label, chart, rank):
+    """The sections x_k*e_a and e_a a counterexample label names, in order."""
+    out = []
+    for coord, a in re.findall(r"(?:(x\d+)\*)?e(\d+)", label):
+        coeff = parse_poly(coord or "1", chart)
+        out.append(vec_scale(coeff, unit_vec(chart, rank, int(a))))
+    return out
+
+
+def test_probe_cases_name_failing_sections():
+    """On the courant-anchor and marked-anchor inputs of the failing-report
+    pins, eq3, eq4 and marking_central hold on generators and fail on a
+    probe case; the identity is nonzero on the sections each one names."""
+    q = _perturbed(standard_exact(A2), "anchor", (0, 0), 1)
+    rep = check_courant(q, samples=0)
+    label = rep["eq3_pairing_invariance"].counterexample
+    assert label.startswith("sections (")
+    u, v, w = _named_sections(label, A2, q.rank)
+    assert not e3(q, u, v, w).is_zero
+    label = rep["eq4_coanchor_ideal"].counterexample
+    assert label.startswith("section ")
+    (u,) = _named_sections(label, A2, q.rank)
+    alpha = KForm.dx(A2, A2.coords.index(label.rsplit(" ", 1)[1]))
+    assert not vec_eq(e4(q, u, alpha), zero_vec(A2, q.rank))
+
+    total = _perturbed_lie(_magnetic_total(A2), "anchor", (2, 0), Poly.coord(A2, 0))
+    marking = unit_vec(A2, 3, 2)
+    rep = check_marked(MarkedLieData(total, marking))
+    label = rep["marking_central"].counterexample
+    assert label.startswith("section ")
+    (u,) = _named_sections(label, A2, 3)
+    assert not vec_eq(total.bracket(u, marking), zero_vec(A2, 3))
