@@ -1076,10 +1076,10 @@ def _failing_digests(monkeypatch):
 
 
 GOLDEN_FAILING = {
-    "courant-anchor@0": "fe531893d6897701ddfc5aa17ee719d745530db86e8a3325907950f39f6e8258",
-    "courant-anchor@7": "e8d3532dd78381e45e87d9d71b8172657bf2b06572bf2a58602882d5ff7393bf",
-    "courant-pairing@0": "a3370ce6ca99e974f0ef4efb08a2df70a5a3dd1c0dc746872d398f020e40a110",
-    "courant-pairing@7": "a3370ce6ca99e974f0ef4efb08a2df70a5a3dd1c0dc746872d398f020e40a110",
+    "courant-anchor@0": "a9eabdc4f78c5ce0b302b7bdf289224c6943dca758a825ca06630d97407d27e9",
+    "courant-anchor@7": "a9eabdc4f78c5ce0b302b7bdf289224c6943dca758a825ca06630d97407d27e9",
+    "courant-pairing@0": "aff033ac63d69a493a4a0655d834f547ad11156ed01f6d9517dfc8e8bb1e7daa",
+    "courant-pairing@7": "aff033ac63d69a493a4a0655d834f547ad11156ed01f6d9517dfc8e8bb1e7daa",
     "courant-structure@0": "8207a7165e7cb0bf0723fd1780cfdb7fe9bf684b9257d06b68931a44bb1cfc43",
     "courant-structure@7": "8207a7165e7cb0bf0723fd1780cfdb7fe9bf684b9257d06b68931a44bb1cfc43",
     "morphism-anchor@0": "9e28a078b197db61807f67bc348472c58fc2e201cd94e3f3f9c7a107999210ff",
@@ -1090,12 +1090,12 @@ GOLDEN_FAILING = {
     "lie-anchor@7": "1122ac6a4c7226fbcb514fb53684ad882be7d5f1991b32aeebe0a42c9fcf3ca7",
     "lie-structure@0": "3adbdeddf4582fb94757714d0ec433e0751adf0a989f46ed90c1dcad988e0eb4",
     "lie-structure@7": "3adbdeddf4582fb94757714d0ec433e0751adf0a989f46ed90c1dcad988e0eb4",
-    "marked-anchor@0": "d11e17228ed0693f8ca6401c7ccd26c47a6a497efb5795ba61a44a1a02ff3f29",
-    "marked-anchor@7": "337d8cb460b09855264c6bee0004d36ffd8c688b2cbdb7ac7d72a81120c31018",
+    "marked-anchor@0": "2b435204cf66064b030eeb4560f34c77c5ea0de35b9e74b6660af31fe572e94b",
+    "marked-anchor@7": "2b435204cf66064b030eeb4560f34c77c5ea0de35b9e74b6660af31fe572e94b",
     "marked-structure@0": "9b552761b71216bd96e267c4226602a61ceadc19b708f3c11fde16f77fda4f61",
     "marked-structure@7": "9b552761b71216bd96e267c4226602a61ceadc19b708f3c11fde16f77fda4f61",
-    "extension-anchor@0": "6d919a34f80b9b3cdd480411e86786db1f7d8b2e24de7153581407433b52ac54",
-    "extension-anchor@7": "32687b3ab605be45d53cefa8423fa961779c9f57c3043793ce3b7aecf2c6ee70",
+    "extension-anchor@0": "333518633abd560283f7ac9da60c9ddddb286f2edc9e9e3c38eb2a00bb8d9fe2",
+    "extension-anchor@7": "333518633abd560283f7ac9da60c9ddddb286f2edc9e9e3c38eb2a00bb8d9fe2",
     "extension-structure@0": "547fdd680aa03f0ca6da0e61cfab32a460ebbdc10784d8c65b64af5b63f80029",
     "extension-structure@7": "547fdd680aa03f0ca6da0e61cfab32a460ebbdc10784d8c65b64af5b63f80029",
     "compose@0": "3ecd3a21666faf3717603c00471501bc990cb7e27ee85feb142cb5bd8b2676e6",
