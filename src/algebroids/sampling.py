@@ -1,10 +1,10 @@
 """Deterministic sample generators for the statistical identity checks.
 
-Identity checks that are exact on generators are extended to random general
-sections: coefficients are small integers in [-2, 2] and polynomial degrees
-stay at most 2, which keeps products well inside the degree cap while still
-exercising every Leibniz correction term. Everything is driven by a caller
-supplied random.Random so a seed pins the full sample stream.
+The Jacobi identities (Courant leibniz_identity, Lie jacobi_identity) and the
+transgression rules extend their exact generator cases to random sections;
+every other verdict is decided without samples. Coefficients lie in [-2, 2]
+and degrees stay at most 2, well inside the degree cap, which still exercises
+every Leibniz correction term. A caller supplied random.Random pins the stream.
 """
 
 from __future__ import annotations
