@@ -261,12 +261,13 @@ def check_courant(
     lemmas below; leibniz_identity adds samples // 4 seeded triples of
     sections (degree at most max_degree) to its generator cases.
 
-    c(alpha) = sum_j alpha_j coanchor[j]. The eq5 and eq1 generator defects
-    M[a][j] = <e_a, coanchor[j]> - anchor(e_a)^j and N[j] =
-    anchor(coanchor[j]) are computed once. The lemmas use L1
+    g is the pairing and c(alpha) = sum_j alpha_j coanchor[j]. The eq5 and
+    eq1 generator defects M[a][j] = <e_a, coanchor[j]> - anchor(e_a)^j and
+    N[j] = anchor(coanchor[j]) are computed once. The lemmas use L1
     (algebroids.anchored), by which eq2_leibniz_rule passes by
     construction, and [f u, v] = f [u, v] - anchor(v)(f) u + <u, v> c(df).
-    L5: eq1 and eq5 are function-linear in every slot; N and M decide them.
+    L5: anchor(c alpha) and E5(u, alpha) = <u, c alpha> - alpha(anchor u)
+    are function-linear in every slot, so N and M decide eq1 and eq5.
     L6: [u, v] + [v, u] - c(d<u, v>) = sum_ab u_a v_b times the (a, b)
     generator defect: the Leibniz terms cancel, and the coanchor terms sum
     to c(d<u, v>) - sum_ab u_a v_b c(dg_ab).

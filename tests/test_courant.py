@@ -2,7 +2,6 @@
 
 from fractions import Fraction
 from itertools import product
-
 import re
 
 import pytest
