@@ -191,13 +191,18 @@ def jacobiator(m: AnchoredModule, u: Vec, v: Vec, w: Vec) -> Vec:
 
 def jacobi_generator_failures(m: AnchoredModule) -> Iterator[str]:
     """The jacobiator on every generator triple, inner brackets read from
-    the table."""
+    the table. The unit sections and table rows are built once per call."""
+    gen = [m.gen(a) for a in range(m.rank)]
+    row = {
+        (a, b): m.bracket_gen(a, b)
+        for a, b in product(range(m.rank), repeat=2)
+    }
     for a, b, c in product(range(m.rank), repeat=3):
         defect = vec_sub(
-            m.bracket(m.gen(a), m.bracket_gen(b, c)),
+            m.bracket(gen[a], row[(b, c)]),
             vec_add(
-                m.bracket(m.bracket_gen(a, b), m.gen(c)),
-                m.bracket(m.gen(b), m.bracket_gen(a, c)),
+                m.bracket(row[(a, b)], gen[c]),
+                m.bracket(gen[b], row[(a, c)]),
             ),
         )
         if not vec_is_zero(defect):

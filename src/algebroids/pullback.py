@@ -103,7 +103,8 @@ class CourantPullback:
 
     The coanchor, the pairing, the structure table (each pair on first use)
     and the Jacobian of the map are pulled once, when the presentation is
-    made, and every mode and ambient operation reads those copies. The
+    made, and every mode and ambient operation reads those copies; the
+    relation generators R_k are built from them once, into relations. The
     coordinate-embedding mode keeps its fibre product in embedding, for
     dirac_pushdown to reuse.
     """
@@ -122,6 +123,7 @@ class CourantPullback:
         self.pulled_pairing = [[f.pull(p) for p in row] for row in q.pairing]
         self.pulled_structure = pulled_entries(f, q._entry)
         self.jacobian = f.jacobian()
+        self.relations = tuple(self.relation(k) for k in range(q.chart.dim))
 
     @property
     def chart(self) -> Chart:
@@ -185,9 +187,7 @@ class CourantPullback:
     def reduce(self, t: Triple) -> Vec:
         cls, rel = self._reducer(t)
         rep = self.expand(cls)
-        combo = self.combine(
-            rel, [self.relation(k) for k in range(self.source.chart.dim)]
-        )
+        combo = self.combine(rel, self.relations)
         for slot in range(3):
             got = vec_add(rep[slot], combo[slot])
             if not vec_eq(got, t[slot]):
@@ -388,7 +388,7 @@ def check_relation_absorption(pb: CourantPullback) -> Report:
     into the relation span (class zero), on all basis elements."""
     rep = Report()
     n = pb.source.chart.dim
-    rels = [pb.relation(k) for k in range(n)]
+    rels = pb.relations
 
     def isotropic():
         for k in range(n):

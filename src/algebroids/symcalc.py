@@ -119,7 +119,25 @@ _TERMS = dict  # dict[tuple[int, ...], int | Fraction]
 
 # -- term arithmetic ----------------------------------------------------------
 # The four operations below act on term dictionaries. Each returns a fresh
-# dictionary without zero coefficients and never mutates its arguments.
+# dictionary without zero coefficients and never mutates its arguments. A
+# product with a Fraction operand may be an integer stored as a Fraction;
+# scale_terms and mul_terms turn such products back into ints. They look at
+# the products only when an operand holds a Fraction, so a product of
+# integer operands costs one type test per operand coefficient, not one per
+# product term.
+
+
+def _has_fraction(a: _TERMS) -> bool:
+    for v in a.values():
+        if type(v) is Fraction:
+            return True
+    return False
+
+
+def _integral_to_int(out: _TERMS) -> None:
+    for k, v in out.items():
+        if type(v) is Fraction and v.denominator == 1:
+            out[k] = v.numerator
 
 
 def add_terms(a: _TERMS, b: _TERMS) -> _TERMS:
@@ -159,7 +177,10 @@ def sub_terms(a: _TERMS, b: _TERMS) -> _TERMS:
 def scale_terms(a: _TERMS, c) -> _TERMS:
     if not c:
         return {}
-    return {k: v * c for k, v in a.items()}
+    out = {k: v * c for k, v in a.items()}
+    if type(c) is Fraction or _has_fraction(a):
+        _integral_to_int(out)
+    return out
 
 
 def mul_terms(a: _TERMS, b: _TERMS) -> _TERMS:
@@ -179,6 +200,8 @@ def mul_terms(a: _TERMS, b: _TERMS) -> _TERMS:
                     out[k] = s
                 else:
                     del out[k]
+    if _has_fraction(a) or _has_fraction(b):
+        _integral_to_int(out)
     return out
 
 
@@ -188,8 +211,10 @@ class Poly:
     Terms are stored sparsely as exponent-tuple -> coefficient, an int for
     an integer and a Fraction otherwise; zero coefficients are never kept.
     Equality is coefficient-wise; printing uses the graded-lexicographic
-    order (highest first). A Poly is not changed after it is built, so its
-    total degree is computed at most once.
+    order (highest first). A Poly is never changed after it is built, and
+    the code relies on that: its total degree is computed at most once, and
+    a sum or difference with a zero side returns the other operand itself,
+    so a result may be the very object passed in.
     """
 
     __slots__ = ("chart", "terms", "_degree")
@@ -284,6 +309,10 @@ class Poly:
                 return NotImplemented
             other = Poly.const(self.chart, other)
         _require_same_chart(self, other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         return Poly._raw(self.chart, add_terms(self.terms, other.terms))
 
     __radd__ = __add__
@@ -294,13 +323,20 @@ class Poly:
                 return NotImplemented
             other = Poly.const(self.chart, other)
         _require_same_chart(self, other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return -other
         return Poly._raw(self.chart, sub_terms(self.terms, other.terms))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return Poly._raw(self.chart, scale_terms(self.terms, -1), self._degree)
+        # Negation keeps every coefficient's type, so nothing to normalise.
+        return Poly._raw(
+            self.chart, {k: -v for k, v in self.terms.items()}, self._degree
+        )
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
@@ -340,9 +376,11 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.chart == other.chart and self.terms == other.terms
+        return (
+            self.chart is other.chart or self.chart == other.chart
+        ) and self.terms == other.terms
 
-    __hash__ = None  # mutable-ish container semantics; not hashable
+    __hash__ = None  # compared by value, like the dict it wraps; not hashable
 
     # -- calculus ----------------------------------------------------------
 
@@ -439,7 +477,7 @@ class VField:
         if len(comps) != chart.dim:
             raise ValidationError("vector field needs one component per coordinate")
         for c in comps:
-            if c.chart != chart:
+            if c.chart is not chart and c.chart != chart:
                 raise ChartMismatchError("vector field component on wrong chart")
         self.chart = chart
         self.comps = comps
@@ -466,6 +504,8 @@ class VField:
     def apply(self, f: Poly) -> Poly:
         """Derivation action on a function: sum_i comps[i] * df/dx_i."""
         _require_same_chart(self, f)
+        if f.as_constant() is not None:
+            return Poly.zero(self.chart)
         out = Poly.zero(self.chart)
         for i, c in enumerate(self.comps):
             if not c.is_zero:
@@ -603,7 +643,7 @@ class KForm:
         for idx, p in (comps or {}).items():
             if isinstance(p, (int, Fraction)):
                 p = Poly.const(chart, p)
-            if p.chart != chart:
+            if p.chart is not chart and p.chart != chart:
                 raise ChartMismatchError("form component on wrong chart")
             if len(idx) != degree:
                 raise ValidationError(

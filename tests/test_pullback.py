@@ -26,6 +26,7 @@ from algebroids.errors import UnsupportedModeError, ValidationError
 from algebroids.lie_algebroid import tangent_algebroid
 from algebroids.linalg import vec_eq
 from algebroids.pullback import (
+    CourantPullback,
     check_curvature_pullback,
     check_relation_absorption,
     check_twist_commute,
@@ -101,6 +102,23 @@ def test_projection_pullback_is_a_courant_structure():
     # pulled generators keep their anchors, the verticals pair as a point
     assert pb.result.anchor[0] == (Poly.one(R3), Poly.zero(R3), Poly.zero(R3))
     assert pb.result.pairing[4][5] == Poly.one(R3)
+
+
+def test_relations_are_built_once_per_presentation(monkeypatch):
+    """reduce and check_relation_absorption read the relation generators
+    the presentation built, one call of relation per target coordinate."""
+    calls = []
+    original = CourantPullback.relation
+
+    def counted(self, k):
+        calls.append(k)
+        return original(self, k)
+
+    monkeypatch.setattr(CourantPullback, "relation", counted)
+    q = standard_exact(R3, vol3("x1 + x2"))
+    pb = pullback_courant(shear_33(), q)
+    assert check_relation_absorption(pb).ok
+    assert calls == list(range(q.chart.dim))
 
 
 def test_embedding_restricts_the_twist():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from algebroids.courant import scalar_multiple, standard_exact
 from algebroids.errors import (
     ChartMismatchError,
     DegreeOverflowError,
@@ -181,6 +182,19 @@ def test_integer_coefficients_are_stored_as_ints():
     assert type(Poly.zero(R2).as_constant()) is int
     with pytest.raises(ValidationError):
         Poly.const(R2, 0.5)
+    # int x Fraction products that come out integral are stored as ints.
+    half = Fraction(1, 2)
+    x1 = Poly.coord(R2, 0)
+    assert type(((x1 * half) * 2).terms[(1, 0)]) is int
+    assert type((half * x1 * (x1 * 2)).terms[(2, 0)]) is int
+    assert type(scale_terms({(0, 0): 4}, half)[(0, 0)]) is int
+    q = standard_exact(R2)
+    back = scalar_multiple(2, scalar_multiple(half, q))
+    assert back == q
+    for table in (back.coanchor, back.pairing):
+        for row in table:
+            for p in row:
+                assert all(type(c) is int for c in p.terms.values())
 
 
 def test_rational_operations_never_yield_floats():

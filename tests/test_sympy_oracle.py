@@ -1,9 +1,14 @@
 """symcalc against sympy: products, derivatives, substitution and the action
-of vector fields agree on random rational polynomials over R3."""
+of vector fields agree on random rational polynomials over R3, including the
+zero and constant operands that the early returns of VField.apply and
+Poly.__add__/__sub__ handle."""
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from algebroids.errors import ChartMismatchError
 from algebroids.symcalc import ChartMap, Poly, VField, coordinate_chart
 
 from test_symcalc import rational_polys
@@ -12,6 +17,10 @@ sympy = pytest.importorskip("sympy")
 
 R3 = coordinate_chart("R3", 3)
 XS = sympy.symbols(R3.coords)
+# Equal to R3 but a different object: results must live on an equal chart
+# whichever operand an early return hands back.
+R3_COPY = coordinate_chart("R3", 3)
+OTHER = coordinate_chart("Y", 3)
 
 
 def to_sympy(p: Poly):
@@ -63,3 +72,44 @@ def test_vfield_apply_matches_sympy(comps, p):
         to_sympy(c) * sympy.diff(to_sympy(p), x) for c, x in zip(comps, XS)
     )
     assert same(VField(R3, comps).apply(p), expected)
+
+
+rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+
+
+@given(st.tuples(*[rational_polys(R3) for _ in range(3)]), rationals)
+@settings(max_examples=50)
+def test_vfield_apply_to_a_constant_matches_sympy(comps, c):
+    v = VField(R3, comps)
+    for f in (Poly.const(R3, c), Poly.zero(R3), Poly.const(R3_COPY, c)):
+        got = v.apply(f)
+        assert same(got, sympy.Integer(0))
+        assert got.chart == R3
+
+
+@given(st.tuples(*[rational_polys(R3) for _ in range(3)]), rationals)
+@settings(max_examples=20)
+def test_vfield_apply_to_a_constant_checks_the_chart(comps, c):
+    v = VField(R3, comps)
+    for f in (Poly.const(OTHER, c), Poly.zero(OTHER)):
+        with pytest.raises(ChartMismatchError):
+            v.apply(f)
+
+
+@given(rational_polys(R3))
+@settings(max_examples=50)
+def test_sum_with_a_zero_side_matches_sympy(p):
+    expr = to_sympy(p)
+    for zero in (Poly.zero(R3), Poly.zero(R3_COPY)):
+        for got, expected in (
+            (p + zero, expr),
+            (zero + p, expr),
+            (p - zero, expr),
+            (zero - p, -expr),
+        ):
+            assert same(got, expected)
+            assert got.chart == R3
+    with pytest.raises(ChartMismatchError):
+        p + Poly.zero(OTHER)
+    with pytest.raises(ChartMismatchError):
+        Poly.zero(OTHER) - p
