@@ -32,14 +32,15 @@ algebroid, with its antisymmetric table.
 The second half presents that fibre product along a chart map, once for
 both inverse images. resolve_mode picks the mode (classify_map when none is
 given), rejects a mode that is not a mode name as a bad spec, and checks the
-identity mode. Embedding and Submersion check the shape their mode needs
-and raise UnsupportedModeError when the map does not have it; each holds
-one basis of (tangent, section) pairs and one coordinate reader,
+identity mode. Three fibre classes present it: Embedding and Submersion
+check the shape their mode needs and raise UnsupportedModeError when the
+map does not have it, and Split lifts through a splitting of the anchor
+(split_lifts) and reads the rest through a constant frame of its kernel.
+Each holds one basis of (tangent, section) pairs and one coordinate reader,
 coords(tangent, section). The Lie inverse image stacks those pairs as they
-are; the Courant one uses them as the (u, eta) half of its triples.
-The identity mode is the submersion along the identity map. split_lifts is
-the lift through a splitting of the anchor that the split presentations of
-both share, and constant_complement picks constant complements.
+are; the Courant one uses them as the (u, eta) half of its triples. The
+identity mode is the submersion along the identity map, and
+constant_complement picks constant complements.
 """
 
 from __future__ import annotations
@@ -513,13 +514,58 @@ class Submersion:
         return apply_matrix(self.inverse, beta, len(self.lifts), self.chart)
 
 
+class Split:
+    """The fibre product of an anchored module along any map, through a
+    splitting of the anchor and a frame of the anchor's kernel.
+
+    columns give the splitting s, one section per target coordinate; frame
+    lists sections on the target chart that span the kernel of the anchor,
+    and jac is the Jacobian of f. The basis pairs are (d_i, lifts[i]) per
+    source coordinate i, with lifts[i] = f*(s(df(d_i))), then (0, pulled
+    frame row) per frame row. A fibre-product pair (tangent, section) leaves
+    section - lifts.tangent in the pulled kernel; kernel_coords reads it off
+    through a constant left inverse of the frame, and the frame must have
+    one.
+    """
+
+    def __init__(
+        self,
+        f: ChartMap,
+        columns: Sequence[Vec],
+        rank: int,
+        frame: Sequence[Vec],
+        jac: Sequence[Vec],
+    ):
+        left = linalg.constant_left_inverse(linalg.transpose(frame)) if frame else []
+        if left is None:
+            raise UnsupportedModeError(
+                "the kernel frame has no constant left inverse in this basis"
+            )
+        self.left = left
+        chart = self.chart = f.source
+        self.rank = rank
+        self.lifts = split_lifts(f, columns, rank, jac)
+        self.basis = [
+            (unit_vec(chart, chart.dim, i), lift) for i, lift in enumerate(self.lifts)
+        ] + [(zero_vec(chart, chart.dim), tuple(map(f.pull, row))) for row in frame]
+
+    def kernel_coords(self, tangent: Vec, section: Vec) -> Vec:
+        """L.(section - lifts.tangent), L the constant left inverse of the
+        frame: the frame coordinates of a pair's kernel part."""
+        lifted = apply_matrix(self.lifts, tangent, self.rank, self.chart)
+        return apply_constant(self.left, vec_sub(section, lifted), self.chart)
+
+    def coords(self, tangent: Vec, section: Vec) -> Vec:
+        return tuple(tangent) + self.kernel_coords(tangent, section)
+
+
 def split_lifts(
     f: ChartMap, columns: Sequence[Vec], rank: int, jac: Sequence[Vec]
 ) -> list[Vec]:
     """Section part f*(s(df(d_i))) of the lift of each source coordinate
     field d_i through a splitting s of the anchor, given by one column per
-    target coordinate; jac is the Jacobian of f. The Lie transitive-split
-    and the Courant exact-split presentations both lift through it."""
+    target coordinate; jac is the Jacobian of f. Split lifts through it, and
+    so does the pulled Courant connection."""
     pulled = [[f.pull(p) for p in col] for col in columns]
     n = f.target.dim
     return [

@@ -17,14 +17,14 @@ Inverse images along a chart map are computed on explicit free presentations
 of the fiber product  f*A  x_{f*TX}  TY. Four construction modes are
 supported (identity, transitive-split, coordinate-embedding,
 coordinate-submersion); a map that fits none raises UnsupportedModeError
-rather than guessing. The embedding and submersion modes take the basis and the
-coordinate reader of the fibre product from algebroids.anchored (Embedding,
-Submersion) as they are, and identity is the submersion along the identity
-map; the Courant inverse image uses the same pairs as the (u, eta) half of
-its triples. The transitive-split mode lifts through the splitting with
-split_lifts, as the Courant exact-split mode does, and keeps its own
-constant kernel. Ambient vectors for a pullback are stacked as (tangent
-components on Y, then tensor components over the generators of A).
+rather than guessing. Every mode takes the basis and the coordinate reader
+of the fibre product from a fibre class of algebroids.anchored as they are:
+Embedding, Submersion (identity is the submersion along the identity map),
+or Split for the transitive-split mode, whose splitting checks and constant
+kernel frame are chosen here. The Courant inverse image uses the same pairs
+as the (u, eta) half of its triples. Ambient vectors for a pullback are
+stacked as (tangent components on Y, then tensor components over the
+generators of A).
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from algebroids import linalg
 from algebroids.anchored import (
     AnchoredModule,
     Embedding,
+    Split,
     Submersion,
     anchor_failures,
     antisymmetric_table,
@@ -50,7 +51,6 @@ from algebroids.anchored import (
     leibniz_sum,
     pulled_entries,
     resolve_mode,
-    split_lifts,
 )
 from algebroids.errors import UnsupportedModeError, ValidationError
 from algebroids.linalg import (
@@ -448,23 +448,33 @@ def pullback_lie(
     if mode == "transitive-split":
         if splitting is None:
             raise ValidationError("transitive-split mode requires a splitting")
-        basis, reducer = _transitive_split(f, a, tuple(tuple(v) for v in splitting))
+        fibre = _transitive_split(f, a, tuple(tuple(v) for v in splitting))
+    elif mode == "coordinate-embedding":
+        fibre = Embedding(f, a.anchor)
     else:
-        shape = Embedding if mode == "coordinate-embedding" else Submersion
-        fibre = shape(f, a.anchor)
-        basis = [tangent + section for tangent, section in fibre.basis]
-        reducer = fibre.coords
-    pb = LiePullback(f, a, None, tuple(basis), mode, reducer)
+        fibre = Submersion(f, a.anchor)
+    basis = [tangent + section for tangent, section in fibre.basis]
+    pb = LiePullback(f, a, None, tuple(basis), mode, fibre.coords)
     anchor, structure = _structure_from_basis(f, a, basis, pb.reduce)
     pb.algebroid = LieData(f.source, len(basis), anchor, structure)
     return pb
 
 
-def _transitive_split(
-    f: ChartMap, a: LieData, splitting: tuple[Vec, ...]
-) -> tuple[list[Vec], object]:
+def _transitive_split(f: ChartMap, a: LieData, splitting: tuple[Vec, ...]) -> Split:
+    """The fibre product along f through the splitting s of the anchor rho,
+    with a constant frame of ker rho chosen from the kernel sections
+    kappa_a = e_a - s(rho e_a).
+
+    Lemma: every kappa is in the polynomial span of the frame, so none needs
+    a membership test. The columns are checked to give rho s = id exactly,
+    so rho is onto over Q(x) and ker rho has rank r - n there. The r - n
+    selected constant kappas are independent over Q, hence over Q(x), so
+    they are a basis of ker rho over Q(x). Every kappa therefore equals
+    frame.(L kappa), L the constant left inverse of the frame, and L kappa
+    is polynomial. LiePullback.reduce still checks every reduction by
+    rebuilding its input.
+    """
     chart_x = a.chart
-    chart_y = f.source
     if len(splitting) != chart_x.dim:
         raise ValidationError("splitting needs one section per target coordinate")
     for j, col in enumerate(splitting):
@@ -476,52 +486,22 @@ def _transitive_split(
             raise ValidationError(
                 f"splitting column {j} is not a right inverse of the anchor"
             )
-    # Kernel generators kappa_a = e_a - splitting(anchor(e_a)); the free
-    # presentation requires a constant spanning subset.
-    kappas = [
-        vec_sub(a.gen(i), apply_matrix(splitting, a.anchor[i], a.rank, chart_x))
-        for i in range(a.rank)
-    ]
-    const_rows = []
-    for kap in kappas:
-        consts = [p.as_constant() for p in kap]
-        if all(c is not None for c in consts) and any(consts):
-            const_rows.append([Fraction(c) for c in consts])
-    # Select an independent constant subset.
+    # An independent subset of the constant kernel sections.
     selected: list[list[Fraction]] = []
-    for row in const_rows:
+    for i in range(a.rank):
+        kappa = vec_sub(a.gen(i), apply_matrix(splitting, a.anchor[i], a.rank, chart_x))
+        consts = [p.as_constant() for p in kappa]
+        if None in consts or not any(consts):
+            continue
+        row = [Fraction(c) for c in consts]
         if linalg.qq_rank(selected + [row]) > len(selected):
             selected.append(row)
-    nk = len(selected)
-    if nk != a.rank - chart_x.dim:
+    if len(selected) != a.rank - chart_x.dim:
         raise UnsupportedModeError(
             "splitting kernel is not generated by constant sections"
         )
-    kmat = [[Poly.const(chart_x, row[j]) for row in selected] for j in range(a.rank)]
-    left = linalg.constant_left_inverse(kmat) if nk else []
-    if nk and left is None:
-        raise UnsupportedModeError("kernel generators admit no constant retraction")
-    # Every kappa must reduce over the selected generators.
-    for i, kap in enumerate(kappas):
-        if linalg.solve_constant_system(linalg.transpose(selected), kap) is None:
-            raise UnsupportedModeError(
-                f"kernel section for generator {i} is not in the constant span"
-            )
-
-    hparts = split_lifts(f, splitting, a.rank, f.jacobian())
-    basis = [
-        linalg.unit_vec(chart_y, chart_y.dim, i) + tensor
-        for i, tensor in enumerate(hparts)
-    ]
-    for row in selected:
-        tensor = tuple(Poly.const(chart_y, c) for c in row)
-        basis.append(tuple(linalg.zero_vec(chart_y, chart_y.dim)) + tensor)
-
-    def reducer(tangent: Vec, tensor: Vec) -> Vec:
-        rem = vec_sub(tensor, apply_matrix(hparts, tangent, a.rank, chart_y))
-        return tuple(tangent) + apply_constant(left, rem, chart_y)
-
-    return basis, reducer
+    frame = [tuple(Poly.const(chart_x, c) for c in row) for row in selected]
+    return Split(f, splitting, a.rank, frame, f.jacobian())
 
 
 def canonical_splitting(pb: LiePullback) -> tuple[Vec, ...]:
@@ -551,7 +531,7 @@ def compose_pullback(
     tangent, coeffs = inner.split_ambient(inner.expand(tuple(e)))
     # Only the rows that coeffs reaches are pulled: this runs once per section.
     u_parts = [
-        () if c.is_zero else _pull_row(inner.map, outer.split_ambient(b)[1])
+        () if c.is_zero else tuple(map(inner.map.pull, outer.split_ambient(b)[1]))
         for c, b in zip(coeffs, outer.basis)
     ]
     return _push_section(u_parts, tangent, coeffs, target)
@@ -569,14 +549,8 @@ def f_plus_morphism(
     """
     if pb_a.map.comps != pb_b.map.comps or pb_a.chart != pb_b.chart:
         raise ValidationError("presentations must be along the same map")
-    pulled = [_pull_row(pb_a.map, row) for row in matrix]
+    pulled = [tuple(map(pb_a.map.pull, row)) for row in matrix]
     return [_push_section(pulled, *pb_a.split_ambient(b), pb_b) for b in pb_a.basis]
-
-
-def _pull_row(f: ChartMap, row: Vec) -> Vec:
-    """A generator image pulled along f, zero entries without a pull."""
-    zero = Poly.zero(f.source)
-    return tuple(zero if p.is_zero else f.pull(p) for p in row)
 
 
 def _push_section(
@@ -707,11 +681,11 @@ def extension_pullback(
     total_split = tuple(ext.lift(col) for col in base_splitting)
     mpb = pullback_marked(f, ext.total, "transitive-split", total_split)
     pb = mpb.pullback
-    pulled = [_pull_row(f, row) for row in ext.projection]
+    pulled = [tuple(map(f.pull, row)) for row in ext.projection]
     projection = [
         _push_section(pulled, *pb.split_ambient(b), base_pb) for b in pb.basis
     ]
-    pulled = [_pull_row(f, row) for row in ext.splitting]
+    pulled = [tuple(map(f.pull, row)) for row in ext.splitting]
     splitting = [
         _push_section(pulled, *base_pb.split_ambient(b), pb) for b in base_pb.basis
     ]

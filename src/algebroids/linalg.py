@@ -349,37 +349,6 @@ def poly_inverse_unit_det(m: Sequence[Sequence[Poly]]) -> list[list[Poly]]:
 # ---------------------------------------------------------------------------
 
 
-def solve_constant_system(
-    a: list[list[Fraction]], rhs: Vec
-) -> Vec | None:
-    """Solve a x = rhs where a is a constant matrix and rhs has Poly entries.
-
-    Works monomial by monomial (the system is Q-linear in each coefficient).
-    Returns None when inconsistent.
-    """
-    if not rhs:
-        return ()
-    chart = rhs[0].chart
-    if not a:
-        return () if all(p.is_zero for p in rhs) else None
-    ncols = len(a[0])
-    monomials = sorted({m for p in rhs for m in p.terms})
-    x_terms: list[dict] = [dict() for _ in range(ncols)]
-    for mono in monomials:
-        b = [p.terms.get(mono, Fraction(0)) for p in rhs]
-        sol = qq_solve(a, b)
-        if sol is None:
-            return None
-        for j, c in enumerate(sol):
-            if c:
-                x_terms[j][mono] = c
-    out = tuple(Poly(chart, t) for t in x_terms)
-    # Defensive re-check (cheap, and guards pivot bookkeeping).
-    if apply_constant(a, out, chart) != tuple(rhs):
-        return None
-    return out
-
-
 def membership_witness(
     gens: Sequence[Vec], v: Vec, chart: Chart, degree_bound: int
 ) -> list[Poly] | None:

@@ -22,13 +22,13 @@ the coordinate one-form lines), coordinate embeddings, coordinate
 submersions including invertible coordinate changes, and identity, which is
 the submersion along the identity map. The (u, eta) half of a triple is the
 fibre product the Lie inverse image presents, and its basis and coordinates
-come from algebroids.anchored (Embedding, Submersion) together with mode
-resolution, the connection lifts (split_lifts) and the table+Leibniz half
-of the ambient bracket. Each mode here adds only its own part: the
-cotangent directions (vertical ones for a submersion), the relation
-coefficients, and for an embedding the division by the pulled conormal
-directions. The coanchor, pairing, structure table and Jacobian are pulled
-once per presentation. Every reduction is verified by exhibiting the exact
+come from algebroids.anchored (Embedding, Submersion, and for the exact
+split a Split whose kernel frame is the coanchor) together with mode
+resolution and the table+Leibniz half of the ambient bracket. Each mode
+here adds only its own part: the cotangent directions (vertical ones for a
+submersion), the relation coefficients, and for an embedding the division
+by the pulled conormal directions. The coanchor, pairing, structure table
+and Jacobian are pulled once per presentation. Every reduction is verified by exhibiting the exact
 relation combination; failures raise ValidationError.
 """
 
@@ -41,6 +41,7 @@ from typing import Sequence
 from algebroids import linalg
 from algebroids.anchored import (
     Embedding,
+    Split,
     Submersion,
     constant_complement,
     embedding_layout,
@@ -71,7 +72,6 @@ from algebroids.linalg import (
     vec_add,
     vec_eq,
     vec_is_zero,
-    vec_sub,
     zero_vec,
 )
 from algebroids.report import Report
@@ -225,22 +225,9 @@ def _finish(pb: CourantPullback) -> CourantPullback:
 # ---------------------------------------------------------------------------
 
 
-def _coanchor_left_inverse(q: CourantData):
-    matrix = [
-        [q.coanchor[k][a] for k in range(q.chart.dim)]
-        for a in range(q.rank)
-    ]
-    if q.chart.dim == 0:
-        return []
-    left = linalg.constant_left_inverse(matrix)
-    if left is None:
-        raise UnsupportedModeError(
-            "the coanchor has no constant left inverse in this basis"
-        )
-    return left
-
-
 def _exact_split(pb: CourantPullback, conn: Connection):
+    """The connection lifts of the source coordinate fields, read from the
+    Split whose kernel frame is the coanchor, then the cotangent lines."""
     f, q, chart = pb.map, pb.source, pb.chart
     n = q.chart.dim
     m = chart.dim
@@ -250,18 +237,16 @@ def _exact_split(pb: CourantPullback, conn: Connection):
         )
     if conn.courant != q:
         raise ValidationError("connection does not belong to the structure")
-    left = _coanchor_left_inverse(q)
     jac = pb.jacobian
-    lifts = split_lifts(f, conn.columns, q.rank, jac)
-
-    basis = [
-        (zero_vec(chart, m), lifts[i], unit_vec(chart, m, i)) for i in range(m)
-    ] + [_cotangent(chart, q.rank, j) for j in range(m)]
+    split = Split(f, conn.columns, q.rank, q.coanchor, jac)
+    zero_form = zero_vec(chart, m)
+    basis = [(zero_form, u, eta) for eta, u in split.basis[:m]] + [
+        _cotangent(chart, q.rank, j) for j in range(m)
+    ]
 
     def reducer(t: Triple):
         beta, u, eta = t
-        vert = vec_sub(u, apply_matrix(lifts, eta, q.rank, chart))
-        alpha = apply_constant(left, vert, chart)
+        alpha = split.kernel_coords(eta, u)
         omega = apply_matrix(jac, alpha, m, chart, start=beta)
         cls = tuple(eta) + omega
         return cls, tuple(-a for a in alpha)

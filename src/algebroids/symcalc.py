@@ -120,11 +120,12 @@ _TERMS = dict  # dict[tuple[int, ...], int | Fraction]
 # -- term arithmetic ----------------------------------------------------------
 # The four operations below act on term dictionaries. Each returns a fresh
 # dictionary without zero coefficients and never mutates its arguments. A
-# product with a Fraction operand may be an integer stored as a Fraction;
-# scale_terms and mul_terms turn such products back into ints. They look at
-# the products only when an operand holds a Fraction, so a product of
-# integer operands costs one type test per operand coefficient, not one per
-# product term.
+# sum or product with a Fraction operand may be an integer stored as a
+# Fraction, and all four store such a result as an int. add_terms and
+# sub_terms test each sum of two colliding terms once. scale_terms and
+# mul_terms look at the products only when an operand holds a Fraction, so a
+# product of integer operands costs one type test per operand coefficient,
+# not one per product term.
 
 
 def _has_fraction(a: _TERMS) -> bool:
@@ -152,10 +153,12 @@ def add_terms(a: _TERMS, b: _TERMS) -> _TERMS:
             out[k] = v
         else:
             s = s + v
-            if s:
-                out[k] = s
-            else:
+            if not s:
                 del out[k]
+            elif type(s) is Fraction and s.denominator == 1:
+                out[k] = s.numerator
+            else:
+                out[k] = s
     return out
 
 
@@ -167,10 +170,12 @@ def sub_terms(a: _TERMS, b: _TERMS) -> _TERMS:
             out[k] = -v
         else:
             s = s - v
-            if s:
-                out[k] = s
-            else:
+            if not s:
                 del out[k]
+            elif type(s) is Fraction and s.denominator == 1:
+                out[k] = s.numerator
+            else:
+                out[k] = s
     return out
 
 
@@ -387,15 +392,15 @@ class Poly:
     def diff(self, which) -> "Poly":
         """Partial derivative with respect to a coordinate (index or name)."""
         i = which if isinstance(which, int) else self.chart.index(which)
+        # Lowering exponent i is one-to-one on the terms it keeps, and
+        # coeff * e is not zero, so the terms neither collide nor cancel.
         out: _TERMS = {}
         for exps, coeff in self.terms.items():
             e = exps[i]
             if e:
-                k = exps[:i] + (e - 1,) + exps[i + 1 :]
-                c = coeff * e
-                prev = out.get(k)
-                out[k] = c if prev is None else prev + c
-        return Poly._raw(self.chart, {k: v for k, v in out.items() if v})
+                out[exps[:i] + (e - 1,) + exps[i + 1 :]] = coeff * e
+        _integral_to_int(out)
+        return Poly._raw(self.chart, out)
 
     def subs(self, values: Sequence["Poly"]) -> "Poly":
         """Substitute values[i] for the i-th coordinate.
@@ -847,8 +852,9 @@ class ChartMap:
         """Pull a function on the target back to the source."""
         if f.chart != self.target:
             raise ChartMismatchError("pulling a function from the wrong chart")
-        if self.target.dim == 0:
-            return Poly.const(self.source, f.constant_term())
+        c = f.as_constant()
+        if c is not None:
+            return Poly.const(self.source, c)
         return f.subs(list(self.comps))
 
     def jacobian(self) -> list[list[Poly]]:
@@ -920,43 +926,6 @@ class ChartMap:
     def __str__(self) -> str:
         body = ", ".join(poly_str(c) for c in self.comps)
         return f"{self.source.name} -> {self.target.name}: ({body})"
-
-
-# ---------------------------------------------------------------------------
-# Module-level op aliases (thin wrappers; handy in tests and docs)
-# ---------------------------------------------------------------------------
-
-
-def d(w: KForm) -> KForm:
-    return w.d()
-
-
-def wedge(a: KForm, b: KForm) -> KForm:
-    return a.wedge(b)
-
-
-def iota(v: VField, w: KForm) -> KForm:
-    return w.iota(v)
-
-
-def lie_form(v: VField, w: KForm) -> KForm:
-    return w.lie(v)
-
-
-def vf_bracket(a: VField, b: VField) -> VField:
-    return a.bracket(b)
-
-
-def pullback_form(f: ChartMap, w: KForm) -> KForm:
-    return f.pullback_form(w)
-
-
-def dmap(f: ChartMap, v: VField) -> tuple[Poly, ...]:
-    return f.dmap(v)
-
-
-def dmap_dual(f: ChartMap, coeffs: Sequence[Poly]) -> KForm:
-    return f.dmap_dual(coeffs)
 
 
 # ---------------------------------------------------------------------------

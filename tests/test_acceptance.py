@@ -811,6 +811,22 @@ def test_golden_report_digests(tmp_path):
     assert lie == GOLDEN_LIE_PULLBACKS
 
 
+def test_every_basis_element_reduces_to_its_unit_class():
+    """In each presented inverse image of the digest tables, reduce reads
+    basis[k] back as the k-th unit vector."""
+    presentations = dict(_lie_pullbacks())
+    for mode, spec in _pullback_mode_jobs().items():
+        q = jsonio.courant_from_json(spec["structure"])
+        f = jsonio.map_from_json(spec["map"])
+        conn = jsonio.optional_connection(spec, q)
+        presentations[f"courant {mode}"] = pullback_courant(f, q, spec["mode"], conn)
+    for name, pb in presentations.items():
+        r = len(pb.basis)
+        for k, element in enumerate(pb.basis):
+            unit = linalg.unit_vec(pb.chart, r, k)
+            assert linalg.vec_eq(pb.reduce(element), unit), (name, k)
+
+
 # ---------------------------------------------------------------------------
 # Failing reports: every named verdict's first counterexample, pinned
 # ---------------------------------------------------------------------------

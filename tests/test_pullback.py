@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from algebroids import jsonio
+from algebroids.cli import main
 from algebroids.courant import (
     Connection,
     associated_lie_algebroid,
@@ -14,6 +16,7 @@ from algebroids.courant import (
     coordinate_connection,
     direct_sum,
     opposite,
+    scalar_multiple,
     standard_exact,
 )
 from algebroids.dirac import (
@@ -24,7 +27,7 @@ from algebroids.dirac import (
 )
 from algebroids.errors import UnsupportedModeError, ValidationError
 from algebroids.lie_algebroid import tangent_algebroid
-from algebroids.linalg import vec_eq
+from algebroids.linalg import unit_vec, vec_eq
 from algebroids.pullback import (
     CourantPullback,
     check_curvature_pullback,
@@ -149,6 +152,49 @@ def test_invertible_shear_both_presentations():
     assert split.mode == "exact-split"
     assert check_courant(split.result).ok
     assert check_relation_absorption(split).ok
+
+
+def _unit_classes(pb):
+    r = len(pb.basis)
+    return [pb.reduce(t) for t in pb.basis] == [
+        unit_vec(pb.chart, r, k) for k in range(r)
+    ]
+
+
+@pytest.mark.parametrize("weight", [2, -3])
+def test_exact_split_reads_a_scaled_coanchor_frame(weight):
+    """A scalar multiple scales the coanchor by 1/weight, so the kernel
+    frame of the split presentation has a left inverse that is not the
+    identity."""
+    q = scalar_multiple(weight, standard_exact(R3, vol3()))
+    pb = pullback_courant(shear_33(), q, "exact-split", coordinate_connection(q))
+    assert check_courant(pb.result).ok
+    assert check_relation_absorption(pb).ok
+    assert _unit_classes(pb)
+
+
+def test_exact_split_refuses_a_non_constant_coanchor(tmp_path, capsys):
+    """The submersion pullback along a curved automorphism has a coanchor
+    with polynomial entries, which no constant left inverse reads."""
+    x1, x2, x3 = (Poly.coord(R3, i) for i in range(3))
+    f = ChartMap(R3, R3, (x1, x2, x3 + x1 * x1))
+    q = standard_exact(R3)
+    sub = pullback_courant(f, q, "coordinate-submersion")
+    p = sub.result
+    assert any(c.as_constant() is None for row in p.coanchor for c in row)
+    conn = pullback_connection(sub, coordinate_connection(q))
+    with pytest.raises(UnsupportedModeError):
+        pullback_courant(f, p, "exact-split", conn)
+    spec = {
+        "structure": jsonio.courant_to_json(p),
+        "map": jsonio.map_to_json(f),
+        "mode": "exact-split",
+        "connection": jsonio.matrix_to_json(conn.columns),
+    }
+    path = tmp_path / "job.json"
+    path.write_text(jsonio.dump_json(spec), encoding="utf-8")
+    assert main(["pullback", "--spec", str(path)]) == 3
+    assert "unsupported mode" in capsys.readouterr().err
 
 
 def test_point_target_gives_the_standard_structure():
