@@ -1,7 +1,7 @@
 """Courant structure data: axioms, twists, connections, combinations."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 import re
 
 import pytest
@@ -24,6 +24,7 @@ from algebroids.courant import (
     standard_exact,
     twist,
 )
+from algebroids.anchored import jacobiator
 from algebroids.errors import ValidationError
 from algebroids.lie_algebroid import MarkedLieData, check_marked, tangent_algebroid
 from algebroids.linalg import unit_vec, vec_add, vec_eq, vec_scale, vec_sub, zero_vec
@@ -316,10 +317,10 @@ def _rows(count, length):
 
 
 @st.composite
-def courant_data(draw):
-    """CourantData on R2 of rank 1-3 with an arbitrary anchor, coanchor,
-    symmetric pairing and table; most of them break the axioms."""
-    r = draw(st.integers(1, 3))
+def courant_data(draw, min_rank=1):
+    """CourantData on R2 of rank min_rank-3 with an arbitrary anchor,
+    coanchor, symmetric pairing and table; most of them break the axioms."""
+    r = draw(st.integers(min_rank, 3))
     upper = draw(_rows(r, r))
     pairing = tuple(
         tuple(upper[min(a, b)][max(a, b)] for b in range(r)) for a in range(r)
@@ -433,8 +434,8 @@ def e6(q, u, v):
     return vec_sub(lhs, q.coanchor_of(KForm.from_poly(q.pairing_of(u, v)).d()))
 
 
-def _draw_sections(q, data, count):
-    section = st.tuples(*[polys(R2)] * q.rank)
+def _draw_sections(q, data, count, **kw):
+    section = st.tuples(*[polys(R2, **kw)] * q.rank)
     return [data.draw(section) for _ in range(count)]
 
 
@@ -488,6 +489,142 @@ def test_coanchor_ideal_defect_obeys_l8(q, data):
     df = q.coanchor_of(KForm.from_poly(f).d())
     expected = vec_add(expected, vec_scale(e5(q, u, alpha), df))
     assert vec_eq(e4(q, vec_scale(f, u), alpha), expected)
+
+
+# The slot formulas of the jacobiator J (L10-L12 in check_courant), each
+# against direct jacobiator calls on tables that break the axioms.
+
+
+def anchor_defect(q, u, v):
+    """anchor([u, v]) - [anchor(u), anchor(v)]."""
+    return q.anchor_of(q.bracket(u, v)) - q.anchor_of(u).bracket(q.anchor_of(v))
+
+
+def c_d(q, f):
+    """coanchor(df)."""
+    return q.coanchor_of(KForm.from_poly(f).d())
+
+
+def _combine(q, *terms):
+    """The sum of coefficient * section over (coefficient, section) pairs."""
+    out = zero_vec(q.chart, q.rank)
+    for coeff, vec in terms:
+        out = vec_add(out, vec_scale(coeff, vec))
+    return out
+
+
+@given(courant_data(min_rank=2), st.data())
+@settings(max_examples=15, deadline=None)
+def test_jacobiator_w_slot_obeys_l10(q, data):
+    """J(u, v, f w) = f J(u, v, w) - A(u, v)(f) w; A(u, f v) = f A(u, v)
+    and A(f u, v) = f A(u, v) + <u, v> anchor(coanchor(df))."""
+    u, v, w = _draw_sections(q, data, 3)
+    f = data.draw(polys(R2))
+    a_uv = anchor_defect(q, u, v)
+    expected = _combine(q, (f, jacobiator(q, u, v, w)), (-a_uv.apply(f), w))
+    assert vec_eq(jacobiator(q, u, v, vec_scale(f, w)), expected)
+    assert anchor_defect(q, u, vec_scale(f, v)) == a_uv.scale(f)
+    n_df = q.anchor_of(c_d(q, f)).scale(q.pairing_of(u, v))
+    assert anchor_defect(q, vec_scale(f, u), v) == a_uv.scale(f) + n_df
+
+
+@given(courant_data(min_rank=2), st.data())
+@settings(max_examples=15, deadline=None)
+def test_jacobiator_v_slot_obeys_l11(q, data):
+    """J(u, f v, w) = f J + A(u, w)(f) v + <v, w> E4(u, df)
+    + E3(u, v, w) coanchor(df), and K_k(u, e_b, e_c) = g_bc E4(u, dx_k)
+    + E3(u, e_b, e_c) coanchor[k] picks up the closed-form correction of
+    L11 at u = x_m e_a."""
+    u, v, w = _draw_sections(q, data, 3)
+    f = data.draw(polys(R2))
+    df = KForm.from_poly(f).d()
+    expected = _combine(
+        q,
+        (f, jacobiator(q, u, v, w)),
+        (anchor_defect(q, u, w).apply(f), v),
+        (q.pairing_of(v, w), e4(q, u, df)),
+        (e3(q, u, v, w), c_d(q, f)),
+    )
+    assert vec_eq(jacobiator(q, u, vec_scale(f, v), w), expected)
+
+    a, b, c = (data.draw(st.integers(0, q.rank - 1)) for _ in range(3))
+    k, m = (data.draw(st.integers(0, 1)) for _ in range(2))
+    e = [unit_vec(R2, q.rank, i) for i in range(q.rank)]
+    g = q.pairing
+
+    def big_m(i, j):
+        return q.pairing_of(e[i], q.coanchor[j]) - q.anchor[i][j]
+
+    def k_defect(u):
+        dx_k = KForm.dx(R2, k)
+        return _combine(
+            q, (g[b][c], e4(q, u, dx_k)), (e3(q, u, e[b], e[c]), q.coanchor[k])
+        )
+
+    x_m = Poly.coord(R2, m)
+    n_k = q.anchor_of(q.coanchor[k])
+    closed = _combine(
+        q,
+        (g[b][c] * big_m(a, k), q.coanchor[m]),
+        (-(g[b][c] * n_k.comps[m]), e[a]),
+        (-(g[a][b] * big_m(c, m) + g[a][c] * big_m(b, m)), q.coanchor[k]),
+    )
+    got = vec_sub(k_defect(vec_scale(x_m, e[a])), vec_scale(x_m, k_defect(e[a])))
+    assert vec_eq(got, closed)
+
+
+@given(courant_data(min_rank=2), st.data())
+@settings(max_examples=15, deadline=None)
+def test_jacobiator_u_slot_obeys_l12(q, data):
+    """The closed forms of J(f u, v, w) and [coanchor(df), w] in L12."""
+    u, v, w = _draw_sections(q, data, 3)
+    f = data.draw(polys(R2))
+    df = KForm.from_poly(f).d()
+    cdf = c_d(q, f)
+    uv = q.pairing_of(u, v)
+    cdf_w = _combine(
+        q, (-1, e4(q, w, df)), (1, c_d(q, e5(q, w, df))), (1, e6(q, cdf, w))
+    )
+    assert vec_eq(q.bracket(cdf, w), cdf_w)
+    scalar = (
+        e3(q, v, u, w)
+        + q.pairing_of(e6(q, u, v), w)
+        + e5(q, w, KForm.from_poly(uv).d())
+    )
+    expected = _combine(
+        q,
+        (f, jacobiator(q, u, v, w)),
+        (-anchor_defect(q, v, w).apply(f), u),
+        (-scalar, cdf),
+        (q.anchor_of(w).apply(f), e6(q, u, v)),
+        (-e5(q, w, df), c_d(q, uv)),
+        (-q.pairing_of(u, w), e4(q, v, df)),
+        (-uv, cdf_w),
+    )
+    assert vec_eq(jacobiator(q, vec_scale(f, u), v, w), expected)
+
+
+@given(courant_data(min_rank=2), st.data())
+@settings(max_examples=12, deadline=None)
+def test_jacobiator_u_slot_is_second_order(q, data):
+    """L12: D(f) = J(f u, v, w) - f J(u, v, w) is the order-two operator
+    that D(x_k) and D(x_k x_l) fix, so those probes decide the u slot."""
+    u, v, w = _draw_sections(q, data, 3, max_degree=1)
+    f = data.draw(polys(R2, max_degree=3))
+    base = jacobiator(q, u, v, w)
+
+    def big_d(p):
+        return vec_sub(jacobiator(q, vec_scale(p, u), v, w), vec_scale(p, base))
+
+    x = [Poly.coord(R2, k) for k in range(2)]
+    first = [big_d(x[k]) for k in range(2)]
+    expected = _combine(q, *[(f.diff(k), first[k]) for k in range(2)])
+    for k, l in combinations_with_replacement(range(2), 2):
+        # (1 + delta_kl) D_kl
+        d_kl = vec_sub(big_d(x[k] * x[l]), _combine(q, (x[l], first[k]), (x[k], first[l])))
+        weight = f.diff(k).diff(l) * Fraction(1, 1 + (k == l))
+        expected = vec_add(expected, vec_scale(weight, d_kl))
+    assert vec_eq(big_d(f), expected)
 
 
 def _named_sections(label, chart, rank):

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from algebroids.anchored import jacobiator
 from algebroids.errors import UnsupportedModeError, ValidationError
 from algebroids import linalg
 from algebroids.lie_algebroid import (
@@ -480,3 +481,31 @@ def test_bracket_with_a_marking_is_decided_by_generators_and_its_anchor(a, data)
         gen_term = scale(u[i], a.bracket(a.gen(i), m))
         expected = add(expected, sub(gen_term, scale(rho_m.apply(u[i]), a.gen(i))))
     assert linalg.vec_eq(a.bracket(u, m), expected)
+
+
+@given(lie_data(), st.data())
+@settings(max_examples=25, deadline=None)
+def test_jacobiator_slots_obey_l13(a, data):
+    """L13: with A(u, v) = anchor([u, v]) - [anchor u, anchor v], function-
+    linear in both slots, J(u, v, f w) = f J - A(u, v)(f) w, J(u, f v, w)
+    = f J + A(u, w)(f) v and J(f u, v, w) = f J - A(v, w)(f) u
+    + anchor(w)(f) ([u, v] + [v, u])."""
+    section = st.tuples(*[polys(R2)] * a.rank)
+    u, v, w = (data.draw(section) for _ in range(3))
+    f = data.draw(polys(R2))
+    scale, add, sub = linalg.vec_scale, linalg.vec_add, linalg.vec_sub
+
+    def anchor_defect(x, y):
+        return a.anchor_of(a.bracket(x, y)) - a.anchor_of(x).bracket(a.anchor_of(y))
+
+    base = scale(f, jacobiator(a, u, v, w))
+    assert anchor_defect(scale(f, u), v) == anchor_defect(u, v).scale(f)
+    assert anchor_defect(u, scale(f, v)) == anchor_defect(u, v).scale(f)
+    expected = sub(base, scale(anchor_defect(u, v).apply(f), w))
+    assert linalg.vec_eq(jacobiator(a, u, v, scale(f, w)), expected)
+    expected = add(base, scale(anchor_defect(u, w).apply(f), v))
+    assert linalg.vec_eq(jacobiator(a, u, scale(f, v), w), expected)
+    symmetric = add(a.bracket(u, v), a.bracket(v, u))
+    expected = sub(base, scale(anchor_defect(v, w).apply(f), u))
+    expected = add(expected, scale(a.anchor_of(w).apply(f), symmetric))
+    assert linalg.vec_eq(jacobiator(a, scale(f, u), v, w), expected)
