@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from algebroids import linalg
 from algebroids.errors import (
@@ -64,6 +64,7 @@ from algebroids.linalg import (
     vec_add,
     vec_eq,
     vec_is_zero,
+    vec_scale,
     vec_sub,
     zero_vec,
 )
@@ -169,6 +170,8 @@ class AnchoredModule:
         return self.zero_section() if got is None else got
 
     def bracket(self, u: Vec, v: Vec) -> Vec:
+        if vec_is_zero(u) or vec_is_zero(v):
+            return self.zero_section()
         return tuple(
             leibniz_sum(
                 self.rank, self._entry, u, v, self.anchor_of(u), self.anchor_of(v)
@@ -192,22 +195,90 @@ def jacobiator(m: AnchoredModule, u: Vec, v: Vec, w: Vec) -> Vec:
 
 def jacobi_generator_failures(m: AnchoredModule) -> Iterator[str]:
     """The jacobiator on every generator triple, inner brackets read from
-    the table. The unit sections and table rows are built once per call."""
+    the table. [e_a, row(b, c)] and [e_b, row(a, c)] range over the same
+    brackets [e_x, row(y, z)], so each is computed once, on first use; a
+    table built up front would defeat the early exit at the first failure."""
     gen = [m.gen(a) for a in range(m.rank)]
     row = {
         (a, b): m.bracket_gen(a, b)
         for a, b in product(range(m.rank), repeat=2)
     }
+    outer: dict[tuple[int, int, int], Vec] = {}
+
+    def gen_row(x: int, y: int, z: int) -> Vec:
+        got = outer.get((x, y, z))
+        if got is None:
+            got = outer[(x, y, z)] = m.bracket(gen[x], row[(y, z)])
+        return got
+
     for a, b, c in product(range(m.rank), repeat=3):
         defect = vec_sub(
-            m.bracket(gen[a], row[(b, c)]),
-            vec_add(
-                m.bracket(row[(a, b)], gen[c]),
-                m.bracket(gen[b], row[(a, c)]),
-            ),
+            gen_row(a, b, c),
+            vec_add(m.bracket(row[(a, b)], gen[c]), gen_row(b, a, c)),
         )
         if not vec_is_zero(defect):
             yield f"generators ({a},{b},{c}): defect {fmt_section(defect)}"
+
+
+Probe = tuple[str, Vec]
+
+
+def probe(m: AnchoredModule, a: int, *coords: int) -> Probe:
+    """The section x_k * ... * e_a for the coordinate indices k given,
+    with its label (e.g. "x1*x2*e0")."""
+    chart = m.chart
+    coeff = Poly.one(chart)
+    for k in coords:
+        coeff = coeff * Poly.coord(chart, k)
+    label = "*".join([chart.coords[k] for k in coords] + [f"e{a}"])
+    return label, vec_scale(coeff, m.gen(a))
+
+
+def jacobi_counterexample(
+    m: AnchoredModule, *triples: tuple[Probe, Probe, Probe]
+) -> str:
+    """The label of the first probe triple whose jacobiator is nonzero.
+
+    Callers pass triples on which a lemma proves the jacobiator nonzero
+    (for the second of two, when the first vanishes), so running out of
+    triples means the lemma does not hold for this table."""
+    for (lu, u), (lv, v), (lw, w) in triples:
+        defect = jacobiator(m, u, v, w)
+        if not vec_is_zero(defect):
+            return f"sections ({lu}, {lv}, {lw}): defect {fmt_section(defect)}"
+    labels = [tuple(label for label, _ in t) for t in triples]
+    raise AssertionError(f"no nonzero jacobiator among {labels}")
+
+
+def jacobi_left_probe_failures(
+    m: AnchoredModule, probes: Iterable[Probe]
+) -> Iterator[str]:
+    """The jacobiator J(u, e_b, e_c) of each probe u against every pair of
+    generators, with [u, e_b] computed once per probe and generator."""
+    r = m.rank
+    gen = [m.gen(a) for a in range(r)]
+    row = {(b, c): m.bracket_gen(b, c) for b, c in product(range(r), repeat=2)}
+    for label, u in probes:
+        with_gen = [m.bracket(u, gen[b]) for b in range(r)]
+        for b, c in product(range(r), repeat=2):
+            defect = vec_sub(
+                m.bracket(u, row[(b, c)]),
+                vec_add(
+                    m.bracket(with_gen[b], gen[c]),
+                    m.bracket(gen[b], with_gen[c]),
+                ),
+            )
+            if not vec_is_zero(defect):
+                yield (
+                    f"sections ({label}, e{b}, e{c}): "
+                    f"defect {fmt_section(defect)}"
+                )
+
+
+def anchor_defect(m: AnchoredModule, a: int, b: int) -> VField:
+    """A(e_a, e_b) = anchor([e_a, e_b]) - [anchor(e_a), anchor(e_b)]."""
+    lhs = m.anchor_of(m.bracket_gen(a, b))
+    return lhs - m.anchor_of(m.gen(a)).bracket(m.anchor_of(m.gen(b)))
 
 
 def anchor_failures(

@@ -27,20 +27,22 @@ linearly.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from typing import Sequence
 
 from algebroids import linalg
 from algebroids.anchored import (
     AnchoredModule,
+    anchor_defect,
     anchor_failures,
     bracket_failures,
     constant_quotient,
+    jacobi_counterexample,
     jacobi_generator_failures,
-    jacobiator,
+    jacobi_left_probe_failures,
+    probe,
 )
 from algebroids.errors import ChartMismatchError, ValidationError
 from algebroids.lie_algebroid import LieData
@@ -55,7 +57,6 @@ from algebroids.linalg import (
     vec_sub,
 )
 from algebroids.report import Report
-from algebroids.sampling import sample_section
 from algebroids.symcalc import Chart, KForm, Poly, VField
 
 
@@ -122,6 +123,8 @@ class CourantData(AnchoredModule):
         return bilinear(u, self.pairing, v, self.chart)
 
     def bracket(self, u: Vec, v: Vec) -> Vec:
+        if vec_is_zero(u) or vec_is_zero(v):
+            return self.zero_section()
         alpha = pairing_differential(self.pairing, u, v, self.chart)
         return self._coanchor_vec(alpha, super().bracket(u, v))
 
@@ -250,6 +253,28 @@ def direct_sum(q1: CourantData, q2: CourantData) -> CourantData:
 # ---------------------------------------------------------------------------
 
 
+def generator_defects(q: CourantData) -> tuple[list[list[Poly]], list[VField]]:
+    """M[a][j] = <e_a, coanchor[j]> - anchor(e_a)^j and N[j] =
+    anchor(coanchor[j]): the eq5 and eq1 defects on generators (L5)."""
+    n = q.chart.dim
+    M = [
+        [q.pairing_of(q.gen(a), q.coanchor[j]) - q.anchor[a][j] for j in range(n)]
+        for a in range(q.rank)
+    ]
+    return M, [q.anchor_of(row) for row in q.coanchor]
+
+
+# The verdicts that, with the anchor on generators, make the jacobiator
+# function-linear in every slot (L10-L12).
+TENSORIAL_WHEN = (
+    "eq1_anchor_coanchor",
+    "eq3_pairing_invariance",
+    "eq4_coanchor_ideal",
+    "eq5_adjunction",
+    "eq6_symmetrization",
+)
+
+
 def check_courant(
     q: CourantData,
     samples: int = 100,
@@ -257,9 +282,9 @@ def check_courant(
     max_degree: int | None = None,
 ) -> Report:
     """Verify the Courant axioms: six pointwise compatibilities and the
-    Jacobi identity in Leibniz form. eq1-eq6 are decided exactly by the
-    lemmas below; leibniz_identity adds samples // 4 seeded triples of
-    sections (degree at most max_degree) to its generator cases.
+    Jacobi identity in Leibniz form, each decided exactly by the lemmas
+    below on generators and probe sections x_k*e_a. No verdict draws
+    random sections: samples, seed and max_degree are accepted and unused.
 
     g is the pairing and c(alpha) = sum_j alpha_j coanchor[j]. The eq5 and
     eq1 generator defects M[a][j] = <e_a, coanchor[j]> - anchor(e_a)^j and
@@ -279,19 +304,81 @@ def check_courant(
     L8: E4(u, alpha) = [u, c alpha] - c(L_{anchor u} alpha) is linear in
     alpha, and E4(f u, alpha) = f E4(u, alpha) - anchor(c alpha)(f) u
     + E5(u, alpha) c(df). Past the generator cases, eq4 is decided by the
-    probes E4(x_k e_a, dx_j) = M[a][j] coanchor[k] - N[j]^k e_a."""
+    probes E4(x_k e_a, dx_j) = M[a][j] coanchor[k] - N[j]^k e_a.
+
+    leibniz_identity is J(u, v, w) = [u, [v, w]] - [[u, v], w] - [v, [u, w]]
+    = 0. Write A(u, v) = anchor([u, v]) - [anchor u, anchor v] and E6(u, v)
+    = [u, v] + [v, u] - c(d<u, v>). The slot formulas below follow from L1
+    and its left-slot twin, so they hold for every table.
+    L10 (w slot): J(u, v, f w) = f J(u, v, w) - A(u, v)(f) w, A(u, f v)
+    = f A(u, v) and A(f u, v) = f A(u, v) + <u, v> N(df). So J is
+    function-linear in w iff A(e_a, e_b) = 0 and g_ab N[m] = 0 for all
+    a, b, m. Past the generator triples, A(e_a, e_b)^k != 0 makes
+    J(e_a, e_b, x_k e_0) = -A(e_a, e_b)^k e_0, and g_ab N[m]^k != 0 makes
+    J(x_m e_a, e_b, x_k e_0) = x_k J(x_m e_a, e_b, e_0) - g_ab N[m]^k e_0,
+    so one of those two sections is a counterexample.
+    L11 (v slot): J(u, f v, w) = f J(u, v, w) + A(u, w)(f) v
+    + <v, w> E4(u, df) + E3(u, v, w) c(df). With A = 0 the correction is
+    sum_k d_k(f) K_k(u, v, w), K_k(u, v, w) = <v, w> E4(u, dx_k)
+    + E3(u, v, w) coanchor[k], which is linear in v and w. By L7 and L8,
+    K_k(f u, e_b, e_c) - f K_k(u, e_b, e_c) is first order in f; for
+    u = e_a and f = x_m it is g_bc (M[a][k] coanchor[m] - N[k]^m e_a)
+    - (g_ab M[c][m] + g_ac M[b][m]) coanchor[k]. So J is function-linear
+    in v iff K_k(e_a, e_b, e_c) and that correction vanish; they show at
+    (e_a, x_k e_b, e_c) and at (x_m e_a, x_k e_b, e_c) unless
+    J(x_m e_a, e_b, e_c) is already nonzero.
+    L12 (u slot): each bracket is a differential operator of order at most
+    one in the coefficients of either argument, and J nests two of them,
+    so D(f) = J(f u, v, w) - f J(u, v, w) is a differential operator of
+    order at most two in f with D(1) = 0: D(f) = sum_k D_k d_k(f)
+    + sum_{k<=l} D_kl d_k d_l(f). As D(x_k) = D_k and D(x_k x_l) =
+    x_l D_k + x_k D_l + (1 + delta_kl) D_kl, J(u, e_b, e_c) vanishes for
+    every u iff it does on the probes x_k e_a and x_k x_l e_a. In closed
+    form, with [c(df), w] = -E4(w, df) + c(d E5(w, df)) + E6(c(df), w),
+    J(f u, v, w) = f J - A(v, w)(f) u - [E3(v, u, w) + <E6(u, v), w>
+    + E5(w, d<u, v>)] c(df) + anchor(w)(f) E6(u, v) - E5(w, df) c(d<u, v>)
+    - <u, w> E4(v, df) - <u, v> [c(df), w].
+    So once eq1, eq3-eq6 and A(e_a, e_b) = 0 hold, J is function-linear in
+    every slot and the generator triples decide leibniz_identity.
+    Otherwise it goes on through the closed forms of L10 and L11 and then
+    the direct probes of L12, and stops at the first failure; each
+    counterexample names sections on which J is evaluated directly."""
     rep = Report()
-    rng = random.Random(seed)
-    kw = {} if max_degree is None else {"max_degree": max_degree}
     chart = q.chart
     coords = chart.coords
     r = q.rank
     n = chart.dim
-    M = [
-        [q.pairing_of(q.gen(a), q.coanchor[j]) - q.anchor[a][j] for j in range(n)]
-        for a in range(r)
-    ]
-    N = [q.anchor_of(row) for row in q.coanchor]
+    g = q.pairing
+    gen = [q.gen(a) for a in range(r)]
+    M, N = generator_defects(q)
+    e3_rows: dict[int, list[list[Poly]]] = {}
+    e4_gens: dict[tuple[int, int], Vec] = {}
+
+    def e3_row(c: int) -> list[list[Poly]]:
+        """E3(e_c, e_a, e_b) for every (a, b), built on first use."""
+        if c not in e3_rows:
+            rho = q.anchor_of(gen[c])
+            paired = [  # <[e_c, e_a], e_b>
+                [q.pairing_of(q.bracket_gen(c, a), gen[b]) for b in range(r)]
+                for a in range(r)
+            ]
+            e3_rows[c] = [
+                [rho.apply(g[a][b]) - paired[a][b] - paired[b][a] for b in range(r)]
+                for a in range(r)
+            ]
+        return e3_rows[c]
+
+    def e4_gen(a: int, j: int) -> Vec:
+        """E4(e_a, dx_j), built on first use."""
+        if (a, j) not in e4_gens:
+            rhs = q.coanchor_of(KForm.dx(chart, j).lie(q.anchor_of(gen[a])))
+            e4_gens[(a, j)] = vec_sub(q.bracket(gen[a], q.coanchor[j]), rhs)
+        return e4_gens[(a, j)]
+
+    def combination(*terms: tuple[Poly, Vec]) -> Vec:
+        """The sum of coefficient * section, zero terms skipped."""
+        coeffs, sections = zip(*terms)
+        return apply_matrix(sections, coeffs, r, chart)
 
     def anchor_coanchor():
         for j, got in enumerate(N):
@@ -299,15 +386,10 @@ def check_courant(
                 yield f"coordinate {coords[j]}: anchor image {got}"
 
     def pairing_invariance():
-        g = q.pairing
         for c in range(r):
-            rho = q.anchor_of(q.gen(c))
-            paired = [  # <[e_c, e_a], e_b>
-                [q.pairing_of(q.bracket_gen(c, a), q.gen(b)) for b in range(r)]
-                for a in range(r)
-            ]
+            row = e3_row(c)
             for a, b in product(range(r), repeat=2):
-                if rho.apply(g[a][b]) != paired[a][b] + paired[b][a]:
+                if not row[a][b].is_zero:
                     yield f"generators ({c},{a},{b})"
         nonzero = [(b, k) for b in range(r) for k in range(n) if not M[b][k].is_zero]
         for (b, k), c, a in product(nonzero, range(r), range(r)):
@@ -316,12 +398,11 @@ def check_courant(
 
     def coanchor_ideal():
         for a, j in product(range(r), range(n)):
-            rhs = q.coanchor_of(KForm.dx(chart, j).lie(q.anchor_of(q.gen(a))))
-            if not linalg.vec_eq(q.bracket(q.gen(a), q.coanchor[j]), rhs):
+            if not vec_is_zero(e4_gen(a, j)):
                 yield f"generator {a}, coordinate {coords[j]}"
         for a, j, k in product(range(r), range(n), range(n)):
             lhs = vec_scale(M[a][j], q.coanchor[k])
-            if not linalg.vec_eq(lhs, vec_scale(N[j].comps[k], q.gen(a))):
+            if not linalg.vec_eq(lhs, vec_scale(N[j].comps[k], gen[a])):
                 yield f"section {coords[k]}*e{a}, coordinate {coords[j]}"
 
     def adjunction():
@@ -338,10 +419,55 @@ def check_courant(
 
     def leibniz_identity():
         yield from jacobi_generator_failures(q)
-        for t in range(samples // 4):
-            u, v, w = (sample_section(rng, chart, r, **kw) for _ in range(3))
-            if not vec_is_zero(jacobiator(q, u, v, w)):
-                yield f"sampled sections (trial {t})"
+        e = [probe(q, a) for a in range(r)]
+        # L10, the anchor on generators
+        for a, b in product(range(r), repeat=2):
+            for k, comp in enumerate(anchor_defect(q, a, b).comps):
+                if not comp.is_zero:
+                    yield jacobi_counterexample(q, (e[a], e[b], probe(q, 0, k)))
+        if all(rep[name].passed for name in TENSORIAL_WHEN):
+            return
+        # L10, g_ab N[m]
+        for a, b, m in product(range(r), range(r), range(n)):
+            if g[a][b].is_zero:
+                continue
+            for k, comp in enumerate(N[m].comps):
+                if not comp.is_zero:
+                    xa = probe(q, a, m)
+                    yield jacobi_counterexample(
+                        q, (xa, e[b], e[0]), (xa, e[b], probe(q, 0, k))
+                    )
+        # L11, K_k on generators, then its correction at x_m e_a
+        for a, b, c, k in product(range(r), range(r), range(r), range(n)):
+            k_gen = combination(
+                (g[b][c], e4_gen(a, k)), (e3_row(a)[b][c], q.coanchor[k])
+            )
+            if not vec_is_zero(k_gen):
+                yield jacobi_counterexample(q, (e[a], probe(q, b, k), e[c]))
+        for a, m, k in product(range(r), range(n), range(n)):
+            x_part = combination((M[a][k], q.coanchor[m]), (-N[k].comps[m], gen[a]))
+            if vec_is_zero(x_part) and all(M[c][m].is_zero for c in range(r)):
+                continue
+            for b, c in product(range(r), repeat=2):
+                scalar = -(g[a][b] * M[c][m] + g[a][c] * M[b][m])
+                correction = combination((g[b][c], x_part), (scalar, q.coanchor[k]))
+                if not vec_is_zero(correction):
+                    xa = probe(q, a, m)
+                    yield jacobi_counterexample(
+                        q, (xa, e[b], e[c]), (xa, probe(q, b, k), e[c])
+                    )
+        # L12, first-order probes, then second-order ones
+        yield from jacobi_left_probe_failures(
+            q, (probe(q, a, k) for a, k in product(range(r), range(n)))
+        )
+        yield from jacobi_left_probe_failures(
+            q,
+            (
+                probe(q, a, k, l)
+                for a in range(r)
+                for k, l in combinations_with_replacement(range(n), 2)
+            ),
+        )
 
     rep.check("eq1_anchor_coanchor", anchor_coanchor())
     rep.add("eq2_leibniz_rule", True)

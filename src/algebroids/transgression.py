@@ -22,26 +22,28 @@ degree-wise combination of the summand tables.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from itertools import product
+from functools import cache, cached_property
+from itertools import combinations, combinations_with_replacement, product
 
+from algebroids.anchored import probe
 from algebroids.courant import (
     CourantCombination,
     CourantData,
     baer_combination,
+    generator_defects,
 )
 from algebroids.errors import ChartMismatchError, TruncationError, ValidationError
 from algebroids.linalg import (
     Vec,
     unit_vec,
     vec_add,
+    vec_eq,
     vec_is_zero,
     vec_sub,
     zero_vec,
 )
 from algebroids.report import Report
-from algebroids.sampling import sample_kform, sample_poly, sample_section
 from algebroids.symcalc import KForm, Poly
 
 
@@ -61,35 +63,33 @@ class TauModule:
 
     # -- element constructors ------------------------------------------------
 
+    @cached_property
+    def _zeros(self) -> tuple[Poly, Vec, KForm]:
+        """The zero function, section and two-form, shared by every element."""
+        chart = self.chart
+        return Poly.zero(chart), zero_vec(chart, self.rank), KForm.zero(chart, 2)
+
     def zero(self, degree: int) -> "TauElement":
-        return TauElement(
-            self,
-            degree,
-            Poly.zero(self.chart),
-            zero_vec(self.chart, self.rank),
-            KForm.zero(self.chart, 2),
-        )
+        return TauElement(self, degree, *self._zeros)
 
     def function_c(self, f: Poly) -> "TauElement":
-        out = self.zero(-2)
-        return TauElement(self, -2, f, out.section, out.form)
+        _, section, form = self._zeros
+        return TauElement(self, -2, f, section, form)
 
     def section_eps(self, q: Vec) -> "TauElement":
-        out = self.zero(-1)
-        return TauElement(self, -1, out.c_part, tuple(q), out.form)
+        c_part, _, form = self._zeros
+        return TauElement(self, -1, c_part, tuple(q), form)
 
     def one_form_c(self, alpha: KForm) -> "TauElement":
         """A one-form dressed with c, rewritten through the coanchor."""
         return self.section_eps(self.courant.coanchor_of(alpha))
 
     def pair(self, q: Vec, omega: KForm | None = None) -> "TauElement":
-        if omega is None:
-            omega = KForm.zero(self.chart, 2)
-        out = self.zero(0)
-        return TauElement(self, 0, out.c_part, tuple(q), omega)
+        c_part, _, form = self._zeros
+        return TauElement(self, 0, c_part, tuple(q), form if omega is None else omega)
 
     def two_form_c(self, omega: KForm) -> "TauElement":
-        return self.pair(zero_vec(self.chart, self.rank), omega)
+        return self.pair(self._zeros[1], omega)
 
     def coordinate_c(self, j: int) -> "TauElement":
         return self.function_c(Poly.coord(self.chart, j))
@@ -227,122 +227,162 @@ def check_tau_rules(
     seed: int = 0,
     max_degree: int | None = None,
 ) -> Report:
-    """The bracket table on sampled elements: the six defining rules plus
+    """The bracket table on generator elements: the six defining rules plus
     centrality, graded antisymmetry, the Jacobi identity in the window, and
-    the truncation guard."""
+    the truncation guard. No rule draws random elements: samples, seed and
+    max_degree are accepted and unused.
+
+    Every rule is evaluated through TauModule on the generator elements
+    e_a (in pair(e_a) and e_a*eps), dx_j*c, (dx_i^dx_j)*c and x_k*c, which
+    name its counterexamples. The bracket is additive in each argument, and
+    the branch of TauModule.bracket that computes a rule turns its defect
+    into a Courant defect (check_courant names E3-E6 and M, N):
+
+        rule                   case         defect                 lemma
+        rule_c_central         [x, c]       anchor(x)(1) = 0       linear
+        rule_one_form_rewrite  alpha*c      c(alpha) - c(alpha)    linear
+        rule_interior_action   one-form     E5(u, alpha)           L5
+                               two-form     0                      linear
+        rule_lie_action        function     0, a derivation in f   linear
+                               one-form     E4(u, alpha)           L8
+        rule_odd_pairing       (-1,-1)      0                      linear
+        rule_mixed_bracket     both orders  0                      linear
+        graded_antisymmetry    (0,-1)       E6(u, v), omega drops  L6
+                               (-1,-1)      <u, v> - <v, u>        linear
+                               (0,-2)       0, a derivation in f   linear
+        graded_jacobi          (0,-1,-1)    E3(u, v, w)            L7
+                                            + E5(w, i_{anchor v} omega)
+                                            + E5(v, i_{anchor w} omega)
+
+    "linear" means function-linear in each element and a derivation in a
+    dressed function f, so the generator elements decide the case. L5 and
+    L6 are function-linear too. For L7 and L8 the generator cases come
+    first; then the probes x_k*e_a decide, and only those whose correction
+    can be nonzero are visited: E4(x_k e_a, dx_j) - x_k E4(e_a, dx_j)
+    = M[a][j] coanchor[k] - N[j]^k e_a, and E3(x_k e_a, e_b, e_c)
+    - x_k E3(e_a, e_b, e_c) = -(g_ab M[c][k] + g_ac M[b][k]). graded_jacobi
+    builds [x, e_b*eps] once per degree-0 element x and generator b, so it
+    takes r brackets of sections per element, not r^2; its defect is
+    symmetric in the two odd elements, as the pairing is, so it visits the
+    pairs b <= c only.
+    """
     rep = Report()
     tau = transgress(q)
     chart = q.chart
-    rng = random.Random(seed)
-    kw = {} if max_degree is None else {"max_degree": max_degree}
-    r = q.rank
+    coords = chart.coords
+    r, n = q.rank, chart.dim
+    gens = [q.gen(a) for a in range(r)]
+    M, N = generator_defects(q)
+    one = tau.function_c(Poly.one(chart))
+    eps = [tau.section_eps(e) for e in gens]
+    dx = [KForm.dx(chart, j) for j in range(n)]
+    two_forms = [
+        (f"d{coords[i]}^d{coords[j]}", KForm(chart, 2, {(i, j): Poly.one(chart)}))
+        for i, j in combinations(range(n), 2)
+    ]
+    degree_zero = [(f"e{a}", tau.pair(e)) for a, e in enumerate(gens)]
+    degree_zero += [(label, tau.two_form_c(omega)) for label, omega in two_forms]
 
-    def sections(count):
-        return [sample_section(rng, chart, r, **kw) for _ in range(count)]
+    @cache
+    def with_eps(i: int, b: int) -> TauElement:
+        """[x, e_b*eps] for the i-th degree-0 element x; pair(e_a) is x_a."""
+        return tau.bracket(degree_zero[i][1], eps[b])
+
+    @cache
+    def eps_with(b: int, i: int) -> TauElement:
+        """[e_b*eps, x] for the i-th degree-0 element x."""
+        return tau.bracket(eps[b], degree_zero[i][1])
 
     def c_central():
-        for t in range(samples):
-            u = sample_section(rng, chart, r, **kw)
-            one = tau.function_c(Poly.one(chart))
-            if not tau.bracket(tau.pair(u), one).is_zero:
-                yield f"degree 0 against c (trial {t})"
-            if not tau.bracket(tau.section_eps(u), one).is_zero:
-                yield f"degree -1 against c (trial {t})"
-            if not tau.bracket(one, tau.pair(u)).is_zero:
-                yield f"c against degree 0 (trial {t})"
+        for label, x in degree_zero:
+            if not tau.bracket(x, one).is_zero:
+                yield f"degree 0 against c: {label}"
+        for a in range(r):
+            if not tau.bracket(eps[a], one).is_zero:
+                yield f"degree -1 against c: e{a}"
+        for label, x in degree_zero:
+            if not tau.bracket(one, x).is_zero:
+                yield f"c against degree 0: {label}"
 
     def one_form_rewrite():
-        for t in range(samples):
-            alpha = sample_kform(rng, chart, 1, **kw)
-            if not vec_is_zero(
-                vec_sub(
-                    tau.one_form_c(alpha).section, q.coanchor_of(alpha)
-                )
-            ):
-                yield f"one-form rewrite (trial {t})"
+        for j in range(n):
+            if not vec_eq(tau.one_form_c(dx[j]).section, q.coanchor_of(dx[j])):
+                yield f"one-form rewrite: d{coords[j]}"
 
     def interior_action():
-        for t in range(samples):
-            u = sample_section(rng, chart, r, **kw)
-            alpha = sample_kform(rng, chart, 1, **kw)
-            omega = sample_kform(rng, chart, 2, **kw)
-            pi_u = q.anchor_of(u)
-            got = tau.bracket(tau.section_eps(u), tau.one_form_c(alpha))
-            if got.c_part != alpha.iota(pi_u).as_poly():
-                yield f"against a dressed one-form (trial {t})"
-            got = tau.bracket(tau.section_eps(u), tau.two_form_c(omega))
-            if got != tau.one_form_c(omega.iota(pi_u)):
-                yield f"against a dressed two-form (trial {t})"
+        for a, j in product(range(r), range(n)):
+            got = tau.bracket(eps[a], tau.one_form_c(dx[j]))
+            if got.c_part != dx[j].iota(q.anchor_of(gens[a])).as_poly():
+                yield f"against a dressed one-form: e{a}, d{coords[j]}"
+        for a, (label, omega) in product(range(r), two_forms):
+            got = tau.bracket(eps[a], tau.two_form_c(omega))
+            if got != tau.one_form_c(omega.iota(q.anchor_of(gens[a]))):
+                yield f"against a dressed two-form: e{a}, {label}"
 
     def lie_action():
-        for t in range(samples):
-            u = sample_section(rng, chart, r, **kw)
-            f = sample_poly(rng, chart, **kw)
-            alpha = sample_kform(rng, chart, 1, **kw)
-            pi_u = q.anchor_of(u)
-            got = tau.bracket(tau.pair(u), tau.function_c(f))
-            if got.c_part != pi_u.apply(f):
-                yield f"against a dressed function (trial {t})"
-            got = tau.bracket(tau.pair(u), tau.one_form_c(alpha))
-            if got != tau.one_form_c(alpha.lie(pi_u)):
-                yield f"against a dressed one-form (trial {t})"
+        for a, k in product(range(r), range(n)):
+            got = tau.bracket(tau.pair(gens[a]), tau.coordinate_c(k))
+            if got.c_part != q.anchor_of(gens[a]).apply(Poly.coord(chart, k)):
+                yield f"against a dressed function: e{a}, {coords[k]}"
+        cases = [(f"e{a}", gens[a], j) for a, j in product(range(r), range(n))]
+        for a, j, k in product(range(r), range(n), range(n)):
+            if not (M[a][j].is_zero and N[j].comps[k].is_zero):
+                cases.append((*probe(q, a, k), j))
+        for label, u, j in cases:
+            got = tau.bracket(tau.pair(u), tau.one_form_c(dx[j]))
+            if got != tau.one_form_c(dx[j].lie(q.anchor_of(u))):
+                yield f"against a dressed one-form: {label}, d{coords[j]}"
 
     def odd_pairing():
-        for t in range(samples):
-            u, v = sections(2)
-            got = tau.bracket(tau.section_eps(u), tau.section_eps(v))
-            if got.c_part != q.pairing_of(u, v):
-                yield f"trial {t}"
+        for a, b in product(range(r), repeat=2):
+            if tau.bracket(eps[a], eps[b]).c_part != q.pairing_of(gens[a], gens[b]):
+                yield f"e{a}, e{b}"
 
     def mixed_bracket():
-        for t in range(samples):
-            u, v = sections(2)
-            got = tau.bracket(tau.pair(u), tau.section_eps(v))
-            if not vec_is_zero(vec_sub(got.section, q.bracket(u, v))):
-                yield f"trial {t}"
-            got = tau.bracket(tau.section_eps(u), tau.pair(v))
-            g = q.pairing_of(u, v)
-            expected = tau.one_form_c(KForm.from_poly(-g).d()) + tau.section_eps(
-                q.bracket(u, v)
-            )
-            if got != expected:
-                yield f"opposite order (trial {t})"
+        for a, b in product(range(r), repeat=2):
+            expected = q.bracket_gen(a, b)
+            if not vec_eq(with_eps(a, b).section, expected):
+                yield f"e{a}, e{b}"
+            d_pairing = KForm.from_poly(-q.pairing[a][b]).d()
+            if eps_with(a, b) != tau.one_form_c(d_pairing) + tau.section_eps(expected):
+                yield f"opposite order: e{a}, e{b}"
 
     def graded_antisymmetry():
-        for t in range(samples):
-            u, v = sections(2)
-            omega1 = sample_kform(rng, chart, 2, **kw)
-            omega2 = sample_kform(rng, chart, 2, **kw)
-            x = tau.pair(u, omega1)
-            y = tau.section_eps(v)
-            lhs = tau.bracket(x, y)
-            rhs = tau.bracket(y, x)
-            if not vec_is_zero(vec_add(lhs.section, rhs.section)):
-                yield f"degrees (0,-1) (trial {t})"
-            a = tau.section_eps(u)
-            b = tau.section_eps(v)
-            if tau.bracket(a, b).c_part != tau.bracket(b, a).c_part:
-                yield f"degrees (-1,-1) (trial {t})"
-            fc = tau.function_c(sample_poly(rng, chart, **kw))
-            if (
-                tau.bracket(tau.pair(u, omega2), fc).c_part
-                != -tau.bracket(fc, tau.pair(u, omega2)).c_part
-            ):
-                yield f"degrees (0,-2) (trial {t})"
+        for (i, (label, _)), b in product(enumerate(degree_zero), range(r)):
+            if not vec_is_zero(vec_add(with_eps(i, b).section, eps_with(b, i).section)):
+                yield f"degrees (0,-1): {label}, e{b}"
+        for a, b in product(range(r), repeat=2):
+            if tau.bracket(eps[a], eps[b]).c_part != tau.bracket(eps[b], eps[a]).c_part:
+                yield f"degrees (-1,-1): e{a}, e{b}"
+        for (label, x), k in product(degree_zero, range(n)):
+            fc = tau.coordinate_c(k)
+            if tau.bracket(x, fc).c_part != -tau.bracket(fc, x).c_part:
+                yield f"degrees (0,-2): {label}, {coords[k]}"
 
     def graded_jacobi():
-        for t in range(samples):
-            u, v, w = sections(3)
-            omega = sample_kform(rng, chart, 2, **kw)
-            x = tau.pair(u, omega)
-            ye, ze = tau.section_eps(v), tau.section_eps(w)
-            lhs = tau.bracket(x, tau.bracket(ye, ze))
-            rhs = (
-                tau.bracket(tau.bracket(x, ye), ze).c_part
-                + tau.bracket(ye, tau.bracket(x, ze)).c_part
-            )
-            if lhs.c_part != rhs:
-                yield f"degrees (0,-1,-1) (trial {t})"
+        paired = {
+            (b, c): tau.bracket(eps[b], eps[c])
+            for b, c in combinations_with_replacement(range(r), 2)
+        }
+        cases = [
+            (label, x, [with_eps(i, b) for b in range(r)])
+            for i, (label, x) in enumerate(degree_zero)
+        ]
+        for k in range(n):
+            if any(not M[b][k].is_zero for b in range(r)):
+                for a in range(r):
+                    label, u = probe(q, a, k)
+                    x = tau.pair(u)
+                    cases.append((label, x, [tau.bracket(x, y) for y in eps]))
+        for label, x, x_eps in cases:
+            for b, c in combinations_with_replacement(range(r), 2):
+                lhs = tau.bracket(x, paired[(b, c)]).c_part
+                rhs = (
+                    tau.bracket(x_eps[b], eps[c]).c_part
+                    + tau.bracket(eps[b], x_eps[c]).c_part
+                )
+                if lhs != rhs:
+                    yield f"degrees (0,-1,-1): {label}, e{b}, e{c}"
 
     def truncation_guard():
         try:

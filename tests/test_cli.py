@@ -518,22 +518,49 @@ def test_courant_verbs_run_with_the_echoed_seed_and_samples(
     assert (job["seed"], job["samples"]) == (5, 3)
 
 
-@pytest.mark.parametrize("verb", ["check-courant", "pullback", "twist"])
-def test_courant_verbs_sample_at_the_requested_degree(tmp_path, monkeypatch, verb):
+@pytest.mark.parametrize(
+    "options",
+    [[], ["--samples", "4", "--max-degree", "1"], ["--seed", "9", "--samples", "1000"]],
+)
+@pytest.mark.parametrize(
+    "verb", ["check-courant", "pullback", "twist", "check-lie", "tau-roundtrip"]
+)
+def test_verdict_verbs_call_no_sampling_function(tmp_path, monkeypatch, verb, options):
+    """The verbs that once sampled decide every verdict exactly, whatever
+    --seed, --samples and --max-degree say."""
     from algebroids import sampling
 
-    degrees = set()
-    real = sampling.sample_poly
+    called = []
+    for name in ("sample_poly", "sample_section", "sample_kform"):
+        real = getattr(sampling, name)
 
-    def spy(rng, chart, max_degree=sampling.MAX_SAMPLE_DEGREE, terms=3):
-        degrees.add(max_degree)
-        return real(rng, chart, max_degree=max_degree, terms=terms)
+        def spy(*args, _name=name, _real=real, **kwargs):
+            called.append(_name)
+            return _real(*args, **kwargs)
 
-    monkeypatch.setattr(sampling, "sample_poly", spy)
+        monkeypatch.setattr(sampling, name, spy)
     spec, _ = PASSING_JOBS[verb]()
     argv = [verb, "--spec", write_job(tmp_path, spec), "--out", str(tmp_path / "r")]
-    assert main(argv + ["--samples", "4", "--max-degree", "1"]) == 0
-    assert degrees == {1}
+    assert main(argv + options) == 0
+    assert called == []
+
+
+@pytest.mark.parametrize("module", ["courant", "lie_algebroid", "transgression"])
+def test_verdict_modules_import_no_random_source(module):
+    import ast
+    import importlib
+
+    path = importlib.import_module(f"algebroids.{module}").__file__
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    assert not imported & {"random", "algebroids.sampling"}
 
 
 def test_cocycle_with_a_failing_first_element_exits_one(tmp_path, capsys):

@@ -24,7 +24,7 @@ from algebroids.courant import (
     standard_exact,
     twist,
 )
-from algebroids.anchored import jacobiator
+from algebroids.anchored import jacobi_generator_failures, jacobiator
 from algebroids.errors import ValidationError
 from algebroids.lie_algebroid import MarkedLieData, check_marked, tangent_algebroid
 from algebroids.linalg import unit_vec, vec_add, vec_eq, vec_scale, vec_sub, zero_vec
@@ -621,25 +621,28 @@ def test_jacobiator_u_slot_is_second_order(q, data):
     expected = _combine(q, *[(f.diff(k), first[k]) for k in range(2)])
     for k, l in combinations_with_replacement(range(2), 2):
         # (1 + delta_kl) D_kl
-        d_kl = vec_sub(big_d(x[k] * x[l]), _combine(q, (x[l], first[k]), (x[k], first[l])))
+        cross = _combine(q, (x[l], first[k]), (x[k], first[l]))
+        d_kl = vec_sub(big_d(x[k] * x[l]), cross)
         weight = f.diff(k).diff(l) * Fraction(1, 1 + (k == l))
         expected = vec_add(expected, vec_scale(weight, d_kl))
     assert vec_eq(big_d(f), expected)
 
 
 def _named_sections(label, chart, rank):
-    """The sections x_k*e_a and e_a a counterexample label names, in order."""
+    """The sections x_k*...*e_a a counterexample label names, in order; a
+    defect after the colon is not read."""
     out = []
-    for coord, a in re.findall(r"(?:(x\d+)\*)?e(\d+)", label):
-        coeff = parse_poly(coord or "1", chart)
-        out.append(vec_scale(coeff, unit_vec(chart, rank, int(a))))
+    for coeff, a in re.findall(r"((?:x\d+\*)*)e(\d+)", label.split(":")[0]):
+        poly = parse_poly(coeff.rstrip("*") or "1", chart)
+        out.append(vec_scale(poly, unit_vec(chart, rank, int(a))))
     return out
 
 
 def test_probe_cases_name_failing_sections():
     """On the courant-anchor and marked-anchor inputs of the failing-report
-    pins, eq3, eq4 and marking_central hold on generators and fail on a
-    probe case; the identity is nonzero on the sections each one names."""
+    pins, eq3, eq4, leibniz_identity and marking_central hold on generators
+    and fail on a probe case; the identity is nonzero on the sections each
+    one names."""
     q = _perturbed(standard_exact(A2), "anchor", (0, 0), 1)
     rep = check_courant(q, samples=0)
     label = rep["eq3_pairing_invariance"].counterexample
@@ -652,6 +655,11 @@ def test_probe_cases_name_failing_sections():
     alpha = KForm.dx(A2, A2.coords.index(label.rsplit(" ", 1)[1]))
     assert not vec_eq(e4(q, u, alpha), zero_vec(A2, q.rank))
 
+    label = rep["leibniz_identity"].counterexample
+    assert label.startswith("sections (")
+    u, v, w = _named_sections(label, A2, q.rank)
+    assert not vec_eq(jacobiator(q, u, v, w), zero_vec(A2, q.rank))
+
     total = _perturbed_lie(_magnetic_total(A2), "anchor", (2, 0), Poly.coord(A2, 0))
     marking = unit_vec(A2, 3, 2)
     rep = check_marked(MarkedLieData(total, marking))
@@ -659,3 +667,51 @@ def test_probe_cases_name_failing_sections():
     assert label.startswith("section ")
     (u,) = _named_sections(label, A2, 3)
     assert not vec_eq(total.bracket(u, marking), zero_vec(A2, 3))
+
+
+def _zero_coanchor(chart):
+    """The tangent table with a zero coanchor and the identity pairing. The
+    bracket is the bracket of vector fields, so J = 0, but the pairing is
+    not invariant (eq3) and the coanchor not adjoint to the anchor (eq5)."""
+    n = chart.dim
+    frame = tuple(unit_vec(chart, n, i) for i in range(n))
+    return CourantData(chart, n, frame, (zero_vec(chart, n),) * n, frame, {})
+
+
+@pytest.mark.parametrize("chart", [R2, R3])
+def test_leibniz_identity_runs_every_probe_when_prerequisites_fail(chart, monkeypatch):
+    """The worst case of leibniz_identity: eq3 and eq5 fail, so J is not
+    known to be tensorial, yet J = 0, so every stage of L10-L12 runs and
+    passes, including all first- and second-order probes."""
+    from algebroids import courant
+
+    probes = []
+    real = courant.jacobi_left_probe_failures
+
+    def spy(q, batch):
+        batch = list(batch)
+        probes.extend(label for label, _ in batch)
+        return real(q, batch)
+
+    monkeypatch.setattr(courant, "jacobi_left_probe_failures", spy)
+    q = _zero_coanchor(chart)
+    rep = check_courant(q)
+    assert [c.name for c in rep.failures()] == [
+        "eq3_pairing_invariance",
+        "eq5_adjunction",
+    ]
+    n = chart.dim
+    assert len(probes) == n * n + n * n * (n + 1) // 2
+    assert rep["leibniz_identity"].passed
+
+
+def test_leibniz_identity_names_a_probe_past_the_generator_triples():
+    """R3 twisted by (x1 + x2) dx1 dx2 dx3 with anchor[0][2] + 1: every
+    generator triple and the anchor on generators hold, and leibniz_identity
+    fails on probe sections, where J is nonzero."""
+    q = _perturbed(standard_exact(R3, vol3("x1 + x2")), "anchor", (0, 2), 1)
+    assert not any(jacobi_generator_failures(q))
+    label = check_courant(q)["leibniz_identity"].counterexample
+    assert label.startswith("sections (")
+    u, v, w = _named_sections(label, R3, q.rank)
+    assert not vec_eq(jacobiator(q, u, v, w), zero_vec(R3, q.rank))

@@ -1,5 +1,7 @@
 """Lie algebroid data, axiom checks, extensions, and inverse images."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -509,3 +511,43 @@ def test_jacobiator_slots_obey_l13(a, data):
     expected = sub(base, scale(anchor_defect(v, w).apply(f), u))
     expected = add(expected, scale(a.anchor_of(w).apply(f), symmetric))
     assert linalg.vec_eq(jacobiator(a, scale(f, u), v, w), expected)
+
+
+def test_exact_verdicts_on_every_tangent_r3_mutant():
+    """+1 and +x1 on one anchor or table entry of the tangent algebroid of
+    R3. The survivors are the anchor shifts whose vector fields still
+    commute; every other mutant breaks anchor_morphism, which by L13 also
+    breaks jacobi_identity."""
+    from test_acceptance import _perturbed_lie
+
+    a = tangent_algebroid(R3)
+    one, x1 = Poly.one(R3), Poly.coord(R3, 0)
+    mutants = [("anchor", (i, j)) for i in range(3) for j in range(3)]
+    mutants += [("structure", idx) for idx in product(range(3), repeat=3)]
+    survivors = []
+    for (where, idx), delta in product(mutants, (one, x1)):
+        rep = check_lie_algebroid(_perturbed_lie(a, where, idx, delta))
+        if rep.ok:
+            survivors.append((where, idx, str(delta)))
+        else:
+            assert not rep["anchor_morphism"].passed
+            assert not rep["jacobi_identity"].passed
+    commuting = [("anchor", (0, j), "x1") for j in range(3)]
+    shifts = [("anchor", (i, j), "1") for i in range(3) for j in range(3)]
+    assert sorted(survivors) == sorted(shifts + commuting)
+
+
+def test_jacobi_identity_catches_a_symmetric_entry_past_the_generators():
+    """[e0, e0] = e2 on the magnetic line extension of the plane: e2 is
+    central and anchor-free, so every generator triple and the anchor hold,
+    but J(x1 e0, e0, e0) = anchor(e0)(x1) ([e0, e0] + [e0, e0]) = 2 e2."""
+    from test_acceptance import A2, _magnetic_total, _perturbed_lie
+
+    a = _perturbed_lie(_magnetic_total(A2), "structure", (0, 0, 2), 1)
+    rep = check_lie_algebroid(a)
+    assert [c.name for c in rep.failures()] == ["antisymmetry", "jacobi_identity"]
+    label = rep["jacobi_identity"].counterexample
+    assert label == "sections (x1*e0, e0, e0): defect (0, 0, 2)"
+    u = (Poly.coord(A2, 0), Poly.zero(A2), Poly.zero(A2))
+    e0 = a.gen(0)
+    assert linalg.vec_eq(jacobiator(a, u, e0, e0), linalg.vec_scale(2, a.gen(2)))

@@ -166,3 +166,29 @@ def test_linearity_with_weights():
 def test_transgression_of_rebuilt_structure_checks_out():
     q = courant_from_transgression(transgress(standard_exact(R2)))
     assert check_courant(q, samples=4, seed=13).ok
+
+
+def test_exact_rules_on_every_standard_r2_mutant():
+    """+1, -1, +x1 and +x2 on one anchor, coanchor or pairing entry and +1
+    or +x1 on one table entry of standard R2. Each rule restates a Courant
+    defect (the table in check_tau_rules), so the survivors are the mutants
+    on which eq3-eq6 hold: the constant shifts of the pairing's tangent
+    block, as in the check_courant batteries."""
+    from test_acceptance import _perturbed
+    from test_courant import _mutants
+
+    q = standard_exact(R2)
+    one, x1, x2 = Poly.one(R2), Poly.coord(R2, 0), Poly.coord(R2, 1)
+    mutants = _mutants(q, (one, -one, x1, x2), (one, x1))
+    assert len(mutants) == 232
+    survivors = []
+    for where, idx, delta in mutants:
+        mutant = _perturbed(q, where, idx, delta)
+        if check_tau_rules(mutant).ok:
+            survivors.append((where, idx, str(delta)))
+            assert check_courant(mutant).ok
+    assert survivors == [
+        ("pairing", idx, delta)
+        for idx in ((0, 0), (0, 1), (1, 1))
+        for delta in ("1", "-1")
+    ]
