@@ -1092,18 +1092,18 @@ def _failing_digests(monkeypatch):
 
 
 GOLDEN_FAILING = {
-    "courant-anchor@0": "a9eabdc4f78c5ce0b302b7bdf289224c6943dca758a825ca06630d97407d27e9",
-    "courant-anchor@7": "a9eabdc4f78c5ce0b302b7bdf289224c6943dca758a825ca06630d97407d27e9",
-    "courant-pairing@0": "aff033ac63d69a493a4a0655d834f547ad11156ed01f6d9517dfc8e8bb1e7daa",
-    "courant-pairing@7": "aff033ac63d69a493a4a0655d834f547ad11156ed01f6d9517dfc8e8bb1e7daa",
+    "courant-anchor@0": "6652f63ee566bc19c90e007c9e28763fbdcc86955504e19722d94e7d686e34c6",
+    "courant-anchor@7": "6652f63ee566bc19c90e007c9e28763fbdcc86955504e19722d94e7d686e34c6",
+    "courant-pairing@0": "75574ff8ea52e13d26fcd467531607941bbaa7c90dc31364c3e7acc84c440860",
+    "courant-pairing@7": "75574ff8ea52e13d26fcd467531607941bbaa7c90dc31364c3e7acc84c440860",
     "courant-structure@0": "8207a7165e7cb0bf0723fd1780cfdb7fe9bf684b9257d06b68931a44bb1cfc43",
     "courant-structure@7": "8207a7165e7cb0bf0723fd1780cfdb7fe9bf684b9257d06b68931a44bb1cfc43",
     "morphism-anchor@0": "9e28a078b197db61807f67bc348472c58fc2e201cd94e3f3f9c7a107999210ff",
     "morphism-anchor@7": "9e28a078b197db61807f67bc348472c58fc2e201cd94e3f3f9c7a107999210ff",
     "morphism-structure@0": "a8312efb62951b10538be98bdb6fb4384b295d3216616ac7eeb4c4f9c31c3c94",
     "morphism-structure@7": "a8312efb62951b10538be98bdb6fb4384b295d3216616ac7eeb4c4f9c31c3c94",
-    "lie-anchor@0": "bac21ebb86d277511f68cd6bf52fc0c000bdfc4aaf7ddd65bf28b9a9bf799909",
-    "lie-anchor@7": "1122ac6a4c7226fbcb514fb53684ad882be7d5f1991b32aeebe0a42c9fcf3ca7",
+    "lie-anchor@0": "c7c026688de54ea07bebec2ee4b7ff88dba587de47863dfbdaa29bb519728212",
+    "lie-anchor@7": "c7c026688de54ea07bebec2ee4b7ff88dba587de47863dfbdaa29bb519728212",
     "lie-structure@0": "3adbdeddf4582fb94757714d0ec433e0751adf0a989f46ed90c1dcad988e0eb4",
     "lie-structure@7": "3adbdeddf4582fb94757714d0ec433e0751adf0a989f46ed90c1dcad988e0eb4",
     "marked-anchor@0": "2b435204cf66064b030eeb4560f34c77c5ea0de35b9e74b6660af31fe572e94b",
@@ -1116,10 +1116,10 @@ GOLDEN_FAILING = {
     "extension-structure@7": "547fdd680aa03f0ca6da0e61cfab32a460ebbdc10784d8c65b64af5b63f80029",
     "compose@0": "3ecd3a21666faf3717603c00471501bc990cb7e27ee85feb142cb5bd8b2676e6",
     "compose@7": "3ecd3a21666faf3717603c00471501bc990cb7e27ee85feb142cb5bd8b2676e6",
-    "tau-anchor@0": "3361f5f566d34226e76a88eec806a1f6ba4470663482a5afa55126bb81c9baf6",
-    "tau-anchor@7": "3361f5f566d34226e76a88eec806a1f6ba4470663482a5afa55126bb81c9baf6",
-    "tau-structure@0": "5f16481cde9228632888ae365960e9065713ef836f45a490ba93726c3c0f88fc",
-    "tau-structure@7": "5f16481cde9228632888ae365960e9065713ef836f45a490ba93726c3c0f88fc",
+    "tau-anchor@0": "539830a2e2be005b0aa714003f4c4ac4075e363f58c294b01dc0c7ba2d24ca95",
+    "tau-anchor@7": "539830a2e2be005b0aa714003f4c4ac4075e363f58c294b01dc0c7ba2d24ca95",
+    "tau-structure@0": "f7571a27bf93e5d3812b968b55d1c0938180daf5261080d6408265f08070f99f",
+    "tau-structure@7": "f7571a27bf93e5d3812b968b55d1c0938180daf5261080d6408265f08070f99f",
     "tau-linear-pairing@0": "af9f8d6023959efa0f84308c415f26c80c93061a5d22877fe8d3609754832b69",
     "tau-linear-pairing@7": "af9f8d6023959efa0f84308c415f26c80c93061a5d22877fe8d3609754832b69",
     "tau-linear-anchor@0": "4d2b2c55f23015bc57154d92072dfb757ad865259ed5dd4e819099e885cbacbd",
