@@ -86,7 +86,8 @@ def _connection(spec, q):
 
 
 def _sampling(args) -> dict:
-    """The seed, sample count and degree every sampled verdict runs with."""
+    """The seed, sample count and degree the checks accept; no verdict
+    uses them any more, and the report echoes them."""
     return {"samples": args.samples, "seed": args.seed, "max_degree": args.max_degree}
 
 

@@ -40,8 +40,8 @@ from algebroids.anchored import (
     Embedding,
     Split,
     Submersion,
-    anchor_failures,
     anchor_defect,
+    anchor_failures,
     antisymmetric_table,
     bracket_failures,
     classify_map,

@@ -37,9 +37,8 @@ class Report:
         The first counterexample is the verdict's failure; an exhausted
         stream is a pass. Nothing after the first counterexample is
         evaluated, so a check that yields its generator cases before its
-        sampled trials samples only when every generator case holds, and
-        a seeded stream shared by later checks advances exactly as far as
-        this check got.
+        probe cases evaluates the probes only when every generator case
+        holds.
         """
         bad = next(iter(failures), None)
         self.add(name, bad is None, bad)

@@ -1,10 +1,11 @@
-"""Deterministic sample generators for the statistical identity checks.
+"""Deterministic sample generators for seeded random sections and forms.
 
-The Jacobi identities (Courant leibniz_identity, Lie jacobi_identity) and the
-transgression rules extend their exact generator cases to random sections;
-every other verdict is decided without samples. Coefficients lie in [-2, 2]
-and degrees stay at most 2, well inside the degree cap, which still exercises
-every Leibniz correction term. A caller supplied random.Random pins the stream.
+No verdict of the package samples: every check decides its identity on
+generators and probe sections. These generators remain for tests that want
+random inputs and for the benchmark's trace hook on sample_poly, and are
+due to be deleted with the --seed/--samples/--max-degree options.
+Coefficients lie in [-2, 2] and degrees stay at most 2 unless max_degree
+says otherwise. A caller supplied random.Random pins the stream.
 """
 
 from __future__ import annotations

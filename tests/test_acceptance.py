@@ -1062,7 +1062,7 @@ def _failing_cases():
         "extension-structure": extension("structure", (0, 1, 0), -1),
         "compose": compose,
         "tau-anchor": tau("anchor", (0, 0), 1),
-        # graded antisymmetry fails before its function sample is drawn
+        # graded antisymmetry fails on its (0,-1) generator case
         "tau-structure": tau("structure", (0, 1, 2), 1),
         # the pairing fails on generators, and the bracket on its pairing case
         "tau-linear-pairing": tau_linear("pairing", (0, 2), 1),
