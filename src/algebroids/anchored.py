@@ -46,6 +46,7 @@ constant_complement picks constant complements.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -203,13 +204,9 @@ def jacobi_generator_failures(m: AnchoredModule) -> Iterator[str]:
         (a, b): m.bracket_gen(a, b)
         for a, b in product(range(m.rank), repeat=2)
     }
-    outer: dict[tuple[int, int, int], Vec] = {}
-
+    @cache
     def gen_row(x: int, y: int, z: int) -> Vec:
-        got = outer.get((x, y, z))
-        if got is None:
-            got = outer[(x, y, z)] = m.bracket(gen[x], row[(y, z)])
-        return got
+        return m.bracket(gen[x], row[(y, z)])
 
     for a, b, c in product(range(m.rank), repeat=3):
         defect = vec_sub(

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations_with_replacement, product
 from typing import Sequence
 
@@ -351,29 +352,24 @@ def check_courant(
     g = q.pairing
     gen = [q.gen(a) for a in range(r)]
     M, N = generator_defects(q)
-    e3_rows: dict[int, list[list[Poly]]] = {}
-    e4_gens: dict[tuple[int, int], Vec] = {}
-
+    @cache
     def e3_row(c: int) -> list[list[Poly]]:
         """E3(e_c, e_a, e_b) for every (a, b), built on first use."""
-        if c not in e3_rows:
-            rho = q.anchor_of(gen[c])
-            paired = [  # <[e_c, e_a], e_b>
-                [q.pairing_of(q.bracket_gen(c, a), gen[b]) for b in range(r)]
-                for a in range(r)
-            ]
-            e3_rows[c] = [
-                [rho.apply(g[a][b]) - paired[a][b] - paired[b][a] for b in range(r)]
-                for a in range(r)
-            ]
-        return e3_rows[c]
+        rho = q.anchor_of(gen[c])
+        paired = [  # <[e_c, e_a], e_b>
+            [q.pairing_of(q.bracket_gen(c, a), gen[b]) for b in range(r)]
+            for a in range(r)
+        ]
+        return [
+            [rho.apply(g[a][b]) - paired[a][b] - paired[b][a] for b in range(r)]
+            for a in range(r)
+        ]
 
+    @cache
     def e4_gen(a: int, j: int) -> Vec:
         """E4(e_a, dx_j), built on first use."""
-        if (a, j) not in e4_gens:
-            rhs = q.coanchor_of(KForm.dx(chart, j).lie(q.anchor_of(gen[a])))
-            e4_gens[(a, j)] = vec_sub(q.bracket(gen[a], q.coanchor[j]), rhs)
-        return e4_gens[(a, j)]
+        rhs = q.coanchor_of(KForm.dx(chart, j).lie(q.anchor_of(gen[a])))
+        return vec_sub(q.bracket(gen[a], q.coanchor[j]), rhs)
 
     def combination(*terms: tuple[Poly, Vec]) -> Vec:
         """The sum of coefficient * section, zero terms skipped."""

@@ -7,6 +7,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from algebroids.anchored import jacobi_generator_failures, jacobiator
 from algebroids.courant import (
     Connection,
     CourantData,
@@ -24,7 +25,6 @@ from algebroids.courant import (
     standard_exact,
     twist,
 )
-from algebroids.anchored import jacobi_generator_failures, jacobiator
 from algebroids.errors import ValidationError
 from algebroids.lie_algebroid import MarkedLieData, check_marked, tangent_algebroid
 from algebroids.linalg import unit_vec, vec_add, vec_eq, vec_scale, vec_sub, zero_vec
