@@ -1,6 +1,7 @@
 """Transgressed bracket tables: rules, round trips, and linearity."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from algebroids.courant import (
     check_courant,
@@ -18,6 +19,8 @@ from algebroids.transgression import (
     courant_from_transgression,
     transgress,
 )
+
+from test_courant import courant_data
 
 R1 = coordinate_chart("L", 1)
 R2 = coordinate_chart("P", 2)
@@ -192,3 +195,20 @@ def test_exact_rules_on_every_standard_r2_mutant():
         for idx in ((0, 0), (0, 1), (1, 1))
         for delta in ("1", "-1")
     ]
+
+
+@given(courant_data(), st.data())
+@settings(max_examples=25, deadline=None)
+def test_tau_rules_restate_the_courant_defects(q, data):
+    """The table of check_tau_rules on arbitrary R2 data: the interior and
+    Lie actions on dressed one-forms are E5 and E4, graded antisymmetry in
+    degrees (0,-1) is E6, and graded Jacobi on pair(u) (no two-form) is E3,
+    so each verdict agrees with check_courant's exact verdict."""
+    rules, axioms = check_tau_rules(q), check_courant(q)
+    assert rules["rule_interior_action"].passed == axioms["eq5_adjunction"].passed
+    assert rules["rule_lie_action"].passed == axioms["eq4_coanchor_ideal"].passed
+    assert rules["graded_antisymmetry"].passed == axioms["eq6_symmetrization"].passed
+    if rules["graded_jacobi"].passed:
+        assert axioms["eq3_pairing_invariance"].passed
+    if axioms["eq3_pairing_invariance"].passed and axioms["eq5_adjunction"].passed:
+        assert rules["graded_jacobi"].passed
