@@ -170,8 +170,26 @@ class AnchoredModule:
         got = self._entry(a, b)
         return self.zero_section() if got is None else got
 
+    def _either_zero(self, u: Vec, v: Vec) -> bool:
+        """Whether u or v is the zero section, so that their bracket is.
+
+        ValidationError when either has a length other than the rank. The
+        zero bracket skips the arithmetic that would have refused a section
+        of another chart, so before it is returned both are checked for
+        that too (ChartMismatchError)."""
+        for s in (u, v):
+            if len(s) != self.rank:
+                raise ValidationError(f"section of length {len(s)}, not rank {self.rank}")
+        if not (vec_is_zero(u) or vec_is_zero(v)):
+            return False
+        for s in (u, v):
+            for p in s:
+                if p.chart is not self.chart and p.chart != self.chart:
+                    raise ChartMismatchError("section entry on wrong chart")
+        return True
+
     def bracket(self, u: Vec, v: Vec) -> Vec:
-        if vec_is_zero(u) or vec_is_zero(v):
+        if self._either_zero(u, v):
             return self.zero_section()
         return tuple(
             leibniz_sum(

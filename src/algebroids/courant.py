@@ -124,7 +124,7 @@ class CourantData(AnchoredModule):
         return bilinear(u, self.pairing, v, self.chart)
 
     def bracket(self, u: Vec, v: Vec) -> Vec:
-        if vec_is_zero(u) or vec_is_zero(v):
+        if self._either_zero(u, v):
             return self.zero_section()
         alpha = pairing_differential(self.pairing, u, v, self.chart)
         return self._coanchor_vec(alpha, super().bracket(u, v))

@@ -25,7 +25,7 @@ from algebroids.courant import (
     standard_exact,
     twist,
 )
-from algebroids.errors import ValidationError
+from algebroids.errors import ChartMismatchError, ValidationError
 from algebroids.lie_algebroid import MarkedLieData, check_marked, tangent_algebroid
 from algebroids.linalg import unit_vec, vec_add, vec_eq, vec_scale, vec_sub, zero_vec
 from algebroids.symcalc import KForm, Poly, coordinate_chart, parse_poly
@@ -62,6 +62,22 @@ def test_standard_passes_small_dims():
         rep = check_courant(standard_exact(chart), samples=8, seed=3)
         assert rep.ok, str(rep)
         assert rep.check_names() == CHECK_NAMES
+
+
+@pytest.mark.parametrize("m", [standard_exact(R2), tangent_algebroid(R2)], ids=["courant", "lie"])
+def test_bracket_with_a_zero_side_checks_chart_and_length(m):
+    u = unit_vec(R2, m.rank, 0)
+    assert vec_eq(m.bracket(u, m.zero_section()), m.zero_section())
+    for bad, error in (
+        (zero_vec(R3, m.rank), ChartMismatchError),
+        (zero_vec(R2, m.rank - 1), ValidationError),
+        (zero_vec(R2, m.rank + 1), ValidationError),
+        (unit_vec(R2, m.rank - 1, 0), ValidationError),
+        (unit_vec(R2, m.rank + 1, m.rank), ValidationError),
+    ):
+        for pair in ((bad, u), (u, bad), (bad, m.zero_section())):
+            with pytest.raises(error):
+                m.bracket(*pair)
 
 
 def test_twisted_standard_passes():
