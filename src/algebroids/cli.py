@@ -17,7 +17,9 @@ import os
 import sys
 import traceback
 
-from algebroids import jsonio
+# sampling goes with --seed/--samples/--max-degree (ROADMAP item 1). No
+# verdict uses it, but importing the CLI still loads every module.
+from algebroids import jsonio, sampling  # noqa: F401
 from algebroids.courant import (
     check_courant,
     coordinate_connection,

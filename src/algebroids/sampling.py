@@ -2,8 +2,9 @@
 
 No verdict of the package samples: every check decides its identity on
 generators and probe sections. These generators remain for tests that want
-random inputs and for the benchmark's trace hook on sample_poly, and are
-due to be deleted with the --seed/--samples/--max-degree options.
+random inputs and for the benchmark's trace hook on sample_poly (the CLI
+imports this module, so loading the CLI loads it), and are due to be
+deleted with the --seed/--samples/--max-degree options.
 Coefficients lie in [-2, 2] and degrees stay at most 2 unless max_degree
 says otherwise. A caller supplied random.Random pins the stream.
 """

@@ -563,6 +563,17 @@ def test_verdict_modules_import_no_random_source(module):
     assert not imported & {"random", "algebroids.sampling"}
 
 
+def test_importing_the_cli_loads_every_module():
+    script = (
+        "import pkgutil, sys, algebroids, algebroids.cli\n"
+        "names = (m.name for m in pkgutil.iter_modules(algebroids.__path__))\n"
+        "print(sorted(n for n in names if 'algebroids.' + n not in sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_cocycle_with_a_failing_first_element_exits_one(tmp_path, capsys):
     from algebroids.descent import CoverData, tautological_datum
 
