@@ -35,7 +35,9 @@ given), rejects a mode that is not a mode name as a bad spec, and checks the
 identity mode. Three fibre classes present it: Embedding and Submersion
 check the shape their mode needs and raise UnsupportedModeError when the
 map does not have it, and Split lifts through a splitting of the anchor
-(split_lifts) and reads the rest through a constant frame of its kernel.
+(split_lifts) and reads the rest through a frame of its kernel. Submersion
+reads a square Jacobian, and Split its kernel frame, through the one
+polynomial left inverse linalg.left_inverse.
 Each holds one basis of (tangent, section) pairs and one coordinate reader,
 coords(tangent, section). The Lie inverse image stacks those pairs as they
 are; the Courant one uses them as the (u, eta) half of its triples. The
@@ -46,7 +48,7 @@ constant_complement picks constant complements.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -332,13 +334,12 @@ def constant_complement(
     inverse is None when the span rows are dependent.
     """
     rows = [list(r) for r in span]
-    complement: list[int] = []
-    for i in range(n):
-        cand = rows + [[Fraction(j == i) for j in range(n)]]
-        if linalg.qq_rank(cand) > len(rows):
-            rows = cand
-            complement.append(i)
-    return complement, linalg.qq_inverse(linalg.transpose(rows))
+    rows += [[Fraction(j == i) for j in range(n)] for i in range(n)]
+    keep = linalg.independent_rows(rows)
+    complement = [i - len(span) for i in keep if i >= len(span)]
+    if len(keep) - len(complement) != len(span):
+        return complement, None
+    return complement, linalg.qq_inverse(linalg.transpose([rows[i] for i in keep]))
 
 
 def constant_quotient(
@@ -565,12 +566,12 @@ class Submersion:
                 "an invertible polynomial map"
             )
         else:
-            try:
-                self.inverse = linalg.poly_inverse_unit_det(f.jacobian())
-            except ValidationError as exc:
+            self.inverse = linalg.left_inverse(f.jacobian())
+            if self.inverse is None:
                 raise UnsupportedModeError(
-                    f"coordinate-submersion mode needs an invertible map: {exc}"
-                ) from None
+                    "coordinate-submersion mode needs an invertible map: the "
+                    "Jacobian has no polynomial inverse"
+                )
             self.slots = None
             self.lifts = [tuple(col) for col in zip(*self.inverse)]
             self.vertical = []
@@ -608,10 +609,11 @@ class Split:
     lists sections on the target chart that span the kernel of the anchor,
     and jac is the Jacobian of f. The basis pairs are (d_i, lifts[i]) per
     source coordinate i, with lifts[i] = f*(s(df(d_i))), then (0, pulled
-    frame row) per frame row. A fibre-product pair (tangent, section) leaves
+    frame row) per frame row; the frame rows are pulled when basis is first
+    read. A fibre-product pair (tangent, section) leaves
     section - lifts.tangent in the pulled kernel; kernel_coords reads it off
-    through a constant left inverse of the frame, and the frame must have
-    one.
+    through the pulled polynomial left inverse L of the frame
+    (linalg.left_inverse), and the frame must have one.
     """
 
     def __init__(
@@ -622,24 +624,31 @@ class Split:
         frame: Sequence[Vec],
         jac: Sequence[Vec],
     ):
-        left = linalg.constant_left_inverse(linalg.transpose(frame)) if frame else []
+        left = linalg.left_inverse(linalg.transpose(frame)) if frame else []
         if left is None:
-            raise UnsupportedModeError(
-                "the kernel frame has no constant left inverse in this basis"
-            )
-        self.left = left
-        chart = self.chart = f.source
+            raise UnsupportedModeError("the kernel frame has no polynomial left inverse")
+        self.map, self.frame = f, frame
+        # L as apply_matrix reads it: row a is column a of L.
+        self.left = [tuple(f.pull(row[a]) for row in left) for a in range(rank)]
+        self.chart = f.source
         self.rank = rank
         self.lifts = split_lifts(f, columns, rank, jac)
-        self.basis = [
-            (unit_vec(chart, chart.dim, i), lift) for i, lift in enumerate(self.lifts)
-        ] + [(zero_vec(chart, chart.dim), tuple(map(f.pull, row))) for row in frame]
+
+    @cached_property
+    def basis(self) -> list[tuple[Vec, Vec]]:
+        chart, dim = self.chart, self.chart.dim
+        zero = zero_vec(chart, dim)
+        return [(unit_vec(chart, dim, i), lift) for i, lift in enumerate(self.lifts)] + [
+            (zero, tuple(map(self.map.pull, row))) for row in self.frame
+        ]
 
     def kernel_coords(self, tangent: Vec, section: Vec) -> Vec:
-        """L.(section - lifts.tangent), L the constant left inverse of the
+        """L.(section - lifts.tangent), L the pulled left inverse of the
         frame: the frame coordinates of a pair's kernel part."""
         lifted = apply_matrix(self.lifts, tangent, self.rank, self.chart)
-        return apply_constant(self.left, vec_sub(section, lifted), self.chart)
+        return apply_matrix(
+            self.left, vec_sub(section, lifted), len(self.frame), self.chart
+        )
 
     def coords(self, tangent: Vec, section: Vec) -> Vec:
         return tuple(tangent) + self.kernel_coords(tangent, section)

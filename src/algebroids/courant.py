@@ -613,18 +613,10 @@ def associated_lie_algebroid(q: CourantData) -> tuple[LieData, tuple[Vec, ...]]:
     The bracket descends because both bracket ideals land in the coanchor
     image; antisymmetry of the quotient is verified on the way.
     """
-    span_rows: list[list[Fraction]] = []
-    for j in range(q.chart.dim):
-        consts = [p.as_constant() for p in q.coanchor[j]]
-        if any(c is None for c in consts):
-            raise ValidationError(
-                "quotient needs constant coanchor rows in this basis"
-            )
-        if any(consts):
-            cand = span_rows + [list(consts)]
-            if linalg.qq_rank(cand) > len(span_rows):
-                span_rows.append(list(consts))
-    got = constant_quotient(q, span_rows)
+    rows = [[p.as_constant() for p in row] for row in q.coanchor]
+    if any(c is None for row in rows for c in row):
+        raise ValidationError("quotient needs constant coanchor rows in this basis")
+    got = constant_quotient(q, [rows[j] for j in linalg.independent_rows(rows)])
     if got is None:
         raise ValidationError("coanchor image has no constant complement")
     anchor, structure, projection = got

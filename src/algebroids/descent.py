@@ -140,12 +140,12 @@ def tautological_datum(
     matrices = {}
     for name, f in cover.maps.items():
         pb = pullback_courant(f, structure)
-        pulled = pullback_connection(pb, conn)
-        matrices[name] = tuple(
-            tuple(row) for row in linalg.poly_inverse_unit_det(
-                frame_matrix(pulled)
+        inverse = linalg.left_inverse(frame_matrix(pullback_connection(pb, conn)))
+        if inverse is None:
+            raise ValidationError(
+                f"the pulled frame of cover map {name!r} has no polynomial inverse"
             )
-        )
+        matrices[name] = tuple(tuple(row) for row in inverse)
     return DescentDatum(cover, structure, matrices)
 
 

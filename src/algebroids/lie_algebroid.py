@@ -21,7 +21,8 @@ rather than guessing. Every mode takes the basis and the coordinate reader
 of the fibre product from a fibre class of algebroids.anchored as they are:
 Embedding, Submersion (identity is the submersion along the identity map),
 or Split for the transitive-split mode, whose splitting checks and constant
-kernel frame are chosen here. The Courant inverse image uses the same pairs
+kernel frame are chosen here (Split reads the frame through a polynomial
+left inverse). The Courant inverse image uses the same pairs
 as the (u, eta) half of its triples. Ambient vectors for a pullback are
 stacked as (tangent components on Y, then tensor components over the
 generators of A).
@@ -44,7 +45,6 @@ from algebroids.anchored import (
     anchor_failures,
     antisymmetric_table,
     bracket_failures,
-    classify_map,
     constant_quotient,
     jacobi_counterexample,
     jacobi_generator_failures,
@@ -56,7 +56,6 @@ from algebroids.anchored import (
 from algebroids.errors import UnsupportedModeError, ValidationError
 from algebroids.linalg import (
     Vec,
-    apply_constant,
     apply_matrix,
     fmt_section,
     vec_add,
@@ -489,9 +488,10 @@ def _transitive_split(f: ChartMap, a: LieData, splitting: tuple[Vec, ...]) -> Sp
     a membership test. The columns are checked to give rho s = id exactly,
     so rho is onto over Q(x) and ker rho has rank r - n there. The r - n
     selected constant kappas are independent over Q, hence over Q(x), so
-    they are a basis of ker rho over Q(x). Every kappa therefore equals
-    frame.(L kappa), L the constant left inverse of the frame, and L kappa
-    is polynomial. LiePullback.reduce still checks every reduction by
+    they are a basis of ker rho over Q(x): kappa = frame.a for some a over
+    Q(x). Split reads the frame through a polynomial left inverse L (L
+    frame = I), so a = L kappa is polynomial. A constant frame of full rank
+    always has one. LiePullback.reduce still checks every reduction by
     rebuilding its input.
     """
     chart_x = a.chart
@@ -507,15 +507,13 @@ def _transitive_split(f: ChartMap, a: LieData, splitting: tuple[Vec, ...]) -> Sp
                 f"splitting column {j} is not a right inverse of the anchor"
             )
     # An independent subset of the constant kernel sections.
-    selected: list[list[Fraction]] = []
+    candidates: list[list[Fraction]] = []
     for i in range(a.rank):
         kappa = vec_sub(a.gen(i), apply_matrix(splitting, a.anchor[i], a.rank, chart_x))
         consts = [p.as_constant() for p in kappa]
-        if None in consts or not any(consts):
-            continue
-        row = [Fraction(c) for c in consts]
-        if linalg.qq_rank(selected + [row]) > len(selected):
-            selected.append(row)
+        if None not in consts:
+            candidates.append([Fraction(c) for c in consts])
+    selected = [candidates[i] for i in linalg.independent_rows(candidates)]
     if len(selected) != a.rank - chart_x.dim:
         raise UnsupportedModeError(
             "splitting kernel is not generated by constant sections"
@@ -740,14 +738,14 @@ def _fiber_reader(ext: OExtensionData):
     """read(vec) = t with vec = t * marking; raises ValidationError when vec
     is off the marking line. Needs a nonzero constant marking."""
     chart = ext.total.lie.chart
-    lin = linalg.constant_left_inverse(
+    lin = linalg.left_inverse(
         [[Poly.const(chart, c)] for c in _constant_marking(ext.total)]
     )
     if lin is None:
-        raise ValidationError("marking line admits no constant retraction")
+        raise ValidationError("marking line admits no polynomial retraction")
 
     def read(vec: Vec) -> Poly:
-        (t,) = apply_constant(lin, vec, chart)
+        t = linalg.dot(lin[0], vec, chart)
         if not linalg.vec_eq(vec_scale(t, ext.total.marking), vec):
             raise ValidationError("vector is not on the marking line")
         return t

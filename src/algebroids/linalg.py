@@ -13,9 +13,11 @@ Three layers:
   nothing.
 * Poly matrices/vectors: structural operations plus fraction-free Gaussian
   elimination for ranks "at the generic point", cofactor determinants and
-  adjugate inverses for small matrices with unit determinant, and one
-  bounded-degree solver (solve_bounded_degree) for a Q-linear map on
-  polynomials, behind both span membership and the coboundary solve.
+  adjugates, one polynomial left inverse (left_inverse: a constant
+  combination of the adjugates of the maximal row minors) behind every
+  frame a construction reads coordinates through, and one bounded-degree
+  solver (solve_bounded_degree) for a Q-linear map on polynomials, behind
+  span membership, the coboundary solve and left_inverse.
 
 Sections of rank-r objects are represented throughout the package as tuples
 of r polynomials; the vec_* helpers here operate on those, and fmt_section
@@ -25,6 +27,7 @@ prints one the way every report does.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from operator import add
 from typing import Sequence
 
@@ -201,6 +204,12 @@ def qq_rank(rows: list[list[Fraction]]) -> int:
     return len(qq_rref(rows)[1])
 
 
+def independent_rows(rows: Sequence[Sequence[Fraction]]) -> list[int]:
+    """Indices of the rows a greedy pass keeps, each independent of those
+    kept before it: the pivot columns of the transpose, in one elimination."""
+    return qq_rref(transpose(rows))[1]
+
+
 def qq_solve(
     a: list[list[Fraction]], b: list[Fraction]
 ) -> list[Fraction] | None:
@@ -331,17 +340,46 @@ def poly_adjugate(m: Sequence[Sequence[Poly]]) -> list[list[Poly]]:
     return adj
 
 
-def poly_inverse_unit_det(m: Sequence[Sequence[Poly]]) -> list[list[Poly]]:
-    """Inverse of a polynomial matrix whose determinant is a nonzero constant."""
-    det = poly_det(m)
-    c = det.as_constant()
-    if c is None or c == 0:
-        raise ValidationError(
-            f"matrix determinant {det} is not a nonzero constant; no polynomial inverse"
-        )
-    inv_c = Fraction(1) / c
-    adj = poly_adjugate(m)
-    return [[inv_c * e for e in row] for row in adj]
+def left_inverse(m: Sequence[Sequence[Poly]]) -> list[list[Poly]] | None:
+    """A polynomial matrix L with L m = identity, or None.
+
+    m is an n x k polynomial matrix (n rows, k >= 1 columns); L is k x n.
+    Each k-row minor m_S has adj(m_S) m_S = det(m_S) I, so constants c_S
+    with sum_S c_S det(m_S) = 1 give L = sum_S c_S adj(m_S), placed on the
+    columns S. None when no such constants exist. By Cauchy-Binet this
+    accepts every m with a constant left inverse L0 (c_S is the determinant
+    of L0 on the columns S) and every square m whose determinant is a
+    nonzero constant.
+    """
+    n = len(m)
+    if n == 0:
+        return None
+    k = len(m[0])
+    chart = m[0][0].chart
+    subsets = list(combinations(range(n), k))
+    minors = [[m[i] for i in rows] for rows in subsets]
+    dets = [poly_det(minor) for minor in minors]
+    weights = solve_bounded_degree(
+        len(dets), lambda j, mono: (dets[j],), (Poly.one(chart),), chart, 0
+    )
+    if weights is None:
+        return None
+    out = [[Poly.zero(chart)] * n for _ in range(k)]
+    for rows, minor, w in zip(subsets, minors, weights):
+        c = w.as_constant()
+        if not c:
+            continue
+        adj = poly_adjugate(minor)
+        for r in range(k):
+            for t, i in enumerate(rows):
+                out[r][i] = out[r][i] + c * adj[r][t]
+    # Defensive: confirm L m = I exactly, one column at a time.
+    columns = transpose(out)
+    for j in range(k):
+        col = tuple(row[j] for row in m)
+        if apply_matrix(columns, col, k, chart) != unit_vec(chart, k, j):
+            return None
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -424,52 +462,3 @@ def _monomials_up_to(dim: int, degree: int) -> list[tuple[int, ...]]:
 
     rec((), degree, dim)
     return sorted(out)
-
-
-def constant_left_inverse(
-    m: Sequence[Sequence[Poly]],
-) -> list[list[Fraction]] | None:
-    """A constant matrix L with L m = identity, when one exists.
-
-    m is an n x k polynomial matrix (n rows, k columns); the result L is
-    k x n with L m = I_k. The equation is linear over Q in the entries of L
-    once m is split into its monomial layers: L applied to each layer must
-    give the identity on the constant layer and zero elsewhere.
-    """
-    n = len(m)
-    if n == 0:
-        return None
-    k = len(m[0])
-    zero_exps = (0,) * m[0][0].chart.dim
-    monomials = sorted(
-        {mono for row in m for p in row for mono in p.terms} | {zero_exps}
-    )
-    # Unknown row y (length n) of L solves, for each column j and layer mu:
-    #   sum_i y_i * coeff(m[i][j], mu) = target.
-    eq_rows = []
-    for j in range(k):
-        for mono in monomials:
-            eq_rows.append(
-                (
-                    [m[i][j].terms.get(mono, Fraction(0)) for i in range(n)],
-                    j,
-                    mono == zero_exps,
-                )
-            )
-    a = [row for row, _, _ in eq_rows]
-    out = []
-    for r in range(k):
-        b = [
-            Fraction(1) if (j == r and is_const) else Fraction(0)
-            for _, j, is_const in eq_rows
-        ]
-        sol = qq_solve(a, b)
-        if sol is None:
-            return None
-        out.append(sol)
-    # Defensive: confirm L m = I exactly, one column at a time.
-    chart = m[0][0].chart
-    for j in range(k):
-        if apply_constant(out, [row[j] for row in m], chart) != unit_vec(chart, k, j):
-            return None
-    return out

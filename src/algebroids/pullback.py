@@ -23,8 +23,10 @@ submersions including invertible coordinate changes, and identity, which is
 the submersion along the identity map. The (u, eta) half of a triple is the
 fibre product the Lie inverse image presents, and its basis and coordinates
 come from algebroids.anchored (Embedding, Submersion, and for the exact
-split a Split whose kernel frame is the coanchor) together with mode
-resolution and the table+Leibniz half of the ambient bracket. Each mode
+split a Split whose kernel frame is the coanchor, read through a polynomial
+left inverse, so a structure that is itself a pullback presents too)
+together with mode resolution and the table+Leibniz half of the ambient
+bracket. Each mode
 here adds only its own part: the cotangent directions (vertical ones for a
 submersion), the relation coefficients, and for an embedding the division
 by the pulled conormal directions. The coanchor, pairing, structure table
@@ -226,8 +228,9 @@ def _finish(pb: CourantPullback) -> CourantPullback:
 
 
 def _exact_split(pb: CourantPullback, conn: Connection):
-    """The connection lifts of the source coordinate fields, read from the
-    Split whose kernel frame is the coanchor, then the cotangent lines."""
+    """The connection lifts of the source coordinate fields, from the Split
+    whose kernel frame is the coanchor, then the cotangent lines. The Split's
+    frame pairs are never read: the cotangent lines stand in for them."""
     f, q, chart = pb.map, pb.source, pb.chart
     n = q.chart.dim
     m = chart.dim
@@ -240,7 +243,9 @@ def _exact_split(pb: CourantPullback, conn: Connection):
     jac = pb.jacobian
     split = Split(f, conn.columns, q.rank, q.coanchor, jac)
     zero_form = zero_vec(chart, m)
-    basis = [(zero_form, u, eta) for eta, u in split.basis[:m]] + [
+    basis = [
+        (zero_form, u, unit_vec(chart, m, i)) for i, u in enumerate(split.lifts)
+    ] + [
         _cotangent(chart, q.rank, j) for j in range(m)
     ]
 

@@ -173,20 +173,12 @@ class TauElement:
     def __add__(self, other: "TauElement") -> "TauElement":
         if self.module != other.module or self.degree != other.degree:
             raise ValidationError("can only add elements of equal degree")
-        form = KForm(
-            self.module.chart,
-            2,
-            {
-                idx: self.form.component(idx) + other.form.component(idx)
-                for idx in set(self.form.comps) | set(other.form.comps)
-            },
-        )
         return TauElement(
             self.module,
             self.degree,
             self.c_part + other.c_part,
             vec_add(self.section, other.section),
-            form,
+            self.form + other.form,
         )
 
 

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algebroids.anchored import jacobiator
+from algebroids.anchored import classify_map, jacobiator
 from algebroids.errors import UnsupportedModeError, ValidationError
 from algebroids import linalg
 from algebroids.lie_algebroid import (
@@ -19,7 +19,6 @@ from algebroids.lie_algebroid import (
     check_extension_pullback_linear,
     check_lie_algebroid,
     check_marked,
-    classify_map,
     compose_pullback,
     pullback_lie,
     pullback_marked,

@@ -1,6 +1,7 @@
 """Inverse images: the four presentation modes, twist/curvature naturality,
 supported pushdowns and morphism graphs."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -173,9 +174,23 @@ def test_exact_split_reads_a_scaled_coanchor_frame(weight):
     assert _unit_classes(pb)
 
 
-def test_exact_split_refuses_a_non_constant_coanchor(tmp_path, capsys):
+def _pullback_job(tmp_path, q, f, conn):
+    spec = {
+        "structure": jsonio.courant_to_json(q),
+        "map": jsonio.map_to_json(f),
+        "mode": "exact-split",
+        "connection": jsonio.matrix_to_json(conn.columns),
+    }
+    path = tmp_path / "job.json"
+    path.write_text(jsonio.dump_json(spec), encoding="utf-8")
+    return ["pullback", "--spec", str(path)]
+
+
+def test_exact_split_presents_a_pulled_back_structure(tmp_path):
     """The submersion pullback along a curved automorphism has a coanchor
-    with polynomial entries, which no constant left inverse reads."""
+    with polynomial entries. Its kernel frame has no constant left inverse,
+    but a polynomial one, so the exact-split pullback of that pullback
+    presents."""
     x1, x2, x3 = (Poly.coord(R3, i) for i in range(3))
     f = ChartMap(R3, R3, (x1, x2, x3 + x1 * x1))
     q = standard_exact(R3)
@@ -183,18 +198,27 @@ def test_exact_split_refuses_a_non_constant_coanchor(tmp_path, capsys):
     p = sub.result
     assert any(c.as_constant() is None for row in p.coanchor for c in row)
     conn = pullback_connection(sub, coordinate_connection(q))
+    pb = pullback_courant(f, p, "exact-split", conn)
+    assert check_courant(pb.result).ok
+    assert check_relation_absorption(pb).ok
+    assert _unit_classes(pb)
+    assert main(_pullback_job(tmp_path, p, f, conn)) == 0
+
+
+def test_exact_split_refuses_a_frame_with_no_left_inverse(tmp_path, capsys):
+    """Coanchor rows scaled by x1 leave a kernel frame whose only maximal
+    minor is x1^2: no polynomial left inverse reads it."""
+    x1 = Poly.coord(R2, 0)
+    q = standard_exact(R2)
+    q = dataclasses.replace(
+        q, coanchor=tuple(tuple(x1 * c for c in row) for row in q.coanchor)
+    )
+    ident = ChartMap.identity(R2)
+    conn = coordinate_connection(q)
     with pytest.raises(UnsupportedModeError):
-        pullback_courant(f, p, "exact-split", conn)
-    spec = {
-        "structure": jsonio.courant_to_json(p),
-        "map": jsonio.map_to_json(f),
-        "mode": "exact-split",
-        "connection": jsonio.matrix_to_json(conn.columns),
-    }
-    path = tmp_path / "job.json"
-    path.write_text(jsonio.dump_json(spec), encoding="utf-8")
-    assert main(["pullback", "--spec", str(path)]) == 3
-    assert "unsupported mode" in capsys.readouterr().err
+        pullback_courant(ident, q, "exact-split", conn)
+    assert main(_pullback_job(tmp_path, q, ident, conn)) == 3
+    assert "no polynomial left inverse" in capsys.readouterr().err
 
 
 def test_point_target_gives_the_standard_structure():

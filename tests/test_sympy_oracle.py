@@ -1,13 +1,15 @@
 """symcalc against sympy: products, derivatives, substitution and the action
 of vector fields agree on random rational polynomials over R3, including the
 zero and constant operands that the early returns of VField.apply and
-Poly.__add__/__sub__ handle."""
+Poly.__add__/__sub__ handle. linalg.left_inverse of a matrix with a nonzero
+constant determinant agrees with sympy's inverse."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from algebroids import linalg
 from algebroids.errors import ChartMismatchError
 from algebroids.symcalc import ChartMap, Poly, VField, coordinate_chart
 
@@ -113,3 +115,40 @@ def test_sum_with_a_zero_side_matches_sympy(p):
         p + Poly.zero(OTHER)
     with pytest.raises(ChartMismatchError):
         Poly.zero(OTHER) - p
+
+
+def _product(a, b):
+    return [
+        [linalg.dot(row, tuple(r[j] for r in b), R3) for j in range(len(b[0]))]
+        for row in a
+    ]
+
+
+@st.composite
+def unit_det_matrices(draw):
+    """U.D.V with U unit upper and V unit lower triangular (polynomial
+    entries off the diagonal) and D a constant invertible diagonal: a 3x3
+    matrix whose determinant is a nonzero constant."""
+    entry = rational_polys(R3, max_degree=1, max_terms=2)
+    z, one = Poly.zero(R3), Poly.one(R3)
+
+    def triangular(below: bool):
+        return [
+            [one if i == j else draw(entry) if (i > j) == below else z for j in range(3)]
+            for i in range(3)
+        ]
+
+    upper, lower = triangular(False), triangular(True)
+    diag = [Poly.const(R3, draw(rationals.filter(bool))) for _ in range(3)]
+    scaled = [[diag[i] if i == j else z for j in range(3)] for i in range(3)]
+    return _product(_product(upper, scaled), lower)
+
+
+@given(unit_det_matrices())
+@settings(max_examples=20, deadline=None)
+def test_left_inverse_of_a_unit_determinant_matrix_matches_sympy(m):
+    inverse = sympy.Matrix([[to_sympy(p) for p in row] for row in m]).inv()
+    left = linalg.left_inverse(m)
+    for i in range(3):
+        for j in range(3):
+            assert sympy.cancel(to_sympy(left[i][j]) - inverse[i, j]) == 0
