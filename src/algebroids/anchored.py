@@ -10,9 +10,9 @@ sections starts, for both, from the table-plus-Leibniz sum
 which Lie reads through an antisymmetric table and Courant corrects by its
 coanchor term. The inverse image of either along f: Y -> X is built on the
 fibre product f*A x_{f*TX} TY of pairs (tangent on Y, pulled section)
-(Liu-Weinstein-Xu, dg-ga/9508013); its ambient bracket is the same sum over
-the pulled table, with tangent vectors on Y standing in for the anchors
-(leibniz_sum, pulled_entries).
+(Liu-Weinstein-Xu, dg-ga/9508013); pair_bracket is its ambient bracket, the
+same sum over the pulled table with tangent vectors on Y standing in for
+the anchors (leibniz_sum, pulled_entries).
 
 Lemma L1: [u, f v] = f [u, v] + anchor(u)(f) v holds for every table. In
 leibniz_sum(u, f v) the table term scales by f, xi(f v_k) = f xi(v_k) +
@@ -37,12 +37,16 @@ check the shape their mode needs and raise UnsupportedModeError when the
 map does not have it, and Split lifts through a splitting of the anchor
 (split_lifts) and reads the rest through a frame of its kernel. Submersion
 reads a square Jacobian, and Split its kernel frame, through the one
-polynomial left inverse linalg.left_inverse.
+polynomial left inverse linalg.left_inverse. classify_map asks the same
+shape questions (the identity test, _projection_slots, embedding_layout)
+before its unit-determinant test.
 Each holds one basis of (tangent, section) pairs and one coordinate reader,
-coords(tangent, section). The Lie inverse image stacks those pairs as they
-are; the Courant one uses them as the (u, eta) half of its triples. The
-identity mode is the submersion along the identity map, and
-constant_complement picks constant complements.
+coords(tangent, section). Presentation is what both inverse images are: a
+basis of slot tuples ((tangent, section) pairs for Lie, (beta, u, eta)
+triples for Courant, whose (u, eta) half is the pair), the relations it
+divides by, a reader, and the one reduce that checks every reading by
+rebuilding its input. The identity mode is the submersion along the
+identity map, and constant_complement picks constant complements.
 """
 
 from __future__ import annotations
@@ -113,6 +117,17 @@ def pulled_entries(f: ChartMap, entry: Entry) -> Entry:
         return cache[key]
 
     return pulled
+
+
+def pair_bracket(
+    chart: Chart, rank: int, entry: Entry, x: tuple[Vec, Vec], y: tuple[Vec, Vec]
+) -> tuple[Vec, Vec]:
+    """The bracket of two fibre-product pairs (tangent, section) over chart:
+    the tangent bracket, and leibniz_sum with the tangents as anchors; entry
+    reads the pulled table."""
+    xi, eta = VField(chart, x[0]), VField(chart, y[0])
+    section = leibniz_sum(rank, entry, x[1], y[1], xi, eta)
+    return xi.bracket(eta).comps, tuple(section)
 
 
 class AnchoredModule:
@@ -373,16 +388,14 @@ def constant_quotient(
 def antisymmetric_table(
     n: int, bracket: Callable[[int, int], Vec], error: str
 ) -> dict[tuple[int, int], Vec]:
-    """The nonzero bracket(x, y) on pairs x <= y of n generators; raises
+    """bracket(x, y) on pairs x <= y of n generators; raises
     ValidationError(error) where bracket(y, x) is not their negation."""
     structure = {}
     for x in range(n):
         for y in range(x, n):
-            got = bracket(x, y)
+            structure[(x, y)] = got = bracket(x, y)
             if not vec_is_zero(vec_add(got, bracket(y, x))):
                 raise ValidationError(error)
-            if not vec_is_zero(got):
-                structure[(x, y)] = got
     return structure
 
 
@@ -401,33 +414,34 @@ def _coordinate_of(p: Poly) -> int | None:
     return exps.index(1)
 
 
+def _is_identity(f: ChartMap) -> bool:
+    return f.source == f.target and f.comps == ChartMap.identity(f.source).comps
+
+
+def _projection_slots(f: ChartMap) -> list[int] | None:
+    """The source coordinate of each component when f is a coordinate
+    projection (its components are distinct source coordinates), else None."""
+    slots = [_coordinate_of(c) for c in f.comps]
+    if None in slots or len(set(slots)) != len(slots):
+        return None
+    return slots
+
+
 def classify_map(f: ChartMap) -> str:
-    """Best-effort structural classification used by the auto modes."""
-    if f.source == f.target and f.comps == ChartMap.identity(f.source).comps:
+    """The first mode whose fibre class takes f: identity, a coordinate
+    projection, a coordinate embedding, then a square map whose Jacobian
+    has a constant nonzero determinant (a polynomial inverse)."""
+    if _is_identity(f):
         return "identity"
-    comp_coords = [_coordinate_of(c) for c in f.comps]
-    used = [c for c in comp_coords if c is not None]
-    distinct = len(set(used)) == len(used)
-    if (
-        all(c is not None for c in comp_coords)
-        and distinct
-        and f.source.dim >= f.target.dim
-    ):
+    if _projection_slots(f) is not None:
         return "coordinate-submersion"
-    zero_or_coord = all(
-        f.comps[j].is_zero or comp_coords[j] is not None
-        for j in range(len(f.comps))
-    )
-    if (
-        zero_or_coord
-        and distinct
-        and set(used) == set(range(f.source.dim))
-        and f.source.dim <= f.target.dim
-    ):
+    try:
+        embedding_layout(f)
         return "coordinate-embedding"
+    except UnsupportedModeError:
+        pass
     if f.source.dim == f.target.dim and f.source.dim > 0:
-        det = linalg.poly_det(f.jacobian())
-        c = det.as_constant()
+        c = linalg.poly_det(f.jacobian()).as_constant()
         if c is not None and c != 0:
             return "coordinate-submersion"
     raise UnsupportedModeError(
@@ -452,9 +466,7 @@ def resolve_mode(
         raise ValidationError(
             f"mode must be one of {', '.join(modes)}, got {mode!r}"
         )
-    if mode == "identity" and (
-        f.source != f.target or f.comps != ChartMap.identity(f.source).comps
-    ):
+    if mode == "identity" and not _is_identity(f):
         raise UnsupportedModeError("identity mode requires the identity map")
     return mode
 
@@ -555,9 +567,8 @@ class Submersion:
 
     def __init__(self, f: ChartMap, anchor: Sequence[Vec]):
         chart = self.chart = f.source
-        slots = [_coordinate_of(c) for c in f.comps]
-        if None not in slots and len(set(slots)) == len(slots):
-            self.slots: list[int] | None = slots
+        self.slots = slots = _projection_slots(f)
+        if slots is not None:
             self.lifts = [unit_vec(chart, chart.dim, s) for s in slots]
             self.vertical = [i for i in range(chart.dim) if i not in slots]
         elif chart.dim != f.target.dim:
@@ -572,7 +583,6 @@ class Submersion:
                     "coordinate-submersion mode needs an invertible map: the "
                     "Jacobian has no polynomial inverse"
                 )
-            self.slots = None
             self.lifts = [tuple(col) for col in zip(*self.inverse)]
             self.vertical = []
         rank = len(anchor)
@@ -667,3 +677,69 @@ def split_lifts(
         apply_matrix(pulled, tuple(jac[k][i] for k in range(n)), rank, f.source)
         for i in range(f.source.dim)
     ]
+
+
+class Presentation:
+    """An inverse image along map, presented on a basis of slot tuples.
+
+    An ambient element is a tuple of vectors over the source chart, slot s
+    of length sizes[s]: the Lie inverse image uses the (tangent, section)
+    pairs of the fibre classes, the Courant one (beta, u, eta) triples.
+    basis holds one element per class generator, relations the elements
+    the class module divides by (none unless a subclass sets them), and
+    read(element) returns (class coordinates, relation coefficients).
+    reduce checks every reading by rebuilding its input, so a reader never
+    has to prove that an element lies in the fibre product.
+    """
+
+    relations: tuple[tuple[Vec, ...], ...] = ()
+
+    def __init__(
+        self,
+        f: ChartMap,
+        mode: str,
+        sizes: tuple[int, ...],
+        basis: Sequence[tuple[Vec, ...]],
+        read: Callable[[tuple[Vec, ...]], tuple[Vec, Vec]],
+    ):
+        self.map, self.mode, self.sizes = f, mode, sizes
+        self.basis = tuple(basis)
+        self._read = read
+
+    @property
+    def chart(self) -> Chart:
+        return self.map.source
+
+    def _combine(
+        self,
+        coeffs: Vec,
+        elements: Sequence[tuple[Vec, ...]],
+        start: tuple[Vec, ...] | None = None,
+    ) -> tuple[Vec, ...]:
+        """start + sum_c coeffs[c] elements[c], slot by slot."""
+        return tuple(
+            apply_matrix(
+                [e[s] for e in elements],
+                coeffs,
+                size,
+                self.chart,
+                None if start is None else start[s],
+            )
+            for s, size in enumerate(self.sizes)
+        )
+
+    def expand(self, cls: Vec) -> tuple[Vec, ...]:
+        """The ambient element sum_c cls[c] basis[c]."""
+        return self._combine(cls, self.basis)
+
+    def reduce(self, element: tuple[Vec, ...]) -> Vec:
+        """The class coordinates of element; ValidationError when the
+        reading does not rebuild it, the element being outside the fibre
+        product."""
+        cls, rel = self._read(element)
+        got = self.expand(cls)
+        if self.relations:
+            got = self._combine(rel, self.relations, got)
+        if len(element) != len(got) or not all(map(vec_eq, got, element)):
+            raise ValidationError("element is not in the pullback fiber product")
+        return cls

@@ -22,10 +22,11 @@ of the fibre product from a fibre class of algebroids.anchored as they are:
 Embedding, Submersion (identity is the submersion along the identity map),
 or Split for the transitive-split mode, whose splitting checks and constant
 kernel frame are chosen here (Split reads the frame through a polynomial
-left inverse). The Courant inverse image uses the same pairs
-as the (u, eta) half of its triples. Ambient vectors for a pullback are
-stacked as (tangent components on Y, then tensor components over the
-generators of A).
+left inverse). LiePullback is the anchored.Presentation of those pairs: an
+ambient element is a pair (tangent on Y, pulled section over the generators
+of A), expand and reduce act on pairs, and anchored.pair_bracket is the
+ambient bracket. The Courant inverse image uses the same pairs as the
+(u, eta) half of its triples.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from algebroids import linalg
 from algebroids.anchored import (
     AnchoredModule,
     Embedding,
+    Presentation,
     Split,
     Submersion,
     anchor_defect,
@@ -48,7 +50,7 @@ from algebroids.anchored import (
     constant_quotient,
     jacobi_counterexample,
     jacobi_generator_failures,
-    leibniz_sum,
+    pair_bracket,
     probe,
     pulled_entries,
     resolve_mode,
@@ -377,76 +379,42 @@ def baer_combination(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LiePullback:
+class LiePullback(Presentation):
     """Inverse image of a Lie algebroid along a chart map.
 
-    basis holds ambient representatives, stacked tangent-first:
-    basis[k] = (xi_1..xi_dimY, u_1..u_rankA) over the source chart of map.
-    algebroid is the induced structure on that basis. reduce() expresses an
-    ambient vector in the basis and raises ValidationError when the vector
-    is not in the fiber product.
+    Ambient elements are the (tangent on the source chart of map, pulled
+    section) pairs of the fibre class, and basis is the fibre class's
+    basis; the reader is its coords. algebroid is the induced structure on
+    that basis: the anchor of a basis pair is its tangent, and each table
+    entry is the reduced pair_bracket of two basis pairs.
     """
 
-    map: ChartMap
-    source: LieData
-    algebroid: LieData
-    basis: tuple[Vec, ...]
-    mode: str
-    _reducer: object  # callable (tangent: Vec, tensor: Vec) -> Vec
+    def __init__(self, f: ChartMap, source: LieData, mode: str, fibre):
+        super().__init__(
+            f,
+            mode,
+            (f.source.dim, source.rank),
+            fibre.basis,
+            lambda pair: (fibre.coords(*pair), ()),
+        )
+        self.source = source
+        chart, basis = self.chart, self.basis
+        pulled = pulled_entries(f, source._entry)
 
-    @property
-    def chart(self) -> Chart:
-        return self.map.source
+        def bracket(x: int, y: int) -> Vec:
+            got = pair_bracket(chart, source.rank, pulled, basis[x], basis[y])
+            return self.reduce(got)
 
-    def split_ambient(self, ambient: Vec) -> tuple[Vec, Vec]:
-        d = self.chart.dim
-        return ambient[:d], ambient[d:]
-
-    def expand(self, coeffs: Vec) -> Vec:
-        total = self.chart.dim + self.source.rank
-        return apply_matrix(self.basis, coeffs, total, self.chart)
-
-    def reduce(self, ambient: Vec) -> Vec:
-        tangent, tensor = self.split_ambient(tuple(ambient))
-        coeffs = self._reducer(tangent, tensor)
-        # Every mode verifies by exact reconstruction.
-        if not linalg.vec_eq(self.expand(coeffs), tuple(ambient)):
-            raise ValidationError(
-                "ambient vector is not in the pullback fiber product"
-            )
-        return coeffs
-
-
-def _ambient_bracket(chart: Chart, rank: int, pulled, x: Vec, y: Vec) -> Vec:
-    """Fiber-product bracket on stacked vectors over chart; pulled reads the
-    pulled structure table."""
-    d = chart.dim
-    xi = VField(chart, x[:d])
-    eta = VField(chart, y[:d])
-    tensor = leibniz_sum(rank, pulled, x[d:], y[d:], xi, eta)
-    return tuple(xi.bracket(eta).comps) + tuple(tensor)
-
-
-def _structure_from_basis(
-    f: ChartMap, a: LieData, basis: Sequence[Vec], reduce_fn
-) -> tuple[tuple[Vec, ...], dict]:
-    chart = f.source
-    d = chart.dim
-    pulled = pulled_entries(f, a._entry)
-
-    def bracket(x: int, y: int) -> Vec:
-        return reduce_fn(_ambient_bracket(chart, a.rank, pulled, basis[x], basis[y]))
-
-    # A pair that does not reduce antisymmetrically means the source data
-    # was not antisymmetric to begin with.
-    structure = antisymmetric_table(
-        len(basis),
-        bracket,
-        "pullback bracket is not antisymmetric; source structure functions "
-        "are inconsistent",
-    )
-    return tuple(b[:d] for b in basis), structure
+        # A pair that does not reduce antisymmetrically means the source data
+        # was not antisymmetric to begin with.
+        structure = antisymmetric_table(
+            len(basis),
+            bracket,
+            "pullback bracket is not antisymmetric; source structure functions "
+            "are inconsistent",
+        )
+        anchor = tuple(tangent for tangent, _ in basis)
+        self.algebroid = LieData(chart, len(basis), anchor, structure)
 
 
 def pullback_lie(
@@ -459,7 +427,7 @@ def pullback_lie(
 
     mode is one of MODES or None for structural auto-detection. The
     transitive-split mode needs `splitting`: a module right inverse of the
-    anchor, one section per source-chart coordinate. The other modes stack
+    anchor, one section per source-chart coordinate. Every mode presents
     the fibre-product pairs of algebroids.anchored as they are; identity is
     the submersion along the identity map.
     """
@@ -472,11 +440,7 @@ def pullback_lie(
         fibre = Embedding(f, a.anchor)
     else:
         fibre = Submersion(f, a.anchor)
-    basis = [tangent + section for tangent, section in fibre.basis]
-    pb = LiePullback(f, a, None, tuple(basis), mode, fibre.coords)
-    anchor, structure = _structure_from_basis(f, a, basis, pb.reduce)
-    pb.algebroid = LieData(f.source, len(basis), anchor, structure)
-    return pb
+    return LiePullback(f, a, mode, fibre)
 
 
 def _transitive_split(f: ChartMap, a: LieData, splitting: tuple[Vec, ...]) -> Split:
@@ -491,7 +455,7 @@ def _transitive_split(f: ChartMap, a: LieData, splitting: tuple[Vec, ...]) -> Sp
     they are a basis of ker rho over Q(x): kappa = frame.a for some a over
     Q(x). Split reads the frame through a polynomial left inverse L (L
     frame = I), so a = L kappa is polynomial. A constant frame of full rank
-    always has one. LiePullback.reduce still checks every reduction by
+    always has one. Presentation.reduce still checks every reduction by
     rebuilding its input.
     """
     chart_x = a.chart
@@ -546,11 +510,11 @@ def compose_pullback(
     composite = outer.map.compose(inner.map)
     if composite.comps != target.map.comps:
         raise ValidationError("target presentation is for a different map")
-    tangent, coeffs = inner.split_ambient(inner.expand(tuple(e)))
+    tangent, coeffs = inner.expand(tuple(e))
     # Only the rows that coeffs reaches are pulled: this runs once per section.
     u_parts = [
-        () if c.is_zero else tuple(map(inner.map.pull, outer.split_ambient(b)[1]))
-        for c, b in zip(coeffs, outer.basis)
+        () if c.is_zero else tuple(map(inner.map.pull, section))
+        for c, (_, section) in zip(coeffs, outer.basis)
     ]
     return _push_section(u_parts, tangent, coeffs, target)
 
@@ -568,16 +532,16 @@ def f_plus_morphism(
     if pb_a.map.comps != pb_b.map.comps or pb_a.chart != pb_b.chart:
         raise ValidationError("presentations must be along the same map")
     pulled = [tuple(map(pb_a.map.pull, row)) for row in matrix]
-    return [_push_section(pulled, *pb_a.split_ambient(b), pb_b) for b in pb_a.basis]
+    return [_push_section(pulled, *b, pb_b) for b in pb_a.basis]
 
 
 def _push_section(
     pulled: Sequence[Vec], tangent: Vec, u: Vec, target: LiePullback
 ) -> Vec:
-    """Push the tensor part u through a generator matrix already pulled to
-    the target chart, and reduce (tangent, result) in the target."""
+    """Push the section u through a generator matrix already pulled to the
+    target chart, and reduce (tangent, result) in the target."""
     mapped = apply_matrix(pulled, u, target.source.rank, target.chart)
-    return target.reduce(tuple(tangent) + mapped)
+    return target.reduce((tangent, mapped))
 
 
 def check_compose_associative(
@@ -593,7 +557,7 @@ def check_compose_associative(
 
     Lemma L2: both routes are function-linear in the section e. Each
     composes expand, a generator matrix applied by apply_matrix, and
-    LiePullback.reduce, which is a function-linear reducer followed by an
+    Presentation.reduce, which is a function-linear reader followed by an
     exact reconstruction; the sections that reconstruct form a submodule.
     So the routes agree on every section exactly when they agree on the
     unit sections of the presentation over W, and a reduction that raises
@@ -677,10 +641,8 @@ def pullback_marked(
     splitting: Sequence[Vec] | None = None,
 ) -> MarkedLiePullback:
     pb = pullback_lie(f, m.lie, mode, splitting)
-    chart = f.source
-    zero_tangent = linalg.zero_vec(chart, chart.dim)
-    marking_ambient = zero_tangent + tuple(f.pull(p) for p in m.marking)
-    marking = pb.reduce(marking_ambient)
+    zero_tangent = linalg.zero_vec(f.source, f.source.dim)
+    marking = pb.reduce((zero_tangent, tuple(f.pull(p) for p in m.marking)))
     return MarkedLiePullback(pb, MarkedLieData(pb.algebroid, marking))
 
 
@@ -700,13 +662,9 @@ def extension_pullback(
     mpb = pullback_marked(f, ext.total, "transitive-split", total_split)
     pb = mpb.pullback
     pulled = [tuple(map(f.pull, row)) for row in ext.projection]
-    projection = [
-        _push_section(pulled, *pb.split_ambient(b), base_pb) for b in pb.basis
-    ]
+    projection = [_push_section(pulled, *b, base_pb) for b in pb.basis]
     pulled = [tuple(map(f.pull, row)) for row in ext.splitting]
-    splitting = [
-        _push_section(pulled, *base_pb.split_ambient(b), pb) for b in base_pb.basis
-    ]
+    splitting = [_push_section(pulled, *b, pb) for b in base_pb.basis]
     out = OExtensionData(
         mpb.marked, base_pb.algebroid, tuple(projection), tuple(splitting)
     )

@@ -20,34 +20,37 @@ Four presentations are supported: an exact split presentation over a
 chosen connection (basis: connection lifts of the coordinate fields plus
 the coordinate one-form lines), coordinate embeddings, coordinate
 submersions including invertible coordinate changes, and identity, which is
-the submersion along the identity map. The (u, eta) half of a triple is the
-fibre product the Lie inverse image presents, and its basis and coordinates
-come from algebroids.anchored (Embedding, Submersion, and for the exact
-split a Split whose kernel frame is the coanchor, read through a polynomial
-left inverse, so a structure that is itself a pullback presents too)
-together with mode resolution and the table+Leibniz half of the ambient
-bracket. Each mode
-here adds only its own part: the cotangent directions (vertical ones for a
+the submersion along the identity map. CourantPullback is the
+anchored.Presentation of the triples, with the R_k as its relations: expand
+and the one verified reduce are the ones the Lie inverse image uses. The
+(u, eta) half of a triple is the fibre-product pair the Lie inverse image
+presents, and its basis and coordinates come from algebroids.anchored
+(Embedding, Submersion, and for the exact split a Split whose kernel frame
+is the coanchor, read through a polynomial left inverse, so a structure
+that is itself a pullback presents too), together with mode resolution and
+pair_bracket, the (eta, u) half of the ambient bracket. Each mode here adds
+only its own part: the cotangent directions (vertical ones for a
 submersion), the relation coefficients, and for an embedding the division
 by the pulled conormal directions. The coanchor, pairing, structure table
-and Jacobian are pulled once per presentation. Every reduction is verified by exhibiting the exact
-relation combination; failures raise ValidationError.
+and Jacobian are pulled once per presentation. Every reduction is verified
+by exhibiting the exact relation combination; failures raise
+ValidationError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from itertools import product
 
 from algebroids import linalg
 from algebroids.anchored import (
     Embedding,
+    Presentation,
     Split,
     Submersion,
     constant_complement,
     embedding_layout,
-    leibniz_sum,
+    pair_bracket,
     pulled_entries,
     resolve_mode,
     split_lifts,
@@ -99,37 +102,53 @@ def _cotangent(chart: Chart, rank: int, j: int) -> Triple:
     return (unit_vec(chart, dim, j), zero_vec(chart, rank), zero_vec(chart, dim))
 
 
-@dataclass
-class CourantPullback:
-    """A presented inverse image; basis holds ambient representatives.
+class CourantPullback(Presentation):
+    """A presented inverse image: an anchored.Presentation on triples.
 
     The coanchor, the pairing, the structure table (each pair on first use)
     and the Jacobian of the map are pulled once, when the presentation is
     made, and every mode and ambient operation reads those copies; the
     relation generators R_k are built from them once, into relations. The
+    mode builders return a basis and a reader that do not hold the
+    presentation, so no reference cycle keeps it alive. The
     coordinate-embedding mode keeps its fibre product in embedding, for
-    dirac_pushdown to reuse.
+    dirac_pushdown to reuse. result is the induced structure on the basis.
     """
 
-    map: ChartMap
-    source: CourantData
-    result: CourantData | None
-    basis: tuple[Triple, ...]
-    mode: str
-    _reducer: object  # callable Triple -> (class coords, relation coeffs)
-    embedding: Embedding | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        f, q = self.map, self.source
+    def __init__(
+        self, f: ChartMap, q: CourantData, mode: str, connection: Connection | None
+    ):
+        chart = f.source
+        self.source = q
         self.pulled_coanchor = [[f.pull(p) for p in row] for row in q.coanchor]
         self.pulled_pairing = [[f.pull(p) for p in row] for row in q.pairing]
         self.pulled_structure = pulled_entries(f, q._entry)
         self.jacobian = f.jacobian()
+        self.embedding = None
+        if mode == "exact-split":
+            basis, read = _exact_split(f, q, self.jacobian, connection)
+        elif mode == "coordinate-embedding":
+            self.embedding = Embedding(f, q.anchor)
+            basis, read = _embedding(self.embedding, q, self.pulled_coanchor)
+        else:
+            basis, read = _submersion(f, q, self.pulled_coanchor)
+        super().__init__(f, mode, (chart.dim, q.rank, chart.dim), basis, read)
         self.relations = tuple(self.relation(k) for k in range(q.chart.dim))
-
-    @property
-    def chart(self) -> Chart:
-        return self.map.source
+        r = len(self.basis)
+        self.result = CourantData(
+            chart,
+            r,
+            tuple(eta for _, _, eta in self.basis),
+            tuple(self.reduce(_cotangent(chart, q.rank, j)) for j in range(chart.dim)),
+            tuple(
+                tuple(self.ambient_pairing(x, y) for y in self.basis)
+                for x in self.basis
+            ),
+            {
+                (x, y): self.reduce(self.ambient_bracket(self.basis[x], self.basis[y]))
+                for x, y in product(range(r), repeat=2)
+            },
+        )
 
     # -- ambient operations ---------------------------------------------------
 
@@ -139,15 +158,6 @@ class CourantPullback:
         beta = tuple(self.jacobian[k][j] for j in range(chart.dim))
         u = tuple(-p for p in self.pulled_coanchor[k])
         return (beta, u, zero_vec(chart, chart.dim))
-
-    def combine(self, coeffs: Vec, triples: Sequence[Triple]) -> Triple:
-        """sum_c coeffs[c] triples[c], slot by slot."""
-        chart = self.chart
-        sizes = (chart.dim, self.source.rank, chart.dim)
-        return tuple(
-            apply_matrix([t[slot] for t in triples], coeffs, size, chart)
-            for slot, size in enumerate(sizes)
-        )
 
     def ambient_pairing(self, t1: Triple, t2: Triple) -> Poly:
         beta1, u1, eta1 = t1
@@ -163,63 +173,17 @@ class CourantPullback:
         chart = self.chart
         beta1, u1, eta1 = t1
         beta2, u2, eta2 = t2
-        f1, f2 = VField(chart, eta1), VField(chart, eta2)
-
-        tangent = f1.bracket(f2).comps
-        tensor = leibniz_sum(
-            self.source.rank, self.pulled_structure, u1, u2, f1, f2
+        tangent, tensor = pair_bracket(
+            chart, self.source.rank, self.pulled_structure, (eta1, u1), (eta2, u2)
         )
-
-        form = _one_form(chart, beta2).lie(f1)
-        db1 = _one_form(chart, beta1).d()
-        form = form + KForm(
-            chart, 1, {(j,): -p for (j,), p in db1.iota(f2).comps.items()}
-        )
+        form = _one_form(chart, beta2).lie(VField(chart, eta1))
+        db1 = _one_form(chart, beta1).d().iota(VField(chart, eta2))
+        form = form + KForm(chart, 1, {(j,): -p for (j,), p in db1.comps.items()})
         beta = vec_add(
             _form_vec(form),
             pairing_differential(self.pulled_pairing, u1, u2, chart),
         )
-        return (beta, tuple(tensor), tuple(tangent))
-
-    # -- class operations ------------------------------------------------------
-
-    def expand(self, cls: Vec) -> Triple:
-        return self.combine(cls, self.basis)
-
-    def reduce(self, t: Triple) -> Vec:
-        cls, rel = self._reducer(t)
-        rep = self.expand(cls)
-        combo = self.combine(rel, self.relations)
-        for slot in range(3):
-            got = vec_add(rep[slot], combo[slot])
-            if not vec_eq(got, t[slot]):
-                raise ValidationError(
-                    "triple is not in the pullback fiber product"
-                )
-        return cls
-
-
-def _finish(pb: CourantPullback) -> CourantPullback:
-    chart, basis = pb.chart, pb.basis
-    r = len(basis)
-    anchor = tuple(tuple(t[2]) for t in basis)
-    coanchor = []
-    for j in range(chart.dim):
-        coanchor.append(pb.reduce(_cotangent(chart, pb.source.rank, j)))
-    pairing = tuple(
-        tuple(pb.ambient_pairing(basis[x], basis[y]) for y in range(r))
-        for x in range(r)
-    )
-    structure = {}
-    for x in range(r):
-        for y in range(r):
-            got = pb.reduce(pb.ambient_bracket(basis[x], basis[y]))
-            if not vec_is_zero(got):
-                structure[(x, y)] = got
-    pb.result = CourantData(
-        chart, r, anchor, tuple(coanchor), pairing, structure
-    )
-    return pb
+        return (beta, tensor, tangent)
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +191,11 @@ def _finish(pb: CourantPullback) -> CourantPullback:
 # ---------------------------------------------------------------------------
 
 
-def _exact_split(pb: CourantPullback, conn: Connection):
+def _exact_split(f: ChartMap, q: CourantData, jac, conn: Connection):
     """The connection lifts of the source coordinate fields, from the Split
     whose kernel frame is the coanchor, then the cotangent lines. The Split's
     frame pairs are never read: the cotangent lines stand in for them."""
-    f, q, chart = pb.map, pb.source, pb.chart
+    chart = f.source
     n = q.chart.dim
     m = chart.dim
     if q.rank != 2 * n:
@@ -240,7 +204,6 @@ def _exact_split(pb: CourantPullback, conn: Connection):
         )
     if conn.courant != q:
         raise ValidationError("connection does not belong to the structure")
-    jac = pb.jacobian
     split = Split(f, conn.columns, q.rank, q.coanchor, jac)
     zero_form = zero_vec(chart, m)
     basis = [
@@ -249,42 +212,41 @@ def _exact_split(pb: CourantPullback, conn: Connection):
         _cotangent(chart, q.rank, j) for j in range(m)
     ]
 
-    def reducer(t: Triple):
+    def read(t: Triple):
         beta, u, eta = t
         alpha = split.kernel_coords(eta, u)
         omega = apply_matrix(jac, alpha, m, chart, start=beta)
         cls = tuple(eta) + omega
         return cls, tuple(-a for a in alpha)
 
-    return tuple(basis), reducer
+    return basis, read
 
 
-def _submersion(pb: CourantPullback):
+def _submersion(f: ChartMap, q: CourantData, coanchor):
     """The fibre-product pairs of the submersion, then the cotangent lines
     of its vertical coordinates."""
-    q, chart, coanchor = pb.source, pb.chart, pb.pulled_coanchor
-    sub = Submersion(pb.map, q.anchor)
+    chart = f.source
+    sub = Submersion(f, q.anchor)
     zero_form = zero_vec(chart, chart.dim)
     basis = [(zero_form, u, eta) for eta, u in sub.basis] + [
         _cotangent(chart, q.rank, v) for v in sub.vertical
     ]
 
-    def reducer(t: Triple):
+    def read(t: Triple):
         beta, u, eta = t
         p = sub.coefficients(beta)
         prime = apply_matrix(coanchor, p, q.rank, chart, start=u)
         cls = sub.coords(eta, prime) + tuple(beta[v] for v in sub.vertical)
         return cls, tuple(p)
 
-    return tuple(basis), reducer
+    return basis, read
 
 
-def _embedding(pb: CourantPullback):
+def _embedding(emb: Embedding, q: CourantData, coanchor):
     """The fibre-product pairs of the embedding, divided by the pulled
     conormal directions."""
-    q, chart, coanchor = pb.source, pb.chart, pb.pulled_coanchor
+    chart = emb.chart
     n = q.chart.dim
-    emb = pb.embedding = Embedding(pb.map, q.anchor)
     z = len(emb.zeroed)
     sections = [u for _, u in emb.basis]
     zero_form = zero_vec(chart, chart.dim)
@@ -312,17 +274,13 @@ def _embedding(pb: CourantPullback):
                 "pulled conormal directions escape the constraint solve"
             )
         conormal_rows.append(row)
-    if linalg.qq_rank(conormal_rows) != z:
-        raise UnsupportedModeError(
-            "pulled conormal directions are dependent"
-        )
     complement, inv = constant_complement(conormal_rows, len(emb.free))
     if inv is None:
-        raise UnsupportedModeError("conormal directions have no complement")
+        raise UnsupportedModeError("pulled conormal directions are dependent")
 
-    basis = tuple((zero_form, emb.basis[i][1], emb.basis[i][0]) for i in complement)
+    basis = [(zero_form, emb.basis[i][1], emb.basis[i][0]) for i in complement]
 
-    def reducer(t: Triple):
+    def read(t: Triple):
         beta, u, eta = t
         p = [Poly.zero(chart)] * n
         for k, j in emb.kept.items():
@@ -334,7 +292,7 @@ def _embedding(pb: CourantPullback):
             p[k] = -cls[s]
         return cls[z:], tuple(p)
 
-    return basis, reducer
+    return basis, read
 
 
 def pullback_courant(
@@ -354,18 +312,7 @@ def pullback_courant(
     mode = resolve_mode(f, q.chart, mode, MODES)
     if mode == "exact-split" and connection is None:
         raise ValidationError("exact-split mode needs a connection")
-    # A mode reads the pulled tables from pb but returns a reducer that does
-    # not hold pb: pb holds the reducer, and the cycle would keep every
-    # presentation alive until the cycle collector runs. The same goes for
-    # pb.embedding, which holds the map and the pulled anchor but not pb.
-    pb = CourantPullback(f, q, None, (), mode, None)
-    if mode == "exact-split":
-        pb.basis, pb._reducer = _exact_split(pb, connection)
-    elif mode == "coordinate-embedding":
-        pb.basis, pb._reducer = _embedding(pb)
-    else:
-        pb.basis, pb._reducer = _submersion(pb)
-    return _finish(pb)
+    return CourantPullback(f, q, mode, connection)
 
 
 # ---------------------------------------------------------------------------

@@ -256,7 +256,7 @@ def test_axis_embedding_pullback_of_tangent():
     assert pb.algebroid.anchor == (sec(R1, "1"),)
     assert pb.algebroid.structure == {}
     # d/dy2 does not restrict to the axis.
-    outside = (Poly.zero(R1), Poly.zero(R1), Poly.one(R1))
+    outside = ((Poly.zero(R1),), (Poly.zero(R1), Poly.one(R1)))
     with pytest.raises(ValidationError):
         pb.reduce(outside)
 
@@ -281,8 +281,8 @@ def test_invertible_shear_pullback():
     assert pb.algebroid.rank == 2
     assert pb.algebroid.structure == {}
     # Lift of d/dy1 through the shear: d/dy1 - 2 y1 d/dy2.
-    assert pb.basis[0] == sec(R2, "1", "-2*y1", "1", "0")
-    coeffs = pb.reduce(sec(R2, "1", "-2*y1 + 3", "1", "3"))
+    assert pb.basis[0] == (sec(R2, "1", "-2*y1"), sec(R2, "1", "0"))
+    coeffs = pb.reduce((sec(R2, "1", "-2*y1 + 3"), sec(R2, "1", "3")))
     assert coeffs == sec(R2, "1", "3")
 
 
@@ -293,8 +293,8 @@ def test_transitive_split_pullback_of_extension():
     pb = pullback_lie(f, ext.total.lie, "transitive-split", splitting)
     assert pb.algebroid.rank == 2
     # Tangent lift carries the Jacobian of the curve.
-    assert pb.basis[0] == sec(R1, "1", "1", "2*z1", "0")
-    assert pb.basis[1] == sec(R1, "0", "0", "0", "1")
+    assert pb.basis[0] == (sec(R1, "1"), sec(R1, "1", "2*z1", "0"))
+    assert pb.basis[1] == (sec(R1, "0"), sec(R1, "0", "0", "1"))
     # Any line extension pulled to a one-dimensional base flattens out.
     assert pb.algebroid.structure == {}
     rep = check_lie_algebroid(pb.algebroid, samples=10, seed=8)
@@ -356,15 +356,14 @@ def test_compose_pullback_on_a_curve_chain():
     got = compose_pullback(p_g, p_f, p_fg, e)
     assert len(got) == p_fg.algebroid.rank
     # The comparison reaches the composite presentation exactly; spot-check
-    # by expanding both sides to ambient tensor coordinates over X.
-    amb_iter = p_g.expand(e)
-    tangent, coeffs = p_g.split_ambient(amb_iter)
+    # by expanding both sides to ambient section coordinates over X.
+    tangent, coeffs = p_g.expand(e)
     flat = list(linalg.zero_vec(R1, 4))
     for alpha, c in enumerate(coeffs):
-        u_part = p_f.basis[alpha][2:]
+        u_part = p_f.basis[alpha][1]
         for k in range(4):
             flat[k] = flat[k] + c * g.pull(u_part[k])
-    assert p_fg.expand(got) == tuple(tangent) + tuple(flat)
+    assert p_fg.expand(got) == (tuple(tangent), tuple(flat))
 
 
 def test_compose_associativity_check():
