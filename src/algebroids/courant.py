@@ -154,18 +154,10 @@ def standard_exact(chart: Chart, h: KForm | None = None) -> CourantData:
         )
         for a in range(r)
     )
-    structure = {}
-    for i in range(n):
-        for j in range(n):
-            vec = [z] * r
-            nonzero = False
-            for k in range(n):
-                c = h.component((i, j, k))
-                if not c.is_zero:
-                    vec[n + k] = c
-                    nonzero = True
-            if nonzero:
-                structure[(i, j)] = tuple(vec)
+    structure = {
+        (i, j): (z,) * n + tuple(h.component((i, j, k)) for k in range(n))
+        for i, j in product(range(n), repeat=2)
+    }
     return CourantData(chart, r, anchor, coanchor, pairing, structure)
 
 
@@ -200,15 +192,14 @@ def twist(q: CourantData, h: KForm) -> CourantData:
         raise ValidationError("the twisting form must be a three-form")
     if h.chart != q.chart:
         raise ChartMismatchError("twisting form on the wrong chart")
-    structure = {}
-    for a in range(q.rank):
-        ia = h.iota(q.anchor_of(q.gen(a)))
-        for b in range(q.rank):
-            omega = ia.iota(q.anchor_of(q.gen(b)))
-            term = q.coanchor_of(omega)
-            vec = vec_add(q.bracket_gen(a, b), term)
-            if not vec_is_zero(vec):
-                structure[(a, b)] = vec
+    iotas = [h.iota(q.anchor_of(q.gen(a))) for a in range(q.rank)]
+    structure = {
+        (a, b): vec_add(
+            q.bracket_gen(a, b),
+            q.coanchor_of(iotas[a].iota(q.anchor_of(q.gen(b)))),
+        )
+        for a, b in product(range(q.rank), repeat=2)
+    }
     return CourantData(
         q.chart, q.rank, q.anchor, q.coanchor, q.pairing, structure
     )
@@ -628,45 +619,6 @@ def associated_lie_algebroid(q: CourantData) -> tuple[LieData, tuple[Vec, ...]]:
 # ---------------------------------------------------------------------------
 
 
-def _lift_unit(weights: Sequence[Fraction]) -> list[Fraction]:
-    """A vector u with sum_i weights_i u_i = 1, concentrated on the first
-    nonzero weight."""
-    u = [Fraction(0)] * len(weights)
-    for i, w in enumerate(weights):
-        if w:
-            u[i] = 1 / w
-            break
-    return u
-
-
-def _reduce_tuple(
-    parts: Sequence[CourantData],
-    weights: Sequence[Fraction],
-    connections: Sequence[Connection],
-    components: Sequence[Vec],
-) -> Vec:
-    chart = parts[0].chart
-    n = chart.dim
-    a_field = parts[0].anchor_of(components[0])
-    beta = [Poly.zero(chart) for _ in range(n)]
-    for i, (qi, conn) in enumerate(zip(parts, connections)):
-        if qi.anchor_of(components[i]) != a_field:
-            raise ValidationError("tuple components have different anchor images")
-        lifted = apply_matrix(conn.columns, a_field.comps, qi.rank, chart)
-        rem = vec_sub(components[i], lifted)
-        alpha = [qi.pairing_of(rem, conn.columns[k]) for k in range(n)]
-        # Defensive: rem must be exactly the coanchor image of alpha.
-        if not linalg.vec_eq(qi._coanchor_vec(alpha), rem):
-            raise ValidationError(
-                "tuple component is not connection + coanchor image; the "
-                "summand is not exact over this connection"
-            )
-        if weights[i]:
-            for j in range(n):
-                beta[j] = beta[j] + weights[i] * alpha[j]
-    return tuple(a_field.comps) + tuple(beta)
-
-
 @dataclass
 class CourantCombination:
     """Weighted combination presented on diagonal lifts + coanchor lines.
@@ -675,27 +627,76 @@ class CourantCombination:
     coordinate fields, generators n..2n-1 the glued coanchor lines.
     reduce_tuple turns a fiber-product tuple of summand sections into
     result coordinates; lift produces one representative tuple per class.
+    The tables of result are read off the lifts of its generators: the
+    weighted pairings of the summands, and reduce_tuple of their
+    componentwise brackets.
     """
 
     parts: tuple[CourantData, ...]
     weights: tuple[Fraction, ...]
     connections: tuple[Connection, ...]
-    result: CourantData
+    result: CourantData = field(init=False)
+
+    def __post_init__(self):
+        chart = self.parts[0].chart
+        r = 2 * chart.dim
+        # A vector u with sum_i weights_i u_i = 1, concentrated on the first
+        # nonzero weight: lift puts each coanchor line on that summand.
+        first = next(i for i, w in enumerate(self.weights) if w)
+        self.unit = [Fraction(0)] * len(self.weights)
+        self.unit[first] = 1 / self.weights[first]
+        gens = [self.lift(linalg.unit_vec(chart, r, idx)) for idx in range(r)]
+        pairing = []
+        for x in range(r):
+            row = []
+            for y in range(r):
+                acc = Poly.zero(chart)
+                for i, qi in enumerate(self.parts):
+                    if self.weights[i]:
+                        acc = acc + self.weights[i] * qi.pairing_of(
+                            gens[x][i], gens[y][i]
+                        )
+                row.append(acc)
+            pairing.append(tuple(row))
+        structure = {
+            (x, y): self.reduce_tuple(
+                [qi.bracket(gens[x][i], gens[y][i]) for i, qi in enumerate(self.parts)]
+            )
+            for x, y in product(range(r), repeat=2)
+        }
+        anchor, coanchor = _exact_frame(chart)
+        self.result = CourantData(chart, r, anchor, coanchor, tuple(pairing), structure)
 
     def reduce_tuple(self, components: Sequence[Vec]) -> Vec:
-        return _reduce_tuple(
-            self.parts, self.weights, self.connections, components
-        )
+        chart = self.parts[0].chart
+        n = chart.dim
+        a_field = self.parts[0].anchor_of(components[0])
+        beta = [Poly.zero(chart) for _ in range(n)]
+        for i, (qi, conn) in enumerate(zip(self.parts, self.connections)):
+            if qi.anchor_of(components[i]) != a_field:
+                raise ValidationError("tuple components have different anchor images")
+            lifted = apply_matrix(conn.columns, a_field.comps, qi.rank, chart)
+            rem = vec_sub(components[i], lifted)
+            alpha = [qi.pairing_of(rem, conn.columns[k]) for k in range(n)]
+            # Defensive: rem must be exactly the coanchor image of alpha.
+            if not linalg.vec_eq(qi._coanchor_vec(alpha), rem):
+                raise ValidationError(
+                    "tuple component is not connection + coanchor image; the "
+                    "summand is not exact over this connection"
+                )
+            if self.weights[i]:
+                for j in range(n):
+                    beta[j] = beta[j] + self.weights[i] * alpha[j]
+        return tuple(a_field.comps) + tuple(beta)
 
     def lift(self, cls: Vec) -> list[Vec]:
         """One fiber-product representative of a class vector."""
-        chart = self.result.chart
+        chart = self.parts[0].chart
         n = chart.dim
-        unit = _lift_unit(self.weights)
         out = []
         for i, (qi, conn) in enumerate(zip(self.parts, self.connections)):
             vec = apply_matrix(conn.columns, cls[:n], qi.rank, chart)
-            alpha = tuple(unit[i] * cls[n + j] for j in range(n))
+            alpha = tuple(self.unit[i] * cls[n + j] for j in range(n))
             out.append(qi._coanchor_vec(alpha, vec))
         return out
 
@@ -735,50 +736,7 @@ def baer_combination(
             )
         if conn.courant is not qi and conn.courant != qi:
             raise ValidationError("connection does not belong to its summand")
-
-    r = 2 * n
-    unit = _lift_unit(weights)
-
-    def class_gen_tuples(idx: int) -> list[Vec]:
-        """Representative tuple of the idx-th result generator."""
-        out = []
-        for i, (qi, conn) in enumerate(zip(parts, connections)):
-            if idx < n:
-                out.append(tuple(conn.columns[idx]))
-            else:
-                j = idx - n
-                alpha = KForm(chart, 1, {(j,): Poly.const(chart, unit[i])})
-                out.append(qi.coanchor_of(alpha))
-        return out
-
-    anchor, coanchor = _exact_frame(chart)
-    pairing_rows = []
-    gen_tuples = [class_gen_tuples(idx) for idx in range(r)]
-    for x in range(r):
-        row = []
-        for y in range(r):
-            acc = Poly.zero(chart)
-            for i, qi in enumerate(parts):
-                if weights[i]:
-                    acc = acc + weights[i] * qi.pairing_of(
-                        gen_tuples[x][i], gen_tuples[y][i]
-                    )
-            row.append(acc)
-        pairing_rows.append(tuple(row))
-    structure = {}
-    for x in range(r):
-        for y in range(r):
-            comp = [
-                qi.bracket(gen_tuples[x][i], gen_tuples[y][i])
-                for i, qi in enumerate(parts)
-            ]
-            got = _reduce_tuple(parts, weights, connections, comp)
-            if not vec_is_zero(got):
-                structure[(x, y)] = got
-    result = CourantData(
-        chart, r, anchor, tuple(coanchor), tuple(pairing_rows), structure
-    )
-    return CourantCombination(tuple(parts), weights, tuple(connections), result)
+    return CourantCombination(tuple(parts), weights, tuple(connections))
 
 
 def baer_sum(

@@ -344,7 +344,6 @@ def baer_combination(
 
     readers = [_fiber_reader(e) for e in extensions]
     rb = base.rank
-    rank = rb + 1
 
     def reduce_tuple(components: Sequence[Vec]) -> Vec:
         """Class of a fiber-product tuple in the combined extension."""
@@ -355,22 +354,18 @@ def baer_combination(
             beta = beta + weights[i] * t
         return a_part + (beta,)
 
-    def lift_class(v: Vec) -> list[Vec]:
-        return [e.lift(v[:rb]) for e in extensions]
-
-    structure: dict[tuple[int, int], Vec] = {}
-    for x in range(rb):
-        for y in range(x, rb):
-            lifts_x = lift_class(linalg.unit_vec(chart, rank, x))
-            lifts_y = lift_class(linalg.unit_vec(chart, rank, y))
-            got = reduce_tuple(
-                [
-                    e.total.lie.bracket(lx, ly)
-                    for e, lx, ly in zip(extensions, lifts_x, lifts_y)
-                ]
-            )
-            if not vec_is_zero(got):
-                structure[(x, y)] = got
+    # The lifts of each base generator, one per extension.
+    lifts = [[e.lift(base.gen(x)) for e in extensions] for x in range(rb)]
+    structure = {
+        (x, y): reduce_tuple(
+            [
+                e.total.lie.bracket(lx, ly)
+                for e, lx, ly in zip(extensions, lifts[x], lifts[y])
+            ]
+        )
+        for x in range(rb)
+        for y in range(x, rb)
+    }
     return _line_extension(base, structure)
 
 

@@ -204,12 +204,10 @@ def courant_from_transgression(tau: TauModule) -> CourantData:
         tuple(tau.bracket(eps[a], eps[b]).c_part for b in range(r))
         for a in range(r)
     )
-    structure = {}
-    for a in range(r):
-        for b in range(r):
-            vec = tau.bracket(flat[a], eps[b]).section
-            if not vec_is_zero(vec):
-                structure[(a, b)] = vec
+    structure = {
+        (a, b): tau.bracket(flat[a], eps[b]).section
+        for a, b in product(range(r), repeat=2)
+    }
     return CourantData(chart, r, anchor, coanchor, pairing, structure)
 
 

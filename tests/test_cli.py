@@ -483,6 +483,26 @@ def test_embedding_mode_on_a_non_embedding_exits_three(tmp_path, capsys):
     assert "unsupported mode" in capsys.readouterr().err
 
 
+def test_dependent_conormal_directions_exit_three(tmp_path, capsys):
+    """Both coordinates of R2 cut at the origin, with coanchor row 1 equal to
+    row 0: the two pulled conormal directions coincide."""
+    from algebroids.courant import CourantData
+    from algebroids.errors import UnsupportedModeError
+    from algebroids.pullback import pullback_courant
+
+    q = CourantData(
+        R2, Q2.rank, Q2.anchor, (Q2.coanchor[0],) * 2, Q2.pairing, Q2.structure
+    )
+    origin = Chart("O", ())
+    f = ChartMap(origin, R2, (Poly.zero(origin), Poly.zero(origin)))
+    with pytest.raises(UnsupportedModeError, match="conormal directions are dependent"):
+        pullback_courant(f, q)
+    spec = {"structure": jsonio.courant_to_json(q), "map": jsonio.map_to_json(f)}
+    rc = main(["pullback", "--spec", write_job(tmp_path, spec)])
+    assert rc == 3
+    assert "conormal directions are dependent" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("verb", ["pullback", "twist-commute"])
 @pytest.mark.parametrize(
     "mode", [["identity"], 3, {}, "identty", "transitive-split"]
