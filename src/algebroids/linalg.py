@@ -241,18 +241,18 @@ def qq_inverse(a: list[list[Fraction]]) -> list[list[Fraction]] | None:
 # ---------------------------------------------------------------------------
 
 
-def poly_rows_rank(rows: Sequence[Vec]) -> int:
-    """Rank of a polynomial matrix at the generic point.
+def _pivot_columns(rows: Sequence[Vec]) -> list[int]:
+    """Pivot columns of a polynomial matrix at the generic point.
 
     Fraction-free elimination: rows are cross-multiplied, so no division
-    happens and the count of nonzero pivots equals the rank over the
-    fraction field.
+    happens and the pivot columns are those over the fraction field, the
+    columns independent of the columns before them.
     """
     work = [list(r) for r in rows if not vec_is_zero(tuple(r))]
     if not work:
-        return 0
+        return []
     ncols = len(work[0])
-    rank = 0
+    pivots = []
     col = 0
     while work and col < ncols:
         pivot_row = None
@@ -277,9 +277,14 @@ def poly_rows_rank(rows: Sequence[Vec]) -> int:
             if any(not p.is_zero for p in new):
                 nxt.append(new)
         work = nxt
-        rank += 1
+        pivots.append(col)
         col += 1
-    return rank
+    return pivots
+
+
+def poly_rows_rank(rows: Sequence[Vec]) -> int:
+    """Rank of a polynomial matrix at the generic point."""
+    return len(_pivot_columns(rows))
 
 
 def _poly_size(p: Poly) -> tuple[int, int]:
@@ -287,18 +292,10 @@ def _poly_size(p: Poly) -> tuple[int, int]:
 
 
 def select_independent(rows: Sequence[Vec]) -> list[int]:
-    """Indices of a maximal generically independent subset, greedily."""
-    chosen: list[int] = []
-    current: list[Vec] = []
-    rank = 0
-    for i, row in enumerate(rows):
-        cand = current + [row]
-        r = poly_rows_rank(cand)
-        if r > rank:
-            chosen.append(i)
-            current = cand
-            rank = r
-    return chosen
+    """Indices of the rows a greedy pass keeps, each generically independent
+    of those kept before it: the pivot columns of the transpose, in one
+    elimination."""
+    return _pivot_columns(transpose(rows))
 
 
 def poly_det(m: Sequence[Sequence[Poly]]) -> Poly:

@@ -219,6 +219,38 @@ def test_classify_map():
         classify_map(curve)
 
 
+@pytest.mark.parametrize(
+    "source, target, comps",
+    [
+        (R2, R2, ("y1", "y2")),
+        (R1, R2, ("z1", "0")),
+        (R3, R2, ("x1", "x2")),
+        (R2, R2, ("y1", "y2 + y1^2")),
+        (R1, R2, ("z1", "z1^2")),
+        (R2, R2, ("y2", "y1")),
+        (R2, R2, ("y1", "y1*y2")),
+    ],
+    ids=["identity", "axis", "projection", "shear", "curve", "swap", "singular"],
+)
+def test_classify_map_is_the_first_mode_whose_fibre_takes_the_map(
+    source, target, comps
+):
+    f = ChartMap(source, target, sec(source, *comps))
+    tangent = tangent_algebroid(target)
+    taken = []
+    for mode in ("identity", "coordinate-submersion", "coordinate-embedding"):
+        try:
+            pullback_lie(f, tangent, mode)
+        except UnsupportedModeError:
+            continue
+        taken.append(mode)
+    if taken:
+        assert classify_map(f) == taken[0]
+    else:
+        with pytest.raises(UnsupportedModeError):
+            classify_map(f)
+
+
 def test_identity_pullback_is_the_algebroid():
     a = flag_algebroid()
     pb = pullback_lie(ChartMap.identity(R2), a)

@@ -74,3 +74,22 @@ def test_independent_rows_is_the_greedy_choice(rows):
             kept.append(row)
             greedy.append(i)
     assert linalg.independent_rows(rows) == greedy
+
+
+entries = st.sampled_from(
+    [Poly.zero(R2), ONE, -ONE, ONE + ONE, X1, X2, X1 * X2, X1 - ONE, X1 * X1]
+)
+
+
+@given(st.lists(st.lists(entries, min_size=3, max_size=3), max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_select_independent_is_the_greedy_choice(rows):
+    """One elimination of the transpose keeps the rows that the greedy pass,
+    one rank per candidate, keeps."""
+    kept: list[list[Poly]] = []
+    greedy = []
+    for i, row in enumerate(rows):
+        if linalg.poly_rows_rank(kept + [row]) > len(kept):
+            kept.append(row)
+            greedy.append(i)
+    assert linalg.select_independent(rows) == greedy

@@ -1,15 +1,22 @@
-"""Source hygiene: every name a package module imports is used in it.
+"""Source hygiene: every name a package module imports is used in it, and
+every name it defines is named somewhere else.
 
 A module-level name is used when the module's syntax tree loads it; names
 read only inside string annotations do not count. An import line marked
-"# noqa: F401" is exempt (an import kept for its side effect)."""
+"# noqa: F401" is exempt (an import kept for its side effect).
+
+A definition (a top-level function or class, or a method whose name is not
+a dunder) is alive when its name appears as a word on some line of the
+Python files under src/, tests/ or perfbench/ other than its own def line."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "algebroids"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "algebroids"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -46,3 +53,71 @@ def test_the_gate_flags_an_unused_name_and_keeps_an_exempt_one():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def definitions(source: str) -> list[tuple[str, int]]:
+    """(name, def line) of each top-level function and class and of each
+    method whose name is not a dunder, in source order."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    out = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, kinds):
+            continue
+        out.append((node.name, node.lineno))
+        if isinstance(node, ast.ClassDef):
+            out += [
+                (item.name, item.lineno)
+                for item in node.body
+                if isinstance(item, kinds) and not re.fullmatch(r"__\w+__", item.name)
+            ]
+    return out
+
+
+def dead_definitions(
+    defining: dict[str, str], corpus: dict[str, str]
+) -> list[str]:
+    """path:name of each definition in the defining sources whose name
+    appears on no line of the corpus (path -> source) but its def line."""
+    seen: dict[str, set[tuple[str, int]]] = {}
+    for path, source in corpus.items():
+        for lineno, line in enumerate(source.splitlines(), 1):
+            for word in set(re.findall(r"\w+", line)):
+                seen.setdefault(word, set()).add((path, lineno))
+    return [
+        f"{path}:{name}"
+        for path, source in defining.items()
+        for name, lineno in definitions(source)
+        if not seen.get(name, set()) - {(path, lineno)}
+    ]
+
+
+def test_the_dead_definition_gate_flags_a_name_used_only_where_defined():
+    source = (
+        "def used():\n"
+        "    pass\n"
+        "def unused():\n"
+        "    pass\n"
+        "class Box:\n"
+        "    def __init__(self):\n"
+        "        used()\n"
+        "    def open(self):\n"
+        "        pass\n"
+    )
+    elsewhere = "Box().open()\n"
+    corpus = {"m.py": source, "t.py": elsewhere}
+    assert dead_definitions({"m.py": source}, corpus) == ["m.py:unused"]
+
+
+def test_every_definition_is_named_elsewhere():
+    corpus = {
+        str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+        for top in ("src", "tests", "perfbench")
+        for path in sorted((ROOT / top).rglob("*.py"))
+    }
+    defining = {
+        path: source
+        for path, source in corpus.items()
+        if Path(path).parent == SRC.relative_to(ROOT)
+    }
+    assert defining
+    assert dead_definitions(defining, corpus) == []
