@@ -740,6 +740,6 @@ class Presentation:
         got = self.expand(cls)
         if self.relations:
             got = self._combine(rel, self.relations, got)
-        if len(element) != len(got) or not all(map(vec_eq, got, element)):
+        if not all(map(vec_eq, got, element)):
             raise ValidationError("element is not in the pullback fiber product")
         return cls

@@ -384,7 +384,13 @@ class LiePullback(Presentation):
     entry is the reduced pair_bracket of two basis pairs.
     """
 
-    def __init__(self, f: ChartMap, source: LieData, mode: str, fibre):
+    def __init__(
+        self,
+        f: ChartMap,
+        source: LieData,
+        mode: str,
+        fibre: Embedding | Submersion | Split,
+    ):
         super().__init__(
             f,
             mode,

@@ -134,21 +134,17 @@ class CourantPullback(Presentation):
             basis, read = _submersion(f, q, self.pulled_coanchor)
         super().__init__(f, mode, (chart.dim, q.rank, chart.dim), basis, read)
         self.relations = tuple(self.relation(k) for k in range(q.chart.dim))
-        r = len(self.basis)
-        self.result = CourantData(
-            chart,
-            r,
-            tuple(eta for _, _, eta in self.basis),
-            tuple(self.reduce(_cotangent(chart, q.rank, j)) for j in range(chart.dim)),
-            tuple(
-                tuple(self.ambient_pairing(x, y) for y in self.basis)
-                for x in self.basis
-            ),
-            {
-                (x, y): self.reduce(self.ambient_bracket(self.basis[x], self.basis[y]))
-                for x, y in product(range(r), repeat=2)
-            },
+        basis, r = self.basis, len(self.basis)
+        anchor = tuple(eta for _, _, eta in basis)
+        coanchor = tuple(
+            self.reduce(_cotangent(chart, q.rank, j)) for j in range(chart.dim)
         )
+        pairing = tuple(tuple(self.ambient_pairing(x, y) for y in basis) for x in basis)
+        structure = {
+            (x, y): self.reduce(self.ambient_bracket(basis[x], basis[y]))
+            for x, y in product(range(r), repeat=2)
+        }
+        self.result = CourantData(chart, r, anchor, coanchor, pairing, structure)
 
     # -- ambient operations ---------------------------------------------------
 
