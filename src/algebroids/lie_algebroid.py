@@ -354,7 +354,6 @@ def baer_combination(
             beta = beta + weights[i] * t
         return a_part + (beta,)
 
-    # The lifts of each base generator, one per extension.
     lifts = [[e.lift(base.gen(x)) for e in extensions] for x in range(rb)]
     structure = {
         (x, y): reduce_tuple(
