@@ -29,24 +29,24 @@ does the quotient by a constant span of sections (constant_quotient) behind
 both the marking quotient and the Courant structure's associated Lie
 algebroid, with its antisymmetric table.
 
-The second half presents that fibre product along a chart map, once for
-both inverse images. resolve_mode picks the mode (classify_map when none is
-given), rejects a mode that is not a mode name as a bad spec, and checks the
-identity mode. Three fibre classes present it: Embedding and Submersion
-check the shape their mode needs and raise UnsupportedModeError when the
-map does not have it, and Split lifts through a splitting of the anchor
-(split_lifts) and reads the rest through a frame of its kernel. Submersion
-reads a square Jacobian, and Split its kernel frame, through the one
-polynomial left inverse linalg.left_inverse. classify_map asks the same
-shape questions (the identity test, _projection_slots, embedding_layout)
-before its unit-determinant test.
-Each holds one basis of (tangent, section) pairs and one coordinate reader,
-coords(tangent, section). Presentation is what both inverse images are: a
-basis of slot tuples ((tangent, section) pairs for Lie, (beta, u, eta)
-triples for Courant, whose (u, eta) half is the pair), the relations it
-divides by, a reader, and the one reduce that checks every reading by
-rebuilding its input. The identity mode is the submersion along the
-identity map, and constant_complement picks constant complements.
+The second half presents fibre products, once for both inverse images and
+both Baer combinations. resolve_mode picks the mode of an inverse image
+(classify_map when none is given), rejects a mode that is not a mode name
+as a bad spec, and checks the identity mode. Three fibre classes present
+the inverse image's fibre product, each with one basis of (tangent,
+section) pairs and one reader, coords(tangent, section): Embedding and
+Submersion check the shape their mode needs and raise UnsupportedModeError
+when the map does not have it, and Split lifts through a splitting of the
+anchor (split_lifts) and reads the rest through a frame of its kernel.
+Submersion reads a square Jacobian, and Split its kernel frame, through the
+one polynomial left inverse linalg.left_inverse. classify_map asks the same
+shape questions before its unit-determinant test. Presentation is a basis
+of slot tuples, the relations it divides by, a reader, and the one reduce
+that checks every reading by rebuilding its input: both inverse images are
+Presentations ((tangent, section) pairs for Lie, (beta, u, eta) triples for
+Courant), and Combination, summands over one base whose lines are glued by
+weights, presents both Baer combinations. constant_complement picks
+constant complements.
 """
 
 from __future__ import annotations
@@ -680,35 +680,31 @@ def split_lifts(
 
 
 class Presentation:
-    """An inverse image along map, presented on a basis of slot tuples.
+    """A module presented on a basis of slot tuples over chart.
 
-    An ambient element is a tuple of vectors over the source chart, slot s
-    of length sizes[s]: the Lie inverse image uses the (tangent, section)
-    pairs of the fibre classes, the Courant one (beta, u, eta) triples.
-    basis holds one element per class generator, relations the elements
-    the class module divides by (none unless a subclass sets them), and
-    read(element) returns (class coordinates, relation coefficients).
-    reduce checks every reading by rebuilding its input, so a reader never
-    has to prove that an element lies in the fibre product.
+    An ambient element is a tuple of vectors over chart, slot s of length
+    sizes[s]: the Lie inverse image uses the (tangent, section) pairs of the
+    fibre classes, the Courant one (beta, u, eta) triples, and a Combination
+    one section per summand. basis holds one element per class generator,
+    relations the elements the class module divides by (none unless a
+    subclass sets them), and read(element) returns (class coordinates,
+    relation coefficients). reduce checks every reading by rebuilding its
+    input, so a reader never has to prove that an element lies in the fibre
+    product.
     """
 
     relations: tuple[tuple[Vec, ...], ...] = ()
 
     def __init__(
         self,
-        f: ChartMap,
-        mode: str,
+        chart: Chart,
         sizes: tuple[int, ...],
         basis: Sequence[tuple[Vec, ...]],
         read: Callable[[tuple[Vec, ...]], tuple[Vec, Vec]],
     ):
-        self.map, self.mode, self.sizes = f, mode, sizes
+        self.chart, self.sizes = chart, sizes
         self.basis = tuple(basis)
         self._read = read
-
-    @property
-    def chart(self) -> Chart:
-        return self.map.source
 
     def _combine(
         self,
@@ -741,5 +737,67 @@ class Presentation:
         if self.relations:
             got = self._combine(rel, self.relations, got)
         if not all(map(vec_eq, got, element)):
-            raise ValidationError("element is not in the pullback fiber product")
+            raise ValidationError("element is not in the fiber product")
         return cls
+
+
+class Combination(Presentation):
+    """Summands over one base whose lines are glued by weights; an element
+    holds one section per summand.
+
+    Summand i gives, as apply_matrix rows, lifts[i] (base -> section),
+    lines[i] (its line sections) and readers[i] (section -> line
+    coordinates); base_reader reads the base off summand 0. With f the
+    first summand of nonzero weight, the basis is the base lifts, then the
+    lines of f divided by w_f, and the relations are (-w_i/w_f lines_f[j]
+    on f, lines_i[j] on i) for every other summand i. The reader returns
+    (base b, sum_i w_i t_i) as the class, t_i the line coordinates of
+    section i less its lift of b, and the other summands' t_i as relation
+    coefficients.
+    """
+
+    def __init__(
+        self,
+        summands: Sequence[AnchoredModule],
+        weights: Sequence[Fraction],
+        lifts: Sequence[Sequence[Vec]],
+        lines: Sequence[Sequence[Vec]],
+        readers: Sequence[Sequence[Vec]],
+        base_reader: Sequence[Vec],
+    ):
+        self.summands, self.weights = summands, weights
+        chart, sizes = summands[0].chart, tuple(m.rank for m in summands)
+        dim, count = len(lifts[0]), len(lines[0])
+        first = next(i for i, w in enumerate(weights) if w)
+        others = [i for i in range(len(sizes)) if i != first]
+        zero = tuple(zero_vec(chart, n) for n in sizes)
+
+        def on(i: int, vec: Vec, element: tuple[Vec, ...] = zero):
+            return element[:i] + (vec,) + element[i + 1 :]
+
+        unit = Fraction(1) / weights[first]
+        basis = [tuple(rows[x] for rows in lifts) for x in range(dim)]
+        basis += [on(first, vec_scale(unit, line)) for line in lines[first]]
+        self.relations = tuple(
+            on(i, line, on(first, vec_scale(-weights[i] * unit, lines[first][j])))
+            for i in others
+            for j, line in enumerate(lines[i])
+        )
+
+        scales = [Poly.const(chart, w) for w in weights]
+
+        def read(element: tuple[Vec, ...]) -> tuple[Vec, Vec]:
+            base = apply_matrix(base_reader, element[0], dim, chart)
+            coords = []
+            for rows, lift, u in zip(readers, lifts, element):
+                rest = vec_sub(u, apply_matrix(lift, base, len(u), chart))
+                coords.append(apply_matrix(rows, rest, count, chart))
+            glued = apply_matrix(coords, scales, count, chart)
+            return base + glued, tuple(p for i in others for p in coords[i])
+
+        super().__init__(chart, sizes, basis, read)
+
+    def basis_bracket(self, x: int, y: int) -> Vec:
+        """The class of the summand by summand bracket of basis x and y."""
+        pairs = zip(self.summands, self.basis[x], self.basis[y])
+        return self.reduce(tuple(m.bracket(u, v) for m, u, v in pairs))

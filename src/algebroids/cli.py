@@ -3,16 +3,16 @@
 Every verb reads a spec file, runs exact checks, and writes a deterministic
 JSON report (sorted keys, no timestamps): running the same job twice gives
 byte-identical output. Exit codes: 0 all checks passed, 1 some check
-failed, 2 the spec was unreadable or inconsistent, 3 the job needs an
-unsupported presentation mode, 4 the job hit a resource limit (a polynomial
-product above the total-degree cap), 5 an internal error: an exception that
-is not an AlgebroidError, printed with its traceback on stderr.
+failed, 2 the spec was unreadable (or not UTF-8) or inconsistent, or the
+report could not be written, 3 the job needs an unsupported presentation
+mode, 4 the job hit a resource limit (a polynomial product above the
+total-degree cap), 5 an internal error: an exception that is not an
+AlgebroidError, printed with its traceback on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import traceback
@@ -53,23 +53,6 @@ from algebroids.transgression import (
     check_transgression_linear,
     courant_from_transgression,
     transgress,
-)
-
-VERBS = (
-    "check-lie",
-    "check-courant",
-    "check-dirac",
-    "pullback",
-    "twist",
-    "curvature",
-    "tau-roundtrip",
-    "tau-linear",
-    "cocycle",
-    "twist-commute",
-    "curvature-pullback",
-    "dirac-pushdown",
-    "morphism-graph",
-    "assoc-c-plus",
 )
 
 
@@ -252,6 +235,7 @@ HANDLERS = {
     "morphism-graph": _run_morphism_graph,
     "assoc-c-plus": _run_assoc,
 }
+VERBS = tuple(HANDLERS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,7 +270,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_normalise_argv(list(argv)))
     try:
         spec = jsonio.load_json(args.spec)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read spec: {exc}", file=sys.stderr)
         return 2
 
@@ -317,8 +301,12 @@ def main(argv=None) -> int:
     payload.update(extra)
     text = jsonio.dump_json(payload)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if report.ok else 1

@@ -19,10 +19,10 @@ compatibilities (composition, Leibniz, invariance, ideal, adjunction,
 symmetrization) and the last is the Jacobi identity in Leibniz form.
 
 The Baer-type combination is implemented for exact structures (rank twice
-the chart dimension, with an isotropic connection supplied per summand): the
-fiber product of the summands over the common anchor is reduced by the
-weighted coanchor relations, which is where the curvature classes combine
-linearly.
+the chart dimension, with an isotropic connection supplied per summand).
+CourantCombination is the anchored.Combination of the summands over the
+common anchor, glued along their coanchor lines by the weights, which is
+where the curvature classes combine linearly.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from typing import Sequence
 from algebroids import linalg
 from algebroids.anchored import (
     AnchoredModule,
+    Combination,
     anchor_defect,
     anchor_failures,
     bracket_failures,
@@ -619,86 +620,51 @@ def associated_lie_algebroid(q: CourantData) -> tuple[LieData, tuple[Vec, ...]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CourantCombination:
-    """Weighted combination presented on diagonal lifts + coanchor lines.
-
-    result generators 0..n-1 are the diagonal connection lifts of the
-    coordinate fields, generators n..2n-1 the glued coanchor lines.
-    reduce_tuple turns a fiber-product tuple of summand sections into
-    result coordinates; lift produces one representative tuple per class.
-    The tables of result are read off the lifts of its generators: the
-    weighted pairings of the summands, and reduce_tuple of their
-    componentwise brackets.
+class CourantCombination(Combination):
+    """Weighted combination of exact structures: the anchored.Combination
+    lifting the base through each summand's connection columns, with the
+    coanchor rows as lines read by pairing with those columns and the
+    anchor of summand 0 as base reader. result holds the weighted pairings
+    of the basis and its basis_bracket table: generators 0..n-1 are the
+    diagonal connection lifts, n..2n-1 the glued coanchor lines.
     """
 
-    parts: tuple[CourantData, ...]
-    weights: tuple[Fraction, ...]
-    connections: tuple[Connection, ...]
-    result: CourantData = field(init=False)
-
-    def __post_init__(self):
-        chart = self.parts[0].chart
-        r = 2 * chart.dim
-        # A vector u with sum_i weights_i u_i = 1, concentrated on the first
-        # nonzero weight: lift puts each coanchor line on that summand.
-        first = next(i for i, w in enumerate(self.weights) if w)
-        self.unit = [Fraction(0)] * len(self.weights)
-        self.unit[first] = 1 / self.weights[first]
-        gens = [self.lift(linalg.unit_vec(chart, r, idx)) for idx in range(r)]
-        pairing = []
-        for x in range(r):
-            row = []
-            for y in range(r):
-                acc = Poly.zero(chart)
-                for i, qi in enumerate(self.parts):
-                    if self.weights[i]:
-                        acc = acc + self.weights[i] * qi.pairing_of(
-                            gens[x][i], gens[y][i]
-                        )
-                row.append(acc)
-            pairing.append(tuple(row))
-        structure = {
-            (x, y): self.reduce_tuple(
-                [qi.bracket(gens[x][i], gens[y][i]) for i, qi in enumerate(self.parts)]
+    def __init__(
+        self,
+        parts: tuple[CourantData, ...],
+        weights: tuple[Fraction, ...],
+        connections: tuple[Connection, ...],
+    ):
+        chart = parts[0].chart
+        self.connections = connections
+        readers = [
+            linalg.transpose(
+                [apply_matrix(q.pairing, col, q.rank, chart) for col in conn.columns]
             )
-            for x, y in product(range(r), repeat=2)
+            for q, conn in zip(parts, connections)
+        ]
+        super().__init__(
+            parts,
+            weights,
+            [conn.columns for conn in connections],
+            [q.coanchor for q in parts],
+            readers,
+            parts[0].anchor,
+        )
+        gens = self.basis
+
+        def weighted(x: tuple[Vec, ...], y: tuple[Vec, ...]) -> Poly:
+            terms = zip(parts, weights, x, y)
+            products = (w * q.pairing_of(u, v) for q, w, u, v in terms if w)
+            return sum(products, Poly.zero(chart))
+
+        r = len(gens)
+        pairing = tuple(tuple(weighted(x, y) for y in gens) for x in gens)
+        structure = {
+            (a, b): self.basis_bracket(a, b) for a, b in product(range(r), repeat=2)
         }
         anchor, coanchor = _exact_frame(chart)
-        self.result = CourantData(chart, r, anchor, coanchor, tuple(pairing), structure)
-
-    def reduce_tuple(self, components: Sequence[Vec]) -> Vec:
-        chart = self.parts[0].chart
-        n = chart.dim
-        a_field = self.parts[0].anchor_of(components[0])
-        beta = [Poly.zero(chart) for _ in range(n)]
-        for i, (qi, conn) in enumerate(zip(self.parts, self.connections)):
-            if qi.anchor_of(components[i]) != a_field:
-                raise ValidationError("tuple components have different anchor images")
-            lifted = apply_matrix(conn.columns, a_field.comps, qi.rank, chart)
-            rem = vec_sub(components[i], lifted)
-            alpha = [qi.pairing_of(rem, conn.columns[k]) for k in range(n)]
-            # Defensive: rem must be exactly the coanchor image of alpha.
-            if not linalg.vec_eq(qi._coanchor_vec(alpha), rem):
-                raise ValidationError(
-                    "tuple component is not connection + coanchor image; the "
-                    "summand is not exact over this connection"
-                )
-            if self.weights[i]:
-                for j in range(n):
-                    beta[j] = beta[j] + self.weights[i] * alpha[j]
-        return tuple(a_field.comps) + tuple(beta)
-
-    def lift(self, cls: Vec) -> list[Vec]:
-        """One fiber-product representative of a class vector."""
-        chart = self.parts[0].chart
-        n = chart.dim
-        out = []
-        for i, (qi, conn) in enumerate(zip(self.parts, self.connections)):
-            vec = apply_matrix(conn.columns, cls[:n], qi.rank, chart)
-            alpha = tuple(self.unit[i] * cls[n + j] for j in range(n))
-            out.append(qi._coanchor_vec(alpha, vec))
-        return out
+        self.result = CourantData(chart, r, anchor, coanchor, pairing, structure)
 
 
 def baer_combination(

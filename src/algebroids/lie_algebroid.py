@@ -26,7 +26,8 @@ left inverse). LiePullback is the anchored.Presentation of those pairs: an
 ambient element is a pair (tangent on Y, pulled section over the generators
 of A), expand and reduce act on pairs, and anchored.pair_bracket is the
 ambient bracket. The Courant inverse image uses the same pairs as the
-(u, eta) half of its triples.
+(u, eta) half of its triples. The Baer combination of line extensions is
+the anchored.Combination of baer_presentation, as the Courant one is.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from typing import Sequence
 from algebroids import linalg
 from algebroids.anchored import (
     AnchoredModule,
+    Combination,
     Embedding,
     Presentation,
     Split,
@@ -62,7 +64,6 @@ from algebroids.linalg import (
     fmt_section,
     vec_add,
     vec_is_zero,
-    vec_scale,
     vec_sub,
 )
 from algebroids.report import Report
@@ -318,54 +319,47 @@ def baer_combination(
 
     The underlying module is the fiber product of the totals over the base,
     with the kernel lines glued by the weights: tuples of fiber offsets
-    (t_1, ..., t_m) collapse to the single invariant sum_i w_i t_i. Brackets
-    are computed componentwise on lifts; since the markings are central,
-    dropping the fiber coordinate in the lift does not affect the result.
-    All-zero weights produce the trivial extension.
+    (t_1, ..., t_m) collapse to the single invariant sum_i w_i t_i, the
+    anchored.Combination of baer_presentation. Brackets are computed
+    componentwise on its base lifts and read back by its reduce; since the
+    markings are central, dropping the fiber coordinate in the lift does not
+    affect the result. All-zero weights produce the trivial extension.
     """
     if not extensions:
         raise ValidationError("need at least one extension")
     base = extensions[0].base
-    chart = base.chart
     weights = [Fraction(w) for w in weights]
     if len(weights) != len(extensions):
         raise ValidationError("need one weight per extension")
-    for e in extensions:
-        if e.base is not base and not (
-            e.base.chart == base.chart
-            and e.base.rank == base.rank
-            and e.base.anchor == base.anchor
-            and e.base.structure == base.structure
-        ):
-            raise ValidationError("extensions must share the base algebroid")
+    if any(e.base != base for e in extensions):
+        raise ValidationError("extensions must share the base algebroid")
 
     if not any(weights):
         return trivial_extension(base)
 
-    readers = [_fiber_reader(e) for e in extensions]
-    rb = base.rank
-
-    def reduce_tuple(components: Sequence[Vec]) -> Vec:
-        """Class of a fiber-product tuple in the combined extension."""
-        a_part = extensions[0].project(components[0])
-        beta = Poly.zero(chart)
-        for i, e in enumerate(extensions):
-            t = readers[i](vec_sub(components[i], e.lift(a_part)))
-            beta = beta + weights[i] * t
-        return a_part + (beta,)
-
-    lifts = [[e.lift(base.gen(x)) for e in extensions] for x in range(rb)]
+    comb = baer_presentation(extensions, weights)
     structure = {
-        (x, y): reduce_tuple(
-            [
-                e.total.lie.bracket(lx, ly)
-                for e, lx, ly in zip(extensions, lifts[x], lifts[y])
-            ]
-        )
-        for x in range(rb)
-        for y in range(x, rb)
+        (x, y): comb.basis_bracket(x, y)
+        for x, y in combinations_with_replacement(range(base.rank), 2)
     }
     return _line_extension(base, structure)
+
+
+def baer_presentation(
+    extensions: Sequence[OExtensionData], weights: Sequence[Fraction]
+) -> Combination:
+    """The fibre product of the totals over the base, with the marking
+    lines glued by the weights (not all zero): each extension lifts the
+    base through its splitting and reads its marking line through
+    _marking_row, and the projection of the first reads the base."""
+    return Combination(
+        [e.total.lie for e in extensions],
+        weights,
+        [e.splitting for e in extensions],
+        [(e.total.marking,) for e in extensions],
+        [tuple((p,) for p in _marking_row(e)) for e in extensions],
+        extensions[0].projection,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -391,13 +385,12 @@ class LiePullback(Presentation):
         fibre: Embedding | Submersion | Split,
     ):
         super().__init__(
-            f,
-            mode,
+            f.source,
             (f.source.dim, source.rank),
             fibre.basis,
             lambda pair: (fibre.coords(*pair), ()),
         )
-        self.source = source
+        self.map, self.mode, self.source = f, mode, source
         chart, basis = self.chart, self.basis
         pulled = pulled_entries(f, source._entry)
 
@@ -656,32 +649,33 @@ def extension_pullback(
 
     base_splitting splits the anchor of ext.base (section per target
     coordinate); the total is pulled in transitive-split mode through the
-    composite lift.
+    composite lift, and projection and splitting are pushed through
+    f_plus_morphism, so base_pb must be along f too.
     """
     total_split = tuple(ext.lift(col) for col in base_splitting)
     mpb = pullback_marked(f, ext.total, "transitive-split", total_split)
-    pb = mpb.pullback
-    pulled = [tuple(map(f.pull, row)) for row in ext.projection]
-    projection = [_push_section(pulled, *b, base_pb) for b in pb.basis]
-    pulled = [tuple(map(f.pull, row)) for row in ext.splitting]
-    splitting = [_push_section(pulled, *b, pb) for b in base_pb.basis]
-    out = OExtensionData(
-        mpb.marked, base_pb.algebroid, tuple(projection), tuple(splitting)
-    )
+    projection = f_plus_morphism(mpb.pullback, base_pb, ext.projection)
+    splitting = f_plus_morphism(base_pb, mpb.pullback, ext.splitting)
+    out = OExtensionData(mpb.marked, base_pb.algebroid, projection, splitting)
     return out, mpb
 
 
-def _extension_cocycle(ext: OExtensionData, fiber_read) -> dict:
-    """gamma(k,l) = fiber part of [s b_k, s b_l] - s [b_k, b_l]."""
+def _extension_cocycle(ext: OExtensionData) -> dict:
+    """gamma(k,l) = fiber part of [s b_k, s b_l] - s [b_k, b_l], read by the
+    one-summand baer_presentation of ext; ValidationError when a defect is
+    off the marking line."""
     base, total = ext.base, ext.total.lie
+    comb = baer_presentation([ext], [Fraction(1)])
     out = {}
-    for k in range(base.rank):
-        for l in range(base.rank):
-            defect = vec_sub(
-                total.bracket(ext.lift(base.gen(k)), ext.lift(base.gen(l))),
-                ext.lift(base.bracket_gen(k, l)),
-            )
-            out[(k, l)] = fiber_read(defect)
+    for k, l in product(range(base.rank), repeat=2):
+        defect = vec_sub(
+            total.bracket(ext.lift(base.gen(k)), ext.lift(base.gen(l))),
+            ext.lift(base.bracket_gen(k, l)),
+        )
+        cls = comb.reduce((defect,))
+        if not vec_is_zero(cls[:-1]):
+            raise ValidationError("vector is not on the marking line")
+        out[(k, l)] = cls[-1]
     return out
 
 
@@ -692,23 +686,15 @@ def _constant_marking(m: MarkedLieData) -> list[Fraction]:
     return const
 
 
-def _fiber_reader(ext: OExtensionData):
-    """read(vec) = t with vec = t * marking; raises ValidationError when vec
-    is off the marking line. Needs a nonzero constant marking."""
+def _marking_row(ext: OExtensionData) -> Vec:
+    """A row L with L.marking = 1, from the polynomial left inverse of the
+    marking column. Needs a nonzero constant marking."""
     chart = ext.total.lie.chart
-    lin = linalg.left_inverse(
-        [[Poly.const(chart, c)] for c in _constant_marking(ext.total)]
-    )
+    column = [[Poly.const(chart, c)] for c in _constant_marking(ext.total)]
+    lin = linalg.left_inverse(column)
     if lin is None:
         raise ValidationError("marking line admits no polynomial retraction")
-
-    def read(vec: Vec) -> Poly:
-        t = linalg.dot(lin[0], vec, chart)
-        if not linalg.vec_eq(vec_scale(t, ext.total.marking), vec):
-            raise ValidationError("vector is not on the marking line")
-        return t
-
-    return read
+    return lin[0]
 
 
 def solve_coboundary(
@@ -764,8 +750,7 @@ def check_extension_pullback_linear(
         and lhs.total.lie.rank == rhs.total.lie.rank,
     )
 
-    gamma_l = _extension_cocycle(lhs, _fiber_reader(lhs))
-    gamma_r = _extension_cocycle(rhs, _fiber_reader(rhs))
+    gamma_l, gamma_r = _extension_cocycle(lhs), _extension_cocycle(rhs)
     diff = {
         key: gamma_l[key] - gamma_r[key] for key in gamma_l
     }

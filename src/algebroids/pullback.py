@@ -132,7 +132,8 @@ class CourantPullback(Presentation):
             basis, read = _embedding(self.embedding, q, self.pulled_coanchor)
         else:
             basis, read = _submersion(f, q, self.pulled_coanchor)
-        super().__init__(f, mode, (chart.dim, q.rank, chart.dim), basis, read)
+        super().__init__(chart, (chart.dim, q.rank, chart.dim), basis, read)
+        self.map, self.mode = f, mode
         self.relations = tuple(self.relation(k) for k in range(q.chart.dim))
         basis, r = self.basis, len(self.basis)
         anchor = tuple(eta for _, _, eta in basis)

@@ -37,7 +37,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from algebroids.errors import (
     ChartMismatchError,
@@ -569,20 +569,25 @@ class VField:
         return f"VField({vfield_str(self)!r} on {self.chart.name})"
 
 
-def vfield_str(v: VField) -> str:
+def _generator_terms_str(chart: Chart, terms: Iterable[tuple[str, Poly]]) -> str:
+    """Signed sum of coefficient*generator terms, for each (generator
+    label, coefficient) pair in order; a unit constant drops to the label."""
     parts: list[tuple[bool, str]] = []
-    for i, comp in enumerate(v.comps):
-        gen = f"d/d{v.chart.coords[i]}"
+    for gen, comp in terms:
         for exps, coeff in _sorted_terms(comp.terms):
             mag = abs(coeff)
-            if mag == 1 and any(exps):
-                body = f"{_monomial_body(v.chart, exps, 1)}*{gen}"
-            elif mag == 1:
+            if mag == 1 and not any(exps):
                 body = gen
             else:
-                body = f"{_monomial_body(v.chart, exps, mag)}*{gen}"
+                body = f"{_monomial_body(chart, exps, mag)}*{gen}"
             parts.append((coeff < 0, body))
     return _join_signed(parts)
+
+
+def vfield_str(v: VField) -> str:
+    return _generator_terms_str(
+        v.chart, ((f"d/d{x}", comp) for x, comp in zip(v.chart.coords, v.comps))
+    )
 
 
 def _normalize_indices(indices: Sequence[int]) -> tuple[tuple[int, ...] | None, int]:
@@ -795,19 +800,13 @@ class KForm:
 def kform_str(w: KForm) -> str:
     if w.degree == 0:
         return poly_str(w.as_poly())
-    parts: list[tuple[bool, str]] = []
-    for idx in sorted(w.comps):
-        gen = "^".join(f"d{w.chart.coords[i]}" for i in idx)
-        for exps, coeff in _sorted_terms(w.comps[idx].terms):
-            mag = abs(coeff)
-            if mag == 1 and any(exps):
-                body = f"{_monomial_body(w.chart, exps, 1)}*{gen}"
-            elif mag == 1:
-                body = gen
-            else:
-                body = f"{_monomial_body(w.chart, exps, mag)}*{gen}"
-            parts.append((coeff < 0, body))
-    return _join_signed(parts)
+    return _generator_terms_str(
+        w.chart,
+        (
+            ("^".join(f"d{w.chart.coords[i]}" for i in idx), w.comps[idx])
+            for idx in sorted(w.comps)
+        ),
+    )
 
 
 @dataclass(frozen=True)

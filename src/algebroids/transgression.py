@@ -399,24 +399,24 @@ def check_transgression_linear(parts, weights, connections) -> Report:
     combined structure C.
 
     Route one transgresses C; route two evaluates the summand tables on the
-    fiber-product representatives lift_i (weight w_i) and reduces: weighted
-    c parts for the odd pairing, reduce_tuple for the section brackets.
-    L3: lift is function-linear, so both pairing routes are bilinear over
+    fiber-product representatives expand_i (weight w_i) and reduces: weighted
+    c parts for the odd pairing, reduce for the section brackets.
+    L3: expand is function-linear, so both pairing routes are bilinear over
     functions and generator pairs decide tau_pairing_combines.
     L4: expand u = sum u_x e_x, v = sum v_y e_y on both bracket routes with
     [f a, g b] = f g [a, b] + f rho(a)(g) b - g rho(b)(f) a
     + g <a, b> coanchor(df) (L1 in algebroids.anchored, both slots).
-    reduce_tuple is function-linear on the submodule of tuples it accepts,
+    reduce is function-linear on the submodule of tuples it accepts,
     so the difference D of the routes is sum u_x v_y D(e_x, e_y) once these
     facts hold:
       H1  the pairing combines on generator pairs;
-      H2  rho_i(lift_i e_x) = rho_C(e_x), the cases of
+      H2  rho_i(expand_i e_x) = rho_C(e_x), the cases of
           tau_function_action_matches;
       H4  each summand's coanchor rows are anchor-free and pair with its
           connection columns to delta_jk;
       H5  row j of the combined coanchor is e_{n+j}.
-    H2 takes the Leibniz coefficients out of reduce_tuple. H4 and the
-    anchors of the connection columns give reduce_tuple(lift e_x) = e_x
+    H2 takes the Leibniz coefficients out of reduce. H4 and the
+    anchors of the connection columns give reduce(expand e_x) = e_x
     (H3, so no case of its own). H4 and H1 reduce the coanchor terms of
     route two to (0, <e_x, e_y>_C v_y du_x), which H5 makes the coanchor
     term of route one. tau_bracket_combines yields H1, H2, H4 and H5 as
@@ -426,14 +426,14 @@ def check_transgression_linear(parts, weights, connections) -> Report:
     comb: CourantCombination = baer_combination(parts, weights, connections)
     result = comb.result
     tau_c = transgress(result)
-    taus = [transgress(qi) for qi in comb.parts]
+    taus = [transgress(qi) for qi in comb.summands]
     chart = result.chart
     n, r = chart.dim, result.rank
     gens = [unit_vec(chart, r, a) for a in range(r)]
 
     def pairing_combines(u: Vec, v: Vec) -> bool:
         route1 = tau_c.bracket(tau_c.section_eps(u), tau_c.section_eps(v)).c_part
-        lifts_u, lifts_v = comb.lift(u), comb.lift(v)
+        lifts_u, lifts_v = comb.expand(u), comb.expand(v)
         route2 = Poly.zero(chart)
         for i, ti in enumerate(taus):
             got = ti.bracket(
@@ -444,12 +444,12 @@ def check_transgression_linear(parts, weights, connections) -> Report:
 
     def bracket_combines(u: Vec, v: Vec) -> bool:
         route1 = tau_c.bracket(tau_c.pair(u), tau_c.section_eps(v)).section
-        lifts_u, lifts_v = comb.lift(u), comb.lift(v)
-        comps = [
+        lifts_u, lifts_v = comb.expand(u), comb.expand(v)
+        comps = tuple(
             ti.bracket(ti.pair(lifts_u[i]), ti.section_eps(lifts_v[i])).section
             for i, ti in enumerate(taus)
-        ]
-        return vec_is_zero(vec_sub(route1, comb.reduce_tuple(comps)))
+        )
+        return vec_is_zero(vec_sub(route1, comb.reduce(comps)))
 
     def on_generators(identity):
         for x, y in product(range(r), repeat=2):
@@ -461,7 +461,7 @@ def check_transgression_linear(parts, weights, connections) -> Report:
             route1 = tau_c.bracket(
                 tau_c.pair(gens[x]), tau_c.coordinate_c(j)
             ).c_part
-            lifts_x = comb.lift(gens[x])
+            lifts_x = comb.expand(gens[x])
             for i, ti in enumerate(taus):
                 got = ti.bracket(ti.pair(lifts_x[i]), ti.coordinate_c(j)).c_part
                 if got != route1:
@@ -471,7 +471,7 @@ def check_transgression_linear(parts, weights, connections) -> Report:
                     )
 
     def coanchor_frames():
-        for i, (qi, conn) in enumerate(zip(comb.parts, comb.connections)):
+        for i, (qi, conn) in enumerate(zip(comb.summands, comb.connections)):
             for j, row in enumerate(qi.coanchor):
                 dual = [qi.pairing_of(row, c).as_constant() for c in conn.columns]
                 free = qi.anchor_of(row).is_zero

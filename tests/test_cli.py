@@ -1,8 +1,11 @@
 """End-to-end runs of the command-line verbs on small job files."""
 
+import ast
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +25,7 @@ R1 = coordinate_chart("L", 1, prefix="y")
 R2 = coordinate_chart("P", 2)
 R3 = coordinate_chart("X", 3)
 R4 = coordinate_chart("B", 4)
+ROOT = Path(__file__).resolve().parents[1]
 VOL = KForm(R3, 3, {(0, 1, 2): Poly.const(R3, 1)})
 Q3 = standard_exact(R3, VOL)
 Q3_FLAT = standard_exact(R3, KForm.zero(R3, 3))
@@ -193,6 +197,21 @@ def test_every_verb_has_a_passing_job():
     assert sorted(PASSING_JOBS) == sorted(VERBS)
 
 
+def test_readme_and_benchmark_name_exactly_the_cli_verbs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    paragraph = readme[readme.index("Verbs:") :].split("\n\n", 1)[0]
+    assert tuple(re.findall(r"`([^`]+)`", paragraph)) == VERBS
+    workloads = ROOT / "perfbench" / "workloads.py"
+    tree = ast.parse(workloads.read_text(encoding="utf-8"))
+    bench = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["VERBS"]
+    )
+    assert ast.literal_eval(bench) == VERBS
+
+
 def test_failing_check_exits_one(tmp_path):
     # dH != 0, so the twisted bracket misses the closure identity
     bad = KForm(R4, 3, {(1, 2, 3): Poly.coord(R4, 0)})
@@ -214,6 +233,22 @@ def test_invalid_json_exits_two(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{nope", encoding="utf-8")
     assert main(["check-courant", "--spec", str(path)]) == 2
+
+
+def test_a_spec_that_is_not_utf8_exits_two(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"structure": "\xe9"}')
+    assert main(["check-courant", "--spec", str(path)]) == 2
+    assert "error: cannot read spec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", ["missing/report.json", "."], ids=["no-dir", "a-dir"])
+def test_an_unwritable_report_path_exits_two(tmp_path, capsys, out):
+    spec, _ = PASSING_JOBS["check-courant"]()
+    path = write_job(tmp_path, spec)
+    rc = main(["check-courant", "--spec", path, "--out", str(tmp_path / out)])
+    assert rc == 2
+    assert "error: cannot write report" in capsys.readouterr().err
 
 
 def test_missing_field_exits_two(tmp_path):

@@ -27,7 +27,15 @@ from algebroids.courant import (
 )
 from algebroids.errors import ChartMismatchError, ValidationError
 from algebroids.lie_algebroid import MarkedLieData, check_marked, tangent_algebroid
-from algebroids.linalg import unit_vec, vec_add, vec_eq, vec_scale, vec_sub, zero_vec
+from algebroids.linalg import (
+    apply_matrix,
+    unit_vec,
+    vec_add,
+    vec_eq,
+    vec_scale,
+    vec_sub,
+    zero_vec,
+)
 from algebroids.symcalc import KForm, Poly, coordinate_chart, parse_poly
 
 from test_acceptance import A2, _magnetic_total, _perturbed, _perturbed_lie
@@ -229,9 +237,9 @@ def test_combination_lift_reduce_round_trip():
         [coordinate_connection(q1), coordinate_connection(q2)],
     )
     cls = sec(R3, "x1", "0", "1", "x2*x3", "0", "2")
-    lifted = comb.lift(cls)
+    lifted = comb.expand(cls)
     assert q1.anchor_of(lifted[0]) == q2.anchor_of(lifted[1])
-    assert comb.reduce_tuple(lifted) == cls
+    assert comb.reduce(lifted) == cls
 
 
 def test_combination_input_validation():
@@ -242,6 +250,40 @@ def test_combination_input_validation():
     fat = direct_sum(q, opposite(q))
     with pytest.raises(ValidationError):
         baer_combination([fat], [1], [coordinate_connection(fat)])
+
+
+WEIGHTS = st.lists(
+    st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]),
+    min_size=1,
+    max_size=3,
+).filter(any)
+
+
+@given(WEIGHTS, st.data())
+@settings(max_examples=20, deadline=None)
+def test_combination_reduce_inverts_expand(weights, data):
+    """reduce(expand(c) + any combination of relations) = c, on summands of
+    standard R2 whose connections are shifted by polynomial two-forms, so
+    each lift carries coanchor terms."""
+    q = standard_exact(R2)
+    shifts = [data.draw(kforms(R2, 2, max_degree=1)) for _ in weights]
+    conns = [connection_shift(coordinate_connection(q), b) for b in shifts]
+    comb = baer_combination([q] * len(weights), weights, conns)
+    cls = tuple(data.draw(polys(R2, max_degree=2)) for _ in range(comb.result.rank))
+    assert comb.reduce(comb.expand(cls)) == cls
+    rel = tuple(data.draw(polys(R2, max_degree=1)) for _ in comb.relations)
+    shifted = tuple(
+        apply_matrix([r[i] for r in comb.relations], rel, len(e), R2, e)
+        for i, e in enumerate(comb.expand(cls))
+    )
+    assert comb.reduce(shifted) == cls
+
+
+def test_combination_refuses_summands_with_different_anchors():
+    q = standard_exact(R2)
+    comb = baer_combination([q, q], [1, 1], [coordinate_connection(q)] * 2)
+    with pytest.raises(ValidationError, match="not in the fiber product"):
+        comb.reduce((q.gen(0), q.gen(1)))
 
 
 def test_scalar_multiple_matches_combination():

@@ -1,5 +1,6 @@
 """Lie algebroid data, axiom checks, extensions, and inverse images."""
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -13,6 +14,7 @@ from algebroids.lie_algebroid import (
     MarkedLieData,
     OExtensionData,
     baer_combination,
+    baer_presentation,
     canonical_splitting,
     check_compose_associative,
     check_extension,
@@ -36,6 +38,7 @@ from algebroids.symcalc import (
     parse_poly,
 )
 
+from test_courant import WEIGHTS
 from test_symcalc import polys
 
 PT = Chart("PT", ())
@@ -179,6 +182,52 @@ def test_baer_combination_zero_weights_is_trivial():
     comb = baer_combination([e1, e1], [0, 0])
     assert comb.total.lie.structure == {}
     assert check_extension(comb).ok
+
+
+def _reframed(ext, scale, shifts):
+    """ext with its marking scaled by a constant and each splitting
+    column moved along the marking by a polynomial."""
+    marking = linalg.vec_scale(scale, ext.total.marking)
+    splitting = tuple(
+        linalg.vec_add(col, linalg.vec_scale(p, marking))
+        for col, p in zip(ext.splitting, shifts)
+    )
+    return OExtensionData(
+        MarkedLieData(ext.total.lie, marking), ext.base, ext.projection, splitting
+    )
+
+
+@given(WEIGHTS, st.data())
+@settings(max_examples=25, deadline=None)
+def test_baer_presentation_reduce_inverts_expand(weights, data):
+    """reduce(expand(c) + any combination of relations) = c, on magnetic
+    extensions with scaled markings and splittings moved along them."""
+    extensions = [
+        _reframed(
+            magnetic(data.draw(polys(R2, max_degree=1))),
+            data.draw(st.sampled_from([1, 2, Fraction(-1, 3)])),
+            [data.draw(polys(R2, max_degree=1)) for _ in range(2)],
+        )
+        for _ in weights
+    ]
+    comb = baer_presentation(extensions, [Fraction(w) for w in weights])
+    cls = tuple(data.draw(polys(R2)) for _ in range(3))
+    assert comb.reduce(comb.expand(cls)) == cls
+    rel = tuple(data.draw(polys(R2, max_degree=1)) for _ in comb.relations)
+    shifted = tuple(
+        linalg.apply_matrix([r[i] for r in comb.relations], rel, len(e), R2, e)
+        for i, e in enumerate(comb.expand(cls))
+    )
+    assert comb.reduce(shifted) == cls
+
+
+def test_baer_presentation_refuses_a_section_off_the_marking_line():
+    e = magnetic(parse_poly("y1", R2))
+    comb = baer_presentation([e, e], [Fraction(1), Fraction(1)])
+    # Both sections lift g1, and the second adds the lift of g2 as well.
+    (lift_0, lift_1), (_, other) = comb.basis[:2]
+    with pytest.raises(ValidationError, match="not in the fiber product"):
+        comb.reduce((lift_0, linalg.vec_add(lift_1, other)))
 
 
 def test_trivial_extension_roundtrip():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from algebroids.courant import (
+    CourantData,
     check_courant,
     coordinate_connection,
     direct_sum,
@@ -164,6 +165,49 @@ def test_linearity_with_weights():
         [coordinate_connection(q1), coordinate_connection(q2)],
     )
     assert rep.ok, str(rep)
+
+
+def _summand(name):
+    """Standard R2 ("std"), or with coanchor row j (generator 2 + j)
+    anchored to d/dx1 ("bent<j>")."""
+    q = standard_exact(R2)
+    if name == "std":
+        return q
+    anchor = list(q.anchor)
+    anchor[2 + int(name[-1])] = (Poly.one(R2), Poly.zero(R2))
+    return CourantData(R2, 4, tuple(anchor), q.coanchor, q.pairing, q.structure)
+
+
+LIFT_MOVES_ANCHOR = "lift changes the anchor: generator 2, coordinate x1, summand 0"
+
+
+@pytest.mark.parametrize(
+    "names, weights, bracket_failure, action_ok",
+    [
+        (("bent0", "std"), [1, 1], LIFT_MOVES_ANCHOR, False),
+        (("bent0",), [2], LIFT_MOVES_ANCHOR, False),
+        (("std", "bent0"), [1, 1], "summand 1: coanchor row 0", True),
+        (("std", "bent0"), [1, 0], "summand 1: coanchor row 0", True),
+        (("std", "bent1"), [2, -1], "summand 1: coanchor row 1", True),
+    ],
+)
+def test_linearity_statuses_when_a_coanchor_row_has_an_anchor(
+    names, weights, bracket_failure, action_ok
+):
+    """The combination still builds: reduce accepts a tuple whose sections
+    are their lifts plus coanchor lines, whatever those lines anchor to.
+    The anchored row fails H2 when the lines sit on its summand, and H4
+    otherwise."""
+    parts = [_summand(name) for name in names]
+    rep = check_transgression_linear(
+        parts, weights, [coordinate_connection(q) for q in parts]
+    )
+    assert [(c.name, c.passed) for c in rep.checks] == [
+        ("tau_pairing_combines", True),
+        ("tau_bracket_combines", False),
+        ("tau_function_action_matches", action_ok),
+    ]
+    assert rep["tau_bracket_combines"].counterexample == bracket_failure
 
 
 def test_transgression_of_rebuilt_structure_checks_out():
