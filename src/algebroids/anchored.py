@@ -32,7 +32,10 @@ algebroid, with its antisymmetric table.
 The second half presents fibre products, once for both inverse images and
 both Baer combinations. resolve_mode picks the mode of an inverse image
 (classify_map when none is given), rejects a mode that is not a mode name
-as a bad spec, and checks the identity mode. Three fibre classes present
+as a bad spec, and checks the identity mode. The shape questions read
+ChartMap.slots: the identity, a coordinate projection and a coordinate
+embedding have as slots the source coordinates in order, distinct source
+coordinates, and every source coordinate once with the rest zero. Three fibre classes present
 the inverse image's fibre product, each with one basis of (tangent,
 section) pairs and one reader, coords(tangent, section): Embedding and
 Submersion check the shape their mode needs and raise UnsupportedModeError
@@ -404,25 +407,11 @@ def antisymmetric_table(
 # ---------------------------------------------------------------------------
 
 
-def _coordinate_of(p: Poly) -> int | None:
-    """The index i when p is exactly the coordinate x_i, else None."""
-    if len(p.terms) != 1:
-        return None
-    exps, c = next(iter(p.terms.items()))
-    if c != 1 or sum(exps) != 1:
-        return None
-    return exps.index(1)
-
-
-def _is_identity(f: ChartMap) -> bool:
-    return f.source == f.target and f.comps == ChartMap.identity(f.source).comps
-
-
-def _projection_slots(f: ChartMap) -> list[int] | None:
+def _projection_slots(f: ChartMap) -> tuple[int, ...] | None:
     """The source coordinate of each component when f is a coordinate
     projection (its components are distinct source coordinates), else None."""
-    slots = [_coordinate_of(c) for c in f.comps]
-    if None in slots or len(set(slots)) != len(slots):
+    slots = f.slots
+    if slots is None or None in slots or len(set(slots)) != len(slots):
         return None
     return slots
 
@@ -431,7 +420,7 @@ def classify_map(f: ChartMap) -> str:
     """The first mode whose fibre class takes f: identity, a coordinate
     projection, a coordinate embedding, then a square map whose Jacobian
     has a constant nonzero determinant (a polynomial inverse)."""
-    if _is_identity(f):
+    if f.is_identity:
         return "identity"
     if _projection_slots(f) is not None:
         return "coordinate-submersion"
@@ -466,7 +455,7 @@ def resolve_mode(
         raise ValidationError(
             f"mode must be one of {', '.join(modes)}, got {mode!r}"
         )
-    if mode == "identity" and not _is_identity(f):
+    if mode == "identity" and not f.is_identity:
         raise UnsupportedModeError("identity mode requires the identity map")
     return mode
 
@@ -477,19 +466,14 @@ def embedding_layout(f: ChartMap) -> tuple[dict[int, int], list[int]]:
     Every component must be zero or a source coordinate, and every source
     coordinate must be used exactly once.
     """
-    kept: dict[int, int] = {}
-    zeroed: list[int] = []
-    for j, c in enumerate(f.comps):
-        if c.is_zero:
-            zeroed.append(j)
-            continue
-        i = _coordinate_of(c)
-        if i is None or i in kept.values():
-            raise UnsupportedModeError(
-                "coordinate-embedding mode needs components that are distinct "
-                "coordinates or zero"
-            )
-        kept[j] = i
+    slots = f.slots
+    kept = {j: i for j, i in enumerate(slots or ()) if i is not None}
+    if slots is None or len(set(kept.values())) != len(kept):
+        raise UnsupportedModeError(
+            "coordinate-embedding mode needs components that are distinct "
+            "coordinates or zero"
+        )
+    zeroed = [j for j, i in enumerate(slots) if i is None]
     if sorted(kept.values()) != list(range(f.source.dim)):
         raise UnsupportedModeError(
             "coordinate-embedding mode must use every source coordinate once"

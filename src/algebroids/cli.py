@@ -17,8 +17,8 @@ import os
 import sys
 import traceback
 
-# sampling goes with --seed/--samples/--max-degree (ROADMAP item 1). No
-# verdict uses it, but importing the CLI still loads every module.
+# sampling goes with --seed/--samples (ROADMAP item 1). No verdict uses
+# it, but importing the CLI still loads every module.
 from algebroids import jsonio, sampling  # noqa: F401
 from algebroids.courant import (
     check_courant,
@@ -47,7 +47,6 @@ from algebroids.pullback import (
     pullback_courant,
 )
 from algebroids.report import Report
-from algebroids.symcalc import ChartMap, Poly
 from algebroids.transgression import (
     check_tau_rules,
     check_transgression_linear,
@@ -71,9 +70,9 @@ def _connection(spec, q):
 
 
 def _sampling(args) -> dict:
-    """The seed, sample count and degree the checks accept; no verdict
-    uses them any more, and the report echoes them."""
-    return {"samples": args.samples, "seed": args.seed, "max_degree": args.max_degree}
+    """The seed and sample count the checks accept; no verdict uses them
+    any more, and the report echoes them."""
+    return {"samples": args.samples, "seed": args.seed}
 
 
 def _run_check_lie(spec, args):
@@ -175,22 +174,13 @@ def _run_curvature_pullback(spec, args):
 def _run_dirac_pushdown(spec, args):
     q = _structure(spec)
     d = jsonio.dirac_from_json(jsonio._require(spec, "dirac", "spec"), q)
-    sub = d.sub_chart
-    comps = []
-    for name in q.chart.coords:
-        if name in d.support:
-            comps.append(Poly.zero(sub))
-        else:
-            comps.append(Poly.coord(sub, sub.index(name)))
-    f = ChartMap(sub, q.chart, tuple(comps))
-    pb = pullback_courant(f, q)
-    down = dirac_pushdown(pb, d)
+    down = dirac_pushdown(d)
     rep = Report()
     rep.merge(check_dirac(d), prefix="input")
     rep.merge(check_dirac(down), prefix="output")
     return rep, {
         "result": jsonio.dirac_to_json(down),
-        "structure": jsonio.courant_to_json(pb.result),
+        "structure": jsonio.courant_to_json(down.courant),
     }
 
 
@@ -250,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="report path (default: stdout)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--samples", type=int, default=100)
-        p.add_argument("--max-degree", type=int, default=None, dest="max_degree")
     return parser
 
 
@@ -295,8 +284,6 @@ def main(argv=None) -> int:
         "samples": args.samples,
         "spec": os.path.basename(args.spec),
     }
-    if args.max_degree is not None:
-        params["max_degree"] = args.max_degree
     payload = jsonio.report_to_json(report, args.verb, params)
     payload.update(extra)
     text = jsonio.dump_json(payload)

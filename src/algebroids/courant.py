@@ -272,12 +272,11 @@ def check_courant(
     q: CourantData,
     samples: int = 100,
     seed: int = 0,
-    max_degree: int | None = None,
 ) -> Report:
     """Verify the Courant axioms: six pointwise compatibilities and the
     Jacobi identity in Leibniz form, each decided exactly by the lemmas
     below on generators and probe sections x_k*e_a. No verdict draws
-    random sections: samples, seed and max_degree are accepted and unused.
+    random sections: samples and seed are accepted and unused.
 
     g is the pairing and c(alpha) = sum_j alpha_j coanchor[j]. The eq5 and
     eq1 generator defects M[a][j] = <e_a, coanchor[j]> - anchor(e_a)^j and

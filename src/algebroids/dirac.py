@@ -1,10 +1,13 @@
 """Dirac structures: isotropic involutive subbundles, possibly supported on
 a coordinate subspace.
 
-A Dirac datum lists generators over the functions of the support locus (the
-chart with some coordinates set to zero, materialized as its own chart).
-check_dirac verifies isotropy, maximality, tangency of the anchor images to
-the support, and bracket closure. Closure uses one of two routes:
+A Dirac datum lists generators over the functions of the support locus,
+where the support coordinates vanish. support_inclusion is the inclusion
+of that locus, a chart of the other coordinates, into the chart: a
+polynomial restricts to the locus by pulling along it, and lifts back by
+pulling along the coordinate retraction. check_dirac verifies isotropy,
+maximality, tangency of the anchor images to the support, and bracket
+closure. Closure uses one of two routes:
 
 * with a nondegenerate restricted pairing ("full" mode) the defect brackets
   only need to be orthogonal to the generators, since a maximal isotropic
@@ -16,6 +19,7 @@ the support, and bracket closure. Closure uses one of two routes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations_with_replacement, product
 
 from algebroids import linalg
@@ -29,47 +33,28 @@ from algebroids.courant import (
 from algebroids.errors import ValidationError
 from algebroids.linalg import Vec, fmt_section, vec_is_zero
 from algebroids.report import Report
-from algebroids.symcalc import Chart, KForm, Poly
+from algebroids.symcalc import Chart, ChartMap, KForm, Poly
 
 
-def restricted_chart(chart: Chart, support: tuple[str, ...]) -> Chart:
-    """The chart with the named coordinates removed (set to zero)."""
-    for name in support:
+def support_inclusion(chart: Chart, support: tuple[str, ...]) -> ChartMap:
+    """The inclusion of the locus where the support coordinates vanish.
+
+    Its source is the chart of the other coordinates, named after the
+    sorted support (X|x3 for support x3 of X); an empty support gives the
+    identity of chart. Every support name must be a coordinate of chart,
+    named once.
+    """
+    for i, name in enumerate(support):
         if name not in chart.coords:
             raise ValidationError(f"{name!r} is not a coordinate of {chart.name}")
+        if name in support[:i]:
+            raise ValidationError(f"support names {name!r} twice")
     if not support:
-        return chart
+        return ChartMap.identity(chart)
     kept = tuple(c for c in chart.coords if c not in support)
-    return Chart(f"{chart.name}|{','.join(sorted(support))}", kept)
-
-
-def restrict_poly(p: Poly, chart: Chart, support: tuple[str, ...], sub: Chart) -> Poly:
-    """Set the support coordinates to zero and re-express on the subchart."""
-    if not support:
-        return p
-    support_idx = [chart.index(name) for name in support]
-    kept_idx = [i for i in range(chart.dim) if chart.coords[i] not in support]
-    terms = {}
-    for exps, c in p.terms.items():
-        if any(exps[i] for i in support_idx):
-            continue
-        key = tuple(exps[i] for i in kept_idx)
-        terms[key] = c
-    return Poly(sub, terms)
-
-
-def unrestrict_poly(p: Poly, chart: Chart, support: tuple[str, ...], sub: Chart) -> Poly:
-    """Canonical lift: reinterpret a subchart polynomial on the full chart."""
-    if not support:
-        return p
-    kept_idx = [i for i in range(chart.dim) if chart.coords[i] not in support]
-    terms = {}
-    for exps, c in p.terms.items():
-        full = [0] * chart.dim
-        for pos, e in zip(kept_idx, exps):
-            full[pos] = e
-        terms[tuple(full)] = c
-    return Poly(chart, terms)
+    sub = Chart(f"{chart.name}|{','.join(sorted(support))}", kept)
+    comps = (Poly.zero(sub) if c in support else Poly.coord(sub, c) for c in chart.coords)
+    return ChartMap(sub, chart, tuple(comps))
 
 
 @dataclass
@@ -77,32 +62,42 @@ class DiracData:
     """Generators of a candidate Dirac structure.
 
     support names the coordinates that cut out the locus (empty tuple:
-    everything); generator entries are polynomials on the restricted chart.
+    everything); inclusion is the locus's support_inclusion, and generator
+    entries are polynomials on its source chart.
     """
 
     courant: CourantData
     generators: tuple[Vec, ...]
     support: tuple[str, ...] = ()
-    sub_chart: Chart = field(init=False)
+    inclusion: ChartMap = field(init=False)
 
     def __post_init__(self):
         self.support = tuple(self.support)
-        self.sub_chart = restricted_chart(self.courant.chart, self.support)
+        self.inclusion = support_inclusion(self.courant.chart, self.support)
         self.generators = tuple(tuple(g) for g in self.generators)
         for g in self.generators:
             if len(g) != self.courant.rank:
                 raise ValidationError("generator has wrong length")
             for p in g:
-                if p.chart != self.sub_chart:
+                if p.chart != self.inclusion.source:
                     raise ValidationError(
                         "generator entries must live on the restricted chart"
                     )
 
+    @cached_property
+    def _retraction(self) -> ChartMap:
+        """The coordinate projection onto the locus, a left inverse of the
+        inclusion."""
+        chart, sub = self.courant.chart, self.inclusion.source
+        return ChartMap(chart, sub, tuple(Poly.coord(chart, c) for c in sub.coords))
+
     def restrict(self, p: Poly) -> Poly:
-        return restrict_poly(p, self.courant.chart, self.support, self.sub_chart)
+        """Set the support coordinates to zero: p on the locus."""
+        return self.inclusion.pull(p)
 
     def unrestrict(self, p: Poly) -> Poly:
-        return unrestrict_poly(p, self.courant.chart, self.support, self.sub_chart)
+        """Canonical lift: a locus polynomial read on the full chart."""
+        return self._retraction.pull(p)
 
     def lift_generator(self, idx: int) -> Vec:
         return tuple(self.unrestrict(p) for p in self.generators[idx])
@@ -115,7 +110,7 @@ class DiracData:
     def pair_restricted(self, u: Vec, v: Vec, g=None) -> Poly:
         if g is None:
             g = self.restricted_pairing()
-        return linalg.bilinear(u, g, v, self.sub_chart)
+        return linalg.bilinear(u, g, v, self.inclusion.source)
 
 
 def check_dirac(d: DiracData, maximality: str = "full") -> Report:
@@ -130,7 +125,7 @@ def check_dirac(d: DiracData, maximality: str = "full") -> Report:
         raise ValidationError(f"unknown maximality mode {maximality!r}")
     rep = Report()
     q = d.courant
-    sub = d.sub_chart
+    sub = d.inclusion.source
     g = d.restricted_pairing()
     m = len(d.generators)
 

@@ -15,7 +15,7 @@ from algebroids import __version__
 from algebroids.anchored import AnchoredModule
 from algebroids.courant import Connection, CourantData
 from algebroids.descent import CoverData, DescentDatum, tautological_datum
-from algebroids.dirac import DiracData, restricted_chart
+from algebroids.dirac import DiracData, support_inclusion
 from algebroids.errors import ValidationError
 from algebroids.lie_algebroid import LieData
 from algebroids.report import Report
@@ -233,7 +233,7 @@ def dirac_to_json(d: DiracData) -> dict:
 
 def dirac_from_json(obj: Any, q: CourantData) -> DiracData:
     support = tuple(str(s) for s in _require_list(obj, "support", "dirac"))
-    sub = restricted_chart(q.chart, support) if support else q.chart
+    sub = support_inclusion(q.chart, support).source
     gens = matrix_from_json(_require(obj, "generators", "dirac"), sub)
     return DiracData(q, gens, support)
 

@@ -111,11 +111,11 @@ def tangent_algebroid(chart: Chart) -> LieData:
 
 
 def check_lie_algebroid(
-    a: LieData, samples: int = 100, seed: int = 0, max_degree: int | None = None
+    a: LieData, samples: int = 100, seed: int = 0
 ) -> Report:
     """Verify the Lie algebroid axioms, each decided exactly on generators
-    and probe sections x_k*e_a. No verdict draws random sections: samples,
-    seed and max_degree are accepted and unused.
+    and probe sections x_k*e_a. No verdict draws random sections: samples
+    and seed are accepted and unused.
 
     The Leibniz rule [u, f v] = f [u, v] + anchor(u)(f) v holds for every
     table by construction (lemma L1 in algebroids.anchored), so

@@ -35,6 +35,10 @@ by the pulled conormal directions. The coanchor, pairing, structure table
 and Jacobian are pulled once per presentation. Every reduction is verified
 by exhibiting the exact relation combination; failures raise
 ValidationError.
+
+dirac_pushdown presents a supported Dirac structure along the inclusion of
+its support locus (dirac.support_inclusion) in coordinate-embedding mode,
+and morphism_graph restricts its generators along such an inclusion.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ from algebroids.courant import (
     curvature,
     twist,
 )
-from algebroids.dirac import DiracData, restrict_poly, restricted_chart
+from algebroids.dirac import DiracData, support_inclusion
 from algebroids.errors import UnsupportedModeError, ValidationError
 from algebroids.linalg import (
     Vec,
@@ -446,33 +450,23 @@ def conormal(f: ChartMap) -> tuple[KForm, ...]:
     return tuple(KForm(f.target, 1, {(k,): one}) for k in zeroed)
 
 
-def dirac_pushdown(pb: CourantPullback, d: DiracData) -> DiracData:
-    """Push a supported Dirac structure down to the embedded locus.
+def dirac_pushdown(d: DiracData) -> DiracData:
+    """Push a supported Dirac structure down to its locus.
 
-    The support of d must match the zeroed coordinates of the presentation
-    map, whose source chart is the restricted chart of d. Requires the
-    conormal coanchor directions to lie in the span (checked through the
-    pairing, the span being maximal isotropic); generators are reduced
-    through the presentation and an independent subset is returned.
+    The structure is presented along the inclusion of the locus, in
+    coordinate-embedding mode, and the result lives on that presentation.
+    Requires a nonempty support and the conormal coanchor directions to lie
+    in the span (checked through the pairing, the span being maximal
+    isotropic); generators are reduced through the presentation and an
+    independent subset is returned.
     """
-    if d.courant != pb.source:
-        raise ValidationError("Dirac structure lives on a different structure")
-    if pb.mode != "coordinate-embedding":
-        raise ValidationError("pushdown needs an embedding presentation")
-    if pb.chart != d.sub_chart:
-        raise ValidationError(
-            "presentation source must be the restricted chart of the support"
-        )
+    if not d.support:
+        raise ValidationError("pushdown needs a nonempty support")
     q = d.courant
+    pb = pullback_courant(d.inclusion, q, "coordinate-embedding")
     emb = pb.embedding
-    zeroed = emb.zeroed
-    support_idx = sorted(q.chart.index(name) for name in d.support)
-    if zeroed != support_idx:
-        raise ValidationError(
-            "presentation map does not cut out the support locus"
-        )
     g = d.restricted_pairing()
-    for k in zeroed:
+    for k in emb.zeroed:
         conormal = tuple(d.restrict(p) for p in q.coanchor[k])
         for l, gen in enumerate(d.generators):
             got = d.pair_restricted(conormal, gen, g)
@@ -542,17 +536,7 @@ def morphism_graph(
     sheared = pb_m.result
     lifts = pullback_connection(pb_m, coordinate_connection(comb.result))
 
-    sub = restricted_chart(prod, w_names)
-    gens = []
-    for j in range(m):
-        gens.append(
-            tuple(restrict_poly(p, prod, w_names, sub) for p in lifts.columns[j])
-        )
-    for k in range(n):
-        gens.append(
-            tuple(
-                restrict_poly(p, prod, w_names, sub)
-                for p in sheared.coanchor[m + k]
-            )
-        )
-    return DiracData(sheared, tuple(gens), w_names)
+    locus = support_inclusion(prod, w_names)
+    rows = (*lifts.columns[:m], *sheared.coanchor[m:])
+    gens = tuple(tuple(map(locus.pull, row)) for row in rows)
+    return DiracData(sheared, gens, w_names)

@@ -13,7 +13,11 @@ objects are deliberately small and closed:
 * `KForm` — polynomial differential k-form, components indexed by strictly
   increasing coordinate index tuples.
 * `ChartMap` — polynomial map between charts, with pullback/pushforward
-  helpers.
+  helpers. A map whose components are source coordinates or zero (an
+  inclusion, projection, relabelling or their mixtures; `ChartMap.slots`)
+  pulls a polynomial back by moving its exponents (along the identity it
+  returns the polynomial itself); any other map substitutes its
+  components.
 
 A fixed total-degree cap, `MAX_DEGREE` = 16, aborts runaway products early
 with `DegreeOverflowError`.
@@ -36,6 +40,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import add
 from typing import Iterable, Sequence
 
@@ -809,6 +814,30 @@ def kform_str(w: KForm) -> str:
     )
 
 
+def _move_exponents(terms: _TERMS, slots: tuple[int | None, ...], dim: int) -> _TERMS:
+    """The terms of a polynomial pulled along a map with these slots: each
+    exponent moves to its slot, and a term with a positive exponent on a
+    zero slot drops. Only a repeated slot makes two terms collide; those
+    are summed, and a sum may be zero or an integer held as a Fraction."""
+    out: _TERMS = {}
+    collided = False
+    for exps, c in terms.items():
+        moved = [0] * dim
+        for s, e in zip(slots, exps):
+            if e:
+                if s is None:
+                    break
+                moved[s] += e
+        else:
+            key = tuple(moved)
+            collided = collided or key in out
+            out[key] = out.get(key, 0) + c
+    if collided:
+        out = {k: v for k, v in out.items() if v}
+        _integral_to_int(out)
+    return out
+
+
 @dataclass(frozen=True)
 class ChartMap:
     """Polynomial map between charts, given by target components.
@@ -835,22 +864,44 @@ class ChartMap:
             chart, chart, tuple(Poly.coord(chart, i) for i in range(chart.dim))
         )
 
+    @cached_property
+    def slots(self) -> tuple[int | None, ...] | None:
+        """The source coordinate index of each component, None for a zero
+        component; None overall when some component is neither a source
+        coordinate nor zero."""
+        out = []
+        for c in self.comps:
+            if c.is_zero:
+                out.append(None)
+                continue
+            if len(c.terms) != 1:
+                return None
+            exps, coeff = next(iter(c.terms.items()))
+            if coeff != 1 or sum(exps) != 1:
+                return None
+            out.append(exps.index(1))
+        return tuple(out)
+
+    @cached_property
+    def is_identity(self) -> bool:
+        return self.source == self.target and self.slots == tuple(range(self.source.dim))
+
     def compose(self, inner: "ChartMap") -> "ChartMap":
         """self after inner: (self . inner)(z) = self(inner(z))."""
         if inner.target != self.source:
             raise ChartMismatchError("chart maps do not compose")
-        if self.source.dim == 0:
-            comps = tuple(
-                Poly.const(inner.source, c.constant_term()) for c in self.comps
-            )
-        else:
-            comps = tuple(c.subs(list(inner.comps)) for c in self.comps)
-        return ChartMap(inner.source, self.target, comps)
+        return ChartMap(inner.source, self.target, tuple(map(inner.pull, self.comps)))
 
     def pull(self, f: Poly) -> Poly:
-        """Pull a function on the target back to the source."""
+        """Pull a function on the target back to the source; along the
+        identity that is f itself."""
         if f.chart != self.target:
             raise ChartMismatchError("pulling a function from the wrong chart")
+        if self.is_identity:
+            return f
+        slots = self.slots
+        if slots is not None:
+            return Poly._raw(self.source, _move_exponents(f.terms, slots, self.source.dim))
         c = f.as_constant()
         if c is not None:
             return Poly.const(self.source, c)

@@ -215,12 +215,11 @@ def check_tau_rules(
     q: CourantData,
     samples: int = 10,
     seed: int = 0,
-    max_degree: int | None = None,
 ) -> Report:
     """The bracket table on generator elements: the six defining rules plus
     centrality, graded antisymmetry, the Jacobi identity in the window, and
-    the truncation guard. No rule draws random elements: samples, seed and
-    max_degree are accepted and unused.
+    the truncation guard. No rule draws random elements: samples and seed
+    are accepted and unused.
 
     Every rule is evaluated through TauModule on the generator elements
     e_a (in pair(e_a) and e_a*eps), dx_j*c, (dx_i^dx_j)*c and x_k*c, which

@@ -34,7 +34,7 @@ from algebroids.dirac import (
     DiracData,
     check_dirac,
     graph_of_two_form,
-    restricted_chart,
+    support_inclusion,
 )
 from algebroids.lie_algebroid import (
     LieData,
@@ -287,16 +287,6 @@ def test_composition_coherence_on_a_four_step_chain():
     assert linalg.vec_eq(tuple(image), mp_both.marked.marking)
 
 
-def _axis_inclusion(sub, chart, support):
-    comps = []
-    for name in chart.coords:
-        if name in support:
-            comps.append(Poly.zero(sub))
-        else:
-            comps.append(Poly.coord(sub, sub.index(name)))
-    return ChartMap(sub, chart, tuple(comps))
-
-
 def test_dirac_graphs_and_supported_round_trips():
     q = standard_exact(R3)
     conn = coordinate_connection(q)
@@ -351,18 +341,17 @@ def test_dirac_graphs_and_supported_round_trips():
     ]
     for chart, support, rows in examples:
         ambient = standard_exact(chart)
-        sub = restricted_chart(chart, support)
+        sub = support_inclusion(chart, support).source
         gens = tuple(tuple(parse_poly(s, sub) for s in row) for row in rows)
         supported = DiracData(ambient, gens, support)
         assert check_dirac(supported).ok
 
-        pb = pullback_courant(_axis_inclusion(sub, chart, support), ambient)
-        down = dirac_pushdown(pb, supported)
+        down = dirac_pushdown(supported)
         assert check_dirac(down).ok
         # the push-down recovers the graph of the restricted two-form,
         # compared as spans of generator rows
         graph = graph_of_two_form(
-            coordinate_connection(pb.result),
+            coordinate_connection(down.courant),
             KForm(sub, 2, {(0, 1): Poly.coord(sub, 0)}),
         )
         rows_down = list(down.generators)

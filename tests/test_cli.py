@@ -305,23 +305,20 @@ def test_stdout_report_parses(tmp_path, capsys):
     assert payload["result"]["bracket"]
 
 
-def test_job_echo_includes_max_degree(tmp_path, capsys):
+def test_the_max_degree_option_exits_two(tmp_path, capsys):
     spec, _ = PASSING_JOBS["check-lie"]()
-    rc = main(
-        [
-            "check-lie",
-            "--spec",
-            write_job(tmp_path, spec),
-            "--samples",
-            "5",
-            "--max-degree",
-            "1",
-        ]
-    )
-    assert rc == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["job"]["max_degree"] == 1
-    assert payload["job"]["samples"] == 5
+    with pytest.raises(SystemExit) as exc:
+        main(["check-lie", "--spec", write_job(tmp_path, spec), "--max-degree", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-degree" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["check-dirac", "dirac-pushdown"])
+def test_a_repeated_support_coordinate_exits_two(tmp_path, capsys, verb):
+    spec, _ = PASSING_JOBS[verb]()
+    spec["dirac"]["support"] = ["x3", "x3"]
+    assert main([verb, "--spec", write_job(tmp_path, spec)]) == 2
+    assert "support names 'x3' twice" in capsys.readouterr().err
 
 
 def test_pushdown_report_prefixes_both_sides(tmp_path, capsys):
@@ -559,9 +556,9 @@ def test_courant_verbs_run_with_the_echoed_seed_and_samples(
     seen = []
     real = cli.check_courant
 
-    def spy(q, samples=100, seed=0, max_degree=None):
+    def spy(q, samples=100, seed=0):
         seen.append((seed, samples))
-        return real(q, samples=samples, seed=seed, max_degree=max_degree)
+        return real(q, samples=samples, seed=seed)
 
     monkeypatch.setattr(cli, "check_courant", spy)
     spec, _ = PASSING_JOBS[verb]()
@@ -575,14 +572,14 @@ def test_courant_verbs_run_with_the_echoed_seed_and_samples(
 
 @pytest.mark.parametrize(
     "options",
-    [[], ["--samples", "4", "--max-degree", "1"], ["--seed", "9", "--samples", "1000"]],
+    [[], ["--samples", "4"], ["--seed", "9", "--samples", "1000"]],
 )
 @pytest.mark.parametrize(
     "verb", ["check-courant", "pullback", "twist", "check-lie", "tau-roundtrip"]
 )
 def test_verdict_verbs_call_no_sampling_function(tmp_path, monkeypatch, verb, options):
     """The verbs that once sampled decide every verdict exactly, whatever
-    --seed, --samples and --max-degree say."""
+    --seed and --samples say."""
     from algebroids import sampling
 
     called = []

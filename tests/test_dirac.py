@@ -12,13 +12,18 @@ from algebroids.dirac import (
     check_dirac,
     graph_of_morphism,
     graph_of_two_form,
-    restrict_poly,
-    restricted_chart,
-    unrestrict_poly,
+    support_inclusion,
 )
 from algebroids.errors import ValidationError
 from algebroids.linalg import unit_vec, vec_add, vec_scale, zero_vec
-from algebroids.symcalc import KForm, Poly, coordinate_chart, parse_poly
+from algebroids.symcalc import (
+    Chart,
+    ChartMap,
+    KForm,
+    Poly,
+    coordinate_chart,
+    parse_poly,
+)
 
 R2 = coordinate_chart("P", 2)
 R3 = coordinate_chart("X", 3)
@@ -31,21 +36,33 @@ def vol3(scale="1"):
 
 
 def test_restrict_unrestrict_round_trip():
-    sub = restricted_chart(R2, ("x2",))
+    d = DiracData(standard_exact(R2), (), ("x2",))
+    sub = d.inclusion.source
     assert sub.coords == ("x1",)
     p = parse_poly("3*x1*x1 - 2*x1 + 7", R2)
-    down = restrict_poly(p, R2, ("x2",), sub)
-    assert str(down) == str(p).replace("x1", "x1")  # same expression, new chart
-    assert unrestrict_poly(down, R2, ("x2",), sub) == p
+    down = d.restrict(p)
+    assert down == parse_poly("3*x1^2 - 2*x1 + 7", sub)
+    assert d.unrestrict(down) == p
     mixed = parse_poly("x1*x2 + x1", R2)
-    assert restrict_poly(mixed, R2, ("x2",), sub) == parse_poly("x1", sub)
-    with pytest.raises(ValidationError):
-        restricted_chart(R2, ("nope",))
+    assert d.restrict(mixed) == parse_poly("x1", sub)
+
+
+def test_support_inclusion_refuses_an_unknown_or_repeated_name():
+    with pytest.raises(ValidationError, match="'nope' is not a coordinate"):
+        support_inclusion(R2, ("nope",))
+    with pytest.raises(ValidationError, match="support names 'x2' twice"):
+        support_inclusion(R2, ("x2", "x2"))
+    with pytest.raises(ValidationError, match="support names 'x2' twice"):
+        DiracData(standard_exact(R2), (), ("x2", "x2"))
+    assert support_inclusion(R2, ()) == ChartMap.identity(R2)
+    inc = support_inclusion(R3, ("x3", "x1"))
+    assert inc.source == Chart("X|x1,x3", ("x2",))
+    assert inc.slots == (None, 0, None)
 
 
 def test_conormal_structure_on_axis():
     q = standard_exact(R2)
-    sub = restricted_chart(R2, ("x2",))
+    sub = support_inclusion(R2, ("x2",)).source
     gens = (unit_vec(sub, 4, 0), unit_vec(sub, 4, 3))
     d = DiracData(q, gens, ("x2",))
     assert check_dirac(d).ok
@@ -55,7 +72,7 @@ def test_conormal_structure_on_axis():
 
 def test_supported_generators_with_coefficients():
     q = standard_exact(R2)
-    sub = restricted_chart(R2, ("x2",))
+    sub = support_inclusion(R2, ("x2",)).source
     t = Poly.coord(sub, 0)
     k0 = vec_add(unit_vec(sub, 4, 0), vec_scale(t, unit_vec(sub, 4, 3)))
     d = DiracData(q, (k0, unit_vec(sub, 4, 3)), ("x2",))
@@ -64,7 +81,7 @@ def test_supported_generators_with_coefficients():
 
 def test_transverse_generator_fails_tangency():
     q = standard_exact(R2)
-    sub = restricted_chart(R2, ("x2",))
+    sub = support_inclusion(R2, ("x2",)).source
     gens = (unit_vec(sub, 4, 1), unit_vec(sub, 4, 2))
     rep = check_dirac(DiracData(q, gens, ("x2",)))
     assert [c.name for c in rep.failures()] == ["anchor_tangency"]

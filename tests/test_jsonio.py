@@ -102,7 +102,7 @@ def test_dirac_round_trip():
     }
     d = jsonio.dirac_from_json(obj, q)
     assert d.support == ("x3",)
-    assert d.sub_chart.coords == ("x1", "x2")
+    assert d.inclusion.source.coords == ("x1", "x2")
     assert jsonio.dirac_to_json(d) == obj
 
 

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a package module imports is used in it, and
-every name it defines is named somewhere else.
+"""Source hygiene: every name a package module imports is used in it, every
+name it defines is named somewhere else, and only symcalc and linalg touch
+the term dictionary of a polynomial.
 
 A module-level name is used when the module's syntax tree loads it; names
 read only inside string annotations do not count. An import line marked
@@ -7,7 +8,11 @@ read only inside string annotations do not count. An import line marked
 
 A definition (a top-level function or class, or a method whose name is not
 a dunder) is alive when its name appears as a word on some line of the
-Python files under src/, tests/ or perfbench/ other than its own def line."""
+Python files under src/, tests/ or perfbench/ other than its own def line.
+
+The term dictionary (Poly.terms) is the storage format of symcalc, which
+owns it; linalg reads it to match coefficients. Every other module goes
+through Poly and ChartMap, so a change of format touches those two only."""
 
 import ast
 import re
@@ -121,3 +126,33 @@ def test_every_definition_is_named_elsewhere():
     }
     assert defining
     assert dead_definitions(defining, corpus) == []
+
+
+TERM_OWNERS = ("symcalc.py", "linalg.py")
+
+
+def term_dictionary_uses(source: str) -> list[int]:
+    """The lines where the source reads or writes an attribute named terms."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "terms"
+    )
+
+
+def test_the_term_gate_flags_an_attribute_and_keeps_a_plain_name():
+    source = (
+        "terms = 3\n"
+        "def f(p, terms=2):\n"
+        "    return [t for t in terms], p.terms\n"
+    )
+    assert term_dictionary_uses(source) == [3]
+
+
+def test_only_symcalc_and_linalg_touch_the_term_dictionary():
+    uses = {
+        path.name: term_dictionary_uses(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.glob("*.py"))
+        if path.name not in TERM_OWNERS
+    }
+    assert {name: lines for name, lines in uses.items() if lines} == {}

@@ -24,7 +24,7 @@ from algebroids.dirac import (
     DiracData,
     check_dirac,
     graph_of_two_form,
-    restricted_chart,
+    support_inclusion,
 )
 from algebroids.errors import UnsupportedModeError, ValidationError
 from algebroids.lie_algebroid import tangent_algebroid
@@ -360,8 +360,7 @@ def test_pullback_connection_validates_ownership():
 
 
 def test_conormal_lists_the_cut_directions():
-    sub = restricted_chart(R2, ("x2",))
-    half = ChartMap(sub, R2, (Poly.coord(sub, 0), Poly.zero(sub)))
+    half = support_inclusion(R2, ("x2",))
     assert conormal(half) == (KForm(R2, 1, {(1,): Poly.one(R2)}),)
     assert conormal(ChartMap.identity(R2)) == ()
     point = coordinate_chart("O", 0)
@@ -383,33 +382,22 @@ def test_conormal_rejects_non_embeddings():
 def graph_on_axis(form_scale="x1"):
     """The graph of form_scale dx1^dx2 over {x3=0} in std(R3)."""
     q = standard_exact(R3)
-    sub = restricted_chart(R3, ("x3",))
+    inc = support_inclusion(R3, ("x3",))
     shifted = connection_shift(
         coordinate_connection(q),
         KForm(R3, 2, {(0, 1): parse_poly(form_scale, R3)}),
     )
-    probe = DiracData(q, (tuple(Poly.zero(sub) for _ in range(6)),), ("x3",))
-    gens = [
-        tuple(probe.restrict(p) for p in shifted.columns[i]) for i in range(2)
-    ]
-    gens.append(tuple(probe.restrict(p) for p in q.coanchor[2]))
-    return DiracData(q, tuple(gens), ("x3",))
-
-
-def axis_inclusion(sub):
-    return ChartMap(
-        sub, R3, (Poly.coord(sub, 0), Poly.coord(sub, 1), Poly.zero(sub))
-    )
+    rows = (shifted.columns[0], shifted.columns[1], q.coanchor[2])
+    return DiracData(q, tuple(tuple(map(inc.pull, row)) for row in rows), ("x3",))
 
 
 def test_dirac_pushdown_recovers_the_restricted_graph():
     d = graph_on_axis("x1")
     assert check_dirac(d).ok
-    pb = pullback_courant(axis_inclusion(d.sub_chart), d.courant)
-    down = dirac_pushdown(pb, d)
+    down = dirac_pushdown(d)
     sub = down.courant.chart
     expected = graph_of_two_form(
-        coordinate_connection(pb.result),
+        coordinate_connection(down.courant),
         KForm(sub, 2, {(0, 1): Poly.coord(sub, 0)}),
     )
     assert down.generators == expected.generators
@@ -428,30 +416,21 @@ def test_dirac_pushdown_reuses_the_presentations_embedding(monkeypatch):
 
     monkeypatch.setattr(pullback, "Embedding", CountingEmbedding)
     d = graph_on_axis("x1")
-    pb = pullback_courant(axis_inclusion(d.sub_chart), d.courant)
-    dirac_pushdown(pb, d)
+    dirac_pushdown(d)
     assert len(built) == 1
 
 
-def test_dirac_pushdown_guards():
-    d = graph_on_axis()
-    sub = d.sub_chart
-    # wrong locus: the map must zero exactly the support coordinates
-    wrong = ChartMap(
-        sub, R3, (Poly.coord(sub, 0), Poly.zero(sub), Poly.coord(sub, 1))
-    )
-    with pytest.raises(ValidationError):
-        dirac_pushdown(pullback_courant(wrong, d.courant), d)
-    # wrong presentation mode
-    with pytest.raises(ValidationError):
-        dirac_pushdown(
-            pullback_courant(ChartMap.identity(R3), d.courant), d
-        )
+def test_dirac_pushdown_refuses_an_empty_support():
+    q = standard_exact(R2)
+    d = DiracData(q, (unit_vec(R2, 4, 0), unit_vec(R2, 4, 1)), ())
+    assert check_dirac(d).ok
+    with pytest.raises(ValidationError, match="nonempty support"):
+        dirac_pushdown(d)
 
 
 def test_dirac_pushdown_requires_conormal_membership():
     q = standard_exact(R3)
-    sub = restricted_chart(R3, ("x3",))
+    sub = support_inclusion(R3, ("x3",)).source
     gens = tuple(
         tuple(
             Poly.one(sub) if b == a else Poly.zero(sub) for b in range(6)
@@ -459,25 +438,22 @@ def test_dirac_pushdown_requires_conormal_membership():
         for a in (0, 1, 2)
     )
     bad = DiracData(q, gens, ("x3",))
-    pb = pullback_courant(axis_inclusion(sub), q)
     with pytest.raises(ValidationError, match="conormal"):
-        dirac_pushdown(pb, bad)
+        dirac_pushdown(bad)
 
 
 def test_plane_pushdown_gives_the_tangent_dirac_structure():
     """span{(d/dx1, 0), (0, dx2)} over {x2=0} pushes down to the tangent
     directions of the line."""
     q = standard_exact(R2)
-    sub = restricted_chart(R2, ("x2",))
+    sub = support_inclusion(R2, ("x2",)).source
     one, zero = Poly.one(sub), Poly.zero(sub)
     d = DiracData(
         q, ((one, zero, zero, zero), (zero, zero, zero, one)), ("x2",)
     )
     assert check_dirac(d).ok
-    inc = ChartMap(sub, R2, (Poly.coord(sub, 0), Poly.zero(sub)))
-    pb = pullback_courant(inc, q)
-    assert pb.result.rank == 2
-    down = dirac_pushdown(pb, d)
+    down = dirac_pushdown(d)
+    assert down.courant.rank == 2
     assert down.generators == ((one, zero),)
     assert check_dirac(down).ok
 

@@ -366,6 +366,52 @@ def test_identity_and_composition_on_point_chart():
     pt = Chart("pt", ())
     inc = ChartMap(pt, R2, (Poly.const(pt, 1), Poly.const(pt, 2)))
     assert inc.pull(parse_poly("x1*x2 + x2", R2)) == Poly.const(pt, 4)
+    to_pt = ChartMap(R1, pt, ())
+    assert inc.compose(to_pt).comps == (Poly.const(R1, 1), Poly.const(R1, 2))
+
+
+@st.composite
+def coordinate_maps(draw, target, source=None):
+    """Maps to target whose components are source coordinates or zero, in
+    any order and with repeats; the source is drawn, 0-3 dimensional, when
+    not given."""
+    if source is None:
+        source = coordinate_chart("S", draw(st.integers(0, 3)), prefix="s")
+    slots = draw(
+        st.lists(
+            st.sampled_from([None, *range(source.dim)]),
+            min_size=target.dim,
+            max_size=target.dim,
+        )
+    )
+    comps = (Poly.zero(source) if s is None else Poly.coord(source, s) for s in slots)
+    return ChartMap(source, target, tuple(comps))
+
+
+@given(st.data())
+@settings(max_examples=100)
+def test_pull_along_a_coordinate_map_is_substitution(data):
+    target = data.draw(st.sampled_from([R1, R2, R3]))
+    f = data.draw(coordinate_maps(target))
+    p = data.draw(rational_polys(target, max_degree=3, max_terms=5))
+    assert f.slots is not None
+    got = f.pull(p)
+    assert got == p.subs(list(f.comps))
+    assert all(type(c) is int or c.denominator > 1 for c in got.terms.values())
+    assert ChartMap.identity(target).pull(p) is p
+
+
+@given(st.data())
+@settings(max_examples=50)
+def test_compose_with_a_coordinate_map_is_substitution(data):
+    mid = data.draw(st.sampled_from([R1, R2, R3]))
+    inner = data.draw(coordinate_maps(mid))
+    outer = data.draw(
+        coordinate_maps(R2, mid)
+        | st.tuples(polys(mid), polys(mid)).map(lambda comps: ChartMap(mid, R2, comps))
+    )
+    got = outer.compose(inner)
+    assert got.comps == tuple(c.subs(list(inner.comps)) for c in outer.comps)
 
 
 # ---------------------------------------------------------------------------
