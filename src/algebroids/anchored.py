@@ -50,6 +50,10 @@ Presentations ((tangent, section) pairs for Lie, (beta, u, eta) triples for
 Courant), and Combination, summands over one base whose lines are glued by
 weights, presents both Baer combinations. constant_complement picks
 constant complements.
+
+Last, the inverse image as a functor, once for both stacks: comparison
+(psi+(phi+A) -> (phi psi)+A) and pulled_morphism (f+M) are generator
+matrices built on Presentation.push; only pull_element is stack-specific.
 """
 
 from __future__ import annotations
@@ -724,6 +728,17 @@ class Presentation:
             raise ValidationError("element is not in the fiber product")
         return cls
 
+    def on_section(self, u: Vec) -> tuple[Vec, ...]:
+        """The ambient element with section slot (slot 1) u, the rest zero."""
+        zero = tuple(zero_vec(self.chart, size) for size in self.sizes)
+        return zero[:1] + (u,) + zero[2:]
+
+    def push(self, element: tuple[Vec, ...], rows: Sequence[tuple[Vec, ...]]) -> Vec:
+        """The class of element with its section slot read as coefficients
+        against rows, ambient elements here, and its other slots kept."""
+        kept = element[:1] + (zero_vec(self.chart, self.sizes[1]),) + element[2:]
+        return self.reduce(self._combine(element[1], rows, kept))
+
 
 class Combination(Presentation):
     """Summands over one base whose lines are glued by weights; an element
@@ -785,3 +800,34 @@ class Combination(Presentation):
         """The class of the summand by summand bracket of basis x and y."""
         pairs = zip(self.summands, self.basis[x], self.basis[y])
         return self.reduce(tuple(m.bracket(u, v) for m, u, v in pairs))
+
+
+# ---------------------------------------------------------------------------
+# The inverse image as a functor
+# ---------------------------------------------------------------------------
+
+
+def comparison(inner, outer, target) -> list[Vec]:
+    """The generator matrix of psi+(phi+A) -> (phi psi)+A, for inverse
+    images of one stack: outer presents phi+A, inner psi+(outer.result) and
+    target (phi psi)+A. Row c pushes inner basis c into target against the
+    outer basis pulled once along psi (pull_element); the tangent carries
+    over, as d psi(eta') = sum_c u'_c psi*(eta_c). reduce verifies each row.
+    """
+    if inner.source is not outer.result and inner.source != outer.result:
+        raise ValidationError("inner pullback must act on the outer algebroid")
+    if outer.map.compose(inner.map).comps != target.map.comps:
+        raise ValidationError("target presentation is for a different map")
+    rows = [inner.pull_element(b) for b in outer.basis]
+    return [target.push(b, rows) for b in inner.basis]
+
+
+def pulled_morphism(pb_a, pb_b, matrix: Sequence[Vec]) -> list[Vec]:
+    """The generator matrix of f+M: f+A -> f+B, pb_a and pb_b presenting
+    A and B (on one chart) along one map f, and matrix[g] the image of
+    generator g of A in B. An incompatible matrix leaves the fibre product,
+    and reduce raises."""
+    if pb_a.map.comps != pb_b.map.comps or pb_a.chart != pb_b.chart:
+        raise ValidationError("presentations must be along the same map")
+    rows = [pb_b.on_section(tuple(map(pb_a.map.pull, row))) for row in matrix]
+    return [pb_b.push(b, rows) for b in pb_a.basis]

@@ -8,10 +8,11 @@ three layers:
 
   * the table is honest (the named composites really compose),
   * every matrix preserves the four structure maps,
-  * the triple identity c_t . t(c_s) . comparison == c_{st} for every
-    table entry, where the comparison isomorphism between the iterated and
-    the one-step inverse image is computed by re-reducing basis
-    representatives (and is therefore verified exactly along the way).
+  * the triple identity c_u . C == t*(c_s) . c_t for every table entry
+    (s, t) -> u, as maps out of the iterated image t+(s+q) (row convention:
+    the left factor first). C: t+(s+q) -> u+q is anchored.comparison, so
+    invertible, and t*(c_s) the entrywise pull of c_s, defined even when
+    c_s is not a morphism.
 
 tautological_datum builds the canonical matrices for a standard-form
 structure whose twist the cover preserves; two_form_transform produces the
@@ -23,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from algebroids import linalg
+from algebroids.anchored import comparison
 from algebroids.courant import (
     Connection,
     CourantData,
@@ -30,7 +32,7 @@ from algebroids.courant import (
     coordinate_connection,
 )
 from algebroids.errors import ChartMismatchError, ValidationError
-from algebroids.linalg import Vec, apply_matrix, vec_eq
+from algebroids.linalg import Vec, mat_mul, vec_eq
 from algebroids.pullback import (
     CourantPullback,
     pullback_connection,
@@ -40,12 +42,6 @@ from algebroids.report import Report
 from algebroids.symcalc import Chart, ChartMap, KForm
 
 Matrix = tuple[Vec, ...]
-
-
-def mat_mul(first: Matrix, then: Matrix, chart: Chart) -> Matrix:
-    """Row-convention composite: apply `first`, then `then`."""
-    cols = len(then[0])
-    return tuple(apply_matrix(then, row, cols, chart) for row in first)
 
 
 def pullback_matrix(f: ChartMap, matrix: Matrix) -> Matrix:
@@ -149,19 +145,6 @@ def tautological_datum(
     return DescentDatum(cover, structure, matrices)
 
 
-def _comparison_matrix(
-    total: CourantPullback, inner: CourantPullback
-) -> Matrix:
-    """Re-reduce the one-step basis triples through the iterated pullback.
-
-    The coefficient slots of a triple for the composite map reread verbatim
-    as coefficients against the outer inverse image's generators; reduce
-    verifies the fiber-product identity exactly, so a wrong comparison
-    cannot be produced silently.
-    """
-    return tuple(inner.reduce(t) for t in total.basis)
-
-
 def check_cocycle(datum: DescentDatum) -> Report:
     rep = Report()
     cover = datum.cover
@@ -187,18 +170,15 @@ def check_cocycle(datum: DescentDatum) -> Report:
     def triple():
         for (s, t), u in sorted(cover.table.items()):
             inner = pullback_courant(cover.maps[t], pulls[s].result)
-            psi = _comparison_matrix(pulls[u], inner)
-            route = mat_mul(
-                mat_mul(
-                    psi,
-                    pullback_matrix(cover.maps[t], datum.matrices[s]),
-                    cover.chart,
-                ),
+            through = comparison(inner, pulls[s], pulls[u])
+            lhs = mat_mul(through, datum.matrices[u], cover.chart)
+            rhs = mat_mul(
+                pullback_matrix(cover.maps[t], datum.matrices[s]),
                 datum.matrices[t],
                 cover.chart,
             )
-            for a in range(q.rank):
-                if not vec_eq(route[a], datum.matrices[u][a]):
+            for a, (got, want) in enumerate(zip(lhs, rhs)):
+                if not vec_eq(got, want):
                     yield f"triple ({s},{t}) -> {u}: generator {a}"
 
     rep.check("cover_composition", composition())

@@ -157,8 +157,9 @@ def check_dirac(d: DiracData, maximality: str = "full") -> Report:
 
     def closure():
         defects = {}
+        lifts = [d.lift_generator(i) for i in range(m)]
         for i, j in product(range(m), repeat=2):
-            lifted = q.bracket(d.lift_generator(i), d.lift_generator(j))
+            lifted = q.bracket(lifts[i], lifts[j])
             defects[(i, j)] = tuple(d.restrict(p) for p in lifted)
         if maximality == "full":
             for (i, j), defect in sorted(defects.items()):

@@ -25,9 +25,11 @@ kernel frame are chosen here (Split reads the frame through a polynomial
 left inverse). LiePullback is the anchored.Presentation of those pairs: an
 ambient element is a pair (tangent on Y, pulled section over the generators
 of A), expand and reduce act on pairs, and anchored.pair_bracket is the
-ambient bracket. The Courant inverse image uses the same pairs as the
-(u, eta) half of its triples. The Baer combination of line extensions is
-the anchored.Combination of baer_presentation, as the Courant one is.
+ambient bracket, and result the induced algebroid. The Courant inverse
+image uses the same pairs as the (u, eta) half of its triples, and both
+reach the functor steps of anchored (comparison, pulled_morphism) through
+pull_element. The Baer combination of line extensions is the
+anchored.Combination of baer_presentation, as the Courant one is.
 """
 
 from __future__ import annotations
@@ -49,12 +51,14 @@ from algebroids.anchored import (
     anchor_failures,
     antisymmetric_table,
     bracket_failures,
+    comparison,
     constant_quotient,
     jacobi_counterexample,
     jacobi_generator_failures,
     pair_bracket,
     probe,
     pulled_entries,
+    pulled_morphism,
     resolve_mode,
 )
 from algebroids.errors import UnsupportedModeError, ValidationError
@@ -62,6 +66,7 @@ from algebroids.linalg import (
     Vec,
     apply_matrix,
     fmt_section,
+    mat_mul,
     vec_add,
     vec_is_zero,
     vec_sub,
@@ -372,7 +377,7 @@ class LiePullback(Presentation):
 
     Ambient elements are the (tangent on the source chart of map, pulled
     section) pairs of the fibre class, and basis is the fibre class's
-    basis; the reader is its coords. algebroid is the induced structure on
+    basis; the reader is its coords. result is the induced structure on
     that basis: the anchor of a basis pair is its tangent, and each table
     entry is the reduced pair_bracket of two basis pairs.
     """
@@ -407,7 +412,12 @@ class LiePullback(Presentation):
             "are inconsistent",
         )
         anchor = tuple(tangent for tangent, _ in basis)
-        self.algebroid = LieData(chart, len(basis), anchor, structure)
+        self.result = LieData(chart, len(basis), anchor, structure)
+
+    def pull_element(self, pair: tuple[Vec, Vec]) -> tuple[Vec, Vec]:
+        """(0, map* section): a pair on the target chart of map pulled along it."""
+        chart = self.chart
+        return linalg.zero_vec(chart, chart.dim), tuple(map(self.map.pull, pair[1]))
 
 
 def pullback_lie(
@@ -485,56 +495,8 @@ def canonical_splitting(pb: LiePullback) -> tuple[Vec, ...]:
     UnsupportedModeError in any other mode."""
     if pb.mode != "transitive-split":
         raise UnsupportedModeError(f"no canonical splitting in mode {pb.mode!r}")
-    rank = pb.algebroid.rank
+    rank = pb.result.rank
     return tuple(linalg.unit_vec(pb.chart, rank, i) for i in range(pb.chart.dim))
-
-
-def compose_pullback(
-    inner: LiePullback, outer: LiePullback, target: LiePullback, e: Vec
-) -> Vec:
-    """Canonical comparison of iterated and composite inverse images.
-
-    inner presents psi+(outer algebroid) on Z, outer presents phi+A on Y,
-    and target presents (phi . psi)+A on Z; e is a section of the iterated
-    pullback, and the result is its image in the composite presentation.
-    """
-    if inner.source is not outer.algebroid and inner.source != outer.algebroid:
-        raise ValidationError("inner pullback must act on the outer algebroid")
-    composite = outer.map.compose(inner.map)
-    if composite.comps != target.map.comps:
-        raise ValidationError("target presentation is for a different map")
-    tangent, coeffs = inner.expand(tuple(e))
-    # Only the rows that coeffs reaches are pulled: this runs once per section.
-    u_parts = [
-        () if c.is_zero else tuple(map(inner.map.pull, section))
-        for c, (_, section) in zip(coeffs, outer.basis)
-    ]
-    return _push_section(u_parts, tangent, coeffs, target)
-
-
-def f_plus_morphism(
-    pb_a: LiePullback, pb_b: LiePullback, matrix: Sequence[Vec]
-) -> list[Vec]:
-    """Pull a generator matrix of a morphism back along a shared map.
-
-    matrix[g] is the image of the g-th generator of pb_a.source inside
-    pb_b.source (both algebroids on one chart); the result lists the images
-    of the pulled generators. Anchor compatibility is enforced by the
-    reduction: an incompatible matrix leaves the fiber product and raises.
-    """
-    if pb_a.map.comps != pb_b.map.comps or pb_a.chart != pb_b.chart:
-        raise ValidationError("presentations must be along the same map")
-    pulled = [tuple(map(pb_a.map.pull, row)) for row in matrix]
-    return [_push_section(pulled, *b, pb_b) for b in pb_a.basis]
-
-
-def _push_section(
-    pulled: Sequence[Vec], tangent: Vec, u: Vec, target: LiePullback
-) -> Vec:
-    """Push the section u through a generator matrix already pulled to the
-    target chart, and reduce (tangent, result) in the target."""
-    mapped = apply_matrix(pulled, u, target.source.rank, target.chart)
-    return target.reduce((tangent, mapped))
 
 
 def check_compose_associative(
@@ -554,60 +516,50 @@ def check_compose_associative(
     exact reconstruction; the sections that reconstruct form a submodule.
     So the routes agree on every section exactly when they agree on the
     unit sections of the presentation over W, and a reduction that raises
-    on some section raises on some unit section. composition_associative
-    is decided on those generators.
+    on some section raises on some unit section. So
+    composition_associative compares two products of generator matrices
+    row by row: xi+ of the comparison of (phi, psi) then that of
+    (phi psi, xi), against the comparison of (psi, xi) then (phi, psi xi).
     """
     phi, psi, xi = maps
     rep = Report()
 
     p_phi = pullback_lie(phi, a, "transitive-split", splitting)
     s_phi = canonical_splitting(p_phi)
-    p_psi = pullback_lie(psi, p_phi.algebroid, "transitive-split", s_phi)
+    p_psi = pullback_lie(psi, p_phi.result, "transitive-split", s_phi)
     s_psi = canonical_splitting(p_psi)
-    p_xi = pullback_lie(xi, p_psi.algebroid, "transitive-split", s_psi)
+    p_xi = pullback_lie(xi, p_psi.result, "transitive-split", s_psi)
 
     phi_psi = phi.compose(psi)
     p_phi_psi = pullback_lie(phi_psi, a, "transitive-split", splitting)
     s_phi_psi = canonical_splitting(p_phi_psi)
     p_xi_of_composite = pullback_lie(
-        xi, p_phi_psi.algebroid, "transitive-split", s_phi_psi
+        xi, p_phi_psi.result, "transitive-split", s_phi_psi
     )
     psi_xi = psi.compose(xi)
-    p_psi_xi = pullback_lie(psi_xi, p_phi.algebroid, "transitive-split", s_phi)
+    p_psi_xi = pullback_lie(psi_xi, p_phi.result, "transitive-split", s_phi)
     full = phi.compose(psi_xi)
     p_full = pullback_lie(full, a, "transitive-split", splitting)
 
-    # Route 1: xi+(c+ of (phi,psi)) then c+ of (phi.psi, xi).
-    # The pulled morphism acts through the generator matrix of c+(phi,psi).
-    cmatrix = [
-        compose_pullback(
-            p_psi, p_phi, p_phi_psi, linalg.unit_vec(psi.source, p_psi.algebroid.rank, g)
-        )
-        for g in range(p_psi.algebroid.rank)
-    ]
-
-    pulled_cmatrix = f_plus_morphism(p_xi, p_xi_of_composite, cmatrix)
-
-    def route1(e: Vec) -> Vec:
-        e_mid = apply_matrix(
-            pulled_cmatrix, e, p_xi_of_composite.algebroid.rank, xi.source
-        )
-        return compose_pullback(p_xi_of_composite, p_phi_psi, p_full, e_mid)
-
-    def route2(e: Vec) -> Vec:
-        e_mid = compose_pullback(p_xi, p_psi, p_psi_xi, e)
-        return compose_pullback(p_psi_xi, p_phi, p_full, e_mid)
+    cmatrix = comparison(p_psi, p_phi, p_phi_psi)
+    route1 = mat_mul(
+        pulled_morphism(p_xi, p_xi_of_composite, cmatrix),
+        comparison(p_xi_of_composite, p_phi_psi, p_full),
+        xi.source,
+    )
+    route2 = mat_mul(
+        comparison(p_xi, p_psi, p_psi_xi),
+        comparison(p_psi_xi, p_phi, p_full),
+        xi.source,
+    )
 
     def associative():
-        for g in range(p_xi.algebroid.rank):
-            e = linalg.unit_vec(xi.source, p_xi.algebroid.rank, g)
-            r1 = route1(e)
-            r2 = route2(e)
+        for g, (r1, r2) in enumerate(zip(route1, route2)):
             if not linalg.vec_eq(r1, r2):
                 yield f"generator {g}: {fmt_section(r1)} vs {fmt_section(r2)}"
 
     # The comparison morphism must preserve anchors and brackets.
-    middle, composite = p_psi.algebroid, p_phi_psi.algebroid
+    middle, composite = p_psi.result, p_phi_psi.result
 
     rep.check("composition_associative", associative())
     anchors = anchor_failures(middle, composite, cmatrix)
@@ -634,9 +586,8 @@ def pullback_marked(
     splitting: Sequence[Vec] | None = None,
 ) -> MarkedLiePullback:
     pb = pullback_lie(f, m.lie, mode, splitting)
-    zero_tangent = linalg.zero_vec(f.source, f.source.dim)
-    marking = pb.reduce((zero_tangent, tuple(f.pull(p) for p in m.marking)))
-    return MarkedLiePullback(pb, MarkedLieData(pb.algebroid, marking))
+    marking = pb.reduce(pb.on_section(tuple(f.pull(p) for p in m.marking)))
+    return MarkedLiePullback(pb, MarkedLieData(pb.result, marking))
 
 
 def extension_pullback(
@@ -650,13 +601,13 @@ def extension_pullback(
     base_splitting splits the anchor of ext.base (section per target
     coordinate); the total is pulled in transitive-split mode through the
     composite lift, and projection and splitting are pushed through
-    f_plus_morphism, so base_pb must be along f too.
+    pulled_morphism, so base_pb must be along f too.
     """
     total_split = tuple(ext.lift(col) for col in base_splitting)
     mpb = pullback_marked(f, ext.total, "transitive-split", total_split)
-    projection = f_plus_morphism(mpb.pullback, base_pb, ext.projection)
-    splitting = f_plus_morphism(base_pb, mpb.pullback, ext.splitting)
-    out = OExtensionData(mpb.marked, base_pb.algebroid, projection, splitting)
+    projection = pulled_morphism(mpb.pullback, base_pb, ext.projection)
+    splitting = pulled_morphism(base_pb, mpb.pullback, ext.splitting)
+    out = OExtensionData(mpb.marked, base_pb.result, projection, splitting)
     return out, mpb
 
 
@@ -760,8 +711,8 @@ def check_extension_pullback_linear(
         return rep
     rep.add("cocycles_match", False, "resolved by a fiber shift below")
     anchors = [
-        base_pb.algebroid.anchor_of(base_pb.algebroid.gen(k))
-        for k in range(base_pb.algebroid.rank)
+        base_pb.result.anchor_of(base_pb.result.gen(k))
+        for k in range(base_pb.result.rank)
     ]
     bound = max(p.degree() for p in diff.values() if not p.is_zero) + 2
     t = solve_coboundary(anchors, diff, f.source, bound)

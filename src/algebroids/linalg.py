@@ -7,10 +7,10 @@ Three layers:
   (complement selection, relation reduction, cocycle algebra).
 * The sparse matrix action every structure map goes through: apply_matrix
   (sum_a u_a M[a], the image of a section under a generator matrix),
-  apply_constant (a constant matrix times a polynomial vector), dot,
-  bilinear (sum_ab u_a g_ab v_b) and pairing_differential (the one-form
-  sum_a (sum_b g_ab v_b) du_a of the Courant bracket). Zero entries cost
-  nothing.
+  mat_mul (their composite), apply_constant (a constant matrix times a
+  polynomial vector), dot, bilinear (sum_ab u_a g_ab v_b) and
+  pairing_differential (the one-form sum_a (sum_b g_ab v_b) du_a of the
+  Courant bracket). Zero entries cost nothing.
 * Poly matrices/vectors: structural operations plus fraction-free Gaussian
   elimination for ranks "at the generic point", cofactor determinants and
   adjugates, one polynomial left inverse (left_inverse: a constant
@@ -111,6 +111,12 @@ def apply_matrix(
             if not img.is_zero:
                 out[k] = out[k] + coeff * img
     return tuple(out)
+
+
+def mat_mul(first: Sequence[Vec], then: Sequence[Vec], chart: Chart) -> tuple[Vec, ...]:
+    """Row-convention composite: apply `first`, then `then`."""
+    cols = len(then[0])
+    return tuple(apply_matrix(then, row, cols, chart) for row in first)
 
 
 def apply_constant(

@@ -34,7 +34,9 @@ submersion), the relation coefficients, and for an embedding the division
 by the pulled conormal directions. The coanchor, pairing, structure table
 and Jacobian are pulled once per presentation. Every reduction is verified
 by exhibiting the exact relation combination; failures raise
-ValidationError.
+ValidationError. The induced structure, result, is built on first read.
+For the functor steps of anchored (comparison, pulled_morphism), a triple
+is pulled as (f*beta . J, f*u, 0), J the Jacobian (pull_element).
 
 dirac_pushdown presents a supported Dirac structure along the inclusion of
 its support locus (dirac.support_inclusion) in coordinate-embedding mode,
@@ -44,6 +46,7 @@ and morphism_graph restricts its generators along such an inclusion.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 from algebroids import linalg
@@ -53,7 +56,6 @@ from algebroids.anchored import (
     Split,
     Submersion,
     constant_complement,
-    embedding_layout,
     pair_bracket,
     pulled_entries,
     resolve_mode,
@@ -116,7 +118,8 @@ class CourantPullback(Presentation):
     mode builders return a basis and a reader that do not hold the
     presentation, so no reference cycle keeps it alive. The
     coordinate-embedding mode keeps its fibre product in embedding, for
-    dirac_pushdown to reuse. result is the induced structure on the basis.
+    dirac_pushdown to reuse. result, the induced structure on the basis,
+    is built on first read (a comparison's inner image never reads it).
     """
 
     def __init__(
@@ -139,19 +142,32 @@ class CourantPullback(Presentation):
         super().__init__(chart, (chart.dim, q.rank, chart.dim), basis, read)
         self.map, self.mode = f, mode
         self.relations = tuple(self.relation(k) for k in range(q.chart.dim))
+
+    @cached_property
+    def result(self) -> CourantData:
+        """The induced structure on the basis."""
+        chart, rank = self.chart, self.source.rank
         basis, r = self.basis, len(self.basis)
         anchor = tuple(eta for _, _, eta in basis)
         coanchor = tuple(
-            self.reduce(_cotangent(chart, q.rank, j)) for j in range(chart.dim)
+            self.reduce(_cotangent(chart, rank, j)) for j in range(chart.dim)
         )
         pairing = tuple(tuple(self.ambient_pairing(x, y) for y in basis) for x in basis)
         structure = {
             (x, y): self.reduce(self.ambient_bracket(basis[x], basis[y]))
             for x, y in product(range(r), repeat=2)
         }
-        self.result = CourantData(chart, r, anchor, coanchor, pairing, structure)
+        return CourantData(chart, r, anchor, coanchor, pairing, structure)
 
     # -- ambient operations ---------------------------------------------------
+
+    def pull_element(self, t: Triple) -> Triple:
+        """(map* beta . J, map* u, 0): a triple on the target chart of map
+        pulled along it, its one-form through the Jacobian J."""
+        beta, u, _ = t
+        chart, pull = self.chart, self.map.pull
+        form = apply_matrix(self.jacobian, tuple(map(pull, beta)), chart.dim, chart)
+        return form, tuple(map(pull, u)), zero_vec(chart, chart.dim)
 
     def relation(self, k: int) -> Triple:
         """(d f_k, -pulled coanchor row k, 0)."""
@@ -429,25 +445,6 @@ def check_curvature_pullback(
 # ---------------------------------------------------------------------------
 # Supported Dirac structures through a presentation
 # ---------------------------------------------------------------------------
-
-
-def conormal(f: ChartMap) -> tuple[KForm, ...]:
-    """Conormal one-forms of a coordinate embedding, one per cut coordinate.
-
-    The map must send distinct source coordinates to some of the target
-    coordinates and zero to the rest; the zeroed ones cut out the image
-    locus, and the result is the constant form dx_k on the target chart for
-    each such k, in index order. Since the coefficients are constant, the
-    restriction to the locus is the same data, so no restricted copy is
-    kept. A map that cuts nothing (identity, coordinate relabelling) gives
-    the empty tuple.
-    """
-    try:
-        _, zeroed = embedding_layout(f)
-    except UnsupportedModeError:
-        raise ValidationError("the map is not a coordinate embedding") from None
-    one = Poly.one(f.target)
-    return tuple(KForm(f.target, 1, {(k,): one}) for k in zeroed)
 
 
 def dirac_pushdown(d: DiracData) -> DiracData:

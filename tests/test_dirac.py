@@ -70,6 +70,22 @@ def test_conormal_structure_on_axis():
     assert check_dirac(d).check_names() == DIRAC_NAMES
 
 
+@pytest.mark.parametrize("maximality", ["full", "rank-only"])
+def test_closure_lifts_each_generator_once(monkeypatch, maximality):
+    calls = []
+    original = DiracData.lift_generator
+
+    def counted(self, idx):
+        calls.append(idx)
+        return original(self, idx)
+
+    monkeypatch.setattr(DiracData, "lift_generator", counted)
+    sub = support_inclusion(R3, ("x3",)).source
+    gens = (unit_vec(sub, 6, 0), unit_vec(sub, 6, 1), unit_vec(sub, 6, 5))
+    assert check_dirac(DiracData(standard_exact(R3), gens, ("x3",)), maximality).ok
+    assert calls == [0, 1, 2]
+
+
 def test_supported_generators_with_coefficients():
     q = standard_exact(R2)
     sub = support_inclusion(R2, ("x2",)).source

@@ -12,7 +12,12 @@ Python files under src/, tests/ or perfbench/ other than its own def line.
 
 The term dictionary (Poly.terms) is the storage format of symcalc, which
 owns it; linalg reads it to match coefficients. Every other module goes
-through Poly and ChartMap, so a change of format touches those two only."""
+through Poly and ChartMap, so a change of format touches those two only.
+
+The README does not drift from the code: every code name it puts in
+backticks (an identifier, dotted or called, such as `ChartMap.slots` or
+`dirac_pushdown(d)`) has each dotted part appear as a word in the same
+Python files; a span that names a file of the repository is exempt."""
 
 import ast
 import re
@@ -113,12 +118,17 @@ def test_the_dead_definition_gate_flags_a_name_used_only_where_defined():
     assert dead_definitions({"m.py": source}, corpus) == ["m.py:unused"]
 
 
-def test_every_definition_is_named_elsewhere():
-    corpus = {
+def python_corpus() -> dict[str, str]:
+    """Path -> source of every Python file under src/, tests/ and perfbench/."""
+    return {
         str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
         for top in ("src", "tests", "perfbench")
         for path in sorted((ROOT / top).rglob("*.py"))
     }
+
+
+def test_every_definition_is_named_elsewhere():
+    corpus = python_corpus()
     defining = {
         path: source
         for path, source in corpus.items()
@@ -156,3 +166,41 @@ def test_only_symcalc_and_linalg_touch_the_term_dictionary():
         if path.name not in TERM_OWNERS
     }
     assert {name: lines for name, lines in uses.items() if lines} == {}
+
+
+CODE_NAME = re.compile(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\(.*\))?")
+
+
+def readme_drift(readme: str, words: set[str]) -> list[str]:
+    """The backticked code names of readme, outside fenced blocks, with a
+    dotted part that is not in words; spans naming a repository file, and
+    spans that are no code name (flags, verbs, numbers), are skipped."""
+    prose = re.sub(r"```.*?```", "", readme, flags=re.S)
+    out = []
+    for span in re.findall(r"`([^`\n]+)`", prose):
+        name = CODE_NAME.fullmatch(span)
+        if name is None or (ROOT / span).is_file():
+            continue
+        if any(part not in words for part in name[1].split(".")):
+            out.append(span)
+    return out
+
+
+def test_the_readme_gate_flags_a_deleted_name_and_keeps_a_file():
+    readme = (
+        "`anchored.comparison(a, b)` and `lie_algebroid.removed_helper`\n"
+        "in `pyproject.toml`; verbs like `check-lie` and `--seed`.\n"
+        "```python\nignored.name()\n```\n"
+    )
+    words = {"anchored", "comparison", "lie_algebroid"}
+    assert readme_drift(readme, words) == ["lie_algebroid.removed_helper"]
+
+
+def test_every_readme_code_name_is_in_the_code():
+    words = {
+        word
+        for source in python_corpus().values()
+        for word in re.findall(r"\w+", source)
+    }
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert readme_drift(readme, words) == []

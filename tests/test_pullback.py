@@ -28,13 +28,13 @@ from algebroids.dirac import (
 )
 from algebroids.errors import UnsupportedModeError, ValidationError
 from algebroids.lie_algebroid import tangent_algebroid
-from algebroids.linalg import unit_vec, vec_eq
+from algebroids.anchored import comparison, embedding_layout, pulled_morphism
+from algebroids.linalg import left_inverse, mat_mul, unit_vec, vec_eq
 from algebroids.pullback import (
     CourantPullback,
     check_curvature_pullback,
     check_relation_absorption,
     check_twist_commute,
-    conormal,
     dirac_pushdown,
     morphism_graph,
     pullback_connection,
@@ -359,24 +359,121 @@ def test_pullback_connection_validates_ownership():
         pullback_connection(pb, coordinate_connection(other))
 
 
-def test_conormal_lists_the_cut_directions():
+def test_embedding_layout_lists_the_cut_slots():
     half = support_inclusion(R2, ("x2",))
-    assert conormal(half) == (KForm(R2, 1, {(1,): Poly.one(R2)}),)
-    assert conormal(ChartMap.identity(R2)) == ()
+    assert embedding_layout(half) == ({0: 0}, [1])
+    assert embedding_layout(ChartMap.identity(R2)) == ({0: 0, 1: 1}, [])
     point = coordinate_chart("O", 0)
     origin = ChartMap(point, R2, (Poly.zero(point), Poly.zero(point)))
-    assert conormal(origin) == (
-        KForm(R2, 1, {(0,): Poly.one(R2)}),
-        KForm(R2, 1, {(1,): Poly.one(R2)}),
-    )
+    assert embedding_layout(origin) == ({}, [0, 1])
 
 
-def test_conormal_rejects_non_embeddings():
-    with pytest.raises(ValidationError, match="coordinate embedding"):
-        conormal(projection_32())
+def test_embedding_layout_refuses_non_embeddings():
+    with pytest.raises(UnsupportedModeError, match="coordinate-embedding"):
+        embedding_layout(projection_32())
     y = Poly.coord(R1, 0)
-    with pytest.raises(ValidationError, match="coordinate embedding"):
-        conormal(ChartMap(R1, R2, (y, y * y)))
+    with pytest.raises(UnsupportedModeError, match="coordinate-embedding"):
+        embedding_layout(ChartMap(R1, R2, (y, y * y)))
+
+
+def _map(source, target, *comps):
+    return ChartMap(source, target, tuple(parse_poly(c, source) for c in comps))
+
+
+def _split(f, q, conn):
+    """The exact-split inverse image of q along f, and its pulled connection."""
+    pb = pullback_courant(f, q, connection=conn)
+    return pb, pullback_connection(pb, conn)
+
+
+def _chain(phi, psi, q, conn=None):
+    """(inner, outer, target): psi+(phi+q), phi+q and (phi psi)+q, in
+    exact-split mode through conn and its pulled connection when conn is
+    given, else in the mode each map classifies to."""
+    if conn is None:
+        outer = pullback_courant(phi, q)
+        inner = pullback_courant(psi, outer.result)
+        return inner, outer, pullback_courant(phi.compose(psi), q)
+    outer, pulled = _split(phi, q, conn)
+    inner, _ = _split(psi, outer.result, pulled)
+    return inner, outer, pullback_courant(phi.compose(psi), q, connection=conn)
+
+
+def _courant_chain(name):
+    """The inner, outer and target presentations of one chain of two maps.
+
+    In "shear" the inner map is an invertible shear of an exact-split
+    outer image, so the comparison reaches the outer cotangent lines and
+    pulls their one-forms through a Jacobian that is not constant."""
+    twisted = standard_exact(R3, vol3("x1 + x2"))
+    surface = _map(R2, R3, "x1", "x2", "x1*x2")
+    if name == "exact-split":
+        return _chain(
+            surface,
+            _map(R1, R2, "y1", "y1^2"),
+            twisted,
+            coordinate_connection(twisted),
+        )
+    if name == "shear":
+        conn = coordinate_connection(twisted)
+        outer = pullback_courant(surface, twisted, connection=conn)
+        shear = _map(R2, R2, "x1", "x2 + x1^2")
+        inner = pullback_courant(shear, outer.result)
+        target = pullback_courant(surface.compose(shear), twisted, connection=conn)
+        return inner, outer, target
+    if name == "projections":
+        return _chain(_map(R2, R1, "x1"), projection_32(), standard_exact(R1))
+    return _chain(inclusion_23(), _map(R1, R2, "y1", "0"), standard_exact(R3))
+
+
+@pytest.mark.parametrize(
+    "name", ["exact-split", "shear", "projections", "embeddings"]
+)
+def test_courant_comparison_is_an_invertible_morphism(name):
+    inner, outer, target = _courant_chain(name)
+    matrix = comparison(inner, outer, target)
+    assert check_courant_morphism(inner.result, target.result, matrix).ok
+    assert left_inverse(matrix) is not None
+
+
+def test_courant_comparison_checks_its_chain():
+    inner, outer, target = _courant_chain("projections")
+    with pytest.raises(ValidationError, match="outer algebroid"):
+        comparison(inner, target, target)
+    with pytest.raises(ValidationError, match="different map"):
+        comparison(inner, outer, outer)
+
+
+def test_courant_comparison_is_associative_on_an_exact_split_chain():
+    """xi+(C(phi, psi)) then C(phi psi, xi) equals C(psi, xi) then
+    C(phi, psi xi), row by row on the unit sections over W."""
+    w = coordinate_chart("W", 1, prefix="w")
+    phi = _map(R2, R3, "x1", "x2", "x1*x2")
+    psi = _map(R1, R2, "y1", "y1^2")
+    xi = _map(w, R1, "w1^2 + w1")
+    q = standard_exact(R3, vol3("x1 + x2"))
+    conn = coordinate_connection(q)
+    p_phi, c_phi = _split(phi, q, conn)
+    p_psi, c_psi = _split(psi, p_phi.result, c_phi)
+    p_xi, _ = _split(xi, p_psi.result, c_psi)
+    p_phi_psi, c_phi_psi = _split(phi.compose(psi), q, conn)
+    p_xi_of_composite, _ = _split(xi, p_phi_psi.result, c_phi_psi)
+    p_psi_xi, _ = _split(psi.compose(xi), p_phi.result, c_phi)
+    p_full, _ = _split(phi.compose(psi.compose(xi)), q, conn)
+
+    cmatrix = comparison(p_psi, p_phi, p_phi_psi)
+    route1 = mat_mul(
+        pulled_morphism(p_xi, p_xi_of_composite, cmatrix),
+        comparison(p_xi_of_composite, p_phi_psi, p_full),
+        w,
+    )
+    route2 = mat_mul(
+        comparison(p_xi, p_psi, p_psi_xi),
+        comparison(p_psi_xi, p_phi, p_full),
+        w,
+    )
+    assert len(route1) == p_xi.result.rank
+    assert all(map(vec_eq, route1, route2))
 
 
 def graph_on_axis(form_scale="x1"):
