@@ -45,7 +45,9 @@ Submersion reads a square Jacobian, and Split its kernel frame, through the
 one polynomial left inverse linalg.left_inverse. classify_map asks the same
 shape questions before its unit-determinant test. Presentation is a basis
 of slot tuples, the relations it divides by, a reader, and the one reduce
-that checks every reading by rebuilding its input: both inverse images are
+that checks every reading by rebuilding its input (the zero element needs
+no reading, so the zero brackets that fill most pulled tables cost no
+reader call): both inverse images are
 Presentations ((tangent, section) pairs for Lie, (beta, u, eta) triples for
 Courant), and Combination, summands over one base whose lines are glued by
 weights, presents both Baer combinations. constant_complement picks
@@ -87,15 +89,40 @@ from algebroids.symcalc import Chart, ChartMap, Poly, VField
 Entry = Callable[[int, int], "Vec | None"]
 
 
+def require_chart(chart: Chart, *vecs: Sequence[Poly]) -> None:
+    """ChartMismatchError unless every entry of vecs lies on chart.
+
+    A shortcut that skips a zero or constant entry also skips the
+    arithmetic that would have refused it for lying on another chart, so
+    it makes this check instead."""
+    for vec in vecs:
+        for p in vec:
+            if p.chart is not chart and p.chart != chart:
+                raise ChartMismatchError("section entry on wrong chart")
+
+
 def leibniz_sum(
     rank: int, entry: Entry, u: Vec, w: Vec, xi: VField, eta: VField
 ) -> list[Poly]:
     """sum_ab u_a w_b entry(a, b) + xi(w_k) - eta(u_k), one entry per generator.
 
     entry(a, b) is the table vector of a generator pair, None when it is
-    zero; xi and eta stand for the anchors of u and w.
+    zero; xi and eta stand for the anchors of u and w. xi(w_k) is computed
+    only when xi is nonzero and w_k is not constant, since a derivation
+    kills constants and the zero field kills everything; likewise eta(u_k).
+    The chart check those skipped calls of VField.apply would have made is
+    made up front by require_chart.
     """
-    out = [xi.apply(w[k]) - eta.apply(u[k]) for k in range(rank)]
+    chart = xi.chart
+    require_chart(chart, u, w, eta.comps)
+    zero = Poly.zero(chart)
+    xi_on, eta_on = not xi.is_zero, not eta.is_zero
+    out = []
+    for k in range(rank):
+        term = xi.apply(w[k]) if xi_on and w[k].as_constant() is None else zero
+        if eta_on and u[k].as_constant() is None:
+            term = term - eta.apply(u[k])
+        out.append(term)
     for a in range(rank):
         if u[a].is_zero:
             continue
@@ -131,10 +158,13 @@ def pair_bracket(
 ) -> tuple[Vec, Vec]:
     """The bracket of two fibre-product pairs (tangent, section) over chart:
     the tangent bracket, and leibniz_sum with the tangents as anchors; entry
-    reads the pulled table."""
+    reads the pulled table. The tangent bracket is computed only when both
+    tangents are nonzero, being zero otherwise."""
     xi, eta = VField(chart, x[0]), VField(chart, y[0])
-    section = leibniz_sum(rank, entry, x[1], y[1], xi, eta)
-    return xi.bracket(eta).comps, tuple(section)
+    section = tuple(leibniz_sum(rank, entry, x[1], y[1], xi, eta))
+    if xi.is_zero or eta.is_zero:
+        return zero_vec(chart, chart.dim), section
+    return xi.bracket(eta).comps, section
 
 
 class AnchoredModule:
@@ -206,10 +236,7 @@ class AnchoredModule:
                 raise ValidationError(f"section of length {len(s)}, not rank {self.rank}")
         if not (vec_is_zero(u) or vec_is_zero(v)):
             return False
-        for s in (u, v):
-            for p in s:
-                if p.chart is not self.chart and p.chart != self.chart:
-                    raise ChartMismatchError("section entry on wrong chart")
+        require_chart(self.chart, u, v)
         return True
 
     def bracket(self, u: Vec, v: Vec) -> Vec:
@@ -719,7 +746,26 @@ class Presentation:
     def reduce(self, element: tuple[Vec, ...]) -> Vec:
         """The class coordinates of element; ValidationError when the
         reading does not rebuild it, the element being outside the fibre
-        product."""
+        product.
+
+        An element whose slot lengths are not sizes is refused before it is
+        read. The zero element, every entry zero on chart, is answered with
+        the zero class without the reader: zero lies in every fibre product,
+        and the zero class with no relation rebuilds it. Every other
+        element, a zero one on another chart included, is read and rebuilt.
+        """
+        lengths = tuple(map(len, element))
+        if lengths != self.sizes:
+            raise ValidationError(
+                f"element has slot lengths {lengths}, not {self.sizes}"
+            )
+        chart = self.chart
+        if all(
+            p.is_zero and (p.chart is chart or p.chart == chart)
+            for vec in element
+            for p in vec
+        ):
+            return zero_vec(chart, len(self.basis))
         cls, rel = self._read(element)
         got = self.expand(cls)
         if self.relations:

@@ -15,8 +15,10 @@ three layers:
     c_s is not a morphism.
 
 tautological_datum builds the canonical matrices for a standard-form
-structure whose twist the cover preserves; two_form_transform produces the
-shear automorphisms used to perturb such a datum.
+structure whose twist the cover preserves, and keeps the presentation of
+each cover map it built them on, so check_cocycle presents each map once;
+two_form_transform produces the shear automorphisms used to perturb such a
+datum.
 """
 
 from __future__ import annotations
@@ -103,9 +105,19 @@ class CoverData:
 
 @dataclass
 class DescentDatum:
+    """One matrix per cover map, and optionally the presentations of the
+    pulled structures they act on.
+
+    pulls[name], when given, must present the structure along the cover map
+    name; check_cocycle reuses it and presents the other maps itself.
+    """
+
     cover: CoverData
     structure: CourantData
     matrices: dict[str, Matrix]
+    pulls: dict[str, CourantPullback] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if self.structure.chart != self.cover.chart:
@@ -116,6 +128,16 @@ class DescentDatum:
             if len(m) != self.structure.rank:
                 raise ValidationError(
                     f"matrix {name!r} must have one row per generator"
+                )
+        for name, pb in self.pulls.items():
+            q = pb.source
+            if q is not self.structure and q != self.structure:
+                raise ValidationError(
+                    f"presentation {name!r} is not of the datum's structure"
+                )
+            if name not in self.cover.maps or pb.map != self.cover.maps[name]:
+                raise ValidationError(
+                    f"presentation {name!r} is not along the cover map {name!r}"
                 )
 
 
@@ -133,24 +155,25 @@ def tautological_datum(
     conn = connection if connection is not None else coordinate_connection(
         structure
     )
-    matrices = {}
+    matrices, pulls = {}, {}
     for name, f in cover.maps.items():
-        pb = pullback_courant(f, structure)
+        pb = pulls[name] = pullback_courant(f, structure)
         inverse = linalg.left_inverse(frame_matrix(pullback_connection(pb, conn)))
         if inverse is None:
             raise ValidationError(
                 f"the pulled frame of cover map {name!r} has no polynomial inverse"
             )
         matrices[name] = tuple(tuple(row) for row in inverse)
-    return DescentDatum(cover, structure, matrices)
+    return DescentDatum(cover, structure, matrices, pulls)
 
 
 def check_cocycle(datum: DescentDatum) -> Report:
     rep = Report()
     cover = datum.cover
     q = datum.structure
-    pulls: dict[str, CourantPullback] = {
-        name: pullback_courant(f, q) for name, f in sorted(cover.maps.items())
+    pulls = {
+        name: datum.pulls[name] if name in datum.pulls else pullback_courant(f, q)
+        for name, f in sorted(cover.maps.items())
     }
 
     def composition():

@@ -58,6 +58,7 @@ from algebroids.anchored import (
     constant_complement,
     pair_bracket,
     pulled_entries,
+    require_chart,
     resolve_mode,
     split_lifts,
 )
@@ -83,6 +84,7 @@ from algebroids.linalg import (
     vec_add,
     vec_eq,
     vec_is_zero,
+    vec_sub,
     zero_vec,
 )
 from algebroids.report import Report
@@ -187,19 +189,30 @@ class CourantPullback(Presentation):
         )
 
     def ambient_bracket(self, t1: Triple, t2: Triple) -> Triple:
+        """{t1, t2}, the bracket of the module docstring.
+
+        Each one-form term is built only when both slots it reads are
+        nonzero: L_{eta1} beta2 needs beta2 and eta1, i_{eta2} d beta1 needs
+        beta1 and eta2, and the pairing differential u1 and u2. Each term
+        vanishes when either of its slots does, so a skipped term is zero.
+        The one-form slots are chart-checked up front, as the skipped KForm
+        would have done; pair_bracket checks the others."""
         chart = self.chart
         beta1, u1, eta1 = t1
         beta2, u2, eta2 = t2
+        require_chart(chart, beta1, beta2)
         tangent, tensor = pair_bracket(
             chart, self.source.rank, self.pulled_structure, (eta1, u1), (eta2, u2)
         )
-        form = _one_form(chart, beta2).lie(VField(chart, eta1))
-        db1 = _one_form(chart, beta1).d().iota(VField(chart, eta2))
-        form = form + KForm(chart, 1, {(j,): -p for (j,), p in db1.comps.items()})
-        beta = vec_add(
-            _form_vec(form),
-            pairing_differential(self.pulled_pairing, u1, u2, chart),
-        )
+        beta = zero_vec(chart, chart.dim)
+        if not (vec_is_zero(u1) or vec_is_zero(u2)):
+            beta = pairing_differential(self.pulled_pairing, u1, u2, chart)
+        if not (vec_is_zero(beta2) or vec_is_zero(eta1)):
+            lie = _one_form(chart, beta2).lie(VField(chart, eta1))
+            beta = vec_add(beta, _form_vec(lie))
+        if not (vec_is_zero(beta1) or vec_is_zero(eta2)):
+            db1 = _one_form(chart, beta1).d().iota(VField(chart, eta2))
+            beta = vec_sub(beta, _form_vec(db1))
         return (beta, tensor, tangent)
 
 

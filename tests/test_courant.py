@@ -88,6 +88,20 @@ def test_bracket_with_a_zero_side_checks_chart_and_length(m):
                 m.bracket(*pair)
 
 
+@pytest.mark.parametrize("m", [standard_exact(R2), tangent_algebroid(R2)], ids=["courant", "lie"])
+def test_bracket_refuses_a_zero_or_constant_entry_on_another_chart(m):
+    """leibniz_sum skips the derivation terms of zero and constant entries,
+    and with them the chart check VField.apply made; the check is kept."""
+    rest = zero_vec(R2, m.rank - 2)
+    for foreign in (Poly.zero(R3), Poly.one(R3)):
+        bad = (Poly.coord(R2, 0), foreign) + rest
+        # Courant generators 2 and 3 have a zero anchor.
+        for a in range(m.rank):
+            for pair in ((bad, m.gen(a)), (m.gen(a), bad)):
+                with pytest.raises(ChartMismatchError):
+                    m.bracket(*pair)
+
+
 def test_twisted_standard_passes():
     for h in (vol3(), vol3("x1 + x2")):
         rep = check_courant(standard_exact(R3, h), samples=6, seed=5)

@@ -5,6 +5,7 @@ import pytest
 from algebroids.courant import (
     check_courant,
     check_courant_morphism,
+    scalar_multiple,
     standard_exact,
 )
 from algebroids.descent import (
@@ -16,6 +17,7 @@ from algebroids.descent import (
     two_form_transform,
 )
 from algebroids.errors import ChartMismatchError, ValidationError
+from algebroids.pullback import CourantPullback, pullback_courant
 from algebroids.symcalc import ChartMap, KForm, Poly, coordinate_chart
 
 COCYCLE_NAMES = ["cover_composition", "element_preservation", "triple_identity"]
@@ -125,10 +127,39 @@ def test_cover_and_datum_validation():
         DescentDatum(cover, q, {"one": tuple(q.gen(a) for a in range(4))})
 
 
+def test_datum_refuses_presentations_of_another_structure_or_map():
+    cover = parabola_cover()
+    q = standard_exact(R2)
+    datum = tautological_datum(cover, q)
+    pulls = datum.pulls
+    with pytest.raises(ValidationError, match="not along the cover map 's'"):
+        DescentDatum(cover, q, datum.matrices, {"s": pulls["s2"]})
+    with pytest.raises(ValidationError, match="not along the cover map 'ghost'"):
+        DescentDatum(cover, q, datum.matrices, {"ghost": pulls["s"]})
+    other = pullback_courant(cover.maps["s"], scalar_multiple(2, q))
+    with pytest.raises(ValidationError, match="not of the datum's structure"):
+        DescentDatum(cover, q, datum.matrices, {"s": other})
+
+
+def test_cocycle_presents_each_cover_map_once(monkeypatch):
+    """tautological_datum keeps the presentations it built, so with the
+    three triples' inner images one cocycle job makes 6, not 9."""
+    built = []
+    original = CourantPullback.__init__
+
+    def counted(self, f, q, *args):
+        built.append(f)
+        original(self, f, q, *args)
+
+    monkeypatch.setattr(CourantPullback, "__init__", counted)
+    cover = parabola_cover()
+    assert check_cocycle(tautological_datum(cover, standard_exact(R2))).ok
+    assert len(built) == 6
+    assert sorted(map(str, built[:3])) == sorted(map(str, cover.maps.values()))
+
+
 def test_pulled_structures_stay_courant():
     # the cocycle machinery leans on pullbacks; spot-check their axioms
-    from algebroids.pullback import pullback_courant
-
     cover = parabola_cover()
     q = standard_exact(R2)
     for f in cover.maps.values():

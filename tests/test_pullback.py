@@ -3,8 +3,10 @@ supported pushdowns and morphism graphs."""
 
 import dataclasses
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from algebroids import jsonio
 from algebroids.cli import main
@@ -26,12 +28,26 @@ from algebroids.dirac import (
     graph_of_two_form,
     support_inclusion,
 )
-from algebroids.errors import UnsupportedModeError, ValidationError
+from algebroids.errors import (
+    ChartMismatchError,
+    UnsupportedModeError,
+    ValidationError,
+)
 from algebroids.lie_algebroid import tangent_algebroid
 from algebroids.anchored import comparison, embedding_layout, pulled_morphism
-from algebroids.linalg import left_inverse, mat_mul, unit_vec, vec_eq
+from algebroids.linalg import (
+    left_inverse,
+    mat_mul,
+    pairing_differential,
+    unit_vec,
+    vec_add,
+    vec_eq,
+    vec_is_zero,
+    zero_vec,
+)
 from algebroids.pullback import (
     CourantPullback,
+    _cotangent,
     check_curvature_pullback,
     check_relation_absorption,
     check_twist_commute,
@@ -44,9 +60,12 @@ from algebroids.symcalc import (
     ChartMap,
     KForm,
     Poly,
+    VField,
     coordinate_chart,
     parse_poly,
 )
+
+from test_symcalc import polys
 
 R1 = coordinate_chart("L", 1, prefix="y")
 R2 = coordinate_chart("P", 2)
@@ -285,6 +304,156 @@ def test_reduce_rejects_triples_off_the_fiber_product():
     eta = (Poly.zero(R2), Poly.zero(R2))  # should be the anchor of gen 0
     with pytest.raises(ValidationError):
         pb.reduce((beta, u, eta))
+
+
+def presentations():
+    """One presentation of each map-driven mode, by name."""
+    q3 = standard_exact(R3, vol3("x1 + x2"))
+    return {
+        "shear": pullback_courant(shear_33(), q3),
+        "projection": pullback_courant(projection_32(), standard_exact(R2)),
+        "embedding": pullback_courant(inclusion_23(), q3),
+        "exact-split": pullback_courant(
+            shear_33(), q3, connection=coordinate_connection(q3)
+        ),
+    }
+
+
+PRESENTATIONS = presentations()
+
+
+def zero_element(pb, chart=None, sizes=None):
+    return tuple(zero_vec(chart or pb.chart, n) for n in sizes or pb.sizes)
+
+
+@pytest.mark.parametrize("pb", PRESENTATIONS.values(), ids=list(PRESENTATIONS))
+def test_reduce_answers_the_zero_element_without_the_reader(monkeypatch, pb):
+    read = pb._read
+
+    def refuse(element):
+        raise AssertionError("the reader was called")
+
+    monkeypatch.setattr(pb, "_read", refuse)
+    zero_class = zero_vec(pb.chart, len(pb.basis))
+    assert pb.reduce(zero_element(pb)) == zero_class
+    # The reading the shortcut stands for.
+    assert read(zero_element(pb))[0] == zero_class
+
+
+@pytest.mark.parametrize("pb", PRESENTATIONS.values(), ids=list(PRESENTATIONS))
+def test_reduce_refuses_a_zero_element_of_another_shape_or_chart(pb):
+    for s in range(len(pb.sizes)):
+        for step in (-1, 1):
+            sizes = list(pb.sizes)
+            sizes[s] += step
+            with pytest.raises(ValidationError, match="slot lengths"):
+                pb.reduce(zero_element(pb, sizes=sizes))
+    with pytest.raises((ValidationError, ChartMismatchError)):
+        pb.reduce(zero_element(pb, R4))
+
+
+def test_ambient_bracket_refuses_a_zero_or_constant_entry_on_another_chart():
+    """The skipped one-form terms and derivations made chart checks; an
+    entry of another chart in any slot still raises."""
+    pb = PRESENTATIONS["shear"]
+    rank = pb.source.rank
+    elements = [pb.basis[0], pb.basis[-1], zero_element(pb)]
+    for foreign in (Poly.zero(R4), Poly.one(R4)):
+        for t, s in product(elements, range(3)):
+            bad = list(t)
+            bad[s] = (foreign,) + tuple(t[s][1:])
+            for other in (pb.basis[0], _cotangent(R3, rank, 1), zero_element(pb)):
+                for pair in ((bad, other), (other, bad)):
+                    with pytest.raises(ChartMismatchError):
+                        pb.ambient_bracket(*pair)
+
+
+HYP_PRESENTATIONS = {
+    "R2": pullback_courant(ChartMap.identity(R2), standard_exact(R2)),
+    "R3": PRESENTATIONS["shear"],
+}
+
+
+@st.composite
+def triples(draw, pb):
+    """A triple whose slots are each zero with probability 1/2."""
+    slots = []
+    for size in pb.sizes:
+        if draw(st.booleans()):
+            slots.append(zero_vec(pb.chart, size))
+        else:
+            slots.append(tuple(draw(polys(pb.chart, max_terms=2)) for _ in range(size)))
+    return tuple(slots)
+
+
+def full_bracket(pb, t1, t2):
+    """The ambient bracket computed term by term from the module formula."""
+    chart, rank, dim = pb.chart, pb.source.rank, pb.chart.dim
+    (b1, u1, e1), (b2, u2, e2) = t1, t2
+    x1, x2 = VField(chart, e1), VField(chart, e2)
+
+    def one_form(c):
+        return KForm(chart, 1, {(j,): c[j] for j in range(dim)})
+
+    form = one_form(b2).lie(x1) - one_form(b1).d().iota(x2)
+    beta = vec_add(
+        tuple(form.component((j,)) for j in range(dim)),
+        pairing_differential(pb.pulled_pairing, u1, u2, chart),
+    )
+    section = []
+    for k in range(rank):
+        s = x1.apply(u2[k]) - x2.apply(u1[k])
+        for a, b in product(range(rank), repeat=2):
+            entry = pb.pulled_structure(a, b)
+            if entry is not None:
+                s = s + u1[a] * u2[b] * entry[k]
+        section.append(s)
+    return beta, tuple(section), x1.bracket(x2).comps
+
+
+@pytest.mark.parametrize("name", sorted(HYP_PRESENTATIONS))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_ambient_bracket_is_the_full_formula(name, data):
+    pb = HYP_PRESENTATIONS[name]
+    t1, t2 = data.draw(triples(pb)), data.draw(triples(pb))
+    got = pb.ambient_bracket(t1, t2)
+    assert all(map(vec_eq, got, full_bracket(pb, t1, t2)))
+
+
+@pytest.mark.parametrize(
+    "split, counts", [(False, (9, 0, 6)), (True, (9, 81, 6))], ids=["auto", "exact-split"]
+)
+def test_pulled_table_reads_only_nonzero_brackets(monkeypatch, split, counts):
+    """Op-count gate on the pulled table of a twisted shear: the reader sees
+    the 6 nonzero brackets of the 36 and the 3 cotangents of the coanchor,
+    and one-forms are built only for nonzero one-form terms (the auto mode
+    has none). Computing every zero bracket in full took 39 readings and
+    396 KForm builds in either mode."""
+    q = standard_exact(R3, vol3("x1 + x2"))
+    pb = pullback_courant(
+        shear_33(), q, connection=coordinate_connection(q) if split else None
+    )
+    reads, forms = [], []
+    read = pb._read
+
+    def counted_read(element):
+        reads.append(element)
+        return read(element)
+
+    original = KForm.__init__
+
+    def counted_form(self, *args, **kwargs):
+        forms.append(args)
+        original(self, *args, **kwargs)
+
+    pb._read = counted_read
+    monkeypatch.setattr(KForm, "__init__", counted_form)
+    table = pb.result.structure
+    monkeypatch.undo()
+    assert not any(all(map(vec_is_zero, element)) for element in reads)
+    assert len(reads) == len(table) + R3.dim
+    assert (len(reads), len(forms), len(table)) == counts
 
 
 def test_exact_split_needs_a_connection_and_an_exact_structure():
