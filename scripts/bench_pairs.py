@@ -1,11 +1,12 @@
 """Paired perfbench runs of two commits, written as one BENCH_<n>.json.
 
     python3 scripts/bench_pairs.py PARENT CHANGE --out BENCH_<n>.json
-        [--pairs constructions=5,battery=5,axioms=3] [--seed 11] [--seconds 30]
+        [--pairs constructions=5,battery=5,axioms@29=3] [--seed 11] [--seconds 30]
 
 Each commit is exported with git archive into a new temporary directory
-(under --workdir if given), so no worktree is registered. Pair i runs the
-parent first when i is odd; then each side makes one --trace 1 run.
+(under --workdir if given), so no worktree is registered. A workload runs
+with --seed unless its entry names one. Pair i runs the parent first when i
+is odd; then each side makes one --trace 1 run.
 """
 
 import argparse, io, json, os, platform, statistics, subprocess, sys, tarfile, tempfile
@@ -13,6 +14,7 @@ import argparse, io, json, os, platform, statistics, subprocess, sys, tarfile, t
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 METRICS = ("setup_s", "wall_s", "verdict_p50_s", "verdict_p90_s", "peak_rss_mb")
 SIDES = ("parent", "change")
+ORDER = "pair i runs the parent first when i is odd, the change first when i is even"
 
 
 def git(*args: str) -> bytes:
@@ -33,15 +35,14 @@ def summarise(pairs: list) -> dict:
         par, chg = ([p[s]["metrics"][m]["value"] for p in pairs] for s in SIDES)
         q1, _, q3 = statistics.quantiles(par, n=4, method="inclusive") if par[1:] else par * 3
         mp, mc = statistics.median(par), statistics.median(chg)
-        wins = sum(c < p for c, p in zip(chg, par))
         out[m] = {"parent_median": round(mp, 4), "change_median": round(mc, 4),
                   "change_vs_parent": round(mc / mp - 1, 4), "parent_iqr": round(q3 - q1, 4),
-                  "change_wins": f"{wins}/{len(pairs)}"}
+                  "change_wins": f"{sum(c < p for c, p in zip(chg, par))}/{len(pairs)}"}
     out["all_correct"] = all(p[s]["correct"] and not p[s]["failed"] for p in pairs for s in SIDES)
     return out
 
 
-def main(argv=None) -> int:
+def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent"), ap.add_argument("change"), ap.add_argument("--out", required=True)
     ap.add_argument("--pairs", default="constructions=5,battery=5,axioms=3")
@@ -49,32 +50,31 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=30)
     args = ap.parse_args(argv)
     commits = {s: git("rev-parse", ref).decode().strip() for s, ref in zip(SIDES, (args.parent, args.change))}
-    plan = [(w, int(n)) for w, n in (item.split("=") for item in args.pairs.split(","))]
     doc = {"command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
            **commits, "python": platform.python_version(), "platform": platform.platform(),
-           "nproc": len(os.sched_getaffinity(0)),
-           "order": "pair i runs the parent first when i is odd, the change first when i is even",
+           "nproc": len(os.sched_getaffinity(0)), "order": ORDER,
            "workloads": {}, "summary": {}, "traced": {}}
     with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
         trees = {s: os.path.join(tmp, s) for s in SIDES}
         for s in SIDES:
             with tarfile.open(fileobj=io.BytesIO(git("archive", commits[s]))) as tar:
                 tar.extractall(trees[s], filter="data")
-        for workload, n in plan:
-            key, pairs = f"{workload}@{args.seed}", []
-            for i in range(1, n + 1):
+        for item in args.pairs.split(","):
+            name, n = item.split("=")
+            workload, _, seed = name.partition("@")
+            seed, pairs = int(seed or args.seed), []
+            key = f"{workload}@{seed}"
+            for i in range(1, int(n) + 1):
                 pair = {"pair": i}
                 for s in SIDES if i % 2 else SIDES[::-1]:
-                    pair[s] = res = run(trees[s], workload, args.seed, args.seconds, 0)
+                    pair[s] = res = run(trees[s], workload, seed, args.seconds, 0)
                     print(f"{key} pair {i} {s}: wall_s {res['metrics']['wall_s']['value']:.3f}", file=sys.stderr)
                 pairs.append(pair)
             doc["workloads"][key], doc["summary"][key] = pairs, summarise(pairs)
-            doc["traced"][key] = {s: run(trees[s], workload, args.seed, args.seconds, 1) for s in SIDES}
+            doc["traced"][key] = {s: run(trees[s], workload, seed, args.seconds, 1) for s in SIDES}
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-    return 0
+        print(json.dumps(doc, indent=1), file=fh)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()
