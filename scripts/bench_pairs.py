@@ -1,29 +1,30 @@
 """Paired perfbench runs of two commits, written as one BENCH_<n>.json.
 
     python3 scripts/bench_pairs.py PARENT CHANGE --out BENCH_<n>.json
-        [--pairs constructions=5,battery=5,axioms@29=3] [--seed 11] [--seconds 30]
+        [--pairs constructions=5,battery=5,axioms@29=3] [--workdir DIR]
 
 Each commit is exported with git archive into a new temporary directory
 (under --workdir if given), so no worktree is registered. A workload runs
-with --seed unless its entry names one. Pair i runs the parent first when i
-is odd; then each side makes one --trace 1 run.
+with seed 11 unless its entry names one, for BENCHMARK.json's run_seconds.
+Pair i runs the parent first when i is odd; then each side traces one run.
 """
 
-import argparse, io, json, os, platform, statistics, subprocess, sys, tarfile, tempfile
+import argparse, io, json, os, pathlib, platform, statistics, subprocess, sys, tarfile, tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 METRICS = ("setup_s", "wall_s", "verdict_p50_s", "verdict_p90_s", "peak_rss_mb")
 SIDES = ("parent", "change")
 ORDER = "pair i runs the parent first when i is odd, the change first when i is even"
+SEED, SECONDS = 11, json.loads(pathlib.Path(ROOT, "BENCHMARK.json").read_text())["run_seconds"]
 
 
 def git(*args: str) -> bytes:
     return subprocess.run(["git", "-C", ROOT, *args], check=True, capture_output=True).stdout
 
 
-def run(tree: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run(tree: str, workload: str, seed: int, trace: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
-           str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+           str(seed), "--seconds", str(SECONDS), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=tree, check=True, capture_output=True, text=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
 
@@ -45,12 +46,10 @@ def summarise(pairs: list) -> dict:
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent"), ap.add_argument("change"), ap.add_argument("--out", required=True)
-    ap.add_argument("--pairs", default="constructions=5,battery=5,axioms=3")
-    ap.add_argument("--seed", type=int, default=11), ap.add_argument("--workdir")
-    ap.add_argument("--seconds", type=float, default=30)
+    ap.add_argument("--pairs", default="constructions=5,battery=5,axioms=3"), ap.add_argument("--workdir")
     args = ap.parse_args(argv)
     commits = {s: git("rev-parse", ref).decode().strip() for s, ref in zip(SIDES, (args.parent, args.change))}
-    doc = {"command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
+    doc = {"command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS:g} --trace 0",
            **commits, "python": platform.python_version(), "platform": platform.platform(),
            "nproc": len(os.sched_getaffinity(0)), "order": ORDER,
            "workloads": {}, "summary": {}, "traced": {}}
@@ -62,16 +61,16 @@ def main(argv=None) -> None:
         for item in args.pairs.split(","):
             name, n = item.split("=")
             workload, _, seed = name.partition("@")
-            seed, pairs = int(seed or args.seed), []
+            seed, pairs = int(seed or SEED), []
             key = f"{workload}@{seed}"
             for i in range(1, int(n) + 1):
                 pair = {"pair": i}
                 for s in SIDES if i % 2 else SIDES[::-1]:
-                    pair[s] = res = run(trees[s], workload, seed, args.seconds, 0)
+                    pair[s] = res = run(trees[s], workload, seed, 0)
                     print(f"{key} pair {i} {s}: wall_s {res['metrics']['wall_s']['value']:.3f}", file=sys.stderr)
                 pairs.append(pair)
             doc["workloads"][key], doc["summary"][key] = pairs, summarise(pairs)
-            doc["traced"][key] = {s: run(trees[s], workload, seed, args.seconds, 1) for s in SIDES}
+            doc["traced"][key] = {s: run(trees[s], workload, seed, 1) for s in SIDES}
     with open(args.out, "w", encoding="utf-8") as fh:
         print(json.dumps(doc, indent=1), file=fh)
 

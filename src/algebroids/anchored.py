@@ -107,14 +107,14 @@ def leibniz_sum(
     """sum_ab u_a w_b entry(a, b) + xi(w_k) - eta(u_k), one entry per generator.
 
     entry(a, b) is the table vector of a generator pair, None when it is
-    zero; xi and eta stand for the anchors of u and w. xi(w_k) is computed
-    only when xi is nonzero and w_k is not constant, since a derivation
-    kills constants and the zero field kills everything; likewise eta(u_k).
-    The chart check those skipped calls of VField.apply would have made is
-    made up front by require_chart.
+    zero; xi and eta, on one chart, stand for the anchors of u and w.
+    xi(w_k) is computed only when xi is nonzero and w_k is not constant,
+    since a derivation kills constants and the zero field kills everything;
+    likewise eta(u_k). The chart check those skipped calls of VField.apply
+    would have made on u and w is made up front by require_chart.
     """
     chart = xi.chart
-    require_chart(chart, u, w, eta.comps)
+    require_chart(chart, u, w)
     zero = Poly.zero(chart)
     xi_on, eta_on = not xi.is_zero, not eta.is_zero
     out = []

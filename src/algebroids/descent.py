@@ -105,18 +105,19 @@ class CoverData:
 
 @dataclass
 class DescentDatum:
-    """One matrix per cover map, and optionally the presentations of the
-    pulled structures they act on.
+    """One matrix per cover map.
 
-    pulls[name], when given, must present the structure along the cover map
-    name; check_cocycle reuses it and presents the other maps itself.
+    pulls is not an argument: tautological_datum fills it with the default
+    presentation of the structure along each cover map, which check_cocycle
+    reuses; a datum built any other way starts with none, and check_cocycle
+    presents every map itself.
     """
 
     cover: CoverData
     structure: CourantData
     matrices: dict[str, Matrix]
     pulls: dict[str, CourantPullback] = field(
-        default_factory=dict, compare=False, repr=False
+        init=False, default_factory=dict, compare=False, repr=False
     )
 
     def __post_init__(self):
@@ -128,16 +129,6 @@ class DescentDatum:
             if len(m) != self.structure.rank:
                 raise ValidationError(
                     f"matrix {name!r} must have one row per generator"
-                )
-        for name, pb in self.pulls.items():
-            q = pb.source
-            if q is not self.structure and q != self.structure:
-                raise ValidationError(
-                    f"presentation {name!r} is not of the datum's structure"
-                )
-            if name not in self.cover.maps or pb.map != self.cover.maps[name]:
-                raise ValidationError(
-                    f"presentation {name!r} is not along the cover map {name!r}"
                 )
 
 
@@ -164,7 +155,9 @@ def tautological_datum(
                 f"the pulled frame of cover map {name!r} has no polynomial inverse"
             )
         matrices[name] = tuple(tuple(row) for row in inverse)
-    return DescentDatum(cover, structure, matrices, pulls)
+    datum = DescentDatum(cover, structure, matrices)
+    datum.pulls = pulls
+    return datum
 
 
 def check_cocycle(datum: DescentDatum) -> Report:

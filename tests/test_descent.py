@@ -5,7 +5,6 @@ import pytest
 from algebroids.courant import (
     check_courant,
     check_courant_morphism,
-    scalar_multiple,
     standard_exact,
 )
 from algebroids.descent import (
@@ -125,20 +124,6 @@ def test_cover_and_datum_validation():
     q = standard_exact(R2)
     with pytest.raises(ValidationError):
         DescentDatum(cover, q, {"one": tuple(q.gen(a) for a in range(4))})
-
-
-def test_datum_refuses_presentations_of_another_structure_or_map():
-    cover = parabola_cover()
-    q = standard_exact(R2)
-    datum = tautological_datum(cover, q)
-    pulls = datum.pulls
-    with pytest.raises(ValidationError, match="not along the cover map 's'"):
-        DescentDatum(cover, q, datum.matrices, {"s": pulls["s2"]})
-    with pytest.raises(ValidationError, match="not along the cover map 'ghost'"):
-        DescentDatum(cover, q, datum.matrices, {"ghost": pulls["s"]})
-    other = pullback_courant(cover.maps["s"], scalar_multiple(2, q))
-    with pytest.raises(ValidationError, match="not of the datum's structure"):
-        DescentDatum(cover, q, datum.matrices, {"s": other})
 
 
 def test_cocycle_presents_each_cover_map_once(monkeypatch):
