@@ -1,12 +1,14 @@
 """Paired perfbench runs of two commits, written as one BENCH_<n>.json.
 
     python3 scripts/bench_pairs.py PARENT CHANGE --out BENCH_<n>.json
-        [--pairs constructions=5,battery=5,axioms@29=3] [--workdir DIR]
+        [--pairs constructions=10,battery=10,axioms@29=10] [--workdir DIR]
 
 Each commit is exported with git archive into a new temporary directory
 (under --workdir if given), so no worktree is registered. A workload runs
 with seed 11 unless its entry names one, for BENCHMARK.json's run_seconds.
-Pair i runs the parent first when i is odd; then each side traces one run.
+By default each workload gets 10 pairs, enough to set a median against the
+parent's quartile spread. Pair i runs the parent first when i is odd;
+then each side traces one run.
 """
 
 import argparse, io, json, os, pathlib, platform, statistics, subprocess, sys, tarfile, tempfile
@@ -46,7 +48,7 @@ def summarise(pairs: list) -> dict:
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent"), ap.add_argument("change"), ap.add_argument("--out", required=True)
-    ap.add_argument("--pairs", default="constructions=5,battery=5,axioms=3"), ap.add_argument("--workdir")
+    ap.add_argument("--pairs", default="constructions=10,battery=10,axioms=10"), ap.add_argument("--workdir")
     args = ap.parse_args(argv)
     commits = {s: git("rev-parse", ref).decode().strip() for s, ref in zip(SIDES, (args.parent, args.change))}
     doc = {"command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS:g} --trace 0",

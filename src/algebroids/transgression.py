@@ -38,7 +38,6 @@ from algebroids.linalg import (
     Vec,
     unit_vec,
     vec_add,
-    vec_eq,
     vec_is_zero,
     vec_sub,
     zero_vec,
@@ -221,39 +220,50 @@ def check_tau_rules(
     the truncation guard. No rule draws random elements: samples and seed
     are accepted and unused.
 
-    Every rule is evaluated through TauModule on the generator elements
-    e_a (in pair(e_a) and e_a*eps), dx_j*c, (dx_i^dx_j)*c and x_k*c, which
-    name its counterexamples. The bracket is additive in each argument, and
+    The evaluated rules run through TauModule on the generator elements
+    e_a (in pair(e_a) and e_a*eps), dx_j*c and (dx_i^dx_j)*c, which name
+    their counterexamples. The bracket is additive in each argument, and
     the branch of TauModule.bracket that computes a rule turns its defect
     into a Courant defect (check_courant names E3-E6 and M, N):
 
         rule                   case         defect                 lemma
-        rule_c_central         [x, c]       anchor(x)(1) = 0       linear
-        rule_one_form_rewrite  alpha*c      c(alpha) - c(alpha)    linear
+        rule_c_central         all orders   none                   definition
+        rule_one_form_rewrite  alpha*c      none                   definition
         rule_interior_action   one-form     E5(u, alpha)           L5
-                               two-form     0                      linear
-        rule_lie_action        function     0, a derivation in f   linear
-                               one-form     E4(u, alpha)           L8
-        rule_odd_pairing       (-1,-1)      0                      linear
-        rule_mixed_bracket     both orders  0                      linear
+        rule_lie_action        one-form     E4(u, alpha)           L8
+        rule_odd_pairing       (-1,-1)      none                   definition
+        rule_mixed_bracket     both orders  none                   definition
         graded_antisymmetry    (0,-1)       E6(u, v), omega drops  L6
-                               (-1,-1)      <u, v> - <v, u>        linear
-                               (0,-2)       0, a derivation in f   linear
         graded_jacobi          (0,-1,-1)    E3(u, v, w)            L7
                                             + E5(w, i_{anchor v} omega)
                                             + E5(v, i_{anchor w} omega)
+        truncation_guard       (0,0)        none                   definition
 
-    "linear" means function-linear in each element and a derivation in a
-    dressed function f, so the generator elements decide the case. L5 and
-    L6 are function-linear too. For L7 and L8 the generator cases come
-    first; then the probes x_k*e_a decide, and only those whose correction
-    can be nonzero are visited: E4(x_k e_a, dx_j) - x_k E4(e_a, dx_j)
-    = M[a][j] coanchor[k] - N[j]^k e_a, and E3(x_k e_a, e_b, e_c)
-    - x_k E3(e_a, e_b, e_c) = -(g_ab M[c][k] + g_ac M[b][k]). graded_jacobi
-    builds [x, e_b*eps] once per degree-0 element x and generator b, so it
-    takes r brackets of sections per element, not r^2; its defect is
-    symmetric in the two odd elements, as the pairing is, so it visits the
-    pairs b <= c only.
+    A "definition" rule restates the branch of TauModule.bracket that
+    computes it, so it holds for every structure and is recorded as a pass
+    without evaluation, as check_courant records eq2_leibniz_rule:
+    rule_c_central, because [x, f*c] applies an anchor to the constant 1,
+    the (-1,-2) branch returns zero and [f*c, x] negates [x, f*c];
+    rule_one_form_rewrite, because one_form_c is section_eps of coanchor_of;
+    rule_odd_pairing, because the (-1,-1) branch returns pairing_of;
+    rule_mixed_bracket, because on generators the (0,-1) branch returns the
+    table row and the (-1,0) branch that row minus c(dg_ab);
+    truncation_guard, because the (0,0) branch always raises. The same
+    holds for the cases the evaluated rules leave out: the two-form cases
+    of rule_interior_action, the dressed-function cases of rule_lie_action
+    and graded antisymmetry in degrees (-1,-1) and (0,-2). The test suite
+    evaluates every one of these cases through TauModule.bracket
+    (tests/test_transgression.py, test_definitional_rules_hold).
+
+    L5 and L6 are function-linear, so the generator elements decide them.
+    For L7 and L8 the generator cases come first; then the probes x_k*e_a
+    decide, and only those whose correction can be nonzero are visited:
+    E4(x_k e_a, dx_j) - x_k E4(e_a, dx_j) = M[a][j] coanchor[k] - N[j]^k e_a,
+    and E3(x_k e_a, e_b, e_c) - x_k E3(e_a, e_b, e_c)
+    = -(g_ab M[c][k] + g_ac M[b][k]). graded_jacobi builds [x, e_b*eps]
+    once per degree-0 element x and generator b, so it takes r brackets of
+    sections per element, not r^2; its defect is symmetric in the two odd
+    elements, as the pairing is, so it visits the pairs b <= c only.
     """
     rep = Report()
     tau = transgress(q)
@@ -262,57 +272,25 @@ def check_tau_rules(
     r, n = q.rank, chart.dim
     gens = [q.gen(a) for a in range(r)]
     M, N = generator_defects(q)
-    one = tau.function_c(Poly.one(chart))
     eps = [tau.section_eps(e) for e in gens]
     dx = [KForm.dx(chart, j) for j in range(n)]
-    two_forms = [
-        (f"d{coords[i]}^d{coords[j]}", KForm(chart, 2, {(i, j): Poly.one(chart)}))
-        for i, j in combinations(range(n), 2)
-    ]
     degree_zero = [(f"e{a}", tau.pair(e)) for a, e in enumerate(gens)]
-    degree_zero += [(label, tau.two_form_c(omega)) for label, omega in two_forms]
+    for i, j in combinations(range(n), 2):
+        omega = KForm(chart, 2, {(i, j): Poly.one(chart)})
+        degree_zero.append((f"d{coords[i]}^d{coords[j]}", tau.two_form_c(omega)))
 
     @cache
     def with_eps(i: int, b: int) -> TauElement:
         """[x, e_b*eps] for the i-th degree-0 element x; pair(e_a) is x_a."""
         return tau.bracket(degree_zero[i][1], eps[b])
 
-    @cache
-    def eps_with(b: int, i: int) -> TauElement:
-        """[e_b*eps, x] for the i-th degree-0 element x."""
-        return tau.bracket(eps[b], degree_zero[i][1])
-
-    def c_central():
-        for label, x in degree_zero:
-            if not tau.bracket(x, one).is_zero:
-                yield f"degree 0 against c: {label}"
-        for a in range(r):
-            if not tau.bracket(eps[a], one).is_zero:
-                yield f"degree -1 against c: e{a}"
-        for label, x in degree_zero:
-            if not tau.bracket(one, x).is_zero:
-                yield f"c against degree 0: {label}"
-
-    def one_form_rewrite():
-        for j in range(n):
-            if not vec_eq(tau.one_form_c(dx[j]).section, q.coanchor_of(dx[j])):
-                yield f"one-form rewrite: d{coords[j]}"
-
     def interior_action():
         for a, j in product(range(r), range(n)):
             got = tau.bracket(eps[a], tau.one_form_c(dx[j]))
             if got.c_part != dx[j].iota(q.anchor_of(gens[a])).as_poly():
                 yield f"against a dressed one-form: e{a}, d{coords[j]}"
-        for a, (label, omega) in product(range(r), two_forms):
-            got = tau.bracket(eps[a], tau.two_form_c(omega))
-            if got != tau.one_form_c(omega.iota(q.anchor_of(gens[a]))):
-                yield f"against a dressed two-form: e{a}, {label}"
 
     def lie_action():
-        for a, k in product(range(r), range(n)):
-            got = tau.bracket(tau.pair(gens[a]), tau.coordinate_c(k))
-            if got.c_part != q.anchor_of(gens[a]).apply(Poly.coord(chart, k)):
-                yield f"against a dressed function: e{a}, {coords[k]}"
         cases = [(f"e{a}", gens[a], j) for a, j in product(range(r), range(n))]
         for a, j, k in product(range(r), range(n), range(n)):
             if not (M[a][j].is_zero and N[j].comps[k].is_zero):
@@ -322,31 +300,11 @@ def check_tau_rules(
             if got != tau.one_form_c(dx[j].lie(q.anchor_of(u))):
                 yield f"against a dressed one-form: {label}, d{coords[j]}"
 
-    def odd_pairing():
-        for a, b in product(range(r), repeat=2):
-            if tau.bracket(eps[a], eps[b]).c_part != q.pairing_of(gens[a], gens[b]):
-                yield f"e{a}, e{b}"
-
-    def mixed_bracket():
-        for a, b in product(range(r), repeat=2):
-            expected = q.bracket_gen(a, b)
-            if not vec_eq(with_eps(a, b).section, expected):
-                yield f"e{a}, e{b}"
-            d_pairing = KForm.from_poly(-q.pairing[a][b]).d()
-            if eps_with(a, b) != tau.one_form_c(d_pairing) + tau.section_eps(expected):
-                yield f"opposite order: e{a}, e{b}"
-
     def graded_antisymmetry():
-        for (i, (label, _)), b in product(enumerate(degree_zero), range(r)):
-            if not vec_is_zero(vec_add(with_eps(i, b).section, eps_with(b, i).section)):
+        for (i, (label, x)), b in product(enumerate(degree_zero), range(r)):
+            back = tau.bracket(eps[b], x).section
+            if not vec_is_zero(vec_add(with_eps(i, b).section, back)):
                 yield f"degrees (0,-1): {label}, e{b}"
-        for a, b in product(range(r), repeat=2):
-            if tau.bracket(eps[a], eps[b]).c_part != tau.bracket(eps[b], eps[a]).c_part:
-                yield f"degrees (-1,-1): e{a}, e{b}"
-        for (label, x), k in product(degree_zero, range(n)):
-            fc = tau.coordinate_c(k)
-            if tau.bracket(x, fc).c_part != -tau.bracket(fc, x).c_part:
-                yield f"degrees (0,-2): {label}, {coords[k]}"
 
     def graded_jacobi():
         paired = {
@@ -373,22 +331,15 @@ def check_tau_rules(
                 if lhs != rhs:
                     yield f"degrees (0,-1,-1): {label}, e{b}, e{c}"
 
-    def truncation_guard():
-        try:
-            tau.bracket(tau.pair(q.gen(0)), tau.pair(q.gen(0)))
-        except TruncationError:
-            return
-        yield "degree (0,0) bracket did not raise"
-
-    rep.check("rule_c_central", c_central())
-    rep.check("rule_one_form_rewrite", one_form_rewrite())
+    rep.add("rule_c_central", True)
+    rep.add("rule_one_form_rewrite", True)
     rep.check("rule_interior_action", interior_action())
     rep.check("rule_lie_action", lie_action())
-    rep.check("rule_odd_pairing", odd_pairing())
-    rep.check("rule_mixed_bracket", mixed_bracket())
+    rep.add("rule_odd_pairing", True)
+    rep.add("rule_mixed_bracket", True)
     rep.check("graded_antisymmetry", graded_antisymmetry())
     rep.check("graded_jacobi", graded_jacobi())
-    rep.check("truncation_guard", truncation_guard())
+    rep.add("truncation_guard", True)
     return rep
 
 

@@ -1,5 +1,7 @@
 """Transgressed bracket tables: rules, round trips, and linearity."""
 
+from itertools import combinations, product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +17,8 @@ from algebroids.courant import (
 from algebroids.errors import TruncationError, ValidationError
 from algebroids.symcalc import KForm, Poly, coordinate_chart, parse_poly
 from algebroids.transgression import (
+    TauElement,
+    TauModule,
     check_tau_rules,
     check_transgression_linear,
     courant_from_transgression,
@@ -239,6 +243,102 @@ def test_exact_rules_on_every_standard_r2_mutant():
         for idx in ((0, 0), (0, 1), (1, 1))
         for delta in ("1", "-1")
     ]
+
+
+def definitional_failures(q):
+    """The cases check_tau_rules records without evaluation, each evaluated
+    through TauModule.bracket on the generator elements of q: the labels of
+    those that do not hold."""
+    tau = transgress(q)
+    chart, r, n = q.chart, q.rank, q.chart.dim
+    gens = [q.gen(a) for a in range(r)]
+    eps = [tau.section_eps(e) for e in gens]
+    flat = [tau.pair(e) for e in gens]
+    one = tau.function_c(Poly.one(chart))
+    two_forms = [
+        KForm(chart, 2, {(i, j): Poly.one(chart)})
+        for i, j in combinations(range(n), 2)
+    ]
+    degree_zero = flat + [tau.two_form_c(omega) for omega in two_forms]
+    fc = [tau.coordinate_c(k) for k in range(n)]
+    for i, x in enumerate(degree_zero):
+        yield f"[x{i}, c]", tau.bracket(x, one).is_zero
+        yield f"[c, x{i}]", tau.bracket(one, x).is_zero
+        for k in range(n):
+            fx = tau.bracket(fc[k], x)
+            yield f"(0,-2) x{i}, x{k + 1}", (fx + tau.bracket(x, fc[k])).is_zero
+        for j, y in enumerate(degree_zero):
+            try:
+                tau.bracket(x, y)
+                yield f"(0,0) x{i}, x{j}", False
+            except TruncationError:
+                pass
+    for j in range(n):
+        yield f"rewrite dx{j + 1}", tau.one_form_c(KForm.dx(chart, j)) == (
+            tau.section_eps(q.coanchor[j])
+        )
+    for a, k in product(range(r), range(n)):
+        got = tau.bracket(flat[a], fc[k])
+        yield f"[e{a}, x{k + 1}*c]", got == tau.function_c(q.anchor[a][k])
+    for a, omega in product(range(r), two_forms):
+        got = tau.bracket(eps[a], tau.two_form_c(omega))
+        yield f"[e{a}*eps, {omega}]", got == tau.one_form_c(
+            omega.iota(q.anchor_of(gens[a]))
+        )
+    for a in range(r):
+        yield f"[e{a}*eps, c]", tau.bracket(eps[a], one).is_zero
+    for a, b in product(range(r), repeat=2):
+        paired = tau.bracket(eps[a], eps[b])
+        yield f"pairing e{a}, e{b}", paired == tau.function_c(q.pairing[a][b])
+        yield f"(-1,-1) e{a}, e{b}", paired == tau.bracket(eps[b], eps[a])
+        row = q.bracket_gen(a, b)
+        yield f"[e{a}, e{b}*eps]", tau.bracket(flat[a], eps[b]) == tau.section_eps(row)
+        d_pairing = KForm.from_poly(-q.pairing[a][b]).d()
+        yield f"[e{a}*eps, e{b}]", tau.bracket(eps[a], flat[b]) == (
+            tau.one_form_c(d_pairing) + tau.section_eps(row)
+        )
+
+
+def test_definitional_rules_hold():
+    """What check_tau_rules records without evaluation holds: c-centrality
+    in all three orders, the one-form rewrite, the odd pairing, the mixed
+    bracket in both orders, the truncation guard, the interior action on
+    dressed two-forms, the Lie action on dressed functions, and graded
+    antisymmetry in degrees (-1,-1) and (0,-2). Standard R1-R3, R3 twisted,
+    and every mutant of test_exact_rules_on_every_standard_r2_mutant."""
+    from test_acceptance import _perturbed
+    from test_courant import _mutants
+
+    structures = [standard_exact(R) for R in (R1, R2, R3)]
+    structures.append(standard_exact(R3, vol3()))
+    q = standard_exact(R2)
+    one, x1, x2 = Poly.one(R2), Poly.coord(R2, 0), Poly.coord(R2, 1)
+    mutants = _mutants(q, (one, -one, x1, x2), (one, x1))
+    assert len(mutants) == 232
+    structures += [_perturbed(q, *mutant) for mutant in mutants]
+    for q in structures:
+        assert [label for label, ok in definitional_failures(q) if not ok] == []
+
+
+def test_tau_rules_evaluate_only_the_cases_that_can_fail(monkeypatch):
+    """TauModule.bracket calls and TauElement constructions of one
+    check_tau_rules on twisted R3; recording the definitional rules without
+    evaluation took them from 991 and 1,290."""
+    counts = {"bracket": 0, "element": 0}
+    bracket, post_init = TauModule.bracket, TauElement.__post_init__
+
+    def counted_bracket(self, x, y):
+        counts["bracket"] += 1
+        return bracket(self, x, y)
+
+    def counted_post_init(self):
+        counts["element"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(TauModule, "bracket", counted_bracket)
+    monkeypatch.setattr(TauElement, "__post_init__", counted_post_init)
+    assert check_tau_rules(standard_exact(R3, vol3())).ok
+    assert counts == {"bracket": 732, "element": 819}
 
 
 @given(courant_data(), st.data())
