@@ -242,7 +242,7 @@ def check_tau_rules(
     A "definition" rule restates the branch of TauModule.bracket that
     computes it, so it holds for every structure and is recorded as a pass
     without evaluation, as check_courant records eq2_leibniz_rule:
-    rule_c_central, because [x, f*c] applies an anchor to the constant 1,
+    rule_c_central, because [x, c] applies an anchor to the constant 1,
     the (-1,-2) branch returns zero and [f*c, x] negates [x, f*c];
     rule_one_form_rewrite, because one_form_c is section_eps of coanchor_of;
     rule_odd_pairing, because the (-1,-1) branch returns pairing_of;
