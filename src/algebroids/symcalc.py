@@ -12,8 +12,8 @@ objects are deliberately small and closed:
 * `VField` — polynomial vector field, one `Poly` per coordinate.
 * `KForm` — polynomial differential k-form, components indexed by strictly
   increasing coordinate index tuples.
-* `ChartMap` — polynomial map between charts, with pullback/pushforward
-  helpers. A map whose components are source coordinates or zero (an
+* `ChartMap` — polynomial map between charts, with pullbacks and a
+  Jacobian. A map whose components are source coordinates or zero (an
   inclusion, projection, relabelling or their mixtures; `ChartMap.slots`)
   pulls a polynomial back by moving its exponents (along the identity it
   returns the polynomial itself); any other map substitutes its
@@ -22,17 +22,18 @@ objects are deliberately small and closed:
 A fixed total-degree cap, `MAX_DEGREE` = 16, aborts runaway products early
 with `DegreeOverflowError`.
 
-Expression grammar (used by `parse_expr` and the printers)::
+Polynomial grammar (read by `parse_expr`, written by `poly_str`)::
 
-    rational    ::= int | int "/" posint
-    monomial    ::= rational ("*" coordfactor)* | coordfactor ("*" coordfactor)*
-    coordfactor ::= name ("^" posint)?
+    polynomial  ::= "-"? monomial (("+" | "-") monomial)*
+    monomial    ::= factor ("*" factor)*
+    factor      ::= int ("/" posint)? | name ("^" posint)?
 
-Form generators are written ``dx1`` and joined with ``^`` (``dx1^dx2``);
-vector field generators are written ``d/dx1``; sums use ``+`` and ``-``;
-whitespace is insignificant. Printing is canonical (graded-lexicographic
-term order, components in increasing index order), so ``parse ∘ print`` is
-the identity and ``print ∘ parse`` canonicalizes.
+A name is a chart coordinate; whitespace is insignificant. Printing is
+canonical (graded-lexicographic term order), so ``parse ∘ print`` is the
+identity on polynomials and ``print ∘ parse`` canonicalizes. Vector fields
+and forms are only printed, never parsed: a field as a sum of
+``coefficient*d/dx1`` terms, a form as one of ``coefficient*dx1^dx2``
+terms, components in increasing index order.
 """
 
 from __future__ import annotations
@@ -69,9 +70,9 @@ def _frac(x) -> int | Fraction:
 class Chart:
     """A polynomial coordinate chart: a name plus ordered coordinate labels.
 
-    Coordinate labels must be identifiers and must not start with "d" (that
-    prefix is reserved for the dx / d-slash-dx generator tokens of the
-    expression grammar).
+    Coordinate labels must be identifiers and must not start with "d", so
+    that a printed field (``d/dx1``) or form (``dx1^dx2``) never reads as
+    a coordinate.
     """
 
     name: str
@@ -913,42 +914,6 @@ class ChartMap:
             [c.diff(i) for i in range(self.source.dim)] for c in self.comps
         ]
 
-    def dmap(self, v: VField) -> tuple[Poly, ...]:
-        """Pushforward along the map: component j is v applied to comps[j].
-
-        The result is a tangent vector along the map — a tuple of source
-        polynomials, one per target coordinate.
-        """
-        if v.chart != self.source:
-            raise ChartMismatchError("dmap argument on wrong chart")
-        return tuple(v.apply(c) for c in self.comps)
-
-    def dmap_dual(self, coeffs: Sequence[Poly]) -> KForm:
-        """Dual of dmap on a fiberwise covector along the map.
-
-        coeffs[j] (a source polynomial) is the coefficient of the j-th target
-        coordinate differential; the result is sum_j coeffs[j] * d(comps[j]),
-        a 1-form on the source.
-        """
-        if len(coeffs) != self.target.dim:
-            raise ValidationError("dmap_dual needs one coefficient per target coordinate")
-        out = KForm.zero(self.source, 1)
-        for j, a in enumerate(coeffs):
-            if a.chart != self.source:
-                raise ChartMismatchError("dmap_dual coefficient on wrong chart")
-            if a.is_zero:
-                continue
-            df = KForm(
-                self.source,
-                1,
-                {
-                    (i,): self.comps[j].diff(i)
-                    for i in range(self.source.dim)
-                },
-            )
-            out = out + df.scale(a)
-        return out
-
     def pullback_form(self, w: KForm) -> KForm:
         """Pull a differential form on the target back to the source."""
         if w.chart != self.target:
@@ -958,14 +923,7 @@ class ChartMap:
         out = KForm.zero(self.source, w.degree)
         if w.degree > self.source.dim:
             return out
-        dcomps = [
-            KForm(
-                self.source,
-                1,
-                {(i,): c.diff(i) for i in range(self.source.dim)},
-            )
-            for c in self.comps
-        ]
+        dcomps = [KForm.from_poly(c).d() for c in self.comps]
         for idx, p in w.comps.items():
             piece = KForm.from_poly(self.pull(p))
             for j in idx:
@@ -1009,17 +967,8 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-@dataclass
-class _Term:
-    coeff: int | Fraction
-    exps: dict  # coord index -> power
-    gen: tuple | None  # ("form", [indices]) | ("vec", index)
-    pos: int
-
-
 class _Parser:
     def __init__(self, text: str, chart: Chart):
-        self.text = text
         self.chart = chart
         self.tokens = _tokenize(text)
         self.i = 0
@@ -1039,8 +988,8 @@ class _Parser:
             raise ParseError(f"expected {what}", tok.pos)
         return int(tok.text)
 
-    def parse(self) -> list[_Term]:
-        terms = []
+    def parse(self) -> Poly:
+        out = Poly.zero(self.chart)
         negate = False
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
@@ -1049,20 +998,18 @@ class _Parser:
         if self.peek().kind == "end":
             raise ParseError("empty expression", self.peek().pos)
         while True:
-            terms.append(self.parse_term(negate))
+            out = out + self.parse_term(negate)
             tok = self.advance()
             if tok.kind == "end":
-                return terms
+                return out
             if tok.kind == "op" and tok.text in "+-":
                 negate = tok.text == "-"
                 continue
             raise ParseError(f"expected '+' or '-', got {tok.text!r}", tok.pos)
 
-    def parse_term(self, negate: bool) -> _Term:
+    def parse_term(self, negate: bool) -> Poly:
         coeff = -1 if negate else 1
-        exps: dict = {}
-        gen = None
-        start = self.peek().pos
+        exps = [0] * self.chart.dim
         while True:
             tok = self.advance()
             if tok.kind == "int":
@@ -1076,54 +1023,16 @@ class _Parser:
                     val = Fraction(int(tok.text), den)
                 coeff *= val
             elif tok.kind == "name":
-                name = tok.text
+                if tok.text not in self.chart.coords:
+                    raise ParseError(f"unknown name {tok.text!r}", tok.pos)
+                power = 1
                 nxt = self.peek()
-                if name == "d" and nxt.kind == "op" and nxt.text == "/":
+                if nxt.kind == "op" and nxt.text == "^":
                     self.advance()
-                    gtok = self.advance()
-                    if not (
-                        gtok.kind == "name"
-                        and gtok.text.startswith("d")
-                        and gtok.text[1:] in self.chart.coords
-                    ):
-                        raise ParseError(
-                            "expected a coordinate generator after 'd/'", gtok.pos
-                        )
-                    if gen is not None:
-                        raise ParseError("more than one generator in a term", tok.pos)
-                    gen = ("vec", self.chart.index(gtok.text[1:]))
-                elif name in self.chart.coords:
-                    idx = self.chart.index(name)
-                    power = 1
-                    if nxt.kind == "op" and nxt.text == "^":
-                        self.advance()
-                        power = self.expect_int("a positive integer exponent")
-                        if power == 0:
-                            raise ParseError("exponent must be positive", nxt.pos)
-                    exps[idx] = exps.get(idx, 0) + power
-                elif name.startswith("d") and name[1:] in self.chart.coords:
-                    if gen is not None:
-                        raise ParseError("more than one generator in a term", tok.pos)
-                    indices = [self.chart.index(name[1:])]
-                    while True:
-                        nxt = self.peek()
-                        after = self.tokens[self.i + 1] if nxt.kind == "op" else None
-                        if (
-                            nxt.kind == "op"
-                            and nxt.text == "^"
-                            and after is not None
-                            and after.kind == "name"
-                            and after.text.startswith("d")
-                            and after.text[1:] in self.chart.coords
-                        ):
-                            self.advance()
-                            gtok = self.advance()
-                            indices.append(self.chart.index(gtok.text[1:]))
-                        else:
-                            break
-                    gen = ("form", indices)
-                else:
-                    raise ParseError(f"unknown name {name!r}", tok.pos)
+                    power = self.expect_int("a positive integer exponent")
+                    if power == 0:
+                        raise ParseError("exponent must be positive", nxt.pos)
+                exps[self.chart.index(tok.text)] += power
             else:
                 raise ParseError(
                     f"expected a factor, got {tok.text!r}" if tok.text else "unexpected end of input",
@@ -1133,77 +1042,18 @@ class _Parser:
             if nxt.kind == "op" and nxt.text == "*":
                 self.advance()
                 continue
-            return _Term(coeff, exps, gen, start)
+            return Poly(self.chart, {tuple(exps): coeff})
 
 
-def _term_monomial(chart: Chart, term: _Term) -> Poly:
-    exps = tuple(term.exps.get(i, 0) for i in range(chart.dim))
-    return Poly(chart, {exps: term.coeff})
+def parse_expr(text: str, chart: Chart) -> Poly:
+    """Parse a polynomial on the chart.
 
-
-def parse_expr(text: str, chart: Chart):
-    """Parse an expression into a Poly, VField, or KForm on the chart.
-
-    The result type is inferred from the generators present: d/dx-terms give
-    a vector field, dx-terms a form (all terms must agree in degree), and
-    plain terms a polynomial. Raises ParseError with a position on bad input.
+    Raises ParseError with a position on bad input; a field or form
+    generator such as ``dx1`` or ``d/dx1`` is an unknown name.
     """
-    terms = _Parser(text, chart).parse()
-    kinds = {t.gen[0] for t in terms if t.gen is not None}
-    if not kinds:
-        out = Poly.zero(chart)
-        for t in terms:
-            out = out + _term_monomial(chart, t)
-        return out
-    if len(kinds) > 1:
-        raise ParseError("cannot mix vector and form generators", terms[0].pos)
-    if "vec" in kinds:
-        comps = [Poly.zero(chart) for _ in range(chart.dim)]
-        for t in terms:
-            if t.gen is None:
-                raise ParseError("scalar term in a vector field expression", t.pos)
-            comps[t.gen[1]] = comps[t.gen[1]] + _term_monomial(chart, t)
-        return VField(chart, comps)
-    degrees = set()
-    for t in terms:
-        if t.gen is None:
-            raise ParseError("scalar term in a form expression", t.pos)
-        degrees.add(len(t.gen[1]))
-    if len(degrees) > 1:
-        raise ParseError("mixed form degrees in one expression", terms[0].pos)
-    out = KForm(chart, degrees.pop())
-    out.comps = _form_comps((tuple(t.gen[1]), _term_monomial(chart, t)) for t in terms)
-    return out
+    return _Parser(text, chart).parse()
 
 
 def parse_poly(text: str, chart: Chart) -> Poly:
-    out = parse_expr(text, chart)
-    if isinstance(out, Poly):
-        return out
-    raise ParseError("expected a polynomial expression", 0)
-
-
-def parse_vfield(text: str, chart: Chart) -> VField:
-    out = parse_expr(text, chart)
-    if isinstance(out, VField):
-        return out
-    if isinstance(out, Poly) and out.is_zero:
-        return VField.zero(chart)
-    raise ParseError("expected a vector field expression", 0)
-
-
-def parse_kform(text: str, chart: Chart, degree: int | None = None) -> KForm:
-    out = parse_expr(text, chart)
-    if isinstance(out, Poly):
-        if degree is None or degree == 0:
-            return KForm.from_poly(out)
-        if out.is_zero:
-            return KForm.zero(chart, degree)
-        raise ParseError(f"expected a {degree}-form", 0)
-    if isinstance(out, KForm):
-        if degree is not None and out.degree != degree:
-            raise ParseError(
-                f"expected a {degree}-form, got a {out.degree}-form", 0
-            )
-        return out
-    raise ParseError("expected a form expression", 0)
+    """The polynomial a spec writes as text (see parse_expr)."""
+    return parse_expr(text, chart)

@@ -256,10 +256,17 @@ def test_missing_field_exits_two(tmp_path):
 
 
 def test_bad_polynomial_exits_two_with_position(tmp_path, capsys):
-    spec = {"structure": jsonio.courant_to_json(Q2)}
-    spec["structure"]["anchor"][0][0] = "x1 +"
-    assert main(["check-courant", "--spec", write_job(tmp_path, spec)]) == 2
-    assert "position" in capsys.readouterr().err
+    # A spec gives fields and forms as components, so their printed
+    # generators are no polynomial text.
+    for text, message in (
+        ("x1 +", "position 4: unexpected end of input"),
+        ("dx1", "position 0: unknown name 'dx1'"),
+        ("d/dx1", "position 0: unknown name 'd'"),
+    ):
+        spec = {"structure": jsonio.courant_to_json(Q2)}
+        spec["structure"]["anchor"][0][0] = text
+        assert main(["check-courant", "--spec", write_job(tmp_path, spec)]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_verb_flag_spelling(tmp_path):

@@ -1,6 +1,7 @@
 """Source hygiene: every name a package module imports is used in it, every
-name it defines is named somewhere else, and only symcalc and linalg touch
-the term dictionary of a polynomial.
+name it defines is named somewhere else, only symcalc and linalg touch the
+term dictionary of a polynomial, and only symcalc and jsonio name the
+polynomial parser.
 
 A module-level name is used when the module's syntax tree loads it; names
 read only inside string annotations do not count. An import line marked
@@ -13,6 +14,9 @@ Python files under src/, tests/ or perfbench/ other than its own def line.
 The term dictionary (Poly.terms) is the storage format of symcalc, which
 owns it; linalg reads it to match coefficients. Every other module goes
 through Poly and ChartMap, so a change of format touches those two only.
+Likewise text enters the program only through jsonio, which reads specs
+with symcalc's parser (parse_poly, parse_expr); every other module is given
+polynomials.
 
 The README does not drift from the code: every code name it puts in
 backticks (an identifier, dotted or called, such as `ChartMap.slots` or
@@ -164,6 +168,50 @@ def test_only_symcalc_and_linalg_touch_the_term_dictionary():
         path.name: term_dictionary_uses(path.read_text(encoding="utf-8"))
         for path in sorted(SRC.glob("*.py"))
         if path.name not in TERM_OWNERS
+    }
+    assert {name: lines for name, lines in uses.items() if lines} == {}
+
+
+PARSER_OWNERS = ("symcalc.py", "jsonio.py")
+PARSERS = {"parse_poly", "parse_expr"}
+
+
+def parser_uses(source: str) -> list[int]:
+    """The lines where the source imports, loads or reads as an attribute
+    a name of the polynomial parser."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name in PARSERS:
+            out.append(node.lineno)
+    return sorted(out)
+
+
+def test_the_parser_gate_flags_an_import_a_call_and_an_attribute():
+    source = (
+        "from algebroids.symcalc import (\n"
+        "    parse_poly,\n"
+        ")\n"
+        "import algebroids.symcalc as s\n"
+        "# parse_expr in a comment, and in a 'parse_expr' string\n"
+        "p = parse_poly('x1', c)\n"
+        "q = s.parse_expr('x1', c)\n"
+    )
+    assert parser_uses(source) == [2, 6, 7]
+
+
+def test_only_symcalc_and_jsonio_name_the_parser():
+    uses = {
+        path.name: parser_uses(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.glob("*.py"))
+        if path.name not in PARSER_OWNERS
     }
     assert {name: lines for name, lines in uses.items() if lines} == {}
 

@@ -48,6 +48,17 @@ def vol3(scale="1"):
     return KForm(R3, 3, {(0, 1, 2): parse_poly(scale, R3)})
 
 
+def standard_r2_mutants():
+    """(where, idx, delta) of +1, -1, +x1 and +x2 on one anchor, coanchor or
+    pairing entry and +1 or +x1 on one table entry of standard R2."""
+    from test_courant import _mutants
+
+    one, x1, x2 = Poly.one(R2), Poly.coord(R2, 0), Poly.coord(R2, 1)
+    mutants = _mutants(standard_exact(R2), (one, -one, x1, x2), (one, x1))
+    assert len(mutants) == 232
+    return mutants
+
+
 def round_trip_cases():
     return [
         standard_exact(R1),
@@ -61,8 +72,14 @@ def round_trip_cases():
 
 
 def test_round_trip_recovers_structure():
+    """Evaluates what tau-roundtrip records as roundtrip_exact without
+    evaluation, on the standard-R2 mutants too."""
+    from test_acceptance import _perturbed
+
     cases = round_trip_cases()
     assert len(cases) >= 6
+    q = standard_exact(R2)
+    cases += [_perturbed(q, *mutant) for mutant in standard_r2_mutants()]
     for q in cases:
         assert courant_from_transgression(transgress(q)) == q
 
@@ -220,20 +237,15 @@ def test_transgression_of_rebuilt_structure_checks_out():
 
 
 def test_exact_rules_on_every_standard_r2_mutant():
-    """+1, -1, +x1 and +x2 on one anchor, coanchor or pairing entry and +1
-    or +x1 on one table entry of standard R2. Each rule restates a Courant
-    defect (the table in check_tau_rules), so the survivors are the mutants
-    on which eq3-eq6 hold: the constant shifts of the pairing's tangent
-    block, as in the check_courant batteries."""
+    """Each rule restates a Courant defect (the table in check_tau_rules),
+    so the survivors among standard_r2_mutants are the mutants on which
+    eq3-eq6 hold: the constant shifts of the pairing's tangent block, as in
+    the check_courant batteries."""
     from test_acceptance import _perturbed
-    from test_courant import _mutants
 
     q = standard_exact(R2)
-    one, x1, x2 = Poly.one(R2), Poly.coord(R2, 0), Poly.coord(R2, 1)
-    mutants = _mutants(q, (one, -one, x1, x2), (one, x1))
-    assert len(mutants) == 232
     survivors = []
-    for where, idx, delta in mutants:
+    for where, idx, delta in standard_r2_mutants():
         mutant = _perturbed(q, where, idx, delta)
         if check_tau_rules(mutant).ok:
             survivors.append((where, idx, str(delta)))
@@ -304,15 +316,11 @@ def test_definitional_rules_hold():
     antisymmetry in degrees (-1,-1) and (0,-2). Standard R1-R3, R3 twisted,
     and every mutant of test_exact_rules_on_every_standard_r2_mutant."""
     from test_acceptance import _perturbed
-    from test_courant import _mutants
 
     structures = [standard_exact(R) for R in (R1, R2, R3)]
     structures.append(standard_exact(R3, vol3()))
     q = standard_exact(R2)
-    one, x1, x2 = Poly.one(R2), Poly.coord(R2, 0), Poly.coord(R2, 1)
-    mutants = _mutants(q, (one, -one, x1, x2), (one, x1))
-    assert len(mutants) == 232
-    structures += [_perturbed(q, *mutant) for mutant in mutants]
+    structures += [_perturbed(q, *mutant) for mutant in standard_r2_mutants()]
     for q in structures:
         assert [label for label, ok in definitional_failures(q) if not ok] == []
 
