@@ -12,7 +12,9 @@ coanchor term. The inverse image of either along f: Y -> X is built on the
 fibre product f*A x_{f*TX} TY of pairs (tangent on Y, pulled section)
 (Liu-Weinstein-Xu, dg-ga/9508013); pair_bracket is its ambient bracket, the
 same sum over the pulled table with tangent vectors on Y standing in for
-the anchors (leibniz_sum, pulled_entries).
+the anchors (leibniz_sum, pulled_entries). pair_bracket_vanishes is the
+(tangent, section) half of Lemma L14: from the support of each slot it
+tells when pair_bracket is zero, so a pulled table skips those pairs.
 
 Lemma L1: [u, f v] = f [u, v] + anchor(u)(f) v holds for every table. In
 leibniz_sum(u, f v) the table term scales by f, xi(f v_k) = f xi(v_k) +
@@ -63,7 +65,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import product
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from algebroids import linalg
 from algebroids.errors import (
@@ -159,12 +161,55 @@ def pair_bracket(
     """The bracket of two fibre-product pairs (tangent, section) over chart:
     the tangent bracket, and leibniz_sum with the tangents as anchors; entry
     reads the pulled table. The tangent bracket is computed only when both
-    tangents are nonzero, being zero otherwise."""
+    tangents are nonzero, being zero otherwise. pair_bracket_vanishes tells
+    from the supports of x and y when the whole bracket is zero."""
     xi, eta = VField(chart, x[0]), VField(chart, y[0])
     section = tuple(leibniz_sum(rank, entry, x[1], y[1], xi, eta))
     if xi.is_zero or eta.is_zero:
         return zero_vec(chart, chart.dim), section
     return xi.bracket(eta).comps, section
+
+
+class Support(NamedTuple):
+    """What Lemma L14 reads of a vector: the indices of its nonzero
+    entries, and whether every entry is constant (zero is constant)."""
+
+    nonzero: tuple[int, ...]
+    constant: bool
+
+
+def support(vec: Vec) -> Support:
+    return Support(
+        tuple(i for i, p in enumerate(vec) if not p.is_zero),
+        all(p.as_constant() is not None for p in vec),
+    )
+
+
+def pair_bracket_vanishes(
+    entry: Entry, x: tuple[Support, Support], y: tuple[Support, Support]
+) -> bool:
+    """Whether Lemma L14 shows pair_bracket to be zero on pairs (eta1, u1)
+    and (eta2, u2) with the supports x and y; entry reads the source table.
+
+    Lemma L14, (tangent, section) half: each term of pair_bracket is zero
+    unless its condition holds.
+      - [eta1, eta2] needs both tangents nonzero and not both constant, a
+        derivation killing constants.
+      - The table term sum u1_a u2_b T(a, b) needs some a in supp u1 and
+        b in supp u2 with entry(a, b) not None; a pulled entry is zero
+        where its source entry is.
+      - eta1(u2_k) needs eta1 nonzero and u2 not constant; eta2(u1_k)
+        likewise.
+    When none holds, the bracket is zero, and computing it would have
+    formed no product of positive degree.
+    """
+    (eta1, u1), (eta2, u2) = x, y
+    return not (
+        (eta1.nonzero and eta2.nonzero and not (eta1.constant and eta2.constant))
+        or (eta1.nonzero and not u2.constant)
+        or (eta2.nonzero and not u1.constant)
+        or any(entry(a, b) is not None for a in u1.nonzero for b in u2.nonzero)
+    )
 
 
 class AnchoredModule:
@@ -423,12 +468,15 @@ def antisymmetric_table(
     n: int, bracket: Callable[[int, int], Vec], error: str
 ) -> dict[tuple[int, int], Vec]:
     """bracket(x, y) on pairs x <= y of n generators; raises
-    ValidationError(error) where bracket(y, x) is not their negation."""
+    ValidationError(error) where bracket(y, x) is not their negation, so on
+    the diagonal where bracket(x, x) is not zero."""
     structure = {}
     for x in range(n):
         for y in range(x, n):
             structure[(x, y)] = got = bracket(x, y)
-            if not vec_is_zero(vec_add(got, bracket(y, x))):
+            if x < y:
+                got = vec_add(got, bracket(y, x))
+            if not vec_is_zero(got):
                 raise ValidationError(error)
     return structure
 

@@ -56,10 +56,12 @@ from algebroids.anchored import (
     jacobi_counterexample,
     jacobi_generator_failures,
     pair_bracket,
+    pair_bracket_vanishes,
     probe,
     pulled_entries,
     pulled_morphism,
     resolve_mode,
+    support,
 )
 from algebroids.errors import UnsupportedModeError, ValidationError
 from algebroids.linalg import (
@@ -379,7 +381,8 @@ class LiePullback(Presentation):
     section) pairs of the fibre class, and basis is the fibre class's
     basis; the reader is its coords. result is the induced structure on
     that basis: the anchor of a basis pair is its tangent, and each table
-    entry is the reduced pair_bracket of two basis pairs.
+    entry is the reduced pair_bracket of two basis pairs, computed only when
+    pair_bracket_vanishes (Lemma L14) does not rule the pair out.
     """
 
     def __init__(
@@ -398,8 +401,12 @@ class LiePullback(Presentation):
         self.map, self.mode, self.source = f, mode, source
         chart, basis = self.chart, self.basis
         pulled = pulled_entries(f, source._entry)
+        supports = [tuple(map(support, pair)) for pair in basis]
+        zero = linalg.zero_vec(chart, len(basis))
 
         def bracket(x: int, y: int) -> Vec:
+            if pair_bracket_vanishes(source._entry, supports[x], supports[y]):
+                return zero
             got = pair_bracket(chart, source.rank, pulled, basis[x], basis[y])
             return self.reduce(got)
 

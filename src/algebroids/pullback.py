@@ -16,6 +16,21 @@ check_relation_absorption). Pairing and bracket of triples:
                   sum u1_a u2_b f*(structure^k_ab) + eta1(u2_k) - eta2(u1_k),
                   [eta1, eta2] )
 
+Lemma L14 (support test): each term above is zero unless its condition on
+the supports of the slots holds. [eta1, eta2] needs both tangents nonzero
+and not both constant; the table term some a in supp u1 and b in supp u2
+with a nonzero source entry (a, b); eta1(u2_k) needs eta1 nonzero and u2
+not constant, and eta2(u1_k) likewise; the pairing differential needs u1
+not constant and u2 nonzero; L_{eta1} beta2 needs eta1 and beta2 nonzero
+and not both constant; i_{eta2} d beta1 needs eta2 nonzero and beta1 not
+constant. The pairing needs beta1 and eta2 nonzero, or beta2 and eta1, or
+some nonzero f*(g_ab) with a in supp u1 and b in supp u2. Derivations kill
+constants, and each remaining term is a product with a zero factor.
+CourantPullback.result takes one anchored.Support per slot of each basis
+triple and brackets, pairs and reduces only the pairs the lemma admits;
+the others are zero, and computing them formed no product of positive
+degree, so no result changes and no degree cap can fire on them.
+
 Four presentations are supported: an exact split presentation over a
 chosen connection (basis: connection lifts of the coordinate fields plus
 the coordinate one-form lines), coordinate embeddings, coordinate
@@ -55,12 +70,15 @@ from algebroids.anchored import (
     Presentation,
     Split,
     Submersion,
+    Support,
     constant_complement,
     pair_bracket,
+    pair_bracket_vanishes,
     pulled_entries,
     require_chart,
     resolve_mode,
     split_lifts,
+    support,
 )
 from algebroids.courant import (
     Connection,
@@ -147,17 +165,31 @@ class CourantPullback(Presentation):
 
     @cached_property
     def result(self) -> CourantData:
-        """The induced structure on the basis."""
+        """The induced structure on the basis.
+
+        One Support per slot of each basis triple is taken first, and a pair
+        that bracket_vanishes or pairing_vanishes rules out gets no ambient
+        operation: its table entry is left out, as a zero entry would be
+        dropped, and its pairing entry is the chart's zero."""
         chart, rank = self.chart, self.source.rank
         basis, r = self.basis, len(self.basis)
         anchor = tuple(eta for _, _, eta in basis)
         coanchor = tuple(
             self.reduce(_cotangent(chart, rank, j)) for j in range(chart.dim)
         )
-        pairing = tuple(tuple(self.ambient_pairing(x, y) for y in basis) for x in basis)
+        supports = [tuple(map(support, t)) for t in basis]
+        zero = Poly.zero(chart)
+        pairing = tuple(
+            tuple(
+                zero if self.pairing_vanishes(sx, sy) else self.ambient_pairing(x, y)
+                for y, sy in zip(basis, supports)
+            )
+            for x, sx in zip(basis, supports)
+        )
         structure = {
             (x, y): self.reduce(self.ambient_bracket(basis[x], basis[y]))
             for x, y in product(range(r), repeat=2)
+            if not self.bracket_vanishes(supports[x], supports[y])
         }
         return CourantData(chart, r, anchor, coanchor, pairing, structure)
 
@@ -179,6 +211,11 @@ class CourantPullback(Presentation):
         return (beta, u, zero_vec(chart, chart.dim))
 
     def ambient_pairing(self, t1: Triple, t2: Triple) -> Poly:
+        """<t1, t2> = f*<u1, u2> + beta1(eta2) + beta2(eta1).
+
+        Lemma L14, pairing: <t1, t2> is zero unless beta1 and eta2 are
+        nonzero, or beta2 and eta1 are, or some pulled g_ab is nonzero with
+        a in supp u1 and b in supp u2 (pairing_vanishes)."""
         beta1, u1, eta1 = t1
         beta2, u2, eta2 = t2
         chart = self.chart
@@ -196,7 +233,16 @@ class CourantPullback(Presentation):
         beta1 and eta2, and the pairing differential u1 and u2. Each term
         vanishes when either of its slots does, so a skipped term is zero.
         The one-form slots are chart-checked up front, as the skipped KForm
-        would have done; pair_bracket checks the others."""
+        would have done; pair_bracket checks the others.
+
+        Lemma L14, bracket: each term is zero unless its condition holds.
+          - [eta1, eta2], the table term and eta1(u2) - eta2(u1): as
+            anchored.pair_bracket_vanishes states them.
+          - The pairing differential needs u1 not constant and u2 nonzero.
+          - L_{eta1} beta2 needs eta1 and beta2 nonzero and not both
+            constant.
+          - i_{eta2} d beta1 needs eta2 nonzero and beta1 not constant.
+        bracket_vanishes is this test on supports."""
         chart = self.chart
         beta1, u1, eta1 = t1
         beta2, u2, eta2 = t2
@@ -214,6 +260,30 @@ class CourantPullback(Presentation):
             db1 = _one_form(chart, beta1).d().iota(VField(chart, eta2))
             beta = vec_sub(beta, _form_vec(db1))
         return (beta, tensor, tangent)
+
+    def bracket_vanishes(self, x: tuple[Support, ...], y: tuple[Support, ...]) -> bool:
+        """Whether Lemma L14 shows ambient_bracket to be zero on triples
+        with the slot supports x and y."""
+        (beta1, u1, eta1), (beta2, u2, eta2) = x, y
+        lie = eta1.nonzero and beta2.nonzero
+        return pair_bracket_vanishes(
+            self.source._entry, (eta1, u1), (eta2, u2)
+        ) and not (
+            (u2.nonzero and not u1.constant)
+            or (lie and not (eta1.constant and beta2.constant))
+            or (eta2.nonzero and not beta1.constant)
+        )
+
+    def pairing_vanishes(self, x: tuple[Support, ...], y: tuple[Support, ...]) -> bool:
+        """Whether Lemma L14 shows ambient_pairing to be zero on triples
+        with the slot supports x and y."""
+        (beta1, u1, eta1), (beta2, u2, eta2) = x, y
+        g = self.pulled_pairing
+        return not (
+            (beta1.nonzero and eta2.nonzero)
+            or (beta2.nonzero and eta1.nonzero)
+            or any(not g[a][b].is_zero for a in u1.nonzero for b in u2.nonzero)
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,16 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algebroids.anchored import classify_map, comparison, jacobiator
+from algebroids.anchored import (
+    antisymmetric_table,
+    classify_map,
+    comparison,
+    jacobiator,
+    pair_bracket,
+    pulled_entries,
+)
 from algebroids.errors import UnsupportedModeError, ValidationError
-from algebroids import linalg
+from algebroids import lie_algebroid as lie_module, linalg
 from algebroids.lie_algebroid import (
     LieData,
     MarkedLieData,
@@ -447,15 +454,46 @@ def test_comparison_on_a_curve_chain():
     assert p_fg.expand(got) == (tuple(tangent), tuple(flat))
 
 
-def test_compose_associativity_check():
+def assoc_chain():
+    """The assoc-c-plus chain: an algebroid, three maps and a splitting."""
     phi = ChartMap(R2, R3, sec(R2, "y1", "y2", "y1*y2"))
     psi = ChartMap(R1, R2, sec(R1, "z1", "z1^2"))
     w_chart = coordinate_chart("W", 1, prefix="w")
     xi = ChartMap(w_chart, R1, (parse_poly("w1^2", w_chart),))
     a = trivial_extension(tangent_algebroid(R3)).total.lie
     splitting = tuple(linalg.unit_vec(R3, 4, j) for j in range(3))
-    rep = check_compose_associative(a, (phi, psi, xi), splitting)
+    return a, (phi, psi, xi), splitting
+
+
+def test_compose_associativity_check():
+    rep = check_compose_associative(*assoc_chain())
     assert rep.ok, str(rep)
+
+
+def test_pruned_tables_equal_the_unpruned_tables_on_the_assoc_chain(monkeypatch):
+    """Every inverse image check_compose_associative builds has the table
+    of antisymmetric_table with every pair bracketed and reduced."""
+    built = []
+
+    def recorded(*args):
+        built.append(pullback_lie(*args))
+        return built[-1]
+
+    monkeypatch.setattr(lie_module, "pullback_lie", recorded)
+    check_compose_associative(*assoc_chain())
+    monkeypatch.undo()
+    assert len(built) == 7
+    for pb in built:
+        pulled = pulled_entries(pb.map, pb.source._entry)
+
+        def bracket(x, y, pb=pb, pulled=pulled):
+            pairs = pb.basis[x], pb.basis[y]
+            return pb.reduce(pair_bracket(pb.chart, pb.source.rank, pulled, *pairs))
+
+        r = len(pb.basis)
+        structure = antisymmetric_table(r, bracket, "not antisymmetric")
+        anchor = tuple(tangent for tangent, _ in pb.basis)
+        assert pb.result == LieData(pb.chart, r, anchor, structure)
 
 
 def test_extension_pullback_linearity():

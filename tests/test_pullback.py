@@ -12,6 +12,7 @@ from algebroids import jsonio
 from algebroids.cli import main
 from algebroids.courant import (
     Connection,
+    CourantData,
     associated_lie_algebroid,
     check_courant,
     check_courant_morphism,
@@ -34,7 +35,15 @@ from algebroids.errors import (
     ValidationError,
 )
 from algebroids.lie_algebroid import tangent_algebroid
-from algebroids.anchored import comparison, embedding_layout, pulled_morphism
+from algebroids import pullback as pullback_module
+from algebroids.anchored import (
+    comparison,
+    embedding_layout,
+    pair_bracket,
+    pair_bracket_vanishes,
+    pulled_morphism,
+    support,
+)
 from algebroids.linalg import (
     left_inverse,
     mat_mul,
@@ -376,13 +385,15 @@ HYP_PRESENTATIONS = {
 
 @st.composite
 def triples(draw, pb):
-    """A triple whose slots are each zero with probability 1/2."""
+    """A triple whose slots are each zero, constant or polynomial."""
     slots = []
     for size in pb.sizes:
-        if draw(st.booleans()):
+        degree = draw(st.sampled_from((None, 0, 2)))
+        if degree is None:
             slots.append(zero_vec(pb.chart, size))
         else:
-            slots.append(tuple(draw(polys(pb.chart, max_terms=2)) for _ in range(size)))
+            entries = polys(pb.chart, max_degree=degree, max_terms=2)
+            slots.append(tuple(draw(entries) for _ in range(size)))
     return tuple(slots)
 
 
@@ -411,6 +422,18 @@ def full_bracket(pb, t1, t2):
     return beta, tuple(section), x1.bracket(x2).comps
 
 
+def full_pairing(pb, t1, t2):
+    """The ambient pairing computed term by term from the module formula."""
+    chart, rank = pb.chart, pb.source.rank
+    (b1, u1, e1), (b2, u2, e2) = t1, t2
+    out = Poly.zero(chart)
+    for a, b in product(range(rank), repeat=2):
+        out = out + u1[a] * pb.pulled_pairing[a][b] * u2[b]
+    for j in range(chart.dim):
+        out = out + b1[j] * e2[j] + b2[j] * e1[j]
+    return out
+
+
 @pytest.mark.parametrize("name", sorted(HYP_PRESENTATIONS))
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
@@ -421,20 +444,91 @@ def test_ambient_bracket_is_the_full_formula(name, data):
     assert all(map(vec_eq, got, full_bracket(pb, t1, t2)))
 
 
+@pytest.mark.parametrize("name", sorted(HYP_PRESENTATIONS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_support_test_rules_out_only_zero_brackets_and_pairings(name, data):
+    """Lemma L14 is sound: a pair it rules out brackets and pairs to zero,
+    by the formulas term by term and, for the (tangent, section) half, by
+    pair_bracket."""
+    pb = HYP_PRESENTATIONS[name]
+    t1, t2 = data.draw(triples(pb)), data.draw(triples(pb))
+    s1, s2 = tuple(map(support, t1)), tuple(map(support, t2))
+    if pb.bracket_vanishes(s1, s2):
+        assert all(map(vec_is_zero, full_bracket(pb, t1, t2)))
+    if pb.pairing_vanishes(s1, s2):
+        assert full_pairing(pb, t1, t2).is_zero
+    x, y = (t1[2], t1[1]), (t2[2], t2[1])
+    if pair_bracket_vanishes(pb.source._entry, (s1[2], s1[1]), (s2[2], s2[1])):
+        got = pair_bracket(pb.chart, pb.source.rank, pb.pulled_structure, x, y)
+        assert all(map(vec_is_zero, got))
+
+
+def unpruned_result(pb):
+    """pb.result with every one of the r^2 basis pairs bracketed, paired
+    and reduced."""
+    chart, rank, basis = pb.chart, pb.source.rank, pb.basis
+    r = len(basis)
+    return CourantData(
+        chart,
+        r,
+        tuple(eta for _, _, eta in basis),
+        tuple(pb.reduce(_cotangent(chart, rank, j)) for j in range(chart.dim)),
+        tuple(tuple(pb.ambient_pairing(x, y) for y in basis) for x in basis),
+        {
+            (x, y): pb.reduce(pb.ambient_bracket(basis[x], basis[y]))
+            for x, y in product(range(r), repeat=2)
+        },
+    )
+
+
+def morphism_graph_presentations():
+    """The four presentations morphism_graph builds on the standard
+    structure of a line along y1 -> y1^2: along the map, along the two
+    projections of the product chart (y first), and along its shear."""
+    t_chart = coordinate_chart("T", 1)
+    q = standard_exact(t_chart)
+    f = ChartMap(R1, t_chart, (parse_poly("y1^2", R1),))
+    built = []
+
+    def recorded(*args, **kwargs):
+        built.append(pullback_courant(*args, **kwargs))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pullback_module, "pullback_courant", recorded)
+        morphism_graph(f, q, coordinate_connection(q))
+    names = ("graph-f", "graph-y", "graph-x", "graph-shear")
+    return dict(zip(names, built, strict=True))
+
+
+TABLE_PRESENTATIONS = {**PRESENTATIONS, **morphism_graph_presentations()}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_PRESENTATIONS))
+def test_pruned_table_equals_the_unpruned_table(name):
+    pb = TABLE_PRESENTATIONS[name]
+    assert pb.result == unpruned_result(pb)
+
+
 @pytest.mark.parametrize(
-    "split, counts", [(False, (9, 0, 6)), (True, (9, 81, 6))], ids=["auto", "exact-split"]
+    "split, counts",
+    [(False, (9, 0, 6, 8, 6)), (True, (9, 0, 6, 8, 18))],
+    ids=["auto", "exact-split"],
 )
 def test_pulled_table_reads_only_nonzero_brackets(monkeypatch, split, counts):
-    """Op-count gate on the pulled table of a twisted shear: the reader sees
-    the 6 nonzero brackets of the 36 and the 3 cotangents of the coanchor,
-    and one-forms are built only for nonzero one-form terms (the auto mode
-    has none). Computing every zero bracket in full took 39 readings and
-    396 KForm builds in either mode."""
+    """Op-count gate on the pulled table of a twisted shear, whose basis has
+    6 triples: (readings, KForm builds, table entries, ambient brackets,
+    ambient pairings) while result is built. Lemma L14 admits 8 of the 36
+    pairs to ambient_bracket, and the reader sees the 6 nonzero brackets
+    among them and the 3 cotangents of the coanchor. It admits 6 (auto) or
+    18 (exact-split) of the 36 pairs to ambient_pairing. No one-form is
+    built: no admitted pair has a nonzero beta against a nonzero eta."""
     q = standard_exact(R3, vol3("x1 + x2"))
     pb = pullback_courant(
         shear_33(), q, connection=coordinate_connection(q) if split else None
     )
-    reads, forms = [], []
+    reads, forms, calls = [], [], {"ambient_bracket": 0, "ambient_pairing": 0}
     read = pb._read
 
     def counted_read(element):
@@ -447,13 +541,25 @@ def test_pulled_table_reads_only_nonzero_brackets(monkeypatch, split, counts):
         forms.append(args)
         original(self, *args, **kwargs)
 
+    def counted(name):
+        method = getattr(CourantPullback, name)
+
+        def call(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+
+        return call
+
     pb._read = counted_read
     monkeypatch.setattr(KForm, "__init__", counted_form)
+    for name in calls:
+        monkeypatch.setattr(CourantPullback, name, counted(name))
     table = pb.result.structure
     monkeypatch.undo()
     assert not any(all(map(vec_is_zero, element)) for element in reads)
     assert len(reads) == len(table) + R3.dim
-    assert (len(reads), len(forms), len(table)) == counts
+    got = (len(reads), len(forms), len(table), *calls.values())
+    assert got == counts
 
 
 def test_exact_split_needs_a_connection_and_an_exact_structure():
