@@ -470,6 +470,30 @@ def test_compose_associativity_check():
     assert rep.ok, str(rep)
 
 
+def test_antisymmetric_table_brackets_each_diagonal_pair_once():
+    lie = so3()
+    calls = []
+
+    def bracket(x, y, bad=None):
+        calls.append((x, y))
+        if (x, y) == bad:
+            return lie.gen(0)
+        return lie.bracket_gen(x, y)
+
+    got = antisymmetric_table(3, bracket, "not antisymmetric")
+    assert sorted(calls) == sorted(product(range(3), repeat=2))
+    assert {k: v for k, v in got.items() if not linalg.vec_is_zero(v)} == {
+        (0, 1): lie.gen(2),
+        (1, 2): lie.gen(0),
+        (0, 2): linalg.vec_neg(lie.gen(1)),
+    }
+    for bad in ((1, 1), (0, 2)):
+        with pytest.raises(ValidationError, match="not antisymmetric"):
+            antisymmetric_table(
+                3, lambda x, y: bracket(x, y, bad), "not antisymmetric"
+            )
+
+
 def test_pruned_tables_equal_the_unpruned_tables_on_the_assoc_chain(monkeypatch):
     """Every inverse image check_compose_associative builds has the table
     of antisymmetric_table with every pair bracketed and reduced."""

@@ -458,8 +458,8 @@ def test_support_test_rules_out_only_zero_brackets_and_pairings(name, data):
         assert all(map(vec_is_zero, full_bracket(pb, t1, t2)))
     if pb.pairing_vanishes(s1, s2):
         assert full_pairing(pb, t1, t2).is_zero
-    x, y = (t1[2], t1[1]), (t2[2], t2[1])
     if pair_bracket_vanishes(pb.source._entry, (s1[2], s1[1]), (s2[2], s2[1])):
+        x, y = (t1[2], t1[1]), (t2[2], t2[1])
         got = pair_bracket(pb.chart, pb.source.rank, pb.pulled_structure, x, y)
         assert all(map(vec_is_zero, got))
 
