@@ -28,11 +28,11 @@ jacobiator (the Jacobi identity in Leibniz form, which a Courant structure
 satisfies as a Lie algebroid does) and its generator cases, and the
 generator-matrix checks that a morphism preserves anchor and bracket. So
 does the quotient by a constant span of sections (constant_quotient) behind
-both the marking quotient and the Courant structure's associated Lie
-algebroid, with its antisymmetric table.
+the Courant structure's associated Lie algebroid, with its antisymmetric
+table.
 
-The second half presents fibre products, once for both inverse images and
-both Baer combinations. resolve_mode picks the mode of an inverse image
+The second half presents fibre products, once for both inverse images.
+resolve_mode picks the mode of an inverse image
 (classify_map when none is given), rejects a mode that is not a mode name
 as a bad spec, and checks the identity mode. The shape questions read
 ChartMap.slots: the identity, a coordinate projection and a coordinate
@@ -51,9 +51,9 @@ that checks every reading by rebuilding its input (the zero element needs
 no reading, so the zero brackets that fill most pulled tables cost no
 reader call): both inverse images are
 Presentations ((tangent, section) pairs for Lie, (beta, u, eta) triples for
-Courant), and Combination, summands over one base whose lines are glued by
-weights, presents both Baer combinations. constant_complement picks
-constant complements.
+Courant), and so is the Courant Baer combination
+(courant.CourantCombination, one section per summand). constant_complement
+picks constant complements.
 
 Last, the inverse image as a functor, once for both stacks: comparison
 (psi+(phi+A) -> (phi psi)+A) and pulled_morphism (f+M) are generator
@@ -747,11 +747,11 @@ class Presentation:
 
     An ambient element is a tuple of vectors over chart, slot s of length
     sizes[s]: the Lie inverse image uses the (tangent, section) pairs of the
-    fibre classes, the Courant one (beta, u, eta) triples, and a Combination
-    one section per summand. basis holds one element per class generator,
-    relations the elements the class module divides by (none unless a
-    subclass sets them), and read(element) returns (class coordinates,
-    relation coefficients). reduce checks every reading by rebuilding its
+    fibre classes, the Courant one (beta, u, eta) triples, and the Courant
+    Baer combination one section per summand. basis holds one element per
+    class generator, relations the elements the class module divides by
+    (none unless a subclass sets them), and read(element) returns (class
+    coordinates, relation coefficients). reduce checks every reading by rebuilding its
     input, so a reader never has to prove that an element lies in the fibre
     product.
     """
@@ -832,68 +832,6 @@ class Presentation:
         against rows, ambient elements here, and its other slots kept."""
         kept = element[:1] + (zero_vec(self.chart, self.sizes[1]),) + element[2:]
         return self.reduce(self._combine(element[1], rows, kept))
-
-
-class Combination(Presentation):
-    """Summands over one base whose lines are glued by weights; an element
-    holds one section per summand.
-
-    Summand i gives, as apply_matrix rows, lifts[i] (base -> section),
-    lines[i] (its line sections) and readers[i] (section -> line
-    coordinates); base_reader reads the base off summand 0. With f the
-    first summand of nonzero weight, the basis is the base lifts, then the
-    lines of f divided by w_f, and the relations are (-w_i/w_f lines_f[j]
-    on f, lines_i[j] on i) for every other summand i. The reader returns
-    (base b, sum_i w_i t_i) as the class, t_i the line coordinates of
-    section i less its lift of b, and the other summands' t_i as relation
-    coefficients.
-    """
-
-    def __init__(
-        self,
-        summands: Sequence[AnchoredModule],
-        weights: Sequence[Fraction],
-        lifts: Sequence[Sequence[Vec]],
-        lines: Sequence[Sequence[Vec]],
-        readers: Sequence[Sequence[Vec]],
-        base_reader: Sequence[Vec],
-    ):
-        self.summands, self.weights = summands, weights
-        chart, sizes = summands[0].chart, tuple(m.rank for m in summands)
-        dim, count = len(lifts[0]), len(lines[0])
-        first = next(i for i, w in enumerate(weights) if w)
-        others = [i for i in range(len(sizes)) if i != first]
-        zero = tuple(zero_vec(chart, n) for n in sizes)
-
-        def on(i: int, vec: Vec, element: tuple[Vec, ...] = zero):
-            return element[:i] + (vec,) + element[i + 1 :]
-
-        unit = Fraction(1) / weights[first]
-        basis = [tuple(rows[x] for rows in lifts) for x in range(dim)]
-        basis += [on(first, vec_scale(unit, line)) for line in lines[first]]
-        self.relations = tuple(
-            on(i, line, on(first, vec_scale(-weights[i] * unit, lines[first][j])))
-            for i in others
-            for j, line in enumerate(lines[i])
-        )
-
-        scales = [Poly.const(chart, w) for w in weights]
-
-        def read(element: tuple[Vec, ...]) -> tuple[Vec, Vec]:
-            base = apply_matrix(base_reader, element[0], dim, chart)
-            coords = []
-            for rows, lift, u in zip(readers, lifts, element):
-                rest = vec_sub(u, apply_matrix(lift, base, len(u), chart))
-                coords.append(apply_matrix(rows, rest, count, chart))
-            glued = apply_matrix(coords, scales, count, chart)
-            return base + glued, tuple(p for i in others for p in coords[i])
-
-        super().__init__(chart, sizes, basis, read)
-
-    def basis_bracket(self, x: int, y: int) -> Vec:
-        """The class of the summand by summand bracket of basis x and y."""
-        pairs = zip(self.summands, self.basis[x], self.basis[y])
-        return self.reduce(tuple(m.bracket(u, v) for m, u, v in pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ symmetrization) and the last is the Jacobi identity in Leibniz form.
 
 The Baer-type combination is implemented for exact structures (rank twice
 the chart dimension, with an isotropic connection supplied per summand).
-CourantCombination is the anchored.Combination of the summands over the
+CourantCombination is the anchored.Presentation of the summands over the
 common anchor, glued along their coanchor lines by the weights, which is
 where the curvature classes combine linearly.
 """
@@ -36,7 +36,7 @@ from typing import Sequence
 from algebroids import linalg
 from algebroids.anchored import (
     AnchoredModule,
-    Combination,
+    Presentation,
     anchor_defect,
     anchor_failures,
     bracket_failures,
@@ -619,13 +619,21 @@ def associated_lie_algebroid(q: CourantData) -> tuple[LieData, tuple[Vec, ...]]:
 # ---------------------------------------------------------------------------
 
 
-class CourantCombination(Combination):
-    """Weighted combination of exact structures: the anchored.Combination
-    lifting the base through each summand's connection columns, with the
-    coanchor rows as lines read by pairing with those columns and the
-    anchor of summand 0 as base reader. result holds the weighted pairings
-    of the basis and its basis_bracket table: generators 0..n-1 are the
-    diagonal connection lifts, n..2n-1 the glued coanchor lines.
+class CourantCombination(Presentation):
+    """Weighted combination of exact structures: a presentation on one
+    section per part, the parts glued along their coanchor lines by the
+    weights.
+
+    With n the chart dimension and f the first part of nonzero weight, the
+    basis is the diagonal lifts (connections[i].columns[x] on every part i),
+    then the coanchor rows of f divided by w_f; the relations are (-w_i/w_f
+    coanchor_f[j] on f, coanchor_i[j] on i) for every other part i. The
+    reader takes the base b as the anchor of part 0 and, for each part i,
+    the line coordinates t_i of section i less its lift of b, read by
+    pairing with the connection columns; it returns (b, sum_i w_i t_i) as
+    the class and the other parts' t_i as relation coefficients. result
+    holds the weighted pairings of the basis and its basis_bracket table:
+    generators 0..n-1 are the diagonal lifts, n..2n-1 the glued lines.
     """
 
     def __init__(
@@ -634,29 +642,53 @@ class CourantCombination(Combination):
         weights: tuple[Fraction, ...],
         connections: tuple[Connection, ...],
     ):
-        chart = parts[0].chart
-        self.connections = connections
+        self.parts, self.weights, self.connections = parts, weights, connections
+        chart, sizes = parts[0].chart, tuple(q.rank for q in parts)
+        n = chart.dim
+        first = next(i for i, w in enumerate(weights) if w)
+        others = [i for i in range(len(parts)) if i != first]
+        zero = tuple(linalg.zero_vec(chart, size) for size in sizes)
+
+        def on(i: int, vec: Vec, element: tuple[Vec, ...] = zero):
+            return element[:i] + (vec,) + element[i + 1 :]
+
+        unit = Fraction(1) / weights[first]
+        lines = parts[first].coanchor
+        basis = [tuple(conn.columns[x] for conn in connections) for x in range(n)]
+        basis += [on(first, vec_scale(unit, line)) for line in lines]
+        self.relations = tuple(
+            on(i, line, on(first, vec_scale(-weights[i] * unit, lines[j])))
+            for i in others
+            for j, line in enumerate(parts[i].coanchor)
+        )
+
+        # readers[i], as apply_matrix rows, pairs a section of part i with
+        # each of its connection columns.
         readers = [
             linalg.transpose(
                 [apply_matrix(q.pairing, col, q.rank, chart) for col in conn.columns]
             )
             for q, conn in zip(parts, connections)
         ]
-        super().__init__(
-            parts,
-            weights,
-            [conn.columns for conn in connections],
-            [q.coanchor for q in parts],
-            readers,
-            parts[0].anchor,
-        )
-        gens = self.basis
+        scales = [Poly.const(chart, w) for w in weights]
+
+        def read(element: tuple[Vec, ...]) -> tuple[Vec, Vec]:
+            base = apply_matrix(parts[0].anchor, element[0], n, chart)
+            coords = []
+            for rows, conn, u in zip(readers, connections, element):
+                rest = vec_sub(u, apply_matrix(conn.columns, base, len(u), chart))
+                coords.append(apply_matrix(rows, rest, n, chart))
+            glued = apply_matrix(coords, scales, n, chart)
+            return base + glued, tuple(p for i in others for p in coords[i])
+
+        super().__init__(chart, sizes, basis, read)
 
         def weighted(x: tuple[Vec, ...], y: tuple[Vec, ...]) -> Poly:
             terms = zip(parts, weights, x, y)
             products = (w * q.pairing_of(u, v) for q, w, u, v in terms if w)
             return sum(products, Poly.zero(chart))
 
+        gens = self.basis
         r = len(gens)
         pairing = tuple(tuple(weighted(x, y) for y in gens) for x in gens)
         structure = {
@@ -664,6 +696,11 @@ class CourantCombination(Combination):
         }
         anchor, coanchor = _exact_frame(chart)
         self.result = CourantData(chart, r, anchor, coanchor, pairing, structure)
+
+    def basis_bracket(self, x: int, y: int) -> Vec:
+        """The class of the part by part bracket of basis x and y."""
+        pairs = zip(self.parts, self.basis[x], self.basis[y])
+        return self.reduce(tuple(q.bracket(u, v) for q, u, v in pairs))
 
 
 def baer_combination(

@@ -28,8 +28,8 @@ of A), expand and reduce act on pairs, and anchored.pair_bracket is the
 ambient bracket, and result the induced algebroid. The Courant inverse
 image uses the same pairs as the (u, eta) half of its triples, and both
 reach the functor steps of anchored (comparison, pulled_morphism) through
-pull_element. The Baer combination of line extensions is the
-anchored.Combination of baer_presentation, as the Courant one is.
+pull_element. trivial_extension builds the line extension of an algebroid
+by a central line, the input of the assoc-c-plus chain.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from typing import Sequence
 from algebroids import linalg
 from algebroids.anchored import (
     AnchoredModule,
-    Combination,
     Embedding,
     Presentation,
     Split,
@@ -52,7 +51,6 @@ from algebroids.anchored import (
     antisymmetric_table,
     bracket_failures,
     comparison,
-    constant_quotient,
     jacobi_counterexample,
     jacobi_generator_failures,
     pair_bracket,
@@ -183,17 +181,14 @@ def check_lie_algebroid(
 
 
 # ---------------------------------------------------------------------------
-# Markings and O-extensions
+# The trivial line extension
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class MarkedLieData:
-    """A Lie algebroid together with a distinguished central section.
-
-    The marking generates a trivial line: it must be anchor-free and bracket
-    to zero with everything (checked by check_marked).
-    """
+    """A Lie algebroid together with a distinguished section that generates
+    a trivial line: anchor-free, and bracketing to zero with everything."""
 
     lie: LieData
     marking: Vec
@@ -202,29 +197,6 @@ class MarkedLieData:
         self.marking = tuple(self.marking)
         if len(self.marking) != self.lie.rank:
             raise ValidationError("marking has wrong length")
-
-
-def check_marked(m: MarkedLieData) -> Report:
-    """L9: [f u, m] = f [u, m] - anchor(m)(f) u (L1 in algebroids.anchored),
-    so the marking m is central iff [e_i, m] = 0 for every generator and
-    anchor(m) = 0; past the generator cases, [x_k e_0, m] = -anchor(m)^k e_0
-    is the probe case at the first nonzero anchor(m)^k."""
-    rep = Report()
-    a = m.lie
-    rho = a.anchor_of(m.marking)
-    rep.add("marking_anchor_free", rho.is_zero, fmt_section(m.marking))
-
-    def central():
-        for i in range(a.rank):
-            got = a.bracket(a.gen(i), m.marking)
-            if not vec_is_zero(got):
-                yield f"generator {i}: bracket {fmt_section(got)}"
-        for k, comp in enumerate(rho.comps):
-            if not comp.is_zero:
-                yield f"section {a.chart.coords[k]}*e0"
-
-    rep.check("marking_central", central())
-    return rep
 
 
 @dataclass
@@ -248,65 +220,16 @@ class OExtensionData:
         if len(self.splitting) != self.base.rank:
             raise ValidationError("splitting needs one row per base generator")
 
-    def project(self, u: Vec) -> Vec:
-        return apply_matrix(self.projection, u, self.base.rank, self.base.chart)
 
-    def lift(self, v: Vec) -> Vec:
-        total = self.total.lie
-        return apply_matrix(self.splitting, v, total.rank, total.chart)
-
-
-def check_extension(ext: OExtensionData) -> Report:
-    rep = Report()
-    total, base = ext.total.lie, ext.base
-    rep.merge(check_marked(ext.total))
-
-    ok = all(
-        linalg.vec_eq(ext.project(ext.lift(base.gen(b))), base.gen(b))
-        for b in range(base.rank)
-    )
-    rep.add("splitting_section", ok)
-
-    ok = vec_is_zero(ext.project(ext.total.marking))
-    rep.add("marking_in_kernel", ok)
-
-    rep.check("projection_anchor", anchor_failures(total, base, ext.projection))
-    rep.check("projection_bracket", bracket_failures(total, base, ext.projection))
-
-    # Kernel of the projection is exactly the marking line (generic rank).
-    mat = [list(row) for row in ext.projection]
-    expected = total.rank - 1
-    ok = linalg.poly_rows_rank(mat) == expected
-    rep.add("kernel_is_marking_line", ok and not vec_is_zero(ext.total.marking))
-    return rep
-
-
-def quotient_by_marking(m: MarkedLieData) -> tuple[LieData, tuple[Vec, ...]]:
-    """Quotient a marked algebroid by its marking line.
-
-    Requires the marking to have constant coordinates so a constant
-    complement basis can be selected. Returns the quotient algebroid and
-    the projection (image of each original generator).
-    """
-    got = constant_quotient(m.lie, [_constant_marking(m)])
-    if got is None:
-        raise ValidationError("marking line has no constant complement")
-    anchor, structure, projection = got
-    return LieData(m.lie.chart, len(anchor), anchor, structure), projection
-
-
+# Product callers: perfbench/workloads.py and the assoc-c-plus spec builders.
 def trivial_extension(base: LieData) -> OExtensionData:
-    """base + a central line with zero bracket against everything."""
-    zero = Poly.zero(base.chart)
-    structure = {key: tuple(vec) + (zero,) for key, vec in base.structure.items()}
-    return _line_extension(base, structure)
-
-
-def _line_extension(base: LieData, structure: dict) -> OExtensionData:
-    """base + a line on one more generator, marked by it: the total has the
-    anchor of base, no anchor on the line and the given table; projection
-    and splitting are the identity on the generators of base."""
+    """base + a central line on one more generator, marked by it: the total
+    has the anchor and table of base, no anchor on the line and zero
+    brackets against it; projection and splitting are the identity on the
+    generators of base."""
     chart, r = base.chart, base.rank
+    zero = Poly.zero(chart)
+    structure = {key: tuple(vec) + (zero,) for key, vec in base.structure.items()}
     anchor = tuple(base.anchor) + (linalg.zero_vec(chart, chart.dim),)
     total = LieData(chart, r + 1, anchor, structure)
     marking = linalg.unit_vec(chart, r + 1, r)
@@ -316,56 +239,6 @@ def _line_extension(base: LieData, structure: dict) -> OExtensionData:
     splitting = tuple(linalg.unit_vec(chart, r + 1, a) for a in range(r))
     return OExtensionData(
         MarkedLieData(total, marking), base, projection, splitting
-    )
-
-
-def baer_combination(
-    extensions: Sequence[OExtensionData], weights: Sequence
-) -> OExtensionData:
-    """Weighted Baer combination of line extensions of one base algebroid.
-
-    The underlying module is the fiber product of the totals over the base,
-    with the kernel lines glued by the weights: tuples of fiber offsets
-    (t_1, ..., t_m) collapse to the single invariant sum_i w_i t_i, the
-    anchored.Combination of baer_presentation. Brackets are computed
-    componentwise on its base lifts and read back by its reduce; since the
-    markings are central, dropping the fiber coordinate in the lift does not
-    affect the result. All-zero weights produce the trivial extension.
-    """
-    if not extensions:
-        raise ValidationError("need at least one extension")
-    base = extensions[0].base
-    weights = [Fraction(w) for w in weights]
-    if len(weights) != len(extensions):
-        raise ValidationError("need one weight per extension")
-    if any(e.base != base for e in extensions):
-        raise ValidationError("extensions must share the base algebroid")
-
-    if not any(weights):
-        return trivial_extension(base)
-
-    comb = baer_presentation(extensions, weights)
-    structure = {
-        (x, y): comb.basis_bracket(x, y)
-        for x, y in combinations_with_replacement(range(base.rank), 2)
-    }
-    return _line_extension(base, structure)
-
-
-def baer_presentation(
-    extensions: Sequence[OExtensionData], weights: Sequence[Fraction]
-) -> Combination:
-    """The fibre product of the totals over the base, with the marking
-    lines glued by the weights (not all zero): each extension lifts the
-    base through its splitting and reads its marking line through
-    _marking_row, and the projection of the first reads the base."""
-    return Combination(
-        [e.total.lie for e in extensions],
-        weights,
-        [e.splitting for e in extensions],
-        [(e.total.marking,) for e in extensions],
-        [tuple((p,) for p in _marking_row(e)) for e in extensions],
-        extensions[0].projection,
     )
 
 
@@ -572,162 +445,4 @@ def check_compose_associative(
     anchors = anchor_failures(middle, composite, cmatrix)
     rep.check("comparison_anchor", (f"{bad}: anchor mismatch" for bad in anchors))
     rep.check("comparison_bracket", bracket_failures(middle, composite, cmatrix))
-    return rep
-
-
-# ---------------------------------------------------------------------------
-# Marked pullbacks and extension linearity
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class MarkedLiePullback:
-    pullback: LiePullback
-    marked: MarkedLieData
-
-
-def pullback_marked(
-    f: ChartMap,
-    m: MarkedLieData,
-    mode: str | None = None,
-    splitting: Sequence[Vec] | None = None,
-) -> MarkedLiePullback:
-    pb = pullback_lie(f, m.lie, mode, splitting)
-    marking = pb.reduce(pb.on_section(tuple(f.pull(p) for p in m.marking)))
-    return MarkedLiePullback(pb, MarkedLieData(pb.result, marking))
-
-
-def extension_pullback(
-    f: ChartMap,
-    ext: OExtensionData,
-    base_pb: LiePullback,
-    base_splitting: Sequence[Vec],
-) -> tuple[OExtensionData, MarkedLiePullback]:
-    """Pull a line extension back along f, over a given base presentation.
-
-    base_splitting splits the anchor of ext.base (section per target
-    coordinate); the total is pulled in transitive-split mode through the
-    composite lift, and projection and splitting are pushed through
-    pulled_morphism, so base_pb must be along f too.
-    """
-    total_split = tuple(ext.lift(col) for col in base_splitting)
-    mpb = pullback_marked(f, ext.total, "transitive-split", total_split)
-    projection = pulled_morphism(mpb.pullback, base_pb, ext.projection)
-    splitting = pulled_morphism(base_pb, mpb.pullback, ext.splitting)
-    out = OExtensionData(mpb.marked, base_pb.result, projection, splitting)
-    return out, mpb
-
-
-def _extension_cocycle(ext: OExtensionData) -> dict:
-    """gamma(k,l) = fiber part of [s b_k, s b_l] - s [b_k, b_l], read by the
-    one-summand baer_presentation of ext; ValidationError when a defect is
-    off the marking line."""
-    base, total = ext.base, ext.total.lie
-    comb = baer_presentation([ext], [Fraction(1)])
-    out = {}
-    for k, l in product(range(base.rank), repeat=2):
-        defect = vec_sub(
-            total.bracket(ext.lift(base.gen(k)), ext.lift(base.gen(l))),
-            ext.lift(base.bracket_gen(k, l)),
-        )
-        cls = comb.reduce((defect,))
-        if not vec_is_zero(cls[:-1]):
-            raise ValidationError("vector is not on the marking line")
-        out[(k, l)] = cls[-1]
-    return out
-
-
-def _constant_marking(m: MarkedLieData) -> list[Fraction]:
-    const = [p.as_constant() for p in m.marking]
-    if any(c is None for c in const) or not any(const):
-        raise ValidationError("marking must be a nonzero constant vector")
-    return const
-
-
-def _marking_row(ext: OExtensionData) -> Vec:
-    """A row L with L.marking = 1, from the polynomial left inverse of the
-    marking column. Needs a nonzero constant marking."""
-    chart = ext.total.lie.chart
-    column = [[Poly.const(chart, c)] for c in _constant_marking(ext.total)]
-    lin = linalg.left_inverse(column)
-    if lin is None:
-        raise ValidationError("marking line admits no polynomial retraction")
-    return lin[0]
-
-
-def solve_coboundary(
-    anchors: Sequence[VField], target: dict, chart: Chart, degree_bound: int
-) -> list[Poly] | None:
-    """Polynomial t with anchors[k](t_l) - anchors[l](t_k) = target[(k,l)].
-
-    Coefficient-matching linear solve up to the degree bound; None when no
-    solution exists within the bound.
-    """
-    n = len(anchors)
-    pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
-    zero = Poly.zero(chart)
-
-    def image(j: int, mono) -> Vec:
-        x = Poly(chart, {mono: 1})
-        return tuple(
-            anchors[k].apply(x) if l == j else -anchors[l].apply(x) if k == j else zero
-            for k, l in pairs
-        )
-
-    goal = tuple(target.get(pair, zero) for pair in pairs)
-    return linalg.solve_bounded_degree(n, image, goal, chart, degree_bound)
-
-
-def check_extension_pullback_linear(
-    f: ChartMap,
-    extensions: Sequence[OExtensionData],
-    weights: Sequence,
-    base_splitting: Sequence[Vec],
-) -> Report:
-    """Pulling back a Baer combination agrees with combining the pullbacks.
-
-    Both routes are built as line extensions of the pulled-back base on the
-    same presentation; the comparison solves for an isomorphism fixing base
-    and marking (identity first, then a polynomial fiber shift).
-    """
-    rep = Report()
-    base = extensions[0].base
-    base_pb = pullback_lie(f, base, "transitive-split", base_splitting)
-
-    comb_x = baer_combination(extensions, weights)
-    lhs, _ = extension_pullback(f, comb_x, base_pb, base_splitting)
-
-    pulled = [
-        extension_pullback(f, e, base_pb, base_splitting)[0] for e in extensions
-    ]
-    rhs = baer_combination(pulled, weights)
-
-    rep.add(
-        "base_ranks_match",
-        lhs.base.rank == rhs.base.rank
-        and lhs.total.lie.rank == rhs.total.lie.rank,
-    )
-
-    gamma_l, gamma_r = _extension_cocycle(lhs), _extension_cocycle(rhs)
-    diff = {
-        key: gamma_l[key] - gamma_r[key] for key in gamma_l
-    }
-    if all(p.is_zero for p in diff.values()):
-        rep.add("cocycles_match", True)
-        rep.add("isomorphism_found", True)
-        return rep
-    rep.add("cocycles_match", False, "resolved by a fiber shift below")
-    anchors = [
-        base_pb.result.anchor_of(base_pb.result.gen(k))
-        for k in range(base_pb.result.rank)
-    ]
-    bound = max(p.degree() for p in diff.values() if not p.is_zero) + 2
-    t = solve_coboundary(anchors, diff, f.source, bound)
-    rep.add(
-        "isomorphism_found",
-        t is not None,
-        None
-        if t is not None
-        else f"no polynomial fiber shift up to degree {bound}",
-    )
     return rep

@@ -17,7 +17,7 @@ Three layers:
   combination of the adjugates of the maximal row minors) behind every
   frame a construction reads coordinates through, and one bounded-degree
   solver (solve_bounded_degree) for a Q-linear map on polynomials, behind
-  span membership, the coboundary solve and left_inverse.
+  span membership and left_inverse.
 
 Sections of rank-r objects are represented throughout the package as tuples
 of r polynomials; the vec_* helpers here operate on those, and fmt_section

@@ -376,7 +376,7 @@ def check_transgression_linear(parts, weights, connections) -> Report:
     comb: CourantCombination = baer_combination(parts, weights, connections)
     result = comb.result
     tau_c = transgress(result)
-    taus = [transgress(qi) for qi in comb.summands]
+    taus = [transgress(qi) for qi in comb.parts]
     chart = result.chart
     n, r = chart.dim, result.rank
     gens = [unit_vec(chart, r, a) for a in range(r)]
@@ -421,7 +421,7 @@ def check_transgression_linear(parts, weights, connections) -> Report:
                     )
 
     def coanchor_frames():
-        for i, (qi, conn) in enumerate(zip(comb.summands, comb.connections)):
+        for i, (qi, conn) in enumerate(zip(comb.parts, comb.connections)):
             for j, row in enumerate(qi.coanchor):
                 dual = [qi.pairing_of(row, c).as_constant() for c in conn.columns]
                 free = qi.anchor_of(row).is_zero

@@ -11,7 +11,6 @@ import random
 import time
 
 from algebroids import jsonio, linalg, sampling
-from algebroids.anchored import comparison
 from algebroids.cli import main
 from algebroids.courant import (
     baer_sum,
@@ -39,12 +38,7 @@ from algebroids.dirac import (
 )
 from algebroids.lie_algebroid import (
     LieData,
-    MarkedLieData,
-    OExtensionData,
-    canonical_splitting,
     check_compose_associative,
-    check_extension_pullback_linear,
-    pullback_marked,
     tangent_algebroid,
     trivial_extension,
 )
@@ -249,8 +243,8 @@ def test_composition_coherence_on_a_four_step_chain():
     xi = ChartMap(L1, P2, (Poly.coord(L1, 0), parse_poly("y1^2", L1)))
 
     tangent = tangent_algebroid(R4)
-    extended = trivial_extension(tangent).total
-    for a, rank in ((tangent, 4), (extended.lie, 5)):
+    extended = trivial_extension(tangent).total.lie
+    for a, rank in ((tangent, 4), (extended, 5)):
         split = tuple(linalg.unit_vec(R4, rank, j) for j in range(4))
         rep = check_compose_associative(a, (phi, psi, xi), split)
         assert rep.check_names() == [
@@ -259,23 +253,6 @@ def test_composition_coherence_on_a_four_step_chain():
             "comparison_bracket",
         ]
         assert rep.ok, str(rep)
-
-    # the comparison also carries the marking of the extended algebroid
-    split = tuple(linalg.unit_vec(R4, 5, j) for j in range(4))
-    mp_phi = pullback_marked(phi, extended, "transitive-split", split)
-    mp_psi = pullback_marked(
-        psi, mp_phi.marked, "transitive-split", canonical_splitting(mp_phi.pullback)
-    )
-    mp_both = pullback_marked(phi.compose(psi), extended, "transitive-split", split)
-    r_out = mp_both.pullback.result.rank
-    cmatrix = comparison(mp_psi.pullback, mp_phi.pullback, mp_both.pullback)
-    image = list(linalg.zero_vec(P2, r_out))
-    for alpha, c in enumerate(mp_psi.marked.marking):
-        if not c.is_zero:
-            for k in range(r_out):
-                if not cmatrix[alpha][k].is_zero:
-                    image[k] = image[k] + c * cmatrix[alpha][k]
-    assert linalg.vec_eq(tuple(image), mp_both.marked.marking)
 
 
 def test_dirac_graphs_and_supported_round_trips():
@@ -380,31 +357,6 @@ def test_combination_isomorphism_and_linearity():
         "tau_function_action_matches",
     ]
     assert rep.ok, str(rep)
-
-    # the same combination law holds for line extensions of the plane's
-    # tangent algebroid pulled back along a curve
-    def line_extension(expr):
-        base = tangent_algebroid(P2)
-        z = Poly.zero(P2)
-        anchor = tuple(base.anchor[a] for a in range(2)) + ((z, z),)
-        total = LieData(P2, 3, anchor, {(0, 1): (z, z, parse_poly(expr, P2))})
-        return OExtensionData(
-            MarkedLieData(total, linalg.unit_vec(P2, 3, 2)),
-            base,
-            tuple(linalg.unit_vec(P2, 2, a) for a in range(2))
-            + (linalg.zero_vec(P2, 2),),
-            tuple(linalg.unit_vec(P2, 3, a) for a in range(2)),
-        )
-
-    curve = ChartMap(L1, P2, (Poly.coord(L1, 0), parse_poly("y1^2", L1)))
-    rep = check_extension_pullback_linear(
-        curve,
-        [line_extension("x1"), line_extension("x2")],
-        [1, 1],
-        tuple(linalg.unit_vec(P2, 2, j) for j in range(2)),
-    )
-    assert rep.ok, str(rep)
-    assert rep["isomorphism_found"].passed
 
 
 def test_descent_cocycle_passes_and_names_the_broken_triple():
@@ -868,20 +820,6 @@ def _magnetic_total(chart):
     return LieData(chart, 3, anchor, {(0, 1): (z, z, Poly.coord(chart, 1))})
 
 
-def _extension(total):
-    chart = total.chart
-    return OExtensionData(
-        MarkedLieData(total, linalg.unit_vec(chart, 3, 2)),
-        tangent_algebroid(chart),
-        (
-            linalg.unit_vec(chart, 2, 0),
-            linalg.unit_vec(chart, 2, 1),
-            linalg.zero_vec(chart, 2),
-        ),
-        (linalg.unit_vec(chart, 3, 0), linalg.unit_vec(chart, 3, 1)),
-    )
-
-
 def _failing_cases():
     """name -> builder(seed, monkeypatch) of a report with failures.
 
@@ -893,11 +831,7 @@ def _failing_cases():
     the seed.
     """
     from algebroids import lie_algebroid, pullback, transgression
-    from algebroids.lie_algebroid import (
-        check_extension,
-        check_lie_algebroid,
-        check_marked,
-    )
+    from algebroids.lie_algebroid import check_lie_algebroid
     from algebroids.pullback import check_relation_absorption
 
     x1 = Poly.coord(A2, 0)
@@ -921,16 +855,6 @@ def _failing_cases():
             samples=20,
             seed=seed,
         )
-
-    def marked(where, idx, delta):
-        total = _perturbed_lie(_magnetic_total(A2), where, idx, delta)
-        return lambda seed, mp: check_marked(
-            MarkedLieData(total, linalg.unit_vec(A2, 3, 2))
-        )
-
-    def extension(where, idx, delta):
-        total = _perturbed_lie(_magnetic_total(A2), where, idx, delta)
-        return lambda seed, mp: check_extension(_extension(total))
 
     def tau(where, idx, delta):
         return lambda seed, mp: check_tau_rules(
@@ -1037,10 +961,6 @@ def _failing_cases():
         "morphism-structure": morphism("structure", (0, 1, 2), -x1),
         "lie-anchor": lie("anchor", (0, 1), x2),
         "lie-structure": lie("structure", (0, 0, 1), x1),
-        "marked-anchor": marked("anchor", (2, 0), x1),
-        "marked-structure": marked("structure", (1, 2, 0), 1),
-        "extension-anchor": extension("anchor", (2, 0), x1),
-        "extension-structure": extension("structure", (0, 1, 0), -1),
         "compose": compose,
         "tau-anchor": tau("anchor", (0, 0), 1),
         # graded antisymmetry fails on its (0,-1) generator case
@@ -1087,14 +1007,6 @@ GOLDEN_FAILING = {
     "lie-anchor@7": "c7c026688de54ea07bebec2ee4b7ff88dba587de47863dfbdaa29bb519728212",
     "lie-structure@0": "3adbdeddf4582fb94757714d0ec433e0751adf0a989f46ed90c1dcad988e0eb4",
     "lie-structure@7": "3adbdeddf4582fb94757714d0ec433e0751adf0a989f46ed90c1dcad988e0eb4",
-    "marked-anchor@0": "2b435204cf66064b030eeb4560f34c77c5ea0de35b9e74b6660af31fe572e94b",
-    "marked-anchor@7": "2b435204cf66064b030eeb4560f34c77c5ea0de35b9e74b6660af31fe572e94b",
-    "marked-structure@0": "9b552761b71216bd96e267c4226602a61ceadc19b708f3c11fde16f77fda4f61",
-    "marked-structure@7": "9b552761b71216bd96e267c4226602a61ceadc19b708f3c11fde16f77fda4f61",
-    "extension-anchor@0": "333518633abd560283f7ac9da60c9ddddb286f2edc9e9e3c38eb2a00bb8d9fe2",
-    "extension-anchor@7": "333518633abd560283f7ac9da60c9ddddb286f2edc9e9e3c38eb2a00bb8d9fe2",
-    "extension-structure@0": "547fdd680aa03f0ca6da0e61cfab32a460ebbdc10784d8c65b64af5b63f80029",
-    "extension-structure@7": "547fdd680aa03f0ca6da0e61cfab32a460ebbdc10784d8c65b64af5b63f80029",
     "compose@0": "3ecd3a21666faf3717603c00471501bc990cb7e27ee85feb142cb5bd8b2676e6",
     "compose@7": "3ecd3a21666faf3717603c00471501bc990cb7e27ee85feb142cb5bd8b2676e6",
     "tau-anchor@0": "539830a2e2be005b0aa714003f4c4ac4075e363f58c294b01dc0c7ba2d24ca95",
@@ -1140,14 +1052,6 @@ MORPHISM_CHECKS = [
     "morphism_bracket",
 ]
 LIE_CHECKS = ["antisymmetry", "anchor_morphism", "jacobi_identity", "leibniz_rule"]
-MARKED_CHECKS = ["marking_anchor_free", "marking_central"]
-EXTENSION_CHECKS = MARKED_CHECKS + [
-    "splitting_section",
-    "marking_in_kernel",
-    "projection_anchor",
-    "projection_bracket",
-    "kernel_is_marking_line",
-]
 COMPOSE_CHECKS = [
     "composition_associative",
     "comparison_anchor",
@@ -1206,13 +1110,6 @@ FAILING_STATUSES = {
         LIE_CHECKS,
         ["antisymmetry", "anchor_morphism", "jacobi_identity"],
     ),
-    "marked-anchor": (MARKED_CHECKS, ["marking_anchor_free", "marking_central"]),
-    "marked-structure": (MARKED_CHECKS, ["marking_central"]),
-    "extension-anchor": (
-        EXTENSION_CHECKS,
-        ["marking_anchor_free", "marking_central", "projection_anchor"],
-    ),
-    "extension-structure": (EXTENSION_CHECKS, ["projection_bracket"]),
     "compose": (COMPOSE_CHECKS, ["composition_associative", "comparison_bracket"]),
     "tau-anchor": (
         TAU_CHECKS,

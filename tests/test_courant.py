@@ -26,7 +26,7 @@ from algebroids.courant import (
     twist,
 )
 from algebroids.errors import ChartMismatchError, ValidationError
-from algebroids.lie_algebroid import MarkedLieData, check_marked, tangent_algebroid
+from algebroids.lie_algebroid import tangent_algebroid
 from algebroids.linalg import (
     apply_matrix,
     unit_vec,
@@ -38,7 +38,7 @@ from algebroids.linalg import (
 )
 from algebroids.symcalc import KForm, Poly, coordinate_chart, parse_poly
 
-from test_acceptance import A2, _magnetic_total, _perturbed, _perturbed_lie
+from test_acceptance import A2, _perturbed
 from test_symcalc import kforms, polys
 
 R1 = coordinate_chart("L", 1)
@@ -702,10 +702,9 @@ def _named_sections(label, chart, rank):
 
 
 def test_probe_cases_name_failing_sections():
-    """On the courant-anchor and marked-anchor inputs of the failing-report
-    pins, eq3, eq4, leibniz_identity and marking_central hold on generators
-    and fail on a probe case; the identity is nonzero on the sections each
-    one names."""
+    """On the courant-anchor input of the failing-report pins, eq3, eq4
+    and leibniz_identity hold on generators and fail on a probe case; the
+    identity is nonzero on the sections each one names."""
     q = _perturbed(standard_exact(A2), "anchor", (0, 0), 1)
     rep = check_courant(q, samples=0)
     label = rep["eq3_pairing_invariance"].counterexample
@@ -722,14 +721,6 @@ def test_probe_cases_name_failing_sections():
     assert label.startswith("sections (")
     u, v, w = _named_sections(label, A2, q.rank)
     assert not vec_eq(jacobiator(q, u, v, w), zero_vec(A2, q.rank))
-
-    total = _perturbed_lie(_magnetic_total(A2), "anchor", (2, 0), Poly.coord(A2, 0))
-    marking = unit_vec(A2, 3, 2)
-    rep = check_marked(MarkedLieData(total, marking))
-    label = rep["marking_central"].counterexample
-    assert label.startswith("section ")
-    (u,) = _named_sections(label, A2, 3)
-    assert not vec_eq(total.bracket(u, marking), zero_vec(A2, 3))
 
 
 def _zero_coanchor(chart):

@@ -1,6 +1,5 @@
-"""Lie algebroid data, axiom checks, extensions, and inverse images."""
+"""Lie algebroid data, axiom checks, and inverse images."""
 
-from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -18,20 +17,10 @@ from algebroids.errors import UnsupportedModeError, ValidationError
 from algebroids import lie_algebroid as lie_module, linalg
 from algebroids.lie_algebroid import (
     LieData,
-    MarkedLieData,
-    OExtensionData,
-    baer_combination,
-    baer_presentation,
     canonical_splitting,
     check_compose_associative,
-    check_extension,
-    check_extension_pullback_linear,
     check_lie_algebroid,
-    check_marked,
     pullback_lie,
-    pullback_marked,
-    quotient_by_marking,
-    solve_coboundary,
     tangent_algebroid,
     trivial_extension,
 )
@@ -39,12 +28,10 @@ from algebroids.symcalc import (
     Chart,
     ChartMap,
     Poly,
-    VField,
     coordinate_chart,
     parse_poly,
 )
 
-from test_courant import WEIGHTS
 from test_symcalc import polys
 
 PT = Chart("PT", ())
@@ -130,129 +117,6 @@ def test_section_bracket_matches_vector_fields():
     # Leibniz in the right slot: [e1, y1 e2] = e2 picked up from the anchor.
     got = t.bracket(sec(R2, "1", "0"), sec(R2, "0", "y1"))
     assert got == sec(R2, "0", "1")
-
-
-# ---------------------------------------------------------------------------
-# markings and extensions
-# ---------------------------------------------------------------------------
-
-
-def magnetic(gamma: Poly) -> OExtensionData:
-    """Central extension of the tangent algebroid of the plane by a line,
-    with [g1, g2] = gamma * marking."""
-    chart = gamma.chart
-    base = tangent_algebroid(chart)
-    z = Poly.zero(chart)
-    anchor = (sec(chart, "1", "0"), sec(chart, "0", "1"), (z, z))
-    structure = {(0, 1): (z, z, gamma)}
-    total = LieData(chart, 3, anchor, structure)
-    marking = linalg.unit_vec(chart, 3, 2)
-    projection = (
-        linalg.unit_vec(chart, 2, 0),
-        linalg.unit_vec(chart, 2, 1),
-        linalg.zero_vec(chart, 2),
-    )
-    splitting = (linalg.unit_vec(chart, 3, 0), linalg.unit_vec(chart, 3, 1))
-    return OExtensionData(MarkedLieData(total, marking), base, projection, splitting)
-
-
-def test_magnetic_extension_is_valid():
-    ext = magnetic(parse_poly("y1", R2))
-    assert check_lie_algebroid(ext.total.lie, samples=20, seed=4).ok
-    rep = check_extension(ext)
-    assert rep.ok, str(rep)
-
-
-def test_marking_must_be_central():
-    # Sabotage: make the marking non-central.
-    chart = R2
-    z = Poly.zero(chart)
-    anchor = (sec(chart, "1", "0"), sec(chart, "0", "1"), (z, z))
-    structure = {(0, 2): (z, z, Poly.one(chart))}
-    total = LieData(chart, 3, anchor, structure)
-    rep = check_marked(MarkedLieData(total, linalg.unit_vec(chart, 3, 2)))
-    assert not rep["marking_central"].passed
-
-
-def test_baer_combination_adds_cocycles():
-    e1 = magnetic(parse_poly("y1", R2))
-    e2 = magnetic(parse_poly("y2", R2))
-    comb = baer_combination([e1, e2], [2, -1])
-    assert comb.total.lie.rank == 3
-    assert comb.total.lie.structure[(0, 1)] == sec(R2, "0", "0", "2*y1 - y2")
-    assert check_extension(comb).ok
-
-
-def test_baer_combination_zero_weights_is_trivial():
-    e1 = magnetic(parse_poly("y1", R2))
-    comb = baer_combination([e1, e1], [0, 0])
-    assert comb.total.lie.structure == {}
-    assert check_extension(comb).ok
-
-
-def _reframed(ext, scale, shifts):
-    """ext with its marking scaled by a constant and each splitting
-    column moved along the marking by a polynomial."""
-    marking = linalg.vec_scale(scale, ext.total.marking)
-    splitting = tuple(
-        linalg.vec_add(col, linalg.vec_scale(p, marking))
-        for col, p in zip(ext.splitting, shifts)
-    )
-    return OExtensionData(
-        MarkedLieData(ext.total.lie, marking), ext.base, ext.projection, splitting
-    )
-
-
-@given(WEIGHTS, st.data())
-@settings(max_examples=25, deadline=None)
-def test_baer_presentation_reduce_inverts_expand(weights, data):
-    """reduce(expand(c) + any combination of relations) = c, on magnetic
-    extensions with scaled markings and splittings moved along them."""
-    extensions = [
-        _reframed(
-            magnetic(data.draw(polys(R2, max_degree=1))),
-            data.draw(st.sampled_from([1, 2, Fraction(-1, 3)])),
-            [data.draw(polys(R2, max_degree=1)) for _ in range(2)],
-        )
-        for _ in weights
-    ]
-    comb = baer_presentation(extensions, [Fraction(w) for w in weights])
-    cls = tuple(data.draw(polys(R2)) for _ in range(3))
-    assert comb.reduce(comb.expand(cls)) == cls
-    rel = tuple(data.draw(polys(R2, max_degree=1)) for _ in comb.relations)
-    shifted = tuple(
-        linalg.apply_matrix([r[i] for r in comb.relations], rel, len(e), R2, e)
-        for i, e in enumerate(comb.expand(cls))
-    )
-    assert comb.reduce(shifted) == cls
-
-
-def test_baer_presentation_refuses_a_section_off_the_marking_line():
-    e = magnetic(parse_poly("y1", R2))
-    comb = baer_presentation([e, e], [Fraction(1), Fraction(1)])
-    # Both sections lift g1, and the second adds the lift of g2 as well.
-    (lift_0, lift_1), (_, other) = comb.basis[:2]
-    with pytest.raises(ValidationError, match="not in the fiber product"):
-        comb.reduce((lift_0, linalg.vec_add(lift_1, other)))
-
-
-def test_trivial_extension_roundtrip():
-    ext = trivial_extension(flag_algebroid())
-    assert check_extension(ext).ok
-    quotient, projection = quotient_by_marking(ext.total)
-    assert quotient.rank == 3
-    assert quotient.structure == flag_algebroid().structure
-    assert projection[:3] == tuple(
-        linalg.unit_vec(R2, 3, i) for i in range(3)
-    )
-
-
-def test_quotient_by_marking_recovers_base():
-    ext = magnetic(parse_poly("y1", R2))
-    quotient, _ = quotient_by_marking(ext.total)
-    assert quotient.rank == 2
-    assert quotient.structure == {}
-    assert quotient.anchor == tangent_algebroid(R2).anchor
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +238,13 @@ def test_invertible_shear_pullback():
 
 
 def test_transitive_split_pullback_of_extension():
-    ext = magnetic(parse_poly("y1", R2))
+    # The tangent algebroid of the plane extended by a line, [e0, e1] = y1 e2.
+    z, one = Poly.zero(R2), Poly.one(R2)
+    anchor = ((one, z), (z, one), (z, z))
+    total = LieData(R2, 3, anchor, {(0, 1): (z, z, parse_poly("y1", R2))})
     f = ChartMap(R1, R2, sec(R1, "z1", "z1^2"))
     splitting = (linalg.unit_vec(R2, 3, 0), linalg.unit_vec(R2, 3, 1))
-    pb = pullback_lie(f, ext.total.lie, "transitive-split", splitting)
+    pb = pullback_lie(f, total, "transitive-split", splitting)
     assert pb.result.rank == 2
     # Tangent lift carries the Jacobian of the curve.
     assert pb.basis[0] == (sec(R1, "1"), sec(R1, "1", "2*z1", "0"))
@@ -403,25 +270,22 @@ def test_transitive_split_rejects_bad_splitting():
         pullback_lie(ChartMap.identity(R2), t, "transitive-split", bad)
 
 
-def test_marked_pullback_carries_the_marking():
-    ext = magnetic(parse_poly("y1", R2))
-    shear = ChartMap(R2, R2, sec(R2, "y1", "y2 + y1^2"))
-    mpb = pullback_marked(shear, ext.total)
-    assert mpb.marked.marking == sec(R2, "0", "0", "1")
-    assert check_marked(mpb.marked).ok
-
-
 def test_pullback_axioms_hold():
     # The induced structure on each presentation is itself a Lie algebroid.
-    ext = magnetic(parse_poly("y2", R2))
+    # The last input extends the tangent algebroid of the plane by a line,
+    # [e0, e1] = y2 e2, split by e0 and e1.
+    z, one = Poly.zero(R2), Poly.one(R2)
+    anchor = ((one, z), (z, one), (z, z))
+    total = LieData(R2, 3, anchor, {(0, 1): (z, z, parse_poly("y2", R2))})
+    splitting = (linalg.unit_vec(R2, 3, 0), linalg.unit_vec(R2, 3, 1))
     cases = [
         pullback_lie(ChartMap(R3, R2, sec(R3, "x1", "x2")), tangent_algebroid(R2)),
         pullback_lie(ChartMap(R1, R2, sec(R1, "z1", "0")), flag_algebroid()),
         pullback_lie(
             ChartMap(R1, R2, sec(R1, "z1", "z1^3")),
-            ext.total.lie,
+            total,
             "transitive-split",
-            ext.splitting,
+            splitting,
         ),
     ]
     for pb in cases:
@@ -520,32 +384,6 @@ def test_pruned_tables_equal_the_unpruned_tables_on_the_assoc_chain(monkeypatch)
         assert pb.result == LieData(pb.chart, r, anchor, structure)
 
 
-def test_extension_pullback_linearity():
-    # Extensions of the tangent algebroid of X by closed two-forms, pulled
-    # back along a surface in X.
-    def magnetic3(expr):
-        chart = R3
-        base = tangent_algebroid(chart)
-        z = Poly.zero(chart)
-        anchor = tuple(base.anchor[a] for a in range(3)) + ((z, z, z),)
-        structure = {(0, 1): (z, z, z, parse_poly(expr, chart))}
-        total = LieData(chart, 4, anchor, structure)
-        return OExtensionData(
-            MarkedLieData(total, linalg.unit_vec(chart, 4, 3)),
-            base,
-            tuple(linalg.unit_vec(chart, 3, a) for a in range(3))
-            + (linalg.zero_vec(chart, 3),),
-            tuple(linalg.unit_vec(chart, 4, a) for a in range(3)),
-        )
-
-    f = ChartMap(R2, R3, sec(R2, "y1", "y2", "y1*y2"))
-    exts = [magnetic3("x1"), magnetic3("x2")]
-    base_splitting = tuple(linalg.unit_vec(R3, 3, j) for j in range(3))
-    rep = check_extension_pullback_linear(f, exts, [3, -2], base_splitting)
-    assert rep.ok, str(rep)
-    assert rep["cocycles_match"].passed
-
-
 def test_shape_failures_are_unsupported_modes():
     flatten = ChartMap(R2, R2, sec(R2, "y1", "0"))
     diagonal = ChartMap(R1, R2, sec(R1, "z1", "z1"))
@@ -555,30 +393,6 @@ def test_shape_failures_are_unsupported_modes():
     fold = ChartMap(R1, R1, sec(R1, "z1^2 + z1"))
     with pytest.raises(UnsupportedModeError):
         pullback_lie(fold, tangent_algebroid(R1), "coordinate-submersion")
-
-
-def _coboundary(anchors, t):
-    """(k, l) -> anchors[k](t_l) - anchors[l](t_k) for k < l."""
-    n = len(anchors)
-    return {
-        (k, l): anchors[k].apply(t[l]) - anchors[l].apply(t[k])
-        for k in range(n)
-        for l in range(k + 1, n)
-    }
-
-
-def test_solve_coboundary_solves_a_known_coboundary():
-    anchors = [VField.basis(R2, 0), VField.basis(R2, 1)]
-    target = _coboundary(anchors, sec(R2, "y1*y2 + 3", "y1^2 - 2*y2"))
-    t = solve_coboundary(anchors, target, R2, 3)
-    assert t is not None
-    assert _coboundary(anchors, t) == target
-
-
-def test_solve_coboundary_without_anchors_has_no_solution():
-    anchors = [VField.zero(R2), VField.zero(R2)]
-    target = {(0, 1): parse_poly("y1", R2)}
-    assert solve_coboundary(anchors, target, R2, 2) is None
 
 
 @st.composite
@@ -612,9 +426,9 @@ def test_bracket_leibniz_rules_hold_for_any_table(a, data):
 @given(lie_data(), st.data())
 @settings(max_examples=30, deadline=None)
 def test_bracket_with_a_marking_is_decided_by_generators_and_its_anchor(a, data):
-    """L9: [u, m] = sum_i u_i [e_i, m] - anchor(m)(u_i) e_i for an arbitrary
-    marking m, so m is central iff [e_i, m] = 0 for every i and anchor(m)
-    = 0."""
+    """[u, m] = sum_i u_i [e_i, m] - anchor(m)(u_i) e_i for an arbitrary
+    section m (L1 in the left slot), so m is central, as the marking of a
+    line extension is, iff [e_i, m] = 0 for every i and anchor(m) = 0."""
     section = st.tuples(*[polys(R2)] * a.rank)
     u, m = data.draw(section), data.draw(section)
     rho_m = a.anchor_of(m)

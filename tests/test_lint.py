@@ -11,6 +11,11 @@ A definition (a top-level function or class, or a method whose name is not
 a dunder) is alive when its name appears as a word on some line of the
 Python files under src/, tests/ or perfbench/ other than its own def line.
 
+The product is the CLI and the benchmark jobs: cli.py and perfbench's run,
+worker and workloads modules. A top-level definition of the package is in
+its reach when a chain of name references leads to it from those files,
+tests not counted; the few that are not are listed, each with its reason.
+
 The term dictionary (Poly.terms) is the storage format of symcalc, which
 owns it; linalg reads it to match coefficients. Every other module goes
 through Poly and ChartMap, so a change of format touches those two only.
@@ -140,6 +145,94 @@ def test_every_definition_is_named_elsewhere():
     }
     assert defining
     assert dead_definitions(defining, corpus) == []
+
+
+PRODUCT_ROOTS = (
+    SRC / "cli.py",
+    ROOT / "perfbench" / "run.py",
+    ROOT / "perfbench" / "worker.py",
+    ROOT / "perfbench" / "workloads.py",
+)
+
+# Top-level definitions of the package that no verb and no benchmark job
+# reaches, each with why it stays.
+UNREACHED = {
+    "anchored.constant_quotient": "the quotient behind associated_lie_algebroid",
+    "courant.associated_lie_algebroid": "the Courant-to-Lie quotient, tested only",
+    "courant.connection_shift": "shifts a connection, for graph_of_two_form",
+    "courant.direct_sum": "the sum graph_of_morphism lives in",
+    "courant.opposite": "the opposite graph_of_morphism lives in",
+    "courant.scalar_multiple": "the closed form the Baer combination tests match",
+    "dirac.graph_of_morphism": "graphs of Courant morphisms, tested only",
+    "dirac.graph_of_two_form": "graphs of two-forms, tested only",
+    "linalg.qq_rank": "the rank of constant rows, tested only",
+    "sampling.sample_poly": "unused by every verdict; ROADMAP item 1 deletes it",
+    "sampling.sample_section": "unused by every verdict; ROADMAP item 1 deletes it",
+    "sampling.sample_kform": "random two-forms for two tests; ROADMAP item 1",
+    "transgression.courant_from_transgression": "the inverse of transgress, tested only",
+}
+
+
+def referenced_names(tree: ast.AST) -> set[str]:
+    """The names a syntax tree loads, reads as an attribute or imports."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rsplit(".", 1)[-1])
+    return out
+
+
+def unreached_definitions(defining: dict[str, str], roots: list[str]) -> list[str]:
+    """module.name of each top-level definition of the defining sources
+    (module -> source) that no chain of references from the root sources
+    reaches, sorted. A definition is reached when a reached body, or a
+    root, refers to its name; the body of a class holds its methods."""
+    bodies: dict[str, list[tuple[str, ast.AST]]] = {}
+    for module, source in defining.items():
+        tops = set(definitions(source))
+        for node in ast.parse(source).body:
+            if (getattr(node, "name", None), node.lineno) in tops:
+                bodies.setdefault(node.name, []).append((f"{module}.{node.name}", node))
+    frontier = set().union(*(referenced_names(ast.parse(src)) for src in roots))
+    reached = set()
+    while frontier:
+        for key, node in bodies.get(frontier.pop(), ()):
+            if key not in reached:
+                reached.add(key)
+                frontier |= referenced_names(node)
+    return sorted(key for found in bodies.values() for key, _ in found if key not in reached)
+
+
+def test_the_reach_gate_flags_an_unreached_name_and_keeps_a_reached_one():
+    library = (
+        "import os\n"
+        "def helper():\n"
+        "    return os.sep\n"
+        "class Box:\n"
+        "    def open(self):\n"
+        "        return helper()\n"
+        "def orphan():\n"
+        "    return helper()\n"
+    )
+    other = "def via_attribute():\n    pass\n"
+    root = "from lib import Box\nimport other\nBox().open(), other.via_attribute()\n"
+    got = unreached_definitions({"lib": library, "other": other}, [root])
+    assert got == ["lib.orphan"]
+
+
+def test_only_the_listed_definitions_are_out_of_the_products_reach():
+    """What cli.py and the benchmark jobs cannot reach is dead to every user
+    of the program: a new entry is a name to delete or to list here, and a
+    listed name that is reached or gone comes off the list."""
+    defining = {
+        path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))
+    }
+    roots = [path.read_text(encoding="utf-8") for path in PRODUCT_ROOTS]
+    assert unreached_definitions(defining, roots) == sorted(UNREACHED)
 
 
 TERM_OWNERS = ("symcalc.py", "linalg.py")
