@@ -190,7 +190,9 @@ def unreached_definitions(defining: dict[str, str], roots: list[str]) -> list[st
     """module.name of each top-level definition of the defining sources
     (module -> source) that no chain of references from the root sources
     reaches, sorted. A definition is reached when a reached body, or a
-    root, refers to its name; the body of a class holds its methods."""
+    root, refers to its name; the body of a class holds its methods. Names
+    are matched without their module, so two definitions of one name are
+    reached together."""
     bodies: dict[str, list[tuple[str, ast.AST]]] = {}
     for module, source in defining.items():
         tops = set(definitions(source))
