@@ -12,9 +12,29 @@ coanchor term. The inverse image of either along f: Y -> X is built on the
 fibre product f*A x_{f*TX} TY of pairs (tangent on Y, pulled section)
 (Liu-Weinstein-Xu, dg-ga/9508013); pair_bracket is its ambient bracket, the
 same sum over the pulled table with tangent vectors on Y standing in for
-the anchors (leibniz_sum, pulled_entries). pair_bracket_vanishes is the
-(tangent, section) half of Lemma L14: from the support of each slot it
-tells when pair_bracket is zero, so a pulled table skips those pairs.
+the anchors (leibniz_sum, pulled_entries).
+
+Lemma L14 (support test), on sections: each term of the bracket of u and
+v is zero unless its condition on the supports of u and v holds. The table
+term sum u_a v_b T(a, b) needs some a in supp u and b in supp v with a
+nonzero entry (a, b); anchor(u)(v_k) needs some a in supp u with a nonzero
+anchor row, and v not constant; anchor(v)(u_k) likewise; the Courant
+coanchor term c(sum_a (sum_b g_ab v_b) du_a) needs u not constant and some
+nonzero g_ab with a in supp u and b in supp v (paired). Derivations kill
+constants, and each remaining term is a product with a zero factor.
+AnchoredModule.bracket_vanishes is this test on two Supports (the nonzero
+entries of a vector, and whether all are constant), and CourantData adds
+the coanchor term. leibniz_vanishes is its table and anchor part with the
+anchors given as flags, so pair_bracket_vanishes is that part with the
+tangents standing in for the anchors, plus the tangent bracket [eta1,
+eta2], which needs both tangents nonzero and not both constant; the
+Courant inverse image adds its one-form terms (pullback). pruned_table
+brackets only the pairs of a basis that such a test admits, so both
+inverse images and the Courant Baer combination skip their zero table
+entries, and bracket_failures skips a generator pair with a zero table
+entry when the test rules out the bracket of its images. A ruled-out
+bracket is zero, and computing it would have formed no product of
+positive degree.
 
 Lemma L1: [u, f v] = f [u, v] + anchor(u)(f) v holds for every table. In
 leibniz_sum(u, f v) the table term scales by f, xi(f v_k) = f xi(v_k) +
@@ -65,7 +85,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import product
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from algebroids import linalg
 from algebroids.errors import (
@@ -89,6 +109,7 @@ from algebroids.linalg import (
 from algebroids.symcalc import Chart, ChartMap, Poly, VField
 
 Entry = Callable[[int, int], "Vec | None"]
+T = TypeVar("T")
 
 
 def require_chart(chart: Chart, *vecs: Sequence[Poly]) -> None:
@@ -185,31 +206,60 @@ def support(vec: Vec) -> Support:
     )
 
 
+def leibniz_vanishes(
+    entry: Entry, u: Support, v: Support, xi: bool, eta: bool
+) -> bool:
+    """Whether Lemma L14 shows leibniz_sum(rank, entry, u, v, xi, eta) to be
+    zero on sections with the supports u and v; xi and eta say whether the
+    fields standing for their anchors may be nonzero. The table term needs
+    some a in supp u and b in supp v with entry(a, b) not None, xi(v_k)
+    needs xi and v not constant, and eta(u_k) needs eta and u not constant.
+    """
+    return not (
+        (xi and not v.constant)
+        or (eta and not u.constant)
+        or any(entry(a, b) is not None for a in u.nonzero for b in v.nonzero)
+    )
+
+
+def paired(matrix: Sequence[Vec], u: Support, v: Support) -> bool:
+    """Whether some nonzero matrix[a][b] has a in supp u and b in supp v:
+    without one, sum_ab u_a g_ab v_b and every sum_b g_ab v_b vanish."""
+    return any(not matrix[a][b].is_zero for a in u.nonzero for b in v.nonzero)
+
+
 def pair_bracket_vanishes(
     entry: Entry, x: tuple[Support, Support], y: tuple[Support, Support]
 ) -> bool:
     """Whether Lemma L14 shows pair_bracket to be zero on pairs (eta1, u1)
-    and (eta2, u2) with the supports x and y; entry reads the source table.
-
-    Lemma L14, (tangent, section) half: each term of pair_bracket is zero
-    unless its condition holds.
-      - [eta1, eta2] needs both tangents nonzero and not both constant, a
-        derivation killing constants.
-      - The table term sum u1_a u2_b T(a, b) needs some a in supp u1 and
-        b in supp u2 with entry(a, b) not None; a pulled entry is zero
-        where its source entry is.
-      - eta1(u2_k) needs eta1 nonzero and u2 not constant; eta2(u1_k)
-        likewise.
-    When none holds, the bracket is zero, and computing it would have
-    formed no product of positive degree.
-    """
+    and (eta2, u2) with the supports x and y; entry reads the source table,
+    and a pulled entry is zero where its source entry is. The section is
+    leibniz_sum with the tangents as anchors (leibniz_vanishes); the
+    tangent bracket [eta1, eta2] needs both tangents nonzero and not both
+    constant, a derivation killing constants."""
     (eta1, u1), (eta2, u2) = x, y
+    xi, eta = bool(eta1.nonzero), bool(eta2.nonzero)
     return not (
-        (eta1.nonzero and eta2.nonzero and not (eta1.constant and eta2.constant))
-        or (eta1.nonzero and not u2.constant)
-        or (eta2.nonzero and not u1.constant)
-        or any(entry(a, b) is not None for a in u1.nonzero for b in u2.nonzero)
-    )
+        xi and eta and not (eta1.constant and eta2.constant)
+    ) and leibniz_vanishes(entry, u1, u2, xi, eta)
+
+
+def pruned_table(
+    basis: Sequence[tuple[Vec, ...]],
+    vanishes: Callable[[tuple[Support, ...], tuple[Support, ...]], bool],
+    bracket: Callable[[tuple[Vec, ...], tuple[Vec, ...]], T],
+) -> dict[tuple[int, int], T]:
+    """bracket(basis[x], basis[y]) on each ordered pair (x, y) of basis
+    elements that vanishes does not rule out, from one Support per slot of
+    each element, taken once (Lemma L14). A ruled-out pair is left out, as
+    a zero table entry would be dropped; every admitted pair is bracketed,
+    in both orders when both are admitted."""
+    supports = [tuple(map(support, element)) for element in basis]
+    return {
+        (x, y): bracket(basis[x], basis[y])
+        for (x, sx), (y, sy) in product(enumerate(supports), repeat=2)
+        if not vanishes(sx, sy)
+    }
 
 
 class AnchoredModule:
@@ -269,6 +319,12 @@ class AnchoredModule:
         got = self._entry(a, b)
         return self.zero_section() if got is None else got
 
+    def require_rank(self, *vecs: Sequence[Poly]) -> None:
+        """ValidationError unless every vector has the rank's length."""
+        for s in vecs:
+            if len(s) != self.rank:
+                raise ValidationError(f"section of length {len(s)}, not rank {self.rank}")
+
     def _either_zero(self, u: Vec, v: Vec) -> bool:
         """Whether u or v is the zero section, so that their bracket is.
 
@@ -276,13 +332,23 @@ class AnchoredModule:
         zero bracket skips the arithmetic that would have refused a section
         of another chart, so before it is returned both are checked for
         that too (ChartMismatchError)."""
-        for s in (u, v):
-            if len(s) != self.rank:
-                raise ValidationError(f"section of length {len(s)}, not rank {self.rank}")
+        self.require_rank(u, v)
         if not (vec_is_zero(u) or vec_is_zero(v)):
             return False
         require_chart(self.chart, u, v)
         return True
+
+    def _anchored(self, s: Support) -> bool:
+        """Whether the anchor of a section with support s may be nonzero:
+        some generator in it has a nonzero anchor row."""
+        return any(not vec_is_zero(self.anchor[a]) for a in s.nonzero)
+
+    def bracket_vanishes(self, su: Support, sv: Support) -> bool:
+        """Whether Lemma L14 shows bracket to be zero on sections with the
+        supports su and sv: its table and anchor terms (leibniz_vanishes)."""
+        return leibniz_vanishes(
+            self._entry, su, sv, self._anchored(su), self._anchored(sv)
+        )
 
     def bracket(self, u: Vec, v: Vec) -> Vec:
         if self._either_zero(u, v):
@@ -405,10 +471,21 @@ def bracket_failures(
     src: AnchoredModule, dst: AnchoredModule, matrix: Sequence[Vec]
 ) -> Iterator[str]:
     """Generator pairs of src whose table bracket, mapped through matrix, is
-    not the dst bracket of their images."""
+    not the dst bracket of their images.
+
+    A pair with no table entry maps to zero, so it holds without a bracket
+    when dst.bracket_vanishes rules out the bracket of its images (Lemma
+    L14). The rank and chart checks that such a skipped dst.bracket would
+    have made on the rows are made up front."""
+    rows = [matrix[a] for a in range(src.rank)]
+    dst.require_rank(*rows)
+    require_chart(dst.chart, *rows)
+    supports = [support(row) for row in rows]
     for a, b in product(range(src.rank), repeat=2):
+        if src._entry(a, b) is None and dst.bracket_vanishes(supports[a], supports[b]):
+            continue
         lhs = apply_matrix(matrix, src.bracket_gen(a, b), dst.rank, dst.chart)
-        if not vec_eq(lhs, dst.bracket(matrix[a], matrix[b])):
+        if not vec_eq(lhs, dst.bracket(rows[a], rows[b])):
             yield f"generators ({a},{b})"
 
 

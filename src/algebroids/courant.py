@@ -37,6 +37,7 @@ from algebroids import linalg
 from algebroids.anchored import (
     AnchoredModule,
     Presentation,
+    Support,
     anchor_defect,
     anchor_failures,
     bracket_failures,
@@ -44,7 +45,9 @@ from algebroids.anchored import (
     jacobi_counterexample,
     jacobi_generator_failures,
     jacobi_left_probe_failures,
+    paired,
     probe,
+    pruned_table,
 )
 from algebroids.errors import ChartMismatchError, ValidationError
 from algebroids.lie_algebroid import LieData
@@ -129,6 +132,14 @@ class CourantData(AnchoredModule):
             return self.zero_section()
         alpha = pairing_differential(self.pairing, u, v, self.chart)
         return self._coanchor_vec(alpha, super().bracket(u, v))
+
+    def bracket_vanishes(self, su: Support, sv: Support) -> bool:
+        """The anchored-module test (Lemma L14), and the coanchor term: the
+        pairing differential needs u not constant and a nonzero g_ab with a
+        in supp u and b in supp v."""
+        return super().bracket_vanishes(su, sv) and (
+            su.constant or not paired(self.pairing, su, sv)
+        )
 
 
 def standard_exact(chart: Chart, h: KForm | None = None) -> CourantData:
@@ -632,8 +643,10 @@ class CourantCombination(Presentation):
     the line coordinates t_i of section i less its lift of b, read by
     pairing with the connection columns; it returns (b, sum_i w_i t_i) as
     the class and the other parts' t_i as relation coefficients. result
-    holds the weighted pairings of the basis and its basis_bracket table:
-    generators 0..n-1 are the diagonal lifts, n..2n-1 the glued lines.
+    holds the weighted pairings of the basis and the table of the classes
+    of its part by part brackets: generators 0..n-1 are the diagonal
+    lifts, n..2n-1 the glued lines. A basis pair whose bracket
+    bracket_vanishes rules out in every part (Lemma L14) is not bracketed.
     """
 
     def __init__(
@@ -689,18 +702,19 @@ class CourantCombination(Presentation):
             return sum(products, Poly.zero(chart))
 
         gens = self.basis
-        r = len(gens)
         pairing = tuple(tuple(weighted(x, y) for y in gens) for x in gens)
-        structure = {
-            (a, b): self.basis_bracket(a, b) for a, b in product(range(r), repeat=2)
-        }
-        anchor, coanchor = _exact_frame(chart)
-        self.result = CourantData(chart, r, anchor, coanchor, pairing, structure)
 
-    def basis_bracket(self, x: int, y: int) -> Vec:
-        """The class of the part by part bracket of basis x and y."""
-        pairs = zip(self.parts, self.basis[x], self.basis[y])
-        return self.reduce(tuple(q.bracket(u, v) for q, u, v in pairs))
+        def vanishes(x: tuple[Support, ...], y: tuple[Support, ...]) -> bool:
+            return all(q.bracket_vanishes(su, sv) for q, su, sv in zip(parts, x, y))
+
+        def bracket(x: tuple[Vec, ...], y: tuple[Vec, ...]) -> Vec:
+            return self.reduce(tuple(q.bracket(u, v) for q, u, v in zip(parts, x, y)))
+
+        structure = pruned_table(gens, vanishes, bracket)
+        anchor, coanchor = _exact_frame(chart)
+        self.result = CourantData(
+            chart, len(gens), anchor, coanchor, pairing, structure
+        )
 
 
 def baer_combination(

@@ -56,10 +56,10 @@ from algebroids.anchored import (
     pair_bracket,
     pair_bracket_vanishes,
     probe,
+    pruned_table,
     pulled_entries,
     pulled_morphism,
     resolve_mode,
-    support,
 )
 from algebroids.errors import UnsupportedModeError, ValidationError
 from algebroids.linalg import (
@@ -254,8 +254,9 @@ class LiePullback(Presentation):
     section) pairs of the fibre class, and basis is the fibre class's
     basis; the reader is its coords. result is the induced structure on
     that basis: the anchor of a basis pair is its tangent, and each table
-    entry is the reduced pair_bracket of two basis pairs, computed only when
-    pair_bracket_vanishes (Lemma L14) does not rule the pair out.
+    entry is the reduced pair_bracket of two basis pairs, computed by
+    pruned_table only when pair_bracket_vanishes (Lemma L14) does not rule
+    the pair out.
     """
 
     def __init__(
@@ -274,20 +275,17 @@ class LiePullback(Presentation):
         self.map, self.mode, self.source = f, mode, source
         chart, basis = self.chart, self.basis
         pulled = pulled_entries(f, source._entry)
-        supports = [tuple(map(support, pair)) for pair in basis]
+        table = pruned_table(
+            basis,
+            lambda x, y: pair_bracket_vanishes(source._entry, x, y),
+            lambda x, y: self.reduce(pair_bracket(chart, source.rank, pulled, x, y)),
+        )
         zero = linalg.zero_vec(chart, len(basis))
-
-        def bracket(x: int, y: int) -> Vec:
-            if pair_bracket_vanishes(source._entry, supports[x], supports[y]):
-                return zero
-            got = pair_bracket(chart, source.rank, pulled, basis[x], basis[y])
-            return self.reduce(got)
-
         # A pair that does not reduce antisymmetrically means the source data
         # was not antisymmetric to begin with.
         structure = antisymmetric_table(
             len(basis),
-            bracket,
+            lambda x, y: table.get((x, y), zero),
             "pullback bracket is not antisymmetric; source structure functions "
             "are inconsistent",
         )

@@ -13,11 +13,12 @@ Three layers:
   Courant bracket). Zero entries cost nothing.
 * Poly matrices/vectors: structural operations plus fraction-free Gaussian
   elimination for ranks "at the generic point", cofactor determinants and
-  adjugates, one polynomial left inverse (left_inverse: a constant
+  adjugates, one polynomial left inverse (left_inverse: Gauss-Jordan
+  elimination on constant pivots for a square matrix, else a constant
   combination of the adjugates of the maximal row minors) behind every
   frame a construction reads coordinates through, and one bounded-degree
   solver (solve_bounded_degree) for a Q-linear map on polynomials, behind
-  span membership and left_inverse.
+  span membership and the adjugate route.
 
 Sections of rank-r objects are represented throughout the package as tuples
 of r polynomials; the vec_* helpers here operate on those, and fmt_section
@@ -305,7 +306,12 @@ def select_independent(rows: Sequence[Vec]) -> list[int]:
 
 
 def poly_det(m: Sequence[Sequence[Poly]]) -> Poly:
-    """Determinant by cofactor expansion (fine for the small sizes here)."""
+    """Determinant by cofactor expansion (fine for the small sizes here).
+
+    It runs in classify_map's unit-determinant test and in the adjugate
+    route of left_inverse (adjugate_left_inverse), which takes non-square
+    input and the square matrices pivot_inverse declines; a square matrix
+    that pivot_inverse inverts needs no determinant."""
     n = len(m)
     if n == 0:
         raise ValidationError("determinant of an empty matrix")
@@ -347,12 +353,58 @@ def left_inverse(m: Sequence[Sequence[Poly]]) -> list[list[Poly]] | None:
     """A polynomial matrix L with L m = identity, or None.
 
     m is an n x k polynomial matrix (n rows, k >= 1 columns); L is k x n.
+    A square m is first inverted by pivot_inverse, Gauss-Jordan elimination
+    on constant pivots. A square matrix with a polynomial inverse has only
+    that one, so when pivot_inverse succeeds it returns the matrix the
+    adjugate route would. A non-square m, and a square m with a column that
+    finds no constant pivot, take the adjugate route,
+    adjugate_left_inverse.
+    """
+    if m and len(m) == len(m[0]):
+        inverse = pivot_inverse(m)
+        if inverse is not None:
+            return inverse
+    return adjugate_left_inverse(m)
+
+
+def pivot_inverse(m: Sequence[Sequence[Poly]]) -> list[list[Poly]] | None:
+    """The inverse of a square polynomial matrix by Gauss-Jordan elimination
+    on constant pivots, or None when a column, at its turn, has no nonzero
+    constant entry in the rows not yet used as pivots.
+
+    Each row of [m | I] is scaled by the inverse of its constant pivot and
+    subtracted, times a polynomial, from the others, so the right half E
+    keeps E m equal to the left half, which ends as the identity: E m = I
+    exactly, with no division by a polynomial.
+    """
+    n = len(m)
+    chart = m[0][0].chart
+    rows = [list(row) + list(unit_vec(chart, n, i)) for i, row in enumerate(m)]
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if rows[i][c].as_constant()), None)
+        if pivot is None:
+            return None
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        scale = Fraction(1) / rows[c][c].as_constant()
+        if scale != 1:
+            rows[c] = [scale * p for p in rows[c]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != c and not f.is_zero:
+                rows[i] = [p if q.is_zero else p - f * q for p, q in zip(row, rows[c])]
+    return [row[n:] for row in rows]
+
+
+def adjugate_left_inverse(m: Sequence[Sequence[Poly]]) -> list[list[Poly]] | None:
+    """left_inverse by a constant combination of adjugates of the maximal
+    row minors, or None.
+
     Each k-row minor m_S has adj(m_S) m_S = det(m_S) I, so constants c_S
     with sum_S c_S det(m_S) = 1 give L = sum_S c_S adj(m_S), placed on the
     columns S. None when no such constants exist. By Cauchy-Binet this
     accepts every m with a constant left inverse L0 (c_S is the determinant
     of L0 on the columns S) and every square m whose determinant is a
-    nonzero constant.
+    nonzero constant. The result is checked: L m = I exactly.
     """
     n = len(m)
     if n == 0:

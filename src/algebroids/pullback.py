@@ -16,20 +16,19 @@ check_relation_absorption). Pairing and bracket of triples:
                   sum u1_a u2_b f*(structure^k_ab) + eta1(u2_k) - eta2(u1_k),
                   [eta1, eta2] )
 
-Lemma L14 (support test): each term above is zero unless its condition on
-the supports of the slots holds. [eta1, eta2] needs both tangents nonzero
-and not both constant; the table term some a in supp u1 and b in supp u2
-with a nonzero source entry (a, b); eta1(u2_k) needs eta1 nonzero and u2
-not constant, and eta2(u1_k) likewise; the pairing differential needs u1
-not constant and u2 nonzero; L_{eta1} beta2 needs eta1 and beta2 nonzero
-and not both constant; i_{eta2} d beta1 needs eta2 nonzero and beta1 not
-constant. The pairing needs beta1 and eta2 nonzero, or beta2 and eta1, or
-some nonzero f*(g_ab) with a in supp u1 and b in supp u2. Derivations kill
-constants, and each remaining term is a product with a zero factor.
-CourantPullback.result takes one anchored.Support per slot of each basis
-triple and brackets, pairs and reduces only the pairs the lemma admits;
-the others are zero, and computing them formed no product of positive
-degree, so no result changes and no degree cap can fire on them.
+Lemma L14 (support test) is stated on sections in algebroids.anchored:
+each term above is zero unless its condition on the supports of the slots
+holds. The (eta, u) terms are those of anchored.pair_bracket_vanishes, and
+the pairing differential that of CourantData.bracket_vanishes, read on the
+pulled pairing. The one-form terms add two conditions: L_{eta1} beta2
+needs eta1 and beta2 nonzero and not both constant, and i_{eta2} d beta1
+needs eta2 nonzero and beta1 not constant. The pairing needs beta1 and
+eta2 nonzero, or beta2 and eta1, or some nonzero f*(g_ab) with a in supp
+u1 and b in supp u2. CourantPullback.result builds its table and pairing
+with anchored.pruned_table, so it brackets, pairs and reduces only the
+pairs the lemma admits; the others are zero, and computing them formed no
+product of positive degree, so no result changes and no degree cap can
+fire on them.
 
 Four presentations are supported: an exact split presentation over a
 chosen connection (basis: connection lifts of the coordinate fields plus
@@ -62,7 +61,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
 
 from algebroids import linalg
 from algebroids.anchored import (
@@ -74,11 +72,12 @@ from algebroids.anchored import (
     constant_complement,
     pair_bracket,
     pair_bracket_vanishes,
+    paired,
+    pruned_table,
     pulled_entries,
     require_chart,
     resolve_mode,
     split_lifts,
-    support,
 )
 from algebroids.courant import (
     Connection,
@@ -167,30 +166,26 @@ class CourantPullback(Presentation):
     def result(self) -> CourantData:
         """The induced structure on the basis.
 
-        One Support per slot of each basis triple is taken first, and a pair
-        that bracket_vanishes or pairing_vanishes rules out gets no ambient
-        operation: its table entry is left out, as a zero entry would be
-        dropped, and its pairing entry is the chart's zero."""
+        pruned_table takes one Support per slot of each basis triple, and a
+        pair that bracket_vanishes or pairing_vanishes rules out gets no
+        ambient operation: its table entry is left out, as a zero entry
+        would be dropped, and its pairing entry is the chart's zero."""
         chart, rank = self.chart, self.source.rank
         basis, r = self.basis, len(self.basis)
         anchor = tuple(eta for _, _, eta in basis)
         coanchor = tuple(
             self.reduce(_cotangent(chart, rank, j)) for j in range(chart.dim)
         )
-        supports = [tuple(map(support, t)) for t in basis]
         zero = Poly.zero(chart)
+        paired_basis = pruned_table(basis, self.pairing_vanishes, self.ambient_pairing)
         pairing = tuple(
-            tuple(
-                zero if self.pairing_vanishes(sx, sy) else self.ambient_pairing(x, y)
-                for y, sy in zip(basis, supports)
-            )
-            for x, sx in zip(basis, supports)
+            tuple(paired_basis.get((x, y), zero) for y in range(r)) for x in range(r)
         )
-        structure = {
-            (x, y): self.reduce(self.ambient_bracket(basis[x], basis[y]))
-            for x, y in product(range(r), repeat=2)
-            if not self.bracket_vanishes(supports[x], supports[y])
-        }
+        structure = pruned_table(
+            basis,
+            self.bracket_vanishes,
+            lambda t1, t2: self.reduce(self.ambient_bracket(t1, t2)),
+        )
         return CourantData(chart, r, anchor, coanchor, pairing, structure)
 
     # -- ambient operations ---------------------------------------------------
@@ -238,7 +233,8 @@ class CourantPullback(Presentation):
         Lemma L14, bracket: each term is zero unless its condition holds.
           - [eta1, eta2], the table term and eta1(u2) - eta2(u1): as
             anchored.pair_bracket_vanishes states them.
-          - The pairing differential needs u1 not constant and u2 nonzero.
+          - The pairing differential needs u1 not constant and a nonzero
+            pulled g_ab with a in supp u1 and b in supp u2.
           - L_{eta1} beta2 needs eta1 and beta2 nonzero and not both
             constant.
           - i_{eta2} d beta1 needs eta2 nonzero and beta1 not constant.
@@ -269,7 +265,7 @@ class CourantPullback(Presentation):
         return pair_bracket_vanishes(
             self.source._entry, (eta1, u1), (eta2, u2)
         ) and not (
-            (u2.nonzero and not u1.constant)
+            (not u1.constant and paired(self.pulled_pairing, u1, u2))
             or (lie and not (eta1.constant and beta2.constant))
             or (eta2.nonzero and not beta1.constant)
         )
@@ -278,11 +274,10 @@ class CourantPullback(Presentation):
         """Whether Lemma L14 shows ambient_pairing to be zero on triples
         with the slot supports x and y."""
         (beta1, u1, eta1), (beta2, u2, eta2) = x, y
-        g = self.pulled_pairing
         return not (
             (beta1.nonzero and eta2.nonzero)
             or (beta2.nonzero and eta1.nonzero)
-            or any(not g[a][b].is_zero for a in u1.nonzero for b in u2.nonzero)
+            or paired(self.pulled_pairing, u1, u2)
         )
 
 

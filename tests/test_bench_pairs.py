@@ -1,0 +1,35 @@
+"""scripts/bench_pairs.py: the summary of paired benchmark runs."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+
+def pairs(parent, change):
+    """Synthetic pairs with every metric at the given values, side by side."""
+    def run(value):
+        metrics = {m: {"value": value} for m in bench_pairs.METRICS}
+        return {"correct": True, "failed": 0, "metrics": metrics}
+
+    return [
+        {"pair": i, "parent": run(p), "change": run(c)}
+        for i, (p, c) in enumerate(zip(parent, change), 1)
+    ]
+
+
+def test_gain_shown_needs_nine_wins_in_ten_and_a_gap_beyond_the_iqr():
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+    # 10/10 wins, medians 1.00 against 0.90: the gap 0.10 exceeds the IQR.
+    shown = bench_pairs.summarise(pairs(parent, [p - 0.1 for p in parent]))
+    # 9/10 wins by 0.01 each: the gap is inside the parent's IQR (0.035).
+    close = bench_pairs.summarise(pairs(parent, [p - 0.01 for p in parent[:9]] + [1.5]))
+    # The gap is large, but only 8/10 pairs are won.
+    few = bench_pairs.summarise(pairs(parent, [p - 0.1 for p in parent[:8]] + [1.5, 1.5]))
+    assert shown["wall_s"]["change_wins"] == "10/10" and shown["wall_s"]["gain_shown"]
+    assert close["wall_s"]["change_wins"] == "9/10" and not close["wall_s"]["gain_shown"]
+    assert few["wall_s"]["change_wins"] == "8/10" and not few["wall_s"]["gain_shown"]
+    assert shown["all_correct"]

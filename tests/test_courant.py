@@ -7,7 +7,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algebroids.anchored import jacobi_generator_failures, jacobiator
+from algebroids.anchored import jacobi_generator_failures, jacobiator, support
 from algebroids.courant import (
     Connection,
     CourantData,
@@ -32,13 +32,14 @@ from algebroids.linalg import (
     unit_vec,
     vec_add,
     vec_eq,
+    vec_is_zero,
     vec_scale,
     vec_sub,
     zero_vec,
 )
 from algebroids.symcalc import KForm, Poly, coordinate_chart, parse_poly
 
-from test_acceptance import A2, _perturbed
+from test_acceptance import A2, _perturbed, _perturbed_lie
 from test_symcalc import kforms, polys
 
 R1 = coordinate_chart("L", 1)
@@ -769,3 +770,142 @@ def test_leibniz_identity_names_a_probe_past_the_generator_triples():
     assert label.startswith("sections (")
     u, v, w = _named_sections(label, R3, q.rank)
     assert not vec_eq(jacobiator(q, u, v, w), zero_vec(R3, q.rank))
+
+
+# ---------------------------------------------------------------------------
+# Lemma L14 on sections, and the tables it prunes
+# ---------------------------------------------------------------------------
+
+X1_R2, X2_R3 = Poly.coord(R2, 0), Poly.coord(R3, 1)
+SUPPORT_MODULES = {
+    "R2": standard_exact(R2),
+    "R3": standard_exact(R3),
+    "R3-twisted": standard_exact(R3, vol3("x1 + x2*x3")),
+    # a cotangent generator anchored to x1 d/dx1, a table entry on two
+    # cotangent generators, and a nonconstant pairing entry
+    "anchor-mutant": _perturbed(standard_exact(R2), "anchor", (2, 0), X1_R2),
+    "table-mutant": _perturbed(standard_exact(R2), "structure", (2, 3, 1), X1_R2),
+    "pairing-mutant": _perturbed(standard_exact(R3, vol3()), "pairing", (0, 4), X2_R3),
+    "lie-mutant": _perturbed_lie(tangent_algebroid(R2), "structure", (0, 1, 1), X1_R2),
+}
+
+
+@st.composite
+def sparse_sections(draw, m):
+    """A section whose entries are each zero or a polynomial of degree at
+    most a cap drawn per section: 0 (constant) or 2."""
+    degree = draw(st.sampled_from((0, 2)))
+    entry = st.one_of(st.just(Poly.zero(m.chart)), polys(m.chart, max_degree=degree, max_terms=2))
+    return tuple(draw(entry) for _ in range(m.rank))
+
+
+@pytest.mark.parametrize("name", sorted(SUPPORT_MODULES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_section_support_test_rules_out_only_zero_brackets(name, data):
+    """Lemma L14 on sections is sound: a pair that bracket_vanishes rules
+    out has a zero bracket, on standard and twisted structures and on
+    anchor, table and pairing mutants (the pairing one exercises the
+    coanchor term of CourantData)."""
+    m = SUPPORT_MODULES[name]
+    u, v = data.draw(sparse_sections(m)), data.draw(sparse_sections(m))
+    if m.bracket_vanishes(support(u), support(v)):
+        assert vec_is_zero(m.bracket(u, v))
+
+
+def unpruned_table(comb):
+    """The table of comb.result with every one of the r^2 basis pairs
+    bracketed part by part and reduced."""
+    basis = comb.basis
+    return {
+        (x, y): comb.reduce(
+            tuple(q.bracket(u, v) for q, u, v in zip(comb.parts, basis[x], basis[y]))
+        )
+        for x, y in product(range(len(basis)), repeat=2)
+    }
+
+
+def graph_combination():
+    """The combination morphism_graph builds on the battery's line spec:
+    the standard structure of a line along y1 -> y1^2."""
+    from algebroids import pullback
+    from algebroids.pullback import morphism_graph
+    from algebroids.symcalc import ChartMap
+
+    line, target = coordinate_chart("L", 1, prefix="y"), coordinate_chart("T", 1)
+    q = standard_exact(target)
+    built = []
+
+    def recorded(*args):
+        built.append(baer_combination(*args))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pullback, "baer_combination", recorded)
+        morphism_graph(
+            ChartMap(line, target, (parse_poly("y1^2", line),)),
+            q,
+            coordinate_connection(q),
+        )
+    (comb,) = built
+    return comb
+
+
+def baer_specs():
+    """name -> the Baer combinations this module builds, and the one inside
+    morphism_graph."""
+    def comb(hs, weights, shift=None):
+        qs = [standard_exact(R3, vol3(h)) for h in hs]
+        conns = [coordinate_connection(q) for q in qs]
+        if shift is not None:
+            conns = [connection_shift(c, shift) for c in conns]
+        return baer_combination(qs, weights, conns)
+
+    return {
+        "sum": comb(("1", "x1 + x2"), (1, 1)),
+        "weighted": comb(("x3", "x1*x1"), (3, -2)),
+        "lift": comb(("x2", "1"), (2, 1)),
+        "scalar": comb(("x1 + 2*x2",), (5,)),
+        "rational": comb(("x1 + 2*x2", "x1 + 2*x2"), (Fraction(1, 3), Fraction(2, 3))),
+        "shifted": comb(
+            ("x1", "x2 - 2*x3"), (1, -1), KForm(R3, 2, {(0, 1): Poly.coord(R3, 2)})
+        ),
+        "graph": graph_combination(),
+    }
+
+
+BAER_SPECS = baer_specs()
+
+
+@pytest.mark.parametrize("name", sorted(BAER_SPECS))
+def test_pruned_combination_table_equals_the_unpruned_table(name):
+    comb = BAER_SPECS[name]
+    r = comb.result
+    unpruned = CourantData(
+        r.chart, r.rank, r.anchor, r.coanchor, r.pairing, unpruned_table(comb)
+    )
+    assert r == unpruned
+
+
+def test_baer_sum_brackets_only_the_admitted_basis_pairs(monkeypatch):
+    """Op-count gate on the table of the Baer sum of two twisted R3
+    standards, on the 36 pairs of its 6 basis elements. Only the 6 pairs
+    of distinct diagonal lifts have a nonzero table entry (the twist); the
+    sections are constant, so Lemma L14 rules out every other pair in both
+    parts, and each admitted pair is bracketed once per part: 12 calls."""
+    q1, q2 = standard_exact(R3, vol3()), standard_exact(R3, vol3("x1 + x2"))
+    conn1, conn2 = coordinate_connection(q1), coordinate_connection(q2)
+    calls = []
+    bracket = CourantData.bracket
+
+    def counted(self, u, v):
+        calls.append((u, v))
+        return bracket(self, u, v)
+
+    monkeypatch.setattr(CourantData, "bracket", counted)
+    comb = baer_sum(q1, q2, conn1, conn2)
+    monkeypatch.undo()
+    assert len(calls) == 12
+    assert sorted(comb.result.structure) == [
+        (x, y) for x, y in product(range(3), repeat=2) if x != y
+    ]

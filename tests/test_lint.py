@@ -13,8 +13,11 @@ Python files under src/, tests/ or perfbench/ other than its own def line.
 
 The product is the CLI and the benchmark jobs: cli.py and perfbench's run,
 worker and workloads modules. A top-level definition of the package is in
-its reach when a chain of name references leads to it from those files,
-tests not counted; the few that are not are listed, each with its reason.
+its reach when a chain of references leads to it from those files, tests
+not counted; each reference names its module (an import, an attribute of
+an imported module, or a bare name inside the defining module), so a
+definition does not hide behind another of the same name. The few that
+are not in reach are listed, each with its reason.
 
 The term dictionary (Poly.terms) is the storage format of symcalc, which
 owns it; linalg reads it to match coefficients. Every other module goes
@@ -173,40 +176,101 @@ UNREACHED = {
 }
 
 
-def referenced_names(tree: ast.AST) -> set[str]:
-    """The names a syntax tree loads, reads as an attribute or imports."""
-    out = set()
+def package_imports(tree: ast.AST) -> dict[str, str]:
+    """Local name -> package target of each import of the package in a
+    syntax tree, wherever it stands: a module name for `from algebroids
+    import m` or `import algebroids.m [as m]`, and "m.name" for `from
+    algebroids.m import name [as alias]`."""
+    out = {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
-        elif isinstance(node, ast.alias):
-            out.add(node.name.rsplit(".", 1)[-1])
+        if isinstance(node, ast.ImportFrom) and node.module:
+            head, _, module = node.module.partition(".")
+            if head == "algebroids":
+                for alias in node.names:
+                    target = f"{module}.{alias.name}" if module else alias.name
+                    out[alias.asname or alias.name] = target
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                head, _, module = alias.name.partition(".")
+                if head == "algebroids" and module:
+                    out[alias.asname or alias.name] = module
     return out
 
 
-def unreached_definitions(defining: dict[str, str], roots: list[str]) -> list[str]:
+def dotted(node: ast.AST) -> str | None:
+    """"a.b.c" for a chain of names and attributes, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        head = dotted(node.value)
+        return None if head is None else f"{head}.{node.attr}"
+    return None
+
+
+def referenced_names(
+    tree: ast.AST, imports: dict[str, str], module: str | None = None
+) -> set[str]:
+    """"m.name" for each package definition a syntax tree may refer to: a
+    name imported from m, an attribute of an imported module m, a name
+    imported in the tree, and, inside module m, any other name it loads."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            target = imports.get(node.id)
+            if target is not None:
+                out.add(target)
+            elif module is not None:
+                out.add(f"{module}.{node.id}")
+        elif isinstance(node, ast.Attribute):
+            target = imports.get(dotted(node.value) or "")
+            if target is not None and "." not in target:
+                out.add(f"{target}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom):
+            local = package_imports(node)
+            out |= {target for target in local.values() if "." in target}
+    return out
+
+
+def unreached_definitions(
+    defining: dict[str, str], roots: list[tuple[str | None, str]]
+) -> list[str]:
     """module.name of each top-level definition of the defining sources
-    (module -> source) that no chain of references from the root sources
-    reaches, sorted. A definition is reached when a reached body, or a
-    root, refers to its name; the body of a class holds its methods. Names
-    are matched without their module, so two definitions of one name are
-    reached together."""
-    bodies: dict[str, list[tuple[str, ast.AST]]] = {}
+    (module -> source) that no chain of references from the roots reaches,
+    sorted. A root is (its module, None outside the package; its source). A definition is reached when a reached body, or a
+    root, refers to it by its module: through an import of the package, as
+    an attribute of an imported module, or by its bare name inside its own
+    module. A name that a module imports and does not define resolves to
+    its definition. The body of a class holds its methods."""
+    bodies: dict[str, ast.AST] = {}
+    imports: dict[str, dict[str, str]] = {}
     for module, source in defining.items():
+        tree = ast.parse(source)
+        imports[module] = package_imports(tree)
         tops = set(definitions(source))
-        for node in ast.parse(source).body:
+        for node in tree.body:
             if (getattr(node, "name", None), node.lineno) in tops:
-                bodies.setdefault(node.name, []).append((f"{module}.{node.name}", node))
-    frontier = set().union(*(referenced_names(ast.parse(src)) for src in roots))
+                bodies[f"{module}.{node.name}"] = node
+
+    def resolve(key: str) -> str | None:
+        seen = set()
+        while key not in bodies and key not in seen:
+            seen.add(key)
+            module, _, name = key.partition(".")
+            key = imports.get(module, {}).get(name, key)
+        return key if key in bodies else None
+
+    frontier = set()
+    for module, source in roots:
+        tree = ast.parse(source)
+        frontier |= referenced_names(tree, package_imports(tree), module)
     reached = set()
     while frontier:
-        for key, node in bodies.get(frontier.pop(), ()):
-            if key not in reached:
-                reached.add(key)
-                frontier |= referenced_names(node)
-    return sorted(key for found in bodies.values() for key, _ in found if key not in reached)
+        key = resolve(frontier.pop())
+        if key is not None and key not in reached:
+            reached.add(key)
+            module = key.partition(".")[0]
+            frontier |= referenced_names(bodies[key], imports[module], module)
+    return sorted(set(bodies) - reached)
 
 
 def test_the_reach_gate_flags_an_unreached_name_and_keeps_a_reached_one():
@@ -221,9 +285,32 @@ def test_the_reach_gate_flags_an_unreached_name_and_keeps_a_reached_one():
         "    return helper()\n"
     )
     other = "def via_attribute():\n    pass\n"
-    root = "from lib import Box\nimport other\nBox().open(), other.via_attribute()\n"
-    got = unreached_definitions({"lib": library, "other": other}, [root])
+    root = (
+        "from algebroids.lib import Box\n"
+        "from algebroids import other\n"
+        "Box().open(), other.via_attribute()\n"
+    )
+    got = unreached_definitions({"lib": library, "other": other}, [(None, root)])
     assert got == ["lib.orphan"]
+
+
+def test_the_reach_gate_tells_two_definitions_of_one_name_apart():
+    """Only the module a reference names is reached: twin.helper, named
+    nowhere by its module, stays unreached although lib.helper is reached,
+    and so does what only twin.helper refers to. A name re-exported
+    through another module's import resolves to its definition."""
+    library = "def helper():\n    pass\n"
+    twin = (
+        "def helper():\n"
+        "    return behind()\n"
+        "def behind():\n"
+        "    pass\n"
+    )
+    relay = "from algebroids.lib import helper\n"
+    root = "import algebroids.relay as relay\nrelay.helper()\n"
+    sources = {"lib": library, "twin": twin, "relay": relay}
+    got = unreached_definitions(sources, [(None, root)])
+    assert got == ["twin.behind", "twin.helper"]
 
 
 def test_only_the_listed_definitions_are_out_of_the_products_reach():
@@ -233,7 +320,10 @@ def test_only_the_listed_definitions_are_out_of_the_products_reach():
     defining = {
         path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))
     }
-    roots = [path.read_text(encoding="utf-8") for path in PRODUCT_ROOTS]
+    roots = [
+        (path.stem if path.parent == SRC else None, path.read_text(encoding="utf-8"))
+        for path in PRODUCT_ROOTS
+    ]
     assert unreached_definitions(defining, roots) == sorted(UNREACHED)
 
 
