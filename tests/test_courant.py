@@ -37,7 +37,9 @@ from algebroids.linalg import (
     vec_sub,
     zero_vec,
 )
-from algebroids.symcalc import KForm, Poly, coordinate_chart, parse_poly
+from algebroids import pullback as pullback_module
+from algebroids.pullback import morphism_graph
+from algebroids.symcalc import ChartMap, KForm, Poly, coordinate_chart, parse_poly
 
 from test_acceptance import A2, _perturbed, _perturbed_lie
 from test_symcalc import kforms, polys
@@ -828,10 +830,6 @@ def unpruned_table(comb):
 def graph_combination():
     """The combination morphism_graph builds on the battery's line spec:
     the standard structure of a line along y1 -> y1^2."""
-    from algebroids import pullback
-    from algebroids.pullback import morphism_graph
-    from algebroids.symcalc import ChartMap
-
     line, target = coordinate_chart("L", 1, prefix="y"), coordinate_chart("T", 1)
     q = standard_exact(target)
     built = []
@@ -841,7 +839,7 @@ def graph_combination():
         return built[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pullback, "baer_combination", recorded)
+        mp.setattr(pullback_module, "baer_combination", recorded)
         morphism_graph(
             ChartMap(line, target, (parse_poly("y1^2", line),)),
             q,
