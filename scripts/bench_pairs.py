@@ -35,17 +35,21 @@ def run(tree: str, workload: str, seed: int, trace: int) -> dict:
 def summarise(pairs: list) -> dict:
     """Medians, the parent's IQR and the change's wins (lower is better).
     gain_shown: the change wins at least 9/10 of the pairs and its median
-    is lower than the parent's by more than the parent's IQR."""
+    is lower than the parent's by more than the parent's IQR. worse_shown
+    is its mirror: the change loses at least 9/10 of the pairs and its
+    median exceeds the parent's by more than the parent's IQR."""
     out = {}
     for m in METRICS:
         par, chg = ([p[s]["metrics"][m]["value"] for p in pairs] for s in SIDES)
         q1, _, q3 = statistics.quantiles(par, n=4, method="inclusive") if par[1:] else par * 3
         mp, mc = statistics.median(par), statistics.median(chg)
         wins = sum(c < p for c, p in zip(chg, par))
+        losses = sum(c > p for c, p in zip(chg, par))
         out[m] = {"parent_median": round(mp, 4), "change_median": round(mc, 4),
                   "change_vs_parent": round(mc / mp - 1, 4), "parent_iqr": round(q3 - q1, 4),
                   "change_wins": f"{wins}/{len(pairs)}",
-                  "gain_shown": 10 * wins >= 9 * len(pairs) and mp - mc > q3 - q1}
+                  "gain_shown": 10 * wins >= 9 * len(pairs) and mp - mc > q3 - q1,
+                  "worse_shown": 10 * losses >= 9 * len(pairs) and mc - mp > q3 - q1}
     out["all_correct"] = all(p[s]["correct"] and not p[s]["failed"] for p in pairs for s in SIDES)
     return out
 

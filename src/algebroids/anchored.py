@@ -36,6 +36,20 @@ entry when the test rules out the bracket of its images. A ruled-out
 bracket is zero, and computing it would have formed no product of
 positive degree.
 
+Lemma L14, on pairings: a bilinear form sum_ab u_a g_ab v_b is zero unless
+some nonzero g_ab has a in supp u and b in supp v (paired), since every
+product it would form has a zero factor. The Courant Baer combination
+pairs only the basis pairs that some part of nonzero weight pairs; the
+morphism check (courant.check_courant_morphism) skips a generator pair
+with a zero source pairing whose images are not paired; a Connection
+checks isotropy only on paired columns; the ambient pairing of the Courant
+inverse image needs, for each one-form term beta(eta), an index where
+both are nonzero (pullback); and dirac.check_dirac skips the generator
+pairs its restricted pairing does not pair, and in its closure check the
+lifted pairs whose bracket the test on sections rules out. A ruled-out
+pairing computes to zero with no product formed, so it made no chart
+check; the row lengths it reads are checked up front.
+
 Lemma L1: [u, f v] = f [u, v] + anchor(u)(f) v holds for every table. In
 leibniz_sum(u, f v) the table term scales by f, xi(f v_k) = f xi(v_k) +
 xi(f) v_k, and anchor(f v) = f anchor(v); the Courant coanchor term
@@ -224,7 +238,8 @@ def leibniz_vanishes(
 
 def paired(matrix: Sequence[Vec], u: Support, v: Support) -> bool:
     """Whether some nonzero matrix[a][b] has a in supp u and b in supp v:
-    without one, sum_ab u_a g_ab v_b and every sum_b g_ab v_b vanish."""
+    without one, sum_ab u_a g_ab v_b and every sum_b g_ab v_b vanish
+    (Lemma L14 on pairings)."""
     return any(not matrix[a][b].is_zero for a in u.nonzero for b in v.nonzero)
 
 

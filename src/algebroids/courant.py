@@ -48,6 +48,8 @@ from algebroids.anchored import (
     paired,
     probe,
     pruned_table,
+    require_chart,
+    support,
 )
 from algebroids.errors import ChartMismatchError, ValidationError
 from algebroids.lie_algebroid import LieData
@@ -482,11 +484,23 @@ def check_courant_morphism(
 ) -> Report:
     """matrix[a] is the image of the a-th source generator; the checks are
     exact on generators (the four structure maps are all O-bilinear or
-    handled by the section bracket)."""
+    handled by the section bracket).
+
+    The matrix needs one row per source generator, each a section of dst
+    (ValidationError, ChartMismatchError). The pairing check skips a pair
+    with a zero source pairing whose image rows are not paired (Lemma L14,
+    algebroids.anchored): their pairing is zero too."""
     rep = Report()
     if src.chart != dst.chart:
         raise ChartMismatchError("morphism checks need a common chart")
     chart = src.chart
+    if len(matrix) != src.rank:
+        raise ValidationError(
+            f"morphism matrix has {len(matrix)} rows, not one per source generator"
+        )
+    dst.require_rank(*matrix)
+    require_chart(chart, *matrix)
+    supports = [support(row) for row in matrix]
 
     def coanchor():
         for j in range(chart.dim):
@@ -496,7 +510,10 @@ def check_courant_morphism(
 
     def pairing():
         for a, b in product(range(src.rank), repeat=2):
-            if dst.pairing_of(matrix[a], matrix[b]) != src.pairing[a][b]:
+            expected = src.pairing[a][b]
+            if expected.is_zero and not paired(dst.pairing, supports[a], supports[b]):
+                continue
+            if dst.pairing_of(matrix[a], matrix[b]) != expected:
                 yield f"generators ({a},{b})"
 
     rep.check("morphism_anchor", anchor_failures(src, dst, matrix))
@@ -513,7 +530,10 @@ def check_courant_morphism(
 
 @dataclass
 class Connection:
-    """An isotropic right inverse of the anchor, one section per coordinate."""
+    """An isotropic right inverse of the anchor, one section per coordinate.
+
+    Isotropy is checked on the column pairs that are paired (Lemma L14,
+    algebroids.anchored); the others pair to zero."""
 
     courant: CourantData
     columns: tuple[Vec, ...]
@@ -531,8 +551,11 @@ class Connection:
                     f"connection column {i} does not anchor to the "
                     f"coordinate field"
                 )
+        supports = [support(col) for col in self.columns]
         for i in range(q.chart.dim):
             for j in range(i, q.chart.dim):
+                if not paired(q.pairing, supports[i], supports[j]):
+                    continue
                 if not q.pairing_of(self.columns[i], self.columns[j]).is_zero:
                     raise ValidationError(
                         f"connection columns ({i},{j}) are not isotropic"
@@ -646,7 +669,9 @@ class CourantCombination(Presentation):
     holds the weighted pairings of the basis and the table of the classes
     of its part by part brackets: generators 0..n-1 are the diagonal
     lifts, n..2n-1 the glued lines. A basis pair whose bracket
-    bracket_vanishes rules out in every part (Lemma L14) is not bracketed.
+    bracket_vanishes rules out in every part (Lemma L14) is not bracketed,
+    and one that no part of nonzero weight pairs (Lemma L14 on pairings,
+    algebroids.anchored) is not paired.
     """
 
     def __init__(
@@ -701,8 +726,16 @@ class CourantCombination(Presentation):
             products = (w * q.pairing_of(u, v) for q, w, u, v in terms if w)
             return sum(products, Poly.zero(chart))
 
-        gens = self.basis
-        pairing = tuple(tuple(weighted(x, y) for y in gens) for x in gens)
+        def unpaired(x: tuple[Support, ...], y: tuple[Support, ...]) -> bool:
+            terms = zip(parts, weights, x, y)
+            return not any(w and paired(q.pairing, su, sv) for q, w, su, sv in terms)
+
+        gens, zero_poly = self.basis, Poly.zero(chart)
+        paired_basis = pruned_table(gens, unpaired, weighted)
+        pairing = tuple(
+            tuple(paired_basis.get((x, y), zero_poly) for y in range(len(gens)))
+            for x in range(len(gens))
+        )
 
         def vanishes(x: tuple[Support, ...], y: tuple[Support, ...]) -> bool:
             return all(q.bracket_vanishes(su, sv) for q, su, sv in zip(parts, x, y))

@@ -7,7 +7,8 @@ of that locus, a chart of the other coordinates, into the chart: a
 polynomial restricts to the locus by pulling along it, and lifts back by
 pulling along the coordinate retraction. check_dirac verifies isotropy,
 maximality, tangency of the anchor images to the support, and bracket
-closure. Closure uses one of two routes:
+closure; Lemma L14 on sections and on pairings (algebroids.anchored) skips
+the pairs it shows to be zero. Closure uses one of two routes:
 
 * with a nondegenerate restricted pairing ("full" mode) the defect brackets
   only need to be orthogonal to the generators, since a maximal isotropic
@@ -23,6 +24,7 @@ from functools import cached_property
 from itertools import combinations_with_replacement, product
 
 from algebroids import linalg
+from algebroids.anchored import paired, require_chart, support
 from algebroids.courant import (
     Connection,
     CourantData,
@@ -120,6 +122,12 @@ def check_dirac(d: DiracData, maximality: str = "full") -> Report:
     at the generic point and uses the orthogonality route for closure;
     "rank-only" drops that requirement and falls back to degree-bounded
     span membership for the closure check.
+
+    Lemma L14 (algebroids.anchored) prunes both pair loops: isotropy skips
+    generator pairs that the restricted pairing does not pair, and closure
+    takes the zero defect for a lifted pair whose bracket bracket_vanishes
+    rules out, and pairs no zero defect. The lifts are checked for rank and
+    chart up front, as the skipped brackets would have checked them.
     """
     if maximality not in ("full", "rank-only"):
         raise ValidationError(f"unknown maximality mode {maximality!r}")
@@ -129,8 +137,12 @@ def check_dirac(d: DiracData, maximality: str = "full") -> Report:
     g = d.restricted_pairing()
     m = len(d.generators)
 
+    supports = [support(gen) for gen in d.generators]
+
     def isotropy():
         for i, j in combinations_with_replacement(range(m), 2):
+            if not paired(g, supports[i], supports[j]):
+                continue
             got = d.pair_restricted(d.generators[i], d.generators[j], g)
             if not got.is_zero:
                 yield f"generators ({i},{j}): pairing {got}"
@@ -158,11 +170,20 @@ def check_dirac(d: DiracData, maximality: str = "full") -> Report:
     def closure():
         defects = {}
         lifts = [d.lift_generator(i) for i in range(m)]
+        q.require_rank(*lifts)
+        require_chart(q.chart, *lifts)
+        lifted_supports = [support(lift) for lift in lifts]
+        zero = linalg.zero_vec(sub, q.rank)
         for i, j in product(range(m), repeat=2):
+            if q.bracket_vanishes(lifted_supports[i], lifted_supports[j]):
+                defects[(i, j)] = zero
+                continue
             lifted = q.bracket(lifts[i], lifts[j])
             defects[(i, j)] = tuple(d.restrict(p) for p in lifted)
         if maximality == "full":
             for (i, j), defect in sorted(defects.items()):
+                if vec_is_zero(defect):
+                    continue
                 for l in range(m):
                     got = d.pair_restricted(defect, d.generators[l], g)
                     if not got.is_zero:

@@ -22,9 +22,11 @@ holds. The (eta, u) terms are those of anchored.pair_bracket_vanishes, and
 the pairing differential that of CourantData.bracket_vanishes, read on the
 pulled pairing. The one-form terms add two conditions: L_{eta1} beta2
 needs eta1 and beta2 nonzero and not both constant, and i_{eta2} d beta1
-needs eta2 nonzero and beta1 not constant. The pairing needs beta1 and
-eta2 nonzero, or beta2 and eta1, or some nonzero f*(g_ab) with a in supp
-u1 and b in supp u2. CourantPullback.result builds its table and pairing
+needs eta2 nonzero and beta1 not constant. The pairing is Lemma L14 on
+pairings (anchored) three times: beta1(eta2) = sum_j beta1_j eta2_j needs
+an index j where beta1 and eta2 are both nonzero, beta2(eta1) likewise,
+and f*<u1, u2> some nonzero f*(g_ab) with a in supp u1 and b in supp u2.
+CourantPullback.result builds its table and pairing
 with anchored.pruned_table, so it brackets, pairs and reduces only the
 pairs the lemma admits; the others are zero, and computing them formed no
 product of positive degree, so no result changes and no degree cap can
@@ -209,8 +211,9 @@ class CourantPullback(Presentation):
         """<t1, t2> = f*<u1, u2> + beta1(eta2) + beta2(eta1).
 
         Lemma L14, pairing: <t1, t2> is zero unless beta1 and eta2 are
-        nonzero, or beta2 and eta1 are, or some pulled g_ab is nonzero with
-        a in supp u1 and b in supp u2 (pairing_vanishes)."""
+        nonzero at a common index, or beta2 and eta1 are, or some pulled
+        g_ab is nonzero with a in supp u1 and b in supp u2
+        (pairing_vanishes)."""
         beta1, u1, eta1 = t1
         beta2, u2, eta2 = t2
         chart = self.chart
@@ -272,13 +275,21 @@ class CourantPullback(Presentation):
 
     def pairing_vanishes(self, x: tuple[Support, ...], y: tuple[Support, ...]) -> bool:
         """Whether Lemma L14 shows ambient_pairing to be zero on triples
-        with the slot supports x and y."""
+        with the slot supports x and y: beta1(eta2) needs an index where
+        both are nonzero, beta2(eta1) likewise, and f*<u1, u2> needs the
+        pulled pairing paired on supp u1 and supp u2."""
         (beta1, u1, eta1), (beta2, u2, eta2) = x, y
         return not (
-            (beta1.nonzero and eta2.nonzero)
-            or (beta2.nonzero and eta1.nonzero)
+            _share(beta1, eta2)
+            or _share(beta2, eta1)
             or paired(self.pulled_pairing, u1, u2)
         )
+
+
+def _share(s: Support, t: Support) -> bool:
+    """Whether some index is nonzero in both supports: without one, sum_j
+    s_j t_j is zero (Lemma L14 on pairings, with the identity matrix)."""
+    return not set(s.nonzero).isdisjoint(t.nonzero)
 
 
 # ---------------------------------------------------------------------------

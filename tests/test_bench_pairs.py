@@ -33,3 +33,19 @@ def test_gain_shown_needs_nine_wins_in_ten_and_a_gap_beyond_the_iqr():
     assert close["wall_s"]["change_wins"] == "9/10" and not close["wall_s"]["gain_shown"]
     assert few["wall_s"]["change_wins"] == "8/10" and not few["wall_s"]["gain_shown"]
     assert shown["all_correct"]
+
+
+def test_worse_shown_needs_nine_losses_in_ten_and_a_gap_beyond_the_iqr():
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+    # 10/10 losses, medians 1.00 against 1.10: the gap 0.10 exceeds the IQR.
+    worse = bench_pairs.summarise(pairs(parent, [p + 0.1 for p in parent]))
+    # 9/10 losses by 0.01 each: the gap is inside the parent's IQR (0.035).
+    close = bench_pairs.summarise(pairs(parent, [p + 0.01 for p in parent[:9]] + [0.5]))
+    # The gap is large, but only 8/10 pairs are lost.
+    few = bench_pairs.summarise(pairs(parent, [p + 0.1 for p in parent[:8]] + [0.5, 0.5]))
+    # A flat change shows neither.
+    flat = bench_pairs.summarise(pairs(parent, parent))
+    assert worse["peak_rss_mb"]["worse_shown"] and not worse["peak_rss_mb"]["gain_shown"]
+    assert not close["setup_s"]["worse_shown"]
+    assert not few["setup_s"]["worse_shown"]
+    assert not any(flat[m]["worse_shown"] or flat[m]["gain_shown"] for m in bench_pairs.METRICS)

@@ -7,7 +7,12 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algebroids.anchored import jacobi_generator_failures, jacobiator, support
+from algebroids.anchored import (
+    jacobi_generator_failures,
+    jacobiator,
+    paired,
+    support,
+)
 from algebroids.courant import (
     Connection,
     CourantData,
@@ -815,6 +820,32 @@ def test_section_support_test_rules_out_only_zero_brackets(name, data):
         assert vec_is_zero(m.bracket(u, v))
 
 
+@pytest.mark.parametrize(
+    "name", sorted(n for n, m in SUPPORT_MODULES.items() if isinstance(m, CourantData))
+)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_pairing_support_test_rules_out_only_zero_pairings(name, data):
+    """Lemma L14 on pairings is sound: a pair of sections that paired
+    rules out has a zero pairing_of."""
+    q = SUPPORT_MODULES[name]
+    u, v = data.draw(sparse_sections(q)), data.draw(sparse_sections(q))
+    if not paired(q.pairing, support(u), support(v)):
+        assert q.pairing_of(u, v).is_zero
+
+
+def unpruned_pairing(comb):
+    """The pairing of comb.result with every one of the r^2 basis pairs
+    paired part by part and weighted."""
+    def weighted(x, y):
+        out = Poly.zero(comb.chart)
+        for q, w, u, v in zip(comb.parts, comb.weights, x, y):
+            out = out + w * q.pairing_of(u, v)
+        return out
+
+    return tuple(tuple(weighted(x, y) for y in comb.basis) for x in comb.basis)
+
+
 def unpruned_table(comb):
     """The table of comb.result with every one of the r^2 basis pairs
     bracketed part by part and reduced."""
@@ -880,7 +911,12 @@ def test_pruned_combination_table_equals_the_unpruned_table(name):
     comb = BAER_SPECS[name]
     r = comb.result
     unpruned = CourantData(
-        r.chart, r.rank, r.anchor, r.coanchor, r.pairing, unpruned_table(comb)
+        r.chart,
+        r.rank,
+        r.anchor,
+        r.coanchor,
+        unpruned_pairing(comb),
+        unpruned_table(comb),
     )
     assert r == unpruned
 
@@ -907,3 +943,50 @@ def test_baer_sum_brackets_only_the_admitted_basis_pairs(monkeypatch):
     assert sorted(comb.result.structure) == [
         (x, y) for x, y in product(range(3), repeat=2) if x != y
     ]
+
+
+def test_baer_sum_pairs_only_the_paired_basis_pairs(monkeypatch):
+    """Op-count gate on the pairing of the Baer sum of two twisted R3
+    standards, on the 36 pairs of its 6 basis elements. Only a diagonal
+    lift and the glued line of the same coordinate pair (6 ordered pairs);
+    Lemma L14 rules out the other 30 in both parts, and each admitted pair
+    is paired once per part of nonzero weight: 12 calls."""
+    q1, q2 = standard_exact(R3, vol3()), standard_exact(R3, vol3("x1 + x2"))
+    conn1, conn2 = coordinate_connection(q1), coordinate_connection(q2)
+    calls = []
+    pairing_of = CourantData.pairing_of
+
+    def counted(self, u, v):
+        calls.append((u, v))
+        return pairing_of(self, u, v)
+
+    monkeypatch.setattr(CourantData, "pairing_of", counted)
+    comb = baer_sum(q1, q2, conn1, conn2)
+    monkeypatch.undo()
+    assert len(calls) == 12
+    pairing = comb.result.pairing
+    assert [(x, y) for x, y in product(range(6), repeat=2) if not pairing[x][y].is_zero] == [
+        (x, y) for x, y in product(range(6), repeat=2) if abs(x - y) == 3
+    ]
+
+
+def _identity_rows(q):
+    return tuple(q.gen(a) for a in range(q.rank))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        lambda q: _identity_rows(q)[:-1],
+        lambda q: _identity_rows(q) + (q.gen(0),),
+        lambda q: _identity_rows(q)[:-1] + (q.gen(0)[:-1],),
+        lambda q: _identity_rows(q)[:-1] + (q.gen(0) + (Poly.zero(q.chart),),),
+    ],
+    ids=["missing", "extra", "short", "long"],
+)
+def test_morphism_check_refuses_a_matrix_of_the_wrong_shape(rows):
+    """One row per source generator, each of length dst.rank: anything
+    else is a bad input (ValidationError), found before any check runs."""
+    q = standard_exact(R2)
+    with pytest.raises(ValidationError):
+        check_courant_morphism(q, q, rows(q))

@@ -1,5 +1,7 @@
 """Dirac structures: isotropy, maximality, tangency, and the closure routes."""
 
+from itertools import combinations_with_replacement, product
+
 import pytest
 
 from algebroids.courant import (
@@ -15,7 +17,16 @@ from algebroids.dirac import (
     support_inclusion,
 )
 from algebroids.errors import ValidationError
-from algebroids.linalg import unit_vec, vec_add, vec_scale, zero_vec
+from algebroids.linalg import (
+    fmt_section,
+    membership_witness,
+    unit_vec,
+    vec_add,
+    vec_is_zero,
+    vec_scale,
+    zero_vec,
+)
+from algebroids.pullback import morphism_graph
 from algebroids.symcalc import (
     Chart,
     ChartMap,
@@ -196,3 +207,106 @@ def test_graph_of_morphism_detects_twist_mismatch():
     rep = check_dirac(graph_of_morphism(identity, q1, q2))
     assert [c.name for c in rep.failures()] == ["closure"]
     assert "generators (0,1)" in rep["closure"].counterexample
+
+
+# ---------------------------------------------------------------------------
+# Lemma L14 in check_dirac
+# ---------------------------------------------------------------------------
+
+
+def line_graph():
+    """The morphism_graph of the battery's line spec: the standard
+    structure of a line along y1 -> y1^2."""
+    line, target = coordinate_chart("L", 1, prefix="y"), coordinate_chart("T", 1)
+    q = standard_exact(target)
+    f = ChartMap(line, target, (parse_poly("y1^2", line),))
+    return morphism_graph(f, q, coordinate_connection(q))
+
+
+def unpruned_verdicts(d, maximality):
+    """check_dirac's isotropy and closure verdicts by brute force: every
+    generator pair paired, every lifted pair bracketed and restricted, and
+    every defect paired against every generator (full) or tested for span
+    membership (rank-only)."""
+    q, g, gens = d.courant, d.restricted_pairing(), d.generators
+    m = len(gens)
+    isotropy = [
+        f"generators ({i},{j}): pairing {got}"
+        for i, j in combinations_with_replacement(range(m), 2)
+        if not (got := d.pair_restricted(gens[i], gens[j], g)).is_zero
+    ]
+    lifts = [d.lift_generator(i) for i in range(m)]
+    defects = {
+        (i, j): tuple(map(d.restrict, q.bracket(lifts[i], lifts[j])))
+        for i, j in product(range(m), repeat=2)
+    }
+    if maximality == "full":
+        closure = [
+            f"generators ({i},{j}) against {l}: pairing {got}"
+            for (i, j), defect in sorted(defects.items())
+            for l in range(m)
+            if not (got := d.pair_restricted(defect, gens[l], g)).is_zero
+        ]
+    else:
+        bound = 2 + max(
+            [p.degree() for v in (*defects.values(), *gens) for p in v if not p.is_zero]
+            + [0]
+        )
+        closure = [
+            f"bracket of generators ({i},{j}) has no span witness up "
+            f"to degree {bound}: {fmt_section(defect)}"
+            for (i, j), defect in sorted(defects.items())
+            if not vec_is_zero(defect)
+            and membership_witness(gens, defect, d.inclusion.source, bound) is None
+        ]
+    return {"isotropy": isotropy, "closure": closure}
+
+
+def dirac_cases():
+    """A passing graph, a graph that is not closed, and a generator set
+    that is not isotropic (with a polynomial entry, so closure has
+    nonzero defects too)."""
+    q = standard_exact(R3)
+    x1 = Poly.coord(R3, 0)
+    skew = vec_add(unit_vec(R3, 6, 0), vec_scale(x1, unit_vec(R3, 6, 3)))
+    return {
+        "line-graph": line_graph(),
+        "not-closed": graph_of_two_form(
+            coordinate_connection(q), KForm(R3, 2, {(0, 1): Poly.coord(R3, 2)})
+        ),
+        "not-isotropic": DiracData(q, (skew, unit_vec(R3, 6, 1), unit_vec(R3, 6, 2)), ()),
+    }
+
+
+DIRAC_CASES = dirac_cases()
+
+
+@pytest.mark.parametrize("maximality", ["full", "rank-only"])
+@pytest.mark.parametrize("name", sorted(DIRAC_CASES))
+def test_pruned_check_dirac_equals_the_unpruned_check(name, maximality):
+    d = DIRAC_CASES[name]
+    rep = check_dirac(d, maximality)
+    for check, failures in unpruned_verdicts(d, maximality).items():
+        assert rep[check].passed == (not failures)
+        assert rep[check].counterexample == (failures[0] if failures else None)
+
+
+def test_closure_brackets_only_the_admitted_lifted_pairs(monkeypatch):
+    """Op-count gate on the closure check of the line spec's graph. Its 2
+    generators, the lift of the graph tangent and a conormal line, give 4
+    lifted pairs. Lemma L14 rules out the line against itself: it has no
+    table entry and no anchor, and the pairing is zero on it, so 3
+    brackets are made."""
+    d = line_graph()
+    calls = []
+    bracket = CourantData.bracket
+
+    def counted(self, u, v):
+        calls.append((u, v))
+        return bracket(self, u, v)
+
+    monkeypatch.setattr(CourantData, "bracket", counted)
+    rep = check_dirac(d)
+    monkeypatch.undo()
+    assert rep.ok
+    assert len(calls) == 3
