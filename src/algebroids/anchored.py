@@ -39,14 +39,18 @@ positive degree.
 Lemma L14, on pairings: a bilinear form sum_ab u_a g_ab v_b is zero unless
 some nonzero g_ab has a in supp u and b in supp v (paired), since every
 product it would form has a zero factor. The Courant Baer combination
-pairs only the basis pairs that some part of nonzero weight pairs; the
-morphism check (courant.check_courant_morphism) skips a generator pair
-with a zero source pairing whose images are not paired; a Connection
-checks isotropy only on paired columns; the ambient pairing of the Courant
+pairs only the basis pairs that some part of nonzero weight pairs, and in
+those only the parts that pair their two sections; the morphism check
+(courant.check_courant_morphism) skips a generator pair with a zero
+source pairing whose images are not paired; a Connection checks isotropy
+only on paired columns, and courant.curvature pairs a bracket defect only
+with the columns it is paired with; the ambient pairing of the Courant
 inverse image needs, for each one-form term beta(eta), an index where
-both are nonzero (pullback); and dirac.check_dirac skips the generator
-pairs its restricted pairing does not pair, and in its closure check the
-lifted pairs whose bracket the test on sections rules out. A ruled-out
+both are nonzero (pullback), and the isotropy check of the relations
+(pullback.check_relation_absorption) skips the pairs that test rules
+out; and dirac.check_dirac skips the generator pairs its restricted
+pairing does not pair, and in its closure check the lifted pairs whose
+bracket the test on sections rules out. A ruled-out
 pairing computes to zero with no product formed, so it made no chart
 check; the row lengths it reads are checked up front.
 

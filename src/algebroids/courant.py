@@ -575,19 +575,29 @@ def curvature(conn: Connection) -> KForm:
     Components are read off with the pairing against the connection itself;
     the defect sections are then confirmed to be coanchor images of exactly
     those components, and the component array to be totally antisymmetric.
+    A defect and a column that are not paired (Lemma L14 on pairings,
+    algebroids.anchored) get the chart's zero without a pairing, so both
+    checks still read every component.
     """
     q = conn.courant
     chart = q.chart
     n = chart.dim
+    zero = Poly.zero(chart)
+    columns = conn.columns
+    column_supports = [support(col) for col in columns]
     comps: dict[tuple[int, int, int], Poly] = {}
     defects: dict[tuple[int, int], Vec] = {}
     for i in range(n):
         for j in range(n):
-            defects[(i, j)] = q.bracket(conn.columns[i], conn.columns[j])
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                comps[(i, j, k)] = q.pairing_of(defects[(i, j)], conn.columns[k])
+            defects[(i, j)] = q.bracket(columns[i], columns[j])
+    for (i, j), defect in defects.items():
+        sd = support(defect)
+        for k in range(n):
+            comps[(i, j, k)] = (
+                q.pairing_of(defect, columns[k])
+                if paired(q.pairing, sd, column_supports[k])
+                else zero
+            )
     for (i, j, k), c in comps.items():
         if not (c + comps[(j, i, k)]).is_zero or not (c + comps[(i, k, j)]).is_zero:
             raise ValidationError(
@@ -671,7 +681,8 @@ class CourantCombination(Presentation):
     lifts, n..2n-1 the glued lines. A basis pair whose bracket
     bracket_vanishes rules out in every part (Lemma L14) is not bracketed,
     and one that no part of nonzero weight pairs (Lemma L14 on pairings,
-    algebroids.anchored) is not paired.
+    algebroids.anchored) is not paired; nor is a part whose two sections
+    it does not pair.
     """
 
     def __init__(
@@ -723,7 +734,11 @@ class CourantCombination(Presentation):
 
         def weighted(x: tuple[Vec, ...], y: tuple[Vec, ...]) -> Poly:
             terms = zip(parts, weights, x, y)
-            products = (w * q.pairing_of(u, v) for q, w, u, v in terms if w)
+            products = (
+                w * q.pairing_of(u, v)
+                for q, w, u, v in terms
+                if w and paired(q.pairing, support(u), support(v))
+            )
             return sum(products, Poly.zero(chart))
 
         def unpaired(x: tuple[Support, ...], y: tuple[Support, ...]) -> bool:

@@ -44,8 +44,7 @@ Vec = tuple[Poly, ...]
 
 
 def zero_vec(chart: Chart, n: int) -> Vec:
-    z = Poly.zero(chart)
-    return tuple(z for _ in range(n))
+    return (Poly.zero(chart),) * n
 
 
 def unit_vec(chart: Chart, n: int, i: int) -> Vec:
@@ -102,15 +101,21 @@ def apply_matrix(
     """start + sum_a u_a matrix[a]: the image of u under a generator matrix.
 
     start defaults to zero. Zero coefficients and zero matrix entries are
-    skipped, so a sparse matrix costs one product per nonzero pair.
+    skipped, so a sparse matrix costs one product per nonzero pair, and a
+    zero u returns start itself (as a tuple), or the zero vector, with no
+    list built. A row is read only for a nonzero coefficient, so a matrix
+    with too few rows for one raises IndexError.
     """
-    out = list(zero_vec(chart, rank_out) if start is None else start)
+    out = None
     for a, coeff in enumerate(u):
-        if coeff.is_zero:
-            continue
-        for k, img in enumerate(matrix[a]):
-            if not img.is_zero:
-                out[k] = out[k] + coeff * img
+        if coeff.terms:
+            if out is None:
+                out = list(zero_vec(chart, rank_out) if start is None else start)
+            for k, img in enumerate(matrix[a]):
+                if img.terms:
+                    out[k] = out[k] + coeff * img
+    if out is None:
+        return zero_vec(chart, rank_out) if start is None else tuple(start)
     return tuple(out)
 
 

@@ -80,6 +80,7 @@ from algebroids.anchored import (
     require_chart,
     resolve_mode,
     split_lifts,
+    support,
 )
 from algebroids.courant import (
     Connection,
@@ -428,18 +429,26 @@ def pullback_courant(
 
 def check_relation_absorption(pb: CourantPullback) -> Report:
     """The relation generators pair to zero with everything and bracket back
-    into the relation span (class zero), on all basis elements."""
+    into the relation span (class zero), on all basis elements. A pair that
+    pairing_vanishes rules out on its supports (Lemma L14) pairs to zero
+    and is not paired."""
     rep = Report()
     n = pb.source.chart.dim
     rels = pb.relations
 
     def isotropic():
+        rel_supports = [tuple(map(support, t)) for t in rels]
+        basis_supports = [tuple(map(support, t)) for t in pb.basis]
         for k in range(n):
             for c, b in enumerate(pb.basis):
+                if pb.pairing_vanishes(rel_supports[k], basis_supports[c]):
+                    continue
                 got = pb.ambient_pairing(rels[k], b)
                 if not got.is_zero:
                     yield f"relation {k} against basis {c}: {got}"
             for l in range(n):
+                if pb.pairing_vanishes(rel_supports[k], rel_supports[l]):
+                    continue
                 got = pb.ambient_pairing(rels[k], rels[l])
                 if not got.is_zero:
                     yield f"relations ({k},{l}): {got}"

@@ -131,7 +131,9 @@ _TERMS = dict  # dict[tuple[int, ...], int | Fraction]
 # sub_terms test each sum of two colliding terms once. scale_terms and
 # mul_terms look at the products only when an operand holds a Fraction, so a
 # product of integer operands costs one type test per operand coefficient,
-# not one per product term.
+# not one per product term. Poly.__mul__ scales by a constant side with
+# scale_terms (no exponent tuple is built) and returns the other side itself
+# for the constant 1, so mul_terms multiplies only two non-constant operands.
 
 
 def _has_fraction(a: _TERMS) -> bool:
@@ -224,8 +226,9 @@ class Poly:
     Equality is coefficient-wise; printing uses the graded-lexicographic
     order (highest first). A Poly is never changed after it is built, and
     the code relies on that: its total degree is computed at most once, and
-    a sum or difference with a zero side returns the other operand itself,
-    so a result may be the very object passed in.
+    a sum or difference with a zero side, or a product with the constant 1,
+    returns the other operand itself, so a result may be the very object
+    passed in.
     """
 
     __slots__ = ("chart", "terms", "_degree")
@@ -354,9 +357,7 @@ class Poly:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             c = _frac(other)
-            return Poly._raw(
-                self.chart, scale_terms(self.terms, c), self._degree if c else -1
-            )
+            return self._scaled(c) if c else Poly._raw(self.chart, {}, -1)
         _require_same_chart(self, other)
         if not self.terms or not other.terms:
             return Poly._raw(self.chart, {}, -1)
@@ -365,11 +366,24 @@ class Poly:
             raise DegreeOverflowError(
                 f"product degree {da + db} exceeds cap {MAX_DEGREE}"
             )
+        # A side of degree 0 is a nonzero constant, its one term the
+        # coefficient: the product only scales the other side's terms.
+        if not db:
+            return self._scaled(next(iter(other.terms.values())))
+        if not da:
+            return other._scaled(next(iter(self.terms.values())))
         # Q[x] is a domain: the top homogeneous parts multiply to a nonzero
         # part of degree da + db, so the product's degree is known.
         return Poly._raw(self.chart, mul_terms(self.terms, other.terms), da + db)
 
     __rmul__ = __mul__
+
+    def _scaled(self, c) -> "Poly":
+        """self * c for a nonzero int or Fraction c: self itself when c is
+        1, else its terms scaled, of the same degree."""
+        if c == 1:
+            return self
+        return Poly._raw(self.chart, scale_terms(self.terms, c), self._degree)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:

@@ -200,6 +200,38 @@ def test_curvature_shift_seeded_two_forms():
         assert curvature(connection_shift(conn, b)) == base + b.d()
 
 
+def _unpruned_curvature(conn):
+    """The curvature components, every defect paired with every column."""
+    q, cols = conn.courant, conn.columns
+    n = q.chart.dim
+    return KForm(
+        q.chart,
+        3,
+        {
+            (i, j, k): q.pairing_of(q.bracket(cols[i], cols[j]), cols[k])
+            for i in range(n)
+            for j in range(i + 1, n)
+            for k in range(j + 1, n)
+        },
+    )
+
+
+@given(st.sampled_from([R2, R3]), st.data())
+@settings(max_examples=25, deadline=None)
+def test_pruned_curvature_is_the_unpruned_curvature(chart, data):
+    """curvature skips the defect/column pairs that are not paired, on
+    twisted structures whose connections are shifted by two-forms (so
+    their columns carry coanchor terms)."""
+    h = data.draw(kforms(chart, 3, max_degree=1)) if chart.dim == 3 else None
+    q = standard_exact(chart, h)
+    b = data.draw(kforms(chart, 2, max_degree=2))
+    conn = connection_shift(coordinate_connection(q), b)
+    got = curvature(conn)
+    assert got == _unpruned_curvature(conn)
+    if h is not None:
+        assert got == h + b.d()
+
+
 def test_associated_lie_algebroid_of_standard():
     q = standard_exact(R2)
     lie, projection = associated_lie_algebroid(q)
@@ -320,18 +352,25 @@ def test_scalar_multiple_matches_combination():
 def test_integer_structures_multiply_on_ints(monkeypatch):
     # An integer structure keeps every coefficient an int through the whole
     # axiom suite; a stray Fraction literal would send every product down
-    # the Fraction path.
+    # the Fraction path. A product with a constant side scales the other
+    # side (scale_terms), so both kernels are watched.
     from algebroids import symcalc
 
     seen = []
-    real = symcalc.mul_terms
+    real_mul, real_scale = symcalc.mul_terms, symcalc.scale_terms
 
-    def spy(a, b):
-        out = real(a, b)
+    def mul_spy(a, b):
+        out = real_mul(a, b)
         seen.extend(type(c) for terms in (a, b, out) for c in terms.values())
         return out
 
-    monkeypatch.setattr(symcalc, "mul_terms", spy)
+    def scale_spy(a, c):
+        out = real_scale(a, c)
+        seen.extend(type(x) for x in (*a.values(), c, *out.values()))
+        return out
+
+    monkeypatch.setattr(symcalc, "mul_terms", mul_spy)
+    monkeypatch.setattr(symcalc, "scale_terms", scale_spy)
     rep = check_courant(standard_exact(R3, vol3("x1")), samples=8, seed=0)
     assert rep.ok, str(rep)
     assert seen and set(seen) == {int}
@@ -890,6 +929,7 @@ def baer_specs():
             conns = [connection_shift(c, shift) for c in conns]
         return baer_combination(qs, weights, conns)
 
+    bent = KForm(R3, 2, {(0, 2): parse_poly("x2 + 1", R3), (1, 2): parse_poly("x1*x2", R3)})
     return {
         "sum": comb(("1", "x1 + x2"), (1, 1)),
         "weighted": comb(("x3", "x1*x1"), (3, -2)),
@@ -899,6 +939,8 @@ def baer_specs():
         "shifted": comb(
             ("x1", "x2 - 2*x3"), (1, -1), KForm(R3, 2, {(0, 1): Poly.coord(R3, 2)})
         ),
+        "zero-weight": comb(("x2", "x1*x3"), (0, 3), bent),
+        "half": comb(("x2", "x1*x3"), (Fraction(1, 2), -2), bent),
         "graph": graph_combination(),
     }
 
@@ -949,8 +991,10 @@ def test_baer_sum_pairs_only_the_paired_basis_pairs(monkeypatch):
     """Op-count gate on the pairing of the Baer sum of two twisted R3
     standards, on the 36 pairs of its 6 basis elements. Only a diagonal
     lift and the glued line of the same coordinate pair (6 ordered pairs);
-    Lemma L14 rules out the other 30 in both parts, and each admitted pair
-    is paired once per part of nonzero weight: 12 calls."""
+    Lemma L14 rules out the other 30 in both parts. Each admitted pair is
+    paired only in the first part, where the glued line lives: in the
+    second part the line is zero, so its two sections are not paired: 6
+    calls."""
     q1, q2 = standard_exact(R3, vol3()), standard_exact(R3, vol3("x1 + x2"))
     conn1, conn2 = coordinate_connection(q1), coordinate_connection(q2)
     calls = []
@@ -963,7 +1007,7 @@ def test_baer_sum_pairs_only_the_paired_basis_pairs(monkeypatch):
     monkeypatch.setattr(CourantData, "pairing_of", counted)
     comb = baer_sum(q1, q2, conn1, conn2)
     monkeypatch.undo()
-    assert len(calls) == 12
+    assert len(calls) == 6
     pairing = comb.result.pairing
     assert [(x, y) for x, y in product(range(6), repeat=2) if not pairing[x][y].is_zero] == [
         (x, y) for x, y in product(range(6), repeat=2) if abs(x - y) == 3

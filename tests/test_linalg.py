@@ -44,6 +44,40 @@ def test_a_polynomial_frame_reads_through_a_polynomial_inverse():
     assert any(p.as_constant() is None for row in left for p in row)
 
 
+def test_apply_matrix_of_a_zero_input_is_start_or_zero():
+    m = [(X1, ONE), (ONE, X2)]
+    zero = Poly.zero(R2)
+    start = (X1, X2 * X2)
+    assert linalg.apply_matrix(m, (zero, zero), 2, R2, start) is start
+    assert linalg.apply_matrix(m, (zero, zero), 2, R2) == (zero, zero)
+    # a row is read only for a nonzero coefficient
+    assert linalg.apply_matrix(m[:1], (zero, zero, zero), 2, R2) == (zero, zero)
+    assert linalg.zero_vec(R2, 3) == (zero, zero, zero)
+
+
+def test_apply_matrix_refuses_a_matrix_short_of_rows():
+    m = [(X1, ONE)]
+    zero = Poly.zero(R2)
+    with pytest.raises(IndexError):
+        linalg.apply_matrix(m, (zero, X2), 2, R2)
+    with pytest.raises(IndexError):
+        linalg.apply_matrix(m, (ONE, zero, X1), 2, R2, (X1, X2))
+
+
+@given(
+    st.lists(st.tuples(polys(R2), polys(R2)), min_size=3, max_size=3),
+    st.tuples(polys(R2), polys(R2), polys(R2)),
+    st.tuples(polys(R2), polys(R2)),
+)
+@settings(max_examples=60, deadline=None)
+def test_apply_matrix_is_start_plus_the_row_combination(m, u, start):
+    want = tuple(
+        start[k] + sum((u[a] * m[a][k] for a in range(3)), Poly.zero(R2))
+        for k in range(2)
+    )
+    assert linalg.apply_matrix(m, u, 2, R2, start) == want
+
+
 small = st.integers(-2, 2)
 
 

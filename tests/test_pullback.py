@@ -54,6 +54,7 @@ from algebroids.linalg import (
     vec_is_zero,
     zero_vec,
 )
+from algebroids.report import Report
 from algebroids.pullback import (
     CourantPullback,
     _cotangent,
@@ -74,6 +75,7 @@ from algebroids.symcalc import (
     parse_poly,
 )
 
+from test_acceptance import _perturbed
 from test_symcalc import polys
 
 R1 = coordinate_chart("L", 1, prefix="y")
@@ -151,6 +153,50 @@ def test_relations_are_built_once_per_presentation(monkeypatch):
     pb = pullback_courant(shear_33(), q)
     assert check_relation_absorption(pb).ok
     assert calls == list(range(q.chart.dim))
+
+
+def _unpruned_isotropy_failures(pb):
+    """Every failure of relations_isotropic, each pair paired in turn."""
+    n, rels, out = pb.source.chart.dim, pb.relations, []
+    for k in range(n):
+        for c, b in enumerate(pb.basis):
+            got = pb.ambient_pairing(rels[k], b)
+            if not got.is_zero:
+                out.append(f"relation {k} against basis {c}: {got}")
+        for l in range(n):
+            got = pb.ambient_pairing(rels[k], rels[l])
+            if not got.is_zero:
+                out.append(f"relations ({k},{l}): {got}")
+    return out
+
+
+@pytest.mark.parametrize(
+    "where, idx, delta",
+    [
+        ("coanchor", (0, 4), "x1"),
+        ("coanchor", (1, 3), "1"),
+        ("coanchor", (2, 5), "x2"),
+        ("pairing", (3, 4), "x1"),
+    ],
+)
+def test_isotropy_skips_only_pairs_that_pair_to_zero(monkeypatch, where, idx, delta):
+    """A mutant whose relations are not isotropic: relations_isotropic,
+    which skips the pairs pairing_vanishes rules out, names every failure
+    of the unpruned loop, with the same text and in the same order."""
+    q = _perturbed(standard_exact(R3), where, idx, parse_poly(delta, R3))
+    pb = pullback_courant(shear_33(), q)
+    streams = {}
+    original = Report.check
+
+    def listed(self, name, failures):
+        streams[name] = list(failures)
+        original(self, name, iter(streams[name]))
+
+    monkeypatch.setattr(Report, "check", listed)
+    rep = check_relation_absorption(pb)
+    want = _unpruned_isotropy_failures(pb)
+    assert want and streams["relations_isotropic"] == want
+    assert rep["relations_isotropic"].counterexample == want[0]
 
 
 def test_embedding_restricts_the_twist():
@@ -584,6 +630,26 @@ def test_pulled_table_reads_only_nonzero_brackets(monkeypatch, split, counts):
     assert len(reads) == len(table) + R3.dim
     got = (len(reads), len(forms), len(table), *calls.values())
     assert got == counts
+
+
+def test_morphism_graph_multiplies_only_non_constant_pairs(monkeypatch):
+    """Op-count gate on the term kernel: morphism_graph of a twisted R3
+    along the shear, then check_dirac, calls mul_terms 29 times: a product
+    with a constant side scales the other side instead."""
+    from algebroids import symcalc
+
+    calls = []
+    original = symcalc.mul_terms
+
+    def counted(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    monkeypatch.setattr(symcalc, "mul_terms", counted)
+    q = standard_exact(R3, vol3("x1 + x2"))
+    d = morphism_graph(shear_33(), q, coordinate_connection(q))
+    assert check_dirac(d).ok
+    assert len(calls) == 29
 
 
 def test_exact_split_needs_a_connection_and_an_exact_structure():

@@ -23,6 +23,7 @@ from algebroids.symcalc import (
     add_terms,
     coordinate_chart,
     kform_str,
+    mul_terms,
     parse_expr,
     parse_poly,
     poly_str,
@@ -154,6 +155,50 @@ def test_product_degree_is_the_sum_of_degrees(p, q):
     assert prod.degree() == max(map(sum, prod.terms), default=-1)
     if not p.is_zero and not q.is_zero:
         assert prod.degree() == p.degree() + q.degree()
+
+
+nonzero_constants = st.one_of(
+    st.integers(-4, 4).filter(bool),
+    st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(2, 4)),
+)
+
+
+@given(rational_polys(R2), nonzero_constants)
+def test_a_constant_side_scales_as_the_general_product_multiplies(p, c):
+    """A product with a nonzero constant side has the terms mul_terms gives,
+    in either order, with every integral coefficient stored as an int."""
+    k = Poly.const(R2, c)
+    want = mul_terms(p.terms, k.terms)
+    for got in (p * k, k * p):
+        assert got.terms == want
+        assert all(type(v) is int for v in got.terms.values() if v.denominator == 1)
+        assert got.degree() == p.degree()
+
+
+def test_a_fraction_constant_can_make_the_product_integral():
+    x1 = Poly.coord(R2, 0)
+    got = Poly.const(R2, Fraction(1, 2)) * (2 * x1)
+    assert got.terms == {(1, 0): 1} and type(got.terms[(1, 0)]) is int
+    assert got.degree() == 1
+
+
+@given(rational_polys(R2))
+def test_a_product_by_one_is_the_other_operand(p):
+    one = Poly.one(R2)
+    if p.degree() > 0:
+        assert p * one is p and one * p is p
+    if not p.is_zero:
+        assert p * one is p and p * 1 is p
+    assert (p * one).terms == (one * p).terms == p.terms
+
+
+def test_a_constant_on_another_chart_is_refused():
+    x1 = Poly.coord(R2, 0)
+    for c in (Poly.one(R3), Poly.const(R3, Fraction(2, 3)), Poly.zero(R3)):
+        with pytest.raises(ChartMismatchError):
+            x1 * c
+        with pytest.raises(ChartMismatchError):
+            c * x1
 
 
 def _coeff_types(p):
