@@ -264,19 +264,19 @@ def pair_bracket_vanishes(
 
 
 def pruned_table(
-    basis: Sequence[tuple[Vec, ...]],
+    pres: Presentation,
     vanishes: Callable[[tuple[Support, ...], tuple[Support, ...]], bool],
     bracket: Callable[[tuple[Vec, ...], tuple[Vec, ...]], T],
 ) -> dict[tuple[int, int], T]:
-    """bracket(basis[x], basis[y]) on each ordered pair (x, y) of basis
-    elements that vanishes does not rule out, from one Support per slot of
-    each element, taken once (Lemma L14). A ruled-out pair is left out, as
-    a zero table entry would be dropped; every admitted pair is bracketed,
-    in both orders when both are admitted."""
-    supports = [tuple(map(support, element)) for element in basis]
+    """bracket(basis[x], basis[y]) on each ordered pair (x, y) of the basis
+    of pres that vanishes does not rule out on pres.supports (Lemma L14). A
+    ruled-out pair is left out, as a zero table entry would be dropped;
+    every admitted pair is bracketed, in both orders when both are
+    admitted."""
+    basis = pres.basis
     return {
         (x, y): bracket(basis[x], basis[y])
-        for (x, sx), (y, sy) in product(enumerate(supports), repeat=2)
+        for (x, sx), (y, sy) in product(enumerate(pres.supports), repeat=2)
         if not vanishes(sx, sy)
     }
 
@@ -864,6 +864,12 @@ class Presentation:
         self.chart, self.sizes = chart, sizes
         self.basis = tuple(basis)
         self._read = read
+
+    @cached_property
+    def supports(self) -> tuple[tuple[Support, ...], ...]:
+        """One Support per slot of each basis element, taken once for every
+        table and check that Lemma L14 prunes."""
+        return tuple(tuple(map(support, element)) for element in self.basis)
 
     def _combine(
         self,

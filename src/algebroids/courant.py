@@ -575,9 +575,11 @@ def curvature(conn: Connection) -> KForm:
     Components are read off with the pairing against the connection itself;
     the defect sections are then confirmed to be coanchor images of exactly
     those components, and the component array to be totally antisymmetric.
-    A defect and a column that are not paired (Lemma L14 on pairings,
-    algebroids.anchored) get the chart's zero without a pairing, so both
-    checks still read every component.
+    A pair of columns whose bracket q.bracket_vanishes rules out on their
+    supports gets the zero section as its defect without a bracket, and a
+    defect and a column that are not paired (Lemma L14, algebroids.anchored)
+    get the chart's zero without a pairing, so both checks still read every
+    defect and every component.
     """
     q = conn.courant
     chart = q.chart
@@ -587,9 +589,12 @@ def curvature(conn: Connection) -> KForm:
     column_supports = [support(col) for col in columns]
     comps: dict[tuple[int, int, int], Poly] = {}
     defects: dict[tuple[int, int], Vec] = {}
-    for i in range(n):
-        for j in range(n):
-            defects[(i, j)] = q.bracket(columns[i], columns[j])
+    for (i, si), (j, sj) in product(enumerate(column_supports), repeat=2):
+        defects[(i, j)] = (
+            q.zero_section()
+            if q.bracket_vanishes(si, sj)
+            else q.bracket(columns[i], columns[j])
+        )
     for (i, j), defect in defects.items():
         sd = support(defect)
         for k in range(n):
@@ -746,7 +751,7 @@ class CourantCombination(Presentation):
             return not any(w and paired(q.pairing, su, sv) for q, w, su, sv in terms)
 
         gens, zero_poly = self.basis, Poly.zero(chart)
-        paired_basis = pruned_table(gens, unpaired, weighted)
+        paired_basis = pruned_table(self, unpaired, weighted)
         pairing = tuple(
             tuple(paired_basis.get((x, y), zero_poly) for y in range(len(gens)))
             for x in range(len(gens))
@@ -758,7 +763,7 @@ class CourantCombination(Presentation):
         def bracket(x: tuple[Vec, ...], y: tuple[Vec, ...]) -> Vec:
             return self.reduce(tuple(q.bracket(u, v) for q, u, v in zip(parts, x, y)))
 
-        structure = pruned_table(gens, vanishes, bracket)
+        structure = pruned_table(self, vanishes, bracket)
         anchor, coanchor = _exact_frame(chart)
         self.result = CourantData(
             chart, len(gens), anchor, coanchor, pairing, structure

@@ -16,7 +16,9 @@ three layers:
 
 tautological_datum builds the canonical matrices for a standard-form
 structure whose twist the cover preserves, and keeps the presentation of
-each cover map it built them on, so check_cocycle presents each map once;
+each cover map it built them on, so check_cocycle presents each map once.
+A triple whose outer image s+q equals q takes the presentation of t as
+its inner image t+(s+q), since the mode depends on the map alone.
 two_form_transform produces the shear automorphisms used to perturb such a
 datum.
 """
@@ -185,7 +187,11 @@ def check_cocycle(datum: DescentDatum) -> Report:
 
     def triple():
         for (s, t), u in sorted(cover.table.items()):
-            inner = pullback_courant(cover.maps[t], pulls[s].result)
+            inner = (
+                pulls[t]
+                if pulls[s].result == q
+                else pullback_courant(cover.maps[t], pulls[s].result)
+            )
             through = comparison(inner, pulls[s], pulls[u])
             lhs = mat_mul(through, datum.matrices[u], cover.chart)
             rhs = mat_mul(

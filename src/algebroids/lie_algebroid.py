@@ -276,7 +276,7 @@ class LiePullback(Presentation):
         chart, basis = self.chart, self.basis
         pulled = pulled_entries(f, source._entry)
         table = pruned_table(
-            basis,
+            self,
             lambda x, y: pair_bracket_vanishes(source._entry, x, y),
             lambda x, y: self.reduce(pair_bracket(chart, source.rank, pulled, x, y)),
         )

@@ -30,7 +30,7 @@ CourantPullback.result builds its table and pairing
 with anchored.pruned_table, so it brackets, pairs and reduces only the
 pairs the lemma admits; the others are zero, and computing them formed no
 product of positive degree, so no result changes and no degree cap can
-fire on them.
+fire on them. check_relation_absorption reads the same basis supports.
 
 Four presentations are supported: an exact split presentation over a
 chosen connection (basis: connection lifts of the coordinate fields plus
@@ -169,10 +169,11 @@ class CourantPullback(Presentation):
     def result(self) -> CourantData:
         """The induced structure on the basis.
 
-        pruned_table takes one Support per slot of each basis triple, and a
-        pair that bracket_vanishes or pairing_vanishes rules out gets no
-        ambient operation: its table entry is left out, as a zero entry
-        would be dropped, and its pairing entry is the chart's zero."""
+        pruned_table reads supports, one Support per slot of each basis
+        triple, and a pair that bracket_vanishes or pairing_vanishes rules
+        out gets no ambient operation: its table entry is left out, as a
+        zero entry would be dropped, and its pairing entry is the chart's
+        zero."""
         chart, rank = self.chart, self.source.rank
         basis, r = self.basis, len(self.basis)
         anchor = tuple(eta for _, _, eta in basis)
@@ -180,12 +181,12 @@ class CourantPullback(Presentation):
             self.reduce(_cotangent(chart, rank, j)) for j in range(chart.dim)
         )
         zero = Poly.zero(chart)
-        paired_basis = pruned_table(basis, self.pairing_vanishes, self.ambient_pairing)
+        paired_basis = pruned_table(self, self.pairing_vanishes, self.ambient_pairing)
         pairing = tuple(
             tuple(paired_basis.get((x, y), zero) for y in range(r)) for x in range(r)
         )
         structure = pruned_table(
-            basis,
+            self,
             self.bracket_vanishes,
             lambda t1, t2: self.reduce(self.ambient_bracket(t1, t2)),
         )
@@ -429,16 +430,18 @@ def pullback_courant(
 
 def check_relation_absorption(pb: CourantPullback) -> Report:
     """The relation generators pair to zero with everything and bracket back
-    into the relation span (class zero), on all basis elements. A pair that
-    pairing_vanishes rules out on its supports (Lemma L14) pairs to zero
-    and is not paired."""
+    into the relation span (class zero), on all basis elements. Both checks
+    read one Support per slot of each relation and of each basis triple
+    (supports); a pair that pairing_vanishes rules out pairs to zero and is
+    not paired, and an order of a pair that bracket_vanishes rules out
+    brackets to zero and is not bracketed (Lemma L14)."""
     rep = Report()
     n = pb.source.chart.dim
     rels = pb.relations
+    rel_supports = [tuple(map(support, t)) for t in rels]
+    basis_supports = pb.supports
 
     def isotropic():
-        rel_supports = [tuple(map(support, t)) for t in rels]
-        basis_supports = [tuple(map(support, t)) for t in pb.basis]
         for k in range(n):
             for c, b in enumerate(pb.basis):
                 if pb.pairing_vanishes(rel_supports[k], basis_supports[c]):
@@ -453,18 +456,25 @@ def check_relation_absorption(pb: CourantPullback) -> Report:
                 if not got.is_zero:
                     yield f"relations ({k},{l}): {got}"
 
+    def closed(
+        t1: Triple, s1: tuple[Support, ...], t2: Triple, s2: tuple[Support, ...]
+    ) -> bool:
+        return pb.bracket_vanishes(s1, s2) or vec_is_zero(
+            pb.reduce(pb.ambient_bracket(t1, t2))
+        )
+
     def bracket_closed():
         for k in range(n):
+            rel, sr = rels[k], rel_supports[k]
             for c, b in enumerate(pb.basis):
-                left = pb.reduce(pb.ambient_bracket(rels[k], b))
-                right = pb.reduce(pb.ambient_bracket(b, rels[k]))
-                if not vec_is_zero(left):
+                sb = basis_supports[c]
+                left, right = closed(rel, sr, b, sb), closed(b, sb, rel, sr)
+                if not left:
                     yield f"relation {k} bracket basis {c}"
-                if not vec_is_zero(right):
+                if not right:
                     yield f"basis {c} bracket relation {k}"
             for l in range(n):
-                got = pb.reduce(pb.ambient_bracket(rels[k], rels[l]))
-                if not vec_is_zero(got):
+                if not closed(rel, sr, rels[l], rel_supports[l]):
                     yield f"relations ({k},{l})"
 
     rep.check("relations_isotropic", isotropic())

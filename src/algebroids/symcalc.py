@@ -227,7 +227,8 @@ class Poly:
     order (highest first). A Poly is never changed after it is built, and
     the code relies on that: its total degree is computed at most once, and
     a sum or difference with a zero side, or a product with the constant 1,
-    returns the other operand itself, so a result may be the very object
+    returns the other operand itself, and ChartMap.pull returns a constant
+    along an endomorphism as it is, so a result may be the very object
     passed in.
     """
 
@@ -908,16 +909,23 @@ class ChartMap:
         return ChartMap(inner.source, self.target, tuple(map(inner.pull, self.comps)))
 
     def pull(self, f: Poly) -> Poly:
-        """Pull a function on the target back to the source; along the
-        identity that is f itself."""
-        if f.chart != self.target:
+        """Pull a function on the target back to the source. Along the
+        identity that is f itself, and so is a constant (zero included)
+        along any endomorphism; a zero along another map is a fresh zero
+        on the source."""
+        if f.chart is not self.target and f.chart != self.target:
             raise ChartMismatchError("pulling a function from the wrong chart")
         if self.is_identity:
             return f
+        c = f.as_constant()
+        if c is not None:
+            if self.source is self.target:
+                return f
+            if not c:
+                return Poly._raw(self.source, {}, -1)
         slots = self.slots
         if slots is not None:
             return Poly._raw(self.source, _move_exponents(f.terms, slots, self.source.dim))
-        c = f.as_constant()
         if c is not None:
             return Poly.const(self.source, c)
         return f.subs(list(self.comps))

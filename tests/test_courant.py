@@ -219,17 +219,39 @@ def _unpruned_curvature(conn):
 @given(st.sampled_from([R2, R3]), st.data())
 @settings(max_examples=25, deadline=None)
 def test_pruned_curvature_is_the_unpruned_curvature(chart, data):
-    """curvature skips the defect/column pairs that are not paired, on
-    twisted structures whose connections are shifted by two-forms (so
-    their columns carry coanchor terms)."""
+    """curvature skips the column brackets that bracket_vanishes rules out
+    and the defect/column pairs that are not paired, on twisted structures
+    whose connections are shifted by two-forms (so their columns carry
+    coanchor terms); every skipped bracket is zero."""
     h = data.draw(kforms(chart, 3, max_degree=1)) if chart.dim == 3 else None
     q = standard_exact(chart, h)
     b = data.draw(kforms(chart, 2, max_degree=2))
     conn = connection_shift(coordinate_connection(q), b)
+    cols = conn.columns
+    for x, y in product(cols, repeat=2):
+        if q.bracket_vanishes(support(x), support(y)):
+            assert vec_is_zero(q.bracket(x, y))
     got = curvature(conn)
     assert got == _unpruned_curvature(conn)
     if h is not None:
         assert got == h + b.d()
+
+
+def test_curvature_brackets_only_admitted_column_pairs(monkeypatch):
+    """Op-count gate: the coordinate connection of twisted R3 has constant
+    columns with no table entry on the diagonal, so curvature brackets 6
+    of its 9 column pairs."""
+    q = standard_exact(R3, vol3("x1 + x2"))
+    calls = []
+    original = CourantData.bracket
+
+    def counted(self, u, v):
+        calls.append(1)
+        return original(self, u, v)
+
+    monkeypatch.setattr(CourantData, "bracket", counted)
+    assert curvature(coordinate_connection(q)) == vol3("x1 + x2")
+    assert len(calls) == 6
 
 
 def test_associated_lie_algebroid_of_standard():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from algebroids.anchored import comparison
 from algebroids.courant import (
     check_courant,
     check_courant_morphism,
@@ -126,9 +127,8 @@ def test_cover_and_datum_validation():
         DescentDatum(cover, q, {"one": tuple(q.gen(a) for a in range(4))})
 
 
-def test_cocycle_presents_each_cover_map_once(monkeypatch):
-    """tautological_datum keeps the presentations it built, so with the
-    three triples' inner images one cocycle job makes 6, not 9."""
+def counted_presentations(monkeypatch):
+    """The maps of the CourantPullbacks built from now on, in order."""
     built = []
     original = CourantPullback.__init__
 
@@ -137,10 +137,72 @@ def test_cocycle_presents_each_cover_map_once(monkeypatch):
         original(self, f, q, *args)
 
     monkeypatch.setattr(CourantPullback, "__init__", counted)
+    return built
+
+
+def test_cocycle_presents_each_cover_map_once(monkeypatch):
+    """tautological_datum keeps the presentations it built, and the triple
+    (one, s) -> s, whose outer image one+q equals q, takes the kept
+    presentation of s as its inner image; so with the other two triples'
+    inner images one cocycle job makes 5, not 9."""
+    built = counted_presentations(monkeypatch)
     cover = parabola_cover()
     assert check_cocycle(tautological_datum(cover, standard_exact(R2))).ok
-    assert len(built) == 6
+    assert len(built) == 5
     assert sorted(map(str, built[:3])) == sorted(map(str, cover.maps.values()))
+
+
+def benchmark_cover():
+    """The cover of the constructions benchmark's cocycle jobs: the
+    identity, a triangular automorphism of R3 and its square, with a
+    constant twist."""
+    v1, v2, v3 = (Poly.coord(R3, i) for i in range(3))
+    f = ChartMap(R3, R3, (v1, v2 + v1 * v1, v3 + v1 * v2))
+    cover = CoverData(
+        R3,
+        {"one": ChartMap.identity(R3), "s": f, "s2": f.compose(f)},
+        {("s", "s"): "s2", ("one", "s"): "s", ("s", "one"): "s"},
+    )
+    return cover, standard_exact(R3, KForm(R3, 3, {(0, 1, 2): Poly.const(R3, 3)}))
+
+
+@pytest.mark.parametrize(
+    "cover, q",
+    [(parabola_cover(), standard_exact(R2)), benchmark_cover()],
+    ids=["R2", "R3"],
+)
+def test_reused_inner_image_gives_the_fresh_comparison(cover, q):
+    """Where pulls[s].result equals the structure, the kept presentation of
+    t gives the comparison matrix a freshly built inner image gives."""
+    pulls = tautological_datum(cover, q).pulls
+    reused = [(s, t) for s, t in sorted(cover.table) if pulls[s].result == q]
+    assert ("one", "s") in reused
+    for s, t in reused:
+        u = cover.table[(s, t)]
+        fresh = pullback_courant(cover.maps[t], pulls[s].result)
+        assert fresh.mode == pulls[t].mode
+        assert comparison(pulls[t], pulls[s], pulls[u]) == comparison(
+            fresh, pulls[s], pulls[u]
+        )
+
+
+def test_broken_benchmark_datum_fails_exactly_the_triple_identity(monkeypatch):
+    """The refutation of the constructions benchmark: the matrix of s2
+    composed with a closed shear, rebuilt with DescentDatum, so its pulls
+    are empty and check_cocycle presents every map itself (3 + 2 inner
+    images)."""
+    cover, q = benchmark_cover()
+    matrices = dict(tautological_datum(cover, q).matrices)
+    v1, v2 = Poly.coord(R3, 0), Poly.coord(R3, 1)
+    closed = KForm(R3, 2, {(0, 1): v1 + v2})
+    matrices["s2"] = mat_mul(matrices["s2"], two_form_transform(q, closed), R3)
+    datum = DescentDatum(cover, q, matrices)
+    assert datum.pulls == {}
+    built = counted_presentations(monkeypatch)
+    rep = check_cocycle(datum)
+    assert [c.name for c in rep.failures()] == ["triple_identity"]
+    assert rep["triple_identity"].counterexample.startswith("triple (s,s) -> s2")
+    assert len(built) == 5
 
 
 def test_pulled_structures_stay_courant():

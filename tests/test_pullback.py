@@ -185,6 +185,15 @@ def test_isotropy_skips_only_pairs_that_pair_to_zero(monkeypatch, where, idx, de
     of the unpruned loop, with the same text and in the same order."""
     q = _perturbed(standard_exact(R3), where, idx, parse_poly(delta, R3))
     pb = pullback_courant(shear_33(), q)
+    rep, streams = _absorption_streams(monkeypatch, pb)
+    want = _unpruned_isotropy_failures(pb)
+    assert want and streams["relations_isotropic"] == want
+    assert rep["relations_isotropic"].counterexample == want[0]
+
+
+def _absorption_streams(monkeypatch, pb):
+    """check_relation_absorption(pb) and every failure each of its checks
+    yields, in order."""
     streams = {}
     original = Report.check
 
@@ -194,9 +203,73 @@ def test_isotropy_skips_only_pairs_that_pair_to_zero(monkeypatch, where, idx, de
 
     monkeypatch.setattr(Report, "check", listed)
     rep = check_relation_absorption(pb)
-    want = _unpruned_isotropy_failures(pb)
-    assert want and streams["relations_isotropic"] == want
-    assert rep["relations_isotropic"].counterexample == want[0]
+    monkeypatch.undo()
+    return rep, streams
+
+
+def _unpruned_bracket_failures(pb):
+    """Every failure of relations_bracket_closed, each order bracketed."""
+    n, rels, out = pb.source.chart.dim, pb.relations, []
+    for k in range(n):
+        for c, b in enumerate(pb.basis):
+            left = pb.reduce(pb.ambient_bracket(rels[k], b))
+            right = pb.reduce(pb.ambient_bracket(b, rels[k]))
+            if not vec_is_zero(left):
+                out.append(f"relation {k} bracket basis {c}")
+            if not vec_is_zero(right):
+                out.append(f"basis {c} bracket relation {k}")
+        for l in range(n):
+            if not vec_is_zero(pb.reduce(pb.ambient_bracket(rels[k], rels[l]))):
+                out.append(f"relations ({k},{l})")
+    return out
+
+
+@pytest.mark.parametrize(
+    "where, idx, delta",
+    [
+        ("coanchor", (0, 4), "x1"),
+        ("coanchor", (2, 5), "x2"),
+        ("structure", (0, 3, 4), "x2"),
+        ("anchor", (0, 1), "x3"),
+        ("anchor", (1, 2), "x1"),
+    ],
+)
+def test_bracket_closure_skips_only_orders_that_bracket_to_zero(
+    monkeypatch, where, idx, delta
+):
+    """A mutant whose relations do not bracket into their span:
+    relations_bracket_closed, which skips the orders bracket_vanishes rules
+    out, names every failure of the unpruned loop, in the same order."""
+    q = _perturbed(standard_exact(R3), where, idx, parse_poly(delta, R3))
+    pb = pullback_courant(shear_33(), q)
+    rep, streams = _absorption_streams(monkeypatch, pb)
+    want = _unpruned_bracket_failures(pb)
+    assert want and streams["relations_bracket_closed"] == want
+    assert rep["relations_bracket_closed"].counterexample == want[0]
+
+
+@pytest.mark.parametrize(
+    "split, brackets", [(False, 10), (True, 8)], ids=["auto", "exact-split"]
+)
+def test_bracket_closure_brackets_only_admitted_orders(monkeypatch, split, brackets):
+    """Op-count gate: on a twisted shear (6 basis triples, 3 relations)
+    relations_bracket_closed has 45 ordered pairs, and Lemma L14 admits
+    only these to ambient_bracket."""
+    q = standard_exact(R3, vol3("x1 + x2"))
+    pb = pullback_courant(
+        shear_33(), q, connection=coordinate_connection(q) if split else None
+    )
+    pb.result
+    calls = []
+    original = CourantPullback.ambient_bracket
+
+    def counted(self, t1, t2):
+        calls.append(1)
+        return original(self, t1, t2)
+
+    monkeypatch.setattr(CourantPullback, "ambient_bracket", counted)
+    assert check_relation_absorption(pb).ok
+    assert len(calls) == brackets
 
 
 def test_embedding_restricts_the_twist():
@@ -650,6 +723,36 @@ def test_morphism_graph_multiplies_only_non_constant_pairs(monkeypatch):
     d = morphism_graph(shear_33(), q, coordinate_connection(q))
     assert check_dirac(d).ok
     assert len(calls) == 29
+
+
+def test_presenting_along_a_shear_pulls_no_fresh_constant(monkeypatch):
+    """Op-count gate on ChartMap.pull: along an endomorphism a constant
+    entry, zero included, is its own pull, so presenting standard R3 along
+    the shear, with its table and relation checks, builds no Poly.const
+    inside pull."""
+    from algebroids import symcalc
+
+    depth, fresh = [0], []
+    pull, const = symcalc.ChartMap.pull, symcalc.Poly.const.__func__
+
+    def counted_pull(self, p):
+        depth[0] += 1
+        try:
+            return pull(self, p)
+        finally:
+            depth[0] -= 1
+
+    def counted_const(cls, chart, value):
+        if depth[0]:
+            fresh.append(value)
+        return const(cls, chart, value)
+
+    monkeypatch.setattr(symcalc.ChartMap, "pull", counted_pull)
+    monkeypatch.setattr(symcalc.Poly, "const", classmethod(counted_const))
+    pb = pullback_courant(shear_33(), standard_exact(R3))
+    assert check_courant(pb.result).ok
+    assert check_relation_absorption(pb).ok
+    assert depth == [0] and fresh == []
 
 
 def test_exact_split_needs_a_connection_and_an_exact_structure():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from algebroids.courant import scalar_multiple, standard_exact
+from algebroids.dirac import support_inclusion
 from algebroids.errors import (
     ChartMismatchError,
     DegreeOverflowError,
@@ -445,6 +446,57 @@ def test_compose_with_a_coordinate_map_is_substitution(data):
     )
     got = outer.compose(inner)
     assert got.comps == tuple(c.subs(list(inner.comps)) for c in outer.comps)
+
+
+@st.composite
+def triangular_maps(draw):
+    """Triangular automorphisms (x1, x2 + p(x1), x3 + q(x1, x2)) of R3."""
+    x1, x2, x3 = (Poly.coord(R3, i) for i in range(3))
+    p = draw(rational_polys(R1, max_degree=3)).subs([x1])
+    q = draw(rational_polys(R2, max_degree=3)).subs([x1, x2])
+    return ChartMap(R3, R3, (x1, x2 + p, x3 + q))
+
+
+PROJECTION_32 = ChartMap(R3, R2, (Poly.coord(R3, 0), Poly.coord(R3, 1)))
+
+
+@given(
+    triangular_maps() | st.just(PROJECTION_32) | st.just(support_inclusion(R2, ("x2",))),
+    st.data(),
+)
+@settings(max_examples=100)
+def test_pull_is_substitution(f, data):
+    """Along triangular endomorphisms of R3, a coordinate projection and a
+    support inclusion, pull is substitution of the components, on random
+    polynomials, constants and zero; along an endomorphism a constant is
+    its own pull."""
+    constants = st.builds(
+        Fraction, st.integers(-3, 3), st.integers(1, 4)
+    ).map(lambda c: Poly.const(f.target, c))
+    p = data.draw(rational_polys(f.target, max_degree=3) | constants)
+    got = f.pull(p)
+    assert got.chart == f.source and got == p.subs(list(f.comps))
+    assert got.degree() == max(map(sum, got.terms), default=-1)
+    if p.as_constant() is not None and f.source is f.target:
+        assert got is p
+
+
+def test_a_constant_is_its_own_pull_along_an_endomorphism():
+    x1, x2, x3 = (Poly.coord(R3, i) for i in range(3))
+    shear = ChartMap(R3, R3, (x1, x2, x3 + x1 * x2))
+    for c in (Poly.zero(R3), Poly.one(R3), Poly.const(R3, Fraction(-2, 3))):
+        assert shear.pull(c) is c
+    zero = PROJECTION_32.pull(Poly.zero(R2))
+    assert zero.chart == R3 and zero.is_zero and zero.degree() == -1
+
+
+def test_a_constant_on_the_wrong_chart_cannot_be_pulled():
+    x1, x2, x3 = (Poly.coord(R3, i) for i in range(3))
+    shear = ChartMap(R3, R3, (x1, x2, x3 + x1 * x2))
+    for f in (shear, PROJECTION_32, ChartMap.identity(R3)):
+        for c in (Poly.zero(R1), Poly.const(R1, 5)):
+            with pytest.raises(ChartMismatchError):
+                f.pull(c)
 
 
 # ---------------------------------------------------------------------------
