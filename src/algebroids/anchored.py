@@ -266,16 +266,16 @@ def pair_bracket_vanishes(
 def pruned_table(
     pres: Presentation,
     vanishes: Callable[[tuple[Support, ...], tuple[Support, ...]], bool],
-    bracket: Callable[[tuple[Vec, ...], tuple[Vec, ...]], T],
+    bracket: Callable[[int, int], T],
 ) -> dict[tuple[int, int], T]:
-    """bracket(basis[x], basis[y]) on each ordered pair (x, y) of the basis
-    of pres that vanishes does not rule out on pres.supports (Lemma L14). A
+    """bracket(x, y) on each ordered pair (x, y) of basis indices of pres
+    that vanishes does not rule out on pres.supports (Lemma L14). A
     ruled-out pair is left out, as a zero table entry would be dropped;
     every admitted pair is bracketed, in both orders when both are
-    admitted."""
-    basis = pres.basis
+    admitted. bracket reads pres.basis, and pres.supports when it prunes
+    further."""
     return {
-        (x, y): bracket(basis[x], basis[y])
+        (x, y): bracket(x, y)
         for (x, sx), (y, sy) in product(enumerate(pres.supports), repeat=2)
         if not vanishes(sx, sy)
     }

@@ -3,11 +3,12 @@
 Every verb reads a spec file, runs exact checks, and writes a deterministic
 JSON report (sorted keys, no timestamps): running the same job twice gives
 byte-identical output. Exit codes: 0 all checks passed, 1 some check
-failed, 2 the spec was unreadable (or not UTF-8) or inconsistent, or the
-report could not be written, 3 the job needs an unsupported presentation
-mode, 4 the job hit a resource limit (a polynomial product above the
-total-degree cap), 5 an internal error: an exception that is not an
-AlgebroidError, printed with its traceback on stderr.
+failed, 2 the spec was unreadable (or not UTF-8) or inconsistent, the
+report could not be written, or the command line was malformed (an unknown
+verb, no --spec, an unknown option; argparse exits), 3 the job needs an
+unsupported presentation mode, 4 the job hit a resource limit (a polynomial
+product above the total-degree cap), 5 an internal error: an exception
+that is not an AlgebroidError, printed with its traceback on stderr.
 """
 
 from __future__ import annotations
@@ -232,18 +233,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="algebroids",
         description="Exact checks for Courant structures on polynomial charts.",
     )
-    sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in VERBS:
-        p = sub.add_parser(verb)
-        p.add_argument("--spec", required=True, help="path to the JSON job")
-        p.add_argument("--out", help="report path (default: stdout)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=100)
+    parser.add_argument("verb", choices=VERBS)
+    parser.add_argument("--spec", required=True, help="path to the JSON job")
+    parser.add_argument("--out", help="report path (default: stdout)")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--samples", type=int, default=100)
     return parser
 
 
 def _normalise_argv(argv):
-    """Accept --verb NAME (or --verb=NAME) as a spelling of the subcommand."""
+    """Accept --verb NAME (or --verb=NAME) as a spelling of the verb."""
     for i, token in enumerate(argv):
         if token == "--verb" and i + 1 < len(argv):
             return [argv[i + 1]] + argv[:i] + argv[i + 2 :]

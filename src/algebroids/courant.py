@@ -737,12 +737,14 @@ class CourantCombination(Presentation):
 
         super().__init__(chart, sizes, basis, read)
 
-        def weighted(x: tuple[Vec, ...], y: tuple[Vec, ...]) -> Poly:
-            terms = zip(parts, weights, x, y)
+        gens, supports = self.basis, self.supports
+
+        def weighted(x: int, y: int) -> Poly:
+            terms = zip(parts, weights, gens[x], gens[y], supports[x], supports[y])
             products = (
                 w * q.pairing_of(u, v)
-                for q, w, u, v in terms
-                if w and paired(q.pairing, support(u), support(v))
+                for q, w, u, v, su, sv in terms
+                if w and paired(q.pairing, su, sv)
             )
             return sum(products, Poly.zero(chart))
 
@@ -750,7 +752,7 @@ class CourantCombination(Presentation):
             terms = zip(parts, weights, x, y)
             return not any(w and paired(q.pairing, su, sv) for q, w, su, sv in terms)
 
-        gens, zero_poly = self.basis, Poly.zero(chart)
+        zero_poly = Poly.zero(chart)
         paired_basis = pruned_table(self, unpaired, weighted)
         pairing = tuple(
             tuple(paired_basis.get((x, y), zero_poly) for y in range(len(gens)))
@@ -760,8 +762,9 @@ class CourantCombination(Presentation):
         def vanishes(x: tuple[Support, ...], y: tuple[Support, ...]) -> bool:
             return all(q.bracket_vanishes(su, sv) for q, su, sv in zip(parts, x, y))
 
-        def bracket(x: tuple[Vec, ...], y: tuple[Vec, ...]) -> Vec:
-            return self.reduce(tuple(q.bracket(u, v) for q, u, v in zip(parts, x, y)))
+        def bracket(x: int, y: int) -> Vec:
+            pairs = zip(parts, gens[x], gens[y])
+            return self.reduce(tuple(q.bracket(u, v) for q, u, v in pairs))
 
         structure = pruned_table(self, vanishes, bracket)
         anchor, coanchor = _exact_frame(chart)

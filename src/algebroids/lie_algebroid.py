@@ -278,7 +278,9 @@ class LiePullback(Presentation):
         table = pruned_table(
             self,
             lambda x, y: pair_bracket_vanishes(source._entry, x, y),
-            lambda x, y: self.reduce(pair_bracket(chart, source.rank, pulled, x, y)),
+            lambda x, y: self.reduce(
+                pair_bracket(chart, source.rank, pulled, basis[x], basis[y])
+            ),
         )
         zero = linalg.zero_vec(chart, len(basis))
         # A pair that does not reduce antisymmetrically means the source data

@@ -181,14 +181,18 @@ class CourantPullback(Presentation):
             self.reduce(_cotangent(chart, rank, j)) for j in range(chart.dim)
         )
         zero = Poly.zero(chart)
-        paired_basis = pruned_table(self, self.pairing_vanishes, self.ambient_pairing)
+        paired_basis = pruned_table(
+            self,
+            self.pairing_vanishes,
+            lambda x, y: self.ambient_pairing(basis[x], basis[y]),
+        )
         pairing = tuple(
             tuple(paired_basis.get((x, y), zero) for y in range(r)) for x in range(r)
         )
         structure = pruned_table(
             self,
             self.bracket_vanishes,
-            lambda t1, t2: self.reduce(self.ambient_bracket(t1, t2)),
+            lambda x, y: self.reduce(self.ambient_bracket(basis[x], basis[y])),
         )
         return CourantData(chart, r, anchor, coanchor, pairing, structure)
 

@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line verbs on small job files."""
 
+import argparse
 import ast
 import json
 import re
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from algebroids import jsonio
+from algebroids import cli, jsonio
 from algebroids.cli import VERBS, main
 from algebroids.courant import coordinate_connection, standard_exact
 from algebroids.symcalc import (
@@ -274,6 +275,55 @@ def test_verb_flag_spelling(tmp_path):
     path = write_job(tmp_path, spec)
     assert main(["--verb", "check-courant", "--spec", path]) == 0
     assert main(["--spec", path, "--verb=check-courant"]) == 0
+
+
+def test_an_unknown_verb_exits_two(tmp_path, capsys):
+    spec, _ = PASSING_JOBS["check-courant"]()
+    with pytest.raises(SystemExit) as exc:
+        main(["check-nothing", "--spec", write_job(tmp_path, spec)])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_a_call_without_a_verb_exits_two(tmp_path):
+    spec, _ = PASSING_JOBS["check-courant"]()
+    with pytest.raises(SystemExit) as exc:
+        main(["--spec", write_job(tmp_path, spec)])
+    assert exc.value.code == 2
+
+
+def test_options_before_the_verb_give_the_same_report(tmp_path):
+    spec, _ = PASSING_JOBS["check-courant"]()
+    path = write_job(tmp_path, spec)
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["check-courant", "--spec", path, "--out", str(first)]) == 0
+    assert main(["--spec", path, "--out", str(second), "check-courant"]) == 0
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_help_names_every_verb(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    listed = re.findall(r"\{([^}]*)\}", capsys.readouterr().out)
+    assert listed and all(tuple(names.split(",")) == VERBS for names in listed)
+
+
+def test_the_parser_is_one_flat_parser_built_per_call():
+    """build_parser returns a new parser on each call, with no subparsers
+    and the verbs as the choices of one positional; the module keeps no
+    parser of its own."""
+    first, second = cli.build_parser(), cli.build_parser()
+    assert first is not second
+    assert not any(isinstance(a, argparse._SubParsersAction) for a in first._actions)
+    (verb,) = [a for a in first._actions if a.dest == "verb"]
+    assert tuple(verb.choices) == VERBS
+    kept = [
+        name
+        for name, value in vars(cli).items()
+        if isinstance(value, argparse.ArgumentParser)
+    ]
+    assert kept == []
 
 
 def test_unsupported_mode_exits_three(tmp_path, capsys):

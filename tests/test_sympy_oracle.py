@@ -2,17 +2,25 @@
 of vector fields agree on random rational polynomials over R3, including the
 zero and constant operands that the early returns of VField.apply and
 Poly.__add__/__sub__ handle. linalg.left_inverse of a matrix with a nonzero
-constant determinant agrees with sympy's inverse."""
+constant determinant agrees with sympy's inverse, and the pairing table of a
+Baer combination agrees with the weighted sum of its parts' pairings."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algebroids import linalg
+from algebroids import jsonio, linalg
+from algebroids.courant import (
+    baer_combination,
+    connection_shift,
+    coordinate_connection,
+    standard_exact,
+)
 from algebroids.errors import ChartMismatchError
-from algebroids.symcalc import ChartMap, Poly, VField, coordinate_chart
+from algebroids.symcalc import ChartMap, KForm, Poly, VField, coordinate_chart
 
+from test_acceptance import _battery_jobs
 from test_symcalc import rational_polys
 
 sympy = pytest.importorskip("sympy")
@@ -26,10 +34,11 @@ OTHER = coordinate_chart("Y", 3)
 
 
 def to_sympy(p: Poly):
+    xs = [sympy.Symbol(name) for name in p.chart.coords]
     out = sympy.Integer(0)
     for exps, c in p.terms.items():
         term = sympy.Rational(c.numerator, c.denominator)
-        for x, e in zip(XS, exps):
+        for x, e in zip(xs, exps):
             term *= x**e
         out += term
     return out
@@ -152,3 +161,68 @@ def test_left_inverse_of_a_unit_determinant_matrix_matches_sympy(m):
     for i in range(3):
         for j in range(3):
             assert sympy.cancel(to_sympy(left[i][j]) - inverse[i, j]) == 0
+
+
+def oracle_pairing(comb):
+    """sum_i w_i x_i^T G_i y_i on each pair (x, y) of comb.basis, read from
+    the parts' pairing matrices G_i alone."""
+    def matrix(rows):
+        return sympy.Matrix([[to_sympy(p) for p in row] for row in rows])
+
+    grams = [matrix(q.pairing) for q in comb.parts]
+    weights = [sympy.Rational(w.numerator, w.denominator) for w in comb.weights]
+    slots = [[matrix([u]) for u in element] for element in comb.basis]
+    return [
+        [
+            sum(
+                (w * (u * g * v.T)[0] for w, g, u, v in zip(weights, grams, x, y)),
+                sympy.Integer(0),
+            )
+            for y in slots
+        ]
+        for x in slots
+    ]
+
+
+def battery_tau_linear():
+    spec = _battery_jobs()["tau-linear"]
+    parts = [jsonio.courant_from_json(p) for p in spec["parts"]]
+    weights = [jsonio.rational_from_json(w, "weights") for w in spec["weights"]]
+    conns = [
+        jsonio.connection_from_json(c, q)
+        for c, q in zip(spec["connections"], parts)
+    ]
+    return baer_combination(parts, weights, conns)
+
+
+def twisted_r3_pair(weights):
+    """Two twisted standard structures on R3, their coordinate connections
+    shifted by one two-form. The lifts are isotropic and the glued lines
+    pair with them through the first part of nonzero weight, so only a
+    first weight other than 1 shows the weights in the table."""
+    qs = [
+        standard_exact(R3, KForm(R3, 3, {(0, 1, 2): h}))
+        for h in (Poly.coord(R3, 2), Poly.coord(R3, 0) * Poly.coord(R3, 1))
+    ]
+    shift = KForm(R3, 2, {(0, 1): Poly.coord(R3, 2) + 1})
+    conns = [connection_shift(coordinate_connection(q), shift) for q in qs]
+    return baer_combination(qs, weights, conns)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        battery_tau_linear,
+        lambda: twisted_r3_pair((1, -2)),
+        lambda: twisted_r3_pair((-2, 1)),
+    ],
+    ids=["tau-linear", "twisted-r3", "twisted-r3-swapped"],
+)
+def test_combination_pairing_matches_the_weighted_part_pairings(build):
+    comb = build()
+    expected = oracle_pairing(comb)
+    pairing = comb.result.pairing
+    assert len(pairing) == len(comb.basis)
+    for x, row in enumerate(expected):
+        for y, entry in enumerate(row):
+            assert same(pairing[x][y], entry), (x, y)
