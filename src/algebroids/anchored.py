@@ -22,37 +22,46 @@ anchor row, and v not constant; anchor(v)(u_k) likewise; the Courant
 coanchor term c(sum_a (sum_b g_ab v_b) du_a) needs u not constant and some
 nonzero g_ab with a in supp u and b in supp v (paired). Derivations kill
 constants, and each remaining term is a product with a zero factor.
-AnchoredModule.bracket_vanishes is this test on two Supports (the nonzero
-entries of a vector, and whether all are constant), and CourantData adds
-the coanchor term. leibniz_vanishes is its table and anchor part with the
-anchors given as flags, so pair_bracket_vanishes is that part with the
-tangents standing in for the anchors, plus the tangent bracket [eta1,
-eta2], which needs both tangents nonzero and not both constant; the
-Courant inverse image adds its one-form terms (pullback). pruned_table
-brackets only the pairs of a basis that such a test admits, so both
-inverse images and the Courant Baer combination skip their zero table
-entries, and bracket_failures skips a generator pair with a zero table
-entry when the test rules out the bracket of its images. A ruled-out
-bracket is zero, and computing it would have formed no product of
-positive degree.
+AnchoredModule.bracket_vanishes is this test on two Supports (the bit
+mask of a vector's nonzero entries, and whether all are constant), and
+CourantData adds the coanchor term. The test is bitwise: each module
+computes its sparsity patterns once per instance, on first use, and no
+module-level cache holds them (AnchoredModule.anchor_mask, the generators
+with a nonzero anchor row; AnchoredModule.table_masks, one mask per table
+row of the b with a nonzero entry (a, b); CourantData.pairing_masks, one
+per pairing row), so a structure made by dataclasses.replace reads its
+own. leibniz_vanishes is its table and anchor part with the anchors given
+as flags, so pair_bracket_vanishes is that part with the tangents
+standing in for the anchors, plus the tangent bracket [eta1, eta2], which
+needs both tangents nonzero and not both constant; the Courant inverse
+image adds its one-form terms (pullback). pruned_table brackets only the
+pairs of a basis that such a test admits, so both inverse images and the
+Courant Baer combination skip their zero table entries; bracket_failures
+skips a generator pair with a zero table entry when the test rules out
+the bracket of its images; and jacobi_generator_failures, the generator
+triples of the Jacobi identity for both verdicts, skips each of the three
+brackets of J(e_a, e_b, e_c) that the test rules out on the generator and
+the table row, and the whole triple when it rules out all three. A
+ruled-out bracket is zero, and computing it would have formed no product
+of positive degree.
 
-Lemma L14, on pairings: a bilinear form sum_ab u_a g_ab v_b is zero unless
-some nonzero g_ab has a in supp u and b in supp v (paired), since every
-product it would form has a zero factor. The Courant Baer combination
-pairs only the basis pairs that some part of nonzero weight pairs, and in
-those only the parts that pair their two sections; the morphism check
-(courant.check_courant_morphism) skips a generator pair with a zero
-source pairing whose images are not paired; a Connection checks isotropy
-only on paired columns, and courant.curvature pairs a bracket defect only
-with the columns it is paired with; the ambient pairing of the Courant
-inverse image needs, for each one-form term beta(eta), an index where
-both are nonzero (pullback), and the isotropy check of the relations
-(pullback.check_relation_absorption) skips the pairs that test rules
-out; and dirac.check_dirac skips the generator pairs its restricted
-pairing does not pair, and in its closure check the lifted pairs whose
-bracket the test on sections rules out. A ruled-out
-pairing computes to zero with no product formed, so it made no chart
-check; the row lengths it reads are checked up front.
+Lemma L14, on pairings: a bilinear form sum_ab u_a g_ab v_b is zero
+unless some nonzero g_ab has a in supp u and b in supp v (paired, on the
+row masks of g), since every product it would form has a zero factor.
+The Courant Baer combination pairs only the basis pairs that some part
+of nonzero weight pairs, and in those only the parts that pair their two
+sections; the morphism check (courant.check_courant_morphism) skips a
+generator pair with a zero source pairing whose images are not paired; a
+Connection checks isotropy only on paired columns, and courant.curvature
+pairs a bracket defect only with the columns it is paired with; the
+ambient pairing of the Courant inverse image needs, for each one-form
+term beta(eta), an index where both are nonzero (pullback), and the
+isotropy check of the relations (pullback.check_relation_absorption)
+skips the pairs that test rules out; and dirac.check_dirac skips the
+generator pairs its restricted pairing does not pair, and in its closure
+check the lifted pairs whose bracket the test on sections rules out. A
+ruled-out pairing computes to zero with no product formed, so it made no
+chart check; the row lengths it reads are checked up front.
 
 Lemma L1: [u, f v] = f [u, v] + anchor(u)(f) v holds for every table. In
 leibniz_sum(u, f v) the table term scales by f, xi(f v_k) = f xi(v_k) +
@@ -210,57 +219,72 @@ def pair_bracket(
 
 
 class Support(NamedTuple):
-    """What Lemma L14 reads of a vector: the indices of its nonzero
-    entries, and whether every entry is constant (zero is constant)."""
+    """What Lemma L14 reads of a vector: the bit mask of its nonzero
+    entries (bit i for entry i), and whether every entry is constant (zero
+    is constant)."""
 
-    nonzero: tuple[int, ...]
+    mask: int
     constant: bool
 
 
+def mask(vec: Vec) -> int:
+    """The bit mask of the nonzero entries of vec, bit i for entry i."""
+    return sum(1 << i for i, p in enumerate(vec) if not p.is_zero)
+
+
 def support(vec: Vec) -> Support:
-    return Support(
-        tuple(i for i, p in enumerate(vec) if not p.is_zero),
-        all(p.as_constant() is not None for p in vec),
-    )
+    return Support(mask(vec), all(p.as_constant() is not None for p in vec))
+
+
+def paired(rows: Sequence[int], u: Support, v: Support) -> bool:
+    """Whether some a in supp u has rows[a] meeting supp v. With rows the
+    masks of a matrix's rows (mask), this asks for a nonzero g_ab with a in
+    supp u and b in supp v: without one, sum_ab u_a g_ab v_b and every
+    sum_b g_ab v_b vanish (Lemma L14 on pairings). With rows the table
+    masks of a module (AnchoredModule.table_masks), it asks for a nonzero
+    table entry (a, b)."""
+    um, vm = u.mask, v.mask
+    while um:
+        low = um & -um
+        if rows[low.bit_length() - 1] & vm:
+            return True
+        um ^= low
+    return False
 
 
 def leibniz_vanishes(
-    entry: Entry, u: Support, v: Support, xi: bool, eta: bool
+    rows: Sequence[int], u: Support, v: Support, xi: bool, eta: bool
 ) -> bool:
-    """Whether Lemma L14 shows leibniz_sum(rank, entry, u, v, xi, eta) to be
-    zero on sections with the supports u and v; xi and eta say whether the
+    """Whether Lemma L14 shows leibniz_sum to be zero on sections with the
+    supports u and v, rows being the table masks of its entries (bit b of
+    rows[a] set when entry (a, b) is not None); xi and eta say whether the
     fields standing for their anchors may be nonzero. The table term needs
-    some a in supp u and b in supp v with entry(a, b) not None, xi(v_k)
-    needs xi and v not constant, and eta(u_k) needs eta and u not constant.
+    some a in supp u and b in supp v with a nonzero entry (paired on rows),
+    xi(v_k) needs xi and v not constant, and eta(u_k) needs eta and u not
+    constant.
     """
     return not (
         (xi and not v.constant)
         or (eta and not u.constant)
-        or any(entry(a, b) is not None for a in u.nonzero for b in v.nonzero)
+        or paired(rows, u, v)
     )
 
 
-def paired(matrix: Sequence[Vec], u: Support, v: Support) -> bool:
-    """Whether some nonzero matrix[a][b] has a in supp u and b in supp v:
-    without one, sum_ab u_a g_ab v_b and every sum_b g_ab v_b vanish
-    (Lemma L14 on pairings)."""
-    return any(not matrix[a][b].is_zero for a in u.nonzero for b in v.nonzero)
-
-
 def pair_bracket_vanishes(
-    entry: Entry, x: tuple[Support, Support], y: tuple[Support, Support]
+    rows: Sequence[int], x: tuple[Support, Support], y: tuple[Support, Support]
 ) -> bool:
     """Whether Lemma L14 shows pair_bracket to be zero on pairs (eta1, u1)
-    and (eta2, u2) with the supports x and y; entry reads the source table,
-    and a pulled entry is zero where its source entry is. The section is
-    leibniz_sum with the tangents as anchors (leibniz_vanishes); the
-    tangent bracket [eta1, eta2] needs both tangents nonzero and not both
-    constant, a derivation killing constants."""
+    and (eta2, u2) with the supports x and y; rows are the table masks of
+    the source module, and a pulled entry is zero where its source entry
+    is. The section is leibniz_sum with the tangents as anchors
+    (leibniz_vanishes); the tangent bracket [eta1, eta2] needs both
+    tangents nonzero and not both constant, a derivation killing
+    constants."""
     (eta1, u1), (eta2, u2) = x, y
-    xi, eta = bool(eta1.nonzero), bool(eta2.nonzero)
+    xi, eta = bool(eta1.mask), bool(eta2.mask)
     return not (
         xi and eta and not (eta1.constant and eta2.constant)
-    ) and leibniz_vanishes(entry, u1, u2, xi, eta)
+    ) and leibniz_vanishes(rows, u1, u2, xi, eta)
 
 
 def pruned_table(
@@ -357,16 +381,31 @@ class AnchoredModule:
         require_chart(self.chart, u, v)
         return True
 
+    @cached_property
+    def anchor_mask(self) -> int:
+        """Bit a set when generator a has a nonzero anchor row."""
+        return sum(1 << a for a, row in enumerate(self.anchor) if not vec_is_zero(row))
+
+    @cached_property
+    def table_masks(self) -> tuple[int, ...]:
+        """One mask per table row: bit b of row a set when _entry(a, b) is
+        not None."""
+        r = self.rank
+        return tuple(
+            sum(1 << b for b in range(r) if self._entry(a, b) is not None)
+            for a in range(r)
+        )
+
     def _anchored(self, s: Support) -> bool:
         """Whether the anchor of a section with support s may be nonzero:
         some generator in it has a nonzero anchor row."""
-        return any(not vec_is_zero(self.anchor[a]) for a in s.nonzero)
+        return bool(s.mask & self.anchor_mask)
 
     def bracket_vanishes(self, su: Support, sv: Support) -> bool:
         """Whether Lemma L14 shows bracket to be zero on sections with the
         supports su and sv: its table and anchor terms (leibniz_vanishes)."""
         return leibniz_vanishes(
-            self._entry, su, sv, self._anchored(su), self._anchored(sv)
+            self.table_masks, su, sv, self._anchored(su), self._anchored(sv)
         )
 
     def bracket(self, u: Vec, v: Vec) -> Vec:
@@ -397,21 +436,37 @@ def jacobi_generator_failures(m: AnchoredModule) -> Iterator[str]:
     """The jacobiator on every generator triple, inner brackets read from
     the table. [e_a, row(b, c)] and [e_b, row(a, c)] range over the same
     brackets [e_x, row(y, z)], so each is computed once, on first use; a
-    table built up front would defeat the early exit at the first failure."""
-    gen = [m.gen(a) for a in range(m.rank)]
-    row = {
-        (a, b): m.bracket_gen(a, b)
-        for a, b in product(range(m.rank), repeat=2)
-    }
+    table built up front would defeat the early exit at the first failure.
+
+    Lemma L14 prunes each of the three brackets: one that m.bracket_vanishes
+    rules out on the supports of the generator and the table row is zero
+    and is not computed, and a triple whose three brackets are all ruled
+    out has a zero jacobiator and is skipped. The triples keep their order,
+    so the failures and their labels are those of the unpruned loop."""
+    r = m.rank
+    gen = [m.gen(a) for a in range(r)]
+    gen_supports = [support(e) for e in gen]
+    row = {(a, b): m.bracket_gen(a, b) for a, b in product(range(r), repeat=2)}
+    row_supports = {key: support(vec) for key, vec in row.items()}
+    zero = m.zero_section()
+
     @cache
-    def gen_row(x: int, y: int, z: int) -> Vec:
+    def gen_row(x: int, y: int, z: int) -> Vec | None:
+        if m.bracket_vanishes(gen_supports[x], row_supports[(y, z)]):
+            return None
         return m.bracket(gen[x], row[(y, z)])
 
-    for a, b, c in product(range(m.rank), repeat=3):
-        defect = vec_sub(
-            gen_row(a, b, c),
-            vec_add(m.bracket(row[(a, b)], gen[c]), gen_row(b, a, c)),
-        )
+    def row_gen(x: int, y: int, z: int) -> Vec | None:
+        if m.bracket_vanishes(row_supports[(x, y)], gen_supports[z]):
+            return None
+        return m.bracket(row[(x, y)], gen[z])
+
+    for a, b, c in product(range(r), repeat=3):
+        terms = gen_row(a, b, c), row_gen(a, b, c), gen_row(b, a, c)
+        if terms == (None, None, None):
+            continue
+        inner, left, outer = (zero if t is None else t for t in terms)
+        defect = vec_sub(inner, vec_add(left, outer))
         if not vec_is_zero(defect):
             yield f"generators ({a},{b},{c}): defect {fmt_section(defect)}"
 
@@ -500,8 +555,9 @@ def bracket_failures(
     dst.require_rank(*rows)
     require_chart(dst.chart, *rows)
     supports = [support(row) for row in rows]
+    table = src.table_masks
     for a, b in product(range(src.rank), repeat=2):
-        if src._entry(a, b) is None and dst.bracket_vanishes(supports[a], supports[b]):
+        if not table[a] >> b & 1 and dst.bracket_vanishes(supports[a], supports[b]):
             continue
         lhs = apply_matrix(matrix, src.bracket_gen(a, b), dst.rank, dst.chart)
         if not vec_eq(lhs, dst.bracket(rows[a], rows[b])):

@@ -24,7 +24,7 @@ from functools import cached_property
 from itertools import combinations_with_replacement, product
 
 from algebroids import linalg
-from algebroids.anchored import paired, require_chart, support
+from algebroids.anchored import mask, paired, require_chart, support
 from algebroids.courant import (
     Connection,
     CourantData,
@@ -137,11 +137,12 @@ def check_dirac(d: DiracData, maximality: str = "full") -> Report:
     g = d.restricted_pairing()
     m = len(d.generators)
 
+    g_masks = tuple(map(mask, g))
     supports = [support(gen) for gen in d.generators]
 
     def isotropy():
         for i, j in combinations_with_replacement(range(m), 2):
-            if not paired(g, supports[i], supports[j]):
+            if not paired(g_masks, supports[i], supports[j]):
                 continue
             got = d.pair_restricted(d.generators[i], d.generators[j], g)
             if not got.is_zero:

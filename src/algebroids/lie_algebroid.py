@@ -277,7 +277,7 @@ class LiePullback(Presentation):
         pulled = pulled_entries(f, source._entry)
         table = pruned_table(
             self,
-            lambda x, y: pair_bracket_vanishes(source._entry, x, y),
+            lambda x, y: pair_bracket_vanishes(source.table_masks, x, y),
             lambda x, y: self.reduce(
                 pair_bracket(chart, source.rank, pulled, basis[x], basis[y])
             ),

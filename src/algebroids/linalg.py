@@ -406,10 +406,14 @@ def adjugate_left_inverse(m: Sequence[Sequence[Poly]]) -> list[list[Poly]] | Non
 
     Each k-row minor m_S has adj(m_S) m_S = det(m_S) I, so constants c_S
     with sum_S c_S det(m_S) = 1 give L = sum_S c_S adj(m_S), placed on the
-    columns S. None when no such constants exist. By Cauchy-Binet this
-    accepts every m with a constant left inverse L0 (c_S is the determinant
-    of L0 on the columns S) and every square m whose determinant is a
-    nonzero constant. The result is checked: L m = I exactly.
+    columns S. The minors are taken in order, and the first whose
+    determinant d is a nonzero constant gives L = (1/d) adj(m_S) with no
+    other minor computed; only when none does are the constants solved for
+    over all of them. None when no such constants exist. By Cauchy-Binet
+    this accepts every m with a constant left inverse L0 (c_S is the
+    determinant of L0 on the columns S) and every square m whose
+    determinant is a nonzero constant. The result is checked: L m = I
+    exactly.
     """
     n = len(m)
     if n == 0:
@@ -417,19 +421,26 @@ def adjugate_left_inverse(m: Sequence[Sequence[Poly]]) -> list[list[Poly]] | Non
     k = len(m[0])
     chart = m[0][0].chart
     subsets = list(combinations(range(n), k))
-    minors = [[m[i] for i in rows] for rows in subsets]
-    dets = [poly_det(minor) for minor in minors]
-    weights = solve_bounded_degree(
-        len(dets), lambda j, mono: (dets[j],), (Poly.one(chart),), chart, 0
-    )
-    if weights is None:
-        return None
+    dets = []
+    for rows in subsets:
+        det = poly_det([m[i] for i in rows])
+        d = det.as_constant()
+        if d:
+            weights = {rows: Fraction(1) / d}
+            break
+        dets.append(det)
+    else:
+        solved = solve_bounded_degree(
+            len(dets), lambda j, mono: (dets[j],), (Poly.one(chart),), chart, 0
+        )
+        if solved is None:
+            return None
+        weights = {rows: w.as_constant() for rows, w in zip(subsets, solved)}
     out = [[Poly.zero(chart)] * n for _ in range(k)]
-    for rows, minor, w in zip(subsets, minors, weights):
-        c = w.as_constant()
+    for rows, c in weights.items():
         if not c:
             continue
-        adj = poly_adjugate(minor)
+        adj = poly_adjugate([m[i] for i in rows])
         for r in range(k):
             for t, i in enumerate(rows):
                 out[r][i] = out[r][i] + c * adj[r][t]

@@ -20,7 +20,8 @@ Lemma L14 (support test) is stated on sections in algebroids.anchored:
 each term above is zero unless its condition on the supports of the slots
 holds. The (eta, u) terms are those of anchored.pair_bracket_vanishes, and
 the pairing differential that of CourantData.bracket_vanishes, read on the
-pulled pairing. The one-form terms add two conditions: L_{eta1} beta2
+pulled pairing through the masks of its rows (pairing_masks, taken once per
+presentation). The one-form terms add two conditions: L_{eta1} beta2
 needs eta1 and beta2 nonzero and not both constant, and i_{eta2} d beta1
 needs eta2 nonzero and beta1 not constant. The pairing is Lemma L14 on
 pairings (anchored) three times: beta1(eta2) = sum_j beta1_j eta2_j needs
@@ -72,6 +73,7 @@ from algebroids.anchored import (
     Submersion,
     Support,
     constant_complement,
+    mask,
     pair_bracket,
     pair_bracket_vanishes,
     paired,
@@ -151,6 +153,7 @@ class CourantPullback(Presentation):
         self.source = q
         self.pulled_coanchor = [[f.pull(p) for p in row] for row in q.coanchor]
         self.pulled_pairing = [[f.pull(p) for p in row] for row in q.pairing]
+        self.pairing_masks = tuple(map(mask, self.pulled_pairing))
         self.pulled_structure = pulled_entries(f, q._entry)
         self.jacobian = f.jacobian()
         self.embedding = None
@@ -270,13 +273,13 @@ class CourantPullback(Presentation):
         """Whether Lemma L14 shows ambient_bracket to be zero on triples
         with the slot supports x and y."""
         (beta1, u1, eta1), (beta2, u2, eta2) = x, y
-        lie = eta1.nonzero and beta2.nonzero
+        lie = eta1.mask and beta2.mask
         return pair_bracket_vanishes(
-            self.source._entry, (eta1, u1), (eta2, u2)
+            self.source.table_masks, (eta1, u1), (eta2, u2)
         ) and not (
-            (not u1.constant and paired(self.pulled_pairing, u1, u2))
+            (not u1.constant and paired(self.pairing_masks, u1, u2))
             or (lie and not (eta1.constant and beta2.constant))
-            or (eta2.nonzero and not beta1.constant)
+            or (eta2.mask and not beta1.constant)
         )
 
     def pairing_vanishes(self, x: tuple[Support, ...], y: tuple[Support, ...]) -> bool:
@@ -288,14 +291,14 @@ class CourantPullback(Presentation):
         return not (
             _share(beta1, eta2)
             or _share(beta2, eta1)
-            or paired(self.pulled_pairing, u1, u2)
+            or paired(self.pairing_masks, u1, u2)
         )
 
 
 def _share(s: Support, t: Support) -> bool:
     """Whether some index is nonzero in both supports: without one, sum_j
     s_j t_j is zero (Lemma L14 on pairings, with the identity matrix)."""
-    return not set(s.nonzero).isdisjoint(t.nonzero)
+    return bool(s.mask & t.mask)
 
 
 # ---------------------------------------------------------------------------

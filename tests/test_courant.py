@@ -1,5 +1,6 @@
 """Courant structure data: axioms, twists, connections, combinations."""
 
+import dataclasses
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 import re
@@ -34,6 +35,7 @@ from algebroids.errors import ChartMismatchError, ValidationError
 from algebroids.lie_algebroid import tangent_algebroid
 from algebroids.linalg import (
     apply_matrix,
+    fmt_section,
     unit_vec,
     vec_add,
     vec_eq,
@@ -891,8 +893,137 @@ def test_pairing_support_test_rules_out_only_zero_pairings(name, data):
     rules out has a zero pairing_of."""
     q = SUPPORT_MODULES[name]
     u, v = data.draw(sparse_sections(q)), data.draw(sparse_sections(q))
-    if not paired(q.pairing, support(u), support(v)):
+    if not paired(q.pairing_masks, support(u), support(v)):
         assert q.pairing_of(u, v).is_zero
+
+
+def nonzero_indices(vec):
+    """The indices of the nonzero entries of vec, as a set."""
+    return {i for i, p in enumerate(vec) if not p.is_zero}
+
+
+def is_constant(vec):
+    return all(p.as_constant() is not None for p in vec)
+
+
+def meets(matrix_entry, left, right):
+    """Whether matrix_entry(a, b) is nonzero for some a in left and b in
+    right."""
+    return any(not vec_is_zero(matrix_entry(a, b)) for a in left for b in right)
+
+
+def restated_bracket_vanishes(m, u, v):
+    """Lemma L14 on sections, on index sets read from m's fields: the table
+    term, the two anchor terms and, for Courant data, the coanchor term."""
+    su, sv = nonzero_indices(u), nonzero_indices(v)
+    cu, cv = is_constant(u), is_constant(v)
+
+    def anchored(s):
+        return any(not vec_is_zero(m.anchor[a]) for a in s)
+
+    live = (
+        meets(m.bracket_gen, su, sv)
+        or (anchored(su) and not cv)
+        or (anchored(sv) and not cu)
+    )
+    if isinstance(m, CourantData):
+        live = live or (not cu and meets(lambda a, b: (m.pairing[a][b],), su, sv))
+    return not live
+
+
+@pytest.mark.parametrize("name", sorted(SUPPORT_MODULES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_support_tests_answer_as_lemma_l14_on_index_sets(name, data):
+    """bracket_vanishes and paired, read from masks, give the answers of
+    Lemma L14 restated here on index sets: the same pairs are ruled out,
+    not only a subset of them."""
+    m = SUPPORT_MODULES[name]
+    u, v = data.draw(sparse_sections(m)), data.draw(sparse_sections(m))
+    assert m.bracket_vanishes(support(u), support(v)) == restated_bracket_vanishes(m, u, v)
+    if isinstance(m, CourantData):
+        expected = meets(lambda a, b: (m.pairing[a][b],), nonzero_indices(u), nonzero_indices(v))
+        assert paired(m.pairing_masks, support(u), support(v)) == expected
+
+
+def unpruned_first_generator_failure(m):
+    """The first label of the jacobiator on generator triples, each
+    computed by jacobiator on whole sections with nothing skipped."""
+    gen = [m.gen(a) for a in range(m.rank)]
+    for a, b, c in product(range(m.rank), repeat=3):
+        defect = jacobiator(m, gen[a], gen[b], gen[c])
+        if not vec_is_zero(defect):
+            return f"generators ({a},{b},{c}): defect {fmt_section(defect)}"
+    return None
+
+
+# [e0, e2] = e0 on standard R2: at its first failing triple (0, 2, 2) only
+# the middle term [[e0, e2], e2] of the jacobiator is nonzero.
+ONE_TERM_MUTANT = _perturbed(standard_exact(R2), "structure", (0, 2, 0), Poly.one(R2))
+
+
+@pytest.mark.parametrize(
+    "m",
+    [*SUPPORT_MODULES.values(), ONE_TERM_MUTANT],
+    ids=[*SUPPORT_MODULES, "one-term-mutant"],
+)
+def test_pruned_generator_triples_name_the_unpruned_first_failure(m):
+    assert next(jacobi_generator_failures(m), None) == unpruned_first_generator_failure(m)
+
+
+def test_the_one_term_mutant_fails_on_one_nonzero_term():
+    m = ONE_TERM_MUTANT
+    e0, e2 = m.gen(0), m.gen(2)
+    terms = [
+        m.bracket(e0, m.bracket(e2, e2)),
+        m.bracket(m.bracket(e0, e2), e2),
+        m.bracket(e2, m.bracket(e0, e2)),
+    ]
+    assert [not vec_is_zero(t) for t in terms] == [False, True, False]
+    assert unpruned_first_generator_failure(m).startswith("generators (0,2,2):")
+
+
+CLOSED_TWIST_R4 = standard_exact(
+    R4, KForm(R4, 3, {(0, 1, 2): parse_poly("x1*x2 + 1", R4)})
+)
+
+
+@pytest.mark.parametrize(
+    "q, count",
+    [(standard_exact(R3, vol3()), 18), (CLOSED_TWIST_R4, 80)],
+    ids=["twisted-R3", "closed-twist-R4"],
+)
+def test_check_courant_brackets_only_what_lemma_l14_admits(monkeypatch, q, count):
+    """Op-count gate on one check_courant: the generator triples bracket
+    only what bracket_vanishes admits, and the rest of the calls are the
+    E4(e_a, dx_j) cases. Calls with a zero argument count too (450 and
+    1,056 calls without the pruning)."""
+    calls = []
+    original = CourantData.bracket
+
+    def counted(self, u, v):
+        calls.append(1)
+        return original(self, u, v)
+
+    monkeypatch.setattr(CourantData, "bracket", counted)
+    assert check_courant(q).ok
+    assert len(calls) == count
+
+
+def test_a_replaced_structure_has_its_own_masks():
+    """The masks are read once per instance: dataclasses.replace makes a
+    new instance, which reads its own table, anchor and pairing."""
+    q = standard_exact(R2)
+    assert q.table_masks == (0, 0, 0, 0)
+    assert q.anchor_mask == 0b0011
+    assert q.pairing_masks == (0b0100, 0b1000, 0b0001, 0b0010)
+    x1 = Poly.coord(R2, 0)
+    moved = dataclasses.replace(q, structure={(2, 3): (x1,) + (Poly.zero(R2),) * 3})
+    assert moved.table_masks == (0, 0, 0b1000, 0)
+    assert q.table_masks == (0, 0, 0, 0)
+    bent = dataclasses.replace(q, pairing=_perturbed(q, "pairing", (0, 0), x1).pairing)
+    assert bent.pairing_masks == (0b0101, 0b1000, 0b0001, 0b0010)
+    assert q.pairing_masks == (0b0100, 0b1000, 0b0001, 0b0010)
 
 
 def unpruned_pairing(comb):

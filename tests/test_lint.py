@@ -26,6 +26,12 @@ Likewise text enters the program only through jsonio, which reads specs
 with symcalc's parser (parse_poly, parse_expr); every other module is given
 polynomials.
 
+No process-global state changes the results, so functools.cache and
+lru_cache decorate only functions nested inside another function: such a
+cache lives as long as one call of its enclosing function. On a top-level
+function or on a method it would outlive every call and hold its inputs
+for the whole process.
+
 The README does not drift from the code: every code name it puts in
 backticks (an identifier, dotted or called, such as `ChartMap.slots` or
 `dirac_pushdown(d)`) has each dotted part appear as a word in the same
@@ -397,6 +403,58 @@ def test_only_symcalc_and_jsonio_name_the_parser():
         path.name: parser_uses(path.read_text(encoding="utf-8"))
         for path in sorted(SRC.glob("*.py"))
         if path.name not in PARSER_OWNERS
+    }
+    assert {name: lines for name, lines in uses.items() if lines} == {}
+
+
+CACHES = {"cache", "lru_cache"}
+
+
+def global_caches(source: str) -> list[int]:
+    """The lines of the functions decorated with functools.cache or
+    lru_cache (bare, called or as an attribute) that are not nested
+    inside another function."""
+    out = []
+
+    def visit(node: ast.AST, nested: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            if is_function and not nested:
+                for deco in child.decorator_list:
+                    target = deco.func if isinstance(deco, ast.Call) else deco
+                    name = getattr(target, "attr", getattr(target, "id", None))
+                    if name in CACHES:
+                        out.append(child.lineno)
+            visit(child, nested or is_function)
+
+    visit(ast.parse(source), False)
+    return sorted(out)
+
+
+def test_the_cache_gate_flags_a_module_level_cache_and_a_cached_method():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@cache\n"
+        "def table(n):\n"
+        "    return n\n"
+        "class Module:\n"
+        "    @functools.lru_cache(maxsize=None)\n"
+        "    def masks(self):\n"
+        "        return 0\n"
+        "def check(m):\n"
+        "    @cache\n"
+        "    def row(a):\n"
+        "        return a\n"
+        "    return row(m)\n"
+    )
+    assert global_caches(source) == [4, 8]
+
+
+def test_only_nested_functions_are_cached():
+    uses = {
+        path.name: global_caches(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.glob("*.py"))
     }
     assert {name: lines for name, lines in uses.items() if lines} == {}
 

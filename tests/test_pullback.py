@@ -76,6 +76,7 @@ from algebroids.symcalc import (
 )
 
 from test_acceptance import _perturbed
+from test_courant import is_constant, meets, nonzero_indices
 from test_symcalc import polys
 
 R1 = coordinate_chart("L", 1, prefix="y")
@@ -577,7 +578,7 @@ def test_support_test_rules_out_only_zero_brackets_and_pairings(name, data):
         assert all(map(vec_is_zero, full_bracket(pb, t1, t2)))
     if pb.pairing_vanishes(s1, s2):
         assert full_pairing(pb, t1, t2).is_zero
-    if pair_bracket_vanishes(pb.source._entry, (s1[2], s1[1]), (s2[2], s2[1])):
+    if pair_bracket_vanishes(pb.source.table_masks, (s1[2], s1[1]), (s2[2], s2[1])):
         x, y = (t1[2], t1[1]), (t2[2], t2[1])
         got = pair_bracket(pb.chart, pb.source.rank, pb.pulled_structure, x, y)
         assert all(map(vec_is_zero, got))
@@ -603,6 +604,41 @@ def test_pairing_support_test_needs_a_shared_index(name, data):
     t1, t2 = data.draw(sparse_triples(pb)), data.draw(sparse_triples(pb))
     if pb.pairing_vanishes(tuple(map(support, t1)), tuple(map(support, t2))):
         assert full_pairing(pb, t1, t2).is_zero
+
+
+def restated_vanishes(pb, t1, t2):
+    """(bracket, pairing) verdicts of Lemma L14 on two triples, restated
+    on index sets read from the pulled pairing and the source table."""
+    (b1, u1, e1), (b2, u2, e2) = [tuple(map(nonzero_indices, t)) for t in (t1, t2)]
+    (cb1, cu1, ce1), (cb2, cu2, ce2) = [tuple(map(is_constant, t)) for t in (t1, t2)]
+    pulled = meets(lambda a, b: (pb.pulled_pairing[a][b],), u1, u2)
+    bracket_live = (
+        (e1 and e2 and not (ce1 and ce2))
+        or meets(pb.source.bracket_gen, u1, u2)
+        or (e1 and not cu2)
+        or (e2 and not cu1)
+        or (not cu1 and pulled)
+        or (e1 and b2 and not (ce1 and cb2))
+        or (e2 and not cb1)
+    )
+    pairing_live = bool(b1 & e2) or bool(b2 & e1) or pulled
+    return not bracket_live, not pairing_live
+
+
+@pytest.mark.parametrize("name", sorted(HYP_PRESENTATIONS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_support_tests_answer_as_lemma_l14_on_index_sets(name, data):
+    """bracket_vanishes and pairing_vanishes, read from masks, give the
+    answers of Lemma L14 restated here on index sets, on triples of every
+    slot shape."""
+    pb = HYP_PRESENTATIONS[name]
+    draw = triples if data.draw(st.booleans()) else sparse_triples
+    t1, t2 = data.draw(draw(pb)), data.draw(draw(pb))
+    s1, s2 = tuple(map(support, t1)), tuple(map(support, t2))
+    assert (pb.bracket_vanishes(s1, s2), pb.pairing_vanishes(s1, s2)) == restated_vanishes(
+        pb, t1, t2
+    )
 
 
 def unpruned_result(pb):
