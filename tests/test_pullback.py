@@ -626,7 +626,7 @@ def restated_vanishes(pb, t1, t2):
 
 
 @pytest.mark.parametrize("name", sorted(HYP_PRESENTATIONS))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_support_tests_answer_as_lemma_l14_on_index_sets(name, data):
     """bracket_vanishes and pairing_vanishes, read from masks, give the
