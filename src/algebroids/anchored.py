@@ -74,24 +74,24 @@ The identity checks the Lie and Courant verdicts share live here once: the
 jacobiator (the Jacobi identity in Leibniz form, which a Courant structure
 satisfies as a Lie algebroid does) and its generator cases, and the
 generator-matrix checks that a morphism preserves anchor and bracket. So
-does the quotient by a constant span of sections (constant_quotient) behind
-the Courant structure's associated Lie algebroid, with its antisymmetric
-table.
+does antisymmetric_table, which reads the bracket table of the Lie inverse
+image and refuses one that is not antisymmetric.
 
 The second half presents fibre products, once for both inverse images.
-resolve_mode picks the mode of an inverse image
-(classify_map when none is given), rejects a mode that is not a mode name
-as a bad spec, and checks the identity mode. The shape questions read
-ChartMap.slots: the identity, a coordinate projection and a coordinate
-embedding have as slots the source coordinates in order, distinct source
-coordinates, and every source coordinate once with the rest zero. Three fibre classes present
-the inverse image's fibre product, each with one basis of (tangent,
-section) pairs and one reader, coords(tangent, section): Embedding and
-Submersion check the shape their mode needs and raise UnsupportedModeError
-when the map does not have it, and Split lifts through a splitting of the
-anchor (split_lifts) and reads the rest through a frame of its kernel.
-Submersion reads a square Jacobian, and Split its kernel frame, through the
-one polynomial left inverse linalg.left_inverse. classify_map asks the same
+The shape questions read ChartMap.slots: the identity, a coordinate
+projection and a coordinate embedding have as slots the source coordinates
+in order, distinct source coordinates, and every source coordinate once
+with the rest zero. Three fibre classes present the inverse image's fibre
+product, each with one basis of (tangent, section) pairs and one reader,
+coords(tangent, section): Embedding and Submersion check the shape their
+mode needs and raise UnsupportedModeError when the map does not have it,
+and Split lifts through a splitting of the anchor (split_lifts) and reads
+the rest through a frame of its kernel. Submersion reads a square Jacobian,
+and Split its kernel frame, through the one polynomial left inverse
+linalg.left_inverse. The Lie inverse image reads Split only (its
+transitive-split mode); the Courant inverse image reads Embedding,
+Submersion (for the identity too) and, in its exact-split mode, Split.
+classify_map picks the Courant mode when none is given, asking the same
 shape questions before its unit-determinant test. Presentation is a basis
 of slot tuples, the relations it divides by, a reader, and the one reduce
 that checks every reading by rebuilding its input (the zero element needs
@@ -588,34 +588,6 @@ def constant_complement(
     return complement, linalg.qq_inverse(linalg.transpose([rows[i] for i in keep]))
 
 
-def constant_quotient(
-    m: AnchoredModule, span: Sequence[Sequence[Fraction]]
-) -> tuple[tuple[Vec, ...], dict[tuple[int, int], Vec], tuple[Vec, ...]] | None:
-    """m modulo the constant sections with the independent rows of span as
-    coefficients, on the unit generators completing them.
-
-    Returns (anchor rows, bracket table on pairs x <= y, projection of each
-    generator of m), or None when the span has no constant complement.
-    Raises ValidationError when the table does not descend antisymmetrically.
-    """
-    complement, inv = constant_complement(span, m.rank)
-    if inv is None:
-        return None
-
-    def reduce(vec: Vec) -> Vec:
-        # Coordinates along the complement generators; the span part drops.
-        return apply_constant(inv[len(span):], vec, m.chart)
-
-    structure = antisymmetric_table(
-        len(complement),
-        lambda x, y: reduce(m.bracket_gen(complement[x], complement[y])),
-        "bracket does not descend antisymmetrically; the input violates the "
-        "symmetrization identity",
-    )
-    anchor = tuple(m.anchor[i] for i in complement)
-    return anchor, structure, tuple(reduce(m.gen(i)) for i in range(m.rank))
-
-
 def antisymmetric_table(
     n: int, bracket: Callable[[int, int], Vec], error: str
 ) -> dict[tuple[int, int], Vec]:
@@ -667,28 +639,6 @@ def classify_map(f: ChartMap) -> str:
     raise UnsupportedModeError(
         f"map {f} fits no supported pullback mode"
     )
-
-
-def resolve_mode(
-    f: ChartMap, chart: Chart, mode: str | None, modes: Sequence[str]
-) -> str:
-    """The presentation mode for pulling a structure on chart back along f.
-
-    A mode that is not one of modes is a ValidationError naming the field
-    mode. The identity mode is checked here; Embedding and Submersion check
-    the shape of the other map-driven modes.
-    """
-    if f.target != chart:
-        raise ChartMismatchError("map target is not the chart of the structure")
-    if mode is None:
-        mode = classify_map(f)
-    if mode not in modes:
-        raise ValidationError(
-            f"mode must be one of {', '.join(modes)}, got {mode!r}"
-        )
-    if mode == "identity" and not f.is_identity:
-        raise UnsupportedModeError("identity mode requires the identity map")
-    return mode
 
 
 def embedding_layout(f: ChartMap) -> tuple[dict[int, int], list[int]]:

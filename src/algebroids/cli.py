@@ -123,11 +123,11 @@ def _run_curvature(spec, args):
 def _run_tau_roundtrip(spec, args):
     q = _structure(spec)
     rep = check_tau_rules(q, **_sampling(args))
-    # A pass by construction, as eq2_leibniz_rule is: courant_from_transgression
-    # reads each entry back through the branch of TauModule.bracket that
-    # returns it (the anchor through [e_a, x_j*c], the coanchor through
-    # one_form_c, the pairing through the (-1,-1) branch and the table
-    # through the (0,-1) branch).
+    # A pass by construction, as eq2_leibniz_rule is: the oracle
+    # courant_from_transgression in tests/oracles.py reads each entry back
+    # through the branch of TauModule.bracket that returns it (the anchor
+    # through [e_a, x_j*c], the coanchor through one_form_c, the pairing
+    # through the (-1,-1) branch and the table through the (0,-1) branch).
     rep.add("roundtrip_exact", True)
     return rep, {}
 

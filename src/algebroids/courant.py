@@ -41,7 +41,6 @@ from algebroids.anchored import (
     anchor_defect,
     anchor_failures,
     bracket_failures,
-    constant_quotient,
     jacobi_counterexample,
     jacobi_generator_failures,
     jacobi_left_probe_failures,
@@ -53,7 +52,6 @@ from algebroids.anchored import (
     support,
 )
 from algebroids.errors import ChartMismatchError, ValidationError
-from algebroids.lie_algebroid import LieData
 from algebroids.linalg import (
     Vec,
     apply_matrix,
@@ -191,18 +189,6 @@ def _exact_frame(chart: Chart) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
     return anchor + (linalg.zero_vec(chart, n),) * n, coanchor
 
 
-def opposite(q: CourantData) -> CourantData:
-    """Same bracket and anchor, pairing and coanchor negated."""
-    return CourantData(
-        q.chart,
-        q.rank,
-        q.anchor,
-        tuple(linalg.vec_neg(row) for row in q.coanchor),
-        tuple(linalg.vec_neg(row) for row in q.pairing),
-        dict(q.structure),
-    )
-
-
 def twist(q: CourantData, h: KForm) -> CourantData:
     """Add the h-term coanchor(i_{anchor b} i_{anchor a} h) to each bracket.
 
@@ -224,41 +210,6 @@ def twist(q: CourantData, h: KForm) -> CourantData:
     return CourantData(
         q.chart, q.rank, q.anchor, q.coanchor, q.pairing, structure
     )
-
-
-def direct_sum(q1: CourantData, q2: CourantData) -> CourantData:
-    """Block sum of two structures on one chart (anchors add, coanchors
-    stack, pairing is block diagonal)."""
-    if q1.chart != q2.chart:
-        raise ChartMismatchError("direct sum needs a common chart")
-    chart = q1.chart
-    r1, r2 = q1.rank, q2.rank
-    z = Poly.zero(chart)
-
-    def pad1(v: Vec) -> Vec:
-        return tuple(v) + tuple(z for _ in range(r2))
-
-    def pad2(v: Vec) -> Vec:
-        return tuple(z for _ in range(r1)) + tuple(v)
-
-    anchor = tuple(q1.anchor[a] for a in range(r1)) + tuple(
-        q2.anchor[b] for b in range(r2)
-    )
-    coanchor = tuple(
-        tuple(q1.coanchor[j]) + tuple(q2.coanchor[j])
-        for j in range(chart.dim)
-    )
-    pairing = tuple(
-        tuple(q1.pairing[a]) + tuple(z for _ in range(r2)) for a in range(r1)
-    ) + tuple(
-        tuple(z for _ in range(r1)) + tuple(q2.pairing[b]) for b in range(r2)
-    )
-    structure = {}
-    for (a, b), vec in q1.structure.items():
-        structure[(a, b)] = pad1(vec)
-    for (a, b), vec in q2.structure.items():
-        structure[(r1 + a, r1 + b)] = pad2(vec)
-    return CourantData(chart, r1 + r2, anchor, coanchor, pairing, structure)
 
 
 # ---------------------------------------------------------------------------
@@ -644,40 +595,6 @@ def curvature(conn: Connection) -> KForm:
     )
 
 
-def connection_shift(conn: Connection, b: KForm) -> Connection:
-    """Shift by a two-form: each column picks up coanchor(i_{coord} b)."""
-    if b.degree != 2:
-        raise ValidationError("connection shifts use two-forms")
-    q = conn.courant
-    cols = []
-    for i in range(q.chart.dim):
-        shift = q.coanchor_of(b.iota(VField.basis(q.chart, i)))
-        cols.append(vec_add(conn.columns[i], shift))
-    return Connection(q, tuple(cols))
-
-
-# ---------------------------------------------------------------------------
-# Quotient to the underlying Lie algebroid
-# ---------------------------------------------------------------------------
-
-
-def associated_lie_algebroid(q: CourantData) -> tuple[LieData, tuple[Vec, ...]]:
-    """Quotient by the coanchor image (requires constant coanchor rows).
-
-    Returns the quotient Lie algebroid and the projection of each generator.
-    The bracket descends because both bracket ideals land in the coanchor
-    image; antisymmetry of the quotient is verified on the way.
-    """
-    rows = [[p.as_constant() for p in row] for row in q.coanchor]
-    if any(c is None for row in rows for c in row):
-        raise ValidationError("quotient needs constant coanchor rows in this basis")
-    got = constant_quotient(q, [rows[j] for j in linalg.independent_rows(rows)])
-    if got is None:
-        raise ValidationError("coanchor image has no constant complement")
-    anchor, structure, projection = got
-    return LieData(q.chart, len(anchor), anchor, structure), projection
-
-
 # ---------------------------------------------------------------------------
 # Baer-type combinations of exact structures
 # ---------------------------------------------------------------------------
@@ -833,23 +750,3 @@ def baer_sum(
     conn2: Connection,
 ) -> CourantCombination:
     return baer_combination([q1, q2], [1, 1], [conn1, conn2])
-
-
-def scalar_multiple(weight, q: CourantData) -> CourantData:
-    """Scale the pairing by the weight and the coanchor by its inverse.
-
-    This is the single-summand combination in closed form, valid for any
-    structure (not just exact ones)."""
-    w = Fraction(weight)
-    if w == 0:
-        raise ValidationError("scalar multiple needs a nonzero weight")
-    w_inv = 1 / w
-    pairing = tuple(
-        tuple(w * p for p in row) for row in q.pairing
-    )
-    coanchor = tuple(
-        tuple(w_inv * p for p in row) for row in q.coanchor
-    )
-    return CourantData(
-        q.chart, q.rank, q.anchor, coanchor, pairing, dict(q.structure)
-    )

@@ -25,17 +25,11 @@ from itertools import combinations_with_replacement, product
 
 from algebroids import linalg
 from algebroids.anchored import mask, paired, require_chart, support
-from algebroids.courant import (
-    Connection,
-    CourantData,
-    connection_shift,
-    direct_sum,
-    opposite,
-)
+from algebroids.courant import CourantData
 from algebroids.errors import ValidationError
 from algebroids.linalg import Vec, fmt_section, vec_is_zero
 from algebroids.report import Report
-from algebroids.symcalc import Chart, ChartMap, KForm, Poly
+from algebroids.symcalc import Chart, ChartMap, Poly
 
 
 def support_inclusion(chart: Chart, support: tuple[str, ...]) -> ChartMap:
@@ -212,27 +206,3 @@ def check_dirac(d: DiracData, maximality: str = "full") -> Report:
     rep.check("anchor_tangency", anchor_tangency())
     rep.check("closure", closure())
     return rep
-
-
-def graph_of_two_form(conn: Connection, b: KForm) -> DiracData:
-    """Graph of a two-form over a connection: the shifted columns.
-
-    Closed forms give Dirac structures; the closure defect of a non-closed
-    form is exactly its exterior derivative evaluated on coordinate triples.
-    """
-    shifted = connection_shift(conn, b)
-    return DiracData(conn.courant, tuple(shifted.columns), ())
-
-
-def graph_of_morphism(
-    matrix: tuple[Vec, ...], src: CourantData, dst: CourantData
-) -> DiracData:
-    """Graph generators (e_a, T e_a) inside src + opposite(dst).
-
-    The graph is a Dirac structure exactly when the matrix defines a
-    structure-preserving map, so check_dirac doubles as a morphism test."""
-    total = direct_sum(src, opposite(dst))
-    gens = []
-    for a in range(src.rank):
-        gens.append(tuple(src.gen(a)) + tuple(matrix[a]))
-    return DiracData(total, tuple(gens), ())

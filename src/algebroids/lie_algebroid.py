@@ -9,27 +9,25 @@ are produced from that data by the Leibniz rule in both slots:
            + sum_b anchor(u)(v_b) e_b - sum_a anchor(v)(u_a) e_a.
 
 The anchored-module core (validation, sections, anchor, the table+Leibniz
-bracket, the identity checks and the quotient by a constant span) is shared
-with CourantData through algebroids.anchored; LieData adds only the
-antisymmetric reading of its table.
+bracket and the identity checks) is shared with CourantData through
+algebroids.anchored; LieData adds only the antisymmetric reading of its
+table.
 
-Inverse images along a chart map are computed on explicit free presentations
-of the fiber product  f*A  x_{f*TX}  TY. Four construction modes are
-supported (identity, transitive-split, coordinate-embedding,
-coordinate-submersion); a map that fits none raises UnsupportedModeError
-rather than guessing. Every mode takes the basis and the coordinate reader
-of the fibre product from a fibre class of algebroids.anchored as they are:
-Embedding, Submersion (identity is the submersion along the identity map),
-or Split for the transitive-split mode, whose splitting checks and constant
-kernel frame are chosen here (Split reads the frame through a polynomial
-left inverse). LiePullback is the anchored.Presentation of those pairs: an
-ambient element is a pair (tangent on Y, pulled section over the generators
-of A), expand and reduce act on pairs, and anchored.pair_bracket is the
-ambient bracket, and result the induced algebroid. The Courant inverse
-image uses the same pairs as the (u, eta) half of its triples, and both
-reach the functor steps of anchored (comparison, pulled_morphism) through
-pull_element. trivial_extension builds the line extension of an algebroid
-by a central line, the input of the assoc-c-plus chain.
+Inverse images along a chart map are computed on an explicit free
+presentation of the fiber product  f*A  x_{f*TX}  TY, in the one mode a verb
+runs, transitive-split: pullback_lie chooses the splitting checks and the
+constant kernel frame here, and takes the basis and the coordinate reader
+from the Split fibre class of algebroids.anchored as they are (Split reads
+the frame through a polynomial left inverse). LiePullback is the
+anchored.Presentation of those pairs: an ambient element is a pair (tangent
+on Y, pulled section over the generators of A), expand and reduce act on
+pairs, and anchored.pair_bracket is the ambient bracket, and result the
+induced algebroid. The Courant inverse image (algebroids.pullback) uses the
+same pairs as the (u, eta) half of its triples, and reads the Embedding and
+Submersion fibre classes in its other modes; both reach the functor steps
+of anchored (comparison, pulled_morphism) through pull_element.
+trivial_extension builds the line extension of an algebroid by a central
+line, the input of the assoc-c-plus chain.
 """
 
 from __future__ import annotations
@@ -42,10 +40,8 @@ from typing import Sequence
 from algebroids import linalg
 from algebroids.anchored import (
     AnchoredModule,
-    Embedding,
     Presentation,
     Split,
-    Submersion,
     anchor_defect,
     anchor_failures,
     antisymmetric_table,
@@ -59,9 +55,8 @@ from algebroids.anchored import (
     pruned_table,
     pulled_entries,
     pulled_morphism,
-    resolve_mode,
 )
-from algebroids.errors import UnsupportedModeError, ValidationError
+from algebroids.errors import ChartMismatchError, UnsupportedModeError, ValidationError
 from algebroids.linalg import (
     Vec,
     apply_matrix,
@@ -73,14 +68,6 @@ from algebroids.linalg import (
 )
 from algebroids.report import Report
 from algebroids.symcalc import Chart, ChartMap, Poly, VField
-
-MODES = (
-    "identity",
-    "transitive-split",
-    "coordinate-embedding",
-    "coordinate-submersion",
-)
-
 
 @dataclass
 class LieData(AnchoredModule):
@@ -251,28 +238,21 @@ class LiePullback(Presentation):
     """Inverse image of a Lie algebroid along a chart map.
 
     Ambient elements are the (tangent on the source chart of map, pulled
-    section) pairs of the fibre class, and basis is the fibre class's
-    basis; the reader is its coords. result is the induced structure on
-    that basis: the anchor of a basis pair is its tangent, and each table
-    entry is the reduced pair_bracket of two basis pairs, computed by
-    pruned_table only when pair_bracket_vanishes (Lemma L14) does not rule
-    the pair out.
+    section) pairs of the Split fibre class, and basis is its basis; the
+    reader is its coords. result is the induced structure on that basis:
+    the anchor of a basis pair is its tangent, and each table entry is the
+    reduced pair_bracket of two basis pairs, computed by pruned_table only
+    when pair_bracket_vanishes (Lemma L14) does not rule the pair out.
     """
 
-    def __init__(
-        self,
-        f: ChartMap,
-        source: LieData,
-        mode: str,
-        fibre: Embedding | Submersion | Split,
-    ):
+    def __init__(self, f: ChartMap, source: LieData, fibre: Split):
         super().__init__(
             f.source,
             (f.source.dim, source.rank),
             fibre.basis,
             lambda pair: (fibre.coords(*pair), ()),
         )
-        self.map, self.mode, self.source = f, mode, source
+        self.map, self.source = f, source
         chart, basis = self.chart, self.basis
         pulled = pulled_entries(f, source._entry)
         table = pruned_table(
@@ -300,30 +280,14 @@ class LiePullback(Presentation):
         return linalg.zero_vec(chart, chart.dim), tuple(map(self.map.pull, pair[1]))
 
 
-def pullback_lie(
-    f: ChartMap,
-    a: LieData,
-    mode: str | None = None,
-    splitting: Sequence[Vec] | None = None,
-) -> LiePullback:
-    """Inverse image f+A with an explicit free presentation.
-
-    mode is one of MODES or None for structural auto-detection. The
-    transitive-split mode needs `splitting`: a module right inverse of the
-    anchor, one section per source-chart coordinate. Every mode presents
-    the fibre-product pairs of algebroids.anchored as they are; identity is
-    the submersion along the identity map.
-    """
-    mode = resolve_mode(f, a.chart, mode, MODES)
-    if mode == "transitive-split":
-        if splitting is None:
-            raise ValidationError("transitive-split mode requires a splitting")
-        fibre = _transitive_split(f, a, tuple(tuple(v) for v in splitting))
-    elif mode == "coordinate-embedding":
-        fibre = Embedding(f, a.anchor)
-    else:
-        fibre = Submersion(f, a.anchor)
-    return LiePullback(f, a, mode, fibre)
+def pullback_lie(f: ChartMap, a: LieData, splitting: Sequence[Vec]) -> LiePullback:
+    """Inverse image f+A with an explicit free presentation, in the
+    transitive-split mode: `splitting` is a module right inverse of the
+    anchor, one section per coordinate of the chart of a."""
+    if f.target != a.chart:
+        raise ChartMismatchError("map target is not the chart of the structure")
+    splitting = tuple(tuple(v) for v in splitting)
+    return LiePullback(f, a, _transitive_split(f, a, splitting))
 
 
 def _transitive_split(f: ChartMap, a: LieData, splitting: tuple[Vec, ...]) -> Split:
@@ -370,11 +334,8 @@ def _transitive_split(f: ChartMap, a: LieData, splitting: tuple[Vec, ...]) -> Sp
 
 
 def canonical_splitting(pb: LiePullback) -> tuple[Vec, ...]:
-    """Splitting of the pullback anchor in the transitive-split mode, whose
-    basis starts with the lifts of the source coordinate fields;
-    UnsupportedModeError in any other mode."""
-    if pb.mode != "transitive-split":
-        raise UnsupportedModeError(f"no canonical splitting in mode {pb.mode!r}")
+    """Splitting of the pullback anchor: the basis of every LiePullback
+    starts with the lifts of the source coordinate fields."""
     rank = pb.result.rank
     return tuple(linalg.unit_vec(pb.chart, rank, i) for i in range(pb.chart.dim))
 
@@ -387,8 +348,8 @@ def check_compose_associative(
     """Both composition routes through a three-map chain agree on sections.
 
     maps = (phi, psi, xi) with phi: Y -> X, psi: Z -> Y, xi: W -> Z and the
-    algebroid on X; all pullbacks use the transitive-split mode seeded by
-    `splitting` on X and the canonical splittings upstairs.
+    algebroid on X; the pullbacks are split by `splitting` on X and by the
+    canonical splittings upstairs.
 
     Lemma L2: both routes are function-linear in the section e. Each
     composes expand, a generator matrix applied by apply_matrix, and
@@ -404,22 +365,20 @@ def check_compose_associative(
     phi, psi, xi = maps
     rep = Report()
 
-    p_phi = pullback_lie(phi, a, "transitive-split", splitting)
+    p_phi = pullback_lie(phi, a, splitting)
     s_phi = canonical_splitting(p_phi)
-    p_psi = pullback_lie(psi, p_phi.result, "transitive-split", s_phi)
+    p_psi = pullback_lie(psi, p_phi.result, s_phi)
     s_psi = canonical_splitting(p_psi)
-    p_xi = pullback_lie(xi, p_psi.result, "transitive-split", s_psi)
+    p_xi = pullback_lie(xi, p_psi.result, s_psi)
 
     phi_psi = phi.compose(psi)
-    p_phi_psi = pullback_lie(phi_psi, a, "transitive-split", splitting)
+    p_phi_psi = pullback_lie(phi_psi, a, splitting)
     s_phi_psi = canonical_splitting(p_phi_psi)
-    p_xi_of_composite = pullback_lie(
-        xi, p_phi_psi.result, "transitive-split", s_phi_psi
-    )
+    p_xi_of_composite = pullback_lie(xi, p_phi_psi.result, s_phi_psi)
     psi_xi = psi.compose(xi)
-    p_psi_xi = pullback_lie(psi_xi, p_phi.result, "transitive-split", s_phi)
+    p_psi_xi = pullback_lie(psi_xi, p_phi.result, s_phi)
     full = phi.compose(psi_xi)
-    p_full = pullback_lie(full, a, "transitive-split", splitting)
+    p_full = pullback_lie(full, a, splitting)
 
     cmatrix = comparison(p_psi, p_phi, p_phi_psi)
     route1 = mat_mul(

@@ -212,10 +212,6 @@ def qq_rref(
     return m, pivots
 
 
-def qq_rank(rows: list[list[Fraction]]) -> int:
-    return len(qq_rref(rows)[1])
-
-
 def independent_rows(rows: Sequence[Sequence[Fraction]]) -> list[int]:
     """Indices of the rows a greedy pass keeps, each independent of those
     kept before it: the pivot columns of the transpose, in one elimination."""

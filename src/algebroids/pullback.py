@@ -33,27 +33,29 @@ pairs the lemma admits; the others are zero, and computing them formed no
 product of positive degree, so no result changes and no degree cap can
 fire on them. check_relation_absorption reads the same basis supports.
 
-Four presentations are supported: an exact split presentation over a
-chosen connection (basis: connection lifts of the coordinate fields plus
-the coordinate one-form lines), coordinate embeddings, coordinate
-submersions including invertible coordinate changes, and identity, which is
-the submersion along the identity map. CourantPullback is the
+Four presentations are supported: an exact split presentation over a chosen
+connection (basis: connection lifts of the coordinate fields plus the
+coordinate one-form lines), coordinate embeddings, coordinate submersions
+including invertible coordinate changes, and identity, which is the
+submersion along the identity map; these are MODES, and resolve_mode picks
+one (anchored.classify_map when none is given), rejects a name that is not
+a mode as a bad spec, and checks the identity mode. CourantPullback is the
 anchored.Presentation of the triples, with the R_k as its relations: expand
 and the one verified reduce are the ones the Lie inverse image uses. The
 (u, eta) half of a triple is the fibre-product pair the Lie inverse image
 presents, and its basis and coordinates come from algebroids.anchored
 (Embedding, Submersion, and for the exact split a Split whose kernel frame
 is the coanchor, read through a polynomial left inverse, so a structure
-that is itself a pullback presents too), together with mode resolution and
-pair_bracket, the (eta, u) half of the ambient bracket. Each mode here adds
-only its own part: the cotangent directions (vertical ones for a
-submersion), the relation coefficients, and for an embedding the division
-by the pulled conormal directions. The coanchor, pairing, structure table
-and Jacobian are pulled once per presentation. Every reduction is verified
-by exhibiting the exact relation combination; failures raise
-ValidationError. The induced structure, result, is built on first read.
-For the functor steps of anchored (comparison, pulled_morphism), a triple
-is pulled as (f*beta . J, f*u, 0), J the Jacobian (pull_element).
+that is itself a pullback presents too), together with pair_bracket, the
+(eta, u) half of the ambient bracket. Each mode here adds only its own
+part: the cotangent directions (vertical ones for a submersion), the
+relation coefficients, and for an embedding the division by the pulled
+conormal directions. The coanchor, pairing, structure table and Jacobian
+are pulled once per presentation. Every reduction is verified by exhibiting
+the exact relation combination; failures raise ValidationError. The induced
+structure, result, is built on first read. For the functor steps of
+anchored (comparison, pulled_morphism), a triple is pulled as (f*beta . J,
+f*u, 0), J the Jacobian (pull_element).
 
 dirac_pushdown presents a supported Dirac structure along the inclusion of
 its support locus (dirac.support_inclusion) in coordinate-embedding mode,
@@ -72,6 +74,7 @@ from algebroids.anchored import (
     Split,
     Submersion,
     Support,
+    classify_map,
     constant_complement,
     mask,
     pair_bracket,
@@ -80,7 +83,6 @@ from algebroids.anchored import (
     pruned_table,
     pulled_entries,
     require_chart,
-    resolve_mode,
     split_lifts,
     support,
 )
@@ -94,7 +96,7 @@ from algebroids.courant import (
     twist,
 )
 from algebroids.dirac import DiracData, support_inclusion
-from algebroids.errors import UnsupportedModeError, ValidationError
+from algebroids.errors import ChartMismatchError, UnsupportedModeError, ValidationError
 from algebroids.linalg import (
     Vec,
     apply_constant,
@@ -410,6 +412,26 @@ def _embedding(emb: Embedding, q: CourantData, coanchor):
     return basis, read
 
 
+def resolve_mode(f: ChartMap, chart: Chart, mode: str | None) -> str:
+    """The presentation mode for pulling a structure on chart back along f.
+
+    A mode that is not one of MODES is a ValidationError naming the field
+    mode. The identity mode is checked here; Embedding and Submersion check
+    the shape of the other map-driven modes.
+    """
+    if f.target != chart:
+        raise ChartMismatchError("map target is not the chart of the structure")
+    if mode is None:
+        mode = classify_map(f)
+    if mode not in MODES:
+        raise ValidationError(
+            f"mode must be one of {', '.join(MODES)}, got {mode!r}"
+        )
+    if mode == "identity" and not f.is_identity:
+        raise UnsupportedModeError("identity mode requires the identity map")
+    return mode
+
+
 def pullback_courant(
     f: ChartMap,
     q: CourantData,
@@ -424,7 +446,7 @@ def pullback_courant(
     """
     if connection is not None and mode is None:
         mode = "exact-split"
-    mode = resolve_mode(f, q.chart, mode, MODES)
+    mode = resolve_mode(f, q.chart, mode)
     if mode == "exact-split" and connection is None:
         raise ValidationError("exact-split mode needs a connection")
     return CourantPullback(f, q, mode, connection)

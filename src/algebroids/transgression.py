@@ -14,10 +14,11 @@ raise TruncationError; everything else is given by a short table: the c
 generator is central, degree -1 elements act on dressed forms by interior
 product along the anchor, degree 0 elements act by Lie derivative, two odd
 elements pair into f*c, and mixed section brackets reduce to the Courant
-bracket with coanchor corrections. courant_from_transgression reads the
-structure data back out of the public operations, and the combination
-checker compares the transgression of a weighted combination against the
-degree-wise combination of the summand tables.
+bracket with coanchor corrections. The structure data can be read back
+out of the public operations (the tests do so, with an oracle in their
+helper module), and the combination checker compares the transgression of
+a weighted combination against the degree-wise combination of the summand
+tables.
 """
 
 from __future__ import annotations
@@ -183,31 +184,6 @@ class TauElement:
 
 def transgress(q: CourantData) -> TauModule:
     return TauModule(q)
-
-
-def courant_from_transgression(tau: TauModule) -> CourantData:
-    """Rebuild the structure data from the public bracket operations."""
-    chart = tau.chart
-    r = tau.rank
-    n = chart.dim
-    eps = [tau.section_eps(unit_vec(chart, r, a)) for a in range(r)]
-    flat = [tau.pair(unit_vec(chart, r, a)) for a in range(r)]
-    anchor = tuple(
-        tuple(tau.bracket(flat[a], tau.coordinate_c(j)).c_part for j in range(n))
-        for a in range(r)
-    )
-    coanchor = tuple(
-        tau.one_form_c(KForm.dx(chart, j)).section for j in range(n)
-    )
-    pairing = tuple(
-        tuple(tau.bracket(eps[a], eps[b]).c_part for b in range(r))
-        for a in range(r)
-    )
-    structure = {
-        (a, b): tau.bracket(flat[a], eps[b]).section
-        for a, b in product(range(r), repeat=2)
-    }
-    return CourantData(chart, r, anchor, coanchor, pairing, structure)
 
 
 def check_tau_rules(

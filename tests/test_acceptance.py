@@ -13,13 +13,12 @@ import time
 from algebroids import jsonio, linalg, sampling
 from algebroids.cli import main
 from algebroids.courant import (
+    CourantData,
     baer_sum,
     check_courant,
     check_courant_morphism,
-    connection_shift,
     coordinate_connection,
     curvature,
-    opposite,
     standard_exact,
 )
 from algebroids.descent import (
@@ -33,7 +32,6 @@ from algebroids.descent import (
 from algebroids.dirac import (
     DiracData,
     check_dirac,
-    graph_of_two_form,
     support_inclusion,
 )
 from algebroids.lie_algebroid import (
@@ -59,8 +57,14 @@ from algebroids.symcalc import (
 from algebroids.transgression import (
     check_tau_rules,
     check_transgression_linear,
-    courant_from_transgression,
     transgress,
+)
+
+from oracles import (
+    connection_shift,
+    courant_from_transgression,
+    graph_of_two_form,
+    opposite,
 )
 
 A1 = coordinate_chart("A1", 1)
@@ -586,8 +590,8 @@ def test_malformed_battery_specs_exit_two(tmp_path, capsys):
 
 # SHA-256 of every report the battery writes at --seed 7 --samples 10, of
 # the pullback verb in each Courant presentation mode (plus a coordinate
-# projection with a vertical direction), and of the Lie inverse image in each
-# mode (plus that projection). A refactor that claims to keep behaviour must
+# projection with a vertical direction), and of the Lie inverse image in its
+# one mode, transitive-split. A refactor that claims to keep behaviour must
 # leave every one of these unchanged.
 GOLDEN_BATTERY = {
     "assoc-c-plus": "bd2e479f47464e4cc7191d9226359499fb43f8591a1f4666552e671d6653eecf",
@@ -613,10 +617,6 @@ GOLDEN_PULLBACK_MODES = {
     "identity": "bb03dd2257cd637ac1dedf905064c31de8cb7779b8674f4c94e51476bf7b49e7",
 }
 GOLDEN_LIE_PULLBACKS = {
-    "coordinate-embedding": "4710d238ca10a69cde790f0ec186c33be348c37b305c922f4cdf8ba8b4cd7883",
-    "coordinate-projection": "c132a838f62131841424b4189a7cd64d6f6e587f25aa4e77b64e2d2e771fbc69",
-    "coordinate-submersion": "0558a24a2d02100960baef1abdb6cd9970341698972b768e902a27228bd9fdd1",
-    "identity": "e8e3b700b4c16eb3832b904fc8e8c148bc77d436516ba03c83968bafe37362c7",
     "transitive-split": "1f43afd79d0d005ef5f352a3534e5a430336a2d145ba3cc8952a43dc29f90dc9",
 }
 
@@ -686,28 +686,18 @@ def _lie_pullbacks():
         },
     )
     split = tuple(linalg.unit_vec(R3, 4, j) for j in range(3))
-    return {
-        "identity": pullback_lie(ChartMap.identity(R3), ext),
-        "coordinate-projection": pullback_lie(
-            _projection(), ext, "coordinate-submersion"
-        ),
-        "coordinate-embedding": pullback_lie(
-            ChartMap(P2, R3, (Poly.coord(P2, 0), Poly.zero(P2), Poly.coord(P2, 1))),
-            ext,
-            "coordinate-embedding",
-        ),
-        "coordinate-submersion": pullback_lie(
-            shear_map(), ext, "coordinate-submersion"
-        ),
-        "transitive-split": pullback_lie(
-            ChartMap(
-                P2, R3, (Poly.coord(P2, 0), Poly.coord(P2, 1), parse_poly("x1*x2", P2))
-            ),
-            ext,
-            "transitive-split",
-            split,
-        ),
-    }
+    curve = ChartMap(
+        P2, R3, (Poly.coord(P2, 0), Poly.coord(P2, 1), parse_poly("x1*x2", P2))
+    )
+    return {"transitive-split": pullback_lie(curve, ext, split)}
+
+
+def test_every_courant_pullback_mode_is_run_by_a_golden_report():
+    """Each mode pullback_courant accepts is the mode of a golden pullback
+    spec, so a pinned CLI report runs every mode."""
+    from algebroids.pullback import MODES
+
+    assert {spec["mode"] for spec in _pullback_mode_jobs().values()} == set(MODES)
 
 
 def _report_digest(tmp_path, verb, spec, name):
@@ -818,6 +808,24 @@ def _magnetic_total(chart):
     one = Poly.one(chart)
     anchor = ((one, z), (z, one), (z, z))
     return LieData(chart, 3, anchor, {(0, 1): (z, z, Poly.coord(chart, 1))})
+
+
+def first_order_probe_witness():
+    """A structure whose leibniz_identity first fails on a first-order L12
+    probe: on the line, e0 is anchored along d/dx1 and [e1, e1] = e2, with
+    zero pairing and coanchor. eq5 and eq6 fail, so J is not known to be
+    tensorial; J vanishes on the generator triples and on every L10 and
+    L11 case, and J(x1*e1, e1, e0) = 2 e2."""
+    z, one = Poly.zero(A1), Poly.one(A1)
+    zeros = (z, z, z)
+    return CourantData(
+        A1,
+        3,
+        ((one,), (z,), (z,)),
+        (zeros,),
+        (zeros, zeros, zeros),
+        {(1, 1): linalg.unit_vec(A1, 3, 2)},
+    )
 
 
 def _failing_cases():
@@ -957,6 +965,10 @@ def _failing_cases():
         # eq3 fails on generators, eq4 on a probe case
         "courant-pairing": courant("pairing", (0, 2), x1),
         "courant-structure": courant("structure", (0, 1, 2), x2),
+        # leibniz_identity fails first on a first-order L12 probe
+        "courant-first-order-probe": lambda seed, mp: check_courant(
+            first_order_probe_witness(), samples=8, seed=seed
+        ),
         "morphism-anchor": morphism("anchor", (2, 0), 1),
         "morphism-structure": morphism("structure", (0, 1, 2), -x1),
         "lie-anchor": lie("anchor", (0, 1), x2),
@@ -999,6 +1011,8 @@ GOLDEN_FAILING = {
     "courant-pairing@7": "75574ff8ea52e13d26fcd467531607941bbaa7c90dc31364c3e7acc84c440860",
     "courant-structure@0": "8207a7165e7cb0bf0723fd1780cfdb7fe9bf684b9257d06b68931a44bb1cfc43",
     "courant-structure@7": "8207a7165e7cb0bf0723fd1780cfdb7fe9bf684b9257d06b68931a44bb1cfc43",
+    "courant-first-order-probe@0": "89c54b8c611009faf090858803432e916b3571d3f89a059c55f1ce135cb42173",
+    "courant-first-order-probe@7": "89c54b8c611009faf090858803432e916b3571d3f89a059c55f1ce135cb42173",
     "morphism-anchor@0": "9e28a078b197db61807f67bc348472c58fc2e201cd94e3f3f9c7a107999210ff",
     "morphism-anchor@7": "9e28a078b197db61807f67bc348472c58fc2e201cd94e3f3f9c7a107999210ff",
     "morphism-structure@0": "a8312efb62951b10538be98bdb6fb4384b295d3216616ac7eeb4c4f9c31c3c94",
@@ -1102,6 +1116,10 @@ FAILING_STATUSES = {
     "courant-structure": (
         COURANT_CHECKS,
         ["eq3_pairing_invariance", "eq6_symmetrization", "leibniz_identity"],
+    ),
+    "courant-first-order-probe": (
+        COURANT_CHECKS,
+        ["eq5_adjunction", "eq6_symmetrization", "leibniz_identity"],
     ),
     "morphism-anchor": (MORPHISM_CHECKS, ["morphism_anchor"]),
     "morphism-structure": (MORPHISM_CHECKS, ["morphism_bracket"]),

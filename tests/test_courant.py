@@ -17,17 +17,12 @@ from algebroids.anchored import (
 from algebroids.courant import (
     Connection,
     CourantData,
-    associated_lie_algebroid,
     baer_combination,
     baer_sum,
     check_courant,
     check_courant_morphism,
-    connection_shift,
     coordinate_connection,
     curvature,
-    direct_sum,
-    opposite,
-    scalar_multiple,
     standard_exact,
     twist,
 )
@@ -48,7 +43,14 @@ from algebroids import pullback as pullback_module
 from algebroids.pullback import morphism_graph
 from algebroids.symcalc import ChartMap, KForm, Poly, coordinate_chart, parse_poly
 
-from test_acceptance import A2, _perturbed, _perturbed_lie
+from oracles import (
+    associated_lie_algebroid,
+    connection_shift,
+    direct_sum,
+    opposite,
+    scalar_multiple,
+)
+from test_acceptance import A2, _perturbed, _perturbed_lie, first_order_probe_witness
 from test_symcalc import kforms, polys
 
 R1 = coordinate_chart("L", 1)
@@ -828,6 +830,35 @@ def test_leibniz_identity_runs_every_probe_when_prerequisites_fail(chart, monkey
     n = chart.dim
     assert len(probes) == n * n + n * n * (n + 1) // 2
     assert rep["leibniz_identity"].passed
+
+
+def test_leibniz_identity_fails_first_on_a_first_order_probe(monkeypatch):
+    """The witness of the first-order L12 stage: eq5 and eq6 fail, J
+    vanishes on the generator triples and on every L10 and L11 case, and
+    the first batch of probes x_k*e_a names the counterexample."""
+    from algebroids import courant
+
+    batches = []
+    real = courant.jacobi_left_probe_failures
+
+    def spy(q, batch):
+        batch = list(batch)
+        batches.append([label for label, _ in batch])
+        return real(q, batch)
+
+    monkeypatch.setattr(courant, "jacobi_left_probe_failures", spy)
+    q = first_order_probe_witness()
+    rep = check_courant(q)
+    assert [c.name for c in rep.failures()] == [
+        "eq5_adjunction",
+        "eq6_symmetrization",
+        "leibniz_identity",
+    ]
+    assert not any(jacobi_generator_failures(q))
+    assert rep["leibniz_identity"].counterexample == (
+        "sections (x1*e1, e1, e0): defect (0, 0, 2)"
+    )
+    assert batches == [["x1*e0", "x1*e1", "x1*e2"]]
 
 
 def test_leibniz_identity_names_a_probe_past_the_generator_triples():

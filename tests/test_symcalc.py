@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algebroids.courant import scalar_multiple, standard_exact
+from algebroids.courant import standard_exact
 from algebroids.dirac import support_inclusion
 from algebroids.errors import (
     ChartMismatchError,
@@ -31,6 +31,8 @@ from algebroids.symcalc import (
     scale_terms,
     vfield_str,
 )
+
+from oracles import scalar_multiple
 
 R1 = Chart("R1", ("t",))
 R2 = coordinate_chart("R2", 2)

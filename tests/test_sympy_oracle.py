@@ -13,13 +13,13 @@ from hypothesis import given, settings, strategies as st
 from algebroids import jsonio, linalg
 from algebroids.courant import (
     baer_combination,
-    connection_shift,
     coordinate_connection,
     standard_exact,
 )
 from algebroids.errors import ChartMismatchError
 from algebroids.symcalc import ChartMap, KForm, Poly, VField, coordinate_chart
 
+from oracles import connection_shift
 from test_acceptance import _battery_jobs
 from test_symcalc import rational_polys
 

@@ -9,9 +9,6 @@ from algebroids.courant import (
     CourantData,
     check_courant,
     coordinate_connection,
-    direct_sum,
-    opposite,
-    scalar_multiple,
     standard_exact,
 )
 from algebroids.errors import TruncationError, ValidationError
@@ -21,10 +18,10 @@ from algebroids.transgression import (
     TauModule,
     check_tau_rules,
     check_transgression_linear,
-    courant_from_transgression,
     transgress,
 )
 
+from oracles import courant_from_transgression, direct_sum, opposite, scalar_multiple
 from test_courant import courant_data
 
 R1 = coordinate_chart("L", 1)
