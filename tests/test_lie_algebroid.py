@@ -194,6 +194,30 @@ def test_identity_pullback_is_the_algebroid():
     assert pb.result.structure == a.structure
 
 
+def test_identity_mode_is_the_submersion_along_the_identity():
+    # The Lie inverse image has one presentation, the transitive split; along
+    # the identity it gives what the identity and submersion modes gave, the
+    # algebroid itself, rewritten in the frame its splitting picks. Here the
+    # tangent algebroid of R3 in the frame d1 + x2 d3, d2, d3.
+    frame = LieData(
+        R3,
+        3,
+        (sec(R3, "1", "0", "x2"), sec(R3, "0", "1", "0"), sec(R3, "0", "0", "1")),
+        {(0, 1): sec(R3, "0", "0", "-1")},
+    )
+    splitting = (sec(R3, "1", "0", "-x2"), sec(R3, "0", "1", "0"), tangent_split(R3)[2])
+    ident = ChartMap.identity(R3)
+    pb = pullback_lie(ident, frame, splitting)
+    assert pb.basis == tuple(zip(tangent_split(R3), splitting))
+    assert pb.result == tangent_algebroid(R3)
+    assert (pb.map, pb.source) == (ident, frame)
+    # the split presentation has a canonical splitting, and pulling back
+    # along the identity through it gives the presentation back
+    again = pullback_lie(ident, pb.result, canonical_splitting(pb))
+    assert again.result == pb.result
+    assert again.basis == tuple(zip(tangent_split(R3), tangent_split(R3)))
+
+
 def test_axis_embedding_pullback_of_tangent():
     f = ChartMap(R1, R2, sec(R1, "z1", "0"))
     pb = pullback_lie(f, tangent_algebroid(R2), tangent_split(R2))
@@ -368,6 +392,27 @@ def test_pruned_tables_equal_the_unpruned_tables_on_the_assoc_chain(monkeypatch)
         structure = antisymmetric_table(r, bracket, "not antisymmetric")
         anchor = tuple(tangent for tangent, _ in pb.basis)
         assert pb.result == LieData(pb.chart, r, anchor, structure)
+
+
+def test_shape_failures_are_unsupported_modes():
+    # A map of the wrong shape is an unsupported mode of the Courant inverse
+    # image; the Lie inverse image reads no shape, so the same maps pull the
+    # tangent algebroid back to a Lie algebroid.
+    flatten = ChartMap(R2, R2, sec(R2, "y1", "0"))
+    diagonal = ChartMap(R1, R2, sec(R1, "z1", "z1"))
+    fold = ChartMap(R1, R1, sec(R1, "z1^2 + z1"))
+    cases = (
+        (flatten, "coordinate-embedding"),
+        (diagonal, "coordinate-embedding"),
+        (fold, "coordinate-submersion"),
+    )
+    for f, mode in cases:
+        with pytest.raises(UnsupportedModeError):
+            pullback_courant(f, standard_exact(f.target), mode)
+        pb = pullback_lie(f, tangent_algebroid(f.target), tangent_split(f.target))
+        assert pb.result.rank == f.source.dim
+        rep = check_lie_algebroid(pb.result, samples=10, seed=3)
+        assert rep.ok, f"{f}: {rep}"
 
 
 @st.composite
