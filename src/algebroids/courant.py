@@ -320,24 +320,40 @@ def check_courant(
     g = q.pairing
     gen = [q.gen(a) for a in range(r)]
     M, N = generator_defects(q)
+    zero = Poly.zero(chart)
+    gen_supports = [support(e) for e in gen]
+    coanchor_supports = [support(row) for row in q.coanchor]
+
     @cache
     def e3_row(c: int) -> list[list[Poly]]:
-        """E3(e_c, e_a, e_b) for every (a, b), built on first use."""
+        """E3(e_c, e_a, e_b) for every (a, b), built on first use. The row
+        [e_c, e_a] pairs with e_b only where its mask meets row b of the
+        pairing (Lemma L14 on pairings); elsewhere the pairing is zero."""
         rho = q.anchor_of(gen[c])
-        paired = [  # <[e_c, e_a], e_b>
-            [q.pairing_of(q.bracket_gen(c, a), gen[b]) for b in range(r)]
-            for a in range(r)
+        rows = [q.bracket_gen(c, a) for a in range(r)]
+        inner = [  # <[e_c, e_a], e_b>
+            [
+                q.pairing_of(row, gen[b]) if row_mask & q.pairing_masks[b] else zero
+                for b in range(r)
+            ]
+            for row, row_mask in zip(rows, map(mask, rows))
         ]
         return [
-            [rho.apply(g[a][b]) - paired[a][b] - paired[b][a] for b in range(r)]
+            [rho.apply(g[a][b]) - inner[a][b] - inner[b][a] for b in range(r)]
             for a in range(r)
         ]
 
     @cache
     def e4_gen(a: int, j: int) -> Vec:
-        """E4(e_a, dx_j), built on first use."""
+        """E4(e_a, dx_j), built on first use. The bracket [e_a, coanchor[j]]
+        is taken only when bracket_vanishes does not rule it out; a skipped
+        one checks the lengths and charts it would have checked."""
         rhs = q.coanchor_of(KForm.dx(chart, j).lie(q.anchor_of(gen[a])))
-        return vec_sub(q.bracket(gen[a], q.coanchor[j]), rhs)
+        if not q.bracket_vanishes(gen_supports[a], coanchor_supports[j]):
+            return vec_sub(q.bracket(gen[a], q.coanchor[j]), rhs)
+        q.require_rank(gen[a], q.coanchor[j])
+        require_chart(chart, gen[a], q.coanchor[j])
+        return vec_sub(q.zero_section(), rhs)
 
     def combination(*terms: tuple[Poly, Vec]) -> Vec:
         """The sum of coefficient * section, zero terms skipped."""

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import combinations, combinations_with_replacement, product
 
-from algebroids.anchored import probe
+from algebroids.anchored import Support, paired, probe, require_chart, support
 from algebroids.courant import (
     CourantCombination,
     CourantData,
@@ -69,8 +69,13 @@ class TauModule:
         chart = self.chart
         return Poly.zero(chart), zero_vec(chart, self.rank), KForm.zero(chart, 2)
 
+    @cached_property
+    def _zero_elements(self) -> dict[int, "TauElement"]:
+        """The zero element of each degree, shared by every zero bracket."""
+        return {d: TauElement(self, d, *self._zeros) for d in (-2, -1, 0)}
+
     def zero(self, degree: int) -> "TauElement":
-        return TauElement(self, degree, *self._zeros)
+        return self._zero_elements[degree]
 
     def function_c(self, f: Poly) -> "TauElement":
         _, section, form = self._zeros
@@ -97,6 +102,24 @@ class TauModule:
     # -- the bracket ---------------------------------------------------------
 
     def bracket(self, x: "TauElement", y: "TauElement") -> "TauElement":
+        """The transgressed bracket, by degrees. Lemma L14
+        (algebroids.anchored) rules out, on the supports of the two
+        sections, the parts that are zero, and they are not computed:
+
+        * (-1,-1): the pairing, unless the sections are paired on the
+          pairing masks (L14 on pairings);
+        * (0,-1) and (-1,0): the section bracket when bracket_vanishes
+          holds (its table, anchor and coanchor terms); for (-1,0) the
+          pairing differential c(d<u, v>) unless the sections are paired
+          and their pairing is not constant (d kills constants); and the
+          two-form correction along the anchor of the odd section unless
+          its support meets the anchor mask (the anchor term);
+        * (0,-2): the anchor action on a constant function (a derivation
+          kills constants).
+
+        A ruled-out part is zero. Computing it would have checked the
+        sections' length and chart through its arithmetic, so a skip
+        checks both instead (_check_sections)."""
         if x.module != self or y.module != self:
             raise ValidationError("bracket arguments from a different module")
         q = self.courant
@@ -111,28 +134,50 @@ class TauModule:
             # [x, f*c] = act_x(f)*c; interior product kills functions.
             if dx == -1:
                 return self.zero(-2)
+            if y.c_part.as_constant() is not None:
+                self._check_sections(x)
+                return self.zero(-2)
             return self.function_c(q.anchor_of(x.section).apply(y.c_part))
         if dx == -2:
             got = self.bracket(y, x)
-            return self.function_c(-got.c_part)
+            return got if got.c_part.is_zero else self.function_c(-got.c_part)
+        su, sv = x.section_support, y.section_support
         if dx == -1 and dy == -1:
+            if not paired(q.pairing_masks, su, sv):
+                self._check_sections(x, y)
+                return self.zero(-2)
             return self.function_c(q.pairing_of(x.section, y.section))
-        if dx == 0 and dy == -1:
-            sec = q.bracket(x.section, y.section)
-            if not x.form.is_zero:
-                correction = x.form.iota(q.anchor_of(y.section))
-                sec = vec_sub(sec, q.coanchor_of(correction))
-            return self.section_eps(sec)
-        # dx == -1 and dy == 0: the dressed one-forms collect the pairing
-        # differential and the interior product of the two-form part.
-        sec = q.bracket(x.section, y.section)
-        g = q.pairing_of(x.section, y.section)
-        sec = vec_sub(sec, q.coanchor_of(KForm.from_poly(g).d()))
-        if not y.form.is_zero:
-            sec = vec_add(
-                sec, q.coanchor_of(y.form.iota(q.anchor_of(x.section)))
-            )
-        return self.section_eps(sec)
+        # (0,-1): [u, v] - c(i_{anchor v} omega); (-1,0): the dressed
+        # one-forms collect the pairing differential and the interior
+        # product of the two-form part, [u, v] - c(d<u, v>)
+        # + c(i_{anchor u} omega).
+        odd, even = (y, x) if dx == 0 else (x, y)
+        zero = self._zeros[1]
+        skipped = q.bracket_vanishes(su, sv)
+        sec = zero if skipped else q.bracket(x.section, y.section)
+        if dx == -1:
+            if paired(q.pairing_masks, su, sv):
+                g = q.pairing_of(x.section, y.section)
+                if g.as_constant() is None:
+                    sec = vec_sub(sec, q.coanchor_of(KForm.from_poly(g).d()))
+            else:
+                skipped = True
+        if not even.form.is_zero:
+            if odd.section_support.mask & q.anchor_mask:
+                iota = q.coanchor_of(even.form.iota(q.anchor_of(odd.section)))
+                sec = vec_add(sec, iota) if dx == -1 else vec_sub(sec, iota)
+            else:
+                skipped = True
+        if skipped:
+            self._check_sections(x, y)
+        return self.zero(-1) if sec is zero else self.section_eps(sec)
+
+    def _check_sections(self, *elements: "TauElement") -> None:
+        """The length and chart checks of the sections of elements, which
+        a part of the bracket that Lemma L14 rules out does not make."""
+        sections = [e.section for e in elements]
+        self.courant.require_rank(*sections)
+        require_chart(self.chart, *sections)
 
 
 @dataclass(frozen=True)
@@ -144,6 +189,11 @@ class TauElement:
     c_part: Poly
     section: Vec
     form: KForm
+
+    @cached_property
+    def section_support(self) -> Support:
+        """The support of the section slot, read once per element."""
+        return support(self.section)
 
     def __post_init__(self):
         if self.degree not in (-2, -1, 0):

@@ -10,7 +10,8 @@ quotient by its coanchor image (constant_quotient), against which the
 inverse image of an exact structure is checked to stay exact; and
 courant_from_transgression reads the structure data back out of the public
 operations of a transgression, which is how the round trip of tau-roundtrip
-is checked.
+is checked; and unpruned_tau_bracket is TauModule.bracket on the four
+branches that Lemma L14 prunes, with every part computed.
 """
 
 from fractions import Fraction
@@ -27,9 +28,9 @@ from algebroids.courant import Connection, CourantData
 from algebroids.dirac import DiracData
 from algebroids.errors import ChartMismatchError, ValidationError
 from algebroids.lie_algebroid import LieData
-from algebroids.linalg import Vec, apply_constant, unit_vec, vec_add
+from algebroids.linalg import Vec, apply_constant, unit_vec, vec_add, vec_sub
 from algebroids.symcalc import KForm, Poly, VField
-from algebroids.transgression import TauModule
+from algebroids.transgression import TauElement, TauModule
 
 # ---------------------------------------------------------------------------
 # Fixtures
@@ -198,3 +199,29 @@ def courant_from_transgression(tau: TauModule) -> CourantData:
         for a, b in product(range(r), repeat=2)
     }
     return CourantData(chart, r, anchor, coanchor, pairing, structure)
+
+
+def unpruned_tau_bracket(tau: TauModule, x: TauElement, y: TauElement) -> TauElement:
+    """The (0,-2), (-1,-1), (0,-1) and (-1,0) branches of TauModule.bracket
+    with no support test: the anchor action, the pairing, the section
+    bracket and the pairing differential are computed whatever the supports
+    of the two sections, and so is the two-form correction when there is a
+    two-form."""
+    q = tau.courant
+    degrees = x.degree, y.degree
+    if degrees == (0, -2):
+        return tau.function_c(q.anchor_of(x.section).apply(y.c_part))
+    if degrees == (-1, -1):
+        return tau.function_c(q.pairing_of(x.section, y.section))
+    sec = q.bracket(x.section, y.section)
+    if degrees == (0, -1):
+        if not x.form.is_zero:
+            sec = vec_sub(sec, q.coanchor_of(x.form.iota(q.anchor_of(y.section))))
+        return tau.section_eps(sec)
+    if degrees == (-1, 0):
+        d_pairing = KForm.from_poly(q.pairing_of(x.section, y.section)).d()
+        sec = vec_sub(sec, q.coanchor_of(d_pairing))
+        if not y.form.is_zero:
+            sec = vec_add(sec, q.coanchor_of(y.form.iota(q.anchor_of(x.section))))
+        return tau.section_eps(sec)
+    raise ValueError(f"no pruned branch in degrees {degrees}")

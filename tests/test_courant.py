@@ -105,6 +105,22 @@ def test_bracket_with_a_zero_side_checks_chart_and_length(m):
                 m.bracket(*pair)
 
 
+def test_ruled_out_e4_brackets_check_the_coanchor_chart():
+    """check_courant skips [e_a, coanchor[j]] when bracket_vanishes rules it
+    out, and the skip keeps the chart check of the bracket. A coanchor row
+    on another chart is refused by CourantData; assigned after construction,
+    the all-zero row is ruled out against every generator, and E4 still
+    raises ChartMismatchError."""
+    q = standard_exact(R2)
+    foreign = (zero_vec(R3, q.rank),) + q.coanchor[1:]
+    with pytest.raises(ChartMismatchError):
+        dataclasses.replace(q, coanchor=foreign)
+    q.coanchor = foreign
+    assert all(q.bracket_vanishes(support(q.gen(a)), support(foreign[0])) for a in range(4))
+    with pytest.raises(ChartMismatchError):
+        check_courant(q)
+
+
 def test_twisted_standard_passes():
     for h in (vol3(), vol3("x1 + x2")):
         rep = check_courant(standard_exact(R3, h), samples=6, seed=5)

@@ -5,13 +5,15 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from algebroids.anchored import probe
 from algebroids.courant import (
     CourantData,
     check_courant,
     coordinate_connection,
     standard_exact,
 )
-from algebroids.errors import TruncationError, ValidationError
+from algebroids.errors import ChartMismatchError, TruncationError, ValidationError
+from algebroids.linalg import unit_vec, zero_vec
 from algebroids.symcalc import KForm, Poly, coordinate_chart, parse_poly
 from algebroids.transgression import (
     TauElement,
@@ -21,7 +23,13 @@ from algebroids.transgression import (
     transgress,
 )
 
-from oracles import courant_from_transgression, direct_sum, opposite, scalar_multiple
+from oracles import (
+    courant_from_transgression,
+    direct_sum,
+    opposite,
+    scalar_multiple,
+    unpruned_tau_bracket,
+)
 from test_courant import courant_data
 
 R1 = coordinate_chart("L", 1)
@@ -156,6 +164,35 @@ def test_foreign_elements_rejected():
         x + y
     with pytest.raises(ValidationError):
         x + t1.function_c(Poly.one(R2))
+
+
+def test_ruled_out_branches_check_chart_and_length():
+    """A section entry on another chart raises ChartMismatchError from
+    TauModule.bracket in each branch that Lemma L14 prunes, also when the
+    support test rules the branch out (always, for the all-zero section);
+    a section of another length is refused when the element is built."""
+    q = standard_exact(R2)
+    tau = transgress(q)
+    x1, rest = Poly.coord(R2, 0), zero_vec(R2, q.rank - 2)
+    e0, e3 = q.gen(0), q.gen(3)
+    for bad in (
+        zero_vec(R3, q.rank),
+        (x1, Poly.zero(R3)) + rest,
+        (x1, Poly.one(R3)) + rest,
+    ):
+        odd = TauElement(tau, -1, Poly.zero(R2), bad, KForm.zero(R2, 2))
+        even = TauElement(tau, 0, Poly.zero(R2), bad, KForm.zero(R2, 2))
+        for x, y in (
+            (odd, tau.section_eps(e0)),
+            (even, tau.section_eps(e3)),
+            (odd, tau.pair(e3)),
+            (even, tau.function_c(Poly.one(R2))),
+        ):
+            with pytest.raises(ChartMismatchError):
+                tau.bracket(x, y)
+    for bad in (zero_vec(R2, q.rank - 1), unit_vec(R2, q.rank + 1, 0)):
+        with pytest.raises(ValidationError):
+            tau.section_eps(bad)
 
 
 def test_linearity_of_transgression():
@@ -341,6 +378,43 @@ def test_tau_rules_evaluate_only_the_cases_that_can_fail(monkeypatch):
     monkeypatch.setattr(TauElement, "__post_init__", counted_post_init)
     assert check_tau_rules(standard_exact(R3, vol3())).ok
     assert counts == {"bracket": 732, "element": 819}
+
+
+def test_pruned_bracket_matches_the_unpruned_reference():
+    """Lemma L14 in TauModule.bracket skips only parts that are zero: on
+    standard R2, twisted R3 and every standard-R2 mutant, the bracket equals
+    unpruned_tau_bracket in each pruned branch, on every pair of the
+    elements pair(e_a), pair(x_k e_a), (dx_i^dx_j)*c in degree 0, e_a*eps
+    and dx_j*c in degree -1, and c, x_k*c in degree -2."""
+    from test_acceptance import _perturbed
+
+    q = standard_exact(R2)
+    structures = [q, standard_exact(R3, vol3())]
+    structures += [_perturbed(q, *mutant) for mutant in standard_r2_mutants()]
+    for q in structures:
+        tau = transgress(q)
+        chart, r, n = q.chart, q.rank, q.chart.dim
+        sections = [q.gen(a) for a in range(r)]
+        sections += [probe(q, a, k)[1] for a, k in product(range(r), range(n))]
+        odd = [tau.section_eps(u) for u in sections[:r]]
+        # dx_j*c is e_{n+j}*eps unless the coanchor row is mutated
+        odd += [
+            alpha_c
+            for alpha_c in (tau.one_form_c(KForm.dx(chart, j)) for j in range(n))
+            if alpha_c not in odd
+        ]
+        elements = {
+            0: [tau.pair(u) for u in sections] + [
+                tau.two_form_c(KForm(chart, 2, {(i, j): Poly.one(chart)}))
+                for i, j in combinations(range(n), 2)
+            ],
+            -1: odd,
+            -2: [tau.function_c(Poly.one(chart))]
+            + [tau.coordinate_c(k) for k in range(n)],
+        }
+        for degrees in ((0, -2), (-1, -1), (0, -1), (-1, 0)):
+            for x, y in product(*(elements[d] for d in degrees)):
+                assert tau.bracket(x, y) == unpruned_tau_bracket(tau, x, y), (x, y)
 
 
 @given(courant_data(), st.data())
