@@ -377,7 +377,7 @@ def test_tau_rules_evaluate_only_the_cases_that_can_fail(monkeypatch):
     monkeypatch.setattr(TauModule, "bracket", counted_bracket)
     monkeypatch.setattr(TauElement, "__post_init__", counted_post_init)
     assert check_tau_rules(standard_exact(R3, vol3())).ok
-    assert counts == {"bracket": 732, "element": 819}
+    assert counts == {"bracket": 732, "element": 138}
 
 
 def test_pruned_bracket_matches_the_unpruned_reference():
