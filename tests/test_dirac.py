@@ -22,7 +22,6 @@ from algebroids.linalg import (
     vec_add,
     vec_is_zero,
     vec_scale,
-    zero_vec,
 )
 from algebroids.pullback import morphism_graph
 from algebroids.symcalc import (

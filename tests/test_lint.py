@@ -1,7 +1,7 @@
-"""Source hygiene: every name a package module imports is used in it, every
-name it defines is named somewhere else, only symcalc and linalg touch the
-term dictionary of a polynomial, and only symcalc and jsonio name the
-polynomial parser.
+"""Source hygiene: every name a package or test module imports is used in
+it, every name it defines is named somewhere else, only symcalc and linalg
+touch the term dictionary of a polynomial, and only symcalc and jsonio name
+the polynomial parser.
 
 A module-level name is used when the module's syntax tree loads it; names
 read only inside string annotations do not count. An import line marked
@@ -45,6 +45,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "algebroids"
+TESTS = ROOT / "tests"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -78,7 +79,9 @@ def test_the_gate_flags_an_unused_name_and_keeps_an_exempt_one():
     assert unused_imports(source) == ["product"]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")), ids=lambda p: p.name
+)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -2,7 +2,6 @@
 supported pushdowns and morphism graphs."""
 
 import dataclasses
-from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -11,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from algebroids import jsonio
 from algebroids.cli import main
 from algebroids.courant import (
-    Connection,
     CourantData,
     check_courant,
     check_courant_morphism,
