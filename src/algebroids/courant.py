@@ -269,7 +269,11 @@ def check_courant(
     + E5(u, alpha) c(df). Past the generator cases, eq4 is decided by the
     probes E4(x_k e_a, dx_j) = M[a][j] coanchor[k] - N[j]^k e_a; a probe
     with M[a][j] and N[j]^k both zero is skipped, both sides being the
-    zero section.
+    zero section. Both generator cases read Lemma L14 (algebroids.anchored):
+    E3(e_c, e_a, e_b) pairs the table row [e_c, e_a] with e_b only where
+    the row's mask meets row b of the pairing (e3_row), and E4(e_a, dx_j)
+    brackets e_a with coanchor[j] only when bracket_vanishes does not rule
+    it out (e4_gen); what they skip is zero.
 
     leibniz_identity is J(u, v, w) = [u, [v, w]] - [[u, v], w] - [v, [u, w]]
     = 0. Write A(u, v) = anchor([u, v]) - [anchor u, anchor v] and E6(u, v)

@@ -164,8 +164,8 @@ class TauModule:
                 skipped = True
         if not even.form.is_zero:
             if odd.section_support.mask & q.anchor_mask:
-                iota = q.coanchor_of(even.form.iota(q.anchor_of(odd.section)))
-                sec = vec_add(sec, iota) if dx == -1 else vec_sub(sec, iota)
+                corr = q.coanchor_of(even.form.iota(q.anchor_of(odd.section)))
+                sec = vec_add(sec, corr) if dx == -1 else vec_sub(sec, corr)
             else:
                 skipped = True
         if skipped:
@@ -290,6 +290,10 @@ def check_tau_rules(
     once per degree-0 element x and generator b, so it takes r brackets of
     sections per element, not r^2; its defect is symmetric in the two odd
     elements, as the pairing is, so it visits the pairs b <= c only.
+    Every one of these brackets reads the support test of Lemma L14
+    (TauModule.bracket): on generator elements most of the pairings,
+    section brackets and corrections it would form are ruled out and not
+    computed, and a zero result is the module's shared zero element.
     """
     rep = Report()
     tau = transgress(q)

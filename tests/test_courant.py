@@ -1041,10 +1041,11 @@ CLOSED_TWIST_R4 = standard_exact(
     ids=["twisted-R3", "closed-twist-R4"],
 )
 def test_check_courant_brackets_only_what_lemma_l14_admits(monkeypatch, q, count):
-    """Op-count gate on one check_courant: the generator triples bracket
-    only what bracket_vanishes admits, and the rest of the calls are the
-    E4(e_a, dx_j) cases. Calls with a zero argument count too (450 and
-    1,056 calls without the pruning)."""
+    """Op-count gate on one check_courant: the generator triples and the
+    E4(e_a, dx_j) cases bracket only what bracket_vanishes admits, and on
+    these structures that leaves the triples of the closed twist alone.
+    Calls with a zero argument count too (450 and 1,056 calls without the
+    pruning)."""
     calls = []
     original = CourantData.bracket
 
