@@ -357,7 +357,7 @@ def check_courant(
             return vec_sub(q.bracket(gen[a], q.coanchor[j]), rhs)
         q.require_rank(gen[a], q.coanchor[j])
         require_chart(chart, gen[a], q.coanchor[j])
-        return vec_sub(q.zero_section(), rhs)
+        return linalg.vec_neg(rhs)
 
     def combination(*terms: tuple[Poly, Vec]) -> Vec:
         """The sum of coefficient * section, zero terms skipped."""

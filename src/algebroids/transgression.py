@@ -170,6 +170,7 @@ class TauModule:
                 skipped = True
         if skipped:
             self._check_sections(x, y)
+        # sec is still the shared zero when every part was ruled out
         return self.zero(-1) if sec is zero else self.section_eps(sec)
 
     def _check_sections(self, *elements: "TauElement") -> None:
