@@ -116,7 +116,7 @@ def test_ruled_out_e4_brackets_check_the_coanchor_chart():
     with pytest.raises(ChartMismatchError):
         dataclasses.replace(q, coanchor=foreign)
     q.coanchor = foreign
-    assert all(q.bracket_vanishes(support(q.gen(a)), support(foreign[0])) for a in range(4))
+    assert all(q.bracket_vanishes(support(q.gen(a)), support(foreign[0])) for a in range(q.rank))
     with pytest.raises(ChartMismatchError):
         check_courant(q)
 
