@@ -1,9 +1,11 @@
 """Courant structure data: axioms, twists, connections, combinations."""
 
+from collections import Counter
 import dataclasses
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,6 +41,7 @@ from algebroids.linalg import (
     vec_sub,
     zero_vec,
 )
+from algebroids import courant as courant_module
 from algebroids import pullback as pullback_module
 from algebroids.pullback import morphism_graph
 from algebroids.symcalc import ChartMap, KForm, Poly, coordinate_chart, parse_poly
@@ -1056,6 +1059,47 @@ def test_check_courant_brackets_only_what_lemma_l14_admits(monkeypatch, q, count
     monkeypatch.setattr(CourantData, "bracket", counted)
     assert check_courant(q).ok
     assert len(calls) == count
+
+
+def _caller_name(depth):
+    """The name of the function depth frames up, comprehensions skipped."""
+    frame = sys._getframe(depth + 1)
+    while frame.f_code.co_name.startswith("<"):
+        frame = frame.f_back
+    return frame.f_code.co_name
+
+
+@pytest.mark.parametrize(
+    "q, counts",
+    [
+        (standard_exact(R3, vol3()), (18, 18, 36, 36)),
+        (CLOSED_TWIST_R4, (32, 32, 64, 64)),
+    ],
+    ids=["twisted-R3", "closed-twist-R4"],
+)
+def test_check_courant_skips_the_zero_terms_of_constant_data(monkeypatch, q, counts):
+    """Op-count gate on one check_courant: the KForm.lie calls, the
+    pairing_of calls of generator_defects, the coanchor_of calls of the
+    symmetrization cases and the anchor_defect calls."""
+    calls = Counter()
+
+    def counting(owner, name, caller=None):
+        original = getattr(owner, name)
+
+        def counted(*args):
+            if caller is None or _caller_name(1) == caller:
+                calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(KForm, "lie")
+    counting(CourantData, "pairing_of", "generator_defects")
+    counting(CourantData, "coanchor_of", "symmetrization")
+    counting(courant_module, "anchor_defect")
+    assert check_courant(q).ok
+    names = ("lie", "pairing_of", "coanchor_of", "anchor_defect")
+    assert tuple(calls[name] for name in names) == counts
 
 
 def test_a_replaced_structure_has_its_own_masks():
