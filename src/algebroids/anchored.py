@@ -368,6 +368,15 @@ class AnchoredModule:
             if len(s) != self.rank:
                 raise ValidationError(f"section of length {len(s)}, not rank {self.rank}")
 
+    def require_anchor_rows(self) -> None:
+        """The length and chart checks of every anchor row (ValidationError,
+        ChartMismatchError), made once by a check that skips the arithmetic
+        on constant rows which would have made them."""
+        for row in self.anchor:
+            if len(row) != self.chart.dim:
+                raise ValidationError("anchor row has wrong length")
+        require_chart(self.chart, *self.anchor)
+
     def _either_zero(self, u: Vec, v: Vec) -> bool:
         """Whether u or v is the zero section, so that their bracket is.
 
@@ -530,6 +539,24 @@ def anchor_defect(m: AnchoredModule, a: int, b: int) -> VField:
     """A(e_a, e_b) = anchor([e_a, e_b]) - [anchor(e_a), anchor(e_b)]."""
     lhs = m.anchor_of(m.bracket_gen(a, b))
     return lhs - m.anchor_of(m.gen(a)).bracket(m.anchor_of(m.gen(b)))
+
+
+def anchor_defects(m: AnchoredModule) -> dict[tuple[int, int], VField]:
+    """A(e_a, e_b) on the generator pairs, in order, that may give a nonzero
+    defect. A pair with no table entry whose anchor bracket is ruled out,
+    an anchor row being zero or both rows constant, has A = 0 and is left
+    out (Lemma L14: a derivation kills constants, and the zero field kills
+    everything). The anchor-row checks the skipped brackets would have made
+    are made up front (require_anchor_rows)."""
+    m.require_anchor_rows()
+    row_supports = [support(row) for row in m.anchor]
+    table = m.table_masks
+    return {
+        (a, b): anchor_defect(m, a, b)
+        for (a, sa), (b, sb) in product(enumerate(row_supports), repeat=2)
+        if table[a] >> b & 1
+        or (sa.mask and sb.mask and not (sa.constant and sb.constant))
+    }
 
 
 def anchor_failures(

@@ -38,7 +38,7 @@ from algebroids.anchored import (
     AnchoredModule,
     Presentation,
     Support,
-    anchor_defect,
+    anchor_defects,
     anchor_failures,
     bracket_failures,
     jacobi_counterexample,
@@ -134,6 +134,14 @@ class CourantData(AnchoredModule):
         alpha = pairing_differential(self.pairing, u, v, self.chart)
         return self._coanchor_vec(alpha, super().bracket(u, v))
 
+    def require_rows(self) -> None:
+        """The length and chart checks of every anchor, coanchor and pairing
+        row, made once by a check that skips the arithmetic which would have
+        made them (ValidationError, ChartMismatchError)."""
+        self.require_anchor_rows()
+        self.require_rank(*self.coanchor, *self.pairing)
+        require_chart(self.chart, *self.coanchor, *self.pairing)
+
     @cached_property
     def pairing_masks(self) -> tuple[int, ...]:
         """One mask per pairing row: bit b of row a set when g_ab is
@@ -219,11 +227,22 @@ def twist(q: CourantData, h: KForm) -> CourantData:
 
 def generator_defects(q: CourantData) -> tuple[list[list[Poly]], list[VField]]:
     """M[a][j] = <e_a, coanchor[j]> - anchor(e_a)^j and N[j] =
-    anchor(coanchor[j]): the eq5 and eq1 defects on generators (L5)."""
-    n = q.chart.dim
+    anchor(coanchor[j]): the eq5 and eq1 defects on generators (L5).
+
+    e_a is paired with coanchor[j] only when row a of the pairing meets the
+    row's mask (Lemma L14 on pairings); elsewhere the pairing is zero. The
+    row checks the skipped pairings would have made are made up front
+    (CourantData.require_rows)."""
+    q.require_rows()
+    zero = Poly.zero(q.chart)
+    coanchor_masks = [mask(row) for row in q.coanchor]
     M = [
-        [q.pairing_of(q.gen(a), q.coanchor[j]) - q.anchor[a][j] for j in range(n)]
-        for a in range(q.rank)
+        [
+            (q.pairing_of(q.gen(a), row) if row_mask & pairing_mask else zero)
+            - q.anchor[a][j]
+            for j, (row, row_mask) in enumerate(zip(q.coanchor, coanchor_masks))
+        ]
+        for a, pairing_mask in enumerate(q.pairing_masks)
     ]
     return M, [q.anchor_of(row) for row in q.coanchor]
 
@@ -327,12 +346,15 @@ def check_courant(
     zero = Poly.zero(chart)
     gen_supports = [support(e) for e in gen]
     coanchor_supports = [support(row) for row in q.coanchor]
+    anchor_supports = [support(row) for row in q.anchor]
+    g_varies = [[p.as_constant() is None for p in row] for row in g]
 
     @cache
     def e3_row(c: int) -> list[list[Poly]]:
         """E3(e_c, e_a, e_b) for every (a, b), built on first use. The row
         [e_c, e_a] pairs with e_b only where its mask meets row b of the
-        pairing (Lemma L14 on pairings); elsewhere the pairing is zero."""
+        pairing (Lemma L14 on pairings); elsewhere the pairing is zero. The
+        anchor of e_c acts only on the g_ab that are not constant."""
         rho = q.anchor_of(gen[c])
         rows = [q.bracket_gen(c, a) for a in range(r)]
         inner = [  # <[e_c, e_a], e_b>
@@ -343,21 +365,29 @@ def check_courant(
             for row, row_mask in zip(rows, map(mask, rows))
         ]
         return [
-            [rho.apply(g[a][b]) - inner[a][b] - inner[b][a] for b in range(r)]
+            [
+                (rho.apply(g[a][b]) if g_varies[a][b] else zero)
+                - inner[a][b]
+                - inner[b][a]
+                for b in range(r)
+            ]
             for a in range(r)
         ]
 
     @cache
     def e4_gen(a: int, j: int) -> Vec:
-        """E4(e_a, dx_j), built on first use. The bracket [e_a, coanchor[j]]
-        is taken only when bracket_vanishes does not rule it out; a skipped
-        one checks the lengths and charts it would have checked."""
-        rhs = q.coanchor_of(KForm.dx(chart, j).lie(q.anchor_of(gen[a])))
-        if not q.bracket_vanishes(gen_supports[a], coanchor_supports[j]):
-            return vec_sub(q.bracket(gen[a], q.coanchor[j]), rhs)
-        q.require_rank(gen[a], q.coanchor[j])
-        require_chart(chart, gen[a], q.coanchor[j])
-        return linalg.vec_neg(rhs)
+        """E4(e_a, dx_j) = [e_a, coanchor[j]] - c(L_{anchor e_a} dx_j), built
+        on first use. The bracket is taken only when bracket_vanishes does
+        not rule it out, and the right side, c(d anchor(e_a)^j), only when
+        anchor row a has an entry that is not constant."""
+        lhs = (
+            q.zero_section()
+            if q.bracket_vanishes(gen_supports[a], coanchor_supports[j])
+            else q.bracket(gen[a], q.coanchor[j])
+        )
+        if anchor_supports[a].constant:
+            return lhs
+        return vec_sub(lhs, q.coanchor_of(KForm.dx(chart, j).lie(q.anchor_of(gen[a]))))
 
     def combination(*terms: tuple[Poly, Vec]) -> Vec:
         """The sum of coefficient * section, zero terms skipped."""
@@ -397,18 +427,22 @@ def check_courant(
                 yield f"generator {a}, coordinate {coords[j]}"
 
     def symmetrization():
+        table = q.table_masks
         for a, b in product(range(r), repeat=2):
-            lhs = vec_add(q.bracket_gen(a, b), q.bracket_gen(b, a))
-            rhs = q.coanchor_of(KForm.from_poly(q.pairing[a][b]).d())
-            if not vec_is_zero(vec_sub(lhs, tuple(rhs))):
+            if not (table[a] >> b & 1 or table[b] >> a & 1 or g_varies[a][b]):
+                continue
+            defect = vec_add(q.bracket_gen(a, b), q.bracket_gen(b, a))
+            if g_varies[a][b]:
+                defect = vec_sub(defect, q.coanchor_of(KForm.from_poly(g[a][b]).d()))
+            if not vec_is_zero(defect):
                 yield f"generators ({a},{b})"
 
     def leibniz_identity():
         yield from jacobi_generator_failures(q)
         e = [probe(q, a) for a in range(r)]
         # L10, the anchor on generators
-        for a, b in product(range(r), repeat=2):
-            for k, comp in enumerate(anchor_defect(q, a, b).comps):
+        for (a, b), defect in anchor_defects(q).items():
+            for k, comp in enumerate(defect.comps):
                 if not comp.is_zero:
                     yield jacobi_counterexample(q, (e[a], e[b], probe(q, 0, k)))
         if all(rep[name].passed for name in TENSORIAL_WHEN):

@@ -117,9 +117,9 @@ class TauModule:
         * (0,-2): the anchor action on a constant function (a derivation
           kills constants).
 
-        A ruled-out part is zero. Computing it would have checked the
-        sections' length and chart through its arithmetic, so a skip
-        checks both instead (_check_sections)."""
+        A ruled-out part is zero. The length and chart of each section were
+        checked when its element was built (TauElement), so a skip needs no
+        check of its own."""
         if x.module != self or y.module != self:
             raise ValidationError("bracket arguments from a different module")
         q = self.courant
@@ -135,7 +135,6 @@ class TauModule:
             if dx == -1:
                 return self.zero(-2)
             if y.c_part.as_constant() is not None:
-                self._check_sections(x)
                 return self.zero(-2)
             return self.function_c(q.anchor_of(x.section).apply(y.c_part))
         if dx == -2:
@@ -144,7 +143,6 @@ class TauModule:
         su, sv = x.section_support, y.section_support
         if dx == -1 and dy == -1:
             if not paired(q.pairing_masks, su, sv):
-                self._check_sections(x, y)
                 return self.zero(-2)
             return self.function_c(q.pairing_of(x.section, y.section))
         # (0,-1): [u, v] - c(i_{anchor v} omega); (-1,0): the dressed
@@ -153,37 +151,26 @@ class TauModule:
         # + c(i_{anchor u} omega).
         odd, even = (y, x) if dx == 0 else (x, y)
         zero = self._zeros[1]
-        skipped = q.bracket_vanishes(su, sv)
-        sec = zero if skipped else q.bracket(x.section, y.section)
-        if dx == -1:
-            if paired(q.pairing_masks, su, sv):
-                g = q.pairing_of(x.section, y.section)
-                if g.as_constant() is None:
-                    sec = vec_sub(sec, q.coanchor_of(KForm.from_poly(g).d()))
-            else:
-                skipped = True
-        if not even.form.is_zero:
-            if odd.section_support.mask & q.anchor_mask:
-                corr = q.coanchor_of(even.form.iota(q.anchor_of(odd.section)))
-                sec = vec_add(sec, corr) if dx == -1 else vec_sub(sec, corr)
-            else:
-                skipped = True
-        if skipped:
-            self._check_sections(x, y)
+        sec = zero if q.bracket_vanishes(su, sv) else q.bracket(x.section, y.section)
+        if dx == -1 and paired(q.pairing_masks, su, sv):
+            g = q.pairing_of(x.section, y.section)
+            if g.as_constant() is None:
+                sec = vec_sub(sec, q.coanchor_of(KForm.from_poly(g).d()))
+        if not even.form.is_zero and odd.section_support.mask & q.anchor_mask:
+            corr = q.coanchor_of(even.form.iota(q.anchor_of(odd.section)))
+            sec = vec_add(sec, corr) if dx == -1 else vec_sub(sec, corr)
         # sec is still the shared zero when every part was ruled out
         return self.zero(-1) if sec is zero else self.section_eps(sec)
-
-    def _check_sections(self, *elements: "TauElement") -> None:
-        """The length and chart checks of the sections of elements, which
-        a part of the bracket that Lemma L14 rules out does not make."""
-        sections = [e.section for e in elements]
-        self.courant.require_rank(*sections)
-        require_chart(self.chart, *sections)
 
 
 @dataclass(frozen=True)
 class TauElement:
-    """One homogeneous element; unused slots are kept at canonical zeros."""
+    """One homogeneous element; unused slots are kept at canonical zeros.
+
+    The section slot is checked when the element is built: its length is
+    the rank (ValidationError) and every entry lies on the module's chart
+    (ChartMismatchError), so the parts of TauModule.bracket that Lemma L14
+    rules out need no check of their own."""
 
     module: TauModule = field(compare=False)
     degree: int
@@ -204,6 +191,7 @@ class TauElement:
             raise ChartMismatchError("element data on the wrong chart")
         if len(self.section) != self.module.rank:
             raise ValidationError("section slot has wrong length")
+        require_chart(chart, self.section)
         if self.form.degree != 2:
             raise ValidationError("the dressed form slot holds two-forms")
         if self.degree != -2 and not self.c_part.is_zero:

@@ -10,12 +10,15 @@ quotient by its coanchor image (constant_quotient), against which the
 inverse image of an exact structure is checked to stay exact; and
 courant_from_transgression reads the structure data back out of the public
 operations of a transgression, which is how the round trip of tau-roundtrip
-is checked; and unpruned_tau_bracket is TauModule.bracket on the four
-branches that Lemma L14 prunes, with every part computed.
+is checked; unpruned_tau_bracket is TauModule.bracket on the four
+branches that Lemma L14 prunes, with every part computed; and
+unpruned_generator_cases and unpruned_first_labels are the generator terms
+and first labels of check_courant with no term skipped on its supports,
+masks or constant entries.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from typing import Sequence
 
 from algebroids import linalg
@@ -23,6 +26,10 @@ from algebroids.anchored import (
     AnchoredModule,
     antisymmetric_table,
     constant_complement,
+    jacobi_counterexample,
+    jacobi_left_probe_failures,
+    jacobiator,
+    probe,
 )
 from algebroids.courant import Connection, CourantData
 from algebroids.dirac import DiracData
@@ -225,3 +232,150 @@ def unpruned_tau_bracket(tau: TauModule, x: TauElement, y: TauElement) -> TauEle
             sec = vec_add(sec, q.coanchor_of(y.form.iota(q.anchor_of(x.section))))
         return tau.section_eps(sec)
     raise ValueError(f"no pruned branch in degrees {degrees}")
+
+
+def unpruned_generator_cases(q: CourantData) -> dict:
+    """The generator terms of check_courant, each computed on every index
+    with nothing skipped: M[a][j] = <e_a, coanchor[j]> - anchor(e_a)^j and
+    N[j] = anchor(coanchor[j]); E3[c][a][b] = anchor(e_c)(g_ab)
+    - <[e_c, e_a], e_b> - <e_a, [e_c, e_b]>; E4[a, j] = [e_a, coanchor[j]]
+    - c(L_{anchor e_a} dx_j); E6[a, b] = [e_a, e_b] + [e_b, e_a] - c(dg_ab);
+    and A[a, b] = anchor([e_a, e_b]) - [anchor e_a, anchor e_b]."""
+    chart, r, n = q.chart, q.rank, q.chart.dim
+    gen = [q.gen(a) for a in range(r)]
+    rho = [q.anchor_of(e) for e in gen]
+    pairs = list(product(range(r), repeat=2))
+    return {
+        "M": [
+            [q.pairing_of(gen[a], q.coanchor[j]) - q.anchor[a][j] for j in range(n)]
+            for a in range(r)
+        ],
+        "N": [q.anchor_of(row) for row in q.coanchor],
+        "E3": [
+            [
+                [
+                    rho[c].apply(q.pairing[a][b])
+                    - q.pairing_of(q.bracket(gen[c], gen[a]), gen[b])
+                    - q.pairing_of(gen[a], q.bracket(gen[c], gen[b]))
+                    for b in range(r)
+                ]
+                for a in range(r)
+            ]
+            for c in range(r)
+        ],
+        "E4": {
+            (a, j): vec_sub(
+                q.bracket(gen[a], q.coanchor[j]),
+                q.coanchor_of(KForm.dx(chart, j).lie(rho[a])),
+            )
+            for a, j in product(range(r), range(n))
+        },
+        "E6": {
+            (a, b): vec_sub(
+                vec_add(q.bracket(gen[a], gen[b]), q.bracket(gen[b], gen[a])),
+                q.coanchor_of(KForm.from_poly(q.pairing[a][b]).d()),
+            )
+            for a, b in pairs
+        },
+        "A": {
+            (a, b): q.anchor_of(q.bracket(gen[a], gen[b])) - rho[a].bracket(rho[b])
+            for a, b in pairs
+        },
+    }
+
+
+def unpruned_first_labels(q: CourantData, terms: dict) -> dict[str, str | None]:
+    """The first counterexample label, None for a pass, of eq3, eq4, eq6 and
+    leibniz_identity, read as check_courant reads them (same stages, same
+    order, the same probes past the generator cases) but from terms, the
+    unpruned_generator_cases of q, and the unpruned jacobiator."""
+    M, N, E3, E4, E6, A = (terms[k] for k in ("M", "N", "E3", "E4", "E6", "A"))
+    chart, r, n, g = q.chart, q.rank, q.chart.dim, q.pairing
+    coords = chart.coords
+    gen = [q.gen(a) for a in range(r)]
+
+    def nonzero(vec):
+        return not linalg.vec_is_zero(vec)
+
+    def eq3():
+        for c, a, b in product(range(r), repeat=3):
+            if not E3[c][a][b].is_zero:
+                yield f"generators ({c},{a},{b})"
+        for b, k, c, a in product(range(r), range(n), range(r), range(r)):
+            if not M[b][k].is_zero and not (g[c][a] * M[b][k] + g[c][b] * M[a][k]).is_zero:
+                yield f"sections ({coords[k]}*e{c}, e{a}, e{b})"
+
+    def eq4():
+        for a, j in product(range(r), range(n)):
+            if nonzero(E4[(a, j)]):
+                yield f"generator {a}, coordinate {coords[j]}"
+        for a, j, k in product(range(r), range(n), range(n)):
+            lhs = linalg.vec_scale(M[a][j], q.coanchor[k])
+            if not linalg.vec_eq(lhs, linalg.vec_scale(N[j].comps[k], gen[a])):
+                yield f"section {coords[k]}*e{a}, coordinate {coords[j]}"
+
+    def eq6():
+        for a, b in product(range(r), repeat=2):
+            if nonzero(E6[(a, b)]):
+                yield f"generators ({a},{b})"
+
+    first = {"eq3_pairing_invariance": eq3(), "eq4_coanchor_ideal": eq4()}
+    first["eq6_symmetrization"] = eq6()
+    first = {name: next(labels, None) for name, labels in first.items()}
+    tensorial = (
+        all(v.is_zero for v in N)
+        and all(p.is_zero for row in M for p in row)
+        and all(label is None for label in first.values())
+    )
+
+    def combination(*terms):
+        out = linalg.zero_vec(chart, r)
+        for coeff, vec in terms:
+            out = vec_add(out, linalg.vec_scale(coeff, vec))
+        return out
+
+    def leibniz():
+        for a, b, c in product(range(r), repeat=3):
+            defect = jacobiator(q, gen[a], gen[b], gen[c])
+            if nonzero(defect):
+                yield f"generators ({a},{b},{c}): defect {linalg.fmt_section(defect)}"
+        e = [probe(q, a) for a in range(r)]
+        for (a, b), defect in A.items():
+            for k, comp in enumerate(defect.comps):
+                if not comp.is_zero:
+                    yield jacobi_counterexample(q, (e[a], e[b], probe(q, 0, k)))
+        if tensorial:
+            return
+        for a, b, m in product(range(r), range(r), range(n)):
+            for k, comp in enumerate(N[m].comps):
+                if not g[a][b].is_zero and not comp.is_zero:
+                    xa = probe(q, a, m)
+                    yield jacobi_counterexample(
+                        q, (xa, e[b], e[0]), (xa, e[b], probe(q, 0, k))
+                    )
+        for a, b, c, k in product(range(r), range(r), range(r), range(n)):
+            if nonzero(combination((g[b][c], E4[(a, k)]), (E3[a][b][c], q.coanchor[k]))):
+                yield jacobi_counterexample(q, (e[a], probe(q, b, k), e[c]))
+        for a, m, k in product(range(r), range(n), range(n)):
+            x_part = combination((M[a][k], q.coanchor[m]), (-N[k].comps[m], gen[a]))
+            for b, c in product(range(r), repeat=2):
+                scalar = -(g[a][b] * M[c][m] + g[a][c] * M[b][m])
+                if nonzero(combination((g[b][c], x_part), (scalar, q.coanchor[k]))):
+                    xa = probe(q, a, m)
+                    yield jacobi_counterexample(
+                        q, (xa, e[b], e[c]), (xa, probe(q, b, k), e[c])
+                    )
+        yield from jacobi_left_probe_failures(
+            q, (probe(q, a, k) for a, k in product(range(r), range(n)))
+        )
+        yield from jacobi_left_probe_failures(
+            q,
+            (
+                probe(q, a, k, l)
+                for a in range(r)
+                for k, l in combinations_with_replacement(range(n), 2)
+            ),
+        )
+
+    first["leibniz_identity"] = next(leibniz(), None)
+    return first

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from algebroids.anchored import (
+    anchor_defects,
     jacobi_generator_failures,
     jacobiator,
     paired,
@@ -25,11 +26,12 @@ from algebroids.courant import (
     check_courant_morphism,
     coordinate_connection,
     curvature,
+    generator_defects,
     standard_exact,
     twist,
 )
 from algebroids.errors import ChartMismatchError, ValidationError
-from algebroids.lie_algebroid import tangent_algebroid
+from algebroids.lie_algebroid import check_lie_algebroid, tangent_algebroid
 from algebroids.linalg import (
     apply_matrix,
     fmt_section,
@@ -41,10 +43,10 @@ from algebroids.linalg import (
     vec_sub,
     zero_vec,
 )
-from algebroids import courant as courant_module
+from algebroids import anchored as anchored_module
 from algebroids import pullback as pullback_module
 from algebroids.pullback import morphism_graph
-from algebroids.symcalc import ChartMap, KForm, Poly, coordinate_chart, parse_poly
+from algebroids.symcalc import ChartMap, KForm, Poly, VField, coordinate_chart, parse_poly
 
 from oracles import (
     associated_lie_algebroid,
@@ -52,6 +54,8 @@ from oracles import (
     direct_sum,
     opposite,
     scalar_multiple,
+    unpruned_first_labels,
+    unpruned_generator_cases,
 )
 from test_acceptance import A2, _perturbed, _perturbed_lie, first_order_probe_witness
 from test_symcalc import kforms, polys
@@ -122,6 +126,43 @@ def test_ruled_out_e4_brackets_check_the_coanchor_chart():
     assert all(q.bracket_vanishes(support(q.gen(a)), support(foreign[0])) for a in range(q.rank))
     with pytest.raises(ChartMismatchError):
         check_courant(q)
+
+
+@pytest.mark.parametrize(
+    "where, index",
+    [("anchor", 0), ("anchor", 2), ("pairing", 0), ("pairing", 3)],
+    ids=["unit-anchor-row", "zero-anchor-row", "pairing-row-0", "pairing-row-3"],
+)
+def test_skipped_constant_terms_check_the_row_charts(where, index):
+    """check_courant skips the terms that constant anchor and pairing rows
+    make zero (the E4 right sides, the anchor defects, the anchor action
+    on g_ab in E3 and E6, and the generator defects whose pairing is not
+    paired), and the skips keep the row checks. A row on another chart is
+    refused by CourantData; assigned after construction, a constant row on
+    R3 (for the pairing, with its mirrored column) still makes
+    check_courant raise ChartMismatchError, and so does check_lie_algebroid
+    with that row as its first anchor row."""
+    q = standard_exact(R2)
+    rows = getattr(q, where)
+    mirrored = where == "pairing"
+    moved = tuple(
+        tuple(
+            Poly.const(R3, p.as_constant()) if index in ((a, b) if mirrored else (a,)) else p
+            for b, p in enumerate(row)
+        )
+        for a, row in enumerate(rows)
+    )
+    assert support(moved[index]).constant
+    with pytest.raises(ChartMismatchError):
+        dataclasses.replace(q, **{where: moved})
+    setattr(q, where, moved)
+    with pytest.raises(ChartMismatchError):
+        check_courant(q)
+    if where == "anchor":
+        lie = tangent_algebroid(R2)
+        lie.anchor = (moved[index],) + lie.anchor[1:]
+        with pytest.raises(ChartMismatchError):
+            check_lie_algebroid(lie)
 
 
 def test_twisted_standard_passes():
@@ -1096,10 +1137,47 @@ def test_check_courant_skips_the_zero_terms_of_constant_data(monkeypatch, q, cou
     counting(KForm, "lie")
     counting(CourantData, "pairing_of", "generator_defects")
     counting(CourantData, "coanchor_of", "symmetrization")
-    counting(courant_module, "anchor_defect")
+    counting(anchored_module, "anchor_defect")
     assert check_courant(q).ok
     names = ("lie", "pairing_of", "coanchor_of", "anchor_defect")
     assert tuple(calls[name] for name in names) == counts
+
+
+def r2_mutants_with_varying_deltas():
+    """The mutants of standard R2 whose delta is not constant: +-x1 and
+    +-x2 on one anchor, coanchor or pairing entry, +x1 on one table entry."""
+    q = standard_exact(R2)
+    one, x1, x2 = Poly.one(R2), Poly.coord(R2, 0), Poly.coord(R2, 1)
+    mutants = _mutants(q, (one, -one, x1, -x1, x2, -x2), (one, -one, x1))
+    return [_perturbed(q, *m) for m in mutants if m[2].as_constant() is None]
+
+
+SOUNDNESS_STRUCTURES = {
+    "standard-R2": lambda: [standard_exact(R2)],
+    "twisted-R3": lambda: [standard_exact(R3, vol3("x1 + x2"))],
+    "closed-twist-R4": lambda: [CLOSED_TWIST_R4],
+    "R2-mutants": r2_mutants_with_varying_deltas,
+}
+
+
+@pytest.mark.parametrize("name", list(SOUNDNESS_STRUCTURES))
+def test_check_courant_matches_the_unpruned_reference(name):
+    """The skips of generator_defects, anchor_defects and check_courant drop
+    only zero terms: generator_defects and every anchor defect equal the
+    unpruned reference (a pair anchor_defects leaves out has A = 0), and
+    eq3, eq4, eq6 and leibniz_identity have the verdicts and first labels
+    that the reference reads."""
+    structures = SOUNDNESS_STRUCTURES[name]()
+    assert len(structures) == (168 if name == "R2-mutants" else 1)
+    for q in structures:
+        terms = unpruned_generator_cases(q)
+        assert generator_defects(q) == (terms["M"], terms["N"])
+        kept = anchor_defects(q)
+        zero = VField.zero(q.chart)
+        assert {pair: kept.get(pair, zero) for pair in terms["A"]} == terms["A"]
+        rep = check_courant(q)
+        for check, label in unpruned_first_labels(q, terms).items():
+            assert (rep[check].passed, rep[check].counterexample) == (label is None, label)
 
 
 def test_a_replaced_structure_has_its_own_masks():
