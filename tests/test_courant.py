@@ -128,6 +128,10 @@ def test_ruled_out_e4_brackets_check_the_coanchor_chart():
         check_courant(q)
 
 
+def _on_r3(p):
+    return Poly.const(R3, p.as_constant())
+
+
 @pytest.mark.parametrize(
     "where, index",
     [("anchor", 0), ("anchor", 2), ("pairing", 0), ("pairing", 3)],
@@ -137,21 +141,24 @@ def test_skipped_constant_terms_check_the_row_charts(where, index):
     """check_courant skips the terms that constant anchor and pairing rows
     make zero (the E4 right sides, the anchor defects, the anchor action
     on g_ab in E3 and E6, and the generator defects whose pairing is not
-    paired), and the skips keep the row checks. A row on another chart is
-    refused by CourantData; assigned after construction, a constant row on
-    R3 (for the pairing, with its mirrored column) still makes
-    check_courant raise ChartMismatchError, and so does check_lie_algebroid
-    with that row as its first anchor row."""
+    paired), and the skips keep the row checks. A row with entries on
+    another chart is refused by CourantData. Assigned after construction,
+    it still makes check_courant raise ChartMismatchError: an anchor row
+    moved to R3 whole, and a pairing row (with its mirrored column) whose
+    zero entries are moved to R3, which no pairing multiplies. With the
+    anchor row as its first, check_lie_algebroid raises it too."""
     q = standard_exact(R2)
-    rows = getattr(q, where)
-    mirrored = where == "pairing"
-    moved = tuple(
-        tuple(
-            Poly.const(R3, p.as_constant()) if index in ((a, b) if mirrored else (a,)) else p
-            for b, p in enumerate(row)
+    if where == "anchor":
+        row = tuple(map(_on_r3, q.anchor[index]))
+        moved = q.anchor[:index] + (row,) + q.anchor[index + 1 :]
+    else:
+        moved = tuple(
+            tuple(
+                _on_r3(p) if index in (a, b) and p.is_zero else p
+                for b, p in enumerate(row)
+            )
+            for a, row in enumerate(q.pairing)
         )
-        for a, row in enumerate(rows)
-    )
     assert support(moved[index]).constant
     with pytest.raises(ChartMismatchError):
         dataclasses.replace(q, **{where: moved})
