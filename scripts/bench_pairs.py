@@ -7,9 +7,9 @@ Each commit is exported with git archive into a new temporary directory
 (under --workdir if given), so no worktree is registered. A workload runs
 with seed 11 unless its entry names one, for BENCHMARK.json's run_seconds.
 By default each workload gets 10 pairs, enough to set a median against the
-parent's quartile spread, and constructions also runs 5 pairs on the
-held-out seed 29, so a gain is seen on inputs it was not tuned on. Pair i
-runs the parent first when i is odd; then each side traces one run.
+parent's quartile spread, and constructions and axioms also run 5 pairs on
+the held-out seed 29, so a gain is seen on inputs it was not tuned on. Pair
+i runs the parent first when i is odd; then each side traces one run.
 """
 
 import argparse, io, json, os, pathlib, platform, statistics, subprocess, sys, tarfile, tempfile
@@ -19,6 +19,7 @@ METRICS = ("setup_s", "wall_s", "verdict_p50_s", "verdict_p90_s", "peak_rss_mb")
 SIDES = ("parent", "change")
 ORDER = "pair i runs the parent first when i is odd, the change first when i is even"
 SEED, SECONDS = 11, json.loads(pathlib.Path(ROOT, "BENCHMARK.json").read_text())["run_seconds"]
+PAIRS = "constructions=10,battery=10,axioms=10,constructions@29=5,axioms@29=5"
 
 
 def git(*args: str) -> bytes:
@@ -30,6 +31,18 @@ def run(tree: str, workload: str, seed: int, trace: int) -> dict:
            str(seed), "--seconds", str(SECONDS), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=tree, check=True, capture_output=True, text=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def parse_pairs(spec: str) -> dict[str, tuple[str, int, int]]:
+    """{"workload@seed": (workload, seed, pairs)} for each comma-separated
+    entry "workload[@seed]=pairs" of spec, in order; seed defaults to SEED."""
+    out = {}
+    for item in spec.split(","):
+        name, n = item.split("=")
+        workload, _, seed = name.partition("@")
+        seed = int(seed or SEED)
+        out[f"{workload}@{seed}"] = workload, seed, int(n)
+    return out
 
 
 def summarise(pairs: list) -> dict:
@@ -57,7 +70,7 @@ def summarise(pairs: list) -> dict:
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent"), ap.add_argument("change"), ap.add_argument("--out", required=True)
-    ap.add_argument("--pairs", default="constructions=10,battery=10,axioms=10,constructions@29=5"), ap.add_argument("--workdir")
+    ap.add_argument("--pairs", default=PAIRS), ap.add_argument("--workdir")
     args = ap.parse_args(argv)
     commits = {s: git("rev-parse", ref).decode().strip() for s, ref in zip(SIDES, (args.parent, args.change))}
     doc = {"command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS:g} --trace 0",
@@ -69,12 +82,9 @@ def main(argv=None) -> None:
         for s in SIDES:
             with tarfile.open(fileobj=io.BytesIO(git("archive", commits[s]))) as tar:
                 tar.extractall(trees[s], filter="data")
-        for item in args.pairs.split(","):
-            name, n = item.split("=")
-            workload, _, seed = name.partition("@")
-            seed, pairs = int(seed or SEED), []
-            key = f"{workload}@{seed}"
-            for i in range(1, int(n) + 1):
+        for key, (workload, seed, n) in parse_pairs(args.pairs).items():
+            pairs = []
+            for i in range(1, n + 1):
                 pair = {"pair": i}
                 for s in SIDES if i % 2 else SIDES[::-1]:
                     pair[s] = res = run(trees[s], workload, seed, 0)

@@ -49,3 +49,17 @@ def test_worse_shown_needs_nine_losses_in_ten_and_a_gap_beyond_the_iqr():
     assert not close["setup_s"]["worse_shown"]
     assert not few["setup_s"]["worse_shown"]
     assert not any(flat[m]["worse_shown"] or flat[m]["gain_shown"] for m in bench_pairs.METRICS)
+
+
+def test_the_default_pairs_parse_to_five_workload_seed_keys():
+    """Both seeded workloads get the held-out seed 29 by default."""
+    parsed = bench_pairs.parse_pairs(bench_pairs.PAIRS)
+    assert list(parsed) == [
+        "constructions@11",
+        "battery@11",
+        "axioms@11",
+        "constructions@29",
+        "axioms@29",
+    ]
+    assert parsed["axioms@29"] == ("axioms", 29, 5)
+    assert parsed["battery@11"] == ("battery", 11, 10)
