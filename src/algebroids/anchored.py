@@ -41,9 +41,11 @@ skips a generator pair with a zero table entry when the test rules out
 the bracket of its images; and jacobi_generator_failures, the generator
 triples of the Jacobi identity for both verdicts, skips each of the three
 brackets of J(e_a, e_b, e_c) that the test rules out on the generator and
-the table row, and the whole triple when it rules out all three. A
-ruled-out bracket is zero, and computing it would have formed no product
-of positive degree.
+the table row, and the whole triple when it rules out all three;
+anchor_defects, the anchor defects A(e_a, e_b) of both verdicts, leaves
+out a pair with no table entry whose anchor bracket the test rules out
+(an anchor row zero, or both rows constant). A ruled-out bracket is zero,
+and computing it would have formed no product of positive degree.
 
 Lemma L14, on pairings: a bilinear form sum_ab u_a g_ab v_b is zero
 unless some nonzero g_ab has a in supp u and b in supp v (paired, on the

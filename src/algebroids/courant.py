@@ -275,14 +275,22 @@ def check_courant(
     construction, and [f u, v] = f [u, v] - anchor(v)(f) u + <u, v> c(df).
     L5: anchor(c alpha) and E5(u, alpha) = <u, c alpha> - alpha(anchor u)
     are function-linear in every slot, so N and M decide eq1 and eq5.
+    generator_defects pairs e_a with coanchor[j] only where row a of the
+    pairing meets the row's mask (Lemma L14 on pairings); elsewhere
+    <e_a, coanchor[j]> is zero.
     L6: [u, v] + [v, u] - c(d<u, v>) = sum_ab u_a v_b times the (a, b)
     generator defect: the Leibniz terms cancel, and the coanchor terms sum
     to c(d<u, v>) - sum_ab u_a v_b c(dg_ab).
+    So the generator defects [e_a, e_b] + [e_b, e_a] - c(dg_ab) decide
+    eq6; a pair with no table entry in either order and a constant g_ab is
+    skipped, its defect being zero (d kills constants).
     L7: E3(u, v, w) = anchor(u)<v, w> - <[u, v], w> - <v, [u, w]> is linear
     in v and w, and E3(f u, v, w) = f E3(u, v, w) - <u, v> E5(w, df)
     - <u, w> E5(v, df). Past the generator cases, eq3 is decided by the
     probes E3(x_k e_c, e_a, e_b) = -(g_ca M[b][k] + g_cb M[a][k]); they
-    are symmetric in a and b, so only nonzero M[b][k] are visited.
+    are symmetric in a and b, so only nonzero M[b][k] are visited. In
+    the generator cases anchor(e_c) acts only on the g_ab that are not
+    constant (a derivation kills constants).
     L8: E4(u, alpha) = [u, c alpha] - c(L_{anchor u} alpha) is linear in
     alpha, and E4(f u, alpha) = f E4(u, alpha) - anchor(c alpha)(f) u
     + E5(u, alpha) c(df). Past the generator cases, eq4 is decided by the
@@ -292,7 +300,10 @@ def check_courant(
     E3(e_c, e_a, e_b) pairs the table row [e_c, e_a] with e_b only where
     the row's mask meets row b of the pairing (e3_row), and E4(e_a, dx_j)
     brackets e_a with coanchor[j] only when bracket_vanishes does not rule
-    it out (e4_gen); what they skip is zero.
+    it out (e4_gen); what they skip is zero. As L_X dx_j = d(X^j), the
+    right side c(L_{anchor e_a} dx_j) of E4(e_a, dx_j) is c(d anchor(e_a)^j),
+    and it is built only when anchor row a has an entry that is not
+    constant; otherwise it is zero.
 
     leibniz_identity is J(u, v, w) = [u, [v, w]] - [[u, v], w] - [v, [u, w]]
     = 0. Write A(u, v) = anchor([u, v]) - [anchor u, anchor v] and E6(u, v)
@@ -304,7 +315,10 @@ def check_courant(
     a, b, m. Past the generator triples, A(e_a, e_b)^k != 0 makes
     J(e_a, e_b, x_k e_0) = -A(e_a, e_b)^k e_0, and g_ab N[m]^k != 0 makes
     J(x_m e_a, e_b, x_k e_0) = x_k J(x_m e_a, e_b, e_0) - g_ab N[m]^k e_0,
-    so one of those two sections is a counterexample.
+    so one of those two sections is a counterexample. A(e_a, e_b) is
+    computed only on the pairs anchored.anchor_defects keeps: with no table
+    entry (a, b), anchor([e_a, e_b]) is zero, and [anchor e_a, anchor e_b]
+    is zero when either row is zero or both are constant.
     L11 (v slot): J(u, f v, w) = f J(u, v, w) + A(u, w)(f) v
     + <v, w> E4(u, df) + E3(u, v, w) c(df). With A = 0 the correction is
     sum_k d_k(f) K_k(u, v, w), K_k(u, v, w) = <v, w> E4(u, dx_k)
@@ -334,7 +348,12 @@ def check_courant(
     first failure is the one the unpruned loop finds.
     Otherwise it goes on through the closed forms of L10 and L11 and then
     the direct probes of L12, and stops at the first failure; each
-    counterexample names sections on which J is evaluated directly."""
+    counterexample names sections on which J is evaluated directly.
+
+    A skipped term makes none of the chart checks its arithmetic would have
+    made, so the length and chart of every anchor, coanchor and pairing row
+    are checked once, up front (CourantData.require_rows, from
+    generator_defects)."""
     rep = Report()
     chart = q.chart
     coords = chart.coords

@@ -116,8 +116,8 @@ def test_ruled_out_e4_brackets_check_the_coanchor_chart():
     """check_courant skips [e_a, coanchor[j]] when bracket_vanishes rules it
     out, and the skip keeps the chart check of the bracket. A coanchor row
     on another chart is refused by CourantData; assigned after construction,
-    the all-zero row is ruled out against every generator, and E4 still
-    raises ChartMismatchError."""
+    the all-zero row is ruled out against every generator, and check_courant
+    still raises ChartMismatchError (CourantData.require_rows)."""
     q = standard_exact(R2)
     foreign = (zero_vec(R3, q.rank),) + q.coanchor[1:]
     with pytest.raises(ChartMismatchError):
