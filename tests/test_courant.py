@@ -1109,9 +1109,10 @@ def test_check_courant_brackets_only_what_lemma_l14_admits(monkeypatch, q, count
     assert len(calls) == count
 
 
-def _caller_name(depth):
-    """The name of the function depth frames up, comprehensions skipped."""
-    frame = sys._getframe(depth + 1)
+def _caller_name():
+    """The name of the function that called the counted method, read from
+    inside its wrapper; comprehension frames are skipped."""
+    frame = sys._getframe(2)
     while frame.f_code.co_name.startswith("<"):
         frame = frame.f_back
     return frame.f_code.co_name
@@ -1135,7 +1136,7 @@ def test_check_courant_skips_the_zero_terms_of_constant_data(monkeypatch, q, cou
         original = getattr(owner, name)
 
         def counted(*args):
-            if caller is None or _caller_name(1) == caller:
+            if caller is None or _caller_name() == caller:
                 calls[name] += 1
             return original(*args)
 
