@@ -18,7 +18,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 METRICS = ("setup_s", "wall_s", "verdict_p50_s", "verdict_p90_s", "peak_rss_mb")
 SIDES = ("parent", "change")
 ORDER = "pair i runs the parent first when i is odd, the change first when i is even"
-SEED, SECONDS = 11, json.loads(pathlib.Path(ROOT, "BENCHMARK.json").read_text())["run_seconds"]
+BENCHMARK = json.loads(pathlib.Path(ROOT, "BENCHMARK.json").read_text())
+SEED, SECONDS = 11, BENCHMARK["run_seconds"]
+BOUNDS = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
 PAIRS = "constructions=10,battery=10,axioms=10,constructions@29=5,axioms@29=5"
 
 
@@ -50,7 +52,9 @@ def summarise(pairs: list) -> dict:
     gain_shown: the change wins at least 9/10 of the pairs and its median
     is lower than the parent's by more than the parent's IQR. worse_shown
     is its mirror: the change loses at least 9/10 of the pairs and its
-    median exceeds the parent's by more than the parent's IQR."""
+    median exceeds the parent's by more than the parent's IQR.
+    within_bound: the change's median is no worse than the parent's by
+    more than the metric's bound in BENCHMARK.json."""
     out = {}
     for m in METRICS:
         par, chg = ([p[s]["metrics"][m]["value"] for p in pairs] for s in SIDES)
@@ -62,7 +66,8 @@ def summarise(pairs: list) -> dict:
                   "change_vs_parent": round(mc / mp - 1, 4), "parent_iqr": round(q3 - q1, 4),
                   "change_wins": f"{wins}/{len(pairs)}",
                   "gain_shown": 10 * wins >= 9 * len(pairs) and mp - mc > q3 - q1,
-                  "worse_shown": 10 * losses >= 9 * len(pairs) and mc - mp > q3 - q1}
+                  "worse_shown": 10 * losses >= 9 * len(pairs) and mc - mp > q3 - q1,
+                  "within_bound": mc <= mp * (1 + BOUNDS[m])}
     out["all_correct"] = all(p[s]["correct"] and not p[s]["failed"] for p in pairs for s in SIDES)
     return out
 

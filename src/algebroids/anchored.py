@@ -175,12 +175,11 @@ def leibniz_sum(
         if eta_on and u[k].as_constant() is None:
             term = term - eta.apply(u[k])
         out.append(term)
+    w_support = [b for b in range(rank) if not w[b].is_zero]
     for a in range(rank):
         if u[a].is_zero:
             continue
-        for b in range(rank):
-            if w[b].is_zero:
-                continue
+        for b in w_support:
             gen = entry(a, b)
             if gen is None:
                 continue
@@ -330,7 +329,7 @@ class AnchoredModule:
             if len(row) != self.chart.dim:
                 raise ValidationError("anchor row has wrong length")
             for p in row:
-                if p.chart != self.chart:
+                if p.chart is not self.chart and p.chart != self.chart:
                     raise ChartMismatchError("anchor entry on wrong chart")
         clean = {}
         for (a, b), vec in self.structure.items():
@@ -340,7 +339,7 @@ class AnchoredModule:
             if len(vec) != self.rank:
                 raise ValidationError("structure vector has wrong length")
             for p in vec:
-                if p.chart != self.chart:
+                if p.chart is not self.chart and p.chart != self.chart:
                     raise ChartMismatchError("structure entry on wrong chart")
             if not vec_is_zero(vec):
                 clean[(a, b)] = vec
@@ -419,14 +418,39 @@ class AnchoredModule:
             self.table_masks, su, sv, self._anchored(su), self._anchored(sv)
         )
 
-    def bracket(self, u: Vec, v: Vec) -> Vec:
+    def bracket(
+        self, u: Vec, v: Vec, anchors: tuple[VField, VField] | None = None
+    ) -> Vec:
+        """The bracket of sections u and v. anchors is (anchor_of(u),
+        anchor_of(v)), passed by a caller that brackets the same sections
+        many times and computes each anchor once (section_anchors); None
+        computes both here."""
         if self._either_zero(u, v):
             return self.zero_section()
-        return tuple(
-            leibniz_sum(
-                self.rank, self._entry, u, v, self.anchor_of(u), self.anchor_of(v)
-            )
-        )
+        if anchors is None:
+            anchors = self.anchor_of(u), self.anchor_of(v)
+        return tuple(leibniz_sum(self.rank, self._entry, u, v, *anchors))
+
+
+def section_anchors(
+    m: AnchoredModule, sections: Sequence[Vec]
+) -> Callable[[int, int], tuple[VField, VField] | None]:
+    """The anchors argument of m.bracket(sections[i], sections[j]), as a
+    function of (i, j). Each section's anchor is computed once, on the first
+    pair that asks for it; a pair with a zero section gets None, as
+    m.bracket answers it with the zero section before reading an anchor."""
+    zero = [vec_is_zero(s) for s in sections]
+
+    @cache
+    def anchor(i: int) -> VField:
+        return m.anchor_of(sections[i])
+
+    def anchors(i: int, j: int) -> tuple[VField, VField] | None:
+        if zero[i] or zero[j]:
+            return None
+        return anchor(i), anchor(j)
+
+    return anchors
 
 
 # ---------------------------------------------------------------------------
@@ -564,9 +588,10 @@ def anchor_defects(m: AnchoredModule) -> dict[tuple[int, int], VField]:
 def anchor_failures(
     src: AnchoredModule, dst: AnchoredModule, matrix: Sequence[Vec]
 ) -> Iterator[str]:
-    """Generators a of src whose anchor is not the dst anchor of matrix[a]."""
+    """Generators a of src whose anchor, anchor row a, is not the dst anchor
+    of matrix[a]."""
     for a in range(src.rank):
-        if src.anchor_of(src.gen(a)) != dst.anchor_of(matrix[a]):
+        if VField(src.chart, src.anchor[a]) != dst.anchor_of(matrix[a]):
             yield f"generator {a}"
 
 
@@ -579,17 +604,19 @@ def bracket_failures(
     A pair with no table entry maps to zero, so it holds without a bracket
     when dst.bracket_vanishes rules out the bracket of its images (Lemma
     L14). The rank and chart checks that such a skipped dst.bracket would
-    have made on the rows are made up front."""
+    have made on the rows are made up front. Each row's dst anchor is
+    computed once, on its first bracket (section_anchors)."""
     rows = [matrix[a] for a in range(src.rank)]
     dst.require_rank(*rows)
     require_chart(dst.chart, *rows)
     supports = [support(row) for row in rows]
+    anchors = section_anchors(dst, rows)
     table = src.table_masks
     for a, b in product(range(src.rank), repeat=2):
         if not table[a] >> b & 1 and dst.bracket_vanishes(supports[a], supports[b]):
             continue
         lhs = apply_matrix(matrix, src.bracket_gen(a, b), dst.rank, dst.chart)
-        if not vec_eq(lhs, dst.bracket(rows[a], rows[b])):
+        if not vec_eq(lhs, dst.bracket(rows[a], rows[b], anchors(a, b))):
             yield f"generators ({a},{b})"
 
 

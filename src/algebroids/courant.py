@@ -49,6 +49,7 @@ from algebroids.anchored import (
     probe,
     pruned_table,
     require_chart,
+    section_anchors,
     support,
 )
 from algebroids.errors import ChartMismatchError, ValidationError
@@ -103,7 +104,7 @@ class CourantData(AnchoredModule):
             if len(row) != self.rank:
                 raise ValidationError("pairing must be a square matrix")
         for a in range(self.rank):
-            for b in range(self.rank):
+            for b in range(a + 1, self.rank):
                 if self.pairing[a][b] != self.pairing[b][a]:
                     raise ValidationError(
                         f"pairing is not symmetric at ({a},{b})"
@@ -111,7 +112,7 @@ class CourantData(AnchoredModule):
         for mat in (self.coanchor, self.pairing):
             for row in mat:
                 for p in row:
-                    if p.chart != self.chart:
+                    if p.chart is not self.chart and p.chart != self.chart:
                         raise ChartMismatchError("entry on wrong chart")
 
     # -- sections ----------------------------------------------------------
@@ -128,11 +129,15 @@ class CourantData(AnchoredModule):
     def pairing_of(self, u: Vec, v: Vec) -> Poly:
         return bilinear(u, self.pairing, v, self.chart)
 
-    def bracket(self, u: Vec, v: Vec) -> Vec:
+    def bracket(
+        self, u: Vec, v: Vec, anchors: tuple[VField, VField] | None = None
+    ) -> Vec:
+        """The anchored-module bracket (anchors as there) plus the coanchor
+        term."""
         if self._either_zero(u, v):
             return self.zero_section()
         alpha = pairing_differential(self.pairing, u, v, self.chart)
-        return self._coanchor_vec(alpha, super().bracket(u, v))
+        return self._coanchor_vec(alpha, super().bracket(u, v, anchors))
 
     def require_rows(self) -> None:
         """The length and chart checks of every anchor, coanchor and pairing
@@ -201,20 +206,27 @@ def twist(q: CourantData, h: KForm) -> CourantData:
     """Add the h-term coanchor(i_{anchor b} i_{anchor a} h) to each bracket.
 
     The added term is function-bilinear, so twisting the structure functions
-    twists the bracket of arbitrary sections consistently.
+    twists the bracket of arbitrary sections consistently. The anchor of
+    generator a is anchor row a, read once. A zero anchor contracts h to
+    zero, so h is contracted only along nonzero anchors, and the term is
+    added only to the pairs whose two anchors are both nonzero; the length
+    and chart checks of the anchor rows that the skipped contractions would
+    have made are made up front (require_anchor_rows).
     """
     if h.degree != 3:
         raise ValidationError("the twisting form must be a three-form")
     if h.chart != q.chart:
         raise ChartMismatchError("twisting form on the wrong chart")
-    iotas = [h.iota(q.anchor_of(q.gen(a))) for a in range(q.rank)]
-    structure = {
-        (a, b): vec_add(
-            q.bracket_gen(a, b),
-            q.coanchor_of(iotas[a].iota(q.anchor_of(q.gen(b)))),
-        )
-        for a, b in product(range(q.rank), repeat=2)
-    }
+    q.require_anchor_rows()
+    rho = [VField(q.chart, row) for row in q.anchor]
+    iotas = [None if v.is_zero else h.iota(v) for v in rho]
+
+    def entry(a: int, b: int) -> Vec:
+        if iotas[a] is None or rho[b].is_zero:
+            return q.bracket_gen(a, b)
+        return vec_add(q.bracket_gen(a, b), q.coanchor_of(iotas[a].iota(rho[b])))
+
+    structure = {(a, b): entry(a, b) for a, b in product(range(q.rank), repeat=2)}
     return CourantData(
         q.chart, q.rank, q.anchor, q.coanchor, q.pairing, structure
     )
@@ -618,7 +630,8 @@ def curvature(conn: Connection) -> KForm:
     supports gets the zero section as its defect without a bracket, and a
     defect and a column that are not paired (Lemma L14, algebroids.anchored)
     get the chart's zero without a pairing, so both checks still read every
-    defect and every component.
+    defect and every component. Each column's anchor is computed once, on
+    its first bracket (section_anchors).
     """
     q = conn.courant
     chart = q.chart
@@ -626,13 +639,14 @@ def curvature(conn: Connection) -> KForm:
     zero = Poly.zero(chart)
     columns = conn.columns
     column_supports = [support(col) for col in columns]
+    anchors = section_anchors(q, columns)
     comps: dict[tuple[int, int, int], Poly] = {}
     defects: dict[tuple[int, int], Vec] = {}
     for (i, si), (j, sj) in product(enumerate(column_supports), repeat=2):
         defects[(i, j)] = (
             q.zero_section()
             if q.bracket_vanishes(si, sj)
-            else q.bracket(columns[i], columns[j])
+            else q.bracket(columns[i], columns[j], anchors(i, j))
         )
     for (i, j), defect in defects.items():
         sd = support(defect)
@@ -767,9 +781,17 @@ class CourantCombination(Presentation):
         def vanishes(x: tuple[Support, ...], y: tuple[Support, ...]) -> bool:
             return all(q.bracket_vanishes(su, sv) for q, su, sv in zip(parts, x, y))
 
+        # anchors[i] gives the anchors of part i of two basis elements.
+        anchors = [
+            section_anchors(q, [element[i] for element in gens])
+            for i, q in enumerate(parts)
+        ]
+
         def bracket(x: int, y: int) -> Vec:
-            pairs = zip(parts, gens[x], gens[y])
-            return self.reduce(tuple(q.bracket(u, v) for q, u, v in pairs))
+            terms = zip(parts, gens[x], gens[y], anchors)
+            return self.reduce(
+                tuple(q.bracket(u, v, part(x, y)) for q, u, v, part in terms)
+            )
 
         structure = pruned_table(self, vanishes, bracket)
         anchor, coanchor = _exact_frame(chart)

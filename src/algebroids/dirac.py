@@ -24,7 +24,7 @@ from functools import cached_property
 from itertools import combinations_with_replacement, product
 
 from algebroids import linalg
-from algebroids.anchored import mask, paired, require_chart, support
+from algebroids.anchored import mask, paired, require_chart, section_anchors, support
 from algebroids.courant import CourantData
 from algebroids.errors import ValidationError
 from algebroids.linalg import Vec, fmt_section, vec_is_zero
@@ -121,7 +121,9 @@ def check_dirac(d: DiracData, maximality: str = "full") -> Report:
     generator pairs that the restricted pairing does not pair, and closure
     takes the zero defect for a lifted pair whose bracket bracket_vanishes
     rules out, and pairs no zero defect. The lifts are checked for rank and
-    chart up front, as the skipped brackets would have checked them.
+    chart up front, as the skipped brackets would have checked them, and
+    each lift's anchor is computed once, on its first bracket
+    (section_anchors).
     """
     if maximality not in ("full", "rank-only"):
         raise ValidationError(f"unknown maximality mode {maximality!r}")
@@ -168,12 +170,13 @@ def check_dirac(d: DiracData, maximality: str = "full") -> Report:
         q.require_rank(*lifts)
         require_chart(q.chart, *lifts)
         lifted_supports = [support(lift) for lift in lifts]
+        anchors = section_anchors(q, lifts)
         zero = linalg.zero_vec(sub, q.rank)
         for i, j in product(range(m), repeat=2):
             if q.bracket_vanishes(lifted_supports[i], lifted_supports[j]):
                 defects[(i, j)] = zero
                 continue
-            lifted = q.bracket(lifts[i], lifts[j])
+            lifted = q.bracket(lifts[i], lifts[j], anchors(i, j))
             defects[(i, j)] = tuple(d.restrict(p) for p in lifted)
         if maximality == "full":
             for (i, j), defect in sorted(defects.items()):

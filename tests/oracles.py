@@ -11,10 +11,11 @@ inverse image of an exact structure is checked to stay exact; and
 courant_from_transgression reads the structure data back out of the public
 operations of a transgression, which is how the round trip of tau-roundtrip
 is checked; unpruned_tau_bracket is TauModule.bracket on the four
-branches that Lemma L14 prunes, with every part computed; and
+branches that Lemma L14 prunes, with every part computed;
 unpruned_generator_cases and unpruned_first_labels are the generator terms
 and first labels of check_courant with no term skipped on its supports,
-masks or constant entries.
+masks or constant entries; and unpruned_twist is courant.twist with the
+twist term computed on every generator pair, zero anchors included.
 """
 
 from fractions import Fraction
@@ -232,6 +233,22 @@ def unpruned_tau_bracket(tau: TauModule, x: TauElement, y: TauElement) -> TauEle
             sec = vec_add(sec, q.coanchor_of(y.form.iota(q.anchor_of(x.section))))
         return tau.section_eps(sec)
     raise ValueError(f"no pruned branch in degrees {degrees}")
+
+
+def unpruned_twist(q: CourantData, h: KForm) -> CourantData:
+    """courant.twist with h contracted along the anchor of every generator,
+    each anchor computed by anchor_of, and the term added to every pair."""
+    iotas = [h.iota(q.anchor_of(q.gen(a))) for a in range(q.rank)]
+    structure = {
+        (a, b): vec_add(
+            q.bracket_gen(a, b),
+            q.coanchor_of(iotas[a].iota(q.anchor_of(q.gen(b)))),
+        )
+        for a, b in product(range(q.rank), repeat=2)
+    }
+    return CourantData(
+        q.chart, q.rank, q.anchor, q.coanchor, q.pairing, structure
+    )
 
 
 def unpruned_generator_cases(q: CourantData) -> dict:

@@ -63,3 +63,16 @@ def test_the_default_pairs_parse_to_five_workload_seed_keys():
     ]
     assert parsed["axioms@29"] == ("axioms", 29, 5)
     assert parsed["battery@11"] == ("battery", 11, 10)
+
+
+def test_within_bound_reads_each_metric_bound_from_the_benchmark():
+    """A wall_s 10 % worse is within its bound of 0.25; a peak_rss_mb 6 %
+    worse is outside its bound of 0.05."""
+    assert bench_pairs.BOUNDS["wall_s"] == 0.25
+    assert bench_pairs.BOUNDS["peak_rss_mb"] == 0.05
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+    assert bench_pairs.summarise(pairs(parent, [1.10 * p for p in parent]))["wall_s"]["within_bound"]
+    rss = bench_pairs.summarise(pairs(parent, [1.06 * p for p in parent]))
+    assert not rss["peak_rss_mb"]["within_bound"]
+    assert all(bench_pairs.summarise(pairs(parent, parent))[m]["within_bound"]
+               for m in bench_pairs.METRICS)

@@ -30,6 +30,7 @@ from algebroids.courant import (
     standard_exact,
     twist,
 )
+from algebroids.descent import two_form_transform
 from algebroids.errors import ChartMismatchError, ValidationError
 from algebroids.lie_algebroid import check_lie_algebroid, tangent_algebroid
 from algebroids.linalg import (
@@ -56,9 +57,10 @@ from oracles import (
     scalar_multiple,
     unpruned_first_labels,
     unpruned_generator_cases,
+    unpruned_twist,
 )
 from test_acceptance import A2, _perturbed, _perturbed_lie, first_order_probe_witness
-from test_symcalc import kforms, polys
+from test_symcalc import kforms, polys, triangular_maps
 
 R1 = coordinate_chart("L", 1)
 R2 = coordinate_chart("P", 2)
@@ -198,6 +200,51 @@ def test_twists_compose_additively():
     )
 
 
+@given(st.sampled_from([R2, R3]), st.data())
+@settings(max_examples=25, deadline=None)
+def test_pruned_twist_is_the_unpruned_twist_on_standard_structures(chart, data):
+    """twist contracts h only along nonzero anchors and adds the term only
+    where both anchors are nonzero; a zero anchor contracts to zero."""
+    forms = kforms(chart, 3, max_degree=2) if chart.dim == 3 else st.just(KForm.zero(chart, 3))
+    q = standard_exact(chart, data.draw(forms))
+    h = data.draw(forms)
+    assert twist(q, h) == unpruned_twist(q, h)
+
+
+@given(triangular_maps(), st.data())
+@settings(max_examples=10, deadline=None)
+def test_pruned_twist_is_the_unpruned_twist_on_pulled_structures(f, data):
+    """On the inverse image of twisted R3 along a triangular map, whose
+    anchor rows are polynomial or zero."""
+    chart = f.target
+    twisted = standard_exact(chart, KForm(chart, 3, {(0, 1, 2): Poly.coord(chart, 0)}))
+    q = pullback_module.pullback_courant(f, twisted).result
+    h = data.draw(kforms(f.source, 3, max_degree=1))
+    assert twist(q, h) == unpruned_twist(q, h)
+
+
+def test_twist_reads_each_anchor_row_and_contracts_only_nonzero_anchors(monkeypatch):
+    """Op-count gate on one twist of standard R3: 3 contractions of h along
+    the nonzero anchors, 9 more on the pairs of nonzero anchors, and no
+    anchor_of call (42 of each without the pruning)."""
+    calls = Counter()
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    q = standard_exact(R3)
+    counting(KForm, "iota")
+    counting(anchored_module.AnchoredModule, "anchor_of")
+    assert twist(q, vol3("x1 + x2")) == standard_exact(R3, vol3("x1 + x2"))
+    assert (calls["iota"], calls["anchor_of"]) == (12, 0)
+
+
 def test_section_bracket_values():
     q = standard_exact(R2)
     # {x2 d1, d2} = -d1 and {x1 d1, dx1} picks up the coanchor correction.
@@ -225,6 +272,17 @@ def test_nonsymmetric_pairing_rejected():
     bad = (sec(R1, "0", "1"), sec(R1, "0", "0"))
     with pytest.raises(ValidationError):
         CourantData(R1, 2, q.anchor, q.coanchor, bad, {})
+
+
+def test_asymmetric_pairing_names_its_first_pair_in_row_order():
+    """The symmetry check compares each pair a < b once; of the asymmetric
+    pairs (0,2) and (1,2), the message names (0,2)."""
+    q = standard_exact(R2)
+    bad = [list(row) for row in q.pairing]
+    bad[0][2] = parse_poly("x1", R2)
+    bad[1][2] = Poly.one(R2)
+    with pytest.raises(ValidationError, match=re.escape("pairing is not symmetric at (0,2)")):
+        CourantData(R2, 4, q.anchor, q.coanchor, bad, {})
 
 
 def test_connection_validation():
@@ -316,9 +374,9 @@ def test_curvature_brackets_only_admitted_column_pairs(monkeypatch):
     calls = []
     original = CourantData.bracket
 
-    def counted(self, u, v):
+    def counted(self, u, v, anchors=None):
         calls.append(1)
-        return original(self, u, v)
+        return original(self, u, v, anchors)
 
     monkeypatch.setattr(CourantData, "bracket", counted)
     assert curvature(coordinate_connection(q)) == vol3("x1 + x2")
@@ -511,6 +569,38 @@ def test_morphism_check_flags_wrong_twist():
     identity = tuple(q1.gen(a) for a in range(q1.rank))
     rep = check_courant_morphism(q1, q2, identity)
     assert [c.name for c in rep.failures()] == ["morphism_bracket"]
+
+
+@pytest.mark.parametrize(
+    "q, matrix, count",
+    [
+        (standard_exact(R2), lambda q: [q.gen(a) for a in range(q.rank)], 4),
+        (standard_exact(R3, vol3()), lambda q: [q.gen(a) for a in range(q.rank)], 9),
+        (
+            standard_exact(R3, vol3()),
+            lambda q: two_form_transform(q, KForm(R3, 2, {(0, 1): Poly.coord(R3, 0)})),
+            11,
+        ),
+    ],
+    ids=["standard-R2-identity", "twisted-R3-identity", "twisted-R3-closed-two-form"],
+)
+def test_morphism_check_computes_each_anchor_at_most_once(monkeypatch, q, matrix, count):
+    """Op-count gate on the anchor_of calls of one check_courant_morphism:
+    the anchor check reads the source anchor rows, and the bracket check
+    computes each image row's anchor once, on its first bracket, and none
+    for a row it never brackets (8, 24 and 32 calls when every anchor was
+    computed per comparison and per bracket)."""
+    matrix = matrix(q)
+    calls = []
+    original = anchored_module.AnchoredModule.anchor_of
+
+    def counted(self, u):
+        calls.append(1)
+        return original(self, u)
+
+    monkeypatch.setattr(anchored_module.AnchoredModule, "anchor_of", counted)
+    assert check_courant_morphism(q, q, matrix).ok
+    assert len(calls) == count
 
 
 def _rows(count, length):
@@ -1305,9 +1395,9 @@ def test_baer_sum_brackets_only_the_admitted_basis_pairs(monkeypatch):
     calls = []
     bracket = CourantData.bracket
 
-    def counted(self, u, v):
+    def counted(self, u, v, anchors=None):
         calls.append((u, v))
-        return bracket(self, u, v)
+        return bracket(self, u, v, anchors)
 
     monkeypatch.setattr(CourantData, "bracket", counted)
     comb = baer_sum(q1, q2, conn1, conn2)

@@ -283,12 +283,37 @@ def test_closure_brackets_only_the_admitted_lifted_pairs(monkeypatch):
     calls = []
     bracket = CourantData.bracket
 
-    def counted(self, u, v):
+    def counted(self, u, v, anchors=None):
         calls.append((u, v))
-        return bracket(self, u, v)
+        return bracket(self, u, v, anchors)
 
     monkeypatch.setattr(CourantData, "bracket", counted)
     rep = check_dirac(d)
     monkeypatch.undo()
     assert rep.ok
     assert len(calls) == 3
+
+
+def test_closure_computes_each_lift_anchor_at_most_once(monkeypatch):
+    """Op-count gate on the anchor_of calls of check_dirac on the morphism
+    graph of twisted R3 along (x1, x2 + x1^2, x3). Its 6 lifts are
+    bracketed in 36 ordered pairs; each lift's anchor is computed once, on
+    its first admitted bracket, and one lift is in no admitted pair: 5 calls
+    (28 when each bracket computed both anchors)."""
+    q = standard_exact(R3, vol3())
+    x1, x2, x3 = (Poly.coord(R3, i) for i in range(3))
+    f = ChartMap(R3, R3, (x1, x2 + x1 * x1, x3))
+    d = morphism_graph(f, q, coordinate_connection(q))
+    calls = []
+    anchor_of = CourantData.anchor_of
+
+    def counted(self, u):
+        calls.append(u)
+        return anchor_of(self, u)
+
+    monkeypatch.setattr(CourantData, "anchor_of", counted)
+    rep = check_dirac(d)
+    monkeypatch.undo()
+    assert rep.ok
+    assert len(d.generators) == 6
+    assert len(calls) == 5
