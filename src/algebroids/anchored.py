@@ -29,11 +29,14 @@ computes its sparsity patterns once per instance, on first use, and no
 module-level cache holds them (AnchoredModule.anchor_mask, the generators
 with a nonzero anchor row; AnchoredModule.table_masks, one mask per table
 row of the b with a nonzero entry (a, b); CourantData.pairing_masks, one
-per pairing row), so a structure made by dataclasses.replace reads its
-own. leibniz_vanishes is its table and anchor part with the anchors given
-as flags, so pair_bracket_vanishes is that part with the tangents
-standing in for the anchors, plus the tangent bracket [eta1, eta2], which
-needs both tangents nonzero and not both constant; the Courant inverse
+per pairing row). Structure data is frozen once validated: LieData and
+CourantData are frozen dataclasses with a read-only table, so the cached
+masks cannot go stale and no check validates the rows again; a mutant is
+a new instance, built with dataclasses.replace. leibniz_vanishes is its
+table and anchor part with the anchors given as flags, so
+pair_bracket_vanishes is that part with the tangents standing in for the
+anchors, plus the tangent bracket [eta1, eta2], which needs both tangents
+nonzero and not both constant; the Courant inverse
 image adds its one-form terms (pullback). pruned_table brackets only the
 pairs of a basis that such a test admits, so both inverse images and the
 Courant Baer combination skip their zero table entries; bracket_failures
@@ -63,7 +66,8 @@ skips the pairs that test rules out; and dirac.check_dirac skips the
 generator pairs its restricted pairing does not pair, and in its closure
 check the lifted pairs whose bracket the test on sections rules out. A
 ruled-out pairing computes to zero with no product formed, so it made no
-chart check; the row lengths it reads are checked up front.
+chart check; the structure rows it reads were checked when the frozen
+structure was built.
 
 Lemma L1: [u, f v] = f [u, v] + anchor(u)(f) v holds for every table. In
 leibniz_sum(u, f v) the table term scales by f, xi(f v_k) = f xi(v_k) +
@@ -114,7 +118,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import product
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 from algebroids import linalg
 from algebroids.errors import (
@@ -144,13 +149,14 @@ T = TypeVar("T")
 def require_chart(chart: Chart, *vecs: Sequence[Poly]) -> None:
     """ChartMismatchError unless every entry of vecs lies on chart.
 
-    A shortcut that skips a zero or constant entry also skips the
-    arithmetic that would have refused it for lying on another chart, so
-    it makes this check instead."""
+    Structure data checks its rows with it once, when it is built. A
+    shortcut that skips a zero or constant entry of an argument also skips
+    the arithmetic that would have refused it for lying on another chart,
+    so it makes this check instead."""
     for vec in vecs:
         for p in vec:
             if p.chart is not chart and p.chart != chart:
-                raise ChartMismatchError("section entry on wrong chart")
+                raise ChartMismatchError("entry on wrong chart")
 
 
 def leibniz_sum(
@@ -309,28 +315,30 @@ def pruned_table(
 class AnchoredModule:
     """What LieData and CourantData share: chart, rank, anchor, structure.
 
-    Subclasses are dataclasses declaring those four fields; they call
-    _validate from __post_init__. structure maps a generator pair to its
-    bracket vector; _entry reads it (None for zero), and a subclass that
-    stores its table differently overrides _entry.
+    Subclasses are frozen dataclasses declaring those four fields; they
+    call _validate from __post_init__. structure maps a generator pair to
+    its bracket vector, read-only; _entry reads it (None for zero), and a
+    subclass that stores its table differently overrides _entry. The data
+    are validated once, when the instance is built, and cannot change
+    after, so the cached masks cannot go stale; a mutant is a new instance
+    (dataclasses.replace).
     """
 
     chart: Chart
     rank: int
     anchor: tuple[Vec, ...]
-    structure: dict[tuple[int, int], Vec]
+    structure: Mapping[tuple[int, int], Vec]
 
     def _validate(self) -> None:
-        """Check the anchor and the table, and drop zero table entries."""
-        self.anchor = tuple(tuple(row) for row in self.anchor)
-        if len(self.anchor) != self.rank:
+        """Check the anchor and the table, and store them normalised: the
+        anchor as tuples, the table read-only and without zero entries."""
+        anchor = tuple(tuple(row) for row in self.anchor)
+        if len(anchor) != self.rank:
             raise ValidationError("anchor needs one row per generator")
-        for row in self.anchor:
+        for row in anchor:
             if len(row) != self.chart.dim:
                 raise ValidationError("anchor row has wrong length")
-            for p in row:
-                if p.chart is not self.chart and p.chart != self.chart:
-                    raise ChartMismatchError("anchor entry on wrong chart")
+            require_chart(self.chart, row)
         clean = {}
         for (a, b), vec in self.structure.items():
             vec = tuple(vec)
@@ -338,12 +346,11 @@ class AnchoredModule:
                 raise ValidationError(f"structure key {(a, b)} out of range")
             if len(vec) != self.rank:
                 raise ValidationError("structure vector has wrong length")
-            for p in vec:
-                if p.chart is not self.chart and p.chart != self.chart:
-                    raise ChartMismatchError("structure entry on wrong chart")
+            require_chart(self.chart, vec)
             if not vec_is_zero(vec):
                 clean[(a, b)] = vec
-        self.structure = clean
+        object.__setattr__(self, "anchor", anchor)
+        object.__setattr__(self, "structure", MappingProxyType(clean))
 
     def zero_section(self) -> Vec:
         return zero_vec(self.chart, self.rank)
@@ -368,15 +375,6 @@ class AnchoredModule:
         for s in vecs:
             if len(s) != self.rank:
                 raise ValidationError(f"section of length {len(s)}, not rank {self.rank}")
-
-    def require_anchor_rows(self) -> None:
-        """The length and chart checks of every anchor row (ValidationError,
-        ChartMismatchError), made once by a check that skips the arithmetic
-        on constant rows which would have made them."""
-        for row in self.anchor:
-            if len(row) != self.chart.dim:
-                raise ValidationError("anchor row has wrong length")
-        require_chart(self.chart, *self.anchor)
 
     def _either_zero(self, u: Vec, v: Vec) -> bool:
         """Whether u or v is the zero section, so that their bracket is.
@@ -572,9 +570,8 @@ def anchor_defects(m: AnchoredModule) -> dict[tuple[int, int], VField]:
     defect. A pair with no table entry whose anchor bracket is ruled out,
     an anchor row being zero or both rows constant, has A = 0 and is left
     out (Lemma L14: a derivation kills constants, and the zero field kills
-    everything). The anchor-row checks the skipped brackets would have made
-    are made up front (require_anchor_rows)."""
-    m.require_anchor_rows()
+    everything). The skipped brackets need no anchor-row check: m is
+    frozen, its rows checked when it was built."""
     row_supports = [support(row) for row in m.anchor]
     table = m.table_masks
     return {

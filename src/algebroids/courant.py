@@ -30,8 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import combinations_with_replacement, product
-from typing import Sequence
+from itertools import combinations, combinations_with_replacement, product
+from typing import Mapping, Sequence
 
 from algebroids import linalg
 from algebroids.anchored import (
@@ -71,7 +71,7 @@ def _form_vec(form: KForm) -> Vec:
     return tuple(form.component((j,)) for j in range(form.chart.dim))
 
 
-@dataclass
+@dataclass(frozen=True)
 class CourantData(AnchoredModule):
     """Structure data of a Courant algebroid on a free module basis.
 
@@ -79,7 +79,8 @@ class CourantData(AnchoredModule):
     section hit by the j-th coordinate differential; pairing is the full
     symmetric matrix; structure maps ordered generator pairs to bracket
     coefficient vectors (no antisymmetry is implied, so both orders are
-    stored when nonzero).
+    stored when nonzero). Frozen once validated, as AnchoredModule says:
+    build a mutant with dataclasses.replace.
     """
 
     chart: Chart
@@ -87,33 +88,25 @@ class CourantData(AnchoredModule):
     anchor: tuple[Vec, ...]
     coanchor: tuple[Vec, ...]
     pairing: tuple[Vec, ...]
-    structure: dict[tuple[int, int], Vec] = field(default_factory=dict)
+    structure: Mapping[tuple[int, int], Vec] = field(default_factory=dict)
 
     def __post_init__(self):
         self._validate()
-        self.coanchor = tuple(tuple(r) for r in self.coanchor)
-        self.pairing = tuple(tuple(r) for r in self.pairing)
-        if len(self.coanchor) != self.chart.dim:
+        coanchor = tuple(tuple(r) for r in self.coanchor)
+        pairing = tuple(tuple(r) for r in self.pairing)
+        if len(coanchor) != self.chart.dim:
             raise ValidationError("coanchor needs one row per coordinate")
-        for row in self.coanchor:
+        for row in coanchor:
             if len(row) != self.rank:
                 raise ValidationError("coanchor row has wrong length")
-        if len(self.pairing) != self.rank:
+        if len(pairing) != self.rank or any(len(row) != self.rank for row in pairing):
             raise ValidationError("pairing must be a square matrix")
-        for a, row in enumerate(self.pairing):
-            if len(row) != self.rank:
-                raise ValidationError("pairing must be a square matrix")
-        for a in range(self.rank):
-            for b in range(a + 1, self.rank):
-                if self.pairing[a][b] != self.pairing[b][a]:
-                    raise ValidationError(
-                        f"pairing is not symmetric at ({a},{b})"
-                    )
-        for mat in (self.coanchor, self.pairing):
-            for row in mat:
-                for p in row:
-                    if p.chart is not self.chart and p.chart != self.chart:
-                        raise ChartMismatchError("entry on wrong chart")
+        for a, b in combinations(range(self.rank), 2):
+            if pairing[a][b] != pairing[b][a]:
+                raise ValidationError(f"pairing is not symmetric at ({a},{b})")
+        require_chart(self.chart, *coanchor, *pairing)
+        object.__setattr__(self, "coanchor", coanchor)
+        object.__setattr__(self, "pairing", pairing)
 
     # -- sections ----------------------------------------------------------
 
@@ -138,14 +131,6 @@ class CourantData(AnchoredModule):
             return self.zero_section()
         alpha = pairing_differential(self.pairing, u, v, self.chart)
         return self._coanchor_vec(alpha, super().bracket(u, v, anchors))
-
-    def require_rows(self) -> None:
-        """The length and chart checks of every anchor, coanchor and pairing
-        row, made once by a check that skips the arithmetic which would have
-        made them (ValidationError, ChartMismatchError)."""
-        self.require_anchor_rows()
-        self.require_rank(*self.coanchor, *self.pairing)
-        require_chart(self.chart, *self.coanchor, *self.pairing)
 
     @cached_property
     def pairing_masks(self) -> tuple[int, ...]:
@@ -209,15 +194,14 @@ def twist(q: CourantData, h: KForm) -> CourantData:
     twists the bracket of arbitrary sections consistently. The anchor of
     generator a is anchor row a, read once. A zero anchor contracts h to
     zero, so h is contracted only along nonzero anchors, and the term is
-    added only to the pairs whose two anchors are both nonzero; the length
-    and chart checks of the anchor rows that the skipped contractions would
-    have made are made up front (require_anchor_rows).
+    added only to the pairs whose two anchors are both nonzero. The skipped
+    contractions need no anchor-row check: q is frozen, its rows checked
+    when it was built.
     """
     if h.degree != 3:
         raise ValidationError("the twisting form must be a three-form")
     if h.chart != q.chart:
         raise ChartMismatchError("twisting form on the wrong chart")
-    q.require_anchor_rows()
     rho = [VField(q.chart, row) for row in q.anchor]
     iotas = [None if v.is_zero else h.iota(v) for v in rho]
 
@@ -243,9 +227,8 @@ def generator_defects(q: CourantData) -> tuple[list[list[Poly]], list[VField]]:
 
     e_a is paired with coanchor[j] only when row a of the pairing meets the
     row's mask (Lemma L14 on pairings); elsewhere the pairing is zero. The
-    row checks the skipped pairings would have made are made up front
-    (CourantData.require_rows)."""
-    q.require_rows()
+    skipped pairings need no row check: q is frozen, its rows checked when
+    it was built."""
     zero = Poly.zero(q.chart)
     coanchor_masks = [mask(row) for row in q.coanchor]
     M = [
@@ -363,9 +346,9 @@ def check_courant(
     counterexample names sections on which J is evaluated directly.
 
     A skipped term makes none of the chart checks its arithmetic would have
-    made, so the length and chart of every anchor, coanchor and pairing row
-    are checked once, up front (CourantData.require_rows, from
-    generator_defects)."""
+    made, and needs none: q is frozen once validated, so the length and
+    chart of every anchor, coanchor and pairing row were checked when it
+    was built, and its cached masks cannot go stale."""
     rep = Report()
     chart = q.chart
     coords = chart.coords
@@ -579,35 +562,37 @@ def check_courant_morphism(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Connection:
     """An isotropic right inverse of the anchor, one section per coordinate.
 
-    Isotropy is checked on the column pairs that are paired (Lemma L14,
-    algebroids.anchored); the others pair to zero."""
+    Frozen once validated: every column has the rank's length and lies on
+    the chart. Isotropy is checked on the column pairs that are paired
+    (Lemma L14, algebroids.anchored); the others pair to zero."""
 
     courant: CourantData
     columns: tuple[Vec, ...]
 
     def __post_init__(self):
-        self.columns = tuple(tuple(c) for c in self.columns)
+        columns = tuple(tuple(c) for c in self.columns)
+        object.__setattr__(self, "columns", columns)
         q = self.courant
-        if len(self.columns) != q.chart.dim:
+        if len(columns) != q.chart.dim:
             raise ValidationError("connection needs one section per coordinate")
-        for i, col in enumerate(self.columns):
-            if len(col) != q.rank:
-                raise ValidationError("connection column has wrong length")
+        q.require_rank(*columns)
+        require_chart(q.chart, *columns)
+        for i, col in enumerate(columns):
             if q.anchor_of(col) != VField.basis(q.chart, i):
                 raise ValidationError(
                     f"connection column {i} does not anchor to the "
                     f"coordinate field"
                 )
-        supports = [support(col) for col in self.columns]
+        supports = [support(col) for col in columns]
         for i in range(q.chart.dim):
             for j in range(i, q.chart.dim):
                 if not paired(q.pairing_masks, supports[i], supports[j]):
                     continue
-                if not q.pairing_of(self.columns[i], self.columns[j]).is_zero:
+                if not q.pairing_of(columns[i], columns[j]).is_zero:
                     raise ValidationError(
                         f"connection columns ({i},{j}) are not isotropic"
                     )
@@ -704,9 +689,11 @@ class CourantCombination(Presentation):
     of its part by part brackets: generators 0..n-1 are the diagonal
     lifts, n..2n-1 the glued lines. A basis pair whose bracket
     bracket_vanishes rules out in every part (Lemma L14) is not bracketed,
-    and one that no part of nonzero weight pairs (Lemma L14 on pairings,
-    algebroids.anchored) is not paired; nor is a part whose two sections
-    it does not pair.
+    nor, in an admitted pair, is a part whose own bracket_vanishes rules
+    out its two sections (that part's bracket is the zero section); and a
+    basis pair that no part of nonzero weight pairs (Lemma L14 on
+    pairings, algebroids.anchored) is not paired, nor is a part whose two
+    sections it does not pair.
     """
 
     def __init__(
@@ -788,9 +775,14 @@ class CourantCombination(Presentation):
         ]
 
         def bracket(x: int, y: int) -> Vec:
-            terms = zip(parts, gens[x], gens[y], anchors)
+            terms = zip(parts, gens[x], gens[y], supports[x], supports[y], anchors)
             return self.reduce(
-                tuple(q.bracket(u, v, part(x, y)) for q, u, v, part in terms)
+                tuple(
+                    q.zero_section()
+                    if q.bracket_vanishes(su, sv)
+                    else q.bracket(u, v, part(x, y))
+                    for q, u, v, su, sv, part in terms
+                )
             )
 
         structure = pruned_table(self, vanishes, bracket)

@@ -24,7 +24,7 @@ from functools import cached_property
 from itertools import combinations_with_replacement, product
 
 from algebroids import linalg
-from algebroids.anchored import mask, paired, require_chart, section_anchors, support
+from algebroids.anchored import mask, paired, section_anchors, support
 from algebroids.courant import CourantData
 from algebroids.errors import ValidationError
 from algebroids.linalg import Vec, fmt_section, vec_is_zero
@@ -53,13 +53,16 @@ def support_inclusion(chart: Chart, support: tuple[str, ...]) -> ChartMap:
     return ChartMap(sub, chart, tuple(comps))
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiracData:
     """Generators of a candidate Dirac structure.
 
     support names the coordinates that cut out the locus (empty tuple:
     everything); inclusion is the locus's support_inclusion, and generator
-    entries are polynomials on its source chart.
+    entries are polynomials on its source chart. Frozen once validated:
+    every generator has the rank's length and lies on the locus chart, so
+    its lifts are sections of the structure; build a mutant with
+    dataclasses.replace.
     """
 
     courant: CourantData
@@ -68,17 +71,17 @@ class DiracData:
     inclusion: ChartMap = field(init=False)
 
     def __post_init__(self):
-        self.support = tuple(self.support)
-        self.inclusion = support_inclusion(self.courant.chart, self.support)
-        self.generators = tuple(tuple(g) for g in self.generators)
-        for g in self.generators:
+        support = tuple(self.support)
+        inclusion = support_inclusion(self.courant.chart, support)
+        generators = tuple(tuple(g) for g in self.generators)
+        for g in generators:
             if len(g) != self.courant.rank:
                 raise ValidationError("generator has wrong length")
-            for p in g:
-                if p.chart != self.inclusion.source:
-                    raise ValidationError(
-                        "generator entries must live on the restricted chart"
-                    )
+            if any(p.chart != inclusion.source for p in g):
+                raise ValidationError("generator entries must live on the restricted chart")
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "inclusion", inclusion)
+        object.__setattr__(self, "generators", generators)
 
     @cached_property
     def _retraction(self) -> ChartMap:
@@ -120,10 +123,10 @@ def check_dirac(d: DiracData, maximality: str = "full") -> Report:
     Lemma L14 (algebroids.anchored) prunes both pair loops: isotropy skips
     generator pairs that the restricted pairing does not pair, and closure
     takes the zero defect for a lifted pair whose bracket bracket_vanishes
-    rules out, and pairs no zero defect. The lifts are checked for rank and
-    chart up front, as the skipped brackets would have checked them, and
-    each lift's anchor is computed once, on its first bracket
-    (section_anchors).
+    rules out, and pairs no zero defect. The skipped brackets need no
+    check of the lifts: d and its structure are frozen once validated, so
+    the lifts of its generators are sections of the structure. Each lift's
+    anchor is computed once, on its first bracket (section_anchors).
     """
     if maximality not in ("full", "rank-only"):
         raise ValidationError(f"unknown maximality mode {maximality!r}")
@@ -167,8 +170,6 @@ def check_dirac(d: DiracData, maximality: str = "full") -> Report:
     def closure():
         defects = {}
         lifts = [d.lift_generator(i) for i in range(m)]
-        q.require_rank(*lifts)
-        require_chart(q.chart, *lifts)
         lifted_supports = [support(lift) for lift in lifts]
         anchors = section_anchors(q, lifts)
         zero = linalg.zero_vec(sub, q.rank)

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from algebroids import linalg
 from algebroids.anchored import (
@@ -69,20 +69,22 @@ from algebroids.linalg import (
 from algebroids.report import Report
 from algebroids.symcalc import Chart, ChartMap, Poly, VField
 
-@dataclass
+@dataclass(frozen=True)
 class LieData(AnchoredModule):
     """Structure data of a Lie algebroid on a free module basis.
 
     anchor[a] lists the tangent components of the image of generator a;
     structure maps a generator pair (a, b) to the coefficient vector of
     [e_a, e_b]. Missing pairs default to zero, and a pair stored in one
-    order is looked up antisymmetrically for the other.
+    order is looked up antisymmetrically for the other. Frozen once
+    validated, as AnchoredModule says: build a mutant with
+    dataclasses.replace.
     """
 
     chart: Chart
     rank: int
     anchor: tuple[Vec, ...]
-    structure: dict[tuple[int, int], Vec] = field(default_factory=dict)
+    structure: Mapping[tuple[int, int], Vec] = field(default_factory=dict)
 
     def __post_init__(self):
         self._validate()

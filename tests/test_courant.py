@@ -32,7 +32,7 @@ from algebroids.courant import (
 )
 from algebroids.descent import two_form_transform
 from algebroids.errors import ChartMismatchError, ValidationError
-from algebroids.lie_algebroid import check_lie_algebroid, tangent_algebroid
+from algebroids.lie_algebroid import tangent_algebroid
 from algebroids.linalg import (
     apply_matrix,
     fmt_section,
@@ -116,18 +116,18 @@ def test_bracket_with_a_zero_side_checks_chart_and_length(m):
 
 def test_ruled_out_e4_brackets_check_the_coanchor_chart():
     """check_courant skips [e_a, coanchor[j]] when bracket_vanishes rules it
-    out, and the skip keeps the chart check of the bracket. A coanchor row
-    on another chart is refused by CourantData; assigned after construction,
-    the all-zero row is ruled out against every generator, and check_courant
-    still raises ChartMismatchError (CourantData.require_rows)."""
+    out, so the skip makes no chart check of the coanchor row, and needs
+    none: an all-zero row on another chart, ruled out against every
+    generator, is refused when CourantData is built, and a built structure
+    is frozen, so the row cannot be assigned after construction either."""
     q = standard_exact(R2)
     foreign = (zero_vec(R3, q.rank),) + q.coanchor[1:]
-    with pytest.raises(ChartMismatchError):
-        dataclasses.replace(q, coanchor=foreign)
-    q.coanchor = foreign
     assert all(q.bracket_vanishes(support(q.gen(a)), support(foreign[0])) for a in range(q.rank))
     with pytest.raises(ChartMismatchError):
-        check_courant(q)
+        dataclasses.replace(q, coanchor=foreign)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        q.coanchor = foreign
+    assert check_courant(q).ok
 
 
 def _on_r3(p):
@@ -143,12 +143,12 @@ def test_skipped_constant_terms_check_the_row_charts(where, index):
     """check_courant skips the terms that constant anchor and pairing rows
     make zero (the E4 right sides, the anchor defects, the anchor action
     on g_ab in E3 and E6, and the generator defects whose pairing is not
-    paired), and the skips keep the row checks. A row with entries on
-    another chart is refused by CourantData. Assigned after construction,
-    it still makes check_courant raise ChartMismatchError: an anchor row
-    moved to R3 whole, and a pairing row (with its mirrored column) whose
-    zero entries are moved to R3, which no pairing multiplies. With the
-    anchor row as its first, check_lie_algebroid raises it too."""
+    paired), and the skips need no row check. A row with entries on
+    another chart is refused by CourantData, and a built structure is
+    frozen, so it cannot be assigned after construction either: an anchor
+    row moved to R3 whole, and a pairing row (with its mirrored column)
+    whose zero entries are moved to R3, which no pairing multiplies. With
+    the anchor row as its first, LieData refuses it the same way."""
     q = standard_exact(R2)
     if where == "anchor":
         row = tuple(map(_on_r3, q.anchor[index]))
@@ -164,14 +164,51 @@ def test_skipped_constant_terms_check_the_row_charts(where, index):
     assert support(moved[index]).constant
     with pytest.raises(ChartMismatchError):
         dataclasses.replace(q, **{where: moved})
-    setattr(q, where, moved)
-    with pytest.raises(ChartMismatchError):
-        check_courant(q)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(q, where, moved)
+    assert check_courant(q).ok
     if where == "anchor":
         lie = tangent_algebroid(R2)
-        lie.anchor = (moved[index],) + lie.anchor[1:]
+        lie_moved = (moved[index],) + lie.anchor[1:]
         with pytest.raises(ChartMismatchError):
-            check_lie_algebroid(lie)
+            dataclasses.replace(lie, anchor=lie_moved)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            lie.anchor = lie_moved
+
+
+def test_a_checked_courant_structure_cannot_change():
+    """A pass stays a proof about the data it checked: CourantData and
+    Connection are frozen once validated, so the masks a check caches
+    cannot go stale. Assigning a field raises FrozenInstanceError and the
+    table is read-only; a mutant is a new instance (dataclasses.replace),
+    validated and checked afresh. The table [e_0, e_1] = x1 e_0 breaks
+    pairing invariance, symmetrization and the Jacobi identity of the
+    standard structure."""
+    q = standard_exact(R2)
+    conn = coordinate_connection(q)
+    assert check_courant(q).ok
+    x1 = Poly.coord(R2, 0)
+    table = {(0, 1): vec_scale(x1, q.gen(0))}
+    for target, name, value in (
+        (q, "structure", table),
+        (q, "anchor", q.anchor[::-1]),
+        (q, "pairing", q.pairing[::-1]),
+        (conn, "columns", conn.columns[::-1]),
+    ):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(target, name, value)
+    with pytest.raises(TypeError):
+        q.structure[(0, 1)] = table[(0, 1)]
+    assert check_courant(q).ok
+    mutant = dataclasses.replace(q, structure=table)
+    assert dict(mutant.structure) == table and mutant.pairing == q.pairing
+    rep = check_courant(mutant)
+    failed = {c.name for c in rep.checks if not c.passed}
+    assert failed == {
+        "eq3_pairing_invariance",
+        "eq6_symmetrization",
+        "leibniz_identity",
+    }, str(rep)
 
 
 def test_twisted_standard_passes():
@@ -1385,13 +1422,13 @@ def test_pruned_combination_table_equals_the_unpruned_table(name):
 
 
 def test_baer_sum_brackets_only_the_admitted_basis_pairs(monkeypatch):
-    """Op-count gate on the table of the Baer sum of two twisted R3
-    standards, on the 36 pairs of its 6 basis elements. Only the 6 pairs
-    of distinct diagonal lifts have a nonzero table entry (the twist); the
-    sections are constant, so Lemma L14 rules out every other pair in both
-    parts, and each admitted pair is bracketed once per part: 12 calls."""
-    q1, q2 = standard_exact(R3, vol3()), standard_exact(R3, vol3("x1 + x2"))
-    conn1, conn2 = coordinate_connection(q1), coordinate_connection(q2)
+    """Op-count gate on the table of the Baer sum of two R3 standards, on
+    the 36 pairs of its 6 basis elements. Only the 6 pairs of distinct
+    diagonal lifts have a nonzero table entry (the twist); the sections
+    are constant, so Lemma L14 rules out every other pair in both parts.
+    An admitted pair is bracketed only in the parts whose own support test
+    admits it: once per part when both are twisted (12 calls), and only in
+    the twisted part when the other is untwisted (6 calls)."""
     calls = []
     bracket = CourantData.bracket
 
@@ -1399,13 +1436,17 @@ def test_baer_sum_brackets_only_the_admitted_basis_pairs(monkeypatch):
         calls.append((u, v))
         return bracket(self, u, v, anchors)
 
-    monkeypatch.setattr(CourantData, "bracket", counted)
-    comb = baer_sum(q1, q2, conn1, conn2)
-    monkeypatch.undo()
-    assert len(calls) == 12
-    assert sorted(comb.result.structure) == [
-        (x, y) for x, y in product(range(3), repeat=2) if x != y
-    ]
+    for h1, expected in ((vol3(), 12), (None, 6)):
+        q1, q2 = standard_exact(R3, h1), standard_exact(R3, vol3("x1 + x2"))
+        conn1, conn2 = coordinate_connection(q1), coordinate_connection(q2)
+        calls.clear()
+        monkeypatch.setattr(CourantData, "bracket", counted)
+        comb = baer_sum(q1, q2, conn1, conn2)
+        monkeypatch.undo()
+        assert len(calls) == expected
+        assert sorted(comb.result.structure) == [
+            (x, y) for x, y in product(range(3), repeat=2) if x != y
+        ]
 
 
 def test_baer_sum_pairs_only_the_paired_basis_pairs(monkeypatch):

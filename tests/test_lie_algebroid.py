@@ -1,5 +1,6 @@
 """Lie algebroid data, axiom checks, and inverse images."""
 
+import dataclasses
 from itertools import product
 
 import pytest
@@ -98,6 +99,29 @@ def test_non_antisymmetric_structure_is_caught():
 def test_tangent_algebroid_axioms():
     rep = check_lie_algebroid(tangent_algebroid(R3), samples=30, seed=2)
     assert rep.ok, str(rep)
+
+
+def test_a_checked_lie_structure_cannot_change():
+    """A pass stays a proof about the data it checked: LieData is frozen
+    once validated, so the masks a check caches cannot go stale. Assigning
+    a field raises FrozenInstanceError and the table is read-only; a mutant
+    is a new instance (dataclasses.replace), validated and checked afresh.
+    The table [e_0, e_1] = y1 e_0 breaks the anchor morphism and the Jacobi
+    identity of the tangent algebroid."""
+    a = tangent_algebroid(R2)
+    assert check_lie_algebroid(a).ok
+    table = {(0, 1): sec(R2, "y1", "0")}
+    for name, value in (("structure", table), ("anchor", a.anchor[::-1])):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(a, name, value)
+    with pytest.raises(TypeError):
+        a.structure[(0, 1)] = table[(0, 1)]
+    assert check_lie_algebroid(a).ok
+    mutant = dataclasses.replace(a, structure=table)
+    assert dict(mutant.structure) == table and mutant.anchor == a.anchor
+    rep = check_lie_algebroid(mutant)
+    failed = {c.name for c in rep.checks if not c.passed}
+    assert failed == {"anchor_morphism", "jacobi_identity"}, str(rep)
 
 
 def flag_algebroid():

@@ -32,6 +32,12 @@ cache lives as long as one call of its enclosing function. On a top-level
 function or on a method it would outlive every call and hold its inputs
 for the whole process.
 
+Structure data is frozen once validated: a dataclass of the package with a
+functools.cached_property, its own or one inherited from a base class, is
+declared frozen=True. A value cached on a mutable instance goes stale when
+a field is reassigned, and a check that reads it passes on data it never
+saw.
+
 The README does not drift from the code: every code name it puts in
 backticks (an identifier, dotted or called, such as `ChartMap.slots` or
 `dirac_pushdown(d)`) has each dotted part appear as a word in the same
@@ -403,6 +409,12 @@ def test_only_symcalc_and_jsonio_name_the_parser():
 CACHES = {"cache", "lru_cache"}
 
 
+def decorator_name(deco: ast.expr) -> str | None:
+    """The name a decorator is called by, bare, called or as an attribute."""
+    target = deco.func if isinstance(deco, ast.Call) else deco
+    return getattr(target, "attr", getattr(target, "id", None))
+
+
 def global_caches(source: str) -> list[int]:
     """The lines of the functions decorated with functools.cache or
     lru_cache (bare, called or as an attribute) that are not nested
@@ -413,11 +425,8 @@ def global_caches(source: str) -> list[int]:
         for child in ast.iter_child_nodes(node):
             is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             if is_function and not nested:
-                for deco in child.decorator_list:
-                    target = deco.func if isinstance(deco, ast.Call) else deco
-                    name = getattr(target, "attr", getattr(target, "id", None))
-                    if name in CACHES:
-                        out.append(child.lineno)
+                if any(decorator_name(d) in CACHES for d in child.decorator_list):
+                    out.append(child.lineno)
             visit(child, nested or is_function)
 
     visit(ast.parse(source), False)
@@ -450,6 +459,85 @@ def test_only_nested_functions_are_cached():
         for path in sorted(SRC.glob("*.py"))
     }
     assert {name: lines for name, lines in uses.items() if lines} == {}
+
+
+def mutable_cached_dataclasses(sources: list[str]) -> list[str]:
+    """The classes of sources declared @dataclass without frozen=True that
+    have a functools.cached_property, their own or a base class's; a base
+    is matched by name across all the sources."""
+    classes = [
+        node
+        for source in sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+    ]
+
+    def own(cls: ast.ClassDef) -> bool:
+        return any(
+            decorator_name(d) == "cached_property"
+            for item in cls.body
+            if isinstance(item, ast.FunctionDef)
+            for d in item.decorator_list
+        )
+
+    cached = {cls.name for cls in classes if own(cls)}
+    grew = True
+    while grew:
+        heirs = {
+            cls.name
+            for cls in classes
+            if any(decorator_name(base) in cached for base in cls.bases)
+        }
+        grew = not heirs <= cached
+        cached |= heirs
+
+    def mutable_dataclass(cls: ast.ClassDef) -> bool:
+        for deco in cls.decorator_list:
+            if decorator_name(deco) == "dataclass":
+                keywords = deco.keywords if isinstance(deco, ast.Call) else []
+                return not any(
+                    k.arg == "frozen" and getattr(k.value, "value", None) is True
+                    for k in keywords
+                )
+        return False
+
+    return sorted(cls.name for cls in classes if cls.name in cached and mutable_dataclass(cls))
+
+
+def test_the_frozen_gate_flags_mutable_dataclasses_with_cached_values():
+    base = (
+        "from functools import cached_property\n"
+        "class Module:\n"
+        "    @cached_property\n"
+        "    def masks(self):\n"
+        "        return 0\n"
+        "class Anchored(Module):\n"
+        "    pass\n"
+    )
+    subclasses = (
+        "import dataclasses, functools\n"
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class Inherited(Anchored):\n"
+        "    rank: int\n"
+        "@dataclass(frozen=True)\n"
+        "class Frozen(Anchored):\n"
+        "    rank: int\n"
+        "@dataclasses.dataclass(eq=False)\n"
+        "class Own:\n"
+        "    @functools.cached_property\n"
+        "    def rows(self):\n"
+        "        return 0\n"
+        "@dataclass\n"
+        "class Plain:\n"
+        "    rank: int\n"
+    )
+    assert mutable_cached_dataclasses([base, subclasses]) == ["Inherited", "Own"]
+
+
+def test_every_dataclass_with_a_cached_value_is_frozen():
+    sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
+    assert mutable_cached_dataclasses(sources) == []
 
 
 CODE_NAME = re.compile(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\(.*\))?")
