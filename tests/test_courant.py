@@ -335,6 +335,13 @@ def test_connection_validation():
     )
     with pytest.raises(ValidationError):
         Connection(q, cols)
+    # Zero entries on another chart, which no anchor or pairing multiplies.
+    foreign = tuple(
+        tuple(Poly.zero(R3) if p.is_zero else p for p in col)
+        for col in coordinate_connection(q).columns
+    )
+    with pytest.raises(ChartMismatchError):
+        Connection(q, foreign)
 
 
 def test_curvature_recovers_twist():

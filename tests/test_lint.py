@@ -409,9 +409,10 @@ def test_only_symcalc_and_jsonio_name_the_parser():
 CACHES = {"cache", "lru_cache"}
 
 
-def decorator_name(deco: ast.expr) -> str | None:
-    """The name a decorator is called by, bare, called or as an attribute."""
-    target = deco.func if isinstance(deco, ast.Call) else deco
+def last_name(node: ast.expr) -> str | None:
+    """The last name of a bare, called or dotted expression, as a decorator
+    or a base class is written: "cache" for functools.cache(...)."""
+    target = node.func if isinstance(node, ast.Call) else node
     return getattr(target, "attr", getattr(target, "id", None))
 
 
@@ -425,7 +426,7 @@ def global_caches(source: str) -> list[int]:
         for child in ast.iter_child_nodes(node):
             is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             if is_function and not nested:
-                if any(decorator_name(d) in CACHES for d in child.decorator_list):
+                if any(last_name(d) in CACHES for d in child.decorator_list):
                     out.append(child.lineno)
             visit(child, nested or is_function)
 
@@ -474,26 +475,26 @@ def mutable_cached_dataclasses(sources: list[str]) -> list[str]:
 
     def own(cls: ast.ClassDef) -> bool:
         return any(
-            decorator_name(d) == "cached_property"
+            last_name(d) == "cached_property"
             for item in cls.body
             if isinstance(item, ast.FunctionDef)
             for d in item.decorator_list
         )
 
-    cached = {cls.name for cls in classes if own(cls)}
-    grew = True
-    while grew:
-        heirs = {
+    cached: set[str] = set()
+    while True:
+        more = {
             cls.name
             for cls in classes
-            if any(decorator_name(base) in cached for base in cls.bases)
+            if own(cls) or any(last_name(base) in cached for base in cls.bases)
         }
-        grew = not heirs <= cached
-        cached |= heirs
+        if more == cached:
+            break
+        cached = more
 
     def mutable_dataclass(cls: ast.ClassDef) -> bool:
         for deco in cls.decorator_list:
-            if decorator_name(deco) == "dataclass":
+            if last_name(deco) == "dataclass":
                 keywords = deco.keywords if isinstance(deco, ast.Call) else []
                 return not any(
                     k.arg == "frozen" and getattr(k.value, "value", None) is True
