@@ -99,10 +99,11 @@ transitive-split mode); the Courant inverse image reads Embedding,
 Submersion (for the identity too) and, in its exact-split mode, Split.
 classify_map picks the Courant mode when none is given, asking the same
 shape questions before its unit-determinant test. Presentation is a basis
-of slot tuples, the relations it divides by, a reader, and the one reduce
-that checks every reading by rebuilding its input (the zero element needs
-no reading, so the zero brackets that fill most pulled tables cost no
-reader call): both inverse images are
+of slot tuples, the relations it divides by (both fixed when it is made),
+a reader, and the one reduce that checks every reading by rebuilding its
+input from nonzero entries only (the zero element needs no reading, so
+the zero brackets that fill most pulled tables cost no reader call): both
+inverse images are
 Presentations ((tangent, section) pairs for Lie, (beta, u, eta) triples for
 Courant), and so is the Courant Baer combination
 (courant.CourantCombination, one section per summand). constant_complement
@@ -115,6 +116,7 @@ matrices built on Presentation.push; only pull_element is stack-specific.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import product
@@ -159,33 +161,53 @@ def require_chart(chart: Chart, *vecs: Sequence[Poly]) -> None:
                 raise ChartMismatchError("entry on wrong chart")
 
 
+def bits(m: int) -> list[int]:
+    """The set bits of the mask m, lowest first."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
+
+
 def leibniz_sum(
-    rank: int, entry: Entry, u: Vec, w: Vec, xi: VField, eta: VField
+    rank: int,
+    entry: Entry,
+    u: Vec,
+    w: Vec,
+    xi: VField,
+    eta: VField,
+    supports: tuple[Support, Support] | None = None,
 ) -> list[Poly]:
     """sum_ab u_a w_b entry(a, b) + xi(w_k) - eta(u_k), one entry per generator.
 
     entry(a, b) is the table vector of a generator pair, None when it is
     zero; xi and eta, on one chart, stand for the anchors of u and w.
-    xi(w_k) is computed only when xi is nonzero and w_k is not constant,
-    since a derivation kills constants and the zero field kills everything;
-    likewise eta(u_k). The chart check those skipped calls of VField.apply
-    would have made on u and w is made up front by require_chart.
+    supports is (support(u), support(w)), passed by a caller that holds
+    them (a presentation's basis supports); None computes both here. Every
+    loop runs over the set bits of a mask: xi(w_k) is computed only when xi
+    is nonzero and w_k is not constant, since a derivation kills constants
+    and the zero field kills everything, so a constant w skips the loop;
+    likewise eta(u_k); and the table term reads only a in supp u and b in
+    supp w. The chart check those skipped calls of VField.apply would have
+    made on u and w is made up front by require_chart.
     """
     chart = xi.chart
     require_chart(chart, u, w)
-    zero = Poly.zero(chart)
-    xi_on, eta_on = not xi.is_zero, not eta.is_zero
-    out = []
-    for k in range(rank):
-        term = xi.apply(w[k]) if xi_on and w[k].as_constant() is None else zero
-        if eta_on and u[k].as_constant() is None:
-            term = term - eta.apply(u[k])
-        out.append(term)
-    w_support = [b for b in range(rank) if not w[b].is_zero]
-    for a in range(rank):
-        if u[a].is_zero:
-            continue
-        for b in w_support:
+    su, sw = (support(u), support(w)) if supports is None else supports
+    u_bits, w_bits = bits(su.mask), bits(sw.mask)
+    out = [Poly.zero(chart)] * rank
+    if not (xi.is_zero or sw.constant):
+        for k in w_bits:
+            if w[k].as_constant() is None:
+                out[k] = xi.apply(w[k])
+    if not (eta.is_zero or su.constant):
+        for k in u_bits:
+            if u[k].as_constant() is None:
+                out[k] = out[k] - eta.apply(u[k])
+    for a in u_bits:
+        for b in w_bits:
             gen = entry(a, b)
             if gen is None:
                 continue
@@ -211,15 +233,23 @@ def pulled_entries(f: ChartMap, entry: Entry) -> Entry:
 
 
 def pair_bracket(
-    chart: Chart, rank: int, entry: Entry, x: tuple[Vec, Vec], y: tuple[Vec, Vec]
+    chart: Chart,
+    rank: int,
+    entry: Entry,
+    x: tuple[Vec, Vec],
+    y: tuple[Vec, Vec],
+    supports: tuple[tuple[Support, Support], tuple[Support, Support]] | None = None,
 ) -> tuple[Vec, Vec]:
     """The bracket of two fibre-product pairs (tangent, section) over chart:
     the tangent bracket, and leibniz_sum with the tangents as anchors; entry
-    reads the pulled table. The tangent bracket is computed only when both
-    tangents are nonzero, being zero otherwise. pair_bracket_vanishes tells
-    from the supports of x and y when the whole bracket is zero."""
+    reads the pulled table. supports, the supports of the slots of x and y
+    when the caller holds them, pass on to leibniz_sum; None computes them
+    there. The tangent bracket is computed only when both tangents are
+    nonzero, being zero otherwise. pair_bracket_vanishes tells from the
+    supports of x and y when the whole bracket is zero."""
     xi, eta = VField(chart, x[0]), VField(chart, y[0])
-    section = tuple(leibniz_sum(rank, entry, x[1], y[1], xi, eta))
+    sections = None if supports is None else (supports[0][1], supports[1][1])
+    section = tuple(leibniz_sum(rank, entry, x[1], y[1], xi, eta, sections))
     if xi.is_zero or eta.is_zero:
         return zero_vec(chart, chart.dim), section
     return xi.bracket(eta).comps, section
@@ -351,6 +381,14 @@ class AnchoredModule:
                 clean[(a, b)] = vec
         object.__setattr__(self, "anchor", anchor)
         object.__setattr__(self, "structure", MappingProxyType(clean))
+
+    def __reduce__(self):
+        """Copy and pickle through the constructor, the table as a dict (a
+        read-only mapping does not pickle), so a copy is validated again."""
+        return type(self), tuple(
+            dict(self.structure) if f.name == "structure" else getattr(self, f.name)
+            for f in fields(self)
+        )
 
     def zero_section(self) -> Vec:
         return zero_vec(self.chart, self.rank)
@@ -601,11 +639,11 @@ def bracket_failures(
     A pair with no table entry maps to zero, so it holds without a bracket
     when dst.bracket_vanishes rules out the bracket of its images (Lemma
     L14). The rank and chart checks that such a skipped dst.bracket would
-    have made on the rows are made up front. Each row's dst anchor is
-    computed once, on its first bracket (section_anchors)."""
+    have made on the rows are the caller's, made once on the matrix before
+    any of its checks (check_courant_morphism, and check_compose_associative
+    on its comparison matrix). Each row's dst anchor is computed once, on
+    its first bracket (section_anchors)."""
     rows = [matrix[a] for a in range(src.rank)]
-    dst.require_rank(*rows)
-    require_chart(dst.chart, *rows)
     supports = [support(row) for row in rows]
     anchors = section_anchors(dst, rows)
     table = src.table_masks
@@ -897,6 +935,31 @@ def split_lifts(
     ]
 
 
+Keyed = tuple[tuple[tuple[int, int], Poly], ...]
+
+
+def _nonzero_entries(element: tuple[Vec, ...]) -> Keyed:
+    """((slot, index), entry) for each nonzero entry of element."""
+    return tuple(
+        ((s, i), p)
+        for s, vec in enumerate(element)
+        for i, p in enumerate(vec)
+        if not p.is_zero
+    )
+
+
+def _rebuild(got: dict[tuple[int, int], Poly], coeffs: Vec, entries: Sequence[Keyed]) -> None:
+    """Add sum_c coeffs[c] element_c into got, element_c given by its
+    nonzero entries (_nonzero_entries): one product per nonzero coefficient
+    and nonzero entry. A reading of another length than entries raises."""
+    for coeff, row in zip(coeffs, entries, strict=True):
+        if coeff.is_zero:
+            continue
+        for key, img in row:
+            term = coeff * img
+            got[key] = got[key] + term if key in got else term
+
+
 class Presentation:
     """A module presented on a basis of slot tuples over chart.
 
@@ -905,13 +968,14 @@ class Presentation:
     fibre classes, the Courant one (beta, u, eta) triples, and the Courant
     Baer combination one section per summand. basis holds one element per
     class generator, relations the elements the class module divides by
-    (none unless a subclass sets them), and read(element) returns (class
-    coordinates, relation coefficients). reduce checks every reading by rebuilding its
-    input, so a reader never has to prove that an element lies in the fibre
-    product.
+    (none by default), both fixed when the presentation is made, and
+    read(element) returns (class coordinates, relation coefficients).
+    reduce checks every reading by rebuilding its input, so a reader never
+    has to prove that an element lies in the fibre product. The rebuild
+    reads only nonzero entries: the nonzero entries of each basis element
+    and each relation, keyed by (slot, index), are taken once here, and
+    nothing changes basis or relations after.
     """
-
-    relations: tuple[tuple[Vec, ...], ...] = ()
 
     def __init__(
         self,
@@ -919,10 +983,14 @@ class Presentation:
         sizes: tuple[int, ...],
         basis: Sequence[tuple[Vec, ...]],
         read: Callable[[tuple[Vec, ...]], tuple[Vec, Vec]],
+        relations: Sequence[tuple[Vec, ...]] = (),
     ):
         self.chart, self.sizes = chart, sizes
         self.basis = tuple(basis)
+        self.relations = tuple(relations)
         self._read = read
+        self._basis_entries = tuple(map(_nonzero_entries, self.basis))
+        self._relation_entries = tuple(map(_nonzero_entries, self.relations))
 
     @cached_property
     def supports(self) -> tuple[tuple[Support, ...], ...]:
@@ -958,10 +1026,22 @@ class Presentation:
         product.
 
         An element whose slot lengths are not sizes is refused before it is
-        read. The zero element, every entry zero on chart, is answered with
-        the zero class without the reader: zero lies in every fibre product,
-        and the zero class with no relation rebuilds it. Every other
-        element, a zero one on another chart included, is read and rebuilt.
+        read. One scan of the element counts its nonzero entries and finds
+        any zero entry on another chart. The zero element, every entry zero
+        on chart, is answered with the zero class without the reader: zero
+        lies in every fibre product, and the zero class with no relation
+        rebuilds it. An element with a zero entry on another chart is
+        refused unread, as its rebuild, on chart, could not equal it. Every
+        other element is read, and the reading (cls, rel) is rebuilt as
+        sum_c cls_c basis_c + sum_k rel_k relations_k from the nonzero
+        coefficients and the nonzero entries of each basis element and
+        relation, forming every product a dense rebuild forms, and no
+        other. The reading is accepted only when each nonzero rebuilt entry
+        equals the element's entry at the same (slot, index) and the
+        element has as many nonzero entries as the rebuild: the rebuilt
+        keys are then exactly the element's nonzero entries, and every
+        other entry of both is zero on chart, so the rebuild is the
+        element.
         """
         lengths = tuple(map(len, element))
         if lengths != self.sizes:
@@ -969,17 +1049,23 @@ class Presentation:
                 f"element has slot lengths {lengths}, not {self.sizes}"
             )
         chart = self.chart
-        if all(
-            p.is_zero and (p.chart is chart or p.chart == chart)
-            for vec in element
-            for p in vec
-        ):
+        nonzero = 0
+        for vec in element:
+            for p in vec:
+                if not p.is_zero:
+                    nonzero += 1
+                elif p.chart is not chart and p.chart != chart:
+                    raise ValidationError("element is not in the fiber product")
+        if not nonzero:
             return zero_vec(chart, len(self.basis))
         cls, rel = self._read(element)
-        got = self.expand(cls)
-        if self.relations:
-            got = self._combine(rel, self.relations, got)
-        if not all(map(vec_eq, got, element)):
+        got: dict[tuple[int, int], Poly] = {}
+        _rebuild(got, cls, self._basis_entries)
+        _rebuild(got, rel, self._relation_entries)
+        rebuilt = [(key, p) for key, p in got.items() if not p.is_zero]
+        if len(rebuilt) != nonzero or not all(
+            element[s][i] == p for (s, i), p in rebuilt
+        ):
             raise ValidationError("element is not in the fiber product")
         return cls
 

@@ -716,11 +716,11 @@ class CourantCombination(Presentation):
         lines = parts[first].coanchor
         basis = [tuple(conn.columns[x] for conn in connections) for x in range(n)]
         basis += [on(first, vec_scale(unit, line)) for line in lines]
-        self.relations = tuple(
+        relations = [
             on(i, line, on(first, vec_scale(-weights[i] * unit, lines[j])))
             for i in others
             for j, line in enumerate(parts[i].coanchor)
-        )
+        ]
 
         # readers[i], as apply_matrix rows, pairs a section of part i with
         # each of its connection columns.
@@ -741,7 +741,7 @@ class CourantCombination(Presentation):
             glued = apply_matrix(coords, scales, n, chart)
             return base + glued, tuple(p for i in others for p in coords[i])
 
-        super().__init__(chart, sizes, basis, read)
+        super().__init__(chart, sizes, basis, read, relations)
 
         gens, supports = self.basis, self.supports
 

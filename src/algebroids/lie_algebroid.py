@@ -55,6 +55,7 @@ from algebroids.anchored import (
     pruned_table,
     pulled_entries,
     pulled_morphism,
+    require_chart,
 )
 from algebroids.errors import ChartMismatchError, UnsupportedModeError, ValidationError
 from algebroids.linalg import (
@@ -256,13 +257,20 @@ class LiePullback(Presentation):
             lambda pair: (fibre.coords(*pair), ()),
         )
         self.map, self.source = f, source
-        chart, basis = self.chart, self.basis
+        chart, basis, supports = self.chart, self.basis, self.supports
         pulled = pulled_entries(f, source._entry)
         table = pruned_table(
             self,
             lambda x, y: pair_bracket_vanishes(source.table_masks, x, y),
             lambda x, y: self.reduce(
-                pair_bracket(chart, source.rank, pulled, basis[x], basis[y])
+                pair_bracket(
+                    chart,
+                    source.rank,
+                    pulled,
+                    basis[x],
+                    basis[y],
+                    (supports[x], supports[y]),
+                )
             ),
         )
         zero = linalg.zero_vec(chart, len(basis))
@@ -404,6 +412,8 @@ def check_compose_associative(
     middle, composite = p_psi.result, p_phi_psi.result
 
     rep.check("composition_associative", associative())
+    composite.require_rank(*cmatrix)
+    require_chart(composite.chart, *cmatrix)
     anchors = anchor_failures(middle, composite, cmatrix)
     rep.check("comparison_anchor", (f"{bad}: anchor mismatch" for bad in anchors))
     rep.check("comparison_bracket", bracket_failures(middle, composite, cmatrix))

@@ -166,9 +166,9 @@ class CourantPullback(Presentation):
             basis, read = _embedding(self.embedding, q, self.pulled_coanchor)
         else:
             basis, read = _submersion(f, q, self.pulled_coanchor)
-        super().__init__(chart, (chart.dim, q.rank, chart.dim), basis, read)
         self.map, self.mode = f, mode
-        self.relations = tuple(self.relation(k) for k in range(q.chart.dim))
+        relations = [self.relation(k) for k in range(q.chart.dim)]
+        super().__init__(chart, (chart.dim, q.rank, chart.dim), basis, read, relations)
 
     @cached_property
     def result(self) -> CourantData:
@@ -194,10 +194,13 @@ class CourantPullback(Presentation):
         pairing = tuple(
             tuple(paired_basis.get((x, y), zero) for y in range(r)) for x in range(r)
         )
+        supports = self.supports
         structure = pruned_table(
             self,
             self.bracket_vanishes,
-            lambda x, y: self.reduce(self.ambient_bracket(basis[x], basis[y])),
+            lambda x, y: self.reduce(
+                self.ambient_bracket(basis[x], basis[y], (supports[x], supports[y]))
+            ),
         )
         return CourantData(chart, r, anchor, coanchor, pairing, structure)
 
@@ -213,7 +216,7 @@ class CourantPullback(Presentation):
 
     def relation(self, k: int) -> Triple:
         """(d f_k, -pulled coanchor row k, 0)."""
-        chart = self.chart
+        chart = self.map.source
         beta = tuple(self.jacobian[k][j] for j in range(chart.dim))
         u = tuple(-p for p in self.pulled_coanchor[k])
         return (beta, u, zero_vec(chart, chart.dim))
@@ -234,15 +237,24 @@ class CourantPullback(Presentation):
             + dot(beta2, eta1, chart)
         )
 
-    def ambient_bracket(self, t1: Triple, t2: Triple) -> Triple:
+    def ambient_bracket(
+        self,
+        t1: Triple,
+        t2: Triple,
+        supports: tuple[tuple[Support, ...], tuple[Support, ...]] | None = None,
+    ) -> Triple:
         """{t1, t2}, the bracket of the module docstring.
 
-        Each one-form term is built only when both slots it reads are
-        nonzero: L_{eta1} beta2 needs beta2 and eta1, i_{eta2} d beta1 needs
-        beta1 and eta2, and the pairing differential u1 and u2. Each term
-        vanishes when either of its slots does, so a skipped term is zero.
-        The one-form slots are chart-checked up front, as the skipped KForm
-        would have done; pair_bracket checks the others.
+        supports holds one Support per slot of t1 and of t2, passed by a
+        caller that has them (result and check_relation_absorption read the
+        basis supports); None computes them here. Each one-form term is
+        built only when both slots it reads are nonzero: L_{eta1} beta2
+        needs beta2 and eta1, i_{eta2} d beta1 needs beta1 and eta2, and the
+        pairing differential needs u2 nonzero and u1 not constant (constant
+        u1_a add nothing to it). Each term vanishes when either condition
+        fails, so a skipped term is zero. The one-form slots are
+        chart-checked up front, as the skipped KForm would have done;
+        pair_bracket checks the others.
 
         Lemma L14, bracket: each term is zero unless its condition holds.
           - [eta1, eta2], the table term and eta1(u2) - eta2(u1): as
@@ -257,16 +269,24 @@ class CourantPullback(Presentation):
         beta1, u1, eta1 = t1
         beta2, u2, eta2 = t2
         require_chart(chart, beta1, beta2)
+        if supports is None:
+            supports = tuple(map(support, t1)), tuple(map(support, t2))
+        (sb1, su1, se1), (sb2, su2, se2) = supports
         tangent, tensor = pair_bracket(
-            chart, self.source.rank, self.pulled_structure, (eta1, u1), (eta2, u2)
+            chart,
+            self.source.rank,
+            self.pulled_structure,
+            (eta1, u1),
+            (eta2, u2),
+            ((se1, su1), (se2, su2)),
         )
         beta = zero_vec(chart, chart.dim)
-        if not (vec_is_zero(u1) or vec_is_zero(u2)):
+        if su2.mask and not su1.constant:
             beta = pairing_differential(self.pulled_pairing, u1, u2, chart)
-        if not (vec_is_zero(beta2) or vec_is_zero(eta1)):
+        if sb2.mask and se1.mask:
             lie = _one_form(chart, beta2).lie(VField(chart, eta1))
             beta = vec_add(beta, _form_vec(lie))
-        if not (vec_is_zero(beta1) or vec_is_zero(eta2)):
+        if sb1.mask and se2.mask:
             db1 = _one_form(chart, beta1).d().iota(VField(chart, eta2))
             beta = vec_sub(beta, _form_vec(db1))
         return (beta, tensor, tangent)
@@ -489,7 +509,7 @@ def check_relation_absorption(pb: CourantPullback) -> Report:
         t1: Triple, s1: tuple[Support, ...], t2: Triple, s2: tuple[Support, ...]
     ) -> bool:
         return pb.bracket_vanishes(s1, s2) or vec_is_zero(
-            pb.reduce(pb.ambient_bracket(t1, t2))
+            pb.reduce(pb.ambient_bracket(t1, t2, (s1, s2)))
         )
 
     def bracket_closed():

@@ -1,11 +1,14 @@
 """Courant structure data: axioms, twists, connections, combinations."""
 
 from collections import Counter
+import copy
 import dataclasses
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+import pickle
 import re
 import sys
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +34,7 @@ from algebroids.courant import (
     twist,
 )
 from algebroids.descent import two_form_transform
+from algebroids.dirac import DiracData, support_inclusion
 from algebroids.errors import ChartMismatchError, ValidationError
 from algebroids.lie_algebroid import tangent_algebroid
 from algebroids.linalg import (
@@ -209,6 +213,25 @@ def test_a_checked_courant_structure_cannot_change():
         "eq6_symmetrization",
         "leibniz_identity",
     }, str(rep)
+
+
+def test_frozen_structure_data_copies_and_pickles_to_an_equal_frozen_copy():
+    """Deep copies and pickle round trips of frozen structure data: the
+    read-only table of CourantData and LieData is rebuilt through the
+    constructor, and Connection and DiracData carry their structure along.
+    Each copy equals its original, is another object, and is frozen."""
+    q = standard_exact(R3, vol3("x1 + x2"))
+    sub = support_inclusion(R2, ("x2",)).source
+    dirac = DiracData(
+        standard_exact(R2), (unit_vec(sub, 4, 0), unit_vec(sub, 4, 3)), ("x2",)
+    )
+    for original in (q, tangent_algebroid(R3), coordinate_connection(q), dirac):
+        for got in (copy.deepcopy(original), pickle.loads(pickle.dumps(original))):
+            assert got == original and got is not original
+            name = dataclasses.fields(got)[0].name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(got, name, getattr(got, name))
+            assert isinstance(getattr(got, "courant", got).structure, MappingProxyType)
 
 
 def test_twisted_standard_passes():
@@ -1503,3 +1526,13 @@ def test_morphism_check_refuses_a_matrix_of_the_wrong_shape(rows):
     q = standard_exact(R2)
     with pytest.raises(ValidationError):
         check_courant_morphism(q, q, rows(q))
+
+
+def test_morphism_check_refuses_a_zero_row_entry_on_another_chart():
+    """The rows are chart-checked once, by check_courant_morphism, so a
+    zero entry that no check's arithmetic reads still raises."""
+    q = standard_exact(R2)
+    rows = _identity_rows(q)
+    bad = rows[:-1] + ((Poly.zero(R4),) + rows[-1][1:],)
+    with pytest.raises(ChartMismatchError):
+        check_courant_morphism(q, q, bad)

@@ -15,7 +15,7 @@ from algebroids.anchored import (
     pulled_entries,
 )
 from algebroids.courant import standard_exact
-from algebroids.errors import UnsupportedModeError, ValidationError
+from algebroids.errors import ChartMismatchError, UnsupportedModeError, ValidationError
 from algebroids import lie_algebroid as lie_module, linalg
 from algebroids.lie_algebroid import (
     LieData,
@@ -366,6 +366,36 @@ def assoc_chain():
 def test_compose_associativity_check():
     rep = check_compose_associative(*assoc_chain())
     assert rep.ok, str(rep)
+
+
+@pytest.mark.parametrize(
+    "bad, error", [("short", ValidationError), ("chart", ChartMismatchError)]
+)
+def test_compose_check_refuses_a_comparison_row_of_another_length_or_chart(
+    monkeypatch, bad, error
+):
+    """A comparison row one entry short, or with a zero entry on another
+    chart, raises: bracket_failures does not check the rows, and
+    check_compose_associative checks them once, before its anchor and
+    bracket checks (pulled_morphism, which reads them first, refuses them
+    too)."""
+    w4 = coordinate_chart("V", 4, prefix="v")
+    made = []
+
+    def corrupted(*args):
+        rows = comparison(*args)
+        if not made:
+            row = rows[-1]
+            k = next(i for i, p in enumerate(row) if p.is_zero)
+            rows[-1] = row[:k] + row[k + 1 :] if bad == "short" else (
+                row[:k] + (Poly.zero(w4),) + row[k + 1 :]
+            )
+        made.append(rows)
+        return rows
+
+    monkeypatch.setattr(lie_module, "comparison", corrupted)
+    with pytest.raises(error):
+        check_compose_associative(*assoc_chain())
 
 
 def test_antisymmetric_table_brackets_each_diagonal_pair_once():

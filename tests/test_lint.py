@@ -32,6 +32,9 @@ cache lives as long as one call of its enclosing function. On a top-level
 function or on a method it would outlive every call and hold its inputs
 for the whole process.
 
+A presentation's relations are set by Presentation.__init__ and nowhere
+else, since it takes their nonzero entries once for the rebuild in reduce.
+
 Structure data is frozen once validated: a dataclass of the package with a
 functools.cached_property, its own or one inherited from a base class, is
 declared frozen=True. A value cached on a mutable instance goes stale when
@@ -539,6 +542,60 @@ def test_the_frozen_gate_flags_mutable_dataclasses_with_cached_values():
 def test_every_dataclass_with_a_cached_value_is_frozen():
     sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
     assert mutable_cached_dataclasses(sources) == []
+
+
+def relation_writes(source: str) -> list[int]:
+    """The lines outside Presentation.__init__ that assign or delete an
+    attribute named relations, or set it with setattr or __setattr__."""
+    out = []
+
+    def writes(node: ast.AST) -> bool:
+        if isinstance(node, ast.Attribute):
+            return node.attr == "relations" and not isinstance(node.ctx, ast.Load)
+        return (
+            isinstance(node, ast.Call)
+            and last_name(node) in ("setattr", "__setattr__")
+            and any(getattr(arg, "value", None) == "relations" for arg in node.args)
+        )
+
+    def visit(node: ast.AST, path: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if path != ("Presentation", "__init__") and writes(child):
+                out.append(child.lineno)
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, path + (child.name,) if named else path)
+
+    visit(ast.parse(source), ())
+    return sorted(out)
+
+
+def test_the_relations_gate_flags_every_write_but_the_constructors():
+    source = (
+        "class Presentation:\n"
+        "    def __init__(self, relations=()):\n"
+        "        self.relations = tuple(relations)\n"
+        "class Pullback(Presentation):\n"
+        "    def __init__(self):\n"
+        "        super().__init__(())\n"
+        "        self.relations = ()\n"
+        "def build(p):\n"
+        "    setattr(p, 'relations', ())\n"
+        "    object.__setattr__(p, 'relations', ())\n"
+        "    p.basis, p.relations = (), ()\n"
+        "    return p.relations\n"
+    )
+    assert relation_writes(source) == [7, 9, 10, 11]
+
+
+def test_only_the_presentation_constructor_sets_relations():
+    """A presentation takes the nonzero entries of its relations once, when
+    it is made, and reduce rebuilds from them: relations set later would
+    leave them stale."""
+    writes = {
+        path.name: relation_writes(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: lines for name, lines in writes.items() if lines} == {}
 
 
 CODE_NAME = re.compile(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\(.*\))?")

@@ -10,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 from algebroids import jsonio
 from algebroids.cli import main
 from algebroids.courant import (
+    CourantCombination,
     CourantData,
+    baer_combination,
     check_courant,
     check_courant_morphism,
     coordinate_connection,
@@ -26,7 +28,8 @@ from algebroids.errors import (
     UnsupportedModeError,
     ValidationError,
 )
-from algebroids.lie_algebroid import tangent_algebroid
+from algebroids.lie_algebroid import pullback_lie, tangent_algebroid
+from algebroids import anchored as anchored_module, linalg as linalg_module
 from algebroids import pullback as pullback_module
 from algebroids.anchored import (
     comparison,
@@ -37,6 +40,7 @@ from algebroids.anchored import (
     support,
 )
 from algebroids.linalg import (
+    apply_matrix,
     left_inverse,
     mat_mul,
     pairing_differential,
@@ -44,6 +48,7 @@ from algebroids.linalg import (
     vec_add,
     vec_eq,
     vec_is_zero,
+    vec_scale,
     zero_vec,
 )
 from algebroids.report import Report
@@ -76,6 +81,7 @@ from oracles import (
     scalar_multiple,
 )
 from test_acceptance import _perturbed
+from test_lie_algebroid import assoc_chain
 from test_courant import is_constant, meets, nonzero_indices
 from test_symcalc import polys
 
@@ -264,9 +270,9 @@ def test_bracket_closure_brackets_only_admitted_orders(monkeypatch, split, brack
     calls = []
     original = CourantPullback.ambient_bracket
 
-    def counted(self, t1, t2):
+    def counted(self, *args):
         calls.append(1)
-        return original(self, t1, t2)
+        return original(self, *args)
 
     monkeypatch.setattr(CourantPullback, "ambient_bracket", counted)
     assert check_relation_absorption(pb).ok
@@ -479,6 +485,88 @@ def test_reduce_refuses_a_zero_element_of_another_shape_or_chart(pb):
                 pb.reduce(zero_element(pb, sizes=sizes))
     with pytest.raises((ValidationError, ChartMismatchError)):
         pb.reduce(zero_element(pb, R4))
+
+
+def sound_presentations():
+    """The presentations the sparse rebuild is checked on: one of each
+    pullback mode, a Baer combination, and a Lie inverse image through its
+    splitting."""
+    q3 = standard_exact(R3, vol3("x1 + x2"))
+    q3b = standard_exact(R3, vol3("x2"))
+    lie, (phi, _, _), splitting = assoc_chain()
+    return {
+        **PRESENTATIONS,
+        "identity": pullback_courant(ChartMap.identity(R2), standard_exact(R2)),
+        "combination": baer_combination(
+            [q3, q3b], [2, -1], [coordinate_connection(q3), coordinate_connection(q3b)]
+        ),
+        "lie-split": pullback_lie(phi, lie, splitting),
+    }
+
+
+SOUND_PRESENTATIONS = sound_presentations()
+
+
+def in_fibre_product(pres, element):
+    """Whether element lies in the fibre product pres presents, read off
+    the definition: every part of a combination has one anchor, and an
+    inverse image's pulled section anchors to the push-forward of its
+    tangent."""
+    if isinstance(pres, CourantCombination):
+        first, *rest = (q.anchor_of(u) for q, u in zip(pres.parts, element))
+        return all(v == first for v in rest)
+    if isinstance(pres, CourantPullback):
+        _, section, tangent = element
+    else:
+        tangent, section = element
+    f, chart, n = pres.map, pres.chart, pres.map.target.dim
+    anchor = [tuple(map(f.pull, row)) for row in pres.source.anchor]
+    pushed = [tuple(col) for col in zip(*f.jacobian())]
+    return vec_eq(
+        apply_matrix(anchor, section, n, chart), apply_matrix(pushed, tangent, n, chart)
+    )
+
+
+def with_entry(element, s, i, p):
+    """element with entry i of slot s replaced by p."""
+    vec = element[s]
+    return element[:s] + (vec[:i] + (p,) + vec[i + 1 :],) + element[s + 1 :]
+
+
+@pytest.mark.parametrize("name", sorted(SOUND_PRESENTATIONS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_sparse_rebuild_accepts_exactly_the_fibre_product(name, data):
+    """reduce reads expand(cls) + sum_k rel_k R_k back as cls. A monomial
+    added to one entry leaves the fibre product, and reduce refuses the
+    element, unless the entry is free there (a one-form entry, or a
+    tangent entry the push-forward does not see); and an element with one
+    zero entry on another chart is refused."""
+    pres = SOUND_PRESENTATIONS[name]
+    chart = pres.chart
+    coeff = st.one_of(st.just(Poly.zero(chart)), polys(chart, max_degree=1, max_terms=2))
+    cls = tuple(data.draw(coeff) for _ in pres.basis)
+    element = pres.expand(cls)
+    for relation in pres.relations:
+        c = data.draw(coeff)
+        element = tuple(vec_add(e, vec_scale(c, r)) for e, r in zip(element, relation))
+    assert pres.reduce(element) == cls
+
+    s = data.draw(st.integers(0, len(pres.sizes) - 1))
+    i = data.draw(st.integers(0, pres.sizes[s] - 1))
+    monomial = data.draw(polys(chart, max_terms=1).filter(lambda p: not p.is_zero))
+    bumped = with_entry(element, s, i, element[s][i] + monomial)
+    if in_fibre_product(pres, bumped):
+        pres.reduce(bumped)
+    else:
+        with pytest.raises(ValidationError):
+            pres.reduce(bumped)
+
+    zeros = [(s, i) for s, vec in enumerate(element) for i, p in enumerate(vec) if p.is_zero]
+    if zeros:
+        s, i = data.draw(st.sampled_from(zeros))
+        with pytest.raises(ValidationError):
+            pres.reduce(with_entry(element, s, i, Poly.zero(R4)))
 
 
 def test_ambient_bracket_refuses_a_zero_or_constant_entry_on_another_chart():
@@ -739,6 +827,59 @@ def test_pulled_table_reads_only_nonzero_brackets(monkeypatch, split, counts):
     assert len(reads) == len(table) + R3.dim
     got = (len(reads), len(forms), len(table), *calls.values())
     assert got == counts
+
+
+@pytest.mark.parametrize(
+    "split, counts", [(False, (9, 0, 9)), (True, (9, 0, 13))], ids=["auto", "exact-split"]
+)
+def test_reduce_rebuilds_from_nonzero_entries_only(monkeypatch, split, counts):
+    """Op-count gate on the rebuild in reduce while the pulled table of a
+    twisted shear is built: (readings, apply_matrix calls, Poly.__eq__
+    calls) made by reduce outside its reader. The rebuild forms its
+    products from nonzero entries, with no apply_matrix, and compares once
+    per nonzero rebuilt entry, which for an accepted reading is once per
+    nonzero entry of the element read. The dense rebuild made 54
+    apply_matrix calls and 108 comparisons in both modes."""
+    q = standard_exact(R3, vol3("x1 + x2"))
+    pb = pullback_courant(
+        shear_33(), q, connection=coordinate_connection(q) if split else None
+    )
+    inside, entries, calls = [], [], {"apply_matrix": 0, "__eq__": 0}
+    read, reduce = pb._read, pb.reduce
+
+    def counted_reduce(element):
+        inside.append(True)
+        try:
+            return reduce(element)
+        finally:
+            inside.pop()
+
+    def counted_read(element):
+        entries.append(sum(not p.is_zero for vec in element for p in vec))
+        inside.append(False)
+        try:
+            return read(element)
+        finally:
+            inside.pop()
+
+    def counted(name, function):
+        def call(*args, **kwargs):
+            if inside and inside[-1]:
+                calls[name] += 1
+            return function(*args, **kwargs)
+
+        return call
+
+    pb._read, pb.reduce = counted_read, counted_reduce
+    monkeypatch.setattr(Poly, "__eq__", counted("__eq__", Poly.__eq__))
+    for module in (anchored_module, linalg_module):
+        monkeypatch.setattr(
+            module, "apply_matrix", counted("apply_matrix", module.apply_matrix)
+        )
+    pb.result
+    monkeypatch.undo()
+    assert calls["__eq__"] == sum(entries)
+    assert (len(entries), *calls.values()) == counts
 
 
 def test_morphism_graph_multiplies_only_non_constant_pairs(monkeypatch):
