@@ -198,11 +198,11 @@ def leibniz_sum(
     su, sw = (support(u), support(w)) if supports is None else supports
     u_bits, w_bits = bits(su.mask), bits(sw.mask)
     out = [Poly.zero(chart)] * rank
-    if not (xi.is_zero or sw.constant):
+    if not (sw.constant or xi.is_zero):
         for k in w_bits:
             if w[k].as_constant() is None:
                 out[k] = xi.apply(w[k])
-    if not (eta.is_zero or su.constant):
+    if not (su.constant or eta.is_zero):
         for k in u_bits:
             if u[k].as_constant() is None:
                 out[k] = out[k] - eta.apply(u[k])
@@ -270,7 +270,14 @@ def mask(vec: Vec) -> int:
 
 
 def support(vec: Vec) -> Support:
-    return Support(mask(vec), all(p.as_constant() is not None for p in vec))
+    """The Support of vec, in one pass: a zero entry is constant."""
+    bit, m, constant = 1, 0, True
+    for p in vec:
+        if not p.is_zero:
+            m |= bit
+            constant = constant and p.as_constant() is not None
+        bit <<= 1
+    return Support(m, constant)
 
 
 def paired(rows: Sequence[int], u: Support, v: Support) -> bool:
