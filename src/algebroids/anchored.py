@@ -20,54 +20,78 @@ term sum u_a v_b T(a, b) needs some a in supp u and b in supp v with a
 nonzero entry (a, b); anchor(u)(v_k) needs some a in supp u with a nonzero
 anchor row, and v not constant; anchor(v)(u_k) likewise; the Courant
 coanchor term c(sum_a (sum_b g_ab v_b) du_a) needs u not constant and some
-nonzero g_ab with a in supp u and b in supp v (paired). Derivations kill
-constants, and each remaining term is a product with a zero factor.
-AnchoredModule.bracket_vanishes is this test on two Supports (the bit
-mask of a vector's nonzero entries, and whether all are constant), and
-CourantData adds the coanchor term. The test is bitwise: each module
-computes its sparsity patterns once per instance, on first use, and no
-module-level cache holds them (AnchoredModule.anchor_mask, the generators
-with a nonzero anchor row; AnchoredModule.table_masks, one mask per table
-row of the b with a nonzero entry (a, b); CourantData.pairing_masks, one
-per pairing row). Structure data is frozen once validated: LieData and
-CourantData are frozen dataclasses with a read-only table, so the cached
-masks cannot go stale and no check validates the rows again; a mutant is
-a new instance, built with dataclasses.replace. leibniz_vanishes is its
-table and anchor part with the anchors given as flags, so
-pair_bracket_vanishes is that part with the tangents standing in for the
-anchors, plus the tangent bracket [eta1, eta2], which needs both tangents
-nonzero and not both constant; the Courant inverse
-image adds its one-form terms (pullback). pruned_table brackets only the
-pairs of a basis that such a test admits, so both inverse images and the
-Courant Baer combination skip their zero table entries; bracket_failures
-skips a generator pair with a zero table entry when the test rules out
-the bracket of its images; and jacobi_generator_failures, the generator
-triples of the Jacobi identity for both verdicts, skips each of the three
-brackets of J(e_a, e_b, e_c) that the test rules out on the generator and
-the table row, and the whole triple when it rules out all three;
-anchor_defects, the anchor defects A(e_a, e_b) of both verdicts, leaves
-out a pair with no table entry whose anchor bracket the test rules out
-(an anchor row zero, or both rows constant). A ruled-out bracket is zero,
-and computing it would have formed no product of positive degree.
+nonzero g_ab with a in supp u and b in supp v. Derivations kill
+constants, and each remaining term is a product with a zero factor. On
+pairings: a bilinear form sum_ab u_a g_ab v_b is zero unless some nonzero
+g_ab has a in supp u and b in supp v, since every product it would form
+has a zero factor.
 
-Lemma L14, on pairings: a bilinear form sum_ab u_a g_ab v_b is zero
-unless some nonzero g_ab has a in supp u and b in supp v (paired, on the
-row masks of g), since every product it would form has a zero factor.
-The Courant Baer combination pairs only the basis pairs that some part
-of nonzero weight pairs, and in those only the parts that pair their two
-sections; the morphism check (courant.check_courant_morphism) skips a
-generator pair with a zero source pairing whose images are not paired; a
-Connection checks isotropy only on paired columns, and courant.curvature
-pairs a bracket defect only with the columns it is paired with; the
-ambient pairing of the Courant inverse image needs, for each one-form
-term beta(eta), an index where both are nonzero (pullback), and the
-isotropy check of the relations (pullback.check_relation_absorption)
-skips the pairs that test rules out; and dirac.check_dirac skips the
+The lemma reads a Support (the bit mask of a vector's nonzero entries, and
+whether all are constant) and the sparsity patterns each module computes
+once per instance, on first use, with no module-level cache:
+AnchoredModule.anchor_mask, the generators with a nonzero anchor row;
+AnchoredModule.table_masks, one mask per table row of the b with a nonzero
+entry (a, b); CourantData.pairing_masks, one per pairing row; and
+varying_masks, the rows a section that is not constant reads (the table
+rows, or-ed with the pairing rows for Courant data). Structure data is
+frozen once validated: LieData and CourantData are frozen dataclasses with
+a read-only table, so the cached masks cannot go stale and no check
+validates the rows again; a mutant is a new instance, built with
+dataclasses.replace.
+
+In mask form, a table of pairs takes one admission step: from the row
+supports and the column supports it indexes each slot of the columns once
+(Columns: index[b] has bit y set when column y's support has bit b, and
+the masks of the nonzero and of the varying, not constant, columns), and
+returns one mask per row, the columns admitted for it. With spread(rows,
+m) the union of rows[a] over a in m, and meeting(m) the columns whose
+support meets m, each term of the lemma is a union of masks computed in
+advance, for a row u:
+  - the table term, with the coanchor term of Courant data:
+    meeting(spread(table_masks, supp u)), or meeting(spread(varying_masks,
+    supp u)) when u is not constant;
+  - anchor(u)(v_k): the varying columns, when supp u meets anchor_mask;
+  - anchor(v)(u_k): meeting(anchor_mask), when u is not constant;
+  - a pairing: meeting(spread(the matrix's row masks, supp u)).
+AnchoredModule.admitted is the bracket step and pairings the pairing one.
+On the fibre product, pair_admitted is the step of pair_bracket: its
+section is leibniz_sum with the tangents eta1, eta2 as anchors (the table
+term on the sections; the varying sections when eta1 is nonzero; the
+nonzero tangents when u1 is not constant), plus the tangent bracket
+[eta1, eta2], which admits the nonzero tangents when eta1 is nonzero and
+not constant and the varying tangents when it is constant; the Courant
+inverse image adds its one-form terms (pullback). A mask admits exactly
+the pairs that the tests of one pair admit: paired, leibniz_vanishes and
+bracket_vanishes, which serve the single pairs of
+transgression.TauModule.bracket.
+
+Every loop over a set of section pairs reads such masks. pruned_table
+brackets only the admitted pairs of a basis, so both inverse images and
+the Courant Baer combination skip their zero table entries; bracket_failures
+skips a generator pair with a zero table entry whose images are not
+admitted; jacobi_generator_failures, the generator triples of the Jacobi
+identity for both verdicts, skips each of the three brackets of J(e_a,
+e_b, e_c) that the generator x table-row or row x generator masks rule
+out, and the whole triple when they rule out all three; and
+anchor_defects, the anchor defects A(e_a, e_b) of both verdicts, leaves
+out a pair with no table entry whose anchor bracket the lemma rules out
+(an anchor row zero, or both rows constant). A ruled-out bracket is zero,
+and computing it would have formed no product of positive degree. On
+pairings, the Courant Baer combination pairs only the basis pairs that
+some part of nonzero weight pairs, and in those only the parts that pair
+their two sections; the morphism check (courant.check_courant_morphism)
+skips a generator pair with a zero source pairing whose images are not
+paired; a Connection checks isotropy only on paired columns, and
+courant.curvature pairs a bracket defect only with the columns it is
+paired with; the ambient pairing of the Courant inverse image needs, for
+each one-form term beta(eta), an index where both are nonzero (pullback),
+and the isotropy check of the relations (pullback.check_relation_absorption)
+skips the pairs its masks rule out; and dirac.check_dirac skips the
 generator pairs its restricted pairing does not pair, and in its closure
-check the lifted pairs whose bracket the test on sections rules out. A
-ruled-out pairing computes to zero with no product formed, so it made no
-chart check; the structure rows it reads were checked when the frozen
-structure was built.
+check the lifted pairs whose bracket the masks rule out. A ruled-out
+pairing computes to zero with no product formed, so it made no chart
+check; the structure rows it reads were checked when the frozen structure
+was built.
 
 Lemma L1: [u, f v] = f [u, v] + anchor(u)(f) v holds for every table. In
 leibniz_sum(u, f v) the table term scales by f, xi(f v_k) = f xi(v_k) +
@@ -94,7 +118,8 @@ mode needs and raise UnsupportedModeError when the map does not have it,
 and Split lifts through a splitting of the anchor (split_lifts) and reads
 the rest through a frame of its kernel. Submersion reads a square Jacobian,
 and Split its kernel frame, through the one polynomial left inverse
-linalg.left_inverse. The Lie inverse image reads Split only (its
+linalg.left_inverse; both take the Jacobian their caller holds, the one
+ChartMap.jacobian builds once per map. The Lie inverse image reads Split only (its
 transitive-split mode); the Courant inverse image reads Embedding,
 Submersion (for the identity too) and, in its exact-split mode, Split.
 classify_map picks the Courant mode when none is given, asking the same
@@ -245,8 +270,8 @@ def pair_bracket(
     reads the pulled table. supports, the supports of the slots of x and y
     when the caller holds them, pass on to leibniz_sum; None computes them
     there. The tangent bracket is computed only when both tangents are
-    nonzero, being zero otherwise. pair_bracket_vanishes tells from the
-    supports of x and y when the whole bracket is zero."""
+    nonzero, being zero otherwise. pair_admitted tells from the supports
+    of a table's pairs which brackets may be nonzero."""
     xi, eta = VField(chart, x[0]), VField(chart, y[0])
     sections = None if supports is None else (supports[0][1], supports[1][1])
     section = tuple(leibniz_sum(rank, entry, x[1], y[1], xi, eta, sections))
@@ -314,39 +339,91 @@ def leibniz_vanishes(
     )
 
 
-def pair_bracket_vanishes(
-    rows: Sequence[int], x: tuple[Support, Support], y: tuple[Support, Support]
-) -> bool:
-    """Whether Lemma L14 shows pair_bracket to be zero on pairs (eta1, u1)
-    and (eta2, u2) with the supports x and y; rows are the table masks of
-    the source module, and a pulled entry is zero where its source entry
-    is. The section is leibniz_sum with the tangents as anchors
-    (leibniz_vanishes); the tangent bracket [eta1, eta2] needs both
-    tangents nonzero and not both constant, a derivation killing
-    constants."""
-    (eta1, u1), (eta2, u2) = x, y
-    xi, eta = bool(eta1.mask), bool(eta2.mask)
-    return not (
-        xi and eta and not (eta1.constant and eta2.constant)
-    ) and leibniz_vanishes(rows, u1, u2, xi, eta)
+def spread(rows: Sequence[int], m: int) -> int:
+    """The union of rows[a] over the set bits a of the mask m: with rows
+    the table masks of a module, the b with a nonzero entry (a, b) for some
+    a in m."""
+    out = 0
+    while m:
+        low = m & -m
+        out |= rows[low.bit_length() - 1]
+        m ^= low
+    return out
+
+
+class Columns:
+    """One slot of the columns of a table, as Lemma L14 reads it, built once
+    per table from the column supports: index[b] has bit y set when column
+    y's support has bit b, and nonzero and varying are the masks of the
+    columns whose support is nonzero, and not constant (a varying column is
+    nonzero)."""
+
+    def __init__(self, supports: Sequence[Support]):
+        width = max((s.mask.bit_length() for s in supports), default=0)
+        index = [0] * width
+        nonzero = varying = 0
+        for y, s in enumerate(supports):
+            bit = 1 << y
+            if s.mask:
+                nonzero |= bit
+            if not s.constant:
+                varying |= bit
+            m = s.mask
+            while m:
+                low = m & -m
+                index[low.bit_length() - 1] |= bit
+                m ^= low
+        self.index, self.nonzero, self.varying = index, nonzero, varying
+
+    def meeting(self, m: int) -> int:
+        """The columns whose support meets the mask m."""
+        return spread(self.index, m & ((1 << len(self.index)) - 1))
+
+
+def pairings(rows: Sequence[int], xs: Sequence[Support], ys: Sequence[Support]) -> list[int]:
+    """Lemma L14 on pairings over a table, rows being the row masks of the
+    matrix: for each row support x of xs, the mask of the columns y with
+    paired(rows, x, ys[y]), the columns meeting the rows over supp x."""
+    cols = Columns(ys)
+    return [cols.meeting(spread(rows, x.mask)) for x in xs]
+
+
+def pair_admitted(
+    table: Sequence[int],
+    xs: Sequence[tuple[Support, Support]],
+    tangents: Columns,
+    sections: Columns,
+) -> list[int]:
+    """Lemma L14 on pair_bracket over a table: for each row (eta1, u1) of
+    xs, the mask of the columns (eta2, u2) whose bracket it admits; table
+    is the source module's table masks (a pulled entry is zero where its
+    source entry is), and tangents and sections are the two slots of the
+    columns. The table term admits the sections meeting the table rows over
+    supp u1; eta1(u2) the varying sections when eta1 is nonzero; eta2(u1)
+    the nonzero tangents when u1 is not constant; and [eta1, eta2] the
+    nonzero tangents when eta1 is nonzero and not constant, the varying
+    ones when it is constant."""
+    out = []
+    for eta, u in xs:
+        m = sections.meeting(spread(table, u.mask))
+        if eta.mask:
+            m |= sections.varying | (tangents.varying if eta.constant else tangents.nonzero)
+        if not u.constant:
+            m |= tangents.nonzero
+        out.append(m)
+    return out
 
 
 def pruned_table(
-    pres: Presentation,
-    vanishes: Callable[[tuple[Support, ...], tuple[Support, ...]], bool],
-    bracket: Callable[[int, int], T],
+    admitted: Sequence[int], bracket: Callable[[int, int], T]
 ) -> dict[tuple[int, int], T]:
-    """bracket(x, y) on each ordered pair (x, y) of basis indices of pres
-    that vanishes does not rule out on pres.supports (Lemma L14). A
-    ruled-out pair is left out, as a zero table entry would be dropped;
-    every admitted pair is bracketed, in both orders when both are
-    admitted. bracket reads pres.basis, and pres.supports when it prunes
-    further."""
-    return {
-        (x, y): bracket(x, y)
-        for (x, sx), (y, sy) in product(enumerate(pres.supports), repeat=2)
-        if not vanishes(sx, sy)
-    }
+    """bracket(x, y) on each ordered pair (x, y) of basis indices that
+    Lemma L14 admits: bit y of admitted[x] set, the masks of one admission
+    step (pairings, pair_admitted, AnchoredModule.admitted, and the
+    presentations' own). A ruled-out pair is left out, as a zero table
+    entry would be dropped; every admitted pair is bracketed, in both
+    orders when both are admitted, in the order of the pairs."""
+    return {(x, y): bracket(x, y) for x, row in enumerate(admitted) for y in bits(row)}
 
 
 class AnchoredModule:
@@ -454,25 +531,59 @@ class AnchoredModule:
         some generator in it has a nonzero anchor row."""
         return bool(s.mask & self.anchor_mask)
 
+    @cached_property
+    def varying_masks(self) -> tuple[int, ...]:
+        """The rows Lemma L14 reads over the support of a left section that
+        is not constant: the table masks; CourantData adds its pairing rows
+        (the coanchor term)."""
+        return self.table_masks
+
     def bracket_vanishes(self, su: Support, sv: Support) -> bool:
         """Whether Lemma L14 shows bracket to be zero on sections with the
-        supports su and sv: its table and anchor terms (leibniz_vanishes)."""
+        supports su and sv: its table and anchor terms (leibniz_vanishes).
+        It serves single pairs; a table reads admitted."""
         return leibniz_vanishes(
             self.table_masks, su, sv, self._anchored(su), self._anchored(sv)
         )
 
+    def admitted(self, xs: Sequence[Support], ys: Sequence[Support]) -> list[int]:
+        """Lemma L14 on bracket over a table: for each row support u of xs,
+        the mask of the columns v of ys whose bracket with u it admits, bit
+        y set unless bracket_vanishes(u, ys[y]). The table term (and the
+        coanchor term of Courant data) admits the columns meeting the rows
+        over supp u, varying_masks when u is not constant; anchor(u)(v_k)
+        the varying columns when u is anchored; anchor(v)(u_k) the anchored
+        columns when u is not constant."""
+        cols = Columns(ys)
+        anchored = cols.meeting(self.anchor_mask)
+        out = []
+        for s in xs:
+            if s.constant:
+                m = cols.meeting(spread(self.table_masks, s.mask))
+            else:
+                m = cols.meeting(spread(self.varying_masks, s.mask)) | anchored
+            if s.mask & self.anchor_mask:
+                m |= cols.varying
+            out.append(m)
+        return out
+
     def bracket(
-        self, u: Vec, v: Vec, anchors: tuple[VField, VField] | None = None
+        self,
+        u: Vec,
+        v: Vec,
+        anchors: tuple[VField, VField] | None = None,
+        supports: tuple[Support, Support] | None = None,
     ) -> Vec:
         """The bracket of sections u and v. anchors is (anchor_of(u),
         anchor_of(v)), passed by a caller that brackets the same sections
-        many times and computes each anchor once (section_anchors); None
-        computes both here."""
+        many times and computes each anchor once (section_anchors), and
+        supports is (support(u), support(v)), passed by a caller that holds
+        them; None computes them here (in leibniz_sum for supports)."""
         if self._either_zero(u, v):
             return self.zero_section()
         if anchors is None:
             anchors = self.anchor_of(u), self.anchor_of(v)
-        return tuple(leibniz_sum(self.rank, self._entry, u, v, *anchors))
+        return tuple(leibniz_sum(self.rank, self._entry, u, v, *anchors, supports))
 
 
 def section_anchors(
@@ -516,28 +627,34 @@ def jacobi_generator_failures(m: AnchoredModule) -> Iterator[str]:
     brackets [e_x, row(y, z)], so each is computed once, on first use; a
     table built up front would defeat the early exit at the first failure.
 
-    Lemma L14 prunes each of the three brackets: one that m.bracket_vanishes
-    rules out on the supports of the generator and the table row is zero
-    and is not computed, and a triple whose three brackets are all ruled
-    out has a zero jacobiator and is skipped. The triples keep their order,
-    so the failures and their labels are those of the unpruned loop."""
+    Lemma L14 prunes each of the three brackets: one that m.admitted rules
+    out on the supports of the generator and the table row is zero and is
+    not computed, and a triple whose three brackets are all ruled out has a
+    zero jacobiator and is skipped. The generator x row masks (column y r +
+    z for row (y, z)) and the row x generator masks are taken once, up
+    front, as the supports are. The triples keep their order, so the
+    failures and their labels are those of the unpruned loop."""
     r = m.rank
     gen = [m.gen(a) for a in range(r)]
     gen_supports = [support(e) for e in gen]
-    row = {(a, b): m.bracket_gen(a, b) for a, b in product(range(r), repeat=2)}
-    row_supports = {key: support(vec) for key, vec in row.items()}
+    row = [m.bracket_gen(a, b) for a, b in product(range(r), repeat=2)]
+    row_supports = [support(vec) for vec in row]
+    gen_row_masks = m.admitted(gen_supports, row_supports)
+    row_gen_masks = m.admitted(row_supports, gen_supports)
     zero = m.zero_section()
 
     @cache
     def gen_row(x: int, y: int, z: int) -> Vec | None:
-        if m.bracket_vanishes(gen_supports[x], row_supports[(y, z)]):
+        k = y * r + z
+        if not gen_row_masks[x] >> k & 1:
             return None
-        return m.bracket(gen[x], row[(y, z)])
+        return m.bracket(gen[x], row[k], supports=(gen_supports[x], row_supports[k]))
 
     def row_gen(x: int, y: int, z: int) -> Vec | None:
-        if m.bracket_vanishes(row_supports[(x, y)], gen_supports[z]):
+        k = x * r + y
+        if not row_gen_masks[k] >> z & 1:
             return None
-        return m.bracket(row[(x, y)], gen[z])
+        return m.bracket(row[k], gen[z], supports=(row_supports[k], gen_supports[z]))
 
     for a, b, c in product(range(r), repeat=3):
         terms = gen_row(a, b, c), row_gen(a, b, c), gen_row(b, a, c)
@@ -644,21 +761,24 @@ def bracket_failures(
     not the dst bracket of their images.
 
     A pair with no table entry maps to zero, so it holds without a bracket
-    when dst.bracket_vanishes rules out the bracket of its images (Lemma
-    L14). The rank and chart checks that such a skipped dst.bracket would
-    have made on the rows are the caller's, made once on the matrix before
-    any of its checks (check_courant_morphism, and check_compose_associative
-    on its comparison matrix). Each row's dst anchor is computed once, on
-    its first bracket (section_anchors)."""
+    when Lemma L14 rules out the bracket of its images: bit b of the row's
+    mask in dst.admitted on the row supports, taken once. The rank and
+    chart checks that such a skipped dst.bracket would have made on the
+    rows are the caller's, made once on the matrix before any of its checks
+    (check_courant_morphism, and check_compose_associative on its
+    comparison matrix). Each row's dst anchor is computed once, on its
+    first bracket (section_anchors)."""
     rows = [matrix[a] for a in range(src.rank)]
     supports = [support(row) for row in rows]
     anchors = section_anchors(dst, rows)
+    admitted = dst.admitted(supports, supports)
     table = src.table_masks
     for a, b in product(range(src.rank), repeat=2):
-        if not table[a] >> b & 1 and dst.bracket_vanishes(supports[a], supports[b]):
+        if not (table[a] | admitted[a]) >> b & 1:
             continue
         lhs = apply_matrix(matrix, src.bracket_gen(a, b), dst.rank, dst.chart)
-        if not vec_eq(lhs, dst.bracket(rows[a], rows[b], anchors(a, b))):
+        got = dst.bracket(rows[a], rows[b], anchors(a, b), (supports[a], supports[b]))
+        if not vec_eq(lhs, got):
             yield f"generators ({a},{b})"
 
 
@@ -824,11 +944,12 @@ class Submersion:
     unused source coordinates are vertical; the identity map is the
     projection with unit lifts and nothing vertical. A square map with
     constant nonzero Jacobian determinant lifts through the columns of J^-1,
-    with nothing vertical. The basis pairs are (horizontal lift of the pulled
-    anchor of e_a, e_a) per generator a, then (d_v, 0) per vertical v.
+    with nothing vertical; jac is the Jacobian of f, read only then. The
+    basis pairs are (horizontal lift of the pulled anchor of e_a, e_a) per
+    generator a, then (d_v, 0) per vertical v.
     """
 
-    def __init__(self, f: ChartMap, anchor: Sequence[Vec]):
+    def __init__(self, f: ChartMap, anchor: Sequence[Vec], jac: Sequence[Vec]):
         chart = self.chart = f.source
         self.slots = slots = _projection_slots(f)
         if slots is not None:
@@ -840,7 +961,7 @@ class Submersion:
                 "an invertible polynomial map"
             )
         else:
-            self.inverse = linalg.left_inverse(f.jacobian())
+            self.inverse = linalg.left_inverse(jac)
             if self.inverse is None:
                 raise UnsupportedModeError(
                     "coordinate-submersion mode needs an invertible map: the "

@@ -29,8 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from itertools import combinations, combinations_with_replacement, product
+from operator import or_
 from typing import Mapping, Sequence
 
 from algebroids import linalg
@@ -40,16 +41,19 @@ from algebroids.anchored import (
     Support,
     anchor_defects,
     anchor_failures,
+    bits,
     bracket_failures,
     jacobi_counterexample,
     jacobi_generator_failures,
     jacobi_left_probe_failures,
     mask,
     paired,
+    pairings,
     probe,
     pruned_table,
     require_chart,
     section_anchors,
+    spread,
     support,
 )
 from algebroids.errors import ChartMismatchError, ValidationError
@@ -123,14 +127,18 @@ class CourantData(AnchoredModule):
         return bilinear(u, self.pairing, v, self.chart)
 
     def bracket(
-        self, u: Vec, v: Vec, anchors: tuple[VField, VField] | None = None
+        self,
+        u: Vec,
+        v: Vec,
+        anchors: tuple[VField, VField] | None = None,
+        supports: tuple[Support, Support] | None = None,
     ) -> Vec:
-        """The anchored-module bracket (anchors as there) plus the coanchor
-        term."""
+        """The anchored-module bracket (anchors and supports as there) plus
+        the coanchor term."""
         if self._either_zero(u, v):
             return self.zero_section()
         alpha = pairing_differential(self.pairing, u, v, self.chart)
-        return self._coanchor_vec(alpha, super().bracket(u, v, anchors))
+        return self._coanchor_vec(alpha, super().bracket(u, v, anchors, supports))
 
     @cached_property
     def pairing_masks(self) -> tuple[int, ...]:
@@ -138,10 +146,18 @@ class CourantData(AnchoredModule):
         nonzero."""
         return tuple(map(mask, self.pairing))
 
+    @cached_property
+    def varying_masks(self) -> tuple[int, ...]:
+        """The table masks or-ed with the pairing masks, row by row: a left
+        section that is not constant reads both, its coanchor term needing
+        a nonzero g_ab with a in supp u and b in supp v."""
+        return tuple(t | g for t, g in zip(self.table_masks, self.pairing_masks))
+
     def bracket_vanishes(self, su: Support, sv: Support) -> bool:
         """The anchored-module test (Lemma L14), and the coanchor term: the
         pairing differential needs u not constant and a nonzero g_ab with a
-        in supp u and b in supp v."""
+        in supp u and b in supp v. It serves the single pairs of
+        transgression.TauModule.bracket; a table reads admitted."""
         return super().bracket_vanishes(su, sv) and (
             su.constant or not paired(self.pairing_masks, su, sv)
         )
@@ -293,9 +309,11 @@ def check_courant(
     with M[a][j] and N[j]^k both zero is skipped, both sides being the
     zero section. Both generator cases read Lemma L14 (algebroids.anchored):
     E3(e_c, e_a, e_b) pairs the table row [e_c, e_a] with e_b only where
-    the row's mask meets row b of the pairing (e3_row), and E4(e_a, dx_j)
-    brackets e_a with coanchor[j] only when bracket_vanishes does not rule
-    it out (e4_gen); what they skip is zero. As L_X dx_j = d(X^j), the
+    the row's mask meets row b of the pairing (e3_row, which forms only
+    the entries where some term may be nonzero), and E4(e_a, dx_j)
+    brackets e_a with coanchor[j] only where the generator x coanchor-row
+    masks of q.admitted, taken once, admit it (e4_gen); what they skip is
+    zero. As L_X dx_j = d(X^j), the
     right side c(L_{anchor e_a} dx_j) of E4(e_a, dx_j) is c(d anchor(e_a)^j),
     and it is built only when anchor row a has an entry that is not
     constant; otherwise it is zero.
@@ -338,9 +356,9 @@ def check_courant(
     So once eq1, eq3-eq6 and A(e_a, e_b) = 0 hold, J is function-linear in
     every slot and the generator triples decide leibniz_identity. On the
     generator triples, Lemma L14 (algebroids.anchored) skips each bracket
-    of J(e_a, e_b, e_c) that bracket_vanishes rules out, and a triple whose
-    three brackets it rules out; the triples keep their order, so the
-    first failure is the one the unpruned loop finds.
+    of J(e_a, e_b, e_c) that the admitted masks rule out, and a triple
+    whose three brackets they rule out; the triples keep their order, so
+    the first failure is the one the unpruned loop finds.
     Otherwise it goes on through the closed forms of L10 and L11 and then
     the direct probes of L12, and stops at the first failure; each
     counterexample names sections on which J is evaluated directly.
@@ -368,36 +386,43 @@ def check_courant(
         """E3(e_c, e_a, e_b) for every (a, b), built on first use. The row
         [e_c, e_a] pairs with e_b only where its mask meets row b of the
         pairing (Lemma L14 on pairings); elsewhere the pairing is zero. The
-        anchor of e_c acts only on the g_ab that are not constant."""
+        anchor of e_c acts only on the g_ab that are not constant, so an
+        entry is formed only where g_ab varies or either pairing is taken;
+        every other entry is zero."""
         rho = q.anchor_of(gen[c])
         rows = [q.bracket_gen(c, a) for a in range(r)]
-        inner = [  # <[e_c, e_a], e_b>
-            [
-                q.pairing_of(row, gen[b]) if row_mask & q.pairing_masks[b] else zero
-                for b in range(r)
-            ]
-            for row, row_mask in zip(rows, map(mask, rows))
-        ]
-        return [
-            [
-                (rho.apply(g[a][b]) if g_varies[a][b] else zero)
-                - inner[a][b]
-                - inner[b][a]
-                for b in range(r)
-            ]
-            for a in range(r)
-        ]
+        inner = {  # <[e_c, e_a], e_b>
+            (a, b): q.pairing_of(row, gen[b])
+            for a, row in enumerate(rows)
+            for b in bits(spread(q.pairing_masks, mask(row)))
+        }
+        out = [[zero] * r for _ in range(r)]
+        for a, b in product(range(r), repeat=2):
+            if g_varies[a][b] or (a, b) in inner or (b, a) in inner:
+                out[a][b] = (
+                    (rho.apply(g[a][b]) if g_varies[a][b] else zero)
+                    - inner.get((a, b), zero)
+                    - inner.get((b, a), zero)
+                )
+        return out
+
+    coanchor_admitted = q.admitted(gen_supports, coanchor_supports)
 
     @cache
     def e4_gen(a: int, j: int) -> Vec:
         """E4(e_a, dx_j) = [e_a, coanchor[j]] - c(L_{anchor e_a} dx_j), built
-        on first use. The bracket is taken only when bracket_vanishes does
-        not rule it out, and the right side, c(d anchor(e_a)^j), only when
-        anchor row a has an entry that is not constant."""
+        on first use. The bracket is taken only when Lemma L14 admits it
+        (bit j of the generator's mask against the coanchor rows), and the
+        right side, c(d anchor(e_a)^j), only when anchor row a has an entry
+        that is not constant."""
         lhs = (
-            q.zero_section()
-            if q.bracket_vanishes(gen_supports[a], coanchor_supports[j])
-            else q.bracket(gen[a], q.coanchor[j])
+            q.bracket(
+                gen[a],
+                q.coanchor[j],
+                supports=(gen_supports[a], coanchor_supports[j]),
+            )
+            if coanchor_admitted[a] >> j & 1
+            else q.zero_section()
         )
         if anchor_supports[a].constant:
             return lhs
@@ -523,7 +548,8 @@ def check_courant_morphism(
     The matrix needs one row per source generator, each a section of dst
     (ValidationError, ChartMismatchError). The pairing check skips a pair
     with a zero source pairing whose image rows are not paired (Lemma L14,
-    algebroids.anchored): their pairing is zero too."""
+    algebroids.anchored, read from the pairings masks of the rows): their
+    pairing is zero too."""
     rep = Report()
     if src.chart != dst.chart:
         raise ChartMismatchError("morphism checks need a common chart")
@@ -543,9 +569,10 @@ def check_courant_morphism(
                 yield f"coordinate {chart.coords[j]}"
 
     def pairing():
+        admitted = pairings(dst.pairing_masks, supports, supports)
         for a, b in product(range(src.rank), repeat=2):
             expected = src.pairing[a][b]
-            if expected.is_zero and not paired(dst.pairing_masks, supports[a], supports[b]):
+            if expected.is_zero and not admitted[a] >> b & 1:
                 continue
             if dst.pairing_of(matrix[a], matrix[b]) != expected:
                 yield f"generators ({a},{b})"
@@ -568,7 +595,8 @@ class Connection:
 
     Frozen once validated: every column has the rank's length and lies on
     the chart. Isotropy is checked on the column pairs that are paired
-    (Lemma L14, algebroids.anchored); the others pair to zero."""
+    (Lemma L14, algebroids.anchored, read from the pairings masks of the
+    columns); the others pair to zero."""
 
     courant: CourantData
     columns: tuple[Vec, ...]
@@ -588,9 +616,10 @@ class Connection:
                     f"coordinate field"
                 )
         supports = [support(col) for col in columns]
+        admitted = pairings(q.pairing_masks, supports, supports)
         for i in range(q.chart.dim):
             for j in range(i, q.chart.dim):
-                if not paired(q.pairing_masks, supports[i], supports[j]):
+                if not admitted[i] >> j & 1:
                     continue
                 if not q.pairing_of(columns[i], columns[j]).is_zero:
                     raise ValidationError(
@@ -611,12 +640,13 @@ def curvature(conn: Connection) -> KForm:
     Components are read off with the pairing against the connection itself;
     the defect sections are then confirmed to be coanchor images of exactly
     those components, and the component array to be totally antisymmetric.
-    A pair of columns whose bracket q.bracket_vanishes rules out on their
-    supports gets the zero section as its defect without a bracket, and a
-    defect and a column that are not paired (Lemma L14, algebroids.anchored)
-    get the chart's zero without a pairing, so both checks still read every
-    defect and every component. Each column's anchor is computed once, on
-    its first bracket (section_anchors).
+    A pair of columns whose bracket Lemma L14 rules out on their supports
+    (q.admitted on the columns) gets the zero section as its defect without
+    a bracket, and a defect and a column that are not paired (the pairings
+    masks of the defects against the columns) get the chart's zero without
+    a pairing, so both checks still read every defect and every component.
+    Each column's anchor is computed once, on its first bracket
+    (section_anchors).
     """
     q = conn.courant
     chart = q.chart
@@ -625,22 +655,21 @@ def curvature(conn: Connection) -> KForm:
     columns = conn.columns
     column_supports = [support(col) for col in columns]
     anchors = section_anchors(q, columns)
+    admitted = q.admitted(column_supports, column_supports)
     comps: dict[tuple[int, int, int], Poly] = {}
     defects: dict[tuple[int, int], Vec] = {}
     for (i, si), (j, sj) in product(enumerate(column_supports), repeat=2):
         defects[(i, j)] = (
-            q.zero_section()
-            if q.bracket_vanishes(si, sj)
-            else q.bracket(columns[i], columns[j], anchors(i, j))
+            q.bracket(columns[i], columns[j], anchors(i, j), (si, sj))
+            if admitted[i] >> j & 1
+            else q.zero_section()
         )
-    for (i, j), defect in defects.items():
-        sd = support(defect)
+    defect_pairings = pairings(
+        q.pairing_masks, [support(d) for d in defects.values()], column_supports
+    )
+    for ((i, j), defect), row in zip(defects.items(), defect_pairings):
         for k in range(n):
-            comps[(i, j, k)] = (
-                q.pairing_of(defect, columns[k])
-                if paired(q.pairing_masks, sd, column_supports[k])
-                else zero
-            )
+            comps[(i, j, k)] = q.pairing_of(defect, columns[k]) if row >> k & 1 else zero
     for (i, j, k), c in comps.items():
         if not (c + comps[(j, i, k)]).is_zero or not (c + comps[(i, k, j)]).is_zero:
             raise ValidationError(
@@ -687,13 +716,14 @@ class CourantCombination(Presentation):
     the class and the other parts' t_i as relation coefficients. result
     holds the weighted pairings of the basis and the table of the classes
     of its part by part brackets: generators 0..n-1 are the diagonal
-    lifts, n..2n-1 the glued lines. A basis pair whose bracket
-    bracket_vanishes rules out in every part (Lemma L14) is not bracketed,
-    nor, in an admitted pair, is a part whose own bracket_vanishes rules
-    out its two sections (that part's bracket is the zero section); and a
-    basis pair that no part of nonzero weight pairs (Lemma L14 on
-    pairings, algebroids.anchored) is not paired, nor is a part whose two
-    sections it does not pair.
+    lifts, n..2n-1 the glued lines. Both tables read admitted masks, one
+    admission step per part and table on that part's sections of the basis
+    (Lemma L14): a basis pair whose bracket the part masks of
+    CourantData.admitted rule out in every part is not bracketed, nor, in
+    an admitted pair, is a part whose own mask rules out its two sections
+    (that part's bracket is the zero section); and a basis pair that no
+    part of nonzero weight pairs (the part masks of anchored.pairings) is
+    not paired, nor is a part whose two sections it does not pair.
     """
 
     def __init__(
@@ -744,30 +774,28 @@ class CourantCombination(Presentation):
         super().__init__(chart, sizes, basis, read, relations)
 
         gens, supports = self.basis, self.supports
+        # part_supports[i] lists the supports of part i of the basis.
+        part_supports = [[s[i] for s in supports] for i in range(len(parts))]
+        pair_masks = [
+            pairings(q.pairing_masks, ps, ps) if w else [0] * len(gens)
+            for q, w, ps in zip(parts, weights, part_supports)
+        ]
 
         def weighted(x: int, y: int) -> Poly:
-            terms = zip(parts, weights, gens[x], gens[y], supports[x], supports[y])
+            terms = zip(parts, weights, gens[x], gens[y], pair_masks)
             products = (
-                w * q.pairing_of(u, v)
-                for q, w, u, v, su, sv in terms
-                if w and paired(q.pairing_masks, su, sv)
+                w * q.pairing_of(u, v) for q, w, u, v, masks in terms if masks[x] >> y & 1
             )
             return sum(products, Poly.zero(chart))
 
-        def unpaired(x: tuple[Support, ...], y: tuple[Support, ...]) -> bool:
-            terms = zip(parts, weights, x, y)
-            return not any(w and paired(q.pairing_masks, su, sv) for q, w, su, sv in terms)
-
         zero_poly = Poly.zero(chart)
-        paired_basis = pruned_table(self, unpaired, weighted)
+        paired_basis = pruned_table(_union(pair_masks), weighted)
         pairing = tuple(
             tuple(paired_basis.get((x, y), zero_poly) for y in range(len(gens)))
             for x in range(len(gens))
         )
 
-        def vanishes(x: tuple[Support, ...], y: tuple[Support, ...]) -> bool:
-            return all(q.bracket_vanishes(su, sv) for q, su, sv in zip(parts, x, y))
-
+        bracket_masks = [q.admitted(ps, ps) for q, ps in zip(parts, part_supports)]
         # anchors[i] gives the anchors of part i of two basis elements.
         anchors = [
             section_anchors(q, [element[i] for element in gens])
@@ -775,21 +803,26 @@ class CourantCombination(Presentation):
         ]
 
         def bracket(x: int, y: int) -> Vec:
-            terms = zip(parts, gens[x], gens[y], supports[x], supports[y], anchors)
+            terms = zip(parts, gens[x], gens[y], supports[x], supports[y], anchors, bracket_masks)
             return self.reduce(
                 tuple(
-                    q.zero_section()
-                    if q.bracket_vanishes(su, sv)
-                    else q.bracket(u, v, part(x, y))
-                    for q, u, v, su, sv, part in terms
+                    q.bracket(u, v, part(x, y), (su, sv))
+                    if masks[x] >> y & 1
+                    else q.zero_section()
+                    for q, u, v, su, sv, part, masks in terms
                 )
             )
 
-        structure = pruned_table(self, vanishes, bracket)
+        structure = pruned_table(_union(bracket_masks), bracket)
         anchor, coanchor = _exact_frame(chart)
         self.result = CourantData(
             chart, len(gens), anchor, coanchor, pairing, structure
         )
+
+
+def _union(part_masks: Sequence[Sequence[int]]) -> list[int]:
+    """Row by row, the union of the masks of every part."""
+    return [reduce(or_, row, 0) for row in zip(*part_masks)]
 
 
 def baer_combination(

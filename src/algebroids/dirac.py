@@ -24,7 +24,7 @@ from functools import cached_property
 from itertools import combinations_with_replacement, product
 
 from algebroids import linalg
-from algebroids.anchored import mask, paired, section_anchors, support
+from algebroids.anchored import mask, pairings, section_anchors, support
 from algebroids.courant import CourantData
 from algebroids.errors import ValidationError
 from algebroids.linalg import Vec, fmt_section, vec_is_zero
@@ -120,10 +120,11 @@ def check_dirac(d: DiracData, maximality: str = "full") -> Report:
     "rank-only" drops that requirement and falls back to degree-bounded
     span membership for the closure check.
 
-    Lemma L14 (algebroids.anchored) prunes both pair loops: isotropy skips
-    generator pairs that the restricted pairing does not pair, and closure
-    takes the zero defect for a lifted pair whose bracket bracket_vanishes
-    rules out, and pairs no zero defect. The skipped brackets need no
+    Lemma L14 (algebroids.anchored) prunes both pair loops, each reading
+    masks taken once: isotropy skips generator pairs that the restricted
+    pairing does not pair (anchored.pairings), and closure takes the zero
+    defect for a lifted pair whose bracket q.admitted rules out, and pairs
+    no zero defect. The skipped brackets need no
     check of the lifts: d and its structure are frozen once validated, so
     the lifts of its generators are sections of the structure. Each lift's
     anchor is computed once, on its first bracket (section_anchors).
@@ -140,8 +141,9 @@ def check_dirac(d: DiracData, maximality: str = "full") -> Report:
     supports = [support(gen) for gen in d.generators]
 
     def isotropy():
+        admitted = pairings(g_masks, supports, supports)
         for i, j in combinations_with_replacement(range(m), 2):
-            if not paired(g_masks, supports[i], supports[j]):
+            if not admitted[i] >> j & 1:
                 continue
             got = d.pair_restricted(d.generators[i], d.generators[j], g)
             if not got.is_zero:
@@ -172,12 +174,14 @@ def check_dirac(d: DiracData, maximality: str = "full") -> Report:
         lifts = [d.lift_generator(i) for i in range(m)]
         lifted_supports = [support(lift) for lift in lifts]
         anchors = section_anchors(q, lifts)
+        admitted = q.admitted(lifted_supports, lifted_supports)
         zero = linalg.zero_vec(sub, q.rank)
         for i, j in product(range(m), repeat=2):
-            if q.bracket_vanishes(lifted_supports[i], lifted_supports[j]):
+            if not admitted[i] >> j & 1:
                 defects[(i, j)] = zero
                 continue
-            lifted = q.bracket(lifts[i], lifts[j], anchors(i, j))
+            supports_ij = lifted_supports[i], lifted_supports[j]
+            lifted = q.bracket(lifts[i], lifts[j], anchors(i, j), supports_ij)
             defects[(i, j)] = tuple(d.restrict(p) for p in lifted)
         if maximality == "full":
             for (i, j), defect in sorted(defects.items()):

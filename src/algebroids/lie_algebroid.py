@@ -40,6 +40,7 @@ from typing import Mapping, Sequence
 from algebroids import linalg
 from algebroids.anchored import (
     AnchoredModule,
+    Columns,
     Presentation,
     Split,
     anchor_defects,
@@ -49,8 +50,8 @@ from algebroids.anchored import (
     comparison,
     jacobi_counterexample,
     jacobi_generator_failures,
+    pair_admitted,
     pair_bracket,
-    pair_bracket_vanishes,
     probe,
     pruned_table,
     pulled_entries,
@@ -246,7 +247,8 @@ class LiePullback(Presentation):
     reader is its coords. result is the induced structure on that basis:
     the anchor of a basis pair is its tangent, and each table entry is the
     reduced pair_bracket of two basis pairs, computed by pruned_table only
-    when pair_bracket_vanishes (Lemma L14) does not rule the pair out.
+    when Lemma L14 admits the pair: the pair_admitted masks of the basis
+    supports, taken once for the table.
     """
 
     def __init__(self, f: ChartMap, source: LieData, fibre: Split):
@@ -259,9 +261,9 @@ class LiePullback(Presentation):
         self.map, self.source = f, source
         chart, basis, supports = self.chart, self.basis, self.supports
         pulled = pulled_entries(f, source._entry)
+        tangents, sections = (Columns([s[k] for s in supports]) for k in range(2))
         table = pruned_table(
-            self,
-            lambda x, y: pair_bracket_vanishes(source.table_masks, x, y),
+            pair_admitted(source.table_masks, supports, tangents, sections),
             lambda x, y: self.reduce(
                 pair_bracket(
                     chart,

@@ -18,20 +18,23 @@ check_relation_absorption). Pairing and bracket of triples:
 
 Lemma L14 (support test) is stated on sections in algebroids.anchored:
 each term above is zero unless its condition on the supports of the slots
-holds. The (eta, u) terms are those of anchored.pair_bracket_vanishes, and
-the pairing differential that of CourantData.bracket_vanishes, read on the
-pulled pairing through the masks of its rows (pairing_masks, taken once per
+holds. The (eta, u) terms are those of anchored.pair_admitted, and the
+pairing differential the coanchor term of CourantData, read on the pulled
+pairing through the masks of its rows (pairing_masks, taken once per
 presentation). The one-form terms add two conditions: L_{eta1} beta2
 needs eta1 and beta2 nonzero and not both constant, and i_{eta2} d beta1
 needs eta2 nonzero and beta1 not constant. The pairing is Lemma L14 on
 pairings (anchored) three times: beta1(eta2) = sum_j beta1_j eta2_j needs
 an index j where beta1 and eta2 are both nonzero, beta2(eta1) likewise,
 and f*<u1, u2> some nonzero f*(g_ab) with a in supp u1 and b in supp u2.
-CourantPullback.result builds its table and pairing
-with anchored.pruned_table, so it brackets, pairs and reduces only the
-pairs the lemma admits; the others are zero, and computing them formed no
-product of positive degree, so no result changes and no degree cap can
-fire on them. check_relation_absorption reads the same basis supports.
+CourantPullback.bracket_admitted and pairing_admitted state these terms
+as unions of column masks, one admission step per table, and
+CourantPullback.result builds its table and pairing with
+anchored.pruned_table on those masks, so it brackets, pairs and reduces
+only the pairs the lemma admits; the others are zero, and computing them
+formed no product of positive degree, so no result changes and no degree
+cap can fire on them. check_relation_absorption reads the masks of its
+relation and basis supports.
 
 Four presentations are supported: an exact split presentation over a chosen
 connection (basis: connection lifts of the coordinate fields plus the
@@ -66,9 +69,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from typing import Sequence
 
 from algebroids import linalg
 from algebroids.anchored import (
+    Columns,
     Embedding,
     Presentation,
     Split,
@@ -77,13 +82,13 @@ from algebroids.anchored import (
     classify_map,
     constant_complement,
     mask,
+    pair_admitted,
     pair_bracket,
-    pair_bracket_vanishes,
-    paired,
     pruned_table,
     pulled_entries,
     require_chart,
     split_lifts,
+    spread,
     support,
 )
 from algebroids.courant import (
@@ -165,7 +170,7 @@ class CourantPullback(Presentation):
             self.embedding = Embedding(f, q.anchor)
             basis, read = _embedding(self.embedding, q, self.pulled_coanchor)
         else:
-            basis, read = _submersion(f, q, self.pulled_coanchor)
+            basis, read = _submersion(f, q, self.jacobian, self.pulled_coanchor)
         self.map, self.mode = f, mode
         relations = [self.relation(k) for k in range(q.chart.dim)]
         super().__init__(chart, (chart.dim, q.rank, chart.dim), basis, read, relations)
@@ -174,11 +179,12 @@ class CourantPullback(Presentation):
     def result(self) -> CourantData:
         """The induced structure on the basis.
 
-        pruned_table reads supports, one Support per slot of each basis
-        triple, and a pair that bracket_vanishes or pairing_vanishes rules
-        out gets no ambient operation: its table entry is left out, as a
-        zero entry would be dropped, and its pairing entry is the chart's
-        zero."""
+        pruned_table reads the admitted masks of the basis supports, one
+        Support per slot of each basis triple (pairing_admitted and
+        bracket_admitted, one admission step per table), and a pair that
+        they rule out gets no ambient operation: its table entry is left
+        out, as a zero entry would be dropped, and its pairing entry is the
+        chart's zero."""
         chart, rank = self.chart, self.source.rank
         basis, r = self.basis, len(self.basis)
         anchor = tuple(eta for _, _, eta in basis)
@@ -186,18 +192,16 @@ class CourantPullback(Presentation):
             self.reduce(_cotangent(chart, rank, j)) for j in range(chart.dim)
         )
         zero = Poly.zero(chart)
+        supports = self.supports
         paired_basis = pruned_table(
-            self,
-            self.pairing_vanishes,
+            self.pairing_admitted(supports, supports),
             lambda x, y: self.ambient_pairing(basis[x], basis[y]),
         )
         pairing = tuple(
             tuple(paired_basis.get((x, y), zero) for y in range(r)) for x in range(r)
         )
-        supports = self.supports
         structure = pruned_table(
-            self,
-            self.bracket_vanishes,
+            self.bracket_admitted(supports, supports),
             lambda x, y: self.reduce(
                 self.ambient_bracket(basis[x], basis[y], (supports[x], supports[y]))
             ),
@@ -227,7 +231,7 @@ class CourantPullback(Presentation):
         Lemma L14, pairing: <t1, t2> is zero unless beta1 and eta2 are
         nonzero at a common index, or beta2 and eta1 are, or some pulled
         g_ab is nonzero with a in supp u1 and b in supp u2
-        (pairing_vanishes)."""
+        (pairing_admitted)."""
         beta1, u1, eta1 = t1
         beta2, u2, eta2 = t2
         chart = self.chart
@@ -258,13 +262,13 @@ class CourantPullback(Presentation):
 
         Lemma L14, bracket: each term is zero unless its condition holds.
           - [eta1, eta2], the table term and eta1(u2) - eta2(u1): as
-            anchored.pair_bracket_vanishes states them.
+            anchored.pair_admitted states them.
           - The pairing differential needs u1 not constant and a nonzero
             pulled g_ab with a in supp u1 and b in supp u2.
           - L_{eta1} beta2 needs eta1 and beta2 nonzero and not both
             constant.
           - i_{eta2} d beta1 needs eta2 nonzero and beta1 not constant.
-        bracket_vanishes is this test on supports."""
+        bracket_admitted is this test on the supports of a table."""
         chart = self.chart
         beta1, u1, eta1 = t1
         beta2, u2, eta2 = t2
@@ -291,36 +295,47 @@ class CourantPullback(Presentation):
             beta = vec_sub(beta, _form_vec(db1))
         return (beta, tensor, tangent)
 
-    def bracket_vanishes(self, x: tuple[Support, ...], y: tuple[Support, ...]) -> bool:
-        """Whether Lemma L14 shows ambient_bracket to be zero on triples
-        with the slot supports x and y."""
-        (beta1, u1, eta1), (beta2, u2, eta2) = x, y
-        lie = eta1.mask and beta2.mask
-        return pair_bracket_vanishes(
-            self.source.table_masks, (eta1, u1), (eta2, u2)
-        ) and not (
-            (not u1.constant and paired(self.pairing_masks, u1, u2))
-            or (lie and not (eta1.constant and beta2.constant))
-            or (eta2.mask and not beta1.constant)
+    def bracket_admitted(
+        self, xs: Sequence[tuple[Support, ...]], ys: Sequence[tuple[Support, ...]]
+    ) -> list[int]:
+        """Lemma L14 on ambient_bracket over a table of triples: for each
+        row (beta1, u1, eta1) of xs, the mask of the columns (beta2, u2,
+        eta2) of ys whose bracket it admits. The (eta, u) terms are
+        anchored.pair_admitted; the pairing differential admits the
+        sections meeting the pulled pairing rows over supp u1 when u1 is
+        not constant; L_{eta1} beta2 the nonzero one-forms when eta1 is
+        nonzero and not constant, the varying ones when it is constant; and
+        i_{eta2} d beta1 the nonzero tangents when beta1 is not constant."""
+        forms, sections, tangents = (Columns([y[k] for y in ys]) for k in range(3))
+        pairs = pair_admitted(
+            self.source.table_masks, [(e, u) for _, u, e in xs], tangents, sections
         )
+        out = []
+        for m, (beta1, u1, eta1) in zip(pairs, xs):
+            if not u1.constant:
+                m |= sections.meeting(spread(self.pairing_masks, u1.mask))
+            if eta1.mask:
+                m |= forms.varying if eta1.constant else forms.nonzero
+            if not beta1.constant:
+                m |= tangents.nonzero
+            out.append(m)
+        return out
 
-    def pairing_vanishes(self, x: tuple[Support, ...], y: tuple[Support, ...]) -> bool:
-        """Whether Lemma L14 shows ambient_pairing to be zero on triples
-        with the slot supports x and y: beta1(eta2) needs an index where
-        both are nonzero, beta2(eta1) likewise, and f*<u1, u2> needs the
-        pulled pairing paired on supp u1 and supp u2."""
-        (beta1, u1, eta1), (beta2, u2, eta2) = x, y
-        return not (
-            _share(beta1, eta2)
-            or _share(beta2, eta1)
-            or paired(self.pairing_masks, u1, u2)
-        )
-
-
-def _share(s: Support, t: Support) -> bool:
-    """Whether some index is nonzero in both supports: without one, sum_j
-    s_j t_j is zero (Lemma L14 on pairings, with the identity matrix)."""
-    return bool(s.mask & t.mask)
+    def pairing_admitted(
+        self, xs: Sequence[tuple[Support, ...]], ys: Sequence[tuple[Support, ...]]
+    ) -> list[int]:
+        """Lemma L14 on ambient_pairing over a table of triples: for each
+        row (beta1, u1, eta1) of xs, the mask of the columns it admits:
+        beta1(eta2) admits the tangents meeting supp beta1, beta2(eta1) the
+        one-forms meeting supp eta1, and f*<u1, u2> the sections meeting
+        the pulled pairing rows over supp u1."""
+        forms, sections, tangents = (Columns([y[k] for y in ys]) for k in range(3))
+        return [
+            tangents.meeting(beta1.mask)
+            | forms.meeting(eta1.mask)
+            | sections.meeting(spread(self.pairing_masks, u1.mask))
+            for beta1, u1, eta1 in xs
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +374,11 @@ def _exact_split(f: ChartMap, q: CourantData, jac, conn: Connection):
     return basis, read
 
 
-def _submersion(f: ChartMap, q: CourantData, coanchor):
+def _submersion(f: ChartMap, q: CourantData, jac, coanchor):
     """The fibre-product pairs of the submersion, then the cotangent lines
     of its vertical coordinates."""
     chart = f.source
-    sub = Submersion(f, q.anchor)
+    sub = Submersion(f, q.anchor, jac)
     zero_form = zero_vec(chart, chart.dim)
     basis = [(zero_form, u, eta) for eta, u in sub.basis] + [
         _cotangent(chart, q.rank, v) for v in sub.vertical
@@ -481,9 +496,11 @@ def check_relation_absorption(pb: CourantPullback) -> Report:
     """The relation generators pair to zero with everything and bracket back
     into the relation span (class zero), on all basis elements. Both checks
     read one Support per slot of each relation and of each basis triple
-    (supports); a pair that pairing_vanishes rules out pairs to zero and is
-    not paired, and an order of a pair that bracket_vanishes rules out
-    brackets to zero and is not bracketed (Lemma L14)."""
+    (supports), and the admitted masks of relation rows against basis and
+    relation columns, and of basis rows against relation columns: a pair
+    that pairing_admitted rules out pairs to zero and is not paired, and an
+    order of a pair that bracket_admitted rules out brackets to zero and is
+    not bracketed (Lemma L14)."""
     rep = Report()
     n = pb.source.chart.dim
     rels = pb.relations
@@ -491,39 +508,49 @@ def check_relation_absorption(pb: CourantPullback) -> Report:
     basis_supports = pb.supports
 
     def isotropic():
+        with_basis = pb.pairing_admitted(rel_supports, basis_supports)
+        with_rels = pb.pairing_admitted(rel_supports, rel_supports)
         for k in range(n):
             for c, b in enumerate(pb.basis):
-                if pb.pairing_vanishes(rel_supports[k], basis_supports[c]):
+                if not with_basis[k] >> c & 1:
                     continue
                 got = pb.ambient_pairing(rels[k], b)
                 if not got.is_zero:
                     yield f"relation {k} against basis {c}: {got}"
             for l in range(n):
-                if pb.pairing_vanishes(rel_supports[k], rel_supports[l]):
+                if not with_rels[k] >> l & 1:
                     continue
                 got = pb.ambient_pairing(rels[k], rels[l])
                 if not got.is_zero:
                     yield f"relations ({k},{l}): {got}"
 
     def closed(
-        t1: Triple, s1: tuple[Support, ...], t2: Triple, s2: tuple[Support, ...]
+        admitted: int,
+        t1: Triple,
+        s1: tuple[Support, ...],
+        t2: Triple,
+        s2: tuple[Support, ...],
     ) -> bool:
-        return pb.bracket_vanishes(s1, s2) or vec_is_zero(
+        return not admitted or vec_is_zero(
             pb.reduce(pb.ambient_bracket(t1, t2, (s1, s2)))
         )
 
     def bracket_closed():
+        rel_basis = pb.bracket_admitted(rel_supports, basis_supports)
+        basis_rel = pb.bracket_admitted(basis_supports, rel_supports)
+        rel_rel = pb.bracket_admitted(rel_supports, rel_supports)
         for k in range(n):
             rel, sr = rels[k], rel_supports[k]
             for c, b in enumerate(pb.basis):
                 sb = basis_supports[c]
-                left, right = closed(rel, sr, b, sb), closed(b, sb, rel, sr)
+                left = closed(rel_basis[k] >> c & 1, rel, sr, b, sb)
+                right = closed(basis_rel[c] >> k & 1, b, sb, rel, sr)
                 if not left:
                     yield f"relation {k} bracket basis {c}"
                 if not right:
                     yield f"basis {c} bracket relation {k}"
             for l in range(n):
-                if not closed(rel, sr, rels[l], rel_supports[l]):
+                if not closed(rel_rel[k] >> l & 1, rel, sr, rels[l], rel_supports[l]):
                     yield f"relations ({k},{l})"
 
     rep.check("relations_isotropic", isotropic())

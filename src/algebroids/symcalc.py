@@ -930,11 +930,16 @@ class ChartMap:
             return Poly.const(self.source, c)
         return f.subs(list(self.comps))
 
-    def jacobian(self) -> list[list[Poly]]:
-        """Matrix J[j][i] = d(comps[j]) / d(source coord i)."""
-        return [
-            [c.diff(i) for i in range(self.source.dim)] for c in self.comps
-        ]
+    @cached_property
+    def _jacobian(self) -> tuple[tuple[Poly, ...], ...]:
+        return tuple(
+            tuple(c.diff(i) for i in range(self.source.dim)) for c in self.comps
+        )
+
+    def jacobian(self) -> tuple[tuple[Poly, ...], ...]:
+        """Matrix J[j][i] = d(comps[j]) / d(source coord i), built on first
+        use and kept, as immutable tuples, for the life of the map."""
+        return self._jacobian
 
     def pullback_form(self, w: KForm) -> KForm:
         """Pull a differential form on the target back to the source."""

@@ -151,7 +151,11 @@ class TauModule:
         # + c(i_{anchor u} omega).
         odd, even = (y, x) if dx == 0 else (x, y)
         zero = self._zeros[1]
-        sec = zero if q.bracket_vanishes(su, sv) else q.bracket(x.section, y.section)
+        sec = (
+            zero
+            if q.bracket_vanishes(su, sv)
+            else q.bracket(x.section, y.section, supports=(su, sv))
+        )
         if dx == -1 and paired(q.pairing_masks, su, sv):
             g = q.pairing_of(x.section, y.section)
             if g.as_constant() is None:

@@ -16,6 +16,14 @@ unpruned_generator_cases and unpruned_first_labels are the generator terms
 and first labels of check_courant with no term skipped on its supports,
 masks or constant entries; and unpruned_twist is courant.twist with the
 twist term computed on every generator pair, zero anchors included.
+
+Lemma L14 one pair at a time, the references the admitted masks of a whole
+table are tested against: pair_bracket_vanishes on two (tangent, section)
+pairs; pullback_bracket_vanishes and pullback_pairing_vanishes on two
+triples of a CourantPullback, with share, the shared-index test of a
+one-form against a tangent; and combination_vanishes and
+combination_unpaired on two basis elements of a CourantCombination.
+predicate_masks turns such a test into the masks of a table.
 """
 
 from fractions import Fraction
@@ -25,18 +33,22 @@ from typing import Sequence
 from algebroids import linalg
 from algebroids.anchored import (
     AnchoredModule,
+    Support,
     antisymmetric_table,
     constant_complement,
     jacobi_counterexample,
     jacobi_left_probe_failures,
     jacobiator,
+    leibniz_vanishes,
+    paired,
     probe,
 )
-from algebroids.courant import Connection, CourantData
+from algebroids.courant import Connection, CourantCombination, CourantData
 from algebroids.dirac import DiracData
 from algebroids.errors import ChartMismatchError, ValidationError
 from algebroids.lie_algebroid import LieData
 from algebroids.linalg import Vec, apply_constant, unit_vec, vec_add, vec_sub
+from algebroids.pullback import CourantPullback
 from algebroids.symcalc import KForm, Poly, VField
 from algebroids.transgression import TauElement, TauModule
 
@@ -396,3 +408,86 @@ def unpruned_first_labels(q: CourantData, terms: dict) -> dict[str, str | None]:
 
     first["leibniz_identity"] = next(leibniz(), None)
     return first
+
+
+# ---------------------------------------------------------------------------
+# Lemma L14 on single pairs
+# ---------------------------------------------------------------------------
+
+
+def pair_bracket_vanishes(
+    rows: Sequence[int], x: tuple[Support, Support], y: tuple[Support, Support]
+) -> bool:
+    """Whether Lemma L14 shows pair_bracket to be zero on pairs (eta1, u1)
+    and (eta2, u2) with the supports x and y; rows are the table masks of
+    the source module, and a pulled entry is zero where its source entry
+    is. The section is leibniz_sum with the tangents as anchors
+    (leibniz_vanishes); the tangent bracket [eta1, eta2] needs both
+    tangents nonzero and not both constant, a derivation killing
+    constants."""
+    (eta1, u1), (eta2, u2) = x, y
+    xi, eta = bool(eta1.mask), bool(eta2.mask)
+    return not (
+        xi and eta and not (eta1.constant and eta2.constant)
+    ) and leibniz_vanishes(rows, u1, u2, xi, eta)
+
+
+def pullback_bracket_vanishes(
+    pb: CourantPullback, x: tuple[Support, ...], y: tuple[Support, ...]
+) -> bool:
+    """Whether Lemma L14 shows pb.ambient_bracket to be zero on triples
+    with the slot supports x and y."""
+    (beta1, u1, eta1), (beta2, u2, eta2) = x, y
+    lie = eta1.mask and beta2.mask
+    return pair_bracket_vanishes(
+        pb.source.table_masks, (eta1, u1), (eta2, u2)
+    ) and not (
+        (not u1.constant and paired(pb.pairing_masks, u1, u2))
+        or (lie and not (eta1.constant and beta2.constant))
+        or (eta2.mask and not beta1.constant)
+    )
+
+
+def pullback_pairing_vanishes(
+    pb: CourantPullback, x: tuple[Support, ...], y: tuple[Support, ...]
+) -> bool:
+    """Whether Lemma L14 shows pb.ambient_pairing to be zero on triples
+    with the slot supports x and y: beta1(eta2) needs an index where both
+    are nonzero, beta2(eta1) likewise, and f*<u1, u2> needs the pulled
+    pairing paired on supp u1 and supp u2."""
+    (beta1, u1, eta1), (beta2, u2, eta2) = x, y
+    return not (
+        share(beta1, eta2)
+        or share(beta2, eta1)
+        or paired(pb.pairing_masks, u1, u2)
+    )
+
+
+def share(s: Support, t: Support) -> bool:
+    """Whether some index is nonzero in both supports: without one, sum_j
+    s_j t_j is zero (Lemma L14 on pairings, with the identity matrix)."""
+    return bool(s.mask & t.mask)
+
+
+def combination_vanishes(
+    comb: CourantCombination, x: tuple[Support, ...], y: tuple[Support, ...]
+) -> bool:
+    """Whether Lemma L14 rules out the part by part bracket of two elements
+    of comb with the part supports x and y: it does in every part."""
+    return all(q.bracket_vanishes(su, sv) for q, su, sv in zip(comb.parts, x, y))
+
+
+def combination_unpaired(
+    comb: CourantCombination, x: tuple[Support, ...], y: tuple[Support, ...]
+) -> bool:
+    """Whether Lemma L14 rules out the weighted pairing of two elements of
+    comb with the part supports x and y: no part of nonzero weight pairs
+    them."""
+    terms = zip(comb.parts, comb.weights, x, y)
+    return not any(w and paired(q.pairing_masks, su, sv) for q, w, su, sv in terms)
+
+
+def predicate_masks(admits, xs: Sequence, ys: Sequence) -> list[int]:
+    """The masks of a table by a test of one pair: bit y of mask x set when
+    admits(xs[x], ys[y])."""
+    return [sum(1 << y for y, sy in enumerate(ys) if admits(sx, sy)) for sx in xs]

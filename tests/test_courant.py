@@ -18,6 +18,7 @@ from algebroids.anchored import (
     jacobi_generator_failures,
     jacobiator,
     paired,
+    pairings,
     support,
 )
 from algebroids.courant import (
@@ -36,7 +37,7 @@ from algebroids.courant import (
 from algebroids.descent import two_form_transform
 from algebroids.dirac import DiracData, support_inclusion
 from algebroids.errors import ChartMismatchError, ValidationError
-from algebroids.lie_algebroid import tangent_algebroid
+from algebroids.lie_algebroid import LieData, tangent_algebroid
 from algebroids.linalg import (
     apply_matrix,
     fmt_section,
@@ -49,15 +50,19 @@ from algebroids.linalg import (
     zero_vec,
 )
 from algebroids import anchored as anchored_module
+from algebroids import courant as courant_module
 from algebroids import pullback as pullback_module
 from algebroids.pullback import morphism_graph
 from algebroids.symcalc import ChartMap, KForm, Poly, VField, coordinate_chart, parse_poly
 
 from oracles import (
     associated_lie_algebroid,
+    combination_unpaired,
+    combination_vanishes,
     connection_shift,
     direct_sum,
     opposite,
+    predicate_masks,
     scalar_multiple,
     unpruned_first_labels,
     unpruned_generator_cases,
@@ -441,9 +446,9 @@ def test_curvature_brackets_only_admitted_column_pairs(monkeypatch):
     calls = []
     original = CourantData.bracket
 
-    def counted(self, u, v, anchors=None):
+    def counted(self, u, v, *args, **kwargs):
         calls.append(1)
-        return original(self, u, v, anchors)
+        return original(self, u, v, *args, **kwargs)
 
     monkeypatch.setattr(CourantData, "bracket", counted)
     assert curvature(coordinate_connection(q)) == vol3("x1 + x2")
@@ -1201,6 +1206,55 @@ def test_support_tests_answer_as_lemma_l14_on_index_sets(name, data):
         assert paired(m.pairing_masks, support(u), support(v)) == expected
 
 
+@st.composite
+def random_tables(draw, lie):
+    """Structure data on P of rank 1 to 4 whose anchor, table, coanchor
+    and symmetric pairing entries are each zero, a constant or a
+    polynomial of degree 1, on a random set of table keys: LieData when
+    lie, else CourantData. Nothing asks the axioms of either."""
+    chart = R2
+    r = draw(st.integers(1, 4))
+    entry = st.one_of(
+        st.just(Poly.zero(chart)),
+        polys(chart, max_degree=0, max_terms=1),
+        polys(chart, max_degree=1, max_terms=2),
+    )
+
+    def vec(n):
+        return tuple(draw(entry) for _ in range(n))
+
+    anchor = tuple(vec(chart.dim) for _ in range(r))
+    keys = draw(st.sets(st.tuples(st.integers(0, r - 1), st.integers(0, r - 1))))
+    structure = {key: vec(r) for key in sorted(keys)}
+    if lie:
+        return LieData(chart, r, anchor, structure)
+    upper = {(a, b): draw(entry) for a in range(r) for b in range(a, r)}
+    pairing = tuple(tuple(upper[min(a, b), max(a, b)] for b in range(r)) for a in range(r))
+    coanchor = tuple(vec(r) for _ in range(chart.dim))
+    return CourantData(chart, r, anchor, coanchor, pairing, structure)
+
+
+@pytest.mark.parametrize("lie", [False, True], ids=["courant", "lie"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_admitted_masks_match_the_pair_tests_on_random_tables(lie, data):
+    """The admission step of a table, AnchoredModule.admitted (and
+    anchored.pairings on the pairing of Courant data), sets bit y of row x
+    exactly when bracket_vanishes (paired) admits the pair (x, y), on
+    random structure data and random row and column sections."""
+    m = data.draw(random_tables(lie))
+    rows = data.draw(st.lists(sparse_sections(m), max_size=4))
+    cols = data.draw(st.lists(sparse_sections(m), max_size=5))
+    xs, ys = [support(u) for u in rows], [support(v) for v in cols]
+    assert m.admitted(xs, ys) == predicate_masks(
+        lambda x, y: not m.bracket_vanishes(x, y), xs, ys
+    )
+    if not lie:
+        assert pairings(m.pairing_masks, xs, ys) == predicate_masks(
+            lambda x, y: paired(m.pairing_masks, x, y), xs, ys
+        )
+
+
 def unpruned_first_generator_failure(m):
     """The first label of the jacobiator on generator triples, each
     computed by jacobiator on whole sections with nothing skipped."""
@@ -1257,9 +1311,9 @@ def test_check_courant_brackets_only_what_lemma_l14_admits(monkeypatch, q, count
     calls = []
     original = CourantData.bracket
 
-    def counted(self, u, v):
+    def counted(self, u, v, *args, **kwargs):
         calls.append(1)
-        return original(self, u, v)
+        return original(self, u, v, *args, **kwargs)
 
     monkeypatch.setattr(CourantData, "bracket", counted)
     assert check_courant(q).ok
@@ -1451,6 +1505,46 @@ def test_pruned_combination_table_equals_the_unpruned_table(name):
     assert r == unpruned
 
 
+@st.composite
+def random_combinations(draw):
+    """A Baer combination of one to three standard structures on X with
+    twists of degree at most 1, integer weights not all zero, and
+    coordinate connections, shifted by one two-form when one is drawn."""
+    k = draw(st.integers(1, 3))
+    hs = [draw(polys(R3, max_degree=1, max_terms=2)) for _ in range(k)]
+    weights = draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k).filter(any))
+    qs = [standard_exact(R3, KForm(R3, 3, {(0, 1, 2): h})) for h in hs]
+    conns = [coordinate_connection(q) for q in qs]
+    if draw(st.booleans()):
+        b = draw(kforms(R3, 2, max_degree=1, max_terms=2))
+        conns = [connection_shift(c, b) for c in conns]
+    return qs, weights, conns
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_combination_masks_match_the_pair_tests(data):
+    """The pairing and table masks CourantCombination hands to
+    pruned_table set bit y of row x exactly when combination_unpaired
+    (combination_vanishes) does not rule out the basis pair (x, y)."""
+    qs, weights, conns = data.draw(random_combinations())
+    tables = []
+    pruned_table = courant_module.pruned_table
+
+    def recorded(admitted, bracket):
+        tables.append(list(admitted))
+        return pruned_table(admitted, bracket)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(courant_module, "pruned_table", recorded)
+        comb = baer_combination(qs, weights, conns)
+    supports = comb.supports
+    assert tables == [
+        predicate_masks(lambda x, y: not combination_unpaired(comb, x, y), supports, supports),
+        predicate_masks(lambda x, y: not combination_vanishes(comb, x, y), supports, supports),
+    ]
+
+
 def test_baer_sum_brackets_only_the_admitted_basis_pairs(monkeypatch):
     """Op-count gate on the table of the Baer sum of two R3 standards, on
     the 36 pairs of its 6 basis elements. Only the 6 pairs of distinct
@@ -1462,9 +1556,9 @@ def test_baer_sum_brackets_only_the_admitted_basis_pairs(monkeypatch):
     calls = []
     bracket = CourantData.bracket
 
-    def counted(self, u, v, anchors=None):
+    def counted(self, u, v, *args, **kwargs):
         calls.append((u, v))
-        return bracket(self, u, v, anchors)
+        return bracket(self, u, v, *args, **kwargs)
 
     for h1, expected in ((vol3(), 12), (None, 6)):
         q1, q2 = standard_exact(R3, h1), standard_exact(R3, vol3("x1 + x2"))

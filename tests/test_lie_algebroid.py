@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from algebroids.anchored import (
+    Columns,
     antisymmetric_table,
     classify_map,
     comparison,
     jacobiator,
+    pair_admitted,
     pair_bracket,
     pulled_entries,
+    support,
 )
 from algebroids.courant import standard_exact
 from algebroids.errors import ChartMismatchError, UnsupportedModeError, ValidationError
@@ -35,6 +38,7 @@ from algebroids.symcalc import (
     parse_poly,
 )
 
+from oracles import pair_bracket_vanishes, predicate_masks
 from test_symcalc import polys
 
 PT = Chart("PT", ())
@@ -361,6 +365,71 @@ def assoc_chain():
     a = trivial_extension(tangent_algebroid(R3)).total.lie
     splitting = tuple(linalg.unit_vec(R3, 4, j) for j in range(3))
     return a, (phi, psi, xi), splitting
+
+
+def assoc_pullbacks():
+    """The seven Lie inverse images check_compose_associative builds on the
+    assoc-c-plus chain, each with the masks its table handed to
+    pruned_table."""
+    built, tables = [], []
+    pruned_table = lie_module.pruned_table
+
+    def recorded_table(admitted, bracket):
+        tables.append(list(admitted))
+        return pruned_table(admitted, bracket)
+
+    def recorded(*args):
+        pb = pullback_lie(*args)
+        built.append((pb, tables[-1]))
+        return pb
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lie_module, "pullback_lie", recorded)
+        mp.setattr(lie_module, "pruned_table", recorded_table)
+        check_compose_associative(*assoc_chain())
+    return built
+
+
+ASSOC_PULLBACKS = assoc_pullbacks()
+
+
+@st.composite
+def fibre_pairs(draw, pb):
+    """A basis pair of pb, or a (tangent, section) pair on its chart whose
+    slots are each zero, constant or of degree at most 2."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(pb.basis))
+    zero = st.just(Poly.zero(pb.chart))
+    slots = []
+    for size in pb.sizes:
+        degree = draw(st.sampled_from((None, 0, 2)))
+        if degree is not None:
+            entry = st.one_of(zero, polys(pb.chart, max_degree=degree, max_terms=2))
+        slots.append(tuple(draw(zero if degree is None else entry) for _ in range(size)))
+    return tuple(slots)
+
+
+@pytest.mark.parametrize("index", range(len(ASSOC_PULLBACKS)))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_lie_pullback_masks_match_the_pair_test(index, data):
+    """pair_admitted sets bit y of row x exactly when pair_bracket_vanishes
+    does not rule out the pair (x, y), on rows and columns drawn from the
+    basis of each inverse image of the assoc-c-plus chain and from random
+    pairs; and the masks the table of each handed to pruned_table are those
+    of its basis."""
+    pb, table = ASSOC_PULLBACKS[index]
+    rows = data.draw(st.lists(fibre_pairs(pb), max_size=4))
+    cols = data.draw(st.lists(fibre_pairs(pb), max_size=6))
+    xs, ys = ([tuple(map(support, p)) for p in ps] for ps in (rows, cols))
+    tangents, sections = (Columns([y[k] for y in ys]) for k in range(2))
+    rows_masks = pb.source.table_masks
+
+    def admits(x, y):
+        return not pair_bracket_vanishes(rows_masks, x, y)
+
+    assert pair_admitted(rows_masks, xs, tangents, sections) == predicate_masks(admits, xs, ys)
+    assert table == predicate_masks(admits, pb.supports, pb.supports)
 
 
 def test_compose_associativity_check():

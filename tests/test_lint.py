@@ -35,6 +35,12 @@ for the whole process.
 A presentation's relations are set by Presentation.__init__ and nowhere
 else, since it takes their nonzero entries once for the rebuild in reduce.
 
+Lemma L14 decides a whole table through one admission step that returns a
+mask per row. The tests of one pair (paired, leibniz_vanishes,
+bracket_vanishes) are called only inside the definitions of the lemma
+itself and in TauModule.bracket, which brackets single pairs, so no table
+loop goes back to testing pair by pair.
+
 Structure data is frozen once validated: a dataclass of the package with a
 functools.cached_property, its own or one inherited from a base class, is
 declared frozen=True. A value cached on a mutable instance goes stale when
@@ -596,6 +602,61 @@ def test_only_the_presentation_constructor_sets_relations():
         for path in sorted(SRC.glob("*.py"))
     }
     assert {name: lines for name, lines in writes.items() if lines} == {}
+
+
+PAIR_TESTS = {"paired", "leibniz_vanishes", "bracket_vanishes"}
+PAIR_TEST_OWNERS = {
+    "leibniz_vanishes",
+    "AnchoredModule.bracket_vanishes",
+    "CourantData.bracket_vanishes",
+    "TauModule.bracket",
+}
+
+
+def pair_test_calls(source: str) -> list[str]:
+    """"definition:line" for each call of a per-pair Lemma L14 test (by its
+    last name, bare or as an attribute) outside PAIR_TEST_OWNERS; a
+    definition is named by the dotted path of the classes and functions
+    enclosing the call, "<module>" at top level."""
+    out = []
+
+    def visit(node: ast.AST, path: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and last_name(child) in PAIR_TESTS:
+                owner = ".".join(path) or "<module>"
+                if owner not in PAIR_TEST_OWNERS:
+                    out.append(f"{owner}:{child.lineno}")
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, path + (child.name,) if named else path)
+
+    visit(ast.parse(source), ())
+    return out
+
+
+def test_the_pair_test_gate_flags_a_table_loop_and_keeps_the_owners():
+    source = (
+        "def leibniz_vanishes(rows, u, v):\n"
+        "    return not paired(rows, u, v)\n"
+        "class CourantData:\n"
+        "    def bracket_vanishes(self, u, v):\n"
+        "        return super().bracket_vanishes(u, v) and paired(self.rows, u, v)\n"
+        "def curvature(q, s):\n"
+        "    return [q.bracket_vanishes(a, b) for a in s for b in s]\n"
+        "class Combination:\n"
+        "    def __init__(self, q):\n"
+        "        def unpaired(x, y):\n"
+        "            return not paired(q.rows, x, y)\n"
+        "        self.admitted = q.admitted(q.rows)\n"
+    )
+    assert pair_test_calls(source) == ["curvature:7", "Combination.__init__.unpaired:11"]
+
+
+def test_tables_read_masks_not_pair_tests():
+    calls = {
+        path.name: pair_test_calls(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: found for name, found in calls.items() if found} == {}
 
 
 CODE_NAME = re.compile(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\(.*\))?")

@@ -1,8 +1,12 @@
 """Inverse images: the four presentation modes, twist/curvature naturality,
 supported pushdowns and morphism graphs."""
 
+from collections import Counter
 import dataclasses
+import importlib
 from itertools import product
+from pathlib import Path
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,12 +34,14 @@ from algebroids.errors import (
 )
 from algebroids.lie_algebroid import pullback_lie, tangent_algebroid
 from algebroids import anchored as anchored_module, linalg as linalg_module
+from algebroids import courant as courant_module, dirac as dirac_module
+from algebroids import lie_algebroid as lie_module
 from algebroids import pullback as pullback_module
+from algebroids import transgression as transgression_module
 from algebroids.anchored import (
     comparison,
     embedding_layout,
     pair_bracket,
-    pair_bracket_vanishes,
     pulled_morphism,
     support,
 )
@@ -78,6 +84,10 @@ from oracles import (
     direct_sum,
     graph_of_two_form,
     opposite,
+    pair_bracket_vanishes,
+    predicate_masks,
+    pullback_bracket_vanishes,
+    pullback_pairing_vanishes,
     scalar_multiple,
 )
 from test_acceptance import _perturbed
@@ -188,7 +198,7 @@ def _unpruned_isotropy_failures(pb):
 )
 def test_isotropy_skips_only_pairs_that_pair_to_zero(monkeypatch, where, idx, delta):
     """A mutant whose relations are not isotropic: relations_isotropic,
-    which skips the pairs pairing_vanishes rules out, names every failure
+    which skips the pairs pairing_admitted rules out, names every failure
     of the unpruned loop, with the same text and in the same order."""
     q = _perturbed(standard_exact(R3), where, idx, parse_poly(delta, R3))
     pb = pullback_courant(shear_33(), q)
@@ -245,7 +255,7 @@ def test_bracket_closure_skips_only_orders_that_bracket_to_zero(
     monkeypatch, where, idx, delta
 ):
     """A mutant whose relations do not bracket into their span:
-    relations_bracket_closed, which skips the orders bracket_vanishes rules
+    relations_bracket_closed, which skips the orders bracket_admitted rules
     out, names every failure of the unpruned loop, in the same order."""
     q = _perturbed(standard_exact(R3), where, idx, parse_poly(delta, R3))
     pb = pullback_courant(shear_33(), q)
@@ -662,9 +672,9 @@ def test_support_test_rules_out_only_zero_brackets_and_pairings(name, data):
     pb = HYP_PRESENTATIONS[name]
     t1, t2 = data.draw(triples(pb)), data.draw(triples(pb))
     s1, s2 = tuple(map(support, t1)), tuple(map(support, t2))
-    if pb.bracket_vanishes(s1, s2):
+    if pullback_bracket_vanishes(pb, s1, s2):
         assert all(map(vec_is_zero, full_bracket(pb, t1, t2)))
-    if pb.pairing_vanishes(s1, s2):
+    if pullback_pairing_vanishes(pb, s1, s2):
         assert full_pairing(pb, t1, t2).is_zero
     if pair_bracket_vanishes(pb.source.table_masks, (s1[2], s1[1]), (s2[2], s2[1])):
         x, y = (t1[2], t1[1]), (t2[2], t2[1])
@@ -685,12 +695,12 @@ def sparse_triples(draw, pb):
 @given(data=st.data())
 def test_pairing_support_test_needs_a_shared_index(name, data):
     """Lemma L14 on the ambient pairing is sound with its shared-index
-    clauses: a pair that pairing_vanishes rules out pairs to zero, term by
+    clauses: a pair that pullback_pairing_vanishes rules out pairs to zero, term by
     term, although beta1 and eta2 (or beta2 and eta1) may both be
     nonzero."""
     pb = HYP_PRESENTATIONS[name]
     t1, t2 = data.draw(sparse_triples(pb)), data.draw(sparse_triples(pb))
-    if pb.pairing_vanishes(tuple(map(support, t1)), tuple(map(support, t2))):
+    if pullback_pairing_vanishes(pb, tuple(map(support, t1)), tuple(map(support, t2))):
         assert full_pairing(pb, t1, t2).is_zero
 
 
@@ -717,16 +727,17 @@ def restated_vanishes(pb, t1, t2):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_support_tests_answer_as_lemma_l14_on_index_sets(name, data):
-    """bracket_vanishes and pairing_vanishes, read from masks, give the
-    answers of Lemma L14 restated here on index sets, on triples of every
-    slot shape."""
+    """pullback_bracket_vanishes and pullback_pairing_vanishes, read from
+    masks, give the answers of Lemma L14 restated here on index sets, on
+    triples of every slot shape."""
     pb = HYP_PRESENTATIONS[name]
     draw = triples if data.draw(st.booleans()) else sparse_triples
     t1, t2 = data.draw(draw(pb)), data.draw(draw(pb))
     s1, s2 = tuple(map(support, t1)), tuple(map(support, t2))
-    assert (pb.bracket_vanishes(s1, s2), pb.pairing_vanishes(s1, s2)) == restated_vanishes(
-        pb, t1, t2
-    )
+    assert (
+        pullback_bracket_vanishes(pb, s1, s2),
+        pullback_pairing_vanishes(pb, s1, s2),
+    ) == restated_vanishes(pb, t1, t2)
 
 
 def unpruned_result(pb):
@@ -774,6 +785,150 @@ TABLE_PRESENTATIONS = {**PRESENTATIONS, **morphism_graph_presentations()}
 def test_pruned_table_equals_the_unpruned_table(name):
     pb = TABLE_PRESENTATIONS[name]
     assert pb.result == unpruned_result(pb)
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_pullback_masks_match_the_pair_tests(name, data):
+    """bracket_admitted and pairing_admitted set bit y of row x exactly when
+    pullback_bracket_vanishes (pullback_pairing_vanishes) does not rule out
+    the pair (x, y), on rows and columns drawn from the basis and the
+    relations of each presentation mode and from random triples."""
+    pb = PRESENTATIONS[name]
+    elements = st.one_of(
+        st.sampled_from(pb.basis + pb.relations), triples(pb), sparse_triples(pb)
+    )
+    rows = data.draw(st.lists(elements, max_size=4))
+    cols = data.draw(st.lists(elements, max_size=6))
+    xs, ys = ([tuple(map(support, t)) for t in ts] for ts in (rows, cols))
+    assert pb.bracket_admitted(xs, ys) == predicate_masks(
+        lambda x, y: not pullback_bracket_vanishes(pb, x, y), xs, ys
+    )
+    assert pb.pairing_admitted(xs, ys) == predicate_masks(
+        lambda x, y: not pullback_pairing_vanishes(pb, x, y), xs, ys
+    )
+
+
+PAIR_TESTS = (
+    "paired",
+    "leibniz_vanishes",
+    "pair_bracket_vanishes",
+    "bracket_vanishes",
+    "pairing_vanishes",
+)
+
+
+def count_pair_tests(monkeypatch) -> Counter:
+    """Count the calls of every per-pair Lemma L14 test the package has,
+    module functions (wherever imported) and methods alike, by name."""
+    calls = Counter()
+
+    def counted(name, function):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return call
+
+    modules = (
+        anchored_module,
+        courant_module,
+        pullback_module,
+        lie_module,
+        dirac_module,
+        transgression_module,
+    )
+    for module in modules:
+        for name in PAIR_TESTS:
+            if callable(getattr(module, name, None)):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        for cls in list(vars(module).values()):
+            if isinstance(cls, type) and cls.__module__ == module.__name__:
+                for name in PAIR_TESTS:
+                    if name in vars(cls):
+                        label = f"{cls.__name__}.{name}"
+                        monkeypatch.setattr(cls, name, counted(label, vars(cls)[name]))
+    return calls
+
+
+def test_tables_make_no_per_pair_support_test(monkeypatch):
+    """Op-count gate: the tables of a Courant inverse image in each mode
+    (pb.result), a Baer combination and a Lie inverse image read the masks
+    of one admission step per table and make no call of a per-pair Lemma
+    L14 test, where each basis pair took one to four nested calls. The
+    counter itself counts: one test of a single pair is seen."""
+    q = standard_exact(R3, vol3("x1 + x2"))
+    conn = coordinate_connection(q)
+    lie, (phi, _, _), splitting = assoc_chain()
+    calls = count_pair_tests(monkeypatch)
+    for pb in (
+        pullback_courant(shear_33(), q),
+        pullback_courant(shear_33(), q, connection=conn),
+        pullback_courant(inclusion_23(), q),
+        pullback_courant(projection_32(), standard_exact(R2)),
+    ):
+        assert pb.result.rank == len(pb.basis)
+    assert baer_combination([q, q], [1, 2], [conn, conn]).result.rank == 6
+    assert pullback_lie(phi, lie, splitting).result.rank == 3
+    assert calls == Counter()
+    q.bracket_vanishes(support(q.gen(0)), support(q.gen(1)))
+    assert calls["CourantData.bracket_vanishes"] == 1
+
+
+def test_section_brackets_take_no_support_inside_leibniz_sum(monkeypatch):
+    """Op-count gate on one pass of the benchmark's constructions jobs
+    (pass 0, seed 11): (leibniz_sum calls, support calls inside it) per
+    caller of leibniz_sum. Every section bracket receives the supports its
+    caller holds, so leibniz_sum takes none; when AnchoredModule.bracket
+    took no supports, its 625 leibniz_sum calls took 1,250."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    sums, supports = Counter(), Counter()
+    leibniz_sum, support_of = anchored_module.leibniz_sum, anchored_module.support
+
+    def counted_sum(*args):
+        sums[sys._getframe(1).f_code.co_name] += 1
+        return leibniz_sum(*args)
+
+    def counted_support(vec):
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "leibniz_sum":
+            supports[frame.f_back.f_back.f_code.co_name] += 1
+        return support_of(vec)
+
+    monkeypatch.setattr(anchored_module, "leibniz_sum", counted_sum)
+    monkeypatch.setattr(anchored_module, "support", counted_support)
+    for job in workloads.constructions_jobs(11, 0):
+        checks, code = job.verdict(job.run())
+        assert workloads.verdict_matches(job.expected, checks, code), job.kind
+    monkeypatch.undo()
+    assert (sums, supports) == (Counter(bracket=625, pair_bracket=650), Counter())
+
+
+def test_a_map_builds_its_jacobian_once(monkeypatch):
+    """One Jacobian per map: ChartMap.jacobian builds a matrix of tuples on
+    first use and keeps it, and classify_map, CourantPullback and
+    Submersion read that one matrix. Presenting a fresh shear twice in its
+    automatic (submersion) mode differentiates its 3 components 9 times,
+    where building the Jacobian on every read took 54 derivatives."""
+    calls = []
+    diff = Poly.diff
+
+    def counted(self, i):
+        calls.append(i)
+        return diff(self, i)
+
+    f, q = shear_33(), standard_exact(R3, vol3("x1 + x2"))
+    monkeypatch.setattr(Poly, "diff", counted)
+    first = pullback_courant(f, q)
+    second = pullback_courant(f, q)
+    monkeypatch.undo()
+    assert first.mode == second.mode == "coordinate-submersion"
+    assert len(calls) == 9
+    jac = f.jacobian()
+    assert jac is f.jacobian() is first.jacobian
+    assert isinstance(jac, tuple) and all(isinstance(row, tuple) for row in jac)
 
 
 @pytest.mark.parametrize(
