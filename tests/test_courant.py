@@ -1241,10 +1241,12 @@ def test_admitted_masks_match_the_pair_tests_on_random_tables(lie, data):
     """The admission step of a table, AnchoredModule.admitted (and
     anchored.pairings on the pairing of Courant data), sets bit y of row x
     exactly when bracket_vanishes (paired) admits the pair (x, y), on
-    random structure data and random row and column sections."""
+    random structure data and rows and columns drawn from its generators
+    and from random sections."""
     m = data.draw(random_tables(lie))
-    rows = data.draw(st.lists(sparse_sections(m), max_size=4))
-    cols = data.draw(st.lists(sparse_sections(m), max_size=5))
+    sections = st.one_of(st.sampled_from([m.gen(a) for a in range(m.rank)]), sparse_sections(m))
+    rows = data.draw(st.lists(sections, min_size=1, max_size=4))
+    cols = data.draw(st.lists(sections, min_size=1, max_size=5))
     xs, ys = [support(u) for u in rows], [support(v) for v in cols]
     assert m.admitted(xs, ys) == predicate_masks(
         lambda x, y: not m.bracket_vanishes(x, y), xs, ys
@@ -1271,10 +1273,34 @@ def unpruned_first_generator_failure(m):
 ONE_TERM_MUTANT = _perturbed(standard_exact(R2), "structure", (0, 2, 0), Poly.one(R2))
 
 
+# Standard R2 with [e0, e1] = x1 e2 and <e2, e3> = 1: the varying table row
+# [e0, e1] brackets e3 through the coanchor term alone, and the first
+# failing triple, (0,1,3), has that bracket as its only nonzero term.
+COANCHOR_ROW_MUTANT = _perturbed(
+    _perturbed(standard_exact(R2), "structure", (0, 1, 2), X1_R2),
+    "pairing",
+    (2, 3),
+    Poly.one(R2),
+)
+
+# Rank 3 on a line with no anchor, [e0, e1] = x1 e1 and [e1, e2] = e0: the
+# varying table row [e0, e1] brackets e2 through the table term alone, the
+# only nonzero term of the first failing triple, (0,1,2).
+TABLE_ROW_LIE = LieData(
+    R1,
+    3,
+    ((Poly.zero(R1),),) * 3,
+    {
+        (0, 1): (Poly.zero(R1), Poly.coord(R1, 0), Poly.zero(R1)),
+        (1, 2): (Poly.one(R1), Poly.zero(R1), Poly.zero(R1)),
+    },
+)
+
+
 @pytest.mark.parametrize(
     "m",
-    [*SUPPORT_MODULES.values(), ONE_TERM_MUTANT],
-    ids=[*SUPPORT_MODULES, "one-term-mutant"],
+    [*SUPPORT_MODULES.values(), ONE_TERM_MUTANT, COANCHOR_ROW_MUTANT, TABLE_ROW_LIE],
+    ids=[*SUPPORT_MODULES, "one-term-mutant", "coanchor-row-mutant", "table-row-lie"],
 )
 def test_pruned_generator_triples_name_the_unpruned_first_failure(m):
     assert next(jacobi_generator_failures(m), None) == unpruned_first_generator_failure(m)
@@ -1481,6 +1507,7 @@ def baer_specs():
         "shifted": comb(
             ("x1", "x2 - 2*x3"), (1, -1), KForm(R3, 2, {(0, 1): Poly.coord(R3, 2)})
         ),
+        "untwisted-first": comb(("0", "x1"), (1, 1)),
         "zero-weight": comb(("x2", "x1*x3"), (0, 3), bent),
         "half": comb(("x2", "x1*x3"), (Fraction(1, 2), -2), bent),
         "graph": graph_combination(),

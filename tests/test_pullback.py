@@ -778,7 +778,30 @@ def morphism_graph_presentations():
     return dict(zip(names, built, strict=True))
 
 
-TABLE_PRESENTATIONS = {**PRESENTATIONS, **morphism_graph_presentations()}
+def isolating_presentations():
+    """Two presentations whose tables each hold a nonzero entry that one
+    term of Lemma L14 alone admits: along the projection of B onto X, the
+    constant lifts and sections of the constant twist are admitted by the
+    table term only; along the identity of X in exact-split mode, over the
+    coordinate connection shifted by x1 dx2^dx3, the constant lift of d1
+    and the varying lift of d2 are admitted by d1(u2), and in the other
+    order by the same term with the tangents swapped, only."""
+    projection = ChartMap(R4, R3, tuple(Poly.coord(R4, i) for i in range(3)))
+    q = standard_exact(R3)
+    b = KForm(R3, 2, {(1, 2): Poly.coord(R3, 0)})
+    return {
+        "projection-twisted": pullback_courant(projection, standard_exact(R3, vol3())),
+        "identity-shifted": pullback_courant(
+            ChartMap.identity(R3), q, "exact-split", connection_shift(coordinate_connection(q), b)
+        ),
+    }
+
+
+TABLE_PRESENTATIONS = {
+    **PRESENTATIONS,
+    **morphism_graph_presentations(),
+    **isolating_presentations(),
+}
 
 
 @pytest.mark.parametrize("name", sorted(TABLE_PRESENTATIONS))
