@@ -41,7 +41,6 @@ from algebroids.anchored import (
     Support,
     anchor_defects,
     anchor_failures,
-    bits,
     bracket_failures,
     jacobi_counterexample,
     jacobi_generator_failures,
@@ -53,7 +52,6 @@ from algebroids.anchored import (
     pruned_table,
     require_chart,
     section_anchors,
-    spread,
     support,
 )
 from algebroids.errors import ChartMismatchError, ValidationError
@@ -391,18 +389,21 @@ def check_courant(
         every other entry is zero."""
         rho = q.anchor_of(gen[c])
         rows = [q.bracket_gen(c, a) for a in range(r)]
-        inner = {  # <[e_c, e_a], e_b>
-            (a, b): q.pairing_of(row, gen[b])
-            for a, row in enumerate(rows)
-            for b in bits(spread(q.pairing_masks, mask(row)))
-        }
+        inner = [  # <[e_c, e_a], e_b>, None where Lemma L14 rules it out
+            [
+                q.pairing_of(row, gen[b]) if row_mask & q.pairing_masks[b] else None
+                for b in range(r)
+            ]
+            for row, row_mask in zip(rows, map(mask, rows))
+        ]
         out = [[zero] * r for _ in range(r)]
         for a, b in product(range(r), repeat=2):
-            if g_varies[a][b] or (a, b) in inner or (b, a) in inner:
+            ab, ba = inner[a][b], inner[b][a]
+            if g_varies[a][b] or ab is not None or ba is not None:
                 out[a][b] = (
                     (rho.apply(g[a][b]) if g_varies[a][b] else zero)
-                    - inner.get((a, b), zero)
-                    - inner.get((b, a), zero)
+                    - (zero if ab is None else ab)
+                    - (zero if ba is None else ba)
                 )
         return out
 
