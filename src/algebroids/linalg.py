@@ -44,13 +44,12 @@ Vec = tuple[Poly, ...]
 
 
 def zero_vec(chart: Chart, n: int) -> Vec:
-    return (Poly.zero(chart),) * n
+    return (chart.zero,) * n
 
 
 def unit_vec(chart: Chart, n: int, i: int) -> Vec:
-    return tuple(
-        Poly.one(chart) if j == i else Poly.zero(chart) for j in range(n)
-    )
+    zero, one = chart.zero, chart.one
+    return tuple(one if j == i else zero for j in range(n))
 
 
 def vec_add(a: Vec, b: Vec) -> Vec:
@@ -511,7 +510,7 @@ def solve_bounded_degree(
     for (j, m), c in zip(unknowns, sol):
         if c:
             out[j][m] = c
-    return [Poly(chart, terms) for terms in out]
+    return [Poly(chart, terms) if terms else chart.zero for terms in out]
 
 
 def _monomials_up_to(dim: int, degree: int) -> list[tuple[int, ...]]:

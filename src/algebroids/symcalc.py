@@ -6,9 +6,12 @@ an integer. Integer structures thus never pay for Fraction normalisation,
 and every identity checked downstream stays exact, never approximate. The
 objects are deliberately small and closed:
 
-* `Chart` — a named list of coordinate labels (dimension may be zero).
+* `Chart` — a named list of coordinate labels (dimension may be zero),
+  holding one zero and one unit polynomial.
 * `Poly` — polynomial in the chart coordinates, stored as a dict mapping
-  exponent tuples to nonzero coefficients.
+  exponent tuples to nonzero coefficients. No Poly is changed after it is
+  built, so every zero on a chart is the chart's one zero and every unit
+  constant its one unit.
 * `VField` — polynomial vector field, one `Poly` per coordinate.
 * `KForm` — polynomial differential k-form, components indexed by strictly
   increasing coordinate index tuples.
@@ -73,6 +76,11 @@ class Chart:
     Coordinate labels must be identifiers and must not start with "d", so
     that a printed field (``d/dx1``) or form (``dx1^dx2``) never reads as
     a coordinate.
+
+    Each chart also holds its dimension ``dim``, its one zero polynomial
+    ``zero`` and its one unit polynomial ``one``, built with the chart.
+    They are not dataclass fields, so equality, hashing and the printed
+    form read the name and coordinates only.
     """
 
     name: str
@@ -91,10 +99,17 @@ class Chart:
             if c in seen:
                 raise ValidationError(f"duplicate coordinate name {c!r}")
             seen.add(c)
+        dim = len(self.coords)
+        object.__setattr__(self, "dim", dim)
+        zero, one = Poly(self), Poly(self, {(0,) * dim: 1})
+        zero._degree, one._degree = -1, 0
+        object.__setattr__(self, "zero", zero)
+        object.__setattr__(self, "one", one)
 
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
+    def __reduce__(self):
+        """Copy and pickle through the constructor, so a copy holds
+        constants of its own."""
+        return Chart, (self.name, self.coords)
 
     def index(self, coord: str) -> int:
         try:
@@ -224,12 +239,15 @@ class Poly:
     Terms are stored sparsely as exponent-tuple -> coefficient, an int for
     an integer and a Fraction otherwise; zero coefficients are never kept.
     Equality is coefficient-wise; printing uses the graded-lexicographic
-    order (highest first). A Poly is never changed after it is built, and
-    the code relies on that: its total degree is computed at most once, and
-    a sum or difference with a zero side, or a product with the constant 1,
+    order (highest first). No Poly is changed after it is built, and the
+    code relies on that: its total degree is computed at most once; a sum
+    or difference with a zero side, or a product with the constant 1,
     returns the other operand itself, and ChartMap.pull returns a constant
     along an endomorphism as it is, so a result may be the very object
-    passed in.
+    passed in; and a chart holds one zero and one unit, which every zero or
+    unit constant on it is (`zero`, `one`, `const` of 0 or 1, and each
+    operation whose result has no terms), so one write to them would
+    change every zero on the chart.
     """
 
     __slots__ = ("chart", "terms", "_degree")
@@ -258,19 +276,22 @@ class Poly:
 
     @classmethod
     def zero(cls, chart: Chart) -> "Poly":
-        return cls(chart)
+        return chart.zero
 
     @classmethod
     def const(cls, chart: Chart, value) -> "Poly":
         c = _frac(value)
+        if not c:
+            return chart.zero
+        if c == 1:
+            return chart.one
         p = cls(chart)
-        if c:
-            p.terms[(0,) * chart.dim] = c
+        p.terms[(0,) * chart.dim] = c
         return p
 
     @classmethod
     def one(cls, chart: Chart) -> "Poly":
-        return cls.const(chart, 1)
+        return chart.one
 
     @classmethod
     def coord(cls, chart: Chart, which) -> "Poly":
@@ -284,6 +305,9 @@ class Poly:
 
     @classmethod
     def _raw(cls, chart: Chart, terms: _TERMS, degree: int | None = None) -> "Poly":
+        """A Poly on clean terms, unchecked; the chart's zero for none."""
+        if not terms:
+            return chart.zero
         p = cls.__new__(cls)
         p.chart = chart
         p.terms = terms
@@ -358,10 +382,10 @@ class Poly:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             c = _frac(other)
-            return self._scaled(c) if c else Poly._raw(self.chart, {}, -1)
+            return self._scaled(c) if c else self.chart.zero
         _require_same_chart(self, other)
         if not self.terms or not other.terms:
-            return Poly._raw(self.chart, {}, -1)
+            return self.chart.zero
         da, db = self.degree(), other.degree()
         if da + db > MAX_DEGREE:
             raise DegreeOverflowError(
@@ -510,7 +534,7 @@ class VField:
 
     @classmethod
     def zero(cls, chart: Chart) -> "VField":
-        return cls(chart, tuple(Poly.zero(chart) for _ in range(chart.dim)))
+        return cls(chart, (chart.zero,) * chart.dim)
 
     @classmethod
     def basis(cls, chart: Chart, which) -> "VField":
@@ -911,18 +935,15 @@ class ChartMap:
     def pull(self, f: Poly) -> Poly:
         """Pull a function on the target back to the source. Along the
         identity that is f itself, and so is a constant (zero included)
-        along any endomorphism; a zero along another map is a fresh zero
-        on the source."""
+        along any endomorphism; a zero along another map is the source
+        chart's zero."""
         if f.chart is not self.target and f.chart != self.target:
             raise ChartMismatchError("pulling a function from the wrong chart")
         if self.is_identity:
             return f
         c = f.as_constant()
-        if c is not None:
-            if self.source is self.target:
-                return f
-            if not c:
-                return Poly._raw(self.source, {}, -1)
+        if c is not None and self.source is self.target:
+            return f
         slots = self.slots
         if slots is not None:
             return Poly._raw(self.source, _move_exponents(f.terms, slots, self.source.dim))
