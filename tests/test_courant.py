@@ -53,7 +53,15 @@ from algebroids import anchored as anchored_module
 from algebroids import courant as courant_module
 from algebroids import pullback as pullback_module
 from algebroids.pullback import morphism_graph
-from algebroids.symcalc import ChartMap, KForm, Poly, VField, coordinate_chart, parse_poly
+from algebroids.symcalc import (
+    Chart,
+    ChartMap,
+    KForm,
+    Poly,
+    VField,
+    coordinate_chart,
+    parse_poly,
+)
 
 from oracles import (
     associated_lie_algebroid,
@@ -224,19 +232,27 @@ def test_frozen_structure_data_copies_and_pickles_to_an_equal_frozen_copy():
     """Deep copies and pickle round trips of frozen structure data: the
     read-only table of CourantData and LieData is rebuilt through the
     constructor, and Connection and DiracData carry their structure along.
-    Each copy equals its original, is another object, and is frozen."""
+    Each copy equals its original, is another object, and is frozen. A
+    chart is copied through its constructor too, so the zero and unit of a
+    copy lie on the copy."""
     q = standard_exact(R3, vol3("x1 + x2"))
     sub = support_inclusion(R2, ("x2",)).source
     dirac = DiracData(
         standard_exact(R2), (unit_vec(sub, 4, 0), unit_vec(sub, 4, 3)), ("x2",)
     )
-    for original in (q, tangent_algebroid(R3), coordinate_connection(q), dirac):
+    chart = Chart("C", ("x1", "x2"))
+    assert (Poly.zero(chart), Poly.one(chart)) == (chart.zero, chart.one)
+    for original in (q, tangent_algebroid(R3), coordinate_connection(q), dirac, chart):
         for got in (copy.deepcopy(original), pickle.loads(pickle.dumps(original))):
             assert got == original and got is not original
             name = dataclasses.fields(got)[0].name
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(got, name, getattr(got, name))
-            assert isinstance(getattr(got, "courant", got).structure, MappingProxyType)
+            if original is chart:
+                assert Poly.zero(got).chart is got and Poly.one(got).chart is got
+                assert got.zero is not chart.zero and got.zero == chart.zero
+            else:
+                assert isinstance(getattr(got, "courant", got).structure, MappingProxyType)
 
 
 def test_twisted_standard_passes():

@@ -32,6 +32,13 @@ cache lives as long as one call of its enclosing function. On a top-level
 function or on a method it would outlive every call and hold its inputs
 for the whole process.
 
+No Poly is changed after it is built, since a chart holds one zero and
+one unit that every zero or unit constant on it is: one stray write would
+change every zero on that chart. So a term dictionary is bound only by
+Poly.__init__ and Poly._raw, and written only by Poly.const and Poly.coord
+on the object they just built; and no module but symcalc builds a zero by
+hand, as Poly(chart) or Poly._raw(chart, {}).
+
 A presentation's relations are set by Presentation.__init__ and nowhere
 else, since it takes their nonzero entries once for the rebuild in reduce.
 
@@ -369,6 +376,140 @@ def test_only_symcalc_and_linalg_touch_the_term_dictionary():
         if path.name not in TERM_OWNERS
     }
     assert {name: lines for name, lines in uses.items() if lines} == {}
+
+
+TERM_BINDERS = {"Poly.__init__", "Poly._raw"}
+TERM_WRITERS = {"Poly.const", "Poly.coord"}
+DICT_WRITES = {"update", "pop", "popitem", "clear", "setdefault", "__setitem__", "__delitem__"}
+
+
+def term_writes(source: str) -> list[str]:
+    """"definition:line" for each write to a term dictionary by other code
+    than its owners: a store or del of the attribute terms itself (by
+    assignment, augmented assignment, setattr or __setattr__) outside
+    TERM_BINDERS, and a store or del of one of its items, or a call of a
+    dict method that changes it, other than on a name that a definition of
+    TERM_WRITERS bound to a call of cls. A definition is named by the
+    dotted path of the classes and functions enclosing the write."""
+    out = []
+
+    def terms_of(node: ast.AST) -> ast.expr | None:
+        if isinstance(node, ast.Attribute) and node.attr == "terms":
+            return node.value
+        return None
+
+    def visit(node: ast.AST, path: tuple[str, ...], built: set[str]) -> None:
+        owner = ".".join(path) or "<module>"
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                fresh = {
+                    target.id
+                    for n in ast.walk(child)
+                    if isinstance(n, ast.Assign) and last_name(n.value) == "cls"
+                    for target in n.targets
+                    if isinstance(target, ast.Name)
+                }
+                visit(child, path + (child.name,), fresh)
+                continue
+            if isinstance(child, ast.Attribute):
+                bound = child.attr == "terms" and not isinstance(child.ctx, ast.Load)
+            elif isinstance(child, ast.Call) and last_name(child) in ("setattr", "__setattr__"):
+                bound = any(getattr(arg, "value", None) == "terms" for arg in child.args)
+            else:
+                bound = False
+            if bound and owner not in TERM_BINDERS:
+                out.append(f"{owner}:{child.lineno}")
+            if isinstance(child, ast.Subscript) and not isinstance(child.ctx, ast.Load):
+                base = terms_of(child.value)
+            elif isinstance(child, ast.Call) and last_name(child) in DICT_WRITES:
+                base = terms_of(getattr(child.func, "value", None))
+            else:
+                base = None
+            if base is not None and not (
+                owner in TERM_WRITERS and isinstance(base, ast.Name) and base.id in built
+            ):
+                out.append(f"{owner}:{child.lineno}")
+            visit(child, path, built)
+
+    visit(ast.parse(source), (), set())
+    return out
+
+
+def test_the_term_write_gate_flags_every_write_but_the_constructors():
+    source = (
+        "class Poly:\n"
+        "    def __init__(self, chart, terms=None):\n"
+        "        self.terms = dict(terms or {})\n"
+        "    @classmethod\n"
+        "    def const(cls, chart, c):\n"
+        "        p = cls(chart)\n"
+        "        p.terms[(0,)] = c\n"
+        "        chart.zero.terms[(0,)] = c\n"
+        "        return p\n"
+        "    def scale(self, c):\n"
+        "        self.terms.update({k: v * c for k, v in self.terms.items()})\n"
+        "def clear(p, q):\n"
+        "    del p.terms[(0,)]\n"
+        "    p.terms |= {}\n"
+        "    p.terms = {}\n"
+        "    setattr(p, 'terms', {})\n"
+        "    q.terms.pop((0,), None)\n"
+        "    return p.terms.get((0,)), dict(p.terms), q.pop(0), clear()\n"
+    )
+    assert term_writes(source) == [
+        "Poly.const:8", "Poly.scale:11", "clear:13", "clear:14", "clear:15", "clear:16", "clear:17",
+    ]
+
+
+def test_no_poly_is_written_after_it_is_built():
+    """A chart's one zero and one unit are shared by every operation on
+    the chart, so a write to a Poly other than the one a constructor is
+    building would change every zero on that chart."""
+    writes = {path: term_writes(source) for path, source in python_corpus().items()}
+    assert {path: found for path, found in writes.items() if found} == {}
+
+
+def zero_constructions(source: str) -> list[int]:
+    """The lines that build a zero Poly by hand: a call of Poly with the
+    chart alone, or of Poly or _raw with empty terms ({}, dict() or None)."""
+
+    def empty(node: ast.expr) -> bool:
+        return (
+            (isinstance(node, ast.Dict) and not node.keys)
+            or (isinstance(node, ast.Call) and last_name(node) == "dict" and not node.args)
+            or (isinstance(node, ast.Constant) and node.value is None)
+        )
+
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call) or last_name(node) not in ("Poly", "_raw"):
+            continue
+        terms = node.args[1:2] + [k.value for k in node.keywords if k.arg == "terms"]
+        if any(map(empty, terms)) or (last_name(node) == "Poly" and not terms):
+            out.append(node.lineno)
+    return sorted(out)
+
+
+def test_the_zero_gate_flags_a_hand_built_zero():
+    source = (
+        "from algebroids.symcalc import Poly\n"
+        "z = Poly(chart)\n"
+        "w = symcalc.Poly(chart, {})\n"
+        "v = Poly._raw(chart, {}, -1)\n"
+        "u = Poly(chart, terms=dict())\n"
+        "ok = Poly(chart, {(1,): 2}), Poly.zero(chart), Poly._raw(chart, terms)\n"
+    )
+    assert zero_constructions(source) == [2, 3, 4, 5]
+
+
+def test_only_symcalc_builds_a_zero_by_hand():
+    """Every zero on a chart is the chart's one zero (Poly.zero)."""
+    built = {
+        path: zero_constructions(source)
+        for path, source in python_corpus().items()
+        if path != "src/algebroids/symcalc.py"
+    }
+    assert {path: lines for path, lines in built.items() if lines} == {}
 
 
 PARSER_OWNERS = ("symcalc.py", "jsonio.py")

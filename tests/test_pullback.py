@@ -90,7 +90,7 @@ from oracles import (
     pullback_pairing_vanishes,
     scalar_multiple,
 )
-from test_acceptance import _perturbed
+from test_acceptance import _battery_jobs, _perturbed
 from test_lie_algebroid import assoc_chain
 from test_courant import is_constant, meets, nonzero_indices
 from test_symcalc import polys
@@ -927,6 +927,35 @@ def test_section_brackets_take_no_support_inside_leibniz_sum(monkeypatch):
         assert workloads.verdict_matches(job.expected, checks, code), job.kind
     monkeypatch.undo()
     assert (sums, supports) == (Counter(bracket=625, pair_bracket=650), Counter())
+
+
+def test_one_pullback_verb_run_builds_few_polys(monkeypatch, tmp_path):
+    """Op-count gate on one in-process run of the pullback verb on its
+    battery spec (the twisted R3 along the shear), spec read and report
+    written: the Polys it builds, through Poly.__init__ or Poly._raw. A
+    chart holds one zero and one unit, which every zero or unit result is;
+    when each zero or unit was built afresh, the run built 1,398."""
+    spec_path = tmp_path / "pullback.json"
+    spec_path.write_text(jsonio.dump_json(_battery_jobs()["pullback"]), encoding="utf-8")
+    argv = ["pullback", "--spec", str(spec_path), "--out", str(tmp_path / "out.json")]
+    built = []
+    init, raw = Poly.__init__, Poly._raw
+
+    def counted_init(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    def counted_raw(cls, chart, *args):
+        p = raw(chart, *args)
+        if p is not chart.zero:
+            built.append(1)
+        return p
+
+    monkeypatch.setattr(Poly, "__init__", counted_init)
+    monkeypatch.setattr(Poly, "_raw", classmethod(counted_raw))
+    assert main(argv + ["--seed", "7", "--samples", "10"]) == 0
+    monkeypatch.undo()
+    assert len(built) == 186
 
 
 def test_a_map_builds_its_jacobian_once(monkeypatch):

@@ -1,5 +1,6 @@
 """Core symbolic calculus: exact arithmetic, Cartan calculus, grammar."""
 
+import dataclasses
 import itertools
 import re
 from fractions import Fraction
@@ -7,6 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from algebroids import jsonio
+from algebroids.cli import main
 from algebroids.courant import standard_exact
 from algebroids.dirac import support_inclusion
 from algebroids.errors import (
@@ -33,6 +36,7 @@ from algebroids.symcalc import (
 )
 
 from oracles import scalar_multiple
+from test_acceptance import _battery_jobs
 
 R1 = Chart("R1", ("t",))
 R2 = coordinate_chart("R2", 2)
@@ -499,6 +503,77 @@ def test_a_constant_on_the_wrong_chart_cannot_be_pulled():
         for c in (Poly.zero(R1), Poly.const(R1, 5)):
             with pytest.raises(ChartMismatchError):
                 f.pull(c)
+
+
+def test_every_zero_on_a_chart_is_its_one_zero():
+    """A chart holds one zero and one unit: the constructors return them,
+    and so does every operation whose result has no terms."""
+    zero, x1 = Poly.zero(R2), Poly.coord(R2, 0)
+    assert zero is R2.zero and Poly.one(R2) is Poly.one(R2) is R2.one
+    for got in (
+        Poly.zero(R2),
+        x1 - x1,
+        x1 * 0,
+        x1 * zero,
+        zero + zero,
+        Poly.const(R2, 0),
+        -zero,
+        Poly.coord(R2, 0).diff(1),
+        parse_poly("x1 - x1", R2),
+    ):
+        assert got is zero
+    assert Poly.const(R2, Fraction(2, 2)) is Poly.one(R2)
+    assert PROJECTION_32.pull(Poly.zero(R2)) is Poly.zero(R3)
+    assert all(c is zero for c in VField.zero(R2).comps)
+    assert VField.basis(R2, 1).comps[1] is Poly.one(R2)
+    assert zero.terms == {} and zero.degree() == -1
+    assert Poly.one(R2).terms == {(0, 0): 1} and Poly.one(R2).degree() == 0
+
+
+def test_a_charts_constants_are_not_part_of_its_value():
+    """The dimension, zero and unit a chart holds are not dataclass
+    fields: equality, hash, repr and the spec form read the name and the
+    coordinates only, and an equal chart holds constants of its own."""
+    chart = coordinate_chart("C", 2)
+
+    def value(c):
+        return hash(c), repr(c), dataclasses.fields(c), jsonio.chart_to_json(c)
+
+    before = value(chart)
+    assert (Poly.zero(chart), Poly.one(chart), chart.dim) == (chart.zero, chart.one, 2)
+    assert value(chart) == before
+    assert [f.name for f in dataclasses.fields(chart)] == ["name", "coords"]
+    assert repr(chart) == "Chart(name='C', coords=('x1', 'x2'))"
+    twin = Chart("C", ["x1", "x2"])
+    assert twin == chart and value(twin) == before
+    assert twin.zero is not chart.zero and twin.zero == chart.zero
+
+
+def test_the_chart_constants_are_unchanged_by_the_battery(monkeypatch, tmp_path):
+    """Every chart the 14 battery verbs build, run in process, still holds
+    a zero with no terms and degree -1 and a unit of its one unit term: no
+    operation writes to a Poly it did not just build."""
+    charts = []
+    post_init = Chart.__post_init__
+
+    def recorded(self):
+        post_init(self)
+        charts.append(self)
+
+    monkeypatch.setattr(Chart, "__post_init__", recorded)
+    jobs = _battery_jobs()
+    assert len(jobs) == 14
+    for verb, spec in jobs.items():
+        spec_path = tmp_path / f"{verb}.json"
+        spec_path.write_text(jsonio.dump_json(spec), encoding="utf-8")
+        argv = [verb, "--spec", str(spec_path), "--out", str(tmp_path / f"{verb}.out")]
+        assert main(argv + ["--seed", "7", "--samples", "10"]) == 0, verb
+    monkeypatch.undo()
+    assert len(charts) > 14
+    for chart in charts:
+        assert chart.zero.terms == {} and chart.zero._degree == -1, chart
+        assert chart.one.terms == {(0,) * chart.dim: 1}, chart
+        assert chart.one._degree == 0, chart
 
 
 # ---------------------------------------------------------------------------
