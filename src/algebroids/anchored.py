@@ -137,6 +137,10 @@ picks constant complements.
 Last, the inverse image as a functor, once for both stacks: comparison
 (psi+(phi+A) -> (phi psi)+A) and pulled_morphism (f+M) are generator
 matrices built on Presentation.push; only pull_element is stack-specific.
+check_chain_associative compares the two routes of comparisons through a
+three-map chain (Lemma L2); each stack passes its presenter and its
+morphism checks (lie_algebroid.check_compose_associative,
+pullback.check_courant_compose_associative).
 """
 
 from __future__ import annotations
@@ -159,6 +163,7 @@ from algebroids.linalg import (
     apply_constant,
     apply_matrix,
     fmt_section,
+    mat_mul,
     unit_vec,
     vec_add,
     vec_eq,
@@ -167,10 +172,12 @@ from algebroids.linalg import (
     vec_sub,
     zero_vec,
 )
+from algebroids.report import Report
 from algebroids.symcalc import Chart, ChartMap, Poly, VField
 
 Entry = Callable[[int, int], "Vec | None"]
 T = TypeVar("T")
+Frame = TypeVar("Frame")
 
 
 def require_chart(chart: Chart, *vecs: Sequence[Poly]) -> None:
@@ -578,12 +585,23 @@ class AnchoredModule:
         anchor_of(v)), passed by a caller that brackets the same sections
         many times and computes each anchor once (section_anchors), and
         supports is (support(u), support(v)), passed by a caller that holds
-        them; None computes them here (in leibniz_sum for supports)."""
+        them; None computes them here (in leibniz_sum for supports). A zero
+        section is answered here, the one _either_zero test of a bracket;
+        two nonzero sections get the table-plus-Leibniz sum and the
+        subclass's correction (_correct)."""
         if self._either_zero(u, v):
             return self.zero_section()
         if anchors is None:
             anchors = self.anchor_of(u), self.anchor_of(v)
-        return tuple(leibniz_sum(self.rank, self._entry, u, v, *anchors, supports))
+        return self._correct(
+            u, v, tuple(leibniz_sum(self.rank, self._entry, u, v, *anchors, supports))
+        )
+
+    def _correct(self, u: Vec, v: Vec, total: Vec) -> Vec:
+        """total, the table-plus-Leibniz sum of nonzero sections u and v, as
+        the bracket reads it: unchanged here; CourantData adds its coanchor
+        term."""
+        return total
 
 
 def section_anchors(
@@ -765,9 +783,9 @@ def bracket_failures(
     mask in dst.admitted on the row supports, taken once. The rank and
     chart checks that such a skipped dst.bracket would have made on the
     rows are the caller's, made once on the matrix before any of its checks
-    (check_courant_morphism, and check_compose_associative on its
-    comparison matrix). Each row's dst anchor is computed once, on its
-    first bracket (section_anchors)."""
+    (check_courant_morphism, and the Lie comparison checks of
+    lie_algebroid.check_compose_associative). Each row's dst anchor is
+    computed once, on its first bracket (section_anchors)."""
     rows = [matrix[a] for a in range(src.rank)]
     supports = [support(row) for row in rows]
     anchors = section_anchors(dst, rows)
@@ -1238,3 +1256,72 @@ def pulled_morphism(pb_a, pb_b, matrix: Sequence[Vec]) -> list[Vec]:
         raise ValidationError("presentations must be along the same map")
     rows = [pb_b.on_section(tuple(map(pb_a.map.pull, row))) for row in matrix]
     return [pb_b.push(b, rows) for b in pb_a.basis]
+
+
+def check_chain_associative(
+    present: Callable[[ChartMap, T, Frame], tuple[Presentation, Frame]],
+    structure: T,
+    frame: Frame,
+    maps: Sequence[ChartMap],
+    comparison_checks: Callable[[T, T, list[Vec]], Report],
+    prefix: str | None = None,
+) -> Report:
+    """Both composition routes through a three-map chain agree on sections,
+    and the comparison of the first two maps passes its stack's morphism
+    checks.
+
+    maps = (phi, psi, xi) with phi: Y -> X, psi: Z -> Y, xi: W -> Z and
+    structure on X. present(f, s, frame) presents the inverse image of s
+    along f through frame (a splitting of the anchor of s for Lie data, a
+    connection for Courant data) and returns it with the frame of its
+    result, which presents the next map upstairs; frame is that of
+    structure.
+
+    Lemma L2: both routes are function-linear in the section e. Each
+    composes expand, a generator matrix applied by apply_matrix, and
+    Presentation.reduce, which is a function-linear reader followed by an
+    exact reconstruction; the sections that reconstruct form a submodule.
+    So the routes agree on every section exactly when they agree on the
+    unit sections of the presentation over W, and a reduction that raises
+    on some section raises on some unit section. So
+    composition_associative compares two products of generator matrices
+    row by row: xi+ of the comparison of (phi, psi) then that of
+    (phi psi, xi), against the comparison of (psi, xi) then (phi, psi xi).
+
+    comparison_checks(middle, composite, matrix) is the stack's report on
+    the comparison psi+(phi+A) -> (phi psi)+A, middle and composite the
+    structures it maps between; it is merged under prefix.
+    """
+    phi, psi, xi = maps
+    p_phi, f_phi = present(phi, structure, frame)
+    p_psi, f_psi = present(psi, p_phi.result, f_phi)
+    p_xi, _ = present(xi, p_psi.result, f_psi)
+
+    phi_psi = phi.compose(psi)
+    p_phi_psi, f_phi_psi = present(phi_psi, structure, frame)
+    p_xi_of_composite, _ = present(xi, p_phi_psi.result, f_phi_psi)
+    psi_xi = psi.compose(xi)
+    p_psi_xi, _ = present(psi_xi, p_phi.result, f_phi)
+    p_full, _ = present(phi.compose(psi_xi), structure, frame)
+
+    cmatrix = comparison(p_psi, p_phi, p_phi_psi)
+    route1 = mat_mul(
+        pulled_morphism(p_xi, p_xi_of_composite, cmatrix),
+        comparison(p_xi_of_composite, p_phi_psi, p_full),
+        xi.source,
+    )
+    route2 = mat_mul(
+        comparison(p_xi, p_psi, p_psi_xi),
+        comparison(p_psi_xi, p_phi, p_full),
+        xi.source,
+    )
+
+    def associative():
+        for g, (r1, r2) in enumerate(zip(route1, route2)):
+            if not vec_eq(r1, r2):
+                yield f"generator {g}: {fmt_section(r1)} vs {fmt_section(r2)}"
+
+    rep = Report()
+    rep.check("composition_associative", associative())
+    rep.merge(comparison_checks(p_psi.result, p_phi_psi.result, cmatrix), prefix)
+    return rep

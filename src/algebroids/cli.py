@@ -40,6 +40,7 @@ from algebroids.lie_algebroid import (
     check_lie_algebroid,
 )
 from algebroids.pullback import (
+    check_courant_compose_associative,
     check_curvature_pullback,
     check_relation_absorption,
     check_twist_commute,
@@ -195,18 +196,33 @@ def _run_morphism_graph(spec, args):
     }
 
 
-def _run_assoc(spec, args):
-    a = jsonio.lie_from_json(jsonio._require(spec, "algebroid", "spec"))
-    maps = [
+def _three_maps(spec) -> tuple:
+    maps = tuple(
         jsonio.map_from_json(m)
         for m in jsonio._require_list(spec, "maps", "spec")
-    ]
+    )
     if len(maps) != 3:
         raise ValidationError("assoc-c-plus needs exactly three maps")
+    return maps
+
+
+def _run_assoc(spec, args):
+    """A Lie algebroid with a splitting of its anchor, or a Courant structure
+    with an optional connection (the coordinate one by default)."""
+    given = [key for key in ("algebroid", "structure") if isinstance(spec, dict) and key in spec]
+    if len(given) != 1:
+        raise ValidationError(
+            "assoc-c-plus needs exactly one of the fields 'algebroid' and 'structure'"
+        )
+    if given == ["structure"]:
+        q = _structure(spec)
+        return check_courant_compose_associative(q, _three_maps(spec), _connection(spec, q)), {}
+    a = jsonio.lie_from_json(spec["algebroid"])
+    maps = _three_maps(spec)
     splitting = jsonio.matrix_from_json(
         jsonio._require(spec, "splitting", "spec"), a.chart
     )
-    return check_compose_associative(a, tuple(maps), splitting), {}
+    return check_compose_associative(a, maps, splitting), {}
 
 
 HANDLERS = {

@@ -124,19 +124,11 @@ class CourantData(AnchoredModule):
     def pairing_of(self, u: Vec, v: Vec) -> Poly:
         return bilinear(u, self.pairing, v, self.chart)
 
-    def bracket(
-        self,
-        u: Vec,
-        v: Vec,
-        anchors: tuple[VField, VField] | None = None,
-        supports: tuple[Support, Support] | None = None,
-    ) -> Vec:
-        """The anchored-module bracket (anchors and supports as there) plus
-        the coanchor term."""
-        if self._either_zero(u, v):
-            return self.zero_section()
+    def _correct(self, u: Vec, v: Vec, total: Vec) -> Vec:
+        """total, the anchored-module sum of nonzero sections u and v, plus
+        the coanchor term: the Courant bracket (AnchoredModule.bracket)."""
         alpha = pairing_differential(self.pairing, u, v, self.chart)
-        return self._coanchor_vec(alpha, super().bracket(u, v, anchors, supports))
+        return self._coanchor_vec(alpha, total)
 
     @cached_property
     def pairing_masks(self) -> tuple[int, ...]:

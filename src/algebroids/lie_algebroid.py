@@ -25,9 +25,11 @@ pairs, and anchored.pair_bracket is the ambient bracket, and result the
 induced algebroid. The Courant inverse image (algebroids.pullback) uses the
 same pairs as the (u, eta) half of its triples, and reads the Embedding and
 Submersion fibre classes in its other modes; both reach the functor steps
-of anchored (comparison, pulled_morphism) through pull_element.
-trivial_extension builds the line extension of an algebroid by a central
-line, the input of the assoc-c-plus chain.
+of anchored (comparison, pulled_morphism) through pull_element, and
+check_compose_associative runs the one chain check of anchored,
+check_chain_associative, on Lie inverse images. trivial_extension builds
+the line extension of an algebroid by a central line, the input of the
+assoc-c-plus chain.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from algebroids.anchored import (
     anchor_failures,
     antisymmetric_table,
     bracket_failures,
-    comparison,
+    check_chain_associative,
     jacobi_counterexample,
     jacobi_generator_failures,
     pair_admitted,
@@ -55,15 +57,12 @@ from algebroids.anchored import (
     probe,
     pruned_table,
     pulled_entries,
-    pulled_morphism,
     require_chart,
 )
 from algebroids.errors import ChartMismatchError, UnsupportedModeError, ValidationError
 from algebroids.linalg import (
     Vec,
     apply_matrix,
-    fmt_section,
-    mat_mul,
     vec_add,
     vec_is_zero,
     vec_sub,
@@ -353,70 +352,32 @@ def canonical_splitting(pb: LiePullback) -> tuple[Vec, ...]:
     return tuple(linalg.unit_vec(pb.chart, rank, i) for i in range(pb.chart.dim))
 
 
+def _present(f: ChartMap, a: LieData, splitting: Sequence[Vec]):
+    """The inverse image of a along f, and the canonical splitting of its
+    result."""
+    pb = pullback_lie(f, a, splitting)
+    return pb, canonical_splitting(pb)
+
+
+def _comparison_checks(middle: LieData, composite: LieData, matrix: list[Vec]) -> Report:
+    """The comparison morphism preserves anchors and brackets. Its rows are
+    checked once, for the rank and chart of composite, before either check:
+    bracket_failures does not check them."""
+    composite.require_rank(*matrix)
+    require_chart(composite.chart, *matrix)
+    rep = Report()
+    anchors = anchor_failures(middle, composite, matrix)
+    rep.check("comparison_anchor", (f"{bad}: anchor mismatch" for bad in anchors))
+    rep.check("comparison_bracket", bracket_failures(middle, composite, matrix))
+    return rep
+
+
 def check_compose_associative(
     a: LieData,
     maps: Sequence[ChartMap],
     splitting: Sequence[Vec],
 ) -> Report:
-    """Both composition routes through a three-map chain agree on sections.
-
-    maps = (phi, psi, xi) with phi: Y -> X, psi: Z -> Y, xi: W -> Z and the
-    algebroid on X; the pullbacks are split by `splitting` on X and by the
-    canonical splittings upstairs.
-
-    Lemma L2: both routes are function-linear in the section e. Each
-    composes expand, a generator matrix applied by apply_matrix, and
-    Presentation.reduce, which is a function-linear reader followed by an
-    exact reconstruction; the sections that reconstruct form a submodule.
-    So the routes agree on every section exactly when they agree on the
-    unit sections of the presentation over W, and a reduction that raises
-    on some section raises on some unit section. So
-    composition_associative compares two products of generator matrices
-    row by row: xi+ of the comparison of (phi, psi) then that of
-    (phi psi, xi), against the comparison of (psi, xi) then (phi, psi xi).
-    """
-    phi, psi, xi = maps
-    rep = Report()
-
-    p_phi = pullback_lie(phi, a, splitting)
-    s_phi = canonical_splitting(p_phi)
-    p_psi = pullback_lie(psi, p_phi.result, s_phi)
-    s_psi = canonical_splitting(p_psi)
-    p_xi = pullback_lie(xi, p_psi.result, s_psi)
-
-    phi_psi = phi.compose(psi)
-    p_phi_psi = pullback_lie(phi_psi, a, splitting)
-    s_phi_psi = canonical_splitting(p_phi_psi)
-    p_xi_of_composite = pullback_lie(xi, p_phi_psi.result, s_phi_psi)
-    psi_xi = psi.compose(xi)
-    p_psi_xi = pullback_lie(psi_xi, p_phi.result, s_phi)
-    full = phi.compose(psi_xi)
-    p_full = pullback_lie(full, a, splitting)
-
-    cmatrix = comparison(p_psi, p_phi, p_phi_psi)
-    route1 = mat_mul(
-        pulled_morphism(p_xi, p_xi_of_composite, cmatrix),
-        comparison(p_xi_of_composite, p_phi_psi, p_full),
-        xi.source,
-    )
-    route2 = mat_mul(
-        comparison(p_xi, p_psi, p_psi_xi),
-        comparison(p_psi_xi, p_phi, p_full),
-        xi.source,
-    )
-
-    def associative():
-        for g, (r1, r2) in enumerate(zip(route1, route2)):
-            if not linalg.vec_eq(r1, r2):
-                yield f"generator {g}: {fmt_section(r1)} vs {fmt_section(r2)}"
-
-    # The comparison morphism must preserve anchors and brackets.
-    middle, composite = p_psi.result, p_phi_psi.result
-
-    rep.check("composition_associative", associative())
-    composite.require_rank(*cmatrix)
-    require_chart(composite.chart, *cmatrix)
-    anchors = anchor_failures(middle, composite, cmatrix)
-    rep.check("comparison_anchor", (f"{bad}: anchor mismatch" for bad in anchors))
-    rep.check("comparison_bracket", bracket_failures(middle, composite, cmatrix))
-    return rep
+    """anchored.check_chain_associative on the Lie inverse images: maps =
+    (phi, psi, xi) with the algebroid on the target of phi, the pullbacks
+    split by `splitting` on X and by the canonical splittings upstairs."""
+    return check_chain_associative(_present, a, splitting, maps, _comparison_checks)

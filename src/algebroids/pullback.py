@@ -63,6 +63,8 @@ f*u, 0), J the Jacobian (pull_element).
 dirac_pushdown presents a supported Dirac structure along the inclusion of
 its support locus (dirac.support_inclusion) in coordinate-embedding mode,
 and morphism_graph restricts its generators along such an inclusion.
+check_courant_compose_associative runs the chain check of anchored,
+check_chain_associative, on exact-split inverse images.
 """
 
 from __future__ import annotations
@@ -79,6 +81,7 @@ from algebroids.anchored import (
     Split,
     Submersion,
     Support,
+    check_chain_associative,
     classify_map,
     constant_complement,
     mask,
@@ -96,6 +99,7 @@ from algebroids.courant import (
     CourantData,
     _form_vec,
     baer_combination,
+    check_courant_morphism,
     coordinate_connection,
     curvature,
     twist,
@@ -569,6 +573,26 @@ def pullback_connection(pb: CourantPullback, conn: Connection) -> Connection:
         for i, u in enumerate(lifts)
     ]
     return Connection(pb.result, tuple(cols))
+
+
+def _present_exact_split(f: ChartMap, q: CourantData, conn: Connection):
+    """The exact-split inverse image of q along f through conn, and the
+    pulled connection on its result."""
+    pb = pullback_courant(f, q, "exact-split", conn)
+    return pb, pullback_connection(pb, conn)
+
+
+def check_courant_compose_associative(
+    q: CourantData, maps: Sequence[ChartMap], connection: Connection
+) -> Report:
+    """anchored.check_chain_associative on the exact-split inverse images of
+    q: maps = (phi, psi, xi) with q on the target of phi, presented through
+    connection on X and the pulled connections upstairs. The comparison is
+    checked as a Courant morphism (check_courant_morphism), its checks
+    prefixed "comparison"."""
+    return check_chain_associative(
+        _present_exact_split, q, connection, maps, check_courant_morphism, "comparison"
+    )
 
 
 def check_twist_commute(

@@ -41,6 +41,7 @@ from algebroids.lie_algebroid import (
     trivial_extension,
 )
 from algebroids.pullback import (
+    check_courant_compose_associative,
     check_curvature_pullback,
     check_twist_commute,
     dirac_pushdown,
@@ -506,6 +507,21 @@ def _battery_jobs():
     }
 
 
+def _courant_assoc_job():
+    """The assoc-c-plus verb on its Courant input: a twisted structure on R3
+    and three maps, presented through the coordinate connection."""
+    w_chart = coordinate_chart("W", 1, prefix="w")
+    maps = (
+        ChartMap(P2, R3, (Poly.coord(P2, 0), Poly.coord(P2, 1), parse_poly("x1*x2", P2))),
+        ChartMap(L1, P2, (Poly.coord(L1, 0), parse_poly("y1^2", L1))),
+        ChartMap(w_chart, L1, (parse_poly("w1^2 + w1", w_chart),)),
+    )
+    return {
+        "structure": jsonio.courant_to_json(standard_exact(R3, SCALED)),
+        "maps": [jsonio.map_to_json(f) for f in maps],
+    }
+
+
 def test_full_battery_is_deterministic_and_fast(tmp_path):
     jobs = _battery_jobs()
     start = time.monotonic()
@@ -589,6 +605,7 @@ def test_malformed_battery_specs_exit_two(tmp_path, capsys):
 
 
 # SHA-256 of every report the battery writes at --seed 7 --samples 10, of
+# the assoc-c-plus verb on its Courant input, of
 # the pullback verb in each Courant presentation mode (plus a coordinate
 # projection with a vertical direction), and of the Lie inverse image in its
 # one mode, transitive-split. A refactor that claims to keep behaviour must
@@ -609,6 +626,7 @@ GOLDEN_BATTERY = {
     "twist": "9a92643ce306ab32a5ce645278874d7288a952f3226580b7a1cbc65fed495399",
     "twist-commute": "eac2031471486c261ea460ff8ebec0b64ca461ef59e9c3d091357af9d3a67ecf",
 }
+GOLDEN_COURANT_ASSOC = "013886060487bf34d12e33c45745b11144f0c550cb0bd67c3f5652c959db73ed"
 GOLDEN_PULLBACK_MODES = {
     "coordinate-embedding": "26ab3e1751acbfabe8f0a2f34230bf13a6cdd4f84438363d72f2c65d1405bfc4",
     "coordinate-projection": "e6790fcbbfa4d53fd8a484a76709177063ba9221ca929b74711b5723b66eccd8",
@@ -728,7 +746,11 @@ def test_golden_report_digests(tmp_path):
         ).hexdigest()
         for mode, pb in _lie_pullbacks().items()
     }
+    courant_assoc = _report_digest(
+        tmp_path, "assoc-c-plus", _courant_assoc_job(), "assoc-c-plus-courant"
+    )
     assert battery == GOLDEN_BATTERY
+    assert courant_assoc == GOLDEN_COURANT_ASSOC
     assert modes == GOLDEN_PULLBACK_MODES
     assert lie == GOLDEN_LIE_PULLBACKS
 
@@ -838,7 +860,7 @@ def _failing_cases():
     reaches the same failure branches. Builders of seedless checks ignore
     the seed.
     """
-    from algebroids import lie_algebroid, pullback, transgression
+    from algebroids import anchored, pullback, transgression
     from algebroids.lie_algebroid import check_lie_algebroid
     from algebroids.pullback import check_relation_absorption
 
@@ -884,30 +906,32 @@ def _failing_cases():
 
         return build
 
-    def compose(seed, mp):
-        # the comparison image of the second generator gains z1 * marking
-        z_chart = coordinate_chart("Z", 1, prefix="z")
-        w_chart = coordinate_chart("W", 1, prefix="w")
-        phi = ChartMap(A2, R3, (x1, x2, parse_poly("x1*x2", A2)))
-        psi = ChartMap(
-            z_chart, A2, (Poly.coord(z_chart, 0), parse_poly("z1^2", z_chart))
-        )
-        xi = ChartMap(w_chart, z_chart, (parse_poly("w1^2", w_chart),))
-        compare = lie_algebroid.comparison
+    z_chart = coordinate_chart("Z", 1, prefix="z")
+    w_chart = coordinate_chart("W", 1, prefix="w")
+    chain = (
+        ChartMap(A2, R3, (x1, x2, parse_poly("x1*x2", A2))),
+        ChartMap(z_chart, A2, (Poly.coord(z_chart, 0), parse_poly("z1^2", z_chart))),
+        ChartMap(w_chart, z_chart, (parse_poly("w1^2", w_chart),)),
+    )
+    scaled = standard_exact(R3, SCALED)
 
-        def perturbed_comparison(inner, outer, target):
-            out = compare(inner, outer, target)
-            if inner.map is psi:
-                row = out[1]
-                out[1] = row[:1] + (row[1] + Poly.coord(z_chart, 0),) + row[2:]
-            return out
+    def compose(g, check):
+        # entry 1 of the comparison image of generator g gains z1: the
+        # marking of the Lie extension, a cotangent line of the Courant one
+        def build(seed, mp):
+            compare = anchored.comparison
 
-        mp.setattr(lie_algebroid, "comparison", perturbed_comparison)
-        return check_compose_associative(
-            trivial_extension(tangent_algebroid(R3)).total.lie,
-            (phi, psi, xi),
-            tuple(linalg.unit_vec(R3, 4, j) for j in range(3)),
-        )
+            def perturbed_comparison(inner, outer, target):
+                out = compare(inner, outer, target)
+                if inner.map is chain[1]:
+                    row = out[g]
+                    out[g] = row[:1] + (row[1] + Poly.coord(z_chart, 0),) + row[2:]
+                return out
+
+            mp.setattr(anchored, "comparison", perturbed_comparison)
+            return check()
+
+        return build
 
     def absorption(where, idx, delta):
         return lambda seed, mp: check_relation_absorption(
@@ -973,7 +997,20 @@ def _failing_cases():
         "morphism-structure": morphism("structure", (0, 1, 2), -x1),
         "lie-anchor": lie("anchor", (0, 1), x2),
         "lie-structure": lie("structure", (0, 0, 1), x1),
-        "compose": compose,
+        "compose": compose(
+            1,
+            lambda: check_compose_associative(
+                trivial_extension(tangent_algebroid(R3)).total.lie,
+                chain,
+                tuple(linalg.unit_vec(R3, 4, j) for j in range(3)),
+            ),
+        ),
+        "compose-courant": compose(
+            0,
+            lambda: check_courant_compose_associative(
+                scaled, chain, coordinate_connection(scaled)
+            ),
+        ),
         "tau-anchor": tau("anchor", (0, 0), 1),
         # graded antisymmetry fails on its (0,-1) generator case
         "tau-structure": tau("structure", (0, 1, 2), 1),
@@ -1023,6 +1060,8 @@ GOLDEN_FAILING = {
     "lie-structure@7": "3adbdeddf4582fb94757714d0ec433e0751adf0a989f46ed90c1dcad988e0eb4",
     "compose@0": "3ecd3a21666faf3717603c00471501bc990cb7e27ee85feb142cb5bd8b2676e6",
     "compose@7": "3ecd3a21666faf3717603c00471501bc990cb7e27ee85feb142cb5bd8b2676e6",
+    "compose-courant@0": "81eaab7b3d3523400aba9a007b365fdddf3c91eed1847911fb405ea19b2c5784",
+    "compose-courant@7": "81eaab7b3d3523400aba9a007b365fdddf3c91eed1847911fb405ea19b2c5784",
     "tau-anchor@0": "539830a2e2be005b0aa714003f4c4ac4075e363f58c294b01dc0c7ba2d24ca95",
     "tau-anchor@7": "539830a2e2be005b0aa714003f4c4ac4075e363f58c294b01dc0c7ba2d24ca95",
     "tau-structure@0": "f7571a27bf93e5d3812b968b55d1c0938180daf5261080d6408265f08070f99f",
@@ -1129,6 +1168,14 @@ FAILING_STATUSES = {
         ["antisymmetry", "anchor_morphism", "jacobi_identity"],
     ),
     "compose": (COMPOSE_CHECKS, ["composition_associative", "comparison_bracket"]),
+    "compose-courant": (
+        ["composition_associative"] + [f"comparison.{n}" for n in MORPHISM_CHECKS],
+        [
+            "composition_associative",
+            "comparison.morphism_pairing",
+            "comparison.morphism_bracket",
+        ],
+    ),
     "tau-anchor": (
         TAU_CHECKS,
         ["rule_interior_action", "rule_lie_action", "graded_jacobi"],

@@ -337,6 +337,62 @@ def test_unsupported_mode_exits_three(tmp_path, capsys):
     assert "unsupported mode" in capsys.readouterr().err
 
 
+def _courant_assoc_spec(q=Q3):
+    """The maps of the Lie assoc-c-plus spec on its Courant input: a
+    structure on R3, with no connection (the coordinate one)."""
+    spec = _assoc_spec()
+    return {"structure": jsonio.courant_to_json(q), "maps": spec["maps"]}
+
+
+def test_assoc_on_a_courant_structure_passes_with_or_without_its_connection(
+    tmp_path, capsys
+):
+    spec = _courant_assoc_spec()
+    assert main(["assoc-c-plus", "--spec", write_job(tmp_path, spec)]) == 0
+    implicit = capsys.readouterr().out
+    spec["connection"] = jsonio.matrix_to_json(coordinate_connection(Q3).columns)
+    assert main(["assoc-c-plus", "--spec", write_job(tmp_path, spec)]) == 0
+    assert capsys.readouterr().out == implicit
+    names = [c["name"] for c in json.loads(implicit)["checks"]]
+    assert names == sorted(
+        ["composition_associative"]
+        + [f"comparison.morphism_{n}" for n in ("anchor", "coanchor", "pairing", "bracket")]
+    )
+
+
+@pytest.mark.parametrize("fields", [("algebroid", "structure"), ()], ids=["both", "neither"])
+def test_assoc_needs_exactly_one_of_algebroid_and_structure(tmp_path, capsys, fields):
+    spec = {**_assoc_spec(), **_courant_assoc_spec()}
+    for key in {"algebroid", "structure"} - set(fields):
+        del spec[key]
+    assert main(["assoc-c-plus", "--spec", write_job(tmp_path, spec)]) == 2
+    assert "exactly one of the fields 'algebroid' and 'structure'" in capsys.readouterr().err
+
+
+def test_assoc_on_a_courant_structure_of_another_rank_exits_three(tmp_path, capsys):
+    """Q3 with one more generator, anchor-free, paired to 1 with itself and
+    bracketing to zero: rank 7, not twice the dimension, so the exact-split
+    presentation the Courant chain reads is unsupported."""
+    from algebroids.courant import CourantData
+
+    z = Poly.zero(R3)
+
+    def pad(row):
+        return tuple(row) + (z,)
+
+    q = CourantData(
+        R3,
+        Q3.rank + 1,
+        Q3.anchor + ((z, z, z),),
+        tuple(map(pad, Q3.coanchor)),
+        tuple(map(pad, Q3.pairing)) + ((z,) * Q3.rank + (Poly.one(R3),),),
+        {key: pad(vec) for key, vec in Q3.structure.items()},
+    )
+    rc = main(["assoc-c-plus", "--spec", write_job(tmp_path, _courant_assoc_spec(q))])
+    assert rc == 3
+    assert "rank twice the target dimension" in capsys.readouterr().err
+
+
 def test_reports_are_byte_identical_across_runs(tmp_path):
     spec = write_job(tmp_path, {"structure": jsonio.courant_to_json(Q2)})
     first = tmp_path / "a.json"

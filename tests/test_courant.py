@@ -471,6 +471,24 @@ def test_curvature_brackets_only_admitted_column_pairs(monkeypatch):
     assert len(calls) == 6
 
 
+def test_a_courant_bracket_checks_for_zero_sections_once(monkeypatch):
+    """Op-count gate: one Courant bracket of two nonzero sections asks
+    _either_zero once (the coanchor term is added to the anchored-module
+    sum, which is not guarded again)."""
+    q = standard_exact(R3, vol3("x1 + x2"))
+    calls = []
+    original = anchored_module.AnchoredModule._either_zero
+
+    def counted(self, u, v):
+        calls.append(1)
+        return original(self, u, v)
+
+    monkeypatch.setattr(anchored_module.AnchoredModule, "_either_zero", counted)
+    x1 = Poly.coord(R3, 0)
+    u = vec_scale(x1, q.gen(0))
+    got = q.bracket(u, q.gen(3))
+    assert len(calls) == 1
+    assert not vec_is_zero(got)
 def test_associated_lie_algebroid_of_standard():
     q = standard_exact(R2)
     lie, projection = associated_lie_algebroid(q)

@@ -19,7 +19,7 @@ from algebroids.anchored import (
 )
 from algebroids.courant import standard_exact
 from algebroids.errors import ChartMismatchError, UnsupportedModeError, ValidationError
-from algebroids import lie_algebroid as lie_module, linalg
+from algebroids import anchored, lie_algebroid as lie_module, linalg
 from algebroids.lie_algebroid import (
     LieData,
     canonical_splitting,
@@ -462,7 +462,7 @@ def test_compose_check_refuses_a_comparison_row_of_another_length_or_chart(
         made.append(rows)
         return rows
 
-    monkeypatch.setattr(lie_module, "comparison", corrupted)
+    monkeypatch.setattr(anchored, "comparison", corrupted)
     with pytest.raises(error):
         check_compose_associative(*assoc_chain())
 
