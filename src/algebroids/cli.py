@@ -209,14 +209,16 @@ def _three_maps(spec) -> tuple:
 def _run_assoc(spec, args):
     """A Lie algebroid with a splitting of its anchor, or a Courant structure
     with an optional connection (the coordinate one by default)."""
-    given = [key for key in ("algebroid", "structure") if isinstance(spec, dict) and key in spec]
+    fields = spec if isinstance(spec, dict) else {}
+    given = [key for key in ("algebroid", "structure") if key in fields]
     if len(given) != 1:
         raise ValidationError(
             "assoc-c-plus needs exactly one of the fields 'algebroid' and 'structure'"
         )
     if given == ["structure"]:
         q = _structure(spec)
-        return check_courant_compose_associative(q, _three_maps(spec), _connection(spec, q)), {}
+        maps = _three_maps(spec)
+        return check_courant_compose_associative(q, maps, _connection(spec, q)), {}
     a = jsonio.lie_from_json(spec["algebroid"])
     maps = _three_maps(spec)
     splitting = jsonio.matrix_from_json(

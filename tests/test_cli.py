@@ -360,11 +360,15 @@ def test_assoc_on_a_courant_structure_passes_with_or_without_its_connection(
     )
 
 
-@pytest.mark.parametrize("fields", [("algebroid", "structure"), ()], ids=["both", "neither"])
+@pytest.mark.parametrize(
+    "fields", [("algebroid", "structure"), (), None], ids=["both", "neither", "not-an-object"]
+)
 def test_assoc_needs_exactly_one_of_algebroid_and_structure(tmp_path, capsys, fields):
     spec = {**_assoc_spec(), **_courant_assoc_spec()}
-    for key in {"algebroid", "structure"} - set(fields):
+    for key in {"algebroid", "structure"} - set(fields or ()):
         del spec[key]
+    if fields is None:
+        spec = list(spec.values())
     assert main(["assoc-c-plus", "--spec", write_job(tmp_path, spec)]) == 2
     assert "exactly one of the fields 'algebroid' and 'structure'" in capsys.readouterr().err
 

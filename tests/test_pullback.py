@@ -1295,22 +1295,16 @@ def test_courant_comparison_checks_its_chain():
         comparison(inner, outer, outer)
 
 
-def courant_assoc_chain():
-    """An exact-split chain of three maps: a twisted structure on R3, the
-    maps and the coordinate connection."""
+def test_courant_comparison_is_associative_on_an_exact_split_chain():
+    """xi+(C(phi, psi)) then C(phi psi, xi) equals C(psi, xi) then
+    C(phi, psi xi), row by row on the unit sections over W, and C(phi, psi)
+    is a Courant morphism."""
     w = coordinate_chart("W", 1, prefix="w")
     phi = _map(R2, R3, "x1", "x2", "x1*x2")
     psi = _map(R1, R2, "y1", "y1^2")
     xi = _map(w, R1, "w1^2 + w1")
     q = standard_exact(R3, vol3("x1 + x2"))
-    return q, (phi, psi, xi), coordinate_connection(q)
-
-
-def test_courant_comparison_is_associative_on_an_exact_split_chain():
-    """xi+(C(phi, psi)) then C(phi psi, xi) equals C(psi, xi) then
-    C(phi, psi xi), row by row on the unit sections over W, and C(phi, psi)
-    is a Courant morphism."""
-    rep = check_courant_compose_associative(*courant_assoc_chain())
+    rep = check_courant_compose_associative(q, (phi, psi, xi), coordinate_connection(q))
     assert rep.check_names() == ["composition_associative"] + [
         f"comparison.morphism_{name}"
         for name in ("anchor", "coanchor", "pairing", "bracket")
