@@ -138,8 +138,8 @@ Last, the inverse image as a functor, once for both stacks: comparison
 (psi+(phi+A) -> (phi psi)+A) and pulled_morphism (f+M) are generator
 matrices built on Presentation.push; only pull_element is stack-specific.
 check_chain_associative compares the two routes of comparisons through a
-three-map chain (Lemma L2); each stack passes its presenter and its
-morphism checks (lie_algebroid.check_compose_associative,
+three-map chain (Lemma L2); each stack passes how it pulls and lifts a
+frame, and its morphism checks (lie_algebroid.check_compose_associative,
 pullback.check_courant_compose_associative).
 """
 
@@ -1259,7 +1259,8 @@ def pulled_morphism(pb_a, pb_b, matrix: Sequence[Vec]) -> list[Vec]:
 
 
 def check_chain_associative(
-    present: Callable[[ChartMap, T, Frame], tuple[Presentation, Frame]],
+    pull: Callable[[ChartMap, T, Frame], Presentation],
+    lift: Callable[[Presentation, Frame], Frame],
     structure: T,
     frame: Frame,
     maps: Sequence[ChartMap],
@@ -1271,11 +1272,12 @@ def check_chain_associative(
     checks.
 
     maps = (phi, psi, xi) with phi: Y -> X, psi: Z -> Y, xi: W -> Z and
-    structure on X. present(f, s, frame) presents the inverse image of s
+    structure on X. pull(f, s, frame) presents the inverse image of s
     along f through frame (a splitting of the anchor of s for Lie data, a
-    connection for Courant data) and returns it with the frame of its
-    result, which presents the next map upstairs; frame is that of
-    structure.
+    connection for Courant data); frame is that of structure. lift(pb,
+    frame) is the frame of pb.result, pb pulled through frame. It is taken
+    only for the images along phi, psi and phi psi, the three that are
+    pulled back again.
 
     Lemma L2: both routes are function-linear in the section e. Each
     composes expand, a generator matrix applied by apply_matrix, and
@@ -1287,22 +1289,25 @@ def check_chain_associative(
     composition_associative compares two products of generator matrices
     row by row: xi+ of the comparison of (phi, psi) then that of
     (phi psi, xi), against the comparison of (psi, xi) then (phi, psi xi).
+    Each route must have one row per generator over W, or a short route
+    would compare fewer rows.
 
     comparison_checks(middle, composite, matrix) is the stack's report on
     the comparison psi+(phi+A) -> (phi psi)+A, middle and composite the
     structures it maps between; it is merged under prefix.
     """
     phi, psi, xi = maps
-    p_phi, f_phi = present(phi, structure, frame)
-    p_psi, f_psi = present(psi, p_phi.result, f_phi)
-    p_xi, _ = present(xi, p_psi.result, f_psi)
+    p_phi = pull(phi, structure, frame)
+    f_phi = lift(p_phi, frame)
+    p_psi = pull(psi, p_phi.result, f_phi)
+    p_xi = pull(xi, p_psi.result, lift(p_psi, f_phi))
 
     phi_psi = phi.compose(psi)
-    p_phi_psi, f_phi_psi = present(phi_psi, structure, frame)
-    p_xi_of_composite, _ = present(xi, p_phi_psi.result, f_phi_psi)
+    p_phi_psi = pull(phi_psi, structure, frame)
+    p_xi_of_composite = pull(xi, p_phi_psi.result, lift(p_phi_psi, frame))
     psi_xi = psi.compose(xi)
-    p_psi_xi, _ = present(psi_xi, p_phi.result, f_phi)
-    p_full, _ = present(phi.compose(psi_xi), structure, frame)
+    p_psi_xi = pull(psi_xi, p_phi.result, f_phi)
+    p_full = pull(phi.compose(psi_xi), structure, frame)
 
     cmatrix = comparison(p_psi, p_phi, p_phi_psi)
     route1 = mat_mul(
@@ -1317,6 +1322,10 @@ def check_chain_associative(
     )
 
     def associative():
+        rank = len(p_xi.basis)
+        for name, route in (("route 1", route1), ("route 2", route2)):
+            if len(route) != rank:
+                yield f"{name}: rows for {len(route)} of {rank} generators"
         for g, (r1, r2) in enumerate(zip(route1, route2)):
             if not vec_eq(r1, r2):
                 yield f"generator {g}: {fmt_section(r1)} vs {fmt_section(r2)}"

@@ -352,13 +352,6 @@ def canonical_splitting(pb: LiePullback) -> tuple[Vec, ...]:
     return tuple(linalg.unit_vec(pb.chart, rank, i) for i in range(pb.chart.dim))
 
 
-def _present(f: ChartMap, a: LieData, splitting: Sequence[Vec]):
-    """The inverse image of a along f, and the canonical splitting of its
-    result."""
-    pb = pullback_lie(f, a, splitting)
-    return pb, canonical_splitting(pb)
-
-
 def _comparison_checks(middle: LieData, composite: LieData, matrix: list[Vec]) -> Report:
     """The comparison morphism preserves anchors and brackets. Its rows are
     checked once, for the rank and chart of composite, before either check:
@@ -380,4 +373,11 @@ def check_compose_associative(
     """anchored.check_chain_associative on the Lie inverse images: maps =
     (phi, psi, xi) with the algebroid on the target of phi, the pullbacks
     split by `splitting` on X and by the canonical splittings upstairs."""
-    return check_chain_associative(_present, a, splitting, maps, _comparison_checks)
+    return check_chain_associative(
+        pullback_lie,
+        lambda pb, _: canonical_splitting(pb),
+        a,
+        splitting,
+        maps,
+        _comparison_checks,
+    )

@@ -575,13 +575,6 @@ def pullback_connection(pb: CourantPullback, conn: Connection) -> Connection:
     return Connection(pb.result, tuple(cols))
 
 
-def _present_exact_split(f: ChartMap, q: CourantData, conn: Connection):
-    """The exact-split inverse image of q along f through conn, and the
-    pulled connection on its result."""
-    pb = pullback_courant(f, q, "exact-split", conn)
-    return pb, pullback_connection(pb, conn)
-
-
 def check_courant_compose_associative(
     q: CourantData, maps: Sequence[ChartMap], connection: Connection
 ) -> Report:
@@ -591,7 +584,13 @@ def check_courant_compose_associative(
     checked as a Courant morphism (check_courant_morphism), its checks
     prefixed "comparison"."""
     return check_chain_associative(
-        _present_exact_split, q, connection, maps, check_courant_morphism, "comparison"
+        lambda f, q, conn: pullback_courant(f, q, "exact-split", conn),
+        pullback_connection,
+        q,
+        connection,
+        maps,
+        check_courant_morphism,
+        "comparison",
     )
 
 

@@ -489,6 +489,8 @@ def test_a_courant_bracket_checks_for_zero_sections_once(monkeypatch):
     got = q.bracket(u, q.gen(3))
     assert len(calls) == 1
     assert not vec_is_zero(got)
+
+
 def test_associated_lie_algebroid_of_standard():
     q = standard_exact(R2)
     lie, projection = associated_lie_algebroid(q)

@@ -437,6 +437,24 @@ def test_compose_associativity_check():
     assert rep.ok, str(rep)
 
 
+def test_compose_check_splits_only_the_images_pulled_back_again(monkeypatch):
+    """The images along phi, psi and phi psi are pulled back again; only
+    their canonical splittings are taken."""
+    split = []
+    original = lie_module.canonical_splitting
+
+    def counted(pb):
+        split.append(pb.map)
+        return original(pb)
+
+    monkeypatch.setattr(lie_module, "canonical_splitting", counted)
+    a, (phi, psi, xi), splitting = assoc_chain()
+    assert check_compose_associative(a, (phi, psi, xi), splitting).ok
+    assert [f.comps for f in split] == [
+        f.comps for f in (phi, psi, phi.compose(psi))
+    ]
+
+
 @pytest.mark.parametrize(
     "bad, error", [("short", ValidationError), ("chart", ChartMismatchError)]
 )

@@ -1295,21 +1295,59 @@ def test_courant_comparison_checks_its_chain():
         comparison(inner, outer, outer)
 
 
-def test_courant_comparison_is_associative_on_an_exact_split_chain():
-    """xi+(C(phi, psi)) then C(phi psi, xi) equals C(psi, xi) then
-    C(phi, psi xi), row by row on the unit sections over W, and C(phi, psi)
-    is a Courant morphism."""
+def exact_split_chain():
+    """A twisted std(R3), its coordinate connection and the chain
+    R2 -> R3, R1 -> R2, W -> R1."""
     w = coordinate_chart("W", 1, prefix="w")
     phi = _map(R2, R3, "x1", "x2", "x1*x2")
     psi = _map(R1, R2, "y1", "y1^2")
     xi = _map(w, R1, "w1^2 + w1")
     q = standard_exact(R3, vol3("x1 + x2"))
-    rep = check_courant_compose_associative(q, (phi, psi, xi), coordinate_connection(q))
+    return q, (phi, psi, xi), coordinate_connection(q)
+
+
+def test_courant_comparison_is_associative_on_an_exact_split_chain():
+    """xi+(C(phi, psi)) then C(phi psi, xi) equals C(psi, xi) then
+    C(phi, psi xi), row by row on the unit sections over W, and C(phi, psi)
+    is a Courant morphism."""
+    rep = check_courant_compose_associative(*exact_split_chain())
     assert rep.check_names() == ["composition_associative"] + [
         f"comparison.morphism_{name}"
         for name in ("anchor", "coanchor", "pairing", "bracket")
     ]
     assert rep.ok, str(rep)
+
+
+def test_the_chain_check_pulls_a_connection_only_where_it_is_read(monkeypatch):
+    """Of the seven images, only those along phi, psi and phi psi are
+    pulled back again, so only their connections are built."""
+    pulled = []
+    original = pullback_module.pullback_connection
+
+    def counted(pb, conn):
+        pulled.append(pb.map)
+        return original(pb, conn)
+
+    monkeypatch.setattr(pullback_module, "pullback_connection", counted)
+    q, (phi, psi, xi), conn = exact_split_chain()
+    assert check_courant_compose_associative(q, (phi, psi, xi), conn).ok
+    assert [f.comps for f in pulled] == [
+        f.comps for f in (phi, psi, phi.compose(psi))
+    ]
+
+
+def test_the_chain_check_fails_a_route_short_of_a_row(monkeypatch):
+    """Routes that agree on every row they have but miss the last
+    generator over W fail composition_associative: zip alone would compare
+    the rows both routes have and pass."""
+    original = anchored_module.mat_mul
+    monkeypatch.setattr(
+        anchored_module, "mat_mul", lambda *args: original(*args)[:-1]
+    )
+    rep = check_courant_compose_associative(*exact_split_chain())
+    got = rep["composition_associative"]
+    assert not got.passed
+    assert got.counterexample == "route 1: rows for 1 of 2 generators"
 
 
 def graph_on_axis(form_scale="x1"):
