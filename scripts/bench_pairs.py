@@ -4,7 +4,7 @@
         [--pairs constructions=10,battery=10,axioms@29=10] [--workdir DIR]
 
 Each commit is exported with git archive into a new temporary directory
-(under --workdir if given), so no worktree is registered. A workload runs
+(under --workdir if given, made if missing), so no worktree is registered. A workload runs
 with seed 11 unless its entry names one, for BENCHMARK.json's run_seconds.
 By default each workload gets 10 pairs, enough to set a median against the
 parent's quartile spread, and constructions and axioms also run 5 pairs on
@@ -82,6 +82,8 @@ def main(argv=None) -> None:
            **commits, "python": platform.python_version(), "platform": platform.platform(),
            "nproc": len(os.sched_getaffinity(0)), "order": ORDER,
            "workloads": {}, "summary": {}, "traced": {}}
+    if args.workdir:
+        os.makedirs(args.workdir, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
         trees = {s: os.path.join(tmp, s) for s in SIDES}
         for s in SIDES:

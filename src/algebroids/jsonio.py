@@ -1,7 +1,9 @@
 """JSON encoding of charts, maps, structures, and check reports.
 
 Polynomials travel as text in the same syntax parse_poly accepts, so specs
-are hand-writable and reports round-trip exactly. Pair-indexed tables
+are hand-writable and reports round-trip exactly. Most entries of a spec
+are bare integers ("0", "1", "-1"), which parse_poly reads as constants
+without running the tokenizer. Pair-indexed tables
 (structure functions, form components) use comma-joined index keys.
 """
 

@@ -1015,6 +1015,15 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def _int_literal(digits: str, pos: int) -> int:
+    """The value of the decimal literal at pos; one too long for int() to
+    convert is a ParseError there, as any other malformed input."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer literal of {len(digits)} digits is too long", pos) from None
+
+
 class _Parser:
     def __init__(self, text: str, chart: Chart):
         self.chart = chart
@@ -1034,7 +1043,7 @@ class _Parser:
         tok = self.advance()
         if tok.kind != "int":
             raise ParseError(f"expected {what}", tok.pos)
-        return int(tok.text)
+        return _int_literal(tok.text, tok.pos)
 
     def parse(self) -> Poly:
         out = Poly.zero(self.chart)
@@ -1061,14 +1070,14 @@ class _Parser:
         while True:
             tok = self.advance()
             if tok.kind == "int":
-                val = int(tok.text)
+                val = _int_literal(tok.text, tok.pos)
                 nxt = self.peek()
                 if nxt.kind == "op" and nxt.text == "/":
                     self.advance()
                     den = self.expect_int("a positive denominator")
                     if den == 0:
                         raise ParseError("zero denominator", nxt.pos)
-                    val = Fraction(int(tok.text), den)
+                    val = Fraction(val, den)
                 coeff *= val
             elif tok.kind == "name":
                 if tok.text not in self.chart.coords:
@@ -1096,9 +1105,18 @@ class _Parser:
 def parse_expr(text: str, chart: Chart) -> Poly:
     """Parse a polynomial on the chart.
 
-    Raises ParseError with a position on bad input; a field or form
-    generator such as ``dx1`` or ``d/dx1`` is an unknown name.
+    A bare integer literal (an optional "-", then decimal digits, the
+    characters the tokenizer reads as ``int``) is the constant it names,
+    read without the tokenizer; most spec entries are "0" or "1". Every
+    other text goes through the parser. Raises ParseError with a position
+    on bad input; a field or form generator such as ``dx1`` or ``d/dx1`` is
+    an unknown name.
     """
+    digits = text.removeprefix("-")
+    if digits.isdecimal():
+        pos = len(text) - len(digits)
+        value = _int_literal(digits, pos)
+        return Poly.const(chart, -value if pos else value)
     return _Parser(text, chart).parse()
 
 

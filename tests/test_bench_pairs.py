@@ -1,6 +1,9 @@
 """scripts/bench_pairs.py: the summary of paired benchmark runs."""
 
 import importlib.util
+import io
+import json
+import tarfile
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
@@ -76,3 +79,27 @@ def test_within_bound_reads_each_metric_bound_from_the_benchmark():
     assert not rss["peak_rss_mb"]["within_bound"]
     assert all(bench_pairs.summarise(pairs(parent, parent))[m]["within_bound"]
                for m in bench_pairs.METRICS)
+
+
+def test_main_makes_a_missing_workdir(tmp_path, monkeypatch):
+    """--workdir may name a directory that does not exist yet: main makes
+    it, with its parents, before it exports the two trees into it."""
+    empty_tar = io.BytesIO()
+    tarfile.open(fileobj=empty_tar, mode="w").close()
+
+    def git(*args):
+        return empty_tar.getvalue() if args[0] == "archive" else f"{args[-1]}\n".encode()
+
+    def run(tree, workload, seed, trace):
+        assert Path(tree).parent.parent == workdir
+        metrics = {m: {"value": 1.0} for m in bench_pairs.METRICS}
+        return {"correct": True, "failed": 0, "metrics": metrics}
+
+    workdir, out = tmp_path / "a" / "b", tmp_path / "bench.json"
+    monkeypatch.setattr(bench_pairs, "git", git)
+    monkeypatch.setattr(bench_pairs, "run", run)
+    bench_pairs.main(["P", "C", "--out", str(out), "--pairs", "battery=2", "--workdir", str(workdir)])
+    doc = json.loads(out.read_text())
+    assert (doc["parent"], doc["change"]) == ("P", "C")
+    assert doc["summary"]["battery@11"]["all_correct"]
+    assert workdir.is_dir() and not any(workdir.iterdir())

@@ -270,6 +270,18 @@ def test_bad_polynomial_exits_two_with_position(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_an_over_long_integer_literal_exits_two_with_position(tmp_path, capsys):
+    """A literal beyond int()'s digit limit is a bad spec, not an internal
+    error, wherever it stands: coefficient, exponent or denominator."""
+    long = "9" * 5000
+    for text, position in ((f"{long}*x1", 0), (f"x1^{long}", 3), (f"1/{long}", 2)):
+        spec = {"structure": jsonio.courant_to_json(Q2)}
+        spec["structure"]["anchor"][0][0] = text
+        assert main(["check-courant", "--spec", write_job(tmp_path, spec)]) == 2
+        err = capsys.readouterr().err
+        assert f"position {position}: integer literal of 5000 digits is too long" in err
+
+
 def test_verb_flag_spelling(tmp_path):
     spec, _ = PASSING_JOBS["check-courant"]()
     path = write_job(tmp_path, spec)

@@ -933,7 +933,10 @@ def test_one_pullback_verb_run_builds_few_polys(monkeypatch, tmp_path):
     battery spec (the twisted R3 along the shear), spec read and report
     written: the Polys it builds, through Poly.__init__ or Poly._raw. A
     chart holds one zero and one unit, which every zero or unit result is;
-    when each zero or unit was built afresh, the run built 1,398."""
+    when each zero or unit was built afresh, the run built 1,398. A bare
+    integer entry of the spec ("0", "1", "-1") reads as one constant, where
+    the parser built a Poly per term and per partial sum: the run built 186
+    before that literal path, 81 with it."""
     spec_path = tmp_path / "pullback.json"
     spec_path.write_text(jsonio.dump_json(_battery_jobs()["pullback"]), encoding="utf-8")
     argv = ["pullback", "--spec", str(spec_path), "--out", str(tmp_path / "out.json")]
@@ -954,7 +957,7 @@ def test_one_pullback_verb_run_builds_few_polys(monkeypatch, tmp_path):
     monkeypatch.setattr(Poly, "_raw", classmethod(counted_raw))
     assert main(argv + ["--seed", "7", "--samples", "10"]) == 0
     monkeypatch.undo()
-    assert len(built) == 186
+    assert len(built) == 81
 
 
 def test_a_map_builds_its_jacobian_once(monkeypatch):

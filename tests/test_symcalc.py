@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algebroids import jsonio
+from algebroids import jsonio, symcalc
 from algebroids.cli import main
 from algebroids.courant import standard_exact
 from algebroids.dirac import support_inclusion
@@ -24,6 +24,8 @@ from algebroids.symcalc import (
     KForm,
     Poly,
     VField,
+    _Parser,
+    _tokenize,
     add_terms,
     coordinate_chart,
     kform_str,
@@ -608,6 +610,85 @@ def test_typed_parse_wrappers():
             parse_poly(text, R2)
         assert e.value.position == 0
     assert type(parse_expr("1/2*x1", R2)) is Poly
+
+
+LONG = "9" * 5000  # beyond int()'s default limit of 4,300 digits
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [(LONG, 0), ("-" + LONG, 1), (f"2*x1^{LONG}", 5), (f"1/{LONG}*x1", 2), (f"x1 - {LONG}/3", 5)],
+    ids=["literal", "negative-literal", "exponent", "denominator", "coefficient"],
+)
+def test_an_over_long_integer_literal_is_a_parse_error_at_its_position(text, position):
+    with pytest.raises(ParseError, match="integer literal of 5000 digits is too long") as e:
+        parse_poly(text, R2)
+    assert e.value.position == position
+    assert outcome(parse_by_parser, text) == ("error", ParseError, position)
+
+
+def outcome(read, text):
+    """What read(text, R2) gives: ("value", poly) or ("error", type, position)."""
+    try:
+        return "value", read(text, R2)
+    except ParseError as exc:
+        return "error", type(exc), exc.position
+
+
+def parse_by_parser(text, chart):
+    return _Parser(text, chart).parse()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["0", "-0", "1", "007", "12", "-12", "\u0663"],  # U+0663 is an Nd digit
+)
+def test_a_bare_integer_reads_as_the_parser_reads_it(text):
+    """The literal path of parse_expr (sign and decimal digits) gives what
+    the parser gives; a value that is 0 or 1 is the chart's own."""
+    kind, value = outcome(parse_expr, text)
+    assert (kind, value) == outcome(parse_by_parser, text)
+    for shared in (R2.zero, R2.one):
+        assert (value == shared) == (value is shared)
+
+
+@pytest.mark.parametrize(
+    "text", ["", "-", "+1", "--1", " 1", "1 ", "1_0", "\u00b2", "1/2", "-1/2"]
+)
+def test_any_other_text_goes_through_the_parser(monkeypatch, text):
+    """Text that is no bare integer reaches the tokenizer, and raises where
+    the parser raises; "1_0" and "²" are ints to int() but not to the grammar."""
+    expected = outcome(parse_by_parser, text)
+    tokenized = []
+    monkeypatch.setattr(symcalc, "_tokenize", lambda t: tokenized.append(t) or _tokenize(t))
+    assert outcome(parse_expr, text) == expected
+    assert tokenized == [text]
+
+
+@given(st.integers())
+def test_a_signed_integer_reads_as_the_parser_reads_it(n):
+    assert parse_expr(str(n), R3) == parse_by_parser(str(n), R3) == Poly.const(R3, n)
+
+
+def test_the_pullback_spec_tokenizes_only_its_non_integer_entries(monkeypatch):
+    """Op-count gate on decoding the pullback battery spec: 111 parse_expr
+    calls, of which only the 3 that are no bare integer run the tokenizer
+    (all 111 did before the literal path)."""
+    spec = _battery_jobs()["pullback"]
+    calls = {"parse": 0, "tokenize": 0}
+    parse, tokenize = symcalc.parse_expr, symcalc._tokenize
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(symcalc, "parse_expr", counted("parse", parse))
+    monkeypatch.setattr(symcalc, "_tokenize", counted("tokenize", tokenize))
+    jsonio.courant_from_json(spec["structure"])
+    jsonio.map_from_json(spec["map"])
+    assert calls == {"parse": 111, "tokenize": 3}
 
 
 @given(polys(R3, max_degree=3, max_terms=4, coeff=5))
