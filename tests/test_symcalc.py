@@ -615,18 +615,6 @@ def test_typed_parse_wrappers():
 LONG = "9" * 5000  # beyond int()'s default limit of 4,300 digits
 
 
-@pytest.mark.parametrize(
-    "text, position",
-    [(LONG, 0), ("-" + LONG, 1), (f"2*x1^{LONG}", 5), (f"1/{LONG}*x1", 2), (f"x1 - {LONG}/3", 5)],
-    ids=["literal", "negative-literal", "exponent", "denominator", "coefficient"],
-)
-def test_an_over_long_integer_literal_is_a_parse_error_at_its_position(text, position):
-    with pytest.raises(ParseError, match="integer literal of 5000 digits is too long") as e:
-        parse_poly(text, R2)
-    assert e.value.position == position
-    assert outcome(parse_by_parser, text) == ("error", ParseError, position)
-
-
 def outcome(read, text):
     """What read(text, R2) gives: ("value", poly) or ("error", type, position)."""
     try:
@@ -637,6 +625,18 @@ def outcome(read, text):
 
 def parse_by_parser(text, chart):
     return _Parser(text, chart).parse()
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [(LONG, 0), ("-" + LONG, 1), (f"2*x1^{LONG}", 5), (f"1/{LONG}*x1", 2), (f"x1 - {LONG}/3", 5)],
+    ids=["literal", "negative-literal", "exponent", "denominator", "coefficient"],
+)
+def test_an_over_long_integer_literal_is_a_parse_error_at_its_position(text, position):
+    with pytest.raises(ParseError, match="integer literal of 5000 digits is too long") as e:
+        parse_poly(text, R2)
+    assert e.value.position == position
+    assert outcome(parse_by_parser, text) == ("error", ParseError, position)
 
 
 @pytest.mark.parametrize(
@@ -657,7 +657,8 @@ def test_a_bare_integer_reads_as_the_parser_reads_it(text):
 )
 def test_any_other_text_goes_through_the_parser(monkeypatch, text):
     """Text that is no bare integer reaches the tokenizer, and raises where
-    the parser raises; "1_0" and "²" are ints to int() but not to the grammar."""
+    the parser raises; int() reads "1_0" and str.isdigit() accepts "²",
+    but neither is an integer of the grammar."""
     expected = outcome(parse_by_parser, text)
     tokenized = []
     monkeypatch.setattr(symcalc, "_tokenize", lambda t: tokenized.append(t) or _tokenize(t))
