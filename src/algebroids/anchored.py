@@ -65,33 +65,31 @@ the pairs that the tests of one pair admit: paired, leibniz_vanishes and
 bracket_vanishes, which serve the single pairs of
 transgression.TauModule.bracket.
 
-Every loop over a set of section pairs reads such masks. pruned_table
-brackets only the admitted pairs of a basis, so both inverse images and
-the Courant Baer combination skip their zero table entries; bracket_failures
-skips a generator pair with a zero table entry whose images are not
-admitted; jacobi_generator_failures, the generator triples of the Jacobi
+pruned_table makes only the admitted entries of a table. Every full
+ordered table of a list of sections goes through one of two table
+operations: AnchoredModule.bracket_table, the bracket on each pair that
+admitted allows (each section's support taken once, its anchor once on
+its first bracket), and courant.CourantData.pairing_table, the pairing on
+each pair that pairings allows on its pairing masks; a missing key is a
+zero entry. bracket_failures, courant.curvature, courant.CourantCombination,
+the pairing check of courant.check_courant_morphism and the closure check
+of dirac.check_dirac are calls of them. The sites that keep their own
+masks are lazy, run over the pairs i <= j, or work on presentation
+tuples: jacobi_generator_failures, the generator triples of the Jacobi
 identity for both verdicts, skips each of the three brackets of J(e_a,
 e_b, e_c) that the generator x table-row or row x generator masks rule
-out, and the whole triple when they rule out all three; and
-anchor_defects, the anchor defects A(e_a, e_b) of both verdicts, leaves
-out a pair with no table entry whose anchor bracket the lemma rules out
-(an anchor row zero, or both rows constant). A ruled-out bracket is zero,
-and computing it would have formed no product of positive degree. On
-pairings, the Courant Baer combination pairs only the basis pairs that
-some part of nonzero weight pairs, and in those only the parts that pair
-their two sections; the morphism check (courant.check_courant_morphism)
-skips a generator pair with a zero source pairing whose images are not
-paired; a Connection checks isotropy only on paired columns, and
-courant.curvature pairs a bracket defect only with the columns it is
-paired with; the ambient pairing of the Courant inverse image needs, for
-each one-form term beta(eta), an index where both are nonzero (pullback),
-and the isotropy check of the relations (pullback.check_relation_absorption)
-skips the pairs its masks rule out; and dirac.check_dirac skips the
-generator pairs its restricted pairing does not pair, and in its closure
-check the lifted pairs whose bracket the masks rule out. A ruled-out
-pairing computes to zero with no product formed, so it made no chart
-check; the structure rows it reads were checked when the frozen structure
-was built.
+out, and the whole triple when they rule out all three; check_courant's
+generator cases (courant); anchor_defects, the anchor defects A(e_a, e_b)
+of both verdicts, leaves out a pair with no table entry whose anchor
+bracket the lemma rules out (an anchor row zero, or both rows constant);
+the isotropy checks of courant.Connection and dirac.check_dirac; both
+inverse images, whose ambient pairing needs, for each one-form term
+beta(eta), an index where both are nonzero, with the isotropy and
+closure checks of their relations (pullback.check_relation_absorption);
+and transgression.TauModule.bracket, on single pairs. A ruled-out bracket
+or pairing is zero, and computing it would have formed no product of
+positive degree, so it made no chart check; the structure rows it reads
+were checked when the frozen structure was built.
 
 Lemma L1: [u, f v] = f [u, v] + anchor(u)(f) v holds for every table. In
 leibniz_sum(u, f v) the table term scales by f, xi(f v_k) = f xi(v_k) +
@@ -583,7 +581,7 @@ class AnchoredModule:
     ) -> Vec:
         """The bracket of sections u and v. anchors is (anchor_of(u),
         anchor_of(v)), passed by a caller that brackets the same sections
-        many times and computes each anchor once (section_anchors), and
+        many times and computes each anchor once (bracket_table), and
         supports is (support(u), support(v)), passed by a caller that holds
         them; None computes them here (in leibniz_sum for supports). A zero
         section is answered here, the one _either_zero test of a bracket;
@@ -603,26 +601,23 @@ class AnchoredModule:
         term."""
         return total
 
+    def bracket_table(self, sections: Sequence[Vec]) -> dict[tuple[int, int], Vec]:
+        """bracket(sections[i], sections[j]) on each ordered pair (i, j) that
+        admitted allows on the supports of sections, in row order
+        (pruned_table); a missing key is a bracket Lemma L14 shows to be
+        zero. Each section's support is taken once, and its anchor once, on
+        the first bracket it enters; a zero section enters none."""
+        supports = [support(s) for s in sections]
 
-def section_anchors(
-    m: AnchoredModule, sections: Sequence[Vec]
-) -> Callable[[int, int], tuple[VField, VField] | None]:
-    """The anchors argument of m.bracket(sections[i], sections[j]), as a
-    function of (i, j). Each section's anchor is computed once, on the first
-    pair that asks for it; a pair with a zero section gets None, as
-    m.bracket answers it with the zero section before reading an anchor."""
-    zero = [vec_is_zero(s) for s in sections]
+        @cache
+        def anchor(i: int) -> VField:
+            return self.anchor_of(sections[i])
 
-    @cache
-    def anchor(i: int) -> VField:
-        return m.anchor_of(sections[i])
+        def bracket(i: int, j: int) -> Vec:
+            u, v = sections[i], sections[j]
+            return self.bracket(u, v, (anchor(i), anchor(j)), (supports[i], supports[j]))
 
-    def anchors(i: int, j: int) -> tuple[VField, VField] | None:
-        if zero[i] or zero[j]:
-            return None
-        return anchor(i), anchor(j)
-
-    return anchors
+        return pruned_table(self.admitted(supports, supports), bracket)
 
 
 # ---------------------------------------------------------------------------
@@ -778,25 +773,20 @@ def bracket_failures(
     """Generator pairs of src whose table bracket, mapped through matrix, is
     not the dst bracket of their images.
 
-    A pair with no table entry maps to zero, so it holds without a bracket
-    when Lemma L14 rules out the bracket of its images: bit b of the row's
-    mask in dst.admitted on the row supports, taken once. The rank and
-    chart checks that such a skipped dst.bracket would have made on the
-    rows are the caller's, made once on the matrix before any of its checks
-    (check_courant_morphism, and the Lie comparison checks of
-    lie_algebroid.check_compose_associative). Each row's dst anchor is
-    computed once, on its first bracket (section_anchors)."""
-    rows = [matrix[a] for a in range(src.rank)]
-    supports = [support(row) for row in rows]
-    anchors = section_anchors(dst, rows)
-    admitted = dst.admitted(supports, supports)
+    The dst brackets of the rows are dst.bracket_table(matrix), so a pair
+    with no table entry maps to zero and holds without a bracket when Lemma
+    L14 rules out the bracket of its images. The rank and chart checks that
+    such a skipped dst.bracket would have made on the rows are the caller's,
+    made once on the matrix before any of its checks (check_courant_morphism,
+    and the Lie comparison checks of lie_algebroid.check_compose_associative)."""
+    got = dst.bracket_table(matrix)
     table = src.table_masks
+    zero = dst.zero_section()
     for a, b in product(range(src.rank), repeat=2):
-        if not (table[a] | admitted[a]) >> b & 1:
+        if not (table[a] >> b & 1 or (a, b) in got):
             continue
         lhs = apply_matrix(matrix, src.bracket_gen(a, b), dst.rank, dst.chart)
-        got = dst.bracket(rows[a], rows[b], anchors(a, b), (supports[a], supports[b]))
-        if not vec_eq(lhs, got):
+        if not vec_eq(lhs, got.get((a, b), zero)):
             yield f"generators ({a},{b})"
 
 

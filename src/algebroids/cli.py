@@ -142,10 +142,10 @@ def _run_tau_linear(spec, args):
         jsonio.rational_from_json(w, f"weights[{i}]")
         for i, w in enumerate(jsonio._require_list(spec, "weights", "spec"))
     ]
-    conns = [
-        jsonio.connection_from_json(c, q)
-        for c, q in zip(jsonio._require_list(spec, "connections", "spec"), parts)
-    ]
+    conns = jsonio._require_list(spec, "connections", "spec")
+    if len(conns) != len(parts):
+        raise ValidationError("need one connection per summand")
+    conns = [jsonio.connection_from_json(c, q) for c, q in zip(conns, parts)]
     return check_transgression_linear(parts, weights, conns), {}
 
 

@@ -18,6 +18,13 @@ eq6_symmetrization plus leibniz_identity; the first six are the pointwise
 compatibilities (composition, Leibniz, invariance, ideal, adjunction,
 symmetrization) and the last is the Jacobi identity in Leibniz form.
 
+CourantData.pairing_table is the pairing half of the two table operations
+of algebroids.anchored, AnchoredModule.bracket_table the bracket half:
+curvature, the Baer combination and check_courant_morphism read their
+tables of section pairs through them, and Lemma L14 leaves out the zero
+entries. check_courant's generator cases, built lazily, and the isotropy
+check of a Connection, on the pairs i <= j, keep their own masks.
+
 The Baer-type combination is implemented for exact structures (rank twice
 the chart dimension, with an isotropic connection supplied per summand).
 CourantCombination is the anchored.Presentation of the summands over the
@@ -29,9 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property
 from itertools import combinations, combinations_with_replacement, product
-from operator import or_
 from typing import Mapping, Sequence
 
 from algebroids import linalg
@@ -51,7 +57,6 @@ from algebroids.anchored import (
     probe,
     pruned_table,
     require_chart,
-    section_anchors,
     support,
 )
 from algebroids.errors import ChartMismatchError, ValidationError
@@ -151,6 +156,15 @@ class CourantData(AnchoredModule):
         return super().bracket_vanishes(su, sv) and (
             su.constant or not paired(self.pairing_masks, su, sv)
         )
+
+    def pairing_table(self, xs: Sequence[Vec], ys: Sequence[Vec]) -> dict[tuple[int, int], Poly]:
+        """pairing_of(xs[i], ys[j]) on each pair (i, j) that pairings allows
+        on pairing_masks, in row order (pruned_table); a missing key is a
+        pairing Lemma L14 shows to be zero."""
+        admitted = pairings(
+            self.pairing_masks, [support(x) for x in xs], [support(y) for y in ys]
+        )
+        return pruned_table(admitted, lambda i, j: self.pairing_of(xs[i], ys[j]))
 
 
 def standard_exact(chart: Chart, h: KForm | None = None) -> CourantData:
@@ -539,10 +553,10 @@ def check_courant_morphism(
     handled by the section bracket).
 
     The matrix needs one row per source generator, each a section of dst
-    (ValidationError, ChartMismatchError). The pairing check skips a pair
-    with a zero source pairing whose image rows are not paired (Lemma L14,
-    algebroids.anchored, read from the pairings masks of the rows): their
-    pairing is zero too."""
+    (ValidationError, ChartMismatchError). The pairings of the rows are
+    dst.pairing_table(matrix, matrix): a pair whose image rows are not
+    paired (Lemma L14, algebroids.anchored) pairs to zero without a
+    pairing."""
     rep = Report()
     if src.chart != dst.chart:
         raise ChartMismatchError("morphism checks need a common chart")
@@ -553,7 +567,6 @@ def check_courant_morphism(
         )
     dst.require_rank(*matrix)
     require_chart(chart, *matrix)
-    supports = [support(row) for row in matrix]
 
     def coanchor():
         for j in range(chart.dim):
@@ -562,12 +575,10 @@ def check_courant_morphism(
                 yield f"coordinate {chart.coords[j]}"
 
     def pairing():
-        admitted = pairings(dst.pairing_masks, supports, supports)
+        got = dst.pairing_table(matrix, matrix)
+        zero = Poly.zero(chart)
         for a, b in product(range(src.rank), repeat=2):
-            expected = src.pairing[a][b]
-            if expected.is_zero and not admitted[a] >> b & 1:
-                continue
-            if dst.pairing_of(matrix[a], matrix[b]) != expected:
+            if got.get((a, b), zero) != src.pairing[a][b]:
                 yield f"generators ({a},{b})"
 
     rep.check("morphism_anchor", anchor_failures(src, dst, matrix))
@@ -633,36 +644,28 @@ def curvature(conn: Connection) -> KForm:
     Components are read off with the pairing against the connection itself;
     the defect sections are then confirmed to be coanchor images of exactly
     those components, and the component array to be totally antisymmetric.
-    A pair of columns whose bracket Lemma L14 rules out on their supports
-    (q.admitted on the columns) gets the zero section as its defect without
-    a bracket, and a defect and a column that are not paired (the pairings
-    masks of the defects against the columns) get the chart's zero without
-    a pairing, so both checks still read every defect and every component.
-    Each column's anchor is computed once, on its first bracket
-    (section_anchors).
+    The defects are q.bracket_table(columns) and the components
+    q.pairing_table(defects, columns): a pair of columns whose bracket
+    Lemma L14 rules out gets the zero section as its defect without a
+    bracket, and a defect and a column that are not paired get the chart's
+    zero without a pairing, so both checks still read every defect and
+    every component.
     """
     q = conn.courant
     chart = q.chart
     n = chart.dim
     zero = Poly.zero(chart)
     columns = conn.columns
-    column_supports = [support(col) for col in columns]
-    anchors = section_anchors(q, columns)
-    admitted = q.admitted(column_supports, column_supports)
-    comps: dict[tuple[int, int, int], Poly] = {}
-    defects: dict[tuple[int, int], Vec] = {}
-    for (i, si), (j, sj) in product(enumerate(column_supports), repeat=2):
-        defects[(i, j)] = (
-            q.bracket(columns[i], columns[j], anchors(i, j), (si, sj))
-            if admitted[i] >> j & 1
-            else q.zero_section()
-        )
-    defect_pairings = pairings(
-        q.pairing_masks, [support(d) for d in defects.values()], column_supports
-    )
-    for ((i, j), defect), row in zip(defects.items(), defect_pairings):
-        for k in range(n):
-            comps[(i, j, k)] = q.pairing_of(defect, columns[k]) if row >> k & 1 else zero
+    brackets = q.bracket_table(columns)
+    defects = {
+        key: brackets.get(key, q.zero_section()) for key in product(range(n), repeat=2)
+    }
+    pairs = q.pairing_table(list(defects.values()), columns)
+    comps = {
+        (i, j, k): pairs.get((x, k), zero)
+        for x, (i, j) in enumerate(defects)
+        for k in range(n)
+    }
     for (i, j, k), c in comps.items():
         if not (c + comps[(j, i, k)]).is_zero or not (c + comps[(i, k, j)]).is_zero:
             raise ValidationError(
@@ -709,14 +712,13 @@ class CourantCombination(Presentation):
     the class and the other parts' t_i as relation coefficients. result
     holds the weighted pairings of the basis and the table of the classes
     of its part by part brackets: generators 0..n-1 are the diagonal
-    lifts, n..2n-1 the glued lines. Both tables read admitted masks, one
-    admission step per part and table on that part's sections of the basis
-    (Lemma L14): a basis pair whose bracket the part masks of
-    CourantData.admitted rule out in every part is not bracketed, nor, in
-    an admitted pair, is a part whose own mask rules out its two sections
-    (that part's bracket is the zero section); and a basis pair that no
-    part of nonzero weight pairs (the part masks of anchored.pairings) is
-    not paired, nor is a part whose two sections it does not pair.
+    lifts, n..2n-1 the glued lines. Both tables are built part by part on
+    that part's sections of the basis (Lemma L14): the bracket_table of a
+    part leaves out the pairs whose bracket it rules out in that part
+    (their part is the zero section), and a basis pair that no part's
+    table holds is not reduced; the pairing_table of a part of nonzero
+    weight leaves out the pairs it does not pair, and a basis pair that no
+    such table holds pairs to zero.
     """
 
     def __init__(
@@ -766,56 +768,32 @@ class CourantCombination(Presentation):
 
         super().__init__(chart, sizes, basis, read, relations)
 
-        gens, supports = self.basis, self.supports
-        # part_supports[i] lists the supports of part i of the basis.
-        part_supports = [[s[i] for s in supports] for i in range(len(parts))]
-        pair_masks = [
-            pairings(q.pairing_masks, ps, ps) if w else [0] * len(gens)
-            for q, w, ps in zip(parts, weights, part_supports)
+        gens = self.basis
+        # sections[i] lists the sections of part i of the basis.
+        sections = [[element[i] for element in gens] for i in range(len(parts))]
+        pairings_by_part = [
+            (w, q.pairing_table(s, s)) for q, w, s in zip(parts, weights, sections) if w
         ]
-
-        def weighted(x: int, y: int) -> Poly:
-            terms = zip(parts, weights, gens[x], gens[y], pair_masks)
-            products = (
-                w * q.pairing_of(u, v) for q, w, u, v, masks in terms if masks[x] >> y & 1
-            )
-            return sum(products, Poly.zero(chart))
-
         zero_poly = Poly.zero(chart)
-        paired_basis = pruned_table(_union(pair_masks), weighted)
         pairing = tuple(
-            tuple(paired_basis.get((x, y), zero_poly) for y in range(len(gens)))
+            tuple(
+                sum((w * t[(x, y)] for w, t in pairings_by_part if (x, y) in t), zero_poly)
+                for y in range(len(gens))
+            )
             for x in range(len(gens))
         )
 
-        bracket_masks = [q.admitted(ps, ps) for q, ps in zip(parts, part_supports)]
-        # anchors[i] gives the anchors of part i of two basis elements.
-        anchors = [
-            section_anchors(q, [element[i] for element in gens])
-            for i, q in enumerate(parts)
-        ]
-
-        def bracket(x: int, y: int) -> Vec:
-            terms = zip(parts, gens[x], gens[y], supports[x], supports[y], anchors, bracket_masks)
-            return self.reduce(
-                tuple(
-                    q.bracket(u, v, part(x, y), (su, sv))
-                    if masks[x] >> y & 1
-                    else q.zero_section()
-                    for q, u, v, su, sv, part, masks in terms
-                )
+        brackets = [q.bracket_table(s) for q, s in zip(parts, sections)]
+        structure = {
+            key: self.reduce(
+                tuple(t.get(key, q.zero_section()) for q, t in zip(parts, brackets))
             )
-
-        structure = pruned_table(_union(bracket_masks), bracket)
+            for key in sorted(set().union(*brackets))
+        }
         anchor, coanchor = _exact_frame(chart)
         self.result = CourantData(
             chart, len(gens), anchor, coanchor, pairing, structure
         )
-
-
-def _union(part_masks: Sequence[Sequence[int]]) -> list[int]:
-    """Row by row, the union of the masks of every part."""
-    return [reduce(or_, row, 0) for row in zip(*part_masks)]
 
 
 def baer_combination(

@@ -7,8 +7,10 @@ of that locus, a chart of the other coordinates, into the chart: a
 polynomial restricts to the locus by pulling along it, and lifts back by
 pulling along the coordinate retraction. check_dirac verifies isotropy,
 maximality, tangency of the anchor images to the support, and bracket
-closure; Lemma L14 on sections and on pairings (algebroids.anchored) skips
-the pairs it shows to be zero. Closure uses one of two routes:
+closure. Lemma L14 (algebroids.anchored) skips the pairs it shows to be
+zero: the closure brackets are CourantData.bracket_table of the lifts, and
+isotropy, on the pairs i <= j, reads its own masks of the restricted
+pairing. Closure uses one of two routes:
 
 * with a nondegenerate restricted pairing ("full" mode) the defect brackets
   only need to be orthogonal to the generators, since a maximal isotropic
@@ -24,7 +26,7 @@ from functools import cached_property
 from itertools import combinations_with_replacement, product
 
 from algebroids import linalg
-from algebroids.anchored import mask, pairings, section_anchors, support
+from algebroids.anchored import mask, pairings, support
 from algebroids.courant import CourantData
 from algebroids.errors import ValidationError
 from algebroids.linalg import Vec, fmt_section, vec_is_zero
@@ -106,9 +108,8 @@ class DiracData:
         g = [[self.restrict(q.pairing[a][b]) for b in range(q.rank)] for a in range(q.rank)]
         return g
 
-    def pair_restricted(self, u: Vec, v: Vec, g=None) -> Poly:
-        if g is None:
-            g = self.restricted_pairing()
+    def pair_restricted(self, u: Vec, v: Vec, g: list[list[Poly]]) -> Poly:
+        """<u, v> on the locus, g being restricted_pairing()."""
         return linalg.bilinear(u, g, v, self.inclusion.source)
 
 
@@ -120,14 +121,14 @@ def check_dirac(d: DiracData, maximality: str = "full") -> Report:
     "rank-only" drops that requirement and falls back to degree-bounded
     span membership for the closure check.
 
-    Lemma L14 (algebroids.anchored) prunes both pair loops, each reading
-    masks taken once: isotropy skips generator pairs that the restricted
-    pairing does not pair (anchored.pairings), and closure takes the zero
-    defect for a lifted pair whose bracket q.admitted rules out, and pairs
-    no zero defect. The skipped brackets need no
-    check of the lifts: d and its structure are frozen once validated, so
-    the lifts of its generators are sections of the structure. Each lift's
-    anchor is computed once, on its first bracket (section_anchors).
+    Lemma L14 (algebroids.anchored) prunes both pair loops: isotropy, on
+    the pairs i <= j, skips generator pairs that the restricted pairing
+    does not pair (anchored.pairings on its own masks), and closure reads
+    q.bracket_table of the lifts, taking the zero defect for a lifted pair
+    the table leaves out, and pairs no zero defect. The skipped brackets
+    need no check of the lifts: d and its structure are frozen once
+    validated, so the lifts of its generators are sections of the
+    structure.
     """
     if maximality not in ("full", "rank-only"):
         raise ValidationError(f"unknown maximality mode {maximality!r}")
@@ -170,19 +171,12 @@ def check_dirac(d: DiracData, maximality: str = "full") -> Report:
                 )
 
     def closure():
-        defects = {}
-        lifts = [d.lift_generator(i) for i in range(m)]
-        lifted_supports = [support(lift) for lift in lifts]
-        anchors = section_anchors(q, lifts)
-        admitted = q.admitted(lifted_supports, lifted_supports)
+        brackets = q.bracket_table([d.lift_generator(i) for i in range(m)])
         zero = linalg.zero_vec(sub, q.rank)
-        for i, j in product(range(m), repeat=2):
-            if not admitted[i] >> j & 1:
-                defects[(i, j)] = zero
-                continue
-            supports_ij = lifted_supports[i], lifted_supports[j]
-            lifted = q.bracket(lifts[i], lifts[j], anchors(i, j), supports_ij)
-            defects[(i, j)] = tuple(d.restrict(p) for p in lifted)
+        defects = {
+            key: tuple(map(d.restrict, brackets[key])) if key in brackets else zero
+            for key in product(range(m), repeat=2)
+        }
         if maximality == "full":
             for (i, j), defect in sorted(defects.items()):
                 if vec_is_zero(defect):

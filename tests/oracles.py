@@ -23,7 +23,11 @@ pairs; pullback_bracket_vanishes and pullback_pairing_vanishes on two
 triples of a CourantPullback, with share, the shared-index test of a
 one-form against a tangent; and combination_vanishes and
 combination_unpaired on two basis elements of a CourantCombination.
-predicate_masks turns such a test into the masks of a table.
+predicate_masks turns such a test into the masks of a table. And the
+whole tables those masks prune: unpruned_bracket_table and
+unpruned_pairing_table take every ordered pair and drop the zero entries,
+the references of AnchoredModule.bracket_table and
+CourantData.pairing_table.
 """
 
 from fractions import Fraction
@@ -47,7 +51,7 @@ from algebroids.courant import Connection, CourantCombination, CourantData
 from algebroids.dirac import DiracData
 from algebroids.errors import ChartMismatchError, ValidationError
 from algebroids.lie_algebroid import LieData
-from algebroids.linalg import Vec, apply_constant, unit_vec, vec_add, vec_sub
+from algebroids.linalg import Vec, apply_constant, unit_vec, vec_add, vec_is_zero, vec_sub
 from algebroids.pullback import CourantPullback
 from algebroids.symcalc import KForm, Poly, VField
 from algebroids.transgression import TauElement, TauModule
@@ -491,3 +495,22 @@ def predicate_masks(admits, xs: Sequence, ys: Sequence) -> list[int]:
     """The masks of a table by a test of one pair: bit y of mask x set when
     admits(xs[x], ys[y])."""
     return [sum(1 << y for y, sy in enumerate(ys) if admits(sx, sy)) for sx in xs]
+
+
+def unpruned_bracket_table(m: AnchoredModule, sections: Sequence[Vec]) -> dict:
+    """m.bracket on every ordered pair of sections, keyed by their indices,
+    the zero brackets dropped."""
+    table = {
+        (i, j): m.bracket(u, v)
+        for (i, u), (j, v) in product(enumerate(sections), repeat=2)
+    }
+    return {key: vec for key, vec in table.items() if not vec_is_zero(vec)}
+
+
+def unpruned_pairing_table(q: CourantData, xs: Sequence[Vec], ys: Sequence[Vec]) -> dict:
+    """q.pairing_of on every pair of a section of xs and one of ys, keyed
+    by their indices, the zero pairings dropped."""
+    table = {
+        (i, j): q.pairing_of(u, v) for (i, u), (j, v) in product(enumerate(xs), enumerate(ys))
+    }
+    return {key: p for key, p in table.items() if not p.is_zero}

@@ -618,6 +618,24 @@ def test_object_fields_must_be_json_objects(tmp_path, capsys, verb, edit, field)
     assert "bad job spec" in err and f"field {field!r} must be an object" in err
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda conns: conns + ["not even a matrix"],
+        lambda conns: conns[:1],
+    ],
+    ids=["extra", "missing"],
+)
+def test_tau_linear_needs_one_connection_per_summand(tmp_path, capsys, edit):
+    """A connections list longer or shorter than parts is a bad spec (exit
+    2): no entry is dropped unread."""
+    spec, extra = PASSING_JOBS["tau-linear"]()
+    spec["connections"] = edit(spec["connections"])
+    assert main(["tau-linear", "--spec", write_job(tmp_path, spec)] + extra) == 2
+    err = capsys.readouterr().err
+    assert "bad job spec" in err and "one connection per summand" in err
+
+
 def test_an_internal_error_exits_five_with_a_traceback(tmp_path, capsys, monkeypatch):
     from algebroids import cli
 

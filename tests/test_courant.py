@@ -50,7 +50,6 @@ from algebroids.linalg import (
     zero_vec,
 )
 from algebroids import anchored as anchored_module
-from algebroids import courant as courant_module
 from algebroids import pullback as pullback_module
 from algebroids.pullback import morphism_graph
 from algebroids.symcalc import (
@@ -72,11 +71,14 @@ from oracles import (
     opposite,
     predicate_masks,
     scalar_multiple,
+    unpruned_bracket_table,
     unpruned_first_labels,
     unpruned_generator_cases,
+    unpruned_pairing_table,
     unpruned_twist,
 )
 from test_acceptance import A2, _perturbed, _perturbed_lie, first_order_probe_witness
+from test_lie_algebroid import lie_data
 from test_symcalc import kforms, polys, triangular_maps
 
 R1 = coordinate_chart("L", 1)
@@ -1293,6 +1295,37 @@ def test_admitted_masks_match_the_pair_tests_on_random_tables(lie, data):
         )
 
 
+TABLE_STRUCTURES = {
+    "courant": random_tables(False),
+    "lie": random_tables(True),
+    "lie-data": lie_data(),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TABLE_STRUCTURES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_pruned_tables_equal_the_unpruned_tables_on_random_structures(kind, data):
+    """AnchoredModule.bracket_table (and CourantData.pairing_table) hold
+    the nonzero bracket (pairing) of every ordered pair of sections, as the
+    unpruned references of oracles compute them, on random structure data
+    and sections drawn from its generators and from sparse sections; what
+    they leave out is zero."""
+    m = data.draw(TABLE_STRUCTURES[kind])
+    sections = st.one_of(st.sampled_from([m.gen(a) for a in range(m.rank)]), sparse_sections(m))
+    xs = data.draw(st.lists(sections, max_size=4))
+    brackets = m.bracket_table(xs)
+    assert {k: v for k, v in brackets.items() if not vec_is_zero(v)} == unpruned_bracket_table(
+        m, xs
+    )
+    if isinstance(m, CourantData):
+        ys = data.draw(st.lists(sections, max_size=4))
+        pairs = m.pairing_table(xs, ys)
+        assert {k: p for k, p in pairs.items() if not p.is_zero} == unpruned_pairing_table(
+            m, xs, ys
+        )
+
+
 def unpruned_first_generator_failure(m):
     """The first label of the jacobiator on generator triples, each
     computed by jacobiator on whole sections with nothing skipped."""
@@ -1587,25 +1620,40 @@ def random_combinations(draw):
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_combination_masks_match_the_pair_tests(data):
-    """The pairing and table masks CourantCombination hands to
-    pruned_table set bit y of row x exactly when combination_unpaired
-    (combination_vanishes) does not rule out the basis pair (x, y)."""
+    """The keys of the part tables CourantCombination builds, pairing_table
+    on the parts of nonzero weight and bracket_table on every part, hold
+    the basis pair (x, y) in some part exactly when combination_unpaired
+    (combination_vanishes) does not rule it out."""
     qs, weights, conns = data.draw(random_combinations())
-    tables = []
-    pruned_table = courant_module.pruned_table
+    keys = {"pairing_table": set(), "bracket_table": set()}
 
-    def recorded(admitted, bracket):
-        tables.append(list(admitted))
-        return pruned_table(admitted, bracket)
+    def recorded(name):
+        table = getattr(CourantData, name)
+
+        def record(self, *args):
+            got = table(self, *args)
+            keys[name].update(got)
+            return got
+
+        return record
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(courant_module, "pruned_table", recorded)
+        for name in keys:
+            mp.setattr(CourantData, name, recorded(name))
         comb = baer_combination(qs, weights, conns)
     supports = comb.supports
-    assert tables == [
-        predicate_masks(lambda x, y: not combination_unpaired(comb, x, y), supports, supports),
-        predicate_masks(lambda x, y: not combination_vanishes(comb, x, y), supports, supports),
-    ]
+
+    def masks(found):
+        return predicate_masks(
+            lambda x, y: (x, y) in found, range(len(supports)), range(len(supports))
+        )
+
+    assert masks(keys["pairing_table"]) == predicate_masks(
+        lambda x, y: not combination_unpaired(comb, x, y), supports, supports
+    )
+    assert masks(keys["bracket_table"]) == predicate_masks(
+        lambda x, y: not combination_vanishes(comb, x, y), supports, supports
+    )
 
 
 def test_baer_sum_brackets_only_the_admitted_basis_pairs(monkeypatch):

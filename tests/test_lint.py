@@ -46,7 +46,11 @@ Lemma L14 decides a whole table through one admission step that returns a
 mask per row. The tests of one pair (paired, leibniz_vanishes,
 bracket_vanishes) are called only inside the definitions of the lemma
 itself and in TauModule.bracket, which brackets single pairs, so no table
-loop goes back to testing pair by pair.
+loop goes back to testing pair by pair. A full table of section pairs is
+AnchoredModule.bracket_table or CourantData.pairing_table: outside
+anchored, the admission steps (admitted, pairings) and pruned_table are
+called only by pairing_table and by a listed set of sites that keep their
+own masks, so a new hand-built table loop fails the gate.
 
 Structure data is frozen once validated: a dataclass of the package with a
 functools.cached_property, its own or one inherited from a base class, is
@@ -754,18 +758,18 @@ PAIR_TEST_OWNERS = {
 }
 
 
-def pair_test_calls(source: str) -> list[str]:
-    """"definition:line" for each call of a per-pair Lemma L14 test (by its
-    last name, bare or as an attribute) outside PAIR_TEST_OWNERS; a
-    definition is named by the dotted path of the classes and functions
-    enclosing the call, "<module>" at top level."""
+def stray_calls(source: str, names: set[str], owners: set[str]) -> list[str]:
+    """"definition:line" for each call of one of names (by its last name,
+    bare or as an attribute) outside owners; a definition is named by the
+    dotted path of the classes and functions enclosing the call,
+    "<module>" at top level."""
     out = []
 
     def visit(node: ast.AST, path: tuple[str, ...]) -> None:
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and last_name(child) in PAIR_TESTS:
+            if isinstance(child, ast.Call) and last_name(child) in names:
                 owner = ".".join(path) or "<module>"
-                if owner not in PAIR_TEST_OWNERS:
+                if owner not in owners:
                     out.append(f"{owner}:{child.lineno}")
             named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, path + (child.name,) if named else path)
@@ -789,13 +793,59 @@ def test_the_pair_test_gate_flags_a_table_loop_and_keeps_the_owners():
         "            return not paired(q.rows, x, y)\n"
         "        self.admitted = q.admitted(q.rows)\n"
     )
-    assert pair_test_calls(source) == ["curvature:7", "Combination.__init__.unpaired:11"]
+    found = stray_calls(source, PAIR_TESTS, PAIR_TEST_OWNERS)
+    assert found == ["curvature:7", "Combination.__init__.unpaired:11"]
 
 
 def test_tables_read_masks_not_pair_tests():
     calls = {
-        path.name: pair_test_calls(path.read_text(encoding="utf-8"))
+        path.name: stray_calls(path.read_text(encoding="utf-8"), PAIR_TESTS, PAIR_TEST_OWNERS)
         for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: found for name, found in calls.items() if found} == {}
+
+
+TABLE_STEPS = {"admitted", "pairings", "pruned_table"}
+TABLE_STEP_OWNERS = {
+    "CourantData.pairing_table",
+    "check_courant",
+    "Connection.__post_init__",
+    "check_dirac.isotropy",
+    "CourantPullback.result",
+    "LiePullback.__init__",
+}
+
+
+def test_the_table_step_gate_flags_a_hand_built_table_and_keeps_the_owners():
+    source = (
+        "class CourantData:\n"
+        "    def pairing_table(self, xs, ys):\n"
+        "        return pruned_table(pairings(self.rows, xs, ys), self.pairing_of)\n"
+        "def curvature(q, columns, supports):\n"
+        "    admitted = q.admitted(supports, supports)\n"
+        "    return q.bracket_table(columns), admitted\n"
+        "def check_dirac(d):\n"
+        "    def isotropy():\n"
+        "        return pairings(d.rows, d.supports, d.supports)\n"
+        "    def closure():\n"
+        "        return pruned_table(d.masks, d.bracket)\n"
+    )
+    found = stray_calls(source, TABLE_STEPS, TABLE_STEP_OWNERS)
+    assert found == ["curvature:5", "check_dirac.closure:11"]
+
+
+def test_tables_of_sections_go_through_the_table_operations():
+    """Outside anchored, the admission step of Lemma L14 (admitted,
+    pairings) and pruned_table are called only by the table operation
+    CourantData.pairing_table and by the sites that keep their own masks:
+    check_courant's generator cases (lazy), the isotropy checks of
+    Connection and check_dirac (pairs i <= j), and the two inverse images
+    (presentation tuples). Any other full table of sections is
+    AnchoredModule.bracket_table or CourantData.pairing_table."""
+    calls = {
+        path.name: stray_calls(path.read_text(encoding="utf-8"), TABLE_STEPS, TABLE_STEP_OWNERS)
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "anchored.py"
     }
     assert {name: found for name, found in calls.items() if found} == {}
 
