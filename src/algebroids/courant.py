@@ -656,10 +656,8 @@ def curvature(conn: Connection) -> KForm:
     n = chart.dim
     zero = Poly.zero(chart)
     columns = conn.columns
-    brackets = q.bracket_table(columns)
-    defects = {
-        key: brackets.get(key, q.zero_section()) for key in product(range(n), repeat=2)
-    }
+    brackets, zero_section = q.bracket_table(columns), q.zero_section()
+    defects = {key: brackets.get(key, zero_section) for key in product(range(n), repeat=2)}
     pairs = q.pairing_table(list(defects.values()), columns)
     comps = {
         (i, j, k): pairs.get((x, k), zero)
@@ -784,10 +782,9 @@ class CourantCombination(Presentation):
         )
 
         brackets = [q.bracket_table(s) for q, s in zip(parts, sections)]
+        zeros = [q.zero_section() for q in parts]
         structure = {
-            key: self.reduce(
-                tuple(t.get(key, q.zero_section()) for q, t in zip(parts, brackets))
-            )
+            key: self.reduce(tuple(t.get(key, z) for t, z in zip(brackets, zeros)))
             for key in sorted(set().union(*brackets))
         }
         anchor, coanchor = _exact_frame(chart)
