@@ -65,15 +65,21 @@ the pairs that the tests of one pair admit: paired, leibniz_vanishes and
 bracket_vanishes, which serve the single pairs of
 transgression.TauModule.bracket.
 
-pruned_table makes only the admitted entries of a table. Every full
+pruned_entries makes only the admitted entries of a table, in row order,
+each when its pair is reached, and pruned_table is their dict. Every full
 ordered table of a list of sections goes through one of two table
-operations: AnchoredModule.bracket_table, the bracket on each pair that
-admitted allows (each section's support taken once, its anchor once on
-its first bracket), and courant.CourantData.pairing_table, the pairing on
-each pair that pairings allows on its pairing masks; a missing key is a
-zero entry. bracket_failures, courant.curvature, courant.CourantCombination,
-the pairing check of courant.check_courant_morphism and the closure check
-of dirac.check_dirac are calls of them. The sites that keep their own
+operations: AnchoredModule.bracket_entries, the bracket on each pair that
+admitted allows (each section's support taken once, or passed by a caller
+that holds it, its anchor once on its first bracket), and
+courant.CourantData.pairing_entries, the pairing on each pair that
+pairings allows on its pairing masks (one list passed as both sides has
+its supports taken once); bracket_table and pairing_table are their
+dicts, where a missing key is a zero entry. courant.curvature,
+courant.CourantCombination and the closure check of dirac.check_dirac
+read the tables; bracket_failures and the pairing check of
+courant.check_courant_morphism walk the entries along the pairs they
+check (every_pair), so a refuted check stops at its first counterexample
+with at most one entry made past it. The sites that keep their own
 masks are lazy, run over the pairs i <= j, or work on presentation
 tuples: jacobi_generator_failures, the generator triples of the Jacobi
 identity for both verdicts, skips each of the three brackets of J(e_a,
@@ -419,16 +425,42 @@ def pair_admitted(
     return out
 
 
+def pruned_entries(
+    admitted: Sequence[int], bracket: Callable[[int, int], T]
+) -> Iterator[tuple[tuple[int, int], T]]:
+    """((x, y), bracket(x, y)) on each ordered pair (x, y) of basis indices
+    that Lemma L14 admits: bit y of admitted[x] set, the masks of one
+    admission step (pairings, pair_admitted, AnchoredModule.admitted, and
+    the presentations' own). A ruled-out pair is left out, as a zero table
+    entry would be dropped; every admitted pair is bracketed, in both
+    orders when both are admitted, in row order, each when its pair is
+    reached."""
+    for x, row in enumerate(admitted):
+        for y in bits(row):
+            yield (x, y), bracket(x, y)
+
+
 def pruned_table(
     admitted: Sequence[int], bracket: Callable[[int, int], T]
 ) -> dict[tuple[int, int], T]:
-    """bracket(x, y) on each ordered pair (x, y) of basis indices that
-    Lemma L14 admits: bit y of admitted[x] set, the masks of one admission
-    step (pairings, pair_admitted, AnchoredModule.admitted, and the
-    presentations' own). A ruled-out pair is left out, as a zero table
-    entry would be dropped; every admitted pair is bracketed, in both
-    orders when both are admitted, in the order of the pairs."""
-    return {(x, y): bracket(x, y) for x, row in enumerate(admitted) for y in bits(row)}
+    """The table of pruned_entries: a missing key is a ruled-out pair."""
+    return dict(pruned_entries(admitted, bracket))
+
+
+def every_pair(
+    entries: Iterator[tuple[tuple[int, int], T]], n: int
+) -> Iterator[tuple[int, int, T | None]]:
+    """(a, b, entry) for each ordered pair of range(n) in row order, entry
+    None for a pair that entries, row-ordered pairs of range(n) such as
+    pruned_entries yields, leaves out. entries is read one entry ahead, so
+    a reader that stops early has made at most one entry past its stop."""
+    key, value = next(entries, (None, None))
+    for pair in product(range(n), repeat=2):
+        if pair == key:
+            yield *pair, value
+            key, value = next(entries, (None, None))
+        else:
+            yield *pair, None
 
 
 class AnchoredModule:
@@ -601,13 +633,17 @@ class AnchoredModule:
         term."""
         return total
 
-    def bracket_table(self, sections: Sequence[Vec]) -> dict[tuple[int, int], Vec]:
-        """bracket(sections[i], sections[j]) on each ordered pair (i, j) that
-        admitted allows on the supports of sections, in row order
-        (pruned_table); a missing key is a bracket Lemma L14 shows to be
-        zero. Each section's support is taken once, and its anchor once, on
-        the first bracket it enters; a zero section enters none."""
-        supports = [support(s) for s in sections]
+    def bracket_entries(
+        self, sections: Sequence[Vec], supports: Sequence[Support] | None = None
+    ) -> Iterator[tuple[tuple[int, int], Vec]]:
+        """((i, j), bracket(sections[i], sections[j])) on each ordered pair
+        (i, j) that admitted allows on the supports of sections, in row
+        order, each bracket made when its pair is reached (pruned_entries).
+        supports are those of sections, passed by a caller that holds
+        them; None takes each once here. Each section's anchor is taken
+        once, on the first bracket it enters; a zero section enters none."""
+        if supports is None:
+            supports = [support(s) for s in sections]
 
         @cache
         def anchor(i: int) -> VField:
@@ -617,7 +653,14 @@ class AnchoredModule:
             u, v = sections[i], sections[j]
             return self.bracket(u, v, (anchor(i), anchor(j)), (supports[i], supports[j]))
 
-        return pruned_table(self.admitted(supports, supports), bracket)
+        return pruned_entries(self.admitted(supports, supports), bracket)
+
+    def bracket_table(
+        self, sections: Sequence[Vec], supports: Sequence[Support] | None = None
+    ) -> dict[tuple[int, int], Vec]:
+        """The table of bracket_entries: a missing key is a bracket Lemma
+        L14 shows to be zero."""
+        return dict(self.bracket_entries(sections, supports))
 
 
 # ---------------------------------------------------------------------------
@@ -773,20 +816,24 @@ def bracket_failures(
     """Generator pairs of src whose table bracket, mapped through matrix, is
     not the dst bracket of their images.
 
-    The dst brackets of the rows are dst.bracket_table(matrix), so a pair
+    The dst brackets of the rows are dst.bracket_entries(matrix), walked
+    in row order as the pairs are checked (every_pair), so a check that
+    stops at its first counterexample brackets at most one pair past it; a
+    pair
     with no table entry maps to zero and holds without a bracket when Lemma
     L14 rules out the bracket of its images. The rank and chart checks that
     such a skipped dst.bracket would have made on the rows are the caller's,
     made once on the matrix before any of its checks (check_courant_morphism,
     and the Lie comparison checks of lie_algebroid.check_compose_associative)."""
-    got = dst.bracket_table(matrix)
     table = src.table_masks
     zero = dst.zero_section()
-    for a, b in product(range(src.rank), repeat=2):
-        if not (table[a] >> b & 1 or (a, b) in got):
-            continue
+    for a, b, got in every_pair(dst.bracket_entries(matrix), src.rank):
+        if got is None:
+            if not table[a] >> b & 1:
+                continue
+            got = zero
         lhs = apply_matrix(matrix, src.bracket_gen(a, b), dst.rank, dst.chart)
-        if not vec_eq(lhs, got.get((a, b), zero)):
+        if not vec_eq(lhs, got):
             yield f"generators ({a},{b})"
 
 

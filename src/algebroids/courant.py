@@ -18,11 +18,12 @@ eq6_symmetrization plus leibniz_identity; the first six are the pointwise
 compatibilities (composition, Leibniz, invariance, ideal, adjunction,
 symmetrization) and the last is the Jacobi identity in Leibniz form.
 
-CourantData.pairing_table is the pairing half of the two table operations
-of algebroids.anchored, AnchoredModule.bracket_table the bracket half:
-curvature, the Baer combination and check_courant_morphism read their
-tables of section pairs through them, and Lemma L14 leaves out the zero
-entries. check_courant's generator cases, built lazily, and the isotropy
+CourantData.pairing_entries is the pairing half of the two table
+operations of algebroids.anchored, AnchoredModule.bracket_entries the
+bracket half, and pairing_table and bracket_table their dicts: curvature
+and the Baer combination read their tables of section pairs through them,
+check_courant_morphism walks the entries as it checks the pairs, and Lemma
+L14 leaves out the zero entries. check_courant's generator cases, built lazily, and the isotropy
 check of a Connection, on the pairs i <= j, keep their own masks.
 
 The Baer-type combination is implemented for exact structures (rank twice
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations, combinations_with_replacement, product
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from algebroids import linalg
 from algebroids.anchored import (
@@ -53,9 +54,10 @@ from algebroids.anchored import (
     jacobi_left_probe_failures,
     mask,
     paired,
+    every_pair,
     pairings,
     probe,
-    pruned_table,
+    pruned_entries,
     require_chart,
     support,
 )
@@ -157,14 +159,32 @@ class CourantData(AnchoredModule):
             su.constant or not paired(self.pairing_masks, su, sv)
         )
 
-    def pairing_table(self, xs: Sequence[Vec], ys: Sequence[Vec]) -> dict[tuple[int, int], Poly]:
-        """pairing_of(xs[i], ys[j]) on each pair (i, j) that pairings allows
-        on pairing_masks, in row order (pruned_table); a missing key is a
-        pairing Lemma L14 shows to be zero."""
-        admitted = pairings(
-            self.pairing_masks, [support(x) for x in xs], [support(y) for y in ys]
-        )
-        return pruned_table(admitted, lambda i, j: self.pairing_of(xs[i], ys[j]))
+    def pairing_entries(
+        self,
+        xs: Sequence[Vec],
+        ys: Sequence[Vec],
+        supports: tuple[Sequence[Support], Sequence[Support]] | None = None,
+    ) -> Iterator[tuple[tuple[int, int], Poly]]:
+        """((i, j), pairing_of(xs[i], ys[j])) on each pair (i, j) that
+        pairings allows on pairing_masks, in row order, each pairing made
+        when its pair is reached (pruned_entries). supports are those of xs
+        and ys, passed by a caller that holds them; None takes each list's
+        once here, and one list passed as both xs and ys once."""
+        if supports is None:
+            sx = [support(x) for x in xs]
+            supports = sx, sx if ys is xs else [support(y) for y in ys]
+        admitted = pairings(self.pairing_masks, *supports)
+        return pruned_entries(admitted, lambda i, j: self.pairing_of(xs[i], ys[j]))
+
+    def pairing_table(
+        self,
+        xs: Sequence[Vec],
+        ys: Sequence[Vec],
+        supports: tuple[Sequence[Support], Sequence[Support]] | None = None,
+    ) -> dict[tuple[int, int], Poly]:
+        """The table of pairing_entries: a missing key is a pairing Lemma
+        L14 shows to be zero."""
+        return dict(self.pairing_entries(xs, ys, supports))
 
 
 def standard_exact(chart: Chart, h: KForm | None = None) -> CourantData:
@@ -554,9 +574,10 @@ def check_courant_morphism(
 
     The matrix needs one row per source generator, each a section of dst
     (ValidationError, ChartMismatchError). The pairings of the rows are
-    dst.pairing_table(matrix, matrix): a pair whose image rows are not
-    paired (Lemma L14, algebroids.anchored) pairs to zero without a
-    pairing."""
+    dst.pairing_entries(matrix, matrix), walked in row order as the pairs
+    are checked (every_pair, like the brackets of bracket_failures): a pair
+    whose image rows are not paired (Lemma L14, algebroids.anchored) pairs
+    to zero without a pairing."""
     rep = Report()
     if src.chart != dst.chart:
         raise ChartMismatchError("morphism checks need a common chart")
@@ -575,10 +596,9 @@ def check_courant_morphism(
                 yield f"coordinate {chart.coords[j]}"
 
     def pairing():
-        got = dst.pairing_table(matrix, matrix)
         zero = Poly.zero(chart)
-        for a, b in product(range(src.rank), repeat=2):
-            if got.get((a, b), zero) != src.pairing[a][b]:
+        for a, b, got in every_pair(dst.pairing_entries(matrix, matrix), src.rank):
+            if (zero if got is None else got) != src.pairing[a][b]:
                 yield f"generators ({a},{b})"
 
     rep.check("morphism_anchor", anchor_failures(src, dst, matrix))
@@ -645,20 +665,23 @@ def curvature(conn: Connection) -> KForm:
     the defect sections are then confirmed to be coanchor images of exactly
     those components, and the component array to be totally antisymmetric.
     The defects are q.bracket_table(columns) and the components
-    q.pairing_table(defects, columns): a pair of columns whose bracket
-    Lemma L14 rules out gets the zero section as its defect without a
-    bracket, and a defect and a column that are not paired get the chart's
-    zero without a pairing, so both checks still read every defect and
-    every component.
+    q.pairing_table(defects, columns), the column supports taken once for
+    both: a pair of columns whose bracket Lemma L14 rules out gets the zero
+    section as its defect without a bracket, and a defect and a column that
+    are not paired get the chart's zero without a pairing, so both checks
+    still read every defect and every component.
     """
     q = conn.courant
     chart = q.chart
     n = chart.dim
     zero = Poly.zero(chart)
     columns = conn.columns
-    brackets, zero_section = q.bracket_table(columns), q.zero_section()
+    column_supports = [support(c) for c in columns]
+    brackets = q.bracket_table(columns, column_supports)
+    zero_section = q.zero_section()
     defects = {key: brackets.get(key, zero_section) for key in product(range(n), repeat=2)}
-    pairs = q.pairing_table(list(defects.values()), columns)
+    rows = list(defects.values())
+    pairs = q.pairing_table(rows, columns, ([support(d) for d in rows], column_supports))
     comps = {
         (i, j, k): pairs.get((x, k), zero)
         for x, (i, j) in enumerate(defects)
@@ -711,7 +734,8 @@ class CourantCombination(Presentation):
     holds the weighted pairings of the basis and the table of the classes
     of its part by part brackets: generators 0..n-1 are the diagonal
     lifts, n..2n-1 the glued lines. Both tables are built part by part on
-    that part's sections of the basis (Lemma L14): the bracket_table of a
+    that part's sections of the basis, on the supports the presentation
+    holds (Lemma L14): the bracket_table of a
     part leaves out the pairs whose bracket it rules out in that part
     (their part is the zero section), and a basis pair that no part's
     table holds is not reduced; the pairing_table of a part of nonzero
@@ -767,10 +791,14 @@ class CourantCombination(Presentation):
         super().__init__(chart, sizes, basis, read, relations)
 
         gens = self.basis
-        # sections[i] lists the sections of part i of the basis.
+        # sections[i] lists the sections of part i of the basis, and
+        # supports[i] their supports, read from the presentation.
         sections = [[element[i] for element in gens] for i in range(len(parts))]
+        supports = [[element[i] for element in self.supports] for i in range(len(parts))]
         pairings_by_part = [
-            (w, q.pairing_table(s, s)) for q, w, s in zip(parts, weights, sections) if w
+            (w, q.pairing_table(s, s, (sup, sup)))
+            for q, w, s, sup in zip(parts, weights, sections, supports)
+            if w
         ]
         zero_poly = Poly.zero(chart)
         pairing = tuple(
@@ -781,7 +809,7 @@ class CourantCombination(Presentation):
             for x in range(len(gens))
         )
 
-        brackets = [q.bracket_table(s) for q, s in zip(parts, sections)]
+        brackets = [q.bracket_table(s, sup) for q, s, sup in zip(parts, sections, supports)]
         zeros = [q.zero_section() for q in parts]
         structure = {
             key: self.reduce(tuple(t.get(key, z) for t, z in zip(brackets, zeros)))

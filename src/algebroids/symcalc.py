@@ -9,9 +9,10 @@ objects are deliberately small and closed:
 * `Chart` — a named list of coordinate labels (dimension may be zero),
   holding one zero and one unit polynomial.
 * `Poly` — polynomial in the chart coordinates, stored as a dict mapping
-  exponent tuples to nonzero coefficients. No Poly is changed after it is
-  built, so every zero on a chart is the chart's one zero and every unit
-  constant its one unit.
+  exponent tuples to nonzero coefficients, with an `is_zero` flag bound
+  with it. No Poly is changed after it is built, so every zero on a chart
+  is the chart's one zero and every unit constant its one unit, and a
+  product with that unit is the other side itself.
 * `VField` — polynomial vector field, one `Poly` per coordinate.
 * `KForm` — polynomial differential k-form, components indexed by strictly
   increasing coordinate index tuples.
@@ -146,9 +147,10 @@ _TERMS = dict  # dict[tuple[int, ...], int | Fraction]
 # sub_terms test each sum of two colliding terms once. scale_terms and
 # mul_terms look at the products only when an operand holds a Fraction, so a
 # product of integer operands costs one type test per operand coefficient,
-# not one per product term. Poly.__mul__ scales by a constant side with
-# scale_terms (no exponent tuple is built) and returns the other side itself
-# for the constant 1, so mul_terms multiplies only two non-constant operands.
+# not one per product term. Poly.__mul__ returns the other side itself when
+# one side is the chart's unit, before any degree but the cap's is read;
+# it scales by another constant side with scale_terms (no exponent tuple is
+# built), and so mul_terms multiplies only two non-constant operands.
 
 
 def _has_fraction(a: _TERMS) -> bool:
@@ -238,19 +240,24 @@ class Poly:
 
     Terms are stored sparsely as exponent-tuple -> coefficient, an int for
     an integer and a Fraction otherwise; zero coefficients are never kept.
-    Equality is coefficient-wise; printing uses the graded-lexicographic
-    order (highest first). No Poly is changed after it is built, and the
-    code relies on that: its total degree is computed at most once; a sum
-    or difference with a zero side, or a product with the constant 1,
-    returns the other operand itself, and ChartMap.pull returns a constant
-    along an endomorphism as it is, so a result may be the very object
-    passed in; and a chart holds one zero and one unit, which every zero or
-    unit constant on it is (`zero`, `one`, `const` of 0 or 1, and each
-    operation whose result has no terms), so one write to them would
-    change every zero on the chart.
+    is_zero is a slot, not a property: Poly.__init__ and Poly._raw, the
+    only code that binds the terms (const and coord go through _raw), set
+    it with them, so reading it costs no call. Equality is coefficient-wise;
+    printing uses the graded-lexicographic order (highest first). No Poly
+    is changed after it is built, and the code relies on that: its total
+    degree is computed at most once; a sum or difference with a zero side,
+    or a product with the chart's unit or the scalar 1, returns the other
+    operand itself, and ChartMap.pull returns a constant along an
+    endomorphism as it is, so a result may be the very object passed in;
+    and a chart holds one zero and one unit, which every zero or unit
+    constant on it is (`zero`, `one`, `const` of 0 or 1, and each operation
+    whose result has no terms), so one write to them would change every
+    zero on the chart. The arithmetic tests `other.chart is self.chart`
+    before anything else, and compares charts by value only when that
+    fails.
     """
 
-    __slots__ = ("chart", "terms", "_degree")
+    __slots__ = ("chart", "terms", "is_zero", "_degree")
 
     def __init__(self, chart: Chart, terms: dict | None = None):
         self.chart = chart
@@ -271,6 +278,7 @@ class Poly:
                     )
                 clean[exps] = c
         self.terms = clean
+        self.is_zero = not clean
 
     # -- constructors ---------------------------------------------------
 
@@ -285,9 +293,7 @@ class Poly:
             return chart.zero
         if c == 1:
             return chart.one
-        p = cls(chart)
-        p.terms[(0,) * chart.dim] = c
-        return p
+        return cls._raw(chart, {(0,) * chart.dim: c}, 0)
 
     @classmethod
     def one(cls, chart: Chart) -> "Poly":
@@ -299,9 +305,7 @@ class Poly:
         if not 0 <= i < chart.dim:
             raise ValidationError(f"coordinate index {i} out of range")
         exps = tuple(1 if j == i else 0 for j in range(chart.dim))
-        p = cls(chart)
-        p.terms[exps] = 1
-        return p
+        return cls._raw(chart, {exps: 1}, 1)
 
     @classmethod
     def _raw(cls, chart: Chart, terms: _TERMS, degree: int | None = None) -> "Poly":
@@ -311,14 +315,11 @@ class Poly:
         p = cls.__new__(cls)
         p.chart = chart
         p.terms = terms
+        p.is_zero = False
         p._degree = degree
         return p
 
     # -- queries ---------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -347,10 +348,11 @@ class Poly:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = Poly.const(self.chart, other)
-        _require_same_chart(self, other)
-        if not other.terms:
+        if other.chart is not self.chart:
+            _require_same_chart(self, other)
+        if other.is_zero:
             return self
-        if not self.terms:
+        if self.is_zero:
             return other
         return Poly._raw(self.chart, add_terms(self.terms, other.terms))
 
@@ -361,10 +363,11 @@ class Poly:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = Poly.const(self.chart, other)
-        _require_same_chart(self, other)
-        if not other.terms:
+        if other.chart is not self.chart:
+            _require_same_chart(self, other)
+        if other.is_zero:
             return self
-        if not self.terms:
+        if self.is_zero:
             return -other
         return Poly._raw(self.chart, sub_terms(self.terms, other.terms))
 
@@ -383,14 +386,22 @@ class Poly:
                 return NotImplemented
             c = _frac(other)
             return self._scaled(c) if c else self.chart.zero
-        _require_same_chart(self, other)
-        if not self.terms or not other.terms:
+        if other.chart is not self.chart:
+            _require_same_chart(self, other)
+        if self.is_zero or other.is_zero:
             return self.chart.zero
-        da, db = self.degree(), other.degree()
+        one = self.chart.one
+        da = 0 if self is one else self.degree()
+        db = 0 if other is one else other.degree()
         if da + db > MAX_DEGREE:
             raise DegreeOverflowError(
                 f"product degree {da + db} exceeds cap {MAX_DEGREE}"
             )
+        # A side that is the chart's unit leaves the other side itself.
+        if other is one:
+            return self
+        if self is one:
+            return other
         # A side of degree 0 is a nonzero constant, its one term the
         # coefficient: the product only scales the other side's terms.
         if not db:

@@ -613,10 +613,15 @@ def test_scalar_multiple_matches_combination():
 def test_integer_structures_multiply_on_ints(monkeypatch):
     # An integer structure keeps every coefficient an int through the whole
     # axiom suite; a stray Fraction literal would send every product down
-    # the Fraction path. A product with a constant side scales the other
-    # side (scale_terms), so both kernels are watched.
+    # the Fraction path. A product with the chart's unit returns the other
+    # side, and one with another constant side scales it (scale_terms), so
+    # the twist runs along the anchors of the standard structure pulled
+    # back by an integer shear, whose entries -x1 and -x2 reach mul_terms:
+    # both kernels are watched.
     from algebroids import symcalc
 
+    x1, x2, x3 = (Poly.coord(R3, i) for i in range(3))
+    shear = ChartMap(R3, R3, (x1, x2, x3 + x1 * x2))
     seen = []
     real_mul, real_scale = symcalc.mul_terms, symcalc.scale_terms
 
@@ -632,7 +637,8 @@ def test_integer_structures_multiply_on_ints(monkeypatch):
 
     monkeypatch.setattr(symcalc, "mul_terms", mul_spy)
     monkeypatch.setattr(symcalc, "scale_terms", scale_spy)
-    rep = check_courant(standard_exact(R3, vol3("x1")), samples=8, seed=0)
+    sheared = pullback_module.pullback_courant(shear, standard_exact(R3)).result
+    rep = check_courant(twist(sheared, vol3("x1")), samples=8, seed=0)
     assert rep.ok, str(rep)
     assert seen and set(seen) == {int}
 
@@ -711,6 +717,34 @@ def test_morphism_check_computes_each_anchor_at_most_once(monkeypatch, q, matrix
     monkeypatch.setattr(anchored_module.AnchoredModule, "anchor_of", counted)
     assert check_courant_morphism(q, q, matrix).ok
     assert len(calls) == count
+
+
+def test_a_refuted_morphism_stops_at_its_first_counterexample(monkeypatch):
+    """Op-count gate on one check_courant_morphism of standard R3 with
+    every generator scaled by 1 + x1, which refutes all four checks: the
+    pairing and bracket checks walk the row-order entries of the image
+    rows as they check the pairs, so each stops at its first failing pair.
+    When both built their whole table first, the run made 27 brackets and
+    6 pairings; it makes 2 and 1."""
+    q = standard_exact(R3)
+    scale = Poly.one(R3) + Poly.coord(R3, 0)
+    matrix = tuple(vec_scale(scale, q.gen(a)) for a in range(q.rank))
+    calls = Counter()
+    bracket, pairing_of = CourantData.bracket, CourantData.pairing_of
+
+    def counted_bracket(self, *args):
+        calls["bracket"] += 1
+        return bracket(self, *args)
+
+    def counted_pairing(self, *args):
+        calls["pairing_of"] += 1
+        return pairing_of(self, *args)
+
+    monkeypatch.setattr(CourantData, "bracket", counted_bracket)
+    monkeypatch.setattr(CourantData, "pairing_of", counted_pairing)
+    rep = check_courant_morphism(q, q, matrix)
+    assert [c.passed for c in rep.checks] == [False] * 4
+    assert calls == Counter(bracket=2, pairing_of=1)
 
 
 def _rows(count, length):

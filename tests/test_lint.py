@@ -34,10 +34,10 @@ for the whole process.
 
 No Poly is changed after it is built, since a chart holds one zero and
 one unit that every zero or unit constant on it is: one stray write would
-change every zero on that chart. So a term dictionary is bound only by
-Poly.__init__ and Poly._raw, and written only by Poly.const and Poly.coord
-on the object they just built; and no module but symcalc builds a zero by
-hand, as Poly(chart) or Poly._raw(chart, {}).
+change every zero on that chart. So a term dictionary and the is_zero flag
+stored with it are bound only by Poly.__init__ and Poly._raw, no term
+dictionary is written, and no module but symcalc builds a zero by hand, as
+Poly(chart) or Poly._raw(chart, {}).
 
 A presentation's relations are set by Presentation.__init__ and nowhere
 else, since it takes their nonzero entries once for the rebuild in reduce.
@@ -47,9 +47,10 @@ mask per row. The tests of one pair (paired, leibniz_vanishes,
 bracket_vanishes) are called only inside the definitions of the lemma
 itself and in TauModule.bracket, which brackets single pairs, so no table
 loop goes back to testing pair by pair. A full table of section pairs is
-AnchoredModule.bracket_table or CourantData.pairing_table: outside
-anchored, the admission steps (admitted, pairings) and pruned_table are
-called only by pairing_table and by a listed set of sites that keep their
+AnchoredModule.bracket_table or CourantData.pairing_table, or the row-order
+entries they are built from: outside anchored, the admission steps
+(admitted, pairings), pruned_entries and pruned_table are called only by
+pairing_entries and by a listed set of sites that keep their
 own masks, so a new hand-built table loop fails the gate.
 
 Structure data is frozen once validated: a dataclass of the package with a
@@ -383,67 +384,57 @@ def test_only_symcalc_and_linalg_touch_the_term_dictionary():
 
 
 TERM_BINDERS = {"Poly.__init__", "Poly._raw"}
-TERM_WRITERS = {"Poly.const", "Poly.coord"}
+BOUND_SLOTS = {"terms", "is_zero"}
 DICT_WRITES = {"update", "pop", "popitem", "clear", "setdefault", "__setitem__", "__delitem__"}
 
 
 def term_writes(source: str) -> list[str]:
-    """"definition:line" for each write to a term dictionary by other code
-    than its owners: a store or del of the attribute terms itself (by
-    assignment, augmented assignment, setattr or __setattr__) outside
-    TERM_BINDERS, and a store or del of one of its items, or a call of a
-    dict method that changes it, other than on a name that a definition of
-    TERM_WRITERS bound to a call of cls. A definition is named by the
-    dotted path of the classes and functions enclosing the write."""
+    """"definition:line" for each write to a term dictionary or its is_zero
+    flag by other code than their binders: a store or del of the attribute
+    terms or is_zero itself (by assignment, augmented assignment, setattr
+    or __setattr__) outside TERM_BINDERS, and anywhere a store or del of an
+    item of terms, or a call of a dict method that changes it. A definition
+    is named by the dotted path of the classes and functions enclosing the
+    write."""
     out = []
 
-    def terms_of(node: ast.AST) -> ast.expr | None:
-        if isinstance(node, ast.Attribute) and node.attr == "terms":
-            return node.value
-        return None
+    def is_terms(node: ast.AST | None) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr == "terms"
 
-    def visit(node: ast.AST, path: tuple[str, ...], built: set[str]) -> None:
+    def visit(node: ast.AST, path: tuple[str, ...]) -> None:
         owner = ".".join(path) or "<module>"
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-                fresh = {
-                    target.id
-                    for n in ast.walk(child)
-                    if isinstance(n, ast.Assign) and last_name(n.value) == "cls"
-                    for target in n.targets
-                    if isinstance(target, ast.Name)
-                }
-                visit(child, path + (child.name,), fresh)
+                visit(child, path + (child.name,))
                 continue
             if isinstance(child, ast.Attribute):
-                bound = child.attr == "terms" and not isinstance(child.ctx, ast.Load)
+                bound = child.attr in BOUND_SLOTS and not isinstance(child.ctx, ast.Load)
             elif isinstance(child, ast.Call) and last_name(child) in ("setattr", "__setattr__"):
-                bound = any(getattr(arg, "value", None) == "terms" for arg in child.args)
+                bound = any(getattr(arg, "value", None) in BOUND_SLOTS for arg in child.args)
             else:
                 bound = False
             if bound and owner not in TERM_BINDERS:
                 out.append(f"{owner}:{child.lineno}")
             if isinstance(child, ast.Subscript) and not isinstance(child.ctx, ast.Load):
-                base = terms_of(child.value)
+                written = is_terms(child.value)
             elif isinstance(child, ast.Call) and last_name(child) in DICT_WRITES:
-                base = terms_of(getattr(child.func, "value", None))
+                written = is_terms(getattr(child.func, "value", None))
             else:
-                base = None
-            if base is not None and not (
-                owner in TERM_WRITERS and isinstance(base, ast.Name) and base.id in built
-            ):
+                written = False
+            if written:
                 out.append(f"{owner}:{child.lineno}")
-            visit(child, path, built)
+            visit(child, path)
 
-    visit(ast.parse(source), (), set())
+    visit(ast.parse(source), ())
     return out
 
 
-def test_the_term_write_gate_flags_every_write_but_the_constructors():
+def test_the_term_write_gate_flags_every_write_but_the_binders():
     source = (
         "class Poly:\n"
         "    def __init__(self, chart, terms=None):\n"
         "        self.terms = dict(terms or {})\n"
+        "        self.is_zero = not self.terms\n"
         "    @classmethod\n"
         "    def const(cls, chart, c):\n"
         "        p = cls(chart)\n"
@@ -458,17 +449,21 @@ def test_the_term_write_gate_flags_every_write_but_the_constructors():
         "    p.terms = {}\n"
         "    setattr(p, 'terms', {})\n"
         "    q.terms.pop((0,), None)\n"
-        "    return p.terms.get((0,)), dict(p.terms), q.pop(0), clear()\n"
+        "    p.is_zero = True\n"
+        "    object.__setattr__(q, 'is_zero', False)\n"
+        "    return p.terms.get((0,)), dict(p.terms), q.pop(0), p.is_zero, clear()\n"
     )
     assert term_writes(source) == [
-        "Poly.const:8", "Poly.scale:11", "clear:13", "clear:14", "clear:15", "clear:16", "clear:17",
+        "Poly.const:8", "Poly.const:9", "Poly.scale:12",
+        "clear:14", "clear:15", "clear:16", "clear:17", "clear:18", "clear:19", "clear:20",
     ]
 
 
 def test_no_poly_is_written_after_it_is_built():
     """A chart's one zero and one unit are shared by every operation on
-    the chart, so a write to a Poly other than the one a constructor is
-    building would change every zero on that chart."""
+    the chart, so a write to a Poly's terms or is_zero flag outside the two
+    binders would change every zero on that chart, or make a zero that
+    reads as nonzero."""
     writes = {path: term_writes(source) for path, source in python_corpus().items()}
     assert {path: found for path, found in writes.items() if found} == {}
 
@@ -805,9 +800,9 @@ def test_tables_read_masks_not_pair_tests():
     assert {name: found for name, found in calls.items() if found} == {}
 
 
-TABLE_STEPS = {"admitted", "pairings", "pruned_table"}
+TABLE_STEPS = {"admitted", "pairings", "pruned_entries", "pruned_table"}
 TABLE_STEP_OWNERS = {
-    "CourantData.pairing_table",
+    "CourantData.pairing_entries",
     "check_courant",
     "Connection.__post_init__",
     "check_dirac.isotropy",
@@ -819,8 +814,8 @@ TABLE_STEP_OWNERS = {
 def test_the_table_step_gate_flags_a_hand_built_table_and_keeps_the_owners():
     source = (
         "class CourantData:\n"
-        "    def pairing_table(self, xs, ys):\n"
-        "        return pruned_table(pairings(self.rows, xs, ys), self.pairing_of)\n"
+        "    def pairing_entries(self, xs, ys):\n"
+        "        return pruned_entries(pairings(self.rows, xs, ys), self.pairing_of)\n"
         "def curvature(q, columns, supports):\n"
         "    admitted = q.admitted(supports, supports)\n"
         "    return q.bracket_table(columns), admitted\n"
@@ -836,8 +831,8 @@ def test_the_table_step_gate_flags_a_hand_built_table_and_keeps_the_owners():
 
 def test_tables_of_sections_go_through_the_table_operations():
     """Outside anchored, the admission step of Lemma L14 (admitted,
-    pairings) and pruned_table are called only by the table operation
-    CourantData.pairing_table and by the sites that keep their own masks:
+    pairings), pruned_entries and pruned_table are called only by
+    CourantData.pairing_entries and by the sites that keep their own masks:
     check_courant's generator cases (lazy), the isotropy checks of
     Connection and check_dirac (pairs i <= j), and the two inverse images
     (presentation tuples). Any other full table of sections is

@@ -928,6 +928,33 @@ def test_section_brackets_take_no_support_inside_leibniz_sum(monkeypatch):
     assert (sums, supports) == (Counter(bracket=625, pair_bracket=650), Counter())
 
 
+def test_each_table_takes_its_supports_once(monkeypatch):
+    """Op-count gate on one pass of the benchmark's constructions jobs
+    (pass 0, seed 11): the support calls of every module. A table takes
+    the supports of one list passed as both sides once, the combination
+    reads its parts' supports from Presentation.supports, and curvature
+    takes its column supports once for its brackets and pairings: 2,646
+    calls, where the table operations took them on every call and read
+    3,222."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    calls = []
+    support_of = anchored_module.support
+
+    def counted_support(vec):
+        calls.append(1)
+        return support_of(vec)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("algebroids.") and getattr(module, "support", None) is support_of:
+            monkeypatch.setattr(module, "support", counted_support)
+    for job in workloads.constructions_jobs(11, 0):
+        checks, code = job.verdict(job.run())
+        assert workloads.verdict_matches(job.expected, checks, code), job.kind
+    monkeypatch.undo()
+    assert len(calls) <= 2646
+
+
 def test_one_pullback_verb_run_builds_few_polys(monkeypatch, tmp_path):
     """Op-count gate on one in-process run of the pullback verb on its
     battery spec (the twisted R3 along the shear), spec read and report
@@ -936,7 +963,9 @@ def test_one_pullback_verb_run_builds_few_polys(monkeypatch, tmp_path):
     when each zero or unit was built afresh, the run built 1,398. A bare
     integer entry of the spec ("0", "1", "-1") reads as one constant, where
     the parser built a Poly per term and per partial sum: the run built 186
-    before that literal path, 81 with it."""
+    before that literal path, 81 with it. A product with the chart's unit
+    returns the other side itself, where one * c scaled the unit's terms
+    into a fresh constant: 65 with that."""
     spec_path = tmp_path / "pullback.json"
     spec_path.write_text(jsonio.dump_json(_battery_jobs()["pullback"]), encoding="utf-8")
     argv = ["pullback", "--spec", str(spec_path), "--out", str(tmp_path / "out.json")]
@@ -957,7 +986,7 @@ def test_one_pullback_verb_run_builds_few_polys(monkeypatch, tmp_path):
     monkeypatch.setattr(Poly, "_raw", classmethod(counted_raw))
     assert main(argv + ["--seed", "7", "--samples", "10"]) == 0
     monkeypatch.undo()
-    assert len(built) == 81
+    assert len(built) == 65
 
 
 def test_a_map_builds_its_jacobian_once(monkeypatch):

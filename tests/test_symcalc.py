@@ -1,7 +1,9 @@
 """Core symbolic calculus: exact arithmetic, Cartan calculus, grammar."""
 
+import copy
 import dataclasses
 import itertools
+import pickle
 import re
 from fractions import Fraction
 
@@ -112,6 +114,13 @@ def test_degree_cap():
     with pytest.raises(DegreeOverflowError):
         (x**9) * (x**8)
     assert (x**8) * (x**8) == x**16
+    # The parser builds a term of any degree; a product with the chart's
+    # unit, which returns the other side itself, still reads the cap.
+    big = parse_expr("t^17", R1)
+    with pytest.raises(DegreeOverflowError):
+        big * R1.one
+    with pytest.raises(DegreeOverflowError):
+        R1.one * big
 
 
 def test_pure_kernel_does_not_mutate():
@@ -530,6 +539,31 @@ def test_every_zero_on_a_chart_is_its_one_zero():
     assert VField.basis(R2, 1).comps[1] is Poly.one(R2)
     assert zero.terms == {} and zero.degree() == -1
     assert Poly.one(R2).terms == {(0, 0): 1} and Poly.one(R2).degree() == 0
+
+
+@given(st.data())
+@settings(max_examples=100)
+def test_is_zero_is_stored_with_the_terms(data):
+    """is_zero is a slot that Poly.__init__ and Poly._raw bind with the
+    terms, and no Poly is changed after it is built, so it reads as an
+    empty term dictionary on every result; a product with the chart's unit
+    is the other side itself."""
+    chart = data.draw(st.sampled_from([R1, R2, R3]))
+    p, q = data.draw(rational_polys(chart)), data.draw(rational_polys(chart))
+    i = data.draw(st.integers(0, chart.dim - 1))
+    c = data.draw(st.fractions(-3, 3, max_denominator=3))
+    f = data.draw(coordinate_maps(chart))
+    values = [data.draw(polys(chart, max_degree=1)) for _ in range(chart.dim)]
+    results = [
+        p, p + q, p - q, p - p, p * q, p * c, c * p, p + c, c - p, -p,
+        p.diff(i), f.pull(p), p.subs(values), Poly.const(chart, c), Poly.coord(chart, i),
+        parse_expr(poly_str(p), chart), copy.copy(p), copy.deepcopy(p),
+        pickle.loads(pickle.dumps(p)), chart.zero, chart.one,
+    ]
+    for r in results:
+        assert r.is_zero is (not r.terms)
+    if not p.is_zero:
+        assert p * chart.one is p and chart.one * p is p
 
 
 def test_a_charts_constants_are_not_part_of_its_value():
