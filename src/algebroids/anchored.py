@@ -819,12 +819,12 @@ def bracket_failures(
     The dst brackets of the rows are dst.bracket_entries(matrix), walked
     in row order as the pairs are checked (every_pair), so a check that
     stops at its first counterexample brackets at most one pair past it; a
-    pair
-    with no table entry maps to zero and holds without a bracket when Lemma
-    L14 rules out the bracket of its images. The rank and chart checks that
-    such a skipped dst.bracket would have made on the rows are the caller's,
-    made once on the matrix before any of its checks (check_courant_morphism,
-    and the Lie comparison checks of lie_algebroid.check_compose_associative)."""
+    pair with no table entry maps to zero and holds without a bracket when
+    Lemma L14 rules out the bracket of its images. The rank and chart
+    checks that such a skipped dst.bracket would have made on the rows are
+    the caller's, made once on the matrix before any of its checks
+    (check_courant_morphism, and the Lie comparison checks of
+    lie_algebroid.check_compose_associative)."""
     table = src.table_masks
     zero = dst.zero_section()
     for a, b, got in every_pair(dst.bracket_entries(matrix), src.rank):

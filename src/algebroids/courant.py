@@ -23,8 +23,9 @@ operations of algebroids.anchored, AnchoredModule.bracket_entries the
 bracket half, and pairing_table and bracket_table their dicts: curvature
 and the Baer combination read their tables of section pairs through them,
 check_courant_morphism walks the entries as it checks the pairs, and Lemma
-L14 leaves out the zero entries. check_courant's generator cases, built lazily, and the isotropy
-check of a Connection, on the pairs i <= j, keep their own masks.
+L14 leaves out the zero entries. check_courant's generator cases, built
+lazily, and the isotropy check of a Connection, on the pairs i <= j, keep
+their own masks.
 
 The Baer-type combination is implemented for exact structures (rank twice
 the chart dimension, with an isotropic connection supplied per summand).
@@ -49,12 +50,12 @@ from algebroids.anchored import (
     anchor_defects,
     anchor_failures,
     bracket_failures,
+    every_pair,
     jacobi_counterexample,
     jacobi_generator_failures,
     jacobi_left_probe_failures,
     mask,
     paired,
-    every_pair,
     pairings,
     probe,
     pruned_entries,
@@ -735,12 +736,12 @@ class CourantCombination(Presentation):
     of its part by part brackets: generators 0..n-1 are the diagonal
     lifts, n..2n-1 the glued lines. Both tables are built part by part on
     that part's sections of the basis, on the supports the presentation
-    holds (Lemma L14): the bracket_table of a
-    part leaves out the pairs whose bracket it rules out in that part
-    (their part is the zero section), and a basis pair that no part's
-    table holds is not reduced; the pairing_table of a part of nonzero
-    weight leaves out the pairs it does not pair, and a basis pair that no
-    such table holds pairs to zero.
+    holds (Lemma L14): the bracket_table of a part leaves out the pairs
+    whose bracket it rules out in that part (their part is the zero
+    section), and a basis pair that no part's table holds is not reduced;
+    the pairing_table of a part of nonzero weight leaves out the pairs it
+    does not pair, and a basis pair that no such table holds pairs to
+    zero.
     """
 
     def __init__(

@@ -148,9 +148,9 @@ _TERMS = dict  # dict[tuple[int, ...], int | Fraction]
 # mul_terms look at the products only when an operand holds a Fraction, so a
 # product of integer operands costs one type test per operand coefficient,
 # not one per product term. Poly.__mul__ returns the other side itself when
-# one side is the chart's unit, before any degree but the cap's is read;
-# it scales by another constant side with scale_terms (no exponent tuple is
-# built), and so mul_terms multiplies only two non-constant operands.
+# one side is the chart's unit (after the degree cap), scales by another
+# constant side with scale_terms (no exponent tuple is built), and so
+# mul_terms multiplies only two non-constant operands.
 
 
 def _has_fraction(a: _TERMS) -> bool:

@@ -203,10 +203,8 @@ def test_a_fraction_constant_can_make_the_product_integral():
 @given(rational_polys(R2))
 def test_a_product_by_one_is_the_other_operand(p):
     one = Poly.one(R2)
-    if p.degree() > 0:
-        assert p * one is p and one * p is p
     if not p.is_zero:
-        assert p * one is p and p * 1 is p
+        assert p * one is p and one * p is p and p * 1 is p
     assert (p * one).terms == (one * p).terms == p.terms
 
 
@@ -546,8 +544,7 @@ def test_every_zero_on_a_chart_is_its_one_zero():
 def test_is_zero_is_stored_with_the_terms(data):
     """is_zero is a slot that Poly.__init__ and Poly._raw bind with the
     terms, and no Poly is changed after it is built, so it reads as an
-    empty term dictionary on every result; a product with the chart's unit
-    is the other side itself."""
+    empty term dictionary on every result."""
     chart = data.draw(st.sampled_from([R1, R2, R3]))
     p, q = data.draw(rational_polys(chart)), data.draw(rational_polys(chart))
     i = data.draw(st.integers(0, chart.dim - 1))
@@ -562,8 +559,6 @@ def test_is_zero_is_stored_with_the_terms(data):
     ]
     for r in results:
         assert r.is_zero is (not r.terms)
-    if not p.is_zero:
-        assert p * chart.one is p and chart.one * p is p
 
 
 def test_a_charts_constants_are_not_part_of_its_value():
