@@ -429,7 +429,7 @@ def term_writes(source: str) -> list[str]:
     return out
 
 
-def test_the_term_write_gate_flags_every_write_but_the_binders():
+def test_the_term_write_gate_flags_every_write_but_the_constructors():
     source = (
         "class Poly:\n"
         "    def __init__(self, chart, terms=None):\n"
