@@ -262,7 +262,7 @@ def pulled_entries(f: ChartMap, entry: Entry) -> Entry:
         key = (a, b)
         if key not in cache:
             got = entry(a, b)
-            cache[key] = None if got is None else tuple(f.pull(p) for p in got)
+            cache[key] = None if got is None else f.pull_vec(got)
         return cache[key]
 
     return pulled
@@ -811,13 +811,18 @@ def anchor_failures(
 
 
 def bracket_failures(
-    src: AnchoredModule, dst: AnchoredModule, matrix: Sequence[Vec]
+    src: AnchoredModule,
+    dst: AnchoredModule,
+    matrix: Sequence[Vec],
+    supports: Sequence[Support] | None = None,
 ) -> Iterator[str]:
     """Generator pairs of src whose table bracket, mapped through matrix, is
     not the dst bracket of their images.
 
-    The dst brackets of the rows are dst.bracket_entries(matrix), walked
-    in row order as the pairs are checked (every_pair), so a check that
+    The dst brackets of the rows are dst.bracket_entries(matrix, supports),
+    supports being those of the rows, passed by a caller that holds them
+    (None takes them there). They are walked in row order as the pairs are
+    checked (every_pair), so a check that
     stops at its first counterexample brackets at most one pair past it; a
     pair with no table entry maps to zero and holds without a bracket when
     Lemma L14 rules out the bracket of its images. The rank and chart
@@ -827,7 +832,7 @@ def bracket_failures(
     lie_algebroid.check_compose_associative)."""
     table = src.table_masks
     zero = dst.zero_section()
-    for a, b, got in every_pair(dst.bracket_entries(matrix), src.rank):
+    for a, b, got in every_pair(dst.bracket_entries(matrix, supports), src.rank):
         if got is None:
             if not table[a] >> b & 1:
                 continue
@@ -950,7 +955,7 @@ class Embedding:
     def __init__(self, f: ChartMap, anchor: Sequence[Vec]):
         self.kept, self.zeroed = embedding_layout(f)
         self.chart = f.source
-        self.pulled_anchor = [[f.pull(p) for p in row] for row in anchor]
+        self.pulled_anchor = [f.pull_vec(row) for row in anchor]
         # Every source coordinate is kept exactly once, so the tangent reads
         # the pulled anchor on the kept slots in source-coordinate order.
         order = sorted(self.kept, key=self.kept.get)
@@ -1026,7 +1031,7 @@ class Submersion:
             self.vertical = []
         rank = len(anchor)
         self.basis = [
-            (self.lift(tuple(f.pull(p) for p in row)), unit_vec(chart, rank, a))
+            (self.lift(f.pull_vec(row)), unit_vec(chart, rank, a))
             for a, row in enumerate(anchor)
         ] + [
             (unit_vec(chart, chart.dim, v), zero_vec(chart, rank))
@@ -1078,7 +1083,7 @@ class Split:
             raise UnsupportedModeError("the kernel frame has no polynomial left inverse")
         self.map, self.frame = f, frame
         # L as apply_matrix reads it: row a is column a of L.
-        self.left = [tuple(f.pull(row[a]) for row in left) for a in range(rank)]
+        self.left = [f.pull_vec([row[a] for row in left]) for a in range(rank)]
         self.chart = f.source
         self.rank = rank
         self.lifts = split_lifts(f, columns, rank, jac)
@@ -1088,7 +1093,7 @@ class Split:
         chart, dim = self.chart, self.chart.dim
         zero = zero_vec(chart, dim)
         return [(unit_vec(chart, dim, i), lift) for i, lift in enumerate(self.lifts)] + [
-            (zero, tuple(map(self.map.pull, row))) for row in self.frame
+            (zero, self.map.pull_vec(row)) for row in self.frame
         ]
 
     def kernel_coords(self, tangent: Vec, section: Vec) -> Vec:
@@ -1110,7 +1115,7 @@ def split_lifts(
     field d_i through a splitting s of the anchor, given by one column per
     target coordinate; jac is the Jacobian of f. Split lifts through it, and
     so does the pulled Courant connection."""
-    pulled = [[f.pull(p) for p in col] for col in columns]
+    pulled = [f.pull_vec(col) for col in columns]
     n = f.target.dim
     return [
         apply_matrix(pulled, tuple(jac[k][i] for k in range(n)), rank, f.source)
@@ -1291,7 +1296,7 @@ def pulled_morphism(pb_a, pb_b, matrix: Sequence[Vec]) -> list[Vec]:
     and reduce raises."""
     if pb_a.map.comps != pb_b.map.comps or pb_a.chart != pb_b.chart:
         raise ValidationError("presentations must be along the same map")
-    rows = [pb_b.on_section(tuple(map(pb_a.map.pull, row))) for row in matrix]
+    rows = [pb_b.on_section(pb_a.map.pull_vec(row)) for row in matrix]
     return [pb_b.push(b, rows) for b in pb_a.basis]
 
 

@@ -574,11 +574,12 @@ def check_courant_morphism(
     handled by the section bracket).
 
     The matrix needs one row per source generator, each a section of dst
-    (ValidationError, ChartMismatchError). The pairings of the rows are
-    dst.pairing_entries(matrix, matrix), walked in row order as the pairs
-    are checked (every_pair, like the brackets of bracket_failures): a pair
-    whose image rows are not paired (Lemma L14, algebroids.anchored) pairs
-    to zero without a pairing."""
+    (ValidationError, ChartMismatchError). The supports of the rows are
+    taken once and passed to the pairings and the brackets. The pairings of
+    the rows are dst.pairing_entries(matrix, matrix), walked in row order
+    as the pairs are checked (every_pair, like the brackets of
+    bracket_failures): a pair whose image rows are not paired (Lemma L14,
+    algebroids.anchored) pairs to zero without a pairing."""
     rep = Report()
     if src.chart != dst.chart:
         raise ChartMismatchError("morphism checks need a common chart")
@@ -589,6 +590,7 @@ def check_courant_morphism(
         )
     dst.require_rank(*matrix)
     require_chart(chart, *matrix)
+    supports = [support(row) for row in matrix]
 
     def coanchor():
         for j in range(chart.dim):
@@ -598,14 +600,15 @@ def check_courant_morphism(
 
     def pairing():
         zero = Poly.zero(chart)
-        for a, b, got in every_pair(dst.pairing_entries(matrix, matrix), src.rank):
+        pairs = dst.pairing_entries(matrix, matrix, (supports, supports))
+        for a, b, got in every_pair(pairs, src.rank):
             if (zero if got is None else got) != src.pairing[a][b]:
                 yield f"generators ({a},{b})"
 
     rep.check("morphism_anchor", anchor_failures(src, dst, matrix))
     rep.check("morphism_coanchor", coanchor())
     rep.check("morphism_pairing", pairing())
-    rep.check("morphism_bracket", bracket_failures(src, dst, matrix))
+    rep.check("morphism_bracket", bracket_failures(src, dst, matrix, supports))
     return rep
 
 

@@ -49,7 +49,7 @@ Matrix = tuple[Vec, ...]
 
 
 def pullback_matrix(f: ChartMap, matrix: Matrix) -> Matrix:
-    return tuple(tuple(f.pull(p) for p in row) for row in matrix)
+    return tuple(map(f.pull_vec, matrix))
 
 
 def two_form_transform(q: CourantData, b: KForm) -> Matrix:

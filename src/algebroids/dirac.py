@@ -96,19 +96,16 @@ class DiracData:
         """Set the support coordinates to zero: p on the locus."""
         return self.inclusion.pull(p)
 
-    def unrestrict(self, p: Poly) -> Poly:
-        """Canonical lift: a locus polynomial read on the full chart."""
-        return self._retraction.pull(p)
-
     def lift_generator(self, idx: int) -> Vec:
-        return tuple(self.unrestrict(p) for p in self.generators[idx])
+        """Canonical lift of generator idx: its locus polynomials read on
+        the full chart."""
+        return self._retraction.pull_vec(self.generators[idx])
 
-    def restricted_pairing(self) -> list[list[Poly]]:
-        q = self.courant
-        g = [[self.restrict(q.pairing[a][b]) for b in range(q.rank)] for a in range(q.rank)]
-        return g
+    def restricted_pairing(self) -> list[Vec]:
+        """The pairing matrix on the locus, one restricted row per row."""
+        return list(map(self.inclusion.pull_vec, self.courant.pairing))
 
-    def pair_restricted(self, u: Vec, v: Vec, g: list[list[Poly]]) -> Poly:
+    def pair_restricted(self, u: Vec, v: Vec, g: list[Vec]) -> Poly:
         """<u, v> on the locus, g being restricted_pairing()."""
         return linalg.bilinear(u, g, v, self.inclusion.source)
 
@@ -161,7 +158,9 @@ def check_dirac(d: DiracData, maximality: str = "full") -> Report:
     def anchor_tangency():
         support_idx = [q.chart.index(name) for name in d.support]
         # The j-th anchor component of every generator of the module.
-        columns = {j: [d.restrict(row[j]) for row in q.anchor] for j in support_idx}
+        columns = {
+            j: d.inclusion.pull_vec([row[j] for row in q.anchor]) for j in support_idx
+        }
         for i, j in product(range(m), support_idx):
             acc = linalg.dot(d.generators[i], columns[j], sub)
             if not acc.is_zero:
@@ -174,7 +173,7 @@ def check_dirac(d: DiracData, maximality: str = "full") -> Report:
         brackets = q.bracket_table([d.lift_generator(i) for i in range(m)])
         zero = linalg.zero_vec(sub, q.rank)
         defects = {
-            key: tuple(map(d.restrict, brackets[key])) if key in brackets else zero
+            key: d.inclusion.pull_vec(brackets[key]) if key in brackets else zero
             for key in product(range(m), repeat=2)
         }
         if maximality == "full":

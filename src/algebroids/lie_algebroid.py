@@ -289,7 +289,7 @@ class LiePullback(Presentation):
     def pull_element(self, pair: tuple[Vec, Vec]) -> tuple[Vec, Vec]:
         """(0, map* section): a pair on the target chart of map pulled along it."""
         chart = self.chart
-        return linalg.zero_vec(chart, chart.dim), tuple(map(self.map.pull, pair[1]))
+        return linalg.zero_vec(chart, chart.dim), self.map.pull_vec(pair[1])
 
 
 def pullback_lie(f: ChartMap, a: LieData, splitting: Sequence[Vec]) -> LiePullback:

@@ -163,10 +163,11 @@ def pairing_differential(
     pairing: Sequence[Vec], u: Vec, v: Vec, chart: Chart
 ) -> Vec:
     """The one-form sum_a (sum_b g_ab v_b) du_a, one coefficient per
-    coordinate; g is the pairing matrix. Constant u_a contribute nothing."""
+    coordinate; g is the pairing matrix. Constant u_a contribute nothing;
+    a zero one is skipped on its is_zero slot, with no call."""
     out = list(zero_vec(chart, chart.dim))
     for a, coeff in enumerate(u):
-        if coeff.as_constant() is not None:
+        if coeff.is_zero or coeff.as_constant() is not None:
             continue
         weight = dot(pairing[a], v, chart)
         if weight.is_zero:

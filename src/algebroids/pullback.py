@@ -162,8 +162,8 @@ class CourantPullback(Presentation):
     ):
         chart = f.source
         self.source = q
-        self.pulled_coanchor = [[f.pull(p) for p in row] for row in q.coanchor]
-        self.pulled_pairing = [[f.pull(p) for p in row] for row in q.pairing]
+        self.pulled_coanchor = [f.pull_vec(row) for row in q.coanchor]
+        self.pulled_pairing = [f.pull_vec(row) for row in q.pairing]
         self.pairing_masks = tuple(map(mask, self.pulled_pairing))
         self.pulled_structure = pulled_entries(f, q._entry)
         self.jacobian = f.jacobian()
@@ -218,9 +218,9 @@ class CourantPullback(Presentation):
         """(map* beta . J, map* u, 0): a triple on the target chart of map
         pulled along it, its one-form through the Jacobian J."""
         beta, u, _ = t
-        chart, pull = self.chart, self.map.pull
-        form = apply_matrix(self.jacobian, tuple(map(pull, beta)), chart.dim, chart)
-        return form, tuple(map(pull, u)), zero_vec(chart, chart.dim)
+        chart, pull_vec = self.chart, self.map.pull_vec
+        form = apply_matrix(self.jacobian, pull_vec(beta), chart.dim, chart)
+        return form, pull_vec(u), zero_vec(chart, chart.dim)
 
     def relation(self, k: int) -> Triple:
         """(d f_k, -pulled coanchor row k, 0)."""
@@ -669,9 +669,11 @@ def dirac_pushdown(d: DiracData) -> DiracData:
     q = d.courant
     pb = pullback_courant(d.inclusion, q, "coordinate-embedding")
     emb = pb.embedding
-    g = d.restricted_pairing()
+    # pb is presented along d.inclusion, so its pulled pairing is the
+    # restricted pairing and its pulled coanchor rows the conormals.
+    g = pb.pulled_pairing
     for k in emb.zeroed:
-        conormal = tuple(d.restrict(p) for p in q.coanchor[k])
+        conormal = pb.pulled_coanchor[k]
         for l, gen in enumerate(d.generators):
             got = d.pair_restricted(conormal, gen, g)
             if not got.is_zero:
@@ -733,7 +735,8 @@ def morphism_graph(
         prod,
         tuple(Poly.coord(prod, j) for j in range(m))
         + tuple(
-            Poly.coord(prod, m + k) + pr_y.pull(f.comps[k]) for k in range(n)
+            Poly.coord(prod, m + k) + comp
+            for k, comp in enumerate(pr_y.pull_vec(f.comps))
         ),
     )
     pb_m = pullback_courant(shear, comb.result)
@@ -742,5 +745,5 @@ def morphism_graph(
 
     locus = support_inclusion(prod, w_names)
     rows = (*lifts.columns[:m], *sheared.coanchor[m:])
-    gens = tuple(tuple(map(locus.pull, row)) for row in rows)
+    gens = tuple(map(locus.pull_vec, rows))
     return DiracData(sheared, gens, w_names)

@@ -7,7 +7,8 @@ and every identity checked downstream stays exact, never approximate. The
 objects are deliberately small and closed:
 
 * `Chart` — a named list of coordinate labels (dimension may be zero),
-  holding one zero and one unit polynomial.
+  holding one zero and one unit polynomial and the exponent tuple of its
+  constant term (`origin`).
 * `Poly` — polynomial in the chart coordinates, stored as a dict mapping
   exponent tuples to nonzero coefficients, with an `is_zero` flag bound
   with it. No Poly is changed after it is built, so every zero on a chart
@@ -21,7 +22,9 @@ objects are deliberately small and closed:
   inclusion, projection, relabelling or their mixtures; `ChartMap.slots`)
   pulls a polynomial back by moving its exponents (along the identity it
   returns the polynomial itself); any other map substitutes its
-  components.
+  components. `ChartMap.pull_vec` pulls a whole vector: it checks every
+  entry's chart, and pulls only the nonzero entries of a vector off the
+  identity, so a vector of zeros costs no pull.
 
 A fixed total-degree cap, `MAX_DEGREE` = 16, aborts runaway products early
 with `DegreeOverflowError`.
@@ -78,7 +81,8 @@ class Chart:
     that a printed field (``d/dx1``) or form (``dx1^dx2``) never reads as
     a coordinate.
 
-    Each chart also holds its dimension ``dim``, its one zero polynomial
+    Each chart also holds its dimension ``dim``, the exponent tuple
+    ``origin`` = (0,) * dim of a constant term, its one zero polynomial
     ``zero`` and its one unit polynomial ``one``, built with the chart.
     They are not dataclass fields, so equality, hashing and the printed
     form read the name and coordinates only.
@@ -101,8 +105,10 @@ class Chart:
                 raise ValidationError(f"duplicate coordinate name {c!r}")
             seen.add(c)
         dim = len(self.coords)
+        origin = (0,) * dim
         object.__setattr__(self, "dim", dim)
-        zero, one = Poly(self), Poly(self, {(0,) * dim: 1})
+        object.__setattr__(self, "origin", origin)
+        zero, one = Poly(self), Poly(self, {origin: 1})
         zero._degree, one._degree = -1, 0
         object.__setattr__(self, "zero", zero)
         object.__setattr__(self, "one", one)
@@ -293,7 +299,7 @@ class Poly:
             return chart.zero
         if c == 1:
             return chart.one
-        return cls._raw(chart, {(0,) * chart.dim: c}, 0)
+        return cls._raw(chart, {chart.origin: c}, 0)
 
     @classmethod
     def one(cls, chart: Chart) -> "Poly":
@@ -329,17 +335,16 @@ class Poly:
         return d
 
     def constant_term(self) -> int | Fraction:
-        return self.terms.get((0,) * self.chart.dim, 0)
+        return self.terms.get(self.chart.origin, 0)
 
     def as_constant(self) -> int | Fraction | None:
-        """The value if this polynomial is constant, else None."""
-        if not self.terms:
-            return 0
-        if len(self.terms) == 1:
-            exps, c = next(iter(self.terms.items()))
-            if not any(exps):
-                return c
-        return None
+        """The value if this polynomial is constant, else None: 0 for the
+        zero polynomial, and for one term the coefficient stored at the
+        chart's origin, which is None when that term is not constant."""
+        terms = self.terms
+        if len(terms) == 1:
+            return terms.get(self.chart.origin)
+        return None if terms else 0
 
     # -- arithmetic -------------------------------------------------------
 
@@ -390,14 +395,17 @@ class Poly:
             _require_same_chart(self, other)
         if self.is_zero or other.is_zero:
             return self.chart.zero
-        one = self.chart.one
-        da = 0 if self is one else self.degree()
-        db = 0 if other is one else other.degree()
+        da, db = self._degree, other._degree
+        if da is None:
+            da = self.degree()
+        if db is None:
+            db = other.degree()
         if da + db > MAX_DEGREE:
             raise DegreeOverflowError(
                 f"product degree {da + db} exceeds cap {MAX_DEGREE}"
             )
         # A side that is the chart's unit leaves the other side itself.
+        one = self.chart.one
         if other is one:
             return self
         if self is one:
@@ -462,7 +470,8 @@ class Poly:
         """Substitute values[i] for the i-th coordinate.
 
         All values must share one chart; the result lives on that chart.
-        Useful mainly through ChartMap.pull.
+        Each power values[i] ** e is computed once per call, however many
+        terms read it. Useful mainly through ChartMap.pull.
         """
         if len(values) != self.chart.dim:
             raise ValidationError("substitution needs one value per coordinate")
@@ -473,11 +482,15 @@ class Poly:
             if v.chart != target:
                 raise ChartMismatchError("substitution values on mixed charts")
         result = Poly.zero(target)
+        powers: dict[tuple[int, int], Poly] = {}
         for exps, coeff in self.terms.items():
             term = Poly.const(target, coeff)
             for i, e in enumerate(exps):
                 if e:
-                    term = term * values[i] ** e
+                    power = powers.get((i, e))
+                    if power is None:
+                        power = powers[i, e] = values[i] ** e
+                    term = term * power
             result = result + term
         return result
 
@@ -563,26 +576,34 @@ class VField:
         return all(c.is_zero for c in self.comps)
 
     def apply(self, f: Poly) -> Poly:
-        """Derivation action on a function: sum_i comps[i] * df/dx_i."""
+        """Derivation action on a function: sum_i comps[i] * df/dx_i, a
+        term made only when comps[i] and df/dx_i are both nonzero, and the
+        first term taken as it is."""
         _require_same_chart(self, f)
         if f.as_constant() is not None:
             return Poly.zero(self.chart)
         out = Poly.zero(self.chart)
         for i, c in enumerate(self.comps):
             if not c.is_zero:
-                out = out + c * f.diff(i)
+                df = f.diff(i)
+                if not df.is_zero:
+                    term = c * df
+                    out = term if out.is_zero else out + term
         return out
 
     def bracket(self, other: "VField") -> "VField":
-        """Lie bracket of vector fields, [X, Y] = X(Y_j) - Y(X_j) per slot."""
+        """Lie bracket of vector fields, [X, Y] = X(Y_j) - Y(X_j) per slot.
+        A field kills a constant, so each field is applied only to the
+        other's non-constant components, and a zero side of a slot is
+        answered without a subtraction."""
         _require_same_chart(self, other)
-        return VField(
-            self.chart,
-            tuple(
-                self.apply(other.comps[j]) - other.apply(self.comps[j])
-                for j in range(self.chart.dim)
-            ),
-        )
+        zero = self.chart.zero
+        comps = []
+        for x, y in zip(self.comps, other.comps):
+            xy = zero if y.as_constant() is not None else self.apply(y)
+            yx = zero if x.as_constant() is not None else other.apply(x)
+            comps.append(xy if yx.is_zero else -yx if xy.is_zero else xy - yx)
+        return VField(self.chart, comps)
 
     def scale(self, f) -> "VField":
         if isinstance(f, (int, Fraction)):
@@ -941,17 +962,19 @@ class ChartMap:
         """self after inner: (self . inner)(z) = self(inner(z))."""
         if inner.target != self.source:
             raise ChartMismatchError("chart maps do not compose")
-        return ChartMap(inner.source, self.target, tuple(map(inner.pull, self.comps)))
+        return ChartMap(inner.source, self.target, inner.pull_vec(self.comps))
 
     def pull(self, f: Poly) -> Poly:
         """Pull a function on the target back to the source. Along the
         identity that is f itself, and so is a constant (zero included)
         along any endomorphism; a zero along another map is the source
-        chart's zero."""
+        chart's zero. A zero is answered before the constant test."""
         if f.chart is not self.target and f.chart != self.target:
             raise ChartMismatchError("pulling a function from the wrong chart")
         if self.is_identity:
             return f
+        if f.is_zero:
+            return f if self.source is self.target else self.source.zero
         c = f.as_constant()
         if c is not None and self.source is self.target:
             return f
@@ -961,6 +984,25 @@ class ChartMap:
         if c is not None:
             return Poly.const(self.source, c)
         return f.subs(list(self.comps))
+
+    def pull_vec(self, vec: Sequence[Poly]) -> tuple[Poly, ...]:
+        """The entries of vec pulled back to the source, as a tuple: each
+        is what pull returns for it. Every entry's chart is checked, zeros
+        included, as pull checks it. Along the identity that is vec itself
+        as a tuple, and off it only the nonzero entries go through pull: a
+        zero entry is itself along an endomorphism and the source chart's
+        zero otherwise."""
+        target = self.target
+        for f in vec:
+            if f.chart is not target and f.chart != target:
+                raise ChartMismatchError("pulling a function from the wrong chart")
+        if self.is_identity:
+            return tuple(vec)
+        pull = self.pull
+        if self.source is target:
+            return tuple(f if f.is_zero else pull(f) for f in vec)
+        zero = self.source.zero
+        return tuple(zero if f.is_zero else pull(f) for f in vec)
 
     @cached_property
     def _jacobian(self) -> tuple[tuple[Poly, ...], ...]:

@@ -16,6 +16,8 @@ unpruned_generator_cases and unpruned_first_labels are the generator terms
 and first labels of check_courant with no term skipped on its supports,
 masks or constant entries; and unpruned_twist is courant.twist with the
 twist term computed on every generator pair, zero anchors included.
+scanned_constant is Poly.as_constant as it read the term dictionary before
+a chart held the exponent tuple of its constant term.
 
 Lemma L14 one pair at a time, the references the admitted masks of a whole
 table are tested against: pair_bracket_vanishes on two (tangent, section)
@@ -59,6 +61,19 @@ from algebroids.transgression import TauElement, TauModule
 # ---------------------------------------------------------------------------
 # Fixtures
 # ---------------------------------------------------------------------------
+
+
+def scanned_constant(p: Poly) -> int | Fraction | None:
+    """The value of p if it is constant, else None, read by scanning its
+    terms: 0 for none, and the coefficient of a single term whose
+    exponents are all zero."""
+    if not p.terms:
+        return 0
+    if len(p.terms) == 1:
+        exps, c = next(iter(p.terms.items()))
+        if not any(exps):
+            return c
+    return None
 
 
 def opposite(q: CourantData) -> CourantData:

@@ -719,6 +719,26 @@ def test_morphism_check_computes_each_anchor_at_most_once(monkeypatch, q, matrix
     assert len(calls) == count
 
 
+def test_morphism_check_takes_the_row_supports_once(monkeypatch):
+    """Op-count gate on the support calls of one check_courant_morphism of
+    standard R3 with the identity matrix: the supports of the six rows are
+    taken once and passed to both the pairing and the bracket check, 6
+    calls where each check taking its own made 12."""
+    q = standard_exact(R3)
+    calls = []
+    support_of = anchored_module.support
+
+    def counted_support(vec):
+        calls.append(1)
+        return support_of(vec)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("algebroids.") and getattr(module, "support", None) is support_of:
+            monkeypatch.setattr(module, "support", counted_support)
+    assert check_courant_morphism(q, q, [q.gen(a) for a in range(q.rank)]).ok
+    assert len(calls) == 6
+
+
 def test_a_refuted_morphism_stops_at_its_first_counterexample(monkeypatch):
     """Op-count gate on one check_courant_morphism of standard R3 with
     every generator scaled by 1 + x1, which refutes all four checks: the

@@ -53,6 +53,13 @@ entries they are built from: outside anchored, the admission steps
 pairing_entries and by a listed set of sites that keep their
 own masks, so a new hand-built table loop fails the gate.
 
+A vector is pulled along a chart map by ChartMap.pull_vec, which checks
+every entry's chart and pulls only the nonzero ones: outside ChartMap no
+code pulls entry by entry, with a .pull inside a comprehension or
+generator expression or a .pull (or a name pull) mapped over a vector. A
+single polynomial is still pulled by pull (DiracData.restrict,
+ChartMap.pullback_form).
+
 Structure data is frozen once validated: a dataclass of the package with a
 functools.cached_property, its own or one inherited from a base class, is
 declared frozen=True. A value cached on a mutable instance goes stale when
@@ -843,6 +850,69 @@ def test_tables_of_sections_go_through_the_table_operations():
         if path.name != "anchored.py"
     }
     assert {name: found for name, found in calls.items() if found} == {}
+
+
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def entrywise_pulls(source: str) -> list[str]:
+    """"definition:line" for each vector pulled entry by entry outside the
+    class ChartMap: an attribute named pull inside a comprehension or
+    generator expression, or a call of map on an attribute or a name pull.
+    A definition is named by the dotted path of the classes and functions
+    enclosing the pull."""
+    out = []
+
+    def pulls(node: ast.AST) -> bool:
+        return getattr(node, "attr", getattr(node, "id", None)) == "pull"
+
+    def visit(node: ast.AST, path: tuple[str, ...], inside: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if path[:1] != ("ChartMap",):
+                owner = ".".join(path) or "<module>"
+                if inside and isinstance(child, ast.Attribute) and child.attr == "pull":
+                    out.append(f"{owner}:{child.lineno}")
+                elif isinstance(child, ast.Call) and last_name(child) == "map":
+                    if child.args and pulls(child.args[0]):
+                        out.append(f"{owner}:{child.lineno}")
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(
+                child,
+                path + (child.name,) if named else path,
+                inside or isinstance(child, COMPREHENSIONS),
+            )
+
+    visit(ast.parse(source), (), False)
+    return out
+
+
+def test_the_pull_gate_flags_an_entrywise_pull_and_keeps_a_single_one():
+    source = (
+        "class ChartMap:\n"
+        "    def pull_vec(self, vec):\n"
+        "        return tuple(self.pull(f) for f in vec)\n"
+        "def restrict(d, p):\n"
+        "    return d.inclusion.pull(p), d.inclusion.pull_vec([p, p])\n"
+        "def rows(f, m):\n"
+        "    return [[f.pull(p) for p in row] for row in m]\n"
+        "class Split:\n"
+        "    def basis(self):\n"
+        "        pull = self.map.pull\n"
+        "        return map(self.map.pull, self.frame), list(map(pull, self.frame))\n"
+        "    def left(self, f):\n"
+        "        return {k: f.pull(v) for k, v in self.d.items()}, map(f.pull_vec, self.m)\n"
+    )
+    assert entrywise_pulls(source) == ["rows:7", "Split.basis:11", "Split.basis:11", "Split.left:13"]
+
+
+def test_vectors_are_pulled_whole():
+    """Every vector-wide pull goes through ChartMap.pull_vec, so a zero
+    entry costs no pull and every entry's chart is checked."""
+    found = {
+        path.name: entrywise_pulls(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 CODE_NAME = re.compile(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\(.*\))?")

@@ -989,6 +989,29 @@ def test_one_pullback_verb_run_builds_few_polys(monkeypatch, tmp_path):
     assert len(built) == 65
 
 
+def test_one_pullback_verb_run_pulls_only_nonzero_entries(monkeypatch, tmp_path):
+    """Op-count gate on the ChartMap.pull calls of one in-process run of the
+    pullback verb on its battery spec (the twisted R3 along the shear). The
+    coanchor, the pairing and the table entries are pulled a vector at a
+    time by ChartMap.pull_vec, which checks every entry's chart and answers
+    a zero entry without a pull, and almost every entry is zero: the run
+    makes 18 pulls, where pulling entry by entry made 108."""
+    spec_path = tmp_path / "pullback.json"
+    spec_path.write_text(jsonio.dump_json(_battery_jobs()["pullback"]), encoding="utf-8")
+    argv = ["pullback", "--spec", str(spec_path), "--out", str(tmp_path / "out.json")]
+    calls = []
+    pull = ChartMap.pull
+
+    def counted(self, f):
+        calls.append(1)
+        return pull(self, f)
+
+    monkeypatch.setattr(ChartMap, "pull", counted)
+    assert main(argv + ["--seed", "7", "--samples", "10"]) == 0
+    monkeypatch.undo()
+    assert len(calls) == 18
+
+
 def test_a_map_builds_its_jacobian_once(monkeypatch):
     """One Jacobian per map: ChartMap.jacobian builds a matrix of tuples on
     first use and keeps it, and classify_map, CourantPullback and

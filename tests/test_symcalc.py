@@ -39,7 +39,7 @@ from algebroids.symcalc import (
     vfield_str,
 )
 
-from oracles import scalar_multiple
+from oracles import scalar_multiple, scanned_constant
 from test_acceptance import _battery_jobs
 
 R1 = Chart("R1", ("t",))
@@ -494,6 +494,129 @@ def test_pull_is_substitution(f, data):
     assert got.degree() == max(map(sum, got.terms), default=-1)
     if p.as_constant() is not None and f.source is f.target:
         assert got is p
+
+
+def constants(chart):
+    return st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)).map(
+        lambda c: Poly.const(chart, c)
+    )
+
+
+def twin(chart):
+    """An equal chart that holds constants of its own."""
+    return Chart(chart.name, chart.coords)
+
+
+def entries(chart):
+    """Vector entries on chart: polynomials, constants, its zero, and the
+    zero of an equal chart."""
+    return (
+        rational_polys(chart, max_degree=3)
+        | constants(chart)
+        | st.just(chart.zero)
+        | st.just(twin(chart).zero)
+    )
+
+
+PULL_MAPS = (
+    st.just(ChartMap.identity(R3))
+    | triangular_maps()
+    | st.just(PROJECTION_32)
+    | st.just(support_inclusion(R2, ("x2",)))
+)
+
+
+@given(PULL_MAPS, st.data())
+@settings(max_examples=100)
+def test_pull_vec_is_the_entrywise_pull(f, data):
+    """pull_vec is pull on each entry, in value and in which entries are
+    the very object pull returns: the entry itself, or the source chart's
+    zero or unit."""
+    vec = data.draw(st.lists(entries(f.target), max_size=6))
+    got = f.pull_vec(vec)
+    want = tuple(map(f.pull, vec))
+    assert type(got) is tuple and got == want
+    for p, g, w in zip(vec, got, want):
+        for shared in (p, f.source.zero, f.source.one):
+            assert (g is shared) == (w is shared)
+
+
+@given(PULL_MAPS, st.data())
+@settings(max_examples=50)
+def test_pull_vec_refuses_a_zero_entry_on_another_chart(f, data):
+    vec = data.draw(st.lists(entries(f.target), max_size=4))
+    where = data.draw(st.integers(0, len(vec)))
+    vec.insert(where, Poly.zero(R1))
+    with pytest.raises(ChartMismatchError):
+        f.pull_vec(vec)
+
+
+@given(st.data())
+@settings(max_examples=100)
+def test_as_constant_reads_the_charts_origin(data):
+    chart = data.draw(st.sampled_from([Chart("R0", ()), R1, R2, R3]))
+    p = data.draw(rational_polys(chart) | constants(chart) | st.just(chart.zero))
+    got, want = p.as_constant(), scanned_constant(p)
+    assert got == want and type(got) is type(want)
+    assert chart.origin == (0,) * chart.dim and p.constant_term() == p.terms.get(chart.origin, 0)
+
+
+@given(st.data())
+@settings(max_examples=50)
+def test_vf_bracket_is_the_per_slot_formula(data):
+    """[X, Y]_j = X(Y_j) - Y(X_j), each action summed over every slot with
+    no term skipped, on fields with constant and zero components."""
+    chart = data.draw(st.sampled_from([R1, R2, R3]))
+    comps = polys(chart) | constants(chart) | st.just(chart.zero)
+    x, y = (VField(chart, data.draw(st.lists(comps, min_size=chart.dim, max_size=chart.dim))) for _ in "xy")
+
+    def act(v, f):
+        return sum((v.comps[i] * f.diff(i) for i in range(chart.dim)), chart.zero)
+
+    want = tuple(act(x, b) - act(y, a) for a, b in zip(x.comps, y.comps))
+    assert x.bracket(y).comps == want
+
+
+def substituted_term_by_term(p, values):
+    out = values[0].chart.zero
+    for exps, c in p.terms.items():
+        term = Poly.const(values[0].chart, c)
+        for v, e in zip(values, exps):
+            term = term * v**e
+        out = out + term
+    return out
+
+
+@given(st.data())
+@settings(max_examples=100)
+def test_subs_is_term_by_term_substitution_when_powers_repeat(data):
+    """Exponents drawn from {0, 2, 3} make terms share a power values[i] **
+    e, which subs computes once."""
+    exps = st.tuples(*[st.sampled_from([0, 2, 3]) for _ in range(R3.dim)])
+    coeffs = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+    p = Poly(R3, data.draw(st.dictionaries(exps, coeffs, max_size=5)))
+    values = [data.draw(rational_polys(R2, max_degree=1)) for _ in range(R3.dim)]
+    assert p.subs(values) == substituted_term_by_term(p, values)
+
+
+def test_subs_computes_each_power_once(monkeypatch):
+    """The four terms read the powers (x1, 2), (x2, 1), (x3, 1) and (x3, 2):
+    four powers, where a power per factor took seven."""
+    a, b = Poly.coord(R2, 0), Poly.coord(R2, 1)
+    values = [a + 1, b, a * b]
+    p = parse_poly("x1^2*x2 + x1^2*x3 + x1^2 + x2*x3^2", R3)
+    calls = []
+    power = Poly.__pow__
+
+    def counted(self, n):
+        calls.append(n)
+        return power(self, n)
+
+    monkeypatch.setattr(Poly, "__pow__", counted)
+    got = p.subs(values)
+    monkeypatch.undo()
+    assert got == substituted_term_by_term(p, values)
+    assert sorted(calls) == [1, 1, 2, 2]
 
 
 def test_a_constant_is_its_own_pull_along_an_endomorphism():
