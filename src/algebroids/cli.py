@@ -275,7 +275,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_normalise_argv(list(argv)))
     try:
         spec = jsonio.load_json(args.spec)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"error: cannot read spec: {exc}", file=sys.stderr)
         return 2
 

@@ -92,10 +92,6 @@ class DiracData:
         chart, sub = self.courant.chart, self.inclusion.source
         return ChartMap(chart, sub, tuple(Poly.coord(chart, c) for c in sub.coords))
 
-    def restrict(self, p: Poly) -> Poly:
-        """Set the support coordinates to zero: p on the locus."""
-        return self.inclusion.pull(p)
-
     def lift_generator(self, idx: int) -> Vec:
         """Canonical lift of generator idx: its locus polynomials read on
         the full chart."""

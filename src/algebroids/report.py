@@ -51,9 +51,6 @@ class Report:
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.passed]
 
-    def check_names(self) -> list[str]:
-        return [c.name for c in self.checks]
-
     def __getitem__(self, name: str) -> CheckResult:
         for c in self.checks:
             if c.name == name:

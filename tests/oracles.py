@@ -17,7 +17,8 @@ and first labels of check_courant with no term skipped on its supports,
 masks or constant entries; and unpruned_twist is courant.twist with the
 twist term computed on every generator pair, zero anchors included.
 scanned_constant is Poly.as_constant as it read the term dictionary before
-a chart held the exponent tuple of its constant term.
+a chart held the exponent tuple of its constant term. check_names lists
+the names of a report's checks in order.
 
 Lemma L14 one pair at a time, the references the admitted masks of a whole
 table are tested against: pair_bracket_vanishes on two (tangent, section)
@@ -55,6 +56,7 @@ from algebroids.errors import ChartMismatchError, ValidationError
 from algebroids.lie_algebroid import LieData
 from algebroids.linalg import Vec, apply_constant, unit_vec, vec_add, vec_is_zero, vec_sub
 from algebroids.pullback import CourantPullback
+from algebroids.report import Report
 from algebroids.symcalc import KForm, Poly, VField
 from algebroids.transgression import TauElement, TauModule
 
@@ -74,6 +76,10 @@ def scanned_constant(p: Poly) -> int | Fraction | None:
         if not any(exps):
             return c
     return None
+
+
+def check_names(rep: Report) -> list[str]:
+    return [c.name for c in rep.checks]
 
 
 def opposite(q: CourantData) -> CourantData:

@@ -62,6 +62,7 @@ from algebroids.transgression import (
 )
 
 from oracles import (
+    check_names,
     connection_shift,
     courant_from_transgression,
     graph_of_two_form,
@@ -134,7 +135,7 @@ def test_axiom_suite_exact_on_standard_family():
         start = time.monotonic()
         rep = check_courant(q)
         assert time.monotonic() - start < 10.0
-        assert rep.check_names() == AXIOM_NAMES
+        assert check_names(rep) == AXIOM_NAMES
         assert rep.ok, str(rep)
     # a twist with nonzero differential must break exactly the last identity
     sloped = standard_exact(R4, KForm(R4, 3, {(0, 1, 2): Poly.coord(R4, 3)}))
@@ -158,7 +159,7 @@ def test_bracket_rules_and_centrality_on_family():
     for q in structure_family():
         rep = check_tau_rules(q, samples=6, seed=3)
         assert rep.ok, str(rep)
-        names = rep.check_names()
+        names = check_names(rep)
         for rule in RULE_NAMES:
             assert rule in names
 
@@ -187,7 +188,7 @@ def test_twist_and_pullback_commute_for_three_pairs():
         start = time.monotonic()
         rep = check_twist_commute(f, flat, VOL, mode, conn)
         assert time.monotonic() - start < 30.0
-        assert rep.check_names() == [
+        assert check_names(rep) == [
             "twist_commute_frame",
             "twist_commute_structure",
         ]
@@ -227,7 +228,7 @@ def test_curvature_normalisation_torsor_law_and_pullback():
     for f in nonlinear:
         pb = pullback_courant(f, q, "exact-split", conn)
         rep = check_curvature_pullback(pb, conn)
-        assert rep.check_names() == ["curvature_pullback_matches"]
+        assert check_names(rep) == ["curvature_pullback_matches"]
         assert rep.ok, str(rep)
 
 
@@ -252,7 +253,7 @@ def test_composition_coherence_on_a_four_step_chain():
     for a, rank in ((tangent, 4), (extended, 5)):
         split = tuple(linalg.unit_vec(R4, rank, j) for j in range(4))
         rep = check_compose_associative(a, (phi, psi, xi), split)
-        assert rep.check_names() == [
+        assert check_names(rep) == [
             "composition_associative",
             "comparison_anchor",
             "comparison_bracket",
@@ -356,7 +357,7 @@ def test_combination_isomorphism_and_linearity():
     ).ok
 
     rep = check_transgression_linear([qa, qb], [1, 1], conns)
-    assert rep.check_names() == [
+    assert check_names(rep) == [
         "tau_pairing_combines",
         "tau_bracket_combines",
         "tau_function_action_matches",
@@ -385,7 +386,7 @@ def test_descent_cocycle_passes_and_names_the_broken_triple():
     q = standard_exact(chart)
     datum = tautological_datum(cover, q)
     rep = check_cocycle(datum)
-    assert rep.check_names() == [
+    assert check_names(rep) == [
         "cover_composition",
         "element_preservation",
         "triple_identity",
@@ -1212,7 +1213,7 @@ def test_failing_report_statuses(monkeypatch):
             with monkeypatch.context() as mp:
                 rep = build(seed, mp)
             statuses.append(
-                (rep.check_names(), [c.name for c in rep.failures()])
+                (check_names(rep), [c.name for c in rep.failures()])
             )
         assert statuses[0] == statuses[1], name
         got[name] = statuses[0]

@@ -3,10 +3,13 @@
 import importlib.util
 import io
 import json
+import subprocess
+import sys
 import tarfile
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "bench_pairs.py"
 spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
 bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
@@ -103,3 +106,36 @@ def test_main_makes_a_missing_workdir(tmp_path, monkeypatch):
     assert (doc["parent"], doc["change"]) == ("P", "C")
     assert doc["summary"]["battery@11"]["all_correct"]
     assert workdir.is_dir() and not any(workdir.iterdir())
+
+
+def mismatches(stored, derived, where: str) -> list[str]:
+    """The dotted paths under where of the values stored that differ from
+    the derived ones; a derived key that is not stored is not compared."""
+    if isinstance(stored, dict):
+        return [bad for k, v in stored.items() for bad in mismatches(v, derived[k], f"{where}.{k}")]
+    return [] if stored == derived else [where]
+
+
+def test_every_stored_summary_re_derives_from_its_pairs():
+    """Each value a BENCH file's summary stores is summarise of the pairs
+    stored beside it, so a quoted median or win count can be traced to the
+    runs. Older files store fewer keys than summarise gives today."""
+    found = {}
+    for path in sorted(ROOT.glob("BENCH_*.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        for key, stored in doc["summary"].items():
+            derived = bench_pairs.summarise(doc["workloads"][key])
+            found[f"{path.name}:{key}"] = mismatches(stored, derived, "summary")
+    assert found
+    assert {name: bad for name, bad in found.items() if bad} == {}
+
+
+def test_the_bench_table_prints_wall_medians_and_wins_per_workload():
+    table = ROOT / "scripts" / "bench_table.py"
+    out = subprocess.run(
+        [sys.executable, str(table), str(ROOT / "BENCH_40.json")],
+        check=True, capture_output=True, text=True,
+    ).stdout.splitlines()
+    assert out[0].split() == ["file", "workload", "parent_s", "change_s", "wins"]
+    assert out[1].split() == ["BENCH_40.json", "constructions@11", "0.2735", "0.2570", "10/10"]
+    assert len(out) == 6

@@ -243,6 +243,20 @@ def test_a_spec_that_is_not_utf8_exits_two(tmp_path, capsys):
     assert "error: cannot read spec" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 100_000, '{"structure": ' + "[" * 50_000 + "]" * 50_000 + "}"],
+    ids=["brackets", "structure"],
+)
+def test_a_spec_nested_past_the_decoder_limit_exits_two(tmp_path, capsys, text):
+    """The JSON decoder gives up on deep nesting with a RecursionError; that
+    is an unreadable spec, not a failed check."""
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["check-courant", "--spec", str(path)]) == 2
+    assert "error: cannot read spec" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("out", ["missing/report.json", "."], ids=["no-dir", "a-dir"])
 def test_an_unwritable_report_path_exits_two(tmp_path, capsys, out):
     spec, _ = PASSING_JOBS["check-courant"]()

@@ -64,6 +64,7 @@ from algebroids.symcalc import (
 
 from oracles import (
     associated_lie_algebroid,
+    check_names,
     combination_unpaired,
     combination_vanishes,
     connection_shift,
@@ -109,7 +110,7 @@ def test_standard_passes_small_dims():
     for chart in (R1, R2, R3):
         rep = check_courant(standard_exact(chart), samples=8, seed=3)
         assert rep.ok, str(rep)
-        assert rep.check_names() == CHECK_NAMES
+        assert check_names(rep) == CHECK_NAMES
 
 
 @pytest.mark.parametrize("m", [standard_exact(R2), tangent_algebroid(R2)], ids=["courant", "lie"])

@@ -34,7 +34,7 @@ from algebroids.symcalc import (
     parse_poly,
 )
 
-from oracles import graph_of_two_form
+from oracles import check_names, graph_of_two_form
 
 R2 = coordinate_chart("P", 2)
 R3 = coordinate_chart("X", 3)
@@ -51,12 +51,12 @@ def test_restrict_unrestrict_round_trip():
     sub = d.inclusion.source
     assert sub.coords == ("x1",)
     p = parse_poly("3*x1*x1 - 2*x1 + 7", R2)
-    down = d.restrict(p)
+    down = d.inclusion.pull(p)
     assert down == parse_poly("3*x1^2 - 2*x1 + 7", sub)
     zeros = (Poly.zero(sub),) * (d.courant.rank - 1)
     assert replace(d, generators=((down, *zeros),)).lift_generator(0)[0] == p
     mixed = parse_poly("x1*x2 + x1", R2)
-    assert d.restrict(mixed) == parse_poly("x1", sub)
+    assert d.inclusion.pull(mixed) == parse_poly("x1", sub)
 
 
 def test_support_inclusion_refuses_an_unknown_or_repeated_name():
@@ -79,7 +79,7 @@ def test_conormal_structure_on_axis():
     d = DiracData(q, gens, ("x2",))
     assert check_dirac(d).ok
     assert check_dirac(d, maximality="rank-only").ok
-    assert check_dirac(d).check_names() == DIRAC_NAMES
+    assert check_names(check_dirac(d)) == DIRAC_NAMES
 
 
 @pytest.mark.parametrize("maximality", ["full", "rank-only"])
@@ -221,7 +221,7 @@ def unpruned_verdicts(d, maximality):
     ]
     lifts = [d.lift_generator(i) for i in range(m)]
     defects = {
-        (i, j): tuple(map(d.restrict, q.bracket(lifts[i], lifts[j])))
+        (i, j): tuple(map(d.inclusion.pull, q.bracket(lifts[i], lifts[j])))
         for i, j in product(range(m), repeat=2)
     }
     if maximality == "full":

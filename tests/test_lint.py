@@ -1,23 +1,23 @@
 """Source hygiene: every name a package or test module imports is used in
-it, every name it defines is named somewhere else, only symcalc and linalg
-touch the term dictionary of a polynomial, and only symcalc and jsonio name
-the polynomial parser.
+it, every definition of the package is in the product's reach, only symcalc
+and linalg touch the term dictionary of a polynomial, and only symcalc and
+jsonio name the polynomial parser.
 
 A module-level name is used when the module's syntax tree loads it; names
 read only inside string annotations do not count. An import line marked
 "# noqa: F401" is exempt (an import kept for its side effect).
 
-A definition (a top-level function or class, or a method whose name is not
-a dunder) is alive when its name appears as a word on some line of the
-Python files under src/, tests/ or perfbench/ other than its own def line.
-
 The product is the CLI and the benchmark jobs: cli.py and perfbench's run,
-worker and workloads modules. A top-level definition of the package is in
-its reach when a chain of references leads to it from those files, tests
-not counted; each reference names its module (an import, an attribute of
-an imported module, or a bare name inside the defining module), so a
-definition does not hide behind another of the same name. The few that
-are not in reach are listed, each with its reason.
+worker and workloads modules. A definition of the package (a top-level
+function or class, or a method whose name is not a dunder) is in its reach
+when a chain of references leads to it from those files, tests not
+counted. A reference to a top-level definition names its module (an
+import, an attribute of an imported module, or a bare name inside the
+defining module), so a definition does not hide behind another of the same
+name. A reached class reaches its dunders and the rest of its body, and a
+method of it is reached when reached code names the method as an
+attribute. The few definitions not in reach are listed, each with its
+reason; an unreached class is listed by itself, not method by method.
 
 The term dictionary (Poly.terms) is the storage format of symcalc, which
 owns it; linalg reads it to match coefficients. Every other module goes
@@ -57,8 +57,7 @@ A vector is pulled along a chart map by ChartMap.pull_vec, which checks
 every entry's chart and pulls only the nonzero ones: outside ChartMap no
 code pulls entry by entry, with a .pull inside a comprehension or
 generator expression or a .pull (or a name pull) mapped over a vector. A
-single polynomial is still pulled by pull (DiracData.restrict,
-ChartMap.pullback_form).
+single polynomial is still pulled by pull (ChartMap.pullback_form).
 
 Structure data is frozen once validated: a dataclass of the package with a
 functools.cached_property, its own or one inherited from a base class, is
@@ -73,6 +72,7 @@ Python files; a span that names a file of the repository is exempt."""
 
 import ast
 import re
+from collections.abc import Iterator
 from pathlib import Path
 
 import pytest
@@ -120,59 +120,6 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def definitions(source: str) -> list[tuple[str, int]]:
-    """(name, def line) of each top-level function and class and of each
-    method whose name is not a dunder, in source order."""
-    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    out = []
-    for node in ast.parse(source).body:
-        if not isinstance(node, kinds):
-            continue
-        out.append((node.name, node.lineno))
-        if isinstance(node, ast.ClassDef):
-            out += [
-                (item.name, item.lineno)
-                for item in node.body
-                if isinstance(item, kinds) and not re.fullmatch(r"__\w+__", item.name)
-            ]
-    return out
-
-
-def dead_definitions(
-    defining: dict[str, str], corpus: dict[str, str]
-) -> list[str]:
-    """path:name of each definition in the defining sources whose name
-    appears on no line of the corpus (path -> source) but its def line."""
-    seen: dict[str, set[tuple[str, int]]] = {}
-    for path, source in corpus.items():
-        for lineno, line in enumerate(source.splitlines(), 1):
-            for word in set(re.findall(r"\w+", line)):
-                seen.setdefault(word, set()).add((path, lineno))
-    return [
-        f"{path}:{name}"
-        for path, source in defining.items()
-        for name, lineno in definitions(source)
-        if not seen.get(name, set()) - {(path, lineno)}
-    ]
-
-
-def test_the_dead_definition_gate_flags_a_name_used_only_where_defined():
-    source = (
-        "def used():\n"
-        "    pass\n"
-        "def unused():\n"
-        "    pass\n"
-        "class Box:\n"
-        "    def __init__(self):\n"
-        "        used()\n"
-        "    def open(self):\n"
-        "        pass\n"
-    )
-    elsewhere = "Box().open()\n"
-    corpus = {"m.py": source, "t.py": elsewhere}
-    assert dead_definitions({"m.py": source}, corpus) == ["m.py:unused"]
-
-
 def python_corpus() -> dict[str, str]:
     """Path -> source of every Python file under src/, tests/ and perfbench/."""
     return {
@@ -182,17 +129,9 @@ def python_corpus() -> dict[str, str]:
     }
 
 
-def test_every_definition_is_named_elsewhere():
-    corpus = python_corpus()
-    defining = {
-        path: source
-        for path, source in corpus.items()
-        if Path(path).parent == SRC.relative_to(ROOT)
-    }
-    assert defining
-    assert dead_definitions(defining, corpus) == []
-
-
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+SCOPES = (ast.ClassDef, *FUNCTIONS)
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 PRODUCT_ROOTS = (
     SRC / "cli.py",
     ROOT / "perfbench" / "run.py",
@@ -200,8 +139,8 @@ PRODUCT_ROOTS = (
     ROOT / "perfbench" / "workloads.py",
 )
 
-# Top-level definitions of the package that no verb and no benchmark job
-# reaches, each with why it stays.
+# Definitions of the package that no verb and no benchmark job reaches,
+# each with why it stays.
 UNREACHED = {
     "sampling.sample_poly": "unused by every verdict; ROADMAP item 1 deletes it",
     "sampling.sample_section": "unused by every verdict; ROADMAP item 1 deletes it",
@@ -267,22 +206,32 @@ def referenced_names(
 def unreached_definitions(
     defining: dict[str, str], roots: list[tuple[str | None, str]]
 ) -> list[str]:
-    """module.name of each top-level definition of the defining sources
-    (module -> source) that no chain of references from the roots reaches,
-    sorted. A root is (its module, None outside the package; its source). A definition is reached when a reached body, or a
-    root, refers to it by its module: through an import of the package, as
-    an attribute of an imported module, or by its bare name inside its own
-    module. A name that a module imports and does not define resolves to
-    its definition. The body of a class holds its methods."""
-    bodies: dict[str, ast.AST] = {}
+    """module.name of each top-level function and class, and
+    module.Class.name of each method whose name is not a dunder, of the
+    defining sources (module -> source) that no chain of references from
+    the roots reaches, sorted. A root is (its module, None outside the
+    package; its source). A top-level definition is reached when a reached
+    body, or a root, refers to it by its module: through an import of the
+    package, as an attribute of an imported module, or by its bare name
+    inside its own module. A name that a module imports and does not define
+    resolves to its definition. A reached class reaches its dunders and the
+    rest of its body, and a method of it when a reached body or a root
+    names the method as an attribute. An unreached class is listed alone,
+    not method by method."""
+    bodies: dict[str, list[ast.AST]] = {}
     imports: dict[str, dict[str, str]] = {}
     for module, source in defining.items():
         tree = ast.parse(source)
         imports[module] = package_imports(tree)
-        tops = set(definitions(source))
         for node in tree.body:
-            if (getattr(node, "name", None), node.lineno) in tops:
-                bodies[f"{module}.{node.name}"] = node
+            if isinstance(node, FUNCTIONS):
+                bodies[f"{module}.{node.name}"] = [node]
+            elif isinstance(node, ast.ClassDef):
+                key = f"{module}.{node.name}"
+                bodies[key] = node.decorator_list + node.bases + node.keywords
+                for item in node.body:
+                    own = not isinstance(item, FUNCTIONS) or re.fullmatch(r"__\w+__", item.name)
+                    bodies.setdefault(key if own else f"{key}.{item.name}", []).append(item)
 
     def resolve(key: str) -> str | None:
         seen = set()
@@ -292,18 +241,29 @@ def unreached_definitions(
             key = imports.get(module, {}).get(name, key)
         return key if key in bodies else None
 
-    frontier = set()
+    reached, frontier, named = set(), set(), set()
+
+    def read(node: ast.AST, imported: dict[str, str], module: str | None) -> None:
+        frontier.update(referenced_names(node, imported, module))
+        named.update(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+
     for module, source in roots:
         tree = ast.parse(source)
-        frontier |= referenced_names(tree, package_imports(tree), module)
-    reached = set()
+        read(tree, package_imports(tree), module)
     while frontier:
         key = resolve(frontier.pop())
         if key is not None and key not in reached:
             reached.add(key)
             module = key.partition(".")[0]
-            frontier |= referenced_names(bodies[key], imports[module], module)
-    return sorted(set(bodies) - reached)
+            for node in bodies[key]:
+                read(node, imports[module], module)
+        if not frontier:  # the named methods of the reached classes
+            frontier = {
+                k for k in set(bodies) - reached
+                if k.rpartition(".")[0] in reached and k.rpartition(".")[2] in named
+            }
+    unreached = set(bodies) - reached
+    return sorted(k for k in unreached if k.rpartition(".")[0] not in unreached)
 
 
 def test_the_reach_gate_flags_an_unreached_name_and_keeps_a_reached_one():
@@ -344,6 +304,35 @@ def test_the_reach_gate_tells_two_definitions_of_one_name_apart():
     sources = {"lib": library, "twin": twin, "relay": relay}
     got = unreached_definitions(sources, [(None, root)])
     assert got == ["twin.behind", "twin.helper"]
+
+
+def test_the_reach_gate_follows_methods_named_as_attributes():
+    """A reached class reaches its dunders, and a method that a reached
+    body names as an attribute; a method named only inside an unreached
+    method stays unreached, and an unreached class is listed once."""
+    library = (
+        "def helper():\n"
+        "    pass\n"
+        "class Box:\n"
+        "    def __init__(self):\n"
+        "        helper()\n"
+        "    def open(self):\n"
+        "        return self.shut()\n"
+        "    def shut(self):\n"
+        "        pass\n"
+        "    def unused(self):\n"
+        "        return self.hidden()\n"
+        "    def hidden(self):\n"
+        "        pass\n"
+        "class Safe:\n"
+        "    def lock(self):\n"
+        "        pass\n"
+        "def orphan():\n"
+        "    return Safe().lock()\n"
+    )
+    root = "from algebroids.lib import Box\nBox().open()\n"
+    got = unreached_definitions({"lib": library}, [(None, root)])
+    assert got == ["lib.Box.hidden", "lib.Box.unused", "lib.Safe", "lib.orphan"]
 
 
 def test_only_the_listed_definitions_are_out_of_the_products_reach():
@@ -395,6 +384,42 @@ BOUND_SLOTS = {"terms", "is_zero"}
 DICT_WRITES = {"update", "pop", "popitem", "clear", "setdefault", "__setitem__", "__delitem__"}
 
 
+def owned(tree: ast.AST) -> Iterator[tuple[tuple[ast.AST, ...], ast.AST, bool]]:
+    """(enclosing, node, inside) for each node under tree, in source order:
+    the class and function nodes enclosing the node, outermost first, and
+    whether it lies inside a comprehension or generator expression. A class
+    or function encloses its decorators, arguments and body, not itself."""
+
+    def walk(node: ast.AST, enclosing: tuple[ast.AST, ...], inside: bool):
+        for child in ast.iter_child_nodes(node):
+            yield enclosing, child, inside
+            yield from walk(
+                child,
+                enclosing + (child,) if isinstance(child, SCOPES) else enclosing,
+                inside or isinstance(child, COMPREHENSIONS),
+            )
+
+    return walk(tree, (), False)
+
+
+def owner(enclosing: tuple[ast.AST, ...]) -> str:
+    """The dotted path of the enclosing classes and functions, "<module>"
+    at top level."""
+    return ".".join(node.name for node in enclosing) or "<module>"
+
+
+def slot_write(node: ast.AST, slots: set[str]) -> bool:
+    """Whether node stores or deletes an attribute named in slots, or sets
+    one with setattr or __setattr__."""
+    if isinstance(node, ast.Attribute):
+        return node.attr in slots and not isinstance(node.ctx, ast.Load)
+    return (
+        isinstance(node, ast.Call)
+        and last_name(node) in ("setattr", "__setattr__")
+        and any(getattr(arg, "value", None) in slots for arg in node.args)
+    )
+
+
 def term_writes(source: str) -> list[str]:
     """"definition:line" for each write to a term dictionary or its is_zero
     flag by other code than their binders: a store or del of the attribute
@@ -408,31 +433,15 @@ def term_writes(source: str) -> list[str]:
     def is_terms(node: ast.AST | None) -> bool:
         return isinstance(node, ast.Attribute) and node.attr == "terms"
 
-    def visit(node: ast.AST, path: tuple[str, ...]) -> None:
-        owner = ".".join(path) or "<module>"
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, path + (child.name,))
-                continue
-            if isinstance(child, ast.Attribute):
-                bound = child.attr in BOUND_SLOTS and not isinstance(child.ctx, ast.Load)
-            elif isinstance(child, ast.Call) and last_name(child) in ("setattr", "__setattr__"):
-                bound = any(getattr(arg, "value", None) in BOUND_SLOTS for arg in child.args)
-            else:
-                bound = False
-            if bound and owner not in TERM_BINDERS:
-                out.append(f"{owner}:{child.lineno}")
-            if isinstance(child, ast.Subscript) and not isinstance(child.ctx, ast.Load):
-                written = is_terms(child.value)
-            elif isinstance(child, ast.Call) and last_name(child) in DICT_WRITES:
-                written = is_terms(getattr(child.func, "value", None))
-            else:
-                written = False
-            if written:
-                out.append(f"{owner}:{child.lineno}")
-            visit(child, path)
-
-    visit(ast.parse(source), ())
+    for enclosing, node, _ in owned(ast.parse(source)):
+        if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+            written = is_terms(node.value)
+        elif isinstance(node, ast.Call) and last_name(node) in DICT_WRITES:
+            written = is_terms(getattr(node.func, "value", None))
+        else:
+            written = slot_write(node, BOUND_SLOTS) and owner(enclosing) not in TERM_BINDERS
+        if written:
+            out.append(f"{owner(enclosing)}:{node.lineno}")
     return out
 
 
@@ -576,18 +585,13 @@ def global_caches(source: str) -> list[int]:
     """The lines of the functions decorated with functools.cache or
     lru_cache (bare, called or as an attribute) that are not nested
     inside another function."""
-    out = []
-
-    def visit(node: ast.AST, nested: bool) -> None:
-        for child in ast.iter_child_nodes(node):
-            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-            if is_function and not nested:
-                if any(last_name(d) in CACHES for d in child.decorator_list):
-                    out.append(child.lineno)
-            visit(child, nested or is_function)
-
-    visit(ast.parse(source), False)
-    return sorted(out)
+    return sorted(
+        node.lineno
+        for enclosing, node, _ in owned(ast.parse(source))
+        if isinstance(node, FUNCTIONS)
+        and not any(isinstance(scope, FUNCTIONS) for scope in enclosing)
+        and any(last_name(d) in CACHES for d in node.decorator_list)
+    )
 
 
 def test_the_cache_gate_flags_a_module_level_cache_and_a_cached_method():
@@ -700,26 +704,11 @@ def test_every_dataclass_with_a_cached_value_is_frozen():
 def relation_writes(source: str) -> list[int]:
     """The lines outside Presentation.__init__ that assign or delete an
     attribute named relations, or set it with setattr or __setattr__."""
-    out = []
-
-    def writes(node: ast.AST) -> bool:
-        if isinstance(node, ast.Attribute):
-            return node.attr == "relations" and not isinstance(node.ctx, ast.Load)
-        return (
-            isinstance(node, ast.Call)
-            and last_name(node) in ("setattr", "__setattr__")
-            and any(getattr(arg, "value", None) == "relations" for arg in node.args)
-        )
-
-    def visit(node: ast.AST, path: tuple[str, ...]) -> None:
-        for child in ast.iter_child_nodes(node):
-            if path != ("Presentation", "__init__") and writes(child):
-                out.append(child.lineno)
-            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
-            visit(child, path + (child.name,) if named else path)
-
-    visit(ast.parse(source), ())
-    return sorted(out)
+    return sorted(
+        node.lineno
+        for enclosing, node, _ in owned(ast.parse(source))
+        if slot_write(node, {"relations"}) and owner(enclosing) != "Presentation.__init__"
+    )
 
 
 def test_the_relations_gate_flags_every_write_but_the_constructors():
@@ -765,19 +754,12 @@ def stray_calls(source: str, names: set[str], owners: set[str]) -> list[str]:
     bare or as an attribute) outside owners; a definition is named by the
     dotted path of the classes and functions enclosing the call,
     "<module>" at top level."""
-    out = []
-
-    def visit(node: ast.AST, path: tuple[str, ...]) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and last_name(child) in names:
-                owner = ".".join(path) or "<module>"
-                if owner not in owners:
-                    out.append(f"{owner}:{child.lineno}")
-            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
-            visit(child, path + (child.name,) if named else path)
-
-    visit(ast.parse(source), ())
-    return out
+    return [
+        f"{owner(enclosing)}:{node.lineno}"
+        for enclosing, node, _ in owned(ast.parse(source))
+        if isinstance(node, ast.Call) and last_name(node) in names
+        and owner(enclosing) not in owners
+    ]
 
 
 def test_the_pair_test_gate_flags_a_table_loop_and_keeps_the_owners():
@@ -852,38 +834,26 @@ def test_tables_of_sections_go_through_the_table_operations():
     assert {name: found for name, found in calls.items() if found} == {}
 
 
-COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-
-
 def entrywise_pulls(source: str) -> list[str]:
     """"definition:line" for each vector pulled entry by entry outside the
     class ChartMap: an attribute named pull inside a comprehension or
     generator expression, or a call of map on an attribute or a name pull.
     A definition is named by the dotted path of the classes and functions
     enclosing the pull."""
-    out = []
 
     def pulls(node: ast.AST) -> bool:
         return getattr(node, "attr", getattr(node, "id", None)) == "pull"
 
-    def visit(node: ast.AST, path: tuple[str, ...], inside: bool) -> None:
-        for child in ast.iter_child_nodes(node):
-            if path[:1] != ("ChartMap",):
-                owner = ".".join(path) or "<module>"
-                if inside and isinstance(child, ast.Attribute) and child.attr == "pull":
-                    out.append(f"{owner}:{child.lineno}")
-                elif isinstance(child, ast.Call) and last_name(child) == "map":
-                    if child.args and pulls(child.args[0]):
-                        out.append(f"{owner}:{child.lineno}")
-            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
-            visit(
-                child,
-                path + (child.name,) if named else path,
-                inside or isinstance(child, COMPREHENSIONS),
-            )
+    def entrywise(node: ast.AST, inside: bool) -> bool:
+        if isinstance(node, ast.Call) and last_name(node) == "map":
+            return bool(node.args) and pulls(node.args[0])
+        return inside and isinstance(node, ast.Attribute) and node.attr == "pull"
 
-    visit(ast.parse(source), (), False)
-    return out
+    return [
+        f"{owner(enclosing)}:{node.lineno}"
+        for enclosing, node, inside in owned(ast.parse(source))
+        if owner(enclosing).partition(".")[0] != "ChartMap" and entrywise(node, inside)
+    ]
 
 
 def test_the_pull_gate_flags_an_entrywise_pull_and_keeps_a_single_one():

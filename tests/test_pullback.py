@@ -79,6 +79,7 @@ from algebroids.symcalc import (
 
 from oracles import (
     associated_lie_algebroid,
+    check_names,
     connection_shift,
     direct_sum,
     graph_of_two_form,
@@ -126,7 +127,7 @@ def test_identity_mode_returns_the_structure():
     assert pb.result == q
     rep = check_relation_absorption(pb)
     assert rep.ok
-    assert rep.check_names() == [
+    assert check_names(rep) == [
         "relations_isotropic",
         "relations_bracket_closed",
     ]
@@ -1224,7 +1225,7 @@ def test_mode_dispatch_guards():
 def test_twist_commute_along_the_shear():
     rep = check_twist_commute(shear_33(), standard_exact(R3), vol3())
     assert rep.ok
-    assert rep.check_names() == [
+    assert check_names(rep) == [
         "twist_commute_frame",
         "twist_commute_structure",
     ]
@@ -1366,7 +1367,7 @@ def test_courant_comparison_is_associative_on_an_exact_split_chain():
     C(phi, psi xi), row by row on the unit sections over W, and C(phi, psi)
     is a Courant morphism."""
     rep = check_courant_compose_associative(*exact_split_chain())
-    assert rep.check_names() == ["composition_associative"] + [
+    assert check_names(rep) == ["composition_associative"] + [
         f"comparison.morphism_{name}"
         for name in ("anchor", "coanchor", "pairing", "bracket")
     ]

@@ -24,6 +24,7 @@ from algebroids.transgression import (
 )
 
 from oracles import (
+    check_names,
     courant_from_transgression,
     direct_sum,
     opposite,
@@ -92,7 +93,7 @@ def test_round_trip_recovers_structure():
 def test_rule_report_passes_and_names():
     rep = check_tau_rules(standard_exact(R3, vol3()), samples=4, seed=3)
     assert rep.ok, str(rep)
-    assert rep.check_names() == RULE_NAMES
+    assert check_names(rep) == RULE_NAMES
     rep = check_tau_rules(standard_exact(R2), samples=4, seed=5)
     assert rep.ok, str(rep)
 
@@ -202,7 +203,7 @@ def test_linearity_of_transgression():
         [coordinate_connection(q1), coordinate_connection(q2)],
     )
     assert rep.ok, str(rep)
-    assert rep.check_names() == [
+    assert check_names(rep) == [
         "tau_pairing_combines",
         "tau_bracket_combines",
         "tau_function_action_matches",
