@@ -92,7 +92,9 @@ the isotropy checks of courant.Connection and dirac.check_dirac; both
 inverse images, whose ambient pairing needs, for each one-form term
 beta(eta), an index where both are nonzero, with the isotropy and
 closure checks of their relations (pullback.check_relation_absorption);
-and transgression.TauModule.bracket, on single pairs. A ruled-out bracket
+transgression.check_tau_rules, lazy, on its degree-0 elements against the
+odd generators in both orders; and transgression.TauModule.bracket, on
+single pairs. A ruled-out bracket
 or pairing is zero, and computing it would have formed no product of
 positive degree, so it made no chart check; the structure rows it reads
 were checked when the frozen structure was built.

@@ -27,7 +27,15 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import combinations, combinations_with_replacement, product
 
-from algebroids.anchored import Support, paired, probe, require_chart, support
+from algebroids.anchored import (
+    Support,
+    bits,
+    paired,
+    probe,
+    require_chart,
+    spread,
+    support,
+)
 from algebroids.courant import (
     CourantCombination,
     CourantData,
@@ -279,14 +287,34 @@ def check_tau_rules(
     decide, and only those whose correction can be nonzero are visited:
     E4(x_k e_a, dx_j) - x_k E4(e_a, dx_j) = M[a][j] coanchor[k] - N[j]^k e_a,
     and E3(x_k e_a, e_b, e_c) - x_k E3(e_a, e_b, e_c)
-    = -(g_ab M[c][k] + g_ac M[b][k]). graded_jacobi builds [x, e_b*eps]
-    once per degree-0 element x and generator b, so it takes r brackets of
-    sections per element, not r^2; its defect is symmetric in the two odd
-    elements, as the pairing is, so it visits the pairs b <= c only.
-    Every one of these brackets reads the support test of Lemma L14
-    (TauModule.bracket): on generator elements most of the pairings,
-    section brackets and corrections it would form are ruled out and not
-    computed, and a zero result is the module's shared zero element.
+    = -(g_ab M[c][k] + g_ac M[b][k]). Each dressed element is built once:
+    dx_j*c once per j, and pair(u) once per section u.
+
+    Admission (Lemma L14 over the tables of the check). The rules bracket
+    a degree-0 element x = pair(u, omega) (the elements pair(e_a), the
+    two-forms (dx_i^dx_j)*c and the Jacobi probes) with e_b*eps in both
+    orders, and both orders are admitted for all x and b in one
+    q.admitted step each, on the supports of the sections u and e_b.
+    [x, e_b*eps] has the section bracket [u, e_b] and the two-form
+    correction, which needs omega nonzero and e_b anchored; [e_b*eps, x]
+    adds the pairing term c(d<e_b, u>), which needs g_ba nonzero for some
+    a in supp u (pairing_masks[b] meeting supp u). A case with every term
+    ruled out is zero, so it is not bracketed: a skipped [x, e_b*eps] is
+    the module's zero element, which the bracket returns there, and
+    graded_antisymmetry skips a case (x, e_b) whose two orders are both
+    ruled out. graded_jacobi builds [x, e_b*eps] once per degree-0 element
+    x and generator b, so it takes r brackets of sections per element, not
+    r^2; its defect is symmetric in the two odd elements, as the pairing
+    is, so it visits the pairs b <= c only. Of its three terms on (b, c),
+    [x, <e_b, e_c>*c] needs <e_b, e_c> not constant (a derivation kills
+    constants), and <[x, e_b*eps], e_c> needs bit c of reach[b], where
+    reach[b] = spread(pairing_masks, supp [x, e_b*eps]); <e_b, [x,
+    e_c*eps]> needs bit b of reach[c], the pairing masks being symmetric.
+    A ruled-out term is zero and is not bracketed, and a pair with all
+    three ruled out is not visited. No counterexample can change: every
+    skipped case has both sides zero. The brackets that are made read the
+    support tests of TauModule.bracket one pair at a time, and a zero
+    result is the module's shared zero element.
     """
     rep = Report()
     tau = transgress(q)
@@ -297,59 +325,90 @@ def check_tau_rules(
     M, N = generator_defects(q)
     eps = [tau.section_eps(e) for e in gens]
     dx = [KForm.dx(chart, j) for j in range(n)]
+    dx_c = [tau.one_form_c(alpha) for alpha in dx]
     degree_zero = [(f"e{a}", tau.pair(e)) for a, e in enumerate(gens)]
     for i, j in combinations(range(n), 2):
         omega = KForm(chart, 2, {(i, j): Poly.one(chart)})
         degree_zero.append((f"d{coords[i]}^d{coords[j]}", tau.two_form_c(omega)))
 
     @cache
+    def probe_pair(a: int, k: int) -> tuple[str, TauElement]:
+        label, u = probe(q, a, k)
+        return label, tau.pair(u)
+
+    # the degree-0 elements of graded_jacobi: degree_zero, then the probes
+    evens = degree_zero + [
+        probe_pair(a, k)
+        for k in range(n)
+        if any(not M[b][k].is_zero for b in range(r))
+        for a in range(r)
+    ]
+    supports = [x.section_support for _, x in evens]
+    gen_supports = [e.section_support for e in eps]
+    # the two-form correction: omega nonzero, e_b anchored
+    corrected = [0 if x.form.is_zero else q.anchor_mask for _, x in evens]
+    # fore[i] and aft[i]: the b admitted for [x_i, e_b*eps] and [e_b*eps, x_i]
+    fore = [m | t for m, t in zip(q.admitted(supports, gen_supports), corrected)]
+    columns = q.admitted(gen_supports, supports)
+    aft = [
+        sum(1 << b for b, m in enumerate(columns) if m >> i & 1)
+        | spread(q.pairing_masks, s.mask)
+        | t
+        for i, (s, t) in enumerate(zip(supports, corrected))
+    ]
+
+    @cache
     def with_eps(i: int, b: int) -> TauElement:
-        """[x, e_b*eps] for the i-th degree-0 element x; pair(e_a) is x_a."""
-        return tau.bracket(degree_zero[i][1], eps[b])
+        """[x, e_b*eps] for the i-th element x of evens; pair(e_a) is x_a."""
+        if not fore[i] >> b & 1:
+            return tau.zero(-1)
+        return tau.bracket(evens[i][1], eps[b])
 
     def interior_action():
         for a, j in product(range(r), range(n)):
-            got = tau.bracket(eps[a], tau.one_form_c(dx[j]))
+            got = tau.bracket(eps[a], dx_c[j])
             if got.c_part != dx[j].iota(q.anchor_of(gens[a])).as_poly():
                 yield f"against a dressed one-form: e{a}, d{coords[j]}"
 
     def lie_action():
-        cases = [(f"e{a}", gens[a], j) for a, j in product(range(r), range(n))]
+        cases = [(*degree_zero[a], j) for a, j in product(range(r), range(n))]
         for a, j, k in product(range(r), range(n), range(n)):
             if not (M[a][j].is_zero and N[j].comps[k].is_zero):
-                cases.append((*probe(q, a, k), j))
-        for label, u, j in cases:
-            got = tau.bracket(tau.pair(u), tau.one_form_c(dx[j]))
-            if got != tau.one_form_c(dx[j].lie(q.anchor_of(u))):
+                cases.append((*probe_pair(a, k), j))
+        for label, x, j in cases:
+            got = tau.bracket(x, dx_c[j])
+            if got.section != q.coanchor_of(dx[j].lie(q.anchor_of(x.section))):
                 yield f"against a dressed one-form: {label}, d{coords[j]}"
 
     def graded_antisymmetry():
-        for (i, (label, x)), b in product(enumerate(degree_zero), range(r)):
-            back = tau.bracket(eps[b], x).section
-            if not vec_is_zero(vec_add(with_eps(i, b).section, back)):
-                yield f"degrees (0,-1): {label}, e{b}"
+        for i, (label, x) in enumerate(degree_zero):
+            for b in bits(fore[i] | aft[i]):
+                got = tau.bracket(eps[b], x) if aft[i] >> b & 1 else tau.zero(-1)
+                if not vec_is_zero(vec_add(with_eps(i, b).section, got.section)):
+                    yield f"degrees (0,-1): {label}, e{b}"
 
     def graded_jacobi():
-        paired = {
-            (b, c): tau.bracket(eps[b], eps[c])
-            for b, c in combinations_with_replacement(range(r), 2)
-        }
-        cases = [
-            (label, x, [with_eps(i, b) for b in range(r)])
-            for i, (label, x) in enumerate(degree_zero)
+        zero = tau.zero(-2).c_part
+        varying = [
+            sum(1 << c for c, g in enumerate(row) if g.as_constant() is None)
+            for row in q.pairing
         ]
-        for k in range(n):
-            if any(not M[b][k].is_zero for b in range(r)):
-                for a in range(r):
-                    label, u = probe(q, a, k)
-                    x = tau.pair(u)
-                    cases.append((label, x, [tau.bracket(x, y) for y in eps]))
-        for label, x, x_eps in cases:
+
+        @cache
+        def pairing_c(b: int, c: int) -> TauElement:
+            return tau.bracket(eps[b], eps[c])
+
+        for i, (label, x) in enumerate(evens):
+            x_eps = [with_eps(i, b) for b in range(r)]
+            reach = [spread(q.pairing_masks, y.section_support.mask) for y in x_eps]
             for b, c in combinations_with_replacement(range(r), 2):
-                lhs = tau.bracket(x, paired[(b, c)]).c_part
-                rhs = (
-                    tau.bracket(x_eps[b], eps[c]).c_part
-                    + tau.bracket(eps[b], x_eps[c]).c_part
+                inner = varying[b] >> c & 1
+                left, right = reach[b] >> c & 1, reach[c] >> b & 1
+                if not (inner or left or right):
+                    continue
+                lhs = tau.bracket(x, pairing_c(b, c)).c_part if inner else zero
+                rhs = (tau.bracket(x_eps[b], eps[c]).c_part if left else zero) + (
+                    tau.bracket(eps[b], x_eps[c]).c_part if right else zero
                 )
                 if lhs != rhs:
                     yield f"degrees (0,-1,-1): {label}, e{b}, e{c}"
@@ -430,18 +489,20 @@ def check_transgression_linear(parts, weights, connections) -> Report:
                 yield f"generators ({x},{y})"
 
     def function_action_matches():
-        for x, j in product(range(r), range(n)):
-            route1 = tau_c.bracket(
-                tau_c.pair(gens[x]), tau_c.coordinate_c(j)
-            ).c_part
-            lifts_x = comb.expand(gens[x])
-            for i, ti in enumerate(taus):
-                got = ti.bracket(ti.pair(lifts_x[i]), ti.coordinate_c(j)).c_part
-                if got != route1:
-                    yield (
-                        f"generator {x}, coordinate {chart.coords[j]}, "
-                        f"summand {i}"
-                    )
+        # each dressed coordinate x_j*c once per module, each lift once
+        coords_c = [[t.coordinate_c(j) for j in range(n)] for t in (tau_c, *taus)]
+        for x in range(r):
+            flat = tau_c.pair(gens[x])
+            lifts = [ti.pair(u) for ti, u in zip(taus, comb.expand(gens[x]))]
+            for j in range(n):
+                route1 = tau_c.bracket(flat, coords_c[0][j]).c_part
+                for i, (ti, lift) in enumerate(zip(taus, lifts)):
+                    got = ti.bracket(lift, coords_c[i + 1][j]).c_part
+                    if got != route1:
+                        yield (
+                            f"generator {x}, coordinate {chart.coords[j]}, "
+                            f"summand {i}"
+                        )
 
     def coanchor_frames():
         for i, (qi, conn) in enumerate(zip(comb.parts, comb.connections)):

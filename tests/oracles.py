@@ -11,11 +11,13 @@ inverse image of an exact structure is checked to stay exact; and
 courant_from_transgression reads the structure data back out of the public
 operations of a transgression, which is how the round trip of tau-roundtrip
 is checked; unpruned_tau_bracket is TauModule.bracket on the four
-branches that Lemma L14 prunes, with every part computed;
-unpruned_generator_cases and unpruned_first_labels are the generator terms
-and first labels of check_courant with no term skipped on its supports,
-masks or constant entries; and unpruned_twist is courant.twist with the
-twist term computed on every generator pair, zero anchors included.
+branches that Lemma L14 prunes, with every part computed, and
+unpruned_tau_rules is check_tau_rules with every case bracketed through
+it; unpruned_generator_cases and unpruned_first_labels are the generator
+terms and first labels of check_courant with no term skipped on its
+supports, masks or constant entries; and unpruned_twist is courant.twist
+with the twist term computed on every generator pair, zero anchors
+included.
 scanned_constant is Poly.as_constant as it read the term dictionary before
 a chart held the exponent tuple of its constant term. check_names lists
 the names of a report's checks in order.
@@ -34,7 +36,7 @@ CourantData.pairing_table.
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 from typing import Sequence
 
 from algebroids import linalg
@@ -50,7 +52,12 @@ from algebroids.anchored import (
     paired,
     probe,
 )
-from algebroids.courant import Connection, CourantCombination, CourantData
+from algebroids.courant import (
+    Connection,
+    CourantCombination,
+    CourantData,
+    generator_defects,
+)
 from algebroids.dirac import DiracData
 from algebroids.errors import ChartMismatchError, ValidationError
 from algebroids.lie_algebroid import LieData
@@ -270,6 +277,78 @@ def unpruned_tau_bracket(tau: TauModule, x: TauElement, y: TauElement) -> TauEle
             sec = vec_add(sec, q.coanchor_of(y.form.iota(q.anchor_of(x.section))))
         return tau.section_eps(sec)
     raise ValueError(f"no pruned branch in degrees {degrees}")
+
+
+def unpruned_tau_rules(q: CourantData) -> Report:
+    """check_tau_rules with no admission mask: the four evaluated rules
+    run every case through unpruned_tau_bracket, graded antisymmetry on
+    every (x, e_b) and graded Jacobi on every pair b <= c with all three of
+    its terms. The probes are those of check_tau_rules, chosen by the
+    generator defects M and N, not by supports."""
+    tau = TauModule(q)
+    chart = q.chart
+    coords = chart.coords
+    r, n = q.rank, chart.dim
+    gens = [q.gen(a) for a in range(r)]
+    M, N = generator_defects(q)
+    eps = [tau.section_eps(e) for e in gens]
+    dx = [KForm.dx(chart, j) for j in range(n)]
+    degree_zero = [(f"e{a}", tau.pair(e)) for a, e in enumerate(gens)]
+    for i, j in combinations(range(n), 2):
+        omega = KForm(chart, 2, {(i, j): Poly.one(chart)})
+        degree_zero.append((f"d{coords[i]}^d{coords[j]}", tau.two_form_c(omega)))
+
+    def bracket(x: TauElement, y: TauElement) -> TauElement:
+        return unpruned_tau_bracket(tau, x, y)
+
+    def interior_action():
+        for a, j in product(range(r), range(n)):
+            got = bracket(eps[a], tau.one_form_c(dx[j]))
+            if got.c_part != dx[j].iota(q.anchor_of(gens[a])).as_poly():
+                yield f"against a dressed one-form: e{a}, d{coords[j]}"
+
+    def lie_action():
+        cases = [(f"e{a}", gens[a], j) for a, j in product(range(r), range(n))]
+        for a, j, k in product(range(r), range(n), range(n)):
+            if not (M[a][j].is_zero and N[j].comps[k].is_zero):
+                cases.append((*probe(q, a, k), j))
+        for label, u, j in cases:
+            got = bracket(tau.pair(u), tau.one_form_c(dx[j]))
+            if got != tau.one_form_c(dx[j].lie(q.anchor_of(u))):
+                yield f"against a dressed one-form: {label}, d{coords[j]}"
+
+    def graded_antisymmetry():
+        for (label, x), b in product(degree_zero, range(r)):
+            total = vec_add(bracket(x, eps[b]).section, bracket(eps[b], x).section)
+            if not vec_is_zero(total):
+                yield f"degrees (0,-1): {label}, e{b}"
+
+    def graded_jacobi():
+        cases = list(degree_zero)
+        for k in range(n):
+            if any(not M[b][k].is_zero for b in range(r)):
+                for a in range(r):
+                    label, u = probe(q, a, k)
+                    cases.append((label, tau.pair(u)))
+        for label, x in cases:
+            x_eps = [bracket(x, e) for e in eps]
+            for b, c in combinations_with_replacement(range(r), 2):
+                lhs = bracket(x, bracket(eps[b], eps[c])).c_part
+                rhs = bracket(x_eps[b], eps[c]).c_part + bracket(eps[b], x_eps[c]).c_part
+                if lhs != rhs:
+                    yield f"degrees (0,-1,-1): {label}, e{b}, e{c}"
+
+    rep = Report()
+    rep.add("rule_c_central", True)
+    rep.add("rule_one_form_rewrite", True)
+    rep.check("rule_interior_action", interior_action())
+    rep.check("rule_lie_action", lie_action())
+    rep.add("rule_odd_pairing", True)
+    rep.add("rule_mixed_bracket", True)
+    rep.check("graded_antisymmetry", graded_antisymmetry())
+    rep.check("graded_jacobi", graded_jacobi())
+    rep.add("truncation_guard", True)
+    return rep
 
 
 def unpruned_twist(q: CourantData, h: KForm) -> CourantData:

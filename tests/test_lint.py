@@ -793,6 +793,7 @@ TABLE_STEPS = {"admitted", "pairings", "pruned_entries", "pruned_table"}
 TABLE_STEP_OWNERS = {
     "CourantData.pairing_entries",
     "check_courant",
+    "check_tau_rules",
     "Connection.__post_init__",
     "check_dirac.isotropy",
     "CourantPullback.result",
@@ -822,9 +823,10 @@ def test_tables_of_sections_go_through_the_table_operations():
     """Outside anchored, the admission step of Lemma L14 (admitted,
     pairings), pruned_entries and pruned_table are called only by
     CourantData.pairing_entries and by the sites that keep their own masks:
-    check_courant's generator cases (lazy), the isotropy checks of
-    Connection and check_dirac (pairs i <= j), and the two inverse images
-    (presentation tuples). Any other full table of sections is
+    check_courant's generator cases (lazy), check_tau_rules (lazy, its
+    degree-0 elements against e_b*eps in both orders), the isotropy checks
+    of Connection and check_dirac (pairs i <= j), and the two inverse
+    images (presentation tuples). Any other full table of sections is
     AnchoredModule.bracket_table or CourantData.pairing_table."""
     calls = {
         path.name: stray_calls(path.read_text(encoding="utf-8"), TABLE_STEPS, TABLE_STEP_OWNERS)

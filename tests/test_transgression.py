@@ -1,5 +1,6 @@
 """Transgressed bracket tables: rules, round trips, and linearity."""
 
+import random
 from itertools import combinations, product
 
 import pytest
@@ -30,12 +31,14 @@ from oracles import (
     opposite,
     scalar_multiple,
     unpruned_tau_bracket,
+    unpruned_tau_rules,
 )
 from test_courant import courant_data
 
 R1 = coordinate_chart("L", 1)
 R2 = coordinate_chart("P", 2)
 R3 = coordinate_chart("X", 3)
+R4 = coordinate_chart("B", 4)
 
 RULE_NAMES = [
     "rule_c_central",
@@ -358,11 +361,17 @@ def test_definitional_rules_hold():
         assert [label for label, ok in definitional_failures(q) if not ok] == []
 
 
-def test_tau_rules_evaluate_only_the_cases_that_can_fail(monkeypatch):
-    """TauModule.bracket calls and TauElement constructions of one
-    check_tau_rules on twisted R3, which evaluates none of the cases that
-    definitional_failures covers; a bracket that Lemma L14 shows zero
-    returns the module's shared zero element."""
+def axioms_r4():
+    """An exact twist dB on R4 of the shape the axioms benchmark draws: B =
+    m dx1^dx2 with m = x3 * (x1 + 2*x4) involving a coordinate outside {1,
+    2}, so dB is not zero."""
+    m = parse_poly("x1*x3 + 2*x3*x4", R4)
+    return standard_exact(R4, KForm(R4, 2, {(0, 1): m}).d())
+
+
+def tau_rule_counts(monkeypatch, q):
+    """TauModule.bracket calls and TauElement constructions of one passing
+    check_tau_rules on q."""
     counts = {"bracket": 0, "element": 0}
     bracket, post_init = TauModule.bracket, TauElement.__post_init__
 
@@ -376,8 +385,56 @@ def test_tau_rules_evaluate_only_the_cases_that_can_fail(monkeypatch):
 
     monkeypatch.setattr(TauModule, "bracket", counted_bracket)
     monkeypatch.setattr(TauElement, "__post_init__", counted_post_init)
-    assert check_tau_rules(standard_exact(R3, vol3())).ok
-    assert counts == {"bracket": 732, "element": 138}
+    assert check_tau_rules(q).ok
+    return counts
+
+
+def test_tau_rules_evaluate_only_the_cases_that_can_fail(monkeypatch):
+    """One check_tau_rules on twisted R3 evaluates none of the cases that
+    definitional_failures covers, and brackets only the cases that Lemma
+    L14 admits (732 brackets and 138 elements with every case of the
+    evaluated rules bracketed); a bracket that Lemma L14 shows zero returns
+    the module's shared zero element."""
+    counts = tau_rule_counts(monkeypatch, standard_exact(R3, vol3()))
+    assert counts == {"bracket": 84, "element": 66}
+
+
+def test_tau_rules_bracket_only_admitted_cases_on_r4(monkeypatch):
+    """The same gate on axioms_r4, where bracketing every case of the
+    evaluated rules took 1,836 brackets and 253 elements."""
+    assert tau_rule_counts(monkeypatch, axioms_r4()) == {"bracket": 164, "element": 125}
+
+
+def twisted_mutants(q, count, seed):
+    """count seeded single-entry mutants of q, each (where, idx, delta):
+    one anchor, coanchor, pairing (kept symmetric) or table entry shifted
+    by 1, x1 or x1*x_n, and every shift of a pairing entry by x1, which
+    makes the pairing <e_b, e_c> not constant."""
+    from test_courant import _mutants
+
+    chart = q.chart
+    x1 = Poly.coord(chart, 0)
+    deltas = (Poly.one(chart), x1, x1 * Poly.coord(chart, chart.dim - 1))
+    mutants = _mutants(q, deltas, deltas)
+    varying = [m for m in mutants if m[0] == "pairing" and m[2] == x1]
+    return varying + random.Random(seed).sample(mutants, count)
+
+
+def test_tau_rules_match_the_unpruned_reference():
+    """Admission in check_tau_rules skips only cases whose both sides are
+    zero: its report equals unpruned_tau_rules, which brackets every case
+    through unpruned_tau_bracket, on standard R2 and its mutants, twisted
+    R3, axioms_r4 and seeded mutants of twisted R3 and of axioms_r4."""
+    from test_acceptance import _perturbed
+
+    r2, r3 = standard_exact(R2), standard_exact(R3, vol3("x1 + x2"))
+    structures = [r2, standard_exact(R3, vol3()), axioms_r4()]
+    structures += [_perturbed(r2, *mutant) for mutant in standard_r2_mutants()]
+    structures += [_perturbed(r3, *mutant) for mutant in twisted_mutants(r3, 40, 3)]
+    r4 = axioms_r4()
+    structures += [_perturbed(r4, *mutant) for mutant in twisted_mutants(r4, 10, 4)]
+    for q in structures:
+        assert str(check_tau_rules(q)) == str(unpruned_tau_rules(q))
 
 
 def test_pruned_bracket_matches_the_unpruned_reference():
