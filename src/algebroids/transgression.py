@@ -489,7 +489,6 @@ def check_transgression_linear(parts, weights, connections) -> Report:
                 yield f"generators ({x},{y})"
 
     def function_action_matches():
-        # each dressed coordinate x_j*c once per module, each lift once
         coords_c = [[t.coordinate_c(j) for j in range(n)] for t in (tau_c, *taus)]
         for x in range(r):
             flat = tau_c.pair(gens[x])
