@@ -60,10 +60,10 @@ term on the sections; the varying sections when eta1 is nonzero; the
 nonzero tangents when u1 is not constant), plus the tangent bracket
 [eta1, eta2], which admits the nonzero tangents when eta1 is nonzero and
 not constant and the varying tangents when it is constant; the Courant
-inverse image adds its one-form terms (pullback). A mask admits exactly
-the pairs that the tests of one pair admit: paired, leibniz_vanishes and
-bracket_vanishes, which serve the single pairs of
-transgression.TauModule.bracket.
+inverse image adds its one-form terms (pullback). The test of one pair
+is the admission step on one column, read from the same masks: paired is
+pairings and AnchoredModule.bracket_vanishes is admitted, each on the one
+column v; they serve the single pairs of transgression.TauModule.bracket.
 
 pruned_entries makes only the admitted entries of a table, in row order,
 each when its pair is reached, and pruned_table is their dict. Every full
@@ -319,37 +319,12 @@ def support(vec: Vec) -> Support:
 
 
 def paired(rows: Sequence[int], u: Support, v: Support) -> bool:
-    """Whether some a in supp u has rows[a] meeting supp v. With rows the
-    masks of a matrix's rows (mask), this asks for a nonzero g_ab with a in
-    supp u and b in supp v: without one, sum_ab u_a g_ab v_b and every
-    sum_b g_ab v_b vanish (Lemma L14 on pairings). With rows the table
-    masks of a module (AnchoredModule.table_masks), it asks for a nonzero
-    table entry (a, b)."""
-    um, vm = u.mask, v.mask
-    while um:
-        low = um & -um
-        if rows[low.bit_length() - 1] & vm:
-            return True
-        um ^= low
-    return False
-
-
-def leibniz_vanishes(
-    rows: Sequence[int], u: Support, v: Support, xi: bool, eta: bool
-) -> bool:
-    """Whether Lemma L14 shows leibniz_sum to be zero on sections with the
-    supports u and v, rows being the table masks of its entries (bit b of
-    rows[a] set when entry (a, b) is not None); xi and eta say whether the
-    fields standing for their anchors may be nonzero. The table term needs
-    some a in supp u and b in supp v with a nonzero entry (paired on rows),
-    xi(v_k) needs xi and v not constant, and eta(u_k) needs eta and u not
-    constant.
-    """
-    return not (
-        (xi and not v.constant)
-        or (eta and not u.constant)
-        or paired(rows, u, v)
-    )
+    """Whether some a in supp u has rows[a] meeting supp v: pairings on the
+    one column v. With rows the masks of a matrix's rows (mask), this asks
+    for a nonzero g_ab with a in supp u and b in supp v: without one,
+    sum_ab u_a g_ab v_b and every sum_b g_ab v_b vanish (Lemma L14 on
+    pairings)."""
+    return bool(spread(rows, u.mask) & v.mask)
 
 
 def spread(rows: Sequence[int], m: int) -> int:
@@ -565,11 +540,6 @@ class AnchoredModule:
             for a in range(r)
         )
 
-    def _anchored(self, s: Support) -> bool:
-        """Whether the anchor of a section with support s may be nonzero:
-        some generator in it has a nonzero anchor row."""
-        return bool(s.mask & self.anchor_mask)
-
     @cached_property
     def varying_masks(self) -> tuple[int, ...]:
         """The rows Lemma L14 reads over the support of a left section that
@@ -579,10 +549,14 @@ class AnchoredModule:
 
     def bracket_vanishes(self, su: Support, sv: Support) -> bool:
         """Whether Lemma L14 shows bracket to be zero on sections with the
-        supports su and sv: its table and anchor terms (leibniz_vanishes).
-        It serves single pairs; a table reads admitted."""
-        return leibniz_vanishes(
-            self.table_masks, su, sv, self._anchored(su), self._anchored(sv)
+        supports su and sv: admitted on the one column sv, read from the
+        same masks. It serves the single pairs of
+        transgression.TauModule.bracket; a table reads admitted."""
+        rows = self.table_masks if su.constant else self.varying_masks
+        return not (
+            spread(rows, su.mask) & sv.mask
+            or (su.mask & self.anchor_mask and not sv.constant)
+            or (sv.mask & self.anchor_mask and not su.constant)
         )
 
     def admitted(self, xs: Sequence[Support], ys: Sequence[Support]) -> list[int]:
@@ -1206,10 +1180,6 @@ class Presentation:
             for s, size in enumerate(self.sizes)
         )
 
-    def expand(self, cls: Vec) -> tuple[Vec, ...]:
-        """The ambient element sum_c cls[c] basis[c]."""
-        return self._combine(cls, self.basis)
-
     def reduce(self, element: tuple[Vec, ...]) -> Vec:
         """The class coordinates of element; ValidationError when the
         reading does not rebuild it, the element being outside the fibre
@@ -1324,9 +1294,9 @@ def check_chain_associative(
     pulled back again.
 
     Lemma L2: both routes are function-linear in the section e. Each
-    composes expand, a generator matrix applied by apply_matrix, and
-    Presentation.reduce, which is a function-linear reader followed by an
-    exact reconstruction; the sections that reconstruct form a submodule.
+    composes sums over a basis, generator matrices applied by apply_matrix,
+    and Presentation.reduce, which is a function-linear reader followed by
+    an exact reconstruction; the sections that reconstruct form a submodule.
     So the routes agree on every section exactly when they agree on the
     unit sections of the presentation over W, and a reduction that raises
     on some section raises on some unit section. So

@@ -55,7 +55,6 @@ from algebroids.anchored import (
     jacobi_generator_failures,
     jacobi_left_probe_failures,
     mask,
-    paired,
     pairings,
     probe,
     pruned_entries,
@@ -147,18 +146,12 @@ class CourantData(AnchoredModule):
     @cached_property
     def varying_masks(self) -> tuple[int, ...]:
         """The table masks or-ed with the pairing masks, row by row: a left
-        section that is not constant reads both, its coanchor term needing
-        a nonzero g_ab with a in supp u and b in supp v."""
+        section u that is not constant reads both, as its coanchor term
+        c(sum_a (sum_b g_ab v_b) du_a) needs a nonzero g_ab with a in supp u
+        and b in supp v (Lemma L14), and a constant u has du_a = 0. Through
+        these rows AnchoredModule.admitted and bracket_vanishes take the
+        coanchor term."""
         return tuple(t | g for t, g in zip(self.table_masks, self.pairing_masks))
-
-    def bracket_vanishes(self, su: Support, sv: Support) -> bool:
-        """The anchored-module test (Lemma L14), and the coanchor term: the
-        pairing differential needs u not constant and a nonzero g_ab with a
-        in supp u and b in supp v. It serves the single pairs of
-        transgression.TauModule.bracket; a table reads admitted."""
-        return super().bracket_vanishes(su, sv) and (
-            su.constant or not paired(self.pairing_masks, su, sv)
-        )
 
     def pairing_entries(
         self,

@@ -20,8 +20,8 @@ constant kernel frame here, and takes the basis and the coordinate reader
 from the Split fibre class of algebroids.anchored as they are (Split reads
 the frame through a polynomial left inverse). LiePullback is the
 anchored.Presentation of those pairs: an ambient element is a pair (tangent
-on Y, pulled section over the generators of A), expand and reduce act on
-pairs, and anchored.pair_bracket is the ambient bracket, and result the
+on Y, pulled section over the generators of A), its basis and reduce act
+on pairs, and anchored.pair_bracket is the ambient bracket, and result the
 induced algebroid. The Courant inverse image (algebroids.pullback) uses the
 same pairs as the (u, eta) half of its triples, and reads the Embedding and
 Submersion fibre classes in its other modes; both reach the functor steps

@@ -43,8 +43,8 @@ including invertible coordinate changes, and identity, which is the
 submersion along the identity map; these are MODES, and resolve_mode picks
 one (anchored.classify_map when none is given), rejects a name that is not
 a mode as a bad spec, and checks the identity mode. CourantPullback is the
-anchored.Presentation of the triples, with the R_k as its relations: expand
-and the one verified reduce are the ones the Lie inverse image uses. The
+anchored.Presentation of the triples, with the R_k as its relations: the
+one verified reduce is the one the Lie inverse image uses. The
 (u, eta) half of a triple is the fibre-product pair the Lie inverse image
 presents, and its basis and coordinates come from algebroids.anchored
 (Embedding, Submersion, and for the exact split a Split whose kernel frame

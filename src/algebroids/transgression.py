@@ -31,6 +31,7 @@ from algebroids.anchored import (
     Support,
     bits,
     paired,
+    pairings,
     probe,
     require_chart,
     spread,
@@ -117,7 +118,7 @@ class TauModule:
         * (-1,-1): the pairing, unless the sections are paired on the
           pairing masks (L14 on pairings);
         * (0,-1) and (-1,0): the section bracket when bracket_vanishes
-          holds (its table, anchor and coanchor terms); for (-1,0) the
+          holds (admitted on one column); for (-1,0) the
           pairing differential c(d<u, v>) unless the sections are paired
           and their pairing is not constant (d kills constants); and the
           two-form correction along the anchor of the odd section unless
@@ -302,7 +303,12 @@ def check_tau_rules(
     ruled out is zero, so it is not bracketed: a skipped [x, e_b*eps] is
     the module's zero element, which the bracket returns there, and
     graded_antisymmetry skips a case (x, e_b) whose two orders are both
-    ruled out. graded_jacobi builds [x, e_b*eps] once per degree-0 element
+    ruled out. The one-form rules take one step each: [e_a*eps, dx_j*c] is
+    the pairing <e_a, coanchor[j]>, admitted by pairings on the pairing
+    masks, and [x, dx_j*c], for x = pair(u) with no two-form, the section
+    bracket [u, coanchor[j]], admitted by q.admitted; a ruled-out case
+    takes the zero element and its right side is still compared.
+    graded_jacobi builds [x, e_b*eps] once per degree-0 element
     x and generator b, so it takes r brackets of sections per element, not
     r^2; its defect is symmetric in the two odd elements, as the pairing
     is, so it visits the pairs b <= c only. Of its three terms on (b, c),
@@ -312,7 +318,7 @@ def check_tau_rules(
     e_c*eps]> needs bit b of reach[c], the pairing masks being symmetric.
     A ruled-out term is zero and is not bracketed, and a pair with all
     three ruled out is not visited. No counterexample can change: every
-    skipped case has both sides zero. The brackets that are made read the
+    skipped bracket is zero. The brackets that are made read the
     support tests of TauModule.bracket one pair at a time, and a zero
     result is the module's shared zero element.
     """
@@ -357,6 +363,16 @@ def check_tau_rules(
         for i, (s, t) in enumerate(zip(supports, corrected))
     ]
 
+    # the one-form rules' cases: e_a*eps against dx_j*c is the pairing
+    # <e_a, coanchor[j]>, and x against dx_j*c the section bracket
+    one_form_supports = [d.section_support for d in dx_c]
+    interior = pairings(q.pairing_masks, gen_supports, one_form_supports)
+    lie_cases = [(*degree_zero[a], j) for a, j in product(range(r), range(n))]
+    for a, j, k in product(range(r), range(n), range(n)):
+        if not (M[a][j].is_zero and N[j].comps[k].is_zero):
+            lie_cases.append((*probe_pair(a, k), j))
+    lie = q.admitted([x.section_support for _, x, _ in lie_cases], one_form_supports)
+
     @cache
     def with_eps(i: int, b: int) -> TauElement:
         """[x, e_b*eps] for the i-th element x of evens; pair(e_a) is x_a."""
@@ -366,17 +382,13 @@ def check_tau_rules(
 
     def interior_action():
         for a, j in product(range(r), range(n)):
-            got = tau.bracket(eps[a], dx_c[j])
+            got = tau.bracket(eps[a], dx_c[j]) if interior[a] >> j & 1 else tau.zero(-2)
             if got.c_part != dx[j].iota(q.anchor_of(gens[a])).as_poly():
                 yield f"against a dressed one-form: e{a}, d{coords[j]}"
 
     def lie_action():
-        cases = [(*degree_zero[a], j) for a, j in product(range(r), range(n))]
-        for a, j, k in product(range(r), range(n), range(n)):
-            if not (M[a][j].is_zero and N[j].comps[k].is_zero):
-                cases.append((*probe_pair(a, k), j))
-        for label, x, j in cases:
-            got = tau.bracket(x, dx_c[j])
+        for (label, x, j), admitted in zip(lie_cases, lie):
+            got = tau.bracket(x, dx_c[j]) if admitted >> j & 1 else tau.zero(-1)
             if got.section != q.coanchor_of(dx[j].lie(q.anchor_of(x.section))):
                 yield f"against a dressed one-form: {label}, d{coords[j]}"
 
@@ -431,8 +443,9 @@ def check_transgression_linear(parts, weights, connections) -> Report:
     combined structure C.
 
     Route one transgresses C; route two evaluates the summand tables on the
-    fiber-product representatives expand_i (weight w_i) and reduces: weighted
-    c parts for the odd pairing, reduce for the section brackets.
+    fiber-product representatives expand_i (weight w_i), expand_i e_x being
+    part i of comb.basis[x], and reduces: weighted c parts for the odd
+    pairing, reduce for the section brackets.
     L3: expand is function-linear, so both pairing routes are bilinear over
     functions and generator pairs decide tau_pairing_combines.
     L4: expand u = sum u_x e_x, v = sum v_y e_y on both bracket routes with
@@ -462,40 +475,37 @@ def check_transgression_linear(parts, weights, connections) -> Report:
     chart = result.chart
     n, r = chart.dim, result.rank
     gens = [unit_vec(chart, r, a) for a in range(r)]
+    # e_x dressed once on C, and expand_i e_x once per summand i
+    eps_c = [tau_c.section_eps(e) for e in gens]
+    pair_c = [tau_c.pair(e) for e in gens]
+    lift_eps = [[t.section_eps(u) for t, u in zip(taus, lift)] for lift in comb.basis]
+    lift_pairs = [[t.pair(u) for t, u in zip(taus, lift)] for lift in comb.basis]
 
-    def pairing_combines(u: Vec, v: Vec) -> bool:
-        route1 = tau_c.bracket(tau_c.section_eps(u), tau_c.section_eps(v)).c_part
-        lifts_u, lifts_v = comb.expand(u), comb.expand(v)
+    def pairing_combines(x: int, y: int) -> bool:
+        route1 = tau_c.bracket(eps_c[x], eps_c[y]).c_part
         route2 = Poly.zero(chart)
-        for i, ti in enumerate(taus):
-            got = ti.bracket(
-                ti.section_eps(lifts_u[i]), ti.section_eps(lifts_v[i])
-            ).c_part
-            route2 = route2 + comb.weights[i] * got
+        for ti, w, u, v in zip(taus, comb.weights, lift_eps[x], lift_eps[y]):
+            route2 = route2 + w * ti.bracket(u, v).c_part
         return route1 == route2
 
-    def bracket_combines(u: Vec, v: Vec) -> bool:
-        route1 = tau_c.bracket(tau_c.pair(u), tau_c.section_eps(v)).section
-        lifts_u, lifts_v = comb.expand(u), comb.expand(v)
+    def bracket_combines(x: int, y: int) -> bool:
+        route1 = tau_c.bracket(pair_c[x], eps_c[y]).section
         comps = tuple(
-            ti.bracket(ti.pair(lifts_u[i]), ti.section_eps(lifts_v[i])).section
-            for i, ti in enumerate(taus)
+            ti.bracket(u, v).section for ti, u, v in zip(taus, lift_pairs[x], lift_eps[y])
         )
         return vec_is_zero(vec_sub(route1, comb.reduce(comps)))
 
     def on_generators(identity):
         for x, y in product(range(r), repeat=2):
-            if not identity(gens[x], gens[y]):
+            if not identity(x, y):
                 yield f"generators ({x},{y})"
 
     def function_action_matches():
         coords_c = [[t.coordinate_c(j) for j in range(n)] for t in (tau_c, *taus)]
         for x in range(r):
-            flat = tau_c.pair(gens[x])
-            lifts = [ti.pair(u) for ti, u in zip(taus, comb.expand(gens[x]))]
             for j in range(n):
-                route1 = tau_c.bracket(flat, coords_c[0][j]).c_part
-                for i, (ti, lift) in enumerate(zip(taus, lifts)):
+                route1 = tau_c.bracket(pair_c[x], coords_c[0][j]).c_part
+                for i, (ti, lift) in enumerate(zip(taus, lift_pairs[x])):
                     got = ti.bracket(lift, coords_c[i + 1][j]).c_part
                     if got != route1:
                         yield (

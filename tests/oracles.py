@@ -3,8 +3,9 @@ compare the package against. No verb reaches these, so they live with the
 tests rather than in the package.
 
 Fixtures: opposite, direct_sum and scalar_multiple build Courant structures
-from others, connection_shift shifts a connection by a two-form, and
-graph_of_two_form is the Dirac structure of that shift. Oracles:
+from others, connection_shift shifts a connection by a two-form,
+graph_of_two_form is the Dirac structure of that shift, and expand is the
+element of a presentation with given class coordinates. Oracles:
 associated_lie_algebroid is the Lie algebroid of a Courant structure, the
 quotient by its coanchor image (constant_quotient), against which the
 inverse image of an exact structure is checked to stay exact; and
@@ -24,7 +25,8 @@ the names of a report's checks in order.
 
 Lemma L14 one pair at a time, the references the admitted masks of a whole
 table are tested against: pair_bracket_vanishes on two (tangent, section)
-pairs; pullback_bracket_vanishes and pullback_pairing_vanishes on two
+pairs, through leibniz_vanishes, the test of leibniz_sum with any fields
+standing for the anchors; pullback_bracket_vanishes and pullback_pairing_vanishes on two
 triples of a CourantPullback, with share, the shared-index test of a
 one-form against a tangent; and combination_vanishes and
 combination_unpaired on two basis elements of a CourantCombination.
@@ -42,13 +44,13 @@ from typing import Sequence
 from algebroids import linalg
 from algebroids.anchored import (
     AnchoredModule,
+    Presentation,
     Support,
     antisymmetric_table,
     constant_complement,
     jacobi_counterexample,
     jacobi_left_probe_failures,
     jacobiator,
-    leibniz_vanishes,
     paired,
     probe,
 )
@@ -176,6 +178,16 @@ def graph_of_two_form(conn: Connection, b: KForm) -> DiracData:
     """
     shifted = connection_shift(conn, b)
     return DiracData(conn.courant, tuple(shifted.columns), ())
+
+
+def expand(pres: Presentation, cls: Vec) -> tuple[Vec, ...]:
+    """The ambient element sum_c cls[c] basis[c] of a presentation, slot by
+    slot: the element whose class Presentation.reduce reads back as cls.
+    No verb builds one, a generator's element being its basis entry."""
+    return tuple(
+        linalg.apply_matrix([e[s] for e in pres.basis], cls, size, pres.chart)
+        for s, size in enumerate(pres.sizes)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +529,24 @@ def unpruned_first_labels(q: CourantData, terms: dict) -> dict[str, str | None]:
 # ---------------------------------------------------------------------------
 # Lemma L14 on single pairs
 # ---------------------------------------------------------------------------
+
+
+def leibniz_vanishes(
+    rows: Sequence[int], u: Support, v: Support, xi: bool, eta: bool
+) -> bool:
+    """Whether Lemma L14 shows leibniz_sum to be zero on sections with the
+    supports u and v, rows being the table masks of its entries (bit b of
+    rows[a] set when entry (a, b) is not None); xi and eta say whether the
+    fields standing for their anchors may be nonzero. The table term needs
+    some a in supp u and b in supp v with a nonzero entry (paired on rows),
+    xi(v_k) needs xi and v not constant, and eta(u_k) needs eta and u not
+    constant.
+    """
+    return not (
+        (xi and not v.constant)
+        or (eta and not u.constant)
+        or paired(rows, u, v)
+    )
 
 
 def pair_bracket_vanishes(

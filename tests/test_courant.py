@@ -69,6 +69,7 @@ from oracles import (
     combination_vanishes,
     connection_shift,
     direct_sum,
+    expand,
     opposite,
     predicate_masks,
     scalar_multiple,
@@ -544,7 +545,7 @@ def test_combination_lift_reduce_round_trip():
         [coordinate_connection(q1), coordinate_connection(q2)],
     )
     cls = sec(R3, "x1", "0", "1", "x2*x3", "0", "2")
-    lifted = comb.expand(cls)
+    lifted = expand(comb, cls)
     assert q1.anchor_of(lifted[0]) == q2.anchor_of(lifted[1])
     assert comb.reduce(lifted) == cls
 
@@ -577,11 +578,11 @@ def test_combination_reduce_inverts_expand(weights, data):
     conns = [connection_shift(coordinate_connection(q), b) for b in shifts]
     comb = baer_combination([q] * len(weights), weights, conns)
     cls = tuple(data.draw(polys(R2, max_degree=2)) for _ in range(comb.result.rank))
-    assert comb.reduce(comb.expand(cls)) == cls
+    assert comb.reduce(expand(comb, cls)) == cls
     rel = tuple(data.draw(polys(R2, max_degree=1)) for _ in comb.relations)
     shifted = tuple(
         apply_matrix([r[i] for r in comb.relations], rel, len(e), R2, e)
-        for i, e in enumerate(comb.expand(cls))
+        for i, e in enumerate(expand(comb, cls))
     )
     assert comb.reduce(shifted) == cls
 
@@ -1335,18 +1336,30 @@ def test_admitted_masks_match_the_pair_tests_on_random_tables(lie, data):
     anchored.pairings on the pairing of Courant data), sets bit y of row x
     exactly when bracket_vanishes (paired) admits the pair (x, y), on
     random structure data and rows and columns drawn from its generators
-    and from random sections."""
+    and from random sections. Both read the same masks, so each is also
+    checked against Lemma L14 restated on index sets, which reads none
+    (restated_bracket_vanishes, meets)."""
     m = data.draw(random_tables(lie))
     sections = st.one_of(st.sampled_from([m.gen(a) for a in range(m.rank)]), sparse_sections(m))
     rows = data.draw(st.lists(sections, min_size=1, max_size=4))
     cols = data.draw(st.lists(sections, min_size=1, max_size=5))
     xs, ys = [support(u) for u in rows], [support(v) for v in cols]
-    assert m.admitted(xs, ys) == predicate_masks(
-        lambda x, y: not m.bracket_vanishes(x, y), xs, ys
+    admitted = m.admitted(xs, ys)
+    assert admitted == predicate_masks(lambda x, y: not m.bracket_vanishes(x, y), xs, ys)
+    assert admitted == predicate_masks(
+        lambda u, v: not restated_bracket_vanishes(m, u, v), rows, cols
     )
     if not lie:
-        assert pairings(m.pairing_masks, xs, ys) == predicate_masks(
+        admitted = pairings(m.pairing_masks, xs, ys)
+        assert admitted == predicate_masks(
             lambda x, y: paired(m.pairing_masks, x, y), xs, ys
+        )
+        assert admitted == predicate_masks(
+            lambda u, v: meets(
+                lambda a, b: (m.pairing[a][b],), nonzero_indices(u), nonzero_indices(v)
+            ),
+            rows,
+            cols,
         )
 
 

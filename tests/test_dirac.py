@@ -46,7 +46,7 @@ def vol3(scale="1"):
     return KForm(R3, 3, {(0, 1, 2): parse_poly(scale, R3)})
 
 
-def test_restrict_unrestrict_round_trip():
+def test_a_polynomial_pulled_to_the_support_lifts_back():
     d = DiracData(standard_exact(R2), (), ("x2",))
     sub = d.inclusion.source
     assert sub.coords == ("x1",)

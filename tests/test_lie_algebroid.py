@@ -38,7 +38,7 @@ from algebroids.symcalc import (
     parse_poly,
 )
 
-from oracles import check_names, pair_bracket_vanishes, predicate_masks
+from oracles import check_names, expand, pair_bracket_vanishes, predicate_masks
 from test_symcalc import polys
 
 PT = Chart("PT", ())
@@ -347,13 +347,13 @@ def test_comparison_on_a_curve_chain():
     assert len(got) == p_fg.result.rank
     # The comparison reaches the composite presentation exactly; spot-check
     # by expanding both sides to ambient section coordinates over X.
-    tangent, coeffs = p_g.expand(e)
+    tangent, coeffs = expand(p_g, e)
     flat = list(linalg.zero_vec(R1, 4))
     for alpha, c in enumerate(coeffs):
         u_part = p_f.basis[alpha][1]
         for k in range(4):
             flat[k] = flat[k] + c * g.pull(u_part[k])
-    assert p_fg.expand(got) == (tuple(tangent), tuple(flat))
+    assert expand(p_fg, got) == (tuple(tangent), tuple(flat))
 
 
 def assoc_chain():

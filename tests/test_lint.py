@@ -43,10 +43,9 @@ A presentation's relations are set by Presentation.__init__ and nowhere
 else, since it takes their nonzero entries once for the rebuild in reduce.
 
 Lemma L14 decides a whole table through one admission step that returns a
-mask per row. The tests of one pair (paired, leibniz_vanishes,
-bracket_vanishes) are called only inside the definitions of the lemma
-itself and in TauModule.bracket, which brackets single pairs, so no table
-loop goes back to testing pair by pair. A full table of section pairs is
+mask per row. The tests of one pair (paired, bracket_vanishes), that step
+on one column, are called only in TauModule.bracket, which brackets
+single pairs, so no table loop goes back to testing pair by pair. A full table of section pairs is
 AnchoredModule.bracket_table or CourantData.pairing_table, or the row-order
 entries they are built from: outside anchored, the admission steps
 (admitted, pairings), pruned_entries and pruned_table are called only by
@@ -740,13 +739,8 @@ def test_only_the_presentation_constructor_sets_relations():
     assert {name: lines for name, lines in writes.items() if lines} == {}
 
 
-PAIR_TESTS = {"paired", "leibniz_vanishes", "bracket_vanishes"}
-PAIR_TEST_OWNERS = {
-    "leibniz_vanishes",
-    "AnchoredModule.bracket_vanishes",
-    "CourantData.bracket_vanishes",
-    "TauModule.bracket",
-}
+PAIR_TESTS = {"paired", "bracket_vanishes"}
+PAIR_TEST_OWNERS = {"TauModule.bracket"}
 
 
 def stray_calls(source: str, names: set[str], owners: set[str]) -> list[str]:
@@ -764,11 +758,10 @@ def stray_calls(source: str, names: set[str], owners: set[str]) -> list[str]:
 
 def test_the_pair_test_gate_flags_a_table_loop_and_keeps_the_owners():
     source = (
-        "def leibniz_vanishes(rows, u, v):\n"
-        "    return not paired(rows, u, v)\n"
-        "class CourantData:\n"
-        "    def bracket_vanishes(self, u, v):\n"
-        "        return super().bracket_vanishes(u, v) and paired(self.rows, u, v)\n"
+        "class TauModule:\n"
+        "    def bracket(self, x, y):\n"
+        "        if paired(self.rows, x, y):\n"
+        "            return self.q.bracket_vanishes(x, y)\n"
         "def curvature(q, s):\n"
         "    return [q.bracket_vanishes(a, b) for a in s for b in s]\n"
         "class Combination:\n"
@@ -778,7 +771,7 @@ def test_the_pair_test_gate_flags_a_table_loop_and_keeps_the_owners():
         "        self.admitted = q.admitted(q.rows)\n"
     )
     found = stray_calls(source, PAIR_TESTS, PAIR_TEST_OWNERS)
-    assert found == ["curvature:7", "Combination.__init__.unpaired:11"]
+    assert found == ["curvature:6", "Combination.__init__.unpaired:10"]
 
 
 def test_tables_read_masks_not_pair_tests():

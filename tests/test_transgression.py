@@ -6,7 +6,8 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algebroids.anchored import probe
+from algebroids import jsonio
+from algebroids.anchored import Presentation, probe
 from algebroids.courant import (
     CourantData,
     check_courant,
@@ -33,6 +34,7 @@ from oracles import (
     unpruned_tau_bracket,
     unpruned_tau_rules,
 )
+from test_acceptance import _battery_jobs
 from test_courant import courant_data
 
 R1 = coordinate_chart("L", 1)
@@ -392,17 +394,41 @@ def tau_rule_counts(monkeypatch, q):
 def test_tau_rules_evaluate_only_the_cases_that_can_fail(monkeypatch):
     """One check_tau_rules on twisted R3 evaluates none of the cases that
     definitional_failures covers, and brackets only the cases that Lemma
-    L14 admits (732 brackets and 138 elements with every case of the
-    evaluated rules bracketed); a bracket that Lemma L14 shows zero returns
+    L14 admits, the dressed one-form cases included (732 brackets and 138
+    elements with every case of the evaluated rules bracketed, 84 with the
+    one-form cases unadmitted); a bracket that Lemma L14 shows zero returns
     the module's shared zero element."""
     counts = tau_rule_counts(monkeypatch, standard_exact(R3, vol3()))
-    assert counts == {"bracket": 84, "element": 66}
+    assert counts == {"bracket": 51, "element": 66}
 
 
 def test_tau_rules_bracket_only_admitted_cases_on_r4(monkeypatch):
     """The same gate on axioms_r4, where bracketing every case of the
-    evaluated rules took 1,836 brackets and 253 elements."""
-    assert tau_rule_counts(monkeypatch, axioms_r4()) == {"bracket": 164, "element": 125}
+    evaluated rules took 1,836 brackets and 253 elements, and leaving the
+    dressed one-form cases unadmitted 164 brackets."""
+    assert tau_rule_counts(monkeypatch, axioms_r4()) == {"bracket": 104, "element": 125}
+
+
+def test_transgression_linear_reads_the_lifts_from_the_basis(monkeypatch):
+    """One passing check_transgression_linear on the battery's tau-linear
+    spec reads the lift of each generator e_x from comb.basis[x], which is
+    the sum over the basis with the coefficients e_x, and makes no such
+    sum (Presentation._combine): 68 when both generators of every pair
+    were expanded."""
+    spec = _battery_jobs()["tau-linear"]
+    parts = [jsonio.courant_from_json(p) for p in spec["parts"]]
+    weights = [jsonio.rational_from_json(w, "weights") for w in spec["weights"]]
+    conns = [jsonio.connection_from_json(c, q) for c, q in zip(spec["connections"], parts)]
+    calls = []
+    combine = Presentation._combine
+
+    def counted(self, *args):
+        calls.append(args)
+        return combine(self, *args)
+
+    monkeypatch.setattr(Presentation, "_combine", counted)
+    assert check_transgression_linear(parts, weights, conns).ok
+    assert len(calls) == 0
 
 
 def twisted_mutants(q, count, seed):
