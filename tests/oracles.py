@@ -433,7 +433,10 @@ def unpruned_first_labels(q: CourantData, terms: dict) -> dict[str, str | None]:
     """The first counterexample label, None for a pass, of eq3, eq4, eq6 and
     leibniz_identity, read as check_courant reads them (same stages, same
     order, the same probes past the generator cases) but from terms, the
-    unpruned_generator_cases of q, and the unpruned jacobiator."""
+    unpruned_generator_cases of q, and the unpruned jacobiator. It keeps the
+    second-order probes x_k*x_l*e_a that check_courant leaves out by its
+    Lemma L12', as the reference that lemma is checked against: where the
+    earlier stages pass, these must pass too."""
     M, N, E3, E4, E6, A = (terms[k] for k in ("M", "N", "E3", "E4", "E6", "A"))
     chart, r, n, g = q.chart, q.rank, q.chart.dim, q.pairing
     coords = chart.coords

@@ -6,6 +6,7 @@ import dataclasses
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 import pickle
+import random
 import re
 import sys
 from types import MappingProxyType
@@ -1087,6 +1088,34 @@ def test_jacobiator_u_slot_is_second_order(q, data):
     assert vec_eq(big_d(f), expected)
 
 
+@given(courant_data(), st.data())
+@settings(max_examples=25, deadline=None)
+def test_jacobiator_u_slot_second_order_part_is_closed_form(q, data):
+    """L12': on generators, whatever the table, the order-two part of
+    D(f) = J(f e_a, e_b, e_c) - f J(e_a, e_b, e_c) is (1 + delta_kl) D_kl
+    = -g_ab (M[c][k] coanchor[l] + M[c][l] coanchor[k]), M[c][j] being
+    <e_c, coanchor[j]> - anchor(e_c)^j."""
+    a, b, c = (data.draw(st.integers(0, q.rank - 1)) for _ in range(3))
+    e = [unit_vec(R2, q.rank, i) for i in range(q.rank)]
+    base = jacobiator(q, e[a], e[b], e[c])
+
+    def big_d(p):
+        return vec_sub(jacobiator(q, vec_scale(p, e[a]), e[b], e[c]), vec_scale(p, base))
+
+    def big_m(j):
+        return q.pairing_of(e[c], q.coanchor[j]) - q.anchor[c][j]
+
+    g_ab = q.pairing[a][b]
+    x = [Poly.coord(R2, k) for k in range(2)]
+    first = [big_d(x[k]) for k in range(2)]
+    for k, l in combinations_with_replacement(range(2), 2):
+        cross = _combine(q, (x[l], first[k]), (x[k], first[l]))
+        closed = _combine(
+            q, (-g_ab * big_m(k), q.coanchor[l]), (-g_ab * big_m(l), q.coanchor[k])
+        )
+        assert vec_eq(vec_sub(big_d(x[k] * x[l]), cross), closed)
+
+
 def _named_sections(label, chart, rank):
     """The sections x_k*...*e_a a counterexample label names, in order; a
     defect after the colon is not read."""
@@ -1132,7 +1161,7 @@ def _zero_coanchor(chart):
 def test_leibniz_identity_runs_every_probe_when_prerequisites_fail(chart, monkeypatch):
     """The worst case of leibniz_identity: eq3 and eq5 fail, so J is not
     known to be tensorial, yet J = 0, so every stage of L10-L12 runs and
-    passes, including all first- and second-order probes."""
+    passes, including all first-order probes."""
     from algebroids import courant
 
     probes = []
@@ -1151,7 +1180,7 @@ def test_leibniz_identity_runs_every_probe_when_prerequisites_fail(chart, monkey
         "eq5_adjunction",
     ]
     n = chart.dim
-    assert len(probes) == n * n + n * n * (n + 1) // 2
+    assert len(probes) == n * n
     assert rep["leibniz_identity"].passed
 
 
@@ -1182,6 +1211,58 @@ def test_leibniz_identity_fails_first_on_a_first_order_probe(monkeypatch):
         "sections (x1*e1, e1, e0): defect (0, 0, 2)"
     )
     assert batches == [["x1*e0", "x1*e1", "x1*e2"]]
+
+
+# One witness per closed-form stage of leibniz_identity: the input, the
+# candidate triples that stage hands to jacobi_counterexample, and the first
+# counterexample. S4 and S5 are the courant-pairing and courant-anchor inputs
+# of the failing-report pins; S2 and S3 are one-entry mutants of standard R1.
+# S1 (generator triples) is the courant-structure input, S6 (first-order
+# probes) first_order_probe_witness.
+STAGE_WITNESSES = {
+    "S2-anchor-on-generators": (
+        lambda: _perturbed(standard_exact(R1), "anchor", (1, 0), Poly.coord(R1, 0)),
+        [[("e0", "e1", "x1*e0")]],
+        "sections (e0, e1, x1*e0): defect (1, 0)",
+    ),
+    "S3-pairing-times-N": (
+        lambda: _perturbed(standard_exact(R1), "coanchor", (0, 0), Poly.one(R1)),
+        [[("x1*e0", "e1", "e0"), ("x1*e0", "e1", "x1*e0")]],
+        "sections (x1*e0, e1, x1*e0): defect (-1, 0)",
+    ),
+    "S4-K-on-generators": (
+        lambda: _perturbed(standard_exact(A2), "pairing", (0, 2), Poly.coord(A2, 0)),
+        [[("e0", "x1*e0", "e2")]],
+        "sections (e0, x1*e0, e2): defect (0, 0, 1, 0)",
+    ),
+    "S5-L11-correction": (
+        lambda: _perturbed(standard_exact(A2), "anchor", (0, 0), 1),
+        [[("x1*e0", "e1", "e3"), ("x1*e0", "x1*e1", "e3")]],
+        "sections (x1*e0, x1*e1, e3): defect (0, 0, -1, 0)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(STAGE_WITNESSES))
+def test_leibniz_identity_stage_witnesses(name, monkeypatch):
+    """Each closed-form stage of L10 and L11 is the one that refutes some
+    input: the earlier stages pass, the stage passes its own candidate
+    triples (told apart by where the probe x_k sits) to
+    jacobi_counterexample, and its label is the report's counterexample."""
+    from algebroids import courant
+
+    build, triples, label = STAGE_WITNESSES[name]
+    calls = []
+    real = courant.jacobi_counterexample
+
+    def spy(q, *candidates):
+        calls.append([tuple(lab for lab, _ in t) for t in candidates])
+        return real(q, *candidates)
+
+    monkeypatch.setattr(courant, "jacobi_counterexample", spy)
+    rep = check_courant(build())
+    assert calls == triples
+    assert rep["leibniz_identity"].counterexample == label
 
 
 def test_leibniz_identity_names_a_probe_past_the_generator_triples():
@@ -1328,28 +1409,25 @@ def random_tables(draw, lie):
     return CourantData(chart, r, anchor, coanchor, pairing, structure)
 
 
-@pytest.mark.parametrize("lie", [False, True], ids=["courant", "lie"])
-@settings(max_examples=30, deadline=None)
-@given(data=st.data())
-def test_admitted_masks_match_the_pair_tests_on_random_tables(lie, data):
-    """The admission step of a table, AnchoredModule.admitted (and
-    anchored.pairings on the pairing of Courant data), sets bit y of row x
-    exactly when bracket_vanishes (paired) admits the pair (x, y), on
-    random structure data and rows and columns drawn from its generators
-    and from random sections. Both read the same masks, so each is also
-    checked against Lemma L14 restated on index sets, which reads none
-    (restated_bracket_vanishes, meets)."""
-    m = data.draw(random_tables(lie))
-    sections = st.one_of(st.sampled_from([m.gen(a) for a in range(m.rank)]), sparse_sections(m))
-    rows = data.draw(st.lists(sections, min_size=1, max_size=4))
-    cols = data.draw(st.lists(sections, min_size=1, max_size=5))
+def coanchor_only_pair():
+    """Courant data on P with no anchor and no table and g_01 = 1, and the
+    pair (x1*e0, e1): a non-constant u, a nonzero g_ab off the table and no
+    anchor on either side, so only the coanchor term admits it."""
+    z, one = Poly.zero(R2), Poly.one(R2)
+    q = CourantData(R2, 2, ((z, z),) * 2, ((z, z),) * 2, ((z, one), (one, z)), {})
+    return q, [(Poly.coord(R2, 0), z)], [(z, one)]
+
+
+def assert_admission_matches(m, rows, cols):
+    """admitted (and pairings on Courant data) against the one-pair tests
+    and against Lemma L14 restated on index sets, on rows x cols."""
     xs, ys = [support(u) for u in rows], [support(v) for v in cols]
     admitted = m.admitted(xs, ys)
     assert admitted == predicate_masks(lambda x, y: not m.bracket_vanishes(x, y), xs, ys)
     assert admitted == predicate_masks(
         lambda u, v: not restated_bracket_vanishes(m, u, v), rows, cols
     )
-    if not lie:
+    if isinstance(m, CourantData):
         admitted = pairings(m.pairing_masks, xs, ys)
         assert admitted == predicate_masks(
             lambda x, y: paired(m.pairing_masks, x, y), xs, ys
@@ -1361,6 +1439,28 @@ def test_admitted_masks_match_the_pair_tests_on_random_tables(lie, data):
             rows,
             cols,
         )
+
+
+@pytest.mark.parametrize("lie", [False, True], ids=["courant", "lie"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_admitted_masks_match_the_pair_tests_on_random_tables(lie, data):
+    """The admission step of a table, AnchoredModule.admitted (and
+    anchored.pairings on the pairing of Courant data), sets bit y of row x
+    exactly when bracket_vanishes (paired) admits the pair (x, y), on
+    random structure data and rows and columns drawn from its generators
+    and from random sections. Both read the same masks, so each is also
+    checked against Lemma L14 restated on index sets, which reads none
+    (restated_bracket_vanishes, meets). random_tables rarely draws a pair
+    that only the coanchor term admits, so every Courant run also checks
+    coanchor_only_pair."""
+    if not lie:
+        assert_admission_matches(*coanchor_only_pair())
+    m = data.draw(random_tables(lie))
+    sections = st.one_of(st.sampled_from([m.gen(a) for a in range(m.rank)]), sparse_sections(m))
+    rows = data.draw(st.lists(sections, min_size=1, max_size=4))
+    cols = data.draw(st.lists(sections, min_size=1, max_size=5))
+    assert_admission_matches(m, rows, cols)
 
 
 TABLE_STRUCTURES = {
@@ -1534,23 +1634,69 @@ def r2_mutants_with_varying_deltas():
     return [_perturbed(q, *m) for m in mutants if m[2].as_constant() is None]
 
 
+def r2_seeded_mutants(seed=0, count=150):
+    """count seeded perturbations of one or two anchor, coanchor or pairing
+    entries of standard R2 by +-1, +-x1 or +-x2, two in three of them made
+    after zeroing the coanchor. With the coanchor zeroed J often vanishes
+    while eq5 fails, so these reach the last stages of leibniz_identity;
+    no single table perturbation of standard R2 does, so the table is left
+    alone."""
+    rng = random.Random(seed)
+    q = standard_exact(R2)
+    r, n = q.rank, R2.dim
+    flat = dataclasses.replace(q, coanchor=(zero_vec(R2, r),) * n)
+    one, x1, x2 = Poly.one(R2), Poly.coord(R2, 0), Poly.coord(R2, 1)
+    deltas = (one, -one, x1, -x1, x2, -x2)
+    sites = {
+        "anchor": list(product(range(r), range(n))),
+        "coanchor": list(product(range(n), range(r))),
+        "pairing": [(a, b) for a in range(r) for b in range(a, r)],
+    }
+    out = []
+    for _ in range(count):
+        m = rng.choice((q, flat, flat))
+        for _ in range(rng.randint(1, 2)):
+            where = rng.choice(sorted(sites))
+            m = _perturbed(m, where, rng.choice(sites[where]), rng.choice(deltas))
+        out.append(m)
+    return out
+
+
 SOUNDNESS_STRUCTURES = {
     "standard-R2": lambda: [standard_exact(R2)],
     "twisted-R3": lambda: [standard_exact(R3, vol3("x1 + x2"))],
     "closed-twist-R4": lambda: [CLOSED_TWIST_R4],
     "R2-mutants": r2_mutants_with_varying_deltas,
+    "R2-seeded-mutants": r2_seeded_mutants,
 }
+# how many structures of a family must run the reference's second-order
+# probes, the stage check_courant leaves out by Lemma L12'
+SECOND_ORDER_REACH = {"R2-seeded-mutants": 30}
 
 
 @pytest.mark.parametrize("name", list(SOUNDNESS_STRUCTURES))
-def test_check_courant_matches_the_unpruned_reference(name):
+def test_check_courant_matches_the_unpruned_reference(name, monkeypatch):
     """The skips of generator_defects, anchor_defects and check_courant drop
     only zero terms: generator_defects and every anchor defect equal the
     unpruned reference (a pair anchor_defects leaves out has A = 0), and
     eq3, eq4, eq6 and leibniz_identity have the verdicts and first labels
-    that the reference reads."""
+    that the reference reads. The reference still runs the second-order
+    probes x_k*x_l*e_a; a spy counts the structures that reach them, so
+    the seeded family keeps checking Lemma L12'."""
+    import oracles
+
+    reached = set()
+    real = oracles.jacobi_left_probe_failures
+
+    def spy(q, batch):
+        batch = list(batch)
+        if any(label.count("*") == 2 for label, _ in batch):
+            reached.add(id(q))
+        return real(q, batch)
+
+    monkeypatch.setattr(oracles, "jacobi_left_probe_failures", spy)
     structures = SOUNDNESS_STRUCTURES[name]()
-    assert len(structures) == (168 if name == "R2-mutants" else 1)
+    assert len(structures) == {"R2-mutants": 168, "R2-seeded-mutants": 150}.get(name, 1)
     for q in structures:
         terms = unpruned_generator_cases(q)
         assert generator_defects(q) == (terms["M"], terms["N"])
@@ -1560,6 +1706,7 @@ def test_check_courant_matches_the_unpruned_reference(name):
         rep = check_courant(q)
         for check, label in unpruned_first_labels(q, terms).items():
             assert (rep[check].passed, rep[check].counterexample) == (label is None, label)
+    assert len(reached) >= SECOND_ORDER_REACH.get(name, 0)
 
 
 def test_a_replaced_structure_has_its_own_masks():

@@ -834,18 +834,16 @@ def test_pullback_masks_match_the_pair_tests(name, data):
     )
 
 
-PAIR_TESTS = (
-    "paired",
-    "pair_bracket_vanishes",
-    "bracket_vanishes",
-    "pairing_vanishes",
-)
+PAIR_TESTS = ("paired", "bracket_vanishes")
 
 
 def count_pair_tests(monkeypatch) -> Counter:
     """Count the calls of every per-pair Lemma L14 test the package has,
-    module functions (wherever imported) and methods alike, by name."""
+    module functions (wherever imported) and methods alike, by name. Each
+    name of PAIR_TESTS must patch at least one definition, so a name the
+    package no longer defines fails here instead of counting nothing."""
     calls = Counter()
+    patched = set()
 
     def counted(name, function):
         def call(*args, **kwargs):
@@ -866,12 +864,15 @@ def count_pair_tests(monkeypatch) -> Counter:
         for name in PAIR_TESTS:
             if callable(getattr(module, name, None)):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+                patched.add(name)
         for cls in list(vars(module).values()):
             if isinstance(cls, type) and cls.__module__ == module.__name__:
                 for name in PAIR_TESTS:
                     if name in vars(cls):
                         label = f"{cls.__name__}.{name}"
                         monkeypatch.setattr(cls, name, counted(label, vars(cls)[name]))
+                        patched.add(name)
+    assert patched == set(PAIR_TESTS)
     return calls
 
 
