@@ -1634,14 +1634,14 @@ def r2_mutants_with_varying_deltas():
     return [_perturbed(q, *m) for m in mutants if m[2].as_constant() is None]
 
 
-def r2_seeded_mutants(seed=0, count=150):
-    """count seeded perturbations of one or two anchor, coanchor or pairing
+def r2_seeded_mutants():
+    """150 seeded perturbations of one or two anchor, coanchor or pairing
     entries of standard R2 by +-1, +-x1 or +-x2, two in three of them made
     after zeroing the coanchor. With the coanchor zeroed J often vanishes
     while eq5 fails, so these reach the last stages of leibniz_identity;
     no single table perturbation of standard R2 does, so the table is left
     alone."""
-    rng = random.Random(seed)
+    rng = random.Random(0)
     q = standard_exact(R2)
     r, n = q.rank, R2.dim
     flat = dataclasses.replace(q, coanchor=(zero_vec(R2, r),) * n)
@@ -1653,7 +1653,7 @@ def r2_seeded_mutants(seed=0, count=150):
         "pairing": [(a, b) for a in range(r) for b in range(a, r)],
     }
     out = []
-    for _ in range(count):
+    for _ in range(150):
         m = rng.choice((q, flat, flat))
         for _ in range(rng.randint(1, 2)):
             where = rng.choice(sorted(sites))
@@ -1669,9 +1669,6 @@ SOUNDNESS_STRUCTURES = {
     "R2-mutants": r2_mutants_with_varying_deltas,
     "R2-seeded-mutants": r2_seeded_mutants,
 }
-# how many structures of a family must run the reference's second-order
-# probes, the stage check_courant leaves out by Lemma L12'
-SECOND_ORDER_REACH = {"R2-seeded-mutants": 30}
 
 
 @pytest.mark.parametrize("name", list(SOUNDNESS_STRUCTURES))
@@ -1706,7 +1703,8 @@ def test_check_courant_matches_the_unpruned_reference(name, monkeypatch):
         rep = check_courant(q)
         for check, label in unpruned_first_labels(q, terms).items():
             assert (rep[check].passed, rep[check].counterexample) == (label is None, label)
-    assert len(reached) >= SECOND_ORDER_REACH.get(name, 0)
+    if name == "R2-seeded-mutants":
+        assert len(reached) >= 30
 
 
 def test_a_replaced_structure_has_its_own_masks():
