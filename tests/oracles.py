@@ -35,13 +35,18 @@ whole tables those masks prune: unpruned_bracket_table and
 unpruned_pairing_table take every ordered pair and drop the zero entries,
 the references of AnchoredModule.bracket_table and
 CourantData.pairing_table.
+
+build_parser is the argparse parser the command line was once read with,
+the reference cli.parse_argv is tested against.
 """
 
+import argparse
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from typing import Sequence
 
 from algebroids import linalg
+from algebroids.cli import VERBS
 from algebroids.anchored import (
     AnchoredModule,
     Presentation,
@@ -647,3 +652,17 @@ def unpruned_pairing_table(q: CourantData, xs: Sequence[Vec], ys: Sequence[Vec])
         (i, j): q.pairing_of(u, v) for (i, u), (j, v) in product(enumerate(xs), enumerate(ys))
     }
     return {key: p for key, p in table.items() if not p.is_zero}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The flat parser of the positional verb and the four options."""
+    parser = argparse.ArgumentParser(
+        prog="algebroids",
+        description="Exact checks for Courant structures on polynomial charts.",
+    )
+    parser.add_argument("verb", choices=VERBS)
+    parser.add_argument("--spec", required=True, help="path to the JSON job")
+    parser.add_argument("--out", help="report path (default: stdout)")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--samples", type=int, default=100)
+    return parser

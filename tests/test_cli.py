@@ -2,13 +2,17 @@
 
 import argparse
 import ast
+import contextlib
+import io
 import json
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import oracles
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from algebroids import cli, jsonio
 from algebroids.cli import VERBS, main
@@ -335,21 +339,142 @@ def test_help_names_every_verb(capsys):
     assert listed and all(tuple(names.split(",")) == VERBS for names in listed)
 
 
-def test_the_parser_is_one_flat_parser_built_per_call():
-    """build_parser returns a new parser on each call, with no subparsers
-    and the verbs as the choices of one positional; the module keeps no
-    parser of its own."""
-    first, second = cli.build_parser(), cli.build_parser()
-    assert first is not second
-    assert not any(isinstance(a, argparse._SubParsersAction) for a in first._actions)
-    (verb,) = [a for a in first._actions if a.dest == "verb"]
-    assert tuple(verb.choices) == VERBS
+def test_the_command_line_is_one_flat_grammar_read_per_call(capsys):
+    """One grammar with no subcommands: the verb is one positional whose
+    choices are VERBS, beside the four options of OPTIONS. The module keeps
+    no parser object, and a call leaves nothing behind for the next."""
+    assert list(cli.OPTIONS) == ["--spec", "--out", "--seed", "--samples"]
+    for verb in VERBS:
+        assert cli.parse_argv([verb, "--spec", "s"]).verb == verb
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_argv(["check-nothing", "--spec", "s"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
     kept = [
         name
         for name, value in vars(cli).items()
         if isinstance(value, argparse.ArgumentParser)
     ]
     assert kept == []
+    first = ["pullback", "--spec", "a.json", "--seed", "5"]
+    second = ["--out", "r.json", "--samples=3", "--spec", "b.json", "twist"]
+    a, b, again = (cli.parse_argv(argv) for argv in (first, second, first))
+    assert vars(a) == vars(again) == {
+        "verb": "pullback", "spec": "a.json", "out": None, "seed": 5, "samples": 100
+    }
+    assert vars(b) == {
+        "verb": "twist", "spec": "b.json", "out": "r.json", "seed": 0, "samples": 3
+    }
+
+
+def _spellings(option):
+    """option in full, abbreviated to a unique prefix, as an ambiguous
+    prefix (where it has one), and with an attached value."""
+    unique = {"--spec": "--sp", "--out": "--o", "--seed": "--se", "--samples": "--sa"}
+    return [option, unique[option], option[:3], f"{option}=3", f"{unique[option]}=x"]
+
+
+OPTION_TOKENS = sorted({t for option in cli.OPTIONS for t in _spellings(option)})
+ARGV_TOKENS = sorted(
+    {
+        *OPTION_TOKENS,
+        "-h", "--help", "--help=1", "--h", "-hh", "-hx", "-hhx", "-h=",
+        "--verb", "--verb=pullback", "--verb=x",
+        "--", "-", "-x", "--max-degree", "--spec=--", "--seed=",
+        "-5", "1.5", "-1.5", "-a b", "--s b", "", "job.json", "out/r.json",
+    }
+)
+VALUES = ["3", "-5", "1.5", "-a b", "", "--", "job.json"]
+
+
+def _argv():
+    """Lists of 0-7 tokens: either any tokens, or a --spec and a verb with
+    up to three more parts (a token, a verb, `--`, an option and a value),
+    in any order. The second kind makes most lines well formed, so values
+    are compared as often as exit codes."""
+    verb = st.sampled_from([*VERBS, "check-nothing"]).map(lambda v: [v])
+    value = st.sampled_from(VALUES)
+    part = st.one_of(
+        st.sampled_from(ARGV_TOKENS).map(lambda token: [token]),
+        verb,
+        st.just(["--"]),
+        st.tuples(st.sampled_from(OPTION_TOKENS), value).map(list),
+    )
+    spec = st.one_of(
+        value.map(lambda v: ["--spec", v]),
+        value.map(lambda v: ["--sp", v]),
+        value.map(lambda v: [f"--spec={v}"]),
+    )
+    lines = st.tuples(verb, spec, st.lists(part, max_size=3)).flatmap(
+        lambda t: st.permutations([t[1], t[0], *t[2]])
+    )
+    return st.one_of(
+        st.lists(st.sampled_from(ARGV_TOKENS), max_size=7),
+        lines.map(lambda parts: sum(parts, [])[:7]),
+    )
+
+
+def _outcome(read, argv):
+    """The values read from argv, or the code read exits with."""
+    try:
+        return vars(read(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+@given(_argv())
+@settings(max_examples=500, deadline=None)
+def test_the_reader_agrees_with_the_argparse_reference(argv):
+    """parse_argv accepts exactly the command lines the argparse parser
+    accepts, with the same values, and exits with the same code otherwise:
+    abbreviations, --opt=value, ambiguous prefixes, negative numbers,
+    dash tokens holding a space, --, repeated options and -h among them."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+        io.StringIO()
+    ):
+        expected = _outcome(
+            lambda a: oracles.build_parser().parse_args(cli._normalise_argv(list(a))),
+            argv,
+        )
+        assert _outcome(cli.parse_argv, argv) == expected
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--s", "x"], "ambiguous option: --s could match --spec, --seed, --samples"),
+        (["--help", "--s"], "ambiguous option: --s could match"),
+        (["twist", "--spec"], "argument --spec: expected one argument"),
+        (["twist", "--spec", "s", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+        (["twist", "--spec", "s", "--"], "unrecognized arguments: --"),
+        (["twist", "--spec", "s", "--seed", "9" * 4301], "argument --seed: invalid int value: '999"),
+        (["--help=1"], "argument -h/--help: ignored explicit argument '1'"),
+        ([], "the following arguments are required: verb, --spec"),
+    ],
+)
+def test_a_malformed_command_line_exits_two_with_usage(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_argv(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: algebroids ")
+    assert f"algebroids: error: {message}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, values",
+    [
+        (["--sp", "s", "twist", "--seed", "-5"], {"spec": "s", "seed": -5}),
+        (["--o=r", "--spec=-a b", "twist"], {"spec": "-a b", "out": "r"}),
+        (["twist", "--spec", "a", "--spec", "b"], {"spec": "b"}),
+        (["--spec", "s", "--", "twist"], {"spec": "s"}),
+        (["--spec", "s", "twist", "--samples", "1_0"], {"spec": "s", "samples": 10}),
+        (["--spec", "s", "twist", "--seed", "9" * 4300], {"spec": "s", "seed": int("9" * 4300)}),
+    ],
+)
+def test_the_reader_takes_argparse_spellings(argv, values):
+    expected = {"verb": "twist", "spec": None, "out": None, "seed": 0, "samples": 100}
+    assert vars(cli.parse_argv(argv)) == expected | values
 
 
 def test_unsupported_mode_exits_three(tmp_path, capsys):
@@ -781,6 +906,16 @@ def test_importing_the_cli_loads_every_module():
         "import pkgutil, sys, algebroids, algebroids.cli\n"
         "names = (m.name for m in pkgutil.iter_modules(algebroids.__path__))\n"
         "print(sorted(n for n in names if 'algebroids.' + n not in sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_importing_the_cli_loads_neither_argparse_nor_gettext():
+    script = (
+        "import sys, algebroids.cli\n"
+        "print(sorted({'argparse', 'gettext'} & set(sys.modules)))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
