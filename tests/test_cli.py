@@ -428,7 +428,10 @@ def test_the_reader_agrees_with_the_argparse_reference(argv):
     """parse_argv accepts exactly the command lines the argparse parser
     accepts, with the same values, and exits with the same code otherwise:
     abbreviations, --opt=value, ambiguous prefixes, negative numbers,
-    dash tokens holding a space, --, repeated options and -h among them."""
+    dash tokens holding a space, --, repeated options and -h among them.
+    The reader follows Python 3.11's argparse, the one the parser ran
+    under (3.10 and 3.12 read these lines alike); 3.13 reads a value of
+    `--` differently."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
         io.StringIO()
     ):
