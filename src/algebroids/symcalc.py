@@ -557,10 +557,6 @@ class VField:
         self.comps = comps
 
     @classmethod
-    def zero(cls, chart: Chart) -> "VField":
-        return cls(chart, (chart.zero,) * chart.dim)
-
-    @classmethod
     def basis(cls, chart: Chart, which) -> "VField":
         i = which if isinstance(which, int) else chart.index(which)
         return cls(
@@ -605,21 +601,6 @@ class VField:
             comps.append(xy if yx.is_zero else -yx if xy.is_zero else xy - yx)
         return VField(self.chart, comps)
 
-    def scale(self, f) -> "VField":
-        if isinstance(f, (int, Fraction)):
-            f = Poly.const(self.chart, f)
-        _require_same_chart(self, f)
-        return VField(self.chart, tuple(f * c for c in self.comps))
-
-    def __add__(self, other):
-        if not isinstance(other, VField):
-            return NotImplemented
-        _require_same_chart(self, other)
-        return VField(
-            self.chart,
-            tuple(a + b for a, b in zip(self.comps, other.comps)),
-        )
-
     def __sub__(self, other):
         if not isinstance(other, VField):
             return NotImplemented
@@ -628,9 +609,6 @@ class VField:
             self.chart,
             tuple(a - b for a, b in zip(self.comps, other.comps)),
         )
-
-    def __neg__(self):
-        return VField(self.chart, tuple(-c for c in self.comps))
 
     def __eq__(self, other):
         if not isinstance(other, VField):
@@ -783,34 +761,6 @@ class KForm:
         result = KForm(self.chart, self.degree)
         result.comps = _form_comps(other.comps.items(), self.comps)
         return result
-
-    def __sub__(self, other):
-        if not isinstance(other, KForm):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        result = KForm(self.chart, self.degree)
-        result.comps = {idx: -p for idx, p in self.comps.items()}
-        return result
-
-    def scale(self, f) -> "KForm":
-        if isinstance(f, (int, Fraction)):
-            f = Poly.const(self.chart, f)
-        _require_same_chart(self, f)
-        result = KForm(self.chart, self.degree)
-        for idx, p in self.comps.items():
-            q = f * p
-            if not q.is_zero:
-                result.comps[idx] = q
-        return result
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            return self.scale(other)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def wedge(self, other: "KForm") -> "KForm":
         _require_same_chart(self, other)

@@ -214,25 +214,6 @@ class TauElement:
         if self.degree != 0 and not self.form.is_zero:
             raise ValidationError("two-form slot only lives in degree 0")
 
-    @property
-    def is_zero(self) -> bool:
-        return (
-            self.c_part.is_zero
-            and vec_is_zero(self.section)
-            and self.form.is_zero
-        )
-
-    def __add__(self, other: "TauElement") -> "TauElement":
-        if self.module != other.module or self.degree != other.degree:
-            raise ValidationError("can only add elements of equal degree")
-        return TauElement(
-            self.module,
-            self.degree,
-            self.c_part + other.c_part,
-            vec_add(self.section, other.section),
-            self.form + other.form,
-        )
-
 
 def transgress(q: CourantData) -> TauModule:
     return TauModule(q)

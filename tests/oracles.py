@@ -23,6 +23,10 @@ scanned_constant is Poly.as_constant as it read the term dictionary before
 a chart held the exponent tuple of its constant term. check_names lists
 the names of a report's checks in order.
 
+The algebra only tests use, as functions: kform_neg, kform_sub and
+kform_scale on forms; vfield_zero, vfield_scale, vfield_add and vfield_neg
+on vector fields; tau_is_zero and tau_add on elements of a transgression.
+
 Lemma L14 one pair at a time, the references the admitted masks of a whole
 table are tested against: pair_bracket_vanishes on two (tangent, section)
 pairs, through leibniz_vanishes, the test of leibniz_sum with any fields
@@ -71,7 +75,7 @@ from algebroids.lie_algebroid import LieData
 from algebroids.linalg import Vec, apply_constant, unit_vec, vec_add, vec_is_zero, vec_sub
 from algebroids.pullback import CourantPullback
 from algebroids.report import Report
-from algebroids.symcalc import KForm, Poly, VField
+from algebroids.symcalc import Chart, KForm, Poly, VField, _require_same_chart
 from algebroids.transgression import TauElement, TauModule
 
 # ---------------------------------------------------------------------------
@@ -94,6 +98,64 @@ def scanned_constant(p: Poly) -> int | Fraction | None:
 
 def check_names(rep: Report) -> list[str]:
     return [c.name for c in rep.checks]
+
+
+def kform_neg(w: KForm) -> KForm:
+    result = KForm(w.chart, w.degree)
+    result.comps = {idx: -p for idx, p in w.comps.items()}
+    return result
+
+
+def kform_sub(a: KForm, b: KForm) -> KForm:
+    return a + kform_neg(b)
+
+
+def kform_scale(w: KForm, f) -> KForm:
+    if isinstance(f, (int, Fraction)):
+        f = Poly.const(w.chart, f)
+    _require_same_chart(w, f)
+    result = KForm(w.chart, w.degree)
+    for idx, p in w.comps.items():
+        q = f * p
+        if not q.is_zero:
+            result.comps[idx] = q
+    return result
+
+
+def vfield_zero(chart: Chart) -> VField:
+    return VField(chart, (chart.zero,) * chart.dim)
+
+
+def vfield_scale(v: VField, f) -> VField:
+    if isinstance(f, (int, Fraction)):
+        f = Poly.const(v.chart, f)
+    _require_same_chart(v, f)
+    return VField(v.chart, tuple(f * c for c in v.comps))
+
+
+def vfield_add(u: VField, v: VField) -> VField:
+    _require_same_chart(u, v)
+    return VField(u.chart, tuple(a + b for a, b in zip(u.comps, v.comps)))
+
+
+def vfield_neg(v: VField) -> VField:
+    return VField(v.chart, tuple(-c for c in v.comps))
+
+
+def tau_is_zero(x: TauElement) -> bool:
+    return x.c_part.is_zero and vec_is_zero(x.section) and x.form.is_zero
+
+
+def tau_add(x: TauElement, y: TauElement) -> TauElement:
+    if x.module != y.module or x.degree != y.degree:
+        raise ValidationError("can only add elements of equal degree")
+    return TauElement(
+        x.module,
+        x.degree,
+        x.c_part + y.c_part,
+        vec_add(x.section, y.section),
+        x.form + y.form,
+    )
 
 
 def opposite(q: CourantData) -> CourantData:

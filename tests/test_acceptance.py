@@ -523,6 +523,40 @@ def _courant_assoc_job():
     }
 
 
+def varying_pairing_frame():
+    """Standard A1 in the frame f0 = e0 + x1*e1, f1 = e1: <f0, f0> = 2*x1 is
+    not constant, so graded_jacobi of check_tau_rules brackets x with
+    [f0*eps, f0*eps] (its pairing_c stage), and [f0, f0] = f1."""
+    z, one = Poly.zero(A1), Poly.one(A1)
+    return CourantData(
+        A1,
+        2,
+        ((one,), (z,)),
+        ((z, one),),
+        ((2 * Poly.coord(A1, 0), one), (one, z)),
+        {(0, 0): (z, one)},
+    )
+
+
+def _single_jobs():
+    """name -> (verb, spec) of each golden report outside the battery and
+    the pullback modes: assoc-c-plus on its Courant input; check-lie on a
+    table stored in one order only, [e0, e1] = x2*e2, which the check reads
+    back negated for [e1, e0]; and tau-roundtrip on varying_pairing_frame,
+    the witness of the pairing_c stage of graded_jacobi."""
+    return {
+        "assoc-c-plus-courant": ("assoc-c-plus", _courant_assoc_job()),
+        "check-lie-one-order": (
+            "check-lie",
+            {"algebroid": jsonio.lie_to_json(_magnetic_total(P2))},
+        ),
+        "tau-roundtrip-varying-pairing": (
+            "tau-roundtrip",
+            {"structure": jsonio.courant_to_json(varying_pairing_frame())},
+        ),
+    }
+
+
 def test_full_battery_is_deterministic_and_fast(tmp_path):
     jobs = _battery_jobs()
     start = time.monotonic()
@@ -606,7 +640,7 @@ def test_malformed_battery_specs_exit_two(tmp_path, capsys):
 
 
 # SHA-256 of every report the battery writes at --seed 7 --samples 10, of
-# the assoc-c-plus verb on its Courant input, of
+# the single jobs (the assoc-c-plus verb on its Courant input among them), of
 # the pullback verb in each Courant presentation mode (plus a coordinate
 # projection with a vertical direction), and of the Lie inverse image in its
 # one mode, transitive-split. A refactor that claims to keep behaviour must
@@ -627,7 +661,11 @@ GOLDEN_BATTERY = {
     "twist": "9a92643ce306ab32a5ce645278874d7288a952f3226580b7a1cbc65fed495399",
     "twist-commute": "eac2031471486c261ea460ff8ebec0b64ca461ef59e9c3d091357af9d3a67ecf",
 }
-GOLDEN_COURANT_ASSOC = "013886060487bf34d12e33c45745b11144f0c550cb0bd67c3f5652c959db73ed"
+GOLDEN_SINGLE = {
+    "assoc-c-plus-courant": "013886060487bf34d12e33c45745b11144f0c550cb0bd67c3f5652c959db73ed",
+    "check-lie-one-order": "84332db33cfc1dc3c281dab1ce803e03b48fe3fb8a82612d1dbbb6365452f9cb",
+    "tau-roundtrip-varying-pairing": "96ac8e8760ac729f1b6a3bdd0c9181d6814b9a58bd2c3c6396106ddc8d7692de",
+}
 GOLDEN_PULLBACK_MODES = {
     "coordinate-embedding": "26ab3e1751acbfabe8f0a2f34230bf13a6cdd4f84438363d72f2c65d1405bfc4",
     "coordinate-projection": "e6790fcbbfa4d53fd8a484a76709177063ba9221ca929b74711b5723b66eccd8",
@@ -747,11 +785,12 @@ def test_golden_report_digests(tmp_path):
         ).hexdigest()
         for mode, pb in _lie_pullbacks().items()
     }
-    courant_assoc = _report_digest(
-        tmp_path, "assoc-c-plus", _courant_assoc_job(), "assoc-c-plus-courant"
-    )
+    single = {
+        name: _report_digest(tmp_path, verb, spec, name)
+        for name, (verb, spec) in _single_jobs().items()
+    }
     assert battery == GOLDEN_BATTERY
-    assert courant_assoc == GOLDEN_COURANT_ASSOC
+    assert single == GOLDEN_SINGLE
     assert modes == GOLDEN_PULLBACK_MODES
     assert lie == GOLDEN_LIE_PULLBACKS
 

@@ -378,13 +378,41 @@ OPTION_TOKENS = sorted({t for option in cli.OPTIONS for t in _spellings(option)}
 ARGV_TOKENS = sorted(
     {
         *OPTION_TOKENS,
-        "-h", "--help", "--help=1", "--h", "-hh", "-hx", "-hhx", "-h=",
+        "-h", "--help", "--help=1", "--h", "-hh", "-h=",
         "--verb", "--verb=pullback", "--verb=x",
-        "--", "-", "-x", "--max-degree", "--spec=--", "--seed=",
+        "--", "-", "-x", "--max-degree", "--seed=",
         "-5", "1.5", "-1.5", "-a b", "--s b", "", "job.json", "out/r.json",
     }
 )
 VALUES = ["3", "-5", "1.5", "-a b", "", "--", "job.json"]
+# Python 3.11's answers on lines that the argparse of 3.13 reads otherwise,
+# which the reader keeps: 3.11 drops a `--` given to an option with `=`,
+# leaving an empty list, where 3.13 keeps the value "--"; and 3.11 exits 2
+# on -h with letters attached that name no flag, where 3.13 prints the help
+# and exits 0. The draws of _argv hold neither kind of token.
+DEFAULTS = {"out": None, "seed": 0, "samples": 100}
+PINNED_311 = {
+    ("--spec=--", "check-lie"): {"verb": "check-lie", **DEFAULTS, "spec": []},
+    ("twist", "--spec=--"): {"verb": "twist", **DEFAULTS, "spec": []},
+    ("--spec=--", "--spec", "job.json", "pullback"): {
+        "verb": "pullback", **DEFAULTS, "spec": "job.json"
+    },
+    ("--spec", "job.json", "--spec=--", "pullback"): {"verb": "pullback", **DEFAULTS, "spec": []},
+    ("cocycle", "--spec", "job.json", "--seed=--"): {
+        "verb": "cocycle", **DEFAULTS, "spec": "job.json", "seed": []
+    },
+    ("cocycle", "--spec", "job.json", "--samples=--", "--out=--"): {
+        "verb": "cocycle", **DEFAULTS, "spec": "job.json", "out": [], "samples": []
+    },
+    ("--spec=--", "check-lie", "--"): {"verb": "check-lie", **DEFAULTS, "spec": []},
+    ("--sp=--", "tau-linear"): {"verb": "tau-linear", **DEFAULTS, "spec": []},
+    ("--spec=--",): 2,
+    ("-hx",): 2,
+    ("-hhx",): 2,
+    ("-hx", "twist", "--spec", "job.json"): 2,
+    ("twist", "--spec", "job.json", "-hhx"): 2,
+    ("-hx", "--spec=--", "check-lie"): 2,
+}
 
 
 def _argv():
@@ -403,7 +431,7 @@ def _argv():
     spec = st.one_of(
         value.map(lambda v: ["--spec", v]),
         value.map(lambda v: ["--sp", v]),
-        value.map(lambda v: [f"--spec={v}"]),
+        value.filter(lambda v: v != "--").map(lambda v: [f"--spec={v}"]),
     )
     lines = st.tuples(verb, spec, st.lists(part, max_size=3)).flatmap(
         lambda t: st.permutations([t[1], t[0], *t[2]])
@@ -422,7 +450,7 @@ def _outcome(read, argv):
         return exc.code
 
 
-@given(_argv())
+@given(st.one_of(_argv(), st.sampled_from(sorted(PINNED_311)).map(list)))
 @settings(max_examples=500, deadline=None)
 def test_the_reader_agrees_with_the_argparse_reference(argv):
     """parse_argv accepts exactly the command lines the argparse parser
@@ -430,15 +458,18 @@ def test_the_reader_agrees_with_the_argparse_reference(argv):
     abbreviations, --opt=value, ambiguous prefixes, negative numbers,
     dash tokens holding a space, --, repeated options and -h among them.
     The reader follows Python 3.11's argparse, the one the parser ran
-    under (3.10 and 3.12 read these lines alike); 3.13 reads a value of
-    `--` differently."""
+    under (3.10 and 3.12 read these lines alike). A line of PINNED_311, a
+    `--` value or an attached -h that 3.13 reads otherwise, is held to
+    3.11's pinned answer; every other line to the running argparse."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
         io.StringIO()
     ):
-        expected = _outcome(
-            lambda a: oracles.build_parser().parse_args(cli._normalise_argv(list(a))),
-            argv,
-        )
+        expected = PINNED_311.get(tuple(argv))
+        if expected is None:
+            expected = _outcome(
+                lambda a: oracles.build_parser().parse_args(cli._normalise_argv(list(a))),
+                argv,
+            )
         assert _outcome(cli.parse_argv, argv) == expected
 
 

@@ -38,7 +38,13 @@ from algebroids.symcalc import (
     parse_poly,
 )
 
-from oracles import check_names, expand, pair_bracket_vanishes, predicate_masks
+from oracles import (
+    check_names,
+    expand,
+    pair_bracket_vanishes,
+    predicate_masks,
+    vfield_scale,
+)
 from test_symcalc import polys
 
 PT = Chart("PT", ())
@@ -617,8 +623,8 @@ def test_jacobiator_slots_obey_l13(a, data):
         return a.anchor_of(a.bracket(x, y)) - a.anchor_of(x).bracket(a.anchor_of(y))
 
     base = scale(f, jacobiator(a, u, v, w))
-    assert anchor_defect(scale(f, u), v) == anchor_defect(u, v).scale(f)
-    assert anchor_defect(u, scale(f, v)) == anchor_defect(u, v).scale(f)
+    assert anchor_defect(scale(f, u), v) == vfield_scale(anchor_defect(u, v), f)
+    assert anchor_defect(u, scale(f, v)) == vfield_scale(anchor_defect(u, v), f)
     expected = sub(base, scale(anchor_defect(u, v).apply(f), w))
     assert linalg.vec_eq(jacobiator(a, u, v, scale(f, w)), expected)
     expected = add(base, scale(anchor_defect(u, w).apply(f), v))

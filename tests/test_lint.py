@@ -1,23 +1,10 @@
 """Source hygiene: every name a package or test module imports is used in
-it, every definition of the package is in the product's reach, only symcalc
-and linalg touch the term dictionary of a polynomial, and only symcalc and
-jsonio name the polynomial parser.
+it, only symcalc and linalg touch the term dictionary of a polynomial, and
+only symcalc and jsonio name the polynomial parser.
 
 A module-level name is used when the module's syntax tree loads it; names
 read only inside string annotations do not count. An import line marked
 "# noqa: F401" is exempt (an import kept for its side effect).
-
-The product is the CLI and the benchmark jobs: cli.py and perfbench's run,
-worker and workloads modules. A definition of the package (a top-level
-function or class, or a method whose name is not a dunder) is in its reach
-when a chain of references leads to it from those files, tests not
-counted. A reference to a top-level definition names its module (an
-import, an attribute of an imported module, or a bare name inside the
-defining module), so a definition does not hide behind another of the same
-name. A reached class reaches its dunders and the rest of its body, and a
-method of it is reached when reached code names the method as an
-attribute. The few definitions not in reach are listed, each with its
-reason; an unreached class is listed by itself, not method by method.
 
 The term dictionary (Poly.terms) is the storage format of symcalc, which
 owns it; linalg reads it to match coefficients. Every other module goes
@@ -131,221 +118,6 @@ def python_corpus() -> dict[str, str]:
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 SCOPES = (ast.ClassDef, *FUNCTIONS)
 COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-PRODUCT_ROOTS = (
-    SRC / "cli.py",
-    ROOT / "perfbench" / "run.py",
-    ROOT / "perfbench" / "worker.py",
-    ROOT / "perfbench" / "workloads.py",
-)
-
-# Definitions of the package that no verb and no benchmark job reaches,
-# each with why it stays.
-UNREACHED = {
-    "sampling.sample_poly": "unused by every verdict; ROADMAP item 1 deletes it",
-    "sampling.sample_section": "unused by every verdict; ROADMAP item 1 deletes it",
-    "sampling.sample_kform": "random two-forms for two tests; ROADMAP item 1",
-}
-
-
-def package_imports(tree: ast.AST) -> dict[str, str]:
-    """Local name -> package target of each import of the package in a
-    syntax tree, wherever it stands: a module name for `from algebroids
-    import m` or `import algebroids.m [as m]`, and "m.name" for `from
-    algebroids.m import name [as alias]`."""
-    out = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module:
-            head, _, module = node.module.partition(".")
-            if head == "algebroids":
-                for alias in node.names:
-                    target = f"{module}.{alias.name}" if module else alias.name
-                    out[alias.asname or alias.name] = target
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                head, _, module = alias.name.partition(".")
-                if head == "algebroids" and module:
-                    out[alias.asname or alias.name] = module
-    return out
-
-
-def dotted(node: ast.AST) -> str | None:
-    """"a.b.c" for a chain of names and attributes, else None."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        head = dotted(node.value)
-        return None if head is None else f"{head}.{node.attr}"
-    return None
-
-
-def referenced_names(
-    tree: ast.AST, imports: dict[str, str], module: str | None = None
-) -> set[str]:
-    """"m.name" for each package definition a syntax tree may refer to: a
-    name imported from m, an attribute of an imported module m, a name
-    imported in the tree, and, inside module m, any other name it loads."""
-    out = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            target = imports.get(node.id)
-            if target is not None:
-                out.add(target)
-            elif module is not None:
-                out.add(f"{module}.{node.id}")
-        elif isinstance(node, ast.Attribute):
-            target = imports.get(dotted(node.value) or "")
-            if target is not None and "." not in target:
-                out.add(f"{target}.{node.attr}")
-        elif isinstance(node, ast.ImportFrom):
-            local = package_imports(node)
-            out |= {target for target in local.values() if "." in target}
-    return out
-
-
-def unreached_definitions(
-    defining: dict[str, str], roots: list[tuple[str | None, str]]
-) -> list[str]:
-    """module.name of each top-level function and class, and
-    module.Class.name of each method whose name is not a dunder, of the
-    defining sources (module -> source) that no chain of references from
-    the roots reaches, sorted. A root is (its module, None outside the
-    package; its source). A top-level definition is reached when a reached
-    body, or a root, refers to it by its module: through an import of the
-    package, as an attribute of an imported module, or by its bare name
-    inside its own module. A name that a module imports and does not define
-    resolves to its definition. A reached class reaches its dunders and the
-    rest of its body, and a method of it when a reached body or a root
-    names the method as an attribute. An unreached class is listed alone,
-    not method by method."""
-    bodies: dict[str, list[ast.AST]] = {}
-    imports: dict[str, dict[str, str]] = {}
-    for module, source in defining.items():
-        tree = ast.parse(source)
-        imports[module] = package_imports(tree)
-        for node in tree.body:
-            if isinstance(node, FUNCTIONS):
-                bodies[f"{module}.{node.name}"] = [node]
-            elif isinstance(node, ast.ClassDef):
-                key = f"{module}.{node.name}"
-                bodies[key] = node.decorator_list + node.bases + node.keywords
-                for item in node.body:
-                    own = not isinstance(item, FUNCTIONS) or re.fullmatch(r"__\w+__", item.name)
-                    bodies.setdefault(key if own else f"{key}.{item.name}", []).append(item)
-
-    def resolve(key: str) -> str | None:
-        seen = set()
-        while key not in bodies and key not in seen:
-            seen.add(key)
-            module, _, name = key.partition(".")
-            key = imports.get(module, {}).get(name, key)
-        return key if key in bodies else None
-
-    reached, frontier, named = set(), set(), set()
-
-    def read(node: ast.AST, imported: dict[str, str], module: str | None) -> None:
-        frontier.update(referenced_names(node, imported, module))
-        named.update(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
-
-    for module, source in roots:
-        tree = ast.parse(source)
-        read(tree, package_imports(tree), module)
-    while frontier:
-        key = resolve(frontier.pop())
-        if key is not None and key not in reached:
-            reached.add(key)
-            module = key.partition(".")[0]
-            for node in bodies[key]:
-                read(node, imports[module], module)
-        if not frontier:  # the named methods of the reached classes
-            frontier = {
-                k for k in set(bodies) - reached
-                if k.rpartition(".")[0] in reached and k.rpartition(".")[2] in named
-            }
-    unreached = set(bodies) - reached
-    return sorted(k for k in unreached if k.rpartition(".")[0] not in unreached)
-
-
-def test_the_reach_gate_flags_an_unreached_name_and_keeps_a_reached_one():
-    library = (
-        "import os\n"
-        "def helper():\n"
-        "    return os.sep\n"
-        "class Box:\n"
-        "    def open(self):\n"
-        "        return helper()\n"
-        "def orphan():\n"
-        "    return helper()\n"
-    )
-    other = "def via_attribute():\n    pass\n"
-    root = (
-        "from algebroids.lib import Box\n"
-        "from algebroids import other\n"
-        "Box().open(), other.via_attribute()\n"
-    )
-    got = unreached_definitions({"lib": library, "other": other}, [(None, root)])
-    assert got == ["lib.orphan"]
-
-
-def test_the_reach_gate_tells_two_definitions_of_one_name_apart():
-    """Only the module a reference names is reached: twin.helper, named
-    nowhere by its module, stays unreached although lib.helper is reached,
-    and so does what only twin.helper refers to. A name re-exported
-    through another module's import resolves to its definition."""
-    library = "def helper():\n    pass\n"
-    twin = (
-        "def helper():\n"
-        "    return behind()\n"
-        "def behind():\n"
-        "    pass\n"
-    )
-    relay = "from algebroids.lib import helper\n"
-    root = "import algebroids.relay as relay\nrelay.helper()\n"
-    sources = {"lib": library, "twin": twin, "relay": relay}
-    got = unreached_definitions(sources, [(None, root)])
-    assert got == ["twin.behind", "twin.helper"]
-
-
-def test_the_reach_gate_follows_methods_named_as_attributes():
-    """A reached class reaches its dunders, and a method that a reached
-    body names as an attribute; a method named only inside an unreached
-    method stays unreached, and an unreached class is listed once."""
-    library = (
-        "def helper():\n"
-        "    pass\n"
-        "class Box:\n"
-        "    def __init__(self):\n"
-        "        helper()\n"
-        "    def open(self):\n"
-        "        return self.shut()\n"
-        "    def shut(self):\n"
-        "        pass\n"
-        "    def unused(self):\n"
-        "        return self.hidden()\n"
-        "    def hidden(self):\n"
-        "        pass\n"
-        "class Safe:\n"
-        "    def lock(self):\n"
-        "        pass\n"
-        "def orphan():\n"
-        "    return Safe().lock()\n"
-    )
-    root = "from algebroids.lib import Box\nBox().open()\n"
-    got = unreached_definitions({"lib": library}, [(None, root)])
-    assert got == ["lib.Box.hidden", "lib.Box.unused", "lib.Safe", "lib.orphan"]
-
-
-def test_only_the_listed_definitions_are_out_of_the_products_reach():
-    """What cli.py and the benchmark jobs cannot reach is dead to every user
-    of the program: a new entry is a name to delete or to list here, and a
-    listed name that is reached or gone comes off the list."""
-    defining = {
-        path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))
-    }
-    roots = [
-        (path.stem if path.parent == SRC else None, path.read_text(encoding="utf-8"))
-        for path in PRODUCT_ROOTS
-    ]
-    assert unreached_definitions(defining, roots) == sorted(UNREACHED)
 
 
 TERM_OWNERS = ("symcalc.py", "linalg.py")

@@ -84,6 +84,7 @@ from oracles import (
     direct_sum,
     expand,
     graph_of_two_form,
+    kform_sub,
     opposite,
     pair_bracket_vanishes,
     predicate_masks,
@@ -625,7 +626,7 @@ def full_bracket(pb, t1, t2):
     def one_form(c):
         return KForm(chart, 1, {(j,): c[j] for j in range(dim)})
 
-    form = one_form(b2).lie(x1) - one_form(b1).d().iota(x2)
+    form = kform_sub(one_form(b2).lie(x1), one_form(b1).d().iota(x2))
     beta = vec_add(
         tuple(form.component((j,)) for j in range(dim)),
         pairing_differential(pb.pulled_pairing, u1, u2, chart),

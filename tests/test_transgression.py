@@ -31,6 +31,8 @@ from oracles import (
     direct_sum,
     opposite,
     scalar_multiple,
+    tau_add,
+    tau_is_zero,
     unpruned_tau_bracket,
     unpruned_tau_rules,
 )
@@ -118,7 +120,7 @@ def test_anchor_action_values():
     tau = transgress(q)
     flat = tau.pair(q.gen(0))
     assert tau.bracket(flat, tau.coordinate_c(0)).c_part == Poly.one(R2)
-    assert tau.bracket(flat, tau.coordinate_c(1)).is_zero
+    assert tau_is_zero(tau.bracket(flat, tau.coordinate_c(1)))
 
 
 def test_one_form_rewrite_lands_on_coanchor():
@@ -153,8 +155,8 @@ def test_centrality_and_truncation():
     q = standard_exact(R2)
     tau = transgress(q)
     one = tau.function_c(Poly.one(R2))
-    assert tau.bracket(tau.pair(q.gen(1)), one).is_zero
-    assert tau.bracket(one, one).is_zero
+    assert tau_is_zero(tau.bracket(tau.pair(q.gen(1)), one))
+    assert tau_is_zero(tau.bracket(one, one))
     with pytest.raises(TruncationError):
         tau.bracket(tau.pair(q.gen(0)), tau.pair(q.gen(1)))
 
@@ -167,9 +169,9 @@ def test_foreign_elements_rejected():
     with pytest.raises(ValidationError):
         t1.bracket(x, y)
     with pytest.raises(ValidationError):
-        x + y
+        tau_add(x, y)
     with pytest.raises(ValidationError):
-        x + t1.function_c(Poly.one(R2))
+        tau_add(x, t1.function_c(Poly.one(R2)))
 
 
 def test_ruled_out_branches_check_chart_and_length():
@@ -312,11 +314,11 @@ def definitional_failures(q):
     degree_zero = flat + [tau.two_form_c(omega) for omega in two_forms]
     fc = [tau.coordinate_c(k) for k in range(n)]
     for i, x in enumerate(degree_zero):
-        yield f"[x{i}, c]", tau.bracket(x, one).is_zero
-        yield f"[c, x{i}]", tau.bracket(one, x).is_zero
+        yield f"[x{i}, c]", tau_is_zero(tau.bracket(x, one))
+        yield f"[c, x{i}]", tau_is_zero(tau.bracket(one, x))
         for k in range(n):
             back = tau.bracket(fc[k], x)
-            yield f"(0,-2) x{i}, x{k + 1}", (tau.bracket(x, fc[k]) + back).is_zero
+            yield f"(0,-2) x{i}, x{k + 1}", tau_is_zero(tau_add(tau.bracket(x, fc[k]), back))
         with pytest.raises(TruncationError):
             tau.bracket(x, x)
     for j in range(n):
@@ -332,7 +334,7 @@ def definitional_failures(q):
             omega.iota(q.anchor_of(gens[a]))
         )
     for a in range(r):
-        yield f"[e{a}*eps, c]", tau.bracket(eps[a], one).is_zero
+        yield f"[e{a}*eps, c]", tau_is_zero(tau.bracket(eps[a], one))
     for a, b in product(range(r), repeat=2):
         paired = tau.bracket(eps[a], eps[b])
         yield f"pairing e{a}, e{b}", paired == tau.function_c(q.pairing[a][b])
@@ -341,8 +343,8 @@ def definitional_failures(q):
         row = q.bracket_gen(a, b)
         yield f"[e{a}, e{b}*eps]", tau.bracket(flat[a], eps[b]) == tau.section_eps(row)
         d_pairing = KForm.from_poly(-q.pairing[a][b]).d()
-        yield f"[e{a}*eps, e{b}]", tau.bracket(eps[a], flat[b]) == (
-            tau.one_form_c(d_pairing) + tau.section_eps(row)
+        yield f"[e{a}*eps, e{b}]", tau.bracket(eps[a], flat[b]) == tau_add(
+            tau.one_form_c(d_pairing), tau.section_eps(row)
         )
 
 
