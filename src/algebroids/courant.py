@@ -401,6 +401,9 @@ def check_courant(
     the first-order probes x_k e_a of L12, which by L12' decide the u slot,
     and stops at the first failure; each counterexample names sections on
     which J is evaluated directly.
+    L15: eq3-eq6 are decided before leibniz_identity; where all pass, J is
+    totally skew (algebroids.anchored.jacobi_generator_failures), so the
+    generator triples are walked only for a < b < c.
 
     A skipped term makes none of the chart checks its arithmetic would have
     made, and needs none: q is frozen once validated, so the length and
@@ -519,7 +522,9 @@ def check_courant(
                 yield f"generators ({a},{b})"
 
     def leibniz_identity():
-        yield from jacobi_generator_failures(q)
+        yield from jacobi_generator_failures(
+            q, skew=all(rep[name].passed for name in TENSORIAL_WHEN[1:])
+        )
         e = [probe(q, a) for a in range(r)]
         # L10, the anchor on generators
         for (a, b), defect in anchor_defects(q).items():

@@ -795,6 +795,47 @@ def test_golden_report_digests(tmp_path):
     assert lie == GOLDEN_LIE_PULLBACKS
 
 
+# Run in a fresh interpreter: each spec file in the directory argv[1], by
+# cli.main, printing its verb, exit code and report digest.
+HASH_SEED_RUN = """
+import hashlib, pathlib, sys
+from algebroids.cli import main
+for spec in sorted(pathlib.Path(sys.argv[1]).glob("*.json")):
+    out = spec.with_suffix(".report")
+    rc = main([spec.stem, "--spec", str(spec), "--out", str(out), "--seed", "7", "--samples", "10"])
+    print(spec.stem, rc, hashlib.sha256(out.read_bytes()).hexdigest())
+"""
+
+
+def test_golden_battery_digests_do_not_depend_on_the_hash_seed(tmp_path):
+    """The golden battery reports are the same bytes under PYTHONHASHSEED
+    1 and 2, each in its own interpreter: no set or dict order that string
+    hashing decides reaches a report. Both run at once."""
+    import os
+    import subprocess
+    import sys
+
+    runs = {}
+    for seed in ("1", "2"):
+        jobs = tmp_path / seed
+        jobs.mkdir()
+        for verb, spec in _battery_jobs().items():
+            (jobs / f"{verb}.json").write_text(jsonio.dump_json(spec), encoding="utf-8")
+        runs[seed] = subprocess.Popen(
+            [sys.executable, "-c", HASH_SEED_RUN, str(jobs)],
+            env={**os.environ, "PYTHONHASHSEED": seed},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    for seed, proc in runs.items():
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+        lines = [line.split() for line in out.splitlines()]
+        assert {verb: rc for verb, rc, _ in lines} == dict.fromkeys(GOLDEN_BATTERY, "0")
+        assert {verb: digest for verb, _, digest in lines} == GOLDEN_BATTERY, seed
+
+
 def test_every_basis_element_reduces_to_its_unit_class():
     """In each presented inverse image of the digest tables, reduce reads
     basis[k] back as the k-th unit vector."""

@@ -4,7 +4,7 @@ from collections import Counter
 import copy
 import dataclasses
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 import pickle
 import random
 import re
@@ -38,7 +38,7 @@ from algebroids.courant import (
 from algebroids.descent import two_form_transform
 from algebroids.dirac import DiracData, support_inclusion
 from algebroids.errors import ChartMismatchError, ValidationError
-from algebroids.lie_algebroid import LieData, tangent_algebroid
+from algebroids.lie_algebroid import LieData, check_lie_algebroid, tangent_algebroid
 from algebroids.linalg import (
     apply_matrix,
     fmt_section,
@@ -1546,6 +1546,93 @@ def test_pruned_generator_triples_name_the_unpruned_first_failure(m):
     assert next(jacobi_generator_failures(m), None) == unpruned_first_generator_failure(m)
 
 
+def skew_prerequisites_pass(m):
+    """The verdicts from which Lemma L15 proves the jacobiator totally
+    skew: eq3-eq6 for Courant data, antisymmetry for Lie data."""
+    if isinstance(m, CourantData):
+        rep = check_courant(m)
+        return all(rep[name].passed for name in CHECK_NAMES[2:6])
+    return check_lie_algebroid(m)["antisymmetry"].passed
+
+
+# Standard R4 twisted by the non-closed x4 dx1^dx2^dx3, the shape of the
+# axioms refutations: eq3-eq6 pass and the first failing triple is (0,1,2).
+NONCLOSED_TWIST_R4 = standard_exact(R4, KForm(R4, 3, {(0, 1, 2): parse_poly("x4", R4)}))
+
+
+def twisted_standard():
+    """Standard R3 or R4 twisted by a nonzero random 3-form: eq3-eq6 pass
+    by construction. Every 3-form on R3 is closed, and R2 has none, so
+    only the R4 draws can fail Jacobi; two in three draws are on R4."""
+
+    def twisted(chart):
+        slots = st.sampled_from(list(combinations(range(chart.dim), 3)))
+        varying = polys(chart).filter(lambda p: p.degree() >= 1)
+        comps = st.dictionaries(slots, varying, min_size=1)
+        return comps.map(lambda c: standard_exact(chart, KForm(chart, 3, c)))
+
+    return st.sampled_from([R3, R4, R4]).flatmap(twisted)
+
+
+@st.composite
+def antisymmetric_lie_data(draw):
+    """LieData on P of rank 3 or 4 with an arbitrary anchor and a nonempty
+    table on pairs i < j only: [e_j, e_i] is read as -[e_i, e_j], so
+    antisymmetry passes and the triples a < b < c can fail."""
+    r = draw(st.integers(3, 4))
+    entry = polys(R2, max_degree=1, max_terms=2)
+    anchor = draw(st.tuples(*[st.tuples(entry, entry)] * r))
+    keys = st.sampled_from(list(combinations(range(r), 2)))
+    table = draw(st.dictionaries(keys, st.tuples(*[entry] * r), min_size=1))
+    return LieData(R2, r, anchor, table)
+
+
+@pytest.mark.parametrize(
+    "m", [TABLE_ROW_LIE, NONCLOSED_TWIST_R4], ids=["table-row-lie", "nonclosed-twist-R4"]
+)
+def test_skew_generator_triples_name_the_unpruned_first_failure(m):
+    """Lemma L15: where the prerequisites pass, the walk over a < b < c
+    names the first failure of the full walk, defect included."""
+    assert skew_prerequisites_pass(m)
+    first = unpruned_first_generator_failure(m)
+    assert first is not None
+    assert next(jacobi_generator_failures(m, skew=True), None) == first
+    if m is NONCLOSED_TWIST_R4:
+        assert first.startswith("generators (0,1,2):")
+        assert check_courant(m)["leibniz_identity"].counterexample == first
+
+
+SKEW_STRUCTURES = {"courant": twisted_standard(), "lie": antisymmetric_lie_data()}
+
+
+@pytest.mark.parametrize("kind", sorted(SKEW_STRUCTURES))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_skew_generator_triples_name_the_unpruned_first_failure_on_draws(kind, data):
+    m = data.draw(SKEW_STRUCTURES[kind])
+    assert skew_prerequisites_pass(m)
+    first = unpruned_first_generator_failure(m)
+    assert next(jacobi_generator_failures(m, skew=True), None) == first
+
+
+@pytest.mark.parametrize("kind", sorted(SKEW_STRUCTURES))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_the_jacobiator_is_totally_skew_where_lemma_l15_applies(kind, data):
+    """Lemma L15 on whole sections: on structures that pass eq3-eq6
+    (Courant) or antisymmetry (Lie), J(e_a, e_b, e_c) changes sign under
+    every transposition, and J(e_a, e_a, e_b) = 0."""
+    m = data.draw(SKEW_STRUCTURES[kind])
+    assert skew_prerequisites_pass(m)
+    gen = [m.gen(a) for a in range(m.rank)]
+    J = {t: jacobiator(m, *(gen[i] for i in t)) for t in product(range(m.rank), repeat=3)}
+    for (a, b, c), defect in J.items():
+        for swapped in ((b, a, c), (a, c, b), (c, b, a)):
+            assert vec_is_zero(vec_add(defect, J[swapped]))
+        if a == b:
+            assert vec_is_zero(defect)
+
+
 def test_the_one_term_mutant_fails_on_one_nonzero_term():
     m = ONE_TERM_MUTANT
     e0, e2 = m.gen(0), m.gen(2)
@@ -1558,6 +1645,19 @@ def test_the_one_term_mutant_fails_on_one_nonzero_term():
     assert unpruned_first_generator_failure(m).startswith("generators (0,2,2):")
 
 
+def test_the_skew_walk_waits_for_its_prerequisites():
+    """Why check_courant walks a < b < c only once eq3-eq6 pass: the one
+    term mutant fails eq3, eq4 and eq6, its first failing triple repeats
+    an index and no triple a < b < c fails, so the skew walk would find
+    no failure at all."""
+    m = ONE_TERM_MUTANT
+    rep = check_courant(m)
+    assert [rep[name].passed for name in CHECK_NAMES[2:6]] == [False, False, True, False]
+    assert next(jacobi_generator_failures(m)).startswith("generators (0,2,2):")
+    assert next(jacobi_generator_failures(m, skew=True), None) is None
+    assert rep["leibniz_identity"].counterexample.startswith("generators (0,2,2):")
+
+
 CLOSED_TWIST_R4 = standard_exact(
     R4, KForm(R4, 3, {(0, 1, 2): parse_poly("x1*x2 + 1", R4)})
 )
@@ -1565,7 +1665,7 @@ CLOSED_TWIST_R4 = standard_exact(
 
 @pytest.mark.parametrize(
     "q, count",
-    [(standard_exact(R3, vol3()), 0), (CLOSED_TWIST_R4, 48)],
+    [(standard_exact(R3, vol3()), 0), (CLOSED_TWIST_R4, 6)],
     ids=["twisted-R3", "closed-twist-R4"],
 )
 def test_check_courant_brackets_only_what_lemma_l14_admits(monkeypatch, q, count):
