@@ -1537,13 +1537,12 @@ TABLE_ROW_LIE = LieData(
 )
 
 
-@pytest.mark.parametrize(
-    "m",
-    [*SUPPORT_MODULES.values(), ONE_TERM_MUTANT, COANCHOR_ROW_MUTANT, TABLE_ROW_LIE],
-    ids=[*SUPPORT_MODULES, "one-term-mutant", "coanchor-row-mutant", "table-row-lie"],
-)
-def test_pruned_generator_triples_name_the_unpruned_first_failure(m):
-    assert next(jacobi_generator_failures(m), None) == unpruned_first_generator_failure(m)
+# Standard R4 twisted by the non-closed x4 dx1^dx2^dx3, the shape of the
+# axioms refutations: eq3-eq6 pass and the first failing triple is (0,1,2).
+NONCLOSED_TWIST_R4 = standard_exact(R4, KForm(R4, 3, {(0, 1, 2): parse_poly("x4", R4)}))
+
+
+EQ3_TO_EQ6 = CHECK_NAMES[2:6]
 
 
 def skew_prerequisites_pass(m):
@@ -1551,13 +1550,37 @@ def skew_prerequisites_pass(m):
     skew: eq3-eq6 for Courant data, antisymmetry for Lie data."""
     if isinstance(m, CourantData):
         rep = check_courant(m)
-        return all(rep[name].passed for name in CHECK_NAMES[2:6])
+        return all(rep[name].passed for name in EQ3_TO_EQ6)
     return check_lie_algebroid(m)["antisymmetry"].passed
 
 
-# Standard R4 twisted by the non-closed x4 dx1^dx2^dx3, the shape of the
-# axioms refutations: eq3-eq6 pass and the first failing triple is (0,1,2).
-NONCLOSED_TWIST_R4 = standard_exact(R4, KForm(R4, 3, {(0, 1, 2): parse_poly("x4", R4)}))
+@pytest.mark.parametrize(
+    "m, skew",
+    [
+        *((m, False) for m in SUPPORT_MODULES.values()),
+        (ONE_TERM_MUTANT, False),
+        (COANCHOR_ROW_MUTANT, False),
+        (TABLE_ROW_LIE, False),
+        (TABLE_ROW_LIE, True),
+        (NONCLOSED_TWIST_R4, True),
+    ],
+    ids=[
+        *SUPPORT_MODULES,
+        "one-term-mutant",
+        "coanchor-row-mutant",
+        "table-row-lie",
+        "table-row-lie-skew",
+        "nonclosed-twist-R4-skew",
+    ],
+)
+def test_pruned_generator_triples_name_the_unpruned_first_failure(m, skew):
+    """With skew, on modules that pass the prerequisites of Lemma L15 and
+    fail Jacobi, the walk over a < b < c names the same first failure,
+    defect included."""
+    first = unpruned_first_generator_failure(m)
+    if skew:
+        assert skew_prerequisites_pass(m) and first is not None
+    assert next(jacobi_generator_failures(m, skew=skew), None) == first
 
 
 def twisted_standard():
@@ -1585,21 +1608,6 @@ def antisymmetric_lie_data(draw):
     keys = st.sampled_from(list(combinations(range(r), 2)))
     table = draw(st.dictionaries(keys, st.tuples(*[entry] * r), min_size=1))
     return LieData(R2, r, anchor, table)
-
-
-@pytest.mark.parametrize(
-    "m", [TABLE_ROW_LIE, NONCLOSED_TWIST_R4], ids=["table-row-lie", "nonclosed-twist-R4"]
-)
-def test_skew_generator_triples_name_the_unpruned_first_failure(m):
-    """Lemma L15: where the prerequisites pass, the walk over a < b < c
-    names the first failure of the full walk, defect included."""
-    assert skew_prerequisites_pass(m)
-    first = unpruned_first_generator_failure(m)
-    assert first is not None
-    assert next(jacobi_generator_failures(m, skew=True), None) == first
-    if m is NONCLOSED_TWIST_R4:
-        assert first.startswith("generators (0,1,2):")
-        assert check_courant(m)["leibniz_identity"].counterexample == first
 
 
 SKEW_STRUCTURES = {"courant": twisted_standard(), "lie": antisymmetric_lie_data()}
@@ -1649,13 +1657,17 @@ def test_the_skew_walk_waits_for_its_prerequisites():
     """Why check_courant walks a < b < c only once eq3-eq6 pass: the one
     term mutant fails eq3, eq4 and eq6, its first failing triple repeats
     an index and no triple a < b < c fails, so the skew walk would find
-    no failure at all."""
+    no failure at all. On the non-closed twist, where they pass, both
+    walks and check_courant name (0,1,2)."""
     m = ONE_TERM_MUTANT
     rep = check_courant(m)
-    assert [rep[name].passed for name in CHECK_NAMES[2:6]] == [False, False, True, False]
+    assert [rep[name].passed for name in EQ3_TO_EQ6] == [False, False, True, False]
     assert next(jacobi_generator_failures(m)).startswith("generators (0,2,2):")
     assert next(jacobi_generator_failures(m, skew=True), None) is None
     assert rep["leibniz_identity"].counterexample.startswith("generators (0,2,2):")
+    first = check_courant(NONCLOSED_TWIST_R4)["leibniz_identity"].counterexample
+    assert first.startswith("generators (0,1,2):")
+    assert first == unpruned_first_generator_failure(NONCLOSED_TWIST_R4)
 
 
 CLOSED_TWIST_R4 = standard_exact(
