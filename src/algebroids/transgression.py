@@ -242,7 +242,7 @@ def check_tau_rules(
         rule_lie_action        one-form     E4(u, alpha)           L8
         rule_odd_pairing       (-1,-1)      none                   definition
         rule_mixed_bracket     both orders  none                   definition
-        graded_antisymmetry    (0,-1)       E6(u, v), omega drops  L6
+        graded_antisymmetry    (0,-1) a<=b  E6(e_a, e_b)           L6, L16
         graded_jacobi          (0,-1,-1)    E3(u, v, w)            L7
                                             + E5(w, i_{anchor v} omega)
                                             + E5(v, i_{anchor w} omega)
@@ -260,11 +260,17 @@ def check_tau_rules(
     truncation_guard, because the (0,0) branch always raises. The same
     holds for the cases the evaluated rules leave out: the two-form cases
     of rule_interior_action, the dressed-function cases of rule_lie_action
-    and graded antisymmetry in degrees (-1,-1) and (0,-2). The test suite
-    evaluates every one of these cases through TauModule.bracket
-    (tests/test_transgression.py, test_definitional_rules_hold).
+    and graded antisymmetry in degrees (-1,-1) and (0,-2) and on the
+    two-forms (L16). The test suite evaluates every one of these cases
+    through TauModule.bracket (tests/test_transgression.py,
+    test_definitional_rules_hold).
 
     L5 and L6 are function-linear, so the generator elements decide them.
+    L16: the case (pair(e_a), e_b) is E6(e_a, e_b), symmetric in a and b
+    as the pairing is (CourantData checks it), so the first failing pair
+    in walk order has a <= b and only b >= a are walked. On omega*c both
+    orders bracket no section, and the correction c(i_{anchor e_b} omega)
+    one order adds the other subtracts: zero by definition.
     For L7 and L8 the generator cases come first; then the probes x_k*e_a
     decide, and only those whose correction can be nonzero are visited:
     E4(x_k e_a, dx_j) - x_k E4(e_a, dx_j) = M[a][j] coanchor[k] - N[j]^k e_a,
@@ -274,16 +280,16 @@ def check_tau_rules(
 
     Admission (Lemma L14 over the tables of the check). The rules bracket
     a degree-0 element x = pair(u, omega) (the elements pair(e_a), the
-    two-forms (dx_i^dx_j)*c and the Jacobi probes) with e_b*eps in both
-    orders, and both orders are admitted for all x and b in one
-    q.admitted step each, on the supports of the sections u and e_b.
+    two-forms (dx_i^dx_j)*c and the Jacobi probes) with e_b*eps, and
+    pair(e_a) also in the other order; each order is admitted for all
+    its cases in one q.admitted step, on the supports of u and e_b.
     [x, e_b*eps] has the section bracket [u, e_b] and the two-form
     correction, which needs omega nonzero and e_b anchored; [e_b*eps, x]
     adds the pairing term c(d<e_b, u>), which needs g_ba nonzero for some
     a in supp u (pairing_masks[b] meeting supp u). A case with every term
     ruled out is zero, so it is not bracketed: a skipped [x, e_b*eps] is
     the module's zero element, which the bracket returns there, and
-    graded_antisymmetry skips a case (x, e_b) whose two orders are both
+    graded_antisymmetry skips a case (e_a, e_b) whose two orders are both
     ruled out. The one-form rules take one step each: [e_a*eps, dx_j*c] is
     the pairing <e_a, coanchor[j]>, admitted by pairings on the pairing
     masks, and [x, dx_j*c], for x = pair(u) with no two-form, the section
@@ -334,14 +340,14 @@ def check_tau_rules(
     gen_supports = [e.section_support for e in eps]
     # the two-form correction: omega nonzero, e_b anchored
     corrected = [0 if x.form.is_zero else q.anchor_mask for _, x in evens]
-    # fore[i] and aft[i]: the b admitted for [x_i, e_b*eps] and [e_b*eps, x_i]
+    # fore[i]: the b admitted for [x_i, e_b*eps]; aft[a]: those admitted
+    # for [e_b*eps, pair(e_a)], which has no two-form
     fore = [m | t for m, t in zip(q.admitted(supports, gen_supports), corrected)]
-    columns = q.admitted(gen_supports, supports)
+    columns = q.admitted(gen_supports, gen_supports)
     aft = [
-        sum(1 << b for b, m in enumerate(columns) if m >> i & 1)
+        sum(1 << b for b, m in enumerate(columns) if m >> a & 1)
         | spread(q.pairing_masks, s.mask)
-        | t
-        for i, (s, t) in enumerate(zip(supports, corrected))
+        for a, s in enumerate(gen_supports)
     ]
 
     # the one-form rules' cases: e_a*eps against dx_j*c is the pairing
@@ -374,10 +380,11 @@ def check_tau_rules(
                 yield f"against a dressed one-form: {label}, d{coords[j]}"
 
     def graded_antisymmetry():
-        for i, (label, x) in enumerate(degree_zero):
-            for b in bits(fore[i] | aft[i]):
-                got = tau.bracket(eps[b], x) if aft[i] >> b & 1 else tau.zero(-1)
-                if not vec_is_zero(vec_add(with_eps(i, b).section, got.section)):
+        # Lemma L16: pair(e_a) against e_b for b >= a only
+        for a, (label, x) in enumerate(degree_zero[:r]):
+            for b in bits((fore[a] | aft[a]) >> a << a):
+                got = tau.bracket(eps[b], x) if aft[a] >> b & 1 else tau.zero(-1)
+                if not vec_is_zero(vec_add(with_eps(a, b).section, got.section)):
                     yield f"degrees (0,-1): {label}, e{b}"
 
     def graded_jacobi():

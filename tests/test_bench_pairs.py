@@ -84,14 +84,18 @@ def test_within_bound_reads_each_metric_bound_from_the_benchmark():
                for m in bench_pairs.METRICS)
 
 
+def git(*args):
+    """git as main calls it: an empty tree for archive, else the ref."""
+    if args[0] != "archive":
+        return f"{args[-1]}\n".encode()
+    empty_tar = io.BytesIO()
+    tarfile.open(fileobj=empty_tar, mode="w").close()
+    return empty_tar.getvalue()
+
+
 def test_main_makes_a_missing_workdir(tmp_path, monkeypatch):
     """--workdir may name a directory that does not exist yet: main makes
     it, with its parents, before it exports the two trees into it."""
-    empty_tar = io.BytesIO()
-    tarfile.open(fileobj=empty_tar, mode="w").close()
-
-    def git(*args):
-        return empty_tar.getvalue() if args[0] == "archive" else f"{args[-1]}\n".encode()
 
     def run(tree, workload, seed, trace):
         assert Path(tree).parent.parent == workdir
@@ -106,6 +110,35 @@ def test_main_makes_a_missing_workdir(tmp_path, monkeypatch):
     assert (doc["parent"], doc["change"]) == ("P", "C")
     assert doc["summary"]["battery@11"]["all_correct"]
     assert workdir.is_dir() and not any(workdir.iterdir())
+
+
+def test_main_traces_five_alternating_runs_a_side_and_stores_their_medians(tmp_path, monkeypatch):
+    """After the timed pairs, each side traces TRACED = 5 runs in the pairs'
+    alternating order; every traced run is stored, and beside them each
+    side's median of every traced metric."""
+    calls = []
+
+    def run(tree, workload, seed, trace):
+        calls.append((Path(tree).name, trace))
+        if trace:
+            metrics = {"layer.self_s": {"value": float(len(calls))}}
+        else:
+            metrics = {m: {"value": 1.0} for m in bench_pairs.METRICS}
+        return {"correct": True, "failed": 0, "metrics": metrics}
+
+    out = tmp_path / "bench.json"
+    monkeypatch.setattr(bench_pairs, "git", git)
+    monkeypatch.setattr(bench_pairs, "run", run)
+    bench_pairs.main(["P", "C", "--out", str(out), "--pairs", "axioms@29=2", "--workdir", str(tmp_path)])
+    order = ["parent", "change", "change", "parent"]
+    assert bench_pairs.TRACED == 5
+    assert calls == [(s, 0) for s in order] + [(s, 1) for s in (order * 3)[:10]]
+    traced = json.loads(out.read_text())["traced"]["axioms@29"]
+    assert [p["pair"] for p in traced["runs"]] == [1, 2, 3, 4, 5]
+    first = traced["runs"][0]
+    assert [first[s]["metrics"]["layer.self_s"]["value"] for s in ("parent", "change")] == [5.0, 6.0]
+    # calls 5-14: the parent traced 5, 8, 9, 12, 13 and the change 6, 7, 10, 11, 14
+    assert traced["median"] == {"parent": {"layer.self_s": 9.0}, "change": {"layer.self_s": 10.0}}
 
 
 def mismatches(stored, derived, where: str) -> list[str]:

@@ -38,6 +38,7 @@ from oracles import (
 )
 from test_acceptance import _battery_jobs
 from test_courant import courant_data
+from test_symcalc import kforms
 
 R1 = coordinate_chart("L", 1)
 R2 = coordinate_chart("P", 2)
@@ -325,6 +326,10 @@ def definitional_failures(q):
         yield f"rewrite dx{j + 1}", tau.one_form_c(KForm.dx(chart, j)) == (
             tau.section_eps(q.coanchor[j])
         )
+    for omega, b in product(two_forms, range(r)):
+        x = tau.two_form_c(omega)
+        both = tau_add(tau.bracket(x, eps[b]), tau.bracket(eps[b], x))
+        yield f"(0,-1) {omega}, e{b}", tau_is_zero(both)
     for a, k in product(range(r), range(n)):
         got = tau.bracket(flat[a], fc[k])
         yield f"[e{a}, x{k + 1}*c]", got == tau.function_c(q.anchor[a][k])
@@ -353,7 +358,8 @@ def test_definitional_rules_hold():
     in all three orders, the one-form rewrite, the odd pairing, the mixed
     bracket in both orders, the truncation guard, the interior action on
     dressed two-forms, the Lie action on dressed functions, and graded
-    antisymmetry in degrees (-1,-1) and (0,-2). Standard R1-R3, R3 twisted,
+    antisymmetry in degrees (-1,-1) and (0,-2) and on the dressed two-forms
+    (Lemma L16). Standard R1-R3, R3 twisted,
     and every mutant of test_exact_rules_on_every_standard_r2_mutant."""
     from test_acceptance import _perturbed
 
@@ -398,17 +404,20 @@ def test_tau_rules_evaluate_only_the_cases_that_can_fail(monkeypatch):
     definitional_failures covers, and brackets only the cases that Lemma
     L14 admits, the dressed one-form cases included (732 brackets and 138
     elements with every case of the evaluated rules bracketed, 84 with the
-    one-form cases unadmitted); a bracket that Lemma L14 shows zero returns
-    the module's shared zero element."""
+    one-form cases unadmitted, 51 and 66 while graded antisymmetry walked
+    every ordered pair and the two-forms before Lemma L16); a bracket that
+    Lemma L14 shows zero returns the module's shared zero element."""
     counts = tau_rule_counts(monkeypatch, standard_exact(R3, vol3()))
-    assert counts == {"bracket": 51, "element": 66}
+    assert counts == {"bracket": 36, "element": 54}
 
 
 def test_tau_rules_bracket_only_admitted_cases_on_r4(monkeypatch):
     """The same gate on axioms_r4, where bracketing every case of the
-    evaluated rules took 1,836 brackets and 253 elements, and leaving the
-    dressed one-form cases unadmitted 164 brackets."""
-    assert tau_rule_counts(monkeypatch, axioms_r4()) == {"bracket": 104, "element": 125}
+    evaluated rules took 1,836 brackets and 253 elements, leaving the
+    dressed one-form cases unadmitted 164 brackets, and walking graded
+    antisymmetry on every ordered pair and the two-forms (before Lemma L16)
+    104 brackets and 125 elements."""
+    assert tau_rule_counts(monkeypatch, axioms_r4()) == {"bracket": 71, "element": 96}
 
 
 def test_transgression_linear_reads_the_lifts_from_the_basis(monkeypatch):
@@ -506,6 +515,52 @@ def test_pruned_bracket_matches_the_unpruned_reference():
         for degrees in ((0, -2), (-1, -1), (0, -1), (-1, 0)):
             for x, y in product(*(elements[d] for d in degrees)):
                 assert tau.bracket(x, y) == unpruned_tau_bracket(tau, x, y), (x, y)
+
+
+@pytest.mark.parametrize("idx, label", [((0, 0), "e0, e0"), ((1, 0), "e0, e1")])
+def test_graded_antisymmetry_reports_the_first_failure_with_a_at_most_b(idx, label):
+    """Lemma L16 witnesses: on standard R2 with the table entry idx shifted
+    by e0, graded antisymmetry first fails on the diagonal (0, 0), or, for
+    the shift on (1, 0), at its mirror (0, 1), first in walk order; the
+    unpruned walk, which visits every ordered pair, names the same."""
+    from test_acceptance import _perturbed
+
+    q = _perturbed(standard_exact(R2), "structure", (*idx, 0), Poly.one(R2))
+    want = f"degrees (0,-1): {label}"
+    assert check_tau_rules(q)["graded_antisymmetry"].counterexample == want
+    assert unpruned_tau_rules(q)["graded_antisymmetry"].counterexample == want
+
+
+@given(st.sampled_from([R2, R3]), st.data())
+@settings(max_examples=20, deadline=None)
+def test_graded_antisymmetry_fails_on_symmetric_generator_pairs(chart, data):
+    """Lemma L16 on draws: standard R2, or R3 twisted by a drawn 3-form,
+    with one or two entries shifted by 1, x1 or x1*x_n (the pairing kept
+    symmetric). The generator pairs (a, b) on which graded antisymmetry
+    fails, every ordered pair bracketed through unpruned_tau_bracket, form
+    a symmetric set, and check_tau_rules reports what unpruned_tau_rules
+    does."""
+    from test_acceptance import _perturbed
+    from test_courant import _mutants
+
+    h = data.draw(kforms(chart, 3, max_degree=1)) if chart.dim == 3 else None
+    q = standard_exact(chart, h)
+    x1 = Poly.coord(chart, 0)
+    deltas = (Poly.one(chart), x1, x1 * Poly.coord(chart, chart.dim - 1))
+    shifts = st.lists(st.sampled_from(_mutants(q, deltas, deltas)), min_size=1, max_size=2)
+    for mutant in data.draw(shifts):
+        q = _perturbed(q, *mutant)
+    tau, r = transgress(q), q.rank
+    eps = [tau.section_eps(q.gen(a)) for a in range(r)]
+
+    def fails(a, b):
+        x = tau.pair(q.gen(a))
+        both = tau_add(unpruned_tau_bracket(tau, x, eps[b]), unpruned_tau_bracket(tau, eps[b], x))
+        return not tau_is_zero(both)
+
+    failing = {(a, b) for a, b in product(range(r), repeat=2) if fails(a, b)}
+    assert failing == {(b, a) for a, b in failing}
+    assert str(check_tau_rules(q)) == str(unpruned_tau_rules(q))
 
 
 @given(courant_data(), st.data())
