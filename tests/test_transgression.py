@@ -359,8 +359,8 @@ def test_definitional_rules_hold():
     bracket in both orders, the truncation guard, the interior action on
     dressed two-forms, the Lie action on dressed functions, and graded
     antisymmetry in degrees (-1,-1) and (0,-2) and on the dressed two-forms
-    (Lemma L16). Standard R1-R3, R3 twisted,
-    and every mutant of test_exact_rules_on_every_standard_r2_mutant."""
+    (Lemma L16). Standard R1-R3, R3 twisted, and every mutant of
+    test_exact_rules_on_every_standard_r2_mutant."""
     from test_acceptance import _perturbed
 
     structures = [standard_exact(R) for R in (R1, R2, R3)]
