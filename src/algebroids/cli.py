@@ -5,20 +5,19 @@ JSON report (sorted keys, no timestamps): running the same job twice gives
 byte-identical output. Exit codes: 0 all checks passed, 1 some check
 failed, 2 the spec was unreadable (or not UTF-8) or inconsistent, the
 report could not be written, or the command line was malformed (an unknown
-verb, no --spec, an unknown option: parse_argv writes the usage line and
+verb, no --spec, an unknown option: argparse writes the usage line and
 the error to stderr before any spec is read), 3 the job needs an
 unsupported presentation mode, 4 the job hit a resource limit (a polynomial
 product above the total-degree cap), 5 an internal error: an exception
 that is not an AlgebroidError, printed with its traceback on stderr.
 
-The command line is a verb and the options of OPTIONS, read as argparse
-read them (parse_argv), with no argparse parser built.
+The command line is a verb and the options of OPTIONS. parse_argv reads a
+plain line itself and hands every other line to argparse.
 """
 
 from __future__ import annotations
 
 import os
-import re
 import sys
 import traceback
 from types import SimpleNamespace
@@ -259,148 +258,50 @@ OPTIONS = {
     "--seed": (int, 0),
     "--samples": (int, 100),
 }
-REQUIRED = ("verb", "--spec")
-NAMES = ("-h", "--help", *OPTIONS)
 
 
-def _usage() -> str:
-    words = [
-        f"{n} {n[2:].upper()}" if n in REQUIRED else f"[{n} {n[2:].upper()}]"
-        for n in OPTIONS
-    ]
-    return f"usage: algebroids [-h] {' '.join(words)} {{{','.join(VERBS)}}}\n"
+def _parser():
+    """The argparse parser of the verb and OPTIONS, built for one call."""
+    import argparse
 
-
-def _help() -> str:
-    lines = [
-        _usage(),
-        "Exact checks for Courant structures on polynomial charts. SPEC is the",
-        "JSON job; the report goes to OUT, or to stdout without --out.",
-        "",
-        "options:",
-        f"  {'-h, --help':<19}  show this help message and exit",
-    ]
+    parser = argparse.ArgumentParser(
+        prog="algebroids",
+        description="Exact checks for Courant structures on polynomial charts. "
+        "SPEC is the JSON job; the report goes to OUT, or to stdout without --out.",
+    )
+    parser.add_argument("verb", choices=VERBS)
     for name, (kind, default) in OPTIONS.items():
-        label = f"{name} {name[2:].upper()}"
-        note = "required" if name in REQUIRED else f"default: {default}"
-        lines.append(f"  {label:<19}  {kind.__name__}, {note}")
-    return "\n".join(lines) + "\n"
-
-
-def _fail(message: str):
-    sys.stderr.write(f"{_usage()}algebroids: error: {message}\n")
-    raise SystemExit(2)
-
-
-def _classify(token: str):
-    """A token before any `--`, as argparse classifies it: None for an
-    argument, else (option, explicit value or None), with option None for an
-    unknown option. An unambiguous prefix of a long option names it."""
-    if token[:1] != "-":
-        return None
-    if token in NAMES:
-        return token, None
-    if len(token) == 1:
-        return None
-    name, eq, value = token.partition("=")
-    if eq and name in NAMES:
-        return name, value
-    if token[1] == "-":
-        found = [(n, value if eq else None) for n in NAMES if n.startswith(name)]
-    else:
-        found = [(n, token[2:]) for n in NAMES if n == token[:2]]
-    if len(found) > 1:
-        matches = ", ".join(n for n, _ in found)
-        _fail(f"ambiguous option: {token} could match {matches}")
-    if found:
-        return found[0]
-    if re.match(r"-\d+$|-\d*\.\d+$", token) or " " in token:
-        return None
-    return None, None
+        parser.add_argument(name, type=kind, default=default, required=name == "--spec")
+    return parser
 
 
 def parse_argv(argv) -> SimpleNamespace:
-    """The verb and options of argv, read as argparse reads a flat parser of
-    the positional verb and OPTIONS: every token is classified first, then
-    the verb and options are taken left to right (`--` ends the options).
-    A malformed line exits 2, and -h exits 0 after printing the help."""
+    """The verb and options of argv. A plain line is read here: one verb of
+    VERBS, options of OPTIONS spelled in full with the value after `=` or as
+    the next token, no value that starts with `-`, every int value
+    converting, and --spec given. argparse reads such a line alike, and
+    every other line goes to it: a malformed line exits 2, -h exits 0."""
     argv = _normalise_argv(list(argv))
-    pattern, options = "", {}
-    for i, token in enumerate(argv):
-        if token == "--":
-            pattern += "-" + "A" * (len(argv) - i - 1)
-            break
-        found = _classify(token)
-        if found is not None:
-            options[i] = found
-        pattern += "A" if found is None else "O"
     values = {"verb": None} | {n[2:]: d for n, (_, d) in OPTIONS.items()}
-    seen, extras = set(), []
-
-    def positional(start):
-        match = None if "verb" in seen else re.match("-*A-*", pattern[start:])
-        if match is None:
-            return start
-        stop = start + match.end()
-        args = argv[start:stop]
-        if "--" in args:
-            args.remove("--")
-        (verb,) = args
-        if verb not in VERBS:
-            choices = ", ".join(map(repr, VERBS))
-            _fail(f"argument verb: invalid choice: {verb!r} "
-                  f"(choose from {choices})")
-        values["verb"] = verb
-        seen.add("verb")
-        return stop
-
-    def optional(start):
-        name, value = options[start]
-        if name is None:
-            extras.append(argv[start])
-            return start + 1
-        if name in NAMES[:2]:
-            # -hh is -h -h; any other value is an error
-            while value is not None:
-                if value == "" or name[1] == "-" or value[0] != "h":
-                    _fail(f"argument -h/--help: ignored explicit argument {value!r}")
-                name, value = "-h", value[1:] or None
-            sys.stdout.write(_help())
-            raise SystemExit(0)
-        stop = start + 1
-        if value is None:
-            if pattern[stop : stop + 1] != "A":
-                _fail(f"argument {name}: expected one argument")
-            value, stop = argv[stop], stop + 1
-        kind = OPTIONS[name][0]
-        if value == "--":  # argparse drops it, leaving no values
-            values[name[2:]] = []
-        else:
+    tokens = iter(argv)
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        if name in OPTIONS:
+            value = value if eq else next(tokens, "-")  # none: not plain
+            if value[:1] == "-":
+                break
             try:
-                values[name[2:]] = kind(value)
+                values[name[2:]] = OPTIONS[name][0](value)
             except ValueError:
-                _fail(f"argument {name}: invalid {kind.__name__} value: {value!r}")
-        seen.add(name)
-        return stop
-
-    start, last = 0, max(options, default=-1)
-    while start <= last:
-        after = min(i for i in options if i >= start)
-        if start != after:
-            stop = positional(start)
-            if stop > start:
-                start = stop
-                continue
-            extras += argv[start:after]
-            start = after
-        start = optional(start)
-    extras += argv[positional(start) :]
-    missing = [name for name in REQUIRED if name not in seen]
-    if missing:
-        _fail(f"the following arguments are required: {', '.join(missing)}")
-    if extras:
-        _fail(f"unrecognized arguments: {' '.join(extras)}")
-    return SimpleNamespace(**values)
+                break
+        elif token in VERBS and values["verb"] is None:
+            values["verb"] = token
+        else:
+            break
+    else:
+        if values["verb"] is not None and values["spec"] is not None:
+            return SimpleNamespace(**values)
+    return _parser().parse_args(argv)
 
 
 def _normalise_argv(argv):
@@ -419,7 +320,8 @@ def main(argv=None) -> int:
     args = parse_argv(argv)
     try:
         spec = jsonio.load_json(args.spec)
-    except (OSError, ValueError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError, TypeError) as exc:
+        # TypeError: argparse up to 3.12 reads --spec=-- as an empty list
         print(f"error: cannot read spec: {exc}", file=sys.stderr)
         return 2
 

@@ -538,12 +538,31 @@ def varying_pairing_frame():
     )
 
 
+def _twisted_combination():
+    """tau-linear on 2*(R3 twisted by (x1 + 2) vol) - (R3 twisted by
+    x2*x3 vol), each presented through its coordinate connection: a
+    combination whose brackets do not vanish, so CourantCombination
+    reduces them."""
+    parts = [
+        standard_exact(R3, KForm(R3, 3, {(0, 1, 2): parse_poly(h, R3)}))
+        for h in ("x1 + 2", "x2*x3")
+    ]
+    return {
+        "parts": [jsonio.courant_to_json(q) for q in parts],
+        "weights": ["2", "-1"],
+        "connections": [
+            jsonio.matrix_to_json(coordinate_connection(q).columns) for q in parts
+        ],
+    }
+
+
 def _single_jobs():
     """name -> (verb, spec) of each golden report outside the battery and
     the pullback modes: assoc-c-plus on its Courant input; check-lie on a
     table stored in one order only, [e0, e1] = x2*e2, which the check reads
-    back negated for [e1, e0]; and tau-roundtrip on varying_pairing_frame,
-    the witness of the pairing_c stage of graded_jacobi."""
+    back negated for [e1, e0]; tau-roundtrip on varying_pairing_frame,
+    the witness of the pairing_c stage of graded_jacobi; and tau-linear on
+    _twisted_combination."""
     return {
         "assoc-c-plus-courant": ("assoc-c-plus", _courant_assoc_job()),
         "check-lie-one-order": (
@@ -554,7 +573,13 @@ def _single_jobs():
             "tau-roundtrip",
             {"structure": jsonio.courant_to_json(varying_pairing_frame())},
         ),
+        "tau-linear-twisted": ("tau-linear", _twisted_combination()),
     }
+
+
+def golden_argv(verb, spec_path, out_path):
+    """The command line each golden report is written with."""
+    return [verb, "--spec", str(spec_path), "--out", str(out_path), "--seed", "7", "--samples", "10"]
 
 
 def test_full_battery_is_deterministic_and_fast(tmp_path):
@@ -569,19 +594,7 @@ def test_full_battery_is_deterministic_and_fast(tmp_path):
             spec_path = tmp_path / f"{verb}.json"
             spec_path.write_text(jsonio.dump_json(spec), encoding="utf-8")
             out_path = outdir / f"{verb}.json"
-            rc = main(
-                [
-                    verb,
-                    "--spec",
-                    str(spec_path),
-                    "--out",
-                    str(out_path),
-                    "--seed",
-                    "7",
-                    "--samples",
-                    "10",
-                ]
-            )
+            rc = main(golden_argv(verb, spec_path, out_path))
             assert rc == 0, f"{verb} exited {rc}"
             produced[verb] = out_path.read_bytes()
         outputs.append(produced)
@@ -665,6 +678,7 @@ GOLDEN_SINGLE = {
     "assoc-c-plus-courant": "013886060487bf34d12e33c45745b11144f0c550cb0bd67c3f5652c959db73ed",
     "check-lie-one-order": "84332db33cfc1dc3c281dab1ce803e03b48fe3fb8a82612d1dbbb6365452f9cb",
     "tau-roundtrip-varying-pairing": "96ac8e8760ac729f1b6a3bdd0c9181d6814b9a58bd2c3c6396106ddc8d7692de",
+    "tau-linear-twisted": "52b49531958756fb18b134ed9f4827ed0984a3c41a1e8a24cad053a66fb9b192",
 }
 GOLDEN_PULLBACK_MODES = {
     "coordinate-embedding": "26ab3e1751acbfabe8f0a2f34230bf13a6cdd4f84438363d72f2c65d1405bfc4",
@@ -763,8 +777,7 @@ def _report_digest(tmp_path, verb, spec, name):
     spec_path = tmp_path / f"{name}.json"
     spec_path.write_text(jsonio.dump_json(spec), encoding="utf-8")
     out_path = tmp_path / f"{name}.report.json"
-    argv = [verb, "--spec", str(spec_path), "--out", str(out_path)]
-    assert main(argv + ["--seed", "7", "--samples", "10"]) == 0, name
+    assert main(golden_argv(verb, spec_path, out_path)) == 0, name
     return hashlib.sha256(out_path.read_bytes()).hexdigest()
 
 

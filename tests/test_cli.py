@@ -378,41 +378,13 @@ OPTION_TOKENS = sorted({t for option in cli.OPTIONS for t in _spellings(option)}
 ARGV_TOKENS = sorted(
     {
         *OPTION_TOKENS,
-        "-h", "--help", "--help=1", "--h", "-hh", "-h=",
+        "-h", "--help", "--help=1", "--h", "-hh", "-hx", "-hhx", "-h=",
         "--verb", "--verb=pullback", "--verb=x",
-        "--", "-", "-x", "--max-degree", "--seed=",
+        "--", "-", "-x", "--max-degree", "--spec=--", "--seed=",
         "-5", "1.5", "-1.5", "-a b", "--s b", "", "job.json", "out/r.json",
     }
 )
 VALUES = ["3", "-5", "1.5", "-a b", "", "--", "job.json"]
-# Python 3.11's answers on lines that the argparse of 3.13 reads otherwise,
-# which the reader keeps: 3.11 drops a `--` given to an option with `=`,
-# leaving an empty list, where 3.13 keeps the value "--"; and 3.11 exits 2
-# on -h with letters attached that name no flag, where 3.13 prints the help
-# and exits 0. The draws of _argv hold neither kind of token.
-DEFAULTS = {"out": None, "seed": 0, "samples": 100}
-PINNED_311 = {
-    ("--spec=--", "check-lie"): {"verb": "check-lie", **DEFAULTS, "spec": []},
-    ("twist", "--spec=--"): {"verb": "twist", **DEFAULTS, "spec": []},
-    ("--spec=--", "--spec", "job.json", "pullback"): {
-        "verb": "pullback", **DEFAULTS, "spec": "job.json"
-    },
-    ("--spec", "job.json", "--spec=--", "pullback"): {"verb": "pullback", **DEFAULTS, "spec": []},
-    ("cocycle", "--spec", "job.json", "--seed=--"): {
-        "verb": "cocycle", **DEFAULTS, "spec": "job.json", "seed": []
-    },
-    ("cocycle", "--spec", "job.json", "--samples=--", "--out=--"): {
-        "verb": "cocycle", **DEFAULTS, "spec": "job.json", "out": [], "samples": []
-    },
-    ("--spec=--", "check-lie", "--"): {"verb": "check-lie", **DEFAULTS, "spec": []},
-    ("--sp=--", "tau-linear"): {"verb": "tau-linear", **DEFAULTS, "spec": []},
-    ("--spec=--",): 2,
-    ("-hx",): 2,
-    ("-hhx",): 2,
-    ("-hx", "twist", "--spec", "job.json"): 2,
-    ("twist", "--spec", "job.json", "-hhx"): 2,
-    ("-hx", "--spec=--", "check-lie"): 2,
-}
 
 
 def _argv():
@@ -431,7 +403,7 @@ def _argv():
     spec = st.one_of(
         value.map(lambda v: ["--spec", v]),
         value.map(lambda v: ["--sp", v]),
-        value.filter(lambda v: v != "--").map(lambda v: [f"--spec={v}"]),
+        value.map(lambda v: [f"--spec={v}"]),
     )
     lines = st.tuples(verb, spec, st.lists(part, max_size=3)).flatmap(
         lambda t: st.permutations([t[1], t[0], *t[2]])
@@ -450,26 +422,22 @@ def _outcome(read, argv):
         return exc.code
 
 
-@given(st.one_of(_argv(), st.sampled_from(sorted(PINNED_311)).map(list)))
+@given(_argv())
 @settings(max_examples=500, deadline=None)
 def test_the_reader_agrees_with_the_argparse_reference(argv):
     """parse_argv accepts exactly the command lines the argparse parser
     accepts, with the same values, and exits with the same code otherwise:
     abbreviations, --opt=value, ambiguous prefixes, negative numbers,
     dash tokens holding a space, --, repeated options and -h among them.
-    The reader follows Python 3.11's argparse, the one the parser ran
-    under (3.10 and 3.12 read these lines alike). A line of PINNED_311, a
-    `--` value or an attached -h that 3.13 reads otherwise, is held to
-    3.11's pinned answer; every other line to the running argparse."""
+    Every line is held to the argparse of the running interpreter, which
+    reads every line that is not plain."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
         io.StringIO()
     ):
-        expected = PINNED_311.get(tuple(argv))
-        if expected is None:
-            expected = _outcome(
-                lambda a: oracles.build_parser().parse_args(cli._normalise_argv(list(a))),
-                argv,
-            )
+        expected = _outcome(
+            lambda a: oracles.build_parser().parse_args(cli._normalise_argv(list(a))),
+            argv,
+        )
         assert _outcome(cli.parse_argv, argv) == expected
 
 
@@ -509,6 +477,80 @@ def test_a_malformed_command_line_exits_two_with_usage(capsys, argv, message):
 def test_the_reader_takes_argparse_spellings(argv, values):
     expected = {"verb": "twist", "spec": None, "out": None, "seed": 0, "samples": 100}
     assert vars(cli.parse_argv(argv)) == expected | values
+
+
+# Dash-free values of each option; those of the int options convert.
+PLAIN_VALUES = {
+    str: ["", "job.json", "out/r.json", "7", "1_0", " 5"],
+    int: ["7", "1_0", " 5", "0"],
+}
+
+
+def _plain_argv():
+    """Plain lines: one verb and --spec, with up to four more options, in
+    any order and repeated; each option spelled in full, with its value as
+    the next token or after `=`."""
+
+    def spell(name):
+        value = st.sampled_from(PLAIN_VALUES[cli.OPTIONS[name][0]])
+        return st.one_of(
+            value.map(lambda v: [name, v]), value.map(lambda v: [f"{name}={v}"])
+        )
+
+    verb = st.sampled_from(VERBS).map(lambda v: [v])
+    option = st.sampled_from(list(cli.OPTIONS)).flatmap(spell)
+    lines = st.tuples(verb, spell("--spec"), st.lists(option, max_size=4)).flatmap(
+        lambda t: st.permutations([t[0], t[1], *t[2]])
+    )
+    return lines.map(lambda parts: sum(parts, []))
+
+
+def _no_parser():
+    raise AssertionError("a plain line built an argparse parser")
+
+
+@given(_plain_argv())
+@settings(max_examples=200, deadline=None)
+def test_plain_lines_are_read_without_a_parser(argv):
+    """parse_argv reads a plain line as the argparse reference does, and
+    builds no parser for it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_parser", _no_parser)
+        got = vars(cli.parse_argv(argv))
+    assert got == vars(oracles.build_parser().parse_args(argv))
+
+
+def test_golden_and_benchmark_lines_build_no_parser(tmp_path, monkeypatch):
+    """The command line of every golden report, and the battery line shape
+    of perfbench/workloads.py, are plain."""
+    from test_acceptance import (
+        _battery_jobs,
+        _pullback_mode_jobs,
+        _single_jobs,
+        golden_argv,
+    )
+
+    monkeypatch.setattr(cli, "_parser", _no_parser)
+    verbs = [*_battery_jobs(), *(v for v, _ in _single_jobs().values())]
+    verbs += ["pullback"] * len(_pullback_mode_jobs())
+    lines = [golden_argv(v, tmp_path / f"{v}.json", tmp_path / "r.json") for v in verbs]
+    lines += [
+        [v, "--spec", f"specs/{v}.json", "--out", f"{v}.0.report.json",
+         "--seed", "123456", "--samples", "10"]
+        for v in VERBS
+    ]
+    for argv in lines:
+        assert cli.parse_argv(argv).verb == argv[0]
+
+
+def test_a_spec_of_a_bare_double_dash_exits_two(tmp_path, capsys, monkeypatch):
+    """argparse up to 3.12 reads --spec=-- as an empty list, 3.13 as the
+    path `--`; neither is a spec that can be read."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["check-lie", "--spec=--"]) == 2
+    err = capsys.readouterr().err
+    assert "error: cannot read spec" in err
+    assert "Traceback" not in err
 
 
 def test_unsupported_mode_exits_three(tmp_path, capsys):
