@@ -40,8 +40,8 @@ unpruned_pairing_table take every ordered pair and drop the zero entries,
 the references of AnchoredModule.bracket_table and
 CourantData.pairing_table.
 
-build_parser is the argparse parser the command line was once read with,
-the reference cli.parse_argv is tested against.
+build_parser is the argparse parser of the command line, written apart
+from cli._parser: the reference cli.parse_argv is tested against.
 """
 
 import argparse

@@ -531,9 +531,13 @@ def test_golden_and_benchmark_lines_build_no_parser(tmp_path, monkeypatch):
     )
 
     monkeypatch.setattr(cli, "_parser", _no_parser)
-    verbs = [*_battery_jobs(), *(v for v, _ in _single_jobs().values())]
-    verbs += ["pullback"] * len(_pullback_mode_jobs())
-    lines = [golden_argv(v, tmp_path / f"{v}.json", tmp_path / "r.json") for v in verbs]
+    names = {verb: verb for verb in _battery_jobs()}
+    names |= {f"pullback-{mode}": "pullback" for mode in _pullback_mode_jobs()}
+    names |= {name: verb for name, (verb, _) in _single_jobs().items()}
+    lines = [
+        golden_argv(verb, tmp_path / f"{name}.json", tmp_path / f"{name}.report.json")
+        for name, verb in names.items()
+    ]
     lines += [
         [v, "--spec", f"specs/{v}.json", "--out", f"{v}.0.report.json",
          "--seed", "123456", "--samples", "10"]
