@@ -12,7 +12,9 @@ product above the total-degree cap), 5 an internal error: an exception
 that is not an AlgebroidError, printed with its traceback on stderr.
 
 The command line is a verb and the options of OPTIONS. parse_argv reads a
-plain line itself and hands every other line to argparse.
+plain line itself and hands every other line to argparse. main refuses an
+option value that does not have its OPTIONS type as argparse refuses an
+option with no value: argparse up to 3.12 reads --opt=-- as an empty list.
 """
 
 from __future__ import annotations
@@ -318,10 +320,14 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = parse_argv(argv)
+    for name, (kind, default) in OPTIONS.items():
+        value = getattr(args, name[2:])
+        if value is not default and not isinstance(value, kind):
+            # argparse up to 3.12 reads --out=-- (any --opt=--) as an empty list
+            _parser().error(f"argument {name}: expected one argument")
     try:
         spec = jsonio.load_json(args.spec)
-    except (OSError, ValueError, RecursionError, TypeError) as exc:
-        # TypeError: argparse up to 3.12 reads --spec=-- as an empty list
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"error: cannot read spec: {exc}", file=sys.stderr)
         return 2
 

@@ -124,6 +124,11 @@ class CourantData(AnchoredModule):
             raise ValidationError("coanchor acts on one-forms")
         return self._coanchor_vec(_form_vec(alpha))
 
+    def coanchor_d(self, p: Poly) -> Vec:
+        """c(dp) = sum_j d_j(p) coanchor[j], read from the partials of p
+        with no form built: coanchor_of(KForm.from_poly(p).d())."""
+        return self._coanchor_vec(tuple(p.diff(j) for j in range(self.chart.dim)))
+
     def _coanchor_vec(self, alpha: Vec, start: Vec | None = None) -> Vec:
         """start + the coanchor image of the one-form with coefficients alpha."""
         return apply_matrix(self.coanchor, alpha, self.rank, self.chart, start)
@@ -333,8 +338,9 @@ def check_courant(
     masks of q.admitted, taken once, admit it (e4_gen); what they skip is
     zero. As L_X dx_j = d(X^j), the
     right side c(L_{anchor e_a} dx_j) of E4(e_a, dx_j) is c(d anchor(e_a)^j),
-    and it is built only when anchor row a has an entry that is not
-    constant; otherwise it is zero.
+    which CourantData.coanchor_d reads from the partials of the entry, with
+    no form built; it is taken only when anchor row a has an entry that is
+    not constant, and is zero otherwise.
 
     leibniz_identity is J(u, v, w) = [u, [v, w]] - [[u, v], w] - [v, [u, w]]
     = 0. Write A(u, v) = anchor([u, v]) - [anchor u, anchor v] and E6(u, v)
@@ -471,7 +477,7 @@ def check_courant(
         )
         if anchor_supports[a].constant:
             return lhs
-        return vec_sub(lhs, q.coanchor_of(KForm.dx(chart, j).lie(q.anchor_of(gen[a]))))
+        return vec_sub(lhs, q.coanchor_d(q.anchor[a][j]))
 
     def combination(*terms: tuple[Poly, Vec]) -> Vec:
         """The sum of coefficient * section, zero terms skipped."""
@@ -517,7 +523,7 @@ def check_courant(
                 continue
             defect = vec_add(q.bracket_gen(a, b), q.bracket_gen(b, a))
             if g_varies[a][b]:
-                defect = vec_sub(defect, q.coanchor_of(KForm.from_poly(g[a][b]).d()))
+                defect = vec_sub(defect, q.coanchor_d(g[a][b]))
             if not vec_is_zero(defect):
                 yield f"generators ({a},{b})"
 

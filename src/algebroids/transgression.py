@@ -108,6 +108,16 @@ class TauModule:
     def coordinate_c(self, j: int) -> "TauElement":
         return self.function_c(Poly.coord(self.chart, j))
 
+    def _result(self, degree: int, value) -> "TauElement":
+        """A nonzero bracket result, unvalidated (TauElement._raw): value
+        is the c part in degree -2 and the section in degree -1. It is
+        built from validated elements and the frozen structure's rows, so
+        its slots have the rank's length and lie on the chart."""
+        c_part, section, form = self._zeros
+        if degree == -2:
+            return TauElement._raw(self, -2, value, section, form)
+        return TauElement._raw(self, -1, c_part, value, form)
+
     # -- the bracket ---------------------------------------------------------
 
     def bracket(self, x: "TauElement", y: "TauElement") -> "TauElement":
@@ -128,7 +138,7 @@ class TauModule:
 
         A ruled-out part is zero. The length and chart of each section were
         checked when its element was built (TauElement), so a skip needs no
-        check of its own."""
+        check of its own, and a result is built unvalidated (_result)."""
         if x.module != self or y.module != self:
             raise ValidationError("bracket arguments from a different module")
         q = self.courant
@@ -145,15 +155,15 @@ class TauModule:
                 return self.zero(-2)
             if y.c_part.as_constant() is not None:
                 return self.zero(-2)
-            return self.function_c(q.anchor_of(x.section).apply(y.c_part))
+            return self._result(-2, q.anchor_of(x.section).apply(y.c_part))
         if dx == -2:
             got = self.bracket(y, x)
-            return got if got.c_part.is_zero else self.function_c(-got.c_part)
+            return got if got.c_part.is_zero else self._result(-2, -got.c_part)
         su, sv = x.section_support, y.section_support
         if dx == -1 and dy == -1:
             if not paired(q.pairing_masks, su, sv):
                 return self.zero(-2)
-            return self.function_c(q.pairing_of(x.section, y.section))
+            return self._result(-2, q.pairing_of(x.section, y.section))
         # (0,-1): [u, v] - c(i_{anchor v} omega); (-1,0): the dressed
         # one-forms collect the pairing differential and the interior
         # product of the two-form part, [u, v] - c(d<u, v>)
@@ -168,22 +178,25 @@ class TauModule:
         if dx == -1 and paired(q.pairing_masks, su, sv):
             g = q.pairing_of(x.section, y.section)
             if g.as_constant() is None:
-                sec = vec_sub(sec, q.coanchor_of(KForm.from_poly(g).d()))
+                sec = vec_sub(sec, q.coanchor_d(g))
         if not even.form.is_zero and odd.section_support.mask & q.anchor_mask:
             corr = q.coanchor_of(even.form.iota(q.anchor_of(odd.section)))
             sec = vec_add(sec, corr) if dx == -1 else vec_sub(sec, corr)
         # sec is still the shared zero when every part was ruled out
-        return self.zero(-1) if sec is zero else self.section_eps(sec)
+        return self.zero(-1) if sec is zero else self._result(-1, sec)
 
 
 @dataclass(frozen=True)
 class TauElement:
     """One homogeneous element; unused slots are kept at canonical zeros.
 
-    The section slot is checked when the element is built: its length is
-    the rank (ValidationError) and every entry lies on the module's chart
-    (ChartMismatchError), so the parts of TauModule.bracket that Lemma L14
-    rules out need no check of their own."""
+    An element built from caller data (the constructors of TauModule:
+    function_c, section_eps, pair, two_form_c and those built on them) is
+    validated: its section slot has the rank's length (ValidationError)
+    and every entry lies on the module's chart (ChartMismatchError), so the
+    parts of TauModule.bracket that Lemma L14 rules out need no check of
+    their own. A result of TauModule.bracket is built from such elements
+    and the frozen structure's rows, and is not validated again (_raw)."""
 
     module: TauModule = field(compare=False)
     degree: int
@@ -195,6 +208,15 @@ class TauElement:
     def section_support(self) -> Support:
         """The support of the section slot, read once per element."""
         return support(self.section)
+
+    @classmethod
+    def _raw(cls, module, degree, c_part, section, form) -> "TauElement":
+        """An element on slots that already hold, unchecked, as Poly._raw."""
+        el = cls.__new__(cls)
+        el.__dict__.update(
+            module=module, degree=degree, c_part=c_part, section=section, form=form
+        )
+        return el
 
     def __post_init__(self):
         if self.degree not in (-2, -1, 0):
@@ -247,6 +269,15 @@ def check_tau_rules(
                                             + E5(w, i_{anchor v} omega)
                                             + E5(v, i_{anchor w} omega)
         truncation_guard       (0,0)        none                   definition
+
+    Both right sides of the one-form rules follow from Cartan's formulas,
+    with no form built: i_X dx_j = X^j, so rule_interior_action compares
+    [e_a*eps, dx_j*c] with anchor row a at j (q.anchor[a][j]); and
+    L_X dx_j = d(i_X dx_j) + i_X d(dx_j) = d X^j, so rule_lie_action
+    compares [x, dx_j*c] with c(d X^j), X the anchor of x
+    (CourantData.coanchor_d). The bracket results are not validated again:
+    TauModule.bracket builds them from validated elements and the frozen
+    structure's rows (TauModule._result).
 
     A "definition" rule restates the branch of TauModule.bracket that
     computes it, so it holds for every structure and is recorded as a pass
@@ -370,13 +401,13 @@ def check_tau_rules(
     def interior_action():
         for a, j in product(range(r), range(n)):
             got = tau.bracket(eps[a], dx_c[j]) if interior[a] >> j & 1 else tau.zero(-2)
-            if got.c_part != dx[j].iota(q.anchor_of(gens[a])).as_poly():
+            if got.c_part != q.anchor[a][j]:
                 yield f"against a dressed one-form: e{a}, d{coords[j]}"
 
     def lie_action():
         for (label, x, j), admitted in zip(lie_cases, lie):
             got = tau.bracket(x, dx_c[j]) if admitted >> j & 1 else tau.zero(-1)
-            if got.section != q.coanchor_of(dx[j].lie(q.anchor_of(x.section))):
+            if got.section != q.coanchor_d(q.anchor_of(x.section).comps[j]):
                 yield f"against a dressed one-form: {label}, d{coords[j]}"
 
     def graded_antisymmetry():

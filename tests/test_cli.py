@@ -547,14 +547,65 @@ def test_golden_and_benchmark_lines_build_no_parser(tmp_path, monkeypatch):
         assert cli.parse_argv(argv).verb == argv[0]
 
 
+def _argparse_reads(argv, dest):
+    """What the argparse of the running interpreter reads for dest from
+    argv, or None where it refuses the line."""
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return getattr(cli._parser().parse_args(argv), dest)
+        except SystemExit:
+            return None
+
+
+def _exit_code(argv):
+    """The code main returns, or the code it exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def test_a_spec_of_a_bare_double_dash_exits_two(tmp_path, capsys, monkeypatch):
-    """argparse up to 3.12 reads --spec=-- as an empty list, 3.13 as the
-    path `--`; neither is a spec that can be read."""
+    """argparse up to 3.12 reads --spec=-- as an empty list, which main
+    refuses as argparse refuses --spec with no value; 3.13 reads the path
+    `--`, which is not a spec that can be read."""
     monkeypatch.chdir(tmp_path)
-    assert main(["check-lie", "--spec=--"]) == 2
+    argv = ["check-lie", "--spec=--"]
+    if _argparse_reads(argv, "spec") == []:
+        message = "algebroids: error: argument --spec: expected one argument"
+    else:
+        message = "error: cannot read spec"
+    assert _exit_code(argv) == 2
     err = capsys.readouterr().err
-    assert "error: cannot read spec" in err
+    assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("option", ["--out", "--seed", "--samples"])
+def test_an_option_of_a_bare_double_dash_is_refused_or_read_as_the_value(
+    tmp_path, capsys, monkeypatch, option
+):
+    """argparse up to 3.12 reads --out=--, --seed=-- and --samples=-- as an
+    empty list: main exits 2 as for the option with no value, and reads no
+    spec. 3.13 reads the value `--`: --out writes the report to the file
+    `--`, and argparse itself refuses the int options."""
+    monkeypatch.chdir(tmp_path)
+    spec, _ = PASSING_JOBS["check-lie"]()
+    argv = ["check-lie", "--spec", write_job(tmp_path, spec), f"{option}=--"]
+    value = _argparse_reads(argv, option[2:])
+    if value == "--":
+        assert main(argv) == 0
+        assert json.loads((tmp_path / "--").read_text())["job"]["verb"] == "check-lie"
+        return
+    assert value in ([], None)
+    read = []
+    monkeypatch.setattr(jsonio, "load_json", read.append)
+    assert _exit_code(argv) == 2
+    assert read == []
+    if value == []:
+        err = capsys.readouterr().err
+        assert err.startswith("usage: algebroids ")
+        assert f"algebroids: error: argument {option}: expected one argument" in err
 
 
 def test_unsupported_mode_exits_three(tmp_path, capsys):

@@ -85,7 +85,7 @@ from oracles import (
 )
 from test_acceptance import A2, _perturbed, _perturbed_lie, first_order_probe_witness
 from test_lie_algebroid import lie_data
-from test_symcalc import kforms, polys, triangular_maps
+from test_symcalc import kforms, polys, triangular_maps, vfields
 
 R1 = coordinate_chart("L", 1)
 R2 = coordinate_chart("P", 2)
@@ -810,6 +810,27 @@ def test_bracket_leibniz_rules_hold_for_any_table(q, data):
     df = q.coanchor_of(KForm.from_poly(f).d())
     left = vec_add(left, vec_scale(q.pairing_of(u, v), df))
     assert vec_eq(q.bracket(vec_scale(f, u), v), left)
+
+
+@given(st.sampled_from([R2, R3, R4]), st.data())
+@settings(max_examples=30, deadline=None)
+def test_cartans_formulas_on_coordinate_differentials(chart, data):
+    """i_X dx_j = X^j and L_X dx_j = d X^j for polynomial fields X: the
+    closed right sides of rule_interior_action and rule_lie_action
+    (check_tau_rules), and of E4(e_a, dx_j) in check_courant."""
+    x = data.draw(vfields(chart, max_degree=2, max_terms=2))
+    for j in range(chart.dim):
+        dx = KForm.dx(chart, j)
+        assert dx.iota(x).as_poly() == x.comps[j]
+        assert dx.lie(x) == KForm.from_poly(x.comps[j]).d()
+
+
+@given(courant_data(), st.data())
+@settings(max_examples=30, deadline=None)
+def test_coanchor_d_is_the_coanchor_of_the_differential(q, data):
+    """CourantData.coanchor_d reads c(dp) from the partials of p."""
+    p = data.draw(polys(R2, max_den=3))
+    assert q.coanchor_d(p) == q.coanchor_of(KForm.from_poly(p).d())
 
 
 # Constant shifts of the tangent block of the pairing keep standard R2 a

@@ -380,10 +380,11 @@ def axioms_r4():
 
 
 def tau_rule_counts(monkeypatch, q):
-    """TauModule.bracket calls and TauElement constructions of one passing
-    check_tau_rules on q."""
-    counts = {"bracket": 0, "element": 0}
-    bracket, post_init = TauModule.bracket, TauElement.__post_init__
+    """TauModule.bracket calls, TauElement constructions (validated or
+    through TauElement._raw) and validations of one passing check_tau_rules
+    on q."""
+    counts = {"bracket": 0, "element": 0, "validated": 0}
+    bracket, post_init, raw = TauModule.bracket, TauElement.__post_init__, TauElement._raw
 
     def counted_bracket(self, x, y):
         counts["bracket"] += 1
@@ -391,10 +392,16 @@ def tau_rule_counts(monkeypatch, q):
 
     def counted_post_init(self):
         counts["element"] += 1
+        counts["validated"] += 1
         post_init(self)
+
+    def counted_raw(*args):
+        counts["element"] += 1
+        return raw(*args)
 
     monkeypatch.setattr(TauModule, "bracket", counted_bracket)
     monkeypatch.setattr(TauElement, "__post_init__", counted_post_init)
+    monkeypatch.setattr(TauElement, "_raw", staticmethod(counted_raw))
     assert check_tau_rules(q).ok
     return counts
 
@@ -406,9 +413,11 @@ def test_tau_rules_evaluate_only_the_cases_that_can_fail(monkeypatch):
     elements with every case of the evaluated rules bracketed, 84 with the
     one-form cases unadmitted, 51 and 66 while graded antisymmetry walked
     every ordered pair and the two-forms before Lemma L16); a bracket that
-    Lemma L14 shows zero returns the module's shared zero element."""
+    Lemma L14 shows zero returns the module's shared zero element. Only the
+    elements built from caller data are validated, not the bracket results
+    (54 validations while every result was validated again)."""
     counts = tau_rule_counts(monkeypatch, standard_exact(R3, vol3()))
-    assert counts == {"bracket": 36, "element": 54}
+    assert counts == {"bracket": 36, "element": 54, "validated": 21}
 
 
 def test_tau_rules_bracket_only_admitted_cases_on_r4(monkeypatch):
@@ -416,8 +425,10 @@ def test_tau_rules_bracket_only_admitted_cases_on_r4(monkeypatch):
     evaluated rules took 1,836 brackets and 253 elements, leaving the
     dressed one-form cases unadmitted 164 brackets, and walking graded
     antisymmetry on every ordered pair and the two-forms (before Lemma L16)
-    104 brackets and 125 elements."""
-    assert tau_rule_counts(monkeypatch, axioms_r4()) == {"bracket": 71, "element": 96}
+    104 brackets and 125 elements; 96 validations while every bracket
+    result was validated again."""
+    counts = tau_rule_counts(monkeypatch, axioms_r4())
+    assert counts == {"bracket": 71, "element": 96, "validated": 29}
 
 
 def test_transgression_linear_reads_the_lifts_from_the_basis(monkeypatch):
