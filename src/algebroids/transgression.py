@@ -265,7 +265,7 @@ def check_tau_rules(
         rule_odd_pairing       (-1,-1)      none                   definition
         rule_mixed_bracket     both orders  none                   definition
         graded_antisymmetry    (0,-1) a<=b  E6(e_a, e_b)           L6, L16
-        graded_jacobi          (0,-1,-1)    E3(u, v, w)            L7
+        graded_jacobi          (0,-1,-1)    E3(u, v, w)            L7, L17
                                             + E5(w, i_{anchor v} omega)
                                             + E5(v, i_{anchor w} omega)
         truncation_guard       (0,0)        none                   definition
@@ -308,12 +308,25 @@ def check_tau_rules(
     and E3(x_k e_a, e_b, e_c) - x_k E3(e_a, e_b, e_c)
     = -(g_ab M[c][k] + g_ac M[b][k]). Each dressed element is built once:
     dx_j*c once per j, and pair(u) once per section u.
+    L17: on a two-form x = (dx_i^dx_j)*c the section u is 0, so the E3
+    term drops out, and by L5 (E5(e_b, dx_k) = M[b][k], function-linear in
+    the one-form) with i_X(dx_i^dx_j) = X^i dx_j - X^j dx_i the case
+    (e_b, e_c) is A[b][i] M[c][j] - A[b][j] M[c][i] + A[c][i] M[b][j]
+    - A[c][j] M[b][i], A the anchor rows; the two terms
+    omega(anchor e_b, anchor e_c) of E5 cancel, omega being antisymmetric.
+    So a two-form is built and walked only when column i or column j of M
+    has a nonzero entry, the column test that admits the probes x_k*e_a;
+    the two-forms feed graded_jacobi alone, and evens keeps its order, so
+    the first failure cannot change. The failing report tau-anchor
+    (tests/test_acceptance.py) witnesses the stage: graded_jacobi first
+    fails there at dx1^dx2, e0, e1.
 
     Admission (Lemma L14 over the tables of the check). The rules bracket
     a degree-0 element x = pair(u, omega) (the elements pair(e_a), the
-    two-forms (dx_i^dx_j)*c and the Jacobi probes) with e_b*eps, and
-    pair(e_a) also in the other order; each order is admitted for all
-    its cases in one q.admitted step, on the supports of u and e_b.
+    two-forms (dx_i^dx_j)*c that L17 keeps and the Jacobi probes) with
+    e_b*eps, and pair(e_a) also in the other order; each order is
+    admitted for all its cases in one q.admitted step, on the supports of
+    u and e_b.
     [x, e_b*eps] has the section bracket [u, e_b] and the two-form
     correction, which needs omega nonzero and e_b anchored; [e_b*eps, x]
     adds the pairing term c(d<e_b, u>), which needs g_ba nonzero for some
@@ -347,13 +360,16 @@ def check_tau_rules(
     r, n = q.rank, chart.dim
     gens = [q.gen(a) for a in range(r)]
     M, N = generator_defects(q)
+    # defective[k]: column k of M has a nonzero entry (L7, L17)
+    defective = [any(not M[b][k].is_zero for b in range(r)) for k in range(n)]
     eps = [tau.section_eps(e) for e in gens]
     dx = [KForm.dx(chart, j) for j in range(n)]
     dx_c = [tau.one_form_c(alpha) for alpha in dx]
     degree_zero = [(f"e{a}", tau.pair(e)) for a, e in enumerate(gens)]
     for i, j in combinations(range(n), 2):
-        omega = KForm(chart, 2, {(i, j): Poly.one(chart)})
-        degree_zero.append((f"d{coords[i]}^d{coords[j]}", tau.two_form_c(omega)))
+        if defective[i] or defective[j]:  # Lemma L17
+            omega = KForm(chart, 2, {(i, j): Poly.one(chart)})
+            degree_zero.append((f"d{coords[i]}^d{coords[j]}", tau.two_form_c(omega)))
 
     @cache
     def probe_pair(a: int, k: int) -> tuple[str, TauElement]:
@@ -362,10 +378,7 @@ def check_tau_rules(
 
     # the degree-0 elements of graded_jacobi: degree_zero, then the probes
     evens = degree_zero + [
-        probe_pair(a, k)
-        for k in range(n)
-        if any(not M[b][k].is_zero for b in range(r))
-        for a in range(r)
+        probe_pair(a, k) for k in range(n) if defective[k] for a in range(r)
     ]
     supports = [x.section_support for _, x in evens]
     gen_supports = [e.section_support for e in eps]

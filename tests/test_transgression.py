@@ -12,6 +12,7 @@ from algebroids.courant import (
     CourantData,
     check_courant,
     coordinate_connection,
+    generator_defects,
     standard_exact,
 )
 from algebroids.errors import ChartMismatchError, TruncationError, ValidationError
@@ -415,9 +416,11 @@ def test_tau_rules_evaluate_only_the_cases_that_can_fail(monkeypatch):
     every ordered pair and the two-forms before Lemma L16); a bracket that
     Lemma L14 shows zero returns the module's shared zero element. Only the
     elements built from caller data are validated, not the bracket results
-    (54 validations while every result was validated again)."""
+    (54 validations while every result was validated again). M is zero
+    here, so Lemma L17 builds no two-form (36 brackets, 54 elements and 21
+    validations while graded_jacobi walked all three)."""
     counts = tau_rule_counts(monkeypatch, standard_exact(R3, vol3()))
-    assert counts == {"bracket": 36, "element": 54, "validated": 21}
+    assert counts == {"bracket": 21, "element": 36, "validated": 18}
 
 
 def test_tau_rules_bracket_only_admitted_cases_on_r4(monkeypatch):
@@ -426,9 +429,11 @@ def test_tau_rules_bracket_only_admitted_cases_on_r4(monkeypatch):
     dressed one-form cases unadmitted 164 brackets, and walking graded
     antisymmetry on every ordered pair and the two-forms (before Lemma L16)
     104 brackets and 125 elements; 96 validations while every bracket
-    result was validated again."""
+    result was validated again; 71 brackets, 96 elements and 29
+    validations while graded_jacobi walked all six two-forms, which Lemma
+    L17 now leaves unbuilt, M being zero."""
     counts = tau_rule_counts(monkeypatch, axioms_r4())
-    assert counts == {"bracket": 71, "element": 96, "validated": 29}
+    assert counts == {"bracket": 35, "element": 54, "validated": 23}
 
 
 def test_transgression_linear_reads_the_lifts_from_the_basis(monkeypatch):
@@ -483,6 +488,71 @@ def test_tau_rules_match_the_unpruned_reference():
     structures += [_perturbed(r4, *mutant) for mutant in twisted_mutants(r4, 10, 4)]
     for q in structures:
         assert str(check_tau_rules(q)) == str(unpruned_tau_rules(q))
+
+
+def two_form_jacobi_defect(tau, omega, b, c):
+    """lhs - rhs of the graded_jacobi case ((omega)*c, e_b, e_c), both
+    formed through TauModule.bracket as check_tau_rules forms them."""
+    q = tau.courant
+    x = tau.two_form_c(omega)
+    eps_b, eps_c = tau.section_eps(q.gen(b)), tau.section_eps(q.gen(c))
+    lhs = tau.bracket(x, tau.bracket(eps_b, eps_c)).c_part
+    rhs = tau.bracket(tau.bracket(x, eps_b), eps_c).c_part
+    return lhs - rhs - tau.bracket(eps_b, tau.bracket(x, eps_c)).c_part
+
+
+@given(st.sampled_from([R2, R3, R4]), st.data())
+@settings(max_examples=15, deadline=None)
+def test_two_form_jacobi_cases_combine_the_eq5_defects(chart, data):
+    """Lemma L17 (check_tau_rules): on x = (dx_i^dx_j)*c the graded_jacobi
+    case (e_b, e_c) is A[b][i] M[c][j] - A[b][j] M[c][i] + A[c][i] M[b][j]
+    - A[c][j] M[b][i], A the anchor rows and M the eq5 defects of
+    generator_defects, so it is zero when columns i and j of M are.
+    Standard R2-R4, R3 twisted by a drawn 3-form, with one anchor,
+    coanchor or pairing entry shifted by 1, x1 or x1*x_n."""
+    from test_acceptance import _perturbed
+    from test_courant import _mutants
+
+    h = data.draw(kforms(chart, 3, max_degree=1)) if chart.dim == 3 else None
+    q = standard_exact(chart, h)
+    x1 = Poly.coord(chart, 0)
+    deltas = (Poly.one(chart), x1, x1 * Poly.coord(chart, chart.dim - 1))
+    sites = [m for m in _mutants(q, deltas, ()) if m[0] != "structure"]
+    q = _perturbed(q, *data.draw(st.sampled_from(sites)))
+    tau, A, (M, _) = transgress(q), q.anchor, generator_defects(q)
+    for i, j in combinations(range(chart.dim), 2):
+        omega = KForm(chart, 2, {(i, j): Poly.one(chart)})
+        for b, c in product(range(q.rank), repeat=2):
+            if b <= c:
+                want = A[b][i] * M[c][j] - A[b][j] * M[c][i]
+                want = want + A[c][i] * M[b][j] - A[c][j] * M[b][i]
+                assert two_form_jacobi_defect(tau, omega, b, c) == want, (i, j, b, c)
+
+
+def test_tau_rules_build_only_the_two_forms_on_defective_columns(monkeypatch):
+    """Lemma L17 prunes two-forms one by one: on axioms_r4 with coanchor
+    row 2 shifted by x1, M is nonzero in column 2 only, and check_tau_rules
+    builds exactly the three two-forms that contain dx3 (of six), and
+    reports what unpruned_tau_rules does, which builds all six."""
+    from test_acceptance import _perturbed
+
+    q = _perturbed(axioms_r4(), "coanchor", (2, 0), Poly.coord(R4, 0))
+    M, _ = generator_defects(q)
+    columns = [any(not M[b][k].is_zero for b in range(q.rank)) for k in range(4)]
+    assert columns == [False, False, True, False]
+    built = []
+    two_form_c = TauModule.two_form_c
+
+    def counted(self, omega):
+        built.extend(omega.comps)
+        return two_form_c(self, omega)
+
+    monkeypatch.setattr(TauModule, "two_form_c", counted)
+    rep = check_tau_rules(q)
+    assert built == [(0, 2), (1, 2), (2, 3)]
+    built.clear()
+    assert str(rep) == str(unpruned_tau_rules(q))
+    assert len(built) == 6
 
 
 def test_pruned_bracket_matches_the_unpruned_reference():
