@@ -1,7 +1,7 @@
 """Transgressed bracket tables: rules, round trips, and linearity."""
 
 import random
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -490,17 +490,6 @@ def test_tau_rules_match_the_unpruned_reference():
         assert str(check_tau_rules(q)) == str(unpruned_tau_rules(q))
 
 
-def two_form_jacobi_defect(tau, omega, b, c):
-    """lhs - rhs of the graded_jacobi case ((omega)*c, e_b, e_c), both
-    formed through TauModule.bracket as check_tau_rules forms them."""
-    q = tau.courant
-    x = tau.two_form_c(omega)
-    eps_b, eps_c = tau.section_eps(q.gen(b)), tau.section_eps(q.gen(c))
-    lhs = tau.bracket(x, tau.bracket(eps_b, eps_c)).c_part
-    rhs = tau.bracket(tau.bracket(x, eps_b), eps_c).c_part
-    return lhs - rhs - tau.bracket(eps_b, tau.bracket(x, eps_c)).c_part
-
-
 @given(st.sampled_from([R2, R3, R4]), st.data())
 @settings(max_examples=15, deadline=None)
 def test_two_form_jacobi_cases_combine_the_eq5_defects(chart, data):
@@ -520,13 +509,17 @@ def test_two_form_jacobi_cases_combine_the_eq5_defects(chart, data):
     sites = [m for m in _mutants(q, deltas, ()) if m[0] != "structure"]
     q = _perturbed(q, *data.draw(st.sampled_from(sites)))
     tau, A, (M, _) = transgress(q), q.anchor, generator_defects(q)
+    eps = [tau.section_eps(q.gen(a)) for a in range(q.rank)]
     for i, j in combinations(range(chart.dim), 2):
-        omega = KForm(chart, 2, {(i, j): Poly.one(chart)})
-        for b, c in product(range(q.rank), repeat=2):
-            if b <= c:
-                want = A[b][i] * M[c][j] - A[b][j] * M[c][i]
-                want = want + A[c][i] * M[b][j] - A[c][j] * M[b][i]
-                assert two_form_jacobi_defect(tau, omega, b, c) == want, (i, j, b, c)
+        x = tau.two_form_c(KForm(chart, 2, {(i, j): Poly.one(chart)}))
+        for b, c in combinations_with_replacement(range(q.rank), 2):
+            # lhs - rhs as graded_jacobi forms them
+            lhs = tau.bracket(x, tau.bracket(eps[b], eps[c])).c_part
+            rhs = tau.bracket(tau.bracket(x, eps[b]), eps[c]).c_part
+            rhs = rhs + tau.bracket(eps[b], tau.bracket(x, eps[c])).c_part
+            want = A[b][i] * M[c][j] - A[b][j] * M[c][i]
+            want = want + A[c][i] * M[b][j] - A[c][j] * M[b][i]
+            assert lhs - rhs == want, (i, j, b, c)
 
 
 def test_tau_rules_build_only_the_two_forms_on_defective_columns(monkeypatch):
